@@ -3,14 +3,15 @@
 //
 // Record mode runs every figure experiment plus the cluster-scale
 // ladder and writes a BENCH_<date>.json report. All recorded series
-// are *virtual* times — the simulation's deterministic clock — so
-// they are stable across host machines and load; wall-clock times
-// ride along as informational fields only.
+// are *virtual* times — the simulation's deterministic clock — or
+// allocation counts, so they are stable across host machines and
+// load; host time is cmd/dacperf's business.
 //
 // Compare mode checks a candidate report against a committed
 // baseline and exits non-zero when any shared virtual-time series
-// deviates by more than the tolerance (default ±15%), which is what
-// the CI benchmark-regression gate runs on every PR:
+// deviates by more than the tolerance (default ±15%) or any allocs/op
+// series grows, which is what the CI benchmark-regression gate runs
+// on every PR:
 //
 //	dacbench -out BENCH_2026-08-05.json
 //	dacbench -compare BENCH_baseline.json -candidate BENCH_new.json
@@ -34,39 +35,32 @@ import (
 
 // Report is the BENCH_<date>.json schema. Series maps a stable name
 // ("fig7a/total/acs=3") to a virtual-time measurement in
-// milliseconds; Wall maps an experiment to host seconds.
+// milliseconds.
 type Report struct {
 	SchemaVersion int                `json:"schema_version"`
 	Date          string             `json:"date"`
 	GoVersion     string             `json:"go_version"`
 	Trials        int                `json:"trials"`
 	Series        map[string]float64 `json:"series_virtual_ms"`
-	Wall          map[string]float64 `json:"wall_seconds"`
-	// Allocs records the kernel microbenchmarks' allocs/op. Unlike the
-	// wall times these are deterministic (the hot paths are pinned at
-	// zero by tier-1 tests), so compare gates on any growth.
+	// Allocs records the kernel microbenchmarks' allocs/op. These are
+	// deterministic (the hot paths are pinned at zero by tier-1
+	// tests), so compare gates on any growth.
 	Allocs map[string]float64 `json:"allocs_per_op,omitempty"`
-	// Throughput records the online-service sustained-throughput
-	// series: host-side events/sec and jobs/sec for a resident
-	// instance absorbing an open-loop stream. These are wall-clock
-	// numbers, so compare gates only on drops (candidate slower than
-	// baseline by more than the throughput tolerance); speedups pass.
-	Throughput map[string]float64 `json:"throughput_per_sec,omitempty"`
 }
 
 func vms(d time.Duration) float64 { return float64(d) / 1e6 }
 
-// benchServePoint names one sustained-throughput measurement: a
-// cluster size and the server ablation serving it.
+// benchServePoint names one online-service point: a cluster size and
+// the server ablation serving it.
 type benchServePoint struct {
 	n    int
 	mode repro.ServerMode
 }
 
-// serveBenchHorizon is the virtual admission window per throughput
-// point — long enough for the resident instance to reach steady
-// state, short enough that the 1024-node faithful point stays a
-// modest slice of a record run.
+// serveBenchHorizon is the virtual admission window per serve point —
+// long enough for the resident instance to reach steady state, short
+// enough that the 1024-node faithful point stays a modest slice of a
+// record run.
 const serveBenchHorizon = 20 * time.Second
 
 func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServePoint) (*Report, error) {
@@ -76,95 +70,55 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 		GoVersion:     runtime.Version(),
 		Trials:        trials,
 		Series:        make(map[string]float64),
-		Wall:          make(map[string]float64),
 		Allocs:        make(map[string]float64),
-		Throughput:    make(map[string]float64),
 	}
 	params := repro.DefaultParams()
 
-	wall := func(name string, fn func() error) error {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		rep.Wall[name] = time.Since(start).Seconds()
-		return nil
+	f7a, err := repro.Fig7a(params, 6, trials)
+	if err != nil {
+		return nil, fmt.Errorf("fig7a: %w", err)
+	}
+	for _, pt := range f7a {
+		rep.Series[fmt.Sprintf("fig7a/waiting/acs=%d", pt.Accelerators)] = vms(pt.Waiting)
+		rep.Series[fmt.Sprintf("fig7a/connect/acs=%d", pt.Accelerators)] = vms(pt.Connect)
+		rep.Series[fmt.Sprintf("fig7a/total/acs=%d", pt.Accelerators)] = vms(pt.Total)
 	}
 
-	if err := wall("fig7a", func() error {
-		pts, err := repro.Fig7a(params, 6, trials)
-		if err != nil {
-			return err
-		}
-		for _, pt := range pts {
-			rep.Series[fmt.Sprintf("fig7a/waiting/acs=%d", pt.Accelerators)] = vms(pt.Waiting)
-			rep.Series[fmt.Sprintf("fig7a/connect/acs=%d", pt.Accelerators)] = vms(pt.Connect)
-			rep.Series[fmt.Sprintf("fig7a/total/acs=%d", pt.Accelerators)] = vms(pt.Total)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+	f7b, err := repro.Fig7b(params, 6, trials)
+	if err != nil {
+		return nil, fmt.Errorf("fig7b: %w", err)
+	}
+	for _, pt := range f7b {
+		rep.Series[fmt.Sprintf("fig7b/batch/acs=%d", pt.Accelerators)] = vms(pt.Batch)
+		rep.Series[fmt.Sprintf("fig7b/total/acs=%d", pt.Accelerators)] = vms(pt.Total)
 	}
 
-	if err := wall("fig7b", func() error {
-		pts, err := repro.Fig7b(params, 6, trials)
-		if err != nil {
-			return err
-		}
-		for _, pt := range pts {
-			rep.Series[fmt.Sprintf("fig7b/batch/acs=%d", pt.Accelerators)] = vms(pt.Batch)
-			rep.Series[fmt.Sprintf("fig7b/total/acs=%d", pt.Accelerators)] = vms(pt.Total)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+	f8, err := repro.Fig8(params, []int{0, 16, 20}, trials)
+	if err != nil {
+		return nil, fmt.Errorf("fig8: %w", err)
+	}
+	for _, pt := range f8 {
+		rep.Series[fmt.Sprintf("fig8/total/load=%d", pt.Load)] = vms(pt.Total)
 	}
 
-	if err := wall("fig8", func() error {
-		pts, err := repro.Fig8(params, []int{0, 16, 20}, trials)
-		if err != nil {
-			return err
-		}
-		for _, pt := range pts {
-			rep.Series[fmt.Sprintf("fig8/total/load=%d", pt.Load)] = vms(pt.Total)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+	f9, err := repro.Fig9(params, trials)
+	if err != nil {
+		return nil, fmt.Errorf("fig9: %w", err)
+	}
+	for _, pt := range f9 {
+		rep.Series[fmt.Sprintf("fig9/total/node=%s", pt.Node)] = vms(pt.Total)
 	}
 
-	if err := wall("fig9", func() error {
-		pts, err := repro.Fig9(params, trials)
-		if err != nil {
-			return err
-		}
-		for _, pt := range pts {
-			rep.Series[fmt.Sprintf("fig9/total/node=%s", pt.Node)] = vms(pt.Total)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// The scale ladder runs one point per wall() call so the host
-	// wall-clock of each cluster size is measured here, at the CLI:
-	// core.Scale itself reports only virtual time (the walltime
-	// analyzer keeps it that way).
 	for _, n := range scaleSizes {
-		if err := wall(fmt.Sprintf("scale/cns=%d", n), func() error {
-			pts, err := repro.Scale(params, []int{n})
-			if err != nil {
-				return err
-			}
-			pt := pts[0]
-			rep.Series[fmt.Sprintf("scale/cycle_mean/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMean)
-			rep.Series[fmt.Sprintf("scale/cycle_max/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMax)
-			rep.Series[fmt.Sprintf("scale/dyn_latency/cns=%d", pt.ComputeNodes)] = vms(pt.DynLatency)
-			rep.Series[fmt.Sprintf("scale/makespan/cns=%d", pt.ComputeNodes)] = vms(pt.Makespan)
-			return nil
-		}); err != nil {
-			return nil, err
+		pts, err := repro.Scale(params, []int{n}, repro.ServerFaithful, repro.Observers{})
+		if err != nil {
+			return nil, fmt.Errorf("scale/cns=%d: %w", n, err)
 		}
+		pt := pts[0]
+		rep.Series[fmt.Sprintf("scale/cycle_mean/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMean)
+		rep.Series[fmt.Sprintf("scale/cycle_max/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMax)
+		rep.Series[fmt.Sprintf("scale/dyn_latency/cns=%d", pt.ComputeNodes)] = vms(pt.DynLatency)
+		rep.Series[fmt.Sprintf("scale/makespan/cns=%d", pt.ComputeNodes)] = vms(pt.Makespan)
 	}
 
 	// The audited rung: the smallest ladder point rerun with the
@@ -174,21 +128,16 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 	// the recorder's simulation-visible overhead at zero.
 	if len(scaleSizes) > 0 {
 		n := scaleSizes[0]
-		if err := wall(fmt.Sprintf("scale_audited/cns=%d", n), func() error {
-			pts, err := repro.ScaleAudited(params, []int{n}, repro.ServerFaithful)
-			if err != nil {
-				return err
-			}
-			if b := repro.AuditBreaches(pts); b != 0 {
-				return fmt.Errorf("audited scale: %d invariant breaches", b)
-			}
-			pt := pts[0]
-			rep.Series[fmt.Sprintf("scale_audited/cycle_mean/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMean)
-			rep.Series[fmt.Sprintf("scale_audited/makespan/cns=%d", pt.ComputeNodes)] = vms(pt.Makespan)
-			return nil
-		}); err != nil {
-			return nil, err
+		pts, err := repro.Scale(params, []int{n}, repro.ServerFaithful, repro.Observers{Audit: true})
+		if err != nil {
+			return nil, fmt.Errorf("scale_audited/cns=%d: %w", n, err)
 		}
+		pt := pts[0]
+		if pt.Obs.Breaches != 0 {
+			return nil, fmt.Errorf("scale_audited/cns=%d: %d invariant breaches", n, pt.Obs.Breaches)
+		}
+		rep.Series[fmt.Sprintf("scale_audited/cycle_mean/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMean)
+		rep.Series[fmt.Sprintf("scale_audited/makespan/cns=%d", pt.ComputeNodes)] = vms(pt.Makespan)
 	}
 
 	// The sharded-server rungs of the ladder: same workload through the
@@ -196,50 +145,35 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 	// series so the ablation's virtual times are gated alongside the
 	// faithful ones.
 	for _, n := range shardedSizes {
-		if err := wall(fmt.Sprintf("scale_sharded/cns=%d", n), func() error {
-			pts, err := repro.ScaleMode(params, []int{n}, repro.ServerSharded)
-			if err != nil {
-				return err
-			}
-			pt := pts[0]
-			rep.Series[fmt.Sprintf("scale_sharded/cycle_mean/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMean)
-			rep.Series[fmt.Sprintf("scale_sharded/cycle_max/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMax)
-			rep.Series[fmt.Sprintf("scale_sharded/dyn_p50/cns=%d", pt.ComputeNodes)] = vms(pt.DynP50)
-			rep.Series[fmt.Sprintf("scale_sharded/dyn_p99/cns=%d", pt.ComputeNodes)] = vms(pt.DynP99)
-			rep.Series[fmt.Sprintf("scale_sharded/makespan/cns=%d", pt.ComputeNodes)] = vms(pt.Makespan)
-			return nil
-		}); err != nil {
-			return nil, err
+		pts, err := repro.Scale(params, []int{n}, repro.ServerSharded, repro.Observers{})
+		if err != nil {
+			return nil, fmt.Errorf("scale_sharded/cns=%d: %w", n, err)
 		}
+		pt := pts[0]
+		rep.Series[fmt.Sprintf("scale_sharded/cycle_mean/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMean)
+		rep.Series[fmt.Sprintf("scale_sharded/cycle_max/cns=%d", pt.ComputeNodes)] = vms(pt.CycleMax)
+		rep.Series[fmt.Sprintf("scale_sharded/dyn_p50/cns=%d", pt.ComputeNodes)] = vms(pt.DynP50)
+		rep.Series[fmt.Sprintf("scale_sharded/dyn_p99/cns=%d", pt.ComputeNodes)] = vms(pt.DynP99)
+		rep.Series[fmt.Sprintf("scale_sharded/makespan/cns=%d", pt.ComputeNodes)] = vms(pt.Makespan)
 	}
 
-	// The online-service sustained-throughput series: a resident
-	// instance per (size, server mode) absorbs an open-loop Poisson
-	// stream for a fixed virtual window; events/sec and jobs/sec are
-	// the host wall-clock rates at which the simulator pushed that
-	// window through. The virtual makespan of each point joins the
-	// deterministic Series gate; the rates join the drop-only
-	// Throughput gate.
+	// The online-service points: a resident instance per (size, server
+	// mode) absorbs an open-loop Poisson stream for a fixed virtual
+	// window; the virtual makespan of each joins the Series gate.
 	for _, sp := range servePoints {
 		key := fmt.Sprintf("cns=%d/mode=%s", sp.n, sp.mode)
-		start := time.Now()
-		pts, err := repro.Serve(params, []int{sp.n}, sp.mode, 0, serveBenchHorizon)
+		pts, err := repro.Serve(params, []int{sp.n}, sp.mode, 0, serveBenchHorizon, repro.Observers{})
 		if err != nil {
 			return nil, fmt.Errorf("serve/%s: %w", key, err)
 		}
-		elapsed := time.Since(start).Seconds()
 		pt := pts[0]
 		if pt.Completed != pt.Submitted {
 			return nil, fmt.Errorf("serve/%s: drained %d of %d jobs", key, pt.Completed, pt.Submitted)
 		}
-		rep.Wall["serve/"+key] = elapsed
 		rep.Series["serve/makespan/"+key] = vms(pt.Makespan)
-		rep.Throughput["serve/events_per_sec/"+key] = float64(pt.Dispatches) / elapsed
-		rep.Throughput["serve/jobs_per_sec/"+key] = float64(pt.Completed) / elapsed
 	}
 
-	// Kernel microbenchmarks: allocs/op is the gated number; ns/op is
-	// host-dependent and rides along in Wall for the log only.
+	// Kernel microbenchmarks: allocs/op is the gated number.
 	for _, kb := range []struct {
 		name string
 		fn   func(*testing.B)
@@ -255,7 +189,6 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 	} {
 		r := testing.Benchmark(kb.fn)
 		rep.Allocs[kb.name] = float64(r.AllocsPerOp())
-		rep.Wall[kb.name+"_ns_op"] = float64(r.NsPerOp()) / 1e9
 	}
 
 	return rep, nil
@@ -280,9 +213,7 @@ func load(path string) (*Report, error) {
 // virtual clock is deterministic, so shared series should match to
 // well within the tolerance) and reports series present on only one
 // side without failing on them — experiments may be added or retired.
-// Throughput series are wall-clock, so they gate one-sided at tolTput:
-// only a drop below baseline fails.
-func compare(baseline, candidate *Report, tol, tolTput float64) (failures []string) {
+func compare(baseline, candidate *Report, tol float64) (failures []string) {
 	if baseline.Trials != candidate.Trials {
 		fmt.Printf("note: trials differ (baseline %d, candidate %d); means may shift with jitter enabled\n",
 			baseline.Trials, candidate.Trials)
@@ -335,35 +266,6 @@ func compare(baseline, candidate *Report, tol, tolTput float64) (failures []stri
 		fmt.Printf("note: new series %q not in baseline\n", name)
 	}
 
-	// Throughput gate: sustained events/sec and jobs/sec are host
-	// wall-clock rates, so only a drop is a regression — a slower
-	// runner is absorbed by tolTput, a faster one sails through.
-	if len(baseline.Throughput) > 0 {
-		fmt.Println()
-		tnames := make([]string, 0, len(baseline.Throughput))
-		for name := range baseline.Throughput {
-			tnames = append(tnames, name)
-		}
-		sort.Strings(tnames)
-		for _, name := range tnames {
-			b := baseline.Throughput[name]
-			c, ok := candidate.Throughput[name]
-			if !ok {
-				fmt.Printf("note: throughput series %q missing from candidate\n", name)
-				continue
-			}
-			status := "ok"
-			if b > 0 && c < b*(1-tolTput) {
-				status = "FAIL"
-				failures = append(failures,
-					fmt.Sprintf("%s: baseline %.0f/sec, candidate %.0f/sec (%.1f%% drop > %.0f%%)",
-						name, b, c, (b-c)/b*100, tolTput*100))
-			}
-			fmt.Printf("%-4s %-44s baseline %12.0f/sec  candidate %12.0f/sec  (%+.1f%%)\n",
-				status, name, b, c, (c-b)/max(b, 1e-9)*100)
-		}
-	}
-
 	// Allocation gate: a kernel hot path that starts allocating is a
 	// regression even when virtual times are unchanged, so any
 	// allocs/op growth over the baseline fails. Shrinking is fine.
@@ -407,7 +309,6 @@ func main() {
 	baselinePath := flag.String("compare", "", "baseline report; with -candidate, compare instead of recording")
 	candidatePath := flag.String("candidate", "", "candidate report to check against -compare")
 	tol := flag.Float64("tolerance", 0.15, "maximum relative deviation per virtual-time series")
-	tolTput := flag.Float64("throughput-tolerance", 0.15, "maximum relative drop per wall-clock throughput series (gains always pass)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host-side CPU profile (runtime/pprof) of the record run to this file")
 	memProfile := flag.String("memprofile", "", "write a host-side heap profile (runtime/pprof, after GC) on exit")
 	flag.Parse()
@@ -455,7 +356,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("dacbench: %v", err)
 		}
-		failures := compare(baseline, candidate, *tol, *tolTput)
+		failures := compare(baseline, candidate, *tol)
 		if len(failures) > 0 {
 			fmt.Println()
 			for _, f := range failures {

@@ -20,7 +20,7 @@ func report(series map[string]float64) *Report {
 func TestCompareWithinTolerance(t *testing.T) {
 	base := report(map[string]float64{"a": 100, "b": 0, "gone": 5})
 	cand := report(map[string]float64{"a": 110, "b": 0, "new": 7})
-	if failures := compare(base, cand, 0.15, 0.15); len(failures) != 0 {
+	if failures := compare(base, cand, 0.15); len(failures) != 0 {
 		t.Fatalf("unexpected failures: %v", failures)
 	}
 }
@@ -28,26 +28,24 @@ func TestCompareWithinTolerance(t *testing.T) {
 func TestCompareDetectsRegression(t *testing.T) {
 	base := report(map[string]float64{"a": 100, "b": 0})
 	cand := report(map[string]float64{"a": 130, "b": 2})
-	failures := compare(base, cand, 0.15, 0.15)
+	failures := compare(base, cand, 0.15)
 	if len(failures) != 2 {
 		t.Fatalf("got %d failures, want 2: %v", len(failures), failures)
 	}
 }
 
-// Throughput series gate one-sided: a drop beyond tolerance fails, a
-// gain of any size passes, and the virtual-time tolerance does not
-// apply to them.
-func TestCompareThroughputDropOnly(t *testing.T) {
+// Allocs series gate one-sided and exactly: any growth fails, a drop
+// passes, and the virtual-time tolerance does not apply to them.
+func TestCompareAllocsGrowth(t *testing.T) {
 	base := report(map[string]float64{"a": 100})
-	base.Throughput = map[string]float64{"serve/jobs_per_sec/x": 1000, "serve/events_per_sec/x": 5000}
+	base.Allocs = map[string]float64{"kernel/x": 0, "telemetry/y": 110}
 	cand := report(map[string]float64{"a": 100})
-	cand.Throughput = map[string]float64{"serve/jobs_per_sec/x": 3000, "serve/events_per_sec/x": 4000}
-	if failures := compare(base, cand, 0.0, 0.25); len(failures) != 0 {
-		t.Fatalf("gain or small drop failed: %v", failures)
+	cand.Allocs = map[string]float64{"kernel/x": 0, "telemetry/y": 90}
+	if failures := compare(base, cand, 0.5); len(failures) != 0 {
+		t.Fatalf("drop failed: %v", failures)
 	}
-	cand.Throughput["serve/events_per_sec/x"] = 3000 // 40% drop
-	failures := compare(base, cand, 0.0, 0.25)
-	if len(failures) != 1 {
+	cand.Allocs["kernel/x"] = 1
+	if failures := compare(base, cand, 0.5); len(failures) != 1 {
 		t.Fatalf("got %d failures, want 1: %v", len(failures), failures)
 	}
 }
@@ -93,14 +91,7 @@ func TestRecordSelfConsistent(t *testing.T) {
 			t.Fatalf("series %q missing from recorded report", want)
 		}
 	}
-	for _, want := range []string{
-		"serve/events_per_sec/cns=8/mode=faithful", "serve/jobs_per_sec/cns=8/mode=faithful",
-	} {
-		if v, ok := rep.Throughput[want]; !ok || v <= 0 {
-			t.Fatalf("throughput %q missing or zero in recorded report", want)
-		}
-	}
-	if failures := compare(rep, rep, 0.0, 0.0); len(failures) != 0 {
+	if failures := compare(rep, rep, 0.0); len(failures) != 0 {
 		t.Fatalf("report deviates from itself: %v", failures)
 	}
 }

@@ -1,36 +1,24 @@
-// Command dacaudit inspects flight recordings written by the audit
-// layer (dacsim -audit -audit-out writes them; any audit.Recorder can
-// via WriteRecording).
-//
-// Usage:
-//
-//	dacaudit rec.jsonl              # summarize one recording
-//	dacaudit -diff a.jsonl b.jsonl  # first divergence between two runs
-//
-// The summary reports per-component event counts, invariant breaches,
-// and digest rounds; it exits non-zero when the recording contains
-// breach events. The diff walks both recordings to the first
-// divergent event — the responsible component, its virtual timestamp,
-// and the surrounding event window from each side — and exits
-// non-zero when the recordings differ.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"repro/internal/audit"
+	"repro/internal/capture"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dacaudit", flag.ContinueOnError)
+// runAudit inspects a capture's flight recording. The summary reports
+// per-component event counts, invariant breaches, and digest rounds;
+// it exits 1 when the recording contains breach events. The diff
+// walks two recordings to the first divergent event — the responsible
+// component, its virtual timestamp, and the surrounding event window
+// from each side — and exits 1 when the recordings differ. An
+// unreadable recording exits 2.
+func runAudit(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dacobs audit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	diff := fs.Bool("diff", false, "diff two recordings to their first divergence")
 	context := fs.Int("context", 4, "events of context around the divergence")
@@ -39,45 +27,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *diff {
 		if fs.NArg() != 2 {
-			fmt.Fprintln(stderr, "dacaudit: -diff wants exactly two recordings")
+			fmt.Fprintln(stderr, "dacobs audit: -diff wants exactly two captures")
 			return 2
 		}
 		return runDiff(fs.Arg(0), fs.Arg(1), *context, stdout, stderr)
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "dacaudit: want one recording (or -diff a b)")
+		fmt.Fprintln(stderr, "dacobs audit: want one capture (or -diff a b)")
 		return 2
 	}
 	return runSummary(fs.Arg(0), stdout, stderr)
 }
 
-func load(path string, stderr io.Writer) ([]audit.Event, bool) {
-	f, err := os.Open(path)
+func loadAudit(path string, stderr io.Writer) ([]audit.Event, bool) {
+	f, err := load(path, capture.KindAudit)
 	if err != nil {
-		fmt.Fprintf(stderr, "dacaudit: %v\n", err)
+		fmt.Fprintf(stderr, "dacobs audit: %v\n", err)
 		return nil, false
 	}
-	defer f.Close()
-	ev, err := audit.ReadRecording(f)
-	if err != nil {
-		fmt.Fprintf(stderr, "dacaudit: %s: %v\n", path, err)
-		return nil, false
-	}
-	return ev, true
+	return f.Audit, true
 }
 
 func runDiff(pathA, pathB string, context int, stdout, stderr io.Writer) int {
-	a, ok := load(pathA, stderr)
+	a, ok := loadAudit(pathA, stderr)
 	if !ok {
 		return 2
 	}
-	b, ok := load(pathB, stderr)
+	b, ok := loadAudit(pathB, stderr)
 	if !ok {
 		return 2
 	}
 	d := audit.Diff(a, b, context)
 	if err := audit.WriteDivergence(stdout, d, pathA, pathB); err != nil {
-		fmt.Fprintf(stderr, "dacaudit: %v\n", err)
+		fmt.Fprintf(stderr, "dacobs audit: %v\n", err)
 		return 2
 	}
 	if d != nil {
@@ -87,14 +69,11 @@ func runDiff(pathA, pathB string, context int, stdout, stderr io.Writer) int {
 }
 
 func runSummary(path string, stdout, stderr io.Writer) int {
-	events, ok := load(path, stderr)
+	events, ok := loadAudit(path, stderr)
 	if !ok {
 		return 2
 	}
 	fmt.Fprintf(stdout, "%s: %d events\n", path, len(events))
-	if len(events) == 0 {
-		return 0
-	}
 	fmt.Fprintf(stdout, "virtual span: %.3fms .. %.3fms\n",
 		float64(events[0].VT)/1e6, float64(events[len(events)-1].VT)/1e6)
 

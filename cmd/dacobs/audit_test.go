@@ -2,27 +2,23 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/capture"
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
-// record writes events to a JSONL file under dir and returns its path.
+// record writes events to a capture file under dir and returns its
+// path.
 func record(t *testing.T, dir, name string, events []audit.Event) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	defer f.Close()
-	if err := audit.WriteRecording(f, events); err != nil {
-		t.Fatalf("write recording: %v", err)
+	if err := capture.WriteFile(path, &capture.File{Audit: events}); err != nil {
+		t.Fatalf("write capture: %v", err)
 	}
 	return path
 }
@@ -31,18 +27,18 @@ func record(t *testing.T, dir, name string, events []audit.Event) string {
 // its recording.
 func auditedEvents(t *testing.T) []audit.Event {
 	t.Helper()
-	pts, err := core.ScaleAudited(cluster.Default(), []int{8}, core.ServerFaithful)
+	pts, err := core.Scale(cluster.Default(), []int{8}, core.ServerFaithful, cluster.Observers{Audit: true})
 	if err != nil {
-		t.Fatalf("ScaleAudited: %v", err)
+		t.Fatalf("Scale: %v", err)
 	}
-	if pts[0].Breaches != 0 {
-		t.Fatalf("clean run reported %d breaches", pts[0].Breaches)
+	if pts[0].Obs.Breaches != 0 {
+		t.Fatalf("clean run reported %d breaches", pts[0].Obs.Breaches)
 	}
-	return pts[0].Events
+	return pts[0].Obs.Audit
 }
 
 // Injecting a single mutated event into a real recording must make
-// dacaudit -diff name exactly that event: its index, the responsible
+// dacobs audit -diff name exactly that event: its index, the responsible
 // component, and its virtual timestamp.
 func TestDiffNamesFirstDivergentEvent(t *testing.T) {
 	events := auditedEvents(t)
@@ -59,7 +55,7 @@ func TestDiffNamesFirstDivergentEvent(t *testing.T) {
 	pathB := record(t, dir, "b.jsonl", mutated)
 
 	var out, errb strings.Builder
-	if code := run([]string{"-diff", pathA, pathB}, &out, &errb); code != 1 {
+	if code := run([]string{"audit", "-diff", pathA, pathB}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
 	}
 	want := fmt.Sprintf("first divergence at event %d: component %s, virtual time %.3fms",
@@ -79,7 +75,7 @@ func TestDiffIdenticalRecordings(t *testing.T) {
 	pathA := record(t, dir, "a.jsonl", events)
 	pathB := record(t, dir, "b.jsonl", events)
 	var out, errb strings.Builder
-	if code := run([]string{"-diff", pathA, pathB}, &out, &errb); code != 0 {
+	if code := run([]string{"audit", "-diff", pathA, pathB}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, want 0; stderr: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "identical") {
@@ -94,7 +90,7 @@ func TestSummaryReportsBreaches(t *testing.T) {
 	dir := t.TempDir()
 	clean := record(t, dir, "clean.jsonl", events)
 	var out, errb strings.Builder
-	if code := run([]string{clean}, &out, &errb); code != 0 {
+	if code := run([]string{"audit", clean}, &out, &errb); code != 0 {
 		t.Fatalf("clean summary exit %d; stderr: %s", code, errb.String())
 	}
 	for _, want := range []string{"events by component", "pbs", "netsim", "digests", "invariant breaches: 0"} {
@@ -109,7 +105,7 @@ func TestSummaryReportsBreaches(t *testing.T) {
 	})
 	bad := record(t, dir, "bad.jsonl", poisoned)
 	out.Reset()
-	if code := run([]string{bad}, &out, &errb); code != 1 {
+	if code := run([]string{"audit", bad}, &out, &errb); code != 1 {
 		t.Fatalf("breach summary exit %d, want 1", code)
 	}
 	if !strings.Contains(out.String(), "invariant breaches: 1") {

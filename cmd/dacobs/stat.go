@@ -1,80 +1,124 @@
-// Command dacstat renders the scrape files written by
-// dacsim -fig slo -scrape-out: a per-instrument summary of a run, the
-// full per-window series of one instrument, or a diff of two runs.
-//
-// Usage:
-//
-//	dacstat scrape-256.jsonl                          # per-instrument summary
-//	dacstat -windows -name pbs.dyn_latency s.jsonl    # one instrument's window series
-//	dacstat -csv scrape-256.jsonl                     # machine-readable output
-//	dacstat -diff scrape-a.jsonl scrape-b.jsonl       # compare two runs
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"sort"
 	"strings"
 	"time"
 
-	"repro"
+	"repro/internal/capture"
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
-func main() {
-	windows := flag.Bool("windows", false, "render the per-window series instead of the summary (use -name to select instruments)")
-	name := flag.String("name", "", "only instruments whose name contains this substring")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	diff := flag.Bool("diff", false, "compare two scrape files (old new)")
-	flag.Parse()
-
-	emit := func(t *metrics.Table) {
-		var err error
-		if *csv {
-			err = t.CSV(os.Stdout)
-		} else {
-			err = t.Render(os.Stdout)
-		}
-		if err != nil {
-			log.Fatalf("dacstat: %v", err)
-		}
-		fmt.Println()
+// runStat renders what a run's instruments did: a per-instrument
+// summary of the capture's scrape lines and a per-span-name latency
+// table of its span lines (whichever the file holds), the full
+// per-window series of selected instruments, or a diff of two runs.
+func runStat(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dacobs stat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	windows := fs.Bool("windows", false, "render the per-window series instead of the summary (use -name to select instruments)")
+	name := fs.String("name", "", "only instruments and spans whose name contains this substring")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	diff := fs.Bool("diff", false, "compare the scrape series of two captures (old new)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	want := 1
+	if *diff {
+		want = 2
+	}
+	if fs.NArg() != want {
+		fmt.Fprintln(stderr, "usage: dacobs stat [-windows] [-name SUBSTR] [-csv] CAPTURE.jsonl")
+		fmt.Fprintln(stderr, "       dacobs stat -diff [-name SUBSTR] [-csv] OLD.jsonl NEW.jsonl")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dacobs stat: %v\n", err)
+		return 1
 	}
 
-	args := flag.Args()
+	var tables []*metrics.Table
 	switch {
 	case *diff:
-		if len(args) != 2 {
-			log.Fatalf("dacstat: -diff needs exactly two scrape files, got %d", len(args))
+		a, err := load(fs.Arg(0), capture.KindScrape)
+		if err != nil {
+			return fail(err)
 		}
-		emit(diffTable(load(args[0]), load(args[1]), args[0], args[1], *name))
-	case len(args) != 1:
-		fmt.Fprintln(os.Stderr, "usage: dacstat [-windows] [-name SUBSTR] [-csv] SCRAPE.jsonl")
-		fmt.Fprintln(os.Stderr, "       dacstat -diff [-name SUBSTR] [-csv] OLD.jsonl NEW.jsonl")
-		os.Exit(2)
+		b, err := load(fs.Arg(1), capture.KindScrape)
+		if err != nil {
+			return fail(err)
+		}
+		tables = append(tables, diffTable(a.Windows, b.Windows, fs.Arg(0), fs.Arg(1), *name))
 	case *windows:
-		emit(windowTable(load(args[0]), args[0], *name))
+		f, err := load(fs.Arg(0), capture.KindScrape)
+		if err != nil {
+			return fail(err)
+		}
+		tables = append(tables, windowTable(f.Windows, fs.Arg(0), *name))
 	default:
-		emit(summaryTable(load(args[0]), args[0], *name))
+		f, err := load(fs.Arg(0), capture.KindScrape, capture.KindSpan)
+		if err != nil {
+			return fail(err)
+		}
+		if len(f.Windows) > 0 {
+			tables = append(tables, summaryTable(f.Windows, fs.Arg(0), *name))
+		}
+		if len(f.Spans) > 0 {
+			tables = append(tables, spanTable(f.Spans, *name))
+		}
 	}
+	for _, t := range tables {
+		if err := emit(stdout, t, *csv); err != nil {
+			return fail(err)
+		}
+	}
+	return 0
 }
 
-func load(path string) []repro.TelemetryWindow {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatalf("dacstat: %v", err)
+// spanTable aggregates completed spans into per-name latency
+// distributions with the tail quantiles a mean hides. Spans are keyed
+// "component.name": the "@host" instance suffix of a track is
+// stripped, so "dac@cn0" and "dac@cn1" both feed "dac.<span>".
+func spanTable(events []trace.Event, filter string) *metrics.Table {
+	byName := map[string]*metrics.Sample{}
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind != trace.KindSpan {
+			continue
+		}
+		comp, _, _ := strings.Cut(ev.Track, "@")
+		key := comp + "." + ev.Name
+		if filter != "" && !strings.Contains(key, filter) {
+			continue
+		}
+		s := byName[key]
+		if s == nil {
+			s = &metrics.Sample{}
+			byName[key] = s
+		}
+		s.Add(ev.Dur)
 	}
-	defer f.Close()
-	wins, err := repro.ReadScrapeJSONL(f)
-	if err != nil {
-		log.Fatalf("dacstat: %s: %v", path, err)
+	names := make([]string, 0, len(byName))
+	for k := range byName {
+		names = append(names, k)
 	}
-	if len(wins) == 0 {
-		log.Fatalf("dacstat: %s: no scrape windows", path)
+	sort.Strings(names)
+	t := &metrics.Table{
+		Title:   "Span latencies [ms]",
+		Headers: []string{"span", "count", "mean", "p50", "p95", "p99", "max"},
 	}
-	return wins
+	for _, k := range names {
+		s := byName[k]
+		t.AddRow(k, fmt.Sprint(s.N()),
+			metrics.Ms(s.Mean()), metrics.Ms(s.Percentile(50)), metrics.Ms(s.Percentile(95)),
+			metrics.Ms(s.Percentile(99)), metrics.Ms(s.Max()))
+	}
+	return t
 }
 
 // instrumentStats aggregates one instrument's rows across a run.
@@ -92,7 +136,7 @@ type instrumentStats struct {
 
 // collect folds a window series into per-instrument aggregates,
 // returned in (name, kind) order. filter narrows by name substring.
-func collect(wins []repro.TelemetryWindow, filter string) []*instrumentStats {
+func collect(wins []telemetry.Window, filter string) []*instrumentStats {
 	byKey := map[string]*instrumentStats{}
 	var order []string
 	for _, w := range wins {
@@ -152,7 +196,7 @@ func dur(d time.Duration) string {
 	return metrics.Ms(d)
 }
 
-func summaryTable(wins []repro.TelemetryWindow, path, filter string) *metrics.Table {
+func summaryTable(wins []telemetry.Window, path, filter string) *metrics.Table {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Scrape summary: %s (%d windows, %v of virtual time)",
 			path, len(wins), wins[len(wins)-1].End-wins[0].Start),
@@ -167,7 +211,7 @@ func summaryTable(wins []repro.TelemetryWindow, path, filter string) *metrics.Ta
 	return t
 }
 
-func windowTable(wins []repro.TelemetryWindow, path, filter string) *metrics.Table {
+func windowTable(wins []telemetry.Window, path, filter string) *metrics.Table {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Scrape windows: %s", path),
 		Headers: []string{"window", "start_ms", "end_ms", "instrument", "kind",
@@ -186,7 +230,7 @@ func windowTable(wins []repro.TelemetryWindow, path, filter string) *metrics.Tab
 	return t
 }
 
-func diffTable(oldW, newW []repro.TelemetryWindow, oldPath, newPath, filter string) *metrics.Table {
+func diffTable(oldW, newW []telemetry.Window, oldPath, newPath, filter string) *metrics.Table {
 	oldStats := collect(oldW, filter)
 	newStats := collect(newW, filter)
 	oldBy := map[string]*instrumentStats{}

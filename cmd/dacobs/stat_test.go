@@ -6,17 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/telemetry"
 )
 
-func testWindows() []repro.TelemetryWindow {
-	return []repro.TelemetryWindow{
-		{Index: 0, Start: 0, End: 5 * time.Second, Rows: []repro.TelemetryRow{
+func testWindows() []telemetry.Window {
+	return []telemetry.Window{
+		{Index: 0, Start: 0, End: 5 * time.Second, Rows: []telemetry.Row{
 			{Name: "pbs.dyn_latency", Kind: "histogram", Total: 3, Delta: 3,
 				P50: 40 * time.Millisecond, P99: 55 * time.Millisecond, Max: 55 * time.Millisecond},
 			{Name: "pbs.submits", Kind: "counter", Total: 10, Delta: 10},
 		}},
-		{Index: 1, Start: 5 * time.Second, End: 10 * time.Second, Rows: []repro.TelemetryRow{
+		{Index: 1, Start: 5 * time.Second, End: 10 * time.Second, Rows: []telemetry.Row{
 			{Name: "pbs.dyn_latency", Kind: "histogram", Total: 7, Delta: 4,
 				P50: 45 * time.Millisecond, P99: 60 * time.Millisecond, Max: 61 * time.Millisecond},
 			{Name: "pbs.submits", Kind: "counter", Total: 25, Delta: 15},
@@ -93,7 +93,7 @@ func TestDiffTable(t *testing.T) {
 	newW[1].Rows[0].P99 = 80 * time.Millisecond
 	newW[1].Rows[1].Total = 40
 	// An instrument only present in the new run shows "-" on the old side.
-	newW[1].Rows = append(newW[1].Rows, repro.TelemetryRow{Name: "net.msgs", Kind: "counter", Total: 5, Delta: 5})
+	newW[1].Rows = append(newW[1].Rows, telemetry.Row{Name: "net.msgs", Kind: "counter", Total: 5, Delta: 5})
 
 	var b bytes.Buffer
 	if err := diffTable(oldW, newW, "a.jsonl", "b.jsonl", "").Render(&b); err != nil {

@@ -11,7 +11,8 @@
 //	dacserve -cns 256 -rate 64 -for 2m        # explicit load point
 //	dacserve -server sharded -cns 1024        # partitioned server ablation
 //	dacserve -process burst -burst-len 32     # bursty arrivals
-//	dacserve -scrape-out serve.jsonl          # live scrape series for dacstat
+//	dacserve -capture serve                   # live scrape series for dacobs stat (serve-<cns>.jsonl)
+//	dacserve -observe trace,audit -capture serve   # plus spans and the flight recording
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"repro"
@@ -36,7 +36,8 @@ func main() {
 	burstFactor := flag.Float64("burst-factor", 0, "with -process burst: in-burst rate multiplier (0 = 8)")
 	maxJobs := flag.Int("max-jobs", 0, "admission cap in jobs (0 = 2x the expected count for the window)")
 	seed := flag.Uint64("seed", 0, "arrival and job-shape seed; 0 derives the ladder default from -cns")
-	scrapeOut := flag.String("scrape-out", "", "write the live telemetry scrape series (JSONL, readable by dacstat) to this file")
+	observe := flag.String("observe", "", "comma-separated extra observers to attach: trace (spans), audit (flight recorder and invariant checks; exits non-zero on any breach); telemetry is always on")
+	captureOut := flag.String("capture", "", "write the scrape series and what the extra observers saw (JSONL, readable by dacobs) to PREFIX-<cns>.jsonl")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	flag.Parse()
 
@@ -51,6 +52,10 @@ func main() {
 	if (*burstLen != 0 || *burstFactor != 0) && proc != repro.ArrivalBurst {
 		log.Fatal("dacserve: -burst-len/-burst-factor require -process burst")
 	}
+	obs, err := repro.ParseObservers(*observe)
+	if err != nil {
+		log.Fatalf("dacserve: -observe: %v", err)
+	}
 
 	start := time.Now()
 	pt, err := repro.ServeOne(repro.DefaultParams(), *cns, mode, repro.ArrivalConfig{
@@ -60,7 +65,7 @@ func main() {
 		MaxJobs:     *maxJobs,
 		BurstLen:    *burstLen,
 		BurstFactor: *burstFactor,
-	}, *dur)
+	}, *dur, obs)
 	if err != nil {
 		log.Fatalf("dacserve: %v", err)
 	}
@@ -82,26 +87,16 @@ func main() {
 	emit(repro.ServeTable(pts))
 	emit(repro.ServeComplianceTable(pts))
 
-	if *scrapeOut != "" {
-		path := *scrapeOut
-		if !strings.HasSuffix(path, ".jsonl") {
-			path += ".jsonl"
+	if *captureOut != "" {
+		path := repro.CapturePath(*captureOut, pt.ComputeNodes)
+		if err := repro.WriteCaptureFile(path, &pt.Obs.File); err != nil {
+			log.Fatalf("dacserve: capture: %v", err)
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatalf("dacserve: scrape-out: %v", err)
-		}
-		if err := repro.WriteScrapeJSONL(f, pt.Windows); err != nil {
-			log.Fatalf("dacserve: scrape-out: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("dacserve: scrape-out: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dacserve: wrote %d scrape windows to %s\n", len(pt.Windows), path)
+		fmt.Fprintf(os.Stderr, "dacserve: wrote %s to %s\n", pt.Obs.Kinds(), path)
 	}
 
 	// The sustained-throughput summary: how fast the host pushed the
-	// virtual window through — the numbers dacbench gates as series.
+	// virtual window through.
 	sec := elapsed.Seconds()
 	fmt.Fprintf(os.Stderr,
 		"dacserve: served %d jobs over %v of virtual time in %v of wall time (%.0f jobs/sec, %.0f events/sec host-side)\n",
@@ -109,5 +104,8 @@ func main() {
 		float64(pt.Completed)/sec, float64(pt.Dispatches)/sec)
 	if pt.Completed != pt.Submitted {
 		log.Fatalf("dacserve: drained %d of %d admitted jobs", pt.Completed, pt.Submitted)
+	}
+	if pt.Obs.Breaches != 0 {
+		log.Fatalf("dacserve: audit: %d invariant breaches (see the capture's kind=breach audit lines)", pt.Obs.Breaches)
 	}
 }

@@ -8,12 +8,11 @@
 //	dacsim -fig 7b -trials 10  # one figure
 //	dacsim -fig ablations      # the DESIGN.md ablation suite
 //	dacsim -fig 8 -csv         # machine-readable output
-//	dacsim -fig breakdown -capture prof   # profiler captures for dacprof
-//	dacsim -fig slo -scrape-out scrape    # live telemetry scrapes + SLO compliance
-//	dacsim -fig scale -audit              # flight recorder + invariant engine on
-//	dacsim -fig scale -audit -audit-out rec -seed 1   # recordings for dacaudit
-//	dacsim -fig serve                     # online service mode: open-loop sustained ingest
-//	dacsim -fig serve -rate 64 -serve-for 30s -scrape-out serve   # custom load point
+//	dacsim -fig scale -observe trace,telemetry,audit -capture obs   # one capture per ladder point, for dacobs
+//	dacsim -fig scale -observe audit -seed 1   # flight recorder + invariant engine on; exits non-zero on a breach
+//	dacsim -fig breakdown -capture prof   # the profiler figure (always traced) and its captures
+//	dacsim -fig slo                       # live telemetry scrapes + SLO compliance
+//	dacsim -fig serve -rate 64 -serve-for 30s   # online service mode at a custom load point
 //	dacsim -fig scale -cpuprofile cpu.pb.gz   # host-side pprof of the simulator itself
 package main
 
@@ -40,13 +39,9 @@ func main() {
 	jitter := flag.Float64("jitter", 0, "fabric latency jitter fraction (e.g. 0.1); 0 keeps runs exactly deterministic")
 	parallel := flag.Int("parallel", 0, "independent trials run on this many OS threads (0 or <1 = all cores); output is identical at every level")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of every simulated run to this file")
-	captureOut := flag.String("capture", "", "with -fig breakdown: write one profiler capture (JSONL, readable by dacprof) per cluster size to PREFIX-<nodes>.jsonl")
-	scrapeOut := flag.String("scrape-out", "", "with -fig slo: write the scrape series (JSONL, readable by dacstat) and the Prometheus exposition per cluster size to PREFIX-<nodes>.jsonl / PREFIX-<nodes>.prom")
-	auditOn := flag.Bool("audit", false, "with -fig scale: attach a flight recorder per ladder point, check invariants at every scheduler cycle, and capture state digests; exits non-zero on any breach")
-	auditOut := flag.String("audit-out", "", "with -audit: write each point's recording (JSONL, readable by dacaudit) to PREFIX-<nodes>.jsonl")
-	seed := flag.Uint64("seed", 0, "workload/jitter seed; 0 reproduces the historical figures byte for byte, distinct seeds give dacaudit -diff distinct recordings")
-	showMetrics := flag.Bool("metrics", false, "print the tracer's metrics summary (span latencies, counters, gauges) after the figures")
+	observe := flag.String("observe", "", "comma-separated observers to attach to every run: trace (spans), telemetry (instrument scrapes, cut per ladder point: the paper figures run many simulations and have no one clock to window on), audit (flight recorder, invariant checks and state digests; exits non-zero on any breach)")
+	captureOut := flag.String("capture", "", "write what the observers saw (JSONL, readable by dacobs) to PREFIX-<nodes>.jsonl per ladder point, or PREFIX.jsonl for the paper figures; with telemetry also PREFIX-<nodes>.prom")
+	seed := flag.Uint64("seed", 0, "workload/jitter seed; 0 reproduces the historical figures byte for byte, distinct seeds give dacobs audit -diff distinct recordings")
 	serveRate := flag.Float64("rate", 0, "with -fig serve: open-loop submission rate in jobs per virtual second (0 picks a per-size default)")
 	serveFor := flag.Duration("serve-for", 0, "with -fig serve: virtual admission window per point (0 = 60s default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host-side CPU profile (runtime/pprof) of the whole run to this file")
@@ -88,11 +83,13 @@ func main() {
 	params := repro.DefaultParams()
 	params.LatencyJitter = *jitter
 	params.Seed = *seed
-	var tracer *repro.Tracer
-	if *traceOut != "" || *showMetrics {
-		tracer = repro.NewTracer()
-		params.Tracer = tracer
+	obs, err := repro.ParseObservers(*observe)
+	if err != nil {
+		log.Fatalf("dacsim: -observe: %v", err)
 	}
+	// seen collects what each run's observers saw: one entry per ladder
+	// point, or one for all trials of the paper figures.
+	var seen []repro.Observed
 	emit := func(t *metrics.Table) {
 		var err error
 		if *csv {
@@ -138,15 +135,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("dacsim: %v", err)
 	}
-	// The sharded ladder's axis continues past 256 nodes; the faithful
-	// axis stays the paper-era ladder so existing figures do not move.
-	ladder := func() []int {
-		axis := repro.ScaleSizes
-		if mode == repro.ServerSharded {
-			axis = repro.ScaleSizesExtended
-		}
+	// axis cuts a figure's compute-node axis at -scale-max, ending on it.
+	axis := func(base []int) []int {
 		var sizes []int
-		for _, n := range axis {
+		for _, n := range base {
 			if n <= *scaleNodes {
 				sizes = append(sizes, n)
 			}
@@ -156,45 +148,16 @@ func main() {
 		}
 		return sizes
 	}
-	runScale := func() {
-		if *auditOn {
-			apts, err := repro.ScaleAudited(params, ladder(), mode)
-			if err != nil {
-				log.Fatalf("dacsim: scale: %v", err)
-			}
-			pts := make([]repro.ScalePoint, len(apts))
-			for i := range apts {
-				pts[i] = apts[i].ScalePoint
-			}
-			if mode == repro.ServerSharded {
-				emit(repro.ScaleShardedTable(pts))
-			} else {
-				emit(repro.ScaleTable(pts))
-			}
-			emit(repro.AuditTable(apts))
-			if *auditOut != "" {
-				prefix := strings.TrimSuffix(*auditOut, ".jsonl")
-				for i := range apts {
-					path := fmt.Sprintf("%s-%d.jsonl", prefix, apts[i].ComputeNodes)
-					f, err := os.Create(path)
-					if err != nil {
-						log.Fatalf("dacsim: audit-out: %v", err)
-					}
-					if err := repro.WriteAuditRecording(f, apts[i].Events); err != nil {
-						log.Fatalf("dacsim: audit-out: %v", err)
-					}
-					if err := f.Close(); err != nil {
-						log.Fatalf("dacsim: audit-out: %v", err)
-					}
-					fmt.Fprintf(os.Stderr, "dacsim: wrote %d audit events to %s\n", len(apts[i].Events), path)
-				}
-			}
-			if n := repro.AuditBreaches(apts); n != 0 {
-				log.Fatalf("dacsim: audit: %d invariant breaches (see the recording for kind=breach events)", n)
-			}
-			return
+	// The sharded ladder's axis continues past 256 nodes; the faithful
+	// axis stays the paper-era ladder so existing figures do not move.
+	ladder := func() []int {
+		if mode == repro.ServerSharded {
+			return axis(repro.ScaleSizesExtended)
 		}
-		pts, err := repro.ScaleMode(params, ladder(), mode)
+		return axis(repro.ScaleSizes)
+	}
+	runScale := func() {
+		pts, err := repro.Scale(params, ladder(), mode, obs)
 		if err != nil {
 			log.Fatalf("dacsim: scale: %v", err)
 		}
@@ -203,104 +166,41 @@ func main() {
 		} else {
 			emit(repro.ScaleTable(pts))
 		}
+		for i := range pts {
+			seen = append(seen, pts[i].Obs)
+		}
 	}
 	runBreakdown := func() {
-		sizes := ladder()
-		var capture func(int, []repro.TraceEvent)
-		if *captureOut != "" {
-			capture = func(n int, events []repro.TraceEvent) {
-				path := fmt.Sprintf("%s-%d.jsonl", strings.TrimSuffix(*captureOut, ".jsonl"), n)
-				f, err := os.Create(path)
-				if err != nil {
-					log.Fatalf("dacsim: capture: %v", err)
-				}
-				if err := repro.WriteCapture(f, events); err != nil {
-					log.Fatalf("dacsim: capture: %v", err)
-				}
-				if err := f.Close(); err != nil {
-					log.Fatalf("dacsim: capture: %v", err)
-				}
-				fmt.Fprintf(os.Stderr, "dacsim: wrote %d events to %s\n", len(events), path)
-			}
-		}
-		pts, err := repro.BreakdownMode(params, sizes, mode, capture)
+		pts, err := repro.Breakdown(params, ladder(), mode, obs)
 		if err != nil {
 			log.Fatalf("dacsim: breakdown: %v", err)
 		}
 		emit(repro.BreakdownTable(pts))
 		emit(repro.DynBreakdownTable(pts))
+		for i := range pts {
+			seen = append(seen, pts[i].Obs)
+		}
 	}
 	runSLO := func() {
-		var sizes []int
-		for _, n := range repro.SLOSizes {
-			if n <= *scaleNodes {
-				sizes = append(sizes, n)
-			}
-		}
-		if len(sizes) == 0 || sizes[len(sizes)-1] != *scaleNodes {
-			sizes = append(sizes, *scaleNodes)
-		}
-		pts, err := repro.SLO(params, sizes)
+		pts, err := repro.SLO(params, axis(repro.SLOSizes), obs)
 		if err != nil {
 			log.Fatalf("dacsim: slo: %v", err)
 		}
 		emit(repro.SLOTable(pts))
 		emit(repro.SLOComplianceTable(pts))
-		if *scrapeOut != "" {
-			prefix := strings.TrimSuffix(*scrapeOut, ".jsonl")
-			for _, pt := range pts {
-				path := fmt.Sprintf("%s-%d.jsonl", prefix, pt.ComputeNodes)
-				f, err := os.Create(path)
-				if err != nil {
-					log.Fatalf("dacsim: scrape-out: %v", err)
-				}
-				if err := repro.WriteScrapeJSONL(f, pt.Windows); err != nil {
-					log.Fatalf("dacsim: scrape-out: %v", err)
-				}
-				if err := f.Close(); err != nil {
-					log.Fatalf("dacsim: scrape-out: %v", err)
-				}
-				fmt.Fprintf(os.Stderr, "dacsim: wrote %d scrape windows to %s\n", len(pt.Windows), path)
-				promPath := fmt.Sprintf("%s-%d.prom", prefix, pt.ComputeNodes)
-				if err := os.WriteFile(promPath, []byte(pt.Prom), 0o644); err != nil {
-					log.Fatalf("dacsim: scrape-out: %v", err)
-				}
-				fmt.Fprintf(os.Stderr, "dacsim: wrote Prometheus exposition to %s\n", promPath)
-			}
+		for i := range pts {
+			seen = append(seen, pts[i].Obs)
 		}
 	}
 	runServe := func() {
-		var sizes []int
-		for _, n := range repro.ServeSizes {
-			if n <= *scaleNodes {
-				sizes = append(sizes, n)
-			}
-		}
-		if len(sizes) == 0 || sizes[len(sizes)-1] != *scaleNodes {
-			sizes = append(sizes, *scaleNodes)
-		}
-		pts, err := repro.Serve(params, sizes, mode, *serveRate, *serveFor)
+		pts, err := repro.Serve(params, axis(repro.ServeSizes), mode, *serveRate, *serveFor, obs)
 		if err != nil {
 			log.Fatalf("dacsim: serve: %v", err)
 		}
 		emit(repro.ServeTable(pts))
 		emit(repro.ServeComplianceTable(pts))
-		if *scrapeOut != "" {
-			prefix := strings.TrimSuffix(*scrapeOut, ".jsonl")
-			for _, pt := range pts {
-				path := fmt.Sprintf("%s-%d.jsonl", prefix, pt.ComputeNodes)
-				f, err := os.Create(path)
-				if err != nil {
-					log.Fatalf("dacsim: scrape-out: %v", err)
-				}
-				if err := repro.WriteScrapeJSONL(f, pt.Windows); err != nil {
-					log.Fatalf("dacsim: scrape-out: %v", err)
-				}
-				if err := f.Close(); err != nil {
-					log.Fatalf("dacsim: scrape-out: %v", err)
-				}
-				fmt.Fprintf(os.Stderr, "dacsim: wrote %d scrape windows to %s\n", len(pt.Windows), path)
-			}
+		for i := range pts {
+			seen = append(seen, pts[i].Obs)
 		}
 	}
 	runAblations := func() {
@@ -392,20 +292,18 @@ func main() {
 	if mode != repro.ServerFaithful && *fig != "scale" && *fig != "breakdown" && *fig != "serve" {
 		log.Fatalf("dacsim: -server %s requires -fig scale, breakdown, or serve", mode)
 	}
-	if *captureOut != "" && *fig != "breakdown" {
-		log.Fatalf("dacsim: -capture requires -fig breakdown (per-size private tracers)")
-	}
-	if *scrapeOut != "" && *fig != "slo" && *fig != "serve" {
-		log.Fatalf("dacsim: -scrape-out requires -fig slo or -fig serve (per-size private registries)")
-	}
 	if (*serveRate != 0 || *serveFor != 0) && *fig != "serve" {
 		log.Fatalf("dacsim: -rate/-serve-for require -fig serve")
 	}
-	if *auditOn && *fig != "scale" {
-		log.Fatalf("dacsim: -audit requires -fig scale (per-point flight recorders)")
-	}
-	if *auditOut != "" && !*auditOn {
-		log.Fatalf("dacsim: -audit-out requires -audit")
+	// The paper figures run many trials per point; they share one
+	// observer session, attached to the parameter set every trial
+	// derives from. The ladder figures open one per point themselves.
+	var shared *repro.ObserverSession
+	switch *fig {
+	case "scale", "breakdown", "slo", "serve":
+	default:
+		shared = obs.Open()
+		shared.Attach(&params)
 	}
 	start := time.Now()
 	switch *fig {
@@ -436,23 +334,30 @@ func main() {
 	default:
 		log.Fatalf("dacsim: unknown figure %q (want 7a, 7b, 8, 9, scale, breakdown, slo, serve, ablations, all)", *fig)
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("dacsim: %v", err)
-		}
-		if err := tracer.WriteChrome(f); err != nil {
-			log.Fatalf("dacsim: write trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("dacsim: write trace: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dacsim: wrote %d trace events to %s\n", len(tracer.Events()), *traceOut)
+	if shared != nil {
+		seen = append(seen, repro.Observe(0, shared))
 	}
-	if *showMetrics {
-		if err := tracer.WriteSummary(os.Stdout); err != nil {
-			log.Fatalf("dacsim: metrics summary: %v", err)
+	if obs.Audit {
+		emit(repro.AuditTable(seen))
+	}
+	if *captureOut != "" {
+		for i := range seen {
+			path := repro.CapturePath(*captureOut, seen[i].ComputeNodes)
+			if err := repro.WriteCaptureFile(path, &seen[i].File); err != nil {
+				log.Fatalf("dacsim: capture: %v", err)
+			}
+			fmt.Fprintf(os.Stderr, "dacsim: wrote %s to %s\n", seen[i].Kinds(), path)
+			if seen[i].Prom != "" {
+				path = strings.TrimSuffix(path, ".jsonl") + ".prom"
+				if err := os.WriteFile(path, []byte(seen[i].Prom), 0o644); err != nil {
+					log.Fatalf("dacsim: capture: %v", err)
+				}
+				fmt.Fprintf(os.Stderr, "dacsim: wrote Prometheus exposition to %s\n", path)
+			}
 		}
+	}
+	if n := repro.AuditBreaches(seen); n != 0 {
+		log.Fatalf("dacsim: audit: %d invariant breaches (see the capture's kind=breach audit lines)", n)
 	}
 	fmt.Fprintf(os.Stderr, "dacsim: done in %v of wall time\n", time.Since(start).Round(time.Millisecond))
 }

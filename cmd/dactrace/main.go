@@ -6,6 +6,7 @@
 //	dactrace -gen -jobs 50 -seed 7 -out trace.jsonl
 //	dactrace -replay -in trace.jsonl -cns 2 -acs 4
 //	dactrace -gen -jobs 20 -replay   # generate and replay in one go
+//	dactrace -gen -replay -observe trace,telemetry -capture replay   # replay.jsonl for dacobs
 package main
 
 import (
@@ -31,8 +32,8 @@ func main() {
 	out := flag.String("out", "", "file to write the generated trace to (default: stdout)")
 	cns := flag.Int("cns", 2, "compute nodes")
 	acs := flag.Int("acs", 4, "accelerators")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the replay to this file")
-	showMetrics := flag.Bool("metrics", false, "print the tracer's metrics summary (span latencies, counters, gauges) after the replay")
+	observe := flag.String("observe", "", "comma-separated observers to attach to the replay: trace (spans), telemetry (instrument scrapes), audit (flight recorder, invariant checks and state digests; exits non-zero on any breach)")
+	captureOut := flag.String("capture", "", "write what the observers saw (JSONL, readable by dacobs) to PREFIX.jsonl")
 	flag.Parse()
 
 	if *swf != "" {
@@ -100,15 +101,18 @@ func main() {
 	params := repro.DefaultParams()
 	params.ComputeNodes = *cns
 	params.Accelerators = *acs
-	var tracer *repro.Tracer
-	if *traceOut != "" || *showMetrics {
-		tracer = repro.NewTracer()
-		params.Tracer = tracer
+	obs, err := repro.ParseObservers(*observe)
+	if err != nil {
+		log.Fatalf("dactrace: -observe: %v", err)
 	}
+	ses := obs.Open()
+	ses.Attach(&params)
 	var queued, ran metrics.Sample
 	var makespan time.Duration
 	var cnUtil, acUtil float64
-	err := repro.RunCluster(params, func(c *repro.Cluster, client *repro.Client) {
+	err = repro.RunCluster(params, func(c *repro.Cluster, client *repro.Client) {
+		ses.Start(c.Sim)
+		defer ses.Stop()
 		t0 := c.Sim.Now()
 		ids, err := repro.ReplayTrace(c.Sim, client, trace)
 		if err != nil {
@@ -145,23 +149,15 @@ func main() {
 	if err := t.Render(os.Stdout); err != nil {
 		log.Fatalf("dactrace: %v", err)
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("dactrace: %v", err)
+	seen := repro.Observe(0, ses)
+	if *captureOut != "" {
+		path := repro.CapturePath(*captureOut, 0)
+		if err := repro.WriteCaptureFile(path, &seen.File); err != nil {
+			log.Fatalf("dactrace: capture: %v", err)
 		}
-		if err := tracer.WriteChrome(f); err != nil {
-			log.Fatalf("dactrace: write trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("dactrace: write trace: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dactrace: wrote %d trace events to %s\n", len(tracer.Events()), *traceOut)
+		fmt.Fprintf(os.Stderr, "dactrace: wrote %s to %s\n", seen.Kinds(), path)
 	}
-	if *showMetrics {
-		fmt.Println()
-		if err := tracer.WriteSummary(os.Stdout); err != nil {
-			log.Fatalf("dactrace: metrics summary: %v", err)
-		}
+	if seen.Breaches != 0 {
+		log.Fatalf("dactrace: audit: %d invariant breaches (see the capture's kind=breach audit lines)", seen.Breaches)
 	}
 }

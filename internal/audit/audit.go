@@ -6,11 +6,11 @@
 //
 // The recorder answers the question the span tracer cannot: "what was
 // the cluster state at virtual time T, and do both sides agree?". A
-// run with the recorder enabled yields a deterministic JSONL
-// recording; two recordings are compared with Diff (or the dacaudit
-// CLI) down to the first divergent event, which names the responsible
-// component and virtual timestamp instead of leaving a whole-figure
-// byte diff to eyeball.
+// run with the recorder enabled yields a deterministic recording (the
+// "audit" lines of a capture file); two recordings are compared with
+// Diff (or dacobs audit -diff) down to the first divergent event,
+// which names the responsible component and virtual timestamp instead
+// of leaving a whole-figure byte diff to eyeball.
 //
 // Everything is nil-safe in the style of the trace and telemetry
 // layers: a nil *Recorder accepts every call as a no-op, so

@@ -1,16 +1,14 @@
 package audit
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 )
 
-// jsonEvent is the JSONL wire form of an Event: kinds travel as their
-// names so recordings stay greppable, and virtual time travels in
-// nanoseconds.
+// jsonEvent is the wire form of an Event on a capture file's "audit"
+// lines: kinds travel as their names so recordings stay greppable,
+// and virtual time travels in nanoseconds.
 type jsonEvent struct {
 	Seq    uint64 `json:"seq"`
 	VT     int64  `json:"vt_ns"`
@@ -22,62 +20,27 @@ type jsonEvent struct {
 	B      int64  `json:"b,omitempty"`
 }
 
-// WriteRecording writes events as JSONL, one event per line, in the
-// order given (Events returns them in sequence order).
-func WriteRecording(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		je := jsonEvent{
-			Seq: e.Seq, VT: int64(e.VT), Kind: e.Kind.String(),
-			Comp: e.Comp, Subj: e.Subj, Detail: e.Detail, A: e.A, B: e.B,
-		}
-		if err := enc.Encode(je); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+// MarshalJSON encodes the event in its wire form.
+func (e Event) MarshalJSON() ([]byte, error) {
+	return json.Marshal(jsonEvent{
+		Seq: e.Seq, VT: int64(e.VT), Kind: e.Kind.String(),
+		Comp: e.Comp, Subj: e.Subj, Detail: e.Detail, A: e.A, B: e.B,
+	})
 }
 
-// WriteRecording snapshots the recorder's retained events and writes
-// them as JSONL.
-func (r *Recorder) WriteRecording(w io.Writer) error {
-	return WriteRecording(w, r.Events())
-}
-
-// maxRecordingLine bounds one JSONL line, mirroring the trace capture
-// reader.
-const maxRecordingLine = 4 << 20
-
-// ReadRecording parses a JSONL recording produced by WriteRecording.
-// Blank lines are skipped; an unknown kind or malformed line is an
-// error naming the line number.
-func ReadRecording(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxRecordingLine)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var je jsonEvent
-		if err := json.Unmarshal(b, &je); err != nil {
-			return nil, fmt.Errorf("audit: recording line %d: %w", line, err)
-		}
-		k := KindFromString(je.Kind)
-		if k == 0 {
-			return nil, fmt.Errorf("audit: recording line %d: unknown kind %q", line, je.Kind)
-		}
-		out = append(out, Event{
-			Seq: je.Seq, VT: time.Duration(je.VT), Kind: k,
-			Comp: je.Comp, Subj: je.Subj, Detail: je.Detail, A: je.A, B: je.B,
-		})
+// UnmarshalJSON decodes the wire form; an unknown kind is an error.
+func (e *Event) UnmarshalJSON(b []byte) error {
+	var je jsonEvent
+	if err := json.Unmarshal(b, &je); err != nil {
+		return err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("audit: recording line %d: %w", line, err)
+	k := KindFromString(je.Kind)
+	if k == 0 {
+		return fmt.Errorf("audit: unknown kind %q", je.Kind)
 	}
-	return out, nil
+	*e = Event{
+		Seq: je.Seq, VT: time.Duration(je.VT), Kind: k,
+		Comp: je.Comp, Subj: je.Subj, Detail: je.Detail, A: je.A, B: je.B,
+	}
+	return nil
 }

@@ -115,7 +115,7 @@ func window(ev []Event, lo, hi int) []Event {
 	return ev[lo:hi]
 }
 
-// FormatEvent renders one event the way dacaudit prints it.
+// FormatEvent renders one event the way dacobs audit prints it.
 func FormatEvent(e Event) string {
 	return fmt.Sprintf("#%-6d %12.3fms  %-7s %-7s %-14s %-22s a=%d b=%d",
 		e.Seq, float64(e.VT)/1e6, e.Kind, e.Comp, e.Subj, e.Detail, e.A, e.B)

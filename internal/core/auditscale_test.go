@@ -5,8 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/capture"
 	"repro/internal/cluster"
 )
+
+// audited is the observer set of the audited ladder.
+var audited = cluster.Observers{Audit: true}
 
 // sameRecording compares two event streams field-for-field, including
 // sequence numbers and virtual timestamps — the strongest identity an
@@ -32,17 +36,18 @@ func TestScaleAuditedCleanAndParallelismInvariant(t *testing.T) {
 
 	defer SetParallelism(Parallelism())
 	SetParallelism(1)
-	serial, err := ScaleAudited(cluster.Default(), sizes, ServerFaithful)
+	serial, err := Scale(cluster.Default(), sizes, ServerFaithful, audited)
 	if err != nil {
-		t.Fatalf("ScaleAudited serial: %v", err)
+		t.Fatalf("Scale serial: %v", err)
 	}
 	SetParallelism(4)
-	fanned, err := ScaleAudited(cluster.Default(), sizes, ServerFaithful)
+	fanned, err := Scale(cluster.Default(), sizes, ServerFaithful, audited)
 	if err != nil {
-		t.Fatalf("ScaleAudited parallel: %v", err)
+		t.Fatalf("Scale parallel: %v", err)
 	}
 
-	for i, pt := range serial {
+	for i := range serial {
+		pt, other := serial[i].Obs, fanned[i].Obs
 		if pt.Checks == 0 {
 			t.Errorf("n=%d: invariant engine never ran", pt.ComputeNodes)
 		}
@@ -55,11 +60,11 @@ func TestScaleAuditedCleanAndParallelismInvariant(t *testing.T) {
 		if pt.Rounds == 0 {
 			t.Errorf("n=%d: no digest rounds captured", pt.ComputeNodes)
 		}
-		if len(pt.Events) == 0 {
+		if len(pt.Audit) == 0 {
 			t.Fatalf("n=%d: empty recording", pt.ComputeNodes)
 		}
-		if !sameRecording(pt.Events, fanned[i].Events) {
-			d := audit.Diff(pt.Events, fanned[i].Events, 2)
+		if !sameRecording(pt.Audit, other.Audit) {
+			d := audit.Diff(pt.Audit, other.Audit, 2)
 			t.Fatalf("n=%d: recording differs across parallelism levels: first divergence at event %d (component %s)",
 				pt.ComputeNodes, d.Index, d.Comp())
 		}
@@ -75,19 +80,13 @@ func TestScaleAuditedCleanAndParallelismInvariant(t *testing.T) {
 // fast path underneath the faithful point body.)
 func TestScaleAuditedModeDigestIdentity(t *testing.T) {
 	const n = 8
-	runOne := func(p cluster.Params) *AuditedPoint {
+	runOne := func(p cluster.Params) *Observed {
 		t.Helper()
-		rec := audit.New(AuditCapacity)
-		pt, err := scalePointFaithful(p, n, rec)
+		run, err := ladderPoint(p, n, ServerFaithful, scaleProbe, audited)
 		if err != nil {
-			t.Fatalf("scalePointFaithful: %v", err)
+			t.Fatalf("ladderPoint: %v", err)
 		}
-		return &AuditedPoint{
-			ScalePoint: pt,
-			Events:     rec.Events(),
-			Checks:     rec.Checks(),
-			Breaches:   rec.Breaches(),
-		}
+		return &run.obs
 	}
 	serial := runOne(cluster.Default())
 	shardedParams := cluster.Default()
@@ -110,20 +109,20 @@ func TestScaleAuditedModeDigestIdentity(t *testing.T) {
 }
 
 // Distinct workload seeds must yield recordings that diverge — the
-// property the CI audit smoke step demonstrates with dacaudit -diff.
+// property the CI audit smoke step demonstrates with dacobs audit -diff.
 func TestScaleAuditedSeedsDiverge(t *testing.T) {
 	base := cluster.Default()
-	a, err := ScaleAudited(base, []int{8}, ServerFaithful)
+	a, err := Scale(base, []int{8}, ServerFaithful, audited)
 	if err != nil {
-		t.Fatalf("ScaleAudited seed 0: %v", err)
+		t.Fatalf("Scale seed 0: %v", err)
 	}
 	seeded := base
 	seeded.Seed = 7
-	b, err := ScaleAudited(seeded, []int{8}, ServerFaithful)
+	b, err := Scale(seeded, []int{8}, ServerFaithful, audited)
 	if err != nil {
-		t.Fatalf("ScaleAudited seed 7: %v", err)
+		t.Fatalf("Scale seed 7: %v", err)
 	}
-	d := audit.Diff(a[0].Events, b[0].Events, 3)
+	d := audit.Diff(a[0].Obs.Audit, b[0].Obs.Audit, 3)
 	if d == nil {
 		t.Fatal("recordings with distinct seeds are identical")
 	}
@@ -133,10 +132,10 @@ func TestScaleAuditedSeedsDiverge(t *testing.T) {
 }
 
 func TestAuditTableRenders(t *testing.T) {
-	pts := []AuditedPoint{{
-		ScalePoint: ScalePoint{ComputeNodes: 8, Jobs: 64},
-		Events:     []audit.Event{{Kind: audit.KindJob, Comp: "pbs"}},
-		Checks:     120, Breaches: 0, Rounds: 3,
+	pts := []Observed{{
+		ComputeNodes: 8,
+		File:         capture.File{Audit: []audit.Event{{Kind: audit.KindJob, Comp: "pbs"}}},
+		Checks:       120, Breaches: 0, Rounds: 3,
 	}}
 	var sb strings.Builder
 	if err := AuditTable(pts).Render(&sb); err != nil {

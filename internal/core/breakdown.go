@@ -2,23 +2,16 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/dac"
 	"repro/internal/metrics"
-	"repro/internal/pbs"
 	"repro/internal/prof"
-	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // The breakdown experiment is the profiler's view of the scale
-// ladder: it replays the synthetic SWF workload of the scale
-// experiment on clusters of growing size, records every layer's spans
-// into a per-size tracer, and lets internal/prof attribute each job's
+// ladder: it runs the ladder with a per-size tracer recording every
+// layer's spans and lets internal/prof attribute each job's
 // end-to-end latency — and the probe's dynamic request — to exact
 // causal phases. It generalizes the paper's hand-made decompositions
 // (Figures 7(a), 7(b), and 8: static allocation overhead vs dynamic
@@ -39,107 +32,31 @@ type BreakdownPoint struct {
 	DynTotal time.Duration // mean dynamic request latency
 	// Top are the largest critical-path owners across all jobs.
 	Top []prof.OwnerShare
+	Obs Observed
 }
 
 // Breakdown runs the profiler over the scale ladder (ScaleSizes when
-// sizes is nil). Each size is an independent simulation with a
-// private tracer, so the points fan out over the trial worker pool
-// and the result is byte-identical at every parallelism level.
-// capture, when non-nil, receives each size's raw span stream (in
-// input order, after all runs complete) — the hook dacsim uses to
-// write profiler capture files.
-func Breakdown(p cluster.Params, sizes []int, capture func(computeNodes int, events []trace.Event)) ([]BreakdownPoint, error) {
-	return BreakdownMode(p, sizes, ServerFaithful, capture)
-}
-
-// BreakdownMode is Breakdown with a server-mode selector: the sharded
-// mode profiles the same workload through the partitioned server and
-// scheduler, so a dacprof -diff of the two capture sets attributes
-// exactly which phases the sharding buys back.
-func BreakdownMode(p cluster.Params, sizes []int, mode ServerMode, capture func(computeNodes int, events []trace.Event)) ([]BreakdownPoint, error) {
+// sizes is nil) under the chosen server mode — profiling the sharded
+// mode lets dacobs prof -diff attribute exactly which phases the
+// sharding buys back. The tracer is always attached; each point's raw
+// span stream is its Obs.Spans.
+func Breakdown(p cluster.Params, sizes []int, mode ServerMode, obs cluster.Observers) ([]BreakdownPoint, error) {
 	if len(sizes) == 0 {
 		sizes = ScaleSizes
 	}
-	out := make([]BreakdownPoint, len(sizes))
-	captured := make([][]trace.Event, len(sizes))
-	err := forEach(len(sizes), func(idx int) error {
-		n := sizes[idx]
-		if n < 1 {
-			return fmt.Errorf("core: Breakdown size %d", n)
-		}
-		tp := scaleParams(p, n)
-		if mode == ServerSharded {
-			applyShardedParams(&tp, n)
-		}
-		tr := trace.New()
-		tp.Tracer = tr
-		jobs := n * JobsPerCN
-		entries, err := workload.ParseSWF(strings.NewReader(scaleWorkloadSWF(n, jobs, tp.CoresPerNode, p.Seed)), tp.CoresPerNode)
-		if err != nil {
-			return fmt.Errorf("core: Breakdown n=%d: %w", n, err)
-		}
-
-		s := sim.Acquire()
-		defer s.Release()
-		c := cluster.New(s, tp)
-		probeReady := newSignal(s, "breakdown-ready")
-		goahead := newSignal(s, "breakdown-go")
-		runErr := s.Run(func() {
-			defer c.Close()
-			c.Start()
-			client := c.Client("front")
-
-			// The probe job exercises the full static chain (two
-			// statically allocated accelerators) and, once the trace
-			// is submitted, the dynamic chain under load.
-			probeID, err := client.Submit(pbs.JobSpec{
-				Name: "breakdown-probe", Owner: "exp", Nodes: 1, PPN: 1, ACPN: 2,
-				Walltime: time.Hour,
-				Script: func(env *pbs.JobEnv) {
-					ac, _, err := dac.Init(env)
-					if err != nil {
-						return
-					}
-					defer ac.Finalize()
-					probeReady.fire()
-					goahead.wait()
-					clientID, _, err := ac.Get(1)
-					if err == nil {
-						ac.Free(clientID)
-					}
-				},
-			})
-			if err != nil {
-				return
-			}
-			probeReady.wait()
-
-			ids, err := workload.Replay(s, client, entries)
-			if err != nil {
-				return
-			}
-			goahead.fire()
-			for _, id := range ids {
-				client.Wait(id)
-			}
-			client.Wait(probeID)
-		})
-		if runErr != nil {
-			return fmt.Errorf("core: Breakdown n=%d: %w", n, runErr)
-		}
-
-		events := tr.Events()
-		captured[idx] = events
-		profile := prof.Analyze(events)
+	obs.Trace = true
+	return ladder("Breakdown", p, sizes, mode, breakdownProbe, obs, func(run *ladderRun) BreakdownPoint {
+		profile := prof.Analyze(run.obs.Spans)
 		sum := prof.Summarize(profile)
 		pt := BreakdownPoint{
-			ComputeNodes: n,
-			Accelerators: tp.Accelerators,
+			ComputeNodes: run.obs.ComputeNodes,
+			Accelerators: run.params.Accelerators,
 			Jobs:         len(profile.Jobs),
 			Incomplete:   len(profile.Incomplete),
 			Total:        sum.Total.Mean(),
 			DynTotal:     sum.DynTotal.Mean(),
 			Top:          sum.TopPath(3),
+			Obs:          run.obs,
 		}
 		for _, name := range prof.StaticPhases {
 			if sm := sum.Static[name]; sm != nil {
@@ -151,18 +68,8 @@ func BreakdownMode(p cluster.Params, sizes []int, mode ServerMode, capture func(
 				pt.Dyn = append(pt.Dyn, prof.Phase{Name: name, Dur: sm.Mean()})
 			}
 		}
-		out[idx] = pt
-		return nil
+		return pt
 	})
-	if err != nil {
-		return nil, err
-	}
-	if capture != nil {
-		for idx, n := range sizes {
-			capture(n, captured[idx])
-		}
-	}
-	return out, nil
 }
 
 // phaseCell renders one phase's mean, "-" when the phase is absent.

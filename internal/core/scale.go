@@ -3,17 +3,10 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/cluster"
-	"repro/internal/dac"
 	"repro/internal/metrics"
-	"repro/internal/pbs"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // The scale experiment extends the paper's 8-node evaluation to the
@@ -41,13 +34,16 @@ type ScalePoint struct {
 
 	// Sharded-mode extras (zero in faithful runs): the server/scheduler
 	// fan-out and the dynamic-request latency distribution observed by
-	// the prober stream, scraped from the point's telemetry registry.
+	// the prober stream, read from the point's telemetry registry.
 	Shards     int
 	Partitions int
 	Probers    int
 	DynP50     time.Duration
 	DynP99     time.Duration
 	ShardBusy  float64 // mean per-shard busy fraction over the makespan
+
+	// Obs is what the point's observers saw.
+	Obs Observed
 }
 
 // ServerMode selects the server/scheduler implementation for the
@@ -174,273 +170,47 @@ func scaleParams(p cluster.Params, n int) cluster.Params {
 	return tp
 }
 
-// Scale runs the scale experiment for the given compute-node counts
-// (ScaleSizes when nil). Each point is an independent simulation, so
-// the points fan out over the trial worker pool; results are reported
-// in input order.
-func Scale(p cluster.Params, sizes []int) ([]ScalePoint, error) {
-	return ScaleMode(p, sizes, ServerFaithful)
-}
-
-// ScaleMode runs the scale ladder under the chosen server mode. The
-// faithful mode executes exactly the code path Scale always ran, so
-// its figures stay byte-identical; the sharded mode additionally
-// drives an open-loop prober stream (the single-probe latency of the
-// faithful figure carries no tail signal) and reports dynamic-request
-// p50/p99 and per-shard occupancy from the point's private registry.
-func ScaleMode(p cluster.Params, sizes []int, mode ServerMode) ([]ScalePoint, error) {
+// Scale runs the scale ladder for the given compute-node counts
+// (ScaleSizes when nil) under the chosen server mode, with the given
+// observers attached to every point. The faithful mode measures one
+// probe's dynamic request under full load; the sharded mode instead
+// drives an open-loop prober stream (a single probe carries no tail
+// signal) and reports dynamic-request p50/p99 and per-shard occupancy
+// from the point's registry, which it therefore always attaches.
+func Scale(p cluster.Params, sizes []int, mode ServerMode, obs cluster.Observers) ([]ScalePoint, error) {
 	if len(sizes) == 0 {
 		sizes = ScaleSizes
 	}
-	out := make([]ScalePoint, len(sizes))
-	err := forEach(len(sizes), func(idx int) error {
-		n := sizes[idx]
-		if n < 1 {
-			return fmt.Errorf("core: Scale size %d", n)
+	pr := scaleProbe
+	if mode == ServerSharded {
+		pr = scaleStream
+		obs.Telemetry = true
+	}
+	return ladder("Scale", p, sizes, mode, pr, obs, func(run *ladderRun) ScalePoint {
+		pt := ScalePoint{
+			ComputeNodes: run.obs.ComputeNodes,
+			Accelerators: run.params.Accelerators,
+			Jobs:         run.jobs,
+			CycleMean:    run.sched.CycleTimeMean(),
+			CycleMax:     run.sched.CycleTimeMax,
+			DynLatency:   run.firstDyn,
+			Makespan:     run.makespan,
+			Obs:          run.obs,
 		}
-		var err error
-		if mode == ServerSharded {
-			out[idx], err = scalePointSharded(p, n, nil)
-		} else {
-			out[idx], err = scalePointFaithful(p, n, nil)
+		if mode != ServerSharded {
+			return pt
 		}
-		return err
+		pt.Shards = run.params.Server.Shards
+		pt.Partitions = run.params.Maui.Partitions
+		pt.Probers = run.probers
+		dyn := run.reg.Histogram("pbs.dyn_latency")
+		pt.DynP50 = dyn.Quantile(0.50)
+		pt.DynP99 = dyn.Quantile(0.99)
+		if busy := run.reg.Occupancy("pbs.shard_occupancy").Busy(); pt.Makespan > 0 && pt.Shards > 0 {
+			pt.ShardBusy = busy.Seconds() / (pt.Makespan.Seconds() * float64(pt.Shards))
+		}
+		return pt
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scalePointFaithful is the original per-point body of Scale,
-// unchanged: one probe job measures a single dynamic request under
-// full load. A non-nil rec attaches the flight recorder to the
-// point's simulation and digests its state on the scrape cadence.
-func scalePointFaithful(p cluster.Params, n int, rec *audit.Recorder) (ScalePoint, error) {
-	tp := scaleParams(p, n)
-	tp.Audit = rec
-	jobs := n * JobsPerCN
-	entries, err := workload.ParseSWF(strings.NewReader(scaleWorkloadSWF(n, jobs, tp.CoresPerNode, p.Seed)), tp.CoresPerNode)
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("core: Scale n=%d: %w", n, err)
-	}
-
-	s := sim.Acquire()
-	defer s.Release()
-	c := cluster.New(s, tp)
-	tick := audit.NewTicker(rec, s, SLOScrapeInterval)
-	var pt ScalePoint
-	var ptMu sync.Mutex
-	probeReady := newSignal(s, "scale-ready")
-	goahead := newSignal(s, "scale-go")
-	runErr := s.Run(func() {
-		defer c.Close()
-		tick.Start()
-		c.Start()
-		client := c.Client("front")
-
-		// The probe job starts on the idle cluster and holds one
-		// core; once the trace is fully submitted it issues one
-		// dynamic request into the loaded scheduler.
-		probeID, err := client.Submit(pbs.JobSpec{
-			Name: "scale-probe", Owner: "exp", Nodes: 1, PPN: 1, ACPN: 0,
-			Walltime: time.Hour,
-			Script: func(env *pbs.JobEnv) {
-				ac, _, err := dac.Init(env)
-				if err != nil {
-					return
-				}
-				defer ac.Finalize()
-				probeReady.fire()
-				goahead.wait()
-				clientID, _, err := ac.Get(1)
-				if err == nil {
-					ac.Free(clientID)
-				}
-				st := ac.Stats()
-				ptMu.Lock()
-				if len(st.Gets) > 0 && !st.Gets[0].Rejected {
-					pt.DynLatency = st.Gets[0].Batch + st.Gets[0].MPI
-				}
-				ptMu.Unlock()
-			},
-		})
-		if err != nil {
-			return
-		}
-		probeReady.wait()
-
-		ids, err := workload.Replay(s, client, entries)
-		if err != nil {
-			return
-		}
-		goahead.fire()
-		for _, id := range ids {
-			client.Wait(id)
-		}
-		client.Wait(probeID)
-		tick.Stop()
-		ptMu.Lock()
-		pt.Makespan = s.Now()
-		if c.Sched != nil {
-			st := c.Sched.Stats()
-			pt.CycleMean = st.CycleTimeMean()
-			pt.CycleMax = st.CycleTimeMax
-		}
-		ptMu.Unlock()
-	})
-	if runErr != nil {
-		return ScalePoint{}, fmt.Errorf("core: Scale n=%d: %w", n, runErr)
-	}
-	pt.ComputeNodes = n
-	pt.Accelerators = tp.Accelerators
-	pt.Jobs = len(entries)
-	return pt, nil
-}
-
-// scaleProbers sets the width of the sharded ladder's open-loop
-// dynamic-request stream: one prober per 64 compute nodes, clamped to
-// [2, 64] so the tail quantiles carry samples without the probers
-// becoming the workload.
-func scaleProbers(n int) int {
-	p := n / 64
-	if p < 2 {
-		p = 2
-	}
-	if p > 64 {
-		p = 64
-	}
-	return p
-}
-
-// Pacing of the sharded ladder's prober stream. Shorter than the slo
-// figure's stream: the ladder's top rungs replay 32k jobs, so each
-// prober issues a dozen paced requests across the drain.
-const (
-	scaleProbePace = 3 * time.Second
-	scaleProbeHold = 250 * time.Millisecond
-	scaleProbeReqs = 12
-)
-
-// scalePointSharded runs one ladder point with the partitioned server
-// and scheduler. A private telemetry registry instruments the run;
-// the row reports the prober stream's dyn-latency p50/p99 and the
-// mean per-shard busy fraction alongside the faithful columns.
-func scalePointSharded(p cluster.Params, n int, rec *audit.Recorder) (ScalePoint, error) {
-	tp := scaleParams(p, n)
-	applyShardedParams(&tp, n)
-	reg := telemetry.New()
-	tp.Telemetry = reg
-	tp.Audit = rec
-	jobs := n * JobsPerCN
-	entries, err := workload.ParseSWF(strings.NewReader(scaleWorkloadSWF(n, jobs, tp.CoresPerNode, p.Seed)), tp.CoresPerNode)
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("core: Scale n=%d: %w", n, err)
-	}
-
-	s := sim.Acquire()
-	defer s.Release()
-	c := cluster.New(s, tp)
-	tick := audit.NewTicker(rec, s, SLOScrapeInterval)
-	probers := scaleProbers(n)
-	var pt ScalePoint
-	var ptMu sync.Mutex
-	ready := make([]*signal, probers)
-	for i := range ready {
-		ready[i] = newSignal(s, fmt.Sprintf("scale-ready-%d", i))
-	}
-	goahead := newSignal(s, "scale-go")
-	runErr := s.Run(func() {
-		defer c.Close()
-		tick.Start()
-		c.Start()
-		client := c.Client("front")
-
-		// The probers start on the idle cluster and hold one core each;
-		// once the trace is fully submitted they issue an open-loop
-		// stream of paced dynamic requests, staggered so their phases
-		// differ. The first request's batch+MPI latency fills the
-		// faithful DynLatency column; the registry's histogram carries
-		// the distribution.
-		proberIDs := make([]string, 0, probers)
-		for i := 0; i < probers; i++ {
-			i := i
-			id, err := client.Submit(pbs.JobSpec{
-				Name: fmt.Sprintf("scale-probe-%d", i), Owner: "exp",
-				Nodes: 1, PPN: 1, ACPN: 0, Walltime: time.Hour,
-				Script: func(env *pbs.JobEnv) {
-					ac, _, err := dac.Init(env)
-					if err != nil {
-						return
-					}
-					defer ac.Finalize()
-					ready[i].fire()
-					goahead.wait()
-					s.Sleep(scaleProbePace * time.Duration(i) / time.Duration(probers))
-					for r := 0; r < scaleProbeReqs; r++ {
-						clientID, _, err := ac.Get(1)
-						if err == nil {
-							s.Sleep(scaleProbeHold)
-							ac.Free(clientID)
-						}
-						s.Sleep(scaleProbePace)
-					}
-					if i == 0 {
-						st := ac.Stats()
-						ptMu.Lock()
-						if len(st.Gets) > 0 && !st.Gets[0].Rejected {
-							pt.DynLatency = st.Gets[0].Batch + st.Gets[0].MPI
-						}
-						ptMu.Unlock()
-					}
-				},
-			})
-			if err != nil {
-				return
-			}
-			proberIDs = append(proberIDs, id)
-		}
-		for _, sg := range ready {
-			sg.wait()
-		}
-
-		ids, err := workload.Replay(s, client, entries)
-		if err != nil {
-			return
-		}
-		goahead.fire()
-		for _, id := range ids {
-			client.Wait(id)
-		}
-		for _, id := range proberIDs {
-			client.Wait(id)
-		}
-		tick.Stop()
-		ptMu.Lock()
-		pt.Makespan = s.Now()
-		if c.Sched != nil {
-			st := c.Sched.Stats()
-			pt.CycleMean = st.CycleTimeMean()
-			pt.CycleMax = st.CycleTimeMax
-		}
-		ptMu.Unlock()
-	})
-	if runErr != nil {
-		return ScalePoint{}, fmt.Errorf("core: Scale n=%d: %w", n, runErr)
-	}
-	pt.ComputeNodes = n
-	pt.Accelerators = tp.Accelerators
-	pt.Jobs = len(entries)
-	pt.Shards = tp.Server.Shards
-	pt.Partitions = tp.Maui.Partitions
-	pt.Probers = probers
-	dyn := reg.Histogram("pbs.dyn_latency")
-	pt.DynP50 = dyn.Quantile(0.50)
-	pt.DynP99 = dyn.Quantile(0.99)
-	if busy := reg.Occupancy("pbs.shard_occupancy").Busy(); pt.Makespan > 0 && pt.Shards > 0 {
-		pt.ShardBusy = busy.Seconds() / (pt.Makespan.Seconds() * float64(pt.Shards))
-	}
-	return pt, nil
 }
 
 // ScaleTable renders the scale series in the style of the paper's

@@ -14,7 +14,7 @@ import (
 // quadratically — a quadratic node-matching core (the old linear
 // scans) would blow past this bound immediately.
 func TestScaleCycleTimeSubQuadratic(t *testing.T) {
-	pts, err := Scale(cluster.Default(), []int{8, 32})
+	pts, err := Scale(cluster.Default(), []int{8, 32}, ServerFaithful, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("Scale: %v", err)
 	}

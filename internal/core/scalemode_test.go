@@ -55,10 +55,9 @@ func TestShardAndPartitionSizing(t *testing.T) {
 	}
 }
 
-// The faithful mode of ScaleMode must be exactly the Scale experiment
-// — same numbers, at any trial parallelism. This is the ablation's
-// control arm: -server faithful must keep reproducing today's
-// figures byte-identically.
+// The faithful ladder reports the same numbers at any trial
+// parallelism. This is the ablation's control arm: -server faithful
+// must keep reproducing today's figures byte-identically.
 func TestScaleModeFaithfulIdenticalAcrossParallelism(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
@@ -66,17 +65,17 @@ func TestScaleModeFaithfulIdenticalAcrossParallelism(t *testing.T) {
 	sizes := []int{8, 32}
 
 	SetParallelism(1)
-	base, err := Scale(p, sizes)
+	base, err := Scale(p, sizes, ServerFaithful, cluster.Observers{})
 	if err != nil {
-		t.Fatalf("Scale: %v", err)
+		t.Fatalf("serial Scale(faithful): %v", err)
 	}
 	SetParallelism(4)
-	faithful, err := ScaleMode(p, sizes, ServerFaithful)
+	faithful, err := Scale(p, sizes, ServerFaithful, cluster.Observers{})
 	if err != nil {
-		t.Fatalf("ScaleMode(faithful): %v", err)
+		t.Fatalf("parallel Scale(faithful): %v", err)
 	}
 	if !reflect.DeepEqual(base, faithful) {
-		t.Fatalf("faithful ScaleMode differs from Scale:\nscale: %+v\nmode:  %+v", base, faithful)
+		t.Fatalf("faithful Scale differs across parallelism:\nserial:   %+v\nparallel: %+v", base, faithful)
 	}
 }
 
@@ -90,17 +89,17 @@ func TestScaleModeShardedIdenticalAcrossParallelism(t *testing.T) {
 	sizes := []int{8, 32}
 
 	SetParallelism(1)
-	serial, err := ScaleMode(p, sizes, ServerSharded)
+	serial, err := Scale(p, sizes, ServerSharded, cluster.Observers{})
 	if err != nil {
-		t.Fatalf("serial ScaleMode(sharded): %v", err)
+		t.Fatalf("serial Scale(sharded): %v", err)
 	}
 	SetParallelism(4)
-	parallel, err := ScaleMode(p, sizes, ServerSharded)
+	parallel, err := Scale(p, sizes, ServerSharded, cluster.Observers{})
 	if err != nil {
-		t.Fatalf("parallel ScaleMode(sharded): %v", err)
+		t.Fatalf("parallel Scale(sharded): %v", err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("sharded ScaleMode differs across parallelism:\nserial:   %+v\nparallel: %+v", serial, parallel)
+		t.Fatalf("sharded Scale differs across parallelism:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
 
@@ -112,9 +111,9 @@ func TestScaleShardedSubQuadratic1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node replay skipped in short mode")
 	}
-	pts, err := ScaleMode(cluster.Default(), []int{256, 1024}, ServerSharded)
+	pts, err := Scale(cluster.Default(), []int{256, 1024}, ServerSharded, cluster.Observers{})
 	if err != nil {
-		t.Fatalf("ScaleMode: %v", err)
+		t.Fatalf("Scale: %v", err)
 	}
 	small, large := pts[0], pts[1]
 	if small.CycleMean <= 0 || large.CycleMean <= 0 {

@@ -17,10 +17,9 @@ import (
 // the load axis of the paper's Figure 8 generalized from a one-shot
 // burst to sustained ingest. Each point reports steady-state SLO
 // compliance (dynamic-request latency tail, scheduler cycle cost and
-// occupancy, queue depth) plus the service's throughput ledger. The
-// same points double as the wall-clock sustained-throughput series in
-// dacbench: virtual results are byte-identical at every -parallel
-// level, while events/sec and jobs/sec are measured host-side.
+// occupancy, queue depth) plus the service's throughput ledger, all
+// byte-identical at every -parallel level; host-side rates are
+// cmd/dacperf's business.
 
 // ServePoint is one row of the serve figure.
 type ServePoint struct {
@@ -36,8 +35,12 @@ type ServePoint struct {
 	Batches      uint64        // admission batches
 	Recycled     uint64        // service ledger records reused
 	Purged       uint64        // server job records purged by retention
-	Windows      []telemetry.Window
 	Compliance   []telemetry.Compliance
+	// Obs is what the point's observers saw. The resident instance
+	// owns a registry and scraper of its own, so Obs.Windows is filled
+	// whether or not telemetry was asked for; a recorder gets no
+	// periodic digest rounds.
+	Obs Observed
 }
 
 // ServeSizes is the default compute-node axis of the serve figure.
@@ -56,8 +59,8 @@ func ServeRate(n int) float64 { return float64(n) / 4 }
 // ArrivalConfig fields pick the figure defaults: Poisson process, the
 // per-size ServeRate, the ladder seed, and a MaxJobs backstop of
 // twice the expected admission count (the horizon bounds admission
-// either way).
-func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfig, horizon time.Duration) (ServePoint, error) {
+// either way). The observers in obs are attached to the instance.
+func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfig, horizon time.Duration, obs cluster.Observers) (ServePoint, error) {
 	if n < 1 {
 		return ServePoint{}, fmt.Errorf("core: ServeOne size %d", n)
 	}
@@ -68,6 +71,9 @@ func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 	if mode == ServerSharded {
 		applyShardedParams(&tp, n)
 	}
+	obs.Telemetry = false // the instance brings its own
+	ses := obs.Open()
+	ses.Attach(&tp)
 	if ac.Rate <= 0 {
 		ac.Rate = ServeRate(n)
 	}
@@ -85,11 +91,13 @@ func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 		Cluster:        tp,
 		Source:         src,
 		Horizon:        horizon,
-		ScrapeInterval: SLOScrapeInterval,
+		ScrapeInterval: cluster.ObserveInterval,
 	})
 	if err != nil {
 		return ServePoint{}, fmt.Errorf("core: ServeOne n=%d: %w", n, err)
 	}
+	seen := Observe(n, ses)
+	seen.Windows = rep.Windows
 	return ServePoint{
 		ComputeNodes: n,
 		Accelerators: tp.Accelerators,
@@ -103,8 +111,8 @@ func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 		Batches:      rep.Stats.Batches,
 		Recycled:     rep.Stats.Recycled,
 		Purged:       rep.Records.Purged,
-		Windows:      rep.Windows,
 		Compliance:   rep.Compliance,
+		Obs:          seen,
 	}, nil
 }
 
@@ -113,7 +121,7 @@ func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 // ServeRate per size; horizon <= 0 uses ServeHorizon. Points fan out
 // over the trial worker pool; every figure derived from the reports
 // is byte-identical at any parallelism level.
-func Serve(p cluster.Params, sizes []int, mode ServerMode, rate float64, horizon time.Duration) ([]ServePoint, error) {
+func Serve(p cluster.Params, sizes []int, mode ServerMode, rate float64, horizon time.Duration, obs cluster.Observers) ([]ServePoint, error) {
 	if len(sizes) == 0 {
 		sizes = ServeSizes
 	}
@@ -122,7 +130,7 @@ func Serve(p cluster.Params, sizes []int, mode ServerMode, rate float64, horizon
 	}
 	out := make([]ServePoint, len(sizes))
 	err := forEach(len(sizes), func(idx int) error {
-		pt, err := ServeOne(p, sizes[idx], mode, workload.ArrivalConfig{Rate: rate}, horizon)
+		pt, err := ServeOne(p, sizes[idx], mode, workload.ArrivalConfig{Rate: rate}, horizon, obs)
 		if err != nil {
 			return err
 		}
@@ -160,7 +168,7 @@ func ServeTable(points []ServePoint) *metrics.Table {
 			fmt.Sprintf("%.1f", pt.Rate),
 			fmt.Sprint(pt.Submitted), fmt.Sprint(pt.Completed),
 			fmt.Sprint(pt.Batches), fmt.Sprint(pt.Recycled), fmt.Sprint(pt.Purged),
-			metrics.Ms(pt.Makespan), fmt.Sprint(len(pt.Windows)),
+			metrics.Ms(pt.Makespan), fmt.Sprint(len(pt.Obs.Windows)),
 			fmt.Sprintf("%d/%d", serveCompliant(pt), len(pt.Compliance)),
 		)
 	}

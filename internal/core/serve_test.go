@@ -13,7 +13,7 @@ import (
 
 func serveSmoke(t *testing.T, mode ServerMode) []ServePoint {
 	t.Helper()
-	pts, err := Serve(cluster.Default(), []int{8, 16}, mode, 0, 5*time.Second)
+	pts, err := Serve(cluster.Default(), []int{8, 16}, mode, 0, 5*time.Second, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestServeMillionJobs(t *testing.T) {
 		p := cluster.Default()
 		rec := audit.New(1 << 16)
 		p.Audit = rec
-		pts, err := Serve(p, []int{128, 256}, ServerFaithful, 0, horizon)
+		pts, err := Serve(p, []int{128, 256}, ServerFaithful, 0, horizon, cluster.Observers{})
 		if err != nil {
 			t.Fatalf("Serve(workers=%d): %v", workers, err)
 		}
@@ -100,6 +100,9 @@ func TestServeMillionJobs(t *testing.T) {
 				t.Fatalf("workers=%d n=%d: drained %d of %d", workers, pt.ComputeNodes, pt.Completed, pt.Submitted)
 			}
 			total += pt.Completed
+		}
+		if rec.Checks() == 0 {
+			t.Fatalf("workers=%d: the recorder on Params never ran an invariant check", workers)
 		}
 		if br := rec.Breaches(); br != 0 {
 			t.Fatalf("workers=%d: %d audit breaches", workers, br)
@@ -128,7 +131,7 @@ func TestServeParallelInvariance(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
 	run := func() string {
-		pts, err := Serve(cluster.Default(), []int{8, 12, 16}, ServerFaithful, 0, 4*time.Second)
+		pts, err := Serve(cluster.Default(), []int{8, 12, 16}, ServerFaithful, 0, 4*time.Second, cluster.Observers{})
 		if err != nil {
 			t.Fatalf("Serve: %v", err)
 		}

@@ -2,16 +2,11 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/dac"
 	"repro/internal/metrics"
-	"repro/internal/pbs"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // The slo experiment is the live-telemetry view of the scale ladder:
@@ -25,8 +20,9 @@ import (
 // queue depth, and fabric load, with per-objective compliance and the
 // virtual timestamp of the first breach.
 
-// SLOPoint is one row of the slo figure: a cluster size, its scrape
-// series, and the compliance evaluation.
+// SLOPoint is one row of the slo figure: a cluster size and the
+// compliance evaluation of its scrape series (Obs.Windows, one window
+// per cluster.ObserveInterval; Obs.Prom is the final cumulative state).
 type SLOPoint struct {
 	ComputeNodes int
 	Accelerators int
@@ -34,37 +30,14 @@ type SLOPoint struct {
 	Probers      int // dynamic-request prober jobs
 	DynGranted   int // dynamic requests granted across the run
 	Makespan     time.Duration
-	Windows      []telemetry.Window     // the scrape series (one per SLOScrapeInterval)
-	Compliance   []telemetry.Compliance // SLOObjectives() evaluated over Windows
-	Prom         string                 // Prometheus text exposition of the final cumulative state
+	Compliance   []telemetry.Compliance // SLOObjectives() evaluated over Obs.Windows
+	Obs          Observed
 }
 
 // SLOSizes is the default compute-node axis of the slo figure: the
 // top half of the scale ladder, where the scheduler is busy enough
 // for occupancy and latency windows to carry signal.
 var SLOSizes = []int{64, 128, 256}
-
-// Pacing of the open-loop dynamic-request stream: every prober issues
-// sloReqsPerProber requests, one each sloProbePace of virtual time,
-// so the stream spans the SWF submission window and its drain.
-const (
-	sloProbePace     = 3 * time.Second
-	sloProbeHold     = 500 * time.Millisecond // accelerator hold per request, so dac.util_dynamic carries signal
-	sloReqsPerProber = 24
-
-	// SLOScrapeInterval is the virtual-time scrape period.
-	SLOScrapeInterval = 5 * time.Second
-)
-
-// sloProbers sets how many prober jobs run at a cluster size: enough
-// that every scrape window sees dynamic-request samples, few enough
-// that the probers do not become the workload.
-func sloProbers(n int) int {
-	if p := n / 32; p > 2 {
-		return p
-	}
-	return 2
-}
 
 // SLOObjectives is the figure's service-level objective set. The
 // latency and cycle bounds are calibrated against the ladder's
@@ -82,120 +55,28 @@ func SLOObjectives() []telemetry.Objective {
 }
 
 // SLO runs the live-telemetry experiment for the given compute-node
-// counts (SLOSizes when nil). Each point is an independent simulation
-// with a private registry and scraper, so the points fan out over the
-// trial worker pool and every table, JSONL series, and Prometheus
-// page is byte-identical at any parallelism level.
-func SLO(p cluster.Params, sizes []int) ([]SLOPoint, error) {
+// counts (SLOSizes when nil): the ladder under the slo prober stream
+// with telemetry always attached, plus whatever other observers the
+// caller asks for. Tables, scrape series and Prometheus pages are
+// byte-identical at any parallelism level.
+func SLO(p cluster.Params, sizes []int, obs cluster.Observers) ([]SLOPoint, error) {
 	if len(sizes) == 0 {
 		sizes = SLOSizes
 	}
+	obs.Telemetry = true
 	objectives := SLOObjectives()
-	out := make([]SLOPoint, len(sizes))
-	err := forEach(len(sizes), func(idx int) error {
-		n := sizes[idx]
-		if n < 1 {
-			return fmt.Errorf("core: SLO size %d", n)
+	return ladder("SLO", p, sizes, ServerFaithful, sloStream, obs, func(run *ladderRun) SLOPoint {
+		return SLOPoint{
+			ComputeNodes: run.obs.ComputeNodes,
+			Accelerators: run.params.Accelerators,
+			Jobs:         run.jobs,
+			Probers:      run.probers,
+			DynGranted:   int(run.reg.Counter("pbs.dyn_granted").Value()),
+			Makespan:     run.makespan,
+			Compliance:   telemetry.Evaluate(run.obs.Windows, objectives),
+			Obs:          run.obs,
 		}
-		tp := scaleParams(p, n)
-		reg := telemetry.New()
-		tp.Telemetry = reg
-		jobs := n * JobsPerCN
-		entries, err := workload.ParseSWF(strings.NewReader(scaleWorkloadSWF(n, jobs, tp.CoresPerNode, p.Seed)), tp.CoresPerNode)
-		if err != nil {
-			return fmt.Errorf("core: SLO n=%d: %w", n, err)
-		}
-
-		s := sim.Acquire()
-		defer s.Release()
-		c := cluster.New(s, tp)
-		scr := telemetry.NewScraper(reg, s, SLOScrapeInterval)
-		probers := sloProbers(n)
-		var pt SLOPoint
-		ready := make([]*signal, probers)
-		for i := range ready {
-			ready[i] = newSignal(s, fmt.Sprintf("slo-ready-%d", i))
-		}
-		goahead := newSignal(s, "slo-go")
-		runErr := s.Run(func() {
-			defer c.Close()
-			scr.Start()
-			c.Start()
-			client := c.Client("front")
-
-			// The probers start on the idle cluster and hold one core
-			// each; once the trace is fully submitted they issue an
-			// open-loop stream of paced dynamic requests into the
-			// loaded scheduler, staggered so their phases differ.
-			proberIDs := make([]string, 0, probers)
-			for i := 0; i < probers; i++ {
-				i := i
-				id, err := client.Submit(pbs.JobSpec{
-					Name: fmt.Sprintf("slo-probe-%d", i), Owner: "exp",
-					Nodes: 1, PPN: 1, ACPN: 0, Walltime: time.Hour,
-					Script: func(env *pbs.JobEnv) {
-						ac, _, err := dac.Init(env)
-						if err != nil {
-							return
-						}
-						defer ac.Finalize()
-						ready[i].fire()
-						goahead.wait()
-						s.Sleep(sloProbePace * time.Duration(i) / time.Duration(probers))
-						for r := 0; r < sloReqsPerProber; r++ {
-							clientID, _, err := ac.Get(1)
-							if err == nil {
-								s.Sleep(sloProbeHold)
-								ac.Free(clientID)
-							}
-							s.Sleep(sloProbePace)
-						}
-					},
-				})
-				if err != nil {
-					return
-				}
-				proberIDs = append(proberIDs, id)
-			}
-			for _, sg := range ready {
-				sg.wait()
-			}
-
-			ids, err := workload.Replay(s, client, entries)
-			if err != nil {
-				return
-			}
-			goahead.fire()
-			for _, id := range ids {
-				client.Wait(id)
-			}
-			for _, id := range proberIDs {
-				client.Wait(id)
-			}
-			scr.Stop()
-			pt.Makespan = s.Now()
-			var prom strings.Builder
-			if err := telemetry.WriteProm(&prom, reg, s.Now()); err == nil {
-				pt.Prom = prom.String()
-			}
-		})
-		if runErr != nil {
-			return fmt.Errorf("core: SLO n=%d: %w", n, runErr)
-		}
-		pt.ComputeNodes = n
-		pt.Accelerators = tp.Accelerators
-		pt.Jobs = len(entries)
-		pt.Probers = probers
-		pt.DynGranted = int(reg.Counter("pbs.dyn_granted").Value())
-		pt.Windows = scr.Windows()
-		pt.Compliance = telemetry.Evaluate(pt.Windows, objectives)
-		out[idx] = pt
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // sloCompliant counts the objectives a point meets.
@@ -219,7 +100,7 @@ func SLOTable(points []SLOPoint) *metrics.Table {
 	for _, pt := range points {
 		t.AddRow(
 			fmt.Sprint(pt.ComputeNodes), fmt.Sprint(pt.Accelerators), fmt.Sprint(pt.Jobs),
-			fmt.Sprint(pt.Probers), fmt.Sprint(pt.DynGranted), fmt.Sprint(len(pt.Windows)),
+			fmt.Sprint(pt.Probers), fmt.Sprint(pt.DynGranted), fmt.Sprint(len(pt.Obs.Windows)),
 			metrics.Ms(pt.Makespan),
 			fmt.Sprintf("%d/%d", sloCompliant(pt), len(pt.Compliance)),
 		)

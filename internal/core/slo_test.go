@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/capture"
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
@@ -14,7 +15,7 @@ import (
 var sloTestSizes = []int{32}
 
 func TestSLOPointShape(t *testing.T) {
-	pts, err := SLO(cluster.Default(), sloTestSizes)
+	pts, err := SLO(cluster.Default(), sloTestSizes, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,26 +29,26 @@ func TestSLOPointShape(t *testing.T) {
 	if pt.Probers != sloProbers(32) {
 		t.Fatalf("probers = %d, want %d", pt.Probers, sloProbers(32))
 	}
-	if want := pt.Probers * sloReqsPerProber; pt.DynGranted != want {
+	if want := pt.Probers * sloStream.reqs; pt.DynGranted != want {
 		t.Fatalf("dyn granted = %d, want %d (all paced requests served)", pt.DynGranted, want)
 	}
-	if len(pt.Windows) < 2 {
-		t.Fatalf("only %d scrape windows", len(pt.Windows))
+	if len(pt.Obs.Windows) < 2 {
+		t.Fatalf("only %d scrape windows", len(pt.Obs.Windows))
 	}
 	if pt.Makespan <= 0 {
 		t.Fatal("makespan not recorded")
 	}
 	// The scrape series covers the run: the last window ends at the
 	// makespan (Stop takes a final partial window).
-	last := pt.Windows[len(pt.Windows)-1]
+	last := pt.Obs.Windows[len(pt.Obs.Windows)-1]
 	if last.End != pt.Makespan {
 		t.Fatalf("last window ends at %v, makespan %v", last.End, pt.Makespan)
 	}
 	if len(pt.Compliance) != len(SLOObjectives()) {
 		t.Fatalf("%d compliance rows, want %d", len(pt.Compliance), len(SLOObjectives()))
 	}
-	if pt.Prom == "" || !strings.Contains(pt.Prom, "pbs_dyn_latency") {
-		t.Fatalf("prometheus exposition missing dyn-latency summary:\n%.400s", pt.Prom)
+	if pt.Obs.Prom == "" || !strings.Contains(pt.Obs.Prom, "pbs_dyn_latency") {
+		t.Fatalf("prometheus exposition missing dyn-latency summary:\n%.400s", pt.Obs.Prom)
 	}
 }
 
@@ -55,7 +56,7 @@ func TestSLOPointShape(t *testing.T) {
 // it is the figure's demonstration of the first-breach timestamp —
 // while the calibrated latency objectives hold.
 func TestSLOObjectivesCalibration(t *testing.T) {
-	pts, err := SLO(cluster.Default(), sloTestSizes)
+	pts, err := SLO(cluster.Default(), sloTestSizes, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +83,13 @@ func TestSLOObjectivesCalibration(t *testing.T) {
 	if occ.First < 0 {
 		t.Fatal("sched-occupancy: no first-breach timestamp")
 	}
-	if occ.First%SLOScrapeInterval != 0 {
-		t.Errorf("first breach at %v, want a window edge (interval %v)", occ.First, SLOScrapeInterval)
+	if occ.First%cluster.ObserveInterval != 0 {
+		t.Errorf("first breach at %v, want a window edge (interval %v)", occ.First, cluster.ObserveInterval)
 	}
 }
 
 func TestSLOTablesRender(t *testing.T) {
-	pts, err := SLO(cluster.Default(), sloTestSizes)
+	pts, err := SLO(cluster.Default(), sloTestSizes, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSLOTablesRender(t *testing.T) {
 }
 
 func TestSLORejectsBadSize(t *testing.T) {
-	if _, err := SLO(cluster.Default(), []int{0}); err == nil {
+	if _, err := SLO(cluster.Default(), []int{0}, cluster.Observers{}); err == nil {
 		t.Fatal("want error for size 0")
 	}
 }
@@ -136,21 +137,21 @@ func TestSLOIdenticalAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pt := range pts {
-			if err := telemetry.WriteJSONL(&b, pt.Windows); err != nil {
+			if err := capture.Write(&b, &pt.Obs.File); err != nil {
 				t.Fatal(err)
 			}
-			b.WriteString(pt.Prom)
+			b.WriteString(pt.Obs.Prom)
 		}
 		return b.String()
 	}
 
 	SetParallelism(1)
-	serial, err := SLO(p, sizes)
+	serial, err := SLO(p, sizes, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	SetParallelism(4)
-	par, err := SLO(p, sizes)
+	par, err := SLO(p, sizes, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -170,19 +171,19 @@ func TestSLOProbersFloor(t *testing.T) {
 }
 
 func TestSLOScrapeWindowsAligned(t *testing.T) {
-	pts, err := SLO(cluster.Default(), sloTestSizes)
+	pts, err := SLO(cluster.Default(), sloTestSizes, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range pts[0].Windows {
+	for i, w := range pts[0].Obs.Windows {
 		if w.Index != i {
 			t.Fatalf("window %d has index %d", i, w.Index)
 		}
-		if i < len(pts[0].Windows)-1 && w.End-w.Start != SLOScrapeInterval {
-			t.Fatalf("window %d spans %v, want %v", i, w.End-w.Start, SLOScrapeInterval)
+		if i < len(pts[0].Obs.Windows)-1 && w.End-w.Start != cluster.ObserveInterval {
+			t.Fatalf("window %d spans %v, want %v", i, w.End-w.Start, cluster.ObserveInterval)
 		}
-		if i > 0 && w.Start != pts[0].Windows[i-1].End {
-			t.Fatalf("window %d starts at %v, previous ended at %v", i, w.Start, pts[0].Windows[i-1].End)
+		if i > 0 && w.Start != pts[0].Obs.Windows[i-1].End {
+			t.Fatalf("window %d starts at %v, previous ended at %v", i, w.Start, pts[0].Obs.Windows[i-1].End)
 		}
 	}
 }

@@ -22,8 +22,8 @@
 //     be handed off — an open span truncates the causal chains the
 //     critical-path profiler reconstructs.
 //   - metricname: instrument names passed to the telemetry registry
-//     and the tracer's metric methods must be compile-time constants —
-//     runtime-assembled names make metric cardinality unbounded.
+//     must be compile-time constants — runtime-assembled names make
+//     metric cardinality unbounded.
 //   - poolbalance: pooled values (netsim arena messages, pooled
 //     simulations from sim.Acquire, sync.Pool) must be released
 //     exactly once on every control-flow path or escape to an owner —

@@ -9,8 +9,7 @@ import (
 
 // NewMetricName returns the metricname analyzer: every instrument
 // name handed to the telemetry registry ((*telemetry.Registry)
-// Counter/Gauge/Histogram/Occupancy) or to the tracer's metric calls
-// ((*trace.Tracer) Add/Gauge/Observe) must be a compile-time
+// Counter/Gauge/Histogram/Occupancy) must be a compile-time
 // constant. A name assembled at runtime — fmt.Sprintf over a host or
 // link, a loop variable, a parameter — creates one instrument per
 // distinct string: metric cardinality grows with cluster size, scrape
@@ -22,8 +21,8 @@ func NewMetricName() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "metricname",
 		Doc: "flag instrument names that are not compile-time constants in calls to the " +
-			"telemetry registry (Counter/Gauge/Histogram/Occupancy) and the tracer's metric " +
-			"methods (Add/Gauge/Observe): dynamic names make metric cardinality unbounded",
+			"telemetry registry (Counter/Gauge/Histogram/Occupancy): dynamic names make " +
+			"metric cardinality unbounded",
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		for _, f := range pass.Files {
@@ -50,8 +49,8 @@ func NewMetricName() *analysis.Analyzer {
 }
 
 // metricNameCall reports whether call names an instrument: a method
-// whose first parameter is the instrument name, on the telemetry
-// registry or the tracer. It returns a human-readable method label,
+// of the telemetry registry whose first parameter is the instrument
+// name. It returns a human-readable method label,
 // or "" for everything else. Matching is by package, receiver, and
 // method name — the same resolution the other analyzers use, so both
 // the real packages and the test fixtures qualify.
@@ -67,24 +66,12 @@ func metricNameCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	if !ok || sig.Recv() == nil {
 		return ""
 	}
-	recv := recvTypeName(sig.Recv().Type())
-	switch fn.Pkg().Name() {
-	case "telemetry":
-		if recv != "Registry" {
-			return ""
-		}
-		switch fn.Name() {
-		case "Counter", "Gauge", "Histogram", "Occupancy":
-			return "(*telemetry.Registry)." + fn.Name()
-		}
-	case "trace":
-		if recv != "Tracer" {
-			return ""
-		}
-		switch fn.Name() {
-		case "Add", "Gauge", "Observe":
-			return "(*trace.Tracer)." + fn.Name()
-		}
+	if fn.Pkg().Name() != "telemetry" || recvTypeName(sig.Recv().Type()) != "Registry" {
+		return ""
+	}
+	switch fn.Name() {
+	case "Counter", "Gauge", "Histogram", "Occupancy":
+		return "(*telemetry.Registry)." + fn.Name()
 	}
 	return ""
 }

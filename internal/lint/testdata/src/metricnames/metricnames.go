@@ -1,33 +1,26 @@
 // Package metricnames exercises the metricname analyzer: instrument
-// names passed to the telemetry registry and the tracer's metric
-// methods must be compile-time constants.
+// names passed to the telemetry registry must be compile-time
+// constants.
 package metricnames
 
 import (
 	"fmt"
 
 	"telemetry"
-	"trace"
 )
 
 var reg = telemetry.New()
-var tr = trace.New()
 
 const prefix = "pbs."
 const full = prefix + "dyn_latency"
 
 // Clean: literals and constants, including constant-folded
-// concatenation, on every registry kind and every tracer metric.
-func constants(host string) {
+// concatenation, on every registry kind.
+func constants() {
 	reg.Counter("pbs.submits")
 	reg.Gauge("pbs.queue_depth")
 	reg.Histogram(full)
 	reg.Occupancy(prefix + "busy")
-	tr.Add("netsim.msgs", 1)
-	tr.Gauge("maui.queue", 1.0)
-	tr.Observe("rpc.service", 5)
-	// Non-name arguments stay unconstrained.
-	tr.Add("netsim.bytes", int64(len(host)))
 }
 
 // Dynamic names assembled at runtime are the cardinality leak the
@@ -37,9 +30,6 @@ func dynamic(host string, link int) {
 	reg.Gauge(fmt.Sprintf("link.%d.depth", link)) // want `must be a compile-time constant`
 	reg.Histogram(name(host))                     // want `must be a compile-time constant`
 	reg.Occupancy(host)                           // want `must be a compile-time constant`
-	tr.Add("netsim.msgs."+host, 1)                // want `must be a compile-time constant`
-	tr.Gauge(fmt.Sprintf("maui.q.%d", link), 2)   // want `must be a compile-time constant`
-	tr.Observe(name(host), 5)                     // want `must be a compile-time constant`
 }
 
 // A variable of constant value is still a runtime expression: the

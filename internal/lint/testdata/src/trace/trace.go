@@ -20,15 +20,6 @@ func (t *Tracer) Start(track, name string, kvs ...string) *Span { return &Span{}
 // SpanAt records an already-closed interval (no End required).
 func (t *Tracer) SpanAt(track, name string, start, dur int64, kvs ...string) {}
 
-// Add mirrors the real tracer's counter metric (metricname fixtures).
-func (t *Tracer) Add(name string, delta int64) {}
-
-// Gauge mirrors the real tracer's gauge metric.
-func (t *Tracer) Gauge(name string, v float64) {}
-
-// Observe mirrors the real tracer's latency metric.
-func (t *Tracer) Observe(name string, d int64) {}
-
 // Child opens a child span.
 func (s *Span) Child(name string, kvs ...string) *Span { return &Span{} }
 

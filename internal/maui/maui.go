@@ -135,10 +135,9 @@ type Scheduler struct {
 	nextReq int
 
 	// Cycle-local scratch, touched only by the scheduler actor (or a
-	// test driving RunCycleOnce). The pools and the priority/order
-	// buffers persist across cycles so a steady-state iteration reuses
-	// their storage instead of rebuilding it.
-	pools *pools
+	// test driving RunCycleOnce). The priority/order buffers persist
+	// across cycles so a steady-state iteration reuses their storage
+	// instead of rebuilding it.
 	prio  []float64
 	order []int
 
@@ -155,8 +154,10 @@ type Scheduler struct {
 	dynInflight map[int]uint64    // dyn ReqID -> cycleIndex at grant
 	cycleIndex  uint64
 
-	// Partitioned-cycle scratch (see partition.go), persisted across
-	// cycles like the buffers above.
+	// partPools are the cycle's resource pools, persisted across cycles
+	// like the buffers above: the faithful cycle uses partPools[0], the
+	// partitioned cycle (partition.go) one per partition plus the
+	// scratch below.
 	partPools []*pools
 	partNodes [][]pbs.NodeInfo
 	partJobs  [][]int
@@ -341,22 +342,17 @@ func (sc *Scheduler) cycle() bool {
 		return sc.partitionedCycle(info, cyc)
 	}
 	pb := cyc.Child("pools")
-	if sc.pools == nil {
-		sc.pools = &pools{index: make(map[string]int)}
-	}
-	p := sc.pools
+	ps := sc.cyclePools(1)
+	p := ps[0]
 	p.reset(info.Nodes)
 	pb.End()
-	if trc := sc.sim.Tracer(); trc != nil {
-		trc.Gauge("maui.queue_depth", float64(len(info.Queued)))
-		trc.Gauge("maui.dyn_backlog", float64(len(info.Dyn)))
-		trc.Gauge("maui.free_acs", float64(len(p.freeACs)))
-	}
 	sc.inst.queueDepth.Set(float64(len(info.Queued)))
 
 	if sc.params.DynTopPriority {
 		dyn := cyc.Child("dyn")
-		sc.scheduleDyn(info.Dyn, p, dyn)
+		for _, r := range info.Dyn {
+			sc.serveDyn(r, ps, dyn)
+		}
 		dyn.End()
 		st := cyc.Child("static")
 		sc.scheduleStatic(info, p, st)
@@ -366,47 +362,80 @@ func (sc *Scheduler) cycle() bool {
 	// Ablation: merge dynamic requests into the FIFO stream by
 	// arrival time — they wait behind earlier static submissions.
 	fifo := cyc.Child("fifo")
-	sc.schedulePlainFIFO(info, p, fifo)
+	sc.schedulePlainFIFO(info, ps, fifo)
 	fifo.End()
 	return true
 }
 
-// allocDyn picks hosts for one dynamic request according to its kind.
-func (sc *Scheduler) allocDyn(r pbs.SchedDynView, p *pools) []string {
-	if r.Kind == pbs.KindCompute {
-		return p.takeCNs(r.Count, r.PPN, r.JobID)
+// cyclePools returns the scheduler's first n persistent pools,
+// growing the set on demand: one for the faithful cycle, one per
+// partition for the partitioned cycle.
+func (sc *Scheduler) cyclePools(n int) []*pools {
+	for len(sc.partPools) < n {
+		sc.partPools = append(sc.partPools, &pools{index: make(map[string]int)})
 	}
-	hosts := p.takeACs(r.Count)
-	if hosts == nil && sc.params.PartialAlloc && len(p.freeACs) > 0 {
-		hosts = p.takeACs(len(p.freeACs))
-	}
-	return hosts
+	return sc.partPools[:n]
 }
 
-// scheduleDyn serves dynamic requests first, FIFO (paper policy).
-func (sc *Scheduler) scheduleDyn(reqs []pbs.SchedDynView, p *pools, phase *trace.Span) {
-	for _, r := range reqs {
-		if sc.skipInflightDyn(r.ReqID) {
-			continue
-		}
-		var sp *trace.Span
-		if phase != nil {
-			sp = phase.Child("sched.dyn", "job", r.JobID, "req", strconv.Itoa(r.ReqID), "count", strconv.Itoa(r.Count))
-		}
-		sc.sim.Sleep(sc.params.DynPerReqCost)
-		hosts := sc.allocDyn(r, p)
-		sc.dynInflight[r.ReqID] = sc.cycleIndex
-		sc.mu.Lock()
-		if len(hosts) > 0 {
-			sc.stats.DynGranted++
-		} else {
-			sc.stats.DynRejected++
-		}
-		sc.mu.Unlock()
-		sp.Annotate("granted", strconv.FormatBool(len(hosts) > 0))
-		sp.End()
-		sc.sendCause(pbs.DynAllocCmd{ReqID: r.ReqID, Hosts: hosts, Cause: sp.ID()}, sp.ID())
+// serveDyn schedules one dynamic request against the cycle's pools —
+// the faithful cycle's single pool or every partition's. Accelerators
+// are drawn across the pools starting at the request id's home pool,
+// so partitioning never strands free accelerators, and a short supply
+// rejects the request unless PartialAlloc grants what there is;
+// compute-kind requests place within a single pool, all-or-nothing.
+func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span) {
+	if sc.skipInflightDyn(r.ReqID) {
+		return // grant still in flight on a server shard
 	}
+	var sp *trace.Span
+	if phase != nil {
+		sp = phase.Child("sched.dyn", "job", r.JobID, "req", strconv.Itoa(r.ReqID), "count", strconv.Itoa(r.Count))
+	}
+	sc.sim.Sleep(sc.params.DynPerReqCost)
+	var hosts []string
+	if r.Kind == pbs.KindCompute {
+		for off := 0; off < len(ps) && hosts == nil; off++ {
+			hosts = ps[(r.ReqID+off)%len(ps)].takeCNs(r.Count, r.PPN, r.JobID)
+		}
+	} else {
+		free := 0
+		for _, p := range ps {
+			free += len(p.freeACs)
+		}
+		want := r.Count
+		if want > free {
+			want = 0
+			if sc.params.PartialAlloc {
+				want = free
+			}
+		}
+		for off := 0; off < len(ps) && len(hosts) < want; off++ {
+			p := ps[(r.ReqID+off)%len(ps)]
+			take := want - len(hosts)
+			if take > len(p.freeACs) {
+				take = len(p.freeACs)
+			}
+			if take == 0 {
+				continue
+			}
+			if got := p.takeACs(take); hosts == nil {
+				hosts = got // the common single-pool grant: no second copy
+			} else {
+				hosts = append(hosts, got...)
+			}
+		}
+	}
+	sc.dynInflight[r.ReqID] = sc.cycleIndex
+	sc.mu.Lock()
+	if len(hosts) > 0 {
+		sc.stats.DynGranted++
+	} else {
+		sc.stats.DynRejected++
+	}
+	sc.mu.Unlock()
+	sp.Annotate("granted", strconv.FormatBool(len(hosts) > 0))
+	sp.End()
+	sc.sendCause(pbs.DynAllocCmd{ReqID: r.ReqID, Hosts: hosts, Cause: sp.ID()}, sp.ID())
 }
 
 // inflightWindow is how many cycles a placed job (or granted dyn
@@ -524,7 +553,7 @@ func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *tr
 
 // schedulePlainFIFO is the DynTopPriority ablation: one stream
 // ordered by arrival, dynamic requests not prioritized.
-func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, p *pools, phase *trace.Span) {
+func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, phase *trace.Span) {
 	type item struct {
 		at  time.Duration
 		job *pbs.JobInfo
@@ -540,32 +569,14 @@ func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, p *pools, phase 
 	sort.SliceStable(items, func(a, b int) bool { return items[a].at < items[b].at })
 	for _, it := range items {
 		if it.dyn != nil {
-			if sc.skipInflightDyn(it.dyn.ReqID) {
-				continue
-			}
-			var sp *trace.Span
-			if phase != nil {
-				sp = phase.Child("sched.dyn", "job", it.dyn.JobID, "req", strconv.Itoa(it.dyn.ReqID))
-			}
-			sc.sim.Sleep(sc.params.DynPerReqCost)
-			hosts := sc.allocDyn(*it.dyn, p)
-			sc.dynInflight[it.dyn.ReqID] = sc.cycleIndex
-			sc.mu.Lock()
-			if len(hosts) > 0 {
-				sc.stats.DynGranted++
-			} else {
-				sc.stats.DynRejected++
-			}
-			sc.mu.Unlock()
-			sp.End()
-			sc.sendCause(pbs.DynAllocCmd{ReqID: it.dyn.ReqID, Hosts: hosts, Cause: sp.ID()}, sp.ID())
+			sc.serveDyn(*it.dyn, ps, phase)
 			continue
 		}
 		if sc.skipInflight(it.job.ID) {
 			continue
 		}
 		sc.sim.Sleep(sc.params.PerJobCost)
-		if hosts, acc, ok := p.fit(it.job.Spec, it.job.ID); ok {
+		if hosts, acc, ok := ps[0].fit(it.job.Spec, it.job.ID); ok {
 			sc.place(*it.job, hosts, acc, phase)
 		}
 	}
@@ -596,9 +607,6 @@ func (sc *Scheduler) place(j pbs.JobInfo, hosts []string, acc map[string][]strin
 		sp = phase.Child("place", "job", j.ID, "hosts", strings.Join(hosts, "+"))
 	}
 	defer sp.End()
-	if trc := sc.sim.Tracer(); trc != nil {
-		trc.Add("maui.placed", 1)
-	}
 	sc.inst.placed.Inc()
 	sc.inflight[j.ID] = sc.cycleIndex
 	sc.mu.Lock()

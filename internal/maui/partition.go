@@ -2,7 +2,6 @@ package maui
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/pbs"
@@ -58,19 +57,14 @@ func (sc *Scheduler) partitionedCycle(info *pbs.SchedInfoResp, cyc *trace.Span) 
 	pb := cyc.Child("pools")
 	sc.resetPartitions(info.Nodes, nParts)
 	pb.End()
-	freeACs := 0
-	for _, p := range sc.partPools[:nParts] {
-		freeACs += len(p.freeACs)
-	}
-	if trc := sc.sim.Tracer(); trc != nil {
-		trc.Gauge("maui.queue_depth", float64(len(info.Queued)))
-		trc.Gauge("maui.dyn_backlog", float64(len(info.Dyn)))
-		trc.Gauge("maui.free_acs", float64(freeACs))
-	}
 	sc.inst.queueDepth.Set(float64(len(info.Queued)))
 
+	// Dynamic requests are served first, FIFO, exactly as the faithful
+	// cycle does, against every partition's pool.
 	dyn := cyc.Child("dyn")
-	sc.partitionedDyn(info.Dyn, dyn)
+	for _, r := range info.Dyn {
+		sc.serveDyn(r, sc.partPools[:nParts], dyn)
+	}
 	dyn.End()
 	st := cyc.Child("partitions")
 	sc.partitionedStatic(info, st)
@@ -83,9 +77,7 @@ func (sc *Scheduler) partitionedCycle(info *pbs.SchedInfoResp, cyc *trace.Span) 
 // partition's capacity mix representative of the whole cluster, so a
 // multi-node job fits in any partition that is not itself full.
 func (sc *Scheduler) resetPartitions(nodes []pbs.NodeInfo, nParts int) {
-	for len(sc.partPools) < nParts {
-		sc.partPools = append(sc.partPools, &pools{index: make(map[string]int)})
-	}
+	ps := sc.cyclePools(nParts)
 	for len(sc.partNodes) < nParts {
 		sc.partNodes = append(sc.partNodes, nil)
 	}
@@ -97,68 +89,7 @@ func (sc *Scheduler) resetPartitions(nodes []pbs.NodeInfo, nParts int) {
 		sc.partNodes[pi] = append(sc.partNodes[pi], nodes[i])
 	}
 	for pi := 0; pi < nParts; pi++ {
-		sc.partPools[pi].reset(sc.partNodes[pi])
-	}
-}
-
-// partitionedDyn serves dynamic requests FIFO at top priority, as the
-// faithful path does. The arbiter draws accelerators from every
-// partition's pool, starting at the request id's home partition, so
-// partitioning never strands free accelerators; compute-kind requests
-// place within a single partition, all-or-nothing per partition.
-func (sc *Scheduler) partitionedDyn(reqs []pbs.SchedDynView, phase *trace.Span) {
-	nParts := sc.params.Partitions
-	for _, r := range reqs {
-		if sc.skipInflightDyn(r.ReqID) {
-			continue // grant still in flight on a server shard
-		}
-		var sp *trace.Span
-		if phase != nil {
-			sp = phase.Child("sched.dyn", "job", r.JobID, "req", strconv.Itoa(r.ReqID), "count", strconv.Itoa(r.Count))
-		}
-		sc.sim.Sleep(sc.params.DynPerReqCost)
-		var hosts []string
-		if r.Kind == pbs.KindCompute {
-			for off := 0; off < nParts && hosts == nil; off++ {
-				hosts = sc.partPools[(r.ReqID+off)%nParts].takeCNs(r.Count, r.PPN, r.JobID)
-			}
-		} else {
-			free := 0
-			for pi := 0; pi < nParts; pi++ {
-				free += len(sc.partPools[pi].freeACs)
-			}
-			want := r.Count
-			if want > free {
-				// Same policy as allocDyn: reject when short unless
-				// PartialAlloc grants what there is.
-				if sc.params.PartialAlloc && free > 0 {
-					want = free
-				} else {
-					want = 0
-				}
-			}
-			for off := 0; off < nParts && len(hosts) < want; off++ {
-				p := sc.partPools[(r.ReqID+off)%nParts]
-				take := want - len(hosts)
-				if take > len(p.freeACs) {
-					take = len(p.freeACs)
-				}
-				if take > 0 {
-					hosts = append(hosts, p.takeACs(take)...)
-				}
-			}
-		}
-		sc.mu.Lock()
-		if len(hosts) > 0 {
-			sc.stats.DynGranted++
-		} else {
-			sc.stats.DynRejected++
-		}
-		sc.mu.Unlock()
-		sc.dynInflight[r.ReqID] = sc.cycleIndex
-		sp.Annotate("granted", strconv.FormatBool(len(hosts) > 0))
-		sp.End()
-		sc.sendCause(pbs.DynAllocCmd{ReqID: r.ReqID, Hosts: hosts, Cause: sp.ID()}, sp.ID())
+		ps[pi].reset(sc.partNodes[pi])
 	}
 }
 

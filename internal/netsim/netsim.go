@@ -538,16 +538,12 @@ func deliverMsg(arg any) {
 	if tr != nil {
 		tr(msg)
 	}
-	// Feed the observability layer: one async span per delivered
-	// message (in-flight intervals overlap freely), a per-tag
-	// delivery-latency histogram, and aggregate traffic counters
-	// (constant names — per-link breakdowns belong to the span
-	// stream's from/to annotations, not to metric cardinality).
+	// One async span per delivered message (in-flight intervals
+	// overlap freely); the from/to annotations carry the per-link
+	// breakdown the constant-name traffic counters above do not.
 	if trc := n.sim.Tracer(); trc != nil {
 		trc.AsyncSpanLinkAt("netsim", "msg."+msg.Tag, msg.Cause, msg.Sent, msg.Delivered-msg.Sent,
 			"from", msg.From, "to", msg.To, "size", strconv.Itoa(msg.Size))
-		trc.Add("netsim.msgs", 1)
-		trc.Add("netsim.bytes", int64(msg.Size))
 	}
 	msg.dst.deliver(msg)
 }

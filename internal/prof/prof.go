@@ -14,7 +14,7 @@
 // dynamic request overhead), generalized to every job of a run.
 //
 // Inputs come from a live *trace.Tracer (Events) or a capture file
-// (trace.ReadCapture); outputs are per-job profiles, aggregate
+// (the Spans of capture.Read); outputs are per-job profiles, aggregate
 // per-phase tables (agg.go), per-job critical paths and folded
 // flamegraph stacks (critical.go), and a regression diff that names
 // the phase responsible for drift between two captures (diff.go).
@@ -141,7 +141,7 @@ func component(track string) string {
 
 // Analyze reconstructs every job's causal chain from a span stream
 // and returns the exact per-phase attribution plus critical paths.
-// The stream may come from Tracer.Events or trace.ReadCapture; event
+// The stream may come from Tracer.Events or a capture file; event
 // order does not matter.
 func Analyze(events []trace.Event) *Profile {
 	jobs := make(map[string]*jobChain)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/capture"
 	"repro/internal/cluster"
 	"repro/internal/dac"
 	"repro/internal/pbs"
@@ -143,14 +144,14 @@ func TestCriticalPathCoversTimeline(t *testing.T) {
 func TestAnalyzeFromCapture(t *testing.T) {
 	events := runSmall(t, nil)
 	var buf bytes.Buffer
-	if err := trace.WriteCapture(&buf, events); err != nil {
+	if err := capture.Write(&buf, &capture.File{Spans: events}); err != nil {
 		t.Fatalf("write capture: %v", err)
 	}
-	back, err := trace.ReadCapture(&buf)
+	back, err := capture.Read(&buf)
 	if err != nil {
 		t.Fatalf("read capture: %v", err)
 	}
-	if !reflect.DeepEqual(Analyze(events), Analyze(back)) {
+	if !reflect.DeepEqual(Analyze(events), Analyze(back.Spans)) {
 		t.Error("profile drifted across a capture round trip")
 	}
 }

@@ -157,9 +157,8 @@ func (s *Simulation) SetTelemetry(reg *telemetry.Registry) {
 
 // bridgeTraceDrops connects the tracer's ring-buffer drop counter to
 // the telemetry registry once both sinks are installed, so dropped
-// spans surface in dacstat summaries and the Prometheus export
-// instead of only the trace text summary. Install order does not
-// matter: both setters call it.
+// spans surface in dacobs stat summaries and the Prometheus export.
+// Install order does not matter: both setters call it.
 func (s *Simulation) bridgeTraceDrops() {
 	t := s.tracer.Load()
 	reg := s.telem.Load()

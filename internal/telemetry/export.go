@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -66,45 +65,4 @@ func promName(name string) string {
 // common small values.
 func promFloat(v float64) string {
 	return strings.TrimSuffix(strings.TrimRight(fmt.Sprintf("%.9f", v), "0"), ".")
-}
-
-// WriteJSONL writes a scrape series as JSON Lines: one window object
-// per line, rows nested. Durations serialize as integer nanoseconds
-// (Go's time.Duration JSON form), which keeps the files exact and
-// diffable; cmd/dacstat renders them human-readable.
-func WriteJSONL(w io.Writer, windows []Window) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, win := range windows {
-		if err := enc.Encode(win); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL parses a WriteJSONL stream back into a window series.
-// Blank lines are skipped; any malformed line is an error naming its
-// line number.
-func ReadJSONL(r io.Reader) ([]Window, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Window
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var w Window
-		if err := json.Unmarshal([]byte(text), &w); err != nil {
-			return nil, fmt.Errorf("scrape line %d: %w", line, err)
-		}
-		out = append(out, w)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

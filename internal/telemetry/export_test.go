@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -56,34 +55,5 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	wins := testSeries()
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, wins); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != len(wins) {
-		t.Fatalf("JSONL has %d lines, want one per window (%d)", got, len(wins))
-	}
-	back, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, wins) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, wins)
-	}
-}
-
-func TestReadJSONLBadLine(t *testing.T) {
-	_, err := ReadJSONL(strings.NewReader("{\"window\":0}\nnot json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-numbered parse error, got %v", err)
-	}
-	wins, err := ReadJSONL(strings.NewReader("\n\n"))
-	if err != nil || wins != nil {
-		t.Fatalf("blank input: got %v, %v", wins, err)
 	}
 }

@@ -20,7 +20,9 @@
 //     (scrape.go),
 //   - Objective/Evaluate: SLO compliance with first-breach virtual
 //     timestamps (slo.go),
-//   - WriteProm/WriteJSONL: exporters (export.go).
+//   - WriteProm: the Prometheus text exposition (export.go); scrape
+//     windows travel as "scrape" lines of a capture file
+//     (internal/capture).
 //
 // Like the tracer, every instrument is nil-safe: a nil *Registry
 // hands out nil instruments whose methods are no-ops, so packages

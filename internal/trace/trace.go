@@ -1,15 +1,16 @@
-// Package trace is the simulation-aware observability layer: named
-// spans in virtual time with parent/child causality, a registry of
-// counters, gauges, and latency histograms, and an event bus that
-// components publish to without coupling to any sink.
+// Package trace is the simulation-aware span layer: named spans in
+// virtual time with parent/child causality and an event bus that
+// components publish to without coupling to any sink. Counters,
+// gauges, and histograms live in internal/telemetry, the one
+// instrument registry.
 //
 // The paper's evaluation (Section IV) is a measurement study of batch
 // protocol latencies — daemon start, pbs_dynget round trips, scheduler
 // cycle cost. This package makes those measurements first-class: every
 // layer (pbs server, Maui scheduler, fabric, DAC library) opens spans
-// on its hot paths, and exporters render the result as a Chrome
-// trace-event file (chrome.go, loadable in Perfetto) or an aligned
-// metrics summary (summary.go).
+// on its hot paths; the events travel as "span" lines of a capture
+// file (internal/capture) and render as a Chrome trace-event file
+// (chrome.go, loadable in Perfetto).
 //
 // # Disabled tracing
 //
@@ -29,8 +30,6 @@ package trace
 import (
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // EventKind discriminates bus events.
@@ -68,8 +67,8 @@ type Event struct {
 	Links []uint64
 }
 
-// Tracer records events and aggregates metrics. Create with New; a
-// nil Tracer is the disabled, allocation-free no-op.
+// Tracer records events. Create with New; a nil Tracer is the
+// disabled, allocation-free no-op.
 type Tracer struct {
 	mu          sync.Mutex
 	clock       func() time.Duration
@@ -80,25 +79,12 @@ type Tracer struct {
 	dropped     int64    // events discarded once the limit was hit
 	dropSink    DropSink // optional live counter mirroring dropped
 	dropsToSink int64    // drops already forwarded to the sink
-
-	counters   map[string]int64
-	gauges     map[string]float64
-	hists      map[string]*metrics.Sample
-	counterKey []string // insertion order, for deterministic export
-	gaugeKey   []string
-	histKey    []string
 }
 
 // New returns an enabled tracer. Bind it to a simulation's virtual
 // clock with SetClock (sim.Simulation.SetTracer does this for you);
 // unbound, all timestamps read zero.
-func New() *Tracer {
-	return &Tracer{
-		counters: make(map[string]int64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*metrics.Sample),
-	}
-}
+func New() *Tracer { return &Tracer{} }
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
@@ -210,9 +196,8 @@ func (s *Span) ID() uint64 {
 	return s.id
 }
 
-// End closes the span: it publishes a KindSpan event and folds the
-// duration into the "track.name" latency histogram. Ending twice is a
-// no-op.
+// End closes the span and publishes a KindSpan event. Ending twice
+// is a no-op.
 func (s *Span) End() {
 	if s == nil || s.ended {
 		return
@@ -230,7 +215,6 @@ func (s *Span) End() {
 		ID: s.id, Parent: s.parent, Args: s.args, Links: s.links,
 	}
 	t.publishLocked(ev)
-	t.observeLocked(histTrack(s.track)+"."+s.name, ev.Dur)
 	subs := t.subs
 	t.mu.Unlock()
 	for _, fn := range subs {
@@ -239,8 +223,7 @@ func (s *Span) End() {
 }
 
 // SpanAt records an already-measured interval (for layers that know a
-// start and duration after the fact, like message delivery). It feeds
-// the same histogram Start/End would.
+// start and duration after the fact, like message delivery).
 func (t *Tracer) SpanAt(track, name string, start, dur time.Duration, kvs ...string) {
 	t.spanAt(track, name, start, dur, false, 0, kvs)
 }
@@ -272,7 +255,6 @@ func (t *Tracer) spanAt(track, name string, start, dur time.Duration, async bool
 	t.nextID++
 	ev := Event{Kind: KindSpan, Track: track, Name: name, Start: start, Dur: dur, ID: t.nextID, Async: async, Args: pairs(kvs), Links: links}
 	t.publishLocked(ev)
-	t.observeLocked(histTrack(track)+"."+name, dur)
 	subs := t.subs
 	t.mu.Unlock()
 	for _, fn := range subs {
@@ -353,9 +335,9 @@ func (t *Tracer) SetDropSink(s DropSink) {
 
 // SetLimit caps the retained event log at n events; once full, later
 // events are discarded (and counted — see Dropped) instead of growing
-// the buffer without bound at 256-node scale. Metrics registries and
-// subscribers still see every event; only the replayable log is
-// bounded. n <= 0 restores the default unbounded buffer.
+// the buffer without bound at 256-node scale. Subscribers still see
+// every event; only the replayable log is bounded. n <= 0 restores
+// the default unbounded buffer.
 func (t *Tracer) SetLimit(n int) {
 	if t == nil {
 		return
@@ -389,52 +371,6 @@ func (t *Tracer) Subscribe(fn func(Event)) {
 	t.mu.Unlock()
 }
 
-// Add increments a named counter.
-func (t *Tracer) Add(name string, delta int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if _, ok := t.counters[name]; !ok {
-		t.counterKey = append(t.counterKey, name)
-	}
-	t.counters[name] += delta
-	t.mu.Unlock()
-}
-
-// Gauge sets a named gauge to its latest value.
-func (t *Tracer) Gauge(name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if _, ok := t.gauges[name]; !ok {
-		t.gaugeKey = append(t.gaugeKey, name)
-	}
-	t.gauges[name] = v
-	t.mu.Unlock()
-}
-
-// Observe adds one duration observation to a named histogram.
-func (t *Tracer) Observe(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.observeLocked(name, d)
-	t.mu.Unlock()
-}
-
-func (t *Tracer) observeLocked(name string, d time.Duration) {
-	s, ok := t.hists[name]
-	if !ok {
-		s = &metrics.Sample{}
-		t.hists[name] = s
-		t.histKey = append(t.histKey, name)
-	}
-	s.Add(d)
-}
-
 // Events returns a snapshot of all recorded events in publish order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -443,61 +379,6 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
-}
-
-// Counters returns a snapshot of the counter registry.
-func (t *Tracer) Counters() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]int64, len(t.counters))
-	for k, v := range t.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// Gauges returns a snapshot of the gauge registry.
-func (t *Tracer) Gauges() map[string]float64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]float64, len(t.gauges))
-	for k, v := range t.gauges {
-		out[k] = v
-	}
-	return out
-}
-
-// Histogram returns a copy of one named histogram (nil if absent).
-func (t *Tracer) Histogram(name string) *metrics.Sample {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.hists[name]
-	if !ok {
-		return nil
-	}
-	cp := *s
-	return &cp
-}
-
-// histTrack strips the "@host" instance suffix from a track name so
-// latency histograms aggregate per component ("dac@cn0" and "dac@cn1"
-// both feed "dac.<span>") while the timeline keeps per-host tracks.
-func histTrack(track string) string {
-	for i := 0; i < len(track); i++ {
-		if track[i] == '@' {
-			return track[:i]
-		}
-	}
-	return track
 }
 
 // pairs folds alternating key/value strings into annotations; a

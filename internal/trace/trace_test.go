@@ -106,49 +106,6 @@ func TestInstantAndAt(t *testing.T) {
 	}
 }
 
-func TestMetricsRegistries(t *testing.T) {
-	tr := New()
-	tr.Add("jobs", 2)
-	tr.Add("jobs", 3)
-	tr.Gauge("queue_depth", 4)
-	tr.Gauge("queue_depth", 1)
-	tr.Observe("rpc", 10*time.Millisecond)
-	tr.Observe("rpc", 30*time.Millisecond)
-
-	if got := tr.Counters()["jobs"]; got != 5 {
-		t.Errorf("counter = %d", got)
-	}
-	if got := tr.Gauges()["queue_depth"]; got != 1 {
-		t.Errorf("gauge = %v (want latest)", got)
-	}
-	h := tr.Histogram("rpc")
-	if h == nil || h.N() != 2 || h.Mean() != 20*time.Millisecond {
-		t.Errorf("histogram = %+v", h)
-	}
-	if tr.Histogram("absent") != nil {
-		t.Error("absent histogram should be nil")
-	}
-}
-
-func TestSpanFeedsHistogram(t *testing.T) {
-	tr := New()
-	clk := &manualClock{}
-	tr.SetClock(clk.read)
-	for i, host := range []string{"cn0", "cn1"} {
-		sp := tr.Start("dac@"+host, "ac.get")
-		clk.advance(time.Duration(i+1) * 10 * time.Millisecond)
-		sp.End()
-	}
-	// Per-host tracks aggregate into one per-component histogram.
-	h := tr.Histogram("dac.ac.get")
-	if h == nil || h.N() != 2 {
-		t.Fatalf("histogram = %+v, want 2 observations", h)
-	}
-	if h.Min() != 10*time.Millisecond || h.Max() != 20*time.Millisecond {
-		t.Errorf("histogram range = %v..%v", h.Min(), h.Max())
-	}
-}
-
 func TestSubscribe(t *testing.T) {
 	tr := New()
 	var seen []string
@@ -176,13 +133,9 @@ func TestNilTracerNoop(t *testing.T) {
 		tr.InstantAt("x", "i", 0)
 		tr.SpanAt("x", "s", 0, 0)
 		tr.AsyncSpanAt("x", "s", 0, 0)
-		tr.Add("c", 1)
-		tr.Gauge("g", 1)
-		tr.Observe("h", 0)
 		tr.SetClock(nil)
 		_ = tr.Now()
 		_ = tr.Events()
-		_ = tr.Histogram("h")
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracer allocates %.0f per op, want 0", allocs)

@@ -18,18 +18,14 @@
 package repro
 
 import (
-	"repro/internal/audit"
+	"repro/internal/capture"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dac"
 	"repro/internal/gpusim"
-	"repro/internal/maui"
 	"repro/internal/netsim"
 	"repro/internal/pbs"
-	"repro/internal/prof"
-	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -47,44 +43,23 @@ type (
 // matching the paper's evaluation platform.
 func DefaultParams() Params { return cluster.Default() }
 
-// NewCluster builds a testbed on a fresh simulation.
-func NewCluster(s *sim.Simulation, p Params) *Cluster { return cluster.New(s, p) }
-
 // RunCluster builds a simulation and cluster, runs fn with an IFL
 // client, and tears everything down.
 func RunCluster(p Params, fn func(c *Cluster, client *Client)) error {
 	return cluster.Run(p, fn)
 }
 
-// CNName and ACName name the testbed's hosts.
-var (
-	CNName = cluster.CNName
-	ACName = cluster.ACName
-)
-
-// Simulation kernel.
-type (
-	// Simulation is the virtual-time execution environment all
-	// cluster components run in.
-	Simulation = sim.Simulation
-)
+// Simulation is the virtual-time execution environment all cluster
+// components run in.
+type Simulation = sim.Simulation
 
 // NewSimulation creates an empty simulation at virtual time zero.
 func NewSimulation() *Simulation { return sim.New() }
 
-// Observability (see internal/trace).
-type (
-	// Tracer records virtual-time spans, instants, and metrics from
-	// every instrumented layer. Install one via Params.Tracer (or
-	// Simulation.SetTracer); a nil tracer disables tracing.
-	Tracer = trace.Tracer
-	// TraceEvent is one recorded span or instant.
-	TraceEvent = trace.Event
-	// AccountingRecord is one line of the server's TORQUE-style
-	// accounting log (Server.AccountingLog); with tracing enabled each
-	// record is also published as an "acct.<type>" trace instant.
-	AccountingRecord = pbs.AccountingRecord
-)
+// AccountingRecord is one line of the server's TORQUE-style
+// accounting log (Server.AccountingLog); with tracing enabled each
+// record is also published as an "acct.<type>" trace instant.
+type AccountingRecord = pbs.AccountingRecord
 
 // Trace event kinds.
 const (
@@ -92,111 +67,49 @@ const (
 	TraceInstant = trace.KindInstant
 )
 
-// NewTracer creates an enabled tracer. Dump it with WriteChrome
-// (Perfetto / chrome://tracing) or WriteSummary (aligned tables).
-func NewTracer() *Tracer { return trace.New() }
+// NewTracer creates an enabled span tracer; install it via
+// Params.Tracer (a nil tracer disables tracing) and dump it with
+// WriteChrome (Perfetto / chrome://tracing).
+func NewTracer() *trace.Tracer { return trace.New() }
 
-// Capture files: a JSONL stream of trace events, the interchange
-// format between dacsim (-fig breakdown -capture) and dacprof.
-var (
-	WriteCapture = trace.WriteCapture
-	ReadCapture  = trace.ReadCapture
-)
-
-// Live telemetry (see internal/telemetry): virtual-time-native
-// instruments, periodic scrapes, and SLO evaluation.
+// Observing a run: any combination of the span
+// tracer, the telemetry registry and the flight recorder attaches to
+// any experiment through Params, and what they saw travels in one
+// kind-tagged JSONL capture file that cmd/dacobs reads.
 type (
-	// TelemetryRegistry is a set of named typed instruments (counters,
-	// gauges, streaming histograms, occupancy trackers). Install one
-	// via Params.Telemetry; a nil registry disables all instruments at
-	// zero cost.
-	TelemetryRegistry = telemetry.Registry
-	// TelemetryScraper samples a registry on a fixed virtual-time
-	// interval into a windowed time-series.
-	TelemetryScraper = telemetry.Scraper
-	// TelemetryWindow is one scrape: every instrument's row over one
-	// virtual-time window.
-	TelemetryWindow = telemetry.Window
-	// TelemetryRow is one instrument's state in one window.
-	TelemetryRow = telemetry.Row
-	// StreamingHistogram is the mergeable fixed-bucket log-scale
-	// latency histogram behind every histogram instrument.
-	StreamingHistogram = telemetry.Histogram
-	// SLOObjective bounds one per-window statistic of one instrument.
-	SLOObjective = telemetry.Objective
-	// SLOCompliance is the evaluation of one objective over a series.
-	SLOCompliance = telemetry.Compliance
+	// Observers names the observers to attach.
+	Observers = cluster.Observers
+	// ObserverSession is the live observers of one run.
+	ObserverSession = cluster.Session
+	// Observed is what the observers of one run saw: its capture plus
+	// the invariant and digest counters.
+	Observed = core.Observed
 )
 
-// Telemetry entry points.
+// Observer entry points.
 var (
-	// NewTelemetry creates an empty instrument registry.
-	NewTelemetry = telemetry.New
-	// NewHistogram creates a standalone streaming histogram.
-	NewHistogram = telemetry.NewHistogram
-	// NewScraper builds a periodic scraper over a registry (the clock
-	// is typically the *Simulation the cluster runs in).
-	NewScraper = telemetry.NewScraper
-	// EvaluateSLOs checks objectives against a scrape series.
-	EvaluateSLOs = telemetry.Evaluate
-	// WriteScrapeJSONL / ReadScrapeJSONL are the scrape-series
-	// interchange format between dacsim (-fig slo -scrape-out) and
-	// dacstat; WritePromText is the Prometheus text exposition.
-	WriteScrapeJSONL = telemetry.WriteJSONL
-	ReadScrapeJSONL  = telemetry.ReadJSONL
-	WritePromText    = telemetry.WriteProm
+	// ParseObservers parses a "trace,telemetry,audit" list.
+	ParseObservers = cluster.ParseObservers
+	// Observe collects a finished session's view of a run.
+	Observe = core.Observe
+	// CapturePath names a run's capture file under a prefix;
+	// WriteCaptureFile writes it.
+	CapturePath      = capture.Path
+	WriteCaptureFile = capture.WriteFile
 )
-
-// Profiling (see internal/prof): the causal critical-path profiler
-// with exact per-phase overhead attribution.
-type (
-	// Profile is the exact per-job attribution of one capture.
-	Profile = prof.Profile
-	// JobProfile decomposes one job's end-to-end latency into causal
-	// phases that sum exactly (integer virtual time) to the total.
-	JobProfile = prof.JobProfile
-	// DynProfile decomposes one dynamic request the same way.
-	DynProfile = prof.DynProfile
-	// ProfileSummary aggregates per-phase distributions and the
-	// critical-path breakdown by owner.
-	ProfileSummary = prof.Summary
-)
-
-// Profiler entry points.
-var (
-	// AnalyzeProfile reconstructs every job's causal chain from a
-	// span stream (Tracer.Events or ReadCapture).
-	AnalyzeProfile = prof.Analyze
-	// SummarizeProfile aggregates a profile; summaries merge.
-	SummarizeProfile = prof.Summarize
-	// WriteFolded renders a span stream as flamegraph folded stacks.
-	WriteFolded = prof.WriteFolded
-	// ProfileDiff and TopDrifter name the phase responsible for drift
-	// between two captures.
-	ProfileDiff = prof.Diff
-	TopDrifter  = prof.TopDrifter
-)
-
-// Fabric is the simulated cluster interconnect (exposed through
-// Cluster.Net for failure injection via SetDown / SetHostDown).
-type Fabric = netsim.Network
 
 // NewIFLClient creates an Interface Library client with its own
 // fabric endpoint — what a job script uses for pbs_dynget /
 // pbs_dynfree calls outside the DAC library, including the malleable
 // DynGetNodes extension.
-func NewIFLClient(net *Fabric, name, serverEP string) *Client {
+func NewIFLClient(net *netsim.Network, name, serverEP string) *Client {
 	return pbs.NewClient(net, name, serverEP)
 }
 
-// Server is the pbs_server daemon, exposed for head-node failover
-// demonstrations (Checkpoint / Stop / Restore) and accounting
-// queries (Usage, ClusterUtilization, Energy).
-type Server = pbs.Server
-
 // NewServer creates a replacement pbs_server over the same fabric
-// (it takes over the well-known endpoint).
-func NewServer(net *Fabric, params pbs.ServerParams) *Server {
+// (it takes over the well-known endpoint) — for head-node failover
+// demonstrations (Checkpoint / Stop / Restore).
+func NewServer(net *netsim.Network, params pbs.ServerParams) *pbs.Server {
 	return pbs.NewServer(net, params)
 }
 
@@ -208,30 +121,13 @@ type (
 	// JobEnv is the execution environment handed to each compute
 	// node task.
 	JobEnv = pbs.JobEnv
-	// JobInfo is the qstat view of a job, including the dynamic
-	// request records used by the experiments.
-	JobInfo = pbs.JobInfo
 	// Client is the Interface Library (IFL) client: Submit, Stat,
 	// Wait, Delete, DynGet, DynFree.
 	Client = pbs.Client
-	// SchedulerParams configures the Maui-like scheduler policy.
-	SchedulerParams = maui.Params
-	// DynRecord decomposes one dynamic allocation at the server.
-	DynRecord = pbs.DynRecord
-	// JobState is the qstat lifecycle state.
-	JobState = pbs.JobState
-	// NodeUsage is the server's accounting view of one node.
-	NodeUsage = pbs.NodeUsage
 )
 
-// Job lifecycle states.
-const (
-	JobQueued    = pbs.JobQueued
-	JobRunning   = pbs.JobRunning
-	JobCompleted = pbs.JobCompleted
-	JobDeleted   = pbs.JobDeleted
-	JobFailed    = pbs.JobFailed
-)
+// JobCompleted is the qstat state of a job that ran to completion.
+const JobCompleted = pbs.JobCompleted
 
 // DAC resource management and computation library.
 type (
@@ -240,9 +136,6 @@ type (
 	AC = dac.AC
 	// Accel is the unique handle of one allocated accelerator.
 	Accel = dac.Accel
-	// ACStats carries the library's timing decomposition (AC_Init
-	// waiting/connect, AC_Get batch/MPI).
-	ACStats = dac.Stats
 	// DevicePtr is a device memory handle.
 	DevicePtr = gpusim.Ptr
 	// KernelCtx gives registered kernels access to device memory.
@@ -268,10 +161,6 @@ var (
 
 // Workload generation.
 type (
-	// WorkloadClass describes one job class of a synthetic mix.
-	WorkloadClass = workload.Class
-	// WorkloadGenerator draws jobs with exponential interarrivals.
-	WorkloadGenerator = workload.Generator
 	// Phase is one phase of an evolving DAC application.
 	Phase = workload.Phase
 	// TraceEntry is one job of a recorded workload trace.
@@ -293,65 +182,16 @@ var (
 	ScaleTrace = workload.ScaleTrace
 )
 
-// Open-loop submission sources (see internal/workload): deterministic
-// seeded arrival processes feeding the online service mode.
-type (
-	// SubmissionSource yields timestamped job submissions for the
-	// online service; Arrivals and trace replays both implement it.
-	SubmissionSource = workload.Source
-	// Arrivals is a deterministic open-loop arrival process (Poisson,
-	// uniform, or bursty) with rate and job-shape streams decoupled so
-	// changing the rate never reshuffles job sizes.
-	Arrivals = workload.Arrivals
-	// ArrivalConfig tunes an arrival process (process, rate, seed,
-	// classes, horizon, burst shape).
-	ArrivalConfig = workload.ArrivalConfig
-	// ArrivalProcess names an interarrival distribution.
-	ArrivalProcess = workload.ArrivalProcess
-)
+// ArrivalConfig tunes the open-loop arrival process feeding the
+// online service mode (process, rate, seed, classes, horizon, burst
+// shape); it is deterministic under its seed.
+type ArrivalConfig = workload.ArrivalConfig
 
-// Arrival processes and source constructors.
-const (
-	ArrivalPoisson = workload.ArrivalPoisson
-	ArrivalUniform = workload.ArrivalUniform
-	ArrivalBurst   = workload.ArrivalBurst
-)
+// ArrivalBurst is the bursty interarrival distribution;
+// ParseArrivalProcess maps a CLI name to a process.
+const ArrivalBurst = workload.ArrivalBurst
 
-var (
-	NewArrivals         = workload.NewArrivals
-	NewTraceSource      = workload.NewTraceSource
-	ParseArrivalProcess = workload.ParseArrivalProcess
-	ServeClasses        = workload.ServeClasses
-)
-
-// Online service mode (see internal/service): a resident cluster
-// instance absorbing an open-loop submission stream at steady-state
-// memory, with qstat/qsub-style queries and SLO reporting.
-type (
-	// Service is a live cluster engine serving a submission source.
-	Service = service.Instance
-	// ServiceConfig wires a source, admission tick, horizon, retention
-	// window, and telemetry cadence to a resident instance.
-	ServiceConfig = service.Config
-	// ServiceReport is the end-of-run summary (throughput ledger,
-	// scrape windows, SLO compliance, pool statistics).
-	ServiceReport = service.Report
-	// ServiceStats is a live snapshot of the instance's counters.
-	ServiceStats = service.Stats
-	// ServiceQueueSnapshot is the qstat-style queue depth view.
-	ServiceQueueSnapshot = service.QueueSnapshot
-	// JobRecordStats reports the server's job-record pool behaviour
-	// under completed-job retention.
-	JobRecordStats = pbs.JobRecordStats
-)
-
-// RunService builds a simulation and resident instance, serves the
-// configured source to drain, and returns the report.
-var (
-	RunService               = service.Run
-	NewService               = service.New
-	DefaultServiceObjectives = service.DefaultObjectives
-)
+var ParseArrivalProcess = workload.ParseArrivalProcess
 
 // ParseResourceRequest parses a qsub -l string (the paper's
 // "nodes=k:ppn=q:acpn=x") into a JobSpec; FormatResourceRequest is
@@ -368,21 +208,6 @@ type (
 	Fig7bPoint = core.Fig7bPoint
 	Fig8Point  = core.Fig8Point
 	Fig9Point  = core.Fig9Point
-	// ScalePoint is one row of the cluster-scale experiment (scheduler
-	// cycle time and dynamic-request latency vs cluster size).
-	ScalePoint = core.ScalePoint
-	// BreakdownPoint is one row of the profiler's breakdown figure
-	// (per-phase latency attribution vs cluster size).
-	BreakdownPoint = core.BreakdownPoint
-	// SLOPoint is one row of the live-telemetry figure (scrape series
-	// plus SLO compliance at one cluster size).
-	SLOPoint = core.SLOPoint
-	// AuditedPoint is one row of the audited scale ladder: a
-	// ScalePoint plus the flight recording, invariant counters, and
-	// digest rounds of the run that produced it.
-	AuditedPoint = core.AuditedPoint
-	// AuditEvent is one recorded state-delta event.
-	AuditEvent = audit.Event
 	// ServerMode selects the server ablation for the scale ladder.
 	ServerMode = core.ServerMode
 	// ServePoint is one row of the online-service figure (sustained
@@ -390,7 +215,7 @@ type (
 	ServePoint = core.ServePoint
 )
 
-// Server modes for ScaleMode/BreakdownMode.
+// Server modes for Scale, Breakdown and Serve.
 const (
 	ServerFaithful = core.ServerFaithful
 	ServerSharded  = core.ServerSharded
@@ -399,10 +224,9 @@ const (
 // Experiment functions and table renderers.
 var (
 	// SetParallelism caps how many independent experiment trials run
-	// concurrently (values < 1 reset to the core count); Parallelism
-	// reports the cap. Figure output is byte-identical at every level.
+	// concurrently (values < 1 reset to the core count). Figure output
+	// is byte-identical at every level.
 	SetParallelism = core.SetParallelism
-	Parallelism    = core.Parallelism
 
 	Fig7a      = core.Fig7a
 	Fig7b      = core.Fig7b
@@ -414,40 +238,31 @@ var (
 	Fig9Table  = core.Fig9Table
 
 	// Scale replays a synthetic SWF workload on clusters of growing
-	// size (up to 256 compute nodes / 2048 accelerators by default).
-	// ScaleMode selects the server ablation: ServerFaithful is the
-	// paper's serial pbs_server and global Maui cycle, ServerSharded
-	// the partitioned fast path that extends the ladder to the
-	// ScaleSizesExtended rungs (1024 and 4096 compute nodes).
+	// size (up to 256 compute nodes / 2048 accelerators by default)
+	// under a server ablation: ServerFaithful is the paper's serial
+	// pbs_server and global Maui cycle, ServerSharded the partitioned
+	// fast path that extends the ladder to the ScaleSizesExtended
+	// rungs (1024 and 4096 compute nodes).
 	Scale              = core.Scale
-	ScaleMode          = core.ScaleMode
 	ScaleTable         = core.ScaleTable
 	ScaleShardedTable  = core.ScaleShardedTable
 	ScaleSizes         = core.ScaleSizes
 	ScaleSizesExtended = core.ScaleSizesExtended
 	ParseServerMode    = core.ParseServerMode
-	ShardsFor          = core.ShardsFor
-	PartitionsFor      = core.PartitionsFor
 
 	// Breakdown runs the causal profiler over the scale ladder: the
 	// paper's static-vs-dynamic overhead decomposition, per phase,
-	// at every cluster size. BreakdownMode profiles the chosen server
-	// ablation so dacprof -diff can attribute what the sharding buys.
+	// at every cluster size, under the chosen server ablation so
+	// dacobs prof -diff can attribute what the sharding buys.
 	Breakdown         = core.Breakdown
-	BreakdownMode     = core.BreakdownMode
 	BreakdownTable    = core.BreakdownTable
 	DynBreakdownTable = core.DynBreakdownTable
 
-	// ScaleAudited runs the scale ladder with a flight recorder per
-	// point: every pbs/maui/netsim/gpusim/dac state mutation is
-	// recorded, resource-conservation invariants are checked at every
-	// scheduler cycle, and component state digests are captured on
-	// the scrape cadence. WriteAuditRecording serializes a point's
-	// event stream as JSONL for dacaudit.
-	ScaleAudited        = core.ScaleAudited
-	AuditTable          = core.AuditTable
-	AuditBreaches       = core.AuditBreaches
-	WriteAuditRecording = audit.WriteRecording
+	// AuditTable and AuditBreaches report what the flight recorders of
+	// a set of observed runs counted: events, invariant checks and
+	// breaches, digest rounds.
+	AuditTable    = core.AuditTable
+	AuditBreaches = core.AuditBreaches
 
 	// SLO replays the scale workload under an open-loop stream of
 	// paced dynamic requests, scraping live telemetry on a virtual
@@ -456,18 +271,15 @@ var (
 	SLOTable           = core.SLOTable
 	SLOComplianceTable = core.SLOComplianceTable
 	SLOSizes           = core.SLOSizes
-	SLOObjectives      = core.SLOObjectives
 
 	// Serve runs the online-service experiment: a resident instance
 	// per cluster size absorbing a sustained open-loop Poisson stream,
-	// reporting steady-state SLO compliance and the throughput ledger
-	// dacbench turns into wall-clock events/sec and jobs/sec series.
+	// reporting steady-state SLO compliance and the throughput ledger.
 	Serve                = core.Serve
 	ServeOne             = core.ServeOne
 	ServeTable           = core.ServeTable
 	ServeComplianceTable = core.ServeComplianceTable
 	ServeSizes           = core.ServeSizes
-	ServeRate            = core.ServeRate
 
 	AblationDynPriority          = core.AblationDynPriority
 	AblationCollectiveGet        = core.AblationCollectiveGet

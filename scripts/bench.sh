@@ -7,8 +7,9 @@
 #   BENCH_OUT=/tmp/b.json scripts/bench.sh
 #   scripts/bench.sh compare /tmp/b.json   # gate: candidate vs baseline
 #
-# Virtual-time series are deterministic, so the ±15% tolerance only
-# trips on real behavioural change, never on host speed.
+# Virtual-time and allocs/op series are deterministic, so the gate
+# only trips on real behavioural change, never on host speed (host
+# time is cmd/dacperf's business: sh cmd/dacperf/bench.sh).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,12 +32,7 @@ compare)
     candidate="${2:?usage: scripts/bench.sh compare CANDIDATE.json [BASELINE.json]}"
     baseline="${3:-BENCH_baseline.json}"
     echo "==> dacbench compare $candidate vs $baseline"
-    # Throughput series are host wall-clock rates and the committed
-    # baseline comes from whatever machine last refreshed it, so the
-    # drop-only gate gets a runner-speed allowance. Override with
-    # THROUGHPUT_TOL=0.15 when comparing two runs of the same host.
-    go run ./cmd/dacbench -compare "$baseline" -candidate "$candidate" \
-        -throughput-tolerance "${THROUGHPUT_TOL:-0.60}"
+    go run ./cmd/dacbench -compare "$baseline" -candidate "$candidate"
     ;;
 *)
     echo "usage: scripts/bench.sh [record|compare CANDIDATE.json [BASELINE.json]]" >&2

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Reproduce every figure and ablation of the paper's evaluation and
-# store the series under results/ (tables + CSV), then run the test
-# suite and the benchmark harness. Stdlib Go only; no network needed.
+# store the deterministic series under results/ (tables + CSV), after
+# the checks and the test suite and before the benchmark harness,
+# whose host-dependent output goes to the terminal only. Stdlib Go
+# only; no network needed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,7 +13,7 @@ echo "==> formatting, vet, and race-detector checks"
 sh scripts/check.sh
 
 echo "==> unit, integration, and property tests"
-go test ./... -count=1 | tee results/test.txt
+go test ./... -count=1
 
 echo "==> figures (10 trials, as in the paper)"
 go run ./cmd/dacsim -fig all -trials 10 | tee results/figures.txt
@@ -23,6 +25,6 @@ echo "==> figures with ±10% seeded jitter (trial variance)"
 go run ./cmd/dacsim -fig all -trials 10 -jitter 0.1 > results/figures-jitter.txt
 
 echo "==> benchmark harness"
-go test -bench=. -benchmem -benchtime=1x -count=1 . | tee results/bench.txt
+go test -bench=. -benchmem -benchtime=1x -count=1 .
 
 echo "==> done; see results/"
