@@ -240,6 +240,14 @@ func BenchmarkAuditRecordDisabled(b *testing.B) { kernelbench.AuditRecordDisable
 // on the enabled audit hot path.
 func BenchmarkAuditRecordEnabled(b *testing.B) { kernelbench.AuditRecordEnabled(b) }
 
+// BenchmarkSchedCycleIdle1024 measures one Maui iteration (SchedInfo
+// round + pool update) on an idle 1024-CN cluster (0 allocs/op).
+func BenchmarkSchedCycleIdle1024(b *testing.B) { kernelbench.SchedCycleIdle1024(b) }
+
+// BenchmarkSchedCycleChurn1024 measures the same iteration after 16
+// nodes changed state.
+func BenchmarkSchedCycleChurn1024(b *testing.B) { kernelbench.SchedCycleChurn1024(b) }
+
 // BenchmarkSimSleepEvents measures the event-queue throughput of the
 // virtual-time kernel.
 func BenchmarkSimSleepEvents(b *testing.B) {

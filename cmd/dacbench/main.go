@@ -186,6 +186,8 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 		{"audit/record_disabled", kernelbench.AuditRecordDisabled},
 		{"audit/record_enabled", kernelbench.AuditRecordEnabled},
 		{"workload/arrivals_next", kernelbench.ArrivalsNext},
+		{"sched/cycle_idle_1024", kernelbench.SchedCycleIdle1024},
+		{"sched/cycle_churn_1024", kernelbench.SchedCycleChurn1024},
 	} {
 		r := testing.Benchmark(kb.fn)
 		rep.Allocs[kb.name] = float64(r.AllocsPerOp())

@@ -48,10 +48,12 @@ type Scheduler struct {
 	serverEP string
 	params   Params
 
-	mu      sync.Mutex
-	nextReq int
-	cycles  int64
-	placed  int64
+	// view mirrors the server's node table; see pbs.NodeMirror.
+	view pbs.NodeMirror
+
+	mu     sync.Mutex
+	cycles int64
+	placed int64
 }
 
 // New creates a FIFO scheduler speaking to the given server.
@@ -108,26 +110,6 @@ func (sc *Scheduler) Start() {
 	})
 }
 
-func (sc *Scheduler) fetch() (*pbs.SchedInfoResp, error) {
-	sc.mu.Lock()
-	sc.nextReq++
-	id := sc.nextReq
-	sc.mu.Unlock()
-	if err := sc.ep.Send(sc.serverEP, "pbs", pbs.SchedInfoReq{ReqID: id, ReplyTo: sc.ep.Name()}, 0); err != nil {
-		return nil, err
-	}
-	m, err := sc.ep.RecvMatch(func(m *netsim.Message) bool {
-		r, ok := m.Payload.(*pbs.SchedInfoResp)
-		return ok && r.ReqID == id
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := m.Payload.(*pbs.SchedInfoResp)
-	m.Release()
-	return resp, nil
-}
-
 // free tracks the cycle-local pool.
 type free struct {
 	acs    []string
@@ -137,12 +119,13 @@ type free struct {
 }
 
 func (sc *Scheduler) runCycle() bool {
-	info, err := sc.fetch()
+	info, err := sc.view.Fetch(sc.ep, sc.serverEP)
 	if err != nil {
 		return false
 	}
-	// The pooled snapshot (and everything aliasing it: pool.jobs,
-	// item pointers) stays valid until released at end of cycle.
+	// The pooled answer (and the item pointers into it) stays valid
+	// until released at end of cycle, the mirror pool.jobs aliases
+	// until the next fetch.
 	defer info.Release()
 	sc.sim.Sleep(sc.params.CycleOverhead)
 	sc.mu.Lock()
@@ -150,7 +133,7 @@ func (sc *Scheduler) runCycle() bool {
 	sc.mu.Unlock()
 
 	pool := free{cores: make(map[string]int), jobs: make(map[string][]string)}
-	for _, n := range info.Nodes {
+	for _, n := range sc.view.Nodes {
 		if n.Down {
 			continue
 		}

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/netsim"
+	"repro/internal/pbs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -216,4 +218,67 @@ func AuditRecordEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec.Record(audit.KindJob, "pbs", "1.server", "submit", int64(i), 0)
 	}
+}
+
+// schedCycle1024 steps Maui cycles by hand against a live pbs_server on
+// a 1024-CN / 8192-AC cluster with an empty queue, calling churn (when
+// non-nil) with the clock stopped before each timed cycle. No
+// scheduler actor runs and the server has none to kick, so the cycle
+// under the clock is one SchedInfo round plus the pool update.
+func schedCycle1024(b *testing.B, churn func(c *cluster.Cluster, i int)) {
+	p := cluster.Default()
+	p.ComputeNodes, p.Accelerators = 1024, 8192
+	s := sim.Acquire()
+	defer s.Release()
+	c := cluster.New(s, p)
+	c.Server.SetScheduler("")
+	if err := s.Run(func() {
+		defer c.Close()
+		c.Server.Start()
+		for i := 0; i < 16; i++ { // first full answer, pooled buffers, scratch
+			c.Sched.RunCycleOnce()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if churn != nil {
+				b.StopTimer()
+				churn(c, i)
+				b.StartTimer()
+			}
+			c.Sched.RunCycleOnce()
+		}
+	}); err != nil {
+		b.Fatalf("Run: %v", err)
+	}
+}
+
+// SchedCycleIdle1024 measures one scheduling iteration when nothing
+// changed since the last: the server's answer carries no node, the
+// scheduler's mirror and pools stay as they are, and the round
+// allocates nothing (pinned at 0 allocs/op).
+func SchedCycleIdle1024(b *testing.B) { schedCycle1024(b, nil) }
+
+// SchedCycleChurn1024 is the same iteration after 16 nodes changed:
+// a window of 16 accelerators sliding over the table fails on even
+// iterations and reports back on odd ones, so every cycle's answer
+// carries 16 nodes and the pools patch exactly those.
+func SchedCycleChurn1024(b *testing.B) {
+	const window = 16
+	var hb *netsim.Endpoint
+	schedCycle1024(b, func(c *cluster.Cluster, i int) {
+		if hb == nil {
+			hb = c.Net.Endpoint("bench/heartbeat")
+		}
+		first := (i / 2 * window) % c.Params.Accelerators
+		for k := first; k < first+window; k++ {
+			if i%2 == 0 {
+				c.Server.NodeDownForTest(cluster.ACName(k))
+			} else if err := hb.Send(pbs.ServerEndpoint, "pbs", pbs.HeartbeatMsg{Host: cluster.ACName(k)}, 0); err != nil {
+				b.Errorf("Send: %v", err)
+			}
+		}
+		// The server handles one heartbeat per Processing interval.
+		c.Sim.Sleep(time.Duration(window+1) * c.Params.Server.Processing)
+	})
 }

@@ -16,10 +16,10 @@ import (
 //
 // Invariant names:
 //
-//	view.agreement   every job a node in the snapshot advertises
+//	view.agreement   every job a node in the mirror advertises
 //	                 appears in the snapshot's running list — the
 //	                 scheduler and server agree on who holds what
-//	view.capacity    every node in the snapshot reports a usage
+//	view.capacity    every node in the mirror reports a usage
 //	                 within [0, Cores], and accelerators at most one
 //	                 occupant
 func (sc *Scheduler) registerAudit() {
@@ -41,8 +41,8 @@ func (sc *Scheduler) auditSnapshot(info *pbs.SchedInfoResp) {
 	for i := range info.Running {
 		sc.auditRunning[info.Running[i].ID] = true
 	}
-	for i := range info.Nodes {
-		n := &info.Nodes[i]
+	for i := range sc.view.Nodes {
+		n := &sc.view.Nodes[i]
 		free := n.FreeCores()
 		capOK := free >= 0 && n.UsedCores >= 0
 		if n.Type == pbs.AcceleratorNode {

@@ -129,10 +129,9 @@ type Scheduler struct {
 	aud          *audit.Recorder
 	auditRunning map[string]bool
 
-	mu      sync.Mutex
-	usage   map[string]float64 // owner -> decayed node-seconds
-	stats   Stats
-	nextReq int
+	mu    sync.Mutex
+	usage map[string]float64 // owner -> decayed node-seconds
+	stats Stats
 
 	// Cycle-local scratch, touched only by the scheduler actor (or a
 	// test driving RunCycleOnce). The priority/order buffers persist
@@ -154,12 +153,12 @@ type Scheduler struct {
 	dynInflight map[int]uint64    // dyn ReqID -> cycleIndex at grant
 	cycleIndex  uint64
 
-	// partPools are the cycle's resource pools, persisted across cycles
-	// like the buffers above: the faithful cycle uses partPools[0], the
-	// partitioned cycle (partition.go) one per partition plus the
-	// scratch below.
+	// view mirrors the server's node table (each cycle's fetch brings
+	// only the nodes that changed) and partPools index it: one pool in
+	// the faithful cycle, one per partition in the partitioned cycle
+	// (partition.go), which also uses the scratch below. See pools.go.
+	view      pbs.NodeMirror
 	partPools []*pools
-	partNodes [][]pbs.NodeInfo
 	partJobs  [][]int
 	proposals []proposal
 	rescue    []int
@@ -199,6 +198,10 @@ func New(net *netsim.Network, serverEP string, params Params) *Scheduler {
 			backfill:   reg.Counter("maui.backfill_hits"),
 			idle:       reg.Counter("maui.idle_cycles"),
 		},
+	}
+	nParts := max(params.Partitions, 1)
+	for pi := 0; pi < nParts; pi++ {
+		sc.partPools = append(sc.partPools, newPools(&sc.view, pi, nParts))
 	}
 	sc.registerAudit()
 	return sc
@@ -250,28 +253,6 @@ func (sc *Scheduler) Start() {
 // (for tests and single-stepped experiments).
 func (sc *Scheduler) RunCycleOnce() { sc.runCycle() }
 
-// fetchInfo pulls queue and node state from the server. The returned
-// snapshot is pooled: the caller owns it until it calls Release.
-func (sc *Scheduler) fetchInfo() (*pbs.SchedInfoResp, error) {
-	sc.mu.Lock()
-	sc.nextReq++
-	id := sc.nextReq
-	sc.mu.Unlock()
-	if err := sc.ep.Send(sc.serverEP, "pbs", pbs.SchedInfoReq{ReqID: id, ReplyTo: sc.ep.Name()}, 0); err != nil {
-		return nil, err
-	}
-	m, err := sc.ep.RecvMatch(func(m *netsim.Message) bool {
-		r, ok := m.Payload.(*pbs.SchedInfoResp)
-		return ok && r.ReqID == id
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := m.Payload.(*pbs.SchedInfoResp)
-	m.Release()
-	return resp, nil
-}
-
 // runCycle is one scheduling iteration. It returns false when the
 // fabric has closed.
 func (sc *Scheduler) runCycle() bool {
@@ -292,22 +273,33 @@ func (sc *Scheduler) runCycle() bool {
 }
 
 // cycle does the work of one scheduling iteration. Each phase (fetch,
-// pool build, dyn fit, static fit) runs under its own child span of
+// pool update, dyn fit, static fit) runs under its own child span of
 // sched.cycle, giving the per-phase timing the paper's Figure 8
 // analysis needs.
 func (sc *Scheduler) cycle() bool {
 	cyc := sc.sim.Tracer().Start("maui", "sched.cycle")
 	defer cyc.End()
-
-	fetch := cyc.Child("fetch")
-	info, err := sc.fetchInfo()
-	fetch.End()
+	info, err := sc.beginCycle(cyc)
 	if err != nil {
 		return false
 	}
-	// The snapshot (and everything aliasing its buffers, including the
-	// pools built below) is valid until this release.
+	// The answer (and everything aliasing its buffers) is valid until
+	// this release; the node mirror until the next fetch.
 	defer info.Release()
+	sc.schedule(info, cyc)
+	return true
+}
+
+// beginCycle fetches the round's answer and brings the scheduler's
+// state — in-flight tracking, fairshare, node mirror, pools — up to
+// it; schedule then decides on exactly that state.
+func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
+	fetch := cyc.Child("fetch")
+	info, err := sc.view.Fetch(sc.ep, sc.serverEP)
+	fetch.End()
+	if err != nil {
+		return nil, err
+	}
 	sc.auditSnapshot(info)
 	sc.sim.Sleep(sc.params.CycleOverhead)
 	sc.cycleIndex++
@@ -338,43 +330,44 @@ func (sc *Scheduler) cycle() bool {
 		sc.inst.idle.Inc()
 	}
 
-	if sc.params.Partitions > 1 {
-		return sc.partitionedCycle(info, cyc)
-	}
+	// Undo what the previous cycle charged tentatively, then take in
+	// the nodes that changed.
 	pb := cyc.Child("pools")
-	ps := sc.cyclePools(1)
-	p := ps[0]
-	p.reset(info.Nodes)
+	ps := sc.partPools
+	for _, p := range ps {
+		p.rollback()
+	}
+	for i := range info.Nodes {
+		idx := info.Nodes[i].Index
+		ps[idx%len(ps)].sync(idx / len(ps))
+	}
 	pb.End()
 	sc.inst.queueDepth.Set(float64(len(info.Queued)))
+	return info, nil
+}
 
-	if sc.params.DynTopPriority {
+// schedule runs the cycle's placement phases against the pools.
+func (sc *Scheduler) schedule(info *pbs.SchedInfoResp, cyc *trace.Span) {
+	ps := sc.partPools
+	switch {
+	case sc.params.Partitions > 1:
+		sc.partitionedCycle(info, cyc)
+	case sc.params.DynTopPriority:
 		dyn := cyc.Child("dyn")
 		for _, r := range info.Dyn {
 			sc.serveDyn(r, ps, dyn)
 		}
 		dyn.End()
 		st := cyc.Child("static")
-		sc.scheduleStatic(info, p, st)
+		sc.scheduleStatic(info, ps[0], st)
 		st.End()
-		return true
+	default:
+		// Ablation: merge dynamic requests into the FIFO stream by
+		// arrival time — they wait behind earlier static submissions.
+		fifo := cyc.Child("fifo")
+		sc.schedulePlainFIFO(info, ps, fifo)
+		fifo.End()
 	}
-	// Ablation: merge dynamic requests into the FIFO stream by
-	// arrival time — they wait behind earlier static submissions.
-	fifo := cyc.Child("fifo")
-	sc.schedulePlainFIFO(info, ps, fifo)
-	fifo.End()
-	return true
-}
-
-// cyclePools returns the scheduler's first n persistent pools,
-// growing the set on demand: one for the faithful cycle, one per
-// partition for the partitioned cycle.
-func (sc *Scheduler) cyclePools(n int) []*pools {
-	for len(sc.partPools) < n {
-		sc.partPools = append(sc.partPools, &pools{index: make(map[string]int)})
-	}
-	return sc.partPools[:n]
 }
 
 // serveDyn schedules one dynamic request against the cycle's pools —
@@ -400,7 +393,7 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 	} else {
 		free := 0
 		for _, p := range ps {
-			free += len(p.freeACs)
+			free += p.nACs
 		}
 		want := r.Count
 		if want > free {
@@ -412,8 +405,8 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 		for off := 0; off < len(ps) && len(hosts) < want; off++ {
 			p := ps[(r.ReqID+off)%len(ps)]
 			take := want - len(hosts)
-			if take > len(p.freeACs) {
-				take = len(p.freeACs)
+			if take > p.nACs {
+				take = p.nACs
 			}
 			if take == 0 {
 				continue

@@ -48,49 +48,20 @@ func (sc *Scheduler) arbiterCost() time.Duration {
 	return sc.params.PerJobCost / 8
 }
 
-// partitionedCycle replaces the pool build and both placement phases
-// of the faithful cycle. Fetch, overhead, and fairshare decay have
-// already run in cycle().
-func (sc *Scheduler) partitionedCycle(info *pbs.SchedInfoResp, cyc *trace.Span) bool {
-	nParts := sc.params.Partitions
-
-	pb := cyc.Child("pools")
-	sc.resetPartitions(info.Nodes, nParts)
-	pb.End()
-	sc.inst.queueDepth.Set(float64(len(info.Queued)))
-
+// partitionedCycle replaces both placement phases of the faithful
+// cycle. Fetch, overhead, fairshare decay and the pool update have
+// already run in beginCycle.
+func (sc *Scheduler) partitionedCycle(info *pbs.SchedInfoResp, cyc *trace.Span) {
 	// Dynamic requests are served first, FIFO, exactly as the faithful
 	// cycle does, against every partition's pool.
 	dyn := cyc.Child("dyn")
 	for _, r := range info.Dyn {
-		sc.serveDyn(r, sc.partPools[:nParts], dyn)
+		sc.serveDyn(r, sc.partPools, dyn)
 	}
 	dyn.End()
 	st := cyc.Child("partitions")
 	sc.partitionedStatic(info, st)
 	st.End()
-	return true
-}
-
-// resetPartitions deals the node snapshot round-robin into nParts
-// pools. Round-robin (rather than contiguous ranges) keeps every
-// partition's capacity mix representative of the whole cluster, so a
-// multi-node job fits in any partition that is not itself full.
-func (sc *Scheduler) resetPartitions(nodes []pbs.NodeInfo, nParts int) {
-	ps := sc.cyclePools(nParts)
-	for len(sc.partNodes) < nParts {
-		sc.partNodes = append(sc.partNodes, nil)
-	}
-	for pi := 0; pi < nParts; pi++ {
-		sc.partNodes[pi] = sc.partNodes[pi][:0]
-	}
-	for i := range nodes {
-		pi := i % nParts
-		sc.partNodes[pi] = append(sc.partNodes[pi], nodes[i])
-	}
-	for pi := 0; pi < nParts; pi++ {
-		ps[pi].reset(sc.partNodes[pi])
-	}
 }
 
 // partitionedStatic scores candidates partition-parallel and commits

@@ -6,52 +6,35 @@ import (
 	"repro/internal/pbs"
 )
 
-// resetPartitions must deal the node snapshot round-robin so every
-// partition's capacity mix mirrors the whole cluster.
-func TestResetPartitionsDealsRoundRobin(t *testing.T) {
-	sc := &Scheduler{}
-	ns := nodes(8, 4) // snapshot order: cn0..cn7, ac0..ac3
-	sc.resetPartitions(ns, 3)
-
-	if len(sc.partPools) < 3 || len(sc.partNodes) < 3 {
-		t.Fatalf("partitions not built: pools %d, nodes %d", len(sc.partPools), len(sc.partNodes))
-	}
-	total := 0
-	for pi := 0; pi < 3; pi++ {
-		total += len(sc.partNodes[pi])
-	}
-	if total != len(ns) {
-		t.Fatalf("dealt %d nodes, want %d", total, len(ns))
-	}
-	// Snapshot index i lands in partition i%3.
-	for i := range ns {
-		pi := i % 3
-		p := sc.partPools[pi]
-		if ns[i].Type == pbs.ComputeNode {
-			if p.freeCores(ns[i].Name) != 8 {
-				t.Errorf("partition %d missing %s (free %d)", pi, ns[i].Name, p.freeCores(ns[i].Name))
-			}
-			// And no other partition should know it.
-			for q := 0; q < 3; q++ {
-				if q != pi && sc.partPools[q].freeCores(ns[i].Name) != 0 {
-					t.Errorf("partition %d also holds %s", q, ns[i].Name)
+// Partition pi of n owns the table indices i with i%n == pi, so every
+// partition's capacity mix mirrors the whole cluster and no node is
+// lost or held twice.
+func TestPartitionPoolsDealRoundRobin(t *testing.T) {
+	ns := nodes(8, 4) // table order: cn0..cn7, ac0..ac3
+	for _, nParts := range []int{3, 2} {
+		var ps []*pools
+		for pi := 0; pi < nParts; pi++ {
+			ps = append(ps, builtPools(ns, pi, nParts))
+		}
+		freeACs := 0
+		for pi, p := range ps {
+			freeACs += p.nACs
+			for i := range ns {
+				if ns[i].Type != pbs.ComputeNode {
+					continue
+				}
+				want := 0
+				if i%nParts == pi {
+					want = 8
+				}
+				if got := p.freeCores(ns[i].Name); got != want {
+					t.Errorf("%d partitions: partition %d holds %d free cores of %s, want %d",
+						nParts, pi, got, ns[i].Name, want)
 				}
 			}
 		}
-	}
-	// Accelerators split across partitions without loss.
-	freeACs := 0
-	for pi := 0; pi < 3; pi++ {
-		freeACs += len(sc.partPools[pi].freeACs)
-	}
-	if freeACs != 4 {
-		t.Errorf("free ACs across partitions = %d, want 4", freeACs)
-	}
-
-	// A second reset with a different count reuses storage safely.
-	sc.resetPartitions(ns, 2)
-	total = len(sc.partNodes[0]) + len(sc.partNodes[1])
-	if total != len(ns) {
-		t.Fatalf("after re-deal to 2 partitions: %d nodes, want %d", total, len(ns))
+		if freeACs != 4 {
+			t.Errorf("%d partitions: free ACs across partitions = %d, want 4", nParts, freeACs)
+		}
 	}
 }

@@ -6,7 +6,13 @@ import (
 	"repro/internal/pbs"
 )
 
-// pools tracks the cycle-local view of free resources.
+// pools tracks the scheduler's view of free resources: the faithful
+// cycle has one over the whole node table, the partitioned cycle one
+// per partition, partition p owning the table indices i with
+// i % stride == p (round-robin rather than contiguous ranges, so every
+// partition's capacity mix is representative of the whole cluster and
+// a multi-node job fits in any partition that is not itself full). A
+// node's local index is i / stride.
 //
 // Placement semantics are first-fit in node-database order, as the
 // original Maui walk did — but the walk itself is indexed: for every
@@ -15,96 +21,110 @@ import (
 // cores therefore skips every too-full node in O(1) per 64 nodes
 // instead of examining each one, which is what keeps scheduling
 // cycles sub-quadratic on multi-hundred-node clusters (the -fig
-// scale experiment measures exactly this).
+// scale experiment measures exactly this). Free accelerators are a
+// bitset in the same order.
+//
+// The pools persist across cycles. A cycle's placements are tentative
+// — the server may refuse an AllocCmd, or never see a DynAllocCmd — so
+// commit and takeACs note the nodes they charge, and the next cycle
+// begins with rollback, which re-derives exactly those from the
+// mirror, followed by sync for every node of the round's delta. The
+// pools then equal pools built fresh from the whole table, at a cost
+// that follows what changed instead of the cluster size.
 type pools struct {
-	freeACs []string
+	view         *pbs.NodeMirror
+	part, stride int
 
-	cns    []cnState      // compute nodes in node-database order
-	index  map[string]int // name -> index in cns
-	levels [][]uint64     // levels[c] = bitset of cns with free >= c+1
+	cns    []cnState  // by local index; zero for accelerators and down nodes
+	levels [][]uint64 // levels[c] = bitset of local indices with free >= c+1
+	acs    []uint64   // bitset of free accelerators
+	nACs   int        // set bits in acs
+	acLow  int        // no word of acs below this index has a set bit
 
-	acs    []string // stable backing for freeACs, rebuilt by reset
-	chosen []int    // scratch for fit/takeCNs candidate collection
+	touched []int // local indices charged on this cycle
+	chosen  []int // scratch for fit/takeCNs candidate collection
 }
 
 type cnState struct {
-	name string
 	free int
+	// jobs aliases the mirror's NodeInfo.Jobs; commit may append past
+	// its length, which leaves the mirror's own slice as it was.
 	jobs []string
 }
 
-func newPools(nodes []pbs.NodeInfo) *pools {
-	p := &pools{index: make(map[string]int)}
-	p.reset(nodes)
-	return p
+func newPools(view *pbs.NodeMirror, part, stride int) *pools {
+	return &pools{view: view, part: part, stride: stride}
 }
 
-// reset rebuilds the pools for a fresh cycle from a node snapshot,
-// reusing every piece of storage acquired on earlier cycles. The
-// cnState.jobs slices alias the snapshot's NodeInfo.Jobs; commit may
-// append past their length, which is safe because the scheduler owns
-// the snapshot for the whole cycle and the server rewrites those
-// buffers from its node database on the next SchedInfo request.
-func (p *pools) reset(nodes []pbs.NodeInfo) {
-	p.acs = p.acs[:0]
-	p.cns = p.cns[:0]
-	clear(p.index)
-	maxCores := 0
-	for _, n := range nodes {
-		if n.Down {
-			continue // failed nodes never receive work
+// node returns the mirror entry behind a local index.
+func (p *pools) node(l int) *pbs.NodeInfo { return &p.view.Nodes[l*p.stride+p.part] }
+
+// sync re-derives one node's contribution from the mirror.
+func (p *pools) sync(l int) {
+	n := p.node(l)
+	for len(p.cns) <= l {
+		p.cns = append(p.cns, cnState{})
+		if words := (len(p.cns) + 63) / 64; words > len(p.acs) {
+			p.acs = append(p.acs, 0)
+			for c := range p.levels {
+				p.levels[c] = append(p.levels[c], 0)
+			}
 		}
+	}
+	free, ac := 0, false
+	if !n.Down { // failed nodes never receive work
 		switch n.Type {
-		case pbs.AcceleratorNode:
-			if n.Free() {
-				p.acs = append(p.acs, n.Name)
-			}
 		case pbs.ComputeNode:
-			p.index[n.Name] = len(p.cns)
-			p.cns = append(p.cns, cnState{name: n.Name, free: n.FreeCores(), jobs: n.Jobs})
-			if n.Cores > maxCores {
-				maxCores = n.Cores
+			free = n.FreeCores()
+			for len(p.levels) < n.Cores {
+				p.levels = append(p.levels, make([]uint64, len(p.acs)))
 			}
+		case pbs.AcceleratorNode:
+			ac = n.Free()
 		}
 	}
-	// takeACs advances freeACs by reslicing, so it must start each
-	// cycle from the stable backing array.
-	p.freeACs = p.acs
-	words := (len(p.cns) + 63) / 64
-	if cap(p.levels) < maxCores {
-		p.levels = make([][]uint64, maxCores)
-	}
-	p.levels = p.levels[:maxCores]
-	for c := range p.levels {
-		if cap(p.levels[c]) < words {
-			p.levels[c] = make([]uint64, words)
-		} else {
-			row := p.levels[c][:words]
-			clear(row)
-			p.levels[c] = row
+	p.setFree(l, free)
+	p.cns[l].jobs = n.Jobs
+	word, bit := l>>6, uint64(1)<<(uint(l)&63)
+	if was := p.acs[word]&bit != 0; ac && !was {
+		p.acs[word] |= bit
+		p.nACs++
+		if word < p.acLow {
+			p.acLow = word
 		}
-	}
-	for i, cn := range p.cns {
-		for c := 0; c < cn.free; c++ {
-			p.levels[c][i>>6] |= 1 << (uint(i) & 63)
-		}
+	} else if was && !ac {
+		p.acs[word] &^= bit
+		p.nACs--
 	}
 }
 
-// freeCores reports the free cores of a compute node (for tests).
-func (p *pools) freeCores(name string) int {
-	i, ok := p.index[name]
-	if !ok {
-		return 0
+// rollback re-derives every node the previous cycle charged, dropping
+// whatever the server did not make real.
+func (p *pools) rollback() {
+	for _, l := range p.touched {
+		p.sync(l)
 	}
-	return p.cns[i].free
+	p.touched = p.touched[:0]
 }
 
-// eachWithFree calls fn with the index of every compute node that has
-// at least max(ppn, 1) free cores, in node-database order, until fn
-// returns false. fn must not commit allocations mid-iteration;
-// callers collect candidates first and commit after.
-func (p *pools) eachWithFree(ppn int, fn func(i int) bool) {
+// setFree moves a compute node to nf free cores in the level index.
+func (p *pools) setFree(l, nf int) {
+	old := p.cns[l].free
+	word, bit := l>>6, uint64(1)<<(uint(l)&63)
+	for c := nf; c < old; c++ {
+		p.levels[c][word] &^= bit
+	}
+	for c := old; c < nf; c++ {
+		p.levels[c][word] |= bit
+	}
+	p.cns[l].free = nf
+}
+
+// eachWithFree calls fn with the local index of every compute node
+// that has at least max(ppn, 1) free cores, in node-database order,
+// until fn returns false. fn must not commit allocations
+// mid-iteration; callers collect candidates first and commit after.
+func (p *pools) eachWithFree(ppn int, fn func(l int) bool) {
 	lvl := ppn - 1
 	if lvl < 0 {
 		lvl = 0
@@ -123,25 +143,33 @@ func (p *pools) eachWithFree(ppn int, fn func(i int) bool) {
 	}
 }
 
-// commit charges ppn cores on node i to jobID and updates the level
-// index.
-func (p *pools) commit(i, ppn int, jobID string) {
-	cn := &p.cns[i]
-	oldFree := cn.free
-	cn.free -= ppn
-	cn.jobs = append(cn.jobs, jobID)
-	for c := cn.free; c < oldFree; c++ {
-		p.levels[c][i>>6] &^= 1 << (uint(i) & 63)
-	}
+// commit charges ppn cores on node l to jobID.
+func (p *pools) commit(l, ppn int, jobID string) {
+	p.setFree(l, p.cns[l].free-ppn)
+	p.cns[l].jobs = append(p.cns[l].jobs, jobID)
+	p.touched = append(p.touched, l)
 }
 
-// takeACs removes and returns up to n free accelerators.
+// takeACs removes and returns the first n free accelerators, or nil
+// when fewer are free.
 func (p *pools) takeACs(n int) []string {
-	if n > len(p.freeACs) {
+	if n > p.nACs {
 		return nil
 	}
-	out := append([]string(nil), p.freeACs[:n]...)
-	p.freeACs = p.freeACs[n:]
+	out := make([]string, 0, n)
+	for len(out) < n {
+		w := p.acs[p.acLow]
+		if w == 0 {
+			p.acLow++
+			continue
+		}
+		b := bits.TrailingZeros64(w)
+		p.acs[p.acLow] = w &^ (1 << uint(b))
+		l := p.acLow<<6 + b
+		out = append(out, p.node(l).Name)
+		p.touched = append(p.touched, l)
+	}
+	p.nACs -= n
 	return out
 }
 
@@ -153,13 +181,13 @@ func (p *pools) takeCNs(count, ppn int, jobID string) []string {
 		return nil
 	}
 	chosen := p.chosen[:0]
-	p.eachWithFree(ppn, func(i int) bool {
-		for _, j := range p.cns[i].jobs {
+	p.eachWithFree(ppn, func(l int) bool {
+		for _, j := range p.cns[l].jobs {
 			if j == jobID {
 				return true // job already occupies this node; keep looking
 			}
 		}
-		chosen = append(chosen, i)
+		chosen = append(chosen, l)
 		return len(chosen) < count
 	})
 	p.chosen = chosen
@@ -167,9 +195,9 @@ func (p *pools) takeCNs(count, ppn int, jobID string) []string {
 		return nil
 	}
 	out := make([]string, 0, count)
-	for _, i := range chosen {
-		p.commit(i, ppn, jobID)
-		out = append(out, p.cns[i].name)
+	for _, l := range chosen {
+		p.commit(l, ppn, jobID)
+		out = append(out, p.node(l).Name)
 	}
 	return out
 }
@@ -182,33 +210,23 @@ func (p *pools) fit(spec pbs.JobSpec, jobID string) (hosts []string, acc map[str
 		return nil, nil, false
 	}
 	chosen := p.chosen[:0]
-	p.eachWithFree(spec.PPN, func(i int) bool {
-		chosen = append(chosen, i)
+	p.eachWithFree(spec.PPN, func(l int) bool {
+		chosen = append(chosen, l)
 		return len(chosen) < spec.Nodes
 	})
 	p.chosen = chosen
-	if len(chosen) < spec.Nodes {
-		return nil, nil, false
-	}
-	need := spec.Nodes * spec.ACPN
-	if need > len(p.freeACs) {
+	if len(chosen) < spec.Nodes || spec.Nodes*spec.ACPN > p.nACs {
 		return nil, nil, false
 	}
 	hosts = make([]string, 0, spec.Nodes)
 	acc = make(map[string][]string, spec.Nodes)
-	idx := 0
-	for _, i := range chosen {
-		name := p.cns[i].name
+	for _, l := range chosen {
+		name := p.node(l).Name
 		hosts = append(hosts, name)
 		if spec.ACPN > 0 {
-			acc[name] = append([]string(nil), p.freeACs[idx:idx+spec.ACPN]...)
-			idx += spec.ACPN
+			acc[name] = p.takeACs(spec.ACPN)
 		}
-	}
-	// Commit.
-	p.freeACs = p.freeACs[need:]
-	for _, i := range chosen {
-		p.commit(i, spec.PPN, jobID)
+		p.commit(l, spec.PPN, jobID)
 	}
 	return hosts, acc, true
 }

@@ -20,8 +20,31 @@ func nodes(cns, acs int) []pbs.NodeInfo {
 func cn(i int) string { return "cn" + string(rune('0'+i)) }
 func ac(i int) string { return "ac" + string(rune('0'+i)) }
 
+// builtPools returns partition part of stride over a mirror holding
+// the given table, every node of the partition synced.
+func builtPools(ns []pbs.NodeInfo, part, stride int) *pools {
+	p := newPools(&pbs.NodeMirror{Nodes: ns}, part, stride)
+	for l := 0; l*stride+part < len(ns); l++ {
+		p.sync(l)
+	}
+	return p
+}
+
+func newTestPools(ns []pbs.NodeInfo) *pools { return builtPools(ns, 0, 1) }
+
+// freeCores reports the free cores the pool holds for a compute node
+// (0 for a node it does not own).
+func (p *pools) freeCores(name string) int {
+	for l := range p.cns {
+		if p.node(l).Name == name {
+			return p.cns[l].free
+		}
+	}
+	return 0
+}
+
 func TestPoolsFitSingleNode(t *testing.T) {
-	p := newPools(nodes(2, 0))
+	p := newTestPools(nodes(2, 0))
 	hosts, acc, ok := p.fit(pbs.JobSpec{Nodes: 1, PPN: 4}, "tj")
 	if !ok || len(hosts) != 1 || len(acc) != 0 {
 		t.Fatalf("fit = %v %v %v", hosts, acc, ok)
@@ -32,7 +55,7 @@ func TestPoolsFitSingleNode(t *testing.T) {
 }
 
 func TestPoolsFitMultiNodeWithAccelerators(t *testing.T) {
-	p := newPools(nodes(3, 6))
+	p := newTestPools(nodes(3, 6))
 	hosts, acc, ok := p.fit(pbs.JobSpec{Nodes: 2, PPN: 8, ACPN: 3}, "tj")
 	if !ok {
 		t.Fatal("fit failed")
@@ -47,13 +70,13 @@ func TestPoolsFitMultiNodeWithAccelerators(t *testing.T) {
 		}
 		total += len(acc[cn])
 	}
-	if total != 6 || len(p.freeACs) != 0 {
-		t.Fatalf("accelerators not fully assigned: %v free %v", acc, p.freeACs)
+	if total != 6 || p.nACs != 0 {
+		t.Fatalf("accelerators not fully assigned: %v free %d", acc, p.nACs)
 	}
 }
 
 func TestPoolsFitInsufficientComputeNodes(t *testing.T) {
-	p := newPools(nodes(1, 0))
+	p := newTestPools(nodes(1, 0))
 	if _, _, ok := p.fit(pbs.JobSpec{Nodes: 2, PPN: 1}, "tj"); ok {
 		t.Fatal("fit should fail with 1 CN for a 2-node job")
 	}
@@ -64,11 +87,11 @@ func TestPoolsFitInsufficientComputeNodes(t *testing.T) {
 }
 
 func TestPoolsFitInsufficientAccelerators(t *testing.T) {
-	p := newPools(nodes(1, 2))
+	p := newTestPools(nodes(1, 2))
 	if _, _, ok := p.fit(pbs.JobSpec{Nodes: 1, PPN: 1, ACPN: 3}, "tj"); ok {
 		t.Fatal("fit should fail: 3 ACs requested, 2 free")
 	}
-	if len(p.freeACs) != 2 || p.freeCores("cn0") != 8 {
+	if p.nACs != 2 || p.freeCores("cn0") != 8 {
 		t.Fatal("failed fit consumed resources")
 	}
 }
@@ -76,7 +99,7 @@ func TestPoolsFitInsufficientAccelerators(t *testing.T) {
 func TestPoolsFitInsufficientCores(t *testing.T) {
 	ns := nodes(1, 0)
 	ns[0].UsedCores = 6
-	p := newPools(ns)
+	p := newTestPools(ns)
 	if _, _, ok := p.fit(pbs.JobSpec{Nodes: 1, PPN: 4}, "tj"); ok {
 		t.Fatal("fit should fail: 4 cores requested, 2 free")
 	}
@@ -88,7 +111,7 @@ func TestPoolsFitInsufficientCores(t *testing.T) {
 func TestPoolsFitSkipsBusyAccelerators(t *testing.T) {
 	ns := nodes(1, 2)
 	ns[1].Jobs = []string{"1.srv"} // ac0 busy
-	p := newPools(ns)
+	p := newTestPools(ns)
 	hosts, acc, ok := p.fit(pbs.JobSpec{Nodes: 1, PPN: 1, ACPN: 1}, "tj")
 	if !ok {
 		t.Fatal("fit failed")
@@ -99,10 +122,10 @@ func TestPoolsFitSkipsBusyAccelerators(t *testing.T) {
 }
 
 func TestTakeACs(t *testing.T) {
-	p := newPools(nodes(0, 3))
+	p := newTestPools(nodes(0, 3))
 	got := p.takeACs(2)
-	if len(got) != 2 || len(p.freeACs) != 1 {
-		t.Fatalf("takeACs = %v, remaining %v", got, p.freeACs)
+	if len(got) != 2 || p.nACs != 1 {
+		t.Fatalf("takeACs = %v, remaining %d", got, p.nACs)
 	}
 	if p.takeACs(2) != nil {
 		t.Fatal("takeACs should fail when short")
@@ -119,7 +142,7 @@ func TestTakeCNsMalleable(t *testing.T) {
 	ns := nodes(3, 0)
 	ns[0].Jobs = []string{"1.srv"} // cn0 partially used by the requesting job
 	ns[0].UsedCores = 4
-	p := newPools(ns)
+	p := newTestPools(ns)
 	got := p.takeCNs(2, 4, "1.srv")
 	if len(got) != 2 {
 		t.Fatalf("takeCNs = %v", got)
@@ -135,7 +158,7 @@ func TestTakeCNsMalleable(t *testing.T) {
 }
 
 func TestTakeCNsInsufficient(t *testing.T) {
-	p := newPools(nodes(2, 0))
+	p := newTestPools(nodes(2, 0))
 	if got := p.takeCNs(3, 1, "j"); got != nil {
 		t.Fatalf("takeCNs should fail, got %v", got)
 	}
@@ -153,7 +176,7 @@ func TestTakeCNsInsufficient(t *testing.T) {
 func TestTakeCNsSkipsDownNodes(t *testing.T) {
 	ns := nodes(2, 0)
 	ns[0].Down = true
-	p := newPools(ns)
+	p := newTestPools(ns)
 	got := p.takeCNs(1, 1, "j")
 	if len(got) != 1 || got[0] != "cn1" {
 		t.Fatalf("takeCNs = %v, want [cn1]", got)

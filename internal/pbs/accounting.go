@@ -47,9 +47,8 @@ func (s *Server) accrueLocked(n *serverNode) {
 func (s *Server) Usage() []NodeUsage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]NodeUsage, 0, len(s.nodeOrder))
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
+	out := make([]NodeUsage, 0, len(s.table))
+	for _, n := range s.table {
 		s.accrueLocked(n)
 		out = append(out, NodeUsage{
 			Name:            n.info.Name,

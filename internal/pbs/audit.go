@@ -91,10 +91,9 @@ func (s *Server) digestJobs(d *audit.Digest) {
 func (s *Server) digestNodes(d *audit.Digest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d.WriteInt(int64(len(s.nodeOrder)))
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		d.WriteString(name)
+	d.WriteInt(int64(len(s.table)))
+	for _, n := range s.table {
+		d.WriteString(n.info.Name)
 		d.WriteInt(int64(n.info.Type))
 		d.WriteInt(int64(n.info.Cores))
 		d.WriteInt(int64(n.info.UsedCores))
@@ -121,8 +120,8 @@ func (s *Server) auditCheckLocked() {
 	// Node-side walk: per-node conservation, double allocation, and
 	// the node view's agreement with its own ledger.
 	accTotal, accAllocated, accFree := int64(0), int64(0), int64(0)
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
+	for _, n := range s.table {
+		name := n.info.Name
 		used := 0
 		mirrored := len(n.info.Jobs) == len(n.usedBy)
 		for _, id := range n.info.Jobs {
@@ -176,11 +175,10 @@ func (s *Server) auditCheckLocked() {
 
 	// Reverse direction of view.job-hosts: every usedBy entry belongs
 	// to a job the index knows in a non-terminal state.
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
+	for _, n := range s.table {
 		for _, id := range n.info.Jobs {
 			j, ok := s.index.get(id)
-			a.Check("pbs", "view.job-hosts", name,
+			a.Check("pbs", "view.job-hosts", n.info.Name,
 				ok && (j.info.State == JobRunning || j.info.State == JobQueued),
 				int64(jobSeq(id)), 1)
 		}
@@ -195,12 +193,14 @@ func (s *Server) auditCheckLocked() {
 			a.Check("pbs", "jobs.partition", id,
 				s.index.partFor(jobSeq(id)) == p, int64(jobSeq(id)), int64(pi))
 		}
+		// An active entry must be the record its id resolves to: one
+		// purged (and scrubbed for reuse) before compactActive dropped
+		// the entry would fail here.
 		prev := -1
-		for _, id := range p.active {
-			_, known := p.jobs[id]
-			seq := jobSeq(id)
-			a.Check("pbs", "jobs.partition", id, known && seq > prev, int64(seq), int64(pi))
-			prev = seq
+		for _, e := range p.active {
+			id := e.j.info.ID
+			a.Check("pbs", "jobs.partition", id, p.jobs[id] == e.j && e.seq > prev, int64(e.seq), int64(pi))
+			prev = e.seq
 		}
 	}
 	// Retention purges index records but leaves their ids in the
@@ -212,8 +212,7 @@ func (s *Server) auditCheckLocked() {
 // unallocated — the remainder class of the conservation identity.
 func (s *Server) downFreeACsLocked() int64 {
 	n := int64(0)
-	for _, name := range s.nodeOrder {
-		nd := s.nodes[name]
+	for _, nd := range s.table {
 		if nd.info.Type == AcceleratorNode && nd.info.Down && len(nd.usedBy) == 0 {
 			n++
 		}

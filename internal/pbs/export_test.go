@@ -26,3 +26,6 @@ func (s *Server) InjectDropOrderForTest() {
 		s.order = s.order[:len(s.order)-1]
 	}
 }
+
+// GenForTest reports the node-table generation the mirror holds.
+func (m *NodeMirror) GenForTest() uint64 { return m.req.NodeGen }

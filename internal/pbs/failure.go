@@ -63,10 +63,11 @@ func (s *Server) heartbeat(host string) {
 		s.mu.Unlock()
 		return
 	}
-	s.lastSeen[host] = s.sim.Now()
+	n.lastSeen = s.sim.Now()
 	revived := n.info.Down
 	if revived {
 		n.info.Down = false
+		s.touchLocked(n)
 		s.aud.Record(audit.KindNode, "pbs", host, "up", int64(n.info.Cores-n.info.UsedCores), int64(len(n.usedBy)))
 	}
 	s.mu.Unlock()
@@ -75,17 +76,17 @@ func (s *Server) heartbeat(host string) {
 	}
 }
 
-// sweepDeadNodes declares nodes dead after DeadAfter of silence.
+// sweepDeadNodes declares nodes dead after DeadAfter of silence, in
+// node-database order: when several die in one sweep, the order of
+// their repairs (sends, accounting records, audit events) is part of
+// the run's recording.
 func (s *Server) sweepDeadNodes() {
 	now := s.sim.Now()
 	s.mu.Lock()
 	var dead []string
-	for name, n := range s.nodes {
-		if n.info.Down {
-			continue
-		}
-		if now-s.lastSeen[name] > s.params.DeadAfter {
-			dead = append(dead, name)
+	for _, n := range s.table {
+		if !n.info.Down && now-n.lastSeen > s.params.DeadAfter {
+			dead = append(dead, n.info.Name)
 		}
 	}
 	s.mu.Unlock()
@@ -103,11 +104,11 @@ func (s *Server) nodeDown(host string) {
 		return
 	}
 	n.info.Down = true
+	s.touchLocked(n)
 	s.aud.Record(audit.KindNode, "pbs", host, "down", 0, int64(len(n.usedBy)))
-	affected := make([]string, 0, len(n.usedBy))
-	for jobID := range n.usedBy {
-		affected = append(affected, jobID)
-	}
+	// The advertised job list mirrors usedBy (view.node-jobs) and is
+	// sorted, so the repairs below run in one order every run.
+	affected := append([]string(nil), n.info.Jobs...)
 	isCN := n.info.Type == ComputeNode
 	s.mu.Unlock()
 

@@ -1,10 +1,12 @@
 package pbs_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/maui"
 	"repro/internal/netsim"
 	"repro/internal/pbs"
@@ -15,7 +17,13 @@ import (
 // enabled.
 func ftTestbed(t *testing.T, nCN, nAC int) *testbed {
 	t.Helper()
-	s := sim.New()
+	return ftTestbedOn(t, sim.New(), nCN, nAC)
+}
+
+// ftTestbedOn builds the testbed on a caller-provided simulation (see
+// newTestbedOn).
+func ftTestbedOn(t *testing.T, s *sim.Simulation, nCN, nAC int) *testbed {
+	t.Helper()
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})
 	tb := &testbed{s: s, net: net, moms: make(map[string]*pbs.Mom)}
 	tb.server = pbs.NewServer(net, pbs.ServerParams{
@@ -233,5 +241,91 @@ func TestNodeDownForTestHook(t *testing.T) {
 func TestJobFailedStateString(t *testing.T) {
 	if pbs.JobFailed.String() != "F" {
 		t.Fatalf("JobFailed = %q", pbs.JobFailed.String())
+	}
+}
+
+// Two nodes dying in one detector sweep, one of them a compute node
+// running two jobs: the order of the repairs — failJob per job,
+// dropAccelerator, their sends, accounting records and audit events —
+// is part of the run's recording and must not follow Go's map order.
+func TestSimultaneousFailuresRepairInOneOrder(t *testing.T) {
+	record := func() string {
+		rec := audit.New(1 << 16)
+		s := sim.New()
+		s.SetAudit(rec)
+		tb := ftTestbedOn(t, s, 2, 2)
+		err := tb.s.Run(func() {
+			defer tb.net.Close()
+			tb.server.Start()
+			// Moms in a fixed order: heartbeats of one instant reach
+			// the server in spawn order.
+			for _, name := range append(append([]string(nil), tb.cns...), tb.acs...) {
+				tb.moms[name].Start()
+			}
+			tb.sched.Start()
+			c := pbs.NewClient(tb.net, "front", pbs.ServerEndpoint)
+			started := tb.s.NewGate("started")
+			var mu sync.Mutex
+			running := 0
+			var ids []string
+			for i := 0; i < 2; i++ {
+				id, err := c.Submit(pbs.JobSpec{
+					Name: "victim", Owner: "u", Nodes: 1, PPN: 4, ACPN: 1, Walltime: time.Minute,
+					Script: func(env *pbs.JobEnv) {
+						mu.Lock()
+						running++
+						mu.Unlock()
+						started.Broadcast()
+						tb.s.Sleep(time.Hour)
+					},
+				})
+				if err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+				ids = append(ids, id)
+			}
+			mu.Lock()
+			for running < 2 {
+				started.Wait(&mu)
+			}
+			mu.Unlock()
+			for _, id := range ids {
+				if info, _ := c.Stat(id); len(info.Hosts) != 1 || info.Hosts[0] != "cn0" {
+					t.Errorf("job %s on %v, want both on cn0", id, info.Hosts)
+				}
+			}
+			// Silence both inside one heartbeat period, so one sweep
+			// finds them dead together.
+			tb.net.SetHostDown("cn0", true)
+			tb.net.SetHostDown("ac1", true)
+			for _, id := range ids {
+				if final, err := c.Wait(id); err != nil || final.State != pbs.JobFailed {
+					t.Errorf("job %s: state %v err %v, want JobFailed", id, final.State, err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		var b strings.Builder
+		for _, r := range tb.server.AccountingLog() {
+			b.WriteString(r.String())
+			b.WriteByte('\n')
+		}
+		for _, e := range rec.Events() {
+			b.WriteString(audit.FormatEvent(e))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	want := record()
+	if strings.Count(want, "->failed") != 2 {
+		t.Fatalf("recording does not show two failed jobs:\n%s", want)
+	}
+	for run := 1; run < 20; run++ {
+		if got := record(); got != want {
+			t.Fatalf("run %d recorded a different order of repairs", run)
+		}
 	}
 }

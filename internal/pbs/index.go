@@ -35,12 +35,20 @@ type jobIndex struct {
 
 type jobPart struct {
 	jobs map[string]*serverJob
-	// active holds the submission-ordered ids of this partition's jobs
-	// that may still concern the scheduler (queued, held, or running).
-	// Terminal jobs are compacted away lazily during compactActive, so
-	// a cycle's cost follows the live queue, not the full submission
-	// history.
-	active []string
+	// active holds, in submission order, this partition's jobs that may
+	// still concern the scheduler (queued, held, or running). Terminal
+	// jobs are compacted away lazily during compactActive, so a cycle's
+	// cost follows the live queue, not the full submission history.
+	// Entries point at the records themselves, so the per-cycle walk
+	// neither looks ids up nor re-parses their sequence numbers; the
+	// retention window purges a record only after compactActive dropped
+	// its entry (auditCheckLocked's jobs.partition holds it to that).
+	active []activeJob
+}
+
+type activeJob struct {
+	seq int
+	j   *serverJob
 }
 
 type mergeCursor struct{ read, write int }
@@ -80,9 +88,9 @@ func (ix *jobIndex) remove(id string) {
 // activate in submission order, so every partition's list stays
 // sorted by sequence number — the invariant compactActive's merge
 // relies on.
-func (ix *jobIndex) activate(seq int, id string) {
+func (ix *jobIndex) activate(seq int, j *serverJob) {
 	p := ix.partFor(seq)
-	p.active = append(p.active, id)
+	p.active = append(p.active, activeJob{seq: seq, j: j})
 }
 
 func (ix *jobIndex) size() int {
@@ -97,14 +105,14 @@ func (ix *jobIndex) size() int {
 // k-way merge of the per-partition active lists by sequence number —
 // compacting terminal jobs out of each partition in place. visit
 // reports whether the job stays active.
-func (ix *jobIndex) compactActive(visit func(id string, j *serverJob) bool) {
+func (ix *jobIndex) compactActive(visit func(j *serverJob) bool) {
 	if len(ix.parts) == 1 {
 		// Single partition: the original walk, byte for byte.
 		p := &ix.parts[0]
 		w := 0
-		for _, id := range p.active {
-			if visit(id, p.jobs[id]) {
-				p.active[w] = id
+		for _, e := range p.active {
+			if visit(e.j) {
+				p.active[w] = e
 				w++
 			}
 		}
@@ -123,7 +131,7 @@ func (ix *jobIndex) compactActive(visit func(id string, j *serverJob) bool) {
 			if r >= len(ix.parts[pi].active) {
 				continue
 			}
-			if seq := jobSeq(ix.parts[pi].active[r]); best < 0 || seq < bestSeq {
+			if seq := ix.parts[pi].active[r].seq; best < 0 || seq < bestSeq {
 				best, bestSeq = pi, seq
 			}
 		}
@@ -131,12 +139,12 @@ func (ix *jobIndex) compactActive(visit func(id string, j *serverJob) bool) {
 			break
 		}
 		p := &ix.parts[best]
-		id := p.active[cur[best].read]
+		e := p.active[cur[best].read]
 		cur[best].read++
-		if visit(id, p.jobs[id]) {
+		if visit(e.j) {
 			// write trails read, so the in-place compaction never
 			// clobbers an unvisited entry.
-			p.active[cur[best].write] = id
+			p.active[cur[best].write] = e
 			cur[best].write++
 		}
 	}

@@ -230,3 +230,10 @@ func (n NodeInfo) Free() bool {
 
 // FreeCores reports the unused cores of a compute node.
 func (n NodeInfo) FreeCores() int { return n.Cores - n.UsedCores }
+
+// copyFrom deep-copies src into n, reusing n's Jobs buffer.
+func (n *NodeInfo) copyFrom(src *NodeInfo) {
+	jobs := append(n.Jobs[:0], src.Jobs...)
+	*n = *src
+	n.Jobs = jobs
+}

@@ -1,0 +1,344 @@
+package pbs_test
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/pbs"
+	"repro/internal/sim"
+)
+
+// mirrorBed drives a server as its scheduler would, by hand: the test
+// actor fetches through a NodeMirror and sends the allocation commands
+// itself, so every change of the node table is one the test made and
+// has let settle before it compares views. Maui is built but never
+// started.
+type mirrorBed struct {
+	*testbed
+	t      *testing.T
+	params pbs.ServerParams
+	c      *pbs.Client
+	ep     *netsim.Endpoint
+	view   pbs.NodeMirror
+	full   int // rounds answered with every node
+	delta  int // rounds answered with fewer
+}
+
+func runMirrorBed(t *testing.T, nCN, nAC, shards int, fn func(b *mirrorBed)) {
+	t.Helper()
+	tb := newTestbed(t, nCN, nAC, nil)
+	b := &mirrorBed{testbed: tb, t: t, params: pbs.ServerParams{Processing: time.Millisecond, Shards: shards}}
+	if shards > 1 {
+		tb.server = pbs.NewServer(tb.net, b.params)
+		for _, name := range tb.cns {
+			tb.server.AddNode(name, pbs.ComputeNode, 8)
+		}
+		for _, name := range tb.acs {
+			tb.server.AddNode(name, pbs.AcceleratorNode, 1)
+		}
+	}
+	err := tb.s.Run(func() {
+		defer tb.net.Close()
+		tb.server.Start()
+		for _, name := range append(append([]string(nil), tb.cns...), tb.acs...) {
+			tb.moms[name].Start()
+		}
+		b.c = pbs.NewClient(tb.net, "front", pbs.ServerEndpoint)
+		b.ep = tb.net.Endpoint("test-sched")
+		fn(b)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// settle lets every message in flight land and be handled.
+func (b *mirrorBed) settle() { b.s.Sleep(50 * time.Millisecond) }
+
+// round runs one SchedInfo round on the given mirror and checks it
+// against pbsnodes, field for field. The caller releases the answer.
+func (b *mirrorBed) round(view *pbs.NodeMirror, ep *netsim.Endpoint) *pbs.SchedInfoResp {
+	b.t.Helper()
+	b.settle()
+	resp, err := view.Fetch(ep, pbs.ServerEndpoint)
+	if err != nil {
+		b.t.Fatalf("Fetch: %v", err)
+	}
+	nodes, err := b.c.Nodes()
+	if err != nil {
+		b.t.Fatalf("Nodes: %v", err)
+	}
+	if len(resp.Nodes) == len(nodes) {
+		b.full++
+	} else {
+		b.delta++
+	}
+	if len(view.Nodes) != len(nodes) {
+		b.t.Fatalf("mirror holds %d nodes, server %d", len(view.Nodes), len(nodes))
+	}
+	for i, want := range nodes {
+		got := view.Nodes[i]
+		same := got.Name == want.Name && got.Type == want.Type && got.Cores == want.Cores &&
+			got.UsedCores == want.UsedCores && got.Down == want.Down && len(got.Jobs) == len(want.Jobs)
+		for k := 0; same && k < len(want.Jobs); k++ {
+			same = got.Jobs[k] == want.Jobs[k]
+		}
+		if !same {
+			b.t.Fatalf("node %d: mirror %+v, server %+v", i, got, want)
+		}
+	}
+	return resp
+}
+
+func (b *mirrorBed) send(payload any) {
+	b.t.Helper()
+	if err := b.ep.Send(pbs.ServerEndpoint, "pbs", payload, 0); err != nil {
+		b.t.Fatalf("send %T: %v", payload, err)
+	}
+}
+
+// restart replaces the server with one restored from a checkpoint.
+func (b *mirrorBed) restart() {
+	b.t.Helper()
+	snap := b.server.Checkpoint()
+	b.server.Stop()
+	b.settle()
+	b.server = pbs.NewServer(b.net, b.params)
+	if err := b.server.Restore(snap); err != nil {
+		b.t.Fatalf("Restore: %v", err)
+	}
+	b.server.Start()
+}
+
+// liveJob is a running job of the property test; its script blocks
+// until finish is called.
+type liveJob struct {
+	id      string
+	clients []int // dynamic sets it holds
+}
+
+// The delta protocol's defining property: whatever happens to the node
+// table between two rounds — allocations, releases, dynamic grants and
+// frees, nodes failing and returning, a server restart — the mirror
+// after a round is the table pbsnodes shows.
+func TestNodeMirrorTracksServerThroughRandomOperations(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("shards%d/seed%d", shards, seed), func(t *testing.T) {
+				mirrorProperty(t, shards, seed)
+			})
+		}
+	}
+}
+
+func mirrorProperty(t *testing.T, shards int, seed uint64) {
+	runMirrorBed(t, 4, 8, shards, func(b *mirrorBed) {
+		rng := sim.NewRNG(seed)
+		var mu sync.Mutex
+		gate := b.s.NewGate("finish")
+		done := map[string]bool{}
+		finish := func(id string) {
+			mu.Lock()
+			done[id] = true
+			mu.Unlock()
+			gate.Broadcast()
+		}
+		var live []*liveJob
+		down := map[string]bool{}
+		b.round(&b.view, b.ep).Release()
+
+		for op := 0; op < 60; op++ {
+			switch k := rng.Intn(8); {
+			case k <= 1: // qsub, then place it like a first-fit scheduler
+				spec := pbs.JobSpec{
+					Name: "p", Owner: "u", Nodes: 1 + rng.Intn(2), PPN: 1 + rng.Intn(8), ACPN: rng.Intn(2),
+					Walltime: time.Minute,
+					Script: func(env *pbs.JobEnv) {
+						mu.Lock()
+						for !done[env.JobID] {
+							gate.Wait(&mu)
+						}
+						mu.Unlock()
+					},
+				}
+				id, err := b.c.Submit(spec)
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				b.round(&b.view, b.ep).Release()
+				var hosts, acs []string
+				for _, n := range b.view.Nodes {
+					switch {
+					case n.Down:
+					case n.Type == pbs.ComputeNode && len(hosts) < spec.Nodes && n.FreeCores() >= spec.PPN:
+						hosts = append(hosts, n.Name)
+					case n.Type == pbs.AcceleratorNode && len(acs) < spec.Nodes*spec.ACPN && n.Free():
+						acs = append(acs, n.Name)
+					}
+				}
+				if len(hosts) < spec.Nodes || len(acs) < spec.Nodes*spec.ACPN {
+					if err := b.c.Delete(id); err != nil {
+						t.Fatalf("Delete: %v", err)
+					}
+					break
+				}
+				acc := map[string][]string{}
+				for i, h := range hosts {
+					acc[h] = acs[i*spec.ACPN : (i+1)*spec.ACPN]
+				}
+				b.send(pbs.AllocCmd{JobID: id, Hosts: hosts, AccHosts: acc})
+				live = append(live, &liveJob{id: id})
+			case k == 2 && len(live) > 0: // a job ends
+				i := rng.Intn(len(live))
+				finish(live[i].id)
+				live = append(live[:i], live[i+1:]...)
+			case k == 3 && len(live) > 0: // pbs_dynget, granted from what the mirror shows free
+				j := live[rng.Intn(len(live))]
+				want := 1 + rng.Intn(2)
+				info, err := b.c.Stat(j.id)
+				if err != nil || info.State != pbs.JobRunning {
+					break
+				}
+				granted := b.s.NewGate("granted")
+				var grant pbs.DynGrant
+				var dynErr error
+				answered := false
+				b.s.Go("dynget", func() {
+					cl := pbs.NewClient(b.net, "dyn", pbs.ServerEndpoint)
+					g, err := cl.DynGet(j.id, info.Hosts[0], want)
+					mu.Lock()
+					grant, dynErr, answered = g, err, true
+					mu.Unlock()
+					granted.Broadcast()
+				})
+				resp := b.round(&b.view, b.ep)
+				if len(resp.Dyn) != 1 {
+					t.Fatalf("round after dynget shows %d dynamic requests, want 1", len(resp.Dyn))
+				}
+				var hosts []string
+				for _, n := range b.view.Nodes {
+					if n.Type == pbs.AcceleratorNode && n.Free() && len(hosts) < want {
+						hosts = append(hosts, n.Name)
+					}
+				}
+				if len(hosts) < want {
+					hosts = nil // reject
+				}
+				b.send(pbs.DynAllocCmd{ReqID: resp.Dyn[0].ReqID, Hosts: hosts})
+				resp.Release()
+				mu.Lock()
+				for !answered {
+					granted.Wait(&mu)
+				}
+				mu.Unlock()
+				if (dynErr == nil) != (hosts != nil) {
+					t.Fatalf("dynget answered %v for hosts %v", dynErr, hosts)
+				}
+				if dynErr == nil {
+					j.clients = append(j.clients, grant.ClientID)
+				}
+			case k == 4 && len(live) > 0: // pbs_dynfree
+				j := live[rng.Intn(len(live))]
+				if len(j.clients) == 0 {
+					break
+				}
+				if err := b.c.DynFree(j.id, j.clients[0]); err != nil {
+					t.Fatalf("DynFree: %v", err)
+				}
+				j.clients = j.clients[1:]
+			case k == 5: // a node fails
+				n := b.view.Nodes[rng.Intn(len(b.view.Nodes))]
+				b.server.NodeDownForTest(n.Name)
+				down[n.Name] = true
+				b.settle()
+				kept := live[:0]
+				for _, j := range live {
+					if info, err := b.c.Stat(j.id); err == nil && info.State == pbs.JobRunning {
+						kept = append(kept, j)
+					} else {
+						finish(j.id) // failed with its compute node
+					}
+				}
+				live = kept
+			case k == 6: // every failed node reports in again
+				for _, n := range b.view.Nodes {
+					if down[n.Name] {
+						b.send(pbs.HeartbeatMsg{Host: n.Name})
+						delete(down, n.Name)
+					}
+				}
+			case k == 7 && op%3 == 0: // head node crash and restart
+				b.restart()
+				if resp := b.round(&b.view, b.ep); len(resp.Nodes) != len(b.view.Nodes) {
+					t.Fatalf("round after a restart brought %d of %d nodes", len(resp.Nodes), len(b.view.Nodes))
+				} else {
+					resp.Release()
+				}
+			}
+			b.round(&b.view, b.ep).Release()
+		}
+		for _, j := range live {
+			finish(j.id)
+		}
+		b.round(&b.view, b.ep).Release()
+		if b.delta < b.full {
+			t.Errorf("%d rounds brought every node, only %d a delta: the property was not exercised", b.full, b.delta)
+		}
+		for _, e := range b.server.Errors() {
+			t.Errorf("server error: %s", e)
+		}
+	})
+}
+
+// The cases in which the server cannot serve a delta each bring every
+// node, and leave a correct mirror behind.
+func TestNodeMirrorResyncs(t *testing.T) {
+	runMirrorBed(t, 2, 4, 0, func(b *mirrorBed) {
+		total := 6
+		wantNodes := func(what string, resp *pbs.SchedInfoResp, want int) {
+			t.Helper()
+			if len(resp.Nodes) != want {
+				t.Errorf("%s: answer brought %d nodes, want %d", what, len(resp.Nodes), want)
+			}
+			resp.Release()
+		}
+		wantNodes("first round", b.round(&b.view, b.ep), total)
+		wantNodes("idle round", b.round(&b.view, b.ep), 0)
+		b.server.NodeDownForTest("ac1")
+		wantNodes("one node changed", b.round(&b.view, b.ep), 1)
+
+		// A reply that never reaches the scheduler: the server has moved
+		// on to the next generation, the mirror has not.
+		b.server.NodeDownForTest("ac2")
+		b.send(&pbs.SchedInfoReq{ReqID: -1, ReplyTo: b.ep.Name(), NodeGen: b.view.GenForTest()})
+		m, err := b.ep.Recv()
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		lost := m.Payload.(*pbs.SchedInfoResp)
+		m.Release()
+		wantNodes("the lost reply itself", lost, 1)
+		wantNodes("round after a lost reply", b.round(&b.view, b.ep), total)
+		wantNodes("idle round after the resync", b.round(&b.view, b.ep), 0)
+
+		// A second scheduler attaches; the first is then a stranger too.
+		var second pbs.NodeMirror
+		ep2 := b.net.Endpoint("test-sched-2")
+		wantNodes("second scheduler", b.round(&second, ep2), total)
+		wantNodes("first scheduler after the second", b.round(&b.view, b.ep), total)
+		wantNodes("first scheduler again", b.round(&b.view, b.ep), 0)
+
+		// A generation handed out by a server that is gone.
+		b.restart()
+		wantNodes("round after a restart", b.round(&b.view, b.ep), total)
+		b.send(pbs.HeartbeatMsg{Host: "ac1"})
+		wantNodes("node back up", b.round(&b.view, b.ep), 1)
+		if b.view.Nodes[3].Down || !b.view.Nodes[4].Down {
+			t.Errorf("mirror after the restart: ac1 down=%v ac2 down=%v, want false true",
+				b.view.Nodes[3].Down, b.view.Nodes[4].Down)
+		}
+	})
+}

@@ -171,10 +171,16 @@ type SchedKick struct {
 	Reason string
 }
 
-// SchedInfoReq is the scheduler pulling queue and node state.
+// SchedInfoReq is the scheduler pulling queue and node state. It
+// travels by pointer: the scheduler's NodeMirror owns the one request
+// it reuses every round, and the server reads it only while it handles
+// that round, during which the scheduler waits for the answer.
 type SchedInfoReq struct {
 	ReqID   int
 	ReplyTo string
+	// NodeGen is the node-table generation the scheduler's mirror
+	// holds, as the last SchedInfoResp stamped it (0: holds nothing).
+	NodeGen uint64
 }
 
 // SchedDynView is the scheduler's view of the dynamic request the
@@ -188,15 +194,27 @@ type SchedDynView struct {
 	ArrivedAt time.Duration
 }
 
-// SchedInfoResp carries everything one scheduling iteration needs.
+// NodeDelta is one changed entry of the node table: its position in
+// node-database order and its current view.
+type NodeDelta struct {
+	Index int
+	Info  NodeInfo
+}
+
+// SchedInfoResp carries everything one scheduling iteration needs. The
+// node table comes as a delta: Nodes holds the entries whose NodeInfo
+// changed since the request's NodeGen — every entry when the server
+// cannot serve a delta from that generation (see handleSchedInfo) —
+// and NodeGen is the generation a mirror holds once it applied them.
 //
-//lint:ignore handlerexhaustive consumed by the maui and fifosched schedulers, which fetch and Release it
+//lint:ignore handlerexhaustive consumed by NodeMirror.Fetch for the maui and fifosched schedulers, which Release it
 type SchedInfoResp struct {
 	ReqID   int
 	Queued  []JobInfo      // jobs waiting for allocation, submission order
 	Running []JobInfo      // running jobs (for backfill estimates)
 	Dyn     []SchedDynView // dynamic request(s) awaiting allocation, FIFO
-	Nodes   []NodeInfo
+	NodeGen uint64
+	Nodes   []NodeDelta
 }
 
 // AllocCmd is the scheduler's decision for a queued job: which

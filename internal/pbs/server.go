@@ -79,17 +79,26 @@ type Server struct {
 	// index is the job database: one partition in the faithful
 	// configuration (exactly the original map + active list), one per
 	// shard otherwise. See index.go for the compaction invariants.
-	index     jobIndex
-	order     []string
-	nodes     map[string]*serverNode
-	nodeOrder []string
-	dynQ      []*DynRecord
-	dynReply  map[int]dynReplyTo // server dyn id -> client reply route
-	dynBusy   bool
-	waiters   map[string][]waiter
-	lastSeen  map[string]time.Duration
-	acct      []AccountingRecord
-	errs      []string
+	index jobIndex
+	order []string
+	// table is the node database in AddNode order; nodes finds the same
+	// records by name.
+	table []*serverNode
+	nodes map[string]*serverNode
+	// The scheduler's node view is incremental (see handleSchedInfo):
+	// nodeGen counts the states of the node table a scheduler was
+	// handed, changed lists the table indices whose NodeInfo moved since
+	// the last answer, and viewEP is the scheduler that answer went to —
+	// the only one a delta can be served to.
+	nodeGen  uint64
+	changed  []int
+	viewEP   string
+	dynQ     []*DynRecord
+	dynReply map[int]dynReplyTo // server dyn id -> client reply route
+	dynBusy  bool
+	waiters  map[string][]waiter
+	acct     []AccountingRecord
+	errs     []string
 
 	// Retention state (see retention.go); all zero when
 	// RetainCompleted is 0.
@@ -115,6 +124,11 @@ type serverJob struct {
 type serverNode struct {
 	info   NodeInfo
 	usedBy map[string]int // jobID -> cores (compute) or accelerator count (1)
+	idx    int            // position in Server.table
+	// gen is the node-table generation that first carries the node's
+	// current NodeInfo (see touchLocked).
+	gen      uint64
+	lastSeen time.Duration // latest heartbeat (failure detector)
 
 	// Accounting (see accounting.go).
 	busyCoreSeconds float64
@@ -168,7 +182,6 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 		nodes:    make(map[string]*serverNode),
 		dynReply: make(map[int]dynReplyTo),
 		waiters:  make(map[string][]waiter),
-		lastSeen: make(map[string]time.Duration),
 	}
 	s.registerAudit()
 	return s
@@ -178,12 +191,31 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 func (s *Server) AddNode(name string, typ NodeType, cores int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nodes[name] = &serverNode{
-		info:   NodeInfo{Name: name, Type: typ, Cores: cores},
-		usedBy: make(map[string]int),
+	s.addNodeLocked(&serverNode{
+		info:     NodeInfo{Name: name, Type: typ, Cores: cores},
+		usedBy:   make(map[string]int),
+		lastSeen: s.sim.Now(),
+	})
+}
+
+// addNodeLocked appends a node to the dense table and the name map.
+// Callers hold s.mu.
+func (s *Server) addNodeLocked(n *serverNode) {
+	n.idx = len(s.table)
+	s.table = append(s.table, n)
+	s.nodes[n.info.Name] = n
+	s.touchLocked(n)
+}
+
+// touchLocked marks the node's NodeInfo as changed since the last
+// scheduler answer. Every site that writes n.info calls it; the
+// generation stamp keeps a node changed twice between two answers
+// from being listed twice. Callers hold s.mu.
+func (s *Server) touchLocked(n *serverNode) {
+	if n.gen <= s.nodeGen {
+		n.gen = s.nodeGen + 1
+		s.changed = append(s.changed, n.idx)
 	}
-	s.nodeOrder = append(s.nodeOrder, name)
-	s.lastSeen[name] = s.sim.Now()
 }
 
 // SetScheduler installs the scheduler's endpoint for kick
@@ -299,7 +331,7 @@ func (s *Server) handle(m *netsim.Message) {
 		s.handleDynGet(req)
 	case DynFreeReq:
 		s.handleDynFree(req)
-	case SchedInfoReq:
+	case *SchedInfoReq:
 		s.handleSchedInfo(req)
 	case AllocCmd:
 		s.handleAlloc(req)
@@ -352,7 +384,7 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	j.info.SubmittedAt = s.sim.Now()
 	s.index.put(seq, id, j)
 	s.order = append(s.order, id)
-	s.index.activate(seq, id)
+	s.index.activate(seq, j)
 	s.mu.Unlock()
 	s.aud.Record(audit.KindJob, "pbs", id, audSubmit, int64(seq), 0)
 	sp.Annotate("job", id)
@@ -487,7 +519,7 @@ func (s *Server) handleWait(req WaitReq) {
 		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
-	if j.info.State == JobCompleted || j.info.State == JobDeleted {
+	if st := j.info.State; st == JobCompleted || st == JobDeleted || st == JobFailed {
 		info := cloneInfo(j.info)
 		s.mu.Unlock()
 		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Info: info})
@@ -649,11 +681,11 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 	s.kickScheduler("dynfree")
 }
 
-// schedRespPool recycles the per-cycle scheduler snapshot. The server
+// schedRespPool recycles the per-cycle scheduler answer. The server
 // hands a *SchedInfoResp to exactly one scheduler, which owns it (and
 // every slice hanging off it) until it calls Release after its cycle;
 // the next handleSchedInfo then refills the same buffers in place, so
-// the steady-state cost of a snapshot is copying, not allocating.
+// the steady-state cost of an answer is copying, not allocating.
 var schedRespPool = sync.Pool{New: func() any { return new(SchedInfoResp) }}
 
 // Release returns the snapshot and its buffers to the server's pool.
@@ -666,7 +698,15 @@ func (r *SchedInfoResp) Release() {
 	schedRespPool.Put(r)
 }
 
-func (s *Server) handleSchedInfo(req SchedInfoReq) {
+// handleSchedInfo answers one scheduler round: the live queue, the
+// dynamic requests awaiting allocation, and the nodes whose NodeInfo
+// changed since the node-table generation the scheduler holds. A
+// delta can only be served to the scheduler the previous answer went
+// to, holding the generation that answer carried; anyone else — a
+// scheduler holding nothing, one whose last answer was lost, one that
+// outlived a server restart, a second scheduler — gets every node,
+// which is the same answer counted from generation zero.
+func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 	resp := schedRespPool.Get().(*SchedInfoResp)
 	resp.ReqID = req.ReqID
 	resp.Queued = resp.Queued[:0]
@@ -675,7 +715,7 @@ func (s *Server) handleSchedInfo(req SchedInfoReq) {
 	s.mu.Lock()
 	// Walk the active index in submission order, compacting terminal
 	// jobs in place so the next cycle never revisits them.
-	s.index.compactActive(func(id string, j *serverJob) bool {
+	s.index.compactActive(func(j *serverJob) bool {
 		switch j.info.State {
 		case JobQueued:
 			if !j.info.Held { // qhold: invisible to the scheduler
@@ -700,7 +740,22 @@ func (s *Server) handleSchedInfo(req SchedInfoReq) {
 			})
 		}
 	}
-	resp.Nodes = s.nodeViewIntoLocked(resp.Nodes[:0])
+	resp.Nodes = resp.Nodes[:0]
+	if req.ReplyTo == s.viewEP && req.NodeGen == s.nodeGen {
+		for _, i := range s.changed {
+			resp.Nodes = appendNodeDelta(resp.Nodes, s.table[i])
+		}
+	} else {
+		for _, n := range s.table {
+			resp.Nodes = appendNodeDelta(resp.Nodes, n)
+		}
+	}
+	if len(s.changed) > 0 {
+		s.nodeGen++
+		s.changed = s.changed[:0]
+	}
+	resp.NodeGen = s.nodeGen
+	s.viewEP = req.ReplyTo
 	// Retention: compactActive just removed every terminal id from the
 	// active lists, so records beyond the window can be recycled now
 	// without leaving a dangling active entry.
@@ -1042,6 +1097,7 @@ func (s *Server) refreshLocked(n *serverNode) {
 		n.info.UsedCores = used
 	}
 	n.info.Jobs = jobs
+	s.touchLocked(n)
 	s.aud.Record(audit.KindNode, "pbs", n.info.Name, "", int64(n.info.Cores-n.info.UsedCores), int64(len(n.usedBy)))
 }
 
@@ -1055,34 +1111,24 @@ func (s *Server) nodeView() []NodeInfo {
 // storage. It serves the client-facing NodesReq path, whose callers may
 // keep the result indefinitely.
 func (s *Server) nodeViewLocked() []NodeInfo {
-	out := make([]NodeInfo, 0, len(s.nodeOrder))
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		info := n.info
-		info.Jobs = append([]string(nil), n.info.Jobs...)
-		out = append(out, info)
+	out := make([]NodeInfo, len(s.table))
+	for i, n := range s.table {
+		out[i].copyFrom(&n.info)
 	}
 	return out
 }
 
-// nodeViewIntoLocked is nodeViewLocked for the pooled scheduler
-// snapshot: it refills dst (including each element's Jobs buffer) in
-// place. Callers hold s.mu and own dst until the snapshot's Release.
-func (s *Server) nodeViewIntoLocked(dst []NodeInfo) []NodeInfo {
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		var out *NodeInfo
-		if len(dst) < cap(dst) {
-			dst = dst[:len(dst)+1]
-			out = &dst[len(dst)-1]
-		} else {
-			dst = append(dst, NodeInfo{})
-			out = &dst[len(dst)-1]
-		}
-		jobs := out.Jobs[:0]
-		*out = n.info
-		out.Jobs = append(jobs, n.info.Jobs...)
+// appendNodeDelta appends the node's (index, NodeInfo) pair to a pooled
+// answer, reviving the spare element past len and its Jobs buffer.
+func appendNodeDelta(dst []NodeDelta, n *serverNode) []NodeDelta {
+	if len(dst) < cap(dst) {
+		dst = dst[:len(dst)+1]
+	} else {
+		dst = append(dst, NodeDelta{})
 	}
+	d := &dst[len(dst)-1]
+	d.Index = n.idx
+	d.Info.copyFrom(&n.info)
 	return dst
 }
 

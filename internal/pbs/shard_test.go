@@ -88,16 +88,18 @@ func TestJobIndexMergePreservesSubmissionOrder(t *testing.T) {
 	for seq := 1; seq <= 10; seq++ {
 		id := itoa(seq) + ".srv"
 		ids = append(ids, id)
-		ix.put(seq, id, &serverJob{})
-		ix.activate(seq, id)
+		j := &serverJob{info: JobInfo{ID: id}}
+		ix.put(seq, id, j)
+		ix.activate(seq, j)
 	}
 	if ix.size() != 10 {
 		t.Fatalf("size = %d, want 10", ix.size())
 	}
 
 	var visited []string
-	ix.compactActive(func(id string, j *serverJob) bool {
-		if j == nil {
+	ix.compactActive(func(j *serverJob) bool {
+		id := j.info.ID
+		if got, _ := ix.get(id); got != j {
 			t.Fatalf("job %q missing from its partition map", id)
 		}
 		visited = append(visited, id)
@@ -110,8 +112,8 @@ func TestJobIndexMergePreservesSubmissionOrder(t *testing.T) {
 	}
 
 	visited = visited[:0]
-	ix.compactActive(func(id string, j *serverJob) bool {
-		visited = append(visited, id)
+	ix.compactActive(func(j *serverJob) bool {
+		visited = append(visited, j.info.ID)
 		return true
 	})
 	wantLive := []string{"2.srv", "4.srv", "6.srv", "8.srv", "10.srv"}

@@ -61,16 +61,13 @@ func (s *Server) Checkpoint() Snapshot {
 			snap.Jobs = append(snap.Jobs, cloneInfo(j.info))
 		}
 	}
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		info := n.info
-		info.Jobs = append([]string(nil), n.info.Jobs...)
-		snap.Nodes = append(snap.Nodes, info)
+	snap.Nodes = s.nodeViewLocked()
+	for _, n := range s.table {
 		used := make(map[string]int, len(n.usedBy))
 		for j, c := range n.usedBy {
 			used[j] = c
 		}
-		snap.UsedBy[name] = used
+		snap.UsedBy[n.info.Name] = used
 	}
 	for jobID, ws := range s.waiters {
 		snap.Waiters[jobID] = append([]waiter(nil), ws...)
@@ -115,7 +112,7 @@ func (s *Server) Restore(snap Snapshot) error {
 			continue
 		}
 		if st := j.info.State; st == JobQueued || st == JobRunning {
-			s.index.activate(jobSeq(id), id)
+			s.index.activate(jobSeq(id), j)
 		}
 	}
 	now := s.sim.Now()
@@ -124,14 +121,13 @@ func (s *Server) Restore(snap Snapshot) error {
 			info:       info,
 			usedBy:     make(map[string]int),
 			lastChange: now,
+			lastSeen:   now,
 		}
 		n.info.Jobs = append([]string(nil), info.Jobs...)
 		for j, c := range snap.UsedBy[info.Name] {
 			n.usedBy[j] = c
 		}
-		s.nodes[info.Name] = n
-		s.nodeOrder = append(s.nodeOrder, info.Name)
-		s.lastSeen[info.Name] = now
+		s.addNodeLocked(n)
 	}
 	for jobID, ws := range snap.Waiters {
 		s.waiters[jobID] = append([]waiter(nil), ws...)
