@@ -205,7 +205,7 @@ func BenchmarkAblationSchedulerPortability(b *testing.B) {
 
 // --- simulator micro-benchmarks (real wall time) ---
 
-// The three kernel hot-path benchmarks live in internal/kernelbench so
+// The kernel hot-path benchmarks live in internal/kernelbench so
 // cmd/dacbench can also run them via testing.Benchmark and record
 // their allocs/op as regression-gated series.
 
@@ -213,8 +213,13 @@ func BenchmarkAblationSchedulerPortability(b *testing.B) {
 // (AfterArg schedule + controller pop + callback).
 func BenchmarkEventDispatch(b *testing.B) { kernelbench.EventDispatch(b) }
 
-// BenchmarkSleepWake measures the pooled park/dispatch/wake round trip.
+// BenchmarkSleepWake measures a lone actor's Sleep: the in-place clock
+// advance, no park.
 func BenchmarkSleepWake(b *testing.B) { kernelbench.SleepWake(b) }
+
+// BenchmarkSleepPark measures the pooled park/dispatch/wake round trip
+// of two actors whose sleeps interleave, so each one parks.
+func BenchmarkSleepPark(b *testing.B) { kernelbench.SleepPark(b) }
 
 // BenchmarkNetsimHop measures one arena-backed fabric hop
 // (send → deliver → recv → release).

@@ -180,6 +180,7 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 	}{
 		{"kernel/event_dispatch", kernelbench.EventDispatch},
 		{"kernel/sleep_wake", kernelbench.SleepWake},
+		{"kernel/sleep_park", kernelbench.SleepPark},
 		{"kernel/netsim_hop", kernelbench.NetsimHop},
 		{"telemetry/hist_record", kernelbench.HistogramRecord},
 		{"telemetry/registry_scrape", kernelbench.RegistryScrape},

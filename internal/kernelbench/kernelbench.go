@@ -43,8 +43,10 @@ func EventDispatch(b *testing.B) {
 	}
 }
 
-// SleepWake measures the actor park/dispatch/wake round trip through
-// the pooled wake channels.
+// SleepWake measures a lone actor's Sleep. With nothing else runnable
+// and no event due first the kernel advances the clock in place, so
+// this is the cost of the in-place advance — one s.mu round trip — not
+// of a park; SleepPark measures that.
 func SleepWake(b *testing.B) {
 	s := sim.New()
 	if err := s.Run(func() {
@@ -55,6 +57,33 @@ func SleepWake(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Sleep(time.Microsecond)
+		}
+	}); err != nil {
+		b.Fatalf("Run: %v", err)
+	}
+}
+
+// SleepPark measures the actor park/dispatch/wake round trip through
+// the queue, the pooled wake channels and the controller: two actors
+// sleep the same period half a period apart, so every Sleep finds the
+// other's wake due first and parks. One iteration is one Sleep of the
+// timed actor and one of the off-beat one.
+func SleepPark(b *testing.B) {
+	s := sim.New()
+	if err := s.Run(func() {
+		s.Go("bench/offbeat", func() {
+			s.Sleep(time.Microsecond)
+			for {
+				s.Sleep(2 * time.Microsecond)
+			}
+		})
+		for i := 0; i < 16; i++ {
+			s.Sleep(2 * time.Microsecond)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Sleep(2 * time.Microsecond)
 		}
 	}); err != nil {
 		b.Fatalf("Run: %v", err)

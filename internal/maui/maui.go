@@ -465,15 +465,6 @@ func (sc *Scheduler) skipInflightDyn(req int) bool {
 	return true
 }
 
-// priority computes a job's dynamic priority.
-func (sc *Scheduler) priority(j pbs.JobInfo) float64 {
-	wait := (sc.sim.Now() - j.SubmittedAt).Seconds()
-	sc.mu.Lock()
-	u := sc.usage[j.Spec.Owner]
-	sc.mu.Unlock()
-	return float64(j.Spec.Priority) + sc.params.QueueTimeWeight*wait - sc.params.FairshareWeight*u
-}
-
 // scheduleStatic orders the queue by priority and places jobs,
 // optionally backfilling behind a blocked head. It reads the snapshot's
 // queue in place through a sorted index — no per-cycle copy of the job
@@ -525,13 +516,11 @@ func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *tr
 		if !ok {
 			if shadow < 0 {
 				shadow = sc.shadowTime(info.Running)
-				if !sc.params.Backfill {
-					// Strict FIFO: the blocked head stalls the queue,
-					// but we still pay the examination cost for the
-					// remaining jobs (Maui walks the whole queue).
-					continue
-				}
 			}
+			// Strict FIFO: the blocked head stalls the queue, but we
+			// still pay the examination cost for the remaining jobs
+			// (Maui walks the whole queue). With backfill they are
+			// examined as candidates behind the head's reservation.
 			continue
 		}
 		if shadow >= 0 {

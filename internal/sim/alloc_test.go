@@ -14,27 +14,74 @@ import (
 // operation so a regression shows up as a test failure, not as a GC
 // slope on the scale ladder.
 
-// TestSleepWakeZeroAlloc pins the Sleep park/dispatch/wake round trip
-// at zero allocations per operation in steady state.
+// TestSleepWakeZeroAlloc pins a lone actor's Sleep — the in-place
+// clock advance — at zero allocations per operation, and at zero parks:
+// with nothing else runnable or due first, the sleeper never leaves the
+// CPU.
 func TestSleepWakeZeroAlloc(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
 	}
 	s := New()
 	var allocs float64
+	var parks uint64
 	err := s.Run(func() {
-		for i := 0; i < 16; i++ { // warm the event queue, batch, and wake pool
-			s.Sleep(time.Microsecond)
-		}
+		parks = s.parkCount()
 		allocs = testing.AllocsPerRun(200, func() {
 			s.Sleep(time.Microsecond)
 		})
+		parks = s.parkCount() - parks
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if allocs != 0 {
 		t.Fatalf("Sleep steady state: %v allocs/op, want 0", allocs)
+	}
+	if parks != 0 {
+		t.Fatalf("a lone sleeper parked %d times, want 0", parks)
+	}
+}
+
+// TestSleepParkZeroAlloc pins the other path of Sleep — another actor's
+// wake is due first, so the sleeper parks and comes back through the
+// queue, the pooled wake channel and the controller — at zero
+// allocations per operation, with every one of the sleeps parking.
+func TestSleepParkZeroAlloc(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
+	}
+	s := New()
+	var allocs float64
+	var parks uint64
+	const runs = 200
+	err := s.Run(func() {
+		s.Go("offbeat", func() {
+			s.Sleep(time.Microsecond)
+			for {
+				s.Sleep(2 * time.Microsecond)
+			}
+		})
+		for i := 0; i < 16; i++ { // warm the event queue, batch, and wake pool
+			s.Sleep(2 * time.Microsecond)
+		}
+		parks = s.parkCount()
+		allocs = testing.AllocsPerRun(runs, func() {
+			s.Sleep(2 * time.Microsecond)
+		})
+		parks = s.parkCount() - parks
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("parked Sleep steady state: %v allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun calls the function runs+1 times; the off-beat actor
+	// parks once for each of main's sleeps, give or take the one it is
+	// in when the count is read.
+	if min := uint64(2 * runs); parks < min {
+		t.Fatalf("%d parks over %d contended sleeps by two actors, want at least %d", parks, runs+1, min)
 	}
 }
 

@@ -88,18 +88,18 @@ func (s *Simulation) NewGate(name string) *Gate {
 // first.
 func (g *Gate) Wait(l sync.Locker) {
 	w := newWaiter()
+	// List and park in one step: a waker finds the waiter only once its
+	// park note exists, so the note it clears is this wait's.
 	g.mu.Lock()
 	g.waiters = append(g.waiters, w)
-	g.mu.Unlock()
-
 	g.sim.mu.Lock()
 	g.sim.parkLocked(g.label)
 	g.sim.mu.Unlock()
+	g.mu.Unlock()
 
 	l.Unlock()
 	<-w.ch
 	waiterPool.Put(w)
-	g.sim.unparkNote(g.label)
 	l.Lock()
 }
 
@@ -113,12 +113,11 @@ func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
 	gs := w.gs.Load() // this generation's armed value, captured for expire
 	g.mu.Lock()
 	g.waiters = append(g.waiters, w)
-	g.mu.Unlock()
-
 	g.sim.mu.Lock()
 	g.sim.pushLocked(g.sim.now+d, nil, func() { g.expire(w, gs) })
 	g.sim.parkLocked(g.label)
 	g.sim.mu.Unlock()
+	g.mu.Unlock()
 
 	l.Unlock()
 	<-w.ch
@@ -127,7 +126,6 @@ func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
 	// lazily cancelled — returning w to the pool is safe because the
 	// generation bump on reuse defeats the stale callback's CAS.
 	waiterPool.Put(w)
-	g.sim.unparkNote(g.label)
 	l.Lock()
 	return !timed
 }
@@ -151,7 +149,7 @@ func (g *Gate) expire(w *gateWaiter, gs uint64) {
 		}
 	}
 	g.mu.Unlock()
-	g.sim.markRunnable()
+	g.sim.markRunnable(g.label)
 	w.ch <- struct{}{}
 }
 
@@ -180,7 +178,7 @@ func (g *Gate) Signal() {
 	}
 	g.mu.Unlock()
 	if w != nil {
-		g.sim.markRunnable()
+		g.sim.markRunnable(g.label)
 		w.ch <- struct{}{}
 	}
 }
@@ -193,7 +191,7 @@ func (g *Gate) Broadcast() {
 	g.mu.Unlock()
 	for _, w := range ws {
 		if w.fire(wSignaled) {
-			g.sim.markRunnable()
+			g.sim.markRunnable(g.label)
 			w.ch <- struct{}{}
 		}
 	}

@@ -18,6 +18,44 @@
 // actors are parked and no event is pending, the simulation is
 // deadlocked and Run returns an error naming the blocked actors.
 //
+// # In-place clock advance
+//
+// Most sleeps in a run are taken by an actor that is alone on the CPU
+// and about to be the next thing the controller wakes (Maui charging
+// its per-job cost while it walks a backlog is the bulk of them). Such
+// a Sleep does not park. Under the kernel lock it already holds, it
+// advances the clock itself and returns, when all five hold:
+//
+//  1. the caller owns the only running slot (running == 1);
+//  2. the controller has released every event of the current instant's
+//     batch, so it is idle at the top of its loop;
+//  3. Run has started, main has not returned and the kernel is not
+//     halted;
+//  4. now+d does not pass the deadline;
+//  5. the queue is empty or its earliest event is strictly later than
+//     now+d (an event queued at exactly now+d was pushed earlier, has
+//     the lower seq and must run first).
+//
+// Otherwise it queues its wake and parks as described above, at no
+// extra cost. The order in which events are released is the same either
+// way. Had the caller parked, running would have dropped to zero with
+// the batch spent, so the controller's next step is to pop the least
+// (at, seq) of the queue plus the caller's wake; by 5 that is the
+// caller's wake, alone in its batch. Nothing can be pushed in between:
+// only running actors and controller callbacks push, and by 1 and 2
+// there is none but the caller. So the advance does exactly the
+// controller's bookkeeping for that one-event batch — the seq the wake
+// would have carried is consumed, the clock moves, the dispatch is
+// counted, sim.dispatches and sim.queue_depth read as the controller
+// would have set them — and virtual time, event counts and every later
+// tie-break are identical; only the queue push, the wake channel, the
+// controller's cond and two goroutine switches are gone.
+//
+// Two neighbouring designs were measured and rejected (DESIGN.md has
+// the numbers): dropping the controller goroutine so that the last
+// actor to park dispatches the next event itself, and coalescing a
+// caller's consecutive sleeps into one, which is not order-exact.
+//
 // # Discipline
 //
 // Actors must communicate only through sim-aware primitives (Sleep,
@@ -69,6 +107,13 @@ type Simulation struct {
 	mainSet  bool
 	mainEnd  bool
 	halted   bool
+
+	// undispatched counts the events of the current instant's batch the
+	// controller has yet to release: due now, but neither in the queue
+	// nor running, and Sleep must not advance the clock past them.
+	undispatched int
+	// parks counts parkLocked calls. Only tests read it.
+	parks uint64
 
 	panicMu  sync.Mutex
 	panicked []string
@@ -203,6 +248,12 @@ func (s *Simulation) Go(name string, fn func()) {
 	s.actors++
 	s.running++
 	s.mu.Unlock()
+	s.spawn(name, fn)
+}
+
+// spawn starts the goroutine of an actor whose live and running slots
+// the caller has already counted.
+func (s *Simulation) spawn(name string, fn func()) {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -230,18 +281,41 @@ var wakePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 // Sleep parks the calling actor for d of virtual time. A non-positive
 // duration returns immediately. Sleep must only be called from an
 // actor goroutine.
+//
+// When the wake Sleep would queue is the very event the controller
+// would release next, the caller advances the clock itself and keeps
+// running instead of parking; see "In-place clock advance" in the
+// package comment for the rule and why the release order is the same.
 func (s *Simulation) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ch := wakePool.Get().(chan struct{})
 	s.mu.Lock()
-	s.pushLocked(s.now+d, ch, nil)
+	t := s.now + d
+	if s.running == 1 && s.undispatched == 0 &&
+		s.mainSet && !s.mainEnd && !s.halted &&
+		(s.deadline == 0 || t <= s.deadline) &&
+		(s.events.len() == 0 || s.events.nextAt() > t) {
+		// The controller's bookkeeping for a one-event batch. The seq
+		// the wake would have carried is still consumed, so every later
+		// (at, seq) tie breaks as it would have.
+		s.seq++
+		s.now = t
+		s.nowA.Store(int64(t))
+		s.dispatched.Add(1)
+		if ki := s.kernelInst.Load(); ki != nil {
+			ki.dispatches.Add(1)
+			ki.queueDepth.Set(float64(s.events.len()))
+		}
+		s.mu.Unlock()
+		return
+	}
+	ch := wakePool.Get().(chan struct{})
+	s.pushLocked(t, ch, nil)
 	s.parkLocked("sleep")
 	s.mu.Unlock()
 	<-ch
 	wakePool.Put(ch)
-	s.unparkNote("sleep")
 }
 
 // At schedules fn to run at virtual time t (an offset from simulation
@@ -295,10 +369,15 @@ func (s *Simulation) Run(main func()) error {
 		s.mu.Unlock()
 		return errors.New("sim: Run called twice")
 	}
+	// main's slots are counted in the critical section that sets
+	// mainSet: an actor spawned before Run must never see a started run
+	// in which it is the only runnable actor.
 	s.mainSet = true
+	s.actors++
+	s.running++
 	s.mu.Unlock()
 
-	s.Go("main", func() {
+	s.spawn("main", func() {
 		defer func() {
 			s.mu.Lock()
 			s.mainEnd = true
@@ -338,6 +417,7 @@ func (s *Simulation) Run(main func()) error {
 		}
 		batch := s.events.popBatch(s.batch[:0])
 		s.batch = batch
+		s.undispatched = len(batch)
 		s.now = t
 		s.nowA.Store(int64(t))
 		s.dispatched.Add(uint64(len(batch)))
@@ -360,13 +440,17 @@ func (s *Simulation) Run(main func()) error {
 		for i, ev := range batch {
 			// Each event takes its running slot only when released,
 			// so the between-events quiescence wait below sees the
-			// undispatched remainder of the batch as idle.
+			// undispatched remainder of the batch as idle. A sleeper's
+			// diagnostic note goes with the slot it is handed.
 			s.mu.Lock()
-			s.running++
-			s.mu.Unlock()
+			s.undispatched--
 			if ev.wake != nil {
+				s.unparkLocked("sleep")
+				s.mu.Unlock()
 				ev.wake <- struct{}{} // ownership of the running slot passes to the woken actor
 			} else {
+				s.running++
+				s.mu.Unlock()
 				if ev.afn != nil {
 					ev.afn(ev.arg)
 				} else {
@@ -438,6 +522,7 @@ func (s *Simulation) reset() {
 	s.now = 0
 	s.nowA.Store(0)
 	s.seq = 0
+	s.undispatched = 0
 	s.deadline = 0
 	s.mainSet = false
 	s.mainEnd = false
@@ -487,27 +572,28 @@ func (s *Simulation) panicErr() error {
 func (s *Simulation) parkLocked(why string) {
 	s.running--
 	s.parked[why]++
+	s.parks++
 	if s.running == 0 {
 		s.cond.Broadcast()
 	}
 }
 
-// unparkNote clears the diagnostic note left by parkLocked. The
-// running count itself was already transferred by the waker.
-func (s *Simulation) unparkNote(why string) {
-	s.mu.Lock()
+// unparkLocked is the waker's half of parkLocked: it hands a running
+// slot to an actor about to be woken and clears the diagnostic note the
+// actor left when it parked. Callers hold s.mu.
+func (s *Simulation) unparkLocked(why string) {
+	s.running++
 	s.parked[why]--
 	if s.parked[why] == 0 {
 		delete(s.parked, why)
 	}
-	s.mu.Unlock()
 }
 
-// markRunnable transfers one running slot to an actor about to be
-// woken by a Gate signal. Callers must not hold s.mu.
-func (s *Simulation) markRunnable() {
+// markRunnable is unparkLocked for an actor about to be woken by a
+// Gate signal or timeout. Callers must not hold s.mu.
+func (s *Simulation) markRunnable(why string) {
 	s.mu.Lock()
-	s.running++
+	s.unparkLocked(why)
 	s.mu.Unlock()
 }
 
