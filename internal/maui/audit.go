@@ -8,11 +8,11 @@ import (
 )
 
 // Flight-recorder integration for the scheduler: a KindCycle event
-// per iteration, consistency checks over every fetched snapshot (the
+// per iteration, consistency checks over the fetched node view (the
 // pbs/maui view-agreement half of the audit — the server checks its
-// own books in auditCheckLocked, the scheduler checks that the view
-// it was handed is coherent), and a digest of the policy state. All
-// nil-safe no-ops when no recorder is installed.
+// own books in pbs/audit.go, the scheduler checks that the view it was
+// handed is coherent), and a digest of the policy state. All nil-safe
+// no-ops when no recorder is installed.
 //
 // Invariant names:
 //
@@ -22,45 +22,65 @@ import (
 //	view.capacity    every node in the mirror reports a usage
 //	                 within [0, Cores], and accelerators at most one
 //	                 occupant
+//
+// Like the server's engine, one check body (auditNodeLocked) has two
+// callers: every cycle checks the nodes of the delta just applied to
+// the mirror, and the full sweep riding digestSched checks every node
+// of the mirror at each digest round.
 func (sc *Scheduler) registerAudit() {
 	sc.aud = sc.net.Sim().Audit()
 	sc.aud.RegisterDigest("maui", "maui.sched", sc.digestSched)
 }
 
-// auditSnapshot checks one fetched scheduler snapshot for internal
-// coherence and records the cycle-boundary event.
-func (sc *Scheduler) auditSnapshot(info *pbs.SchedInfoResp) {
+// applySnapshot takes one fetched answer into the node mirror, checks
+// the nodes it brought against its running list and records the
+// cycle-boundary event. The mirror and the running set change under
+// sc.mu, which the sweep holds while it reads both.
+func (sc *Scheduler) applySnapshot(info *pbs.SchedInfoResp) {
+	sc.mu.Lock()
+	sc.view.Apply(info)
+	if sc.aud != nil {
+		if sc.auditRunning == nil {
+			sc.auditRunning = make(map[string]bool)
+		}
+		clear(sc.auditRunning)
+		for i := range info.Running {
+			sc.auditRunning[info.Running[i].ID] = true
+		}
+		for i := range info.Nodes {
+			sc.auditNodeLocked(&sc.view.Nodes[info.Nodes[i].Index])
+		}
+		if sc.auditAfterCycle != nil {
+			sc.auditAfterCycle()
+		}
+	}
+	sc.mu.Unlock()
+	sc.aud.Record(audit.KindCycle, "maui", "snapshot", "", int64(len(info.Queued)), int64(len(info.Dyn)))
+}
+
+// auditNodeLocked checks one mirrored node for internal coherence and
+// against the latest snapshot's running list.
+func (sc *Scheduler) auditNodeLocked(n *pbs.NodeInfo) {
 	a := sc.aud
-	if a == nil {
-		return
+	capOK := n.FreeCores() >= 0 && n.UsedCores >= 0
+	if n.Type == pbs.AcceleratorNode {
+		capOK = capOK && len(n.Jobs) <= 1
 	}
-	if sc.auditRunning == nil {
-		sc.auditRunning = make(map[string]bool)
+	a.Check("maui", "view.capacity", n.Name, capOK, int64(n.UsedCores), int64(n.Cores))
+	for _, id := range n.Jobs {
+		a.Check("maui", "view.agreement", n.Name, sc.auditRunning[id], int64(len(n.Jobs)), 0)
 	}
-	clear(sc.auditRunning)
-	for i := range info.Running {
-		sc.auditRunning[info.Running[i].ID] = true
-	}
-	for i := range sc.view.Nodes {
-		n := &sc.view.Nodes[i]
-		free := n.FreeCores()
-		capOK := free >= 0 && n.UsedCores >= 0
-		if n.Type == pbs.AcceleratorNode {
-			capOK = capOK && len(n.Jobs) <= 1
-		}
-		a.Check("maui", "view.capacity", n.Name, capOK, int64(n.UsedCores), int64(n.Cores))
-		for _, id := range n.Jobs {
-			a.Check("maui", "view.agreement", n.Name, sc.auditRunning[id], int64(len(n.Jobs)), 0)
-		}
-	}
-	a.Record(audit.KindCycle, "maui", "snapshot", "", int64(len(info.Queued)), int64(len(info.Dyn)))
 }
 
 // digestSched hashes the scheduler's policy state: the cycle and
 // placement counters plus the fairshare ledger in sorted owner order.
+// The round also sweeps the whole mirror through the invariant engine.
 func (sc *Scheduler) digestSched(d *audit.Digest) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	for i := range sc.view.Nodes {
+		sc.auditNodeLocked(&sc.view.Nodes[i])
+	}
 	d.WriteInt(sc.stats.Cycles)
 	d.WriteInt(sc.stats.JobsPlaced)
 	d.WriteInt(sc.stats.DynGranted)

@@ -125,9 +125,12 @@ type Scheduler struct {
 	params   Params
 	inst     schedInstruments
 	// aud is the flight recorder (nil when auditing is off);
-	// auditRunning is its cycle-local scratch set. See audit.go.
-	aud          *audit.Recorder
-	auditRunning map[string]bool
+	// auditRunning holds the latest snapshot's running ids for it, and
+	// auditAfterCycle is a test hook run after each cycle's checks.
+	// See audit.go.
+	aud             *audit.Recorder
+	auditRunning    map[string]bool
+	auditAfterCycle func()
 
 	mu    sync.Mutex
 	usage map[string]float64 // owner -> decayed node-seconds
@@ -154,7 +157,8 @@ type Scheduler struct {
 	cycleIndex  uint64
 
 	// view mirrors the server's node table (each cycle's fetch brings
-	// only the nodes that changed) and partPools index it: one pool in
+	// only the nodes that changed; it is rewritten under mu, see
+	// applySnapshot) and partPools index it: one pool in
 	// the faithful cycle, one per partition in the partitioned cycle
 	// (partition.go), which also uses the scratch below. See pools.go.
 	view      pbs.NodeMirror
@@ -295,12 +299,12 @@ func (sc *Scheduler) cycle() bool {
 // it; schedule then decides on exactly that state.
 func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	fetch := cyc.Child("fetch")
-	info, err := sc.view.Fetch(sc.ep, sc.serverEP)
+	info, err := sc.view.Request(sc.ep, sc.serverEP)
 	fetch.End()
 	if err != nil {
 		return nil, err
 	}
-	sc.auditSnapshot(info)
+	sc.applySnapshot(info)
 	sc.sim.Sleep(sc.params.CycleOverhead)
 	sc.cycleIndex++
 	// Expire stale in-flight entries occasionally so the maps track

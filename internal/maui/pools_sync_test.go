@@ -24,7 +24,12 @@ type syncBed struct {
 }
 
 func newSyncBed(nCN, nAC int, withMoms bool, sp pbs.ServerParams, mp Params) *syncBed {
-	s := sim.New()
+	return newSyncBedOn(sim.New(), nCN, nAC, withMoms, sp, mp)
+}
+
+// newSyncBedOn builds the bed on a caller-provided simulation, so a
+// test can install a flight recorder before the daemons resolve it.
+func newSyncBedOn(s *sim.Simulation, nCN, nAC int, withMoms bool, sp pbs.ServerParams, mp Params) *syncBed {
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})
 	b := &syncBed{s: s, net: net, server: pbs.NewServer(net, sp), sc: New(net, pbs.ServerEndpoint, mp)}
 	add := func(name string, typ pbs.NodeType, cores int) {

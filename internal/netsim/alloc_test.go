@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/sim"
 )
 
@@ -46,5 +47,75 @@ func TestMessageHopZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("message hop steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestPairsDigestSortedOnceAllocatesNothing: the netsim.pairs digest
+// hashes the pairs in sorted key order whatever order they first carried
+// traffic in, keeps that order from round to round (a warm round
+// allocates nothing), and takes in a pair that appears later.
+func TestPairsDigestSortedOnceAllocatesNothing(t *testing.T) {
+	s := sim.New()
+	s.SetAudit(audit.New(64)) // the fabric tracks its pairs for a recorder only
+	err := s.Run(func() {
+		n := New(s, LinkParams{Latency: time.Microsecond})
+		eps := map[string]*Endpoint{}
+		for _, name := range []string{"c", "a", "b"} {
+			eps[name] = n.Endpoint(name)
+			defer eps[name].Close()
+		}
+		send := func(from, to string) {
+			if err := eps[from].Send(to, "t", "payload", 8); err != nil {
+				t.Errorf("Send: %v", err)
+			}
+			m, err := eps[to].Recv()
+			if err != nil {
+				t.Errorf("Recv: %v", err)
+				return
+			}
+			m.Release()
+		}
+		// want hashes the given pairs, in the order given, the way the
+		// digest must: count, then from, to and the latest deadline.
+		want := func(pairs ...[2]string) uint64 {
+			d := new(audit.Digest)
+			d.WriteInt(int64(len(pairs)))
+			for _, k := range pairs {
+				d.WriteString(k[0])
+				d.WriteString(k[1])
+				d.WriteInt(int64(n.pairs[k].lastDue))
+			}
+			return d.Sum()
+		}
+		sum := func() uint64 {
+			d := new(audit.Digest)
+			n.digestPairs(d)
+			return d.Sum()
+		}
+		send("c", "a")
+		send("a", "b")
+		if got := sum(); got != want([2]string{"a", "b"}, [2]string{"c", "a"}) {
+			t.Errorf("digest of two pairs = %x, not the sorted-order hash", got)
+		}
+		send("a", "b") // moves a deadline, adds no pair
+		if !raceDetectorOn {
+			d := new(audit.Digest)
+			if allocs := testing.AllocsPerRun(100, func() { n.digestPairs(d) }); allocs != 0 {
+				t.Errorf("warm digest round: %v allocs, want 0", allocs)
+			}
+		}
+		send("b", "a")
+		if got := sum(); got != want([2]string{"a", "b"}, [2]string{"b", "a"}, [2]string{"c", "a"}) {
+			t.Errorf("digest after a third pair = %x, not the sorted-order hash", got)
+		}
+		send("c", "b") // two more in one round, landing at both ends of the order
+		send("a", "a")
+		if got := sum(); got != want([2]string{"a", "a"}, [2]string{"a", "b"}, [2]string{"b", "a"},
+			[2]string{"c", "a"}, [2]string{"c", "b"}) {
+			t.Errorf("digest after five pairs = %x, not the sorted-order hash", got)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

@@ -12,7 +12,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,6 +134,11 @@ type Network struct {
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
 	pairs     map[[2]string]*pairState
+	// The netsim.pairs digest's view of pairs, kept only under a
+	// recorder: pairOrder in sorted key order as of the last digest
+	// round, pairFresh the pairs created since.
+	pairOrder []pairRef
+	pairFresh []pairRef
 	nameSeq   int
 	down      map[string]bool
 	downHosts map[string]bool
@@ -146,6 +151,19 @@ type Network struct {
 	// in internal/lint).
 	anyDown bool // fast-path guard: no endpoint or host is down
 	closed  bool
+}
+
+// pairRef is one entry of the digest's sorted view of the pair map.
+type pairRef struct {
+	key [2]string
+	ps  *pairState
+}
+
+func (r pairRef) compare(o pairRef) int {
+	if c := strings.Compare(r.key[0], o.key[0]); c != 0 {
+		return c
+	}
+	return strings.Compare(r.key[1], o.key[1])
 }
 
 // pairState folds everything the per-message send path needs for one
@@ -199,25 +217,34 @@ func New(s *sim.Simulation, def LinkParams) *Network {
 
 // digestPairs hashes the fabric's per-pair FIFO state in sorted pair
 // order: every directed sender/receiver pair that has carried traffic
-// and the virtual deadline of its latest delivery.
+// and the virtual deadline of its latest delivery. Pairs are only ever
+// added, so the sorted order is kept from round to round: a round
+// sorts the pairs created since the last one and merges them in.
 func (n *Network) digestPairs(d *audit.Digest) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	keys := make([][2]string, 0, len(n.pairs))
-	for k := range n.pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
+	if fresh := n.pairFresh; len(fresh) > 0 {
+		slices.SortFunc(fresh, pairRef.compare)
+		// Merge from the back, into the room the fresh pairs add.
+		i := len(n.pairOrder) - 1
+		n.pairOrder = append(n.pairOrder, fresh...)
+		for j, w := len(fresh)-1, len(n.pairOrder)-1; j >= 0; w-- {
+			if i >= 0 && n.pairOrder[i].compare(fresh[j]) > 0 {
+				n.pairOrder[w] = n.pairOrder[i]
+				i--
+			} else {
+				n.pairOrder[w] = fresh[j]
+				j--
+			}
 		}
-		return keys[a][1] < keys[b][1]
-	})
-	d.WriteInt(int64(len(keys)))
-	for _, k := range keys {
-		d.WriteString(k[0])
-		d.WriteString(k[1])
-		d.WriteInt(int64(n.pairs[k].lastDue))
+		clear(fresh)
+		n.pairFresh = fresh[:0]
+	}
+	d.WriteInt(int64(len(n.pairOrder)))
+	for _, r := range n.pairOrder {
+		d.WriteString(r.key[0])
+		d.WriteString(r.key[1])
+		d.WriteInt(int64(r.ps.lastDue))
 	}
 }
 
@@ -283,6 +310,9 @@ func (n *Network) pairLocked(from, to string) *pairState {
 	if !ok {
 		ps = &pairState{p: n.def}
 		n.pairs[key] = ps
+		if n.aud != nil {
+			n.pairFresh = append(n.pairFresh, pairRef{key: key, ps: ps})
+		}
 	}
 	return ps
 }

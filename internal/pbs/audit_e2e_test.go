@@ -113,29 +113,62 @@ func breachNames(rec *audit.Recorder) map[string]int {
 	return out
 }
 
-// TestAuditDetectsDoubleAlloc forces two owners onto one accelerator
-// and expects the next scheduler cycle to flag it.
-func TestAuditDetectsDoubleAlloc(t *testing.T) {
-	tb, rec := newAuditedTestbed(t, 1, 2)
-	runTolerant(t, tb, func(c *pbs.Client) {
-		tb.server.InjectGhostUseForTest("ac0", "901.ghost", 1)
-		tb.server.InjectGhostUseForTest("ac0", "902.ghost", 1)
-		tb.s.Sleep(200 * time.Millisecond) // a few 50ms scheduler cycles
-	})
-	if rec.Breaches() == 0 {
-		t.Fatal("double allocation went undetected")
+// firstBreach returns the virtual time of the first breach of the
+// named invariant (ok false if there is none).
+func firstBreach(rec *audit.Recorder, name string) (time.Duration, bool) {
+	for _, e := range rec.Events() {
+		if e.Kind == audit.KindBreach && e.Subj == name {
+			return e.VT, true
+		}
 	}
-	names := breachNames(rec)
-	if names["double-alloc"] == 0 {
-		t.Fatalf("no double-alloc breach; breaches = %v", names)
+	return 0, false
+}
+
+// auditRound is the digest cadence of the fault tests: long against
+// the 50 ms scheduler cycle, so "the next cycle" and "the next digest
+// round" are different moments.
+const auditRound = time.Second
+
+// TestAuditDetectsDoubleAlloc forces two owners onto one accelerator.
+// Through a write the server stamps, as every production write is, the
+// very next scheduler cycle flags it; a raw write the cycle engine
+// cannot see is flagged by the sweep of the next digest round.
+func TestAuditDetectsDoubleAlloc(t *testing.T) {
+	for _, touch := range []bool{true, false} {
+		name := map[bool]string{true: "stamped", false: "raw"}[touch]
+		t.Run(name, func(t *testing.T) {
+			tb, rec := newAuditedTestbed(t, 1, 2)
+			var at time.Duration
+			runTolerant(t, tb, func(c *pbs.Client) {
+				audit.NewTicker(rec, tb.s, auditRound).Start()
+				tb.s.Sleep(330 * time.Millisecond) // past the first cycles, which examine every node
+				at = tb.s.Now()
+				tb.server.InjectForTest(pbs.LedgerFault("ac0", "901.ghost", 1), false)
+				tb.server.InjectForTest(pbs.LedgerFault("ac0", "902.ghost", 1), touch)
+				tb.s.Sleep(auditRound) // a digest round and many cycles
+			})
+			vt, ok := firstBreach(rec, "double-alloc")
+			if !ok {
+				t.Fatalf("double allocation went undetected; breaches = %v", breachNames(rec))
+			}
+			if touch && vt > at+60*time.Millisecond {
+				t.Errorf("stamped fault at %v flagged at %v, want the next 50 ms cycle", at, vt)
+			}
+			if !touch && vt != auditRound {
+				t.Errorf("raw fault at %v flagged at %v, want the digest round at %v", at, vt, auditRound)
+			}
+		})
 	}
 }
 
 // TestAuditDetectsDroppedJob removes a job from the submission ledger
-// and expects the job-conservation invariant to flag it.
+// and expects the job-conservation invariant to flag it at the next
+// cycle: the identity is global, so no write can hide from it.
 func TestAuditDetectsDroppedJob(t *testing.T) {
 	tb, rec := newAuditedTestbed(t, 1, 0)
+	var at time.Duration
 	runTolerant(t, tb, func(c *pbs.Client) {
+		audit.NewTicker(rec, tb.s, auditRound).Start()
 		id, err := c.Submit(pbs.JobSpec{
 			Name: "victim", Owner: "u", Nodes: 1, PPN: 1, Walltime: time.Second,
 			Script: func(env *pbs.JobEnv) { tb.s.Sleep(50 * time.Millisecond) },
@@ -147,11 +180,15 @@ func TestAuditDetectsDroppedJob(t *testing.T) {
 		if _, err := c.Wait(id); err != nil {
 			t.Errorf("Wait: %v", err)
 		}
-		tb.server.InjectDropOrderForTest()
+		at = tb.s.Now()
+		tb.server.InjectForTest(pbs.DropOrderFault(), false)
 		tb.s.Sleep(200 * time.Millisecond)
 	})
-	names := breachNames(rec)
-	if names["jobs.count"] == 0 {
-		t.Fatalf("dropped job went undetected; breaches = %v", names)
+	vt, ok := firstBreach(rec, "jobs.count")
+	if !ok {
+		t.Fatalf("dropped job went undetected; breaches = %v", breachNames(rec))
+	}
+	if vt > at+60*time.Millisecond {
+		t.Errorf("job dropped at %v flagged at %v, want the next 50 ms cycle", at, vt)
 	}
 }

@@ -24,17 +24,28 @@ func ftTestbed(t *testing.T, nCN, nAC int) *testbed {
 // newTestbedOn).
 func ftTestbedOn(t *testing.T, s *sim.Simulation, nCN, nAC int) *testbed {
 	t.Helper()
+	return ftTestbedSharded(t, s, nCN, nAC, 0)
+}
+
+// ftTestbedSharded is ftTestbedOn with a choice of server mode: shards
+// above 1 select the sharded server and a two-partition scheduler.
+func ftTestbedSharded(t *testing.T, s *sim.Simulation, nCN, nAC, shards int) *testbed {
+	t.Helper()
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})
 	tb := &testbed{s: s, net: net, moms: make(map[string]*pbs.Mom)}
 	tb.server = pbs.NewServer(net, pbs.ServerParams{
 		Processing: time.Millisecond,
 		DeadAfter:  200 * time.Millisecond,
+		Shards:     shards,
 	})
 	mp := maui.DefaultParams()
 	mp.CycleInterval = 50 * time.Millisecond
 	mp.CycleOverhead = 5 * time.Millisecond
 	mp.PerJobCost = 2 * time.Millisecond
 	mp.DynPerReqCost = 2 * time.Millisecond
+	if shards > 1 {
+		mp.Partitions = 2
+	}
 	tb.sched = maui.New(net, pbs.ServerEndpoint, mp)
 	tb.server.SetScheduler(tb.sched.Endpoint())
 	momParams := pbs.MomParams{

@@ -42,13 +42,21 @@ type jobPart struct {
 	// Entries point at the records themselves, so the per-cycle walk
 	// neither looks ids up nor re-parses their sequence numbers; the
 	// retention window purges a record only after compactActive dropped
-	// its entry (auditCheckLocked's jobs.partition holds it to that).
+	// its entry (auditCycleLocked's jobs.partition holds it to that).
 	active []activeJob
 }
 
 type activeJob struct {
 	seq int
 	j   *serverJob
+}
+
+// jobRef is one entry of the submission-order log: the id, which
+// outlives the record once retention purges it, and its sequence
+// number, so walking the log never re-parses ids.
+type jobRef struct {
+	seq int
+	id  string
 }
 
 type mergeCursor struct{ read, write int }
@@ -68,8 +76,14 @@ func (ix *jobIndex) partFor(seq int) *jobPart {
 	return &ix.parts[seq%len(ix.parts)]
 }
 
+// get resolves a job by id alone — what a request carries. Paths that
+// hold the record or a jobRef use lookup and skip the parse.
 func (ix *jobIndex) get(id string) (*serverJob, bool) {
-	j, ok := ix.partFor(jobSeq(id)).jobs[id]
+	return ix.lookup(jobSeq(id), id)
+}
+
+func (ix *jobIndex) lookup(seq int, id string) (*serverJob, bool) {
+	j, ok := ix.partFor(seq).jobs[id]
 	return j, ok
 }
 
@@ -80,8 +94,8 @@ func (ix *jobIndex) put(seq int, id string, j *serverJob) {
 // remove drops a job from its partition's map. The retention window
 // (retention.go) is the only caller, and only for terminal jobs that
 // compactActive has already taken off every active list.
-func (ix *jobIndex) remove(id string) {
-	delete(ix.partFor(jobSeq(id)).jobs, id)
+func (ix *jobIndex) remove(j *serverJob) {
+	delete(ix.partFor(j.seq).jobs, j.info.ID)
 }
 
 // activate appends the job to its partition's active list. Callers

@@ -19,6 +19,17 @@ type NodeMirror struct {
 // applies the answer's node delta. The caller owns the returned answer
 // until it calls Release.
 func (m *NodeMirror) Fetch(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp, error) {
+	resp, err := m.Request(ep, serverEP)
+	if err == nil {
+		m.Apply(resp)
+	}
+	return resp, err
+}
+
+// Request is the round trip of Fetch alone. A scheduler whose mirror
+// another goroutine may read (Maui's audit sweep) calls Request, then
+// Apply under the lock that reader takes.
+func (m *NodeMirror) Request(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp, error) {
 	m.req.ReqID++
 	m.req.ReplyTo = ep.Name()
 	id := m.req.ReqID
@@ -34,6 +45,13 @@ func (m *NodeMirror) Fetch(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp
 	}
 	resp := msg.Payload.(*SchedInfoResp)
 	msg.Release()
+	return resp, nil
+}
+
+// Apply rewrites the mirror's entries the answer's delta names and
+// takes over its generation. Every answer of Request must be applied,
+// in order, before the next Request.
+func (m *NodeMirror) Apply(resp *SchedInfoResp) {
 	for i := range resp.Nodes {
 		d := &resp.Nodes[i]
 		for len(m.Nodes) <= d.Index {
@@ -42,5 +60,4 @@ func (m *NodeMirror) Fetch(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp
 		m.Nodes[d.Index].copyFrom(&d.Info)
 	}
 	m.req.NodeGen = resp.NodeGen
-	return resp, nil
 }

@@ -15,7 +15,7 @@ package pbs
 // index and recycled through a free pool, so steady state allocates
 // no new records at all. The submission-order log compacts once
 // purged ids dominate it, and the audit invariant jobs.count accounts
-// for the retired ids (see auditCheckLocked).
+// for the retired ids (see auditGlobalLocked).
 //
 // All purging happens at the deterministic cycle boundary, never on
 // the message path, so results stay byte-identical across -parallel
@@ -76,7 +76,7 @@ func (s *Server) retireLocked(id string) {
 // purgeRetiredLocked drops the oldest terminal records beyond the
 // retention window. Called from handleSchedInfo immediately after
 // compactActive — every doneQ id is terminal, so none is left on an
-// active list — and before auditCheckLocked, so the invariant engine
+// active list — and before auditCycleLocked, so the invariant engine
 // sees the post-purge state. Callers hold s.mu.
 func (s *Server) purgeRetiredLocked() {
 	r := s.params.RetainCompleted
@@ -92,7 +92,7 @@ func (s *Server) purgeRetiredLocked() {
 		if !ok {
 			continue
 		}
-		s.index.remove(id)
+		s.index.remove(j)
 		s.recycleLocked(j)
 		s.retired++
 		s.purged++
@@ -104,9 +104,9 @@ func (s *Server) purgeRetiredLocked() {
 	// O(jobs ever).
 	if s.retired > 256 && s.retired > len(s.order)/2 {
 		w := 0
-		for _, id := range s.order {
-			if _, ok := s.index.get(id); ok {
-				s.order[w] = id
+		for _, ref := range s.order {
+			if _, ok := s.index.lookup(ref.seq, ref.id); ok {
+				s.order[w] = ref
 				w++
 			}
 		}
@@ -119,6 +119,7 @@ func (s *Server) purgeRetiredLocked() {
 // recycleLocked scrubs a purged record and returns it to the pool,
 // keeping its maps and slice capacity for the next submission.
 func (s *Server) recycleLocked(j *serverJob) {
+	j.seq = 0
 	info := &j.info
 	clear(info.AccHosts)
 	clear(info.DynSets)

@@ -64,8 +64,10 @@ type Server struct {
 	params ServerParams
 	inst   serverInstruments
 	// aud is the flight recorder (nil when auditing is off — every
-	// call on it is a nil-safe no-op). See audit.go.
-	aud *audit.Recorder
+	// call on it is a nil-safe no-op) and books what its invariant
+	// engine carries between cycle boundaries. See audit.go.
+	aud   *audit.Recorder
+	books auditBooks
 
 	// shards holds the worker mailboxes of the sharded dispatch path
 	// (nil in the faithful configuration); see shard.go.
@@ -80,7 +82,9 @@ type Server struct {
 	// configuration (exactly the original map + active list), one per
 	// shard otherwise. See index.go for the compaction invariants.
 	index jobIndex
-	order []string
+	// order is the submission-order log; purged ids stay in it until
+	// retention compacts it.
+	order []jobRef
 	// table is the node database in AddNode order; nodes finds the same
 	// records by name.
 	table []*serverNode
@@ -118,7 +122,15 @@ type dynReplyTo struct {
 }
 
 type serverJob struct {
+	// seq is the sequence number info.ID starts with: the key of the
+	// record's index partition.
+	seq  int
 	info JobInfo
+}
+
+// live reports whether the job still holds, or waits for, resources.
+func (j *serverJob) live() bool {
+	return j.info.State == JobRunning || j.info.State == JobQueued
 }
 
 type serverNode struct {
@@ -129,6 +141,9 @@ type serverNode struct {
 	// current NodeInfo (see touchLocked).
 	gen      uint64
 	lastSeen time.Duration // latest heartbeat (failure detector)
+	// audClass is the conservation class the invariant engine last
+	// filed an accelerator under (audit.go).
+	audClass acClass
 
 	// Accounting (see accounting.go).
 	busyCoreSeconds float64
@@ -378,12 +393,13 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	seq := s.nextJob
 	id := fmt.Sprintf("%d.%s", seq, ServerEndpoint)
 	j := s.acquireJobLocked()
+	j.seq = seq
 	j.info.ID = id
 	j.info.Spec = req.Spec
 	j.info.State = JobQueued
 	j.info.SubmittedAt = s.sim.Now()
 	s.index.put(seq, id, j)
-	s.order = append(s.order, id)
+	s.order = append(s.order, jobRef{seq: seq, id: id})
 	s.index.activate(seq, j)
 	s.mu.Unlock()
 	s.aud.Record(audit.KindJob, "pbs", id, audSubmit, int64(seq), 0)
@@ -463,8 +479,8 @@ func (s *Server) handleHold(req HoldReq) {
 func (s *Server) handleList(req ListReq) {
 	s.mu.Lock()
 	jobs := make([]JobInfo, 0, len(s.order))
-	for _, id := range s.order {
-		if j, ok := s.index.get(id); ok {
+	for _, ref := range s.order {
+		if j, ok := s.index.lookup(ref.seq, ref.id); ok {
 			jobs = append(jobs, cloneInfo(j.info))
 		}
 	}
@@ -750,19 +766,21 @@ func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 			resp.Nodes = appendNodeDelta(resp.Nodes, n)
 		}
 	}
+	// Retention: compactActive just removed every terminal id from the
+	// active lists, so records beyond the window can be recycled now
+	// without leaving a dangling active entry.
+	s.purgeRetiredLocked()
+	// Scheduler-cycle boundary: the snapshot the scheduler will act on
+	// is complete — run the invariant engine on exactly that state,
+	// while s.changed still lists the nodes touched since the last
+	// boundary.
+	s.auditCycleLocked()
 	if len(s.changed) > 0 {
 		s.nodeGen++
 		s.changed = s.changed[:0]
 	}
 	resp.NodeGen = s.nodeGen
 	s.viewEP = req.ReplyTo
-	// Retention: compactActive just removed every terminal id from the
-	// active lists, so records beyond the window can be recycled now
-	// without leaving a dangling active entry.
-	s.purgeRetiredLocked()
-	// Scheduler-cycle boundary: the snapshot the scheduler will act on
-	// is complete — run the invariant engine on exactly that state.
-	s.auditCheckLocked()
 	s.mu.Unlock()
 	s.aud.Record(audit.KindCycle, "pbs", audSchedInfoCyc, "", int64(len(resp.Queued)), int64(len(resp.Running)))
 	s.inst.queueDepth.Set(float64(len(resp.Queued)))

@@ -51,13 +51,14 @@ func (s *Server) Checkpoint() Snapshot {
 		NextJob:    s.nextJob,
 		NextClient: s.nextClient,
 		NextDyn:    s.nextDyn,
-		Order:      append([]string(nil), s.order...),
+		Order:      make([]string, 0, len(s.order)),
 		UsedBy:     make(map[string]map[string]int),
 		Waiters:    make(map[string][]waiter),
 		PendingTo:  make(map[int]dynReplyTo),
 	}
-	for _, id := range s.order {
-		if j, ok := s.index.get(id); ok {
+	for _, ref := range s.order {
+		snap.Order = append(snap.Order, ref.id)
+		if j, ok := s.index.lookup(ref.seq, ref.id); ok {
 			snap.Jobs = append(snap.Jobs, cloneInfo(j.info))
 		}
 	}
@@ -93,7 +94,10 @@ func (s *Server) Restore(snap Snapshot) error {
 	s.nextJob = snap.NextJob
 	s.nextClient = snap.NextClient
 	s.nextDyn = snap.NextDyn
-	s.order = append([]string(nil), snap.Order...)
+	s.order = make([]jobRef, 0, len(snap.Order))
+	for _, id := range snap.Order {
+		s.order = append(s.order, jobRef{seq: jobSeq(id), id: id})
+	}
 	for _, info := range snap.Jobs {
 		live := cloneInfo(info)
 		// The live server mutates these maps (cloneInfo leaves empty
@@ -104,15 +108,12 @@ func (s *Server) Restore(snap Snapshot) error {
 		if live.DynSets == nil {
 			live.DynSets = make(map[int][]string)
 		}
-		s.index.put(jobSeq(info.ID), info.ID, &serverJob{info: live})
+		seq := jobSeq(info.ID)
+		s.index.put(seq, info.ID, &serverJob{seq: seq, info: live})
 	}
-	for _, id := range s.order {
-		j, ok := s.index.get(id)
-		if !ok {
-			continue
-		}
-		if st := j.info.State; st == JobQueued || st == JobRunning {
-			s.index.activate(jobSeq(id), j)
+	for _, ref := range s.order {
+		if j, ok := s.index.lookup(ref.seq, ref.id); ok && j.live() {
+			s.index.activate(ref.seq, j)
 		}
 	}
 	now := s.sim.Now()

@@ -70,10 +70,14 @@ type Event struct {
 // Tracer records events. Create with New; a nil Tracer is the
 // disabled, allocation-free no-op.
 type Tracer struct {
-	mu          sync.Mutex
-	clock       func() time.Duration
-	nextID      uint64
-	events      []Event
+	mu     sync.Mutex
+	clock  func() time.Duration
+	nextID uint64
+	// The event log grows by fixed-size chunks: an append never copies
+	// what is already recorded, so a long run's log costs its own size
+	// and not the doubled slices it outgrew on the way.
+	chunks      [][]Event
+	count       int
 	subs        []func(Event)
 	limit       int      // max retained events; 0 = unbounded
 	dropped     int64    // events discarded once the limit was hit
@@ -297,7 +301,7 @@ func (t *Tracer) InstantAt(track, name string, at time.Duration, kvs ...string) 
 // publishLocked appends to the event log, discarding once the
 // configured limit is reached. Callers hold t.mu.
 func (t *Tracer) publishLocked(ev Event) {
-	if t.limit > 0 && len(t.events) >= t.limit {
+	if t.limit > 0 && t.count >= t.limit {
 		t.dropped++
 		if t.dropSink != nil {
 			t.dropSink.Add(1)
@@ -305,8 +309,23 @@ func (t *Tracer) publishLocked(ev Event) {
 		}
 		return
 	}
-	t.events = append(t.events, ev)
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == chunkEvents {
+		// The first chunk grows by append's doubling, so a short trace
+		// stays small; every later one is allocated whole.
+		var c []Event
+		if last >= 0 {
+			c = make([]Event, 0, chunkEvents)
+		}
+		t.chunks = append(t.chunks, c)
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], ev)
+	t.count++
 }
+
+// chunkEvents is how many events one chunk of the log holds (512 KB).
+const chunkEvents = 4096
 
 // DropSink receives one Add per event the ring-buffer limit
 // discards. The interface is satisfied by *telemetry.Counter; trace
@@ -378,7 +397,14 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	if t.count == 0 {
+		return nil
+	}
+	out := make([]Event, 0, t.count)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // pairs folds alternating key/value strings into annotations; a

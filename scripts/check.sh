@@ -23,4 +23,12 @@ sh scripts/lint.sh
 echo "==> go test -race -shuffle=on"
 go test -race -shuffle=on ./... -count=1
 
+# The audit engine's sweep runs on whichever actor takes a digest
+# round, against state the server and scheduler actors write: repeat
+# the tests that shadow every cycle with it, so the detector sees more
+# than one interleaving.
+echo "==> go test -race -count=5 (audit engine equivalence)"
+go test -race -count=5 -run 'TestCycleEngineEqualsFullSweepEveryCycle|TestMirrorSweepAgreesWithDeltaChecksEveryCycle' \
+    ./internal/pbs ./internal/maui
+
 echo "==> checks passed"
