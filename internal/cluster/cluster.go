@@ -168,12 +168,17 @@ func New(s *sim.Simulation, p Params) *Cluster {
 	if p.Seed != 0 {
 		net.Seed(p.Seed)
 	}
+	// Every table keyed by node is sized once: filling a 9k-node map
+	// from empty rehashes it a dozen times.
+	nodes := p.ComputeNodes + p.Accelerators
+	net.Reserve(nodes + 2) // the moms, the server and the scheduler
 	rt := mpi.NewRuntime(net, p.MPI)
 	dacParams := p.DAC
 	dacParams.JitterFrac = p.LatencyJitter
 	dacParams.Seed = p.Seed
 	ctx := dac.NewContext(net, rt, dacParams)
 	server := pbs.NewServer(net, p.Server)
+	server.ReserveNodes(nodes)
 	var sched *maui.Scheduler
 	var daemon SchedulerDaemon
 	if p.MakeScheduler != nil {
@@ -193,7 +198,9 @@ func New(s *sim.Simulation, p Params) *Cluster {
 		Server:    server,
 		Sched:     sched,
 		Scheduler: daemon,
-		Moms:      make(map[string]*pbs.Mom),
+		Moms:      make(map[string]*pbs.Mom, nodes),
+		cns:       make([]string, 0, p.ComputeNodes),
+		acs:       make([]string, 0, p.Accelerators),
 	}
 	for i := 0; i < p.ComputeNodes; i++ {
 		name := CNName(i)

@@ -152,7 +152,7 @@ func (sc *Scheduler) runCycle() bool {
 	// One stream, strictly by arrival.
 	type item struct {
 		at  time.Duration
-		job *pbs.JobInfo
+		job *pbs.SchedJobView
 		dyn *pbs.SchedDynView
 	}
 	var items []item

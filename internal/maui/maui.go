@@ -7,7 +7,9 @@
 package maui
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,11 +139,10 @@ type Scheduler struct {
 	stats Stats
 
 	// Cycle-local scratch, touched only by the scheduler actor (or a
-	// test driving RunCycleOnce). The priority/order buffers persist
-	// across cycles so a steady-state iteration reuses their storage
-	// instead of rebuilding it.
-	prio  []float64
-	order []int
+	// test driving RunCycleOnce). The priority order persists across
+	// cycles so a steady-state iteration reuses its storage instead of
+	// rebuilding it.
+	order []rankedJob
 
 	// In-flight decision tracking: job IDs and dyn request IDs whose
 	// Alloc/DynAllocCmd was sent but may not yet be reflected in the
@@ -163,9 +164,9 @@ type Scheduler struct {
 	// (partition.go), which also uses the scratch below. See pools.go.
 	view      pbs.NodeMirror
 	partPools []*pools
-	partJobs  [][]int
+	partJobs  [][]rankedJob
 	proposals []proposal
-	rescue    []int
+	rescue    []rankedJob
 }
 
 // schedInstruments are the scheduler's live metrics, resolved once at
@@ -469,39 +470,56 @@ func (sc *Scheduler) skipInflightDyn(req int) bool {
 	return true
 }
 
+// rankedJob is one entry of a cycle's priority order: a job's position
+// in the snapshot's queue and the priority it was given.
+type rankedJob struct {
+	prio float64
+	idx  int32
+}
+
+// priorityLocked scores a queued job at virtual time now. Callers hold
+// sc.mu (the fairshare ledger).
+func (sc *Scheduler) priorityLocked(j *pbs.SchedJobView, now time.Duration) float64 {
+	wait := (now - j.SubmittedAt).Seconds()
+	return float64(j.Spec.Priority) + sc.params.QueueTimeWeight*wait - sc.params.FairshareWeight*sc.usage[j.Spec.Owner]
+}
+
+// byPriority orders higher priorities first.
+func byPriority(a, b rankedJob) int { return cmp.Compare(b.prio, a.prio) }
+
+// byPriorityThenIndex breaks byPriority's ties by queue position.
+func byPriorityThenIndex(a, b rankedJob) int {
+	return cmp.Or(byPriority(a, b), cmp.Compare(a.idx, b.idx))
+}
+
+// sortByPriority puts jobs in placement order: priority first, ties in
+// the order given (queue position). A stable sort's result is unique
+// for its comparator, so this is the order sort.SliceStable over an
+// index slice gave — without its closure, swapper and interface box.
+func sortByPriority(jobs []rankedJob) { slices.SortStableFunc(jobs, byPriority) }
+
 // scheduleStatic orders the queue by priority and places jobs,
 // optionally backfilling behind a blocked head. It reads the snapshot's
 // queue in place through a sorted index — no per-cycle copy of the job
-// list — and keeps the priority/order buffers on the scheduler.
+// list — and keeps the order buffer on the scheduler.
 func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *trace.Span) {
 	queued := info.Queued
 	// Compute each priority once up front: virtual time stands still
 	// during the sort, so the values cannot change, and a comparator
 	// that takes the scheduler lock costs O(n log n) mutex round
 	// trips on the long queues of large clusters.
-	prio := sc.prio
-	if cap(prio) < len(queued) {
-		prio = make([]float64, len(queued))
-	}
-	prio = prio[:len(queued)]
-	sc.prio = prio
+	order := sc.order[:0]
 	now := sc.sim.Now()
 	sc.mu.Lock()
 	for i := range queued {
-		j := &queued[i]
-		wait := (now - j.SubmittedAt).Seconds()
-		prio[i] = float64(j.Spec.Priority) + sc.params.QueueTimeWeight*wait - sc.params.FairshareWeight*sc.usage[j.Spec.Owner]
+		order = append(order, rankedJob{prio: sc.priorityLocked(&queued[i], now), idx: int32(i)})
 	}
 	sc.mu.Unlock()
-	order := sc.order[:0]
-	for i := range queued {
-		order = append(order, i)
-	}
 	sc.order = order
-	sort.SliceStable(order, func(a, b int) bool { return prio[order[a]] > prio[order[b]] })
+	sortByPriority(order)
 	var shadow time.Duration = -1 // earliest start estimate of the blocked head
-	for _, idx := range order {
-		j := queued[idx]
+	for _, r := range order {
+		j := queued[r.idx]
 		if sc.skipInflight(j.ID) {
 			continue // allocation still in flight on a server shard
 		}
@@ -542,7 +560,7 @@ func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *tr
 func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, phase *trace.Span) {
 	type item struct {
 		at  time.Duration
-		job *pbs.JobInfo
+		job *pbs.SchedJobView
 		dyn *pbs.SchedDynView
 	}
 	var items []item
@@ -571,12 +589,12 @@ func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, pha
 // shadowTime estimates when the blocked head job could start: the
 // latest walltime-predicted end among running jobs (conservative
 // EASY reservation).
-func (sc *Scheduler) shadowTime(running []pbs.JobInfo) time.Duration {
+func (sc *Scheduler) shadowTime(running []pbs.SchedRunView) time.Duration {
 	end := sc.sim.Now()
 	for _, j := range running {
-		est := j.StartedAt + j.Spec.Walltime
+		est := j.StartedAt + j.Walltime
 		if j.StartedAt == 0 {
-			est = sc.sim.Now() + j.Spec.Walltime
+			est = sc.sim.Now() + j.Walltime
 		}
 		if est > end {
 			end = est
@@ -587,7 +605,7 @@ func (sc *Scheduler) shadowTime(running []pbs.JobInfo) time.Duration {
 
 // place commits a static allocation: charge fairshare and notify the
 // server.
-func (sc *Scheduler) place(j pbs.JobInfo, hosts []string, acc map[string][]string, phase *trace.Span) {
+func (sc *Scheduler) place(j pbs.SchedJobView, hosts []string, acc map[string][]string, phase *trace.Span) {
 	var sp *trace.Span
 	if phase != nil {
 		sp = phase.Child("place", "job", j.ID, "hosts", strings.Join(hosts, "+"))

@@ -1,7 +1,7 @@
 package maui
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/pbs"
@@ -33,8 +33,7 @@ import (
 // partition's pool during scoring, so no two proposals can claim the
 // same capacity.
 type proposal struct {
-	idx        int // index into the snapshot's Queued slice
-	prio       float64
+	rankedJob  // position in the snapshot's Queued slice, and priority
 	hosts      []string
 	acc        map[string][]string
 	backfilled bool
@@ -70,41 +69,29 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 	queued := info.Queued
 	nParts := sc.params.Partitions
 
-	// Priorities once, up front (same reasoning as scheduleStatic:
-	// virtual time stands still while we score, so values cannot
-	// change mid-sort).
-	prio := sc.prio
-	if cap(prio) < len(queued) {
-		prio = make([]float64, len(queued))
-	}
-	prio = prio[:len(queued)]
-	sc.prio = prio
-	now := sc.sim.Now()
-	sc.mu.Lock()
-	for i := range queued {
-		j := &queued[i]
-		wait := (now - j.SubmittedAt).Seconds()
-		prio[i] = float64(j.Spec.Priority) + sc.params.QueueTimeWeight*wait - sc.params.FairshareWeight*sc.usage[j.Spec.Owner]
-	}
-	sc.mu.Unlock()
-
 	// Deal jobs to partitions by queue position, skipping jobs whose
 	// allocation is still in flight on a server shard (re-placing
-	// them would double-commit pool capacity).
+	// them would double-commit pool capacity). Priorities are computed
+	// once, here (same reasoning as scheduleStatic: virtual time stands
+	// still while we score, so values cannot change mid-sort).
 	for len(sc.partJobs) < nParts {
 		sc.partJobs = append(sc.partJobs, nil)
 	}
 	for pi := 0; pi < nParts; pi++ {
 		sc.partJobs[pi] = sc.partJobs[pi][:0]
 	}
+	now := sc.sim.Now()
 	dealt := 0
+	sc.mu.Lock()
 	for i := range queued {
 		if sc.skipInflight(queued[i].ID) {
 			continue
 		}
-		sc.partJobs[dealt%nParts] = append(sc.partJobs[dealt%nParts], i)
+		sc.partJobs[dealt%nParts] = append(sc.partJobs[dealt%nParts],
+			rankedJob{prio: sc.priorityLocked(&queued[i], now), idx: int32(i)})
 		dealt++
 	}
+	sc.mu.Unlock()
 
 	// Score every partition against its own pool. No virtual time
 	// passes during scoring; the concurrent examination cost is
@@ -114,12 +101,12 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 	maxExamined := 0
 	for pi := 0; pi < nParts; pi++ {
 		order := sc.partJobs[pi]
-		sort.SliceStable(order, func(a, b int) bool { return prio[order[a]] > prio[order[b]] })
+		sortByPriority(order)
 		p := sc.partPools[pi]
 		var shadow time.Duration = -1
 		examined := 0
-		for _, idx := range order {
-			j := queued[idx]
+		for _, r := range order {
+			j := queued[r.idx]
 			examined++
 			if shadow >= 0 {
 				// This partition's head is blocked; only backfill
@@ -135,12 +122,12 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 			if !ok {
 				if shadow < 0 {
 					shadow = sc.shadowTime(info.Running)
-					rescue = append(rescue, idx)
+					rescue = append(rescue, r)
 				}
 				continue
 			}
 			proposals = append(proposals, proposal{
-				idx: idx, prio: prio[idx], hosts: hosts, acc: acc,
+				rankedJob: r, hosts: hosts, acc: acc,
 				backfilled: shadow >= 0,
 			})
 		}
@@ -157,12 +144,7 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 
 	// Global arbiter: commit proposals in priority order (ties by
 	// queue position) at a small serial cost each.
-	sort.SliceStable(proposals, func(a, b int) bool {
-		if proposals[a].prio != proposals[b].prio {
-			return proposals[a].prio > proposals[b].prio
-		}
-		return proposals[a].idx < proposals[b].idx
-	})
+	slices.SortFunc(proposals, func(a, b proposal) int { return byPriorityThenIndex(a.rankedJob, b.rankedJob) })
 	cost := sc.arbiterCost()
 	for _, pr := range proposals {
 		sc.sim.Sleep(cost)
@@ -177,14 +159,9 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 
 	// Rescue pass: each partition's blocked head retries against the
 	// remaining capacity of every partition, highest priority first.
-	sort.SliceStable(rescue, func(a, b int) bool {
-		if prio[rescue[a]] != prio[rescue[b]] {
-			return prio[rescue[a]] > prio[rescue[b]]
-		}
-		return rescue[a] < rescue[b]
-	})
-	for _, idx := range rescue {
-		j := queued[idx]
+	slices.SortFunc(rescue, byPriorityThenIndex)
+	for _, r := range rescue {
+		j := queued[r.idx]
 		sc.sim.Sleep(cost)
 		for pi := 0; pi < nParts; pi++ {
 			if hosts, acc, ok := sc.partPools[pi].fit(j.Spec, j.ID); ok {

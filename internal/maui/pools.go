@@ -75,7 +75,10 @@ func (p *pools) sync(l int) {
 	if !n.Down { // failed nodes never receive work
 		switch n.Type {
 		case pbs.ComputeNode:
-			free = n.FreeCores()
+			// A view outside [0, Cores] is a fault the audit reports
+			// (view.capacity); the pools only have levels 1..Cores, and
+			// an over-committed node offers nothing.
+			free = min(max(n.FreeCores(), 0), n.Cores)
 			for len(p.levels) < n.Cores {
 				p.levels = append(p.levels, make([]uint64, len(p.acs)))
 			}

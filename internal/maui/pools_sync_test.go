@@ -2,6 +2,7 @@ package maui
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -232,6 +233,145 @@ func TestIdleCycleCopiesNoNodesAndAllocatesNothing(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, b.sc.RunCycleOnce); allocs != 0 {
 			t.Errorf("idle cycle allocates %v times, want 0", allocs)
+		}
+	})
+}
+
+// deepBytes is the storage a value occupies once copied: its own size
+// plus whatever its slices, maps and pointers reach. String bytes are
+// not counted — a copied string shares them with its source.
+func deepBytes(v reflect.Value) uintptr {
+	n := v.Type().Size()
+	switch v.Kind() {
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			n += deepBytes(v.Index(i))
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			n += deepBytes(it.Key()) + deepBytes(it.Value())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += deepBytes(v.Field(i)) - v.Field(i).Type().Size()
+		}
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			n += deepBytes(v.Elem())
+		}
+	}
+	return n
+}
+
+// What a running job costs a scheduler round does not depend on its
+// history: with 128 running jobs the round allocates nothing, and the
+// job lists of the answer occupy the same bytes, whether each job has
+// never asked for an accelerator or holds a dynamic set with sixteen
+// finished requests on record.
+func TestRunningJobsCostARoundTheSameWhateverTheirHistory(t *testing.T) {
+	const jobs, finished = 128, 16
+	mp := DefaultParams()
+	mp.CycleOverhead = time.Millisecond
+	mp.DynPerReqCost = 100 * time.Microsecond
+	b := newSyncBed(jobs/8, jobs+1, true, pbs.ServerParams{Processing: 100 * time.Microsecond}, mp)
+	b.run(t, func() {
+		var mu sync.Mutex
+		ask := b.s.NewGate("ask")
+		asking, holding := false, 0
+		c := pbs.NewClient(b.net, "front", pbs.ServerEndpoint)
+		for i := 0; i < jobs; i++ {
+			_, err := c.Submit(pbs.JobSpec{
+				Name: "j", Owner: "u", Nodes: 1, PPN: 1, Walltime: time.Hour,
+				Script: func(env *pbs.JobEnv) {
+					mu.Lock()
+					for !asking {
+						ask.Wait(&mu)
+					}
+					mu.Unlock()
+					cl := pbs.NewClient(b.net, "dyn/"+env.JobID, env.ServerEP)
+					for k := 0; k <= finished; k++ {
+						g, err := cl.DynGet(env.JobID, env.Host, 1)
+						if err != nil {
+							t.Errorf("DynGet %d of %s: %v", k, env.JobID, err)
+							break
+						}
+						if k < finished { // the last set stays
+							if err := cl.DynFree(env.JobID, g.ClientID); err != nil {
+								t.Errorf("DynFree: %v", err)
+							}
+						}
+					}
+					mu.Lock()
+					holding++
+					mu.Unlock()
+					b.s.Sleep(time.Hour)
+				},
+			})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+		}
+
+		// measure steps the scheduler until the cluster is quiet, then
+		// reports what the next answer's job lists occupy and what 100
+		// rounds allocate.
+		measure := func(what string) (bytes uintptr, allocs float64) {
+			for i := 0; i < 20; i++ { // the pooled answer, mailboxes and scratch fill
+				b.sc.RunCycleOnce()
+				b.s.Sleep(10 * time.Millisecond)
+			}
+			info, err := b.sc.beginCycle(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(info.Queued) != 0 || len(info.Running) != jobs || len(info.Dyn) != 0 {
+				t.Fatalf("%s: answer lists %d queued, %d running, %d dynamic; want 0, %d, 0",
+					what, len(info.Queued), len(info.Running), len(info.Dyn), jobs)
+			}
+			bytes = deepBytes(reflect.ValueOf(info.Queued)) + deepBytes(reflect.ValueOf(info.Running))
+			info.Release()
+			if !raceDetectorOn {
+				allocs = testing.AllocsPerRun(100, b.sc.RunCycleOnce)
+			}
+			return bytes, allocs
+		}
+		freshBytes, freshAllocs := measure("fresh jobs")
+
+		mu.Lock()
+		asking = true
+		mu.Unlock()
+		ask.Broadcast()
+		for cycle := 0; ; cycle++ {
+			mu.Lock()
+			done := holding == jobs
+			mu.Unlock()
+			if done {
+				break
+			}
+			if cycle > 100*jobs*finished {
+				t.Fatalf("only %d of %d jobs hold their set after %d cycles", holding, jobs, cycle)
+			}
+			b.sc.RunCycleOnce()
+			b.s.Sleep(time.Millisecond)
+		}
+		infos, err := c.List()
+		if err != nil {
+			t.Fatalf("List: %v", err)
+		}
+		for _, j := range infos {
+			if len(j.DynSets) != 1 || len(j.DynRecords) != finished+1 {
+				t.Fatalf("job %s holds %d sets with %d requests on record, want 1 and %d",
+					j.ID, len(j.DynSets), len(j.DynRecords), finished+1)
+			}
+		}
+		usedBytes, usedAllocs := measure("jobs with history")
+
+		if freshBytes != usedBytes {
+			t.Errorf("the answer's job lists occupy %d bytes for fresh jobs, %d once each has %d requests on record",
+				freshBytes, usedBytes, finished+1)
+		}
+		if freshAllocs != 0 || usedAllocs != 0 {
+			t.Errorf("a round allocates %v times with fresh jobs, %v with history; want 0 and 0", freshAllocs, usedAllocs)
 		}
 	})
 }

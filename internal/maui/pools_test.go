@@ -192,3 +192,33 @@ func TestDefaultParams(t *testing.T) {
 		t.Fatalf("endpoint = %q", p.Endpoint)
 	}
 }
+
+// A node whose view reports more used cores than it has (or fewer than
+// none) is a fault for the audit to report (view.capacity), not one the
+// level index may be indexed with: the node offers nothing, or no more
+// than it has, and placement carries on around it.
+func TestPoolsSyncClampsAViewOutsideCapacity(t *testing.T) {
+	ns := nodes(3, 0)
+	ns[0].UsedCores = 9  // one more than its 8 cores
+	ns[1].UsedCores = -2 // fewer than none
+	p := newTestPools(ns)
+	if got := p.freeCores("cn0"); got != 0 {
+		t.Errorf("over-committed node offers %d cores, want 0", got)
+	}
+	if got := p.freeCores("cn1"); got != 8 {
+		t.Errorf("node with negative usage offers %d cores, want its 8", got)
+	}
+	hosts, _, ok := p.fit(pbs.JobSpec{Nodes: 2, PPN: 8}, "tj")
+	if !ok || len(hosts) != 2 || hosts[0] != "cn1" || hosts[1] != "cn2" {
+		t.Fatalf("fit = %v %v, want [cn1 cn2]", hosts, ok)
+	}
+	// The repaired view brings the node back through the same sync.
+	ns[0].UsedCores = 2
+	p.sync(0)
+	if got := p.freeCores("cn0"); got != 6 {
+		t.Errorf("repaired node offers %d cores, want 6", got)
+	}
+	if hosts, _, ok := p.fit(pbs.JobSpec{Nodes: 1, PPN: 6}, "tk"); !ok || hosts[0] != "cn0" {
+		t.Errorf("fit after the repair = %v %v, want [cn0]", hosts, ok)
+	}
+}

@@ -64,6 +64,12 @@ func TestSpawnCollectivePreservesRanks(t *testing.T) {
 			if m.Size() != 5 {
 				t.Errorf("merged size = %d", m.Size())
 			}
+			// The children's handles share one id list with each other
+			// and with the parents' view; the merge left them as built.
+			if w, pa := p.World(), p.Parent(); w.Size() != 2 || pa.Size() != 2 || pa.RemoteSize() != 3 {
+				t.Errorf("child after merge: world %d, parent local=%d remote=%d; want 2, 2, 3",
+					w.Size(), pa.Size(), pa.RemoteSize())
+			}
 		})
 
 		var oldIDs []int
@@ -86,6 +92,20 @@ func TestSpawnCollectivePreservesRanks(t *testing.T) {
 			record(p, m)
 			if m.Rank() != w.Rank() {
 				t.Errorf("rank changed across merge: world %d, merged %d", w.Rank(), m.Rank())
+			}
+			// Deriving a communicator builds a new group: the handles
+			// that share the old ones read as before.
+			sh, err := m.Shrink([]int{2, 1, 0}, 1)
+			if err != nil {
+				t.Errorf("Shrink: %v", err)
+				return
+			}
+			if sh.Size() != 3 || sh.Rank() != 2-w.Rank() {
+				t.Errorf("shrunk: rank %d of %d, want %d of 3", sh.Rank(), sh.Size(), 2-w.Rank())
+			}
+			if w.Size() != 3 || inter.Size() != 3 || inter.RemoteSize() != 2 || m.Size() != 5 || m.Rank() != w.Rank() {
+				t.Errorf("after Shrink: world %d, intercomm local=%d remote=%d, merged rank %d of %d",
+					w.Size(), inter.Size(), inter.RemoteSize(), m.Rank(), m.Size())
 			}
 		})
 		for _, p := range procs {

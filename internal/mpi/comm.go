@@ -15,6 +15,9 @@ import (
 //
 // A Comm value is process-local state; the processes of a
 // communicator each hold their own handle sharing the context id.
+// group and remote are never written once a handle is built (Merge,
+// Shrink and Split build new slices), so handles and the descriptors
+// that carry a communicator between processes share them.
 type Comm struct {
 	rt     *Runtime
 	id     string

@@ -42,11 +42,12 @@ func (p *Proc) Spawn(command string, args []string, hosts []string) (*Comm, erro
 	}
 	worldID := rt.newCommID()
 	parentID := rt.newCommID()
+	self := []int{p.id}
 	for i, c := range children {
-		c.world = &Comm{rt: rt, id: worldID, rank: i, group: append([]int(nil), ids...)}
-		c.parent = &Comm{rt: rt, id: parentID, rank: i, group: append([]int(nil), ids...), remote: []int{p.id}}
+		c.world = &Comm{rt: rt, id: worldID, rank: i, group: ids}
+		c.parent = &Comm{rt: rt, id: parentID, rank: i, group: ids, remote: self}
 	}
-	parentView := &Comm{rt: rt, id: parentID, rank: 0, group: []int{p.id}, remote: append([]int(nil), ids...)}
+	parentView := &Comm{rt: rt, id: parentID, rank: 0, group: self, remote: ids}
 
 	// Boot the children in parallel. Each sleeps through its startup
 	// (exec + MPI_Init), reports readiness to the parent, then runs
@@ -123,8 +124,8 @@ func (c *Comm) SpawnCollective(command string, args []string, hosts []string) (*
 	worldID := rt.newCommID()
 	parentID := rt.newCommID()
 	for i, ch := range children {
-		ch.world = &Comm{rt: rt, id: worldID, rank: i, group: append([]int(nil), ids...)}
-		ch.parent = &Comm{rt: rt, id: parentID, rank: i, group: append([]int(nil), ids...), remote: append([]int(nil), c.group...)}
+		ch.world = &Comm{rt: rt, id: worldID, rank: i, group: ids}
+		ch.parent = &Comm{rt: rt, id: parentID, rank: i, group: ids, remote: c.group}
 	}
 	for i, ch := range children {
 		ch := ch
@@ -137,7 +138,7 @@ func (c *Comm) SpawnCollective(command string, args []string, hosts []string) (*
 			fn(ch, args)
 		})
 	}
-	desc := commDesc{id: parentID, group: append([]int(nil), c.group...), remote: ids}
+	desc := commDesc{id: parentID, group: c.group, remote: ids}
 	parentView := desc.handleFor(rt, p)
 	for range children {
 		if _, err := parentView.Recv(AnySource, tagSpawnReady); err != nil {

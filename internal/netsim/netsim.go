@@ -12,6 +12,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -283,6 +284,16 @@ func (n *Network) NameSeq() int {
 	defer n.mu.Unlock()
 	n.nameSeq++
 	return n.nameSeq
+}
+
+// Reserve sizes the endpoint table for extra more endpoints, so that
+// registering a cluster's daemons does not rehash it on the way.
+func (n *Network) Reserve(extra int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	endpoints := make(map[string]*Endpoint, len(n.endpoints)+extra)
+	maps.Copy(endpoints, n.endpoints)
+	n.endpoints = endpoints
 }
 
 // Endpoint creates (or returns the existing) endpoint with the given

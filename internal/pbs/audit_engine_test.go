@@ -205,6 +205,9 @@ func TestAuditInjectionMatrix(t *testing.T) {
 		{"used cores off by one, raw",
 			func(sc faultScene) pbs.Fault { return pbs.UsedCoresFault(sc.cnA, sc.usedA+1) }, false,
 			nil, []string{"conservation.cores"}},
+		{"more used cores than the node has, stamped", // the scheduler's pools must survive the view
+			func(sc faultScene) pbs.Fault { return pbs.UsedCoresFault(sc.cnA, 9) }, true,
+			[]string{"conservation.cores", "view.capacity"}, []string{"conservation.cores", "view.capacity"}},
 		{"second live owner of an accelerator, stamped",
 			func(sc faultScene) pbs.Fault { return pbs.ShareFault(sc.acA, sc.b) }, true,
 			[]string{"conservation.acc", "double-alloc", "view.capacity"},

@@ -2,6 +2,7 @@ package pbs_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,9 @@ type mirrorBed struct {
 	view   pbs.NodeMirror
 	full   int // rounds answered with every node
 	delta  int // rounds answered with fewer
+	// Jobs the rounds' answers listed, summed: the job-view check saw
+	// non-empty lists.
+	queuedSeen, runningSeen int
 }
 
 func runMirrorBed(t *testing.T, nCN, nAC, shards int, fn func(b *mirrorBed)) {
@@ -59,7 +63,8 @@ func runMirrorBed(t *testing.T, nCN, nAC, shards int, fn func(b *mirrorBed)) {
 func (b *mirrorBed) settle() { b.s.Sleep(50 * time.Millisecond) }
 
 // round runs one SchedInfo round on the given mirror and checks it
-// against pbsnodes, field for field. The caller releases the answer.
+// against pbsnodes, field for field, and its job lists against qstat.
+// The caller releases the answer.
 func (b *mirrorBed) round(view *pbs.NodeMirror, ep *netsim.Endpoint) *pbs.SchedInfoResp {
 	b.t.Helper()
 	b.settle()
@@ -90,7 +95,51 @@ func (b *mirrorBed) round(view *pbs.NodeMirror, ep *netsim.Endpoint) *pbs.SchedI
 			b.t.Fatalf("node %d: mirror %+v, server %+v", i, got, want)
 		}
 	}
+	b.checkJobView(resp)
 	return resp
+}
+
+// checkJobView holds the answer's job lists to the projection of qstat:
+// every job a scheduler may act on, in submission order, carrying what
+// the full record says. The bed has settled, so nothing changes a job
+// between the answer and the listing.
+func (b *mirrorBed) checkJobView(resp *pbs.SchedInfoResp) {
+	b.t.Helper()
+	jobs, err := b.c.List()
+	if err != nil {
+		b.t.Fatalf("List: %v", err)
+	}
+	var queued []pbs.SchedJobView
+	var running []pbs.SchedRunView
+	for _, j := range jobs {
+		switch {
+		case j.State == pbs.JobQueued && j.Held:
+		case j.State == pbs.JobQueued && len(j.Hosts) == 0:
+			queued = append(queued, pbs.SchedJobView{ID: j.ID, SubmittedAt: j.SubmittedAt, Spec: j.Spec})
+		case j.State == pbs.JobQueued || j.State == pbs.JobRunning:
+			running = append(running, pbs.SchedRunView{ID: j.ID, StartedAt: j.StartedAt, Walltime: j.Spec.Walltime})
+		}
+	}
+	if len(resp.Queued) != len(queued) || len(resp.Running) != len(running) {
+		b.t.Fatalf("answer lists %d queued and %d running jobs, qstat %d and %d",
+			len(resp.Queued), len(resp.Running), len(queued), len(running))
+	}
+	for i, want := range queued {
+		got := resp.Queued[i]
+		// A func compares only by being there or not.
+		same := (got.Spec.Script == nil) == (want.Spec.Script == nil)
+		got.Spec.Script, want.Spec.Script = nil, nil
+		if !same || !reflect.DeepEqual(got, want) {
+			b.t.Fatalf("queued job %d: answer %+v, qstat %+v", i, got, want)
+		}
+	}
+	for i, want := range running {
+		if got := resp.Running[i]; got != want {
+			b.t.Fatalf("running job %d: answer %+v, qstat %+v", i, got, want)
+		}
+	}
+	b.queuedSeen += len(queued)
+	b.runningSeen += len(running)
 }
 
 func (b *mirrorBed) send(payload any) {
@@ -123,7 +172,10 @@ type liveJob struct {
 // The delta protocol's defining property: whatever happens to the node
 // table between two rounds — allocations, releases, dynamic grants and
 // frees, nodes failing and returning, a server restart — the mirror
-// after a round is the table pbsnodes shows.
+// after a round is the table pbsnodes shows. The job half of the same
+// answer is held to qstat the same way (checkJobView): through
+// submissions left waiting, qhold and qrls, qalter and qdel, the lists
+// a scheduler gets are the projection of the full records.
 func TestNodeMirrorTracksServerThroughRandomOperations(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		for seed := uint64(1); seed <= 6; seed++ {
@@ -147,15 +199,16 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 			gate.Broadcast()
 		}
 		var live []*liveJob
+		var waiting []string // submitted and never placed
 		down := map[string]bool{}
 		b.round(&b.view, b.ep).Release()
 
 		for op := 0; op < 60; op++ {
-			switch k := rng.Intn(8); {
+			switch k := rng.Intn(10); {
 			case k <= 1: // qsub, then place it like a first-fit scheduler
 				spec := pbs.JobSpec{
 					Name: "p", Owner: "u", Nodes: 1 + rng.Intn(2), PPN: 1 + rng.Intn(8), ACPN: rng.Intn(2),
-					Walltime: time.Minute,
+					Walltime: time.Duration(rng.Intn(3)) * time.Minute,
 					Script: func(env *pbs.JobEnv) {
 						mu.Lock()
 						for !done[env.JobID] {
@@ -270,6 +323,35 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 						delete(down, n.Name)
 					}
 				}
+			case k == 8: // qsub a job nobody places
+				id, err := b.c.Submit(pbs.JobSpec{
+					Name: fmt.Sprintf("w%d", op), Owner: fmt.Sprintf("u%d", rng.Intn(3)), Nodes: 1 + rng.Intn(4),
+					PPN: rng.Intn(9), ACPN: rng.Intn(3), Walltime: time.Duration(rng.Intn(90)) * time.Second,
+					Priority: rng.Intn(5),
+				})
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				waiting = append(waiting, id)
+			case k == 9 && len(waiting) > 0: // qhold, qrls, qalter or qdel one of them
+				i := rng.Intn(len(waiting))
+				id := waiting[i]
+				var err error
+				switch rng.Intn(4) {
+				case 0:
+					err = b.c.Hold(id)
+				case 1:
+					err = b.c.Release(id)
+				case 2:
+					prio := rng.Intn(100)
+					err = b.c.Alter(id, &prio, time.Duration(1+rng.Intn(90))*time.Second, "altered")
+				case 3:
+					err = b.c.Delete(id)
+					waiting = append(waiting[:i], waiting[i+1:]...)
+				}
+				if err != nil {
+					t.Fatalf("operation on waiting job %s: %v", id, err)
+				}
 			case k == 7 && op%3 == 0: // head node crash and restart
 				b.restart()
 				if resp := b.round(&b.view, b.ep); len(resp.Nodes) != len(b.view.Nodes) {
@@ -280,12 +362,39 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 			}
 			b.round(&b.view, b.ep).Release()
 		}
+		// Whatever the seed drew, one job goes through qhold and qrls: it
+		// leaves the scheduler's queue and comes back as its last entry.
+		id, err := b.c.Submit(pbs.JobSpec{Name: "h", Owner: "u", Nodes: 1, PPN: 1})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if err := b.c.Hold(id); err != nil {
+			t.Fatalf("Hold: %v", err)
+		}
+		resp := b.round(&b.view, b.ep)
+		for _, q := range resp.Queued {
+			if q.ID == id {
+				t.Errorf("held job %s is in the scheduler's queue", id)
+			}
+		}
+		resp.Release()
+		if err := b.c.Release(id); err != nil {
+			t.Fatalf("Release: %v", err)
+		}
+		resp = b.round(&b.view, b.ep)
+		if n := len(resp.Queued); n == 0 || resp.Queued[n-1].ID != id {
+			t.Errorf("released job %s is not the last of the %d queued", id, n)
+		}
+		resp.Release()
 		for _, j := range live {
 			finish(j.id)
 		}
 		b.round(&b.view, b.ep).Release()
 		if b.delta < b.full {
 			t.Errorf("%d rounds brought every node, only %d a delta: the property was not exercised", b.full, b.delta)
+		}
+		if b.queuedSeen == 0 || b.runningSeen == 0 {
+			t.Errorf("the answers listed %d queued and %d running jobs in all: the job view was not exercised", b.queuedSeen, b.runningSeen)
 		}
 		for _, e := range b.server.Errors() {
 			t.Errorf("server error: %s", e)

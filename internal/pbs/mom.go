@@ -64,6 +64,10 @@ type Mom struct {
 
 	mu   sync.Mutex
 	jobs map[string]*momJob
+	// peers holds the fabric name of every mom this one has addressed,
+	// so a message to a sister costs a lookup, not a string. Nil until
+	// the first: an accelerator's mom only ever answers.
+	peers map[string]string
 }
 
 type momJob struct {
@@ -118,6 +122,21 @@ func (m *Mom) Start() {
 			msg.Release()
 		}
 	})
+}
+
+// peer is MomEndpoint through the mom's table of known peers.
+func (m *Mom) peer(host string) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ep, ok := m.peers[host]
+	if !ok {
+		if m.peers == nil {
+			m.peers = make(map[string]string)
+		}
+		ep = MomEndpoint(host)
+		m.peers[host] = ep
+	}
+	return ep
 }
 
 func (m *Mom) send(to string, payload any) {
@@ -229,7 +248,7 @@ func (m *Mom) runJob(req RunJobMsg) {
 		if h == m.host {
 			continue
 		}
-		m.send(MomEndpoint(h), JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: allHosts, ReplyTo: m.ep.Name()})
+		m.send(m.peer(h), JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: allHosts, ReplyTo: m.ep.Name()})
 		pending++
 	}
 	for i := 0; i < pending; i++ {
@@ -268,7 +287,7 @@ func (m *Mom) runJob(req RunJobMsg) {
 			ServerEP: ServerEndpoint,
 			MSHost:   m.host,
 		}
-		m.sendCause(MomEndpoint(cn), StartTaskMsg{JobID: req.JobID, Env: env, Script: req.Spec.Script, Cause: sp.ID()}, sp.ID())
+		m.sendCause(m.peer(cn), StartTaskMsg{JobID: req.JobID, Env: env, Script: req.Spec.Script, Cause: sp.ID()}, sp.ID())
 	}
 	m.send(ServerEndpoint, JobStartedMsg{JobID: req.JobID})
 }
@@ -281,7 +300,7 @@ func (m *Mom) startTask(req StartTaskMsg) {
 	ms := env.MSHost
 	if req.Script == nil {
 		// An empty job script finishes immediately.
-		m.send(MomEndpoint(ms), TaskDoneMsg{JobID: req.JobID, Host: m.host})
+		m.send(m.peer(ms), TaskDoneMsg{JobID: req.JobID, Host: m.host})
 		return
 	}
 	m.sim.Go(fmt.Sprintf("task/%s@%s", req.JobID, m.host), func() {
@@ -299,7 +318,7 @@ func (m *Mom) startTask(req StartTaskMsg) {
 		if m.Epilogue != nil {
 			m.Epilogue(env)
 		}
-		m.send(MomEndpoint(ms), TaskDoneMsg{JobID: req.JobID, Host: m.host})
+		m.send(m.peer(ms), TaskDoneMsg{JobID: req.JobID, Host: m.host})
 	})
 }
 
@@ -333,7 +352,7 @@ func (m *Mom) dynAdd(req DynAddMsg) {
 	sp.Link(req.Cause) // server's dynalloc span
 	defer sp.End()
 	for _, h := range req.Hosts {
-		m.send(MomEndpoint(h), DynJoinJobMsg{JobID: req.JobID, MS: m.host, ReplyTo: m.ep.Name()})
+		m.send(m.peer(h), DynJoinJobMsg{JobID: req.JobID, MS: m.host, ReplyTo: m.ep.Name()})
 		ack, err := m.ep.RecvMatch(func(msg *netsim.Message) bool {
 			ack, ok := msg.Payload.(DynJoinAck)
 			return ok && ack.JobID == req.JobID && ack.Host == h
@@ -356,7 +375,7 @@ func (m *Mom) dynAdd(req DynAddMsg) {
 		if h == m.host || contains(req.Hosts, h) {
 			continue
 		}
-		m.send(MomEndpoint(h), UpdateJobMsg{JobID: req.JobID, Hosts: others})
+		m.send(m.peer(h), UpdateJobMsg{JobID: req.JobID, Hosts: others})
 	}
 	m.sendCause(req.ReplyTo, DynAddAck{JobID: req.JobID, ReqID: req.ReqID, Cause: sp.ID()}, sp.ID())
 }
@@ -365,7 +384,7 @@ func (m *Mom) dynAdd(req DynAddMsg) {
 // the remaining moms.
 func (m *Mom) dynRemove(req DynRemoveMsg) {
 	for _, h := range req.Hosts {
-		m.send(MomEndpoint(h), DisJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()})
+		m.send(m.peer(h), DisJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()})
 		ack, err := m.ep.RecvMatch(func(msg *netsim.Message) bool {
 			ack, ok := msg.Payload.(DisJoinAck)
 			return ok && ack.JobID == req.JobID && ack.Host == h
@@ -387,7 +406,7 @@ func (m *Mom) dynRemove(req DynRemoveMsg) {
 		if h == m.host {
 			continue
 		}
-		m.send(MomEndpoint(h), UpdateJobMsg{JobID: req.JobID, Hosts: others})
+		m.send(m.peer(h), UpdateJobMsg{JobID: req.JobID, Hosts: others})
 	}
 }
 

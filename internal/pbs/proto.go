@@ -201,17 +201,37 @@ type NodeDelta struct {
 	Info  NodeInfo
 }
 
-// SchedInfoResp carries everything one scheduling iteration needs. The
-// node table comes as a delta: Nodes holds the entries whose NodeInfo
-// changed since the request's NodeGen — every entry when the server
-// cannot serve a delta from that generation (see handleSchedInfo) —
-// and NodeGen is the generation a mirror holds once it applied them.
+// SchedJobView is what a scheduler reads of a job waiting for
+// allocation: who it is, how long it has waited and what it asks for.
+type SchedJobView struct {
+	ID          string
+	SubmittedAt time.Duration
+	Spec        JobSpec
+}
+
+// SchedRunView is what a scheduler reads of a job holding resources:
+// its predicted end, for backfill reservations. StartedAt is zero
+// until the mother superior reported the start.
+type SchedRunView struct {
+	ID        string
+	StartedAt time.Duration
+	Walltime  time.Duration
+}
+
+// SchedInfoResp carries everything one scheduling iteration needs, and
+// of a job only what a scheduler reads (DESIGN.md §6): the full qstat
+// record, with its host lists and dynamic-request history, stays with
+// Stat and List. The node table comes as a delta: Nodes holds the
+// entries whose NodeInfo changed since the request's NodeGen — every
+// entry when the server cannot serve a delta from that generation (see
+// handleSchedInfo) — and NodeGen is the generation a mirror holds once
+// it applied them.
 //
 //lint:ignore handlerexhaustive consumed by NodeMirror.Fetch for the maui and fifosched schedulers, which Release it
 type SchedInfoResp struct {
 	ReqID   int
-	Queued  []JobInfo      // jobs waiting for allocation, submission order
-	Running []JobInfo      // running jobs (for backfill estimates)
+	Queued  []SchedJobView // jobs waiting for allocation, submission order
+	Running []SchedRunView // jobs holding resources (for backfill estimates)
 	Dyn     []SchedDynView // dynamic request(s) awaiting allocation, FIFO
 	NodeGen uint64
 	Nodes   []NodeDelta

@@ -3,6 +3,8 @@ package pbs
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,6 +137,7 @@ func (j *serverJob) live() bool {
 
 type serverNode struct {
 	info   NodeInfo
+	momEP  string         // fabric name of the node's mom, built once
 	usedBy map[string]int // jobID -> cores (compute) or accelerator count (1)
 	idx    int            // position in Server.table
 	// gen is the node-table generation that first carries the node's
@@ -213,13 +216,35 @@ func (s *Server) AddNode(name string, typ NodeType, cores int) {
 	})
 }
 
+// ReserveNodes sizes the node database for n more nodes, so that
+// registering a cluster neither rehashes the name map nor regrows the
+// table on the way.
+func (s *Server) ReserveNodes(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	nodes := make(map[string]*serverNode, len(s.nodes)+n)
+	maps.Copy(nodes, s.nodes)
+	s.nodes = nodes
+	s.table = slices.Grow(s.table, n)
+}
+
 // addNodeLocked appends a node to the dense table and the name map.
 // Callers hold s.mu.
 func (s *Server) addNodeLocked(n *serverNode) {
+	n.momEP = MomEndpoint(n.info.Name)
 	n.idx = len(s.table)
 	s.table = append(s.table, n)
 	s.nodes[n.info.Name] = n
 	s.touchLocked(n)
+}
+
+// momEPLocked is MomEndpoint for the per-request paths: a host of the
+// node database costs a lookup, not a string. Callers hold s.mu.
+func (s *Server) momEPLocked(host string) string {
+	if n, ok := s.nodes[host]; ok {
+		return n.momEP
+	}
+	return MomEndpoint(host)
 }
 
 // touchLocked marks the node's NodeInfo as changed since the last
@@ -683,7 +708,7 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 	s.aud.Record(audit.KindJob, "pbs", req.JobID, audDynFree, int64(req.ClientID), int64(len(hosts)))
 	ms := ""
 	if len(j.info.Hosts) > 0 {
-		ms = j.info.Hosts[0]
+		ms = s.momEPLocked(j.info.Hosts[0])
 	}
 	s.mu.Unlock()
 
@@ -692,7 +717,7 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 	s.account(AcctDynFree, req.JobID, "client=%d", req.ClientID)
 	s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID})
 	if ms != "" {
-		s.send(MomEndpoint(ms), DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts})
+		s.send(ms, DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts})
 	}
 	s.kickScheduler("dynfree")
 }
@@ -705,8 +730,8 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 var schedRespPool = sync.Pool{New: func() any { return new(SchedInfoResp) }}
 
 // Release returns the snapshot and its buffers to the server's pool.
-// The scheduler must not touch the response — including any slice or
-// map obtained from it — after releasing.
+// The scheduler must not touch the response — including any slice
+// obtained from it — after releasing.
 func (r *SchedInfoResp) Release() {
 	if r == nil {
 		return
@@ -732,21 +757,18 @@ func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 	// Walk the active index in submission order, compacting terminal
 	// jobs in place so the next cycle never revisits them.
 	s.index.compactActive(func(j *serverJob) bool {
-		switch j.info.State {
-		case JobQueued:
-			if !j.info.Held { // qhold: invisible to the scheduler
-				if len(j.info.Hosts) == 0 { // not yet allocated
-					resp.Queued = appendInfo(resp.Queued, j.info)
-				} else {
-					resp.Running = appendInfo(resp.Running, j.info)
-				}
-			}
-			return true
-		case JobRunning:
-			resp.Running = appendInfo(resp.Running, j.info)
-			return true
+		if !j.live() {
+			return false
 		}
-		return false
+		in := &j.info
+		switch {
+		case in.State == JobQueued && in.Held: // qhold: invisible to the scheduler
+		case in.State == JobQueued && len(in.Hosts) == 0: // not yet allocated
+			resp.Queued = append(resp.Queued, SchedJobView{ID: in.ID, SubmittedAt: in.SubmittedAt, Spec: in.Spec})
+		default:
+			resp.Running = append(resp.Running, SchedRunView{ID: in.ID, StartedAt: in.StartedAt, Walltime: in.Spec.Walltime})
+		}
+		return true
 	})
 	for _, rec := range s.dynQ {
 		if rec.State == DynScheduling {
@@ -851,11 +873,12 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	spec := j.info.Spec
 	hosts := append([]string(nil), j.info.Hosts...)
 	acc := j.info.AccHosts
+	ms := s.momEPLocked(hosts[0])
 	s.mu.Unlock()
 
 	// Select the mother superior (always a compute node, paper
 	// Section III-C) and forward the job.
-	s.sendCause(MomEndpoint(hosts[0]),
+	s.sendCause(ms,
 		RunJobMsg{JobID: cmd.JobID, Spec: spec, Hosts: hosts, AccHosts: acc, Cause: sp.ID()}, sp.ID())
 }
 
@@ -941,10 +964,10 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 		s.aud.Record(audit.KindAlloc, "pbs", h, rec.JobID, int64(n.usedBy[rec.JobID]), 1)
 	}
 	j.info.DynSets[rec.ClientID] = rec.Hosts
-	ms := j.info.Hosts[0]
+	ms := s.momEPLocked(j.info.Hosts[0])
 	s.mu.Unlock()
 
-	s.sendCause(MomEndpoint(ms), DynAddMsg{
+	s.sendCause(ms, DynAddMsg{
 		JobID: rec.JobID, ReqID: rec.ReqID, ClientID: rec.ClientID,
 		CN: rec.CN, Hosts: rec.Hosts, ReplyTo: ServerEndpoint, Cause: sp.ID(),
 	}, sp.ID())
@@ -1150,10 +1173,10 @@ func appendNodeDelta(dst []NodeDelta, n *serverNode) []NodeDelta {
 	return dst
 }
 
-// cloneInfo deep-copies a job view. Empty maps clone to nil: the
-// scheduler fetches every queued job each cycle, and a queued job has
-// no hosts or dynamic sets yet, so allocating empty maps per job per
-// cycle would dominate the allocation profile of large replays.
+// cloneInfo deep-copies a job's qstat record for Stat, List, Wait and
+// checkpoints (the scheduler gets the slim view handleSchedInfo builds).
+// Empty maps clone to nil: List copies every job on record, and most
+// hold no accelerators or dynamic sets.
 func cloneInfo(in JobInfo) JobInfo {
 	out := in
 	out.Hosts = append([]string(nil), in.Hosts...)
@@ -1175,48 +1198,4 @@ func cloneInfo(in JobInfo) JobInfo {
 	}
 	out.DynRecords = append([]DynRecord(nil), in.DynRecords...)
 	return out
-}
-
-// appendInfo appends a deep copy of in to dst, reviving the spare
-// element (and its Hosts/DynRecords buffers) past len when dst came
-// from a pooled snapshot. Queued jobs — the bulk of every cycle on a
-// loaded system — carry no hosts, maps, or records and therefore cost
-// zero allocations here.
-func appendInfo(dst []JobInfo, in JobInfo) []JobInfo {
-	if len(dst) < cap(dst) {
-		dst = dst[:len(dst)+1]
-	} else {
-		dst = append(dst, JobInfo{})
-	}
-	cloneInfoInto(&dst[len(dst)-1], in)
-	return dst
-}
-
-// cloneInfoInto is cloneInfo writing into reusable storage: out's
-// Hosts and DynRecords buffers are kept, maps follow cloneInfo's
-// empty-clones-to-nil rule.
-func cloneInfoInto(out *JobInfo, in JobInfo) {
-	hosts := out.Hosts[:0]
-	recs := out.DynRecords[:0]
-	*out = in
-	out.Hosts = append(hosts, in.Hosts...)
-	if len(in.AccHosts) > 0 {
-		m := make(map[string][]string, len(in.AccHosts))
-		for k, v := range in.AccHosts {
-			m[k] = append([]string(nil), v...)
-		}
-		out.AccHosts = m
-	} else {
-		out.AccHosts = nil
-	}
-	if len(in.DynSets) > 0 {
-		m := make(map[int][]string, len(in.DynSets))
-		for k, v := range in.DynSets {
-			m[k] = append([]string(nil), v...)
-		}
-		out.DynSets = m
-	} else {
-		out.DynSets = nil
-	}
-	out.DynRecords = append(recs, in.DynRecords...)
 }

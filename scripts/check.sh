@@ -27,8 +27,10 @@ go test -race -shuffle=on ./... -count=1
 # round, against state the server and scheduler actors write: repeat
 # the tests that shadow every cycle with it, so the detector sees more
 # than one interleaving.
-echo "==> go test -race -count=5 (audit engine equivalence)"
-go test -race -count=5 -run 'TestCycleEngineEqualsFullSweepEveryCycle|TestMirrorSweepAgreesWithDeltaChecksEveryCycle' \
+# The scheduler's job view is held to qstat by the same kind of test
+# (checkJobView inside the node-mirror property run).
+echo "==> go test -race -count=5 (audit engine and job view equivalence)"
+go test -race -count=5 -run 'TestCycleEngineEqualsFullSweepEveryCycle|TestMirrorSweepAgreesWithDeltaChecksEveryCycle|TestNodeMirrorTracksServerThroughRandomOperations' \
     ./internal/pbs ./internal/maui
 
 echo "==> checks passed"
