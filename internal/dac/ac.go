@@ -142,6 +142,7 @@ func Init(env *pbs.JobEnv) (*AC, []*Accel, error) {
 	conn := sp.Child("connect")
 	start = ctx.Sim.Now()
 	inter, err := ac.proc.Connect(port, ac.proc.World())
+	ctx.unpublishPort(env.JobID, env.Host)
 	if err != nil {
 		conn.End()
 		return nil, nil, fmt.Errorf("dac: AC_Init connect: %w", err)
@@ -448,5 +449,6 @@ func (ac *AC) Finalize() error {
 		_ = comm.Send(r, opTag, opRequest{Op: "exit"}, 0)
 	}
 	ac.ifl.Close()
+	ac.proc.Detach()
 	return nil
 }

@@ -161,6 +161,21 @@ func (ctx *Context) waitPort(jobID, cn string) string {
 	}
 }
 
+// PublishedPorts reports how many daemon ports await their AC_Init.
+func (ctx *Context) PublishedPorts() int {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	return len(ctx.ports)
+}
+
+// unpublishPort removes the entry once AC_Init has connected: the
+// "file" is read once.
+func (ctx *Context) unpublishPort(jobID, cn string) {
+	ctx.mu.Lock()
+	delete(ctx.ports, portKey(jobID, cn))
+	ctx.mu.Unlock()
+}
+
 // jitter perturbs a duration by ±JitterFrac (reproducible per Seed).
 func (ctx *Context) jitter(d time.Duration) time.Duration {
 	if ctx.Params.JitterFrac <= 0 || d <= 0 {
@@ -205,6 +220,9 @@ func (ctx *Context) StartDaemons(jobID, cn string, acHosts []string, cause uint6
 		}
 		sp.End()
 		inter, err := p.Accept(port, w)
+		if w.Rank() == 0 {
+			p.ClosePort(port) // a port takes one connection: AC_Init's
+		}
 		if err != nil {
 			return
 		}

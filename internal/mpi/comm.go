@@ -54,18 +54,25 @@ func (c *Comm) ok() error {
 	return nil
 }
 
-// myProc returns the caller's Proc (rank lookup in the local group).
-func (c *Comm) myProc() *Proc {
-	return c.rt.proc(c.group[c.rank])
+// myProc returns the caller's Proc (rank lookup in the local group), or
+// ErrInvalidRank once the process has exited: a handle kept past its
+// owner's exit must fail, not act through whatever holds the endpoint
+// now.
+func (c *Comm) myProc() (*Proc, error) {
+	return c.procOf(c.group, c.rank)
 }
 
 // destProc resolves a destination rank: in the remote group for an
 // intercommunicator, in the local group otherwise.
 func (c *Comm) destProc(rank int) (*Proc, error) {
-	g := c.group
 	if c.IsInter() {
-		g = c.remote
+		return c.procOf(c.remote, rank)
 	}
+	return c.procOf(c.group, rank)
+}
+
+// procOf resolves rank in group g to a live process.
+func (c *Comm) procOf(g []int, rank int) (*Proc, error) {
 	if rank < 0 || rank >= len(g) {
 		return nil, fmt.Errorf("%w: %d (group size %d)", ErrInvalidRank, rank, len(g))
 	}
@@ -96,12 +103,15 @@ func (c *Comm) send(dst, tag int, payload any, size int, pipelined bool) error {
 	if err != nil {
 		return err
 	}
-	env := envelope{comm: c.id, tag: tag, src: c.rank, payload: payload}
-	me := c.myProc()
-	if pipelined {
-		return me.ep.SendPipelined(dp.ep.Name(), c.id, env, size)
+	me, err := c.myProc()
+	if err != nil {
+		return err
 	}
-	return me.ep.Send(dp.ep.Name(), c.id, env, size)
+	env := envelope{comm: c.id, tag: tag, src: c.rank, payload: payload}
+	if pipelined {
+		return me.ep.SendPipelined(dp.addr, c.id, env, size)
+	}
+	return me.ep.Send(dp.addr, c.id, env, size)
 }
 
 // Recv blocks until a message on this communicator matching src and
@@ -132,9 +142,11 @@ func (c *Comm) recv(src, tag int, timeout time.Duration) (Status, error) {
 		}
 		return true
 	}
-	me := c.myProc()
+	me, err := c.myProc()
+	if err != nil {
+		return Status{}, err
+	}
 	var m *netsim.Message
-	var err error
 	if timeout > 0 {
 		m, err = me.ep.RecvMatchTimeout(match, timeout)
 	} else {
@@ -335,11 +347,17 @@ func (c *Comm) localBarrier() error {
 		return nil
 	}
 	cb := c.rt.cfg.ControlBytes
-	me := c.myProc()
+	me, err := c.myProc()
+	if err != nil {
+		return err
+	}
 	send := func(dstRank, tag int) error {
-		dp := c.rt.proc(c.group[dstRank])
+		dp, err := c.procOf(c.group, dstRank)
+		if err != nil {
+			return err
+		}
 		env := envelope{comm: c.id + "/local", tag: tag, src: c.rank}
-		return me.ep.Send(dp.ep.Name(), c.id+"/local", env, cb)
+		return me.ep.Send(dp.addr, c.id+"/local", env, cb)
 	}
 	recvOne := func(tag int) error {
 		m, err := me.ep.RecvMatch(func(m *netsim.Message) bool {

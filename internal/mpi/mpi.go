@@ -13,6 +13,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -90,6 +91,14 @@ func NewRuntime(net *netsim.Network, cfg Config) *Runtime {
 // Config returns the runtime's cost model.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
+// Live reports how many processes and open ports the runtime holds; a
+// drained system holds none of either.
+func (rt *Runtime) Live() (procs, ports int) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return len(rt.procs), len(rt.ports)
+}
+
 // Register makes a command name spawnable via Proc.Spawn.
 func (rt *Runtime) Register(command string, fn SpawnFunc) {
 	rt.mu.Lock()
@@ -97,12 +106,29 @@ func (rt *Runtime) Register(command string, fn SpawnFunc) {
 	rt.commands[command] = fn
 }
 
+// nameBuf assembles a name from strings and decimal integers in the
+// caller's (stack) buffer, so a name costs the one allocation of its
+// final string conversion and no boxed fmt operands.
+type nameBuf []byte
+
+func (b nameBuf) str(s string) nameBuf { return append(b, s...) }
+func (b nameBuf) int(n int) nameBuf    { return strconv.AppendInt(b, int64(n), 10) }
+
 // Proc is one MPI process: an actor with a fabric endpoint, a
 // COMM_WORLD, and (for spawned processes) a parent intercommunicator.
+//
+// The runtime owns a process from newProc to exit: a launched or
+// spawned process exits when its body returns, an attached one when it
+// calls Detach. Exit forgets the id and releases the endpoint — with its
+// gate, queue and pair states — to the fabric for the next process; the
+// Proc record itself is not recycled, so a handle a caller kept stays a
+// handle to this process and its operations fail once the process is
+// gone.
 type Proc struct {
 	rt     *Runtime
 	id     int
 	host   string
+	addr   string // the endpoint's name, for peers: ep may serve another by the time they look
 	ep     *netsim.Endpoint
 	world  *Comm
 	parent *Comm
@@ -123,20 +149,51 @@ func (p *Proc) Parent() *Comm { return p.parent }
 
 // newProc allocates a process bound to host without starting an actor.
 func (rt *Runtime) newProc(host string) *Proc {
+	p := new(Proc)
+	rt.initProc(p, host)
+	return p
+}
+
+// initProc makes the zero record p the runtime's next process, bound to
+// host, with an endpoint of its own.
+func (rt *Runtime) initProc(p *Proc, host string) {
 	rt.mu.Lock()
 	rt.nextProc++
 	id := rt.nextProc
 	rt.mu.Unlock()
-	p := &Proc{
-		rt:   rt,
-		id:   id,
-		host: host,
-		ep:   rt.net.Endpoint(fmt.Sprintf("mpi/p%d@%s", id, host)),
-	}
+	var buf [64]byte
+	addr := string(nameBuf(buf[:0]).str("mpi/p").int(id).str("@").str(host))
+	*p = Proc{rt: rt, id: id, host: host, addr: addr, ep: rt.net.Endpoint(addr)}
 	rt.mu.Lock()
 	rt.procs[id] = p
 	rt.mu.Unlock()
-	return p
+}
+
+// exit ends p: the runtime forgets its id and the fabric takes back its
+// endpoint. A second call is a no-op.
+func (rt *Runtime) exit(p *Proc) {
+	rt.mu.Lock()
+	gone := rt.procs[p.id] != p
+	if !gone {
+		delete(rt.procs, p.id)
+	}
+	rt.mu.Unlock()
+	if !gone {
+		rt.net.Release(p.ep)
+	}
+}
+
+// Detach is how a process bound with Attach exits: its caller's actor
+// lives on, so no body returns to mark the end. Every operation of the
+// process or its communicators fails afterwards.
+func (p *Proc) Detach() { p.rt.exit(p) }
+
+// alive reports ErrInvalidRank once p has exited.
+func (p *Proc) alive() error {
+	if p.rt.proc(p.id) != p {
+		return fmt.Errorf("%w: process %d gone", ErrInvalidRank, p.id)
+	}
+	return nil
 }
 
 func (rt *Runtime) proc(id int) *Proc {
@@ -149,7 +206,8 @@ func (rt *Runtime) newCommID() string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.nextComm++
-	return fmt.Sprintf("comm%d", rt.nextComm)
+	var buf [32]byte
+	return string(nameBuf(buf[:0]).str("comm").int(rt.nextComm))
 }
 
 // Launch starts fn as a singleton MPI process (COMM_WORLD of size 1)
@@ -157,7 +215,10 @@ func (rt *Runtime) newCommID() string {
 func (rt *Runtime) Launch(host, name string, fn func(p *Proc)) *Proc {
 	p := rt.newProc(host)
 	p.world = &Comm{rt: rt, id: rt.newCommID(), rank: 0, group: []int{p.id}}
-	rt.sim.Go(name, func() { fn(p) })
+	rt.sim.Go(name, func() {
+		defer rt.exit(p)
+		fn(p)
+	})
 	return p
 }
 
@@ -187,8 +248,11 @@ func (rt *Runtime) LaunchWorld(hosts []string, name string, fn func(p *Proc)) []
 		p.world = &Comm{rt: rt, id: commID, rank: i, group: append([]int(nil), ids...)}
 	}
 	for i, p := range procs {
-		p := p
-		rt.sim.Go(fmt.Sprintf("%s[%d]", name, i), func() { fn(p) })
+		var buf [64]byte
+		rt.sim.Go(string(nameBuf(buf[:0]).str(name).str("[").int(i).str("]")), func() {
+			defer rt.exit(p)
+			fn(p)
+		})
 	}
 	return procs
 }

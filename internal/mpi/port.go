@@ -20,7 +20,8 @@ func (p *Proc) OpenPort() string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.nextPort++
-	name := fmt.Sprintf("port%d@p%d", rt.nextPort, p.id)
+	var buf [32]byte
+	name := string(nameBuf(buf[:0]).str("port").int(rt.nextPort).str("@p").int(p.id))
 	rt.ports[name] = &portState{name: name, owner: p.id}
 	return name
 }
@@ -45,6 +46,9 @@ const (
 // communicator's group (MPI_Comm_accept). It is collective over local:
 // every member must call it; rank 0 must be the port owner.
 func (p *Proc) Accept(port string, local *Comm) (*Comm, error) {
+	if err := p.alive(); err != nil {
+		return nil, err
+	}
 	if err := local.ok(); err != nil {
 		return nil, err
 	}
@@ -103,6 +107,9 @@ type connReq struct {
 // listening on port (MPI_Comm_connect). Collective over local; rank 0
 // performs the handshake.
 func (p *Proc) Connect(port string, local *Comm) (*Comm, error) {
+	if err := p.alive(); err != nil {
+		return nil, err
+	}
 	if err := local.ok(); err != nil {
 		return nil, err
 	}
@@ -120,8 +127,8 @@ func (p *Proc) Connect(port string, local *Comm) (*Comm, error) {
 			return nil, fmt.Errorf("%w: %q (owner gone)", ErrUnknownPort, port)
 		}
 		p.rt.sim.Sleep(p.rt.cfg.ConnectOverhead)
-		req := connReq{group: local.group, replyTo: p.ep.Name()}
-		if err := p.ep.Send(owner.ep.Name(), "port/"+port,
+		req := connReq{group: local.group, replyTo: p.addr}
+		if err := p.ep.Send(owner.addr, "port/"+port,
 			envelope{comm: "port/" + port, tag: tagConnReq, payload: req}, cb); err != nil {
 			return nil, err
 		}

@@ -22,6 +22,9 @@ const (
 // the paper's resource-management library relies on for dynamic
 // allocation.
 func (p *Proc) Spawn(command string, args []string, hosts []string) (*Comm, error) {
+	if err := p.alive(); err != nil {
+		return nil, err
+	}
 	rt := p.rt
 	rt.mu.Lock()
 	fn, ok := rt.commands[command]
@@ -34,41 +37,58 @@ func (p *Proc) Spawn(command string, args []string, hosts []string) (*Comm, erro
 	}
 	rt.sim.Sleep(rt.cfg.SpawnOverhead)
 
-	children := make([]*Proc, len(hosts))
-	ids := make([]int, len(hosts))
-	for i, h := range hosts {
-		children[i] = rt.newProc(h)
-		ids[i] = children[i].id
-	}
-	worldID := rt.newCommID()
-	parentID := rt.newCommID()
 	self := []int{p.id}
-	for i, c := range children {
-		c.world = &Comm{rt: rt, id: worldID, rank: i, group: ids}
-		c.parent = &Comm{rt: rt, id: parentID, rank: i, group: ids, remote: self}
-	}
+	ids, parentID := rt.spawnProcs(command, fn, args, hosts, p, self)
 	parentView := &Comm{rt: rt, id: parentID, rank: 0, group: self, remote: ids}
-
-	// Boot the children in parallel. Each sleeps through its startup
-	// (exec + MPI_Init), reports readiness to the parent, then runs
-	// the command body.
-	for i, c := range children {
-		c := c
-		rt.sim.Go(fmt.Sprintf("%s[%d]@%s", command, i, c.host), func() {
-			rt.sim.Sleep(rt.cfg.ProcStartup)
-			env := envelope{comm: parentID, tag: tagSpawnReady, src: c.world.rank}
-			if err := c.ep.Send(p.ep.Name(), parentID, env, rt.cfg.ControlBytes); err != nil {
-				return
-			}
-			fn(c, args)
-		})
-	}
-	for range children {
+	for range ids {
 		if _, err := parentView.Recv(AnySource, tagSpawnReady); err != nil {
 			return nil, err
 		}
 	}
 	return parentView, nil
+}
+
+// spawnProcs creates one process per host — sharing a new COMM_WORLD,
+// with a parent intercommunicator whose remote group is remote — and
+// boots them in parallel. It returns the children's ids in rank order
+// and the intercommunicator's context id; each child reports to root
+// once it is up. The records of one spawn are one allocation.
+func (rt *Runtime) spawnProcs(command string, fn SpawnFunc, args, hosts []string, root *Proc, remote []int) ([]int, string) {
+	children := make([]Proc, len(hosts))
+	ids := make([]int, len(hosts))
+	for i, h := range hosts {
+		rt.initProc(&children[i], h)
+		ids[i] = children[i].id
+	}
+	worldID := rt.newCommID()
+	parentID := rt.newCommID()
+	for i := range children {
+		c := &children[i]
+		c.world = &Comm{rt: rt, id: worldID, rank: i, group: ids}
+		c.parent = &Comm{rt: rt, id: parentID, rank: i, group: ids, remote: remote}
+	}
+	for i := range children {
+		rt.boot(command, i, &children[i], root.addr, fn, args)
+	}
+	return ids, parentID
+}
+
+// boot starts spawned child i as the actor "<command>[<i>]@<host>". It
+// sleeps through its startup (exec + MPI_Init), reports readiness to the
+// spawning root, runs the command body and exits when the body returns.
+func (rt *Runtime) boot(command string, i int, c *Proc, root string, fn SpawnFunc, args []string) {
+	var buf [64]byte
+	name := string(nameBuf(buf[:0]).str(command).str("[").int(i).str("]@").str(c.host))
+	rt.sim.Go(name, func() {
+		defer rt.exit(c)
+		rt.sim.Sleep(rt.cfg.ProcStartup)
+		parentID := c.parent.id
+		env := envelope{comm: parentID, tag: tagSpawnReady, src: c.world.rank}
+		if err := c.ep.Send(root, parentID, env, rt.cfg.ControlBytes); err != nil {
+			return
+		}
+		fn(c, args)
+	})
 }
 
 // SpawnCollective is MPI_Comm_spawn over an existing
@@ -87,7 +107,10 @@ func (c *Comm) SpawnCollective(command string, args []string, hosts []string) (*
 		return nil, fmt.Errorf("mpi: SpawnCollective on an intercommunicator")
 	}
 	rt := c.rt
-	p := c.myProc()
+	p, err := c.myProc()
+	if err != nil {
+		return nil, err
+	}
 	cb := rt.cfg.ControlBytes
 	if c.rank != 0 {
 		v, err := c.Bcast(0, nil, cb)
@@ -115,32 +138,10 @@ func (c *Comm) SpawnCollective(command string, args []string, hosts []string) (*
 	}
 	rt.sim.Sleep(rt.cfg.SpawnOverhead)
 
-	children := make([]*Proc, len(hosts))
-	ids := make([]int, len(hosts))
-	for i, h := range hosts {
-		children[i] = rt.newProc(h)
-		ids[i] = children[i].id
-	}
-	worldID := rt.newCommID()
-	parentID := rt.newCommID()
-	for i, ch := range children {
-		ch.world = &Comm{rt: rt, id: worldID, rank: i, group: ids}
-		ch.parent = &Comm{rt: rt, id: parentID, rank: i, group: ids, remote: c.group}
-	}
-	for i, ch := range children {
-		ch := ch
-		rt.sim.Go(fmt.Sprintf("%s[%d]@%s", command, i, ch.host), func() {
-			rt.sim.Sleep(rt.cfg.ProcStartup)
-			env := envelope{comm: parentID, tag: tagSpawnReady, src: ch.world.rank}
-			if err := ch.ep.Send(p.ep.Name(), parentID, env, rt.cfg.ControlBytes); err != nil {
-				return
-			}
-			fn(ch, args)
-		})
-	}
+	ids, parentID := rt.spawnProcs(command, fn, args, hosts, p, c.group)
 	desc := commDesc{id: parentID, group: c.group, remote: ids}
 	parentView := desc.handleFor(rt, p)
-	for range children {
+	for range ids {
 		if _, err := parentView.Recv(AnySource, tagSpawnReady); err != nil {
 			return nil, err
 		}
@@ -177,9 +178,10 @@ func (c *Comm) Shrink(keep []int, gen int) (*Comm, error) {
 	if myRank < 0 {
 		return nil, fmt.Errorf("%w: caller rank %d not kept", ErrInvalidRank, c.rank)
 	}
+	var buf [64]byte
 	return &Comm{
 		rt:    c.rt,
-		id:    fmt.Sprintf("%s/shrink%d", c.id, gen),
+		id:    string(nameBuf(buf[:0]).str(c.id).str("/shrink").int(gen)),
 		rank:  myRank,
 		group: group,
 	}, nil
@@ -242,7 +244,10 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	}
 	plan := v.(splitPlan)
 	procs := plan.groups[color]
-	p := c.myProc()
+	p, err := c.myProc()
+	if err != nil {
+		return nil, err
+	}
 	rank := -1
 	for i, id := range procs {
 		if id == p.id {
@@ -287,7 +292,10 @@ func (c *Comm) Merge(high bool) (*Comm, error) {
 		return nil, ErrNotIntercomm
 	}
 	rt := c.rt
-	p := c.myProc()
+	p, err := c.myProc()
+	if err != nil {
+		return nil, err
+	}
 	cb := rt.cfg.ControlBytes
 	if c.rank == 0 {
 		rt.sim.Sleep(rt.cfg.MergeOverhead)
@@ -366,11 +374,17 @@ func mergeGroups(mine []int, myHigh bool, theirs []int, theirHigh bool) []int {
 // localBcast sends desc to every non-root member of the local group
 // over the intercommunicator's side channel.
 func (c *Comm) localBcast(desc commDesc) error {
-	me := c.myProc()
+	me, err := c.myProc()
+	if err != nil {
+		return err
+	}
 	for i := 1; i < len(c.group); i++ {
-		dp := c.rt.proc(c.group[i])
+		dp, err := c.procOf(c.group, i)
+		if err != nil {
+			return err
+		}
 		env := envelope{comm: c.id + "/local", tag: tagNewComm, src: 0, payload: desc}
-		if err := me.ep.Send(dp.ep.Name(), c.id+"/local", env, c.rt.cfg.ControlBytes); err != nil {
+		if err := me.ep.Send(dp.addr, c.id+"/local", env, c.rt.cfg.ControlBytes); err != nil {
 			return err
 		}
 	}
@@ -379,7 +393,10 @@ func (c *Comm) localBcast(desc commDesc) error {
 
 // localBcastRecv receives the descriptor distributed by localBcast.
 func (c *Comm) localBcastRecv() (commDesc, error) {
-	me := c.myProc()
+	me, err := c.myProc()
+	if err != nil {
+		return commDesc{}, err
+	}
 	m, err := me.ep.RecvMatch(func(m *netsim.Message) bool {
 		env, ok := m.Payload.(envelope)
 		return ok && env.comm == c.id+"/local" && env.tag == tagNewComm

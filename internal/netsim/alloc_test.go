@@ -50,20 +50,21 @@ func TestMessageHopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPairsDigestSortedOnceAllocatesNothing: the netsim.pairs digest
-// hashes the pairs in sorted key order whatever order they first carried
-// traffic in, keeps that order from round to round (a warm round
-// allocates nothing), and takes in a pair that appears later.
-func TestPairsDigestSortedOnceAllocatesNothing(t *testing.T) {
+// TestPairsDigestCoversLivePairsAllocatesNothing: the netsim.pairs
+// digest is the count of live pairs and the sum of their hashes, so it
+// reads the same whatever order the pairs first carried traffic in (or
+// the maps are walked in), allocates nothing, takes in a pair that
+// appears later and forgets the pairs of a released endpoint.
+func TestPairsDigestCoversLivePairsAllocatesNothing(t *testing.T) {
 	s := sim.New()
-	s.SetAudit(audit.New(64)) // the fabric tracks its pairs for a recorder only
+	s.SetAudit(audit.New(64))
 	err := s.Run(func() {
 		n := New(s, LinkParams{Latency: time.Microsecond})
 		eps := map[string]*Endpoint{}
 		for _, name := range []string{"c", "a", "b"} {
 			eps[name] = n.Endpoint(name)
-			defer eps[name].Close()
 		}
+		defer n.Close()
 		send := func(from, to string) {
 			if err := eps[from].Send(to, "t", "payload", 8); err != nil {
 				t.Errorf("Send: %v", err)
@@ -75,16 +76,21 @@ func TestPairsDigestSortedOnceAllocatesNothing(t *testing.T) {
 			}
 			m.Release()
 		}
-		// want hashes the given pairs, in the order given, the way the
-		// digest must: count, then from, to and the latest deadline.
+		// want hashes the given pairs the way the digest must: the count,
+		// then the sum of one hash a pair over from, to and the latest
+		// deadline.
 		want := func(pairs ...[2]string) uint64 {
+			var sum uint64
+			for _, k := range pairs {
+				var h audit.Digest
+				h.WriteString(k[0])
+				h.WriteString(k[1])
+				h.WriteInt(int64(n.pairs[pairKey{eps[k[0]], k[1]}].lastDue))
+				sum += h.Sum()
+			}
 			d := new(audit.Digest)
 			d.WriteInt(int64(len(pairs)))
-			for _, k := range pairs {
-				d.WriteString(k[0])
-				d.WriteString(k[1])
-				d.WriteInt(int64(n.pairs[k].lastDue))
-			}
+			d.WriteUint(sum)
 			return d.Sum()
 		}
 		sum := func() uint64 {
@@ -95,24 +101,30 @@ func TestPairsDigestSortedOnceAllocatesNothing(t *testing.T) {
 		send("c", "a")
 		send("a", "b")
 		if got := sum(); got != want([2]string{"a", "b"}, [2]string{"c", "a"}) {
-			t.Errorf("digest of two pairs = %x, not the sorted-order hash", got)
+			t.Errorf("digest of two pairs = %x, not the count and hash sum", got)
 		}
+		before := sum()
 		send("a", "b") // moves a deadline, adds no pair
+		if sum() == before {
+			t.Error("digest did not move with a pair's deadline")
+		}
 		if !raceDetectorOn {
 			d := new(audit.Digest)
 			if allocs := testing.AllocsPerRun(100, func() { n.digestPairs(d) }); allocs != 0 {
-				t.Errorf("warm digest round: %v allocs, want 0", allocs)
+				t.Errorf("digest round: %v allocs, want 0", allocs)
 			}
 		}
 		send("b", "a")
-		if got := sum(); got != want([2]string{"a", "b"}, [2]string{"b", "a"}, [2]string{"c", "a"}) {
-			t.Errorf("digest after a third pair = %x, not the sorted-order hash", got)
-		}
-		send("c", "b") // two more in one round, landing at both ends of the order
+		send("c", "b")
 		send("a", "a")
 		if got := sum(); got != want([2]string{"a", "a"}, [2]string{"a", "b"}, [2]string{"b", "a"},
 			[2]string{"c", "a"}, [2]string{"c", "b"}) {
-			t.Errorf("digest after five pairs = %x, not the sorted-order hash", got)
+			t.Errorf("digest after five pairs = %x, not the count and hash sum", got)
+		}
+		// Releasing b takes a->b, b->a and c->b with it.
+		n.Release(eps["b"])
+		if got := sum(); got != want([2]string{"a", "a"}, [2]string{"c", "a"}) {
+			t.Errorf("digest after releasing b = %x, not the hash of the two pairs left", got)
 		}
 	})
 	if err != nil {

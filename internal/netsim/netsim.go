@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,19 +133,28 @@ type Network struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
-	pairs     map[[2]string]*pairState
-	// The netsim.pairs digest's view of pairs, kept only under a
-	// recorder: pairOrder in sorted key order as of the last digest
-	// round, pairFresh the pairs created since.
-	pairOrder []pairRef
-	pairFresh []pairRef
-	nameSeq   int
-	down      map[string]bool
-	downHosts map[string]bool
-	rng       *sim.RNG
-	trace     func(*Message)
-	stats     Stats
-	inst      *netInstruments
+	// pairs holds the state of every directed pair both of whose ends
+	// are live, keyed by the sending endpoint and the destination's
+	// name: one lookup on the send path finds the FIFO floor, the link
+	// and the destination.
+	pairs map[pairKey]*pairState
+	// links holds the SetLink overrides by (from, to) name. It is
+	// configuration, not state: an override outlives the endpoints it
+	// names, while the pair states above live and die with them.
+	links map[[2]string]LinkParams
+	// Released endpoints and pair states wait here for the next Endpoint
+	// or first send. The lists belong to the fabric, not to a sync.Pool:
+	// a gate is bound to the fabric's kernel, and what a run reuses must
+	// not depend on what another goroutine's run gave back.
+	freeEndpoints []*Endpoint
+	freePairs     []*pairState
+	nameSeq       int
+	down          map[string]bool
+	downHosts     map[string]bool
+	rng           *sim.RNG
+	trace         func(*Message)
+	stats         Stats
+	inst          *netInstruments
 	// The two flags sit together after the pointer-wide fields so the
 	// struct carries no reducible padding (pinned by the layout test
 	// in internal/lint).
@@ -154,27 +162,49 @@ type Network struct {
 	closed  bool
 }
 
-// pairRef is one entry of the digest's sorted view of the pair map.
-type pairRef struct {
-	key [2]string
-	ps  *pairState
-}
-
-func (r pairRef) compare(o pairRef) int {
-	if c := strings.Compare(r.key[0], o.key[0]); c != 0 {
-		return c
-	}
-	return strings.Compare(r.key[1], o.key[1])
+type pairKey struct {
+	from *Endpoint
+	to   string
 }
 
 // pairState folds everything the per-message send path needs for one
-// directed sender/receiver pair into a single map entry: the link
-// parameters in effect and the FIFO floor that keeps jittered (or
-// differently sized) messages from overtaking earlier ones.
+// directed sender/receiver pair into a single map entry: the
+// destination, the link parameters in effect and the FIFO floor that
+// keeps jittered (or differently sized) messages from overtaking earlier
+// ones. A pair state exists while both its ends do. It sits on two
+// lists, its sender's and its destination's, so that releasing either
+// end finds it — and takes it off the surviving end's list — without an
+// index that would cost every endpoint an allocation.
 type pairState struct {
 	p        LinkParams
-	override bool // p was set explicitly via SetLink
 	lastDue  time.Duration
+	from, to *Endpoint
+	out, in  pairNode // on from.out and on to.in
+}
+
+// pairNode threads a pair state on one endpoint's list.
+type pairNode struct {
+	next, prev *pairNode
+	ps         *pairState
+}
+
+func (nd *pairNode) push(head **pairNode) {
+	nd.prev, nd.next = nil, *head
+	if nd.next != nil {
+		nd.next.prev = nd
+	}
+	*head = nd
+}
+
+func (nd *pairNode) remove(head **pairNode) {
+	if nd.prev != nil {
+		nd.prev.next = nd.next
+	} else {
+		*head = nd.next
+	}
+	if nd.next != nil {
+		nd.next.prev = nd.prev
+	}
 }
 
 // netInstruments are the fabric's live metrics, resolved once at
@@ -196,7 +226,8 @@ func New(s *sim.Simulation, def LinkParams) *Network {
 		sim:       s,
 		def:       def,
 		endpoints: make(map[string]*Endpoint),
-		pairs:     make(map[[2]string]*pairState),
+		pairs:     make(map[pairKey]*pairState),
+		links:     make(map[[2]string]LinkParams),
 		down:      make(map[string]bool),
 		downHosts: make(map[string]bool),
 		rng:       sim.NewRNG(1),
@@ -216,37 +247,29 @@ func New(s *sim.Simulation, def LinkParams) *Network {
 	return n
 }
 
-// digestPairs hashes the fabric's per-pair FIFO state in sorted pair
-// order: every directed sender/receiver pair that has carried traffic
-// and the virtual deadline of its latest delivery. Pairs are only ever
-// added, so the sorted order is kept from round to round: a round
-// sorts the pairs created since the last one and merges them in.
+// digestPairs hashes the fabric's per-pair FIFO state: every live
+// directed sender/receiver pair and the virtual deadline of its latest
+// delivery. Each pair is hashed on its own and the hashes are added, so
+// the sum does not depend on the order the map is walked in and a round
+// costs one pass over the live pairs, with nothing kept between rounds.
 func (n *Network) digestPairs(d *audit.Digest) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if fresh := n.pairFresh; len(fresh) > 0 {
-		slices.SortFunc(fresh, pairRef.compare)
-		// Merge from the back, into the room the fresh pairs add.
-		i := len(n.pairOrder) - 1
-		n.pairOrder = append(n.pairOrder, fresh...)
-		for j, w := len(fresh)-1, len(n.pairOrder)-1; j >= 0; w-- {
-			if i >= 0 && n.pairOrder[i].compare(fresh[j]) > 0 {
-				n.pairOrder[w] = n.pairOrder[i]
-				i--
-			} else {
-				n.pairOrder[w] = fresh[j]
-				j--
-			}
-		}
-		clear(fresh)
-		n.pairFresh = fresh[:0]
+	var sum uint64
+	for key, ps := range n.pairs {
+		sum += pairHash(key.from.name, key.to, ps.lastDue)
 	}
-	d.WriteInt(int64(len(n.pairOrder)))
-	for _, r := range n.pairOrder {
-		d.WriteString(r.key[0])
-		d.WriteString(r.key[1])
-		d.WriteInt(int64(r.ps.lastDue))
-	}
+	d.WriteInt(int64(len(n.pairs)))
+	d.WriteUint(sum)
+}
+
+// pairHash is one pair's term of the netsim.pairs digest.
+func pairHash(from, to string, lastDue time.Duration) uint64 {
+	var h audit.Digest
+	h.WriteString(from)
+	h.WriteString(to)
+	h.WriteInt(int64(lastDue))
+	return h.Sum()
 }
 
 // Seed reseeds the jitter generator (distinct seeds per trial emulate
@@ -297,44 +320,114 @@ func (n *Network) Reserve(extra int) {
 }
 
 // Endpoint creates (or returns the existing) endpoint with the given
-// name.
+// name. A new endpoint takes over the storage of a released one when
+// there is one: its gate, waiter list and queue.
 func (n *Network) Endpoint(name string) *Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if e, ok := n.endpoints[name]; ok {
 		return e
 	}
-	e := &Endpoint{
-		net:  n,
-		name: name,
-		gate: n.sim.NewGate("recv:" + name),
+	var e *Endpoint
+	if last := len(n.freeEndpoints) - 1; last >= 0 {
+		e = n.freeEndpoints[last]
+		n.freeEndpoints[last] = nil
+		n.freeEndpoints = n.freeEndpoints[:last]
+		e.gate.Rename(name)
+		e.mu.Lock()
+		e.name = name
+		e.closed = false
+		e.mu.Unlock()
+	} else {
+		e = &Endpoint{net: n, name: name, gate: n.sim.NewGateKind("recv:", name)}
 	}
+	e.live = true
 	n.endpoints[name] = e
 	return e
 }
 
-// pairLocked returns (creating if needed) the state of the directed
-// pair from -> to. Callers hold n.mu.
-func (n *Network) pairLocked(from, to string) *pairState {
-	key := [2]string{from, to}
-	ps, ok := n.pairs[key]
-	if !ok {
-		ps = &pairState{p: n.def}
-		n.pairs[key] = ps
-		if n.aud != nil {
-			n.pairFresh = append(n.pairFresh, pairRef{key: key, ps: ps})
-		}
+// Release is the other half of Endpoint: it closes e, forgets its name
+// and every pair state that names it — on the surviving peers too — and
+// keeps the storage for the next Endpoint. Names are never reused by
+// the layers above (process ids and NameSeq only count up), so the name
+// is the generation: a message still in flight to a released endpoint is
+// discarded on arrival even when the struct already serves a new owner,
+// and a send to the released name fails with ErrUnknownPeer. Releasing
+// twice is a no-op. The caller must not touch e afterwards.
+func (n *Network) Release(e *Endpoint) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !e.live {
+		return
 	}
+	e.live = false
+	delete(n.endpoints, e.name)
+	for nd := e.out; nd != nil; nd = nd.next {
+		ps := nd.ps
+		ps.in.remove(&ps.to.in)
+		n.dropPairLocked(ps)
+	}
+	for nd := e.in; nd != nil; nd = nd.next {
+		ps := nd.ps
+		ps.out.remove(&ps.from.out)
+		n.dropPairLocked(ps)
+	}
+	e.out, e.in = nil, nil
+	// Parked receivers wake with ErrClosed and queued messages go back to
+	// the arena before the storage can be handed out again.
+	e.Close()
+	n.freeEndpoints = append(n.freeEndpoints, e)
+}
+
+// dropPairLocked forgets a pair state that is off the list of its
+// surviving end and keeps the storage. The lists it is still on are being
+// walked by the caller, so its links stay until it is reused.
+func (n *Network) dropPairLocked(ps *pairState) {
+	delete(n.pairs, pairKey{ps.from, ps.to.name})
+	ps.from, ps.to = nil, nil
+	n.freePairs = append(n.freePairs, ps)
+}
+
+// newPairLocked creates the state of the directed pair e -> dst, which
+// n.pairs does not hold yet. Callers hold n.mu.
+func (n *Network) newPairLocked(e, dst *Endpoint) *pairState {
+	var ps *pairState
+	if last := len(n.freePairs) - 1; last >= 0 {
+		ps = n.freePairs[last]
+		n.freePairs[last] = nil
+		n.freePairs = n.freePairs[:last]
+	} else {
+		ps = new(pairState)
+		ps.out.ps, ps.in.ps = ps, ps
+	}
+	ps.p = n.linkLocked(e.name, dst.name)
+	ps.lastDue = 0
+	ps.from, ps.to = e, dst
+	ps.out.push(&e.out)
+	ps.in.push(&dst.in)
+	n.pairs[pairKey{e, dst.name}] = ps
 	return ps
 }
 
-// SetLink overrides parameters for the directed link from -> to.
+// linkLocked reports the parameters of the directed link from -> to:
+// the SetLink override if there is one, the fabric default otherwise.
+func (n *Network) linkLocked(from, to string) LinkParams {
+	if p, ok := n.links[[2]string{from, to}]; ok {
+		return p
+	}
+	return n.def
+}
+
+// SetLink overrides parameters for the directed link from -> to. The
+// override is kept by name: it applies to endpoints created later and
+// survives the release of either end.
 func (n *Network) SetLink(from, to string, p LinkParams) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ps := n.pairLocked(from, to)
-	ps.p = p
-	ps.override = true
+	n.links[[2]string{from, to}] = p
+	if ps, ok := n.pairs[pairKey{n.endpoints[from], to}]; ok {
+		ps.p = p
+	}
 }
 
 // LinkParams reports the parameters in effect for the directed link
@@ -342,10 +435,7 @@ func (n *Network) SetLink(from, to string, p LinkParams) {
 func (n *Network) LinkParams(from, to string) LinkParams {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if ps, ok := n.pairs[[2]string{from, to}]; ok && ps.override {
-		return ps.p
-	}
-	return n.def
+	return n.linkLocked(from, to)
 }
 
 // SetDown marks an endpoint as disconnected (true) or reachable
@@ -415,6 +505,50 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
+// Census counts the fabric's live state: what a drained system should
+// hold is its resident daemons' endpoints and the pairs between them,
+// whatever it has served.
+type Census struct {
+	Endpoints int // names that resolve
+	Pairs     int // directed pair states
+	// Dangling counts pair states with an end that is not the live
+	// endpoint of its name, or that only one of its ends indexes.
+	// Always zero unless Release has a bug.
+	Dangling int
+}
+
+// Census walks the endpoint table and every pair state.
+func (n *Network) Census() Census {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c := Census{Endpoints: len(n.endpoints), Pairs: len(n.pairs)}
+	for key, ps := range n.pairs {
+		if ps.from != key.from || n.endpoints[ps.from.name] != ps.from || n.endpoints[key.to] != ps.to {
+			c.Dangling++
+		}
+	}
+	// Every pair is on its sender's list and on its destination's.
+	listed := 0
+	for _, e := range n.endpoints {
+		for nd := e.out; nd != nil; nd = nd.next {
+			if n.pairs[pairKey{e, nd.ps.to.name}] != nd.ps {
+				c.Dangling++
+			}
+			listed++
+		}
+		for nd := e.in; nd != nil; nd = nd.next {
+			if nd.ps.to != e {
+				c.Dangling++
+			}
+			listed++
+		}
+	}
+	if listed != 2*c.Pairs {
+		c.Dangling++
+	}
+	return c
+}
+
 // Trace installs an observer invoked for every delivered message
 // (nil disables). The observer runs on the delivery path and must be
 // fast and non-blocking; use it for protocol debugging and message
@@ -449,10 +583,16 @@ func (n *Network) Close() {
 // actors.
 type Endpoint struct {
 	net  *Network
-	name string
 	gate *sim.Gate
 
+	// Guarded by net.mu: the lists of pair states this endpoint sends
+	// on and of those that name it as destination.
+	out, in *pairNode
+
 	mu sync.Mutex
+	// name is the endpoint's current name; only reuse of a released
+	// endpoint's storage writes it.
+	name string
 	// queue[head:] holds the undelivered messages. Dequeuing from the
 	// front (the overwhelmingly common case: Recv with no matcher, or
 	// a matcher that accepts the oldest message) advances head instead
@@ -461,6 +601,9 @@ type Endpoint struct {
 	queue  []*Message
 	head   int
 	closed bool
+	// live (guarded by net.mu) is false from Release until the storage
+	// is handed out again.
+	live bool
 }
 
 // Name returns the endpoint's fabric-unique name.
@@ -495,8 +638,17 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 		n.mu.Unlock()
 		return ErrClosed
 	}
-	dst, ok := n.endpoints[to]
-	if !ok {
+	if !e.live {
+		n.mu.Unlock()
+		return ErrClosed
+	}
+	// One lookup on a pair that has carried traffic: its state knows
+	// the destination.
+	var dst *Endpoint
+	ps, ok := n.pairs[pairKey{e, to}]
+	if ok {
+		dst = ps.to
+	} else if dst, ok = n.endpoints[to]; !ok {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
@@ -505,7 +657,9 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 		n.mu.Unlock()
 		return nil // dropped in flight; sender cannot tell
 	}
-	ps := n.pairLocked(e.name, to)
+	if ps == nil {
+		ps = n.newPairLocked(e, dst)
+	}
 	n.stats.MessagesSent++
 	n.stats.BytesSent += int64(size)
 	now := n.sim.Now()
@@ -589,9 +743,13 @@ func deliverMsg(arg any) {
 	msg.dst.deliver(msg)
 }
 
+// deliver queues m unless the endpoint is closed or no longer the one m
+// was sent to: the name is the generation, so a message that was in
+// flight when its destination was released never reaches whoever holds
+// the storage now.
 func (e *Endpoint) deliver(m *Message) {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed || m.To != e.name {
 		e.mu.Unlock()
 		m.Release()
 		return
@@ -639,8 +797,11 @@ func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (*Mess
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	name := e.name
 	for {
-		if e.closed {
+		// A receiver woken by Release may find the storage already
+		// serving a new name.
+		if e.closed || e.name != name {
 			return nil, ErrClosed
 		}
 		for i := e.head; i < len(e.queue); i++ {
@@ -693,7 +854,9 @@ func (e *Endpoint) Pending() int {
 }
 
 // Close unblocks all receivers with ErrClosed and discards queued
-// messages. Closing twice is a no-op.
+// messages. Closing twice is a no-op. It is how the fabric shuts down;
+// an owner done with its endpoint calls Network.Release, which also
+// forgets the name.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -701,12 +864,12 @@ func (e *Endpoint) Close() {
 		return
 	}
 	e.closed = true
-	dead := e.queue[e.head:]
-	e.queue = nil
+	for i, m := range e.queue[e.head:] {
+		m.Release()
+		e.queue[e.head+i] = nil
+	}
+	e.queue = e.queue[:0] // the backing array serves the storage's next owner
 	e.head = 0
 	e.mu.Unlock()
-	for _, m := range dead {
-		m.Release()
-	}
 	e.gate.Broadcast()
 }

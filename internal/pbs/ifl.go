@@ -2,7 +2,7 @@ package pbs
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -18,10 +18,12 @@ type Client struct {
 	net      *netsim.Network
 	sim      *sim.Simulation
 	ep       *netsim.Endpoint
+	addr     string // ep's name: where the server sends replies
 	serverEP string
 
 	mu      sync.Mutex
 	nextReq int
+	closed  bool
 }
 
 // NewClient creates an IFL client with its own fabric endpoint. name
@@ -29,11 +31,14 @@ type Client struct {
 // uniquifying sequence number is per-fabric, so identical runs mint
 // identical endpoint names and audit recordings stay byte-identical.
 func NewClient(net *netsim.Network, name, serverEP string) *Client {
-	seq := net.NameSeq()
+	var buf [64]byte
+	b := append(append(append(buf[:0], "ifl/"...), name...), '#')
+	addr := string(strconv.AppendInt(b, int64(net.NameSeq()), 10))
 	return &Client{
 		net:      net,
 		sim:      net.Sim(),
-		ep:       net.Endpoint(fmt.Sprintf("ifl/%s#%d", name, seq)),
+		ep:       net.Endpoint(addr),
+		addr:     addr,
 		serverEP: serverEP,
 	}
 }
@@ -49,6 +54,12 @@ func (c *Client) reqID() int {
 // response payload; the message envelope goes straight back to the
 // fabric arena.
 func (c *Client) call(req any, match func(m *netsim.Message) bool, timeout time.Duration) (any, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, netsim.ErrClosed
+	}
 	if err := c.ep.Send(c.serverEP, "pbs", req, 0); err != nil {
 		return nil, err
 	}
@@ -70,7 +81,7 @@ func (c *Client) call(req any, match func(m *netsim.Message) bool, timeout time.
 // Submit is qsub: it enqueues the job and returns its id.
 func (c *Client) Submit(spec JobSpec) (string, error) {
 	id := c.reqID()
-	m, err := c.call(SubmitReq{ReqID: id, ReplyTo: c.ep.Name(), Spec: spec}, func(m *netsim.Message) bool {
+	m, err := c.call(SubmitReq{ReqID: id, ReplyTo: c.addr, Spec: spec}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(SubmitResp)
 		return ok && r.ReqID == id
 	}, 0)
@@ -87,7 +98,7 @@ func (c *Client) Submit(spec JobSpec) (string, error) {
 // Stat is qstat for one job.
 func (c *Client) Stat(jobID string) (JobInfo, error) {
 	id := c.reqID()
-	m, err := c.call(StatReq{ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID}, func(m *netsim.Message) bool {
+	m, err := c.call(StatReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(StatResp)
 		return ok && r.ReqID == id
 	}, 0)
@@ -104,7 +115,7 @@ func (c *Client) Stat(jobID string) (JobInfo, error) {
 // Nodes is pbsnodes: the node database view.
 func (c *Client) Nodes() ([]NodeInfo, error) {
 	id := c.reqID()
-	m, err := c.call(NodesReq{ReqID: id, ReplyTo: c.ep.Name()}, func(m *netsim.Message) bool {
+	m, err := c.call(NodesReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(NodesResp)
 		return ok && r.ReqID == id
 	}, 0)
@@ -119,7 +130,7 @@ func (c *Client) Nodes() ([]NodeInfo, error) {
 func (c *Client) Alter(jobID string, priority *int, walltime time.Duration, name string) error {
 	id := c.reqID()
 	m, err := c.call(AlterReq{
-		ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID,
+		ReqID: id, ReplyTo: c.addr, JobID: jobID,
 		Priority: priority, Walltime: walltime, Name: name,
 	}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(AlterResp)
@@ -142,7 +153,7 @@ func (c *Client) Release(jobID string) error { return c.hold(jobID, false) }
 
 func (c *Client) hold(jobID string, hold bool) error {
 	id := c.reqID()
-	m, err := c.call(HoldReq{ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID, Hold: hold},
+	m, err := c.call(HoldReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, Hold: hold},
 		func(m *netsim.Message) bool {
 			r, ok := m.Payload.(HoldResp)
 			return ok && r.ReqID == id
@@ -159,7 +170,7 @@ func (c *Client) hold(jobID string, hold bool) error {
 // List is qstat without arguments: every job in submission order.
 func (c *Client) List() ([]JobInfo, error) {
 	id := c.reqID()
-	m, err := c.call(ListReq{ReqID: id, ReplyTo: c.ep.Name()}, func(m *netsim.Message) bool {
+	m, err := c.call(ListReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(ListResp)
 		return ok && r.ReqID == id
 	}, 0)
@@ -172,7 +183,7 @@ func (c *Client) List() ([]JobInfo, error) {
 // Delete is qdel.
 func (c *Client) Delete(jobID string) error {
 	id := c.reqID()
-	m, err := c.call(DeleteReq{ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID}, func(m *netsim.Message) bool {
+	m, err := c.call(DeleteReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(DeleteResp)
 		return ok && r.ReqID == id
 	}, 0)
@@ -189,7 +200,7 @@ func (c *Client) Delete(jobID string) error {
 // final info.
 func (c *Client) Wait(jobID string) (JobInfo, error) {
 	id := c.reqID()
-	m, err := c.call(WaitReq{ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID}, func(m *netsim.Message) bool {
+	m, err := c.call(WaitReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(WaitResp)
 		return ok && r.ReqID == id
 	}, 0)
@@ -210,7 +221,7 @@ func (c *Client) Wait(jobID string) (JobInfo, error) {
 // existing set, paper Section II-B).
 func (c *Client) DynGet(jobID, cn string, count int) (DynGrant, error) {
 	id := c.reqID()
-	m, err := c.call(DynGetReq{ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID, CN: cn, Count: count},
+	m, err := c.call(DynGetReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, CN: cn, Count: count},
 		func(m *netsim.Message) bool {
 			r, ok := m.Payload.(DynGetResp)
 			return ok && r.ReqID == id
@@ -233,7 +244,7 @@ func (c *Client) DynGet(jobID, cn string, count int) (DynGrant, error) {
 func (c *Client) DynGetNodes(jobID, cn string, count, ppn int) (DynGrant, error) {
 	id := c.reqID()
 	m, err := c.call(DynGetReq{
-		ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID, CN: cn,
+		ReqID: id, ReplyTo: c.addr, JobID: jobID, CN: cn,
 		Count: count, Kind: KindCompute, PPN: ppn,
 	}, func(m *netsim.Message) bool {
 		r, ok := m.Payload.(DynGetResp)
@@ -254,7 +265,7 @@ func (c *Client) DynGetNodes(jobID, cn string, count, ppn int) (DynGrant, error)
 // disassociates the moms in the background.
 func (c *Client) DynFree(jobID string, clientID int) error {
 	id := c.reqID()
-	m, err := c.call(DynFreeReq{ReqID: id, ReplyTo: c.ep.Name(), JobID: jobID, ClientID: clientID},
+	m, err := c.call(DynFreeReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, ClientID: clientID},
 		func(m *netsim.Message) bool {
 			r, ok := m.Payload.(DynFreeResp)
 			return ok && r.ReqID == id
@@ -268,5 +279,14 @@ func (c *Client) DynFree(jobID string, clientID int) error {
 	return nil
 }
 
-// Close releases the client's endpoint.
-func (c *Client) Close() { c.ep.Close() }
+// Close gives the client's endpoint back to the fabric; every later call
+// returns netsim.ErrClosed. Closing twice is a no-op.
+func (c *Client) Close() {
+	c.mu.Lock()
+	closed := c.closed
+	c.closed = true
+	c.mu.Unlock()
+	if !closed {
+		c.net.Release(c.ep)
+	}
+}

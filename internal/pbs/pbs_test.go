@@ -1,6 +1,7 @@
 package pbs_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -547,4 +548,37 @@ func TestJobStateStrings(t *testing.T) {
 	if pbs.AcceleratorNode.String() != "accelerator" || pbs.ComputeNode.String() != "compute" {
 		t.Error("node type strings wrong")
 	}
+}
+
+// A closed client has given its endpoint back to the fabric: every call
+// fails with ErrClosed instead of acting through whoever holds the
+// endpoint's storage now, and the name it replied on is gone.
+func TestClientCallsAfterCloseFail(t *testing.T) {
+	tb := newTestbed(t, 1, 0, nil)
+	tb.run(t, func(c *pbs.Client) {
+		before := tb.net.Census().Endpoints
+		other := pbs.NewClient(tb.net, "side", pbs.ServerEndpoint)
+		if _, err := other.Nodes(); err != nil {
+			t.Fatalf("Nodes: %v", err)
+		}
+		other.Close()
+		other.Close() // a no-op
+		if got := tb.net.Census(); got.Endpoints != before || got.Dangling != 0 {
+			t.Errorf("census after Close = %+v, want %d endpoints", got, before)
+		}
+		next := pbs.NewClient(tb.net, "side", pbs.ServerEndpoint) // reuses the storage
+		defer next.Close()
+		if _, err := other.Nodes(); !errors.Is(err, netsim.ErrClosed) {
+			t.Errorf("Nodes after Close: %v, want ErrClosed", err)
+		}
+		if _, err := other.Submit(pbs.JobSpec{Name: "late", Owner: "u", Nodes: 1, PPN: 1}); !errors.Is(err, netsim.ErrClosed) {
+			t.Errorf("Submit after Close: %v, want ErrClosed", err)
+		}
+		if err := other.DynFree("1.server", 1); !errors.Is(err, netsim.ErrClosed) {
+			t.Errorf("DynFree after Close: %v, want ErrClosed", err)
+		}
+		if _, err := next.Nodes(); err != nil {
+			t.Errorf("the next client on the reused endpoint: %v", err)
+		}
+	})
 }

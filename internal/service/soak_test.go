@@ -91,3 +91,133 @@ func TestServeSoakSteadyStateMemory(t *testing.T) {
 			afterSecond-afterFirst, window, afterFirst, afterSecond)
 	}
 }
+
+// trailer appends one plain job well after the last entry of a stream,
+// so that a probe can look at the instance while every job before it
+// has drained and the fabric is still up.
+type trailer struct {
+	workload.Source
+	gap  time.Duration
+	last time.Duration
+	done bool
+}
+
+func (t *trailer) Next() (workload.TraceEntry, bool) {
+	if e, ok := t.Source.Next(); ok {
+		t.last = e.At
+		return e, true
+	}
+	if t.done {
+		return workload.TraceEntry{}, false
+	}
+	t.done = true
+	return workload.TraceEntry{
+		At: t.last + t.gap, Name: "trailer", Owner: "soak", Nodes: 1, PPN: 1,
+		Runtime: 10 * time.Millisecond, Walltime: time.Second,
+	}, true
+}
+
+// residue is what a drained instance still holds.
+type residue struct {
+	endpoints, pairs, dangling int
+	procs, mpiPorts, dacPorts  int
+}
+
+// soakDynamicMix serves jobs open-loop arrivals of which a seeded third
+// run AC_Init / AC_Get / AC_Free / AC_Finalize (half of those on a
+// static accelerator as well, so the mom's daemon start, the MPI port
+// and AC_Init's connect are on the path), waits until all have drained
+// and reports what is left, plus the live heap a quarter of the way
+// through and at the end.
+func soakDynamicMix(t *testing.T, jobs int) (left residue, heapQuarter, heapEnd uint64) {
+	t.Helper()
+	arrivals, err := workload.NewArrivals(workload.ArrivalConfig{
+		Rate: 20, Seed: 29, MaxJobs: jobs,
+		Classes: append(shortClasses(),
+			workload.Class{Name: "dyn", Weight: 1, Nodes: 1, PPN: 1, MinRun: 300 * time.Millisecond, MaxRun: 600 * time.Millisecond,
+				DynACs: 2, DynHold: 100 * time.Millisecond},
+			workload.Class{Name: "static+dyn", Weight: 1, Nodes: 1, PPN: 1, ACPN: 1, MinRun: 300 * time.Millisecond, MaxRun: 600 * time.Millisecond,
+				DynACs: 1, DynHold: 100 * time.Millisecond}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var granted int64
+	rep, err := service.Run(service.Config{
+		Cluster:        testParams(8),
+		Source:         &trailer{Source: arrivals, gap: 30 * time.Second},
+		ScrapeInterval: 5 * time.Second,
+		MaxWindows:     64,
+		Probe: func(inst *service.Instance) {
+			c := inst.Cluster()
+			for int(inst.ServiceStats().Completed) < jobs/4 {
+				c.Sim.Sleep(250 * time.Millisecond)
+			}
+			heapQuarter = heapAfterGC()
+			for int(inst.ServiceStats().Completed) < jobs {
+				c.Sim.Sleep(250 * time.Millisecond)
+			}
+			c.Sim.Sleep(5 * time.Second) // the last daemons' exit messages land
+			heapEnd = heapAfterGC()
+			census := c.Net.Census()
+			left = residue{endpoints: census.Endpoints, pairs: census.Pairs, dangling: census.Dangling}
+			left.procs, left.mpiPorts = c.MPI.Live()
+			left.dacPorts = c.DAC.PublishedPorts()
+			granted = inst.Registry().Counter("pbs.dyn_granted").Value()
+		},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Completed != jobs+1 {
+		t.Fatalf("completed %d of %d jobs", rep.Completed, jobs+1)
+	}
+	if int(granted) < jobs/4 {
+		t.Fatalf("only %d dynamic requests granted over %d jobs: the mix did not exercise the path", granted, jobs)
+	}
+	return left, heapQuarter, heapEnd
+}
+
+// A resident instance that serves dynamic requests ends where it began:
+// whatever the daemons, attached processes and IFL clients of its jobs
+// built is released with them, so two soaks a factor of four apart in
+// admitted jobs drain to the same endpoints (the resident set), no MPI
+// process, no open or published port and no pair state naming an
+// endpoint that is gone — and the heap does not grow with the jobs
+// served.
+func TestServeSoakDynamicMixDrainsToResidentSet(t *testing.T) {
+	jobs := 2500
+	if testing.Short() {
+		jobs = 250
+	}
+	short, _, _ := soakDynamicMix(t, jobs)
+	long, heapQuarter, heapEnd := soakDynamicMix(t, 4*jobs)
+
+	const resident = 8 + 16 + 4 // moms, server, scheduler, the pump and query clients
+	for _, r := range []struct {
+		name string
+		left residue
+	}{{"short", short}, {"long", long}} {
+		left := r.left
+		if left.endpoints != resident {
+			t.Errorf("%s soak drained to %d endpoints, want the resident %d", r.name, left.endpoints, resident)
+		}
+		if left.procs != 0 || left.mpiPorts != 0 || left.dacPorts != 0 {
+			t.Errorf("%s soak drained to %d processes, %d open and %d published ports, want none",
+				r.name, left.procs, left.mpiPorts, left.dacPorts)
+		}
+		if left.dangling != 0 {
+			t.Errorf("%s soak: %d of %d pair states name a released endpoint", r.name, left.dangling, left.pairs)
+		}
+	}
+	if short.endpoints != long.endpoints || short.procs != long.procs {
+		t.Errorf("live state grew with the jobs served: %+v after %d jobs, %+v after %d", short, jobs, long, 4*jobs)
+	}
+	if long.pairs > 4*resident*resident {
+		t.Errorf("%d pair states among %d resident endpoints", long.pairs, resident)
+	}
+	if heapEnd > heapQuarter && heapEnd-heapQuarter > 8<<20 {
+		t.Errorf("heap grew %d bytes between %d and %d jobs served (%d, then %d)",
+			heapEnd-heapQuarter, jobs, 4*jobs, heapQuarter, heapEnd)
+	}
+}

@@ -119,8 +119,8 @@ func TestDispatchZeroAlloc(t *testing.T) {
 }
 
 // TestGateWaitSignalZeroAlloc pins the gate park/signal handoff at
-// zero allocations per operation: waiters are pooled and the park
-// label is precomputed at gate construction.
+// zero allocations per operation: waiters are pooled and parking counts
+// on the gate itself.
 func TestGateWaitSignalZeroAlloc(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")

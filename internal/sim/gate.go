@@ -22,9 +22,16 @@ import (
 // with the producer holding mu around the state change and calling
 // Signal or Broadcast afterwards (with or without mu held).
 type Gate struct {
-	sim   *Simulation
-	name  string
-	label string // "gate:"+name, precomputed so parking never allocates
+	sim *Simulation
+	// Diagnostics read kind+name; the two are joined only in a deadlock
+	// report, so naming or renaming a gate builds no string.
+	kind, name string
+
+	// Guarded by sim.mu: how many actors are parked here and, while any
+	// is, the gate's place on the kernel's list of such gates — what a
+	// deadlock report walks, at no cost to parking but a counter.
+	parked                 int
+	nextParked, prevParked *Gate
 
 	mu      sync.Mutex
 	waiters []*gateWaiter
@@ -78,7 +85,21 @@ func (w *gateWaiter) fire(state uint64) bool {
 // NewGate returns a Gate bound to s. The name appears in deadlock
 // diagnostics.
 func (s *Simulation) NewGate(name string) *Gate {
-	return &Gate{sim: s, name: name, label: "gate:" + name}
+	return s.NewGateKind("", name)
+}
+
+// NewGateKind is NewGate for a family of gates that share a prefix:
+// diagnostics read "gate:"+kind+name.
+func (s *Simulation) NewGateKind(kind, name string) *Gate {
+	return &Gate{sim: s, kind: kind, name: name}
+}
+
+// Rename gives an idle gate a new name within its kind. The caller owns
+// the gate and guarantees no actor is parked on it.
+func (g *Gate) Rename(name string) {
+	g.sim.mu.Lock()
+	g.name = name
+	g.sim.mu.Unlock()
 }
 
 // Wait atomically releases l and parks the calling actor until Signal
@@ -93,7 +114,7 @@ func (g *Gate) Wait(l sync.Locker) {
 	g.mu.Lock()
 	g.waiters = append(g.waiters, w)
 	g.sim.mu.Lock()
-	g.sim.parkLocked(g.label)
+	g.sim.parkLocked(g)
 	g.sim.mu.Unlock()
 	g.mu.Unlock()
 
@@ -115,7 +136,7 @@ func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
 	g.waiters = append(g.waiters, w)
 	g.sim.mu.Lock()
 	g.sim.pushLocked(g.sim.now+d, nil, func() { g.expire(w, gs) })
-	g.sim.parkLocked(g.label)
+	g.sim.parkLocked(g)
 	g.sim.mu.Unlock()
 	g.mu.Unlock()
 
@@ -149,7 +170,7 @@ func (g *Gate) expire(w *gateWaiter, gs uint64) {
 		}
 	}
 	g.mu.Unlock()
-	g.sim.markRunnable(g.label)
+	g.sim.markRunnable(g)
 	w.ch <- struct{}{}
 }
 
@@ -178,7 +199,7 @@ func (g *Gate) Signal() {
 	}
 	g.mu.Unlock()
 	if w != nil {
-		g.sim.markRunnable(g.label)
+		g.sim.markRunnable(g)
 		w.ch <- struct{}{}
 	}
 }
@@ -187,16 +208,18 @@ func (g *Gate) Signal() {
 func (g *Gate) Broadcast() {
 	g.mu.Lock()
 	ws := g.waiters
+	if len(ws) == 0 {
+		// Nobody to wake: keep the list's backing array for the next Wait.
+		g.mu.Unlock()
+		return
+	}
 	g.waiters = nil
 	g.mu.Unlock()
 	for _, w := range ws {
 		if w.fire(wSignaled) {
-			g.sim.markRunnable(g.label)
+			g.sim.markRunnable(g)
 			w.ch <- struct{}{}
 		}
-	}
-	if len(ws) == 0 {
-		return
 	}
 	// Hand the emptied backing array back so the next Wait appends into
 	// it instead of growing from nil (unless a new waiter raced in).

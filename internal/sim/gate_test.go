@@ -190,3 +190,57 @@ func TestGateFIFOOrder(t *testing.T) {
 		t.Fatalf("order = %v, want [0 1 2]", order)
 	}
 }
+
+// A broadcast nobody is parked on — most mailbox deliveries — must leave
+// the gate's waiter list alone: dropping its backing array there made
+// the next Wait allocate a new one.
+func TestGateIdleBroadcastKeepsWaiterList(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
+	}
+	s := New()
+	var allocs float64
+	err := s.Run(func() {
+		g := s.NewGate("idle")
+		var mu sync.Mutex
+		sig := func(any) { g.Signal() }
+		ping := func() {
+			g.Broadcast() // no waiter
+			s.AfterArg(time.Microsecond, sig, nil)
+			mu.Lock()
+			g.Wait(&mu)
+			mu.Unlock()
+		}
+		for i := 0; i < 16; i++ {
+			ping()
+		}
+		allocs = testing.AllocsPerRun(200, ping)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("idle broadcast between two waits: %v allocs/op, want 0", allocs)
+	}
+}
+
+// A gate's kind and name are joined only in the deadlock report, and a
+// renamed gate reports under its new name.
+func TestGateKindAndRenameInDeadlockReport(t *testing.T) {
+	s := New()
+	err := s.Run(func() {
+		g := s.NewGateKind("recv:", "old")
+		g.Rename("mpi/p7@ac3")
+		var mu sync.Mutex
+		s.Go("waiter", func() {
+			mu.Lock()
+			g.Wait(&mu)
+		})
+		mu.Lock()
+		s.NewGate("plain").Wait(&mu)
+	})
+	const want = "sim: deadlock at 0s: parked actors: gate:plain×1, gate:recv:mpi/p7@ac3×1"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant  %s", err, want)
+	}
+}

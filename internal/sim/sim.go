@@ -96,17 +96,20 @@ type Simulation struct {
 	// nowA mirrors now so Now() is lock-free: the hot paths (netsim
 	// sends, tracer timestamps, scheduler priorities) read the clock
 	// far more often than the controller advances it.
-	nowA     atomic.Int64
-	running  int // actors currently runnable
-	actors   int // live actors (runnable or parked)
-	events   eventQueue
-	batch    []event // controller scratch, reused across clock advances
-	seq      uint64
-	parked   map[string]int // actor name -> count, for deadlock diagnostics
-	deadline time.Duration  // virtual-time cap; 0 = unlimited
-	mainSet  bool
-	mainEnd  bool
-	halted   bool
+	nowA    atomic.Int64
+	running int // actors currently runnable
+	actors  int // live actors (runnable or parked)
+	events  eventQueue
+	batch   []event // controller scratch, reused across clock advances
+	seq     uint64
+	// What is parked, for deadlock diagnostics: the count of sleepers and
+	// the list of gates with at least one waiter (through Gate.nextParked).
+	sleeping    int
+	parkedGates *Gate
+	deadline    time.Duration // virtual-time cap; 0 = unlimited
+	mainSet     bool
+	mainEnd     bool
+	halted      bool
 
 	// undispatched counts the events of the current instant's batch the
 	// controller has yet to release: due now, but neither in the queue
@@ -151,7 +154,7 @@ type kernelInstruments struct {
 
 // New returns an empty simulation at virtual time zero.
 func New() *Simulation {
-	s := &Simulation{parked: make(map[string]int)}
+	s := &Simulation{}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -312,7 +315,7 @@ func (s *Simulation) Sleep(d time.Duration) {
 	}
 	ch := wakePool.Get().(chan struct{})
 	s.pushLocked(t, ch, nil)
-	s.parkLocked("sleep")
+	s.parkLocked(nil)
 	s.mu.Unlock()
 	<-ch
 	wakePool.Put(ch)
@@ -445,7 +448,7 @@ func (s *Simulation) Run(main func()) error {
 			s.mu.Lock()
 			s.undispatched--
 			if ev.wake != nil {
-				s.unparkLocked("sleep")
+				s.unparkLocked(nil)
 				s.mu.Unlock()
 				ev.wake <- struct{}{} // ownership of the running slot passes to the woken actor
 			} else {
@@ -535,7 +538,7 @@ func (s *Simulation) reset() {
 	s.events.lane = s.events.lane[:0]
 	clear(s.batch)
 	s.batch = s.batch[:0]
-	clear(s.parked)
+	s.sleeping, s.parkedGates = 0, nil
 	s.panicked = nil
 	s.tracer.Store(nil)
 	s.telem.Store(nil)
@@ -568,11 +571,20 @@ func (s *Simulation) panicErr() error {
 	return fmt.Errorf("sim: actor panics: %s", strings.Join(s.panicked, "; "))
 }
 
-// parkLocked marks the calling actor idle. Callers hold s.mu.
-func (s *Simulation) parkLocked(why string) {
+// parkLocked marks the calling actor idle: asleep when g is nil, waiting
+// on g otherwise. Callers hold s.mu.
+func (s *Simulation) parkLocked(g *Gate) {
 	s.running--
-	s.parked[why]++
 	s.parks++
+	if g == nil {
+		s.sleeping++
+	} else if g.parked++; g.parked == 1 {
+		g.prevParked, g.nextParked = nil, s.parkedGates
+		if g.nextParked != nil {
+			g.nextParked.prevParked = g
+		}
+		s.parkedGates = g
+	}
 	if s.running == 0 {
 		s.cond.Broadcast()
 	}
@@ -581,25 +593,44 @@ func (s *Simulation) parkLocked(why string) {
 // unparkLocked is the waker's half of parkLocked: it hands a running
 // slot to an actor about to be woken and clears the diagnostic note the
 // actor left when it parked. Callers hold s.mu.
-func (s *Simulation) unparkLocked(why string) {
+func (s *Simulation) unparkLocked(g *Gate) {
 	s.running++
-	s.parked[why]--
-	if s.parked[why] == 0 {
-		delete(s.parked, why)
+	if g == nil {
+		s.sleeping--
+	} else if g.parked--; g.parked == 0 {
+		if g.prevParked != nil {
+			g.prevParked.nextParked = g.nextParked
+		} else {
+			s.parkedGates = g.nextParked
+		}
+		if g.nextParked != nil {
+			g.nextParked.prevParked = g.prevParked
+		}
+		g.prevParked, g.nextParked = nil, nil
 	}
 }
 
 // markRunnable is unparkLocked for an actor about to be woken by a
 // Gate signal or timeout. Callers must not hold s.mu.
-func (s *Simulation) markRunnable(why string) {
+func (s *Simulation) markRunnable(g *Gate) {
 	s.mu.Lock()
-	s.unparkLocked(why)
+	s.unparkLocked(g)
 	s.mu.Unlock()
 }
 
+// blockedLocked is the deadlock report: "sleep×N" and one
+// "gate:<kind><name>×N" per name, sorted; gates that share a name are
+// counted together.
 func (s *Simulation) blockedLocked() string {
+	byName := make(map[string]int)
+	if s.sleeping > 0 {
+		byName["sleep"] = s.sleeping
+	}
+	for g := s.parkedGates; g != nil; g = g.nextParked {
+		byName["gate:"+g.kind+g.name] += g.parked
+	}
 	var parts []string
-	for why, n := range s.parked {
+	for why, n := range byName {
 		parts = append(parts, fmt.Sprintf("%s×%d", why, n))
 	}
 	sort.Strings(parts)

@@ -33,4 +33,11 @@ echo "==> go test -race -count=5 (audit engine and job view equivalence)"
 go test -race -count=5 -run 'TestCycleEngineEqualsFullSweepEveryCycle|TestMirrorSweepAgreesWithDeltaChecksEveryCycle|TestNodeMirrorTracksServerThroughRandomOperations' \
     ./internal/pbs ./internal/maui
 
+# Release hands an endpoint's storage to its next owner while messages
+# to the old name may still be in flight and receivers may still be
+# waking: repeat the lifecycle tests under the detector.
+echo "==> go test -race -count=5 (daemon lifecycle: release and reuse)"
+go test -race -count=5 -run 'TestDynamicDaemonLifecycleIsSymmetric|TestPropertyReleaseAgainstMapModel' \
+    ./internal/cluster ./internal/netsim
+
 echo "==> checks passed"
