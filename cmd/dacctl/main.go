@@ -71,8 +71,8 @@ func printStat(client *repro.Client, id string) {
 	}
 	fmt.Printf("$ qstat %s\n", id)
 	fmt.Printf("  name=%s owner=%s state=%s nodes=%v\n", info.Spec.Name, info.Spec.Owner, info.State, info.Hosts)
-	if len(info.AccHosts) > 0 {
-		fmt.Printf("  static accelerators: %v\n", info.AccHosts)
+	for i, acs := range info.AccHosts {
+		fmt.Printf("  static accelerators of %s: %v\n", info.Hosts[i], acs)
 	}
 	if len(info.DynSets) > 0 {
 		fmt.Printf("  dynamic sets: %v\n", info.DynSets)

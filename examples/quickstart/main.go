@@ -36,7 +36,7 @@ func main() {
 		}
 		fmt.Printf("job state: %v\n", info.State)
 		fmt.Printf("compute nodes: %v\n", info.Hosts)
-		fmt.Printf("static accelerators: %v\n", info.AccHosts[info.Hosts[0]])
+		fmt.Printf("static accelerators: %v\n", info.AccHosts[0])
 		fmt.Printf("turnaround: %v\n", info.CompletedAt-info.SubmittedAt)
 	})
 	if err != nil {

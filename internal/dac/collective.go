@@ -127,7 +127,7 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 			idx := 0
 			for _, r := range order {
 				n := g.counts[r]
-				g.parts[r] = append([]string(nil), grant.Hosts[idx:idx+n]...)
+				g.parts[r] = grant.Hosts[idx : idx+n : idx+n] // the grant's list is never written: a share is a slice of it
 				idx += n
 			}
 		}

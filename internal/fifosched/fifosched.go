@@ -215,12 +215,13 @@ func (sc *Scheduler) allocDyn(r pbs.SchedDynView, pool *free) []string {
 	if r.Count > len(pool.acs) {
 		return nil
 	}
-	out := append([]string(nil), pool.acs[:r.Count]...)
+	// The cycle's own list is never written again: a grant is a slice of it.
+	out := pool.acs[:r.Count:r.Count]
 	pool.acs = pool.acs[r.Count:]
 	return out
 }
 
-func (sc *Scheduler) place(spec pbs.JobSpec, jobID string, pool *free) ([]string, map[string][]string, bool) {
+func (sc *Scheduler) place(spec pbs.JobSpec, jobID string, pool *free) ([]string, [][]string, bool) {
 	var chosen []string
 	for _, cn := range pool.cnames {
 		if pool.cores[cn] >= spec.PPN && (spec.PPN > 0 || pool.cores[cn] > 0) {
@@ -237,12 +238,10 @@ func (sc *Scheduler) place(spec pbs.JobSpec, jobID string, pool *free) ([]string
 	if need > len(pool.acs) {
 		return nil, nil, false
 	}
-	acc := make(map[string][]string, spec.Nodes)
-	idx := 0
-	for _, cn := range chosen {
-		if spec.ACPN > 0 {
-			acc[cn] = append([]string(nil), pool.acs[idx:idx+spec.ACPN]...)
-			idx += spec.ACPN
+	var acc [][]string // acc[i] serves chosen[i]; nil when none were asked for
+	for i, cn := range chosen {
+		if a := spec.ACPN; a > 0 {
+			acc = append(acc, pool.acs[i*a:(i+1)*a:(i+1)*a])
 		}
 		pool.cores[cn] -= spec.PPN
 		pool.jobs[cn] = append(pool.jobs[cn], jobID)

@@ -17,7 +17,9 @@ import (
 // function:
 //
 //   - emission calls (fmt.Print*/Fprint*, csv.Writer.Write/WriteAll,
-//     Table.AddRow) directly inside a body of a range over a map, and
+//     Table.AddRow, and the two sinks every capture is compared
+//     through: audit Recorder.Record and netsim Endpoint.Send*)
+//     directly inside a body of a range over a map, and
 //   - slices appended to inside such a body that later feed an
 //     emission call (or strings.Join) in the same function without
 //     ever being passed to sort.* or slices.Sort*.
@@ -228,8 +230,18 @@ func isEmissionCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return namedRecv(sig) == "encoding/csv.Writer"
 	case "AddRow":
 		return true // the repo's metrics.Table row sink (name-matched so fixtures can model it)
+	case "Record":
+		return recvName(sig) == "Recorder" // audit: the order of events is the recording
 	}
-	return false
+	// netsim: the order of sends is the order of deliveries.
+	return strings.HasPrefix(fn.Name(), "Send") && recvName(sig) == "Endpoint"
+}
+
+// recvName is the receiver's type name without its package, so that
+// fixtures can model the repository's types.
+func recvName(sig *types.Signature) string {
+	name := namedRecv(sig)
+	return name[strings.LastIndexByte(name, '.')+1:]
 }
 
 // isSortCall reports whether call invokes anything from package sort

@@ -95,3 +95,37 @@ func annotated(w io.Writer, m map[string]int) {
 		fmt.Fprintln(w, k)
 	}
 }
+
+// Recorder and Endpoint model the audit recorder and the netsim
+// endpoint: what is recorded or sent in map order differs run to run.
+type Recorder struct{ events []string }
+
+func (r *Recorder) Record(subj string) { r.events = append(r.events, subj) }
+
+type Endpoint struct{ sent []string }
+
+func (e *Endpoint) SendCause(to string, cause uint64) error {
+	e.sent = append(e.sent, to)
+	return nil
+}
+
+func commitsInMapOrder(r *Recorder, acc map[string][]string) {
+	for _, acs := range acc {
+		for _, h := range acs {
+			r.Record(h) // want `output emitted inside a range over a map`
+		}
+	}
+}
+
+func tellsInMapOrder(e *Endpoint, moms map[string]string) {
+	for _, ep := range moms {
+		_ = e.SendCause(ep, 0) // want `output emitted inside a range over a map`
+	}
+}
+
+func tellsInHostOrder(e *Endpoint, r *Recorder, hosts []string, moms map[string]string) {
+	for _, h := range hosts {
+		r.Record(h)
+		_ = e.SendCause(moms[h], 0)
+	}
+}

@@ -605,7 +605,7 @@ func (sc *Scheduler) shadowTime(running []pbs.SchedRunView) time.Duration {
 
 // place commits a static allocation: charge fairshare and notify the
 // server.
-func (sc *Scheduler) place(j pbs.SchedJobView, hosts []string, acc map[string][]string, phase *trace.Span) {
+func (sc *Scheduler) place(j pbs.SchedJobView, hosts []string, acc [][]string, phase *trace.Span) {
 	var sp *trace.Span
 	if phase != nil {
 		sp = phase.Child("place", "job", j.ID, "hosts", strings.Join(hosts, "+"))

@@ -35,7 +35,7 @@ import (
 type proposal struct {
 	rankedJob  // position in the snapshot's Queued slice, and priority
 	hosts      []string
-	acc        map[string][]string
+	acc        [][]string
 	backfilled bool
 }
 

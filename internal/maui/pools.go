@@ -207,8 +207,10 @@ func (p *pools) takeCNs(count, ppn int, jobID string) []string {
 
 // fit tries to place a job (k compute nodes with ppn cores each plus
 // k*acpn accelerators); it returns the chosen hosts without mutating
-// the pools when placement fails.
-func (p *pools) fit(spec pbs.JobSpec, jobID string) (hosts []string, acc map[string][]string, ok bool) {
+// the pools when placement fails. acc[i] lists the accelerators of
+// hosts[i]; it is nil for a job that asked for none. Both are built
+// here once and handed on as they are (pbs.AllocCmd).
+func (p *pools) fit(spec pbs.JobSpec, jobID string) (hosts []string, acc [][]string, ok bool) {
 	if spec.PPN < 0 {
 		return nil, nil, false
 	}
@@ -222,13 +224,15 @@ func (p *pools) fit(spec pbs.JobSpec, jobID string) (hosts []string, acc map[str
 		return nil, nil, false
 	}
 	hosts = make([]string, 0, spec.Nodes)
-	acc = make(map[string][]string, spec.Nodes)
-	for _, l := range chosen {
-		name := p.node(l).Name
-		hosts = append(hosts, name)
-		if spec.ACPN > 0 {
-			acc[name] = p.takeACs(spec.ACPN)
+	if a := spec.ACPN; a > 0 {
+		acs := p.takeACs(spec.Nodes * a)
+		acc = make([][]string, spec.Nodes)
+		for i := range acc {
+			acc[i] = acs[i*a : (i+1)*a : (i+1)*a]
 		}
+	}
+	for _, l := range chosen {
+		hosts = append(hosts, p.node(l).Name)
 		p.commit(l, spec.PPN, jobID)
 	}
 	return hosts, acc, true

@@ -64,11 +64,11 @@ func TestPoolsFitMultiNodeWithAccelerators(t *testing.T) {
 		t.Fatalf("hosts = %v", hosts)
 	}
 	total := 0
-	for _, cn := range hosts {
-		if len(acc[cn]) != 3 {
-			t.Fatalf("acc[%s] = %v", cn, acc[cn])
+	for i, cn := range hosts {
+		if len(acc[i]) != 3 {
+			t.Fatalf("acc[%s] = %v", cn, acc[i])
 		}
-		total += len(acc[cn])
+		total += len(acc[i])
 	}
 	if total != 6 || p.nACs != 0 {
 		t.Fatalf("accelerators not fully assigned: %v free %d", acc, p.nACs)
@@ -112,11 +112,11 @@ func TestPoolsFitSkipsBusyAccelerators(t *testing.T) {
 	ns := nodes(1, 2)
 	ns[1].Jobs = []string{"1.srv"} // ac0 busy
 	p := newTestPools(ns)
-	hosts, acc, ok := p.fit(pbs.JobSpec{Nodes: 1, PPN: 1, ACPN: 1}, "tj")
+	_, acc, ok := p.fit(pbs.JobSpec{Nodes: 1, PPN: 1, ACPN: 1}, "tj")
 	if !ok {
 		t.Fatal("fit failed")
 	}
-	if acc[hosts[0]][0] != "ac1" {
+	if acc[0][0] != "ac1" {
 		t.Fatalf("assigned busy accelerator: %v", acc)
 	}
 }

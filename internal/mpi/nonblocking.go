@@ -68,7 +68,7 @@ func (c *Comm) Isend(dst, tag int, payload any, size int) *Request {
 // matching so the caller keeps computing; Wait joins it.
 func (c *Comm) Irecv(src, tag int) *Request {
 	r := newRequest(c.rt.sim)
-	c.rt.sim.Go(fmt.Sprintf("irecv/%s", c.id), func() {
+	c.rt.sim.GoNamed(sim.ActorName{Kind: "irecv", Subject: c.id}, func() {
 		st, err := c.Recv(src, tag)
 		r.complete(st, err)
 	})

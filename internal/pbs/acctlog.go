@@ -42,14 +42,11 @@ func (r AccountingRecord) String() string {
 
 // account appends a record and mirrors it onto the trace bus, so the
 // accounting log and the trace timeline can be cross-checked
-// record-for-record.
-func (s *Server) account(typ byte, jobID, format string, args ...any) {
-	rec := AccountingRecord{
-		At:     s.sim.Now(),
-		Type:   typ,
-		JobID:  jobID,
-		Detail: fmt.Sprintf(format, args...),
-	}
+// record-for-record. The caller appends the detail into a buffer on its
+// stack (nil for none); the record's copy of it is the one allocation a
+// record costs.
+func (s *Server) account(typ byte, jobID string, detail []byte) {
+	rec := AccountingRecord{At: s.sim.Now(), Type: typ, JobID: jobID, Detail: string(detail)}
 	s.mu.Lock()
 	s.acct = append(s.acct, rec)
 	// Online service mode bounds the in-memory log: keep the newest
@@ -62,6 +59,29 @@ func (s *Server) account(typ byte, jobID, format string, args ...any) {
 		trc.InstantAt(ServerTrack, "acct."+string(rec.Type), rec.At,
 			"job", rec.JobID, "detail", rec.Detail)
 	}
+}
+
+// The details of the record types that have one, appended to b.
+
+func appendQueuedDetail(b []byte, spec JobSpec) []byte {
+	b = append(append(append(b, "owner="...), spec.Owner...), ' ')
+	return appendResourceRequest(b, spec)
+}
+
+func appendGrantDetail(b []byte, rec *DynRecord) []byte {
+	b = appendKV(b, "client=", rec.ClientID)
+	b = append(append(append(b, " kind="...), rec.Kind.String()...), " hosts="...)
+	for i, h := range rec.Hosts {
+		if i > 0 {
+			b = append(b, '+')
+		}
+		b = append(b, h...)
+	}
+	return b
+}
+
+func appendKV(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
 }
 
 // AccountingLog returns a snapshot of all records in order.

@@ -299,19 +299,9 @@ func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
 	if !j.live() {
 		return 0
 	}
-	// jobHosts' walk, without building the slice every cycle.
-	for _, h := range j.info.Hosts {
+	var buf [hostBuf]string
+	for _, h := range appendHosts(buf[:0], j.info.Hosts, j.info.AccHosts, j.info.DynSets) {
 		claimed += s.auditClaimLocked(j, h)
-	}
-	for _, acs := range j.info.AccHosts {
-		for _, h := range acs {
-			claimed += s.auditClaimLocked(j, h)
-		}
-	}
-	for _, acs := range j.info.DynSets {
-		for _, h := range acs {
-			claimed += s.auditClaimLocked(j, h)
-		}
 	}
 	return claimed
 }

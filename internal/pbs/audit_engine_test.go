@@ -314,7 +314,7 @@ func buildFaultScene(t *testing.T, tb *testbed, c *pbs.Client) (sc faultScene, o
 		return sc, false
 	}
 	sc.cnA = a.Hosts[0]
-	sc.acA = a.AccHosts[sc.cnA][0]
+	sc.acA = a.AccHosts[0][0]
 	for _, n := range nodes {
 		switch {
 		case n.Name == sc.cnA:

@@ -69,6 +69,9 @@ func DisownFault(host, jobID string) Fault {
 func ShareFault(host, jobID string) Fault {
 	return func(s *Server) *serverNode {
 		j, _ := s.index.get(jobID)
+		if j.info.DynSets == nil {
+			j.info.DynSets = make(map[int][]string)
+		}
 		j.info.DynSets[99] = []string{host}
 		return OwnerFault(host, jobID, 1)(s)
 	}
@@ -87,7 +90,7 @@ func UsedCoresFault(host string, used int) Fault {
 func PhantomHostFault(jobID, host string) Fault {
 	return func(s *Server) *serverNode {
 		j, _ := s.index.get(jobID)
-		j.info.Hosts = append(j.info.Hosts, host)
+		j.info.Hosts = append(slices.Clip(j.info.Hosts), host)
 		return nil
 	}
 }
@@ -136,3 +139,14 @@ func (s *Server) ShadowSweepForTest(rec *audit.Recorder, fn func(cycle, sweep []
 
 // GenForTest reports the node-table generation the mirror holds.
 func (m *NodeMirror) GenForTest() uint64 { return m.req.NodeGen }
+
+// HostsForTest returns the very list the mom holds as the job's host
+// set, not a copy (nil when it does not know the job).
+func (m *Mom) HostsForTest(jobID string) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if j, ok := m.jobs[jobID]; ok {
+		return j.hosts
+	}
+	return nil
+}

@@ -2,6 +2,7 @@ package pbs
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/audit"
 	"repro/internal/netsim"
@@ -134,8 +135,9 @@ func (s *Server) failJob(jobID, lostHost string) {
 	j.info.State = JobFailed
 	j.info.CompletedAt = s.sim.Now()
 	s.aud.Record(audit.KindJob, "pbs", jobID, audToFailed, 0, 0)
-	hosts := jobHosts(j.info)
-	s.freeJobLocked(jobID)
+	var buf [hostBuf]string
+	moms := s.freeJobLocked(j, buf[:0])
+	lost := s.momEPLocked(lostHost)
 	s.retireLocked(jobID)
 	var rejects []*DynRecord
 	for _, rec := range s.dynQ {
@@ -155,14 +157,14 @@ func (s *Server) failJob(jobID, lostHost string) {
 		s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: job failed (node down)"})
 	}
 	if wasRunning {
-		for _, h := range hosts {
-			if h == lostHost {
-				continue
+		for _, ep := range moms {
+			if ep != lost {
+				s.send(ep, ReleaseJobMsg{JobID: jobID})
 			}
-			s.send(MomEndpoint(h), ReleaseJobMsg{JobID: jobID})
 		}
 	}
-	s.account(AcctFailed, jobID, "lost=%s", lostHost)
+	var detail [64]byte
+	s.account(AcctFailed, jobID, append(append(detail[:0], "lost="...), lostHost...))
 	s.notifyWaiters(jobID)
 }
 
@@ -175,11 +177,17 @@ func (s *Server) dropAccelerator(jobID, host string) {
 		s.mu.Unlock()
 		return
 	}
-	for cn, acs := range j.info.AccHosts {
-		j.info.AccHosts[cn] = removeHost(acs, host)
+	// The lists are shared with the moms, the script and whoever was
+	// granted the set: the server's view moves to new ones.
+	for i, acs := range j.info.AccHosts {
+		if kept := without(acs, host); len(kept) != len(acs) {
+			j.info.AccHosts = slices.Clone(j.info.AccHosts)
+			j.info.AccHosts[i] = kept
+			break // an accelerator serves one compute node
+		}
 	}
 	for id, acs := range j.info.DynSets {
-		j.info.DynSets[id] = removeHost(acs, host)
+		j.info.DynSets[id] = without(acs, host)
 	}
 	if n, ok := s.nodes[host]; ok {
 		if c, held := n.usedBy[jobID]; held {
@@ -190,22 +198,12 @@ func (s *Server) dropAccelerator(jobID, host string) {
 	}
 	ms := ""
 	if j.info.State == JobRunning && len(j.info.Hosts) > 0 {
-		ms = j.info.Hosts[0]
+		ms = s.momEPLocked(j.info.Hosts[0])
 	}
 	s.mu.Unlock()
 	if ms != "" {
-		s.send(MomEndpoint(ms), NodeLostMsg{JobID: jobID, Host: host})
+		s.send(ms, NodeLostMsg{JobID: jobID, Host: host})
 	}
-}
-
-func removeHost(hs []string, host string) []string {
-	out := hs[:0]
-	for _, h := range hs {
-		if h != host {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // NodeDownForTest force-fails a node, bypassing the detector (test

@@ -223,7 +223,7 @@ func TestAcceleratorFailureDropsFromRunningJob(t *testing.T) {
 		if info.State != pbs.JobRunning {
 			t.Fatalf("job should survive accelerator loss, state = %v", info.State)
 		}
-		if got := info.AccHosts[info.Hosts[0]]; len(got) != 1 || got[0] != "ac1" {
+		if got := info.AccHosts[0]; len(got) != 1 || got[0] != "ac1" {
 			t.Fatalf("AccHosts after failure = %v, want [ac1]", got)
 		}
 		final, _ := c.Wait(id)

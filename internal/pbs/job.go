@@ -12,6 +12,7 @@
 package pbs
 
 import (
+	"slices"
 	"time"
 )
 
@@ -102,9 +103,11 @@ type JobSpec struct {
 // node task — the counterpart of TORQUE's PBS_* environment variables
 // plus handles into the simulated cluster.
 type JobEnv struct {
-	JobID    string
-	Rank     int      // index of this compute node within the job
-	Host     string   // this compute node
+	JobID string
+	Rank  int    // index of this compute node within the job
+	Host  string // this compute node
+	// Hosts and AccHosts are the placement's own lists, shared with the
+	// server and the moms: a script reads them and never writes them.
 	Hosts    []string // PBS_NODEFILE: all compute nodes of the job
 	AccHosts []string // statically allocated accelerators of this compute node
 	ServerEP string   // pbs_server endpoint, for IFL calls
@@ -177,15 +180,50 @@ type JobInfo struct {
 	ID          string
 	Spec        JobSpec
 	State       JobState
-	Held        bool                // qhold: queued but not schedulable
-	Hosts       []string            // allocated compute nodes
-	AccHosts    map[string][]string // per compute node: statically allocated accelerators
-	DynSets     map[int][]string    // client-id -> dynamically allocated accelerators
+	Held        bool             // qhold: queued but not schedulable
+	Hosts       []string         // allocated compute nodes
+	AccHosts    [][]string       // statically allocated accelerators of Hosts[i]; nil when the job asked for none
+	DynSets     map[int][]string // client-id -> dynamically allocated accelerators; nil until the first grant
 	SubmittedAt time.Duration
 	AllocatedAt time.Duration
 	StartedAt   time.Duration
 	CompletedAt time.Duration
 	DynRecords  []DynRecord
+}
+
+// hostBuf sizes the stack buffers appendHosts is handed: a job on more
+// hosts than this spills to the heap.
+const hostBuf = 16
+
+// appendHosts appends every host of a placement to dst: the compute
+// nodes, then the static accelerators in compute-node order, then the
+// dynamic sets by ascending client id. It is the only walk over a
+// job's host lists, so nodes are committed, released, audited and told
+// of the job's end in this one order every run (DESIGN.md §10).
+func appendHosts(dst, hosts []string, acc [][]string, dyn map[int][]string) []string {
+	dst = append(dst, hosts...)
+	for _, acs := range acc {
+		dst = append(dst, acs...)
+	}
+	var buf [8]int
+	ids := buf[:0]
+	for id := range dyn {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		dst = append(dst, dyn[id]...)
+	}
+	return dst
+}
+
+// accOf returns the static accelerators of compute node i of a
+// placement (nil when the job asked for none).
+func accOf(acc [][]string, i int) []string {
+	if i < len(acc) {
+		return acc[i]
+	}
+	return nil
 }
 
 // NodeType distinguishes compute nodes from network-attached

@@ -238,9 +238,9 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 					}
 					break
 				}
-				acc := map[string][]string{}
-				for i, h := range hosts {
-					acc[h] = acs[i*spec.ACPN : (i+1)*spec.ACPN]
+				var acc [][]string
+				for i := range hosts {
+					acc = append(acc, acs[i*spec.ACPN:(i+1)*spec.ACPN])
 				}
 				b.send(pbs.AllocCmd{JobID: id, Hosts: hosts, AccHosts: acc})
 				live = append(live, &liveJob{id: id})

@@ -1,7 +1,7 @@
 package pbs
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -71,12 +71,13 @@ type Mom struct {
 }
 
 type momJob struct {
-	id       string
-	ms       string
-	hosts    []string // current full host set of the job
+	id string
+	ms string
+	// hosts is the current full host set of the job. The list is shared
+	// (with the server's command, the sisters, the running scripts) and
+	// never written: a change of the set installs a new list.
+	hosts    []string
 	isMS     bool
-	spec     JobSpec
-	accHosts map[string][]string
 	tasksRun int  // compute node tasks still running (MS only)
 	released bool // job ended; tasks being killed
 	aborted  bool
@@ -156,11 +157,11 @@ func (m *Mom) handle(msg *netsim.Message) {
 		// run it as its own actor so the mom loop keeps serving —
 		// otherwise two mother superiors joining each other's hosts
 		// would deadlock.
-		m.sim.Go("ms/"+req.JobID+"@"+m.host, func() { m.runJob(req) })
+		m.sim.GoNamed(sim.ActorName{Kind: "ms", Subject: req.JobID, Host: m.host}, func() { m.runJob(req) })
 	case JoinJobMsg:
 		m.sim.Sleep(m.params.JoinCost)
 		m.mu.Lock()
-		m.jobs[req.JobID] = &momJob{id: req.JobID, ms: req.MS, hosts: append([]string(nil), req.Hosts...)}
+		m.jobs[req.JobID] = &momJob{id: req.JobID, ms: req.MS, hosts: req.Hosts}
 		m.mu.Unlock()
 		m.send(req.ReplyTo, JoinAck{JobID: req.JobID, Host: m.host})
 	case DynJoinJobMsg:
@@ -179,7 +180,7 @@ func (m *Mom) handle(msg *netsim.Message) {
 	case UpdateJobMsg:
 		m.mu.Lock()
 		if j, ok := m.jobs[req.JobID]; ok {
-			j.hosts = append([]string(nil), req.Hosts...)
+			j.hosts = req.Hosts
 		}
 		m.mu.Unlock()
 	case StartTaskMsg:
@@ -187,9 +188,9 @@ func (m *Mom) handle(msg *netsim.Message) {
 	case TaskDoneMsg:
 		m.taskDone(req)
 	case DynAddMsg:
-		m.sim.Go("dynadd/"+req.JobID+"@"+m.host, func() { m.dynAdd(req) })
+		m.sim.GoNamed(sim.ActorName{Kind: "dynadd", Subject: req.JobID, Host: m.host}, func() { m.dynAdd(req) })
 	case DynRemoveMsg:
-		m.sim.Go("dynremove/"+req.JobID+"@"+m.host, func() { m.dynRemove(req) })
+		m.sim.GoNamed(sim.ActorName{Kind: "dynremove", Subject: req.JobID, Host: m.host}, func() { m.dynRemove(req) })
 	case ReleaseJobMsg:
 		m.mu.Lock()
 		if j, ok := m.jobs[req.JobID]; ok {
@@ -206,7 +207,7 @@ func (m *Mom) handle(msg *netsim.Message) {
 	case NodeLostMsg:
 		m.mu.Lock()
 		if j, ok := m.jobs[req.JobID]; ok {
-			j.hosts = removeHost(j.hosts, req.Host)
+			j.hosts = without(j.hosts, req.Host)
 		}
 		m.mu.Unlock()
 	}
@@ -225,21 +226,16 @@ func (m *Mom) runJob(req RunJobMsg) {
 	}
 	sp.Link(req.Cause) // server's alloc span
 	defer sp.End()
+	// The closures below capture these two, not req and sp, which would
+	// move to the heap for it.
+	jobID, cause := req.JobID, sp.ID()
 	m.sim.Sleep(m.params.StartCost)
-	allHosts := append([]string(nil), req.Hosts...)
-	for _, cn := range req.Hosts {
-		allHosts = append(allHosts, req.AccHosts[cn]...)
+	allHosts := req.Hosts
+	if len(req.AccHosts) > 0 {
+		allHosts = appendHosts(nil, req.Hosts, req.AccHosts, nil)
 	}
 	m.mu.Lock()
-	m.jobs[req.JobID] = &momJob{
-		id:       req.JobID,
-		ms:       m.host,
-		hosts:    allHosts,
-		isMS:     true,
-		spec:     req.Spec,
-		accHosts: req.AccHosts,
-		tasksRun: len(req.Hosts),
-	}
+	m.jobs[req.JobID] = &momJob{id: req.JobID, ms: m.host, hosts: allHosts, isMS: true, tasksRun: len(req.Hosts)}
 	m.mu.Unlock()
 
 	// JOIN_JOB with every other mom of the job.
@@ -254,7 +250,7 @@ func (m *Mom) runJob(req RunJobMsg) {
 	for i := 0; i < pending; i++ {
 		ack, err := m.ep.RecvMatch(func(msg *netsim.Message) bool {
 			ack, ok := msg.Payload.(JoinAck)
-			return ok && ack.JobID == req.JobID
+			return ok && ack.JobID == jobID
 		})
 		ack.Release()
 		if err != nil {
@@ -266,11 +262,10 @@ func (m *Mom) runJob(req RunJobMsg) {
 	// set. The launch is asynchronous: AC_Init in the application
 	// waits for readiness, which is the dominant share of Figure 7(a).
 	if m.StartDaemons != nil {
-		for _, cn := range req.Hosts {
-			if acs := req.AccHosts[cn]; len(acs) > 0 {
-				cn, acs := cn, acs
-				m.sim.Go(fmt.Sprintf("daemon-start/%s/%s", req.JobID, cn), func() {
-					m.StartDaemons(req.JobID, cn, acs, sp.ID())
+		for i, cn := range req.Hosts {
+			if acs := accOf(req.AccHosts, i); len(acs) > 0 {
+				m.sim.GoNamed(sim.ActorName{Kind: "daemon-start", Subject: jobID, Host: cn}, func() {
+					m.StartDaemons(jobID, cn, acs, cause)
 				})
 			}
 		}
@@ -282,12 +277,12 @@ func (m *Mom) runJob(req RunJobMsg) {
 			JobID:    req.JobID,
 			Rank:     rank,
 			Host:     cn,
-			Hosts:    append([]string(nil), req.Hosts...),
-			AccHosts: append([]string(nil), req.AccHosts[cn]...),
+			Hosts:    req.Hosts,
+			AccHosts: accOf(req.AccHosts, rank),
 			ServerEP: ServerEndpoint,
 			MSHost:   m.host,
 		}
-		m.sendCause(m.peer(cn), StartTaskMsg{JobID: req.JobID, Env: env, Script: req.Spec.Script, Cause: sp.ID()}, sp.ID())
+		m.sendCause(m.peer(cn), StartTaskMsg{JobID: jobID, Env: env, Script: req.Spec.Script, Cause: cause}, cause)
 	}
 	m.send(ServerEndpoint, JobStartedMsg{JobID: req.JobID})
 }
@@ -303,7 +298,7 @@ func (m *Mom) startTask(req StartTaskMsg) {
 		m.send(m.peer(ms), TaskDoneMsg{JobID: req.JobID, Host: m.host})
 		return
 	}
-	m.sim.Go(fmt.Sprintf("task/%s@%s", req.JobID, m.host), func() {
+	m.sim.GoNamed(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, func() {
 		var sp *trace.Span
 		if trc := m.sim.Tracer(); trc != nil {
 			sp = trc.Start("pbs/mom@"+m.host, "job.run", "job", req.JobID)
@@ -366,13 +361,13 @@ func (m *Mom) dynAdd(req DynAddMsg) {
 	j, ok := m.jobs[req.JobID]
 	var others []string
 	if ok {
-		j.hosts = append(j.hosts, req.Hosts...)
-		others = append([]string(nil), j.hosts...)
+		j.hosts = append(slices.Clip(j.hosts), req.Hosts...) // a new list: the old one has other holders
+		others = j.hosts
 	}
 	m.mu.Unlock()
 	// Update the existing moms' databases (asynchronous).
 	for _, h := range others {
-		if h == m.host || contains(req.Hosts, h) {
+		if h == m.host || slices.Contains(req.Hosts, h) {
 			continue
 		}
 		m.send(m.peer(h), UpdateJobMsg{JobID: req.JobID, Hosts: others})
@@ -398,8 +393,8 @@ func (m *Mom) dynRemove(req DynRemoveMsg) {
 	j, ok := m.jobs[req.JobID]
 	var others []string
 	if ok {
-		j.hosts = without(j.hosts, req.Hosts)
-		others = append([]string(nil), j.hosts...)
+		j.hosts = without(j.hosts, req.Hosts...)
+		others = j.hosts
 	}
 	m.mu.Unlock()
 	for _, h := range others {
@@ -410,19 +405,17 @@ func (m *Mom) dynRemove(req DynRemoveMsg) {
 	}
 }
 
-func contains(hs []string, h string) bool {
-	for _, x := range hs {
-		if x == h {
-			return true
-		}
+// without returns hs less the hosts in remove: hs itself when it names
+// none of them, a new list otherwise. A host list is never written once
+// built (DESIGN.md §10), so whoever else holds hs keeps what it had.
+func without(hs []string, remove ...string) []string {
+	first := slices.IndexFunc(hs, func(h string) bool { return slices.Contains(remove, h) })
+	if first < 0 {
+		return hs
 	}
-	return false
-}
-
-func without(hs, remove []string) []string {
-	out := hs[:0]
-	for _, h := range hs {
-		if !contains(remove, h) {
+	out := append(make([]string, 0, len(hs)-1), hs[:first]...)
+	for _, h := range hs[first+1:] {
+		if !slices.Contains(remove, h) {
 			out = append(out, h)
 		}
 	}

@@ -164,7 +164,7 @@ func TestStaticAcceleratorAllocation(t *testing.T) {
 			t.Errorf("script saw %d accelerators, want 3", len(gotACs))
 		}
 		mu.Unlock()
-		if len(info.AccHosts[info.Hosts[0]]) != 3 {
+		if len(info.AccHosts[0]) != 3 {
 			t.Errorf("AccHosts = %v", info.AccHosts)
 		}
 		nodes, _ := c.Nodes()

@@ -238,13 +238,16 @@ type SchedInfoResp struct {
 }
 
 // AllocCmd is the scheduler's decision for a queued job: which
-// compute nodes to use and which accelerators to bind to each.
+// compute nodes to use and which accelerators to bind to each
+// (AccHosts[i] to Hosts[i]; nil when the job asked for none). The
+// lists are handed over: server, moms and the job script hold these
+// very slices, and nobody writes a host list once it is built.
 // Cause carries the trace-span id of the placement decision so the
 // server's alloc span joins the causal chain (0 when untraced).
 type AllocCmd struct {
 	JobID    string
 	Hosts    []string
-	AccHosts map[string][]string
+	AccHosts [][]string
 	Cause    uint64
 }
 
@@ -263,7 +266,7 @@ type RunJobMsg struct {
 	JobID    string
 	Spec     JobSpec
 	Hosts    []string
-	AccHosts map[string][]string
+	AccHosts [][]string
 	Cause    uint64 // trace-span id of the server's alloc handling
 }
 

@@ -89,14 +89,29 @@ func parseWalltime(v string) (time.Duration, error) {
 // FormatResourceRequest renders a JobSpec back into qsub -l syntax,
 // the inverse of ParseResourceRequest.
 func FormatResourceRequest(spec JobSpec) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "nodes=%d:ppn=%d", spec.Nodes, spec.PPN)
+	var buf [64]byte
+	return string(appendResourceRequest(buf[:0], spec))
+}
+
+// appendResourceRequest appends FormatResourceRequest's text to b.
+func appendResourceRequest(b []byte, spec JobSpec) []byte {
+	b = strconv.AppendInt(append(b, "nodes="...), int64(spec.Nodes), 10)
+	b = strconv.AppendInt(append(b, ":ppn="...), int64(spec.PPN), 10)
 	if spec.ACPN > 0 {
-		fmt.Fprintf(&b, ":acpn=%d", spec.ACPN)
+		b = strconv.AppendInt(append(b, ":acpn="...), int64(spec.ACPN), 10)
 	}
 	if spec.Walltime > 0 {
-		total := int(spec.Walltime.Seconds())
-		fmt.Fprintf(&b, ",walltime=%02d:%02d:%02d", total/3600, (total/60)%60, total%60)
+		total := int64(spec.Walltime.Seconds())
+		b = append(b, ",walltime="...)
+		for i, v := range [3]int64{total / 3600, (total / 60) % 60, total % 60} {
+			if i > 0 {
+				b = append(b, ':')
+			}
+			if v < 10 {
+				b = append(b, '0')
+			}
+			b = strconv.AppendInt(b, v, 10)
+		}
 	}
-	return b.String()
+	return b
 }

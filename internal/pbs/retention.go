@@ -48,8 +48,8 @@ func (s *Server) JobRecords() JobRecordStats {
 
 // acquireJobLocked returns a job record, recycling one from the pool
 // when retention has freed any. Callers hold s.mu and must fill every
-// identity field; pooled records come back with cleared maps and
-// zero-length slices.
+// identity field; a pooled record comes back empty, bar the storage it
+// owns (see recycleLocked).
 func (s *Server) acquireJobLocked() *serverJob {
 	if n := len(s.jobPool); n > 0 {
 		j := s.jobPool[n-1]
@@ -58,10 +58,7 @@ func (s *Server) acquireJobLocked() *serverJob {
 		s.reused++
 		return j
 	}
-	return &serverJob{info: JobInfo{
-		AccHosts: make(map[string][]string),
-		DynSets:  make(map[int][]string),
-	}}
+	return new(serverJob)
 }
 
 // retireLocked notes a terminal transition. A no-op unless retention
@@ -116,18 +113,12 @@ func (s *Server) purgeRetiredLocked() {
 	}
 }
 
-// recycleLocked scrubs a purged record and returns it to the pool,
-// keeping its maps and slice capacity for the next submission.
+// recycleLocked scrubs a purged record and returns it to the pool. It
+// keeps what the record owns for the next submission — the dynamic-set
+// map, if a grant ever made one, and the request history's array — and
+// drops the host lists, which belong to everyone the placement went to.
 func (s *Server) recycleLocked(j *serverJob) {
-	j.seq = 0
-	info := &j.info
-	clear(info.AccHosts)
-	clear(info.DynSets)
-	*info = JobInfo{
-		Hosts:      info.Hosts[:0],
-		AccHosts:   info.AccHosts,
-		DynSets:    info.DynSets,
-		DynRecords: info.DynRecords[:0],
-	}
+	clear(j.info.DynSets)
+	*j = serverJob{info: JobInfo{DynSets: j.info.DynSets, DynRecords: j.info.DynRecords[:0]}}
 	s.jobPool = append(s.jobPool, j)
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -379,7 +378,7 @@ func (s *Server) handle(m *netsim.Message) {
 		s.handleDynAlloc(req)
 	case JobStartedMsg:
 		if s.withJob(req.JobID, func(j *serverJob) { j.info.StartedAt = s.sim.Now() }) {
-			s.account(AcctStarted, req.JobID, "")
+			s.account(AcctStarted, req.JobID, nil)
 		}
 	case JobDoneMsg:
 		s.handleJobDone(req.JobID)
@@ -416,7 +415,8 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	s.mu.Lock()
 	s.nextJob++
 	seq := s.nextJob
-	id := fmt.Sprintf("%d.%s", seq, ServerEndpoint)
+	var idBuf [32]byte
+	id := string(append(strconv.AppendUint(idBuf[:0], uint64(seq), 10), "."+ServerEndpoint...))
 	j := s.acquireJobLocked()
 	j.seq = seq
 	j.info.ID = id
@@ -430,7 +430,8 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	s.aud.Record(audit.KindJob, "pbs", id, audSubmit, int64(seq), 0)
 	sp.Annotate("job", id)
 	s.inst.submits.Inc()
-	s.account(AcctQueued, id, "owner=%s %s", req.Spec.Owner, FormatResourceRequest(req.Spec))
+	var buf [96]byte
+	s.account(AcctQueued, id, appendQueuedDetail(buf[:0], req.Spec))
 	s.send(req.ReplyTo, SubmitResp{ReqID: req.ReqID, JobID: id})
 	s.kickScheduler("submit")
 }
@@ -522,30 +523,24 @@ func (s *Server) handleDelete(req DeleteReq) {
 		return
 	}
 	state := j.info.State
-	var hosts []string
-	if state == JobRunning {
-		hosts = jobHosts(j.info)
-	}
+	var buf [hostBuf]string
+	var moms []string // of a running job: the mother superior's first
 	if state == JobQueued || state == JobRunning {
 		j.info.State = JobDeleted
 		j.info.CompletedAt = s.sim.Now()
-		s.freeJobLocked(req.JobID)
+		moms = s.freeJobLocked(j, buf[:0])
 		s.retireLocked(req.JobID)
 		s.aud.Record(audit.KindJob, "pbs", req.JobID, audToDeleted, int64(state), 0)
 	}
-	ms := ""
-	if len(j.info.Hosts) > 0 {
-		ms = j.info.Hosts[0]
-	}
 	s.mu.Unlock()
-	if state == JobRunning && ms != "" {
-		s.send(MomEndpoint(ms), AbortJobMsg{JobID: req.JobID})
-		for _, h := range hosts {
-			s.send(MomEndpoint(h), ReleaseJobMsg{JobID: req.JobID})
+	if len(moms) > 0 {
+		s.send(moms[0], AbortJobMsg{JobID: req.JobID})
+		for _, ep := range moms {
+			s.send(ep, ReleaseJobMsg{JobID: req.JobID})
 		}
 	}
 	if state == JobQueued || state == JobRunning {
-		s.account(AcctDeleted, req.JobID, "")
+		s.account(AcctDeleted, req.JobID, nil)
 	}
 	s.send(req.ReplyTo, DeleteResp{ReqID: req.ReqID})
 	s.notifyWaiters(req.JobID)
@@ -714,7 +709,8 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 
 	// Positive reply first; disassociation proceeds while the
 	// application continues (paper Section III-D).
-	s.account(AcctDynFree, req.JobID, "client=%d", req.ClientID)
+	var buf [32]byte
+	s.account(AcctDynFree, req.JobID, appendKV(buf[:0], "client=", req.ClientID))
 	s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID})
 	if ms != "" {
 		s.send(ms, DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts})
@@ -829,57 +825,47 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 		}
 		return
 	}
-	// Validate and commit the assignment.
-	for _, h := range cmd.Hosts {
+	// Validate and commit the assignment: compute nodes first, then the
+	// accelerators in compute-node order.
+	var buf [hostBuf]string
+	all := appendHosts(buf[:0], cmd.Hosts, cmd.AccHosts, nil)
+	for i, h := range all {
 		n, ok := s.nodes[h]
-		if !ok || n.info.Type != ComputeNode || n.info.FreeCores() < j.info.Spec.PPN {
+		what := "compute node"
+		if i < len(cmd.Hosts) {
+			ok = ok && n.info.Type == ComputeNode && n.info.FreeCores() >= j.info.Spec.PPN
+		} else {
+			what = "accelerator"
+			ok = ok && n.info.Type == AcceleratorNode && len(n.usedBy) == 0
+		}
+		if !ok {
 			s.mu.Unlock()
-			s.logErr("AllocCmd for job %s: compute node %s unavailable", cmd.JobID, h)
+			s.logErr("AllocCmd for job %s: %s %s unavailable", cmd.JobID, what, h)
 			return
 		}
 	}
-	for _, acs := range cmd.AccHosts {
-		for _, h := range acs {
-			n, ok := s.nodes[h]
-			if !ok || n.info.Type != AcceleratorNode || len(n.usedBy) > 0 {
-				s.mu.Unlock()
-				s.logErr("AllocCmd for job %s: accelerator %s unavailable", cmd.JobID, h)
-				return
-			}
+	for i, h := range all {
+		n, c := s.nodes[h], 1
+		if i < len(cmd.Hosts) {
+			c = j.info.Spec.PPN
 		}
-	}
-	for _, h := range cmd.Hosts {
-		n := s.nodes[h]
-		n.usedBy[cmd.JobID] = j.info.Spec.PPN
+		n.usedBy[cmd.JobID] = c
 		s.refreshLocked(n)
-		s.aud.Record(audit.KindAlloc, "pbs", h, cmd.JobID, int64(j.info.Spec.PPN), 0)
+		s.aud.Record(audit.KindAlloc, "pbs", h, cmd.JobID, int64(c), 0)
 	}
-	for _, acs := range cmd.AccHosts {
-		for _, h := range acs {
-			n := s.nodes[h]
-			n.usedBy[cmd.JobID] = 1
-			s.refreshLocked(n)
-			s.aud.Record(audit.KindAlloc, "pbs", h, cmd.JobID, 1, 0)
-		}
-	}
-	j.info.Hosts = append([]string(nil), cmd.Hosts...)
-	j.info.AccHosts = make(map[string][]string, len(cmd.AccHosts))
-	for cn, acs := range cmd.AccHosts {
-		j.info.AccHosts[cn] = append([]string(nil), acs...)
-	}
+	j.info.Hosts = cmd.Hosts
+	j.info.AccHosts = cmd.AccHosts
 	j.info.AllocatedAt = s.sim.Now()
 	j.info.State = JobRunning
 	s.aud.Record(audit.KindJob, "pbs", cmd.JobID, audQueuedToRun, int64(len(cmd.Hosts)), 0)
 	spec := j.info.Spec
-	hosts := append([]string(nil), j.info.Hosts...)
-	acc := j.info.AccHosts
-	ms := s.momEPLocked(hosts[0])
+	ms := s.momEPLocked(cmd.Hosts[0])
 	s.mu.Unlock()
 
 	// Select the mother superior (always a compute node, paper
 	// Section III-C) and forward the job.
 	s.sendCause(ms,
-		RunJobMsg{JobID: cmd.JobID, Spec: spec, Hosts: hosts, AccHosts: acc, Cause: sp.ID()}, sp.ID())
+		RunJobMsg{JobID: cmd.JobID, Spec: spec, Hosts: cmd.Hosts, AccHosts: cmd.AccHosts, Cause: sp.ID()}, sp.ID())
 }
 
 func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
@@ -912,7 +898,8 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 		jobID := rec.JobID
 		s.finishDynLocked(rec)
 		s.mu.Unlock()
-		s.account(AcctDynReject, jobID, "count=%d", rec.Count)
+		var buf [32]byte
+		s.account(AcctDynReject, jobID, appendKV(buf[:0], "count=", rec.Count))
 		s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: not enough accelerators available"})
 		return
 	}
@@ -951,7 +938,7 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 	rec.State = DynForwarding
 	s.nextClient++
 	rec.ClientID = s.nextClient
-	rec.Hosts = append([]string(nil), cmd.Hosts...)
+	rec.Hosts = cmd.Hosts
 	s.aud.Record(audit.KindJob, "pbs", rec.JobID, audDynForward, int64(rec.ReqID), int64(rec.ClientID))
 	for _, h := range cmd.Hosts {
 		n := s.nodes[h]
@@ -962,6 +949,9 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 		}
 		s.refreshLocked(n)
 		s.aud.Record(audit.KindAlloc, "pbs", h, rec.JobID, int64(n.usedBy[rec.JobID]), 1)
+	}
+	if j.info.DynSets == nil {
+		j.info.DynSets = make(map[int][]string)
 	}
 	j.info.DynSets[rec.ClientID] = rec.Hosts
 	ms := s.momEPLocked(j.info.Hosts[0])
@@ -998,12 +988,13 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 	rec.State = DynGranted
 	rec.RepliedAt = s.sim.Now()
 	route := s.dynReply[rec.ReqID]
-	resp := DynGetResp{ReqID: route.clientReq, ClientID: rec.ClientID, Hosts: append([]string(nil), rec.Hosts...)}
+	resp := DynGetResp{ReqID: route.clientReq, ClientID: rec.ClientID, Hosts: rec.Hosts}
 	jobID := rec.JobID
-	detail := fmt.Sprintf("client=%d kind=%s hosts=%s", rec.ClientID, rec.Kind, strings.Join(rec.Hosts, "+"))
+	var buf [128]byte
+	detail := appendGrantDetail(buf[:0], rec)
 	s.finishDynLocked(rec)
 	s.mu.Unlock()
-	s.account(AcctDynGrant, jobID, "%s", detail)
+	s.account(AcctDynGrant, jobID, detail)
 	s.send(route.ep, resp)
 }
 
@@ -1058,8 +1049,8 @@ func (s *Server) handleJobDone(jobID string) {
 	j.info.CompletedAt = s.sim.Now()
 	s.aud.Record(audit.KindJob, "pbs", jobID, audRunToDone, 0, 0)
 	s.inst.jobsDone.Inc()
-	hosts := jobHosts(j.info)
-	s.freeJobLocked(jobID)
+	var buf [hostBuf]string
+	moms := s.freeJobLocked(j, buf[:0])
 	s.retireLocked(jobID)
 	// Reject any dynamic requests still pending for this job.
 	var rejects []*DynRecord
@@ -1078,46 +1069,36 @@ func (s *Server) handleJobDone(jobID string) {
 		s.mu.Unlock()
 		s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: job completed"})
 	}
-	for _, h := range hosts {
-		s.send(MomEndpoint(h), ReleaseJobMsg{JobID: jobID})
+	for _, ep := range moms {
+		s.send(ep, ReleaseJobMsg{JobID: jobID})
 	}
-	s.account(AcctEnded, jobID, "")
+	s.account(AcctEnded, jobID, nil)
 	s.notifyWaiters(jobID)
 	s.kickScheduler("jobdone")
 }
 
 // freeJobLocked releases every node held by the job. The job's own
-// host lists (static hosts, static accelerators, live dynamic sets)
-// name every node it can occupy, so the release touches only those
-// instead of sweeping the whole node database. Callers hold s.mu.
-func (s *Server) freeJobLocked(jobID string) {
-	j, ok := s.index.get(jobID)
-	if !ok {
-		return
-	}
-	for _, h := range jobHosts(j.info) {
-		if n, ok := s.nodes[h]; ok {
-			if c, held := n.usedBy[jobID]; held {
-				s.aud.Record(audit.KindRelease, "pbs", h, jobID, int64(c), 0)
-				delete(n.usedBy, jobID)
-				s.refreshLocked(n)
-			}
+// host lists name every node it can occupy, so the release touches
+// only those instead of sweeping the whole node database. It returns,
+// appended to dst in appendHosts order, the fabric names of the moms on
+// those hosts: the daemons to tell that the job ended. Callers hold s.mu.
+func (s *Server) freeJobLocked(j *serverJob, dst []string) []string {
+	id := j.info.ID
+	moms := appendHosts(dst, j.info.Hosts, j.info.AccHosts, j.info.DynSets)
+	for i, h := range moms {
+		n, ok := s.nodes[h]
+		if !ok {
+			moms[i] = MomEndpoint(h)
+			continue
+		}
+		moms[i] = n.momEP
+		if c, held := n.usedBy[id]; held {
+			s.aud.Record(audit.KindRelease, "pbs", h, id, int64(c), 0)
+			delete(n.usedBy, id)
+			s.refreshLocked(n)
 		}
 	}
-}
-
-// jobHosts lists every host associated with a job: compute nodes,
-// static accelerators, and dynamic sets.
-func jobHosts(info JobInfo) []string {
-	var out []string
-	out = append(out, info.Hosts...)
-	for _, acs := range info.AccHosts {
-		out = append(out, acs...)
-	}
-	for _, acs := range info.DynSets {
-		out = append(out, acs...)
-	}
-	return out
+	return moms
 }
 
 // refreshLocked recomputes the node's public view after a usedBy
@@ -1175,27 +1156,22 @@ func appendNodeDelta(dst []NodeDelta, n *serverNode) []NodeDelta {
 
 // cloneInfo deep-copies a job's qstat record for Stat, List, Wait and
 // checkpoints (the scheduler gets the slim view handleSchedInfo builds).
-// Empty maps clone to nil: List copies every job on record, and most
-// hold no accelerators or dynamic sets.
+// This is the API boundary: inside the batch system a host list is
+// shared and never written, a client may do with its copy what it likes.
 func cloneInfo(in JobInfo) JobInfo {
 	out := in
-	out.Hosts = append([]string(nil), in.Hosts...)
-	if len(in.AccHosts) > 0 {
-		out.AccHosts = make(map[string][]string, len(in.AccHosts))
-		for k, v := range in.AccHosts {
-			out.AccHosts[k] = append([]string(nil), v...)
-		}
-	} else {
-		out.AccHosts = nil
+	out.Hosts = slices.Clone(in.Hosts)
+	out.AccHosts = slices.Clone(in.AccHosts)
+	for i, acs := range out.AccHosts {
+		out.AccHosts[i] = slices.Clone(acs)
 	}
+	out.DynSets = nil // List copies every job on record, and most hold no dynamic set
 	if len(in.DynSets) > 0 {
 		out.DynSets = make(map[int][]string, len(in.DynSets))
 		for k, v := range in.DynSets {
-			out.DynSets[k] = append([]string(nil), v...)
+			out.DynSets[k] = slices.Clone(v)
 		}
-	} else {
-		out.DynSets = nil
 	}
-	out.DynRecords = append([]DynRecord(nil), in.DynRecords...)
+	out.DynRecords = slices.Clone(in.DynRecords)
 	return out
 }

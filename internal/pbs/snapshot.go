@@ -99,17 +99,8 @@ func (s *Server) Restore(snap Snapshot) error {
 		s.order = append(s.order, jobRef{seq: jobSeq(id), id: id})
 	}
 	for _, info := range snap.Jobs {
-		live := cloneInfo(info)
-		// The live server mutates these maps (cloneInfo leaves empty
-		// ones nil for the read-only response paths).
-		if live.AccHosts == nil {
-			live.AccHosts = make(map[string][]string)
-		}
-		if live.DynSets == nil {
-			live.DynSets = make(map[int][]string)
-		}
 		seq := jobSeq(info.ID)
-		s.index.put(seq, info.ID, &serverJob{seq: seq, info: live})
+		s.index.put(seq, info.ID, &serverJob{seq: seq, info: cloneInfo(info)})
 	}
 	for _, ref := range s.order {
 		if j, ok := s.index.lookup(ref.seq, ref.id); ok && j.live() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,5 +154,45 @@ func TestGateWaitSignalZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("gate wait/signal steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSpawnNamedInPartsBuildsNoString pins what a name costs a spawn:
+// an actor named in parts is spawned for what one with a constant name
+// is, and the parts are joined for the panic report alone.
+func TestSpawnNamedInPartsBuildsNoString(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
+	}
+	s := New()
+	var constant, parts float64
+	err := s.Run(func() {
+		body := func() {}
+		spawn := func(fn func()) float64 {
+			return testing.AllocsPerRun(200, func() {
+				fn()
+				s.Sleep(time.Microsecond) // the actor has come and gone
+			})
+		}
+		constant = spawn(func() { s.Go("task", body) })
+		parts = spawn(func() { s.GoNamed(ActorName{Kind: "task", Subject: "4711.pbs/server", Host: "cn12"}, body) })
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if parts != constant {
+		t.Fatalf("spawning an actor named in parts: %v allocs, %v with a constant name", parts, constant)
+	}
+}
+
+func TestActorNameIsJoinedInThePanicReport(t *testing.T) {
+	s := New()
+	err := s.Run(func() {
+		s.GoNamed(ActorName{Kind: "task", Subject: "1.pbs/server", Host: "cn0"}, func() { panic("boom") })
+		s.Go("plain", func() { panic("bang") })
+		s.Sleep(time.Microsecond)
+	})
+	if err == nil || !strings.Contains(err.Error(), "task/1.pbs/server@cn0: boom") || !strings.Contains(err.Error(), "plain: bang") {
+		t.Fatalf("panic report = %v, want the names joined as kind/subject@host", err)
 	}
 }

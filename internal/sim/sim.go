@@ -244,9 +244,36 @@ func (s *Simulation) Now() time.Duration {
 	return time.Duration(s.nowA.Load())
 }
 
-// Go spawns fn as a new actor. The name is used in deadlock
-// diagnostics only. Go may be called before Run or from any actor.
+// ActorName names an actor in parts, so that a per-job or per-request
+// spawn builds no string: the parts are held by value and joined only
+// when somebody reads the name, which is when the actor panics.
+type ActorName struct {
+	Kind    string // what the actor does: "task", "ms", "irecv", ...
+	Subject string // what it does it for, typically a job id
+	Host    string // where it runs
+}
+
+// String renders the name as "kind/subject@host", leaving out an
+// empty part together with its separator.
+func (n ActorName) String() string {
+	s := n.Kind
+	if n.Subject != "" {
+		s += "/" + n.Subject
+	}
+	if n.Host != "" {
+		s += "@" + n.Host
+	}
+	return s
+}
+
+// Go spawns fn as a new actor. The name is used in panic reports only.
+// Go may be called before Run or from any actor.
 func (s *Simulation) Go(name string, fn func()) {
+	s.GoNamed(ActorName{Kind: name}, fn)
+}
+
+// GoNamed is Go for an actor named in parts.
+func (s *Simulation) GoNamed(name ActorName, fn func()) {
 	s.mu.Lock()
 	s.actors++
 	s.running++
@@ -256,7 +283,7 @@ func (s *Simulation) Go(name string, fn func()) {
 
 // spawn starts the goroutine of an actor whose live and running slots
 // the caller has already counted.
-func (s *Simulation) spawn(name string, fn func()) {
+func (s *Simulation) spawn(name ActorName, fn func()) {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -380,7 +407,7 @@ func (s *Simulation) Run(main func()) error {
 	s.running++
 	s.mu.Unlock()
 
-	s.spawn("main", func() {
+	s.spawn(ActorName{Kind: "main"}, func() {
 		defer func() {
 			s.mu.Lock()
 			s.mainEnd = true

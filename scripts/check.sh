@@ -40,4 +40,10 @@ echo "==> go test -race -count=5 (daemon lifecycle: release and reuse)"
 go test -race -count=5 -run 'TestDynamicDaemonLifecycleIsSymmetric|TestPropertyReleaseAgainstMapModel' \
     ./internal/cluster ./internal/netsim
 
+# A placement's host lists are shared by the server, the moms and the
+# running scripts, and walked in one order: repeat the tests that hold
+# recordings equal run to run and held lists unwritten under failure.
+echo "==> go test -race -count=5 (host lists: one order, never written)"
+go test -race -count=5 -run 'RecordsTheSameEveryRun|NamesTheSameNodeEveryRun|TestHostListsAreNeverWrittenOnceBuilt' ./internal/pbs
+
 echo "==> checks passed"
