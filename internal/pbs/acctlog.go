@@ -46,15 +46,20 @@ func (r AccountingRecord) String() string {
 // stack (nil for none); the record's copy of it is the one allocation a
 // record costs.
 func (s *Server) account(typ byte, jobID string, detail []byte) {
-	rec := AccountingRecord{At: s.sim.Now(), Type: typ, JobID: jobID, Detail: string(detail)}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.accountLocked(typ, jobID, detail)
+}
+
+// accountLocked is account for callers that hold s.mu.
+func (s *Server) accountLocked(typ byte, jobID string, detail []byte) {
+	rec := AccountingRecord{At: s.sim.Now(), Type: typ, JobID: jobID, Detail: string(detail)}
 	s.acct = append(s.acct, rec)
 	// Online service mode bounds the in-memory log: keep the newest
 	// AcctRing records, compacting at 2x so appends stay amortized O(1).
 	if r := s.params.AcctRing; r > 0 && len(s.acct) > 2*r {
 		s.acct = append(s.acct[:0], s.acct[len(s.acct)-r:]...)
 	}
-	s.mu.Unlock()
 	if trc := s.sim.Tracer(); trc != nil {
 		trc.InstantAt(ServerTrack, "acct."+string(rec.Type), rec.At,
 			"job", rec.JobID, "detail", rec.Detail)

@@ -17,7 +17,7 @@ import (
 //   - auditCycleLocked, at every scheduler-cycle boundary (every
 //     SchedInfoReq — the moment the scheduler reads the state it will
 //     act on), runs them over the nodes touchLocked stamped since the
-//     previous boundary and the jobs on the active lists, and takes
+//     previous boundary and the jobs on the active list, and takes
 //     the global identities from running counts. Its cost is O(nodes
 //     touched + jobs active), whatever the table size or run length.
 //   - The full sweep, fused into the walks digestJobs and digestNodes
@@ -25,7 +25,7 @@ import (
 //     every node, and recounts what the cycle engine only carries.
 //
 // Every production write to a node's ledger goes through
-// refreshLocked or touchLocked, and every live job is on an active
+// refreshLocked or touchLocked, and every live job is on the active
 // list, so a write through any mutation site is checked at the very
 // next boundary; a write that bypasses them is caught by the next
 // sweep, one digest interval later at most (DESIGN.md §8).
@@ -47,28 +47,23 @@ import (
 //	                    static accelerators, dynamic sets) holds a
 //	                    matching usedBy entry, and every usedBy entry
 //	                    belongs to a live job
-//	jobs.partition      every job sits in the index partition its
-//	                    sequence number maps to, and every active id
-//	                    resolves in its partition (no job lost or
-//	                    duplicated across queue/index/partition moves)
+//	jobs.index          every record is the one its id resolves to,
+//	                    and the active list is strictly ascending in
+//	                    sequence number (no job lost, duplicated or
+//	                    recycled while the scheduler can still see it)
+//	protocol.edge       a state was entered from one the §III tables
+//	                    (protocol.go) do not allow; checked where the
+//	                    state is written, not by a walk
 //	jobs.count          the index holds exactly the jobs ever
 //	                    submitted, less the terminal records the
 //	                    retention window has purged (retention.go)
 //
-// Transition labels recorded with KindJob events. KindAlloc and
-// KindRelease events carry host as Subj, job id as Detail, cores as
-// A, and (for allocations) B=1 when the grant is dynamic.
+// KindJob events carry a transition label: those of the two §III
+// machines are the label column of protocol.go's tables, these two
+// belong to no state. KindAlloc and KindRelease events carry host as
+// Subj, job id as Detail, cores as A, and (for allocations) B=1 when
+// the grant is dynamic.
 const (
-	audSubmit       = "submit"
-	audQueuedToRun  = "queued->running"
-	audRunToDone    = "running->completed"
-	audToDeleted    = "->deleted"
-	audToFailed     = "->failed"
-	audDynQueued    = "dyn-queued"
-	audDynSched     = "dyn-scheduling"
-	audDynForward   = "dyn-forwarding"
-	audDynGranted   = "dyn-granted"
-	audDynRejected  = "dyn-rejected"
 	audDynFree      = "dyn-free"
 	audSchedInfoCyc = "schedinfo"
 )
@@ -128,7 +123,7 @@ func (s *Server) digestJobsLocked(d *audit.Digest) {
 	d.WriteInt(int64(len(s.order)))
 	for _, ref := range s.order {
 		d.WriteString(ref.id)
-		j, ok := s.index.lookup(ref.seq, ref.id)
+		j, ok := s.index.jobs[ref.id]
 		if !ok {
 			d.WriteInt(-1)
 			continue
@@ -139,9 +134,9 @@ func (s *Server) digestJobsLocked(d *audit.Digest) {
 		claimed += s.auditJobLocked(j)
 	}
 	// Only the sweep can see a record its id does not lead to (one
-	// filed under another partition or key): every id in the log
-	// resolves, but for the purged ones retention has yet to compact.
-	s.aud.Check("pbs", "jobs.partition", "global", resolved+s.retired == len(s.order),
+	// filed under another key): every id in the log resolves, but for
+	// the purged ones retention has yet to compact.
+	s.aud.Check("pbs", "jobs.index", "global", resolved+s.retired == len(s.order),
 		int64(resolved+s.retired), int64(len(s.order)))
 	s.auditGlobalLocked(claimed)
 }
@@ -192,21 +187,17 @@ func (s *Server) auditCycleLocked() {
 	}
 	s.auditTouchedLocked()
 
-	// Every live job is on an active list, which compactActive has just
-	// cut down to the live ones. An entry must sit in its partition in
-	// submission order and be the record its id resolves to: one purged
-	// (and scrubbed for reuse) before compactActive dropped the entry
-	// fails auditJobLocked's lookup.
+	// Every live job is on the active list, which compactActive has just
+	// cut down to the live ones. An entry must sit in submission order
+	// and be the record its id resolves to: one purged (and scrubbed for
+	// reuse) before compactActive dropped the entry fails
+	// auditJobLocked's lookup.
 	claimed := int64(0)
-	for pi := range s.index.parts {
-		p := &s.index.parts[pi]
-		prev := -1
-		for _, e := range p.active {
-			a.Check("pbs", "jobs.partition", e.j.info.ID,
-				e.j.seq == e.seq && e.seq > prev && s.index.partFor(e.seq) == p, int64(e.seq), int64(pi))
-			prev = e.seq
-			claimed += s.auditJobLocked(e.j)
-		}
+	prev := -1
+	for _, e := range s.index.active {
+		a.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
+		prev = e.seq
+		claimed += s.auditJobLocked(e.j)
 	}
 	// Jobs submitted since the last boundary that are terminal already
 	// (deleted while queued) never showed on an active list above.
@@ -215,7 +206,7 @@ func (s *Server) auditCycleLocked() {
 		first--
 	}
 	for _, ref := range s.order[first:] {
-		j, ok := s.index.lookup(ref.seq, ref.id)
+		j, ok := s.index.jobs[ref.id]
 		if ok && !j.live() {
 			s.auditJobLocked(j)
 		}
@@ -253,9 +244,8 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 		used += c
 		// Reverse direction of view.job-hosts: the owner is a job the
 		// index knows in a non-terminal state.
-		seq := jobSeq(id)
-		j, ok := s.index.lookup(seq, id)
-		a.Check("pbs", "view.job-hosts", name, ok && j.live(), int64(seq), 1)
+		j, ok := s.index.jobs[id]
+		a.Check("pbs", "view.job-hosts", name, ok && j.live(), int64(jobSeq(id)), 1)
 	}
 	a.Check("pbs", "view.node-jobs", name, mirrored, int64(len(n.info.Jobs)), int64(len(n.usedBy)))
 	switch n.info.Type {
@@ -288,14 +278,13 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 }
 
 // auditJobLocked checks the job-side invariants of one indexed record:
-// it sits in the partition its sequence number maps to, and — forward
+// it is the record its id resolves to, and — forward
 // direction of view.job-hosts — every host a running job claims holds
 // a matching usedBy entry. It returns the accelerators the job holds,
 // the job side of conservation.acc.
 func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
 	id := j.info.ID
-	s.aud.Check("pbs", "jobs.partition", id, s.index.partFor(j.seq).jobs[id] == j,
-		int64(j.seq), int64(j.seq%len(s.index.parts)))
+	s.aud.Check("pbs", "jobs.index", id, s.index.jobs[id] == j, int64(j.seq), 0)
 	if !j.live() {
 		return 0
 	}
@@ -322,7 +311,7 @@ func (s *Server) auditClaimLocked(j *serverJob, host string) int64 {
 
 // auditGlobalLocked checks the two global identities against the
 // accelerators the caller found claimed on the job side: over the
-// active lists at a boundary, over every indexed job in the sweep
+// active list at a boundary, over every indexed job in the sweep
 // (terminal jobs claim nothing, so the two agree).
 func (s *Server) auditGlobalLocked(claimed int64) {
 	b := &s.books
@@ -332,7 +321,7 @@ func (s *Server) auditGlobalLocked(claimed int64) {
 		allocated+free, b.acTotal)
 	// Retention purges index records but leaves their ids in the
 	// submission-order log until it compacts; retired bridges the two.
-	indexed := s.index.size()
+	indexed := len(s.index.jobs)
 	s.aud.Check("pbs", "jobs.count", "global", indexed+s.retired == len(s.order),
 		int64(indexed+s.retired), int64(len(s.order)))
 }

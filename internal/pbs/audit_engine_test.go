@@ -18,7 +18,7 @@ import (
 // (audit.go): the per-cycle pass over what moved and the full sweep of
 // every digest round. These tests pin the contract between them:
 // whatever a production write can break, the cycle pass sees as the
-// sweep would (verdict equivalence), and each of the nine invariants
+// sweep would (verdict equivalence), and each of the ten invariants
 // fires for a fault of its own, at the next cycle when the write was
 // stamped and at the next digest round when it was not (the matrix).
 
@@ -232,10 +232,13 @@ func TestAuditInjectionMatrix(t *testing.T) {
 			[]string{"view.job-hosts"}, []string{"view.job-hosts"}},
 		{"live record misfiled",
 			func(sc faultScene) pbs.Fault { return pbs.MisfileFault(sc.queued) }, false,
-			[]string{"jobs.partition"}, []string{"jobs.partition"}},
+			[]string{"jobs.index"}, []string{"jobs.index"}},
 		{"terminal record misfiled", // on no active list: the sweep's to find
 			func(sc faultScene) pbs.Fault { return pbs.MisfileFault(sc.done) }, false,
-			nil, []string{"jobs.partition"}},
+			nil, []string{"jobs.index"}},
+		{"completed job set running again", // flagged where the state is written: no walk has to find it
+			func(sc faultScene) pbs.Fault { return pbs.EdgeFault(sc.done, pbs.JobRunning) }, false,
+			[]string{"protocol.edge"}, []string{"protocol.edge"}},
 		{"job dropped from the submission log",
 			func(sc faultScene) pbs.Fault { return pbs.DropOrderFault() }, false,
 			[]string{"jobs.count"}, []string{"jobs.count"}},

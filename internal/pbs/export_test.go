@@ -68,7 +68,7 @@ func DisownFault(host, jobID string) Fault {
 // ledger, view and the job's own dynamic sets all say so.
 func ShareFault(host, jobID string) Fault {
 	return func(s *Server) *serverNode {
-		j, _ := s.index.get(jobID)
+		j := s.index.jobs[jobID]
 		if j.info.DynSets == nil {
 			j.info.DynSets = make(map[int][]string)
 		}
@@ -89,7 +89,7 @@ func UsedCoresFault(host string, used int) Fault {
 // PhantomHostFault makes a job list a host it holds nothing on.
 func PhantomHostFault(jobID, host string) Fault {
 	return func(s *Server) *serverNode {
-		j, _ := s.index.get(jobID)
+		j := s.index.jobs[jobID]
 		j.info.Hosts = append(slices.Clip(j.info.Hosts), host)
 		return nil
 	}
@@ -99,9 +99,21 @@ func PhantomHostFault(jobID, host string) Fault {
 // resolve to, leaving the index the same size.
 func MisfileFault(jobID string) Fault {
 	return func(s *Server) *serverNode {
-		p := s.index.partFor(jobSeq(jobID))
-		p.jobs[jobID+"'"] = p.jobs[jobID]
-		delete(p.jobs, jobID)
+		s.index.jobs[jobID+"'"] = s.index.jobs[jobID]
+		delete(s.index.jobs, jobID)
+		return nil
+	}
+}
+
+// EdgeFault moves a job to a state the way a handler would, through
+// advanceJobLocked, whatever state it is in. An edge the table lacks is
+// flagged there; the panic that follows under test is swallowed, so the
+// run goes on and the breach can be read.
+func EdgeFault(jobID string, to JobState) Fault {
+	return func(s *Server) *serverNode {
+		defer func() { _ = recover() }()
+		j := s.index.jobs[jobID]
+		s.advanceJobLocked(j, to, 0)
 		return nil
 	}
 }
@@ -149,4 +161,83 @@ func (m *Mom) HostsForTest(jobID string) []string {
 		return j.hosts
 	}
 	return nil
+}
+
+// TableEdgesForTest names every edge the two tables of protocol.go hold.
+func TableEdgesForTest() []string {
+	var out []string
+	for _, from := range []int{unborn, 0, 1, 2, 3, 4} {
+		for to := range jobRules {
+			if jobRules[to].from.has(from) {
+				out = append(out, edgeName(true, from, to))
+			}
+		}
+		for to := range dynRules {
+			if dynRules[to].from.has(from) {
+				out = append(out, edgeName(false, from, to))
+			}
+		}
+	}
+	return out
+}
+
+// WatchEdgesForTest hands fn the name of every edge any server of the
+// process takes, from any actor, until stop is called.
+func WatchEdgesForTest(fn func(edge string)) (stop func()) {
+	h := func(job bool, from, to int) { fn(edgeName(job, from, to)) }
+	edgeHook.Store(&h)
+	return func() { edgeHook.Store(nil) }
+}
+
+// TryEdgeForTest takes one edge of one machine on a scratch record —
+// one the server's books hold, unless from is negative: a new record —
+// and reports the edge's name and whether advance refused it (it panics
+// under test).
+func (s *Server) TryEdgeForTest(job bool, from, to int) (edge string, refused bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer func() { refused = recover() != nil }()
+	born := from < 0
+	if born {
+		from = unborn
+	}
+	edge = edgeName(job, from, to)
+	if job {
+		j := &serverJob{seq: 1, info: JobInfo{ID: "1.scratch"}}
+		if !born {
+			j.info.State = JobState(from)
+			s.index.jobs[j.info.ID] = j
+			defer delete(s.index.jobs, j.info.ID)
+		}
+		s.advanceJobLocked(j, JobState(to), 0)
+		return edge, false
+	}
+	rec := &DynRecord{ReqID: 1, JobID: "1.scratch"}
+	if !born {
+		rec.State = DynState(from)
+		s.dynReply[rec.ReqID] = dynReplyTo{ep: "scratch"}
+		defer delete(s.dynReply, rec.ReqID)
+	}
+	s.advanceDynLocked(rec, DynState(to), 0)
+	return edge, false
+}
+
+// ActiveForTest compacts the active list as a scheduler round does, then
+// walks it again: visited are the sequence numbers compactActive handed
+// its visitor on that second walk, in visiting order; live are those of
+// the live jobs as the submission log and the map know them.
+func (s *Server) ActiveForTest() (visited, live []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.index.compactActive((*serverJob).live)
+	s.index.compactActive(func(j *serverJob) bool {
+		visited = append(visited, j.seq)
+		return true
+	})
+	for _, ref := range s.order {
+		if j, ok := s.index.jobs[ref.id]; ok && j.live() {
+			live = append(live, ref.seq)
+		}
+	}
+	return visited, live
 }

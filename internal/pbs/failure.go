@@ -115,7 +115,7 @@ func (s *Server) nodeDown(host string) {
 
 	for _, jobID := range affected {
 		if isCN {
-			s.failJob(jobID, host)
+			s.endJob(jobID, &endFailed, host, "", nil)
 		} else {
 			s.dropAccelerator(jobID, host)
 		}
@@ -123,56 +123,11 @@ func (s *Server) nodeDown(host string) {
 	s.kickScheduler("node-down:" + host)
 }
 
-// failJob ends a job whose compute node died.
-func (s *Server) failJob(jobID, lostHost string) {
-	s.mu.Lock()
-	j, ok := s.index.get(jobID)
-	if !ok || (j.info.State != JobRunning && j.info.State != JobQueued) {
-		s.mu.Unlock()
-		return
-	}
-	wasRunning := j.info.State == JobRunning
-	j.info.State = JobFailed
-	j.info.CompletedAt = s.sim.Now()
-	s.aud.Record(audit.KindJob, "pbs", jobID, audToFailed, 0, 0)
-	var buf [hostBuf]string
-	moms := s.freeJobLocked(j, buf[:0])
-	lost := s.momEPLocked(lostHost)
-	s.retireLocked(jobID)
-	var rejects []*DynRecord
-	for _, rec := range s.dynQ {
-		if rec.JobID == jobID && rec.State != DynGranted && rec.State != DynRejected {
-			rejects = append(rejects, rec)
-		}
-	}
-	s.mu.Unlock()
-
-	for _, rec := range rejects {
-		s.mu.Lock()
-		rec.State = DynRejected
-		rec.RepliedAt = s.sim.Now()
-		route := s.dynReply[rec.ReqID]
-		s.finishDynLocked(rec)
-		s.mu.Unlock()
-		s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: job failed (node down)"})
-	}
-	if wasRunning {
-		for _, ep := range moms {
-			if ep != lost {
-				s.send(ep, ReleaseJobMsg{JobID: jobID})
-			}
-		}
-	}
-	var detail [64]byte
-	s.account(AcctFailed, jobID, append(append(detail[:0], "lost="...), lostHost...))
-	s.notifyWaiters(jobID)
-}
-
 // dropAccelerator removes a dead accelerator from its job; the
 // application keeps running with its remaining set.
 func (s *Server) dropAccelerator(jobID, host string) {
 	s.mu.Lock()
-	j, ok := s.index.get(jobID)
+	j, ok := s.index.jobs[jobID]
 	if !ok {
 		s.mu.Unlock()
 		return

@@ -36,9 +36,15 @@ func newTestbed(t *testing.T, nCN, nAC int, adjust func(*maui.Params)) *testbed 
 // recorder) before any daemon resolves its handles.
 func newTestbedOn(t *testing.T, s *sim.Simulation, nCN, nAC int, adjust func(*maui.Params)) *testbed {
 	t.Helper()
+	return newTestbedWith(t, s, nCN, nAC, pbs.ServerParams{Processing: time.Millisecond}, adjust)
+}
+
+// newTestbedWith is newTestbedOn with a choice of server parameters.
+func newTestbedWith(t *testing.T, s *sim.Simulation, nCN, nAC int, sp pbs.ServerParams, adjust func(*maui.Params)) *testbed {
+	t.Helper()
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})
 	tb := &testbed{s: s, net: net, moms: make(map[string]*pbs.Mom)}
-	tb.server = pbs.NewServer(net, pbs.ServerParams{Processing: time.Millisecond})
+	tb.server = pbs.NewServer(net, sp)
 	mp := maui.DefaultParams()
 	mp.CycleInterval = 50 * time.Millisecond
 	mp.CycleOverhead = 5 * time.Millisecond

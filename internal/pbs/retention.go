@@ -8,12 +8,12 @@ package pbs
 // the submission-order log, and the accounting log without bound.
 //
 // With ServerParams.RetainCompleted > 0 the server keeps a sliding
-// window of terminal records: terminal transitions enqueue the job id
-// on doneQ, and at each scheduler-cycle boundary (handleSchedInfo,
-// after compactActive has removed terminal ids from every active
-// list) the oldest records beyond the window are purged from the
-// index and recycled through a free pool, so steady state allocates
-// no new records at all. The submission-order log compacts once
+// window of terminal records: endJob enqueues the job id on doneQ
+// (each job ends exactly once, so ids never enqueue twice), and at each
+// scheduler-cycle boundary (handleSchedInfo, after compactActive has
+// removed terminal ids from the active list) the oldest records beyond
+// the window are purged from the index and recycled through a free
+// pool, so steady state allocates no new records at all. The submission-order log compacts once
 // purged ids dominate it, and the audit invariant jobs.count accounts
 // for the retired ids (see auditGlobalLocked).
 //
@@ -39,7 +39,7 @@ func (s *Server) JobRecords() JobRecordStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return JobRecordStats{
-		Live:     s.index.size() - len(s.doneQ),
+		Live:     len(s.index.jobs) - len(s.doneQ),
 		Retained: len(s.doneQ),
 		Purged:   s.purged,
 		Reused:   s.reused,
@@ -61,18 +61,9 @@ func (s *Server) acquireJobLocked() *serverJob {
 	return new(serverJob)
 }
 
-// retireLocked notes a terminal transition. A no-op unless retention
-// is on; each job reaches a terminal state exactly once, so ids never
-// enqueue twice. Callers hold s.mu.
-func (s *Server) retireLocked(id string) {
-	if s.params.RetainCompleted > 0 {
-		s.doneQ = append(s.doneQ, id)
-	}
-}
-
 // purgeRetiredLocked drops the oldest terminal records beyond the
 // retention window. Called from handleSchedInfo immediately after
-// compactActive — every doneQ id is terminal, so none is left on an
+// compactActive — every doneQ id is terminal, so none is left on the
 // active list — and before auditCycleLocked, so the invariant engine
 // sees the post-purge state. Callers hold s.mu.
 func (s *Server) purgeRetiredLocked() {
@@ -85,11 +76,11 @@ func (s *Server) purgeRetiredLocked() {
 		return
 	}
 	for _, id := range s.doneQ[:k] {
-		j, ok := s.index.get(id)
+		j, ok := s.index.jobs[id]
 		if !ok {
 			continue
 		}
-		s.index.remove(j)
+		delete(s.index.jobs, id)
 		s.recycleLocked(j)
 		s.retired++
 		s.purged++
@@ -102,7 +93,7 @@ func (s *Server) purgeRetiredLocked() {
 	if s.retired > 256 && s.retired > len(s.order)/2 {
 		w := 0
 		for _, ref := range s.order {
-			if _, ok := s.index.lookup(ref.seq, ref.id); ok {
+			if _, ok := s.index.jobs[ref.id]; ok {
 				s.order[w] = ref
 				w++
 			}

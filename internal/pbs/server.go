@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -39,9 +40,8 @@ type ServerParams struct {
 	// does, including dynamic requests end to end. Values above 1
 	// enable the sharded fast path (shard.go): a router fans requests
 	// out to Shards worker actors keyed by job, each worker drains its
-	// mailbox in batches paying Processing once per batch, the job
-	// index partitions per shard, and DYNJOIN pipelines instead of
-	// serializing.
+	// mailbox in batches paying Processing once per batch, and DYNJOIN
+	// pipelines instead of serializing (dynWindow).
 	Shards int
 	// RetainCompleted bounds how many terminal job records (completed,
 	// deleted, failed) the server keeps. 0 retains everything — the
@@ -79,9 +79,8 @@ type Server struct {
 	nextJob    int
 	nextClient int
 	nextDyn    int
-	// index is the job database: one partition in the faithful
-	// configuration (exactly the original map + active list), one per
-	// shard otherwise. See index.go for the compaction invariants.
+	// index is the job database; see index.go for the compaction
+	// invariants.
 	index jobIndex
 	// order is the submission-order log; purged ids stay in it until
 	// retention compacts it.
@@ -95,15 +94,21 @@ type Server struct {
 	// handed, changed lists the table indices whose NodeInfo moved since
 	// the last answer, and viewEP is the scheduler that answer went to —
 	// the only one a delta can be served to.
-	nodeGen  uint64
-	changed  []int
-	viewEP   string
-	dynQ     []*DynRecord
-	dynReply map[int]dynReplyTo // server dyn id -> client reply route
-	dynBusy  bool
-	waiters  map[string][]waiter
-	acct     []AccountingRecord
-	errs     []string
+	nodeGen uint64
+	changed []int
+	viewEP  string
+	// dynQ holds the unanswered dynamic requests in arrival order; the
+	// first dynWindow of them are in service (scheduling or forwarding),
+	// the rest dynqueued. 1 is the paper's server, which works on one
+	// dynamic request at a time, so a DYNJOIN in flight blocks every
+	// other — the serialization behind Figure 8's latency cliff; the
+	// sharded server's window is unbounded and its joins overlap.
+	dynQ      []*DynRecord
+	dynWindow int
+	dynReply  map[int]dynReplyTo // server dyn id -> client reply route
+	waiters   map[string][]waiter
+	acct      []AccountingRecord
+	errs      []string
 
 	// Retention state (see retention.go); all zero when
 	// RetainCompleted is 0.
@@ -123,8 +128,8 @@ type dynReplyTo struct {
 }
 
 type serverJob struct {
-	// seq is the sequence number info.ID starts with: the key of the
-	// record's index partition.
+	// seq is the sequence number info.ID starts with: the record's
+	// place in submission order.
 	seq  int
 	info JobInfo
 }
@@ -191,14 +196,18 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 			shardBusy:   reg.Occupancy("pbs.shard_occupancy"),
 			rpcBatches:  reg.Counter("pbs.rpc_batches"),
 		},
-		net:      net,
-		sim:      net.Sim(),
-		ep:       net.Endpoint(ServerEndpoint),
-		params:   params,
-		index:    newJobIndex(params.Shards),
-		nodes:    make(map[string]*serverNode),
-		dynReply: make(map[int]dynReplyTo),
-		waiters:  make(map[string][]waiter),
+		net:       net,
+		sim:       net.Sim(),
+		ep:        net.Endpoint(ServerEndpoint),
+		params:    params,
+		index:     jobIndex{jobs: make(map[string]*serverJob)},
+		nodes:     make(map[string]*serverNode),
+		dynWindow: 1,
+		dynReply:  make(map[int]dynReplyTo),
+		waiters:   make(map[string][]waiter),
+	}
+	if params.Shards > 1 {
+		s.dynWindow = math.MaxInt
 	}
 	s.registerAudit()
 	return s
@@ -394,7 +403,7 @@ func (s *Server) handle(m *netsim.Message) {
 func (s *Server) withJob(id string, fn func(*serverJob)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.index.get(id)
+	j, ok := s.index.jobs[id]
 	if !ok {
 		return false
 	}
@@ -421,13 +430,11 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	j.seq = seq
 	j.info.ID = id
 	j.info.Spec = req.Spec
-	j.info.State = JobQueued
-	j.info.SubmittedAt = s.sim.Now()
-	s.index.put(seq, id, j)
+	s.advanceJobLocked(j, JobQueued, int64(seq)) // before the index knows the id: born here
+	s.index.jobs[id] = j
 	s.order = append(s.order, jobRef{seq: seq, id: id})
-	s.index.activate(seq, j)
+	s.index.activate(j)
 	s.mu.Unlock()
-	s.aud.Record(audit.KindJob, "pbs", id, audSubmit, int64(seq), 0)
 	sp.Annotate("job", id)
 	s.inst.submits.Inc()
 	var buf [96]byte
@@ -438,7 +445,7 @@ func (s *Server) handleSubmit(req SubmitReq) {
 
 func (s *Server) handleStat(req StatReq) {
 	s.mu.Lock()
-	j, ok := s.index.get(req.JobID)
+	j, ok := s.index.jobs[req.JobID]
 	var info JobInfo
 	if ok {
 		info = cloneInfo(j.info)
@@ -454,7 +461,7 @@ func (s *Server) handleStat(req StatReq) {
 // handleAlter applies qalter to a job that has not started yet.
 func (s *Server) handleAlter(req AlterReq) {
 	s.mu.Lock()
-	j, ok := s.index.get(req.JobID)
+	j, ok := s.index.jobs[req.JobID]
 	if !ok {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
@@ -482,7 +489,7 @@ func (s *Server) handleAlter(req AlterReq) {
 // handleHold applies qhold/qrls to a queued job.
 func (s *Server) handleHold(req HoldReq) {
 	s.mu.Lock()
-	j, ok := s.index.get(req.JobID)
+	j, ok := s.index.jobs[req.JobID]
 	if !ok {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
@@ -506,7 +513,7 @@ func (s *Server) handleList(req ListReq) {
 	s.mu.Lock()
 	jobs := make([]JobInfo, 0, len(s.order))
 	for _, ref := range s.order {
-		if j, ok := s.index.lookup(ref.seq, ref.id); ok {
+		if j, ok := s.index.jobs[ref.id]; ok {
 			jobs = append(jobs, cloneInfo(j.info))
 		}
 	}
@@ -514,42 +521,24 @@ func (s *Server) handleList(req ListReq) {
 	s.send(req.ReplyTo, ListResp{ReqID: req.ReqID, Jobs: jobs})
 }
 
+// handleDelete is qdel. Deleting a job that already ended succeeds and
+// changes nothing, but wakes the scheduler like any other qdel.
 func (s *Server) handleDelete(req DeleteReq) {
-	s.mu.Lock()
-	j, ok := s.index.get(req.JobID)
-	if !ok {
-		s.mu.Unlock()
-		s.send(req.ReplyTo, DeleteResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
-		return
+	resp := DeleteResp{ReqID: req.ReqID}
+	switch known, ended := s.endJob(req.JobID, &endDeleted, "", req.ReplyTo, resp); {
+	case ended:
+	case known:
+		s.send(req.ReplyTo, resp)
+		s.kickScheduler(endDeleted.kick)
+	default:
+		resp.Err = ErrUnknownJob.Error()
+		s.send(req.ReplyTo, resp)
 	}
-	state := j.info.State
-	var buf [hostBuf]string
-	var moms []string // of a running job: the mother superior's first
-	if state == JobQueued || state == JobRunning {
-		j.info.State = JobDeleted
-		j.info.CompletedAt = s.sim.Now()
-		moms = s.freeJobLocked(j, buf[:0])
-		s.retireLocked(req.JobID)
-		s.aud.Record(audit.KindJob, "pbs", req.JobID, audToDeleted, int64(state), 0)
-	}
-	s.mu.Unlock()
-	if len(moms) > 0 {
-		s.send(moms[0], AbortJobMsg{JobID: req.JobID})
-		for _, ep := range moms {
-			s.send(ep, ReleaseJobMsg{JobID: req.JobID})
-		}
-	}
-	if state == JobQueued || state == JobRunning {
-		s.account(AcctDeleted, req.JobID, nil)
-	}
-	s.send(req.ReplyTo, DeleteResp{ReqID: req.ReqID})
-	s.notifyWaiters(req.JobID)
-	s.kickScheduler("delete")
 }
 
 func (s *Server) handleWait(req WaitReq) {
 	s.mu.Lock()
-	j, ok := s.index.get(req.JobID)
+	j, ok := s.index.jobs[req.JobID]
 	if !ok {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
@@ -565,23 +554,8 @@ func (s *Server) handleWait(req WaitReq) {
 	s.mu.Unlock()
 }
 
-func (s *Server) notifyWaiters(jobID string) {
-	s.mu.Lock()
-	ws := s.waiters[jobID]
-	delete(s.waiters, jobID)
-	var info JobInfo
-	if j, ok := s.index.get(jobID); ok {
-		info = cloneInfo(j.info)
-	}
-	s.mu.Unlock()
-	for _, w := range ws {
-		s.send(w.replyTo, WaitResp{ReqID: w.reqID, Info: info})
-	}
-}
-
 // handleDynGet enqueues a dynamic request in the special dynqueued
-// state. The server services dynamic requests one at a time; see
-// startNextDynLocked.
+// state; startNextDynLocked takes it into service.
 func (s *Server) handleDynGet(req DynGetReq) {
 	var sp *trace.Span
 	if trc := s.sim.Tracer(); trc != nil {
@@ -590,7 +564,7 @@ func (s *Server) handleDynGet(req DynGetReq) {
 	}
 	defer sp.End()
 	s.mu.Lock()
-	j, ok := s.index.get(req.JobID)
+	j, ok := s.index.jobs[req.JobID]
 	if !ok || j.info.State != JobRunning || req.Count <= 0 {
 		s.mu.Unlock()
 		reason := "pbs: job not running"
@@ -606,62 +580,37 @@ func (s *Server) handleDynGet(req DynGetReq) {
 	}
 	s.nextDyn++
 	rec := &DynRecord{
-		ReqID:     s.nextDyn,
-		JobID:     req.JobID,
-		CN:        req.CN,
-		Count:     req.Count,
-		Kind:      req.Kind,
-		PPN:       ppn,
-		State:     DynQueued,
-		ClientID:  -1,
-		ArrivedAt: s.sim.Now(),
+		ReqID:    s.nextDyn,
+		JobID:    req.JobID,
+		CN:       req.CN,
+		Count:    req.Count,
+		Kind:     req.Kind,
+		PPN:      ppn,
+		ClientID: -1,
 	}
+	s.advanceDynLocked(rec, DynQueued, int64(rec.Count)) // before its reply route exists: born here
 	s.dynQ = append(s.dynQ, rec)
 	s.dynReply[rec.ReqID] = dynReplyTo{ep: req.ReplyTo, clientReq: req.ReqID}
-	s.aud.Record(audit.KindJob, "pbs", req.JobID, audDynQueued, int64(rec.ReqID), int64(rec.Count))
 	sp.Annotate("req", strconv.Itoa(rec.ReqID))
 	s.startNextDynLocked()
 	s.mu.Unlock()
 }
 
-// startNextDynLocked promotes the oldest dynqueued request to
-// scheduling and kicks the scheduler. Callers hold s.mu.
-//
-// The faithful server works on one dynamic request at a time (the
-// dynBusy flag), so a DYNJOIN in flight blocks every other dynamic
-// request — the serialization behind the paper's Figure 8 latency
-// cliff. The sharded server pipelines instead: every queued request
-// enters scheduling immediately and the joins overlap.
+// startNextDynLocked takes every dynqueued request inside the service
+// window into scheduling and kicks the scheduler if there was one.
+// Requests enter service oldest first and leave the queue when they
+// end, so the requests in service are the queue's head. Callers hold
+// s.mu.
 func (s *Server) startNextDynLocked() {
-	if s.params.Shards > 1 {
-		kicked := false
-		for _, rec := range s.dynQ {
-			if rec.State == DynQueued {
-				rec.State = DynScheduling
-				rec.ServiceAt = s.sim.Now()
-				s.aud.Record(audit.KindJob, "pbs", rec.JobID, audDynSched, int64(rec.ReqID), 0)
-				kicked = true
-			}
-		}
-		if kicked && s.schedEP != "" {
-			s.sendLockedSafe(s.schedEP, SchedKick{Reason: "dynqueued"})
-		}
-		return
-	}
-	if s.dynBusy {
-		return
-	}
-	for _, rec := range s.dynQ {
+	kicked := false
+	for _, rec := range s.dynQ[:min(len(s.dynQ), s.dynWindow)] {
 		if rec.State == DynQueued {
-			rec.State = DynScheduling
-			rec.ServiceAt = s.sim.Now()
-			s.aud.Record(audit.KindJob, "pbs", rec.JobID, audDynSched, int64(rec.ReqID), 0)
-			s.dynBusy = true
-			if s.schedEP != "" {
-				s.sendLockedSafe(s.schedEP, SchedKick{Reason: "dynqueued"})
-			}
-			return
+			s.advanceDynLocked(rec, DynScheduling, 0)
+			kicked = true
 		}
+	}
+	if kicked && s.schedEP != "" {
+		s.sendLockedSafe(s.schedEP, SchedKick{Reason: "dynqueued"})
 	}
 }
 
@@ -675,31 +624,23 @@ func (s *Server) sendLockedSafe(to string, payload any) {
 
 func (s *Server) handleDynFree(req DynFreeReq) {
 	s.mu.Lock()
-	j, ok := s.index.get(req.JobID)
+	j, ok := s.index.jobs[req.JobID]
 	if !ok {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
-	hosts, ok := j.info.DynSets[req.ClientID]
-	if !ok {
+	if _, ok := j.info.DynSets[req.ClientID]; !ok {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID, Err: "pbs: unknown client-id"})
 		return
 	}
-	delete(j.info.DynSets, req.ClientID)
 	for i := range j.info.DynRecords {
 		if j.info.DynRecords[i].ClientID == req.ClientID {
 			j.info.DynRecords[i].FreedAt = s.sim.Now()
 		}
 	}
-	for _, h := range hosts {
-		if n, ok := s.nodes[h]; ok {
-			s.aud.Record(audit.KindRelease, "pbs", h, req.JobID, int64(n.usedBy[req.JobID]), 1)
-			delete(n.usedBy, req.JobID)
-			s.refreshLocked(n)
-		}
-	}
+	hosts := s.releaseDynSetLocked(j, req.ClientID)
 	s.aud.Record(audit.KindJob, "pbs", req.JobID, audDynFree, int64(req.ClientID), int64(len(hosts)))
 	ms := ""
 	if len(j.info.Hosts) > 0 {
@@ -716,6 +657,21 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 		s.send(ms, DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts})
 	}
 	s.kickScheduler("dynfree")
+}
+
+// releaseDynSetLocked hands one dynamic set of a job back to the pool
+// and returns the hosts that were in it. Callers hold s.mu.
+func (s *Server) releaseDynSetLocked(j *serverJob, clientID int) []string {
+	id, hosts := j.info.ID, j.info.DynSets[clientID]
+	delete(j.info.DynSets, clientID)
+	for _, h := range hosts {
+		if n, ok := s.nodes[h]; ok {
+			s.aud.Record(audit.KindRelease, "pbs", h, id, int64(n.usedBy[id]), 1)
+			delete(n.usedBy, id)
+			s.refreshLocked(n)
+		}
+	}
+	return hosts
 }
 
 // schedRespPool recycles the per-cycle scheduler answer. The server
@@ -785,7 +741,7 @@ func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 		}
 	}
 	// Retention: compactActive just removed every terminal id from the
-	// active lists, so records beyond the window can be recycled now
+	// active list, so records beyond the window can be recycled now
 	// without leaving a dangling active entry.
 	s.purgeRetiredLocked()
 	// Scheduler-cycle boundary: the snapshot the scheduler will act on
@@ -811,7 +767,7 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	sp.Link(cmd.Cause) // scheduler's place span
 	defer sp.End()
 	s.mu.Lock()
-	j, ok := s.index.get(cmd.JobID)
+	j, ok := s.index.jobs[cmd.JobID]
 	if !ok || j.info.State != JobQueued || j.info.Held || len(j.info.Hosts) > 0 {
 		// A job deleted, failed, held — or, with the sharded server,
 		// already allocated by a command this snapshot raced — while
@@ -855,9 +811,7 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	}
 	j.info.Hosts = cmd.Hosts
 	j.info.AccHosts = cmd.AccHosts
-	j.info.AllocatedAt = s.sim.Now()
-	j.info.State = JobRunning
-	s.aud.Record(audit.KindJob, "pbs", cmd.JobID, audQueuedToRun, int64(len(cmd.Hosts)), 0)
+	s.advanceJobLocked(j, JobRunning, int64(len(cmd.Hosts)))
 	spec := j.info.Spec
 	ms := s.momEPLocked(cmd.Hosts[0])
 	s.mu.Unlock()
@@ -876,13 +830,7 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 	sp.Link(cmd.Cause) // scheduler's sched.dyn span
 	defer sp.End()
 	s.mu.Lock()
-	var rec *DynRecord
-	for _, r := range s.dynQ {
-		if r.ReqID == cmd.ReqID && r.State == DynScheduling {
-			rec = r
-			break
-		}
-	}
+	rec := s.dynInLocked(cmd.ReqID, DynScheduling)
 	if rec == nil {
 		s.mu.Unlock()
 		s.logErr("DynAllocCmd for unknown request %d", cmd.ReqID)
@@ -890,26 +838,15 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 	}
 	sp.Annotate("job", rec.JobID)
 	rec.AllocAt = s.sim.Now()
-	route := s.dynReply[rec.ReqID]
 	if len(cmd.Hosts) == 0 {
-		// Rejection: reply immediately with a negative client-id.
-		rec.State = DynRejected
-		rec.RepliedAt = s.sim.Now()
-		jobID := rec.JobID
-		s.finishDynLocked(rec)
+		s.rejectDynLocked(rec, "pbs: not enough accelerators available", true)
 		s.mu.Unlock()
-		var buf [32]byte
-		s.account(AcctDynReject, jobID, appendKV(buf[:0], "count=", rec.Count))
-		s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: not enough accelerators available"})
 		return
 	}
-	j, ok := s.index.get(rec.JobID)
+	j, ok := s.index.jobs[rec.JobID]
 	if !ok || j.info.State != JobRunning {
-		rec.State = DynRejected
-		rec.RepliedAt = s.sim.Now()
-		s.finishDynLocked(rec)
+		s.rejectDynLocked(rec, "pbs: job no longer running", false)
 		s.mu.Unlock()
-		s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: job no longer running"})
 		return
 	}
 	for _, h := range cmd.Hosts {
@@ -926,20 +863,16 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 			}
 		}
 		if bad {
-			rec.State = DynRejected
-			rec.RepliedAt = s.sim.Now()
-			s.finishDynLocked(rec)
+			s.errs = append(s.errs, fmt.Sprintf("DynAllocCmd %d: %s %s unavailable", cmd.ReqID, rec.Kind, h))
+			s.rejectDynLocked(rec, "pbs: allocation raced with another job", false)
 			s.mu.Unlock()
-			s.logErr("DynAllocCmd %d: %s %s unavailable", cmd.ReqID, rec.Kind, h)
-			s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: allocation raced with another job"})
 			return
 		}
 	}
-	rec.State = DynForwarding
 	s.nextClient++
 	rec.ClientID = s.nextClient
 	rec.Hosts = cmd.Hosts
-	s.aud.Record(audit.KindJob, "pbs", rec.JobID, audDynForward, int64(rec.ReqID), int64(rec.ClientID))
+	s.advanceDynLocked(rec, DynForwarding, int64(rec.ClientID))
 	for _, h := range cmd.Hosts {
 		n := s.nodes[h]
 		if rec.Kind == KindCompute {
@@ -971,13 +904,7 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 	sp.Link(ack.Cause) // mother superior's mom.dynadd span
 	defer sp.End()
 	s.mu.Lock()
-	var rec *DynRecord
-	for _, r := range s.dynQ {
-		if r.ReqID == ack.ReqID && r.State == DynForwarding {
-			rec = r
-			break
-		}
-	}
+	rec := s.dynInLocked(ack.ReqID, DynForwarding)
 	if rec == nil {
 		s.mu.Unlock()
 		s.logErr("DynAddAck for unknown request %d", ack.ReqID)
@@ -985,8 +912,7 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 	}
 	sp.Annotate("job", rec.JobID)
 	rec.ForwardedAt = s.sim.Now()
-	rec.State = DynGranted
-	rec.RepliedAt = s.sim.Now()
+	s.advanceDynLocked(rec, DynGranted, int64(rec.ClientID))
 	route := s.dynReply[rec.ReqID]
 	resp := DynGetResp{ReqID: route.clientReq, ClientID: rec.ClientID, Hosts: rec.Hosts}
 	jobID := rec.JobID
@@ -998,6 +924,19 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 	s.send(route.ep, resp)
 }
 
+// dynInLocked finds the unanswered request a scheduler command or a
+// mom's acknowledgement names, if it is in the state that message
+// presumes (nil otherwise: answered meanwhile, or never known).
+// Callers hold s.mu.
+func (s *Server) dynInLocked(reqID int, state DynState) *DynRecord {
+	for _, r := range s.dynQ {
+		if r.ReqID == reqID && r.State == state {
+			return r
+		}
+	}
+	return nil
+}
+
 // finishDynLocked archives a finished request into its job's record
 // and resumes servicing the queue. Callers hold s.mu.
 func (s *Server) finishDynLocked(rec *DynRecord) {
@@ -1006,20 +945,14 @@ func (s *Server) finishDynLocked(rec *DynRecord) {
 	// Figures 7(b)-9 measure. The telemetry histogram records the same
 	// interval, so live p99s line up with the post-hoc figures.
 	s.inst.dynLatency.Record(rec.RepliedAt - rec.ArrivedAt)
+	outcome := s.inst.dynGranted
 	if rec.State == DynRejected {
-		s.inst.dynRejected.Inc()
-		s.aud.Record(audit.KindJob, "pbs", rec.JobID, audDynRejected, int64(rec.ReqID), 0)
-	} else {
-		s.inst.dynGranted.Inc()
-		s.aud.Record(audit.KindJob, "pbs", rec.JobID, audDynGranted, int64(rec.ReqID), int64(rec.ClientID))
+		outcome = s.inst.dynRejected
 	}
+	outcome.Inc()
 	if trc := s.sim.Tracer(); trc != nil {
-		outcome := "granted"
-		if rec.State == DynRejected {
-			outcome = "rejected"
-		}
 		trc.AsyncSpanAt(ServerTrack, "dyn.request", rec.ArrivedAt, rec.RepliedAt-rec.ArrivedAt,
-			"job", rec.JobID, "count", fmt.Sprint(rec.Count), "outcome", outcome,
+			"job", rec.JobID, "count", fmt.Sprint(rec.Count), "outcome", rec.State.String(),
 			"req", strconv.Itoa(rec.ReqID))
 	}
 	delete(s.dynReply, rec.ReqID)
@@ -1029,52 +962,16 @@ func (s *Server) finishDynLocked(rec *DynRecord) {
 			break
 		}
 	}
-	if j, ok := s.index.get(rec.JobID); ok {
+	if j, ok := s.index.jobs[rec.JobID]; ok {
 		j.info.DynRecords = append(j.info.DynRecords, *rec)
 	}
-	s.dynBusy = false
 	s.startNextDynLocked()
 }
 
 func (s *Server) handleJobDone(jobID string) {
 	sp := s.sim.Tracer().Start(ServerTrack, "jobdone", "job", jobID)
 	defer sp.End()
-	s.mu.Lock()
-	j, ok := s.index.get(jobID)
-	if !ok || j.info.State != JobRunning {
-		s.mu.Unlock()
-		return
-	}
-	j.info.State = JobCompleted
-	j.info.CompletedAt = s.sim.Now()
-	s.aud.Record(audit.KindJob, "pbs", jobID, audRunToDone, 0, 0)
-	s.inst.jobsDone.Inc()
-	var buf [hostBuf]string
-	moms := s.freeJobLocked(j, buf[:0])
-	s.retireLocked(jobID)
-	// Reject any dynamic requests still pending for this job.
-	var rejects []*DynRecord
-	for _, rec := range s.dynQ {
-		if rec.JobID == jobID && (rec.State == DynQueued || rec.State == DynScheduling) {
-			rejects = append(rejects, rec)
-		}
-	}
-	s.mu.Unlock()
-	for _, rec := range rejects {
-		s.mu.Lock()
-		rec.State = DynRejected
-		rec.RepliedAt = s.sim.Now()
-		route := s.dynReply[rec.ReqID]
-		s.finishDynLocked(rec)
-		s.mu.Unlock()
-		s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: "pbs: job completed"})
-	}
-	for _, ep := range moms {
-		s.send(ep, ReleaseJobMsg{JobID: jobID})
-	}
-	s.account(AcctEnded, jobID, nil)
-	s.notifyWaiters(jobID)
-	s.kickScheduler("jobdone")
+	s.endJob(jobID, &endCompleted, "", "", nil)
 }
 
 // freeJobLocked releases every node held by the job. The job's own

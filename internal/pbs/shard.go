@@ -18,8 +18,9 @@ import (
 // drains its mailbox as a batch and pays Processing once per batch —
 // batched IFL RPC handling — so the handling cost of unrelated
 // requests overlaps in virtual time instead of accumulating behind a
-// single daemon thread, and startNextDynLocked pipelines DYNJOIN so a
-// join in flight no longer blocks other dynamic requests.
+// single daemon thread, and an unbounded service window (dynWindow)
+// pipelines DYNJOIN so a join in flight no longer blocks other dynamic
+// requests.
 //
 // The handlers themselves are unchanged and still serialize on s.mu:
 // the discrete-event kernel runs one actor at a time, so the win is

@@ -78,65 +78,3 @@ func TestShardForRouting(t *testing.T) {
 		t.Errorf("shardFor(NodesReq) = %d, want 0", got)
 	}
 }
-
-// The multi-partition active walk must visit jobs in global
-// submission order (the single-partition walk trivially does) and
-// compact terminal jobs out of the lists.
-func TestJobIndexMergePreservesSubmissionOrder(t *testing.T) {
-	ix := newJobIndex(3)
-	ids := make([]string, 0, 10)
-	for seq := 1; seq <= 10; seq++ {
-		id := itoa(seq) + ".srv"
-		ids = append(ids, id)
-		j := &serverJob{info: JobInfo{ID: id}}
-		ix.put(seq, id, j)
-		ix.activate(seq, j)
-	}
-	if ix.size() != 10 {
-		t.Fatalf("size = %d, want 10", ix.size())
-	}
-
-	var visited []string
-	ix.compactActive(func(j *serverJob) bool {
-		id := j.info.ID
-		if got, _ := ix.get(id); got != j {
-			t.Fatalf("job %q missing from its partition map", id)
-		}
-		visited = append(visited, id)
-		return jobSeq(id)%2 == 0 // keep even sequences only
-	})
-	for i, id := range visited {
-		if id != ids[i] {
-			t.Fatalf("visit order %v, want %v", visited, ids)
-		}
-	}
-
-	visited = visited[:0]
-	ix.compactActive(func(j *serverJob) bool {
-		visited = append(visited, j.info.ID)
-		return true
-	})
-	wantLive := []string{"2.srv", "4.srv", "6.srv", "8.srv", "10.srv"}
-	if len(visited) != len(wantLive) {
-		t.Fatalf("after compaction visited %v, want %v", visited, wantLive)
-	}
-	for i, id := range visited {
-		if id != wantLive[i] {
-			t.Fatalf("after compaction visited %v, want %v", visited, wantLive)
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}

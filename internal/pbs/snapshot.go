@@ -58,7 +58,7 @@ func (s *Server) Checkpoint() Snapshot {
 	}
 	for _, ref := range s.order {
 		snap.Order = append(snap.Order, ref.id)
-		if j, ok := s.index.lookup(ref.seq, ref.id); ok {
+		if j, ok := s.index.jobs[ref.id]; ok {
 			snap.Jobs = append(snap.Jobs, cloneInfo(j.info))
 		}
 	}
@@ -87,7 +87,7 @@ func (s *Server) Checkpoint() Snapshot {
 // rejected so their clients unblock.
 func (s *Server) Restore(snap Snapshot) error {
 	s.mu.Lock()
-	if s.index.size() != 0 || len(s.nodes) != 0 {
+	if len(s.index.jobs) != 0 || len(s.nodes) != 0 {
 		s.mu.Unlock()
 		return errors.New("pbs: Restore on a non-empty server")
 	}
@@ -99,12 +99,11 @@ func (s *Server) Restore(snap Snapshot) error {
 		s.order = append(s.order, jobRef{seq: jobSeq(id), id: id})
 	}
 	for _, info := range snap.Jobs {
-		seq := jobSeq(info.ID)
-		s.index.put(seq, info.ID, &serverJob{seq: seq, info: cloneInfo(info)})
+		s.index.jobs[info.ID] = &serverJob{seq: jobSeq(info.ID), info: cloneInfo(info)}
 	}
 	for _, ref := range s.order {
-		if j, ok := s.index.lookup(ref.seq, ref.id); ok && j.live() {
-			s.index.activate(ref.seq, j)
+		if j, ok := s.index.jobs[ref.id]; ok && j.live() {
+			s.index.activate(j)
 		}
 	}
 	now := s.sim.Now()
@@ -124,37 +123,22 @@ func (s *Server) Restore(snap Snapshot) error {
 	for jobID, ws := range snap.Waiters {
 		s.waiters[jobID] = append([]waiter(nil), ws...)
 	}
-	rejects := append([]*DynRecord(nil), snap.Pending...)
-	routes := snap.PendingTo
-	s.mu.Unlock()
-
 	// Mid-flight dynamic requests did not survive the crash: reject
-	// them so the blocked pbs_dynget calls return and the
-	// applications continue with their existing sets.
-	for _, rec := range rejects {
-		rec.State = DynRejected
-		rec.RepliedAt = s.sim.Now()
-		s.mu.Lock()
-		if j, ok := s.index.get(rec.JobID); ok {
-			j.info.DynRecords = append(j.info.DynRecords, *rec)
-			// Return any accelerators an in-forwarding request had
-			// already been assigned.
-			if rec.ClientID > 0 {
-				delete(j.info.DynSets, rec.ClientID)
-				for _, h := range rec.Hosts {
-					if n, ok := s.nodes[h]; ok {
-						delete(n.usedBy, rec.JobID)
-						s.refreshLocked(n)
-					}
-				}
-			}
+	// them so the blocked pbs_dynget calls return and the applications
+	// continue with their existing sets. They get a reply route and no
+	// place in the queue: a request restored only to be refused is never
+	// taken into service.
+	for _, p := range snap.Pending {
+		rec := *p
+		s.dynReply[rec.ReqID] = snap.PendingTo[rec.ReqID]
+		// Return any accelerators an in-forwarding request had already
+		// been assigned.
+		if j, ok := s.index.jobs[rec.JobID]; ok && rec.ClientID > 0 {
+			s.releaseDynSetLocked(j, rec.ClientID)
 		}
-		s.mu.Unlock()
-		s.send(routes[rec.ReqID].ep, DynGetResp{
-			ReqID: routes[rec.ReqID].clientReq, ClientID: -1,
-			Err: "pbs: server restarted; dynamic request lost",
-		})
+		s.rejectDynLocked(&rec, "pbs: server restarted; dynamic request lost", false)
 	}
+	s.mu.Unlock()
 	s.kickScheduler("restore")
 	return nil
 }

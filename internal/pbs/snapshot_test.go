@@ -6,9 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/maui"
 	"repro/internal/netsim"
 	"repro/internal/pbs"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestServerRestartPreservesJobsAndNodes(t *testing.T) {
@@ -126,6 +129,110 @@ func TestServerRestartRejectsInFlightDynRequest(t *testing.T) {
 			t.Fatalf("in-flight DynGet after restart: %v", err)
 		}
 		c.Wait(id)
+	})
+}
+
+// A restart refuses the requests it finds mid-flight the way every
+// other refusal is made: with its audit record and its telemetry
+// samples, and — for a request that already held accelerators while
+// the mother superior joined them — with those handed back under the
+// invariant engine's eyes.
+func TestRestoreRejectsForwardingAndQueuedThroughTheTable(t *testing.T) {
+	rec, reg := audit.New(1<<16), telemetry.New()
+	s := sim.New()
+	s.SetAudit(rec)
+	s.SetTelemetry(reg)
+	tb := newTestbedOn(t, s, 2, 3, nil)
+	runTolerant(t, tb, func(c *pbs.Client) { // the old server's DYNJOIN is acknowledged to a server that never heard of it
+		var mu sync.Mutex
+		answers := make(map[string]pbs.DynGrant)
+		errs := make(map[string]error)
+		answered := tb.s.NewGate("answered")
+		script := func(env *pbs.JobEnv) {
+			cl := pbs.NewClient(env.Cluster.(*netsim.Network), env.Host, env.ServerEP)
+			g, err := cl.DynGet(env.JobID, env.Host, 2)
+			mu.Lock()
+			answers[env.JobID], errs[env.JobID] = g, err
+			mu.Unlock()
+			answered.Broadcast()
+			tb.s.Sleep(100 * time.Millisecond)
+		}
+		a, _ := c.Submit(pbs.JobSpec{Name: "a", Owner: "u", Nodes: 1, PPN: 8, Walltime: time.Minute, Script: script})
+		b, _ := c.Submit(pbs.JobSpec{Name: "b", Owner: "u", Nodes: 1, PPN: 8, Walltime: time.Minute, Script: script})
+
+		// The paper's server works on one request at a time: while the
+		// first is being joined the second waits dynqueued. Catch that
+		// instant.
+		var snap pbs.Snapshot
+		for i := 0; ; i++ {
+			snap = tb.server.Checkpoint()
+			if len(snap.Pending) == 2 && snap.Pending[0].State == pbs.DynForwarding && snap.Pending[1].State == pbs.DynQueued {
+				break
+			}
+			if i == 5000 {
+				t.Errorf("never saw one request forwarding and one queued; last saw %d pending", len(snap.Pending))
+				return
+			}
+			tb.s.Sleep(100 * time.Microsecond)
+		}
+		held := snap.Pending[0].Hosts
+		if len(held) != 2 {
+			t.Errorf("forwarding request holds %v, want two accelerators", held)
+		}
+		tb.server.Stop()
+		tb.s.Sleep(10 * time.Millisecond)
+		replacement := pbs.NewServer(tb.net, pbs.ServerParams{Processing: time.Millisecond})
+		replacement.SetScheduler(tb.sched.Endpoint())
+		if err := replacement.Restore(snap); err != nil {
+			t.Errorf("Restore: %v", err)
+			return
+		}
+		replacement.Start()
+
+		mu.Lock()
+		for len(answers) < 2 {
+			answered.Wait(&mu)
+		}
+		for _, id := range []string{a, b} {
+			if answers[id].ClientID != -1 || errs[id] == nil || !strings.Contains(errs[id].Error(), "server restarted") {
+				t.Errorf("job %s: DynGet returned %+v, %v; want client-id -1 and the restart named", id, answers[id], errs[id])
+			}
+		}
+		mu.Unlock()
+
+		rejected := 0
+		for _, e := range rec.Events() {
+			if e.Kind == audit.KindJob && e.Detail == "dyn-rejected" {
+				rejected++
+			}
+		}
+		if rejected != 2 {
+			t.Errorf("recording holds %d dyn-rejected events, want 2", rejected)
+		}
+		if n := reg.Counter("pbs.dyn_rejected").Value(); n != 2 {
+			t.Errorf("pbs.dyn_rejected = %d, want 2", n)
+		}
+		if n := reg.Histogram("pbs.dyn_latency").Count(); n != 2 {
+			t.Errorf("pbs.dyn_latency holds %d samples, want 2", n)
+		}
+		// The full sweep recounts every accelerator from the node table
+		// and every claim from the job records: the two handed back are
+		// free on both sides, or conservation.acc breaks.
+		rec.CaptureDigests()
+		if names := breachNames(rec); len(names) != 0 {
+			t.Errorf("breaches after the restart: %v", names)
+		}
+		nodes, _ := c.Nodes()
+		for _, n := range nodes {
+			if n.Type == pbs.AcceleratorNode && len(n.Jobs) != 0 {
+				t.Errorf("accelerator %s still held by %v", n.Name, n.Jobs)
+			}
+		}
+		for _, id := range []string{a, b} {
+			if info, err := c.Wait(id); err != nil || info.State != pbs.JobCompleted || len(info.DynSets) != 0 {
+				t.Errorf("job %s after the restart: %+v, %v", id, info, err)
+			}
+		}
 	})
 }
 

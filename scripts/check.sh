@@ -17,6 +17,19 @@ fi
 echo "==> go vet"
 go vet ./...
 
+# Paper §III is written once (internal/pbs/protocol.go, DESIGN.md §11):
+# the state of a job or of a dynamic request is written by
+# advanceJobLocked / advanceDynLocked and by nothing else, so every
+# transition is checked against the tables, stamped and recorded.
+echo "==> state writes outside internal/pbs/protocol.go"
+writes=$(grep -nE '\.State[[:space:]]*(=[^=]|\+\+|--|[-+|&^]=)|[^A-Za-z]State:[[:space:]]*(Job|Dyn)' internal/pbs/*.go |
+    grep -v -e '_test\.go:' -e '^internal/pbs/protocol\.go:' || true)
+if [ -n "$writes" ]; then
+    echo "a job's or request's State is written outside protocol.go:" >&2
+    echo "$writes" >&2
+    exit 1
+fi
+
 echo "==> daclint (+ staticcheck/govulncheck when installed)"
 sh scripts/lint.sh
 
@@ -45,5 +58,13 @@ go test -race -count=5 -run 'TestDynamicDaemonLifecycleIsSymmetric|TestPropertyR
 # recordings equal run to run and held lists unwritten under failure.
 echo "==> go test -race -count=5 (host lists: one order, never written)"
 go test -race -count=5 -run 'RecordsTheSameEveryRun|NamesTheSameNodeEveryRun|TestHostListsAreNeverWrittenOnceBuilt' ./internal/pbs
+
+# The transition tables against the edges the package's scenarios take,
+# a restart refusing mid-flight requests through them, and the one
+# active list under 16-shard routing with concurrent submitters: the
+# hook, the restored server and the shard workers all run beside actors
+# of the test.
+echo "==> go test -race -count=5 (protocol tables, Restore, the one job index)"
+go test -race -count=5 -run 'TestProtocolTablesHoldExactlyTheSpec|TestEveryTableEdgeIsTaken|TestEveryPairOutsideTheTablesIsRefused|TestRestoreRejectsForwardingAndQueuedThroughTheTable|TestActiveListPropertyUnderShardRouting' ./internal/pbs
 
 echo "==> checks passed"
