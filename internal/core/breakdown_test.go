@@ -13,11 +13,11 @@ import (
 // The breakdown experiment's core guarantee: for every job of every
 // ladder size, the per-phase attribution sums byte-identically (in
 // integer virtual-time nanoseconds) to the job's end-to-end latency —
-// and the whole figure is invariant under the trial-pool parallelism
-// level, including under the race detector: the sim kernel serializes
-// the dispatch of events due at the same virtual instant, so the
-// goroutine-scheduler perturbation the race runtime introduces cannot
-// reorder same-instant submit/fetch rendezvous.
+// and the whole figure, span streams included, is invariant under the
+// trial-pool parallelism level, including under the race detector: the
+// sim kernel runs one actor at a time, so the goroutine-scheduler
+// perturbation the race runtime introduces cannot reorder same-instant
+// submit/fetch rendezvous or the span ids they hand out.
 func TestBreakdownExactAtEveryParallelism(t *testing.T) {
 	sizes := []int{8, 32}
 	old := Parallelism()
@@ -30,18 +30,10 @@ func TestBreakdownExactAtEveryParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Breakdown(par=%d): %v", par, err)
 		}
-		// The figure is compared without the raw span streams: span ids
-		// are handed out in goroutine order when two daemons open spans
-		// at one virtual instant, which the profile is invariant to.
-		rows := make([]BreakdownPoint, len(pts))
-		for i := range pts {
-			rows[i] = pts[i]
-			rows[i].Obs = Observed{}
-		}
 		if base == nil {
-			base = rows
-		} else if !reflect.DeepEqual(rows, base) {
-			t.Fatalf("breakdown differs at parallelism %d:\n%+v\nvs\n%+v", par, rows, base)
+			base = pts
+		} else if !reflect.DeepEqual(pts, base) {
+			t.Fatalf("breakdown differs at parallelism %d:\n%+v\nvs\n%+v", par, pts, base)
 		}
 		for i := range pts {
 			profile := prof.Analyze(pts[i].Obs.Spans)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/capture"
 	"repro/internal/cluster"
 	"repro/internal/trace"
 )
@@ -54,6 +56,39 @@ func TestPaperFigureUnderSharedSession(t *testing.T) {
 	}
 	if batch != wantBatch || mpi != wantMPI {
 		t.Errorf("span time batch=%v mpi=%v, figure columns say %v / %v", batch, mpi, wantBatch, wantMPI)
+	}
+}
+
+// Two Figure 7(b) runs under one shared trace, telemetry and audit
+// session write byte-equal captures: AC_Free must send its exit
+// requests in one order, or same-instant deliveries from one process
+// trade span ids run to run.
+func TestFig7bCaptureIsTheSameEveryRun(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(1)
+	run := func() []byte {
+		p := cluster.Default()
+		ses := cluster.Observers{Trace: true, Telemetry: true, Audit: true}.Open()
+		ses.Attach(&p)
+		if _, err := Fig7b(p, 4, 2); err != nil {
+			t.Fatalf("Fig7b: %v", err)
+		}
+		f := Observe(0, ses).File
+		var buf bytes.Buffer
+		if err := capture.Write(&buf, &f); err != nil {
+			t.Fatalf("capture: %v", err)
+		}
+		return buf.Bytes()
+	}
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
+		a, b := strings.Split(string(first), "\n"), strings.Split(string(second), "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("captures differ at line %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("captures differ in length: %d vs %d lines", len(a), len(b))
 	}
 }
 

@@ -2,6 +2,7 @@ package dac
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -358,14 +359,17 @@ func (ac *AC) releaseLocal(clientID int) error {
 	delete(ac.setAt, clientID)
 	ac.ctx.Sim.Audit().Record(audit.KindRelease, "dac", ac.env.JobID, "detach", int64(len(ids)), int64(clientID))
 	comm := ac.comm
-	released := make(map[int]bool, len(ids))
+	var buf [8]int // the set's ranks, kept off the heap for the usual sizes
+	released := buf[:0]
 	for _, id := range ids {
-		released[ac.rankOf[id]] = true
+		released = append(released, ac.rankOf[id])
 	}
 	ac.mu.Unlock()
 
-	// Disconnect: the released daemons exit.
-	for r := range released {
+	// Disconnect: the released daemons exit, in rank order so that their
+	// messages take their seqs the same way every run.
+	sort.Ints(released)
+	for _, r := range released {
 		if err := comm.Send(r, opTag, opRequest{Op: "exit"}, 0); err != nil {
 			return fmt.Errorf("dac: release: %w", err)
 		}
@@ -376,7 +380,7 @@ func (ac *AC) releaseLocal(clientID int) error {
 	ac.mu.Lock()
 	keep := []int{0}
 	for _, r := range ac.daemonRanksLocked() {
-		if !released[r] {
+		if !slices.Contains(released, r) {
 			keep = append(keep, r)
 		}
 	}

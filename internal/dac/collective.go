@@ -3,7 +3,6 @@ package dac
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -22,9 +21,8 @@ type collGroup struct {
 	gate *sim.Gate
 	size int
 
-	// mu guards state only and is never held across waits (the gate
-	// releases it while parked).
-	mu        sync.Mutex
+	// The state below is touched only by the job's actors, one at a
+	// time, so it takes no lock.
 	counts    map[int]int
 	parts     map[int][]string
 	clientID  int
@@ -56,20 +54,17 @@ func (ctx *Context) collGroupFor(jobID string, size int) *collGroup {
 
 // barrier synchronizes all participants (sense-reversing).
 func (g *collGroup) barrier() {
-	g.mu.Lock()
 	phase := g.bPhase
 	g.bCount++
 	if g.bCount == g.size {
 		g.bCount = 0
 		g.bPhase++
-		g.mu.Unlock()
 		g.gate.Broadcast()
 		return
 	}
 	for g.bPhase == phase {
-		g.gate.Wait(&g.mu)
+		g.gate.Wait(nil)
 	}
-	g.mu.Unlock()
 }
 
 // CollectiveGet is AC_Get invoked collectively over every compute
@@ -90,19 +85,15 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 	g := ac.ctx.collGroupFor(ac.env.JobID, len(ac.env.Hosts))
 	rank := ac.env.Rank
 
-	g.mu.Lock()
 	g.counts[rank] = count
-	full := len(g.counts) == g.size
-	g.mu.Unlock()
-	if full {
+	if len(g.counts) == g.size {
 		g.gate.Broadcast()
 	}
 
 	if rank == 0 {
 		// Gather all counts, then issue one request for the total.
-		g.mu.Lock()
 		for len(g.counts) < g.size {
-			g.gate.Wait(&g.mu)
+			g.gate.Wait(nil)
 		}
 		total := 0
 		order := make([]int, 0, g.size)
@@ -110,7 +101,6 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 			total += g.counts[r]
 			order = append(order, r)
 		}
-		g.mu.Unlock()
 
 		start := ac.ctx.Sim.Now()
 		grant, err := ac.ifl.DynGet(ac.env.JobID, ac.env.Host, total)
@@ -119,7 +109,6 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 		ac.stats.Gets = append(ac.stats.Gets, GetStat{Count: total, Batch: batch, Rejected: err != nil})
 		ac.mu.Unlock()
 
-		g.mu.Lock()
 		if err != nil {
 			g.errText = err.Error()
 		} else {
@@ -132,14 +121,12 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 			}
 		}
 		g.published = true
-		g.mu.Unlock()
 		g.gate.Broadcast()
 	}
 
 	// Every node picks up its share.
-	g.mu.Lock()
 	for !g.published {
-		g.gate.Wait(&g.mu)
+		g.gate.Wait(nil)
 	}
 	part := g.parts[rank]
 	clientID := g.clientID
@@ -153,10 +140,7 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 		g.parts = make(map[int][]string)
 		g.clientID = 0
 		g.errText = ""
-		g.mu.Unlock()
 		g.gate.Broadcast()
-	} else {
-		g.mu.Unlock()
 	}
 
 	if errText != "" {

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -14,9 +13,9 @@ import (
 // actor so the caller can overlap communication with computation —
 // the latency-hiding pattern of the paper's Section I.
 
-// Request is a handle for an outstanding non-blocking operation.
+// Request is a handle for an outstanding non-blocking operation. Only
+// actors touch it, so it takes no lock.
 type Request struct {
-	mu   sync.Mutex
 	gate *sim.Gate
 	done bool
 	st   Status
@@ -28,28 +27,22 @@ func newRequest(s *sim.Simulation) *Request {
 }
 
 func (r *Request) complete(st Status, err error) {
-	r.mu.Lock()
 	r.st = st
 	r.err = err
 	r.done = true
-	r.mu.Unlock()
 	r.gate.Broadcast()
 }
 
 // Wait blocks until the operation completes and returns its status.
 func (r *Request) Wait() (Status, error) {
-	r.mu.Lock()
 	for !r.done {
-		r.gate.Wait(&r.mu)
+		r.gate.Wait(nil)
 	}
-	defer r.mu.Unlock()
 	return r.st, r.err
 }
 
 // Test reports completion without blocking (MPI_Test).
 func (r *Request) Test() (Status, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.st, r.done, r.err
 }
 

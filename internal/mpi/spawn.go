@@ -219,7 +219,15 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 		groups := make(map[int][]int) // color -> proc ids in new rank order
 		ids := make(map[int]string)
-		for col, es := range byColor {
+		// Colours in ascending order, so each gets the same context id
+		// every run.
+		cols := make([]int, 0, len(byColor))
+		for col := range byColor {
+			cols = append(cols, col)
+		}
+		sort.Ints(cols)
+		for _, col := range cols {
+			es := byColor[col]
 			sort.SliceStable(es, func(a, b int) bool {
 				if es[a].key != es[b].key {
 					return es[a].key < es[b].key

@@ -56,6 +56,44 @@ func TestSplitPartitionsByColor(t *testing.T) {
 	}
 }
 
+// Which colour gets which context id is the same every run: rank 0
+// hands the ids out walking the colours in ascending order.
+func TestSplitContextIDsAreTheSameEveryRun(t *testing.T) {
+	split := func() [3]string {
+		var ids [3]string
+		s, rt, n := testRuntime(t, Config{})
+		err := s.Run(func() {
+			defer n.Close()
+			const np = 6
+			j := newJoin(s, np)
+			var mu sync.Mutex
+			rt.LaunchWorld([]string{"h0", "h1", "h2", "h3", "h4", "h5"}, "w", func(p *Proc) {
+				defer j.done()
+				w := p.World()
+				sub, err := w.Split(w.Rank()%3, w.Rank())
+				if err != nil {
+					t.Errorf("Split: %v", err)
+					return
+				}
+				mu.Lock()
+				ids[w.Rank()%3] = sub.ID()
+				mu.Unlock()
+			})
+			j.wait()
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return ids
+	}
+	want := split()
+	for run := 1; run < 20; run++ {
+		if got := split(); got != want {
+			t.Fatalf("run %d: colour context ids %v, first run %v", run, got, want)
+		}
+	}
+}
+
 func TestSplitKeyReordersRanks(t *testing.T) {
 	s, rt, n := testRuntime(t, Config{})
 	err := s.Run(func() {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -572,6 +573,9 @@ func (n *Network) Close() {
 	for _, e := range n.endpoints {
 		eps = append(eps, e)
 	}
+	// Every receiver woken here joins the kernel's ready list: close in
+	// name order, so the daemons exit in one order every run.
+	slices.SortFunc(eps, func(a, b *Endpoint) int { return strings.Compare(a.name, b.name) })
 	n.mu.Unlock()
 	for _, e := range eps {
 		e.Close()

@@ -2,7 +2,6 @@ package pbs
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -28,12 +27,12 @@ import (
 // the serialization effect of the paper's Figure 8 that the sharding
 // is meant to buy back.
 
-// serverShard is one worker's mailbox. The router appends under mu
-// and signals the gate; the worker swaps the queue against the spare
-// buffer (the previous batch's storage) so steady-state dispatch
-// recycles both arrays.
+// serverShard is one worker's mailbox. The router appends and signals
+// the gate; the worker swaps the queue against the spare buffer (the
+// previous batch's storage) so steady-state dispatch recycles both
+// arrays. Only the router and the worker touch it, and the kernel runs
+// one actor at a time, so it takes no lock.
 type serverShard struct {
-	mu     sync.Mutex
 	gate   *sim.Gate
 	queue  []*netsim.Message
 	spare  []*netsim.Message
@@ -65,9 +64,7 @@ func (s *Server) startSharded() {
 				return
 			}
 			sh := shards[s.shardFor(m.Payload, &rr)]
-			sh.mu.Lock()
 			sh.queue = append(sh.queue, m)
-			sh.mu.Unlock()
 			sh.gate.Signal()
 		}
 	})
@@ -77,9 +74,7 @@ func (s *Server) startSharded() {
 // routed to it, then exits.
 func (s *Server) closeShards() {
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		sh.closed = true
-		sh.mu.Unlock()
 		sh.gate.Broadcast()
 	}
 }
@@ -88,18 +83,15 @@ func (s *Server) closeShards() {
 // batch, pay Processing once, handle every message.
 func (s *Server) shardWorker(sh *serverShard) {
 	for {
-		sh.mu.Lock()
 		for len(sh.queue) == 0 && !sh.closed {
-			sh.gate.Wait(&sh.mu)
+			sh.gate.Wait(nil)
 		}
 		if len(sh.queue) == 0 {
-			sh.mu.Unlock()
 			return
 		}
 		batch := sh.queue
 		sh.queue = sh.spare[:0]
 		sh.spare = batch
-		sh.mu.Unlock()
 
 		start := s.sim.Now()
 		s.sim.Sleep(s.params.Processing)

@@ -284,8 +284,9 @@ func kernelState(s *Simulation) (running int, now time.Duration) {
 }
 
 // (iv) An actor that signalled a waiter and then sleeps shares the
-// clock with it: while the waiter still holds a running slot the
-// sleeper must park and the waiter keeps seeing the old instant.
+// clock with it: while the waiter is on the ready list the sleeper must
+// park, and the waiter, which takes the slot then, keeps seeing the old
+// instant.
 func TestSleepWithSecondRunnableActorParks(t *testing.T) {
 	s := New()
 	var log orderLog
@@ -364,9 +365,9 @@ func TestLoneSleeperHonoursDeadline(t *testing.T) {
 	}
 }
 
-// (vi, first half) An actor spawned before Run is the only runnable
-// one for a while, but there is no run yet whose clock it could move:
-// main starts at time zero and the early sleeper wakes inside the run.
+// (vi, first half) An actor spawned before Run waits on the ready list
+// until Run starts it, ahead of main; its sleep parks because main is
+// due at the same instant, and it wakes inside the run.
 func TestSleepBeforeRunWaitsForMain(t *testing.T) {
 	s := New()
 	var log orderLog
@@ -396,40 +397,48 @@ func TestSleepBeforeRunWaitsForMain(t *testing.T) {
 
 // (vi, second half) A daemon woken after Run returned finds a halted
 // kernel: its sleep parks for good and the clock stays where the run
-// left it.
+// left it — whether main returned or the deadline halted the run with
+// main still parked.
 func TestSleepAfterHaltDoesNotMoveClock(t *testing.T) {
-	s := New()
-	g := s.NewGate("teardown")
-	var mu sync.Mutex
-	closed := false
-	if err := s.Run(func() {
-		s.Go("daemon", func() {
-			mu.Lock()
-			for !closed {
-				g.Wait(&mu)
-			}
-			mu.Unlock()
-			for {
-				s.Sleep(tick)
+	for _, mainReturns := range []bool{true, false} {
+		s := New()
+		s.SetDeadline(10 * tick)
+		g := s.NewGate("teardown")
+		var mu sync.Mutex
+		closed := false
+		err := s.Run(func() {
+			s.Go("daemon", func() {
+				mu.Lock()
+				for !closed {
+					g.Wait(&mu)
+				}
+				mu.Unlock()
+				for {
+					s.Sleep(tick)
+				}
+			})
+			s.Sleep(7 * tick)
+			if !mainReturns {
+				s.Sleep(time.Hour)
 			}
 		})
-		s.Sleep(7 * tick)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	closed = true
-	mu.Unlock()
-	g.Broadcast()
-	for {
-		running, now := kernelState(s)
-		if now != 7*tick {
-			t.Fatalf("clock moved to %v on a halted kernel", now)
+		if mainReturns && err != nil || !mainReturns && !errors.Is(err, ErrDeadline) {
+			t.Fatalf("main returns %v: Run: %v", mainReturns, err)
 		}
-		if running == 0 {
-			break // the daemon parked in Sleep
+		mu.Lock()
+		closed = true
+		mu.Unlock()
+		g.Broadcast()
+		for {
+			running, now := kernelState(s)
+			if now != 7*tick {
+				t.Fatalf("main returns %v: clock moved to %v on a halted kernel", mainReturns, now)
+			}
+			if running == 0 {
+				break // the daemon parked in Sleep
+			}
+			runtime.Gosched()
 		}
-		runtime.Gosched()
 	}
 }
 

@@ -1,14 +1,18 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Gate is a condition variable integrated with the simulation's actor
-// accounting: an actor parked in Wait does not count as runnable, so
-// the virtual clock can advance past it.
+// accounting: an actor parked in Wait does not hold the running slot,
+// so the virtual clock can advance past it. Signal, Broadcast and a
+// WaitTimeout expiry put the woken actor on the kernel's ready list; it
+// runs once the actor that woke it parks or exits, never beside it (see
+// "Actor model" in the package comment).
 //
 // Like sync.Cond, a Gate carries no predicate. The typical pattern is
 //
@@ -20,7 +24,8 @@ import (
 //	mu.Unlock()
 //
 // with the producer holding mu around the state change and calling
-// Signal or Broadcast afterwards (with or without mu held).
+// Signal or Broadcast afterwards (with or without mu held). State that
+// only actors touch needs no mu at all (see Wait).
 type Gate struct {
 	sim *Simulation
 	// Diagnostics read kind+name; the two are joined only in a deadlock
@@ -43,11 +48,14 @@ type Gate struct {
 // waiterPool on resume.
 //
 // gs packs a generation counter with the waiter's state in the low two
-// bits. Exactly one waker wins the armed→fired transition via CAS, and
-// the generation — bumped each time the waiter is reused — makes the
-// lazily cancelled timeout callback of a previous life a guaranteed
-// no-op: its CAS compares against the old generation's armed value,
-// which can never be current again.
+// bits. A waiter leaves the gate's list exactly once, under g.mu, and
+// its state changes in the same step, so a listed waiter is always
+// armed and Signal and Broadcast set theirs with a plain add. A timeout
+// claims its waiter by CAS instead, and the generation — bumped each
+// time the waiter is reused — makes the lazily cancelled timeout
+// callback of a previous life a guaranteed no-op: its CAS compares
+// against the old generation's armed value, which can never be current
+// again.
 type gateWaiter struct {
 	ch chan struct{} // capacity 1; carries at most one wake token
 	gs atomic.Uint64 // generation<<2 | state
@@ -71,17 +79,6 @@ func newWaiter() *gateWaiter {
 	return w
 }
 
-// fire attempts the armed→state transition. It reports false when
-// another waker already claimed the waiter (or, for stale timeout
-// callbacks, when the waiter moved on to a new generation).
-func (w *gateWaiter) fire(state uint64) bool {
-	cur := w.gs.Load()
-	if cur&wStateMask != wArmed {
-		return false
-	}
-	return w.gs.CompareAndSwap(cur, cur|state)
-}
-
 // NewGate returns a Gate bound to s. The name appears in deadlock
 // diagnostics.
 func (s *Simulation) NewGate(name string) *Gate {
@@ -103,51 +100,49 @@ func (g *Gate) Rename(name string) {
 }
 
 // Wait atomically releases l and parks the calling actor until Signal
-// or Broadcast wakes it, then re-acquires l before returning. Spurious
-// wakeups do not occur, but callers should still re-check their
-// predicate in a loop because another actor may consume the state
-// first.
-func (g *Gate) Wait(l sync.Locker) {
+// or Broadcast wakes it, then re-acquires l before returning. l may be
+// nil when only actors read and write the predicate: one actor runs at a
+// time, so it needs no lock. Spurious wakeups do not occur, but callers
+// should still re-check their predicate in a loop because another actor
+// may consume the state first.
+func (g *Gate) Wait(l sync.Locker) { g.wait(l, 0) }
+
+// WaitTimeout is Wait with a virtual-time deadline. It reports false
+// when the wait timed out before a Signal or Broadcast arrived.
+func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
+	return d > 0 && g.wait(l, d)
+}
+
+// wait parks on g, with a timeout d of virtual time unless d is 0, and
+// reports whether a Signal or Broadcast woke it.
+func (g *Gate) wait(l sync.Locker, d time.Duration) bool {
 	w := newWaiter()
+	gs := w.gs.Load() // this generation's armed value, captured for expire
 	// List and park in one step: a waker finds the waiter only once its
 	// park note exists, so the note it clears is this wait's.
 	g.mu.Lock()
 	g.waiters = append(g.waiters, w)
 	g.sim.mu.Lock()
-	g.sim.parkLocked(g)
-	g.sim.mu.Unlock()
-	g.mu.Unlock()
-
-	l.Unlock()
-	<-w.ch
-	waiterPool.Put(w)
-	l.Lock()
-}
-
-// WaitTimeout is Wait with a virtual-time deadline. It reports false
-// when the wait timed out before a Signal or Broadcast arrived.
-func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
-	if d <= 0 {
-		return false
+	if d > 0 {
+		g.sim.pushLocked(g.sim.now+d, nil, func() { g.expire(w, gs) })
 	}
-	w := newWaiter()
-	gs := w.gs.Load() // this generation's armed value, captured for expire
-	g.mu.Lock()
-	g.waiters = append(g.waiters, w)
-	g.sim.mu.Lock()
-	g.sim.pushLocked(g.sim.now+d, nil, func() { g.expire(w, gs) })
 	g.sim.parkLocked(g)
 	g.sim.mu.Unlock()
 	g.mu.Unlock()
 
-	l.Unlock()
+	if l != nil {
+		l.Unlock()
+	}
 	<-w.ch
 	timed := w.gs.Load()&wStateMask == wTimed
 	// The timeout event may still be pending when a Signal won; it is
 	// lazily cancelled — returning w to the pool is safe because the
 	// generation bump on reuse defeats the stale callback's CAS.
 	waiterPool.Put(w)
-	l.Lock()
+	resumed()
+	if l != nil {
+		l.Lock()
+	}
 	return !timed
 }
 
@@ -156,22 +151,13 @@ func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
 // generation; a waiter already signaled — or recycled into a new wait —
 // makes this a no-op.
 func (g *Gate) expire(w *gateWaiter, gs uint64) {
-	if !w.gs.CompareAndSwap(gs, gs|wTimed) {
-		return
-	}
 	g.mu.Lock()
-	ws := g.waiters
-	for i, cand := range ws {
-		if cand == w {
-			copy(ws[i:], ws[i+1:])
-			ws[len(ws)-1] = nil
-			g.waiters = ws[:len(ws)-1]
-			break
-		}
+	if w.gs.CompareAndSwap(gs, gs|wTimed) {
+		i := slices.Index(g.waiters, w)
+		g.waiters = slices.Delete(g.waiters, i, i+1)
+		g.wake(w)
 	}
 	g.mu.Unlock()
-	g.sim.markRunnable(g)
-	w.ch <- struct{}{}
 }
 
 // Signal wakes one parked waiter in FIFO order. It is a no-op when no
@@ -179,54 +165,33 @@ func (g *Gate) expire(w *gateWaiter, gs uint64) {
 // callbacks.
 func (g *Gate) Signal() {
 	g.mu.Lock()
-	var w *gateWaiter
-	ws := g.waiters
-	n := 0 // consumed from the front
-	for n < len(ws) {
-		cand := ws[n]
-		n++
-		if cand.fire(wSignaled) {
-			w = cand
-			break
-		}
-	}
-	if n > 0 {
-		// Pop by shifting down, not reslicing: the backing array keeps
-		// its capacity so steady-state park/signal never reallocates.
-		rest := copy(ws, ws[n:])
-		clear(ws[rest:])
-		g.waiters = ws[:rest]
+	if len(g.waiters) > 0 {
+		w := g.waiters[0]
+		g.waiters = slices.Delete(g.waiters, 0, 1)
+		w.gs.Add(wSignaled)
+		g.wake(w)
 	}
 	g.mu.Unlock()
-	if w != nil {
-		g.sim.markRunnable(g)
-		w.ch <- struct{}{}
-	}
 }
 
-// Broadcast wakes every parked waiter.
+// Broadcast wakes every parked waiter. The emptied list keeps its
+// backing array, so steady-state park/broadcast never reallocates.
 func (g *Gate) Broadcast() {
 	g.mu.Lock()
-	ws := g.waiters
-	if len(ws) == 0 {
-		// Nobody to wake: keep the list's backing array for the next Wait.
-		g.mu.Unlock()
-		return
+	for _, w := range g.waiters {
+		w.gs.Add(wSignaled)
+		g.wake(w)
 	}
-	g.waiters = nil
+	clear(g.waiters)
+	g.waiters = g.waiters[:0]
 	g.mu.Unlock()
-	for _, w := range ws {
-		if w.fire(wSignaled) {
-			g.sim.markRunnable(g)
-			w.ch <- struct{}{}
-		}
-	}
-	// Hand the emptied backing array back so the next Wait appends into
-	// it instead of growing from nil (unless a new waiter raced in).
-	clear(ws)
-	g.mu.Lock()
-	if g.waiters == nil {
-		g.waiters = ws[:0]
-	}
-	g.mu.Unlock()
+}
+
+// wake hands a waiter just taken off the list to the kernel's ready
+// list. Callers hold g.mu.
+func (g *Gate) wake(w *gateWaiter) {
+	g.sim.mu.Lock()
+	g.sim.unparkLocked(g)
+	g.sim.readyLocked(runnable{wake: w.ch})
+	g.sim.mu.Unlock()
 }

@@ -1,14 +1,11 @@
 package sim
 
-import "sync"
-
 // Group is the simulation-aware analogue of sync.WaitGroup for
 // fork-join parallelism inside an actor: children spawned with Go are
 // proper actors, and Wait parks the caller without stalling the
-// virtual clock.
+// virtual clock. Only actors touch it, so it takes no lock.
 type Group struct {
 	s    *Simulation
-	mu   sync.Mutex
 	gate *Gate
 	n    int
 }
@@ -20,14 +17,10 @@ func (s *Simulation) NewGroup(name string) *Group {
 
 // Go runs fn as a child actor tracked by the group.
 func (g *Group) Go(name string, fn func()) {
-	g.mu.Lock()
 	g.n++
-	g.mu.Unlock()
 	g.s.Go(name, func() {
 		defer func() {
-			g.mu.Lock()
 			g.n--
-			g.mu.Unlock()
 			g.gate.Broadcast()
 		}()
 		fn()
@@ -37,9 +30,7 @@ func (g *Group) Go(name string, fn func()) {
 // Wait parks the caller until every child spawned so far has
 // finished.
 func (g *Group) Wait() {
-	g.mu.Lock()
 	for g.n > 0 {
-		g.gate.Wait(&g.mu)
+		g.gate.Wait(nil)
 	}
-	g.mu.Unlock()
 }

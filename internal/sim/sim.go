@@ -11,45 +11,60 @@
 // # Actor model
 //
 // Every goroutine that participates in a simulation must be spawned
-// through Simulation.Go (or be the main function passed to Run). The
-// kernel tracks how many actors are runnable; when all of them are
-// parked — sleeping or waiting on a Gate — the controller advances the
-// clock to the earliest pending event and wakes its owners. If all
-// actors are parked and no event is pending, the simulation is
-// deadlocked and Run returns an error naming the blocked actors.
+// through Simulation.Go (or be the main function passed to Run). While
+// Run is live one rule decides who runs: at most one actor holds the
+// running slot. A new actor, a Gate waiter woken by Signal or Broadcast
+// and one whose WaitTimeout expired join one FIFO ready list, and when
+// the slot holder parks or exits the head of the list takes the slot.
+// With the list empty the slot goes back to the controller, which
+// releases the events of the earliest pending instant in (at, seq)
+// order, each once the work the previous one set off has parked. So
+// which actor takes a seq or a lock first is never the Go scheduler's
+// choice. If every actor is parked and no event is pending, the
+// simulation is deadlocked and Run returns an error naming them.
+//
+// Actors spawned before Run wait on the ready list, ahead of main. Run
+// returns once main has returned and the rest of its instant's batch has
+// parked. After that, wakes are eager: the teardown that follows a run
+// wakes every parked daemon so it can exit, and with no controller left
+// there is nothing to order them.
 //
 // # In-place clock advance
 //
-// Most sleeps in a run are taken by an actor that is alone on the CPU
-// and about to be the next thing the controller wakes (Maui charging
-// its per-job cost while it walks a backlog is the bulk of them). Such
-// a Sleep does not park. Under the kernel lock it already holds, it
-// advances the clock itself and returns, when all five hold:
+// Most sleeps in a run are taken by an actor that is about to be the
+// next thing the controller wakes (Maui charging its per-job cost while
+// it walks a backlog is the bulk of them). Such a Sleep does not park.
+// Under the kernel lock it already holds, it advances the clock itself
+// and returns, when all three hold:
 //
-//  1. the caller owns the only running slot (running == 1);
-//  2. the controller has released every event of the current instant's
-//     batch, so it is idle at the top of its loop;
-//  3. Run has started, main has not returned and the kernel is not
-//     halted;
-//  4. now+d does not pass the deadline;
-//  5. the queue is empty or its earliest event is strictly later than
-//     now+d (an event queued at exactly now+d was pushed earlier, has
-//     the lower seq and must run first).
+//  1. nothing else is due at this instant: the ready list is empty and
+//     the controller has released every event of the instant's batch;
+//  2. Run is live: main has not returned and the kernel has not halted
+//     (a deadlock or the deadline halts it with main still parked);
+//  3. now+d does not pass the deadline, and the queue is empty or its
+//     earliest event is strictly later than now+d (an event queued at
+//     exactly now+d was pushed earlier, has the lower seq and must run
+//     first).
 //
 // Otherwise it queues its wake and parks as described above, at no
 // extra cost. The order in which events are released is the same either
-// way. Had the caller parked, running would have dropped to zero with
-// the batch spent, so the controller's next step is to pop the least
-// (at, seq) of the queue plus the caller's wake; by 5 that is the
-// caller's wake, alone in its batch. Nothing can be pushed in between:
-// only running actors and controller callbacks push, and by 1 and 2
-// there is none but the caller. So the advance does exactly the
-// controller's bookkeeping for that one-event batch — the seq the wake
-// would have carried is consumed, the clock moves, the dispatch is
-// counted, sim.dispatches and sim.queue_depth read as the controller
-// would have set them — and virtual time, event counts and every later
-// tie-break are identical; only the queue push, the wake channel, the
-// controller's cond and two goroutine switches are gone.
+// way. Had the caller parked, with the ready list empty the slot would
+// have gone back to the controller with the batch spent, so its next
+// step is to pop the least (at, seq) of the queue plus the caller's
+// wake; by 3 that is the caller's wake, alone in its batch. Nothing can
+// be pushed in between: only the slot holder pushes, and that is the
+// caller. So the advance does exactly the controller's bookkeeping for
+// that one-event batch — the seq the wake would have carried is
+// consumed, the clock moves, the dispatch is counted, sim.dispatches and
+// sim.queue_depth read as the controller would have set them — and
+// virtual time, event counts and every later tie-break are identical;
+// only the queue push, the wake channel, the controller's cond and two
+// goroutine switches are gone.
+//
+// The controller pops an instant's events as one batch rather than one
+// at a time because a scrape taken mid-instant reads sim.dispatches and
+// sim.queue_depth with the whole instant counted; popping one at a time
+// would change what every telemetry capture records.
 //
 // Two neighbouring designs were measured and rejected (DESIGN.md has
 // the numbers): dropping the controller goroutine so that the last
@@ -91,17 +106,20 @@ var ErrDeadline = errors.New("sim: virtual-time deadline exceeded")
 // The zero value is not usable; call New.
 type Simulation struct {
 	mu   sync.Mutex
-	cond *sync.Cond // signaled when running drops to zero or main finishes
+	cond *sync.Cond // signaled when the running slot falls free
 	now  time.Duration
 	// nowA mirrors now so Now() is lock-free: the hot paths (netsim
 	// sends, tracer timestamps, scheduler priorities) read the clock
 	// far more often than the controller advances it.
 	nowA    atomic.Int64
-	running int // actors currently runnable
-	actors  int // live actors (runnable or parked)
-	events  eventQueue
-	batch   []event // controller scratch, reused across clock advances
-	seq     uint64
+	running int // holders of the running slot: at most 1 while Run is live
+	actors  int // live actors (running, ready or parked)
+	// ready[readyHead:] is the FIFO of actors waiting for the slot.
+	ready     []runnable
+	readyHead int
+	events    eventQueue
+	batch     []event // controller scratch, reused across clock advances
+	seq       uint64
 	// What is parked, for deadlock diagnostics: the count of sleepers and
 	// the list of gates with at least one waiter (through Gate.nextParked).
 	sleeping    int
@@ -111,9 +129,10 @@ type Simulation struct {
 	mainEnd     bool
 	halted      bool
 
-	// undispatched counts the events of the current instant's batch the
-	// controller has yet to release: due now, but neither in the queue
-	// nor running, and Sleep must not advance the clock past them.
+	// undispatched counts the events of the current batch the controller
+	// has yet to release, the tail of s.batch: due now, but neither in
+	// the queue nor running, and Sleep must not advance the clock past
+	// them.
 	undispatched int
 	// parks counts parkLocked calls. Only tests read it.
 	parks uint64
@@ -143,6 +162,22 @@ type Simulation struct {
 	// figure without installing a registry.
 	dispatched atomic.Uint64
 }
+
+// runnable is an entry of the ready list: a parked actor's wake channel,
+// or a new actor (wake == nil) whose goroutine starts when it takes the
+// slot.
+type runnable struct {
+	wake chan struct{}
+	name ActorName
+	fn   func()
+}
+
+// slotHook and resumeHook are test seams, nil outside tests. slotHook
+// runs under s.mu whenever an actor parks or takes the running slot;
+// resumeHook runs on an actor's goroutine as it starts and after every
+// wake.
+var slotHook func(s *Simulation)
+var resumeHook func()
 
 // kernelInstruments are the kernel's own live metrics: how many
 // events the controller has dispatched and how deep the pending-event
@@ -276,31 +311,33 @@ func (s *Simulation) Go(name string, fn func()) {
 func (s *Simulation) GoNamed(name ActorName, fn func()) {
 	s.mu.Lock()
 	s.actors++
-	s.running++
+	s.readyLocked(runnable{name: name, fn: fn})
 	s.mu.Unlock()
-	s.spawn(name, fn)
 }
 
-// spawn starts the goroutine of an actor whose live and running slots
-// the caller has already counted.
-func (s *Simulation) spawn(name ActorName, fn func()) {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.panicMu.Lock()
-				s.panicked = append(s.panicked, fmt.Sprintf("%s: %v", name, r))
-				s.panicMu.Unlock()
-			}
-			s.mu.Lock()
-			s.actors--
-			s.running--
-			if s.running == 0 {
-				s.cond.Broadcast()
-			}
-			s.mu.Unlock()
-		}()
-		fn()
+// actor is the goroutine of a spawned actor, started when it first
+// takes the running slot; it gives the slot up when fn returns.
+func (s *Simulation) actor(name ActorName, fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicMu.Lock()
+			s.panicked = append(s.panicked, fmt.Sprintf("%s: %v", name, r))
+			s.panicMu.Unlock()
+		}
+		s.mu.Lock()
+		s.actors--
+		s.yieldLocked()
+		s.mu.Unlock()
 	}()
+	resumed()
+	fn()
+}
+
+// resumed runs the test seam, if any, on an actor that just took the slot.
+func resumed() {
+	if resumeHook != nil {
+		resumeHook()
+	}
 }
 
 // wakePool recycles the capacity-1 channels used to wake sleeping
@@ -322,8 +359,7 @@ func (s *Simulation) Sleep(d time.Duration) {
 	}
 	s.mu.Lock()
 	t := s.now + d
-	if s.running == 1 && s.undispatched == 0 &&
-		s.mainSet && !s.mainEnd && !s.halted &&
+	if s.readyHead == len(s.ready) && s.undispatched == 0 && !s.mainEnd && !s.halted &&
 		(s.deadline == 0 || t <= s.deadline) &&
 		(s.events.len() == 0 || s.events.nextAt() > t) {
 		// The controller's bookkeeping for a one-event batch. The seq
@@ -346,6 +382,7 @@ func (s *Simulation) Sleep(d time.Duration) {
 	s.mu.Unlock()
 	<-ch
 	wakePool.Put(ch)
+	resumed()
 }
 
 // At schedules fn to run at virtual time t (an offset from simulation
@@ -389,121 +426,87 @@ func (s *Simulation) AfterArg(d time.Duration, fn func(any), arg any) {
 }
 
 // Run executes main as the root actor and drives the clock until main
-// returns. Other actors may still be parked when Run returns; closing
-// their communication primitives (for example netsim mailboxes) lets
-// them exit. Run returns an error if the simulation deadlocks or if
-// any actor panicked.
+// returns and the rest of that instant's batch has run. Other actors
+// may still be parked when Run returns; closing their communication
+// primitives (for example netsim mailboxes) lets them exit. Run returns
+// an error if the simulation deadlocks or if any actor panicked.
 func (s *Simulation) Run(main func()) error {
 	s.mu.Lock()
 	if s.mainSet {
 		s.mu.Unlock()
 		return errors.New("sim: Run called twice")
 	}
-	// main's slots are counted in the critical section that sets
-	// mainSet: an actor spawned before Run must never see a started run
-	// in which it is the only runnable actor.
 	s.mainSet = true
 	s.actors++
-	s.running++
-	s.mu.Unlock()
-
-	s.spawn(ActorName{Kind: "main"}, func() {
+	s.readyLocked(runnable{name: ActorName{Kind: "main"}, fn: func() {
 		defer func() {
 			s.mu.Lock()
 			s.mainEnd = true
-			s.cond.Broadcast()
 			s.mu.Unlock()
 		}()
 		main()
-	})
+	}})
+	// The controller holds the slot until it hands it to the head of the
+	// ready list: the first actor spawned before Run, or main.
+	s.running++
+	s.yieldLocked()
 
 	for {
-		s.mu.Lock()
-		for s.running > 0 && !s.mainEnd {
+		for s.running > 0 {
 			s.cond.Wait()
 		}
-		if s.mainEnd {
-			s.halted = true
-			s.mu.Unlock()
-			return s.panicErr()
+		if s.undispatched == 0 {
+			// The batch is spent: stop, or pop every event due at the
+			// earliest pending instant. The buffer is owned by the
+			// controller and reused; clearing it before each pop means a
+			// spent batch pins no wake channel or closure past the next.
+			if s.mainEnd {
+				s.halted = true
+				s.mu.Unlock()
+				return s.panicErr()
+			}
+			if s.events.len() == 0 {
+				s.halted = true
+				err := fmt.Errorf("%w at %v: parked actors: %s", ErrDeadlock, s.now, s.blockedLocked())
+				s.mu.Unlock()
+				return err
+			}
+			t := s.events.nextAt()
+			if s.deadline > 0 && t > s.deadline {
+				s.halted = true
+				s.mu.Unlock()
+				return fmt.Errorf("%w: next event at %v, cap %v", ErrDeadline, t, s.deadline)
+			}
+			clear(s.batch)
+			s.batch = s.events.popBatch(s.batch[:0])
+			s.undispatched = len(s.batch)
+			s.now = t
+			s.nowA.Store(int64(t))
+			s.dispatched.Add(uint64(len(s.batch)))
+			if ki := s.kernelInst.Load(); ki != nil {
+				ki.dispatches.Add(int64(len(s.batch)))
+				ki.queueDepth.Set(float64(s.events.len()))
+			}
 		}
-		if s.events.len() == 0 {
-			blocked := s.blockedLocked()
-			s.halted = true
-			s.mu.Unlock()
-			return fmt.Errorf("%w at %v: parked actors: %s", ErrDeadlock, s.now, blocked)
-		}
-		// Advance to the earliest event time and release every event
-		// due at that instant. Each released event counts as runnable
-		// before the lock drops so the controller cannot advance past
-		// a wake that has not landed yet. The batch buffer is owned by
-		// the controller and reused across advances; it is cleared
-		// after dispatch so it never pins wake channels or closures.
-		t := s.events.nextAt()
-		if s.deadline > 0 && t > s.deadline {
-			s.halted = true
-			s.mu.Unlock()
-			return fmt.Errorf("%w: next event at %v, cap %v", ErrDeadline, t, s.deadline)
-		}
-		batch := s.events.popBatch(s.batch[:0])
-		s.batch = batch
-		s.undispatched = len(batch)
-		s.now = t
-		s.nowA.Store(int64(t))
-		s.dispatched.Add(uint64(len(batch)))
-		if ki := s.kernelInst.Load(); ki != nil {
-			ki.dispatches.Add(int64(len(batch)))
-			ki.queueDepth.Set(float64(s.events.len()))
+		// Release the next event of the batch. It takes the slot, and
+		// the wait at the top of the loop lets it and everything it
+		// readies in turn park before the next event is released.
+		ev := s.batch[len(s.batch)-s.undispatched]
+		s.undispatched--
+		s.running++
+		if ev.wake != nil {
+			s.unparkLocked(nil)
+			s.startLocked(runnable{wake: ev.wake})
+			continue
 		}
 		s.mu.Unlock()
-
-		// Dispatch the batch one event at a time, waiting for the
-		// released work — the woken actor plus anything it wakes in
-		// turn — to park before releasing the next event. Seq order
-		// is deterministic, so this serialization pins the
-		// interleaving of same-instant actors: two actors due at one
-		// instant can no longer race each other to the event queue,
-		// which would make the (at, seq) order of their *next* sends
-		// depend on host scheduling. Once main has finished the wait
-		// degenerates and the rest of the batch is released eagerly,
-		// matching the at-halt semantics of plain dispatch.
-		for i, ev := range batch {
-			// Each event takes its running slot only when released,
-			// so the between-events quiescence wait below sees the
-			// undispatched remainder of the batch as idle. A sleeper's
-			// diagnostic note goes with the slot it is handed.
-			s.mu.Lock()
-			s.undispatched--
-			if ev.wake != nil {
-				s.unparkLocked(nil)
-				s.mu.Unlock()
-				ev.wake <- struct{}{} // ownership of the running slot passes to the woken actor
-			} else {
-				s.running++
-				s.mu.Unlock()
-				if ev.afn != nil {
-					ev.afn(ev.arg)
-				} else {
-					ev.fn()
-				}
-				s.mu.Lock()
-				s.running--
-				if s.running == 0 {
-					s.cond.Broadcast()
-				}
-				s.mu.Unlock()
-			}
-			if i == len(batch)-1 {
-				break // the top of the outer loop performs this wait
-			}
-			s.mu.Lock()
-			for s.running > 0 && !s.mainEnd {
-				s.cond.Wait()
-			}
-			s.mu.Unlock()
+		if ev.afn != nil {
+			ev.afn(ev.arg)
+		} else {
+			ev.fn()
 		}
-		clear(s.batch)
-		s.batch = s.batch[:0]
+		s.mu.Lock()
+		s.yieldLocked()
 	}
 }
 
@@ -598,10 +601,9 @@ func (s *Simulation) panicErr() error {
 	return fmt.Errorf("sim: actor panics: %s", strings.Join(s.panicked, "; "))
 }
 
-// parkLocked marks the calling actor idle: asleep when g is nil, waiting
-// on g otherwise. Callers hold s.mu.
+// parkLocked marks the calling actor idle — asleep when g is nil, waiting
+// on g otherwise — and gives its running slot up. Callers hold s.mu.
 func (s *Simulation) parkLocked(g *Gate) {
-	s.running--
 	s.parks++
 	if g == nil {
 		s.sleeping++
@@ -612,16 +614,16 @@ func (s *Simulation) parkLocked(g *Gate) {
 		}
 		s.parkedGates = g
 	}
-	if s.running == 0 {
-		s.cond.Broadcast()
+	if slotHook != nil {
+		slotHook(s)
 	}
+	s.yieldLocked()
 }
 
-// unparkLocked is the waker's half of parkLocked: it hands a running
-// slot to an actor about to be woken and clears the diagnostic note the
-// actor left when it parked. Callers hold s.mu.
+// unparkLocked is the waker's half of parkLocked: it clears the
+// diagnostic note an actor about to be woken left when it parked.
+// Callers hold s.mu.
 func (s *Simulation) unparkLocked(g *Gate) {
-	s.running++
 	if g == nil {
 		s.sleeping--
 	} else if g.parked--; g.parked == 0 {
@@ -637,12 +639,54 @@ func (s *Simulation) unparkLocked(g *Gate) {
 	}
 }
 
-// markRunnable is unparkLocked for an actor about to be woken by a
-// Gate signal or timeout. Callers must not hold s.mu.
-func (s *Simulation) markRunnable(g *Gate) {
-	s.mu.Lock()
-	s.unparkLocked(g)
-	s.mu.Unlock()
+// readyLocked makes r runnable: before and during Run it joins the
+// ready list; after Run has returned it starts at once, beside whatever
+// else is exiting. Callers hold s.mu.
+func (s *Simulation) readyLocked(r runnable) {
+	if s.halted {
+		s.running++
+		s.startLocked(r)
+		return
+	}
+	// The list need never drain: once full and at least half consumed,
+	// slide the rest down rather than growing past the consumed head.
+	if len(s.ready) == cap(s.ready) && 2*s.readyHead >= len(s.ready) {
+		n := copy(s.ready, s.ready[s.readyHead:])
+		clear(s.ready[n:])
+		s.ready, s.readyHead = s.ready[:n], 0
+	}
+	s.ready = append(s.ready, r)
+}
+
+// yieldLocked gives the running slot up: the head of the ready list
+// takes it, or, with the list empty, it goes back to the controller.
+// Callers hold s.mu.
+func (s *Simulation) yieldLocked() {
+	if s.readyHead == len(s.ready) {
+		s.running--
+		if s.running == 0 {
+			s.cond.Broadcast()
+		}
+		return
+	}
+	r := s.ready[s.readyHead]
+	s.ready[s.readyHead] = runnable{}
+	s.readyHead++
+	s.startLocked(r)
+}
+
+// startLocked runs r on the slot its caller counted for it: a token on
+// a parked actor's wake channel, or the goroutine of a new one. Callers
+// hold s.mu.
+func (s *Simulation) startLocked(r runnable) {
+	if slotHook != nil {
+		slotHook(s)
+	}
+	if r.wake != nil {
+		r.wake <- struct{}{}
+	} else {
+		go s.actor(r.name, r.fn)
+	}
 }
 
 // blockedLocked is the deadlock report: "sleep×N" and one
@@ -682,7 +726,7 @@ func (s *Simulation) blockedLocked() string {
 func (s *Simulation) pushLocked(at time.Duration, wake chan struct{}, fn func()) {
 	s.seq++
 	s.events.push(event{at: at, seq: s.seq, wake: wake, fn: fn})
-	// A sleeping controller only re-checks after running drops to
-	// zero; new events need no extra signal because only running
-	// actors (or controller callbacks) create them.
+	// A waiting controller only re-checks once the slot is free; new
+	// events need no extra signal because only the slot holder creates
+	// them.
 }

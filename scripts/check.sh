@@ -36,35 +36,29 @@ sh scripts/lint.sh
 echo "==> go test -race -shuffle=on"
 go test -race -shuffle=on ./... -count=1
 
-# The audit engine's sweep runs on whichever actor takes a digest
-# round, against state the server and scheduler actors write: repeat
-# the tests that shadow every cycle with it, so the detector sees more
-# than one interleaving.
-# The scheduler's job view is held to qstat by the same kind of test
-# (checkJobView inside the node-mirror property run).
-echo "==> go test -race -count=5 (audit engine and job view equivalence)"
-go test -race -count=5 -run 'TestCycleEngineEqualsFullSweepEveryCycle|TestMirrorSweepAgreesWithDeltaChecksEveryCycle|TestNodeMirrorTracksServerThroughRandomOperations' \
-    ./internal/pbs ./internal/maui
+# The sim kernel runs one actor at a time, so a seed has one
+# interleaving and repeating a test under the detector no longer shows
+# it another. What is repeated is the determinism itself: the kernel's
+# property tests (host-schedule injection, the running-slot check), the
+# two same-order-every-run tests, and the five tests that compare whole
+# runs across seeds or parallelism levels.
+echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance' \
+    ./internal/sim ./internal/mpi ./internal/core ./internal/service
 
-# Release hands an endpoint's storage to its next owner while messages
-# to the old name may still be in flight and receivers may still be
-# waking: repeat the lifecycle tests under the detector.
-echo "==> go test -race -count=5 (daemon lifecycle: release and reuse)"
-go test -race -count=5 -run 'TestDynamicDaemonLifecycleIsSymmetric|TestPropertyReleaseAgainstMapModel' \
-    ./internal/cluster ./internal/netsim
-
-# A placement's host lists are shared by the server, the moms and the
-# running scripts, and walked in one order: repeat the tests that hold
-# recordings equal run to run and held lists unwritten under failure.
-echo "==> go test -race -count=5 (host lists: one order, never written)"
-go test -race -count=5 -run 'RecordsTheSameEveryRun|NamesTheSameNodeEveryRun|TestHostListsAreNeverWrittenOnceBuilt' ./internal/pbs
-
-# The transition tables against the edges the package's scenarios take,
-# a restart refusing mid-flight requests through them, and the one
-# active list under 16-shard routing with concurrent submitters: the
-# hook, the restored server and the shard workers all run beside actors
-# of the test.
-echo "==> go test -race -count=5 (protocol tables, Restore, the one job index)"
-go test -race -count=5 -run 'TestProtocolTablesHoldExactlyTheSpec|TestEveryTableEdgeIsTaken|TestEveryPairOutsideTheTablesIsRefused|TestRestoreRejectsForwardingAndQueuedThroughTheTable|TestActiveListPropertyUnderShardRouting' ./internal/pbs
+# The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
+# three times (about 5 s each).
+echo "==> dacsim -fig scale -scale-max 4096 -server sharded, 3 runs, one md5"
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/dacsim" ./cmd/dacsim
+sums=$(for run in 1 2 3; do
+    "$bin/dacsim" -fig scale -scale-max 4096 -server sharded -parallel 1 2>/dev/null | md5sum
+done | sort -u)
+if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
+    echo "the sharded 4096 ladder printed more than one output:" >&2
+    echo "$sums" >&2
+    exit 1
+fi
 
 echo "==> checks passed"
