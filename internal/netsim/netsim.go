@@ -602,9 +602,10 @@ type Endpoint struct {
 	// a matcher that accepts the oldest message) advances head instead
 	// of shifting the slice; the storage is reclaimed when the queue
 	// drains or the dead prefix outgrows the live tail.
-	queue  []*Message
-	head   int
-	closed bool
+	queue   []*Message
+	head    int
+	handler func(*Message) bool // offered each message first (SetHandler)
+	closed  bool
 	// live (guarded by net.mu) is false from Release until the storage
 	// is handed out again.
 	live bool
@@ -747,10 +748,10 @@ func deliverMsg(arg any) {
 	msg.dst.deliver(msg)
 }
 
-// deliver queues m unless the endpoint is closed or no longer the one m
-// was sent to: the name is the generation, so a message that was in
-// flight when its destination was released never reaches whoever holds
-// the storage now.
+// deliver queues m unless the handler takes it, or the endpoint is closed
+// or no longer the one m was sent to: the name is the generation, so a
+// message that was in flight when its destination was released never
+// reaches whoever holds the storage now.
 func (e *Endpoint) deliver(m *Message) {
 	e.mu.Lock()
 	if e.closed || m.To != e.name {
@@ -758,9 +759,34 @@ func (e *Endpoint) deliver(m *Message) {
 		m.Release()
 		return
 	}
+	if h := e.handler; h != nil {
+		// Not under e.mu: the handler sends, and may replace itself.
+		e.mu.Unlock()
+		if h(m) {
+			return
+		}
+		e.mu.Lock()
+	}
 	e.queue = append(e.queue, m)
 	e.mu.Unlock()
 	e.gate.Broadcast()
+}
+
+// SetHandler installs h as e's receive handler, or removes it (nil). h
+// runs in each message's delivery event, on the simulation's controller,
+// and must not block. It takes the message (true), and then owns its
+// Release, or declines it (false) and the message queues for Recv* as
+// with no handler. Installing h first offers it the messages already
+// queued, in order; the ones it declines stay queued in that order.
+func (e *Endpoint) SetHandler(h func(*Message) bool) {
+	e.mu.Lock()
+	e.handler = h
+	backlog := e.queue[e.head:]
+	e.queue, e.head = nil, 0
+	e.mu.Unlock()
+	for _, m := range backlog {
+		e.deliver(m)
+	}
 }
 
 // Recv blocks until a message arrives and returns it.
@@ -857,10 +883,10 @@ func (e *Endpoint) Pending() int {
 	return len(e.queue) - e.head
 }
 
-// Close unblocks all receivers with ErrClosed and discards queued
-// messages. Closing twice is a no-op. It is how the fabric shuts down;
-// an owner done with its endpoint calls Network.Release, which also
-// forgets the name.
+// Close unblocks all receivers with ErrClosed, removes the handler and
+// discards queued messages. Closing twice is a no-op. It is how the
+// fabric shuts down; an owner done with its endpoint calls
+// Network.Release, which also forgets the name.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -868,6 +894,7 @@ func (e *Endpoint) Close() {
 		return
 	}
 	e.closed = true
+	e.handler = nil
 	for i, m := range e.queue[e.head:] {
 		m.Release()
 		e.queue[e.head+i] = nil

@@ -155,8 +155,6 @@ func (m *NodeMirror) GenForTest() uint64 { return m.req.NodeGen }
 // HostsForTest returns the very list the mom holds as the job's host
 // set, not a copy (nil when it does not know the job).
 func (m *Mom) HostsForTest(jobID string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if j, ok := m.jobs[jobID]; ok {
 		return j.hosts
 	}

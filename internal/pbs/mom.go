@@ -3,7 +3,6 @@ package pbs
 import (
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -42,7 +41,6 @@ type DaemonStarter func(jobID, cn string, acHosts []string, cause uint64)
 // the DAC environment — handles dynamic addition and removal of
 // accelerator hosts.
 type Mom struct {
-	net    *netsim.Network
 	sim    *sim.Simulation
 	host   string
 	ep     *netsim.Endpoint
@@ -62,8 +60,10 @@ type Mom struct {
 	Prologue func(env *JobEnv)
 	Epilogue func(env *JobEnv)
 
-	mu   sync.Mutex
-	jobs map[string]*momJob
+	// Only the handler (on the controller) and the actors it spawns touch
+	// what follows, one at a time and never from outside: no lock.
+	station station // serves the non-acknowledgement messages (set by Start)
+	jobs    map[string]*momJob
 	// peers holds the fabric name of every mom this one has addressed,
 	// so a message to a sister costs a lookup, not a string. Nil until
 	// the first: an accelerator's mom only ever answers.
@@ -83,11 +83,10 @@ type momJob struct {
 	aborted  bool
 }
 
-// NewMom creates the mom daemon for a host; call Start to spawn its
-// actor.
+// NewMom creates the mom daemon for a host; call Start to install its
+// handler.
 func NewMom(net *netsim.Network, host string, params MomParams) *Mom {
 	return &Mom{
-		net:    net,
 		sim:    net.Sim(),
 		host:   host,
 		ep:     net.Endpoint(MomEndpoint(host)),
@@ -99,36 +98,39 @@ func NewMom(net *netsim.Network, host string, params MomParams) *Mom {
 // Host returns the host this mom manages.
 func (m *Mom) Host() string { return m.host }
 
-// Start spawns the mom actor (plus its heartbeat sender when
-// enabled); the loops exit when the fabric closes.
+// Start installs the mom's endpoint handler, a station of the model in
+// station.go (plus its heartbeat sender when enabled).
 func (m *Mom) Start() {
 	m.startHeartbeats()
-	m.sim.Go("pbs_mom@"+m.host, func() {
-		for {
-			// Acknowledgements are consumed by the mother-superior
-			// actors blocked in RecvMatch, never by the main loop.
-			msg, err := m.ep.RecvMatch(func(msg *netsim.Message) bool {
-				switch msg.Payload.(type) {
-				case JoinAck, DynJoinAck, DisJoinAck:
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return
-			}
-			m.handle(msg)
-			// Spawned sub-actors capture the payload value, never the
-			// envelope, so the envelope can go back to the arena now.
-			msg.Release()
-		}
-	})
+	m.station = station{sim: m.sim, batch: 1, cost: m.cost, serve: m.handle}
+	m.ep.SetHandler(m.receive)
+}
+
+// receive is the mom endpoint's handler. Acknowledgements are declined:
+// they queue for the mother-superior actors blocked in RecvMatch.
+func (m *Mom) receive(msg *netsim.Message) bool {
+	switch msg.Payload.(type) {
+	case JoinAck, DynJoinAck, DisJoinAck:
+		return false
+	}
+	m.station.offer(msg)
+	return true
+}
+
+// cost is the mom's service time for a message: a JOIN and a DYNJOIN
+// cost their processing time, the rest is handled on arrival.
+func (m *Mom) cost(msg *netsim.Message) time.Duration {
+	switch msg.Payload.(type) {
+	case JoinJobMsg:
+		return m.params.JoinCost
+	case DynJoinJobMsg:
+		return m.params.DynJoinCost
+	}
+	return 0
 }
 
 // peer is MomEndpoint through the mom's table of known peers.
 func (m *Mom) peer(host string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	ep, ok := m.peers[host]
 	if !ok {
 		if m.peers == nil {
@@ -150,66 +152,51 @@ func (m *Mom) sendCause(to string, payload any, cause uint64) {
 	_ = m.ep.SendCause(to, "pbs", payload, 0, cause)
 }
 
+// handle serves one message once its cost is paid. It runs on the
+// controller and must not block: what blocks — a mother superior
+// waiting on its sisters' acknowledgements — runs as its own actor,
+// which takes the payload and never the envelope.
 func (m *Mom) handle(msg *netsim.Message) {
+	p := msg.Payload // what a spawned actor captures: req would move to the heap
 	switch req := msg.Payload.(type) {
 	case RunJobMsg:
-		// Becoming mother superior blocks on sister acknowledgements;
-		// run it as its own actor so the mom loop keeps serving —
-		// otherwise two mother superiors joining each other's hosts
-		// would deadlock.
-		m.sim.GoNamed(sim.ActorName{Kind: "ms", Subject: req.JobID, Host: m.host}, func() { m.runJob(req) })
+		m.sim.GoNamed(sim.ActorName{Kind: "ms", Subject: req.JobID, Host: m.host}, func() { m.runJob(p.(RunJobMsg)) })
 	case JoinJobMsg:
-		m.sim.Sleep(m.params.JoinCost)
-		m.mu.Lock()
 		m.jobs[req.JobID] = &momJob{id: req.JobID, ms: req.MS, hosts: req.Hosts}
-		m.mu.Unlock()
 		m.send(req.ReplyTo, JoinAck{JobID: req.JobID, Host: m.host})
 	case DynJoinJobMsg:
-		m.sim.Sleep(m.params.DynJoinCost)
-		m.mu.Lock()
 		m.jobs[req.JobID] = &momJob{id: req.JobID, ms: req.MS}
-		m.mu.Unlock()
 		m.send(req.ReplyTo, DynJoinAck{JobID: req.JobID, Host: m.host})
 	case DisJoinJobMsg:
 		// Kill remaining tasks (accelerator daemon remains) and leave
 		// the job entirely.
-		m.mu.Lock()
 		delete(m.jobs, req.JobID)
-		m.mu.Unlock()
 		m.send(req.ReplyTo, DisJoinAck{JobID: req.JobID, Host: m.host})
 	case UpdateJobMsg:
-		m.mu.Lock()
 		if j, ok := m.jobs[req.JobID]; ok {
 			j.hosts = req.Hosts
 		}
-		m.mu.Unlock()
 	case StartTaskMsg:
 		m.startTask(req)
 	case TaskDoneMsg:
 		m.taskDone(req)
 	case DynAddMsg:
-		m.sim.GoNamed(sim.ActorName{Kind: "dynadd", Subject: req.JobID, Host: m.host}, func() { m.dynAdd(req) })
+		m.sim.GoNamed(sim.ActorName{Kind: "dynadd", Subject: req.JobID, Host: m.host}, func() { m.dynAdd(p.(DynAddMsg)) })
 	case DynRemoveMsg:
-		m.sim.GoNamed(sim.ActorName{Kind: "dynremove", Subject: req.JobID, Host: m.host}, func() { m.dynRemove(req) })
+		m.sim.GoNamed(sim.ActorName{Kind: "dynremove", Subject: req.JobID, Host: m.host}, func() { m.dynRemove(p.(DynRemoveMsg)) })
 	case ReleaseJobMsg:
-		m.mu.Lock()
 		if j, ok := m.jobs[req.JobID]; ok {
 			j.released = true
 			delete(m.jobs, req.JobID)
 		}
-		m.mu.Unlock()
 	case AbortJobMsg:
-		m.mu.Lock()
 		if j, ok := m.jobs[req.JobID]; ok {
 			j.aborted = true
 		}
-		m.mu.Unlock()
 	case NodeLostMsg:
-		m.mu.Lock()
 		if j, ok := m.jobs[req.JobID]; ok {
 			j.hosts = without(j.hosts, req.Host)
 		}
-		m.mu.Unlock()
 	}
 }
 
@@ -234,9 +221,7 @@ func (m *Mom) runJob(req RunJobMsg) {
 	if len(req.AccHosts) > 0 {
 		allHosts = appendHosts(nil, req.Hosts, req.AccHosts, nil)
 	}
-	m.mu.Lock()
 	m.jobs[req.JobID] = &momJob{id: req.JobID, ms: m.host, hosts: allHosts, isMS: true, tasksRun: len(req.Hosts)}
-	m.mu.Unlock()
 
 	// JOIN_JOB with every other mom of the job.
 	pending := 0
@@ -320,17 +305,10 @@ func (m *Mom) startTask(req StartTaskMsg) {
 // taskDone tracks completion at the mother superior; when the last
 // compute node task exits, the job is reported done to the server.
 func (m *Mom) taskDone(req TaskDoneMsg) {
-	m.mu.Lock()
-	j, ok := m.jobs[req.JobID]
-	if !ok || !j.isMS {
-		m.mu.Unlock()
-		return
-	}
-	j.tasksRun--
-	done := j.tasksRun == 0
-	m.mu.Unlock()
-	if done {
-		m.send(ServerEndpoint, JobDoneMsg{JobID: req.JobID})
+	if j, ok := m.jobs[req.JobID]; ok && j.isMS {
+		if j.tasksRun--; j.tasksRun == 0 {
+			m.send(ServerEndpoint, JobDoneMsg{JobID: req.JobID})
+		}
 	}
 }
 
@@ -357,14 +335,11 @@ func (m *Mom) dynAdd(req DynAddMsg) {
 			return
 		}
 	}
-	m.mu.Lock()
-	j, ok := m.jobs[req.JobID]
 	var others []string
-	if ok {
+	if j, ok := m.jobs[req.JobID]; ok {
 		j.hosts = append(slices.Clip(j.hosts), req.Hosts...) // a new list: the old one has other holders
 		others = j.hosts
 	}
-	m.mu.Unlock()
 	// Update the existing moms' databases (asynchronous).
 	for _, h := range others {
 		if h == m.host || slices.Contains(req.Hosts, h) {
@@ -389,14 +364,11 @@ func (m *Mom) dynRemove(req DynRemoveMsg) {
 			return
 		}
 	}
-	m.mu.Lock()
-	j, ok := m.jobs[req.JobID]
 	var others []string
-	if ok {
+	if j, ok := m.jobs[req.JobID]; ok {
 		j.hosts = without(j.hosts, req.Hosts...)
 		others = j.hosts
 	}
-	m.mu.Unlock()
 	for _, h := range others {
 		if h == m.host {
 			continue

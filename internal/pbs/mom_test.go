@@ -57,9 +57,7 @@ func TestMomDynJoinAndDisjoin(t *testing.T) {
 		if ack, ok := msg.Payload.(DynJoinAck); !ok || ack.Host != "cn0" {
 			t.Fatalf("ack = %#v", msg.Payload)
 		}
-		m.mu.Lock()
 		_, joined := m.jobs["j2"]
-		m.mu.Unlock()
 		if !joined {
 			t.Fatal("mom did not record the job after DYNJOIN")
 		}
@@ -72,9 +70,7 @@ func TestMomDynJoinAndDisjoin(t *testing.T) {
 		if ack, ok := msg.Payload.(DisJoinAck); !ok || ack.JobID != "j2" {
 			t.Fatalf("ack = %#v", msg.Payload)
 		}
-		m.mu.Lock()
 		_, still := m.jobs["j2"]
-		m.mu.Unlock()
 		if still {
 			t.Fatal("mom kept the job after DISJOIN")
 		}
@@ -95,9 +91,7 @@ func TestMomUpdateJobRefreshesHosts(t *testing.T) {
 		driver.Send(MomEndpoint("cn0"), "pbs",
 			UpdateJobMsg{JobID: "j3", Hosts: []string{"cnX", "cn0", "ac9"}}, 0)
 		s.Sleep(10 * time.Millisecond)
-		m.mu.Lock()
 		hosts := append([]string(nil), m.jobs["j3"].hosts...)
-		m.mu.Unlock()
 		if len(hosts) != 3 || hosts[2] != "ac9" {
 			t.Fatalf("hosts = %v", hosts)
 		}
@@ -105,9 +99,7 @@ func TestMomUpdateJobRefreshesHosts(t *testing.T) {
 		// NodeLostMsg removes a host again.
 		driver.Send(MomEndpoint("cn0"), "pbs", NodeLostMsg{JobID: "j3", Host: "ac9"}, 0)
 		s.Sleep(10 * time.Millisecond)
-		m.mu.Lock()
 		hosts = append([]string(nil), m.jobs["j3"].hosts...)
-		m.mu.Unlock()
 		if len(hosts) != 2 {
 			t.Fatalf("hosts after loss = %v", hosts)
 		}
@@ -127,9 +119,7 @@ func TestMomReleaseRemovesJob(t *testing.T) {
 		driver.Recv()
 		driver.Send(MomEndpoint("cn0"), "pbs", ReleaseJobMsg{JobID: "j4"}, 0)
 		s.Sleep(10 * time.Millisecond)
-		m.mu.Lock()
 		_, still := m.jobs["j4"]
-		m.mu.Unlock()
 		if still {
 			t.Fatal("mom kept the job after release")
 		}

@@ -34,14 +34,14 @@ type ServerParams struct {
 	// longer than this is declared down (zero disables detection).
 	// Moms must send heartbeats at a period well below DeadAfter.
 	DeadAfter time.Duration
-	// Shards selects the server's dispatch architecture. 0 or 1 keeps
-	// the faithful single-actor loop of the 2013 system: one pbs_server
-	// thread pays Processing per request and serializes everything it
-	// does, including dynamic requests end to end. Values above 1
-	// enable the sharded fast path (shard.go): a router fans requests
-	// out to Shards worker actors keyed by job, each worker drains its
-	// mailbox in batches paying Processing once per batch, and DYNJOIN
-	// pipelines instead of serializing (dynWindow).
+	// Shards shapes the server's station model (station.go); NewServer
+	// derives all of it. 0 or 1 is the faithful 2013 server: one station
+	// serving a request at a time at Processing each, so everything it
+	// does serializes, dynamic requests end to end included. Above 1,
+	// requests are routed by job to Shards stations, each serving what
+	// has queued as one batch at Processing, and DYNJOIN pipelines
+	// (dynWindow). Either way the server is a delivery handler: no
+	// goroutine, Recv or gate.
 	Shards int
 	// RetainCompleted bounds how many terminal job records (completed,
 	// deleted, failed) the server keeps. 0 retains everything — the
@@ -70,9 +70,9 @@ type Server struct {
 	aud   *audit.Recorder
 	books auditBooks
 
-	// shards holds the worker mailboxes of the sharded dispatch path
-	// (nil in the faithful configuration); see shard.go.
-	shards []*serverShard
+	// stations and shardFor's cursor rr: only the controller touches them.
+	stations []station
+	rr       int
 
 	mu         sync.Mutex
 	schedEP    string
@@ -206,8 +206,17 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 		dynReply:  make(map[int]dynReplyTo),
 		waiters:   make(map[string][]waiter),
 	}
+	// The station model (station.go): the paper's serial server, or
+	// Shards stations of unbounded batches and an unbounded dyn window.
+	st := station{sim: s.sim, batch: 1, serve: s.handle,
+		cost: func(*netsim.Message) time.Duration { return params.Processing }}
 	if params.Shards > 1 {
-		s.dynWindow = math.MaxInt
+		st.batch, s.dynWindow = math.MaxInt, math.MaxInt
+		st.batches, st.busy = s.inst.rpcBatches, s.inst.shardBusy
+	}
+	s.stations = make([]station, max(params.Shards, 1))
+	for i := range s.stations {
+		s.stations[i] = st
 	}
 	s.registerAudit()
 	return s
@@ -281,35 +290,26 @@ func (s *Server) Errors() []string {
 	return append([]string(nil), s.errs...)
 }
 
-// Start spawns the server actor (plus the failure detector when
-// enabled). The loops exit when the fabric is closed. With Shards > 1
-// the sharded dispatch path of shard.go replaces the single loop.
+// Start installs the server's endpoint handler, which takes over what
+// queued there (a restarted server's backlog), and spawns the failure
+// detector when enabled.
 func (s *Server) Start() {
 	s.startFailureDetector()
-	if s.params.Shards > 1 {
-		s.startSharded()
-		return
+	s.ep.SetHandler(s.receive)
+}
+
+// receive is the server endpoint's handler: it routes each request to
+// its station. A stopMsg takes the handler off the endpoint: the
+// stations serve what they hold, and what arrives later queues for a
+// restarted server.
+func (s *Server) receive(m *netsim.Message) bool {
+	if _, stop := m.Payload.(stopMsg); stop {
+		s.ep.SetHandler(nil)
+		m.Release()
+		return true
 	}
-	s.sim.Go("pbs_server", func() {
-		for {
-			m, err := s.ep.Recv()
-			if err != nil {
-				return
-			}
-			if _, stop := m.Payload.(stopMsg); stop {
-				m.Release()
-				return
-			}
-			delivered := m.Delivered
-			s.sim.Sleep(s.params.Processing)
-			s.handle(m)
-			// Service time as the requester experiences the server:
-			// head-of-line wait (implicit in Delivered -> now) plus
-			// processing and handling.
-			s.inst.rpcService.Record(s.sim.Now() - delivered)
-			m.Release()
-		}
-	})
+	s.stations[s.shardFor(m.Payload, &s.rr)].offer(m)
+	return true
 }
 
 func (s *Server) send(to string, payload any) {
@@ -357,6 +357,9 @@ func (s *Server) logErr(format string, args ...any) {
 	s.mu.Unlock()
 }
 
+// handle serves one request and records its service time as the
+// requester experiences the server: head-of-line wait (implicit in
+// Delivered -> now) plus processing and handling.
 func (s *Server) handle(m *netsim.Message) {
 	switch req := m.Payload.(type) {
 	case SubmitReq:
@@ -398,6 +401,7 @@ func (s *Server) handle(m *netsim.Message) {
 	default:
 		s.logErr("server: unexpected message %T from %s", m.Payload, m.From)
 	}
+	s.inst.rpcService.Record(s.sim.Now() - m.Delivered)
 }
 
 func (s *Server) withJob(id string, fn func(*serverJob)) bool {
@@ -1000,11 +1004,12 @@ func (s *Server) freeJobLocked(j *serverJob, dst []string) []string {
 
 // refreshLocked recomputes the node's public view after a usedBy
 // mutation, folding the elapsed busy time into the accounting
-// integral first. Callers hold s.mu.
+// integral first. The job list is rebuilt in place: whoever reads it
+// past s.mu copies it. Callers hold s.mu.
 func (s *Server) refreshLocked(n *serverNode) {
 	s.accrueLocked(n)
 	used := 0
-	jobs := make([]string, 0, len(n.usedBy))
+	jobs := n.info.Jobs[:0]
 	for id, c := range n.usedBy {
 		used += c
 		jobs = append(jobs, id)

@@ -35,7 +35,7 @@ func TestHostShardStableAndInRange(t *testing.T) {
 }
 
 func TestShardForRouting(t *testing.T) {
-	s := &Server{params: ServerParams{Shards: 4}}
+	s := &Server{stations: make([]station, 4)}
 	rr := 0
 
 	// Every message about one job must land on the same shard so the

@@ -15,13 +15,14 @@ import (
 // crash are rejected on recovery, the same contract as a rejected
 // allocation: the application continues with its existing resources.
 
-// stopMsg is the internal control message that makes the server loop
-// exit (simulating a crash or an orderly shutdown).
+// stopMsg is the internal control message that takes the server off its
+// endpoint (simulating a crash or an orderly shutdown).
 type stopMsg struct{}
 
-// Stop makes the server actor exit after the messages already
-// processed; the endpoint stays registered so client requests queue
-// until a restarted server drains them.
+// Stop takes the server off its endpoint once the message it sends
+// arrives: the requests its stations already hold are still served,
+// the endpoint stays registered, and later requests queue there until
+// a restarted server's Start drains them in order.
 func (s *Server) Stop() {
 	s.send(ServerEndpoint, stopMsg{})
 }

@@ -1,6 +1,7 @@
 package pbs_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -234,6 +235,89 @@ func TestRestoreRejectsForwardingAndQueuedThroughTheTable(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Stop reaches a server whose stations are busy. What they already hold
+// is served by the old server; what arrives after the stop waits at the
+// endpoint and is drained, in order, by the restored server's Start. In
+// the faithful server the three requests queue behind one another; the
+// sharded one serves the two submissions side by side and the qstat,
+// routed to the first one's station, after it.
+func TestStopWhileAStationIsBusy(t *testing.T) {
+	const lat, proc = 100 * time.Microsecond, 10 * time.Millisecond
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+	for _, tc := range []struct {
+		name   string
+		shards int
+		at     []time.Duration // when each reply reaches the client
+	}{
+		{"faithful", 0, []time.Duration{ms(10.2), ms(20.2), ms(30.2), ms(60.1), ms(70.1)}},
+		{"sharded", 4, []time.Duration{ms(10.2), ms(10.2), ms(20.2), ms(60.1), ms(60.1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			net := netsim.New(s, netsim.LinkParams{Latency: lat})
+			params := pbs.ServerParams{Processing: proc, Shards: tc.shards}
+			old := pbs.NewServer(net, params)
+			front := net.Endpoint("front")
+			submit := func(req int) {
+				_ = front.Send(pbs.ServerEndpoint, "pbs", pbs.SubmitReq{ReqID: req, ReplyTo: "front",
+					Spec: pbs.JobSpec{Name: "j", Owner: "u", Nodes: 1, PPN: 1}}, 0)
+			}
+			stat := func(req int, job string) {
+				_ = front.Send(pbs.ServerEndpoint, "pbs", pbs.StatReq{ReqID: req, ReplyTo: "front", JobID: job}, 0)
+			}
+			var replied *pbs.Server
+			err := s.Run(func() {
+				defer net.Close()
+				old.Start()
+				submit(1)
+				submit(2)
+				s.Sleep(time.Millisecond)
+				stat(3, "1.pbs/server") // waits for the station serving submission 1
+				s.Sleep(time.Millisecond)
+				old.Stop()
+				s.Sleep(time.Millisecond)
+				submit(4) // arrives after the stop
+				stat(5, "3.pbs/server")
+				s.Sleep(50*time.Millisecond - s.Now())
+				replied = pbs.NewServer(net, params)
+				if err := replied.Restore(old.Checkpoint()); err != nil {
+					t.Errorf("Restore: %v", err)
+					return
+				}
+				replied.Start()
+				want := []string{"1 1.pbs/server", "2 2.pbs/server", "3 1.pbs/server", "4 3.pbs/server", "5 3.pbs/server"}
+				for i, w := range want {
+					m, err := front.Recv()
+					if err != nil {
+						t.Errorf("Recv: %v", err)
+						return
+					}
+					var got string
+					switch r := m.Payload.(type) {
+					case pbs.SubmitResp:
+						got = fmt.Sprintf("%d %s%s", r.ReqID, r.JobID, r.Err)
+					case pbs.StatResp:
+						got = fmt.Sprintf("%d %s%s", r.ReqID, r.Info.ID, r.Err)
+					}
+					if got != w || m.Delivered != tc.at[i] {
+						t.Errorf("reply %d: %q at %v, want %q at %v", i, got, m.Delivered, w, tc.at[i])
+					}
+					m.Release()
+				}
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if n := len(old.Checkpoint().Jobs); n != 2 {
+				t.Errorf("the stopped server holds %d jobs, want the 2 submitted before the stop", n)
+			}
+			for _, e := range append(old.Errors(), replied.Errors()...) {
+				t.Errorf("server error: %s", e)
+			}
+		})
+	}
 }
 
 func TestRestoreOnDirtyServerFails(t *testing.T) {

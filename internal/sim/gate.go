@@ -105,24 +105,30 @@ func (g *Gate) Rename(name string) {
 // time, so it needs no lock. Spurious wakeups do not occur, but callers
 // should still re-check their predicate in a loop because another actor
 // may consume the state first.
-func (g *Gate) Wait(l sync.Locker) { g.wait(l, 0) }
+func (g *Gate) Wait(l sync.Locker) { g.wait(l, 0, "Gate.Wait") }
 
 // WaitTimeout is Wait with a virtual-time deadline. It reports false
 // when the wait timed out before a Signal or Broadcast arrived.
 func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
-	return d > 0 && g.wait(l, d)
+	return d > 0 && g.wait(l, d, "Gate.WaitTimeout")
 }
 
 // wait parks on g, with a timeout d of virtual time unless d is 0, and
-// reports whether a Signal or Broadcast woke it.
-func (g *Gate) wait(l sync.Locker, d time.Duration) bool {
-	w := newWaiter()
-	gs := w.gs.Load() // this generation's armed value, captured for expire
+// reports whether a Signal or Broadcast woke it. call names the caller
+// for the panic on the controller.
+func (g *Gate) wait(l sync.Locker, d time.Duration, call string) bool {
 	// List and park in one step: a waker finds the waiter only once its
 	// park note exists, so the note it clears is this wait's.
 	g.mu.Lock()
-	g.waiters = append(g.waiters, w)
 	g.sim.mu.Lock()
+	if g.sim.onController {
+		g.sim.mu.Unlock()
+		g.mu.Unlock()
+		panic("sim: " + call + onControllerPanic)
+	}
+	w := newWaiter()
+	gs := w.gs.Load() // this generation's armed value, captured for expire
+	g.waiters = append(g.waiters, w)
 	if d > 0 {
 		g.sim.pushLocked(g.sim.now+d, nil, func() { g.expire(w, gs) })
 	}

@@ -46,38 +46,28 @@
 //     exactly now+d was pushed earlier, has the lower seq and must run
 //     first).
 //
-// Otherwise it queues its wake and parks as described above, at no
-// extra cost. The order in which events are released is the same either
-// way. Had the caller parked, with the ready list empty the slot would
-// have gone back to the controller with the batch spent, so its next
-// step is to pop the least (at, seq) of the queue plus the caller's
-// wake; by 3 that is the caller's wake, alone in its batch. Nothing can
-// be pushed in between: only the slot holder pushes, and that is the
-// caller. So the advance does exactly the controller's bookkeeping for
-// that one-event batch — the seq the wake would have carried is
-// consumed, the clock moves, the dispatch is counted, sim.dispatches and
-// sim.queue_depth read as the controller would have set them — and
-// virtual time, event counts and every later tie-break are identical;
-// only the queue push, the wake channel, the controller's cond and two
-// goroutine switches are gone.
-//
-// The controller pops an instant's events as one batch rather than one
-// at a time because a scrape taken mid-instant reads sim.dispatches and
-// sim.queue_depth with the whole instant counted; popping one at a time
-// would change what every telemetry capture records.
-//
-// Two neighbouring designs were measured and rejected (DESIGN.md has
-// the numbers): dropping the controller goroutine so that the last
-// actor to park dispatches the next event itself, and coalescing a
-// caller's consecutive sleeps into one, which is not order-exact.
+// Otherwise it queues its wake and parks, at no extra cost. Either way
+// the release order is the same: parked, the caller's wake would be the
+// controller's next one-event batch (by 3, and nothing is pushed in
+// between: only the slot holder pushes), and the advance does that
+// batch's bookkeeping: it consumes the wake's seq, moves the clock and
+// counts the dispatch, so virtual time, event counts and every later
+// tie-break are identical. DESIGN.md §7 has the argument in full, why
+// the controller releases an instant as one batch, and the two
+// neighbouring designs measured and rejected.
 //
 // # Discipline
 //
 // Actors must communicate only through sim-aware primitives (Sleep,
 // Gate, and anything layered on them such as netsim mailboxes). An
 // actor must never park while holding a lock that the waking actor
-// needs. Callbacks scheduled with At run on the controller goroutine
-// and must not block.
+// needs.
+//
+// Callbacks (At, After, AfterArg) and what they call, such as a netsim
+// endpoint handler, run on the controller, which has no slot to give up:
+// they may spawn, signal, send and schedule but must not block, and a
+// Sleep or Gate wait there panics, naming the call. A daemon that only
+// reacts to messages is cheapest written that way (pbs's server, moms).
 package sim
 
 import (
@@ -101,6 +91,10 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // ErrDeadline is wrapped by the error Run returns when virtual time
 // passes the cap set with SetDeadline — the runaway-simulation guard.
 var ErrDeadline = errors.New("sim: virtual-time deadline exceeded")
+
+// onControllerPanic follows the name of a blocking call made on the
+// controller in what it panics with.
+const onControllerPanic = " on the controller: a callback or endpoint handler must not block"
 
 // Simulation owns a virtual clock and the set of actors advancing it.
 // The zero value is not usable; call New.
@@ -128,6 +122,9 @@ type Simulation struct {
 	mainSet     bool
 	mainEnd     bool
 	halted      bool
+	// onController is set while the controller runs a callback: Sleep
+	// and Gate waits there panic (see "Discipline").
+	onController bool
 
 	// undispatched counts the events of the current batch the controller
 	// has yet to release, the tail of s.batch: due now, but neither in
@@ -358,6 +355,10 @@ func (s *Simulation) Sleep(d time.Duration) {
 		return
 	}
 	s.mu.Lock()
+	if s.onController {
+		s.mu.Unlock()
+		panic("sim: Sleep" + onControllerPanic)
+	}
 	t := s.now + d
 	if s.readyHead == len(s.ready) && s.undispatched == 0 && !s.mainEnd && !s.halted &&
 		(s.deadline == 0 || t <= s.deadline) &&
@@ -499,6 +500,7 @@ func (s *Simulation) Run(main func()) error {
 			s.startLocked(runnable{wake: ev.wake})
 			continue
 		}
+		s.onController = true
 		s.mu.Unlock()
 		if ev.afn != nil {
 			ev.afn(ev.arg)
@@ -506,6 +508,7 @@ func (s *Simulation) Run(main func()) error {
 			ev.fn()
 		}
 		s.mu.Lock()
+		s.onController = false
 		s.yieldLocked()
 	}
 }

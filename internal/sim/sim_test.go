@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,36 @@ func TestCallbackCanSpawnActor(t *testing.T) {
 	}
 	if spawned != 2*time.Second {
 		t.Fatalf("child finished at %v, want 2s", spawned)
+	}
+}
+
+// A callback runs on the controller, which has no slot to give up: a
+// blocking call there panics out of Run, naming itself, where a Sleep
+// would otherwise move the clock under the controller and a Wait would
+// hang Run with no deadlock error.
+func TestBlockingOnTheControllerPanics(t *testing.T) {
+	for _, tc := range []struct {
+		call  string
+		block func(s *Simulation, g *Gate)
+	}{
+		{"Sleep", func(s *Simulation, _ *Gate) { s.Sleep(time.Millisecond) }},
+		{"Gate.Wait", func(_ *Simulation, g *Gate) { g.Wait(nil) }},
+		{"Gate.WaitTimeout", func(_ *Simulation, g *Gate) { g.WaitTimeout(nil, time.Millisecond) }},
+	} {
+		t.Run(tc.call, func(t *testing.T) {
+			s := New()
+			g := s.NewGate("g")
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, "sim: "+tc.call+" on the controller") {
+					t.Errorf("Run panicked with %q, want the call named", r)
+				}
+			}()
+			_ = s.Run(func() {
+				s.After(time.Millisecond, func() { tc.block(s, g) })
+				s.Sleep(time.Second)
+			})
+			t.Errorf("Run returned")
+		})
 	}
 }
 

@@ -40,11 +40,12 @@ go test -race -shuffle=on ./... -count=1
 # interleaving and repeating a test under the detector no longer shows
 # it another. What is repeated is the determinism itself: the kernel's
 # property tests (host-schedule injection, the running-slot check), the
-# two same-order-every-run tests, and the five tests that compare whole
-# runs across seeds or parallelism levels.
+# two same-order-every-run tests, the five tests that compare whole runs
+# across seeds or parallelism levels, and the server's stations handing
+# their requests over across Stop/Restore.
 echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
-go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance' \
-    ./internal/sim ./internal/mpi ./internal/core ./internal/service
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy' \
+    ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs
 
 # The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
 # three times (about 5 s each).
