@@ -1,56 +1,32 @@
 // Command daclint statically enforces the simulator's determinism
 // and virtual-time invariants (see internal/lint for the analyzer
-// suite). It runs two ways:
+// suite). It loads and type-checks every package of a module from
+// source and runs the suite over each:
 //
-// As a vet tool, speaking the go command's unitchecker protocol, so
-// findings appear at `go vet` time with standard file:line positions
-// and build caching:
+//	daclint [-json] <module-dir>
 //
-//	go build -o bin/daclint ./cmd/daclint
-//	go vet -vettool=$(pwd)/bin/daclint ./...
-//
-// Or standalone over a module directory, loading packages from source
-// (no build cache required):
-//
-//	daclint .
-//
-// Standalone mode also has a machine-readable form for CI archival:
-//
-//	daclint -json .
-//
-// which emits one JSON object with every finding, per-analyzer
-// counts (zeroes included, so the schema is stable), CFG-build
-// statistics from the flow-sensitive analyzers, and total runtime.
+// Findings print one per line as file:line:col: analyzer: message.
+// With -json the same findings come as one JSON object instead, with
+// per-analyzer counts (zeroes included, so the schema is stable),
+// CFG-build statistics from the flow-sensitive analyzers, and total
+// runtime, for CI archival. The exit status is 0 on a clean module, 2
+// when there are findings and 1 on an operational failure.
 //
 // False positives are suppressed in place with a reasoned directive:
 //
 //	//lint:ignore walltime host-side progress logging, not sim time
-//
-// The protocol implementation mirrors x/tools' unitchecker on the
-// standard library alone: the go command invokes the tool with
-// -V=full (version fingerprint for caching), -flags (supported
-// flags), and then once per package with a JSON config file naming
-// the sources and the export data of every import.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/cfg"
 )
 
@@ -59,43 +35,48 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
+	var dir string
+	asJSON := false
+	switch {
+	case len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "-help" || args[0] == "--help"):
+		usage(stdout)
+		return 0
+	case len(args) == 2 && args[0] == "-json":
+		dir, asJSON = args[1], true
+	case len(args) == 1 && !strings.HasPrefix(args[0], "-"):
+		dir = args[0]
+	default:
 		usage(stderr)
 		return 2
 	}
-	switch args[0] {
-	case "-V=full":
-		// The go command fingerprints the tool to key its vet cache;
-		// the executable hash invalidates cached results on rebuild.
-		fmt.Fprintf(stdout, "daclint version devel buildID=%x\n", selfHash())
-		return 0
-	case "-flags":
-		// No tool-specific flags: report an empty flag set so the go
-		// command passes none through.
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	case "help", "-h", "-help", "--help":
-		usage(stdout)
-		return 0
-	case "-json":
-		if len(args) < 2 {
-			usage(stderr)
-			return 2
+	rep, err := lintModule(dir)
+	if err != nil {
+		fmt.Fprintf(stderr, "daclint: %v\n", err)
+		return 1
+	}
+	if asJSON {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			fmt.Fprintf(stderr, "daclint: %v\n", err)
+			return 1
 		}
-		return runStandaloneJSON(args[1], stdout, stderr)
+	} else {
+		for _, f := range rep.Findings {
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+		}
 	}
-	if strings.HasSuffix(args[0], ".cfg") {
-		return runVetUnit(args[0], stderr)
+	if len(rep.Findings) > 0 {
+		return 2
 	}
-	return runStandalone(args[0], stdout, stderr)
+	return 0
 }
 
 func usage(w io.Writer) {
 	fmt.Fprintf(w, "daclint enforces the simulator's determinism and virtual-time invariants.\n\n")
 	fmt.Fprintf(w, "usage:\n")
-	fmt.Fprintf(w, "  go vet -vettool=/path/to/daclint ./...   # vet-tool mode (preferred)\n")
-	fmt.Fprintf(w, "  daclint <module-dir>                     # standalone, loads from source\n")
-	fmt.Fprintf(w, "  daclint -json <module-dir>               # standalone, JSON report on stdout\n\n")
+	fmt.Fprintf(w, "  daclint <module-dir>         # findings as file:line:col: analyzer: message\n")
+	fmt.Fprintf(w, "  daclint -json <module-dir>   # the same findings as one JSON report\n\n")
 	fmt.Fprintf(w, "analyzers:\n")
 	for _, a := range lint.Suite() {
 		fmt.Fprintf(w, "  %-15s %s\n", a.Name, a.Doc)
@@ -104,192 +85,19 @@ func usage(w io.Writer) {
 	fmt.Fprintf(w, "  //lint:ignore <analyzer>[,<analyzer>...] <reason>\n")
 }
 
-func selfHash() []byte {
-	exe, err := os.Executable()
-	if err != nil {
-		return []byte("unknown")
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return []byte("unknown")
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return []byte("unknown")
-	}
-	return h.Sum(nil)[:16]
-}
-
-// vetConfig is the package description the go command writes for each
-// vet invocation (cmd/go/internal/work's vetConfig, as consumed by
-// x/tools' unitchecker).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes the single package described by cfgPath,
-// type-checking its sources against the export data the go command
-// already built for every dependency.
-func runVetUnit(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "daclint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "daclint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The suite passes no facts between packages, but the go command
-	// expects the output file of every vet action to exist.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("daclint: no facts\n"), 0o666); err != nil {
-			fmt.Fprintf(stderr, "daclint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency-only invocation: nothing to diagnose here.
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(stderr, "daclint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	gcImp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := mappedImporter{mapping: cfg.ImportMap, under: gcImp}
-	info := analysis.NewInfo()
-	conf := types.Config{
-		Importer:  imp,
-		Sizes:     types.SizesFor(compiler, runtime.GOARCH),
-		GoVersion: cfg.GoVersion,
-		Error:     func(error) {}, // collect just the first via Check's return
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "daclint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	pkg := &lint.Package{Path: cfg.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}
-	diags, err := lint.Run(pkg, lint.Suite())
-	if err != nil {
-		fmt.Fprintf(stderr, "daclint: %v\n", err)
-		return 1
-	}
-	printDiags(stderr, fset, diags)
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// mappedImporter resolves source-level import paths through the
-// config's ImportMap (vendoring, test variants) before consulting the
-// compiler's export data.
-type mappedImporter struct {
-	mapping map[string]string
-	under   types.Importer
-}
-
-func (m mappedImporter) Import(path string) (*types.Package, error) {
-	if canon, ok := m.mapping[path]; ok {
-		path = canon
-	}
-	return m.under.Import(path)
-}
-
-// runStandalone loads every package of the module rooted at dir from
-// source and reports suite findings on stdout.
-func runStandalone(dir string, stdout, stderr io.Writer) int {
-	pkgs, err := lint.LoadModule(dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "daclint: %v\n", err)
-		return 1
-	}
-	total := 0
-	for _, pkg := range pkgs {
-		diags, err := lint.Run(pkg, lint.Suite())
-		if err != nil {
-			fmt.Fprintf(stderr, "daclint: %v\n", err)
-			return 1
-		}
-		printDiags(stdout, pkg.Fset, diags)
-		total += len(diags)
-	}
-	if total > 0 {
-		return 2
-	}
-	return 0
-}
-
-func printDiags(w io.Writer, fset *token.FileSet, diags []analysis.Diagnostic) {
-	for _, d := range diags {
-		p := fset.Position(d.Pos)
-		fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", relName(p.Filename), p.Line, p.Column, d.Category, d.Message)
-	}
-}
-
-func relName(filename string) string {
-	if rel, err := filepath.Rel(".", filename); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(filename)
-}
-
-// jsonReport is the machine-readable result of a standalone run, one
-// object per invocation. Analyzers carries a count for every suite
-// analyzer (zeroes included) plus "ignore" for malformed directives,
-// so consumers can key off a stable schema.
-type jsonReport struct {
+// report is the result of one run, whichever way it is rendered.
+// Analyzers carries a count for every suite analyzer (zeroes
+// included) plus "ignore" for malformed directives, so consumers can
+// key off a stable schema.
+type report struct {
 	Packages  int            `json:"packages"`
-	Findings  []jsonFinding  `json:"findings"`
+	Findings  []finding      `json:"findings"`
 	Analyzers map[string]int `json:"analyzers"`
-	CFG       jsonCFGStats   `json:"cfg"`
+	CFG       cfgStats       `json:"cfg"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 
-type jsonFinding struct {
+type finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
@@ -297,28 +105,26 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonCFGStats reports the flow-sensitive analyzers' CFG construction
+// cfgStats reports the flow-sensitive analyzers' CFG construction
 // work: how many function CFGs were built and the wall time spent
 // building them (process-cumulative, from cfg.Stats).
-type jsonCFGStats struct {
+type cfgStats struct {
 	Builds  int64   `json:"builds"`
 	BuildMS float64 `json:"build_ms"`
 }
 
-// runStandaloneJSON is runStandalone with a JSON report on stdout.
-// The exit code keeps the text mode's contract: 2 when there are
-// findings, 0 on a clean module, 1 on operational failure.
-func runStandaloneJSON(dir string, stdout, stderr io.Writer) int {
+// lintModule loads every package of the module rooted at dir from
+// source and runs the suite over each.
+func lintModule(dir string) (*report, error) {
 	start := time.Now()
 	pkgs, err := lint.LoadModule(dir)
 	if err != nil {
-		fmt.Fprintf(stderr, "daclint: %v\n", err)
-		return 1
+		return nil, err
 	}
 	suite := lint.Suite()
-	rep := jsonReport{
+	rep := &report{
 		Packages:  len(pkgs),
-		Findings:  []jsonFinding{},
+		Findings:  []finding{},
 		Analyzers: map[string]int{"ignore": 0},
 	}
 	for _, a := range suite {
@@ -327,12 +133,11 @@ func runStandaloneJSON(dir string, stdout, stderr io.Writer) int {
 	for _, pkg := range pkgs {
 		diags, err := lint.Run(pkg, suite)
 		if err != nil {
-			fmt.Fprintf(stderr, "daclint: %v\n", err)
-			return 1
+			return nil, err
 		}
 		for _, d := range diags {
 			p := pkg.Fset.Position(d.Pos)
-			rep.Findings = append(rep.Findings, jsonFinding{
+			rep.Findings = append(rep.Findings, finding{
 				File:     relName(p.Filename),
 				Line:     p.Line,
 				Col:      p.Column,
@@ -343,16 +148,14 @@ func runStandaloneJSON(dir string, stdout, stderr io.Writer) int {
 		}
 	}
 	builds, buildTime := cfg.Stats()
-	rep.CFG = jsonCFGStats{Builds: builds, BuildMS: float64(buildTime.Microseconds()) / 1000}
+	rep.CFG = cfgStats{Builds: builds, BuildMS: float64(buildTime.Microseconds()) / 1000}
 	rep.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(stderr, "daclint: %v\n", err)
-		return 1
+	return rep, nil
+}
+
+func relName(filename string) string {
+	if rel, err := filepath.Rel(".", filename); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
 	}
-	if len(rep.Findings) > 0 {
-		return 2
-	}
-	return 0
+	return filepath.ToSlash(filename)
 }

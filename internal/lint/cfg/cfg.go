@@ -1,8 +1,8 @@
 // Package cfg builds intra-procedural control-flow graphs over
-// go/ast function bodies and solves forward/backward dataflow
-// problems on them. It is the flow-sensitive substrate under the
-// poolbalance, actorown, and path-sensitive lockdiscipline analyzers:
-// pure stdlib, no go/ssa, no x/tools.
+// go/ast function bodies and solves forward may-dataflow problems on
+// them. It is the flow-sensitive substrate under the poolbalance and
+// path-sensitive lockdiscipline analyzers: pure stdlib, no go/ssa, no
+// x/tools.
 //
 // The graph is statement-granular. Every Block holds the ast.Nodes
 // evaluated in it, in program order; branch conditions are appended
@@ -40,8 +40,7 @@ type CFG struct {
 // for branching blocks the condition expression (also stored in
 // Cond). A block with Cond != nil has Succs[0] as its true edge and
 // Succs[1] as its false edge. A reachable block with no successors
-// terminates the goroutine: a panic, a call the builder was told
-// never returns, or an empty select.
+// terminates the goroutine: a panic or an empty select.
 type Block struct {
 	Index int
 	Kind  string
@@ -49,14 +48,6 @@ type Block struct {
 	Succs []*Block
 	Preds []*Block
 	Cond  ast.Expr
-}
-
-// Options configures CFG construction.
-type Options struct {
-	// NoReturn reports whether a call terminates control flow (like
-	// builtin panic, which is always recognized): log.Fatal,
-	// os.Exit, runtime.Goexit wrappers. May be nil.
-	NoReturn func(*ast.CallExpr) bool
 }
 
 // Build-time accounting for the daclint -json report and the CI job
@@ -74,9 +65,9 @@ func Stats() (builds_ int64, elapsed time.Duration) {
 }
 
 // New builds the CFG of one function body.
-func New(body *ast.BlockStmt, opt Options) *CFG {
+func New(body *ast.BlockStmt) *CFG {
 	start := time.Now()
-	b := &builder{opt: opt, labels: map[string]*Block{}}
+	b := &builder{labels: map[string]*Block{}}
 	b.cfg = &CFG{}
 	b.cfg.Entry = b.newBlock("entry")
 	b.cfg.Exit = b.newBlock("exit")
@@ -93,7 +84,6 @@ func New(body *ast.BlockStmt, opt Options) *CFG {
 type builder struct {
 	cfg     *CFG
 	cur     *Block // nil while statically unreachable
-	opt     Options
 	targets *targets
 	labels  map[string]*Block // label name → block starting the labeled stmt
 }
@@ -183,8 +173,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.labeledStmt(s)
 	case *ast.ExprStmt:
 		b.add(s)
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && b.noReturn(call) {
-			b.cur = nil // panic / fatal: control does not continue
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isPanic(call) {
+			b.cur = nil // control does not continue
 		}
 	default:
 		// Go, defer, assignments, declarations, sends, inc/dec,
@@ -193,11 +183,9 @@ func (b *builder) stmt(s ast.Stmt) {
 	}
 }
 
-func (b *builder) noReturn(call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		return true
-	}
-	return b.opt.NoReturn != nil && b.opt.NoReturn(call)
+func isPanic(call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && id.Name == "panic"
 }
 
 func (b *builder) ifStmt(s *ast.IfStmt) {

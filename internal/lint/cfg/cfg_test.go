@@ -18,7 +18,7 @@ func buildSrc(t *testing.T, body string) *CFG {
 		t.Fatalf("parse: %v", err)
 	}
 	fn := file.Decls[len(file.Decls)-1].(*ast.FuncDecl)
-	return New(fn.Body, Options{})
+	return New(fn.Body)
 }
 
 // The golden dumps pin the exact topology the builder produces for
@@ -258,26 +258,6 @@ b7 if.done -> b3`,
 	}
 }
 
-// A NoReturn callback must terminate the path like panic does.
-func TestNoReturnOption(t *testing.T) {
-	src := "package p\nfunc fatal(string) {}\nfunc f(x int) {\nif x > 0 {\nfatal(\"x\")\n}\n_ = x\n}\n"
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "f.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := file.Decls[1].(*ast.FuncDecl)
-	g := New(fn.Body, Options{NoReturn: func(c *ast.CallExpr) bool {
-		id, ok := c.Fun.(*ast.Ident)
-		return ok && id.Name == "fatal"
-	}})
-	for _, b := range g.Blocks {
-		if b.Kind == "if.then" && len(b.Succs) != 0 {
-			t.Errorf("fatal block should terminate, has succs %v", b.Succs)
-		}
-	}
-}
-
 // A forward may-analysis on a diamond must union facts at the join,
 // and an edge filter must be able to kill a fact on one branch.
 func TestSolveForwardMayWithEdgeFilter(t *testing.T) {
@@ -292,8 +272,6 @@ _ = x`)
 	// Fact 0: generated in if.then. Fact 1: generated in if.else but
 	// killed on the edge into the join.
 	res := Solve(g, Problem{
-		Dir:      Forward,
-		May:      true,
 		NumFacts: 2,
 		Transfer: func(b *Block, f Bits) {
 			switch b.Kind {
@@ -323,68 +301,6 @@ _ = x`)
 	}
 	if res.In[join.Index].Has(1) {
 		t.Error("fact 1 should have been killed on the else edge")
-	}
-}
-
-// A must-analysis keeps only facts that hold on every path into a
-// block.
-func TestSolveForwardMust(t *testing.T) {
-	g := buildSrc(t, `
-x := 1
-if x > 0 {
-	x = 2
-}
-_ = x`)
-	// Fact 0: set in body (every path). Fact 1: set only in if.then.
-	res := Solve(g, Problem{
-		Dir:      Forward,
-		May:      false,
-		NumFacts: 2,
-		Transfer: func(b *Block, f Bits) {
-			switch b.Kind {
-			case "body":
-				f.Set(0)
-			case "if.then":
-				f.Set(1)
-			}
-		},
-	})
-	exit := g.Exit.Index
-	if !res.In[exit].Has(0) {
-		t.Error("fact 0 holds on every path and must survive")
-	}
-	if res.In[exit].Has(1) {
-		t.Error("fact 1 holds on only one path and must not survive a must-join")
-	}
-}
-
-// A backward may-analysis: "exit is reachable from here without
-// passing through the kill block".
-func TestSolveBackward(t *testing.T) {
-	g := buildSrc(t, `
-x := 1
-if x > 0 {
-	x = 2
-}
-_ = x`)
-	res := Solve(g, Problem{
-		Dir:      Backward,
-		May:      true,
-		NumFacts: 1,
-		Boundary: func() Bits { b := NewBits(1); b.Set(0); return b }(),
-		Transfer: func(b *Block, f Bits) {
-			if b.Kind == "if.done" {
-				f.Clear(0)
-			}
-		},
-	})
-	for _, b := range g.Blocks {
-		if b.Kind == "body" && res.In[b.Index].Has(0) {
-			t.Error("every path from body to exit passes if.done, fact must be dead")
-		}
-		if b.Kind == "if.done" && !res.In[b.Index].Has(0) {
-			t.Error("fact must be live at the end of if.done (nothing below kills it)")
-		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package cfg
 
-// The dataflow half of the package: bitvector gen/kill problems
-// solved by worklist fixpoint iteration over a CFG. Analyzers define
-// a Problem (direction, meet operator, per-block transfer, optional
-// per-edge refinement) and read back per-block fact sets; replaying
-// the transfer node-by-node inside one block recovers statement-level
-// precision when a diagnostic needs it.
+// The dataflow half of the package: forward bitvector gen/kill
+// may-problems ("holds on some path") solved by worklist fixpoint
+// iteration over a CFG. Analyzers define a Problem (per-block
+// transfer, optional per-edge refinement) and read back per-block
+// fact sets; replaying the transfer node-by-node inside one block
+// recovers statement-level precision when a diagnostic needs it.
 
 // Bits is a fixed-width bitvector of dataflow facts.
 type Bits []uint64
@@ -21,13 +21,6 @@ func (b Bits) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
 // Clear clears fact i.
 func (b Bits) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
-
-// Fill sets every fact (the top element of a must-analysis lattice).
-func (b Bits) Fill() {
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-}
 
 // Clone returns an independent copy.
 func (b Bits) Clone() Bits {
@@ -52,47 +45,23 @@ func union(dst, src Bits) {
 	}
 }
 
-func intersect(dst, src Bits) {
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-}
-
-// Direction orients a dataflow problem.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Problem is one gen/kill dataflow analysis over a CFG.
+// Problem is one forward gen/kill may-analysis over a CFG: facts
+// entering a block are the union of those leaving its predecessors,
+// and Entry starts from the empty set.
 type Problem struct {
-	Dir Direction
-	// May selects the meet operator: union for a may-analysis
-	// ("holds on some path"), intersection for a must-analysis
-	// ("holds on every path"). Must-analyses initialize interior
-	// blocks to the full set so unreachable joins stay neutral.
-	May      bool
 	NumFacts int
-	// Boundary is the fact set at the boundary block (Entry for
-	// Forward, Exit for Backward). Nil means the empty set.
-	Boundary Bits
-	// Transfer mutates facts in place, applying the block's effect
-	// in the analysis direction. It is called many times during
-	// iteration and must be deterministic and side-effect free.
+	// Transfer mutates facts in place, applying the block's effect.
+	// It is called many times during iteration and must be
+	// deterministic and side-effect free.
 	Transfer func(b *Block, facts Bits)
 	// Edge, if non-nil, refines the facts flowing across the CFG
-	// edge from→to (in control-flow orientation, regardless of
-	// Dir). It must either return facts unchanged or return a
-	// modified clone; it must not mutate its argument.
+	// edge from→to. It must either return facts unchanged or return
+	// a modified clone; it must not mutate its argument.
 	Edge func(from, to *Block, facts Bits) Bits
 }
 
-// Result holds the fixpoint. In[i] is the fact set entering block i
-// in the analysis direction (for Backward problems that is the facts
-// at the block's end, flowing back from its successors); Out[i] is
-// after the block's transfer.
+// Result holds the fixpoint. In[i] is the fact set entering block i;
+// Out[i] is after the block's transfer.
 type Result struct {
 	In, Out []Bits
 }
@@ -106,22 +75,10 @@ func Solve(g *CFG, p Problem) Result {
 	for i := 0; i < n; i++ {
 		res.In[i] = NewBits(p.NumFacts)
 		res.Out[i] = NewBits(p.NumFacts)
-		if !p.May {
-			res.In[i].Fill()
-			res.Out[i].Fill()
-		}
-	}
-	boundary := g.Entry
-	if p.Dir == Backward {
-		boundary = g.Exit
-	}
-	res.In[boundary.Index] = NewBits(p.NumFacts)
-	if p.Boundary != nil {
-		copy(res.In[boundary.Index], p.Boundary)
 	}
 
 	// Worklist seeded with every block in index order; construction
-	// order approximates reverse postorder for Forward problems.
+	// order approximates reverse postorder.
 	work := make([]*Block, 0, n)
 	inWork := make([]bool, n)
 	push := func(b *Block) {
@@ -130,27 +87,8 @@ func Solve(g *CFG, p Problem) Result {
 			work = append(work, b)
 		}
 	}
-	if p.Dir == Forward {
-		for _, b := range g.Blocks {
-			push(b)
-		}
-	} else {
-		for i := n - 1; i >= 0; i-- {
-			push(g.Blocks[i])
-		}
-	}
-
-	flowIn := func(b *Block) []*Block {
-		if p.Dir == Forward {
-			return b.Preds
-		}
-		return b.Succs
-	}
-	flowOut := func(b *Block) []*Block {
-		if p.Dir == Forward {
-			return b.Succs
-		}
-		return b.Preds
+	for _, b := range g.Blocks {
+		push(b)
 	}
 
 	limit := 64 * (n + 2) * (p.NumFacts + 2)
@@ -159,30 +97,14 @@ func Solve(g *CFG, p Problem) Result {
 		work = work[1:]
 		inWork[b.Index] = false
 
-		if b != boundary {
+		if b != g.Entry {
 			in := NewBits(p.NumFacts)
-			first := true
-			for _, pr := range flowIn(b) {
+			for _, pr := range b.Preds {
 				facts := res.Out[pr.Index]
 				if p.Edge != nil {
-					if p.Dir == Forward {
-						facts = p.Edge(pr, b, facts)
-					} else {
-						facts = p.Edge(b, pr, facts)
-					}
+					facts = p.Edge(pr, b, facts)
 				}
-				if first {
-					copy(in, facts)
-					first = false
-				} else if p.May {
-					union(in, facts)
-				} else {
-					intersect(in, facts)
-				}
-			}
-			if first && !p.May {
-				// No flow predecessors: top for a must-analysis.
-				in.Fill()
+				union(in, facts)
 			}
 			res.In[b.Index] = in
 		}
@@ -191,7 +113,7 @@ func Solve(g *CFG, p Problem) Result {
 		p.Transfer(b, out)
 		if !out.Equal(res.Out[b.Index]) {
 			res.Out[b.Index] = out
-			for _, s := range flowOut(b) {
+			for _, s := range b.Succs {
 				push(s)
 			}
 		}

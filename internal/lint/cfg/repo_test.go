@@ -44,7 +44,7 @@ func TestRepoFunctionsBuildWellFormedCFGs(t *testing.T) {
 					return true
 				}
 				fns++
-				g := New(body, Options{})
+				g := New(body)
 				checkWellFormed(t, g, fset, body)
 				return true
 			})

@@ -1,8 +1,8 @@
 // Package lint is daclint: a suite of static analyzers that enforce
-// the simulator's determinism and virtual-time invariants at vet
-// time, before they can cost a flaky benchmark gate.
+// the simulator's determinism and virtual-time invariants before they
+// can cost a flaky benchmark gate.
 //
-// The suite (see Suite) ships eleven analyzers:
+// The suite (see Suite) ships ten analyzers:
 //
 //   - walltime: no wall-clock time (time.Now, time.Sleep, ...) in
 //     simulation code — virtual time must come from internal/sim.
@@ -31,20 +31,17 @@
 //   - handlerexhaustive: every wire-message struct declared in a
 //     package's proto.go must be consumed by a payload type-switch or
 //     assertion, and every dispatch case must name a protocol type.
-//   - actorown: fields of actor structs (structs whose run loops are
-//     spawned via the sim kernel) may not be touched from outside the
-//     owning goroutine unless the access goes through the mailbox, a
-//     held mutex, an init-only field, or a *Locked-convention helper.
 //   - digestdet: audit digest providers (func(*audit.Digest)) must be
 //     deterministic — no unsorted map iteration feeding digest writes
 //     and no wall-clock reads, since digest sums back the
 //     byte-identity gates across parallelism levels and server modes.
 //
-// The last three are flow-sensitive: they build intra-procedural CFGs
-// (internal/lint/cfg) and solve bitvector dataflow problems over
-// them, so diagnostics come with the leaking or unprotected path
-// rather than a textual tally. lockdiscipline also uses the CFG to
-// catch a conditionally deferred unlock followed by a manual unlock.
+// poolbalance and lockdiscipline are flow-sensitive: they build
+// intra-procedural CFGs (internal/lint/cfg) and solve forward
+// bitvector dataflow problems over them, so a diagnostic names the
+// leaking path rather than a textual tally. lockdiscipline also uses
+// the CFG to catch a conditionally deferred unlock followed by a
+// manual unlock.
 //
 // False positives are suppressed in place with a reasoned directive:
 //
@@ -109,20 +106,14 @@ var (
 	poolSources = []string{
 		"(*repro/internal/netsim.Endpoint).Recv",
 		"(*repro/internal/netsim.Endpoint).RecvTimeout",
-		"(*repro/internal/netsim.Endpoint).RecvTag",
-		"(*repro/internal/netsim.Endpoint).RecvTagTimeout",
 		"(*repro/internal/netsim.Endpoint).RecvMatch",
 		"(*repro/internal/netsim.Endpoint).RecvMatchTimeout",
 		"repro/internal/sim.Acquire",
 	}
-
-	// spawnPrimitives are the kernel entry points actorown treats as
-	// goroutine spawns when inferring actor ownership.
-	spawnPrimitives = []string{"(*repro/internal/sim.Simulation).Go"}
 )
 
 // Suite returns the analyzers configured for this repository, in the
-// stable order drivers report them.
+// stable order the driver reports them.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NewWalltime(wallClockAllowed...),
@@ -134,12 +125,11 @@ func Suite() []*analysis.Analyzer {
 		NewMetricName(),
 		NewPoolBalance(poolSources...),
 		NewHandlerExhaustive(),
-		NewActorOwn(spawnPrimitives, actorPackages...),
 		NewDigestDet(),
 	}
 }
 
-// Package is one type-checked package as the drivers load it.
+// Package is one type-checked package as LoadModule loads it.
 type Package struct {
 	Path  string
 	Fset  *token.FileSet

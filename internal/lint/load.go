@@ -22,9 +22,8 @@ import (
 // cache, or export data is required. Packages are returned in import
 // path order.
 //
-// The loader exists for the standalone `daclint <moduledir>` mode and
-// for the in-repo self-check test; under `go vet -vettool` the driver
-// instead type-checks against the export data the go command hands it.
+// It is what `daclint [-json] <module-dir>` and the in-repo self-check
+// test run the suite over.
 func LoadModule(dir string) ([]*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

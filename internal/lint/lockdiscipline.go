@@ -181,7 +181,7 @@ func checkDeferredDoubleUnlock(pass *analysis.Pass, body *ast.BlockStmt, uses ma
 		i, kind int
 	}
 
-	g := cfg.New(body, cfg.Options{})
+	g := cfg.New(body)
 	ops := make([][]lockOp, len(g.Blocks))
 	firstDefer := make([]token.Pos, len(keys))
 	classify := func(method string) (read bool, kind int, ok bool) {
@@ -224,8 +224,6 @@ func checkDeferredDoubleUnlock(pass *analysis.Pass, body *ast.BlockStmt, uses ma
 	}
 
 	res := cfg.Solve(g, cfg.Problem{
-		Dir:      cfg.Forward,
-		May:      true,
 		NumFacts: 2 * len(keys),
 		Transfer: func(b *cfg.Block, facts cfg.Bits) {
 			for _, op := range ops[b.Index] {

@@ -175,7 +175,7 @@ func checkPoolScope(pass *analysis.Pass, pats []callPat, body *ast.BlockStmt) {
 		return
 	}
 
-	g := cfg.New(body, cfg.Options{})
+	g := cfg.New(body)
 
 	// Precompute per-block effect lists (node order preserved).
 	effects := make([][]poolEffect, len(g.Blocks))
@@ -216,8 +216,6 @@ func checkPoolScope(pass *analysis.Pass, pats []callPat, body *ast.BlockStmt) {
 	}
 
 	res := cfg.Solve(g, cfg.Problem{
-		Dir:      cfg.Forward,
-		May:      true,
 		NumFacts: 3 * len(vars),
 		Transfer: func(b *cfg.Block, facts cfg.Bits) {
 			for _, eff := range effects[b.Index] {

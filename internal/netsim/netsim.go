@@ -799,18 +799,8 @@ func (e *Endpoint) RecvTimeout(d time.Duration) (*Message, error) {
 	return e.recv(nil, d)
 }
 
-// RecvTag blocks until a message with the given tag arrives, leaving
+// RecvMatch blocks until a message satisfying match arrives, leaving
 // other queued messages untouched.
-func (e *Endpoint) RecvTag(tag string) (*Message, error) {
-	return e.recv(func(m *Message) bool { return m.Tag == tag }, 0)
-}
-
-// RecvTagTimeout is RecvTag with a virtual-time deadline.
-func (e *Endpoint) RecvTagTimeout(tag string, d time.Duration) (*Message, error) {
-	return e.recv(func(m *Message) bool { return m.Tag == tag }, d)
-}
-
-// RecvMatch blocks until a message satisfying match arrives.
 func (e *Endpoint) RecvMatch(match func(*Message) bool) (*Message, error) {
 	return e.recv(match, 0)
 }

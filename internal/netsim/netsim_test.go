@@ -111,24 +111,29 @@ func TestInOrderDelivery(t *testing.T) {
 	})
 }
 
+// tagIs is the selective-receive predicate for one tag.
+func tagIs(tag string) func(*Message) bool {
+	return func(m *Message) bool { return m.Tag == tag }
+}
+
 func TestRecvTagSkipsOthers(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b := n.Endpoint("a"), n.Endpoint("b")
 		a.Send("b", "x", 1, 0)
 		a.Send("b", "y", 2, 0)
-		m, err := b.RecvTag("y")
+		m, err := b.RecvMatch(tagIs("y"))
 		if err != nil {
-			t.Fatalf("RecvTag: %v", err)
+			t.Fatalf("RecvMatch: %v", err)
 		}
 		if m.Payload.(int) != 2 {
-			t.Fatalf("RecvTag(y) = %v", m.Payload)
+			t.Fatalf("RecvMatch(tag y) = %v", m.Payload)
 		}
 		if b.Pending() != 1 {
 			t.Fatalf("pending = %d, want 1", b.Pending())
 		}
-		m, err = b.RecvTag("x")
+		m, err = b.RecvMatch(tagIs("x"))
 		if err != nil || m.Payload.(int) != 1 {
-			t.Fatalf("RecvTag(x) = %v, %v", m, err)
+			t.Fatalf("RecvMatch(tag x) = %v, %v", m, err)
 		}
 	})
 }
@@ -168,7 +173,7 @@ func TestRecvMatchTimeoutMismatchedTagStillTimesOut(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b := n.Endpoint("a"), n.Endpoint("b")
 		a.Send("b", "other", 1, 0)
-		_, err := b.RecvTagTimeout("wanted", 20*time.Millisecond)
+		_, err := b.RecvMatchTimeout(tagIs("wanted"), 20*time.Millisecond)
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("err = %v, want ErrTimeout", err)
 		}
