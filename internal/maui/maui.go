@@ -502,6 +502,11 @@ func sortByPriority(jobs []rankedJob) { slices.SortStableFunc(jobs, byPriority) 
 // optionally backfilling behind a blocked head. It reads the snapshot's
 // queue in place through a sorted index — no per-cycle copy of the job
 // list — and keeps the order buffer on the scheduler.
+//
+// Every examined job costs PerJobCost, one step of a walkClock: the
+// walk runs ahead of the clock and the clock catches up before any
+// observable write (a placement) and at the end. See walkClock for why
+// that is the timing one Sleep per job gave.
 func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *trace.Span) {
 	queued := info.Queued
 	// Compute each priority once up front: virtual time stands still
@@ -517,27 +522,28 @@ func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *tr
 	sc.mu.Unlock()
 	sc.order = order
 	sortByPriority(order)
+	clock := walkClock{sim: sc.sim, cost: sc.params.PerJobCost}
 	var shadow time.Duration = -1 // earliest start estimate of the blocked head
 	for _, r := range order {
 		j := queued[r.idx]
 		if sc.skipInflight(j.ID) {
 			continue // allocation still in flight on a server shard
 		}
-		sc.sim.Sleep(sc.params.PerJobCost)
+		clock.owed++
 		if shadow >= 0 {
 			// A head job is blocked; only backfill candidates that
 			// finish before its reservation may start.
 			if !sc.params.Backfill {
 				continue
 			}
-			if j.Spec.Walltime <= 0 || sc.sim.Now()+j.Spec.Walltime > shadow {
+			if j.Spec.Walltime <= 0 || clock.now()+j.Spec.Walltime > shadow {
 				continue
 			}
 		}
 		hosts, acc, ok := p.fit(j.Spec, j.ID)
 		if !ok {
 			if shadow < 0 {
-				shadow = sc.shadowTime(info.Running)
+				shadow = shadowTime(info.Running, clock.now())
 			}
 			// Strict FIFO: the blocked head stalls the queue, but we
 			// still pay the examination cost for the remaining jobs
@@ -545,6 +551,7 @@ func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *tr
 			// examined as candidates behind the head's reservation.
 			continue
 		}
+		clock.settle()
 		if shadow >= 0 {
 			sc.inst.backfill.Inc()
 			sc.mu.Lock()
@@ -553,10 +560,43 @@ func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *tr
 		}
 		sc.place(j, hosts, acc, phase)
 	}
+	clock.settle()
+}
+
+// walkClock is virtual time as a walk of the queue sees it while it
+// owes examination steps of PerJobCost: owed of them past the clock. The
+// walk charges a job with owed++, and settle lets the clock catch up in
+// one SleepSteps, which is owed single sleeps (package sim, "Steps").
+//
+// A walk settles before any write another actor, the audit digest or
+// the tracer can observe: a placement (the AllocCmd, stats, usage,
+// maui.placed and maui.backfill_hits, the place span) and a dynamic
+// request served in the FIFO ablation. What it writes before settling —
+// the pools, the in-flight map, the order — only the scheduler reads,
+// and it reads the time only through now. No actor that ran between two
+// of the single sleeps saw anything the walk did between them, so every
+// write lands at the instant it did and every actor sees the same clock,
+// events and state.
+type walkClock struct {
+	sim  *sim.Simulation
+	cost time.Duration
+	owed int
+}
+
+// now is the instant the walk has reached.
+func (w *walkClock) now() time.Duration {
+	return w.sim.Now() + time.Duration(w.owed)*max(w.cost, 0)
+}
+
+// settle takes the owed steps.
+func (w *walkClock) settle() {
+	w.sim.SleepSteps(w.cost, w.owed)
+	w.owed = 0
 }
 
 // schedulePlainFIFO is the DynTopPriority ablation: one stream
-// ordered by arrival, dynamic requests not prioritized.
+// ordered by arrival, dynamic requests not prioritized. It charges its
+// examinations on a walkClock like scheduleStatic.
 func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, phase *trace.Span) {
 	type item struct {
 		at  time.Duration
@@ -571,30 +611,34 @@ func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, pha
 		items = append(items, item{at: info.Dyn[i].ArrivedAt, dyn: &info.Dyn[i]})
 	}
 	sort.SliceStable(items, func(a, b int) bool { return items[a].at < items[b].at })
+	clock := walkClock{sim: sc.sim, cost: sc.params.PerJobCost}
 	for _, it := range items {
 		if it.dyn != nil {
+			clock.settle()
 			sc.serveDyn(*it.dyn, ps, phase)
 			continue
 		}
 		if sc.skipInflight(it.job.ID) {
 			continue
 		}
-		sc.sim.Sleep(sc.params.PerJobCost)
+		clock.owed++
 		if hosts, acc, ok := ps[0].fit(it.job.Spec, it.job.ID); ok {
+			clock.settle()
 			sc.place(*it.job, hosts, acc, phase)
 		}
 	}
+	clock.settle()
 }
 
-// shadowTime estimates when the blocked head job could start: the
-// latest walltime-predicted end among running jobs (conservative
-// EASY reservation).
-func (sc *Scheduler) shadowTime(running []pbs.SchedRunView) time.Duration {
-	end := sc.sim.Now()
+// shadowTime estimates when the blocked head job could start at virtual
+// time now: the latest walltime-predicted end among running jobs
+// (conservative EASY reservation).
+func shadowTime(running []pbs.SchedRunView, now time.Duration) time.Duration {
+	end := now
 	for _, j := range running {
 		est := j.StartedAt + j.Walltime
 		if j.StartedAt == 0 {
-			est = sc.sim.Now() + j.Walltime
+			est = now + j.Walltime
 		}
 		if est > end {
 			end = est

@@ -90,12 +90,12 @@ func TestShadowTimeOverTheRunViewMatchesQstatRecords(t *testing.T) {
 				for _, j := range table[lo:hi] {
 					view = append(view, pbs.SchedRunView{ID: j.ID, StartedAt: j.StartedAt, Walltime: j.Spec.Walltime})
 				}
-				if got, want := b.sc.shadowTime(view), shadowTimeOverQstat(now, table[lo:hi]); got != want {
+				if got, want := shadowTime(view, now), shadowTimeOverQstat(now, table[lo:hi]); got != want {
 					t.Errorf("jobs %d..%d: shadow time %v over the view, %v over the records", lo, hi, got, want)
 				}
 			}
 		}
-		if got := b.sc.shadowTime(nil); got != now {
+		if got := shadowTime(nil, now); got != now {
 			t.Errorf("no running job: shadow time %v, want now (%v)", got, now)
 		}
 	})

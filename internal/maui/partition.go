@@ -121,7 +121,7 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 			hosts, acc, ok := p.fit(j.Spec, j.ID)
 			if !ok {
 				if shadow < 0 {
-					shadow = sc.shadowTime(info.Running)
+					shadow = shadowTime(info.Running, now)
 					rescue = append(rescue, r)
 				}
 				continue

@@ -444,29 +444,54 @@ func TestSleepAfterHaltDoesNotMoveClock(t *testing.T) {
 
 // (vii) The kernel's instruments read the same whether a wake went
 // through the queue or not: one dispatch per sleep, and the queue depth
-// the controller would have seen after popping the sleeper's wake.
+// the controller would have seen after popping the sleeper's wake. A
+// lone run of steps is the same sleeps taken in one advance; neither
+// parks.
 func TestLoneSleepsCountAsDispatches(t *testing.T) {
 	const n = 25
-	s := New()
-	reg := telemetry.New()
-	s.SetTelemetry(reg)
-	if err := s.Run(func() {
-		s.After(time.Hour, func() {})
-		s.After(2*time.Hour, func() {})
-		for i := 0; i < n; i++ {
-			s.Sleep(tick)
-		}
-		if got := reg.Counter("sim.dispatches").Value(); got != n {
-			t.Errorf("sim.dispatches = %d after %d lone sleeps", got, n)
-		}
-		if got := reg.Gauge("sim.queue_depth").Value(); got != 2 {
-			t.Errorf("sim.queue_depth = %v, want the 2 pending timers", got)
-		}
-		if got := s.Dispatches(); got != n {
-			t.Errorf("Dispatches() = %d after %d lone sleeps", got, n)
-		}
-	}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		sleep func(s *Simulation)
+	}{
+		{"Sleep", func(s *Simulation) {
+			for i := 0; i < n; i++ {
+				s.Sleep(tick)
+			}
+		}},
+		{"SleepSteps", func(s *Simulation) {
+			s.SleepSteps(tick, n)
+			s.SleepSteps(tick, 0)
+			s.SleepSteps(0, n)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			reg := telemetry.New()
+			s.SetTelemetry(reg)
+			if err := s.Run(func() {
+				s.After(time.Hour, func() {})
+				s.After(2*time.Hour, func() {})
+				parks := s.parkCount()
+				tc.sleep(s)
+				if got := s.parkCount() - parks; got != 0 {
+					t.Errorf("lone sleeps parked %d times", got)
+				}
+				if got := reg.Counter("sim.dispatches").Value(); got != n {
+					t.Errorf("sim.dispatches = %d after %d lone sleeps", got, n)
+				}
+				if got := reg.Gauge("sim.queue_depth").Value(); got != 2 {
+					t.Errorf("sim.queue_depth = %v, want the 2 pending timers", got)
+				}
+				if got := s.Dispatches(); got != n {
+					t.Errorf("Dispatches() = %d after %d lone sleeps", got, n)
+				}
+				if got := s.Now(); got != n*tick {
+					t.Errorf("clock at %v after %d lone sleeps of %v", got, n, tick)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

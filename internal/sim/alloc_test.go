@@ -86,6 +86,48 @@ func TestSleepParkZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSleepStepsParkZeroAlloc pins a parked SleepSteps — another
+// actor's wake is due at every other step, so the controller takes the
+// steps for the parked caller and wakes it once, after the last — at
+// zero allocations per call: the step record comes from the kernel's
+// free list and the wakes live in the queue's reused storage.
+func TestSleepStepsParkZeroAlloc(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
+	}
+	s := New()
+	var allocs float64
+	var parks uint64
+	const runs = 200
+	err := s.Run(func() {
+		s.Go("offbeat", func() {
+			s.Sleep(time.Microsecond)
+			for {
+				s.Sleep(2 * time.Microsecond)
+			}
+		})
+		for i := 0; i < 16; i++ { // warm the event queue, batch, and free list
+			s.SleepSteps(time.Microsecond, 8)
+		}
+		parks = s.parkCount()
+		allocs = testing.AllocsPerRun(runs, func() {
+			s.SleepSteps(time.Microsecond, 8)
+		})
+		parks = s.parkCount() - parks
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("parked SleepSteps steady state: %v allocs/op, want 0", allocs)
+	}
+	// Over the runs+1 calls the off-beat actor parks 4 times a call and
+	// the caller once, give or take the call the count starts in.
+	if want := uint64(5 * (runs + 1)); parks+5 < want || parks > want+5 {
+		t.Fatalf("%d parks over %d SleepSteps calls of 8 steps, want about %d", parks, runs+1, want)
+	}
+}
+
 func bumpCounter(a any) { *(a.(*int))++ }
 
 // TestDispatchZeroAlloc pins closure-free timer dispatch (AfterArg

@@ -3,8 +3,10 @@ package sim
 import "time"
 
 // event is a scheduled occurrence: a wake of a parked actor
-// (wake != nil), a controller callback (fn != nil), or an argument-
-// carrying controller callback (afn != nil). The afn/arg form lets hot
+// (wake != nil; for a parked SleepSteps arg holds its *stepRun, for
+// which the controller may take more steps instead of waking it), a
+// controller callback (fn != nil), or an argument-carrying controller
+// callback (afn != nil). The afn/arg form lets hot
 // callers (netsim message delivery) schedule work without allocating a
 // fresh closure per event: afn is a long-lived package-level function
 // and arg is a pooled pointer, so the event itself carries no heap

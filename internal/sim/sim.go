@@ -32,10 +32,9 @@
 // # In-place clock advance
 //
 // Most sleeps in a run are taken by an actor that is about to be the
-// next thing the controller wakes (Maui charging its per-job cost while
-// it walks a backlog is the bulk of them). Such a Sleep does not park.
-// Under the kernel lock it already holds, it advances the clock itself
-// and returns, when all three hold:
+// next thing the controller wakes. Such a Sleep does not park. Under
+// the kernel lock it already holds, it advances the clock itself and
+// returns, when all three hold:
 //
 //  1. nothing else is due at this instant: the ready list is empty and
 //     the controller has released every event of the instant's batch;
@@ -56,6 +55,19 @@
 // the controller releases an instant as one batch, and the two
 // neighbouring designs measured and rejected.
 //
+// # Steps
+//
+// SleepSteps(d, n) is n consecutive Sleep(d) calls with nothing in
+// between (Maui charging its per-job cost along a walk of the queue is
+// the caller). The caller takes as many steps in place as the rule
+// above allows, in one advance. At the first step that would park it
+// queues one wake carrying the count still owed, and parks once. When
+// the controller releases that wake it does what the woken actor would
+// do next, which is nothing but the next step: it advances in place
+// under the same rule, or queues the next step's wake with a fresh seq,
+// and wakes the actor only after the last step. Clock, seqs, dispatches,
+// instruments and release order are those of the n sleeps.
+//
 // # Discipline
 //
 // Actors must communicate only through sim-aware primitives (Sleep,
@@ -73,6 +85,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -133,6 +146,8 @@ type Simulation struct {
 	undispatched int
 	// parks counts parkLocked calls. Only tests read it.
 	parks uint64
+	// freeSteps lists the step records no parked SleepSteps holds.
+	freeSteps *stepRun
 
 	panicMu  sync.Mutex
 	panicked []string
@@ -167,6 +182,16 @@ type runnable struct {
 	wake chan struct{}
 	name ActorName
 	fn   func()
+}
+
+// stepRun is a parked SleepSteps: the channel its actor waits on, the
+// step length, and how many steps are left after the one its queued
+// wake ends. The kernel owns the records and reuses them.
+type stepRun struct {
+	wake chan struct{}
+	d    time.Duration
+	left int
+	next *stepRun // on the free list
 }
 
 // slotHook and resumeHook are test seams, nil outside tests. slotHook
@@ -359,31 +384,119 @@ func (s *Simulation) Sleep(d time.Duration) {
 		s.mu.Unlock()
 		panic("sim: Sleep" + onControllerPanic)
 	}
-	t := s.now + d
-	if s.readyHead == len(s.ready) && s.undispatched == 0 && !s.mainEnd && !s.halted &&
-		(s.deadline == 0 || t <= s.deadline) &&
-		(s.events.len() == 0 || s.events.nextAt() > t) {
-		// The controller's bookkeeping for a one-event batch. The seq
-		// the wake would have carried is still consumed, so every later
-		// (at, seq) tie breaks as it would have.
-		s.seq++
-		s.now = t
-		s.nowA.Store(int64(t))
-		s.dispatched.Add(1)
-		if ki := s.kernelInst.Load(); ki != nil {
-			ki.dispatches.Add(1)
-			ki.queueDepth.Set(float64(s.events.len()))
-		}
+	if s.now+d <= s.inPlaceLimitLocked() {
+		s.advanceLocked(d, 1)
 		s.mu.Unlock()
 		return
 	}
 	ch := wakePool.Get().(chan struct{})
-	s.pushLocked(t, ch, nil)
+	s.pushLocked(s.now+d, ch, nil)
 	s.parkLocked(nil)
 	s.mu.Unlock()
 	<-ch
 	wakePool.Put(ch)
 	resumed()
+}
+
+// SleepSteps is n consecutive Sleep(d) calls in one: the same clock, the
+// same seqs consumed, the same dispatches and instruments and the same
+// release order, but the caller parks at most once (see "Steps" in the
+// package comment). A non-positive d or n returns immediately. Like
+// Sleep, it must only be called from an actor goroutine.
+func (s *Simulation) SleepSteps(d time.Duration, n int) {
+	if d <= 0 || n <= 0 {
+		return
+	}
+	s.mu.Lock()
+	if s.onController {
+		s.mu.Unlock()
+		panic("sim: SleepSteps" + onControllerPanic)
+	}
+	k := s.takeStepsLocked(d, n)
+	if k == n {
+		s.mu.Unlock()
+		return
+	}
+	st := s.freeSteps
+	if st == nil {
+		st = &stepRun{wake: make(chan struct{}, 1)}
+	} else {
+		s.freeSteps, st.next = st.next, nil
+	}
+	st.d, st.left = d, n-k-1
+	s.pushStepLocked(st)
+	s.parkLocked(nil)
+	s.mu.Unlock()
+	<-st.wake
+	resumed()
+}
+
+// inPlaceLimitLocked is the latest instant the running actor may move
+// the clock to in place: the deadline, and strictly before the earliest
+// queued event (condition 3 of "In-place clock advance"), or now itself,
+// which no step reaches, unless conditions 1 and 2 hold. Callers hold
+// s.mu.
+func (s *Simulation) inPlaceLimitLocked() time.Duration {
+	if s.readyHead != len(s.ready) || s.undispatched != 0 || s.mainEnd || s.halted {
+		return s.now
+	}
+	last := time.Duration(math.MaxInt64)
+	if s.deadline > 0 {
+		last = s.deadline
+	}
+	if s.events.len() > 0 {
+		last = min(last, s.events.nextAt()-1)
+	}
+	return max(last, s.now)
+}
+
+// takeStepsLocked takes as many of n steps of d in place as the rule
+// allows and reports how many that was. Callers hold s.mu.
+func (s *Simulation) takeStepsLocked(d time.Duration, n int) int {
+	k := int(min((s.inPlaceLimitLocked()-s.now)/d, time.Duration(n)))
+	if k > 0 {
+		s.advanceLocked(d, k)
+	}
+	return k
+}
+
+// advanceLocked takes k steps of d in place: the controller's
+// bookkeeping for k one-event batches. The seqs the wakes would have
+// carried are still consumed, so every later (at, seq) tie breaks as it
+// would have. Callers hold s.mu.
+func (s *Simulation) advanceLocked(d time.Duration, k int) {
+	t := s.now + time.Duration(k)*d
+	s.seq += uint64(k)
+	s.now = t
+	s.nowA.Store(int64(t))
+	s.dispatched.Add(uint64(k))
+	if ki := s.kernelInst.Load(); ki != nil {
+		ki.dispatches.Add(int64(k))
+		ki.queueDepth.Set(float64(s.events.len()))
+	}
+}
+
+// pushStepLocked queues the wake that ends st's next step. Callers hold
+// s.mu.
+func (s *Simulation) pushStepLocked(st *stepRun) {
+	s.seq++
+	s.events.push(event{at: s.now + st.d, seq: s.seq, wake: st.wake, arg: st})
+}
+
+// stepLocked runs on the controller as it releases a SleepSteps wake,
+// and does what the woken actor would do next: take the steps still
+// owed, in place as far as the rule allows, then queue the next one's
+// wake. It reports whether it queued one, which leaves the actor parked;
+// with no step left the record goes back to the free list and the actor
+// wakes. Callers hold s.mu.
+func (s *Simulation) stepLocked(st *stepRun) bool {
+	if st.left -= s.takeStepsLocked(st.d, st.left); st.left > 0 {
+		st.left--
+		s.pushStepLocked(st)
+		return true
+	}
+	st.next, s.freeSteps = s.freeSteps, st
+	return false
 }
 
 // At schedules fn to run at virtual time t (an offset from simulation
@@ -494,12 +607,16 @@ func (s *Simulation) Run(main func()) error {
 		// readies in turn park before the next event is released.
 		ev := s.batch[len(s.batch)-s.undispatched]
 		s.undispatched--
-		s.running++
 		if ev.wake != nil {
+			if st, _ := ev.arg.(*stepRun); st != nil && s.stepLocked(st) {
+				continue // the sleeper's next step is queued; it stays parked
+			}
+			s.running++
 			s.unparkLocked(nil)
 			s.startLocked(runnable{wake: ev.wake})
 			continue
 		}
+		s.running++
 		s.onController = true
 		s.mu.Unlock()
 		if ev.afn != nil {

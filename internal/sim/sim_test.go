@@ -183,6 +183,7 @@ func TestBlockingOnTheControllerPanics(t *testing.T) {
 		block func(s *Simulation, g *Gate)
 	}{
 		{"Sleep", func(s *Simulation, _ *Gate) { s.Sleep(time.Millisecond) }},
+		{"SleepSteps", func(s *Simulation, _ *Gate) { s.SleepSteps(time.Millisecond, 3) }},
 		{"Gate.Wait", func(_ *Simulation, g *Gate) { g.Wait(nil) }},
 		{"Gate.WaitTimeout", func(_ *Simulation, g *Gate) { g.WaitTimeout(nil, time.Millisecond) }},
 	} {

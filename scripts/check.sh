@@ -39,13 +39,14 @@ go test -race -shuffle=on ./... -count=1
 # The sim kernel runs one actor at a time, so a seed has one
 # interleaving and repeating a test under the detector no longer shows
 # it another. What is repeated is the determinism itself: the kernel's
-# property tests (host-schedule injection, the running-slot check), the
-# two same-order-every-run tests, the five tests that compare whole runs
-# across seeds or parallelism levels, and the server's stations handing
-# their requests over across Stop/Restore.
+# property tests (host-schedule injection, the running-slot check,
+# SleepSteps against single sleeps), the two same-order-every-run tests,
+# the five tests that compare whole runs across seeds or parallelism
+# levels, the server's stations handing their requests over across
+# Stop/Restore, and Maui's placements landing at their walk step.
 echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
-go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy' \
-    ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep' \
+    ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs ./internal/maui
 
 # The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
 # three times (about 5 s each).
