@@ -12,7 +12,7 @@ package fifosched
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,8 +48,8 @@ type Scheduler struct {
 	serverEP string
 	params   Params
 
-	// view mirrors the server's node table; see pbs.NodeMirror.
-	view pbs.NodeMirror
+	// view mirrors the server's nodes and jobs; see pbs.Mirror.
+	view pbs.Mirror
 
 	mu     sync.Mutex
 	cycles int64
@@ -149,36 +149,27 @@ func (sc *Scheduler) runCycle() bool {
 		}
 	}
 
-	// One stream, strictly by arrival.
-	type item struct {
-		at  time.Duration
-		job *pbs.SchedJobView
-		dyn *pbs.SchedDynView
-	}
-	var items []item
-	for i := range info.Queued {
-		items = append(items, item{at: info.Queued[i].SubmittedAt, job: &info.Queued[i]})
-	}
-	for i := range info.Dyn {
-		items = append(items, item{at: info.Dyn[i].ArrivedAt, dyn: &info.Dyn[i]})
-	}
-	sort.SliceStable(items, func(a, b int) bool { return items[a].at < items[b].at })
-
+	// One stream, strictly by arrival: the queue and the requests each
+	// come in arrival order, a job goes before a request of its instant.
+	q, dyn := sc.view.Queued, info.Dyn
 	blocked := false
-	for _, it := range items {
+	for len(q)+len(dyn) > 0 {
 		sc.sim.Sleep(sc.params.PerJobCost)
-		if it.dyn != nil {
+		if len(q) == 0 || len(dyn) > 0 && dyn[0].ArrivedAt < q[0].SubmittedAt {
 			// Dynamic requests are answered even when the static head
 			// blocks: rejection is immediate, never queued-for-later
 			// (Section III-E).
-			hosts := sc.allocDyn(*it.dyn, &pool)
-			sc.send(pbs.DynAllocCmd{ReqID: it.dyn.ReqID, Hosts: hosts})
+			hosts := sc.allocDyn(dyn[0], &pool)
+			sc.send(pbs.DynAllocCmd{ReqID: dyn[0].ReqID, Hosts: hosts})
+			dyn = dyn[1:]
 			continue
 		}
+		j := q[0]
+		q = q[1:]
 		if blocked {
 			continue // strict FIFO: nothing overtakes the head
 		}
-		hosts, acc, ok := sc.place(it.job.Spec, it.job.ID, &pool)
+		hosts, acc, ok := sc.place(j.Spec, j.ID, &pool)
 		if !ok {
 			blocked = true
 			continue
@@ -186,7 +177,7 @@ func (sc *Scheduler) runCycle() bool {
 		sc.mu.Lock()
 		sc.placed++
 		sc.mu.Unlock()
-		sc.send(pbs.AllocCmd{JobID: it.job.ID, Hosts: hosts, AccHosts: acc})
+		sc.send(pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc})
 	}
 	return true
 }
@@ -195,7 +186,7 @@ func (sc *Scheduler) allocDyn(r pbs.SchedDynView, pool *free) []string {
 	if r.Kind == pbs.KindCompute {
 		var chosen []string
 		for _, cn := range pool.cnames {
-			if pool.cores[cn] < r.PPN || r.PPN <= 0 || hasJob(pool.jobs[cn], r.JobID) {
+			if pool.cores[cn] < r.PPN || r.PPN <= 0 || slices.Contains(pool.jobs[cn], r.JobID) {
 				continue
 			}
 			chosen = append(chosen, cn)
@@ -248,15 +239,6 @@ func (sc *Scheduler) place(spec pbs.JobSpec, jobID string, pool *free) ([]string
 	}
 	pool.acs = pool.acs[need:]
 	return chosen, acc, true
-}
-
-func hasJob(jobs []string, id string) bool {
-	for _, j := range jobs {
-		if j == id {
-			return true
-		}
-	}
-	return false
 }
 
 func (sc *Scheduler) send(payload any) {

@@ -26,17 +26,8 @@ func TestLockDiscipline(t *testing.T) {
 	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewLockDiscipline()}, "locks")
 }
 
-func TestVTCtx(t *testing.T) {
-	a := lint.NewVTCtx("actor")
-	linttest.Run(t, "testdata", []*analysis.Analyzer{a}, "actor", "hostpool")
-}
-
 func TestSpanBalance(t *testing.T) {
 	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewSpanBalance()}, "spans")
-}
-
-func TestMetricName(t *testing.T) {
-	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewMetricName()}, "metricnames")
 }
 
 func TestHandlerExhaustive(t *testing.T) {
@@ -91,11 +82,11 @@ func TestMalformedIgnore(t *testing.T) {
 	}
 }
 
-// TestSuite pins the shipped analyzer set: ten analyzers, stable
+// TestSuite pins the shipped analyzer set: eight analyzers, stable
 // names, stable order — the -json report's analyzers map keys off
 // these names.
 func TestSuite(t *testing.T) {
-	want := []string{"walltime", "seededrand", "maporder", "lockdiscipline", "vtctx", "spanbalance", "metricname", "poolbalance", "handlerexhaustive", "digestdet"}
+	want := []string{"walltime", "seededrand", "maporder", "lockdiscipline", "spanbalance", "poolbalance", "handlerexhaustive", "digestdet"}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))

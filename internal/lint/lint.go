@@ -2,7 +2,7 @@
 // the simulator's determinism and virtual-time invariants before they
 // can cost a flaky benchmark gate.
 //
-// The suite (see Suite) ships ten analyzers:
+// The suite (see Suite) ships eight analyzers:
 //
 //   - walltime: no wall-clock time (time.Now, time.Sleep, ...) in
 //     simulation code — virtual time must come from internal/sim.
@@ -14,16 +14,10 @@
 //   - lockdiscipline: Lock without a same-function Unlock, surplus
 //     Unlocks, and locks copied by value in the pbs/maui/netsim/trace
 //     hot paths.
-//   - vtctx: no raw `go` statements in actor packages — goroutines
-//     must register with the sim kernel via (*sim.Simulation).Go or
-//     virtual time desyncs.
 //   - spanbalance: every trace span opened in a function
 //     (Tracer.Start, Span.Child) must reach an End in that scope or
 //     be handed off — an open span truncates the causal chains the
 //     critical-path profiler reconstructs.
-//   - metricname: instrument names passed to the telemetry registry
-//     must be compile-time constants — runtime-assembled names make
-//     metric cardinality unbounded.
 //   - poolbalance: pooled values (netsim arena messages, pooled
 //     simulations from sim.Acquire, sync.Pool) must be released
 //     exactly once on every control-flow path or escape to an owner —
@@ -75,21 +69,6 @@ var (
 	// builds for the CI summary).
 	wallClockAllowed = []string{"repro/cmd/", "repro/internal/lint"}
 
-	// actorPackages hold code that runs as simulation actors; every
-	// goroutine there must be spawned through the sim kernel.
-	actorPackages = []string{
-		"repro/internal/pbs",
-		"repro/internal/maui",
-		"repro/internal/netsim",
-		"repro/internal/dac",
-		"repro/internal/cluster",
-		"repro/internal/mpi",
-		"repro/internal/gpusim",
-		"repro/internal/fifosched",
-		"repro/internal/workload",
-		"repro/internal/service",
-	}
-
 	// lockScope is where lockdiscipline applies: the scheduler,
 	// server, network, and tracing hot paths named by the invariant.
 	lockScope = []string{
@@ -120,9 +99,7 @@ func Suite() []*analysis.Analyzer {
 		NewSeededRand(),
 		NewMapOrder(),
 		NewLockDiscipline(lockScope...),
-		NewVTCtx(actorPackages...),
 		NewSpanBalance(),
-		NewMetricName(),
 		NewPoolBalance(poolSources...),
 		NewHandlerExhaustive(),
 		NewDigestDet(),

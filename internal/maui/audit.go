@@ -16,8 +16,8 @@ import (
 //
 // Invariant names:
 //
-//	view.agreement   every job a node in the mirror advertises
-//	                 appears in the snapshot's running list — the
+//	view.agreement   every job a node in the mirror advertises is
+//	                 running in the mirror's job view — the
 //	                 scheduler and server agree on who holds what
 //	view.capacity    every node in the mirror reports a usage
 //	                 within [0, Cores], and accelerators at most one
@@ -32,21 +32,14 @@ func (sc *Scheduler) registerAudit() {
 	sc.aud.RegisterDigest("maui", "maui.sched", sc.digestSched)
 }
 
-// applySnapshot takes one fetched answer into the node mirror, checks
-// the nodes it brought against its running list and records the
-// cycle-boundary event. The mirror and the running set change under
-// sc.mu, which the sweep holds while it reads both.
+// applySnapshot takes one fetched answer into the mirror, checks the
+// nodes it brought against the mirror's running jobs and records the
+// cycle-boundary event. The mirror changes under sc.mu, which the sweep
+// holds while it reads it.
 func (sc *Scheduler) applySnapshot(info *pbs.SchedInfoResp) {
 	sc.mu.Lock()
 	sc.view.Apply(info)
 	if sc.aud != nil {
-		if sc.auditRunning == nil {
-			sc.auditRunning = make(map[string]bool)
-		}
-		clear(sc.auditRunning)
-		for i := range info.Running {
-			sc.auditRunning[info.Running[i].ID] = true
-		}
 		for i := range info.Nodes {
 			sc.auditNodeLocked(&sc.view.Nodes[info.Nodes[i].Index])
 		}
@@ -55,11 +48,11 @@ func (sc *Scheduler) applySnapshot(info *pbs.SchedInfoResp) {
 		}
 	}
 	sc.mu.Unlock()
-	sc.aud.Record(audit.KindCycle, "maui", "snapshot", "", int64(len(info.Queued)), int64(len(info.Dyn)))
+	sc.aud.Record(audit.KindCycle, "maui", "snapshot", "", int64(info.Queued), int64(len(info.Dyn)))
 }
 
 // auditNodeLocked checks one mirrored node for internal coherence and
-// against the latest snapshot's running list.
+// against the mirror's running jobs.
 func (sc *Scheduler) auditNodeLocked(n *pbs.NodeInfo) {
 	a := sc.aud
 	capOK := n.FreeCores() >= 0 && n.UsedCores >= 0
@@ -68,7 +61,8 @@ func (sc *Scheduler) auditNodeLocked(n *pbs.NodeInfo) {
 	}
 	a.Check("maui", "view.capacity", n.Name, capOK, int64(n.UsedCores), int64(n.Cores))
 	for _, id := range n.Jobs {
-		a.Check("maui", "view.agreement", n.Name, sc.auditRunning[id], int64(len(n.Jobs)), 0)
+		j := sc.view.Job(id)
+		a.Check("maui", "view.agreement", n.Name, j != nil && j.Phase == pbs.PhaseRunning, int64(len(n.Jobs)), 0)
 	}
 }
 

@@ -7,10 +7,7 @@
 package maui
 
 import (
-	"cmp"
 	"errors"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -126,23 +123,17 @@ type Scheduler struct {
 	serverEP string
 	params   Params
 	inst     schedInstruments
-	// aud is the flight recorder (nil when auditing is off);
-	// auditRunning holds the latest snapshot's running ids for it, and
+	// aud is the flight recorder (nil when auditing is off), and
 	// auditAfterCycle is a test hook run after each cycle's checks.
 	// See audit.go.
 	aud             *audit.Recorder
-	auditRunning    map[string]bool
 	auditAfterCycle func()
 
 	mu    sync.Mutex
 	usage map[string]float64 // owner -> decayed node-seconds
 	stats Stats
 
-	// Cycle-local scratch, touched only by the scheduler actor (or a
-	// test driving RunCycleOnce). The priority order persists across
-	// cycles so a steady-state iteration reuses its storage instead of
-	// rebuilding it.
-	order []rankedJob
+	heads heads // the cycle's priority order (order.go): scheduler actor only
 
 	// In-flight decision tracking: job IDs and dyn request IDs whose
 	// Alloc/DynAllocCmd was sent but may not yet be reflected in the
@@ -152,17 +143,18 @@ type Scheduler struct {
 	// snapshot (shard 0) can race a command still queued on another
 	// shard, and without suppression the scheduler would re-place the
 	// job and double-commit cycle-pool capacity. Entries expire after
-	// inflightWindow cycles so a genuinely dropped allocation retries.
+	// inflightWindow cycles (beginCycle sweeps them) so a genuinely
+	// dropped allocation retries.
 	inflight    map[string]uint64 // job ID -> cycleIndex at placement
 	dynInflight map[int]uint64    // dyn ReqID -> cycleIndex at grant
 	cycleIndex  uint64
 
-	// view mirrors the server's node table (each cycle's fetch brings
-	// only the nodes that changed; it is rewritten under mu, see
-	// applySnapshot) and partPools index it: one pool in
+	// view mirrors the server's nodes and jobs (each cycle's fetch brings
+	// only what changed; it is rewritten under mu, see applySnapshot) and
+	// partPools index it: one pool in
 	// the faithful cycle, one per partition in the partitioned cycle
 	// (partition.go), which also uses the scratch below. See pools.go.
-	view      pbs.NodeMirror
+	view      pbs.Mirror
 	partPools []*pools
 	partJobs  [][]rankedJob
 	proposals []proposal
@@ -180,8 +172,12 @@ type schedInstruments struct {
 	idle       *telemetry.Counter // cycles whose snapshot had no work
 }
 
-// New creates a scheduler speaking to the given server endpoint.
+// New creates a scheduler speaking to the given server endpoint. The
+// priority order (order.go) needs QueueTimeWeight ≥ 0.
 func New(net *netsim.Network, serverEP string, params Params) *Scheduler {
+	if !(params.QueueTimeWeight >= 0) {
+		panic("maui: QueueTimeWeight must be >= 0")
+	}
 	if params.Endpoint == "" {
 		params.Endpoint = DefaultEndpoint
 	}
@@ -308,19 +304,16 @@ func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	sc.applySnapshot(info)
 	sc.sim.Sleep(sc.params.CycleOverhead)
 	sc.cycleIndex++
-	// Expire stale in-flight entries occasionally so the maps track
-	// only live decisions (each entry is judged alone, so the walk
-	// order is immaterial).
-	if len(sc.inflight)+len(sc.dynInflight) > 2*len(info.Queued)+64 {
-		for id, at := range sc.inflight {
-			if sc.cycleIndex-at >= inflightWindow {
-				delete(sc.inflight, id)
-			}
+	// Expire the in-flight entries past their window: a lookup finds only
+	// live decisions (each entry is judged alone: walk order is moot).
+	for id, at := range sc.inflight {
+		if sc.cycleIndex-at >= inflightWindow {
+			delete(sc.inflight, id)
 		}
-		for req, at := range sc.dynInflight {
-			if sc.cycleIndex-at >= inflightWindow {
-				delete(sc.dynInflight, req)
-			}
+	}
+	for req, at := range sc.dynInflight {
+		if sc.cycleIndex-at >= inflightWindow {
+			delete(sc.dynInflight, req)
 		}
 	}
 	sc.mu.Lock()
@@ -331,7 +324,7 @@ func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 		}
 	}
 	sc.mu.Unlock()
-	if len(info.Queued) == 0 && len(info.Dyn) == 0 {
+	if info.Queued == 0 && len(info.Dyn) == 0 {
 		sc.inst.idle.Inc()
 	}
 
@@ -347,7 +340,7 @@ func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 		ps[idx%len(ps)].sync(idx / len(ps))
 	}
 	pb.End()
-	sc.inst.queueDepth.Set(float64(len(info.Queued)))
+	sc.inst.queueDepth.Set(float64(info.Queued))
 	return info, nil
 }
 
@@ -364,7 +357,7 @@ func (sc *Scheduler) schedule(info *pbs.SchedInfoResp, cyc *trace.Span) {
 		}
 		dyn.End()
 		st := cyc.Child("static")
-		sc.scheduleStatic(info, ps[0], st)
+		sc.scheduleStatic(ps[0], st)
 		st.End()
 	default:
 		// Ablation: merge dynamic requests into the FIFO stream by
@@ -382,7 +375,7 @@ func (sc *Scheduler) schedule(info *pbs.SchedInfoResp, cyc *trace.Span) {
 // rejects the request unless PartialAlloc grants what there is;
 // compute-kind requests place within a single pool, all-or-nothing.
 func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span) {
-	if sc.skipInflightDyn(r.ReqID) {
+	if _, ok := sc.dynInflight[r.ReqID]; ok {
 		return // grant still in flight on a server shard
 	}
 	var sp *trace.Span
@@ -443,98 +436,36 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 // cycle of slack covers a kick-coalesced back-to-back iteration.
 const inflightWindow = 2
 
-// skipInflight reports whether a queued job's allocation is still in
-// flight, expiring stale entries so a dropped allocation retries.
-func (sc *Scheduler) skipInflight(id string) bool {
-	at, ok := sc.inflight[id]
-	if !ok {
-		return false
-	}
-	if sc.cycleIndex-at >= inflightWindow {
-		delete(sc.inflight, id)
-		return false
-	}
-	return true
-}
-
-// skipInflightDyn is skipInflight for dynamic request grants.
-func (sc *Scheduler) skipInflightDyn(req int) bool {
-	at, ok := sc.dynInflight[req]
-	if !ok {
-		return false
-	}
-	if sc.cycleIndex-at >= inflightWindow {
-		delete(sc.dynInflight, req)
-		return false
-	}
-	return true
-}
-
-// rankedJob is one entry of a cycle's priority order: a job's position
-// in the snapshot's queue and the priority it was given.
-type rankedJob struct {
-	prio float64
-	idx  int32
-}
-
-// priorityLocked scores a queued job at virtual time now. Callers hold
-// sc.mu (the fairshare ledger).
-func (sc *Scheduler) priorityLocked(j *pbs.SchedJobView, now time.Duration) float64 {
-	wait := (now - j.SubmittedAt).Seconds()
-	return float64(j.Spec.Priority) + sc.params.QueueTimeWeight*wait - sc.params.FairshareWeight*sc.usage[j.Spec.Owner]
-}
-
-// byPriority orders higher priorities first.
-func byPriority(a, b rankedJob) int { return cmp.Compare(b.prio, a.prio) }
-
-// byPriorityThenIndex breaks byPriority's ties by queue position.
-func byPriorityThenIndex(a, b rankedJob) int {
-	return cmp.Or(byPriority(a, b), cmp.Compare(a.idx, b.idx))
-}
-
-// sortByPriority puts jobs in placement order: priority first, ties in
-// the order given (queue position). A stable sort's result is unique
-// for its comparator, so this is the order sort.SliceStable over an
-// index slice gave — without its closure, swapper and interface box.
-func sortByPriority(jobs []rankedJob) { slices.SortStableFunc(jobs, byPriority) }
-
-// scheduleStatic orders the queue by priority and places jobs,
-// optionally backfilling behind a blocked head. It reads the snapshot's
-// queue in place through a sorted index — no per-cycle copy of the job
-// list — and keeps the order buffer on the scheduler.
-//
-// Every examined job costs PerJobCost, one step of a walkClock: the
-// walk runs ahead of the clock and the clock catches up before any
-// observable write (a placement) and at the end. See walkClock for why
-// that is the timing one Sleep per job gave.
-func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *trace.Span) {
-	queued := info.Queued
-	// Compute each priority once up front: virtual time stands still
-	// during the sort, so the values cannot change, and a comparator
-	// that takes the scheduler lock costs O(n log n) mutex round
-	// trips on the long queues of large clusters.
-	order := sc.order[:0]
+// scheduleStatic places the queued jobs in priority order (the merge of
+// order.go ranks only what the walk takes), optionally backfilling
+// behind a blocked head. Every examined job costs PerJobCost, one step
+// of a walkClock. Once no job behind a blocked head can start — backfill
+// is off, or no compute node has a free core — the rest of the queue,
+// in-flight jobs free, is charged in one step.
+func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
 	now := sc.sim.Now()
-	sc.mu.Lock()
-	for i := range queued {
-		order = append(order, rankedJob{prio: sc.priorityLocked(&queued[i], now), idx: int32(i)})
+	sc.startOrder(now)
+	left, inflight := len(sc.view.Queued), 0 // jobs still to come, and those of them in flight
+	for id := range sc.inflight {
+		if j := sc.view.Job(id); j != nil && j.Phase == pbs.PhaseQueued {
+			inflight++
+		}
 	}
-	sc.mu.Unlock()
-	sc.order = order
-	sortByPriority(order)
 	clock := walkClock{sim: sc.sim, cost: sc.params.PerJobCost}
 	var shadow time.Duration = -1 // earliest start estimate of the blocked head
-	for _, r := range order {
-		j := queued[r.idx]
-		if sc.skipInflight(j.ID) {
+	for j := sc.nextJob(now); j != nil; j = sc.nextJob(now) {
+		left--
+		if inflight > 0 && sc.inflight[j.ID] > 0 { // placements are made from cycle 1 on
+			inflight--
 			continue // allocation still in flight on a server shard
 		}
 		clock.owed++
 		if shadow >= 0 {
 			// A head job is blocked; only backfill candidates that
 			// finish before its reservation may start.
-			if !sc.params.Backfill {
-				continue
+			if !sc.params.Backfill || p.full() {
+				clock.owed += left - inflight
+				break
 			}
 			if j.Spec.Walltime <= 0 || clock.now()+j.Spec.Walltime > shadow {
 				continue
@@ -543,7 +474,7 @@ func (sc *Scheduler) scheduleStatic(info *pbs.SchedInfoResp, p *pools, phase *tr
 		hosts, acc, ok := p.fit(j.Spec, j.ID)
 		if !ok {
 			if shadow < 0 {
-				shadow = shadowTime(info.Running, clock.now())
+				shadow = shadowTime(sc.view.Running, clock.now())
 			}
 			// Strict FIFO: the blocked head stalls the queue, but we
 			// still pay the examination cost for the remaining jobs
@@ -595,36 +526,29 @@ func (w *walkClock) settle() {
 }
 
 // schedulePlainFIFO is the DynTopPriority ablation: one stream
-// ordered by arrival, dynamic requests not prioritized. It charges its
+// ordered by arrival, dynamic requests not prioritized. The queue and
+// the requests each come in arrival order, so the walk merges them, a
+// job before a request of the same instant. It charges its
 // examinations on a walkClock like scheduleStatic.
 func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, phase *trace.Span) {
-	type item struct {
-		at  time.Duration
-		job *pbs.SchedJobView
-		dyn *pbs.SchedDynView
-	}
-	var items []item
-	for i := range info.Queued {
-		items = append(items, item{at: info.Queued[i].SubmittedAt, job: &info.Queued[i]})
-	}
-	for i := range info.Dyn {
-		items = append(items, item{at: info.Dyn[i].ArrivedAt, dyn: &info.Dyn[i]})
-	}
-	sort.SliceStable(items, func(a, b int) bool { return items[a].at < items[b].at })
 	clock := walkClock{sim: sc.sim, cost: sc.params.PerJobCost}
-	for _, it := range items {
-		if it.dyn != nil {
+	q, dyn := sc.view.Queued, info.Dyn
+	for len(q)+len(dyn) > 0 {
+		if len(q) == 0 || len(dyn) > 0 && dyn[0].ArrivedAt < q[0].SubmittedAt {
 			clock.settle()
-			sc.serveDyn(*it.dyn, ps, phase)
+			sc.serveDyn(dyn[0], ps, phase)
+			dyn = dyn[1:]
 			continue
 		}
-		if sc.skipInflight(it.job.ID) {
+		j := q[0]
+		q = q[1:]
+		if _, ok := sc.inflight[j.ID]; ok {
 			continue
 		}
 		clock.owed++
-		if hosts, acc, ok := ps[0].fit(it.job.Spec, it.job.ID); ok {
+		if hosts, acc, ok := ps[0].fit(j.Spec, j.ID); ok {
 			clock.settle()
-			sc.place(*it.job, hosts, acc, phase)
+			sc.place(j, hosts, acc, phase)
 		}
 	}
 	clock.settle()
@@ -633,12 +557,12 @@ func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, pha
 // shadowTime estimates when the blocked head job could start at virtual
 // time now: the latest walltime-predicted end among running jobs
 // (conservative EASY reservation).
-func shadowTime(running []pbs.SchedRunView, now time.Duration) time.Duration {
+func shadowTime(running []*pbs.MirrorJob, now time.Duration) time.Duration {
 	end := now
 	for _, j := range running {
-		est := j.StartedAt + j.Walltime
+		est := j.StartedAt + j.Spec.Walltime
 		if j.StartedAt == 0 {
-			est = now + j.Walltime
+			est = now + j.Spec.Walltime
 		}
 		if est > end {
 			end = est
@@ -649,7 +573,7 @@ func shadowTime(running []pbs.SchedRunView, now time.Duration) time.Duration {
 
 // place commits a static allocation: charge fairshare and notify the
 // server.
-func (sc *Scheduler) place(j pbs.SchedJobView, hosts []string, acc [][]string, phase *trace.Span) {
+func (sc *Scheduler) place(j *pbs.MirrorJob, hosts []string, acc [][]string, phase *trace.Span) {
 	var sp *trace.Span
 	if phase != nil {
 		sp = phase.Child("place", "job", j.ID, "hosts", strings.Join(hosts, "+"))
@@ -668,12 +592,8 @@ func (sc *Scheduler) place(j pbs.SchedJobView, hosts []string, acc [][]string, p
 	sc.sendCause(pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc, Cause: sp.ID()}, sp.ID())
 }
 
-func (sc *Scheduler) send(payload any) {
-	_ = sc.ep.Send(sc.serverEP, "pbs", payload, 0)
-}
-
-// sendCause is send carrying the trace-span id of the scheduling
-// decision that produced the command.
+// sendCause sends a command to the server, carrying the trace-span id
+// of the scheduling decision that produced it.
 func (sc *Scheduler) sendCause(payload any, cause uint64) {
 	_ = sc.ep.SendCause(sc.serverEP, "pbs", payload, 0, cause)
 }

@@ -66,7 +66,7 @@ func (sc *Scheduler) partitionedCycle(info *pbs.SchedInfoResp, cyc *trace.Span) 
 // partitionedStatic scores candidates partition-parallel and commits
 // them through the global arbiter.
 func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Span) {
-	queued := info.Queued
+	queued := sc.view.Queued
 	nParts := sc.params.Partitions
 
 	// Deal jobs to partitions by queue position, skipping jobs whose
@@ -83,12 +83,12 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 	now := sc.sim.Now()
 	dealt := 0
 	sc.mu.Lock()
-	for i := range queued {
-		if sc.skipInflight(queued[i].ID) {
+	for i, j := range queued {
+		if _, ok := sc.inflight[j.ID]; ok {
 			continue
 		}
 		sc.partJobs[dealt%nParts] = append(sc.partJobs[dealt%nParts],
-			rankedJob{prio: sc.priorityLocked(&queued[i], now), idx: int32(i)})
+			rankedJob{prio: sc.priority(j.Spec.Priority, now-j.SubmittedAt, sc.usage[j.Spec.Owner]), idx: int32(i)})
 		dealt++
 	}
 	sc.mu.Unlock()
@@ -121,7 +121,7 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 			hosts, acc, ok := p.fit(j.Spec, j.ID)
 			if !ok {
 				if shadow < 0 {
-					shadow = shadowTime(info.Running, now)
+					shadow = shadowTime(sc.view.Running, now)
 					rescue = append(rescue, r)
 				}
 				continue

@@ -2,6 +2,7 @@ package maui
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/pbs"
 )
@@ -32,7 +33,7 @@ import (
 // pools then equal pools built fresh from the whole table, at a cost
 // that follows what changed instead of the cluster size.
 type pools struct {
-	view         *pbs.NodeMirror
+	view         *pbs.Mirror
 	part, stride int
 
 	cns    []cnState  // by local index; zero for accelerators and down nodes
@@ -52,7 +53,7 @@ type cnState struct {
 	jobs []string
 }
 
-func newPools(view *pbs.NodeMirror, part, stride int) *pools {
+func newPools(view *pbs.Mirror, part, stride int) *pools {
 	return &pools{view: view, part: part, stride: stride}
 }
 
@@ -153,6 +154,11 @@ func (p *pools) commit(l, ppn int, jobID string) {
 	p.touched = append(p.touched, l)
 }
 
+// full reports whether no compute node has a free core: every fit fails.
+func (p *pools) full() bool {
+	return len(p.levels) == 0 || !slices.ContainsFunc(p.levels[0], func(w uint64) bool { return w != 0 })
+}
+
 // takeACs removes and returns the first n free accelerators, or nil
 // when fewer are free.
 func (p *pools) takeACs(n int) []string {
@@ -185,10 +191,8 @@ func (p *pools) takeCNs(count, ppn int, jobID string) []string {
 	}
 	chosen := p.chosen[:0]
 	p.eachWithFree(ppn, func(l int) bool {
-		for _, j := range p.cns[l].jobs {
-			if j == jobID {
-				return true // job already occupies this node; keep looking
-			}
+		if slices.Contains(p.cns[l].jobs, jobID) {
+			return true // job already occupies this node; keep looking
 		}
 		chosen = append(chosen, l)
 		return len(chosen) < count

@@ -179,8 +179,8 @@ func TestPersistentPoolsEqualFreshPoolsEveryCycle(t *testing.T) {
 					}
 					checkPoolsFresh(t, b.sc, cycle)
 					held := ""
-					if cycle%3 == 0 && len(info.Queued) > 0 {
-						held = info.Queued[0].ID
+					if cycle%3 == 0 && len(b.sc.view.Queued) > 0 {
+						held = b.sc.view.Queued[0].ID
 						if err := c.Hold(held); err != nil {
 							t.Fatalf("Hold: %v", err)
 						}
@@ -324,11 +324,11 @@ func TestRunningJobsCostARoundTheSameWhateverTheirHistory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(info.Queued) != 0 || len(info.Running) != jobs || len(info.Dyn) != 0 {
-				t.Fatalf("%s: answer lists %d queued, %d running, %d dynamic; want 0, %d, 0",
-					what, len(info.Queued), len(info.Running), len(info.Dyn), jobs)
+			if info.Queued != 0 || info.Running != jobs || len(info.Dyn) != 0 {
+				t.Fatalf("%s: answer counts %d queued, %d running, %d dynamic; want 0, %d, 0",
+					what, info.Queued, info.Running, len(info.Dyn), jobs)
 			}
-			bytes = deepBytes(reflect.ValueOf(info.Queued)) + deepBytes(reflect.ValueOf(info.Running))
+			bytes = deepBytes(reflect.ValueOf(b.sc.view.Queued)) + deepBytes(reflect.ValueOf(b.sc.view.Running))
 			info.Release()
 			if !raceDetectorOn {
 				allocs = testing.AllocsPerRun(100, b.sc.RunCycleOnce)

@@ -23,7 +23,7 @@ func ac(i int) string { return "ac" + string(rune('0'+i)) }
 // builtPools returns partition part of stride over a mirror holding
 // the given table, every node of the partition synced.
 func builtPools(ns []pbs.NodeInfo, part, stride int) *pools {
-	p := newPools(&pbs.NodeMirror{Nodes: ns}, part, stride)
+	p := newPools(&pbs.Mirror{Nodes: ns}, part, stride)
 	for l := 0; l*stride+part < len(ns); l++ {
 		p.sync(l)
 	}

@@ -180,3 +180,111 @@ func TestWalkWritesLandAtTheirStep(t *testing.T) {
 		})
 	}
 }
+
+// A walk whose head has blocked keeps charging one examination per job
+// to the end of the queue, whether or not any job behind the head can
+// still start. Here the cluster fills up behind the head (with
+// backfill) or nothing may pass it (without), 30 jobs wait behind it
+// and three of them have an allocation still in flight. The cycle must
+// end, place, charge fairshare and have its allocations committed
+// exactly where one examination per queued job, in-flight ones free,
+// puts them.
+func TestBlockedWalkChargesEveryJobBehindTheHead(t *testing.T) {
+	for _, backfill := range []bool{true, false} {
+		t.Run(fmt.Sprintf("backfill=%v", backfill), func(t *testing.T) {
+			const cost, tail = 5 * time.Millisecond, 30
+			inflight := map[int]bool{2: true, 11: true, 25: true}
+			mp := DefaultParams()
+			mp.CycleOverhead = time.Millisecond
+			mp.PerJobCost = cost
+			mp.Backfill = backfill
+			mp.QueueTimeWeight, mp.FairshareWeight, mp.FairshareDecay = 0, 0, 0
+			rec := audit.New(1 << 16)
+			s := sim.New()
+			s.SetAudit(rec)
+			b := newSyncBedOn(s, 2, 0, true, pbs.ServerParams{Processing: 500 * time.Microsecond}, mp)
+			var walkStart, walkEnd time.Duration
+			var st Stats
+			ids := map[string]string{}
+			usage := map[string]float64{}
+			b.run(t, func() {
+				c := pbs.NewClient(b.net, "front", pbs.ServerEndpoint)
+				submit := func(name, owner string, nodes, ppn, prio int) string {
+					id, err := c.Submit(pbs.JobSpec{Name: name, Owner: owner, Nodes: nodes, PPN: ppn,
+						Walltime: time.Second, Priority: prio, Script: func(*pbs.JobEnv) { b.s.Sleep(time.Second) }})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[name] = id
+					return id
+				}
+				long, err := c.Submit(pbs.JobSpec{Name: "long", Owner: "z", Nodes: 1, PPN: 8, Walltime: 10 * time.Second,
+					Script: func(*pbs.JobEnv) { b.s.Sleep(5 * time.Second) }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.sc.RunCycleOnce()
+				b.s.Sleep(10 * time.Millisecond)
+				if st, _ := c.Stat(long); st.State != pbs.JobRunning {
+					t.Fatalf("the long job is %v, want running", st.State)
+				}
+				submit("first", "a", 1, 4, 100)
+				submit("head", "c", 2, 8, 90)
+				submit("bf", "b", 1, 4, 80)
+				for i := 0; i < tail; i++ {
+					id := submit(fmt.Sprintf("q%d", i), fmt.Sprintf("q%d", i%3), 1, 1, 70-i)
+					if inflight[i] {
+						b.sc.inflight[id] = b.sc.cycleIndex // an AllocCmd of the last cycle the server has yet to apply
+					}
+				}
+				b.sc.auditAfterCycle = func() {
+					b.sc.auditAfterCycle = nil
+					walkStart = b.s.Now() + mp.CycleOverhead
+				}
+				b.sc.RunCycleOnce()
+				walkEnd = b.s.Now()
+				st = b.sc.Stats()
+				for _, o := range []string{"a", "b", "c", "q0", "q1", "q2"} {
+					usage[o] = b.sc.Usage(o)
+				}
+				b.s.Sleep(50 * time.Millisecond)
+			})
+
+			// first, head, bf, then every job of the tail but the three in flight.
+			steps := 3 + tail - len(inflight)
+			if want := walkStart + time.Duration(steps)*cost; walkEnd != want {
+				t.Errorf("walk ended at %v, want %v (%d steps)", walkEnd, want, steps)
+			}
+			placed := map[string]int{"first": 1} // step of each placement
+			wantUsage := map[string]float64{"a": 1}
+			if backfill {
+				placed["bf"] = 3
+				wantUsage["b"] = 1
+			}
+			if st.JobsPlaced != int64(1+len(placed)) || st.Backfilled != int64(len(placed)-1) {
+				t.Errorf("stats: %d placed, %d backfilled; want %d and %d", st.JobsPlaced, st.Backfilled, 1+len(placed), len(placed)-1)
+			}
+			for o, u := range usage {
+				if u != wantUsage[o] {
+					t.Errorf("usage of %s is %g, want %g", o, u, wantUsage[o])
+				}
+			}
+			committed := map[string]time.Duration{}
+			for _, e := range rec.Events() {
+				if _, seen := committed[e.Detail]; e.Kind == audit.KindAlloc && !seen {
+					committed[e.Detail] = e.VT
+				}
+			}
+			for name, id := range ids {
+				at, ok := committed[id]
+				step, want := placed[name]
+				switch {
+				case ok != want:
+					t.Errorf("%s: committed %v, want %v", name, ok, want)
+				case want && at != walkStart+time.Duration(step)*cost+700*time.Microsecond:
+					t.Errorf("%s: committed at %v, want step %d's end + 700µs", name, at, step)
+				}
+			}
+		})
+	}
+}

@@ -168,7 +168,7 @@ func (s *Server) digestNodesLocked(d *audit.Digest) {
 		// Re-filing every node recounts the class counts. A node whose
 		// class moved although nothing touched it since the last
 		// boundary means the counts the cycle engine ran on were off.
-		if s.auditNodeLocked(n) && n.gen <= s.nodeGen {
+		if s.auditNodeLocked(n) && n.gen <= s.gen {
 			drifted++
 		}
 	}
@@ -187,14 +187,17 @@ func (s *Server) auditCycleLocked() {
 	}
 	s.auditTouchedLocked()
 
-	// Every live job is on the active list, which compactActive has just
-	// cut down to the live ones. An entry must sit in submission order
+	// Every live job is on the active list, beside the terminal ones
+	// compact has yet to drop. A live entry must sit in submission order
 	// and be the record its id resolves to: one purged (and scrubbed for
-	// reuse) before compactActive dropped the entry fails
-	// auditJobLocked's lookup.
+	// reuse) before compact dropped the entry fails auditJobLocked's
+	// lookup.
 	claimed := int64(0)
 	prev := -1
 	for _, e := range s.index.active {
+		if !e.j.live() {
+			continue
+		}
 		a.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
 		prev = e.seq
 		claimed += s.auditJobLocked(e.j)

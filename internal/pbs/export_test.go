@@ -149,8 +149,15 @@ func (s *Server) ShadowSweepForTest(rec *audit.Recorder, fn func(cycle, sweep []
 	}
 }
 
-// GenForTest reports the node-table generation the mirror holds.
-func (m *NodeMirror) GenForTest() uint64 { return m.req.NodeGen }
+// GenForTest reports the view generation the mirror holds.
+func (m *Mirror) GenForTest() uint64 { return m.req.Gen }
+
+// PhasesForTest reports the server's counts of queued and running jobs.
+func (s *Server) PhasesForTest() (queued, running int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.phases[PhaseQueued], s.phases[PhaseRunning]
+}
 
 // HostsForTest returns the very list the mom holds as the job's host
 // set, not a copy (nil when it does not know the job).
@@ -220,18 +227,16 @@ func (s *Server) TryEdgeForTest(job bool, from, to int) (edge string, refused bo
 	return edge, false
 }
 
-// ActiveForTest compacts the active list as a scheduler round does, then
-// walks it again: visited are the sequence numbers compactActive handed
-// its visitor on that second walk, in visiting order; live are those of
-// the live jobs as the submission log and the map know them.
+// ActiveForTest compacts the active list as a purge does, then walks
+// it: visited are the sequence numbers on it, in order; live are those
+// of the live jobs as the submission log and the map know them.
 func (s *Server) ActiveForTest() (visited, live []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.index.compactActive((*serverJob).live)
-	s.index.compactActive(func(j *serverJob) bool {
-		visited = append(visited, j.seq)
-		return true
-	})
+	s.index.compact()
+	for _, e := range s.index.active {
+		visited = append(visited, e.seq)
+	}
 	for _, ref := range s.order {
 		if j, ok := s.index.jobs[ref.id]; ok && j.live() {
 			live = append(live, ref.seq)

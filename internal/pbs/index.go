@@ -1,5 +1,7 @@
 package pbs
 
+import "slices"
+
 // The job index: one map and one submission-ordered active list, for
 // both server architectures. Every handler runs under s.mu, whichever
 // actor it runs on, so a shard worker needs no map of its own, and one
@@ -24,17 +26,16 @@ func jobSeq(id string) int {
 type jobIndex struct {
 	// jobs finds a record by id. Only the retention window
 	// (purgeRetiredLocked) deletes from it, and only terminal jobs that
-	// compactActive has already taken off the active list.
+	// compact has already taken off the active list.
 	jobs map[string]*serverJob
 	// active holds, in submission order, the jobs that may still concern
-	// the scheduler (queued, held, or running). Terminal jobs are
-	// compacted away lazily during compactActive, so a cycle's cost
-	// follows the live queue, not the full submission history. Entries
-	// point at the records themselves, so the per-cycle walk neither
-	// looks ids up nor re-parses their sequence numbers; the retention
-	// window purges a record only after compactActive dropped its entry
-	// (auditCycleLocked's jobs.index holds it to that).
+	// the scheduler (queued, held, or running), and the dead that ended
+	// since the last compact. Entries point at the records themselves, so
+	// a walk neither looks ids up nor re-parses their sequence numbers;
+	// the retention window purges a record only after compact dropped its
+	// entry (auditCycleLocked's jobs.index holds it to that).
 	active []activeJob
+	dead   int
 }
 
 type activeJob struct {
@@ -56,17 +57,8 @@ func (ix *jobIndex) activate(j *serverJob) {
 	ix.active = append(ix.active, activeJob{seq: j.seq, j: j})
 }
 
-// compactActive walks the live jobs in submission order, compacting
-// terminal jobs out in place. visit reports whether the job stays
-// active.
-func (ix *jobIndex) compactActive(visit func(j *serverJob) bool) {
-	w := 0
-	for _, e := range ix.active {
-		if visit(e.j) {
-			ix.active[w] = e
-			w++
-		}
-	}
-	clear(ix.active[w:])
-	ix.active = ix.active[:w]
+// compact drops the terminal jobs from the active list.
+func (ix *jobIndex) compact() {
+	ix.active = slices.DeleteFunc(ix.active, func(e activeJob) bool { return !e.j.live() })
+	ix.dead = 0
 }

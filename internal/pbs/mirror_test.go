@@ -3,6 +3,9 @@ package pbs_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +16,7 @@ import (
 )
 
 // mirrorBed drives a server as its scheduler would, by hand: the test
-// actor fetches through a NodeMirror and sends the allocation commands
+// actor fetches through a Mirror and sends the allocation commands
 // itself, so every change of the node table is one the test made and
 // has let settle before it compares views. Maui is built but never
 // started.
@@ -23,12 +26,13 @@ type mirrorBed struct {
 	params pbs.ServerParams
 	c      *pbs.Client
 	ep     *netsim.Endpoint
-	view   pbs.NodeMirror
-	full   int // rounds answered with every node
-	delta  int // rounds answered with fewer
-	// Jobs the rounds' answers listed, summed: the job-view check saw
-	// non-empty lists.
-	queuedSeen, runningSeen int
+	view   pbs.Mirror
+	full   int // rounds answered with the full view
+	delta  int // rounds answered with a delta
+	// Jobs the mirrors held after the rounds, summed: the job-view check
+	// saw non-empty lists; and the jobs a mirror held as running before
+	// their start was reported.
+	queuedSeen, runningSeen, unstarted int
 }
 
 func runMirrorBed(t *testing.T, nCN, nAC, shards int, fn func(b *mirrorBed)) {
@@ -63,9 +67,9 @@ func runMirrorBed(t *testing.T, nCN, nAC, shards int, fn func(b *mirrorBed)) {
 func (b *mirrorBed) settle() { b.s.Sleep(50 * time.Millisecond) }
 
 // round runs one SchedInfo round on the given mirror and checks it
-// against pbsnodes, field for field, and its job lists against qstat.
-// The caller releases the answer.
-func (b *mirrorBed) round(view *pbs.NodeMirror, ep *netsim.Endpoint) *pbs.SchedInfoResp {
+// against pbsnodes, field for field, and its jobs against qstat and a
+// fresh full answer. The caller releases the answer.
+func (b *mirrorBed) round(view *pbs.Mirror, ep *netsim.Endpoint) *pbs.SchedInfoResp {
 	b.t.Helper()
 	b.settle()
 	resp, err := view.Fetch(ep, pbs.ServerEndpoint)
@@ -76,7 +80,10 @@ func (b *mirrorBed) round(view *pbs.NodeMirror, ep *netsim.Endpoint) *pbs.SchedI
 	if err != nil {
 		b.t.Fatalf("Nodes: %v", err)
 	}
-	if len(resp.Nodes) == len(nodes) {
+	if resp.Full != (len(resp.Nodes) == len(nodes)) && len(nodes) > 0 && len(resp.Nodes) > 0 {
+		b.t.Fatalf("answer marked full=%v brought %d of %d nodes", resp.Full, len(resp.Nodes), len(nodes))
+	}
+	if resp.Full {
 		b.full++
 	} else {
 		b.delta++
@@ -95,47 +102,79 @@ func (b *mirrorBed) round(view *pbs.NodeMirror, ep *netsim.Endpoint) *pbs.SchedI
 			b.t.Fatalf("node %d: mirror %+v, server %+v", i, got, want)
 		}
 	}
-	b.checkJobView(resp)
+	b.checkJobView(view, ep, resp)
 	return resp
 }
 
-// checkJobView holds the answer's job lists to the projection of qstat:
-// every job a scheduler may act on, in submission order, carrying what
-// the full record says. The bed has settled, so nothing changes a job
-// between the answer and the listing.
-func (b *mirrorBed) checkJobView(resp *pbs.SchedInfoResp) {
+// checkJobView holds the mirror's jobs to the projection of qstat —
+// every queued and every running job, in submission order, carrying
+// what the full record says — and to what a fresh mirror makes of a
+// full answer; and the phase counts of the answer, of the full answer
+// and of the server to the same projection. The bed has settled, so
+// nothing changes a job between the answers and the listing.
+func (b *mirrorBed) checkJobView(view *pbs.Mirror, ep *netsim.Endpoint, resp *pbs.SchedInfoResp) {
 	b.t.Helper()
 	jobs, err := b.c.List()
 	if err != nil {
 		b.t.Fatalf("List: %v", err)
 	}
-	var queued []pbs.SchedJobView
-	var running []pbs.SchedRunView
+	var queued, running []*pbs.SchedJobView
 	for _, j := range jobs {
+		seq, _ := strconv.Atoi(j.ID[:strings.IndexByte(j.ID, '.')])
+		v := &pbs.SchedJobView{ID: j.ID, Seq: seq, SubmittedAt: j.SubmittedAt, StartedAt: j.StartedAt, Spec: j.Spec}
 		switch {
-		case j.State == pbs.JobQueued && j.Held:
-		case j.State == pbs.JobQueued && len(j.Hosts) == 0:
-			queued = append(queued, pbs.SchedJobView{ID: j.ID, SubmittedAt: j.SubmittedAt, Spec: j.Spec})
-		case j.State == pbs.JobQueued || j.State == pbs.JobRunning:
-			running = append(running, pbs.SchedRunView{ID: j.ID, StartedAt: j.StartedAt, Walltime: j.Spec.Walltime})
+		case j.State == pbs.JobQueued && !j.Held:
+			v.Phase = pbs.PhaseQueued
+			queued = append(queued, v)
+		case j.State == pbs.JobRunning:
+			v.Phase = pbs.PhaseRunning
+			running = append(running, v)
 		}
 	}
-	if len(resp.Queued) != len(queued) || len(resp.Running) != len(running) {
-		b.t.Fatalf("answer lists %d queued and %d running jobs, qstat %d and %d",
-			len(resp.Queued), len(resp.Running), len(queued), len(running))
+	// The fresh mirror asks from the same endpoint: the server answers it
+	// in full and stays at the generation view holds.
+	var fresh pbs.Mirror
+	full, err := fresh.Fetch(ep, pbs.ServerEndpoint)
+	if err != nil {
+		b.t.Fatalf("Fetch: %v", err)
 	}
-	for i, want := range queued {
-		got := resp.Queued[i]
-		// A func compares only by being there or not.
-		same := (got.Spec.Script == nil) == (want.Spec.Script == nil)
-		got.Spec.Script, want.Spec.Script = nil, nil
-		if !same || !reflect.DeepEqual(got, want) {
-			b.t.Fatalf("queued job %d: answer %+v, qstat %+v", i, got, want)
+	sq, sr := b.server.PhasesForTest()
+	counts := []struct {
+		what    string
+		q, r    int
+		isFull  bool
+		wantAll bool
+	}{{"answer", resp.Queued, resp.Running, resp.Full, false}, {"full answer", full.Queued, full.Running, full.Full, true}, {"server", sq, sr, true, true}}
+	for _, c := range counts {
+		if c.q != len(queued) || c.r != len(running) || c.wantAll && !c.isFull {
+			b.t.Fatalf("%s counts %d queued and %d running jobs (full %v), qstat %d and %d",
+				c.what, c.q, c.r, c.isFull, len(queued), len(running))
 		}
 	}
-	for i, want := range running {
-		if got := resp.Running[i]; got != want {
-			b.t.Fatalf("running job %d: answer %+v, qstat %+v", i, got, want)
+	full.Release()
+	// Running is in no order: sort it by Seq as qstat lists it.
+	bySeq := func(l []*pbs.MirrorJob) []*pbs.MirrorJob {
+		l = slices.Clone(l)
+		slices.SortFunc(l, func(a, b *pbs.MirrorJob) int { return a.Seq - b.Seq })
+		return l
+	}
+	for _, l := range []struct {
+		what string
+		got  []*pbs.MirrorJob
+		want []*pbs.SchedJobView
+	}{{"queued", view.Queued, queued}, {"running", bySeq(view.Running), running},
+		{"fresh queued", fresh.Queued, queued}, {"fresh running", bySeq(fresh.Running), running}} {
+		if len(l.got) != len(l.want) {
+			b.t.Fatalf("mirror holds %d %s jobs, qstat %d", len(l.got), l.what, len(l.want))
+		}
+		for i := range l.want {
+			got, want := l.got[i].SchedJobView, *l.want[i]
+			// A func compares only by being there or not.
+			same := (got.Spec.Script == nil) == (want.Spec.Script == nil)
+			got.Spec.Script, want.Spec.Script = nil, nil
+			if !same || !reflect.DeepEqual(got, want) {
+				b.t.Fatalf("%s job %d: mirror %+v, qstat %+v", l.what, i, got, want)
+			}
 		}
 	}
 	b.queuedSeen += len(queued)
@@ -172,10 +211,12 @@ type liveJob struct {
 // The delta protocol's defining property: whatever happens to the node
 // table between two rounds — allocations, releases, dynamic grants and
 // frees, nodes failing and returning, a server restart — the mirror
-// after a round is the table pbsnodes shows. The job half of the same
-// answer is held to qstat the same way (checkJobView): through
-// submissions left waiting, qhold and qrls, qalter and qdel, the lists
-// a scheduler gets are the projection of the full records.
+// after a round is the table pbsnodes shows. Its jobs are held to qstat
+// and to a fresh full answer the same way (checkJobView): through
+// submissions left waiting, qhold and qrls, qalter, qdel of queued and
+// running jobs, starts and ends, failures, a restart and a second
+// scheduler, the jobs a scheduler holds are the projection of the full
+// records, and the server's phase counts agree.
 func TestNodeMirrorTracksServerThroughRandomOperations(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		for seed := uint64(1); seed <= 6; seed++ {
@@ -204,7 +245,7 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 		b.round(&b.view, b.ep).Release()
 
 		for op := 0; op < 60; op++ {
-			switch k := rng.Intn(10); {
+			switch k := rng.Intn(12); {
 			case k <= 1: // qsub, then place it like a first-fit scheduler
 				spec := pbs.JobSpec{
 					Name: "p", Owner: "u", Nodes: 1 + rng.Intn(2), PPN: 1 + rng.Intn(8), ACPN: rng.Intn(2),
@@ -244,6 +285,17 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 				}
 				b.send(pbs.AllocCmd{JobID: id, Hosts: hosts, AccHosts: acc})
 				live = append(live, &liveJob{id: id})
+				// A round between the allocation and the start report: the
+				// next round must bring the start.
+				b.s.Sleep(1500 * time.Microsecond)
+				resp, err := b.view.Fetch(b.ep, pbs.ServerEndpoint)
+				if err != nil {
+					t.Fatalf("Fetch: %v", err)
+				}
+				if j := b.view.Job(id); j != nil && j.Phase == pbs.PhaseRunning && j.StartedAt == 0 {
+					b.unstarted++
+				}
+				resp.Release()
 			case k == 2 && len(live) > 0: // a job ends
 				i := rng.Intn(len(live))
 				finish(live[i].id)
@@ -352,49 +404,73 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 				if err != nil {
 					t.Fatalf("operation on waiting job %s: %v", id, err)
 				}
+			case k == 10 && len(live) > 0: // qdel of a running job
+				i := rng.Intn(len(live))
+				if err := b.c.Delete(live[i].id); err != nil {
+					t.Fatalf("Delete: %v", err)
+				}
+				finish(live[i].id)
+				live = append(live[:i], live[i+1:]...)
+			case k == 11: // a second scheduler takes a round: the first is a stranger next
+				var second pbs.Mirror
+				if resp := b.round(&second, b.net.Endpoint("test-sched-2")); !resp.Full {
+					t.Fatalf("a second scheduler's first round was a delta")
+				} else {
+					resp.Release()
+				}
 			case k == 7 && op%3 == 0: // head node crash and restart
 				b.restart()
-				if resp := b.round(&b.view, b.ep); len(resp.Nodes) != len(b.view.Nodes) {
-					t.Fatalf("round after a restart brought %d of %d nodes", len(resp.Nodes), len(b.view.Nodes))
+				if resp := b.round(&b.view, b.ep); !resp.Full || len(resp.Nodes) != len(b.view.Nodes) {
+					t.Fatalf("round after a restart brought %d of %d nodes (full %v)", len(resp.Nodes), len(b.view.Nodes), resp.Full)
 				} else {
 					resp.Release()
 				}
 			}
 			b.round(&b.view, b.ep).Release()
 		}
-		// Whatever the seed drew, one job goes through qhold and qrls: it
-		// leaves the scheduler's queue and comes back as its last entry.
-		id, err := b.c.Submit(pbs.JobSpec{Name: "h", Owner: "u", Nodes: 1, PPN: 1})
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
+		// Whatever the seed drew, the middle one of three jobs of one owner
+		// and priority goes through qhold and qrls: it leaves the
+		// scheduler's queue and comes back between the other two.
+		var ids [3]string
+		for i := range ids {
+			id, err := b.c.Submit(pbs.JobSpec{Name: "h", Owner: "h", Nodes: 1, PPN: 1, Priority: 7})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			ids[i] = id
 		}
-		if err := b.c.Hold(id); err != nil {
+		position := func(id string) int {
+			for i, q := range b.view.Queued {
+				if q.ID == id {
+					return i
+				}
+			}
+			return -1
+		}
+		if err := b.c.Hold(ids[1]); err != nil {
 			t.Fatalf("Hold: %v", err)
 		}
-		resp := b.round(&b.view, b.ep)
-		for _, q := range resp.Queued {
-			if q.ID == id {
-				t.Errorf("held job %s is in the scheduler's queue", id)
-			}
+		b.round(&b.view, b.ep).Release()
+		if position(ids[1]) >= 0 {
+			t.Errorf("held job %s is in the scheduler's queue", ids[1])
 		}
-		resp.Release()
-		if err := b.c.Release(id); err != nil {
+		if err := b.c.Release(ids[1]); err != nil {
 			t.Fatalf("Release: %v", err)
 		}
-		resp = b.round(&b.view, b.ep)
-		if n := len(resp.Queued); n == 0 || resp.Queued[n-1].ID != id {
-			t.Errorf("released job %s is not the last of the %d queued", id, n)
+		b.round(&b.view, b.ep).Release()
+		if p0, p1, p2 := position(ids[0]), position(ids[1]), position(ids[2]); p0 < 0 || p1 != p0+1 || p2 != p1+1 {
+			t.Errorf("released job %s is at %d, its neighbours at %d and %d", ids[1], p1, p0, p2)
 		}
-		resp.Release()
 		for _, j := range live {
 			finish(j.id)
 		}
 		b.round(&b.view, b.ep).Release()
 		if b.delta < b.full {
-			t.Errorf("%d rounds brought every node, only %d a delta: the property was not exercised", b.full, b.delta)
+			t.Errorf("%d rounds brought the full view, only %d a delta: the property was not exercised", b.full, b.delta)
 		}
-		if b.queuedSeen == 0 || b.runningSeen == 0 {
-			t.Errorf("the answers listed %d queued and %d running jobs in all: the job view was not exercised", b.queuedSeen, b.runningSeen)
+		if b.queuedSeen == 0 || b.runningSeen == 0 || b.unstarted == 0 {
+			t.Errorf("the mirrors held %d queued, %d running and %d unstarted jobs in all: the job view was not exercised",
+				b.queuedSeen, b.runningSeen, b.unstarted)
 		}
 		for _, e := range b.server.Errors() {
 			t.Errorf("server error: %s", e)
@@ -422,7 +498,7 @@ func TestNodeMirrorResyncs(t *testing.T) {
 		// A reply that never reaches the scheduler: the server has moved
 		// on to the next generation, the mirror has not.
 		b.server.NodeDownForTest("ac2")
-		b.send(&pbs.SchedInfoReq{ReqID: -1, ReplyTo: b.ep.Name(), NodeGen: b.view.GenForTest()})
+		b.send(&pbs.SchedInfoReq{ReqID: -1, ReplyTo: b.ep.Name(), Gen: b.view.GenForTest()})
 		m, err := b.ep.Recv()
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
@@ -434,7 +510,7 @@ func TestNodeMirrorResyncs(t *testing.T) {
 		wantNodes("idle round after the resync", b.round(&b.view, b.ep), 0)
 
 		// A second scheduler attaches; the first is then a stranger too.
-		var second pbs.NodeMirror
+		var second pbs.Mirror
 		ep2 := b.net.Endpoint("test-sched-2")
 		wantNodes("second scheduler", b.round(&second, ep2), total)
 		wantNodes("first scheduler after the second", b.round(&b.view, b.ep), total)

@@ -172,15 +172,15 @@ type SchedKick struct {
 }
 
 // SchedInfoReq is the scheduler pulling queue and node state. It
-// travels by pointer: the scheduler's NodeMirror owns the one request
-// it reuses every round, and the server reads it only while it handles
+// travels by pointer: the scheduler's Mirror owns the one request it
+// reuses every round, and the server reads it only while it handles
 // that round, during which the scheduler waits for the answer.
 type SchedInfoReq struct {
 	ReqID   int
 	ReplyTo string
-	// NodeGen is the node-table generation the scheduler's mirror
-	// holds, as the last SchedInfoResp stamped it (0: holds nothing).
-	NodeGen uint64
+	// Gen is the view generation the scheduler's mirror holds, as the
+	// last SchedInfoResp stamped it (0: holds nothing).
+	Gen uint64
 }
 
 // SchedDynView is the scheduler's view of the dynamic request the
@@ -201,40 +201,47 @@ type NodeDelta struct {
 	Info  NodeInfo
 }
 
-// SchedJobView is what a scheduler reads of a job waiting for
-// allocation: who it is, how long it has waited and what it asks for.
+// JobPhase is where a job stands as a scheduler sees it. A held job is
+// gone until qrls brings it back.
+type JobPhase uint8
+
+const (
+	PhaseGone    JobPhase = iota // terminal or held: nothing to schedule
+	PhaseQueued                  // waiting for allocation
+	PhaseRunning                 // holding resources
+)
+
+// SchedJobView is what a scheduler reads of a job: who it is, its place
+// in submission order, its phase, how long it has waited or run (the
+// start is zero until the mother superior reported it) and what it asks
+// for.
 type SchedJobView struct {
 	ID          string
+	Seq         int
+	Phase       JobPhase
 	SubmittedAt time.Duration
+	StartedAt   time.Duration
 	Spec        JobSpec
-}
-
-// SchedRunView is what a scheduler reads of a job holding resources:
-// its predicted end, for backfill reservations. StartedAt is zero
-// until the mother superior reported the start.
-type SchedRunView struct {
-	ID        string
-	StartedAt time.Duration
-	Walltime  time.Duration
 }
 
 // SchedInfoResp carries everything one scheduling iteration needs, and
 // of a job only what a scheduler reads (DESIGN.md §6): the full qstat
 // record, with its host lists and dynamic-request history, stays with
-// Stat and List. The node table comes as a delta: Nodes holds the
-// entries whose NodeInfo changed since the request's NodeGen — every
-// entry when the server cannot serve a delta from that generation (see
-// handleSchedInfo) — and NodeGen is the generation a mirror holds once
-// it applied them.
+// Stat and List. Nodes and Jobs hold the entries that changed since the
+// request's Gen — unless Full: the server could not serve a delta from
+// that generation (see handleSchedInfo), so they hold every node and
+// every queued and running job — and Gen is the generation a mirror
+// holds once it applied them.
 //
-//lint:ignore handlerexhaustive consumed by NodeMirror.Fetch for the maui and fifosched schedulers, which Release it
+//lint:ignore handlerexhaustive consumed by Mirror.Fetch for the maui and fifosched schedulers, which Release it
 type SchedInfoResp struct {
-	ReqID   int
-	Queued  []SchedJobView // jobs waiting for allocation, submission order
-	Running []SchedRunView // jobs holding resources (for backfill estimates)
-	Dyn     []SchedDynView // dynamic request(s) awaiting allocation, FIFO
-	NodeGen uint64
-	Nodes   []NodeDelta
+	ReqID           int
+	Dyn             []SchedDynView // dynamic request(s) awaiting allocation, FIFO
+	Gen             uint64
+	Full            bool
+	Nodes           []NodeDelta
+	Jobs            []SchedJobView
+	Queued, Running int // jobs in either phase
 }
 
 // AllocCmd is the scheduler's decision for a queued job: which

@@ -89,6 +89,10 @@ func (s *Server) advanceJobLocked(j *serverJob, to JobState, a int64) {
 	s.checkEdgeLocked(true, r.from, from, int(to), j.info.ID)
 	j.info.State = to
 	*r.stamp(&j.info) = s.sim.Now()
+	if !j.live() {
+		s.index.dead++ // compact takes it off the active list
+	}
+	s.touchJobLocked(j)
 	s.aud.Record(audit.KindJob, "pbs", j.info.ID, r.label, a, 0)
 }
 

@@ -10,10 +10,10 @@ package pbs
 // With ServerParams.RetainCompleted > 0 the server keeps a sliding
 // window of terminal records: endJob enqueues the job id on doneQ
 // (each job ends exactly once, so ids never enqueue twice), and at each
-// scheduler-cycle boundary (handleSchedInfo, after compactActive has
-// removed terminal ids from the active list) the oldest records beyond
-// the window are purged from the index and recycled through a free
-// pool, so steady state allocates no new records at all. The submission-order log compacts once
+// scheduler-cycle boundary (handleSchedInfo) the oldest records beyond
+// the window are taken off the active list and purged from the index
+// and recycled through a free pool, so steady state allocates no new
+// records at all. The submission-order log compacts once
 // purged ids dominate it, and the audit invariant jobs.count accounts
 // for the retired ids (see auditGlobalLocked).
 //
@@ -39,8 +39,8 @@ func (s *Server) JobRecords() JobRecordStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return JobRecordStats{
-		Live:     len(s.index.jobs) - len(s.doneQ),
-		Retained: len(s.doneQ),
+		Live:     len(s.index.jobs) - len(s.doneQ) + s.doneHead,
+		Retained: len(s.doneQ) - s.doneHead,
 		Purged:   s.purged,
 		Reused:   s.reused,
 	}
@@ -62,20 +62,20 @@ func (s *Server) acquireJobLocked() *serverJob {
 }
 
 // purgeRetiredLocked drops the oldest terminal records beyond the
-// retention window. Called from handleSchedInfo immediately after
-// compactActive — every doneQ id is terminal, so none is left on the
-// active list — and before auditCycleLocked, so the invariant engine
-// sees the post-purge state. Callers hold s.mu.
+// retention window, off the active list first. Called from
+// handleSchedInfo before auditCycleLocked, so the invariant engine sees
+// the post-purge state. Callers hold s.mu.
 func (s *Server) purgeRetiredLocked() {
 	r := s.params.RetainCompleted
 	if r <= 0 {
 		return
 	}
-	k := len(s.doneQ) - r
+	k := len(s.doneQ) - s.doneHead - r
 	if k <= 0 {
 		return
 	}
-	for _, id := range s.doneQ[:k] {
+	s.index.compact()
+	for _, id := range s.doneQ[s.doneHead : s.doneHead+k] {
 		j, ok := s.index.jobs[id]
 		if !ok {
 			continue
@@ -85,7 +85,12 @@ func (s *Server) purgeRetiredLocked() {
 		s.retired++
 		s.purged++
 	}
-	s.doneQ = append(s.doneQ[:0], s.doneQ[k:]...)
+	s.doneHead += k
+	if s.doneHead > len(s.doneQ)/2 { // slide the window down once it is the smaller part
+		n := copy(s.doneQ, s.doneQ[s.doneHead:])
+		clear(s.doneQ[n:])
+		s.doneQ, s.doneHead = s.doneQ[:n], 0
+	}
 	// The submission-order log keeps purged ids (the audit digest
 	// hashes them as retired); compact it once they dominate, so a
 	// long-running service holds O(retention window) ids, not

@@ -89,14 +89,16 @@ type Server struct {
 	// records by name.
 	table []*serverNode
 	nodes map[string]*serverNode
-	// The scheduler's node view is incremental (see handleSchedInfo):
-	// nodeGen counts the states of the node table a scheduler was
-	// handed, changed lists the table indices whose NodeInfo moved since
-	// the last answer, and viewEP is the scheduler that answer went to —
-	// the only one a delta can be served to.
-	nodeGen uint64
-	changed []int
-	viewEP  string
+	// The scheduler's view is incremental (see handleSchedInfo): gen
+	// counts the states of the view a scheduler was handed, changed and
+	// jobChanged list the nodes (table indices) and jobs whose view moved
+	// since the last answer, viewEP is the scheduler that answer went to —
+	// the only one a delta can be served to — and phases counts the jobs.
+	gen        uint64
+	changed    []int
+	jobChanged []*serverJob
+	viewEP     string
+	phases     [3]int
 	// dynQ holds the unanswered dynamic requests in arrival order; the
 	// first dynWindow of them are in service (scheduling or forwarding),
 	// the rest dynqueued. 1 is the paper's server, which works on one
@@ -112,11 +114,12 @@ type Server struct {
 
 	// Retention state (see retention.go); all zero when
 	// RetainCompleted is 0.
-	doneQ   []string     // terminal job ids, oldest first
-	retired int          // ids purged from the index but still in order
-	purged  uint64       // cumulative purge count
-	reused  uint64       // cumulative pool-reuse count
-	jobPool []*serverJob // scrubbed records awaiting reuse
+	doneQ    []string // terminal job ids, oldest first from doneHead on
+	doneHead int
+	retired  int          // ids purged from the index but still in order
+	purged   uint64       // cumulative purge count
+	reused   uint64       // cumulative pool-reuse count
+	jobPool  []*serverJob // scrubbed records awaiting reuse
 }
 
 // dynReplyTo remembers where and with which client-side request id a
@@ -132,6 +135,9 @@ type serverJob struct {
 	// place in submission order.
 	seq  int
 	info JobInfo
+	// gen and phase are the job's view as touchJobLocked last stamped it.
+	gen   uint64
+	phase JobPhase
 }
 
 // live reports whether the job still holds, or waits for, resources.
@@ -269,10 +275,35 @@ func (s *Server) momEPLocked(host string) string {
 // generation stamp keeps a node changed twice between two answers
 // from being listed twice. Callers hold s.mu.
 func (s *Server) touchLocked(n *serverNode) {
-	if n.gen <= s.nodeGen {
-		n.gen = s.nodeGen + 1
+	if n.gen <= s.gen {
+		n.gen = s.gen + 1
 		s.changed = append(s.changed, n.idx)
 	}
+}
+
+// touchJobLocked is touchLocked for a job's view, and keeps the phase
+// counts. Every write of a field the view reads calls it: advance,
+// qalter, qhold/qrls, the start report, Restore. Callers hold s.mu.
+func (s *Server) touchJobLocked(j *serverJob) {
+	s.phases[j.phase]--
+	j.phase = PhaseGone
+	switch in := &j.info; {
+	case in.State == JobRunning:
+		j.phase = PhaseRunning
+	case in.State == JobQueued && !in.Held:
+		j.phase = PhaseQueued
+	}
+	s.phases[j.phase]++
+	if j.gen <= s.gen {
+		j.gen = s.gen + 1
+		s.jobChanged = append(s.jobChanged, j)
+	}
+}
+
+// view is the job as a scheduler's answer carries it.
+func (j *serverJob) view() SchedJobView {
+	in := &j.info
+	return SchedJobView{ID: in.ID, Seq: j.seq, Phase: j.phase, SubmittedAt: in.SubmittedAt, StartedAt: in.StartedAt, Spec: in.Spec}
 }
 
 // SetScheduler installs the scheduler's endpoint for kick
@@ -389,7 +420,7 @@ func (s *Server) handle(m *netsim.Message) {
 	case DynAllocCmd:
 		s.handleDynAlloc(req)
 	case JobStartedMsg:
-		if s.withJob(req.JobID, func(j *serverJob) { j.info.StartedAt = s.sim.Now() }) {
+		if s.withJob(req.JobID, func(j *serverJob) { j.info.StartedAt = s.sim.Now(); s.touchJobLocked(j) }) {
 			s.account(AcctStarted, req.JobID, nil)
 		}
 	case JobDoneMsg:
@@ -485,6 +516,7 @@ func (s *Server) handleAlter(req AlterReq) {
 	if req.Name != "" {
 		j.info.Spec.Name = req.Name
 	}
+	s.touchJobLocked(j)
 	s.mu.Unlock()
 	s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID})
 	s.kickScheduler("qalter")
@@ -505,6 +537,7 @@ func (s *Server) handleHold(req HoldReq) {
 		return
 	}
 	j.info.Held = req.Hold
+	s.touchJobLocked(j)
 	s.mu.Unlock()
 	s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID})
 	if !req.Hold {
@@ -695,37 +728,21 @@ func (r *SchedInfoResp) Release() {
 	schedRespPool.Put(r)
 }
 
-// handleSchedInfo answers one scheduler round: the live queue, the
-// dynamic requests awaiting allocation, and the nodes whose NodeInfo
-// changed since the node-table generation the scheduler holds. A
-// delta can only be served to the scheduler the previous answer went
-// to, holding the generation that answer carried; anyone else — a
-// scheduler holding nothing, one whose last answer was lost, one that
-// outlived a server restart, a second scheduler — gets every node,
-// which is the same answer counted from generation zero.
+// handleSchedInfo answers one scheduler round: the dynamic requests
+// awaiting allocation, and the nodes and jobs whose view changed since
+// the generation the scheduler holds. A delta can only be served to the
+// scheduler the previous answer went to, holding the generation that
+// answer carried; anyone else — a scheduler holding nothing, one whose
+// last answer was lost, one that outlived a server restart, a second
+// scheduler — gets the full view, which is the same answer counted from
+// generation zero.
 func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 	resp := schedRespPool.Get().(*SchedInfoResp)
 	resp.ReqID = req.ReqID
-	resp.Queued = resp.Queued[:0]
-	resp.Running = resp.Running[:0]
 	resp.Dyn = resp.Dyn[:0]
+	resp.Nodes = resp.Nodes[:0]
+	resp.Jobs = resp.Jobs[:0]
 	s.mu.Lock()
-	// Walk the active index in submission order, compacting terminal
-	// jobs in place so the next cycle never revisits them.
-	s.index.compactActive(func(j *serverJob) bool {
-		if !j.live() {
-			return false
-		}
-		in := &j.info
-		switch {
-		case in.State == JobQueued && in.Held: // qhold: invisible to the scheduler
-		case in.State == JobQueued && len(in.Hosts) == 0: // not yet allocated
-			resp.Queued = append(resp.Queued, SchedJobView{ID: in.ID, SubmittedAt: in.SubmittedAt, Spec: in.Spec})
-		default:
-			resp.Running = append(resp.Running, SchedRunView{ID: in.ID, StartedAt: in.StartedAt, Walltime: in.Spec.Walltime})
-		}
-		return true
-	})
 	for _, rec := range s.dynQ {
 		if rec.State == DynScheduling {
 			resp.Dyn = append(resp.Dyn, SchedDynView{
@@ -734,34 +751,45 @@ func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 			})
 		}
 	}
-	resp.Nodes = resp.Nodes[:0]
-	if req.ReplyTo == s.viewEP && req.NodeGen == s.nodeGen {
-		for _, i := range s.changed {
-			resp.Nodes = appendNodeDelta(resp.Nodes, s.table[i])
-		}
-	} else {
+	resp.Full = req.ReplyTo != s.viewEP || req.Gen != s.gen
+	if resp.Full {
 		for _, n := range s.table {
 			resp.Nodes = appendNodeDelta(resp.Nodes, n)
 		}
+		for _, e := range s.index.active {
+			if e.j.phase != PhaseGone {
+				resp.Jobs = append(resp.Jobs, e.j.view())
+			}
+		}
+	} else {
+		for _, i := range s.changed {
+			resp.Nodes = appendNodeDelta(resp.Nodes, s.table[i])
+		}
+		for _, j := range s.jobChanged {
+			resp.Jobs = append(resp.Jobs, j.view())
+		}
 	}
-	// Retention: compactActive just removed every terminal id from the
-	// active list, so records beyond the window can be recycled now
-	// without leaving a dangling active entry.
+	resp.Queued, resp.Running = s.phases[PhaseQueued], s.phases[PhaseRunning]
+	// Terminal jobs leave the active list in batches, or for a purge.
+	if 2*s.index.dead > len(s.index.active) {
+		s.index.compact()
+	}
 	s.purgeRetiredLocked()
 	// Scheduler-cycle boundary: the snapshot the scheduler will act on
 	// is complete — run the invariant engine on exactly that state,
 	// while s.changed still lists the nodes touched since the last
 	// boundary.
 	s.auditCycleLocked()
-	if len(s.changed) > 0 {
-		s.nodeGen++
+	if len(s.changed) > 0 || len(s.jobChanged) > 0 {
+		s.gen++
 		s.changed = s.changed[:0]
+		s.jobChanged = s.jobChanged[:0]
 	}
-	resp.NodeGen = s.nodeGen
+	resp.Gen = s.gen
 	s.viewEP = req.ReplyTo
 	s.mu.Unlock()
-	s.aud.Record(audit.KindCycle, "pbs", audSchedInfoCyc, "", int64(len(resp.Queued)), int64(len(resp.Running)))
-	s.inst.queueDepth.Set(float64(len(resp.Queued)))
+	s.aud.Record(audit.KindCycle, "pbs", audSchedInfoCyc, "", int64(resp.Queued), int64(resp.Running))
+	s.inst.queueDepth.Set(float64(resp.Queued))
 	s.inst.dynPending.Set(float64(len(resp.Dyn)))
 	s.send(req.ReplyTo, resp)
 }

@@ -105,6 +105,7 @@ func (s *Server) Restore(snap Snapshot) error {
 	for _, ref := range s.order {
 		if j, ok := s.index.jobs[ref.id]; ok && j.live() {
 			s.index.activate(j)
+			s.touchJobLocked(j)
 		}
 	}
 	now := s.sim.Now()

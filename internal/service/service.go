@@ -38,8 +38,8 @@ const (
 	DefaultAcctRing        = 4096
 )
 
-// Service-layer instrument names (the telemetry registry requires
-// constant names; see the metricname analyzer).
+// Service-layer instrument names (the telemetry registry takes
+// constant names).
 const (
 	metricSubmitted  = "service.submitted"
 	metricCompleted  = "service.completed"

@@ -121,9 +121,8 @@ func (o *Occupancy) Ratio(elapsed time.Duration) float64 {
 // Registry is a named set of instruments. Each accessor returns the
 // existing instrument of that name or creates it; instrument handles
 // are resolved once at component construction and then used lock-free
-// on the hot path. Names must be compile-time constants (the daclint
-// metricname analyzer enforces this) so cardinality stays bounded and
-// scrape output stays diffable across runs.
+// on the hot path. Names are compile-time constants, so cardinality
+// stays bounded and scrape output stays diffable across runs.
 //
 // A nil *Registry hands out nil instruments, whose methods are all
 // no-ops — components instrument unconditionally, exactly like the

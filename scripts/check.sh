@@ -43,9 +43,11 @@ go test -race -shuffle=on ./... -count=1
 # SleepSteps against single sleeps), the two same-order-every-run tests,
 # the five tests that compare whole runs across seeds or parallelism
 # levels, the server's stations handing their requests over across
-# Stop/Restore, and Maui's placements landing at their walk step.
+# Stop/Restore, Maui's placements landing at their walk step, and the
+# scheduler round's two equalities: the merged priority order against
+# the stable sort, the job mirror against qstat and a full answer.
 echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
-go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep' \
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations' \
     ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs ./internal/maui
 
 # The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
