@@ -98,7 +98,8 @@ type Recorder struct {
 
 	srcMu    sync.Mutex
 	sources  map[string]digestSource
-	captures atomic.Int64 // digest capture rounds
+	sorted   []digestSource // sources by name; nil until the next round sorts them
+	captures atomic.Int64   // digest capture rounds
 
 	// onBreach, when set, runs after a breach event is recorded (used
 	// to dump the recording the moment an invariant fails).
@@ -106,8 +107,8 @@ type Recorder struct {
 }
 
 type digestSource struct {
-	comp string
-	fn   func(*Digest)
+	comp, name string
+	fn         func(*Digest)
 }
 
 // New returns a recorder whose ring holds capacity events (the oldest

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func TestCheckRecordsBreaches(t *testing.T) {
 
 func TestDigestDeterminism(t *testing.T) {
 	sum := func() uint64 {
-		d := newDigest()
+		d := &Digest{h: fnvOffset64}
 		d.WriteString("cn0")
 		d.WriteInt(-3)
 		d.WriteUint(7)
@@ -117,13 +118,76 @@ func TestDigestDeterminism(t *testing.T) {
 		t.Fatal("digest not deterministic")
 	}
 	// Length delimiting: ("ab","c") must differ from ("a","bc").
-	a, b := newDigest(), newDigest()
+	a, b := &Digest{h: fnvOffset64}, &Digest{h: fnvOffset64}
 	a.WriteString("ab")
 	a.WriteString("c")
 	b.WriteString("a")
 	b.WriteString("bc")
 	if a.Sum() == b.Sum() {
 		t.Fatal("field boundaries must not collide")
+	}
+}
+
+// refDigest is the byte-at-a-time FNV-1a the writers must equal: a
+// string is its bytes and then its length, an integer its eight
+// little-endian bytes, a bool one 0/1 byte.
+type refDigest struct{ h uint64 }
+
+func (r *refDigest) byte(b byte) { r.h = (r.h ^ uint64(b)) * fnvPrime64 }
+
+func (r *refDigest) uint(v uint64) {
+	for i := 0; i < 8; i++ {
+		r.byte(byte(v >> (8 * i)))
+	}
+}
+
+func (r *refDigest) str(s string) {
+	for i := 0; i < len(s); i++ {
+		r.byte(s[i])
+	}
+	r.uint(uint64(len(s)))
+}
+
+// TestDigestWritersMatchByteAtATimeFNV feeds random strings, integers
+// and bools to a Digest and to the reference, from the FNV offset and
+// from the zero state a bare Digest value starts in, and compares the
+// sums after every write.
+func TestDigestWritersMatchByteAtATimeFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		start := uint64(fnvOffset64)
+		if trial%2 == 1 {
+			start = 0
+		}
+		d, ref := &Digest{h: start}, &refDigest{h: start}
+		for op := 0; op < 32; op++ {
+			switch rng.Intn(4) {
+			case 0:
+				b := make([]byte, rng.Intn(40))
+				rng.Read(b)
+				d.WriteString(string(b))
+				ref.str(string(b))
+			case 1:
+				v := int64(rng.Uint64())
+				d.WriteInt(v)
+				ref.uint(uint64(v))
+			case 2:
+				v := rng.Uint64()
+				d.WriteUint(v)
+				ref.uint(v)
+			default:
+				v := rng.Intn(2) == 1
+				d.WriteBool(v)
+				if v {
+					ref.byte(1)
+				} else {
+					ref.byte(0)
+				}
+			}
+			if d.Sum() != ref.h {
+				t.Fatalf("trial %d write %d: sum %x, byte-at-a-time FNV-1a %x", trial, op, d.Sum(), ref.h)
+			}
+		}
 	}
 }
 
@@ -155,6 +219,31 @@ func TestCaptureDigestsSortedAndStable(t *testing.T) {
 	}
 	if r.DigestCaptures() != 2 {
 		t.Fatalf("captures = %d, want 2", r.DigestCaptures())
+	}
+	// fresh is what a provider writing v sums to on a Digest of its own:
+	// the round's shared one is reset to the offset before each provider.
+	fresh := func(v int64) int64 {
+		d := &Digest{h: fnvOffset64}
+		d.WriteInt(v)
+		return int64(d.Sum())
+	}
+	// A late registration sorts into the next round, and registering a
+	// name again replaces its provider.
+	r.RegisterDigest("audit", "aa.late", func(d *Digest) { d.WriteInt(4) })
+	r.RegisterDigest("netsim", "netsim.pairs", func(d *Digest) { d.WriteInt(5) })
+	r.CaptureDigests()
+	ev = r.Events()[6:]
+	want := []struct {
+		name string
+		v    int64
+	}{{"aa.late", 4}, {"maui.sched", 3}, {"netsim.pairs", 5}, {"pbs.jobs", 2}}
+	if len(ev) != len(want) {
+		t.Fatalf("round 2 recorded %d digests, want %d", len(ev), len(want))
+	}
+	for i, w := range want {
+		if e := ev[i]; e.Subj != w.name || e.A != fresh(w.v) || e.B != 2 {
+			t.Errorf("round 2 event %d = %+v, want %s summing %x", i, e, w.name, fresh(w.v))
+		}
 	}
 }
 

@@ -17,25 +17,25 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func newDigest() *Digest { return &Digest{h: fnvOffset64} }
-
-func (d *Digest) byte(b byte) {
-	d.h = (d.h ^ uint64(b)) * fnvPrime64
-}
-
 // WriteString hashes s followed by its length as a delimiter.
 func (d *Digest) WriteString(s string) {
+	h := d.h
 	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	d.WriteUint(uint64(len(s)))
+	d.h = fnvUint(h, uint64(len(s)))
 }
 
 // WriteUint hashes v as eight little-endian bytes.
-func (d *Digest) WriteUint(v uint64) {
+func (d *Digest) WriteUint(v uint64) { d.h = fnvUint(d.h, v) }
+
+// fnvUint folds the eight little-endian bytes of v into the FNV-1a
+// state h. The writers keep the state in a local and store it once.
+func fnvUint(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		d.byte(byte(v >> (8 * i)))
+		h = (h ^ (v>>(8*i))&0xff) * fnvPrime64
 	}
+	return h
 }
 
 // WriteInt hashes v as eight little-endian bytes.
@@ -43,11 +43,11 @@ func (d *Digest) WriteInt(v int64) { d.WriteUint(uint64(v)) }
 
 // WriteBool hashes a single 0/1 byte.
 func (d *Digest) WriteBool(v bool) {
+	var b uint64
 	if v {
-		d.byte(1)
-	} else {
-		d.byte(0)
+		b = 1
 	}
+	d.h = (d.h ^ b) * fnvPrime64
 }
 
 // Sum returns the accumulated hash.
@@ -63,34 +63,37 @@ func (r *Recorder) RegisterDigest(comp, name string, fn func(*Digest)) {
 		return
 	}
 	r.srcMu.Lock()
-	r.sources[name] = digestSource{comp: comp, fn: fn}
+	r.sources[name] = digestSource{comp: comp, name: name, fn: fn}
+	r.sorted = nil // the next round sorts again
 	r.srcMu.Unlock()
 }
 
 // CaptureDigests runs every registered provider in sorted name order
 // and records one KindDigest event per provider: Subj is the digest
 // name, A the hash sum, B the capture round. It returns the round
-// index.
+// index. The name order is sorted once after each RegisterDigest and
+// kept; one Digest serves the round, reset before each provider.
 func (r *Recorder) CaptureDigests() int64 {
 	if r == nil {
 		return 0
 	}
 	round := r.captures.Add(1) - 1
 	r.srcMu.Lock()
-	names := make([]string, 0, len(r.sources))
-	for name := range r.sources {
-		names = append(names, name)
+	if r.sorted == nil {
+		// A fresh slice: a round still walking the old one keeps it.
+		r.sorted = make([]digestSource, 0, len(r.sources))
+		for _, src := range r.sources {
+			r.sorted = append(r.sorted, src)
+		}
+		sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i].name < r.sorted[j].name })
 	}
-	sort.Strings(names)
-	srcs := make([]digestSource, len(names))
-	for i, name := range names {
-		srcs[i] = r.sources[name]
-	}
+	srcs := r.sorted
 	r.srcMu.Unlock()
-	for i, name := range names {
-		d := newDigest()
-		srcs[i].fn(d)
-		r.Record(KindDigest, srcs[i].comp, name, "digest", int64(d.Sum()), round)
+	d := new(Digest)
+	for _, src := range srcs {
+		d.h = fnvOffset64
+		src.fn(d)
+		r.Record(KindDigest, src.comp, src.name, "digest", int64(d.Sum()), round)
 	}
 	return round
 }

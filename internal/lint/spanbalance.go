@@ -23,7 +23,7 @@ import (
 // map, or channel, and capturing it in a function literal all make
 // someone else responsible for the End. Spans whose result is
 // discarded outright (a bare call statement, or assignment to _) can
-// never be ended and are always reported; use SpanAt to record an
+// never be ended and are always reported; use AsyncSpanLinkAt to record an
 // already-closed interval instead.
 func NewSpanBalance(scope ...string) *analysis.Analyzer {
 	a := &analysis.Analyzer{
@@ -99,7 +99,7 @@ func checkSpanScope(pass *analysis.Pass, body *ast.BlockStmt) {
 					continue // stored into a field/slot: owned there
 				}
 				if id.Name == "_" {
-					pass.Reportf(rhs.Pos(), "span result discarded: nothing can End() it; bind and End the span, or record a closed interval with SpanAt")
+					pass.Reportf(rhs.Pos(), "span result discarded: nothing can End() it; bind and End the span, or record a closed interval with AsyncSpanLinkAt")
 					continue
 				}
 				track(id, rhs.Pos())
@@ -119,7 +119,7 @@ func checkSpanScope(pass *analysis.Pass, body *ast.BlockStmt) {
 						continue
 					}
 					if vs.Names[i].Name == "_" {
-						pass.Reportf(v.Pos(), "span result discarded: nothing can End() it; bind and End the span, or record a closed interval with SpanAt")
+						pass.Reportf(v.Pos(), "span result discarded: nothing can End() it; bind and End the span, or record a closed interval with AsyncSpanLinkAt")
 						continue
 					}
 					track(vs.Names[i], v.Pos())
@@ -127,7 +127,7 @@ func checkSpanScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		case *ast.ExprStmt:
 			if spanNewCall(pass, n.X) != nil {
-				pass.Reportf(n.X.Pos(), "span result discarded: nothing can End() it; bind and End the span, or record a closed interval with SpanAt")
+				pass.Reportf(n.X.Pos(), "span result discarded: nothing can End() it; bind and End the span, or record a closed interval with AsyncSpanLinkAt")
 			}
 		}
 	}

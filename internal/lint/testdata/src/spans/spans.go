@@ -120,7 +120,7 @@ func protocol() {
 	sp.Annotate("k", "v")
 }
 
-// SpanAt records closed intervals; no End required, nothing tracked.
+// AsyncSpanLinkAt records closed intervals; no End required, nothing tracked.
 func closedInterval() {
-	tr.SpanAt("t", "interval", 0, 10)
+	tr.AsyncSpanLinkAt("t", "interval", 0, 0, 10)
 }

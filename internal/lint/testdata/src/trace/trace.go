@@ -17,8 +17,8 @@ func New() *Tracer { return &Tracer{} }
 // Start opens a span on a track.
 func (t *Tracer) Start(track, name string, kvs ...string) *Span { return &Span{} }
 
-// SpanAt records an already-closed interval (no End required).
-func (t *Tracer) SpanAt(track, name string, start, dur int64, kvs ...string) {}
+// AsyncSpanLinkAt records an already-closed interval (no End required).
+func (t *Tracer) AsyncSpanLinkAt(track, name string, cause uint64, start, dur int64, kvs ...string) {}
 
 // Child opens a child span.
 func (s *Span) Child(name string, kvs ...string) *Span { return &Span{} }

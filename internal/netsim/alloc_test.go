@@ -54,7 +54,8 @@ func TestMessageHopZeroAlloc(t *testing.T) {
 // digest is the count of live pairs and the sum of their hashes, so it
 // reads the same whatever order the pairs first carried traffic in (or
 // the maps are walked in), allocates nothing, takes in a pair that
-// appears later and forgets the pairs of a released endpoint.
+// appears later, forgets the pairs of a released endpoint and equals the
+// from-scratch hash of every pair through storage reuse and SetLink.
 func TestPairsDigestCoversLivePairsAllocatesNothing(t *testing.T) {
 	s := sim.New()
 	s.SetAudit(audit.New(64))
@@ -125,6 +126,22 @@ func TestPairsDigestCoversLivePairsAllocatesNothing(t *testing.T) {
 		n.Release(eps["b"])
 		if got := sum(); got != want([2]string{"a", "a"}, [2]string{"c", "a"}) {
 			t.Errorf("digest after releasing b = %x, not the hash of the two pairs left", got)
+		}
+		// d takes over b's storage and the new pairs take over the released
+		// pair states: each is hashed under its new names.
+		eps["d"] = n.Endpoint("d")
+		send("d", "a")
+		send("a", "d")
+		send("d", "d")
+		all := [][2]string{{"a", "a"}, {"a", "d"}, {"c", "a"}, {"d", "a"}, {"d", "d"}}
+		if got := sum(); got != want(all...) {
+			t.Errorf("digest after reusing b's storage for d = %x, not the from-scratch hash", got)
+		}
+		// A link override moves a deadline and nothing else.
+		n.SetLink("a", "d", LinkParams{Latency: time.Millisecond})
+		send("a", "d")
+		if got := sum(); got != want(all...) {
+			t.Errorf("digest after SetLink = %x, not the from-scratch hash", got)
 		}
 	})
 	if err != nil {

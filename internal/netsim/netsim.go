@@ -154,6 +154,7 @@ type Network struct {
 	downHosts     map[string]bool
 	rng           *sim.RNG
 	trace         func(*Message)
+	spanNames     map[string]string // "msg."+tag by tag: delivery span names
 	stats         Stats
 	inst          *netInstruments
 	// The two flags sit together after the pointer-wide fields so the
@@ -177,8 +178,11 @@ type pairKey struct {
 // end finds it — and takes it off the surviving end's list — without an
 // index that would cost every endpoint an allocation.
 type pairState struct {
-	p        LinkParams
-	lastDue  time.Duration
+	p       LinkParams
+	lastDue time.Duration
+	// names is the netsim.pairs digest state after the from and to
+	// names, kept only when a recorder is installed (pairTerm).
+	names    audit.Digest
 	from, to *Endpoint
 	out, in  pairNode // on from.out and on to.in
 }
@@ -229,6 +233,7 @@ func New(s *sim.Simulation, def LinkParams) *Network {
 		endpoints: make(map[string]*Endpoint),
 		pairs:     make(map[pairKey]*pairState),
 		links:     make(map[[2]string]LinkParams),
+		spanNames: make(map[string]string),
 		down:      make(map[string]bool),
 		downHosts: make(map[string]bool),
 		rng:       sim.NewRNG(1),
@@ -252,25 +257,25 @@ func New(s *sim.Simulation, def LinkParams) *Network {
 // directed sender/receiver pair and the virtual deadline of its latest
 // delivery. Each pair is hashed on its own and the hashes are added, so
 // the sum does not depend on the order the map is walked in and a round
-// costs one pass over the live pairs, with nothing kept between rounds.
+// costs one pass over the live pairs. A pair's names were hashed when
+// it was created, so a round hashes only each deadline.
 func (n *Network) digestPairs(d *audit.Digest) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var sum uint64
-	for key, ps := range n.pairs {
-		sum += pairHash(key.from.name, key.to, ps.lastDue)
+	for _, ps := range n.pairs {
+		sum += pairTerm(ps.names, ps.lastDue)
 	}
 	d.WriteInt(int64(len(n.pairs)))
 	d.WriteUint(sum)
 }
 
-// pairHash is one pair's term of the netsim.pairs digest.
-func pairHash(from, to string, lastDue time.Duration) uint64 {
-	var h audit.Digest
-	h.WriteString(from)
-	h.WriteString(to)
-	h.WriteInt(int64(lastDue))
-	return h.Sum()
+// pairTerm is one pair's term of the netsim.pairs digest: the hash of
+// its from and to names (names, kept by the pair) continued over its
+// latest deadline.
+func pairTerm(names audit.Digest, lastDue time.Duration) uint64 {
+	names.WriteInt(int64(lastDue))
+	return names.Sum()
 }
 
 // Seed reseeds the jitter generator (distinct seeds per trial emulate
@@ -403,6 +408,11 @@ func (n *Network) newPairLocked(e, dst *Endpoint) *pairState {
 	}
 	ps.p = n.linkLocked(e.name, dst.name)
 	ps.lastDue = 0
+	if n.aud != nil {
+		ps.names = audit.Digest{}
+		ps.names.WriteString(e.name)
+		ps.names.WriteString(dst.name)
+	}
 	ps.from, ps.to = e, dst
 	ps.out.push(&e.out)
 	ps.in.push(&dst.in)
@@ -708,12 +718,20 @@ func deliverMsg(arg any) {
 	n := msg.net
 	// Re-check reachability at delivery time so a partition that
 	// happened mid-flight also drops the message.
+	trc := n.sim.Tracer()
+	var spanName string
 	n.mu.Lock()
 	drop := n.unreachableLocked(msg.From) || n.unreachableLocked(msg.To)
 	if drop {
 		n.stats.Dropped++
 		n.stats.MessagesSent--
 		n.stats.BytesSent -= int64(msg.Size)
+	} else if trc != nil {
+		// The delivery span's name, built once per tag the fabric carries.
+		if spanName = n.spanNames[msg.Tag]; spanName == "" {
+			spanName = "msg." + msg.Tag
+			n.spanNames[msg.Tag] = spanName
+		}
 	}
 	tr := n.trace
 	n.mu.Unlock()
@@ -741,8 +759,8 @@ func deliverMsg(arg any) {
 	// One async span per delivered message (in-flight intervals
 	// overlap freely); the from/to annotations carry the per-link
 	// breakdown the constant-name traffic counters above do not.
-	if trc := n.sim.Tracer(); trc != nil {
-		trc.AsyncSpanLinkAt("netsim", "msg."+msg.Tag, msg.Cause, msg.Sent, msg.Delivered-msg.Sent,
+	if trc != nil {
+		trc.AsyncSpanLinkAt("netsim", spanName, msg.Cause, msg.Sent, msg.Delivered-msg.Sent,
 			"from", msg.From, "to", msg.To, "size", strconv.Itoa(msg.Size))
 	}
 	msg.dst.deliver(msg)

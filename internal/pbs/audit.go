@@ -131,7 +131,7 @@ func (s *Server) digestJobsLocked(d *audit.Digest) {
 		d.WriteInt(int64(j.info.State))
 		d.WriteBool(j.info.Held)
 		resolved++
-		claimed += s.auditJobLocked(j)
+		claimed += s.auditJobLocked(j, j.info.ID == ref.id)
 	}
 	// Only the sweep can see a record its id does not lead to (one
 	// filed under another key): every id in the log resolves, but for
@@ -200,7 +200,7 @@ func (s *Server) auditCycleLocked() {
 		}
 		a.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
 		prev = e.seq
-		claimed += s.auditJobLocked(e.j)
+		claimed += s.auditJobLocked(e.j, false)
 	}
 	// Jobs submitted since the last boundary that are terminal already
 	// (deleted while queued) never showed on an active list above.
@@ -211,7 +211,7 @@ func (s *Server) auditCycleLocked() {
 	for _, ref := range s.order[first:] {
 		j, ok := s.index.jobs[ref.id]
 		if ok && !j.live() {
-			s.auditJobLocked(j)
+			s.auditJobLocked(j, false)
 		}
 	}
 	s.books.seqSeen = s.nextJob
@@ -284,10 +284,11 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 // it is the record its id resolves to, and — forward
 // direction of view.job-hosts — every host a running job claims holds
 // a matching usedBy entry. It returns the accelerators the job holds,
-// the job side of conservation.acc.
-func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
+// the job side of conservation.acc. byID says the caller has just
+// resolved j by its own id, which is the check's lookup already made.
+func (s *Server) auditJobLocked(j *serverJob, byID bool) (claimed int64) {
 	id := j.info.ID
-	s.aud.Check("pbs", "jobs.index", id, s.index.jobs[id] == j, int64(j.seq), 0)
+	s.aud.Check("pbs", "jobs.index", id, byID || s.index.jobs[id] == j, int64(j.seq), 0)
 	if !j.live() {
 		return 0
 	}

@@ -209,7 +209,7 @@ func (m *Mom) runJob(req RunJobMsg) {
 	// guard keeps the untraced path free of the track-name allocation.
 	var sp *trace.Span
 	if trc := m.sim.Tracer(); trc != nil {
-		sp = trc.Start("pbs/mom@"+m.host, "mom.start", "job", req.JobID)
+		sp = trc.Start(m.ep.Name(), "mom.start", "job", req.JobID)
 	}
 	sp.Link(req.Cause) // server's alloc span
 	defer sp.End()
@@ -286,7 +286,7 @@ func (m *Mom) startTask(req StartTaskMsg) {
 	m.sim.GoNamed(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, func() {
 		var sp *trace.Span
 		if trc := m.sim.Tracer(); trc != nil {
-			sp = trc.Start("pbs/mom@"+m.host, "job.run", "job", req.JobID)
+			sp = trc.Start(m.ep.Name(), "job.run", "job", req.JobID)
 		}
 		sp.Link(req.Cause) // mother superior's mom.start span
 		env.TaskSpan = sp.ID()
@@ -320,7 +320,7 @@ func (m *Mom) dynAdd(req DynAddMsg) {
 	// update broadcast — the mother-superior share of a pbs_dynget.
 	var sp *trace.Span
 	if trc := m.sim.Tracer(); trc != nil {
-		sp = trc.Start("pbs/mom@"+m.host, "mom.dynadd", "job", req.JobID, "req", strconv.Itoa(req.ReqID))
+		sp = trc.Start(m.ep.Name(), "mom.dynadd", "job", req.JobID, "req", strconv.Itoa(req.ReqID))
 	}
 	sp.Link(req.Cause) // server's dynalloc span
 	defer sp.End()

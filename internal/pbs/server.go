@@ -983,7 +983,7 @@ func (s *Server) finishDynLocked(rec *DynRecord) {
 	}
 	outcome.Inc()
 	if trc := s.sim.Tracer(); trc != nil {
-		trc.AsyncSpanAt(ServerTrack, "dyn.request", rec.ArrivedAt, rec.RepliedAt-rec.ArrivedAt,
+		trc.AsyncSpanLinkAt(ServerTrack, "dyn.request", 0, rec.ArrivedAt, rec.RepliedAt-rec.ArrivedAt,
 			"job", rec.JobID, "count", fmt.Sprint(rec.Count), "outcome", rec.State.String(),
 			"req", strconv.Itoa(rec.ReqID))
 	}

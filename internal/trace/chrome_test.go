@@ -26,7 +26,7 @@ func goldenTracer() *Tracer {
 	clk.advance(1500 * time.Microsecond)
 	child.End()
 	root.End()
-	tr.AsyncSpanAt("netsim", "msg.pbs", 500*time.Microsecond, 200*time.Microsecond,
+	tr.AsyncSpanLinkAt("netsim", "msg.pbs", 0, 500*time.Microsecond, 200*time.Microsecond,
 		"from", "cn0", "to", "pbs/server")
 	tr.InstantAt("pbs/server", "acct.Q", 3*time.Millisecond, "job", "J1")
 	return tr

@@ -31,7 +31,7 @@ func TestConcurrentActors(t *testing.T) {
 					s.Sleep(time.Millisecond)
 					sp.Child("inner").End()
 					sp.End()
-					s.Tracer().Instant("comp@"+host, "tick")
+					s.Tracer().InstantAt("comp@"+host, "tick", s.Now())
 				}
 				mu.Lock()
 				remaining--

@@ -1,6 +1,6 @@
 // Package trace is the simulation-aware span layer: named spans in
-// virtual time with parent/child causality and an event bus that
-// components publish to without coupling to any sink. Counters,
+// virtual time with parent/child causality, recorded in one event log
+// that components publish to without coupling to any sink. Counters,
 // gauges, and histograms live in internal/telemetry, the one
 // instrument registry.
 //
@@ -12,13 +12,17 @@
 // file (internal/capture) and render as a Chrome trace-event file
 // (chrome.go, loadable in Perfetto).
 //
-// # Disabled tracing
+// # Cost
 //
 // A nil *Tracer is the disabled tracer: every method is nil-receiver
 // safe and returns immediately without allocating, so instrumented
 // code calls tracer methods unconditionally. Components obtain the
 // active tracer from their simulation (sim.Simulation.Tracer), which
 // is a single atomic load.
+//
+// An enabled span allocates the Span alone: the event log, annotations
+// and first links are cut from chunks, each cut capped at its length so
+// that growing one never writes into the next.
 //
 // # Concurrency
 //
@@ -32,7 +36,7 @@ import (
 	"time"
 )
 
-// EventKind discriminates bus events.
+// EventKind discriminates log events.
 type EventKind uint8
 
 // Event kinds.
@@ -48,7 +52,7 @@ type KV struct {
 	Key, Value string
 }
 
-// Event is one record on the bus: a completed span or an instant.
+// Event is one record of the log: a completed span or an instant.
 // Virtual timestamps are offsets from simulation start.
 type Event struct {
 	Kind   EventKind
@@ -76,9 +80,11 @@ type Tracer struct {
 	// The event log grows by fixed-size chunks: an append never copies
 	// what is already recorded, so a long run's log costs its own size
 	// and not the doubled slices it outgrew on the way.
-	chunks      [][]Event
-	count       int
-	subs        []func(Event)
+	chunks [][]Event
+	count  int
+	// Annotations and first links are cut from these chunks (kvsLocked).
+	kvs         []KV
+	links       []uint64
 	limit       int      // max retained events; 0 = unbounded
 	dropped     int64    // events discarded once the limit was hit
 	dropSink    DropSink // optional live counter mirroring dropped
@@ -90,9 +96,6 @@ type Tracer struct {
 // unbound, all timestamps read zero.
 func New() *Tracer { return &Tracer{} }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetClock installs the virtual-time source (typically
 // sim.Simulation.Now). Rebinding is allowed: multi-trial experiments
 // reuse one tracer across consecutive simulations.
@@ -103,24 +106,6 @@ func (t *Tracer) SetClock(clock func() time.Duration) {
 	t.mu.Lock()
 	t.clock = clock
 	t.mu.Unlock()
-}
-
-// now reads the bound clock. Callers hold t.mu.
-func (t *Tracer) nowLocked() time.Duration {
-	if t.clock == nil {
-		return 0
-	}
-	return t.clock()
-}
-
-// Now reads the tracer's virtual clock (zero when unbound).
-func (t *Tracer) Now() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nowLocked()
 }
 
 // Span is an open interval created by Start or Child. End it exactly
@@ -150,7 +135,10 @@ func (t *Tracer) Start(track, name string, kvs ...string) *Span {
 	}
 	t.mu.Lock()
 	t.nextID++
-	sp := &Span{t: t, clock: t.clock, track: track, name: name, start: t.nowLocked(), id: t.nextID, args: pairs(kvs)}
+	sp := &Span{t: t, clock: t.clock, track: track, name: name, id: t.nextID, args: t.pairsLocked(kvs)}
+	if t.clock != nil {
+		sp.start = t.clock()
+	}
 	t.mu.Unlock()
 	return sp
 }
@@ -168,7 +156,7 @@ func (s *Span) Child(name string, kvs ...string) *Span {
 	if s.clock != nil {
 		now = s.clock()
 	}
-	sp := &Span{t: t, clock: s.clock, track: s.track, name: name, start: now, id: t.nextID, parent: s.id, args: pairs(kvs)}
+	sp := &Span{t: t, clock: s.clock, track: s.track, name: name, start: now, id: t.nextID, parent: s.id, args: t.pairsLocked(kvs)}
 	t.mu.Unlock()
 	return sp
 }
@@ -178,7 +166,12 @@ func (s *Span) Annotate(key, value string) {
 	if s == nil {
 		return
 	}
-	s.args = append(s.args, KV{key, value})
+	t := s.t
+	t.mu.Lock()
+	args := t.kvsLocked(len(s.args) + 1)
+	t.mu.Unlock()
+	args[copy(args, s.args)] = KV{key, value}
+	s.args = args
 }
 
 // Link records a causal edge from the span with the given id (usually
@@ -187,6 +180,13 @@ func (s *Span) Annotate(key, value string) {
 // thread ids through messages unconditionally.
 func (s *Span) Link(id uint64) {
 	if s == nil || id == 0 {
+		return
+	}
+	if s.links == nil {
+		t := s.t
+		t.mu.Lock()
+		s.links = t.linkLocked(id)
+		t.mu.Unlock()
 		return
 	}
 	s.links = append(s.links, id)
@@ -219,83 +219,40 @@ func (s *Span) End() {
 		ID: s.id, Parent: s.parent, Args: s.args, Links: s.links,
 	}
 	t.publishLocked(ev)
-	subs := t.subs
 	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
-	}
 }
 
-// SpanAt records an already-measured interval (for layers that know a
-// start and duration after the fact, like message delivery).
-func (t *Tracer) SpanAt(track, name string, start, dur time.Duration, kvs ...string) {
-	t.spanAt(track, name, start, dur, false, 0, kvs)
-}
-
-// AsyncSpanAt is SpanAt for intervals that legitimately overlap
-// others on the same track — messages in flight on the fabric. The
-// Chrome exporter renders them as async (b/e) events, which viewers
-// allow to interleave.
-func (t *Tracer) AsyncSpanAt(track, name string, start, dur time.Duration, kvs ...string) {
-	t.spanAt(track, name, start, dur, true, 0, kvs)
-}
-
-// AsyncSpanLinkAt is AsyncSpanAt with a causal link to the span whose
-// work produced the interval (the sender's span for a message
-// delivery). A zero cause records no link.
+// AsyncSpanLinkAt records an already-measured interval, for layers that
+// know a start and duration after the fact, like message delivery. The
+// interval may overlap others on its track (messages in flight on the
+// fabric); the Chrome exporter renders it as async (b/e) events, which
+// viewers allow to interleave. cause links it to the span whose work
+// produced it (the sender's span for a delivery); zero records no link.
 func (t *Tracer) AsyncSpanLinkAt(track, name string, cause uint64, start, dur time.Duration, kvs ...string) {
-	t.spanAt(track, name, start, dur, true, cause, kvs)
-}
-
-func (t *Tracer) spanAt(track, name string, start, dur time.Duration, async bool, cause uint64, kvs []string) {
 	if t == nil {
 		return
-	}
-	var links []uint64
-	if cause != 0 {
-		links = []uint64{cause}
 	}
 	t.mu.Lock()
 	t.nextID++
-	ev := Event{Kind: KindSpan, Track: track, Name: name, Start: start, Dur: dur, ID: t.nextID, Async: async, Args: pairs(kvs), Links: links}
-	t.publishLocked(ev)
-	subs := t.subs
-	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
+	ev := Event{Kind: KindSpan, Track: track, Name: name, Start: start, Dur: dur, ID: t.nextID, Async: true, Args: t.pairsLocked(kvs)}
+	if cause != 0 {
+		ev.Links = t.linkLocked(cause)
 	}
+	t.publishLocked(ev)
+	t.mu.Unlock()
 }
 
-// Instant publishes a point event at the current virtual time.
-func (t *Tracer) Instant(track, name string, kvs ...string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	ev := Event{Kind: KindInstant, Track: track, Name: name, Start: t.nowLocked(), Args: pairs(kvs)}
-	t.publishLocked(ev)
-	subs := t.subs
-	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
-	}
-}
-
-// InstantAt is Instant with an explicit virtual timestamp (for
-// re-publishing records that carry their own time, like accounting
-// log lines).
+// InstantAt publishes a point event at an explicit virtual timestamp
+// (for re-publishing records that carry their own time, like
+// accounting log lines).
 func (t *Tracer) InstantAt(track, name string, at time.Duration, kvs ...string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	ev := Event{Kind: KindInstant, Track: track, Name: name, Start: at, Args: pairs(kvs)}
+	ev := Event{Kind: KindInstant, Track: track, Name: name, Start: at, Args: t.pairsLocked(kvs)}
 	t.publishLocked(ev)
-	subs := t.subs
 	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
-	}
 }
 
 // publishLocked appends to the event log, discarding once the
@@ -354,9 +311,8 @@ func (t *Tracer) SetDropSink(s DropSink) {
 
 // SetLimit caps the retained event log at n events; once full, later
 // events are discarded (and counted — see Dropped) instead of growing
-// the buffer without bound at 256-node scale. Subscribers still see
-// every event; only the replayable log is bounded. n <= 0 restores
-// the default unbounded buffer.
+// the buffer without bound at 256-node scale. n <= 0 restores the
+// default unbounded buffer.
 func (t *Tracer) SetLimit(n int) {
 	if t == nil {
 		return
@@ -379,17 +335,6 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// Subscribe registers a sink invoked for every subsequent span/instant
-// event. Sinks run on the publishing actor and must not park.
-func (t *Tracer) Subscribe(fn func(Event)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.subs = append(t.subs, fn)
-	t.mu.Unlock()
-}
-
 // Events returns a snapshot of all recorded events in publish order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -407,19 +352,44 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// pairs folds alternating key/value strings into annotations; a
-// trailing odd key gets an empty value.
-func pairs(kvs []string) []KV {
+// pairsLocked folds alternating key/value strings into annotations cut
+// from the current chunk; a trailing odd key gets an empty value.
+// Callers hold t.mu.
+func (t *Tracer) pairsLocked(kvs []string) []KV {
 	if len(kvs) == 0 {
 		return nil
 	}
-	out := make([]KV, 0, (len(kvs)+1)/2)
-	for i := 0; i < len(kvs); i += 2 {
-		kv := KV{Key: kvs[i]}
-		if i+1 < len(kvs) {
-			kv.Value = kvs[i+1]
+	out := t.kvsLocked((len(kvs) + 1) / 2)
+	for j := 0; j < len(kvs); j += 2 {
+		out[j/2].Key = kvs[j]
+		if j+1 < len(kvs) {
+			out[j/2].Value = kvs[j+1]
 		}
-		out = append(out, kv)
 	}
 	return out
 }
+
+// kvsLocked cuts n zeroed annotations from the current chunk, capped at
+// n. Callers hold t.mu.
+func (t *Tracer) kvsLocked(n int) []KV {
+	if cap(t.kvs)-len(t.kvs) < n {
+		t.kvs = make([]KV, 0, max(chunkCuts, n))
+	}
+	i := len(t.kvs)
+	t.kvs = t.kvs[:i+n]
+	return t.kvs[i : i+n : i+n]
+}
+
+// linkLocked returns a one-link slice cut from the current chunk.
+// Callers hold t.mu.
+func (t *Tracer) linkLocked(id uint64) []uint64 {
+	if len(t.links) == cap(t.links) {
+		t.links = make([]uint64, 0, chunkCuts)
+	}
+	t.links = append(t.links, id)
+	i := len(t.links)
+	return t.links[i-1 : i : i]
+}
+
+// chunkCuts is how many annotations (32 KB) or links (8 KB) one chunk holds.
+const chunkCuts = 1024
