@@ -210,16 +210,55 @@ func BenchmarkAblationSchedulerPortability(b *testing.B) {
 // their allocs/op as regression-gated series.
 
 // BenchmarkEventDispatch measures closure-free timer dispatch
-// (AfterArg schedule + controller pop + callback).
+// (AfterArg schedule + pop + callback).
 func BenchmarkEventDispatch(b *testing.B) { kernelbench.EventDispatch(b) }
 
 // BenchmarkSleepWake measures a lone actor's Sleep: the in-place clock
 // advance, no park.
 func BenchmarkSleepWake(b *testing.B) { kernelbench.SleepWake(b) }
 
-// BenchmarkSleepPark measures the pooled park/dispatch/wake round trip
-// of two actors whose sleeps interleave, so each one parks.
+// BenchmarkSleepPark measures the park/dispatch/wake round trip of two
+// actors whose sleeps interleave, so each one parks.
 func BenchmarkSleepPark(b *testing.B) { kernelbench.SleepPark(b) }
+
+// BenchmarkGatePingPong measures the running slot's hand-off between
+// two actors alternating through two gates. One iteration is two
+// hand-offs; ns/handoff reports one. It is no dacbench series:
+// internal/sim's TestGateWaitSignalZeroAlloc pins the path at 0
+// allocs/op.
+func BenchmarkGatePingPong(b *testing.B) {
+	s := sim.New()
+	if err := s.Run(func() {
+		gates := [2]*sim.Gate{s.NewGate("bench/ping"), s.NewGate("bench/pong")}
+		n := 0 // hand-offs so far: actor i runs while n%2 == i
+		pass := func(i int) {
+			n++
+			gates[1-i].Signal()
+			for n%2 != i {
+				gates[i].Wait(nil)
+			}
+		}
+		s.Go("bench/partner", func() {
+			for n%2 != 1 {
+				gates[1].Wait(nil)
+			}
+			for {
+				pass(1)
+			}
+		})
+		for i := 0; i < 16; i++ { // warm the waiter pool and ready list
+			pass(0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass(0)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/handoff")
+	}); err != nil {
+		b.Fatalf("Run: %v", err)
+	}
+}
 
 // BenchmarkNetsimHop measures one arena-backed fabric hop
 // (send → deliver → recv → release).

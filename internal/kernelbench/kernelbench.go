@@ -23,7 +23,7 @@ import (
 func bump(a any) { *(a.(*int))++ }
 
 // EventDispatch measures closure-free timer dispatch: one AfterArg
-// schedule plus the controller's pop-and-run, per iteration.
+// schedule plus its pop and in-place run, per iteration.
 func EventDispatch(b *testing.B) {
 	s := sim.New()
 	hits := new(int)
@@ -64,10 +64,10 @@ func SleepWake(b *testing.B) {
 }
 
 // SleepPark measures the actor park/dispatch/wake round trip through
-// the queue, the pooled wake channels and the controller: two actors
-// sleep the same period half a period apart, so every Sleep finds the
-// other's wake due first and parks. One iteration is one Sleep of the
-// timed actor and one of the off-beat one.
+// the queue and the sleepers' wake channels: two actors sleep the same
+// period half a period apart, so every Sleep finds the other's wake due
+// first, parks and releases it. One iteration is one Sleep of the timed
+// actor and one of the off-beat one.
 func SleepPark(b *testing.B) {
 	s := sim.New()
 	if err := s.Run(func() {

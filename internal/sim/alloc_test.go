@@ -9,9 +9,9 @@ import (
 
 // The kernel's hot paths — event dispatch, sleep/wake, and gate
 // park/signal — must not allocate once storage is warm: event nodes
-// live in the queue's reused backing arrays, wake channels and gate
-// waiters come from pools, and the dispatch batch is recycled across
-// instants. These tests pin that at exactly zero allocations per
+// live in the queue's reused backing arrays, a sleep's wake channel
+// rides in a reused step record, gate waiters come from a pool, and the
+// dispatch batch is recycled across instants. These tests pin that at exactly zero allocations per
 // operation so a regression shows up as a test failure, not as a GC
 // slope on the scale ladder.
 
@@ -46,8 +46,9 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 
 // TestSleepParkZeroAlloc pins the other path of Sleep — another actor's
 // wake is due first, so the sleeper parks and comes back through the
-// queue, the pooled wake channel and the controller — at zero
-// allocations per operation, with every one of the sleeps parking.
+// queue and its step record's wake channel, released by the other
+// actor's dispatch — at zero allocations per operation, with every one
+// of the sleeps parking.
 func TestSleepParkZeroAlloc(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
@@ -63,7 +64,7 @@ func TestSleepParkZeroAlloc(t *testing.T) {
 				s.Sleep(2 * time.Microsecond)
 			}
 		})
-		for i := 0; i < 16; i++ { // warm the event queue, batch, and wake pool
+		for i := 0; i < 16; i++ { // warm the event queue, batch, and step records
 			s.Sleep(2 * time.Microsecond)
 		}
 		parks = s.parkCount()

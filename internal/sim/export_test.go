@@ -23,3 +23,10 @@ func SetHooksForTest(check func(running int), resume func()) (restore func()) {
 	resumeHook = resume
 	return func() { slotHook, resumeHook = nil, nil }
 }
+
+// Halted reports whether Run has returned.
+func (s *Simulation) Halted() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.halted
+}

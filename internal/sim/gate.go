@@ -130,15 +130,16 @@ func (g *Gate) wait(l sync.Locker, d time.Duration, call string) bool {
 	gs := w.gs.Load() // this generation's armed value, captured for expire
 	g.waiters = append(g.waiters, w)
 	if d > 0 {
-		g.sim.pushLocked(g.sim.now+d, nil, func() { g.expire(w, gs) })
+		g.sim.pushLocked(g.sim.now+d, func() { g.expire(w, gs) })
 	}
 	g.sim.parkLocked(g)
-	g.sim.mu.Unlock()
+	// The dispatch may run a callback that signals g or takes l.
 	g.mu.Unlock()
-
 	if l != nil {
 		l.Unlock()
 	}
+	g.sim.yieldLocked()
+	g.sim.mu.Unlock()
 	<-w.ch
 	timed := w.gs.Load()&wStateMask == wTimed
 	// The timeout event may still be pending when a Signal won; it is

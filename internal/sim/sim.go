@@ -16,57 +16,34 @@
 // running slot. A new actor, a Gate waiter woken by Signal or Broadcast
 // and one whose WaitTimeout expired join one FIFO ready list, and when
 // the slot holder parks or exits the head of the list takes the slot.
-// With the list empty the slot goes back to the controller, which
-// releases the events of the earliest pending instant in (at, seq)
-// order, each once the work the previous one set off has parked. So
-// which actor takes a seq or a lock first is never the Go scheduler's
-// choice. If every actor is parked and no event is pending, the
-// simulation is deadlocked and Run returns an error naming them.
+// With the list empty, whoever gives the slot up dispatches: it releases
+// the events of the earliest pending instant in (at, seq) order, each
+// once the work the previous one set off has parked, running callbacks
+// itself and handing a wake to its actor. So which actor takes a seq or
+// a lock first is never the Go scheduler's choice. If every actor is
+// parked and no event is pending, the simulation is deadlocked and Run
+// returns an error naming them. Actors run on the simulation's worker
+// goroutines: a worker whose actor returned runs the next one to start,
+// and idle workers exit at halt.
 //
 // Actors spawned before Run wait on the ready list, ahead of main. Run
 // returns once main has returned and the rest of its instant's batch has
 // parked. After that, wakes are eager: the teardown that follows a run
-// wakes every parked daemon so it can exit, and with no controller left
+// wakes every parked daemon so it can exit, and with no dispatcher left
 // there is nothing to order them.
 //
 // # In-place clock advance
 //
-// Most sleeps in a run are taken by an actor that is about to be the
-// next thing the controller wakes. Such a Sleep does not park. Under
-// the kernel lock it already holds, it advances the clock itself and
-// returns, when all three hold:
-//
-//  1. nothing else is due at this instant: the ready list is empty and
-//     the controller has released every event of the instant's batch;
-//  2. Run is live: main has not returned and the kernel has not halted
-//     (a deadlock or the deadline halts it with main still parked);
-//  3. now+d does not pass the deadline, and the queue is empty or its
-//     earliest event is strictly later than now+d (an event queued at
-//     exactly now+d was pushed earlier, has the lower seq and must run
-//     first).
-//
-// Otherwise it queues its wake and parks, at no extra cost. Either way
-// the release order is the same: parked, the caller's wake would be the
-// controller's next one-event batch (by 3, and nothing is pushed in
-// between: only the slot holder pushes), and the advance does that
-// batch's bookkeeping: it consumes the wake's seq, moves the clock and
-// counts the dispatch, so virtual time, event counts and every later
-// tie-break are identical. DESIGN.md §7 has the argument in full, why
-// the controller releases an instant as one batch, and the two
-// neighbouring designs measured and rejected.
-//
-// # Steps
-//
-// SleepSteps(d, n) is n consecutive Sleep(d) calls with nothing in
-// between (Maui charging its per-job cost along a walk of the queue is
-// the caller). The caller takes as many steps in place as the rule
-// above allows, in one advance. At the first step that would park it
-// queues one wake carrying the count still owed, and parks once. When
-// the controller releases that wake it does what the woken actor would
-// do next, which is nothing but the next step: it advances in place
-// under the same rule, or queues the next step's wake with a fresh seq,
-// and wakes the actor only after the last step. Clock, seqs, dispatches,
-// instruments and release order are those of the n sleeps.
+// A Sleep whose wake would be the next event released does not park: it
+// advances the clock itself, under the kernel lock it holds anyway, when
+// the ready list is empty and the instant's batch spent, Run is live,
+// and now+d is within the deadline and before the earliest queued event.
+// SleepSteps(d, n) is n Sleep(d) calls in one: the caller takes as many
+// steps in place as that rule allows and parks at most once, and the
+// dispatcher takes the steps still owed in the same way, waking the
+// actor after the last. Clock, seqs, dispatches, instruments and release
+// order are those of parked single sleeps; DESIGN.md §7 has the
+// argument.
 //
 // # Discipline
 //
@@ -76,16 +53,18 @@
 // needs.
 //
 // Callbacks (At, After, AfterArg) and what they call, such as a netsim
-// endpoint handler, run on the controller, which has no slot to give up:
-// they may spawn, signal, send and schedule but must not block, and a
-// Sleep or Gate wait there panics, naming the call. A daemon that only
-// reacts to messages is cheapest written that way (pbs's server, moms).
+// endpoint handler, run on the controller: on whichever goroutine gave
+// the slot up, in its place, with no slot of their own to give up. They
+// may spawn, signal, send and schedule but must not block, and a Sleep
+// or Gate wait there panics, naming the call. A daemon that only reacts
+// to messages is cheapest written that way (pbs's server, moms).
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -113,11 +92,11 @@ const onControllerPanic = " on the controller: a callback or endpoint handler mu
 // The zero value is not usable; call New.
 type Simulation struct {
 	mu   sync.Mutex
-	cond *sync.Cond // signaled when the running slot falls free
+	cond *sync.Cond // signaled at halt, and after it when the slot falls free
 	now  time.Duration
 	// nowA mirrors now so Now() is lock-free: the hot paths (netsim
 	// sends, tracer timestamps, scheduler priorities) read the clock
-	// far more often than the controller advances it.
+	// far more often than the dispatcher advances it.
 	nowA    atomic.Int64
 	running int // holders of the running slot: at most 1 while Run is live
 	actors  int // live actors (running, ready or parked)
@@ -125,7 +104,7 @@ type Simulation struct {
 	ready     []runnable
 	readyHead int
 	events    eventQueue
-	batch     []event // controller scratch, reused across clock advances
+	batch     []event // dispatch scratch, reused across clock advances
 	seq       uint64
 	// What is parked, for deadlock diagnostics: the count of sleepers and
 	// the list of gates with at least one waiter (through Gate.nextParked).
@@ -135,19 +114,24 @@ type Simulation struct {
 	mainSet     bool
 	mainEnd     bool
 	halted      bool
-	// onController is set while the controller runs a callback: Sleep
-	// and Gate waits there panic (see "Discipline").
+	err         error // why the run halted; nil when main returned
+	// onController is set while a callback runs: Sleep and Gate waits
+	// there panic (see "Discipline").
 	onController bool
+	// reraise, set once a callback panicked and the dispatch stopped,
+	// re-raises the panic on Run's caller's goroutine.
+	reraise func()
 
-	// undispatched counts the events of the current batch the controller
-	// has yet to release, the tail of s.batch: due now, but neither in
-	// the queue nor running, and Sleep must not advance the clock past
-	// them.
+	// undispatched counts the events of the current batch not yet
+	// released, the tail of s.batch: due now, but neither in the queue
+	// nor running, and Sleep must not advance the clock past them.
 	undispatched int
 	// parks counts parkLocked calls. Only tests read it.
 	parks uint64
-	// freeSteps lists the step records no parked SleepSteps holds.
+	// freeSteps lists the step records no parked sleep holds.
 	freeSteps *stepRun
+	// idle lists the workers whose actor has returned.
+	idle *worker
 
 	panicMu  sync.Mutex
 	panicked []string
@@ -167,26 +151,32 @@ type Simulation struct {
 	// resolve it at construction like the tracer and registry.
 	aud atomic.Pointer[audit.Recorder]
 
-	// dispatched counts events the controller has released since the
-	// kernel was created (or last recycled through the pool). Unlike
-	// the sim.dispatches telemetry counter it is always on, so a CLI
-	// can divide it by host wall time for an events/sec throughput
-	// figure without installing a registry.
+	// dispatched counts the events released since New or the last
+	// reset. Unlike the sim.dispatches counter it is always on, for an
+	// events/sec figure without a registry.
 	dispatched atomic.Uint64
 }
 
 // runnable is an entry of the ready list: a parked actor's wake channel,
-// or a new actor (wake == nil) whose goroutine starts when it takes the
-// slot.
+// or a new actor (wake == nil), which takes a worker with the slot.
 type runnable struct {
 	wake chan struct{}
 	name ActorName
 	fn   func()
 }
 
-// stepRun is a parked SleepSteps: the channel its actor waits on, the
-// step length, and how many steps are left after the one its queued
-// wake ends. The kernel owns the records and reuses them.
+// worker is a goroutine that runs actors one after another: idle once
+// its actor returns, it runs the next new actor to take the slot.
+type worker struct {
+	wake chan struct{} // capacity 1: run fn, or exit when fn is nil
+	name ActorName
+	fn   func()
+	next *worker // on the idle list
+}
+
+// stepRun is a parked sleep: the channel its actor waits on, the step
+// length, and how many steps are left after the one its queued wake
+// ends. The kernel owns the records and reuses them.
 type stepRun struct {
 	wake chan struct{}
 	d    time.Duration
@@ -201,9 +191,8 @@ type stepRun struct {
 var slotHook func(s *Simulation)
 var resumeHook func()
 
-// kernelInstruments are the kernel's own live metrics: how many
-// events the controller has dispatched and how deep the pending-event
-// queue is at each advance.
+// kernelInstruments are the kernel's own live metrics: events
+// dispatched, and the pending-event queue's depth at each advance.
 type kernelInstruments struct {
 	dispatches *telemetry.Counter
 	queueDepth *telemetry.Gauge
@@ -217,10 +206,8 @@ func New() *Simulation {
 }
 
 // SetDeadline caps virtual time: Run returns ErrDeadline instead of
-// advancing past d. Zero (the default) means unlimited. Use it as a
-// guard against runaway scenarios (for example a periodic daemon
-// keeping a simulation alive when the condition under test never
-// occurs).
+// advancing past d. Zero (the default) means unlimited: the guard
+// against a runaway scenario, such as a periodic daemon outliving it.
 func (s *Simulation) SetDeadline(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,22 +324,40 @@ func (s *Simulation) GoNamed(name ActorName, fn func()) {
 	s.mu.Unlock()
 }
 
-// actor is the goroutine of a spawned actor, started when it first
-// takes the running slot; it gives the slot up when fn returns.
-func (s *Simulation) actor(name ActorName, fn func()) {
+// work is a worker's goroutine: it runs actors until one returns after
+// halt, or an exit token finds it idle.
+func (s *Simulation) work(w *worker) {
+	for s.runActor(w) {
+		if <-w.wake; w.fn == nil {
+			return
+		}
+	}
+}
+
+// runActor runs w's actor, then gives the slot up, w joining the idle
+// list first unless the run has halted; it reports whether w did. A
+// runtime.Goexit in fn ends the goroutine after the slot is given up.
+func (s *Simulation) runActor(w *worker) (idle bool) {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			s.panicMu.Lock()
-			s.panicked = append(s.panicked, fmt.Sprintf("%s: %v", name, r))
+			s.panicked = append(s.panicked, fmt.Sprintf("%s: %v", w.name, r))
 			s.panicMu.Unlock()
 		}
 		s.mu.Lock()
 		s.actors--
+		if idle = (returned || r != nil) && !s.halted; idle {
+			w.fn, w.next, s.idle = nil, s.idle, w
+		}
 		s.yieldLocked()
 		s.mu.Unlock()
 	}()
 	resumed()
-	fn()
+	w.fn()
+	returned = true
+	return
 }
 
 // resumed runs the test seam, if any, on an actor that just took the slot.
@@ -362,55 +367,25 @@ func resumed() {
 	}
 }
 
-// wakePool recycles the capacity-1 channels used to wake sleeping
-// actors. See pushLocked for the lifecycle argument that makes reuse
-// safe.
-var wakePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+// Sleep parks the calling actor for d of virtual time; it is
+// SleepSteps(d, 1).
+func (s *Simulation) Sleep(d time.Duration) { s.sleep(d, 1, "Sleep") }
 
-// Sleep parks the calling actor for d of virtual time. A non-positive
-// duration returns immediately. Sleep must only be called from an
-// actor goroutine.
-//
-// When the wake Sleep would queue is the very event the controller
-// would release next, the caller advances the clock itself and keeps
-// running instead of parking; see "In-place clock advance" in the
-// package comment for the rule and why the release order is the same.
-func (s *Simulation) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.onController {
-		s.mu.Unlock()
-		panic("sim: Sleep" + onControllerPanic)
-	}
-	if s.now+d <= s.inPlaceLimitLocked() {
-		s.advanceLocked(d, 1)
-		s.mu.Unlock()
-		return
-	}
-	ch := wakePool.Get().(chan struct{})
-	s.pushLocked(s.now+d, ch, nil)
-	s.parkLocked(nil)
-	s.mu.Unlock()
-	<-ch
-	wakePool.Put(ch)
-	resumed()
-}
+// SleepSteps is n consecutive Sleep(d) calls in one, parking at most
+// once (see "In-place clock advance"). A non-positive d or n returns at
+// once. Only an actor may sleep.
+func (s *Simulation) SleepSteps(d time.Duration, n int) { s.sleep(d, n, "SleepSteps") }
 
-// SleepSteps is n consecutive Sleep(d) calls in one: the same clock, the
-// same seqs consumed, the same dispatches and instruments and the same
-// release order, but the caller parks at most once (see "Steps" in the
-// package comment). A non-positive d or n returns immediately. Like
-// Sleep, it must only be called from an actor goroutine.
-func (s *Simulation) SleepSteps(d time.Duration, n int) {
+// sleep is SleepSteps; call names the caller for the panic on the
+// controller.
+func (s *Simulation) sleep(d time.Duration, n int, call string) {
 	if d <= 0 || n <= 0 {
 		return
 	}
 	s.mu.Lock()
 	if s.onController {
 		s.mu.Unlock()
-		panic("sim: SleepSteps" + onControllerPanic)
+		panic("sim: " + call + onControllerPanic)
 	}
 	k := s.takeStepsLocked(d, n)
 	if k == n {
@@ -426,16 +401,17 @@ func (s *Simulation) SleepSteps(d time.Duration, n int) {
 	st.d, st.left = d, n-k-1
 	s.pushStepLocked(st)
 	s.parkLocked(nil)
+	s.yieldLocked()
 	s.mu.Unlock()
 	<-st.wake
 	resumed()
 }
 
 // inPlaceLimitLocked is the latest instant the running actor may move
-// the clock to in place: the deadline, and strictly before the earliest
-// queued event (condition 3 of "In-place clock advance"), or now itself,
-// which no step reaches, unless conditions 1 and 2 hold. Callers hold
-// s.mu.
+// the clock to in place (see "In-place clock advance"): the deadline,
+// and strictly before the earliest queued event, or now itself, which no
+// step reaches, while something else is due now or Run is not live.
+// Callers hold s.mu.
 func (s *Simulation) inPlaceLimitLocked() time.Duration {
 	if s.readyHead != len(s.ready) || s.undispatched != 0 || s.mainEnd || s.halted {
 		return s.now
@@ -460,7 +436,7 @@ func (s *Simulation) takeStepsLocked(d time.Duration, n int) int {
 	return k
 }
 
-// advanceLocked takes k steps of d in place: the controller's
+// advanceLocked takes k steps of d in place: the dispatcher's
 // bookkeeping for k one-event batches. The seqs the wakes would have
 // carried are still consumed, so every later (at, seq) tie breaks as it
 // would have. Callers hold s.mu.
@@ -483,12 +459,12 @@ func (s *Simulation) pushStepLocked(st *stepRun) {
 	s.events.push(event{at: s.now + st.d, seq: s.seq, wake: st.wake, arg: st})
 }
 
-// stepLocked runs on the controller as it releases a SleepSteps wake,
-// and does what the woken actor would do next: take the steps still
-// owed, in place as far as the rule allows, then queue the next one's
-// wake. It reports whether it queued one, which leaves the actor parked;
-// with no step left the record goes back to the free list and the actor
-// wakes. Callers hold s.mu.
+// stepLocked runs as the dispatcher releases a sleep's wake, and does
+// what the woken actor would do next: take the steps still owed, in
+// place as far as the rule allows, then queue the next one's wake. It
+// reports whether it queued one, which leaves the actor parked; with no
+// step left the record goes back to the free list and the actor wakes.
+// Callers hold s.mu.
 func (s *Simulation) stepLocked(st *stepRun) bool {
 	if st.left -= s.takeStepsLocked(st.d, st.left); st.left > 0 {
 		st.left--
@@ -500,15 +476,15 @@ func (s *Simulation) stepLocked(st *stepRun) bool {
 }
 
 // At schedules fn to run at virtual time t (an offset from simulation
-// start, clamped to the present). fn executes on the controller
-// goroutine and must not block; it may spawn actors, signal gates, and
-// schedule further callbacks.
+// start, clamped to the present). fn runs on the controller (see
+// "Discipline") and must not block; it may spawn actors, signal gates,
+// and schedule further callbacks.
 func (s *Simulation) At(t time.Duration, fn func()) {
 	s.mu.Lock()
 	if t < s.now {
 		t = s.now
 	}
-	s.pushLocked(t, nil, fn)
+	s.pushLocked(t, fn)
 	s.mu.Unlock()
 }
 
@@ -519,7 +495,7 @@ func (s *Simulation) After(d time.Duration, fn func()) {
 	if d < 0 {
 		t = s.now
 	}
-	s.pushLocked(t, nil, fn)
+	s.pushLocked(t, fn)
 	s.mu.Unlock()
 }
 
@@ -543,7 +519,8 @@ func (s *Simulation) AfterArg(d time.Duration, fn func(any), arg any) {
 // returns and the rest of that instant's batch has run. Other actors
 // may still be parked when Run returns; closing their communication
 // primitives (for example netsim mailboxes) lets them exit. Run returns
-// an error if the simulation deadlocks or if any actor panicked.
+// an error if the simulation deadlocks or if any actor panicked, and
+// re-raises a callback's panic.
 func (s *Simulation) Run(main func()) error {
 	s.mu.Lock()
 	if s.mainSet {
@@ -560,97 +537,39 @@ func (s *Simulation) Run(main func()) error {
 		}()
 		main()
 	}})
-	// The controller holds the slot until it hands it to the head of the
-	// ready list: the first actor spawned before Run, or main.
+	// Run holds the slot only to hand it to the head of the ready list:
+	// the first actor spawned before Run, or main.
 	s.running++
 	s.yieldLocked()
-
-	for {
-		for s.running > 0 {
-			s.cond.Wait()
-		}
-		if s.undispatched == 0 {
-			// The batch is spent: stop, or pop every event due at the
-			// earliest pending instant. The buffer is owned by the
-			// controller and reused; clearing it before each pop means a
-			// spent batch pins no wake channel or closure past the next.
-			if s.mainEnd {
-				s.halted = true
-				s.mu.Unlock()
-				return s.panicErr()
-			}
-			if s.events.len() == 0 {
-				s.halted = true
-				err := fmt.Errorf("%w at %v: parked actors: %s", ErrDeadlock, s.now, s.blockedLocked())
-				s.mu.Unlock()
-				return err
-			}
-			t := s.events.nextAt()
-			if s.deadline > 0 && t > s.deadline {
-				s.halted = true
-				s.mu.Unlock()
-				return fmt.Errorf("%w: next event at %v, cap %v", ErrDeadline, t, s.deadline)
-			}
-			clear(s.batch)
-			s.batch = s.events.popBatch(s.batch[:0])
-			s.undispatched = len(s.batch)
-			s.now = t
-			s.nowA.Store(int64(t))
-			s.dispatched.Add(uint64(len(s.batch)))
-			if ki := s.kernelInst.Load(); ki != nil {
-				ki.dispatches.Add(int64(len(s.batch)))
-				ki.queueDepth.Set(float64(s.events.len()))
-			}
-		}
-		// Release the next event of the batch. It takes the slot, and
-		// the wait at the top of the loop lets it and everything it
-		// readies in turn park before the next event is released.
-		ev := s.batch[len(s.batch)-s.undispatched]
-		s.undispatched--
-		if ev.wake != nil {
-			if st, _ := ev.arg.(*stepRun); st != nil && s.stepLocked(st) {
-				continue // the sleeper's next step is queued; it stays parked
-			}
-			s.running++
-			s.unparkLocked(nil)
-			s.startLocked(runnable{wake: ev.wake})
-			continue
-		}
-		s.running++
-		s.onController = true
-		s.mu.Unlock()
-		if ev.afn != nil {
-			ev.afn(ev.arg)
-		} else {
-			ev.fn()
-		}
-		s.mu.Lock()
-		s.onController = false
-		s.yieldLocked()
+	for !s.halted && s.reraise == nil {
+		s.cond.Wait()
 	}
+	reraise, err := s.reraise, s.err
+	s.mu.Unlock()
+	if reraise != nil {
+		reraise()
+	}
+	if err != nil {
+		return err
+	}
+	return s.panicErr()
 }
 
-// simPool recycles halted kernels so trial runners (cluster.Run and
-// the figure loops in internal/core) reuse the event queue, batch
-// buffer, and diagnostics map across trials instead of reallocating
-// them per trial.
+// simPool recycles halted kernels, so trial runners (cluster.Run, the
+// figure loops in internal/core) reuse their storage across trials.
 var simPool = sync.Pool{New: func() any { return New() }}
 
-// Acquire returns a kernel from the pool — either a fresh one or a
-// reset, previously released one. Pooled reuse affects only memory: a
-// reacquired kernel starts at virtual time zero with sequence zero, so
-// simulations behave identically whether or not the kernel was
-// recycled.
+// Acquire returns a kernel from the pool, fresh or released. Reuse
+// affects only memory: a reacquired kernel starts at time and sequence
+// zero, so a simulation behaves the same either way.
 func Acquire() *Simulation {
 	return simPool.Get().(*Simulation)
 }
 
-// Release returns a halted kernel to the pool. It waits for actors
-// woken during teardown to finish exiting (a bounded wait: the last
-// exiting actor broadcasts); if any actor is still parked after that —
-// a leaked goroutine that would observe the next simulation — the
-// kernel is simply not pooled and the garbage collector reclaims it.
-// Release is a no-op before Run has returned.
+// Release returns a halted kernel to the pool once the actors woken in
+// teardown have parked or exited. If any is still live, a goroutine
+// that would observe the next simulation, the kernel is not pooled.
+// Release is a no-op until Run has returned.
 func (s *Simulation) Release() {
 	s.mu.Lock()
 	if !s.halted {
@@ -680,6 +599,7 @@ func (s *Simulation) reset() {
 	s.mainSet = false
 	s.mainEnd = false
 	s.halted = false
+	s.err = nil
 	// Pending events at halt (periodic timers, lazily cancelled gate
 	// expirations) are dropped along with their closures.
 	clear(s.events.heap)
@@ -697,19 +617,12 @@ func (s *Simulation) reset() {
 	s.dispatched.Store(0)
 }
 
-// Dispatches reports how many events the controller has released so
+// Dispatches reports how many events the kernel has released so
 // far. It is safe to call from any goroutine, including after Run has
 // returned — the denominator-free half of an events-per-second
 // throughput measurement (the caller supplies the wall clock).
 func (s *Simulation) Dispatches() uint64 {
 	return s.dispatched.Load()
-}
-
-// Halted reports whether Run has returned.
-func (s *Simulation) Halted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.halted
 }
 
 func (s *Simulation) panicErr() error {
@@ -722,7 +635,8 @@ func (s *Simulation) panicErr() error {
 }
 
 // parkLocked marks the calling actor idle — asleep when g is nil, waiting
-// on g otherwise — and gives its running slot up. Callers hold s.mu.
+// on g otherwise — before it gives its running slot up. Callers hold
+// s.mu.
 func (s *Simulation) parkLocked(g *Gate) {
 	s.parks++
 	if g == nil {
@@ -737,7 +651,6 @@ func (s *Simulation) parkLocked(g *Gate) {
 	if slotHook != nil {
 		slotHook(s)
 	}
-	s.yieldLocked()
 }
 
 // unparkLocked is the waker's half of parkLocked: it clears the
@@ -778,35 +691,133 @@ func (s *Simulation) readyLocked(r runnable) {
 	s.ready = append(s.ready, r)
 }
 
-// yieldLocked gives the running slot up: the head of the ready list
-// takes it, or, with the list empty, it goes back to the controller.
-// Callers hold s.mu.
+// yieldLocked gives the running slot up and dispatches. The head of the
+// ready list takes the slot; with the list empty the next event of the
+// instant's batch is released, popping the next instant's when it is
+// spent, or halting the run. A wake takes the slot and a callback runs
+// here, in place, after which the loop goes on. Callers hold s.mu.
 func (s *Simulation) yieldLocked() {
-	if s.readyHead == len(s.ready) {
-		s.running--
-		if s.running == 0 {
-			s.cond.Broadcast()
+	for s.reraise == nil {
+		if s.readyHead != len(s.ready) {
+			r := s.ready[s.readyHead]
+			s.ready[s.readyHead] = runnable{}
+			s.readyHead++
+			s.startLocked(r)
+			return
 		}
-		return
+		if s.halted {
+			if s.running--; s.running == 0 {
+				s.cond.Broadcast()
+			}
+			return
+		}
+		if s.undispatched == 0 && !s.popBatchLocked() {
+			return
+		}
+		ev := s.batch[len(s.batch)-s.undispatched]
+		s.undispatched--
+		if ev.wake == nil {
+			s.callbackLocked(&ev)
+		} else if !s.stepLocked(ev.arg.(*stepRun)) {
+			s.unparkLocked(nil)
+			s.startLocked(runnable{wake: ev.wake})
+			return
+		}
 	}
-	r := s.ready[s.readyHead]
-	s.ready[s.readyHead] = runnable{}
-	s.readyHead++
-	s.startLocked(r)
+}
+
+// popBatchLocked pops the events of the earliest pending instant into
+// the reused s.batch (cleared first: a spent batch pins no closure) and
+// moves the clock there, or halts the run: main has returned, nothing
+// is pending, or the deadline would pass. Callers hold s.mu.
+func (s *Simulation) popBatchLocked() bool {
+	switch {
+	case s.mainEnd:
+		s.haltLocked(nil)
+	case s.events.len() == 0:
+		s.haltLocked(fmt.Errorf("%w at %v: parked actors: %s", ErrDeadlock, s.now, s.blockedLocked()))
+	case s.deadline > 0 && s.events.nextAt() > s.deadline:
+		s.haltLocked(fmt.Errorf("%w: next event at %v, cap %v", ErrDeadline, s.events.nextAt(), s.deadline))
+	default:
+		t := s.events.nextAt()
+		clear(s.batch)
+		s.batch = s.events.popBatch(s.batch[:0])
+		s.undispatched = len(s.batch)
+		s.now = t
+		s.nowA.Store(int64(t))
+		s.dispatched.Add(uint64(len(s.batch)))
+		if ki := s.kernelInst.Load(); ki != nil {
+			ki.dispatches.Add(int64(len(s.batch)))
+			ki.queueDepth.Set(float64(s.events.len()))
+		}
+		return true
+	}
+	return false
+}
+
+// haltLocked ends the run with err, giving up the slot for good: Run
+// returns, and the idle workers exit. Callers hold s.mu.
+func (s *Simulation) haltLocked(err error) {
+	s.halted, s.err = true, err
+	s.running--
+	for w := s.idle; w != nil; w = w.next {
+		w.wake <- struct{}{}
+	}
+	s.idle = nil
+	s.cond.Broadcast()
+}
+
+// callbackLocked runs ev's callback in place, on the controller. A panic
+// there, or a runtime.Goexit, stops the dispatch for good: Run re-raises
+// it on its caller's goroutine. Callers hold s.mu, which is released
+// while the callback runs.
+func (s *Simulation) callbackLocked(ev *event) {
+	s.onController = true
+	s.mu.Unlock()
+	returned := false
+	defer func() {
+		if returned {
+			s.onController = false
+			return
+		}
+		v := recover()
+		s.mu.Lock()
+		s.onController = false
+		s.reraise = func() { panic(v) }
+		s.cond.Broadcast()
+		if v == nil { // runtime.Goexit: the goroutine unwinds on
+			s.reraise = runtime.Goexit
+			s.mu.Unlock()
+		}
+	}()
+	if ev.afn != nil {
+		ev.afn(ev.arg)
+	} else {
+		ev.fn()
+	}
+	returned = true
+	s.mu.Lock()
 }
 
 // startLocked runs r on the slot its caller counted for it: a token on
-// a parked actor's wake channel, or the goroutine of a new one. Callers
-// hold s.mu.
+// a parked actor's wake channel, or a worker for a new one, an idle one
+// if there is any. Callers hold s.mu.
 func (s *Simulation) startLocked(r runnable) {
 	if slotHook != nil {
 		slotHook(s)
 	}
 	if r.wake != nil {
 		r.wake <- struct{}{}
-	} else {
-		go s.actor(r.name, r.fn)
+		return
 	}
+	w := s.idle
+	if w == nil {
+		go s.work(&worker{wake: make(chan struct{}, 1), name: r.name, fn: r.fn})
+		return
+	}
+	s.idle, w.next = w.next, nil
+	w.name, w.fn = r.name, r.fn
+	w.wake <- struct{}{}
 }
 
 // blockedLocked is the deadlock report: "sleep×N" and one
@@ -831,22 +842,8 @@ func (s *Simulation) blockedLocked() string {
 	return strings.Join(parts, ", ")
 }
 
-// pushLocked schedules a wake or callback event. Callers hold s.mu.
-//
-// Wake-channel lifecycle: wake channels come from wakePool and are
-// buffered with capacity 1. Each Sleep pushes its channel exactly once,
-// and the controller signals it exactly once — a single non-blocking
-// token send when the event's instant arrives. The sleeping actor
-// returns the channel to the pool only after receiving that token, so a
-// pooled channel is always empty when reused and a recycled channel can
-// never be signaled on behalf of a previous Sleep: the one token it
-// could ever carry was consumed before the channel re-entered the pool.
-// (The controller signals by sending a token rather than closing the
-// channel precisely so the channel survives reuse.)
-func (s *Simulation) pushLocked(at time.Duration, wake chan struct{}, fn func()) {
+// pushLocked schedules a callback. Callers hold s.mu.
+func (s *Simulation) pushLocked(at time.Duration, fn func()) {
 	s.seq++
-	s.events.push(event{at: at, seq: s.seq, wake: wake, fn: fn})
-	// A waiting controller only re-checks once the slot is free; new
-	// events need no extra signal because only the slot holder creates
-	// them.
+	s.events.push(event{at: at, seq: s.seq, fn: fn})
 }

@@ -8,15 +8,13 @@ import (
 	"time"
 )
 
-// TestWakeChannelReuseStress hammers the pooled wake-channel and gate
-// waiter lifecycle from many actors at once: sleeps interleave with
-// timed waits, signals, and broadcasts so recycled channels and
-// waiters are constantly rearmed while stale timeout callbacks from
-// their previous lives are still pending. The test asserts the
-// lifecycle invariant documented at pushLocked — a pooled channel is
-// always empty when reused — by checking that no sleeper ever wakes
-// before its deadline, which is exactly what a leaked stale token
-// would cause. Run it with -race and -shuffle=on (scripts/check.sh
+// TestWakeChannelReuseStress hammers the reused wake channels (a
+// sleep's step record, a gate waiter) from many actors at once: sleeps
+// interleave with timed waits, signals, and broadcasts so recycled
+// channels and waiters are constantly rearmed while stale timeout
+// callbacks from their previous lives are still pending. A reused
+// channel must be empty: no sleeper may wake before its deadline, which
+// is exactly what a leaked stale token would cause. Run it with -race and -shuffle=on (scripts/check.sh
 // does) to also exercise the memory-ordering side.
 func TestWakeChannelReuseStress(t *testing.T) {
 	const actors = 16

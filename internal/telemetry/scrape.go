@@ -113,8 +113,8 @@ func (s *Scraper) Start() {
 }
 
 // tick is the periodic scrape callback. It runs on the simulation's
-// controller goroutine (sim.After semantics), so it never races actor
-// code and must not block.
+// controller (sim.After semantics), so it never races actor code and
+// must not block.
 func (s *Scraper) tick() {
 	if s.stopped {
 		return

@@ -45,9 +45,12 @@ go test -race -shuffle=on ./... -count=1
 # levels, the server's stations handing their requests over across
 # Stop/Restore, Maui's placements landing at their walk step, and the
 # scheduler round's two equalities: the merged priority order against
-# the stable sort, the job mirror against qstat and a full answer.
+# the stable sort, the job mirror against qstat and a full answer; and
+# the dispatch's own rules: a callback's panic out of Run, a gate wait
+# that lets go of its locks before it dispatches, workers reused and
+# gone at halt.
 echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
-go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations' \
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestCallbackPanicSurfacesFromRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt' \
     ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs ./internal/maui
 
 # The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
