@@ -27,7 +27,7 @@ func BenchmarkFig7aStaticInit(b *testing.B) {
 	var pts []repro.Fig7aPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = repro.Fig7a(repro.DefaultParams(), 6, 1)
+		pts, err = repro.Fig7a(repro.DefaultParams(), 6, 1, repro.Observers{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func BenchmarkFig7bDynamicGet(b *testing.B) {
 	var pts []repro.Fig7bPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = repro.Fig7b(repro.DefaultParams(), 6, 1)
+		pts, err = repro.Fig7b(repro.DefaultParams(), 6, 1, repro.Observers{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkFig8LoadedScheduler(b *testing.B) {
 	var pts []repro.Fig8Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = repro.Fig8(repro.DefaultParams(), []int{0, 16, 20}, 1)
+		pts, err = repro.Fig8(repro.DefaultParams(), []int{0, 16, 20}, 1, repro.Observers{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func BenchmarkFig9ConcurrentRequests(b *testing.B) {
 	var pts []repro.Fig9Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = repro.Fig9(repro.DefaultParams(), 1)
+		pts, err = repro.Fig9(repro.DefaultParams(), 1, repro.Observers{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 	}
 	params := repro.DefaultParams()
 
-	f7a, err := repro.Fig7a(params, 6, trials)
+	f7a, err := repro.Fig7a(params, 6, trials, repro.Observers{})
 	if err != nil {
 		return nil, fmt.Errorf("fig7a: %w", err)
 	}
@@ -84,7 +84,7 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 		rep.Series[fmt.Sprintf("fig7a/total/acs=%d", pt.Accelerators)] = vms(pt.Total)
 	}
 
-	f7b, err := repro.Fig7b(params, 6, trials)
+	f7b, err := repro.Fig7b(params, 6, trials, repro.Observers{})
 	if err != nil {
 		return nil, fmt.Errorf("fig7b: %w", err)
 	}
@@ -93,7 +93,7 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 		rep.Series[fmt.Sprintf("fig7b/total/acs=%d", pt.Accelerators)] = vms(pt.Total)
 	}
 
-	f8, err := repro.Fig8(params, []int{0, 16, 20}, trials)
+	f8, err := repro.Fig8(params, []int{0, 16, 20}, trials, repro.Observers{})
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
@@ -101,7 +101,7 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 		rep.Series[fmt.Sprintf("fig8/total/load=%d", pt.Load)] = vms(pt.Total)
 	}
 
-	f9, err := repro.Fig9(params, trials)
+	f9, err := repro.Fig9(params, trials, repro.Observers{})
 	if err != nil {
 		return nil, fmt.Errorf("fig9: %w", err)
 	}

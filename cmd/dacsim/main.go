@@ -8,6 +8,7 @@
 //	dacsim -fig 7b -trials 10  # one figure
 //	dacsim -fig ablations      # the DESIGN.md ablation suite
 //	dacsim -fig 8 -csv         # machine-readable output
+//	dacsim -fig 7b -observe trace,audit -capture obs   # each trial observed on its own, all of them in obs.jsonl
 //	dacsim -fig scale -observe trace,telemetry,audit -capture obs   # one capture per ladder point, for dacobs
 //	dacsim -fig scale -observe audit -seed 1   # flight recorder + invariant engine on; exits non-zero on a breach
 //	dacsim -fig breakdown -capture prof   # the profiler figure (always traced) and its captures
@@ -39,8 +40,8 @@ func main() {
 	jitter := flag.Float64("jitter", 0, "fabric latency jitter fraction (e.g. 0.1); 0 keeps runs exactly deterministic")
 	parallel := flag.Int("parallel", 0, "independent trials run on this many OS threads (0 or <1 = all cores); output is identical at every level")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	observe := flag.String("observe", "", "comma-separated observers to attach to every run: trace (spans), telemetry (instrument scrapes, cut per ladder point: the paper figures run many simulations and have no one clock to window on), audit (flight recorder, invariant checks and state digests; exits non-zero on any breach)")
-	captureOut := flag.String("capture", "", "write what the observers saw (JSONL, readable by dacobs) to PREFIX-<nodes>.jsonl per ladder point, or PREFIX.jsonl for the paper figures; with telemetry also PREFIX-<nodes>.prom")
+	observe := flag.String("observe", "", "comma-separated observers, opened afresh for every simulation (each ladder point, each paper-figure trial; not with -fig ablations): trace (spans), telemetry (instrument scrapes), audit (flight recorder, invariant checks and state digests; exits non-zero on any breach)")
+	captureOut := flag.String("capture", "", "write what the observers saw (JSONL, readable by dacobs) to PREFIX-<nodes>.jsonl per ladder point and PREFIX.jsonl for the paper figures' trials, in (figure, point, trial) order; with telemetry also PREFIX-<nodes>.prom per ladder point")
 	seed := flag.Uint64("seed", 0, "workload/jitter seed; 0 reproduces the historical figures byte for byte, distinct seeds give dacobs audit -diff distinct recordings")
 	serveRate := flag.Float64("rate", 0, "with -fig serve: open-loop submission rate in jobs per virtual second (0 picks a per-size default)")
 	serveFor := flag.Duration("serve-for", 0, "with -fig serve: virtual admission window per point (0 = 60s default)")
@@ -88,8 +89,9 @@ func main() {
 		log.Fatalf("dacsim: -observe: %v", err)
 	}
 	// seen collects what each run's observers saw: one entry per ladder
-	// point, or one for all trials of the paper figures.
-	var seen []repro.Observed
+	// point. figs collects the paper figures' points; merged, they are
+	// one more entry.
+	var seen, figs []repro.Observed
 	emit := func(t *metrics.Table) {
 		var err error
 		if *csv {
@@ -104,32 +106,42 @@ func main() {
 	}
 
 	run7a := func() {
-		pts, err := repro.Fig7a(params, *maxACs, *trials)
+		pts, err := repro.Fig7a(params, *maxACs, *trials, obs)
 		if err != nil {
 			log.Fatalf("dacsim: figure 7(a): %v", err)
 		}
 		emit(repro.Fig7aTable(pts))
+		for i := range pts {
+			figs = append(figs, pts[i].Obs)
+		}
 	}
 	run7b := func() {
-		pts, err := repro.Fig7b(params, *maxACs, *trials)
+		pts, err := repro.Fig7b(params, *maxACs, *trials, obs)
 		if err != nil {
 			log.Fatalf("dacsim: figure 7(b): %v", err)
 		}
 		emit(repro.Fig7bTable(pts))
+		for i := range pts {
+			figs = append(figs, pts[i].Obs)
+		}
 	}
 	run8 := func() {
-		pts, err := repro.Fig8(params, []int{0, 16, 20}, *trials)
+		pts, err := repro.Fig8(params, []int{0, 16, 20}, *trials, obs)
 		if err != nil {
 			log.Fatalf("dacsim: figure 8: %v", err)
 		}
 		emit(repro.Fig8Table(pts))
+		for i := range pts {
+			figs = append(figs, pts[i].Obs)
+		}
 	}
 	run9 := func() {
-		pts, err := repro.Fig9(params, *trials)
+		pts, err := repro.Fig9(params, *trials, obs)
 		if err != nil {
 			log.Fatalf("dacsim: figure 9: %v", err)
 		}
 		emit(repro.Fig9Table(pts))
+		figs = append(figs, pts[0].Obs)
 	}
 	mode, err := repro.ParseServerMode(*serverMode)
 	if err != nil {
@@ -295,15 +307,8 @@ func main() {
 	if (*serveRate != 0 || *serveFor != 0) && *fig != "serve" {
 		log.Fatalf("dacsim: -rate/-serve-for require -fig serve")
 	}
-	// The paper figures run many trials per point; they share one
-	// observer session, attached to the parameter set every trial
-	// derives from. The ladder figures open one per point themselves.
-	var shared *repro.ObserverSession
-	switch *fig {
-	case "scale", "breakdown", "slo", "serve":
-	default:
-		shared = obs.Open()
-		shared.Attach(&params)
+	if *observe != "" && *fig == "ablations" {
+		log.Fatalf("dacsim: -observe requires a figure other than ablations")
 	}
 	start := time.Now()
 	switch *fig {
@@ -334,8 +339,8 @@ func main() {
 	default:
 		log.Fatalf("dacsim: unknown figure %q (want 7a, 7b, 8, 9, scale, breakdown, slo, serve, ablations, all)", *fig)
 	}
-	if shared != nil {
-		seen = append(seen, repro.Observe(0, shared))
+	if len(figs) > 0 {
+		seen = append(seen, repro.MergeObserved(figs))
 	}
 	if obs.Audit {
 		emit(repro.AuditTable(seen))

@@ -113,15 +113,37 @@ type digestSource struct {
 
 // New returns a recorder whose ring holds capacity events (the oldest
 // are overwritten beyond that); capacity <= 0 selects
-// DefaultCapacity.
+// DefaultCapacity. The ring is a released one of that size if there
+// is one (see Release).
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
-		ring:    make([]Event, capacity),
-		sources: make(map[string]digestSource),
+	r := &Recorder{sources: make(map[string]digestSource)}
+	if ring, ok := rings.Get().(*[]Event); ok && len(*ring) == capacity {
+		r.ring = *ring
+	} else {
+		r.ring = make([]Event, capacity)
 	}
+	return r
+}
+
+// rings holds released rings for the next New: a run of many short
+// simulations, each recorded on its own, then allocates a few rings
+// and not one per simulation.
+var rings sync.Pool
+
+// Release hands the ring to the next New once the recording has been
+// read. The recorder must not be used afterwards.
+func (r *Recorder) Release() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	ring := r.ring
+	r.ring = nil
+	r.mu.Unlock()
+	rings.Put(&ring)
 }
 
 // SetClock binds the virtual clock events are stamped with; the sim

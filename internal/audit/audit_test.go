@@ -87,6 +87,21 @@ func TestRingWraps(t *testing.T) {
 	}
 }
 
+// A released ring may serve the next recorder of its size, which sees
+// none of the old recording.
+func TestReleasedRingStartsClean(t *testing.T) {
+	old := New(4)
+	for i := 0; i < 6; i++ {
+		old.Record(KindNode, "pbs", "cn0", "", int64(i), 0)
+	}
+	old.Release()
+	r := New(4)
+	r.Record(KindNode, "pbs", "cn1", "", 9, 0)
+	if ev := r.Events(); len(ev) != 1 || ev[0].Subj != "cn1" || ev[0].Seq != 0 || r.Dropped() != 0 {
+		t.Fatalf("fresh recorder holds %+v, dropped %d", ev, r.Dropped())
+	}
+}
+
 func TestCheckRecordsBreaches(t *testing.T) {
 	r := New(16)
 	var fired []Event

@@ -39,10 +39,11 @@ func ParseObservers(s string) (Observers, error) {
 	return o, nil
 }
 
-// Session is the live observers of one run: the sinks handed to
-// Params plus the scraper and digest ticker that sample them on the
-// run's virtual clock. Observers outside the set are nil, and every
-// method tolerates that.
+// Session is the live observers of one simulation: the sinks handed
+// to Params plus the scraper and digest ticker that sample them on its
+// virtual clock. Open one per simulation; a sink stamps what it records
+// with the one clock it is bound to. Observers outside the set are nil,
+// and every method tolerates that.
 type Session struct {
 	Tracer   *trace.Tracer
 	Registry *telemetry.Registry
@@ -107,9 +108,7 @@ func (s *Session) Stop() {
 	s.tick.Stop()
 }
 
-// File snapshots what the observers hold. Scrape windows need one
-// clock to be cut on: a session that was never started (one shared by
-// many simulations) has none.
+// File snapshots what the observers hold.
 func (s *Session) File() capture.File {
 	return capture.File{Spans: s.Tracer.Events(), Audit: s.Recorder.Events(), Windows: s.scr.Windows()}
 }

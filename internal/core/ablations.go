@@ -36,7 +36,7 @@ func AblationDynPriority(p cluster.Params, load, trials int) (DynPriorityResult,
 	run := func(top bool) (time.Duration, error) {
 		pp := p
 		pp.Maui.DynTopPriority = top
-		pts, err := Fig8(pp, []int{load}, trials)
+		pts, err := Fig8(pp, []int{load}, trials, cluster.Observers{})
 		if err != nil {
 			return 0, err
 		}

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -49,6 +48,57 @@ func (sg *signal) wait() {
 	sg.mu.Unlock()
 }
 
+// figureTrials runs trials trials of each of points points of a paper
+// figure. Every (point, trial) pair is an independent simulation
+// seeded trial+1 under its own observer session (opened from obs,
+// started with the testbed, stopped once run returns), so all of them
+// fan out over the trial worker pool. run measures point x on the
+// started testbed. Results come back indexed x*trials+trial, and
+// seen[x] merges point x's sessions in trial order, so reductions and
+// captures are identical at any parallelism level.
+func figureTrials[T any](p cluster.Params, points, trials int, obs cluster.Observers, run func(x int, c *cluster.Cluster, client *pbs.Client) T) (res []T, seen []Observed, err error) {
+	res = make([]T, points*trials)
+	each := make([]Observed, len(res))
+	err = forEach(len(res), func(i int) error {
+		tp := p
+		tp.Seed = uint64(i%trials + 1)
+		ses := obs.Open()
+		ses.Attach(&tp)
+		err := cluster.Run(tp, func(c *cluster.Cluster, client *pbs.Client) {
+			ses.Start(c.Sim)
+			res[i] = run(i/trials, c, client)
+			ses.Stop()
+		})
+		each[i] = Observe(0, ses)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	seen = make([]Observed, points)
+	for x := range seen {
+		seen[x] = Merge(each[x*trials : (x+1)*trials])
+	}
+	return res, seen, nil
+}
+
+// dacJob is the one-node job the figures submit: it opens the DAC
+// library with acpn statically allocated accelerators, runs body, and
+// closes the library again.
+func dacJob(name string, ppn, acpn int, body func(ac *dac.AC)) pbs.JobSpec {
+	return pbs.JobSpec{
+		Name: name, Owner: "exp", Nodes: 1, PPN: ppn, ACPN: acpn, Walltime: time.Minute,
+		Script: func(env *pbs.JobEnv) {
+			ac, _, err := dac.Init(env)
+			if err != nil {
+				return
+			}
+			defer ac.Finalize()
+			body(ac)
+		},
+	}
+}
+
 // Fig7aPoint is one bar of Figure 7(a): AC_Init for x statically
 // allocated accelerators, split into waiting and connect time.
 type Fig7aPoint struct {
@@ -56,69 +106,35 @@ type Fig7aPoint struct {
 	Waiting      time.Duration
 	Connect      time.Duration
 	Total        time.Duration
+	Obs          Observed // the bar's trials, merged in trial order
 }
 
 // Fig7a measures AC_Init completion for 1..maxACs statically
-// allocated accelerators (trials per point, averaged). Every
-// (point, trial) pair is an independent simulation, so all of them
-// fan out over the trial worker pool; the reduction below runs in
-// point-then-trial order, keeping output identical at any
-// parallelism level.
-func Fig7a(p cluster.Params, maxACs, trials int) ([]Fig7aPoint, error) {
-	type trialResult struct {
-		wait, conn time.Duration
-	}
-	results := make([]trialResult, maxACs*trials)
-	err := forEach(len(results), func(i int) error {
-		x := i/trials + 1
-		trial := i % trials
-		var stats dac.Stats
-		var mu sync.Mutex
-		tp := p
-		tp.Seed = uint64(trial + 1)
-		err := cluster.Run(tp, func(c *cluster.Cluster, client *pbs.Client) {
-			id, err := client.Submit(pbs.JobSpec{
-				Name: "fig7a", Owner: "exp", Nodes: 1, PPN: 1, ACPN: x, Walltime: time.Minute,
-				Script: func(env *pbs.JobEnv) {
-					ac, _, err := dac.Init(env)
-					if err != nil {
-						return
-					}
-					defer ac.Finalize()
-					mu.Lock()
-					stats = ac.Stats()
-					mu.Unlock()
-				},
-			})
-			if err != nil {
-				return
-			}
+// allocated accelerators (trials per point, averaged).
+func Fig7a(p cluster.Params, maxACs, trials int, obs cluster.Observers) ([]Fig7aPoint, error) {
+	res, seen, err := figureTrials(p, maxACs, trials, obs, func(x int, c *cluster.Cluster, client *pbs.Client) (st dac.Stats) {
+		id, err := client.Submit(dacJob("fig7a", 1, x+1, func(ac *dac.AC) { st = ac.Stats() }))
+		if err == nil {
 			client.Wait(id)
-		})
-		if err != nil {
-			return fmt.Errorf("core: Fig7a x=%d: %w", x, err)
 		}
-		mu.Lock()
-		results[i] = trialResult{wait: stats.InitWaiting, conn: stats.InitConnect}
-		mu.Unlock()
-		return nil
+		return st
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: Fig7a: %w", err)
 	}
 	var out []Fig7aPoint
-	for x := 1; x <= maxACs; x++ {
+	for x := range seen {
 		var wait, conn metrics.Sample
-		for trial := 0; trial < trials; trial++ {
-			r := results[(x-1)*trials+trial]
-			wait.Add(r.wait)
-			conn.Add(r.conn)
+		for _, st := range res[x*trials : (x+1)*trials] {
+			wait.Add(st.InitWaiting)
+			conn.Add(st.InitConnect)
 		}
 		out = append(out, Fig7aPoint{
-			Accelerators: x,
+			Accelerators: x + 1,
 			Waiting:      wait.Mean(),
 			Connect:      conn.Mean(),
 			Total:        wait.Mean() + conn.Mean(),
+			Obs:          seen[x],
 		})
 	}
 	return out, nil
@@ -132,77 +148,45 @@ type Fig7bPoint struct {
 	Batch        time.Duration
 	MPI          time.Duration
 	Total        time.Duration
+	Obs          Observed // the bar's trials, merged in trial order
 }
 
 // Fig7b measures dynamic allocation of 1..maxACs accelerators on an
 // otherwise idle system. Trials fan out like Fig7a's.
-func Fig7b(p cluster.Params, maxACs, trials int) ([]Fig7bPoint, error) {
-	type trialResult struct {
-		batch, mpi time.Duration
-		ok         bool
-	}
-	results := make([]trialResult, maxACs*trials)
-	err := forEach(len(results), func(i int) error {
-		y := i/trials + 1
-		trial := i % trials
-		var stats dac.Stats
-		var mu sync.Mutex
-		tp := p
-		tp.Seed = uint64(trial + 1)
-		err := cluster.Run(tp, func(c *cluster.Cluster, client *pbs.Client) {
-			id, err := client.Submit(pbs.JobSpec{
-				Name: "fig7b", Owner: "exp", Nodes: 1, PPN: 1, ACPN: 0, Walltime: time.Minute,
-				Script: func(env *pbs.JobEnv) {
-					ac, _, err := dac.Init(env)
-					if err != nil {
-						return
-					}
-					defer ac.Finalize()
-					clientID, _, err := ac.Get(y)
-					if err == nil {
-						ac.Free(clientID)
-					}
-					mu.Lock()
-					stats = ac.Stats()
-					mu.Unlock()
-				},
-			})
-			if err != nil {
-				return
+func Fig7b(p cluster.Params, maxACs, trials int, obs cluster.Observers) ([]Fig7bPoint, error) {
+	res, seen, err := figureTrials(p, maxACs, trials, obs, func(x int, c *cluster.Cluster, client *pbs.Client) (st dac.Stats) {
+		id, err := client.Submit(dacJob("fig7b", 1, 0, func(ac *dac.AC) {
+			if clientID, _, err := ac.Get(x + 1); err == nil {
+				ac.Free(clientID)
 			}
+			st = ac.Stats()
+		}))
+		if err == nil {
 			client.Wait(id)
-		})
-		if err != nil {
-			return fmt.Errorf("core: Fig7b y=%d: %w", y, err)
 		}
-		mu.Lock()
-		if len(stats.Gets) == 1 && !stats.Gets[0].Rejected {
-			results[i] = trialResult{batch: stats.Gets[0].Batch, mpi: stats.Gets[0].MPI, ok: true}
-		}
-		mu.Unlock()
-		return nil
+		return st
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: Fig7b: %w", err)
 	}
 	var out []Fig7bPoint
-	for y := 1; y <= maxACs; y++ {
+	for x := range seen {
 		var batch, mpiT metrics.Sample
-		for trial := 0; trial < trials; trial++ {
-			r := results[(y-1)*trials+trial]
-			if r.ok {
-				batch.Add(r.batch)
-				mpiT.Add(r.mpi)
+		for _, st := range res[x*trials : (x+1)*trials] {
+			if len(st.Gets) == 1 && !st.Gets[0].Rejected {
+				batch.Add(st.Gets[0].Batch)
+				mpiT.Add(st.Gets[0].MPI)
 			}
 		}
 		if batch.N() == 0 {
-			return nil, fmt.Errorf("core: Fig7b y=%d: no successful dynamic request", y)
+			return nil, fmt.Errorf("core: Fig7b y=%d: no successful dynamic request", x+1)
 		}
 		out = append(out, Fig7bPoint{
-			Accelerators: y,
+			Accelerators: x + 1,
 			Batch:        batch.Mean(),
 			MPI:          mpiT.Mean(),
 			Total:        batch.Mean() + mpiT.Mean(),
+			Obs:          seen[x],
 		})
 	}
 	return out, nil
@@ -215,118 +199,85 @@ type Fig8Point struct {
 	SchedOther time.Duration // waiting caused by Maui scheduling other requests
 	Service    time.Duration // servicing the dynamic request itself
 	Total      time.Duration
+	Obs        Observed // the trials at this load, merged in trial order
 }
 
 // Fig8 measures the dynamic allocation latency under scheduler load.
 // The background jobs request more compute nodes than exist, so they
 // occupy scheduling cycles without ever touching the DAC job's
-// resources, as the paper's setup requires.
-func Fig8(p cluster.Params, loads []int, trials int) ([]Fig8Point, error) {
+// resources, as the paper's setup requires. The unloaded baseline
+// runs once, ahead of the loads; a load-0 bar is that baseline.
+func Fig8(p cluster.Params, loads []int, trials int, obs cluster.Observers) ([]Fig8Point, error) {
 	p.ComputeNodes = 2
 	p.Accelerators = 2
-	measure := func(load int) (time.Duration, error) {
-		batches := make([]time.Duration, trials)
-		err := forEach(trials, func(trial int) error {
-			var batch time.Duration
-			var mu sync.Mutex
-			s := sim.Acquire()
-			defer s.Release()
-			tp := p
-			tp.Seed = uint64(trial + 1)
-			c := cluster.New(s, tp)
-			ready := newSignal(s, "ready")
-			goahead := newSignal(s, "go")
-			err := s.Run(func() {
-				defer c.Close()
-				c.Start()
-				client := c.Client("front")
-				id, err := client.Submit(pbs.JobSpec{
-					Name: "fig8", Owner: "exp", Nodes: 1, PPN: 1, ACPN: 1, Walltime: time.Minute,
-					Script: func(env *pbs.JobEnv) {
-						ac, _, err := dac.Init(env)
-						if err != nil {
-							return
-						}
-						defer ac.Finalize()
-						ready.fire()
-						goahead.wait()
-						clientID, _, err := ac.Get(1)
-						if err == nil {
-							ac.Free(clientID)
-						}
-						st := ac.Stats()
-						mu.Lock()
-						if len(st.Gets) > 0 {
-							batch = st.Gets[0].Batch
-						}
-						mu.Unlock()
-					},
-				})
-				if err != nil {
-					return
-				}
-				ready.wait()
-				if load > 0 {
-					// Load the scheduler, wait until a cycle that
-					// examines the whole backlog is in flight, then
-					// release the dynamic request into it — the
-					// paper's "request arrives while the scheduler is
-					// already working on the earlier requests".
-					c0 := c.Sched.Stats().Cycles
-					for _, spec := range workload.Backlog(s, load, p.ComputeNodes+1) {
-						if _, err := client.Submit(spec); err != nil {
-							return
-						}
-					}
-					for c.Sched.Stats().Cycles < c0+2 {
-						s.Sleep(5 * time.Millisecond)
-					}
-					s.Sleep(10 * time.Millisecond)
-				}
-				goahead.fire()
-				client.Wait(id)
-			})
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			batches[trial] = batch
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return 0, err
+	levels := []int{0}
+	for _, load := range loads {
+		if load != 0 {
+			levels = append(levels, load)
 		}
+	}
+	res, seen, err := figureTrials(p, len(levels), trials, obs, func(x int, c *cluster.Cluster, client *pbs.Client) (batch time.Duration) {
+		s := c.Sim
+		ready, goahead := newSignal(s, "ready"), newSignal(s, "go")
+		id, err := client.Submit(dacJob("fig8", 1, 1, func(ac *dac.AC) {
+			ready.fire()
+			goahead.wait()
+			if clientID, _, err := ac.Get(1); err == nil {
+				ac.Free(clientID)
+			}
+			if st := ac.Stats(); len(st.Gets) > 0 {
+				batch = st.Gets[0].Batch
+			}
+		}))
+		if err != nil {
+			return 0
+		}
+		ready.wait()
+		if load := levels[x]; load > 0 {
+			// Load the scheduler, wait until a cycle that examines the
+			// whole backlog is in flight, then release the dynamic
+			// request into it — the paper's "request arrives while the
+			// scheduler is already working on the earlier requests".
+			c0 := c.Sched.Stats().Cycles
+			for _, spec := range workload.Backlog(s, load, p.ComputeNodes+1) {
+				if _, err := client.Submit(spec); err != nil {
+					return 0
+				}
+			}
+			for c.Sched.Stats().Cycles < c0+2 {
+				s.Sleep(5 * time.Millisecond)
+			}
+			s.Sleep(10 * time.Millisecond)
+		}
+		goahead.fire()
+		client.Wait(id)
+		return batch
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: Fig8: %w", err)
+	}
+	means := make([]time.Duration, len(levels))
+	for x, load := range levels {
 		var total metrics.Sample
-		for _, b := range batches {
+		for _, b := range res[x*trials : (x+1)*trials] {
 			if b > 0 {
 				total.Add(b)
 			}
 		}
 		if total.N() == 0 {
-			return 0, fmt.Errorf("core: Fig8 load measurement produced no data")
+			return nil, fmt.Errorf("core: Fig8 load=%d: the measurement produced no data", load)
 		}
-		return total.Mean(), nil
-	}
-
-	base, err := measure(0)
-	if err != nil {
-		return nil, fmt.Errorf("core: Fig8 baseline: %w", err)
+		means[x] = total.Mean()
 	}
 	var out []Fig8Point
+	x := 0
 	for _, load := range loads {
-		tot := base
+		at := 0
 		if load != 0 {
-			tot, err = measure(load)
-			if err != nil {
-				return nil, fmt.Errorf("core: Fig8 load=%d: %w", load, err)
-			}
+			x++
+			at = x
 		}
-		sched := tot - base
-		if sched < 0 {
-			sched = 0
-		}
-		out = append(out, Fig8Point{Load: load, SchedOther: sched, Service: base, Total: tot})
+		out = append(out, Fig8Point{Load: load, SchedOther: max(means[at]-means[0], 0), Service: means[0], Total: means[at], Obs: seen[at]})
 	}
 	return out, nil
 }
@@ -336,98 +287,65 @@ func Fig8(p cluster.Params, loads []int, trials int) ([]Fig8Point, error) {
 type Fig9Point struct {
 	Node  string
 	Total time.Duration
+	Obs   Observed // the figure's trials, on bar A: one run measures all three bars
 }
 
 // Fig9 has three distinct jobs (compute nodes A, B, C) issue one
 // dynamic request each at the same time; the server's serial
 // processing of dynamic requests makes later arrivals wait. Totals
 // exclude the MPI operations, as in the paper.
-func Fig9(p cluster.Params, trials int) ([]Fig9Point, error) {
+func Fig9(p cluster.Params, trials int, obs cluster.Observers) ([]Fig9Point, error) {
 	p.ComputeNodes = 3
 	p.Accelerators = 6
-	perTrial := make([][3]time.Duration, trials)
-	errRun := forEach(trials, func(trial int) error {
-		batches := make([]time.Duration, 3)
-		var mu sync.Mutex
-		s := sim.Acquire()
-		defer s.Release()
-		tp := p
-		tp.Seed = uint64(trial + 1)
-		c := cluster.New(s, tp)
+	res, seen, err := figureTrials(p, 1, trials, obs, func(_ int, c *cluster.Cluster, client *pbs.Client) (batches [3]time.Duration) {
+		s := c.Sim
 		goahead := newSignal(s, "go")
-		readies := make([]*signal, 3)
+		var ids []string
+		var readies [3]*signal
 		for i := range readies {
 			readies[i] = newSignal(s, fmt.Sprintf("ready%d", i))
 		}
-		err := s.Run(func() {
-			defer c.Close()
-			c.Start()
-			client := c.Client("front")
-			var ids []string
-			for i := 0; i < 3; i++ {
-				i := i
-				id, err := client.Submit(pbs.JobSpec{
-					Name: fmt.Sprintf("fig9-%c", 'A'+i), Owner: "exp",
-					Nodes: 1, PPN: p.CoresPerNode, ACPN: 1, Walltime: time.Minute,
-					Script: func(env *pbs.JobEnv) {
-						ac, _, err := dac.Init(env)
-						if err != nil {
-							return
-						}
-						defer ac.Finalize()
-						readies[i].fire()
-						goahead.wait()
-						// Deterministic arrival order A < B < C.
-						s.Sleep(time.Duration(i) * time.Microsecond)
-						clientID, _, err := ac.Get(1)
-						if err == nil {
-							ac.Free(clientID)
-						}
-						st := ac.Stats()
-						mu.Lock()
-						if len(st.Gets) > 0 {
-							batches[i] = st.Gets[0].Batch
-						}
-						mu.Unlock()
-					},
-				})
-				if err != nil {
-					return
+		for i := range readies {
+			id, err := client.Submit(dacJob(fmt.Sprintf("fig9-%c", 'A'+i), p.CoresPerNode, 1, func(ac *dac.AC) {
+				readies[i].fire()
+				goahead.wait()
+				// Deterministic arrival order A < B < C.
+				s.Sleep(time.Duration(i) * time.Microsecond)
+				if clientID, _, err := ac.Get(1); err == nil {
+					ac.Free(clientID)
 				}
-				ids = append(ids, id)
+				if st := ac.Stats(); len(st.Gets) > 0 {
+					batches[i] = st.Gets[0].Batch
+				}
+			}))
+			if err != nil {
+				return batches
 			}
-			for _, r := range readies {
-				r.wait()
-			}
-			goahead.fire()
-			for _, id := range ids {
-				client.Wait(id)
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("core: Fig9: %w", err)
+			ids = append(ids, id)
 		}
-		mu.Lock()
-		copy(perTrial[trial][:], batches)
-		mu.Unlock()
-		return nil
+		for _, r := range readies {
+			r.wait()
+		}
+		goahead.fire()
+		for _, id := range ids {
+			client.Wait(id)
+		}
+		return batches
 	})
-	if errRun != nil {
-		return nil, errRun
-	}
-	samples := make([]metrics.Sample, 3)
-	for trial := 0; trial < trials; trial++ {
-		for i, b := range perTrial[trial] {
-			if b > 0 {
-				samples[i].Add(b)
-			}
-		}
+	if err != nil {
+		return nil, fmt.Errorf("core: Fig9: %w", err)
 	}
 	out := make([]Fig9Point, 3)
 	for i := range out {
-		out[i] = Fig9Point{Node: string(rune('A' + i)), Total: samples[i].Mean()}
+		var total metrics.Sample
+		for _, batches := range res {
+			if batches[i] > 0 {
+				total.Add(batches[i])
+			}
+		}
+		out[i] = Fig9Point{Node: string(rune('A' + i)), Total: total.Mean()}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
+	out[0].Obs = seen[0]
 	return out, nil
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFig7aShape(t *testing.T) {
-	pts, err := Fig7a(cluster.Default(), 6, 2)
+	pts, err := Fig7a(cluster.Default(), 6, 2, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig7bShape(t *testing.T) {
-	pts, err := Fig7b(cluster.Default(), 6, 1)
+	pts, err := Fig7b(cluster.Default(), 6, 1, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFig7bShape(t *testing.T) {
 	}
 	// Dynamic allocation costs more than static AC_Init (paper
 	// contrast between Figures 7(a) and 7(b)).
-	static, err := Fig7a(cluster.Default(), 1, 1)
+	static, err := Fig7a(cluster.Default(), 1, 1, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFig7bShape(t *testing.T) {
 }
 
 func TestFig8LoadIncreasesWaiting(t *testing.T) {
-	pts, err := Fig8(cluster.Default(), []int{0, 16, 20}, 1)
+	pts, err := Fig8(cluster.Default(), []int{0, 16, 20}, 1, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFig8LoadIncreasesWaiting(t *testing.T) {
 }
 
 func TestFig9Staircase(t *testing.T) {
-	pts, err := Fig9(cluster.Default(), 1)
+	pts, err := Fig9(cluster.Default(), 1, cluster.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

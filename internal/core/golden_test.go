@@ -21,19 +21,19 @@ func TestFiguresMatchCommittedResults(t *testing.T) {
 		table func() (*metrics.Table, error)
 	}{
 		{"fig7a.csv", func() (*metrics.Table, error) {
-			pts, err := Fig7a(p, 6, 10)
+			pts, err := Fig7a(p, 6, 10, cluster.Observers{})
 			return Fig7aTable(pts), err
 		}},
 		{"fig7b.csv", func() (*metrics.Table, error) {
-			pts, err := Fig7b(p, 6, 10)
+			pts, err := Fig7b(p, 6, 10, cluster.Observers{})
 			return Fig7bTable(pts), err
 		}},
 		{"fig8.csv", func() (*metrics.Table, error) {
-			pts, err := Fig8(p, []int{0, 16, 20}, 10)
+			pts, err := Fig8(p, []int{0, 16, 20}, 10, cluster.Observers{})
 			return Fig8Table(pts), err
 		}},
 		{"fig9.csv", func() (*metrics.Table, error) {
-			pts, err := Fig9(p, 10)
+			pts, err := Fig9(p, 10, cluster.Observers{})
 			return Fig9Table(pts), err
 		}},
 	}

@@ -121,9 +121,9 @@ func (o *Observed) FinalDigests() map[string]uint64 {
 }
 
 // Observe collects a finished session's view of an n-node run (n is
-// 0 for a session shared by runs of several shapes).
+// 0 where no one node count names the run) and releases its recorder.
 func Observe(n int, ses *cluster.Session) Observed {
-	return Observed{
+	o := Observed{
 		ComputeNodes: n,
 		File:         ses.File(),
 		Checks:       ses.Recorder.Checks(),
@@ -131,6 +131,54 @@ func Observe(n int, ses *cluster.Session) Observed {
 		Dropped:      ses.Recorder.Dropped(),
 		Rounds:       ses.Recorder.DigestCaptures(),
 	}
+	ses.Recorder.Release()
+	return o
+}
+
+// Merge concatenates observed runs, in order, into what one capture
+// file of them holds. Span ids and audit sequence numbers are offset
+// past the runs before, so both stay unique in the file; the counters
+// add up. Scrape windows keep their per-run index.
+func Merge(runs []Observed) Observed {
+	var out Observed
+	var ids, seq uint64
+	for i := range runs {
+		r := &runs[i]
+		top := ids
+		for _, e := range r.Spans {
+			e.ID, e.Parent = offsetID(e.ID, ids), offsetID(e.Parent, ids)
+			if len(e.Links) > 0 {
+				links := make([]uint64, len(e.Links))
+				for j, l := range e.Links {
+					links[j] = offsetID(l, ids)
+					top = max(top, links[j])
+				}
+				e.Links = links
+			}
+			top = max(top, e.ID, e.Parent)
+			out.Spans = append(out.Spans, e)
+		}
+		ids = top
+		for _, e := range r.Audit {
+			e.Seq += seq
+			out.Audit = append(out.Audit, e)
+		}
+		seq += uint64(len(r.Audit)) + uint64(r.Dropped)
+		out.Windows = append(out.Windows, r.Windows...)
+		out.Checks += r.Checks
+		out.Breaches += r.Breaches
+		out.Dropped += r.Dropped
+		out.Rounds += r.Rounds
+	}
+	return out
+}
+
+// offsetID moves a span id past the runs before it; 0 (no span) stays.
+func offsetID(id, by uint64) uint64 {
+	if id == 0 {
+		return 0
+	}
+	return id + by
 }
 
 // AuditBreaches sums invariant breaches across a set of observed
@@ -143,8 +191,8 @@ func AuditBreaches(points []Observed) int64 {
 	return total
 }
 
-// AuditTable renders the audit counters of each observed run (a
-// session shared across cluster shapes has no node count to show).
+// AuditTable renders the audit counters of each observed run ("-"
+// for runs merged across cluster shapes, which have no one node count).
 func AuditTable(points []Observed) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Audit: flight-recorder events, invariant checks, and digest rounds per observed run",

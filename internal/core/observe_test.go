@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,83 +13,156 @@ import (
 	"repro/internal/trace"
 )
 
-// The paper figures run many trials and take no observer set; a
-// session the caller attaches to the parameter set every trial
-// derives from sees all of them (dacsim -observe on -fig 7a..9). The
-// ac.get spans' batch / mpi children are Figure 7(b)'s two columns.
-func TestPaperFigureUnderSharedSession(t *testing.T) {
+var allObservers = cluster.Observers{Trace: true, Telemetry: true, Audit: true}
+
+// Every trial of a paper figure runs under a session of its own, so it
+// has one clock: scrape windows and digest rounds of its own, and spans
+// on its own time. Merged per point, span ids and audit sequence
+// numbers stay unique, and the ac.get spans' batch / mpi children are
+// Figure 7(b)'s two columns at any parallelism.
+func TestPaperFigureObservesEachTrialOnItsOwn(t *testing.T) {
 	defer SetParallelism(Parallelism())
-	SetParallelism(1)
-	const trials = 2
-	p := cluster.Default()
-	ses := cluster.Observers{Trace: true, Telemetry: true, Audit: true}.Open()
-	ses.Attach(&p)
-	pts, err := Fig7b(p, 2, trials)
+	SetParallelism(4)
+	const trials = 3
+	pts, err := Fig7b(cluster.Default(), 2, trials, allObservers)
 	if err != nil {
 		t.Fatalf("Fig7b: %v", err)
 	}
-	seen := Observe(0, ses)
-	if seen.Breaches != 0 || seen.Checks == 0 {
-		t.Fatalf("shared recorder: %d breaches over %d checks", seen.Breaches, seen.Checks)
-	}
-	if len(seen.Spans) == 0 || len(seen.Audit) == 0 || len(seen.Windows) != 0 {
-		t.Fatalf("shared session captured %s, want spans and audit events (no clock, so no scrape windows)", seen.Kinds())
-	}
-	if n := ses.Registry.Counter("pbs.dyn_granted").Value(); n != int64(len(pts)*trials) {
-		t.Errorf("shared registry counted %d dynamic grants, want %d", n, len(pts)*trials)
-	}
-	// Jitter is off, so every trial of a point takes its mean.
 	var batch, mpi, wantBatch, wantMPI time.Duration
-	for _, e := range seen.Spans {
-		if e.Kind != trace.KindSpan || !strings.HasPrefix(e.Track, "dac@") {
-			continue
-		}
-		switch e.Name {
-		case "batch":
-			batch += e.Dur
-		case "mpi":
-			mpi += e.Dur
-		}
-	}
+	var granted float64
 	for _, pt := range pts {
+		seen := pt.Obs
+		if seen.Breaches != 0 || seen.Checks == 0 {
+			t.Fatalf("y=%d: %d breaches over %d checks", pt.Accelerators, seen.Breaches, seen.Checks)
+		}
+		if len(seen.Windows) < trials || seen.Rounds < trials || len(finalDigests(seen)) != trials {
+			t.Fatalf("y=%d captured %s in %d digest rounds, want scrape windows and digest rounds from each of %d trials",
+				pt.Accelerators, seen.Kinds(), seen.Rounds, trials)
+		}
+		ids := map[uint64]bool{}
+		for _, e := range seen.Spans {
+			if e.ID != 0 && ids[e.ID] {
+				t.Fatalf("y=%d: span id %d twice", pt.Accelerators, e.ID)
+			}
+			ids[e.ID] = true
+			if e.Kind != trace.KindSpan || !strings.HasPrefix(e.Track, "dac@") {
+				continue
+			}
+			switch e.Name {
+			case "batch":
+				batch += e.Dur
+			case "mpi":
+				mpi += e.Dur
+			}
+		}
+		for i, e := range seen.Audit {
+			if e.Seq != uint64(i) {
+				t.Fatalf("y=%d: audit event %d has seq %d", pt.Accelerators, i, e.Seq)
+			}
+		}
+		for _, w := range seen.Windows {
+			for _, r := range w.Rows {
+				if r.Name == "pbs.dyn_granted" {
+					granted += r.Delta
+				}
+			}
+		}
+		// Jitter is off, so every trial of a point takes its mean.
 		wantBatch += trials * pt.Batch
 		wantMPI += trials * pt.MPI
 	}
 	if batch != wantBatch || mpi != wantMPI {
 		t.Errorf("span time batch=%v mpi=%v, figure columns say %v / %v", batch, mpi, wantBatch, wantMPI)
 	}
+	if granted != float64(len(pts)*trials) {
+		t.Errorf("scrape windows counted %v dynamic grants, want %d", granted, len(pts)*trials)
+	}
 }
 
-// Two Figure 7(b) runs under one shared trace, telemetry and audit
-// session write byte-equal captures: AC_Free must send its exit
+// finalDigests splits a point's merged recording where virtual time
+// starts over (every trial begins at zero) and returns each trial's
+// last digest per provider.
+func finalDigests(o Observed) []map[string]uint64 {
+	var out []map[string]uint64
+	last := time.Duration(-1)
+	for _, e := range o.Audit {
+		if e.VT < last || out == nil {
+			out = append(out, map[string]uint64{})
+		}
+		last = e.VT
+		if e.Kind == audit.KindDigest {
+			out[len(out)-1][e.Subj] = uint64(e.A)
+		}
+	}
+	return out
+}
+
+// Without jitter the simulation is deterministic, so the trials of a
+// point coincide (EXPERIMENTS.md): every trial ends in the same state.
+// With jitter each trial's seed shows, so the check is not vacuous.
+func TestRepeatedTrialsCoincideWithoutJitter(t *testing.T) {
+	for _, jitter := range []float64{0, 0.1} {
+		p := cluster.Default()
+		p.LatencyJitter = jitter
+		pts, err := Fig7b(p, 2, 3, cluster.Observers{Audit: true})
+		if err != nil {
+			t.Fatalf("Fig7b jitter=%v: %v", jitter, err)
+		}
+		differ := false
+		for _, pt := range pts {
+			finals := finalDigests(pt.Obs)
+			if len(finals) != 3 || len(finals[0]) == 0 {
+				t.Fatalf("jitter=%v y=%d: %d trials with final digests, want 3", jitter, pt.Accelerators, len(finals))
+			}
+			for _, f := range finals[1:] {
+				if !reflect.DeepEqual(f, finals[0]) {
+					differ = true
+				}
+			}
+		}
+		if differ != (jitter != 0) {
+			t.Errorf("jitter=%v: trials differ = %v", jitter, differ)
+		}
+	}
+}
+
+// Figure 7(b)'s capture is the same bytes every run and at every
+// parallelism: each trial records into its own session and each point
+// merges its trials in trial order. AC_Free must also send its exit
 // requests in one order, or same-instant deliveries from one process
 // trade span ids run to run.
 func TestFig7bCaptureIsTheSameEveryRun(t *testing.T) {
 	defer SetParallelism(Parallelism())
-	SetParallelism(1)
-	run := func() []byte {
-		p := cluster.Default()
-		ses := cluster.Observers{Trace: true, Telemetry: true, Audit: true}.Open()
-		ses.Attach(&p)
-		if _, err := Fig7b(p, 4, 2); err != nil {
+	run := func(parallel int) []byte {
+		SetParallelism(parallel)
+		pts, err := Fig7b(cluster.Default(), 4, 2, allObservers)
+		if err != nil {
 			t.Fatalf("Fig7b: %v", err)
 		}
-		f := Observe(0, ses).File
+		runs := make([]Observed, len(pts))
+		for i := range pts {
+			runs[i] = pts[i].Obs
+		}
+		f := Merge(runs).File
 		var buf bytes.Buffer
 		if err := capture.Write(&buf, &f); err != nil {
 			t.Fatalf("capture: %v", err)
 		}
 		return buf.Bytes()
 	}
-	first, second := run(), run()
-	if !bytes.Equal(first, second) {
-		a, b := strings.Split(string(first), "\n"), strings.Split(string(second), "\n")
+	first := run(0) // the default: one worker per core
+	for _, parallel := range []int{1, 2, 4} {
+		other := run(parallel)
+		if bytes.Equal(first, other) {
+			continue
+		}
+		a, b := strings.Split(string(first), "\n"), strings.Split(string(other), "\n")
 		for i := 0; i < len(a) && i < len(b); i++ {
 			if a[i] != b[i] {
-				t.Fatalf("captures differ at line %d:\n%s\n%s", i+1, a[i], b[i])
+				t.Fatalf("parallelism %d: captures differ at line %d:\n%s\n%s", parallel, i+1, a[i], b[i])
 			}
 		}
-		t.Fatalf("captures differ in length: %d vs %d lines", len(a), len(b))
+		t.Fatalf("parallelism %d: captures differ in length: %d vs %d lines", parallel, len(a), len(b))
 	}
 }
 

@@ -19,21 +19,21 @@ func TestFiguresIdenticalAcrossParallelism(t *testing.T) {
 	p := cluster.Default()
 
 	SetParallelism(1)
-	serial7a, err := Fig7a(p, 2, 3)
+	serial7a, err := Fig7a(p, 2, 3, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("serial Fig7a: %v", err)
 	}
-	serial9, err := Fig9(p, 2)
+	serial9, err := Fig9(p, 2, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("serial Fig9: %v", err)
 	}
 
 	SetParallelism(4)
-	par7a, err := Fig7a(p, 2, 3)
+	par7a, err := Fig7a(p, 2, 3, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("parallel Fig7a: %v", err)
 	}
-	par9, err := Fig9(p, 2)
+	par9, err := Fig9(p, 2, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("parallel Fig9: %v", err)
 	}

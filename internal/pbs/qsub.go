@@ -2,6 +2,7 @@ package pbs
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -69,21 +70,25 @@ func ParseResourceRequest(l string) (JobSpec, error) {
 	return spec, nil
 }
 
-// parseWalltime accepts HH:MM:SS, MM:SS, or plain seconds.
+// maxWalltime is the longest walltime, in seconds, a time.Duration holds.
+const maxWalltime = math.MaxInt64 / int64(time.Second)
+
+// parseWalltime accepts HH:MM:SS, MM:SS, or plain seconds, up to
+// maxWalltime.
 func parseWalltime(v string) (time.Duration, error) {
 	parts := strings.Split(v, ":")
 	if len(parts) > 3 {
 		return 0, fmt.Errorf("pbs: bad walltime %q", v)
 	}
-	var total time.Duration
+	var secs int64
 	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 {
+		n, err := strconv.ParseInt(p, 10, 64)
+		if err != nil || n < 0 || n > maxWalltime || secs > (maxWalltime-n)/60 {
 			return 0, fmt.Errorf("pbs: bad walltime %q", v)
 		}
-		total = total*60 + time.Duration(n)*time.Second
+		secs = secs*60 + n
 	}
-	return total, nil
+	return time.Duration(secs) * time.Second, nil
 }
 
 // FormatResourceRequest renders a JobSpec back into qsub -l syntax,

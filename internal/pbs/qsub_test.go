@@ -58,6 +58,9 @@ func TestParseResourceRequestErrors(t *testing.T) {
 		"mem=4gb",
 		"nodes=1,walltime=1:2:3:4",
 		"nodes=1,walltime=ab",
+		"nodes=1,walltime=9223372037",
+		"nodes=1,walltime=2562048:00:00",
+		"nodes=1,walltime=99999999999:0:0",
 		"nodes",
 	} {
 		if _, err := ParseResourceRequest(bad); err == nil {
@@ -84,4 +87,37 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseResourceRequest holds the qsub -l parser to its contract:
+// it never panics, whatever it accepts is a valid request, and an
+// accepted request formats and parses back to itself (walltime to the
+// second).
+func FuzzParseResourceRequest(f *testing.F) {
+	for _, seed := range []string{
+		"nodes=2:ppn=4:acpn=1,walltime=00:30:00",
+		"nodes=1,walltime=9223372036",
+		"nodes=1,walltime=9223372037",
+		"nodes=1,walltime=2562048:00:00",
+		"nodes=1,walltime=99999999999:0:0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, l string) {
+		spec, err := ParseResourceRequest(l)
+		if err != nil {
+			return
+		}
+		if spec.Nodes < 1 || spec.PPN < 0 || spec.ACPN < 0 || spec.Walltime < 0 {
+			t.Fatalf("%q accepted as %+v", l, spec)
+		}
+		back, err := ParseResourceRequest(FormatResourceRequest(spec))
+		if err != nil {
+			t.Fatalf("%q: %q does not parse back: %v", l, FormatResourceRequest(spec), err)
+		}
+		if back.Nodes != spec.Nodes || back.PPN != spec.PPN || back.ACPN != spec.ACPN ||
+			back.Walltime != spec.Walltime.Truncate(time.Second) {
+			t.Fatalf("%q: %+v formats and parses back as %+v", l, spec, back)
+		}
+	})
 }

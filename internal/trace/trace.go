@@ -97,8 +97,7 @@ type Tracer struct {
 func New() *Tracer { return &Tracer{} }
 
 // SetClock installs the virtual-time source (typically
-// sim.Simulation.Now). Rebinding is allowed: multi-trial experiments
-// reuse one tracer across consecutive simulations.
+// sim.Simulation.Now). A tracer records one simulation.
 func (t *Tracer) SetClock(clock func() time.Duration) {
 	if t == nil {
 		return
@@ -111,12 +110,7 @@ func (t *Tracer) SetClock(clock func() time.Duration) {
 // Span is an open interval created by Start or Child. End it exactly
 // once; a nil Span (from a nil Tracer) ignores all calls.
 type Span struct {
-	t *Tracer
-	// clock is captured at creation: when one tracer is reused across
-	// consecutive simulations (multi-trial experiments rebind via
-	// SetClock), a span still open from the previous trial must end
-	// against its own simulation's clock, not the new one.
-	clock  func() time.Duration
+	t      *Tracer
 	track  string
 	name   string
 	start  time.Duration
@@ -135,7 +129,7 @@ func (t *Tracer) Start(track, name string, kvs ...string) *Span {
 	}
 	t.mu.Lock()
 	t.nextID++
-	sp := &Span{t: t, clock: t.clock, track: track, name: name, id: t.nextID, args: t.pairsLocked(kvs)}
+	sp := &Span{t: t, track: track, name: name, id: t.nextID, args: t.pairsLocked(kvs)}
 	if t.clock != nil {
 		sp.start = t.clock()
 	}
@@ -153,10 +147,10 @@ func (s *Span) Child(name string, kvs ...string) *Span {
 	t.mu.Lock()
 	t.nextID++
 	now := s.start
-	if s.clock != nil {
-		now = s.clock()
+	if t.clock != nil {
+		now = t.clock()
 	}
-	sp := &Span{t: t, clock: s.clock, track: s.track, name: name, start: now, id: t.nextID, parent: s.id, args: t.pairsLocked(kvs)}
+	sp := &Span{t: t, track: s.track, name: name, start: now, id: t.nextID, parent: s.id, args: t.pairsLocked(kvs)}
 	t.mu.Unlock()
 	return sp
 }
@@ -210,8 +204,8 @@ func (s *Span) End() {
 	t := s.t
 	t.mu.Lock()
 	now := s.start
-	if s.clock != nil {
-		now = s.clock()
+	if t.clock != nil {
+		now = t.clock()
 	}
 	ev := Event{
 		Kind: KindSpan, Track: s.track, Name: s.name,

@@ -79,8 +79,6 @@ func NewTracer() *trace.Tracer { return trace.New() }
 type (
 	// Observers names the observers to attach.
 	Observers = cluster.Observers
-	// ObserverSession is the live observers of one run.
-	ObserverSession = cluster.Session
 	// Observed is what the observers of one run saw: its capture plus
 	// the invariant and digest counters.
 	Observed = core.Observed
@@ -90,8 +88,10 @@ type (
 var (
 	// ParseObservers parses a "trace,telemetry,audit" list.
 	ParseObservers = cluster.ParseObservers
-	// Observe collects a finished session's view of a run.
-	Observe = core.Observe
+	// Observe collects a finished session's view of a run;
+	// MergeObserved concatenates several runs into one capture.
+	Observe       = core.Observe
+	MergeObserved = core.Merge
 	// CapturePath names a run's capture file under a prefix;
 	// WriteCaptureFile writes it.
 	CapturePath      = capture.Path

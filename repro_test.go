@@ -181,13 +181,13 @@ func TestPublicAPISWF(t *testing.T) {
 // driver through the facade.
 func TestPublicAPIFigureDrivers(t *testing.T) {
 	p := repro.DefaultParams()
-	if pts, err := repro.Fig7a(p, 1, 1); err != nil || len(pts) != 1 {
+	if pts, err := repro.Fig7a(p, 1, 1, repro.Observers{}); err != nil || len(pts) != 1 {
 		t.Fatalf("Fig7a: %v %v", pts, err)
 	}
-	if pts, err := repro.Fig9(p, 1); err != nil || len(pts) != 3 {
+	if pts, err := repro.Fig9(p, 1, repro.Observers{}); err != nil || len(pts) != 3 {
 		t.Fatalf("Fig9: %v %v", pts, err)
 	}
-	pts, err := repro.Fig7b(p, 1, 1)
+	pts, err := repro.Fig7b(p, 1, 1, repro.Observers{})
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("Fig7b: %v %v", pts, err)
 	}

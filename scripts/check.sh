@@ -68,4 +68,20 @@ if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
     exit 1
 fi
 
+# Every paper-figure trial records into its own observer session, so
+# the figures' capture is the same bytes at any -parallel: three runs at
+# the default and one serial run give one md5 (about 0.3 s each).
+echo "==> dacsim -fig all -observe trace,telemetry,audit -capture, 4 runs, one md5"
+for parallel in 0 0 0 1; do
+    "$bin/dacsim" -fig all -parallel "$parallel" -observe trace,telemetry,audit \
+        -capture "$bin/figs" >/dev/null 2>&1
+    md5sum < "$bin/figs.jsonl" >> "$bin/figs.md5"
+done
+sums=$(sort -u "$bin/figs.md5")
+if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
+    echo "the paper figures' capture differs between runs:" >&2
+    echo "$sums" >&2
+    exit 1
+fi
+
 echo "==> checks passed"
