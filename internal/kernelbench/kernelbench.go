@@ -64,7 +64,7 @@ func SleepWake(b *testing.B) {
 }
 
 // SleepPark measures the actor park/dispatch/wake round trip through
-// the queue and the sleepers' wake channels: two actors sleep the same
+// the queue and the driver: two actors sleep the same
 // period half a period apart, so every Sleep finds the other's wake due
 // first, parks and releases it. One iteration is one Sleep of the timed
 // actor and one of the off-beat one.

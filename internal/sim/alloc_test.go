@@ -8,21 +8,18 @@ import (
 )
 
 // The kernel's hot paths — event dispatch, sleep/wake, and gate
-// park/signal — must not allocate once storage is warm: event nodes
-// live in the queue's reused backing arrays, a sleep's wake channel
-// rides in a reused step record, gate waiters come from a pool, and the
-// dispatch batch is recycled across instants. These tests pin that at exactly zero allocations per
-// operation so a regression shows up as a test failure, not as a GC
-// slope on the scale ladder.
+// park/signal — must not allocate once storage is warm: events live in
+// the queue's reused keys and slab, a parked actor is its worker, which
+// holds the step record and the gate wait, and the dispatch batch is
+// recycled across instants. These tests pin that at exactly zero
+// allocations per operation, under -race too, so a regression shows up
+// as a test failure, not as a GC slope on the scale ladder.
 
 // TestSleepWakeZeroAlloc pins a lone actor's Sleep — the in-place
 // clock advance — at zero allocations per operation, and at zero parks:
 // with nothing else runnable or due first, the sleeper never leaves the
 // CPU.
 func TestSleepWakeZeroAlloc(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := New()
 	var allocs float64
 	var parks uint64
@@ -45,14 +42,10 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 }
 
 // TestSleepParkZeroAlloc pins the other path of Sleep — another actor's
-// wake is due first, so the sleeper parks and comes back through the
-// queue and its step record's wake channel, released by the other
-// actor's dispatch — at zero allocations per operation, with every one
-// of the sleeps parking.
+// wake is due first, so the sleeper parks and the driver resumes it at
+// its wake — at zero allocations per operation, with every one of the
+// sleeps parking.
 func TestSleepParkZeroAlloc(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := New()
 	var allocs float64
 	var parks uint64
@@ -88,14 +81,11 @@ func TestSleepParkZeroAlloc(t *testing.T) {
 }
 
 // TestSleepStepsParkZeroAlloc pins a parked SleepSteps — another
-// actor's wake is due at every other step, so the controller takes the
+// actor's wake is due at every other step, so the driver takes the
 // steps for the parked caller and wakes it once, after the last — at
-// zero allocations per call: the step record comes from the kernel's
-// free list and the wakes live in the queue's reused storage.
+// zero allocations per call: the step record is the worker's and the
+// wakes live in the queue's reused storage.
 func TestSleepStepsParkZeroAlloc(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := New()
 	var allocs float64
 	var parks uint64
@@ -132,12 +122,9 @@ func TestSleepStepsParkZeroAlloc(t *testing.T) {
 func bumpCounter(a any) { *(a.(*int))++ }
 
 // TestDispatchZeroAlloc pins closure-free timer dispatch (AfterArg
-// scheduling plus controller pop and callback) at zero allocations
+// scheduling plus the driver's pop and callback) at zero allocations
 // per operation.
 func TestDispatchZeroAlloc(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := New()
 	var allocs float64
 	hits := new(int)
@@ -163,20 +150,16 @@ func TestDispatchZeroAlloc(t *testing.T) {
 }
 
 // TestGateWaitSignalZeroAlloc pins the gate park/signal handoff at
-// zero allocations per operation: waiters are pooled and parking counts
-// on the gate itself.
+// zero allocations per operation: the waiter is the worker, and parking
+// counts on the gate itself.
 func TestGateWaitSignalZeroAlloc(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := New()
 	var allocs float64
 	err := s.Run(func() {
 		g := s.NewGate("zeroalloc")
 		var mu sync.Mutex
-		// Signal from a timer, not a spawned goroutine: Go allocates a
-		// goroutine stack, which would drown the waiter-side
-		// measurement. The closure is built once, outside the measured
+		// Signal from a timer, not a spawned actor: a spawn may start a
+		// worker, which would drown the waiter-side measurement. The closure is built once, outside the measured
 		// region. The timer cannot fire before the actor parks (virtual
 		// time only advances when every actor is parked), so a bare
 		// Wait without a predicate is deterministic here.
@@ -200,13 +183,39 @@ func TestGateWaitSignalZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGateWaitTimeoutZeroAlloc pins a timed wait at zero allocations,
+// both when its deadline ends it and when a Signal wins and leaves the
+// deadline queued: the deadline is a wake event for the worker, carrying
+// the wait's number, not a closure.
+func TestGateWaitTimeoutZeroAlloc(t *testing.T) {
+	for _, timeout := range []time.Duration{time.Microsecond, 3 * time.Microsecond} {
+		s := New()
+		var allocs float64
+		err := s.Run(func() {
+			g := s.NewGate("timed")
+			wait := func() {
+				s.AfterArg(2*time.Microsecond, signalGate, g)
+				g.WaitTimeout(nil, timeout)
+				s.Sleep(2 * time.Microsecond) // the later of the two has come and gone
+			}
+			for i := 0; i < 16; i++ {
+				wait()
+			}
+			allocs = testing.AllocsPerRun(200, wait)
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if allocs != 0 {
+			t.Fatalf("WaitTimeout(%v) against a signal at 2µs: %v allocs/op, want 0", timeout, allocs)
+		}
+	}
+}
+
 // TestSpawnNamedInPartsBuildsNoString pins what a name costs a spawn:
 // an actor named in parts is spawned for what one with a constant name
 // is, and the parts are joined for the panic report alone.
 func TestSpawnNamedInPartsBuildsNoString(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := New()
 	var constant, parts float64
 	err := s.Run(func() {

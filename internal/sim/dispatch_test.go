@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// Callbacks run in place on whichever goroutine gave the slot up, but a
-// panic there still comes out of Run, on Run's caller's goroutine, with
-// the value it was raised with. The run never halted, so Release keeps
-// the kernel out of the pool: its clock still reads the panic's instant.
+// Callbacks run in place on the driver, Run's goroutine, so a panic
+// there comes out of Run with the value it was raised with. The run
+// never halted, so Release keeps the kernel out of the pool: its clock
+// still reads the panic's instant.
 func TestCallbackPanicSurfacesFromRun(t *testing.T) {
 	type boom struct{ n int }
 	v := boom{7}
@@ -118,5 +118,81 @@ func TestWorkersAreReusedAndExitAtHalt(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines 5s after Release, %d before Run: workers outlive the run", runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// waitForGoroutines fails t unless the goroutine count falls to at most
+// n within five seconds.
+func waitForGoroutines(t *testing.T, n int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after %s, want at most %d", runtime.NumGoroutine(), what, n)
+		}
+	}
+}
+
+// A callback's panic unwinds Run with the kernel unhalted, but the idle
+// workers must not outlive it: fifty runs whose actors have all returned
+// when a callback of the final instant panics leave the goroutine count
+// where it was.
+func TestCallbackPanicStopsIdleWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		s := New()
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("Run panicked with %v, want boom", r)
+				}
+			}()
+			_ = s.Run(func() {
+				s.Go("late", func() {
+					s.Sleep(time.Microsecond)
+					s.At(2*time.Microsecond, func() { panic("boom") })
+				})
+				s.Sleep(2 * time.Microsecond)
+			})
+			t.Fatal("Run returned")
+		}()
+	}
+	waitForGoroutines(t, base, "50 callback panics")
+}
+
+// runtime.Goexit in an actor or a callback unwinds Run's own goroutine:
+// iter.Pull carries an actor's Goexit to the driver that resumed it. Run
+// never returns, the kernel stays unhalted at the instant of the Goexit,
+// and no idle worker is left behind; only main, parked, keeps its own.
+func TestGoexitUnwindsRun(t *testing.T) {
+	for _, where := range []string{"actor", "callback"} {
+		base := runtime.NumGoroutine()
+		s := New()
+		returned, deferred := false, false
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer func() { deferred = true }()
+			_ = s.Run(func() {
+				s.Go("short", func() {})
+				if where == "actor" {
+					s.Go("quitter", func() {
+						s.Sleep(time.Millisecond)
+						runtime.Goexit()
+					})
+				} else {
+					s.After(time.Millisecond, runtime.Goexit)
+				}
+				s.Sleep(time.Second)
+			})
+			returned = true
+		}()
+		<-done
+		if returned || !deferred {
+			t.Fatalf("%s: Run returned %v, Run's caller's deferred calls ran %v: want false, true", where, returned, deferred)
+		}
+		if s.Halted() || s.Now() != time.Millisecond {
+			t.Fatalf("%s: halted %v at %v, want unhalted at 1ms", where, s.Halted(), s.Now())
+		}
+		waitForGoroutines(t, base+1, where+" Goexit")
 	}
 }

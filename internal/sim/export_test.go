@@ -11,9 +11,9 @@ func (s *Simulation) parkCount() uint64 {
 }
 
 // SetHooksForTest installs the kernel's scheduling seams until the
-// returned restore runs: check sees the running count at every park,
-// wake and release of a live run, and resume runs on every actor as it
-// starts and after every wake.
+// returned restore runs: check sees the running count at every park
+// and resume of a live run, and resume runs on every actor as it starts
+// and after every wake.
 func SetHooksForTest(check func(running int), resume func()) (restore func()) {
 	slotHook = func(s *Simulation) {
 		if !s.halted {

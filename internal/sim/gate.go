@@ -3,7 +3,6 @@ package sim
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,45 +38,15 @@ type Gate struct {
 	nextParked, prevParked *Gate
 
 	mu      sync.Mutex
-	waiters []*gateWaiter
+	waiters []*worker
 }
 
-// gateWaiter is one parked actor. Waiters are pooled: the actor that
-// parked takes its waiter back from whoever woke it (the wake token is
-// only sent after the waiter left the gate's list) and returns it to
-// waiterPool on resume.
-//
-// gs packs a generation counter with the waiter's state in the low two
-// bits. A waiter leaves the gate's list exactly once, under g.mu, and
-// its state changes in the same step, so a listed waiter is always
-// armed and Signal and Broadcast set theirs with a plain add. A timeout
-// claims its waiter by CAS instead, and the generation — bumped each
-// time the waiter is reused — makes the lazily cancelled timeout
-// callback of a previous life a guaranteed no-op: its CAS compares
-// against the old generation's armed value, which can never be current
-// again.
-type gateWaiter struct {
-	ch chan struct{} // capacity 1; carries at most one wake token
-	gs atomic.Uint64 // generation<<2 | state
-}
-
+// A gate wait's state (worker.state), written under the gate's mu.
 const (
-	wArmed     = 0 // parked, no waker has claimed it
-	wSignaled  = 1 // woken by Signal or Broadcast
-	wTimed     = 2 // woken by a WaitTimeout deadline
-	wStateMask = 3
-	wGenStep   = 4 // +1 generation
+	wArmed    = iota // listed on the gate, no waker has claimed it
+	wSignaled        // woken by Signal or Broadcast
+	wTimed           // woken by its WaitTimeout deadline
 )
-
-var waiterPool = sync.Pool{New: func() any { return &gateWaiter{ch: make(chan struct{}, 1)} }}
-
-// newWaiter takes a waiter from the pool and re-arms it under a fresh
-// generation, invalidating any stale timeout callback from its past.
-func newWaiter() *gateWaiter {
-	w := waiterPool.Get().(*gateWaiter)
-	w.gs.Store((w.gs.Load() &^ wStateMask) + wGenStep)
-	return w
-}
 
 // NewGate returns a Gate bound to s. The name appears in deadlock
 // diagnostics.
@@ -119,49 +88,47 @@ func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
 func (g *Gate) wait(l sync.Locker, d time.Duration, call string) bool {
 	// List and park in one step: a waker finds the waiter only once its
 	// park note exists, so the note it clears is this wait's.
+	s := g.sim
 	g.mu.Lock()
-	g.sim.mu.Lock()
-	if g.sim.onController {
-		g.sim.mu.Unlock()
+	s.mu.Lock()
+	w := s.cur
+	if w == nil {
+		s.mu.Unlock()
 		g.mu.Unlock()
 		panic("sim: " + call + onControllerPanic)
 	}
-	w := newWaiter()
-	gs := w.gs.Load() // this generation's armed value, captured for expire
+	w.gate, w.state = g, wArmed
+	w.gen++
 	g.waiters = append(g.waiters, w)
 	if d > 0 {
-		g.sim.pushLocked(g.sim.now+d, func() { g.expire(w, gs) })
+		s.pushLocked(s.now+d, event{w: w, gen: w.gen})
 	}
-	g.sim.parkLocked(g)
-	// The dispatch may run a callback that signals g or takes l.
+	s.parkLocked(g)
+	// The driver may run a callback that signals g or takes l.
 	g.mu.Unlock()
 	if l != nil {
 		l.Unlock()
 	}
-	g.sim.yieldLocked()
-	g.sim.mu.Unlock()
-	<-w.ch
-	timed := w.gs.Load()&wStateMask == wTimed
-	// The timeout event may still be pending when a Signal won; it is
-	// lazily cancelled — returning w to the pool is safe because the
-	// generation bump on reuse defeats the stale callback's CAS.
-	waiterPool.Put(w)
+	w.yield(struct{}{})
+	s.mu.Unlock()
 	resumed()
 	if l != nil {
 		l.Lock()
 	}
-	return !timed
+	return w.state == wSignaled
 }
 
-// expire runs on the controller when a WaitTimeout deadline fires. The
-// CAS claims the waiter if and only if it is still armed in the same
-// generation; a waiter already signaled — or recycled into a new wait —
-// makes this a no-op.
-func (g *Gate) expire(w *gateWaiter, gs uint64) {
+// expire runs on the controller when the deadline of w's wait number
+// gen is due. It times the wait out if and only if that wait is still
+// armed: a Signal or Broadcast that won, or a later wait, makes it a
+// no-op.
+func (w *worker) expire(gen uint64) {
+	g := w.gate
 	g.mu.Lock()
-	if w.gs.CompareAndSwap(gs, gs|wTimed) {
+	if w.gen == gen && w.state == wArmed {
 		i := slices.Index(g.waiters, w)
 		g.waiters = slices.Delete(g.waiters, i, i+1)
+		w.state = wTimed
 		g.wake(w)
 	}
 	g.mu.Unlock()
@@ -175,7 +142,7 @@ func (g *Gate) Signal() {
 	if len(g.waiters) > 0 {
 		w := g.waiters[0]
 		g.waiters = slices.Delete(g.waiters, 0, 1)
-		w.gs.Add(wSignaled)
+		w.state = wSignaled
 		g.wake(w)
 	}
 	g.mu.Unlock()
@@ -186,7 +153,7 @@ func (g *Gate) Signal() {
 func (g *Gate) Broadcast() {
 	g.mu.Lock()
 	for _, w := range g.waiters {
-		w.gs.Add(wSignaled)
+		w.state = wSignaled
 		g.wake(w)
 	}
 	clear(g.waiters)
@@ -196,9 +163,9 @@ func (g *Gate) Broadcast() {
 
 // wake hands a waiter just taken off the list to the kernel's ready
 // list. Callers hold g.mu.
-func (g *Gate) wake(w *gateWaiter) {
+func (g *Gate) wake(w *worker) {
 	g.sim.mu.Lock()
 	g.sim.unparkLocked(g)
-	g.sim.readyLocked(runnable{wake: w.ch})
+	g.sim.readyLocked(w)
 	g.sim.mu.Unlock()
 }

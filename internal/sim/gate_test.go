@@ -195,9 +195,6 @@ func TestGateFIFOOrder(t *testing.T) {
 // the gate's waiter list alone: dropping its backing array there made
 // the next Wait allocate a new one.
 func TestGateIdleBroadcastKeepsWaiterList(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := New()
 	var allocs float64
 	err := s.Run(func() {

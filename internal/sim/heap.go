@@ -2,49 +2,56 @@ package sim
 
 import "time"
 
-// event is a scheduled occurrence: a wake of a parked actor
-// (wake != nil; for a parked SleepSteps arg holds its *stepRun, for
-// which the controller may take more steps instead of waking it), a
-// controller callback (fn != nil), or an argument-carrying controller
-// callback (afn != nil). The afn/arg form lets hot
-// callers (netsim message delivery) schedule work without allocating a
-// fresh closure per event: afn is a long-lived package-level function
-// and arg is a pooled pointer, so the event itself carries no heap
-// garbage.
+// event is what a pending event does: wake the parked worker w, or run
+// a callback, fn or afn(arg). The afn/arg form lets hot callers (netsim
+// message delivery) schedule work without allocating a closure: afn is
+// a long-lived package-level function and arg a pooled pointer. A wake
+// with gen 0 ends a sleep's step; one with gen > 0 is the deadline of
+// w's gate wait number gen (see Gate.WaitTimeout).
 type event struct {
-	at   time.Duration
-	seq  uint64 // FIFO tie-break among events at the same instant
-	wake chan struct{}
-	fn   func()
-	afn  func(any)
-	arg  any
+	w   *worker
+	gen uint64
+	fn  func()
+	afn func(any)
+	arg any
 }
 
-func eventLess(a, b event) bool {
+// key orders a pending event: by instant, then by seq (the FIFO
+// tie-break among events at one instant). slot is the event's place in
+// the queue's slab. A key holds no pointer, so sifting one costs no
+// write barrier.
+type key struct {
+	at   time.Duration
+	seq  uint64
+	slot int
+}
+
+func (a key) less(b key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// eventQueue orders pending events by (at, seq). It is a 4-ary min-heap
-// with a same-instant "lane" bolted on: consecutive pushes at one
-// virtual instant — scheduler cycles fanning out wakes, daemons all due
-// at the same tick — land in the lane with an O(1) append instead of a
-// heap sift, and popBatch drains the lane with a single copy. The heap
-// is 4-ary rather than binary because dispatch is pop-dominated: halving
-// the tree depth cuts sift-down swaps on the hot path, and the wider
-// node still fits in a cache line pair.
+// eventQueue orders pending events by (at, seq). The keys sit in a
+// 4-ary min-heap with a same-instant "lane" beside it; the events sit in
+// a slab whose slots are reused through a free list. Consecutive pushes
+// at one virtual instant — scheduler cycles fanning out wakes, daemons
+// all due at the same tick — land in the lane with an O(1) append
+// instead of a heap sift. The heap is 4-ary rather than binary because
+// dispatch is pop-dominated: halving the tree depth cuts sift-down swaps.
 //
-// Invariants: lane entries all have at == laneAt and are in ascending
-// seq order (pushes carry a globally increasing seq). The heap may hold
-// events at laneAt only when they were pushed while the lane held a
-// different instant; popBatch merges the two sources by seq so release
-// order is exactly the order events were scheduled.
+// Invariants: lane keys all have at == laneAt and ascending seq (pushes
+// carry a globally increasing seq). The heap may hold keys at laneAt
+// only when they were pushed while the lane held a different instant;
+// popBatch merges the two sources by seq so release order is exactly
+// the order events were scheduled.
 type eventQueue struct {
-	heap   []event
-	lane   []event
+	heap   []key
+	lane   []key
 	laneAt time.Duration
+	slab   []event
+	free   []int // slab slots no pending event holds
 }
 
 func (q *eventQueue) len() int { return len(q.heap) + len(q.lane) }
@@ -61,61 +68,75 @@ func (q *eventQueue) nextAt() time.Duration {
 	return q.heap[0].at
 }
 
-func (q *eventQueue) push(ev event) {
-	if len(q.lane) > 0 && ev.at == q.laneAt {
-		q.lane = append(q.lane, ev)
-		return
+// push queues ev at (at, seq).
+func (q *eventQueue) push(at time.Duration, seq uint64, ev event) {
+	k := key{at: at, seq: seq, slot: len(q.slab)}
+	if n := len(q.free); n > 0 {
+		k.slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[k.slot] = ev
+	} else {
+		q.slab = append(q.slab, ev)
 	}
-	if len(q.lane) == 0 {
-		q.laneAt = ev.at
-		q.lane = append(q.lane, ev)
-		return
+	switch {
+	case len(q.lane) == 0:
+		q.laneAt = at
+		fallthrough
+	case at == q.laneAt:
+		q.lane = append(q.lane, k)
+	default:
+		q.heapPush(k)
 	}
-	q.heapPush(ev)
 }
 
 // popBatch removes every event due at the earliest pending instant and
-// appends them to dst in seq (FIFO) order. Drained storage is zeroed so
-// the queue never pins dead wake channels or callback closures.
+// appends them to dst in seq (FIFO) order. Each event's slot is cleared
+// as it is copied out, so the queue never pins a spent worker or
+// callback.
 func (q *eventQueue) popBatch(dst []event) []event {
 	t := q.nextAt()
-	laneDue := len(q.lane) > 0 && q.laneAt == t
-	heapDue := len(q.heap) > 0 && q.heap[0].at == t
-	switch {
-	case laneDue && !heapDue:
-		dst = append(dst, q.lane...)
-		clear(q.lane)
-		q.lane = q.lane[:0]
-	case heapDue && !laneDue:
-		for len(q.heap) > 0 && q.heap[0].at == t {
-			dst = append(dst, q.heapPop())
+	li := 0
+	if q.laneAt != t {
+		li = len(q.lane)
+	}
+	// Heap pops at a single instant come out in ascending seq, and the
+	// lane is already in ascending seq, so this is a two-way sorted merge.
+	for len(q.heap) > 0 && q.heap[0].at == t {
+		hseq := q.heap[0].seq
+		for ; li < len(q.lane) && q.lane[li].seq < hseq; li++ {
+			dst = q.take(dst, q.lane[li])
 		}
-	default:
-		// Both sources hold events at t: merge by seq. Heap pops at a
-		// single instant come out in ascending seq, and the lane is
-		// already in ascending seq, so this is a two-way sorted merge.
-		li := 0
-		for len(q.heap) > 0 && q.heap[0].at == t {
-			hseq := q.heap[0].seq
-			for li < len(q.lane) && q.lane[li].seq < hseq {
-				dst = append(dst, q.lane[li])
-				li++
-			}
-			dst = append(dst, q.heapPop())
+		dst = q.take(dst, q.heapPop())
+	}
+	if q.laneAt == t {
+		for ; li < len(q.lane); li++ {
+			dst = q.take(dst, q.lane[li])
 		}
-		dst = append(dst, q.lane[li:]...)
-		clear(q.lane)
 		q.lane = q.lane[:0]
 	}
 	return dst
 }
 
-func (q *eventQueue) heapPush(ev event) {
-	h := append(q.heap, ev)
+// take appends k's event to dst and frees its slot.
+func (q *eventQueue) take(dst []event, k key) []event {
+	dst = append(dst, q.slab[k.slot])
+	q.slab[k.slot] = event{}
+	q.free = append(q.free, k.slot)
+	return dst
+}
+
+// reset empties the queue, keeping its storage.
+func (q *eventQueue) reset() {
+	clear(q.slab)
+	q.heap, q.lane, q.slab, q.free = q.heap[:0], q.lane[:0], q.slab[:0], q.free[:0]
+}
+
+func (q *eventQueue) heapPush(k key) {
+	h := append(q.heap, k)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(h[i], h[p]) {
+		if !h[i].less(h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
@@ -124,39 +145,29 @@ func (q *eventQueue) heapPush(ev event) {
 	q.heap = h
 }
 
-func (q *eventQueue) heapPop() event {
+func (q *eventQueue) heapPop() key {
 	h := q.heap
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{}
-	q.heap = h[:n]
-	q.heapSiftDown(0)
-	return top
-}
-
-func (q *eventQueue) heapSiftDown(i int) {
-	h := q.heap
-	n := len(h)
-	for {
+	h = h[:n]
+	q.heap = h
+	for i := 0; ; {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		smallest := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if eventLess(h[c], h[smallest]) {
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h[c].less(h[smallest]) {
 				smallest = c
 			}
 		}
-		if !eventLess(h[smallest], h[i]) {
-			return
+		if !h[smallest].less(h[i]) {
+			break
 		}
 		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
+	return top
 }

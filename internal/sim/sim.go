@@ -1,36 +1,41 @@
 // Package sim provides a discrete-event simulation kernel with virtual
-// time and goroutine-based actors.
+// time and coroutine-based actors.
 //
 // The kernel lets ordinary Go code — daemons, schedulers, libraries —
-// run as concurrent goroutines while all time-bearing operations
-// (sleeps, message latencies, timeouts) advance a shared virtual clock
-// instead of the wall clock. A simulation therefore executes in
-// microseconds of real time yet reports the sub-second protocol
-// latencies the modeled system would exhibit.
+// run as concurrent actors while all time-bearing operations (sleeps,
+// message latencies, timeouts) advance a shared virtual clock instead of
+// the wall clock. A simulation therefore executes in microseconds of
+// real time yet reports the sub-second protocol latencies the modeled
+// system would exhibit.
 //
 // # Actor model
 //
-// Every goroutine that participates in a simulation must be spawned
-// through Simulation.Go (or be the main function passed to Run). While
-// Run is live one rule decides who runs: at most one actor holds the
-// running slot. A new actor, a Gate waiter woken by Signal or Broadcast
-// and one whose WaitTimeout expired join one FIFO ready list, and when
-// the slot holder parks or exits the head of the list takes the slot.
-// With the list empty, whoever gives the slot up dispatches: it releases
-// the events of the earliest pending instant in (at, seq) order, each
-// once the work the previous one set off has parked, running callbacks
-// itself and handing a wake to its actor. So which actor takes a seq or
-// a lock first is never the Go scheduler's choice. If every actor is
-// parked and no event is pending, the simulation is deadlocked and Run
-// returns an error naming them. Actors run on the simulation's worker
-// goroutines: a worker whose actor returned runs the next one to start,
-// and idle workers exit at halt.
+// Every actor is spawned through Simulation.Go (or is the main function
+// passed to Run) and runs as a coroutine (iter.Pull) on one of the
+// simulation's workers; a worker whose actor returned runs the next one
+// spawned. Run's goroutine is the driver. It resumes one worker at a
+// time, and the worker runs until its actor parks (Sleep, a Gate wait)
+// or returns, switching straight back without the Go scheduler. A new
+// actor, a Gate waiter woken by Signal or Broadcast and one whose
+// WaitTimeout expired join one FIFO ready list, which the driver empties
+// first. With the list empty it releases the events of the earliest
+// pending instant in (at, seq) order, each once the work the previous
+// one set off has parked: it runs a callback itself and resumes a
+// sleeper at its wake. So which actor takes a seq or a lock first is
+// never the Go scheduler's choice. If every actor is parked and no event
+// is pending, the simulation is deadlocked and Run returns an error
+// naming them.
 //
 // Actors spawned before Run wait on the ready list, ahead of main. Run
 // returns once main has returned and the rest of its instant's batch has
-// parked. After that, wakes are eager: the teardown that follows a run
-// wakes every parked daemon so it can exit, and with no dispatcher left
-// there is nothing to order them.
+// parked, and the idle workers exit. After that there is no driver: a
+// wake resumes its actor on a goroutine of its own, one resume at a
+// time, so the daemons woken in teardown can exit.
+//
+// An actor's panic is recovered and reported in Run's error. A
+// callback's panic, and runtime.Goexit in a callback or an actor (which
+// iter.Pull carries to the goroutine that resumed it), unwind Run's
+// goroutine instead, leaving the kernel unhalted.
 //
 // # In-place clock advance
 //
@@ -40,10 +45,9 @@
 // and now+d is within the deadline and before the earliest queued event.
 // SleepSteps(d, n) is n Sleep(d) calls in one: the caller takes as many
 // steps in place as that rule allows and parks at most once, and the
-// dispatcher takes the steps still owed in the same way, waking the
-// actor after the last. Clock, seqs, dispatches, instruments and release
-// order are those of parked single sleeps; DESIGN.md §7 has the
-// argument.
+// driver takes the steps still owed in the same way, resuming the actor
+// after the last. Clock, seqs, dispatches, instruments and release order
+// are those of parked single sleeps; DESIGN.md §7 has the argument.
 //
 // # Discipline
 //
@@ -53,18 +57,18 @@
 // needs.
 //
 // Callbacks (At, After, AfterArg) and what they call, such as a netsim
-// endpoint handler, run on the controller: on whichever goroutine gave
-// the slot up, in its place, with no slot of their own to give up. They
-// may spawn, signal, send and schedule but must not block, and a Sleep
-// or Gate wait there panics, naming the call. A daemon that only reacts
-// to messages is cheapest written that way (pbs's server, moms).
+// endpoint handler, run on the controller: on the driver, while no actor
+// holds the slot. They may spawn, signal, send and schedule but must not
+// block, and a Sleep or Gate wait there panics, naming the call. A
+// daemon that only reacts to messages is cheapest written that way
+// (pbs's server, moms).
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -92,16 +96,18 @@ const onControllerPanic = " on the controller: a callback or endpoint handler mu
 // The zero value is not usable; call New.
 type Simulation struct {
 	mu   sync.Mutex
-	cond *sync.Cond // signaled at halt, and after it when the slot falls free
+	cond *sync.Cond // signaled when the last resume after halt ends
 	now  time.Duration
 	// nowA mirrors now so Now() is lock-free: the hot paths (netsim
 	// sends, tracer timestamps, scheduler priorities) read the clock
-	// far more often than the dispatcher advances it.
+	// far more often than the driver advances it.
 	nowA    atomic.Int64
-	running int // holders of the running slot: at most 1 while Run is live
+	running int // resumed workers: at most 1 while Run is live
 	actors  int // live actors (running, ready or parked)
-	// ready[readyHead:] is the FIFO of actors waiting for the slot.
-	ready     []runnable
+	// cur is the worker holding the slot, nil on the controller.
+	cur *worker
+	// ready[readyHead:] is the FIFO of workers waiting for the slot.
+	ready     []*worker
 	readyHead int
 	events    eventQueue
 	batch     []event // dispatch scratch, reused across clock advances
@@ -115,12 +121,8 @@ type Simulation struct {
 	mainEnd     bool
 	halted      bool
 	err         error // why the run halted; nil when main returned
-	// onController is set while a callback runs: Sleep and Gate waits
-	// there panic (see "Discipline").
-	onController bool
-	// reraise, set once a callback panicked and the dispatch stopped,
-	// re-raises the panic on Run's caller's goroutine.
-	reraise func()
+	// turn makes the resumes after halt take turns.
+	turn sync.Mutex
 
 	// undispatched counts the events of the current batch not yet
 	// released, the tail of s.batch: due now, but neither in the queue
@@ -128,8 +130,6 @@ type Simulation struct {
 	undispatched int
 	// parks counts parkLocked calls. Only tests read it.
 	parks uint64
-	// freeSteps lists the step records no parked sleep holds.
-	freeSteps *stepRun
 	// idle lists the workers whose actor has returned.
 	idle *worker
 
@@ -157,37 +157,34 @@ type Simulation struct {
 	dispatched atomic.Uint64
 }
 
-// runnable is an entry of the ready list: a parked actor's wake channel,
-// or a new actor (wake == nil), which takes a worker with the slot.
-type runnable struct {
-	wake chan struct{}
-	name ActorName
-	fn   func()
-}
-
-// worker is a goroutine that runs actors one after another: idle once
-// its actor returns, it runs the next new actor to take the slot.
+// worker is a coroutine that runs actors one after another: idle once
+// its actor returns, it runs the next one spawned. Parked, it is its
+// actor: a ready entry and a wake event hold the worker, which holds
+// what the park needs. s.mu travels with the slot: whoever resumes a
+// worker holds it, the worker lets go of it to run its actor, and takes
+// it again before it parks, returns or exits.
 type worker struct {
-	wake chan struct{} // capacity 1: run fn, or exit when fn is nil
-	name ActorName
-	fn   func()
-	next *worker // on the idle list
-}
-
-// stepRun is a parked sleep: the channel its actor waits on, the step
-// length, and how many steps are left after the one its queued wake
-// ends. The kernel owns the records and reuses them.
-type stepRun struct {
-	wake chan struct{}
+	s      *Simulation
+	resume func() (struct{}, bool) // iter.Pull's next; nil until first resumed
+	stop   func()
+	yield  func(struct{}) bool
+	name   ActorName
+	fn     func()
+	next   *worker // on the idle list
+	// A parked SleepSteps: the step length, and how many steps are left
+	// after the one its queued wake ends.
 	d    time.Duration
 	left int
-	next *stepRun // on the free list
+	// A gate wait: the gate, the wait's number (stale deadlines carry
+	// an older one) and its state, guarded by gate.mu.
+	gate  *Gate
+	gen   uint64
+	state uint8
 }
 
 // slotHook and resumeHook are test seams, nil outside tests. slotHook
-// runs under s.mu whenever an actor parks or takes the running slot;
-// resumeHook runs on an actor's goroutine as it starts and after every
-// wake.
+// runs under s.mu whenever an actor parks or is resumed; resumeHook runs
+// on an actor's goroutine as it starts and after every wake.
 var slotHook func(s *Simulation)
 var resumeHook func()
 
@@ -319,45 +316,66 @@ func (s *Simulation) Go(name string, fn func()) {
 // GoNamed is Go for an actor named in parts.
 func (s *Simulation) GoNamed(name ActorName, fn func()) {
 	s.mu.Lock()
-	s.actors++
-	s.readyLocked(runnable{name: name, fn: fn})
+	s.goLocked(name, fn)
 	s.mu.Unlock()
 }
 
-// work is a worker's goroutine: it runs actors until one returns after
-// halt, or an exit token finds it idle.
-func (s *Simulation) work(w *worker) {
-	for s.runActor(w) {
-		if <-w.wake; w.fn == nil {
+// goLocked readies fn on an idle worker, or on a new one when none is.
+// Callers hold s.mu.
+func (s *Simulation) goLocked(name ActorName, fn func()) {
+	s.actors++
+	w := s.idle
+	if w == nil {
+		w = &worker{s: s}
+	} else {
+		s.idle, w.next = w.next, nil
+	}
+	w.name, w.fn = name, fn
+	s.readyLocked(w)
+}
+
+// loop is a worker's coroutine: it runs actors until it is stopped
+// while idle or an actor returns after halt.
+func (w *worker) loop(yield func(struct{}) bool) {
+	s := w.s
+	w.yield = yield
+	for {
+		s.mu.Unlock()
+		w.run()
+		s.mu.Lock()
+		s.actors--
+		if s.halted {
+			return
+		}
+		w.fn, w.next, s.idle = nil, s.idle, w
+		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// runActor runs w's actor, then gives the slot up, w joining the idle
-// list first unless the run has halted; it reports whether w did. A
-// runtime.Goexit in fn ends the goroutine after the slot is given up.
-func (s *Simulation) runActor(w *worker) (idle bool) {
+// run runs w's actor and records its panic. A runtime.Goexit ends the
+// coroutine, and iter.Pull unwinds whoever resumed it.
+func (w *worker) run() {
 	returned := false
 	defer func() {
-		r := recover()
-		if r != nil {
+		if returned {
+			return
+		}
+		s := w.s
+		if r := recover(); r != nil {
 			s.panicMu.Lock()
 			s.panicked = append(s.panicked, fmt.Sprintf("%s: %v", w.name, r))
 			s.panicMu.Unlock()
+			return
 		}
 		s.mu.Lock()
 		s.actors--
-		if idle = (returned || r != nil) && !s.halted; idle {
-			w.fn, w.next, s.idle = nil, s.idle, w
-		}
-		s.yieldLocked()
 		s.mu.Unlock()
 	}()
 	resumed()
 	w.fn()
 	returned = true
-	return
 }
 
 // resumed runs the test seam, if any, on an actor that just took the slot.
@@ -383,7 +401,8 @@ func (s *Simulation) sleep(d time.Duration, n int, call string) {
 		return
 	}
 	s.mu.Lock()
-	if s.onController {
+	w := s.cur
+	if w == nil {
 		s.mu.Unlock()
 		panic("sim: " + call + onControllerPanic)
 	}
@@ -392,18 +411,11 @@ func (s *Simulation) sleep(d time.Duration, n int, call string) {
 		s.mu.Unlock()
 		return
 	}
-	st := s.freeSteps
-	if st == nil {
-		st = &stepRun{wake: make(chan struct{}, 1)}
-	} else {
-		s.freeSteps, st.next = st.next, nil
-	}
-	st.d, st.left = d, n-k-1
-	s.pushStepLocked(st)
+	w.d, w.left = d, n-k-1
+	s.pushStepLocked(w)
 	s.parkLocked(nil)
-	s.yieldLocked()
+	w.yield(struct{}{})
 	s.mu.Unlock()
-	<-st.wake
 	resumed()
 }
 
@@ -436,7 +448,7 @@ func (s *Simulation) takeStepsLocked(d time.Duration, n int) int {
 	return k
 }
 
-// advanceLocked takes k steps of d in place: the dispatcher's
+// advanceLocked takes k steps of d in place: the driver's
 // bookkeeping for k one-event batches. The seqs the wakes would have
 // carried are still consumed, so every later (at, seq) tie breaks as it
 // would have. Callers hold s.mu.
@@ -452,26 +464,24 @@ func (s *Simulation) advanceLocked(d time.Duration, k int) {
 	}
 }
 
-// pushStepLocked queues the wake that ends st's next step. Callers hold
+// pushStepLocked queues the wake that ends w's next step. Callers hold
 // s.mu.
-func (s *Simulation) pushStepLocked(st *stepRun) {
+func (s *Simulation) pushStepLocked(w *worker) {
 	s.seq++
-	s.events.push(event{at: s.now + st.d, seq: s.seq, wake: st.wake, arg: st})
+	s.events.push(s.now+w.d, s.seq, event{w: w})
 }
 
-// stepLocked runs as the dispatcher releases a sleep's wake, and does
-// what the woken actor would do next: take the steps still owed, in
-// place as far as the rule allows, then queue the next one's wake. It
-// reports whether it queued one, which leaves the actor parked; with no
-// step left the record goes back to the free list and the actor wakes.
-// Callers hold s.mu.
-func (s *Simulation) stepLocked(st *stepRun) bool {
-	if st.left -= s.takeStepsLocked(st.d, st.left); st.left > 0 {
-		st.left--
-		s.pushStepLocked(st)
+// stepLocked runs as the driver releases a sleep's wake, and does what
+// the woken actor would do next: take the steps still owed, in place as
+// far as the rule allows, then queue the next one's wake. It reports
+// whether it queued one, which leaves the actor parked. Callers hold
+// s.mu.
+func (s *Simulation) stepLocked(w *worker) bool {
+	if w.left -= s.takeStepsLocked(w.d, w.left); w.left > 0 {
+		w.left--
+		s.pushStepLocked(w)
 		return true
 	}
-	st.next, s.freeSteps = s.freeSteps, st
 	return false
 }
 
@@ -481,21 +491,14 @@ func (s *Simulation) stepLocked(st *stepRun) bool {
 // and schedule further callbacks.
 func (s *Simulation) At(t time.Duration, fn func()) {
 	s.mu.Lock()
-	if t < s.now {
-		t = s.now
-	}
-	s.pushLocked(t, fn)
+	s.pushLocked(max(t, s.now), event{fn: fn})
 	s.mu.Unlock()
 }
 
 // After schedules fn to run d of virtual time from now. See At.
 func (s *Simulation) After(d time.Duration, fn func()) {
 	s.mu.Lock()
-	t := s.now + d
-	if d < 0 {
-		t = s.now
-	}
-	s.pushLocked(t, fn)
+	s.pushLocked(s.now+max(d, 0), event{fn: fn})
 	s.mu.Unlock()
 }
 
@@ -506,21 +509,23 @@ func (s *Simulation) After(d time.Duration, fn func()) {
 // match After.
 func (s *Simulation) AfterArg(d time.Duration, fn func(any), arg any) {
 	s.mu.Lock()
-	t := s.now + d
-	if d < 0 {
-		t = s.now
-	}
-	s.seq++
-	s.events.push(event{at: t, seq: s.seq, afn: fn, arg: arg})
+	s.pushLocked(s.now+max(d, 0), event{afn: fn, arg: arg})
 	s.mu.Unlock()
+}
+
+// pushLocked queues ev at t with the next seq. Callers hold s.mu.
+func (s *Simulation) pushLocked(t time.Duration, ev event) {
+	s.seq++
+	s.events.push(t, s.seq, ev)
 }
 
 // Run executes main as the root actor and drives the clock until main
 // returns and the rest of that instant's batch has run. Other actors
 // may still be parked when Run returns; closing their communication
 // primitives (for example netsim mailboxes) lets them exit. Run returns
-// an error if the simulation deadlocks or if any actor panicked, and
-// re-raises a callback's panic.
+// an error if the simulation deadlocks or if any actor panicked. A
+// callback's panic, and runtime.Goexit in a callback or an actor, unwind
+// Run's goroutine instead.
 func (s *Simulation) Run(main func()) error {
 	s.mu.Lock()
 	if s.mainSet {
@@ -528,31 +533,100 @@ func (s *Simulation) Run(main func()) error {
 		return errors.New("sim: Run called twice")
 	}
 	s.mainSet = true
-	s.actors++
-	s.readyLocked(runnable{name: ActorName{Kind: "main"}, fn: func() {
+	s.goLocked(ActorName{Kind: "main"}, func() {
 		defer func() {
 			s.mu.Lock()
 			s.mainEnd = true
 			s.mu.Unlock()
 		}()
 		main()
-	}})
-	// Run holds the slot only to hand it to the head of the ready list:
-	// the first actor spawned before Run, or main.
-	s.running++
-	s.yieldLocked()
-	for !s.halted && s.reraise == nil {
-		s.cond.Wait()
-	}
-	reraise, err := s.reraise, s.err
+	})
+	halted := false
+	defer func() {
+		if !halted {
+			s.unwind()
+		}
+	}()
+	s.drive()
+	halted = true
+	err := s.err
 	s.mu.Unlock()
-	if reraise != nil {
-		reraise()
-	}
 	if err != nil {
 		return err
 	}
 	return s.panicErr()
+}
+
+// drive is the driver, on Run's goroutine. It resumes the head of the
+// ready list or, with the list empty, releases the next event of the
+// instant's batch, popping the next instant's when it is spent, until
+// the run halts: a callback runs in place, a sleeper's wake resumes its
+// worker. Callers hold s.mu.
+func (s *Simulation) drive() {
+	for {
+		var w *worker
+		if s.readyHead != len(s.ready) {
+			w = s.ready[s.readyHead]
+			s.ready[s.readyHead] = nil
+			s.readyHead++
+		} else {
+			if s.undispatched == 0 && !s.popBatchLocked() {
+				return
+			}
+			ev := &s.batch[len(s.batch)-s.undispatched]
+			s.undispatched--
+			if ev.w == nil || ev.gen != 0 {
+				s.mu.Unlock()
+				ev.call()
+				s.mu.Lock()
+				continue
+			}
+			if s.stepLocked(ev.w) {
+				continue
+			}
+			s.unparkLocked(nil)
+			w = ev.w
+		}
+		s.running++
+		s.resumeLocked(w)
+		s.running--
+	}
+}
+
+// call runs a callback, or a gate wait's deadline.
+func (ev *event) call() {
+	switch {
+	case ev.afn != nil:
+		ev.afn(ev.arg)
+	case ev.fn != nil:
+		ev.fn()
+	default:
+		ev.w.expire(ev.gen)
+	}
+}
+
+// resumeLocked runs w until its actor parks or returns. Callers hold
+// s.mu, which w holds while it runs and hands back.
+func (s *Simulation) resumeLocked(w *worker) {
+	if w.resume == nil {
+		w.resume, w.stop = iter.Pull(w.loop)
+	}
+	s.cur = w
+	if slotHook != nil {
+		slotHook(s)
+	}
+	w.resume()
+	s.cur = nil
+}
+
+// unwind cleans up after a callback's panic or a runtime.Goexit has
+// unwound Run, without s.mu: nothing is resumed any more, and the idle
+// workers exit as at halt.
+func (s *Simulation) unwind() {
+	s.mu.Lock()
+	s.cur, s.running = nil, 0
+	s.stopIdleLocked()
+	s.mu.Unlock()
 }
 
 // simPool recycles halted kernels, so trial runners (cluster.Run, the
@@ -601,11 +675,8 @@ func (s *Simulation) reset() {
 	s.halted = false
 	s.err = nil
 	// Pending events at halt (periodic timers, lazily cancelled gate
-	// expirations) are dropped along with their closures.
-	clear(s.events.heap)
-	s.events.heap = s.events.heap[:0]
-	clear(s.events.lane)
-	s.events.lane = s.events.lane[:0]
+	// deadlines) are dropped along with their callbacks.
+	s.events.reset()
 	clear(s.batch)
 	s.batch = s.batch[:0]
 	s.sleeping, s.parkedGates = 0, nil
@@ -672,13 +743,13 @@ func (s *Simulation) unparkLocked(g *Gate) {
 	}
 }
 
-// readyLocked makes r runnable: before and during Run it joins the
-// ready list; after Run has returned it starts at once, beside whatever
-// else is exiting. Callers hold s.mu.
-func (s *Simulation) readyLocked(r runnable) {
+// readyLocked makes w runnable: before and during Run it joins the
+// ready list; after Run has returned it is resumed on a goroutine of its
+// own. Callers hold s.mu.
+func (s *Simulation) readyLocked(w *worker) {
 	if s.halted {
 		s.running++
-		s.startLocked(r)
+		go s.resumeAfterHalt(w)
 		return
 	}
 	// The list need never drain: once full and at least half consumed,
@@ -688,42 +759,28 @@ func (s *Simulation) readyLocked(r runnable) {
 		clear(s.ready[n:])
 		s.ready, s.readyHead = s.ready[:n], 0
 	}
-	s.ready = append(s.ready, r)
+	s.ready = append(s.ready, w)
 }
 
-// yieldLocked gives the running slot up and dispatches. The head of the
-// ready list takes the slot; with the list empty the next event of the
-// instant's batch is released, popping the next instant's when it is
-// spent, or halting the run. A wake takes the slot and a callback runs
-// here, in place, after which the loop goes on. Callers hold s.mu.
-func (s *Simulation) yieldLocked() {
-	for s.reraise == nil {
-		if s.readyHead != len(s.ready) {
-			r := s.ready[s.readyHead]
-			s.ready[s.readyHead] = runnable{}
-			s.readyHead++
-			s.startLocked(r)
-			return
+// resumeAfterHalt resumes w, woken after Run returned, in turn with the
+// other resumes of the teardown. It counts in s.running from the wake.
+func (s *Simulation) resumeAfterHalt(w *worker) {
+	s.turn.Lock()
+	defer s.turn.Unlock()
+	s.mu.Lock()
+	parked := false
+	defer func() {
+		if !parked { // runtime.Goexit in the actor, which let go of s.mu
+			s.mu.Lock()
+			s.cur = nil
 		}
-		if s.halted {
-			if s.running--; s.running == 0 {
-				s.cond.Broadcast()
-			}
-			return
+		if s.running--; s.running == 0 {
+			s.cond.Broadcast()
 		}
-		if s.undispatched == 0 && !s.popBatchLocked() {
-			return
-		}
-		ev := s.batch[len(s.batch)-s.undispatched]
-		s.undispatched--
-		if ev.wake == nil {
-			s.callbackLocked(&ev)
-		} else if !s.stepLocked(ev.arg.(*stepRun)) {
-			s.unparkLocked(nil)
-			s.startLocked(runnable{wake: ev.wake})
-			return
-		}
-	}
+		s.mu.Unlock()
+	}()
+	s.resumeLocked(w)
+	parked = true
 }
 
 // popBatchLocked pops the events of the earliest pending instant into
@@ -755,69 +812,19 @@ func (s *Simulation) popBatchLocked() bool {
 	return false
 }
 
-// haltLocked ends the run with err, giving up the slot for good: Run
-// returns, and the idle workers exit. Callers hold s.mu.
+// haltLocked ends the run with err: Run returns, and the idle workers
+// exit. Callers hold s.mu.
 func (s *Simulation) haltLocked(err error) {
 	s.halted, s.err = true, err
-	s.running--
+	s.stopIdleLocked()
+}
+
+// stopIdleLocked ends the idle workers' coroutines. Callers hold s.mu.
+func (s *Simulation) stopIdleLocked() {
 	for w := s.idle; w != nil; w = w.next {
-		w.wake <- struct{}{}
+		w.stop()
 	}
 	s.idle = nil
-	s.cond.Broadcast()
-}
-
-// callbackLocked runs ev's callback in place, on the controller. A panic
-// there, or a runtime.Goexit, stops the dispatch for good: Run re-raises
-// it on its caller's goroutine. Callers hold s.mu, which is released
-// while the callback runs.
-func (s *Simulation) callbackLocked(ev *event) {
-	s.onController = true
-	s.mu.Unlock()
-	returned := false
-	defer func() {
-		if returned {
-			s.onController = false
-			return
-		}
-		v := recover()
-		s.mu.Lock()
-		s.onController = false
-		s.reraise = func() { panic(v) }
-		s.cond.Broadcast()
-		if v == nil { // runtime.Goexit: the goroutine unwinds on
-			s.reraise = runtime.Goexit
-			s.mu.Unlock()
-		}
-	}()
-	if ev.afn != nil {
-		ev.afn(ev.arg)
-	} else {
-		ev.fn()
-	}
-	returned = true
-	s.mu.Lock()
-}
-
-// startLocked runs r on the slot its caller counted for it: a token on
-// a parked actor's wake channel, or a worker for a new one, an idle one
-// if there is any. Callers hold s.mu.
-func (s *Simulation) startLocked(r runnable) {
-	if slotHook != nil {
-		slotHook(s)
-	}
-	if r.wake != nil {
-		r.wake <- struct{}{}
-		return
-	}
-	w := s.idle
-	if w == nil {
-		go s.work(&worker{wake: make(chan struct{}, 1), name: r.name, fn: r.fn})
-		return
-	}
-	s.idle, w.next = w.next, nil
-	w.name, w.fn = r.name, r.fn
-	w.wake <- struct{}{}
 }
 
 // blockedLocked is the deadlock report: "sleep×N" and one
@@ -840,10 +847,4 @@ func (s *Simulation) blockedLocked() string {
 		return "(none)"
 	}
 	return strings.Join(parts, ", ")
-}
-
-// pushLocked schedules a callback. Callers hold s.mu.
-func (s *Simulation) pushLocked(at time.Duration, fn func()) {
-	s.seq++
-	s.events.push(event{at: at, seq: s.seq, fn: fn})
 }

@@ -295,73 +295,3 @@ func TestManyActorsDeterministicFinish(t *testing.T) {
 		}
 	}
 }
-
-func TestEventQueueOrdering(t *testing.T) {
-	var q eventQueue
-	times := []time.Duration{5, 1, 3, 2, 4, 1, 5, 0}
-	for i, at := range times {
-		q.push(event{at: at, seq: uint64(i)})
-	}
-	var got []time.Duration
-	var seqs []uint64
-	for q.len() > 0 {
-		at := q.nextAt()
-		for _, ev := range q.popBatch(nil) {
-			if ev.at != at {
-				t.Fatalf("batch at %v contains event at %v", at, ev.at)
-			}
-			got = append(got, ev.at)
-			seqs = append(seqs, ev.seq)
-		}
-	}
-	want := []time.Duration{0, 1, 1, 2, 3, 4, 5, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop %d = %v, want %v (all: %v)", i, got[i], want[i], got)
-		}
-	}
-	// FIFO among equal timestamps: seq 1 before seq 5, seq 0 before seq 6.
-	if seqs[1] != 1 || seqs[2] != 5 {
-		t.Errorf("ties not FIFO: seqs=%v", seqs)
-	}
-	if seqs[6] != 0 || seqs[7] != 6 {
-		t.Errorf("ties not FIFO at tail: seqs=%v", seqs)
-	}
-}
-
-// TestEventQueueLaneHeapMerge drives the queue into the state where the
-// heap and the same-instant lane both hold events at one instant — the
-// lane held a different instant when the first event was pushed — and
-// checks the batch comes out in global seq order.
-func TestEventQueueLaneHeapMerge(t *testing.T) {
-	var q eventQueue
-	q.push(event{at: 1, seq: 1}) // lane starts at t=1
-	q.push(event{at: 5, seq: 2}) // different instant: heap
-	q.push(event{at: 5, seq: 3}) // still not laneAt: heap
-	first := q.popBatch(nil)     // drains t=1, lane now empty
-	q.push(event{at: 5, seq: 4}) // lane restarts at t=5
-	q.push(event{at: 5, seq: 5}) // lane append
-	q.push(event{at: 7, seq: 6}) // heap
-	second := q.popBatch(nil)    // t=5: heap (2,3) merged with lane (4,5)
-	if len(first) != 1 || first[0].seq != 1 {
-		t.Fatalf("first batch = %+v, want the single t=1 event", first)
-	}
-	var seqs []uint64
-	for _, ev := range second {
-		if ev.at != 5 {
-			t.Fatalf("t=5 batch contains event at %v", ev.at)
-		}
-		seqs = append(seqs, ev.seq)
-	}
-	for i, want := range []uint64{2, 3, 4, 5} {
-		if seqs[i] != want {
-			t.Fatalf("merged batch seqs = %v, want [2 3 4 5]", seqs)
-		}
-	}
-	if rest := q.popBatch(nil); len(rest) != 1 || rest[0].seq != 6 {
-		t.Fatalf("final batch = %+v, want the single t=7 event", rest)
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.len())
-	}
-}
