@@ -8,32 +8,30 @@ import (
 	"repro/internal/sim"
 )
 
-// evens is a handler that takes even payloads, appending them to *got,
-// and declines odd ones.
-func evens(got *[]int) func(*Message) bool {
-	return func(m *Message) bool {
-		v := m.Payload.(int)
-		if v%2 != 0 {
-			return false
-		}
-		*got = append(*got, v)
+// collect is a handler that appends each payload to *got and releases
+// the message.
+func collect(got *[]int) func(*Message) {
+	return func(m *Message) {
+		*got = append(*got, m.Payload.(int))
 		m.Release()
-		return true
 	}
 }
 
-// A handler and a blocked RecvMatch share an endpoint the way a pbs_mom
-// and its mother-superior actors do: what the handler declines queues,
-// and reaches the receiver in the order it arrived.
-func TestHandlerAndRecvMatchShareAnEndpoint(t *testing.T) {
+// A handler takes every message in its delivery event, so nothing queues
+// for Recv; taken off the endpoint (as a stopping pbs_server does from
+// inside its handler), it leaves what arrives later to Recv.
+func TestHandlerTakesEveryMessageAtItsDelivery(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b := n.Endpoint("a"), n.Endpoint("b")
 		var handled []int
-		h := evens(&handled)
+		h := collect(&handled)
 		var at []time.Duration
-		b.SetHandler(func(m *Message) bool {
+		b.SetHandler(func(m *Message) {
 			at = append(at, s.Now())
-			return h(m)
+			if m.Payload.(int) == 4 {
+				b.SetHandler(nil)
+			}
+			h(m)
 		})
 		s.Go("sender", func() {
 			for i := 0; i < 10; i++ {
@@ -43,22 +41,22 @@ func TestHandlerAndRecvMatchShareAnEndpoint(t *testing.T) {
 		})
 		var received []int
 		for len(received) < 5 {
-			m, err := b.RecvMatch(func(m *Message) bool { return m.Payload.(int)%2 != 0 })
+			m, err := b.Recv()
 			if err != nil {
-				t.Fatalf("RecvMatch: %v", err)
+				t.Fatalf("Recv: %v", err)
 			}
 			received = append(received, m.Payload.(int))
 			m.Release()
 		}
-		if want := []int{1, 3, 5, 7, 9}; !slices.Equal(received, want) {
-			t.Errorf("receiver got %v, want %v", received, want)
-		}
-		if want := []int{0, 2, 4, 6, 8}; !slices.Equal(handled, want) {
+		if want := []int{0, 1, 2, 3, 4}; !slices.Equal(handled, want) {
 			t.Errorf("handler took %v, want %v", handled, want)
+		}
+		if want := []int{5, 6, 7, 8, 9}; !slices.Equal(received, want) {
+			t.Errorf("receiver got %v, want %v", received, want)
 		}
 		for i, d := range at {
 			if want := time.Duration(i+1) * time.Millisecond; d != want {
-				t.Errorf("message %d offered at %v, want its delivery at %v", i, d, want)
+				t.Errorf("message %d handled at %v, want its delivery at %v", i, d, want)
 			}
 		}
 		if p := b.Pending(); p != 0 {
@@ -67,8 +65,8 @@ func TestHandlerAndRecvMatchShareAnEndpoint(t *testing.T) {
 	})
 }
 
-// Installing a handler offers it what is already queued, in order, before
-// SetHandler returns; the declined messages stay queued in their order.
+// Installing a handler hands it what is already queued, in order, before
+// SetHandler returns, and leaves the queue empty.
 func TestSetHandlerHandsOverTheBacklogInOrder(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b := n.Endpoint("a"), n.Endpoint("b")
@@ -76,23 +74,20 @@ func TestSetHandlerHandsOverTheBacklogInOrder(t *testing.T) {
 			_ = a.Send("b", "x", i, 0)
 		}
 		s.Sleep(2 * time.Millisecond)
+		if p := b.Pending(); p != 6 {
+			t.Fatalf("%d messages queued before the handler, want 6", p)
+		}
 		var handled []int
-		b.SetHandler(evens(&handled))
-		if want := []int{0, 2, 4}; !slices.Equal(handled, want) {
+		b.SetHandler(collect(&handled))
+		if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(handled, want) {
 			t.Errorf("handover gave the handler %v, want %v", handled, want)
 		}
-		var left []int
-		for b.Pending() > 0 {
-			m, _ := b.Recv()
-			left = append(left, m.Payload.(int))
-			m.Release()
-		}
-		if want := []int{1, 3, 5}; !slices.Equal(left, want) {
-			t.Errorf("left queued %v, want %v", left, want)
+		if p := b.Pending(); p != 0 {
+			t.Errorf("%d messages left queued after the handover", p)
 		}
 		_ = a.Send("b", "x", 6, 0)
 		s.Sleep(2 * time.Millisecond)
-		if want := []int{0, 2, 4, 6}; !slices.Equal(handled, want) {
+		if want := []int{0, 1, 2, 3, 4, 5, 6}; !slices.Equal(handled, want) {
 			t.Errorf("after handover the handler took %v, want %v", handled, want)
 		}
 	})
@@ -105,8 +100,8 @@ func TestCloseAndReleaseDropTheHandler(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b, c := n.Endpoint("a"), n.Endpoint("b"), n.Endpoint("c")
 		var handled []int
-		b.SetHandler(evens(&handled))
-		c.SetHandler(evens(&handled))
+		b.SetHandler(collect(&handled))
+		c.SetHandler(collect(&handled))
 		_ = a.Send("b", "x", 0, 0)
 		_ = a.Send("c", "x", 2, 0)
 		b.Close()

@@ -614,7 +614,7 @@ type Endpoint struct {
 	// drains or the dead prefix outgrows the live tail.
 	queue   []*Message
 	head    int
-	handler func(*Message) bool // offered each message first (SetHandler)
+	handler func(*Message) // takes each message instead of the queue (SetHandler)
 	closed  bool
 	// live (guarded by net.mu) is false from Release until the storage
 	// is handed out again.
@@ -766,10 +766,10 @@ func deliverMsg(arg any) {
 	msg.dst.deliver(msg)
 }
 
-// deliver queues m unless the handler takes it, or the endpoint is closed
-// or no longer the one m was sent to: the name is the generation, so a
-// message that was in flight when its destination was released never
-// reaches whoever holds the storage now.
+// deliver hands m to the handler or queues it, unless the endpoint is
+// closed or no longer the one m was sent to: the name is the generation,
+// so a message that was in flight when its destination was released
+// never reaches whoever holds the storage now.
 func (e *Endpoint) deliver(m *Message) {
 	e.mu.Lock()
 	if e.closed || m.To != e.name {
@@ -780,10 +780,8 @@ func (e *Endpoint) deliver(m *Message) {
 	if h := e.handler; h != nil {
 		// Not under e.mu: the handler sends, and may replace itself.
 		e.mu.Unlock()
-		if h(m) {
-			return
-		}
-		e.mu.Lock()
+		h(m)
+		return
 	}
 	e.queue = append(e.queue, m)
 	e.mu.Unlock()
@@ -791,12 +789,11 @@ func (e *Endpoint) deliver(m *Message) {
 }
 
 // SetHandler installs h as e's receive handler, or removes it (nil). h
-// runs in each message's delivery event, on the simulation's controller,
-// and must not block. It takes the message (true), and then owns its
-// Release, or declines it (false) and the message queues for Recv* as
-// with no handler. Installing h first offers it the messages already
-// queued, in order; the ones it declines stay queued in that order.
-func (e *Endpoint) SetHandler(h func(*Message) bool) {
+// takes every message in its delivery event, on the simulation's
+// controller, and owns its Release; it must not block. Nothing queues
+// for Recv* while h is installed, and installing it first hands it the
+// messages already queued, in order.
+func (e *Endpoint) SetHandler(h func(*Message)) {
 	e.mu.Lock()
 	e.handler = h
 	backlog := e.queue[e.head:]

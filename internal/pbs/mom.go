@@ -60,10 +60,14 @@ type Mom struct {
 	Prologue func(env *JobEnv)
 	Epilogue func(env *JobEnv)
 
-	// Only the handler (on the controller) and the actors it spawns touch
-	// what follows, one at a time and never from outside: no lock.
-	station station // serves the non-acknowledgement messages (set by Start)
+	// Only the handler (on the controller) and the task actors it spawns
+	// touch what follows, one at a time and never from outside: no lock.
+	station station // serves all but the acks (set by Start)
 	jobs    map[string]*momJob
+	waits   []*momOp // the mother superior's ops awaiting an ack
+	free    *momOp   // finished dynamic ops, for reuse
+	// runTask and joinSisters, bound by Start: no closure per spawn or timer.
+	runTaskFn, joinFn func(any)
 	// peers holds the fabric name of every mom this one has addressed,
 	// so a message to a sister costs a lookup, not a string. Nil until
 	// the first: an accelerator's mom only ever answers.
@@ -71,16 +75,24 @@ type Mom struct {
 }
 
 type momJob struct {
-	id string
-	ms string
 	// hosts is the current full host set of the job. The list is shared
 	// (with the server's command, the sisters, the running scripts) and
 	// never written: a change of the set installs a new list.
 	hosts    []string
-	isMS     bool
-	tasksRun int  // compute node tasks still running (MS only)
-	released bool // job ended; tasks being killed
-	aborted  bool
+	tasksRun int   // compute node tasks still running (MS only)
+	start    momOp // the mother superior's start, until its tail has run
+}
+
+// A momOp is the mother superior waiting on its sisters (paper Figure 5,
+// §III-D): a start's JOIN fan-out awaits host "" until acks is 0; a
+// dynamic addition or removal asks Hosts[i] and awaits its ack before the
+// next. (job, host) finds the op: a job has one start and one op a host.
+type momOp struct {
+	job, host string
+	req       any // the RunJobMsg, DynAddMsg or DynRemoveMsg
+	acks, i   int // acks outstanding; the next of the dynamic Hosts
+	sp        *trace.Span
+	next      *momOp // on the free list
 }
 
 // NewMom creates the mom daemon for a host; call Start to install its
@@ -103,18 +115,36 @@ func (m *Mom) Host() string { return m.host }
 func (m *Mom) Start() {
 	m.startHeartbeats()
 	m.station = station{sim: m.sim, batch: 1, cost: m.cost, serve: m.handle}
+	m.runTaskFn, m.joinFn = m.runTask, m.joinSisters
 	m.ep.SetHandler(m.receive)
 }
 
-// receive is the mom endpoint's handler. Acknowledgements are declined:
-// they queue for the mother-superior actors blocked in RecvMatch.
-func (m *Mom) receive(msg *netsim.Message) bool {
-	switch msg.Payload.(type) {
-	case JoinAck, DynJoinAck, DisJoinAck:
-		return false
+// receive is the mom endpoint's handler. An ack goes to the op awaiting
+// it ahead of the station's queue (where it would wait out a JOIN), or,
+// stray or duplicate, nowhere.
+func (m *Mom) receive(msg *netsim.Message) {
+	var job, host string
+	switch ack := msg.Payload.(type) {
+	case JoinAck:
+		job = ack.JobID
+	case DynJoinAck:
+		job, host = ack.JobID, ack.Host
+	case DisJoinAck:
+		job, host = ack.JobID, ack.Host
+	default:
+		m.station.offer(msg)
+		return
 	}
-	m.station.offer(msg)
-	return true
+	msg.Release()
+	for i, op := range m.waits {
+		if op.job == job && op.host == host {
+			if op.acks--; op.acks == 0 {
+				m.waits = slices.Delete(m.waits, i, i+1)
+				m.advance(op)
+			}
+			return
+		}
+	}
 }
 
 // cost is the mom's service time for a message: a JOIN and a DYNJOIN
@@ -153,19 +183,29 @@ func (m *Mom) sendCause(to string, payload any, cause uint64) {
 }
 
 // handle serves one message once its cost is paid. It runs on the
-// controller and must not block: what blocks — a mother superior
-// waiting on its sisters' acknowledgements — runs as its own actor,
-// which takes the payload and never the envelope.
+// controller and must not block: a wait on the sisters is a momOp, and a
+// job script a task actor, which takes the payload, never the envelope.
 func (m *Mom) handle(msg *netsim.Message) {
-	p := msg.Payload // what a spawned actor captures: req would move to the heap
+	p := msg.Payload // what an op or a task keeps: req is a copy
 	switch req := msg.Payload.(type) {
 	case RunJobMsg:
-		m.sim.GoNamed(sim.ActorName{Kind: "ms", Subject: req.JobID, Host: m.host}, func() { m.runJob(p.(RunJobMsg)) })
+		// mom.start covers the full mother-superior startup: JOIN fan-out,
+		// daemon kick-off, and task dispatch (paper Figure 5).
+		j := &momJob{start: momOp{job: req.JobID, req: p}}
+		if trc := m.sim.Tracer(); trc != nil {
+			j.start.sp = trc.Start(m.ep.Name(), "mom.start", "job", req.JobID)
+		}
+		j.start.sp.Link(req.Cause) // server's alloc span
+		if m.params.StartCost > 0 {
+			m.sim.AfterArg(m.params.StartCost, m.joinFn, j)
+		} else {
+			m.joinSisters(j)
+		}
 	case JoinJobMsg:
-		m.jobs[req.JobID] = &momJob{id: req.JobID, ms: req.MS, hosts: req.Hosts}
+		m.jobs[req.JobID] = &momJob{hosts: req.Hosts}
 		m.send(req.ReplyTo, JoinAck{JobID: req.JobID, Host: m.host})
 	case DynJoinJobMsg:
-		m.jobs[req.JobID] = &momJob{id: req.JobID, ms: req.MS}
+		m.jobs[req.JobID] = &momJob{}
 		m.send(req.ReplyTo, DynJoinAck{JobID: req.JobID, Host: m.host})
 	case DisJoinJobMsg:
 		// Kill remaining tasks (accelerator daemon remains) and leave
@@ -177,22 +217,27 @@ func (m *Mom) handle(msg *netsim.Message) {
 			j.hosts = req.Hosts
 		}
 	case StartTaskMsg:
-		m.startTask(req)
+		if req.Script == nil { // an empty job script finishes immediately
+			m.send(m.peer(req.Env.MSHost), TaskDoneMsg{JobID: req.JobID, Host: m.host})
+		} else {
+			m.sim.GoArg(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, m.runTaskFn, p)
+		}
 	case TaskDoneMsg:
 		m.taskDone(req)
 	case DynAddMsg:
-		m.sim.GoNamed(sim.ActorName{Kind: "dynadd", Subject: req.JobID, Host: m.host}, func() { m.dynAdd(p.(DynAddMsg)) })
+		// mom.dynadd: the serial DYNJOINs and the host-set update.
+		op := m.newOp(req.JobID, p)
+		if trc := m.sim.Tracer(); trc != nil {
+			op.sp = trc.Start(m.ep.Name(), "mom.dynadd", "job", req.JobID, "req", strconv.Itoa(req.ReqID))
+		}
+		op.sp.Link(req.Cause) // server's dynalloc span
+		m.advance(op)
 	case DynRemoveMsg:
-		m.sim.GoNamed(sim.ActorName{Kind: "dynremove", Subject: req.JobID, Host: m.host}, func() { m.dynRemove(p.(DynRemoveMsg)) })
+		m.advance(m.newOp(req.JobID, p))
 	case ReleaseJobMsg:
-		if j, ok := m.jobs[req.JobID]; ok {
-			j.released = true
-			delete(m.jobs, req.JobID)
-		}
+		delete(m.jobs, req.JobID)
 	case AbortJobMsg:
-		if j, ok := m.jobs[req.JobID]; ok {
-			j.aborted = true
-		}
+		// Not acted on: a deleted job's tasks run to their end.
 	case NodeLostMsg:
 		if j, ok := m.jobs[req.JobID]; ok {
 			j.hosts = without(j.hosts, req.Host)
@@ -200,49 +245,77 @@ func (m *Mom) handle(msg *netsim.Message) {
 	}
 }
 
-// runJob makes this mom the mother superior: JOIN with the sister
-// moms on every allocated host, start the accelerator daemons, then
-// start the job script on each compute node (paper Figure 5).
-func (m *Mom) runJob(req RunJobMsg) {
-	// mom.start covers the full mother-superior startup: JOIN fan-out,
-	// daemon kick-off, and task dispatch (paper Figure 5). The nil
-	// guard keeps the untraced path free of the track-name allocation.
-	var sp *trace.Span
-	if trc := m.sim.Tracer(); trc != nil {
-		sp = trc.Start(m.ep.Name(), "mom.start", "job", req.JobID)
-	}
-	sp.Link(req.Cause) // server's alloc span
-	defer sp.End()
-	// The closures below capture these two, not req and sp, which would
-	// move to the heap for it.
-	jobID, cause := req.JobID, sp.ID()
-	m.sim.Sleep(m.params.StartCost)
-	allHosts := req.Hosts
+// joinSisters makes this mom the mother superior once StartCost is paid:
+// JOIN with the sister mom on every other allocated host. The last ack
+// runs the start's tail, started.
+func (m *Mom) joinSisters(arg any) {
+	j := arg.(*momJob)
+	req := j.start.req.(RunJobMsg)
+	j.hosts, j.tasksRun = req.Hosts, len(req.Hosts)
 	if len(req.AccHosts) > 0 {
-		allHosts = appendHosts(nil, req.Hosts, req.AccHosts, nil)
+		j.hosts = appendHosts(nil, req.Hosts, req.AccHosts, nil)
 	}
-	m.jobs[req.JobID] = &momJob{id: req.JobID, ms: m.host, hosts: allHosts, isMS: true, tasksRun: len(req.Hosts)}
-
-	// JOIN_JOB with every other mom of the job.
-	pending := 0
-	for _, h := range allHosts {
-		if h == m.host {
-			continue
-		}
-		m.send(m.peer(h), JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: allHosts, ReplyTo: m.ep.Name()})
-		pending++
-	}
-	for i := 0; i < pending; i++ {
-		ack, err := m.ep.RecvMatch(func(msg *netsim.Message) bool {
-			ack, ok := msg.Payload.(JoinAck)
-			return ok && ack.JobID == jobID
-		})
-		ack.Release()
-		if err != nil {
-			return
+	m.jobs[req.JobID] = j
+	for _, h := range j.hosts {
+		if h != m.host {
+			m.send(m.peer(h), JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: j.hosts, ReplyTo: m.ep.Name()})
+			j.start.acks++
 		}
 	}
+	if j.start.acks > 0 {
+		m.waits = append(m.waits, &j.start)
+	} else {
+		m.advance(&j.start)
+	}
+}
 
+// advance moves op on once it awaits no ack: a dynamic op asks its next
+// host, and an op with nobody left to ask runs its tail and is done.
+func (m *Mom) advance(op *momOp) {
+	var hosts []string
+	var ask any
+	switch req := op.req.(type) {
+	case RunJobMsg:
+		m.started(req, op.sp)
+		*op = momOp{} // the job pins no finished start
+		return
+	case DynAddMsg:
+		if hosts = req.Hosts; op.i < len(hosts) {
+			ask = DynJoinJobMsg{JobID: req.JobID, MS: m.host, ReplyTo: m.ep.Name()}
+		}
+	case DynRemoveMsg:
+		if hosts = req.Hosts; op.i < len(hosts) {
+			ask = DisJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()}
+		}
+	}
+	if ask != nil {
+		op.host, op.acks, op.i = hosts[op.i], 1, op.i+1
+		m.send(m.peer(op.host), ask)
+		m.waits = append(m.waits, op)
+		return
+	}
+	m.dynDone(op, hosts)
+	*op = momOp{next: m.free}
+	m.free = op
+}
+
+// newOp takes a dynamic op for job's req off the free list.
+func (m *Mom) newOp(job string, req any) *momOp {
+	op := m.free
+	if op == nil {
+		op = new(momOp)
+	}
+	m.free, op.next = op.next, nil
+	op.job, op.req = job, req
+	return op
+}
+
+// started is a job start's tail, once every sister has joined: start the
+// accelerator daemons, then the job script on each compute node, and
+// report the job started.
+func (m *Mom) started(req RunJobMsg, sp *trace.Span) {
+	// The closures below capture these two, not req and sp.
+	jobID, cause := req.JobID, sp.ID()
 	// Invoke the accelerator daemons for each compute node's static
 	// set. The launch is asynchronous: AC_Init in the application
 	// waits for readiness, which is the dominant share of Figure 7(a).
@@ -270,110 +343,65 @@ func (m *Mom) runJob(req RunJobMsg) {
 		m.sendCause(m.peer(cn), StartTaskMsg{JobID: jobID, Env: env, Script: req.Spec.Script, Cause: cause}, cause)
 	}
 	m.send(ServerEndpoint, JobStartedMsg{JobID: req.JobID})
+	sp.End()
 }
 
-// startTask runs the job script for one compute node as a fresh
-// actor.
-func (m *Mom) startTask(req StartTaskMsg) {
+// runTask is a task actor (GoArg with the StartTaskMsg): the job script
+// of one compute node, between the mom's prologue and epilogue.
+func (m *Mom) runTask(arg any) {
+	req := arg.(StartTaskMsg)
 	env := req.Env
 	env.Cluster = m.Cluster
-	ms := env.MSHost
-	if req.Script == nil {
-		// An empty job script finishes immediately.
-		m.send(m.peer(ms), TaskDoneMsg{JobID: req.JobID, Host: m.host})
-		return
+	var sp *trace.Span
+	if trc := m.sim.Tracer(); trc != nil {
+		sp = trc.Start(m.ep.Name(), "job.run", "job", req.JobID)
 	}
-	m.sim.GoNamed(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, func() {
-		var sp *trace.Span
-		if trc := m.sim.Tracer(); trc != nil {
-			sp = trc.Start(m.ep.Name(), "job.run", "job", req.JobID)
-		}
-		sp.Link(req.Cause) // mother superior's mom.start span
-		env.TaskSpan = sp.ID()
-		defer sp.End()
-		if m.Prologue != nil {
-			m.Prologue(env)
-		}
-		req.Script(env)
-		if m.Epilogue != nil {
-			m.Epilogue(env)
-		}
-		m.send(m.peer(ms), TaskDoneMsg{JobID: req.JobID, Host: m.host})
-	})
+	sp.Link(req.Cause) // mother superior's mom.start span
+	env.TaskSpan = sp.ID()
+	defer sp.End()
+	if m.Prologue != nil {
+		m.Prologue(env)
+	}
+	req.Script(env)
+	if m.Epilogue != nil {
+		m.Epilogue(env)
+	}
+	m.send(m.peer(env.MSHost), TaskDoneMsg{JobID: req.JobID, Host: m.host})
 }
 
 // taskDone tracks completion at the mother superior; when the last
 // compute node task exits, the job is reported done to the server.
 func (m *Mom) taskDone(req TaskDoneMsg) {
-	if j, ok := m.jobs[req.JobID]; ok && j.isMS {
+	if j, ok := m.jobs[req.JobID]; ok && j.tasksRun > 0 {
 		if j.tasksRun--; j.tasksRun == 0 {
 			m.send(ServerEndpoint, JobDoneMsg{JobID: req.JobID})
 		}
 	}
 }
 
-// dynAdd incorporates dynamically allocated accelerators: DYNJOIN
-// each new mom (serially, as the paper's mother superior does), tell
-// the existing moms about the enlarged host set, and ack the server.
-func (m *Mom) dynAdd(req DynAddMsg) {
-	// mom.dynadd covers the serial DYNJOIN fan-out plus the host-set
-	// update broadcast — the mother-superior share of a pbs_dynget.
-	var sp *trace.Span
-	if trc := m.sim.Tracer(); trc != nil {
-		sp = trc.Start(m.ep.Name(), "mom.dynadd", "job", req.JobID, "req", strconv.Itoa(req.ReqID))
-	}
-	sp.Link(req.Cause) // server's dynalloc span
-	defer sp.End()
-	for _, h := range req.Hosts {
-		m.send(m.peer(h), DynJoinJobMsg{JobID: req.JobID, MS: m.host, ReplyTo: m.ep.Name()})
-		ack, err := m.ep.RecvMatch(func(msg *netsim.Message) bool {
-			ack, ok := msg.Payload.(DynJoinAck)
-			return ok && ack.JobID == req.JobID && ack.Host == h
-		})
-		ack.Release()
-		if err != nil {
-			return
-		}
-	}
+// dynDone is a dynamic op's tail, once every host has answered: the
+// moms that stay learn the job's new host set, and the server of an
+// addition gets its ack.
+func (m *Mom) dynDone(op *momOp, hosts []string) {
+	add, isAdd := op.req.(DynAddMsg)
 	var others []string
-	if j, ok := m.jobs[req.JobID]; ok {
-		j.hosts = append(slices.Clip(j.hosts), req.Hosts...) // a new list: the old one has other holders
+	if j, ok := m.jobs[op.job]; ok {
+		if isAdd {
+			j.hosts = append(slices.Clip(j.hosts), hosts...) // a new list: the old one has other holders
+		} else {
+			j.hosts = without(j.hosts, hosts...)
+		}
 		others = j.hosts
 	}
 	// Update the existing moms' databases (asynchronous).
 	for _, h := range others {
-		if h == m.host || slices.Contains(req.Hosts, h) {
-			continue
-		}
-		m.send(m.peer(h), UpdateJobMsg{JobID: req.JobID, Hosts: others})
-	}
-	m.sendCause(req.ReplyTo, DynAddAck{JobID: req.JobID, ReqID: req.ReqID, Cause: sp.ID()}, sp.ID())
-}
-
-// dynRemove drives DISJOIN_JOB for a released dynamic set and updates
-// the remaining moms.
-func (m *Mom) dynRemove(req DynRemoveMsg) {
-	for _, h := range req.Hosts {
-		m.send(m.peer(h), DisJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()})
-		ack, err := m.ep.RecvMatch(func(msg *netsim.Message) bool {
-			ack, ok := msg.Payload.(DisJoinAck)
-			return ok && ack.JobID == req.JobID && ack.Host == h
-		})
-		ack.Release()
-		if err != nil {
-			return
+		if h != m.host && !slices.Contains(hosts, h) {
+			m.send(m.peer(h), UpdateJobMsg{JobID: op.job, Hosts: others})
 		}
 	}
-	var others []string
-	if j, ok := m.jobs[req.JobID]; ok {
-		j.hosts = without(j.hosts, req.Hosts...)
-		others = j.hosts
-	}
-	for _, h := range others {
-		if h == m.host {
-			continue
-		}
-		m.send(m.peer(h), UpdateJobMsg{JobID: req.JobID, Hosts: others})
+	if isAdd {
+		m.sendCause(add.ReplyTo, DynAddAck{JobID: op.job, ReqID: add.ReqID, Cause: op.sp.ID()}, op.sp.ID())
+		op.sp.End()
 	}
 }
 

@@ -333,14 +333,13 @@ func (s *Server) Start() {
 // its station. A stopMsg takes the handler off the endpoint: the
 // stations serve what they hold, and what arrives later queues for a
 // restarted server.
-func (s *Server) receive(m *netsim.Message) bool {
+func (s *Server) receive(m *netsim.Message) {
 	if _, stop := m.Payload.(stopMsg); stop {
 		s.ep.SetHandler(nil)
 		m.Release()
-		return true
+		return
 	}
 	s.stations[s.shardFor(m.Payload, &s.rr)].offer(m)
-	return true
 }
 
 func (s *Server) send(to string, payload any) {

@@ -237,14 +237,45 @@ func TestSpawnNamedInPartsBuildsNoString(t *testing.T) {
 	}
 }
 
+// TestGoArgSpawnAllocatesNothing pins a closure-free spawn at zero
+// allocations: GoArg with a long-lived fn and a pointer arg takes an idle
+// worker and a ready slot, both reused.
+func TestGoArgSpawnAllocatesNothing(t *testing.T) {
+	s := New()
+	var allocs float64
+	hits := new(int)
+	err := s.Run(func() {
+		spawn := func() {
+			s.GoArg(ActorName{Kind: "task", Subject: "4711.pbs/server", Host: "cn12"}, bumpCounter, hits)
+			s.Sleep(time.Microsecond) // the actor has come and gone
+		}
+		for i := 0; i < 16; i++ {
+			spawn()
+		}
+		allocs = testing.AllocsPerRun(200, spawn)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if *hits != 16+201 {
+		t.Fatalf("%d actors ran, want %d", *hits, 16+201)
+	}
+	if allocs != 0 {
+		t.Fatalf("GoArg spawn: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestActorNameIsJoinedInThePanicReport(t *testing.T) {
 	s := New()
 	err := s.Run(func() {
 		s.GoNamed(ActorName{Kind: "task", Subject: "1.pbs/server", Host: "cn0"}, func() { panic("boom") })
 		s.Go("plain", func() { panic("bang") })
+		s.GoArg(ActorName{Kind: "task", Subject: "2.pbs/server", Host: "cn3"}, func(arg any) { panic(arg) }, "crash")
 		s.Sleep(time.Microsecond)
 	})
-	if err == nil || !strings.Contains(err.Error(), "task/1.pbs/server@cn0: boom") || !strings.Contains(err.Error(), "plain: bang") {
-		t.Fatalf("panic report = %v, want the names joined as kind/subject@host", err)
+	for _, want := range []string{"task/1.pbs/server@cn0: boom", "plain: bang", "task/2.pbs/server@cn3: crash"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("panic report = %v, want %q: the names joined as kind/subject@host", err, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,6 +119,44 @@ func TestWorkersAreReusedAndExitAtHalt(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines 5s after Release, %d before Run: workers outlive the run", runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// A worker that ran a GoArg actor goes idle holding neither the actor nor
+// its arg, and reused, it runs the next actor with that actor's own: a
+// GoArg, a panicking GoArg and a closure take turns on one worker.
+func TestReusedWorkerKeepsNoStaleArg(t *testing.T) {
+	s := New()
+	var got []any
+	record := func(arg any) { got = append(got, arg) }
+	err := s.Run(func() {
+		idle := func(step int) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.idle == nil || s.idle.next != nil {
+				t.Fatalf("step %d: want exactly one idle worker", step)
+			}
+			if s.idle.fn != nil || s.idle.arg != nil {
+				t.Errorf("step %d: the idle worker keeps fn %p and arg %v", step, s.idle.fn, s.idle.arg)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			s.GoArg(ActorName{Kind: "arg"}, record, i)
+			s.Sleep(time.Microsecond)
+			idle(i)
+		}
+		s.GoArg(ActorName{Kind: "bad"}, func(arg any) { panic(arg) }, "gone")
+		s.Sleep(time.Microsecond)
+		idle(3)
+		s.Go("closure", func() { got = append(got, "closure") })
+		s.Sleep(time.Microsecond)
+		idle(4)
+	})
+	if err == nil || !strings.Contains(err.Error(), "bad: gone") {
+		t.Fatalf("Run: %v, want the GoArg actor's panic", err)
+	}
+	if want := []any{0, 1, 2, "closure"}; !slices.Equal(got, want) {
+		t.Fatalf("actors saw %v, want %v", got, want)
 	}
 }
 

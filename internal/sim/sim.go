@@ -10,21 +10,21 @@
 //
 // # Actor model
 //
-// Every actor is spawned through Simulation.Go (or is the main function
-// passed to Run) and runs as a coroutine (iter.Pull) on one of the
-// simulation's workers; a worker whose actor returned runs the next one
-// spawned. Run's goroutine is the driver. It resumes one worker at a
-// time, and the worker runs until its actor parks (Sleep, a Gate wait)
-// or returns, switching straight back without the Go scheduler. A new
-// actor, a Gate waiter woken by Signal or Broadcast and one whose
-// WaitTimeout expired join one FIFO ready list, which the driver empties
-// first. With the list empty it releases the events of the earliest
-// pending instant in (at, seq) order, each once the work the previous
-// one set off has parked: it runs a callback itself and resumes a
-// sleeper at its wake. So which actor takes a seq or a lock first is
-// never the Go scheduler's choice. If every actor is parked and no event
-// is pending, the simulation is deadlocked and Run returns an error
-// naming them.
+// Every actor is spawned through Simulation.Go, GoNamed or GoArg (or is
+// the main function passed to Run) and runs as a coroutine (iter.Pull)
+// on one of the simulation's workers; a worker whose actor returned runs
+// the next one spawned. Run's goroutine is the driver. It resumes one
+// worker at a time, and the worker runs until its actor parks (Sleep, a
+// Gate wait) or returns, switching straight back without the Go
+// scheduler. A new actor, a Gate waiter woken by Signal or Broadcast and
+// one whose WaitTimeout expired join one FIFO ready list, which the
+// driver empties first. With the list empty it releases the events of
+// the earliest pending instant in (at, seq) order, each once the work
+// the previous one set off has parked: it runs a callback itself and
+// resumes a sleeper at its wake. So which actor takes a seq or a lock
+// first is never the Go scheduler's choice. If every actor is parked and
+// no event is pending, the simulation is deadlocked and Run returns an
+// error naming them.
 //
 // Actors spawned before Run wait on the ready list, ahead of main. Run
 // returns once main has returned and the rest of its instant's batch has
@@ -169,7 +169,8 @@ type worker struct {
 	stop   func()
 	yield  func(struct{}) bool
 	name   ActorName
-	fn     func()
+	fn     func(any) // the actor, run as fn(arg)
+	arg    any
 	next   *worker // on the idle list
 	// A parked SleepSteps: the step length, and how many steps are left
 	// after the one its queued wake ends.
@@ -289,7 +290,7 @@ func (s *Simulation) Now() time.Duration {
 // spawn builds no string: the parts are held by value and joined only
 // when somebody reads the name, which is when the actor panics.
 type ActorName struct {
-	Kind    string // what the actor does: "task", "ms", "irecv", ...
+	Kind    string // what the actor does: "task", "daemon-start", "irecv", ...
 	Subject string // what it does it for, typically a job id
 	Host    string // where it runs
 }
@@ -316,13 +317,25 @@ func (s *Simulation) Go(name string, fn func()) {
 // GoNamed is Go for an actor named in parts.
 func (s *Simulation) GoNamed(name ActorName, fn func()) {
 	s.mu.Lock()
-	s.goLocked(name, fn)
+	s.goLocked(name, callFunc, fn)
 	s.mu.Unlock()
 }
 
-// goLocked readies fn on an idle worker, or on a new one when none is.
-// Callers hold s.mu.
-func (s *Simulation) goLocked(name ActorName, fn func()) {
+// callFunc runs a func() boxed as the argument of a func(any).
+func callFunc(fn any) { fn.(func())() }
+
+// GoArg spawns fn(arg) as a new actor: GoNamed without a closure, as
+// AfterArg is After without one, for a long-lived fn and an arg that is
+// already boxed.
+func (s *Simulation) GoArg(name ActorName, fn func(any), arg any) {
+	s.mu.Lock()
+	s.goLocked(name, fn, arg)
+	s.mu.Unlock()
+}
+
+// goLocked readies fn(arg) on an idle worker, or on a new one when none
+// is. Callers hold s.mu.
+func (s *Simulation) goLocked(name ActorName, fn func(any), arg any) {
 	s.actors++
 	w := s.idle
 	if w == nil {
@@ -330,7 +343,7 @@ func (s *Simulation) goLocked(name ActorName, fn func()) {
 	} else {
 		s.idle, w.next = w.next, nil
 	}
-	w.name, w.fn = name, fn
+	w.name, w.fn, w.arg = name, fn, arg
 	s.readyLocked(w)
 }
 
@@ -347,7 +360,7 @@ func (w *worker) loop(yield func(struct{}) bool) {
 		if s.halted {
 			return
 		}
-		w.fn, w.next, s.idle = nil, s.idle, w
+		w.fn, w.arg, w.next, s.idle = nil, nil, s.idle, w
 		if !yield(struct{}{}) {
 			return
 		}
@@ -374,7 +387,7 @@ func (w *worker) run() {
 		s.mu.Unlock()
 	}()
 	resumed()
-	w.fn()
+	w.fn(w.arg)
 	returned = true
 }
 
@@ -533,7 +546,7 @@ func (s *Simulation) Run(main func()) error {
 		return errors.New("sim: Run called twice")
 	}
 	s.mainSet = true
-	s.goLocked(ActorName{Kind: "main"}, func() {
+	s.goLocked(ActorName{Kind: "main"}, callFunc, func() {
 		defer func() {
 			s.mu.Lock()
 			s.mainEnd = true
