@@ -41,11 +41,6 @@ type Params struct {
 	PerJobCost time.Duration
 	// DynPerReqCost is the scheduling cost per dynamic request.
 	DynPerReqCost time.Duration
-	// ArbiterPerJobCost is the global arbiter's per-proposal commit
-	// cost in partitioned cycles (PerJobCost/8 when zero). It is the
-	// serial remainder of a partitioned cycle: candidate scoring
-	// parallelizes across partitions, committing does not.
-	ArbiterPerJobCost time.Duration
 	// Partitions selects the cycle architecture. 0 or 1 keeps the
 	// faithful single global cycle: every queued job costs PerJobCost
 	// serially, which grows linearly with the backlog (the paper's
@@ -53,7 +48,7 @@ type Params struct {
 	// cycle (partition.go): nodes and queue are dealt across that many
 	// partitions whose candidate scoring overlaps in virtual time — a
 	// cycle pays the slowest partition, not the sum — and a small
-	// global arbiter commits the proposals.
+	// global arbiter commits the proposals at PerJobCost/8 each.
 	Partitions int
 	// DynTopPriority places dynamic requests ahead of all static
 	// requests (the paper's policy). Disabling it is the ablation:
@@ -135,20 +130,6 @@ type Scheduler struct {
 
 	heads heads // the cycle's priority order (order.go): scheduler actor only
 
-	// In-flight decision tracking: job IDs and dyn request IDs whose
-	// Alloc/DynAllocCmd was sent but may not yet be reflected in the
-	// server's snapshot. With the faithful server the FIFO loop
-	// guarantees commands land before the next SchedInfoReq, so these
-	// never match a snapshot entry; with the sharded server the
-	// snapshot (shard 0) can race a command still queued on another
-	// shard, and without suppression the scheduler would re-place the
-	// job and double-commit cycle-pool capacity. Entries expire after
-	// inflightWindow cycles (beginCycle sweeps them) so a genuinely
-	// dropped allocation retries.
-	inflight    map[string]uint64 // job ID -> cycleIndex at placement
-	dynInflight map[int]uint64    // dyn ReqID -> cycleIndex at grant
-	cycleIndex  uint64
-
 	// view mirrors the server's nodes and jobs (each cycle's fetch brings
 	// only what changed; it is rewritten under mu, see applySnapshot) and
 	// partPools index it: one pool in
@@ -183,14 +164,12 @@ func New(net *netsim.Network, serverEP string, params Params) *Scheduler {
 	}
 	reg := net.Sim().Telemetry()
 	sc := &Scheduler{
-		net:         net,
-		sim:         net.Sim(),
-		ep:          net.Endpoint(params.Endpoint),
-		serverEP:    serverEP,
-		params:      params,
-		usage:       make(map[string]float64),
-		inflight:    make(map[string]uint64),
-		dynInflight: make(map[int]uint64),
+		net:      net,
+		sim:      net.Sim(),
+		ep:       net.Endpoint(params.Endpoint),
+		serverEP: serverEP,
+		params:   params,
+		usage:    make(map[string]float64),
 		inst: schedInstruments{
 			cycle:      reg.Histogram("maui.cycle"),
 			occupancy:  reg.Occupancy("maui.occupancy"),
@@ -292,8 +271,10 @@ func (sc *Scheduler) cycle() bool {
 }
 
 // beginCycle fetches the round's answer and brings the scheduler's
-// state — in-flight tracking, fairshare, node mirror, pools — up to
-// it; schedule then decides on exactly that state.
+// state — fairshare, node mirror, pools — up to it; schedule then
+// decides on exactly that state. The server answers on the station
+// that took this scheduler's commands (pbs.Server.shardFor), so the
+// answer already holds every placement and grant sent before it.
 func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	fetch := cyc.Child("fetch")
 	info, err := sc.view.Request(sc.ep, sc.serverEP)
@@ -303,19 +284,6 @@ func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	}
 	sc.applySnapshot(info)
 	sc.sim.Sleep(sc.params.CycleOverhead)
-	sc.cycleIndex++
-	// Expire the in-flight entries past their window: a lookup finds only
-	// live decisions (each entry is judged alone: walk order is moot).
-	for id, at := range sc.inflight {
-		if sc.cycleIndex-at >= inflightWindow {
-			delete(sc.inflight, id)
-		}
-	}
-	for req, at := range sc.dynInflight {
-		if sc.cycleIndex-at >= inflightWindow {
-			delete(sc.dynInflight, req)
-		}
-	}
 	sc.mu.Lock()
 	sc.stats.Cycles++
 	if sc.params.FairshareDecay > 0 {
@@ -375,9 +343,6 @@ func (sc *Scheduler) schedule(info *pbs.SchedInfoResp, cyc *trace.Span) {
 // rejects the request unless PartialAlloc grants what there is;
 // compute-kind requests place within a single pool, all-or-nothing.
 func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span) {
-	if _, ok := sc.dynInflight[r.ReqID]; ok {
-		return // grant still in flight on a server shard
-	}
 	var sp *trace.Span
 	if phase != nil {
 		sp = phase.Child("sched.dyn", "job", r.JobID, "req", strconv.Itoa(r.ReqID), "count", strconv.Itoa(r.Count))
@@ -416,7 +381,6 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 			}
 		}
 	}
-	sc.dynInflight[r.ReqID] = sc.cycleIndex
 	sc.mu.Lock()
 	if len(hosts) > 0 {
 		sc.stats.DynGranted++
@@ -429,42 +393,26 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 	sc.sendCause(pbs.DynAllocCmd{ReqID: r.ReqID, Hosts: hosts, Cause: sp.ID()}, sp.ID())
 }
 
-// inflightWindow is how many cycles a placed job (or granted dyn
-// request) is suppressed from re-placement while its command may
-// still be queued on a server shard. Shard batches drain in a few
-// virtual milliseconds, well inside one cycle interval; the second
-// cycle of slack covers a kick-coalesced back-to-back iteration.
-const inflightWindow = 2
-
 // scheduleStatic places the queued jobs in priority order (the merge of
 // order.go ranks only what the walk takes), optionally backfilling
 // behind a blocked head. Every examined job costs PerJobCost, one step
 // of a walkClock. Once no job behind a blocked head can start — backfill
-// is off, or no compute node has a free core — the rest of the queue,
-// in-flight jobs free, is charged in one step.
+// is off, or no compute node has a free core — the rest of the queue
+// is charged in one step.
 func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
 	now := sc.sim.Now()
 	sc.startOrder(now)
-	left, inflight := len(sc.view.Queued), 0 // jobs still to come, and those of them in flight
-	for id := range sc.inflight {
-		if j := sc.view.Job(id); j != nil && j.Phase == pbs.PhaseQueued {
-			inflight++
-		}
-	}
+	left := len(sc.view.Queued) // jobs still to come
 	clock := walkClock{sim: sc.sim, cost: sc.params.PerJobCost}
 	var shadow time.Duration = -1 // earliest start estimate of the blocked head
 	for j := sc.nextJob(now); j != nil; j = sc.nextJob(now) {
 		left--
-		if inflight > 0 && sc.inflight[j.ID] > 0 { // placements are made from cycle 1 on
-			inflight--
-			continue // allocation still in flight on a server shard
-		}
 		clock.owed++
 		if shadow >= 0 {
 			// A head job is blocked; only backfill candidates that
 			// finish before its reservation may start.
 			if !sc.params.Backfill || p.full() {
-				clock.owed += left - inflight
+				clock.owed += left
 				break
 			}
 			if j.Spec.Walltime <= 0 || clock.now()+j.Spec.Walltime > shadow {
@@ -503,7 +451,7 @@ func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
 // the tracer can observe: a placement (the AllocCmd, stats, usage,
 // maui.placed and maui.backfill_hits, the place span) and a dynamic
 // request served in the FIFO ablation. What it writes before settling —
-// the pools, the in-flight map, the order — only the scheduler reads,
+// the pools and the order — only the scheduler reads,
 // and it reads the time only through now. No actor that ran between two
 // of the single sleeps saw anything the walk did between them, so every
 // write lands at the instant it did and every actor sees the same clock,
@@ -542,9 +490,6 @@ func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, pha
 		}
 		j := q[0]
 		q = q[1:]
-		if _, ok := sc.inflight[j.ID]; ok {
-			continue
-		}
 		clock.owed++
 		if hosts, acc, ok := ps[0].fit(j.Spec, j.ID); ok {
 			clock.settle()
@@ -580,7 +525,6 @@ func (sc *Scheduler) place(j *pbs.MirrorJob, hosts []string, acc [][]string, pha
 	}
 	defer sp.End()
 	sc.inst.placed.Inc()
-	sc.inflight[j.ID] = sc.cycleIndex
 	sc.mu.Lock()
 	sc.stats.JobsPlaced++
 	charge := float64(j.Spec.Nodes) * j.Spec.Walltime.Seconds()

@@ -17,10 +17,12 @@ import (
 // partition against that partition's pool, and advances virtual time
 // by the cost of the *slowest* partition — the scoring work overlaps.
 // A small global arbiter then commits the proposals serially at
-// ArbiterPerJobCost each, preserving a deterministic global priority
-// order, and gives each partition's blocked head one retry against
-// the other partitions' capacity so fragmentation across partitions
-// cannot stall a queue the faithful walk would drain.
+// PerJobCost/8 each (the serial remainder: candidate scoring
+// parallelizes across partitions, committing does not), preserving a
+// deterministic global priority order, and gives each partition's
+// blocked head one retry against the other partitions' capacity so
+// fragmentation across partitions cannot stall a queue the faithful
+// walk would drain.
 //
 // Semantics deliberately kept from the faithful path: dynamic
 // requests are served first, FIFO, at DynPerReqCost each (they are
@@ -37,14 +39,6 @@ type proposal struct {
 	hosts      []string
 	acc        [][]string
 	backfilled bool
-}
-
-// arbiterCost is the per-proposal commit cost.
-func (sc *Scheduler) arbiterCost() time.Duration {
-	if sc.params.ArbiterPerJobCost > 0 {
-		return sc.params.ArbiterPerJobCost
-	}
-	return sc.params.PerJobCost / 8
 }
 
 // partitionedCycle replaces both placement phases of the faithful
@@ -69,11 +63,10 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 	queued := sc.view.Queued
 	nParts := sc.params.Partitions
 
-	// Deal jobs to partitions by queue position, skipping jobs whose
-	// allocation is still in flight on a server shard (re-placing
-	// them would double-commit pool capacity). Priorities are computed
-	// once, here (same reasoning as scheduleStatic: virtual time stands
-	// still while we score, so values cannot change mid-sort).
+	// Deal jobs to partitions by queue position. Priorities are
+	// computed once, here (same reasoning as scheduleStatic: virtual
+	// time stands still while we score, so values cannot change
+	// mid-sort).
 	for len(sc.partJobs) < nParts {
 		sc.partJobs = append(sc.partJobs, nil)
 	}
@@ -81,15 +74,10 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 		sc.partJobs[pi] = sc.partJobs[pi][:0]
 	}
 	now := sc.sim.Now()
-	dealt := 0
 	sc.mu.Lock()
 	for i, j := range queued {
-		if _, ok := sc.inflight[j.ID]; ok {
-			continue
-		}
-		sc.partJobs[dealt%nParts] = append(sc.partJobs[dealt%nParts],
+		sc.partJobs[i%nParts] = append(sc.partJobs[i%nParts],
 			rankedJob{prio: sc.priority(j.Spec.Priority, now-j.SubmittedAt, sc.usage[j.Spec.Owner]), idx: int32(i)})
-		dealt++
 	}
 	sc.mu.Unlock()
 
@@ -145,7 +133,7 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 	// Global arbiter: commit proposals in priority order (ties by
 	// queue position) at a small serial cost each.
 	slices.SortFunc(proposals, func(a, b proposal) int { return byPriorityThenIndex(a.rankedJob, b.rankedJob) })
-	cost := sc.arbiterCost()
+	cost := sc.params.PerJobCost / 8
 	for _, pr := range proposals {
 		sc.sim.Sleep(cost)
 		if pr.backfilled {

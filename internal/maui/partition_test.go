@@ -8,12 +8,10 @@ import (
 	"repro/internal/pbs"
 )
 
-// partitioned returns an adjust func enabling the partitioned cycle.
+// partitioned returns an adjust func enabling the partitioned cycle
+// (its arbiter commits at PerJobCost/8, 125µs on the bed).
 func partitioned(n int) func(*maui.Params) {
-	return func(mp *maui.Params) {
-		mp.Partitions = n
-		mp.ArbiterPerJobCost = 100 * time.Microsecond
-	}
+	return func(mp *maui.Params) { mp.Partitions = n }
 }
 
 // A mixed-width batch must drain completely through the partitioned

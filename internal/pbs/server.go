@@ -800,11 +800,12 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	s.mu.Lock()
 	j, ok := s.index.jobs[cmd.JobID]
 	if !ok || j.info.State != JobQueued || j.info.Held || len(j.info.Hosts) > 0 {
-		// A job deleted, failed, held — or, with the sharded server,
-		// already allocated by a command this snapshot raced — while
-		// the scheduler was mid-cycle legitimately races its
-		// allocation; drop the command. Only a wholly unknown job ID
-		// indicates a real bug.
+		// A job deleted, failed or held while the scheduler was
+		// mid-cycle legitimately races its allocation; drop the
+		// command. The len(Hosts) guard validates a command from
+		// another daemon: the scheduler's own snapshot always holds its
+		// earlier placements (shardFor), so no race of it reaches here.
+		// Only a wholly unknown job ID indicates a real bug.
 		benign := ok
 		s.mu.Unlock()
 		if !benign {

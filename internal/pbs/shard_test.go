@@ -38,25 +38,32 @@ func TestShardForRouting(t *testing.T) {
 	s := &Server{stations: make([]station, 4)}
 	rr := 0
 
-	// Every message about one job must land on the same shard so the
-	// per-job message order the faithful loop guaranteed survives.
+	// Every client and mom message about one job must land on the same
+	// shard so the per-job message order the faithful loop guaranteed
+	// survives.
 	jobID := "17.pbs/server"
 	want := 17 % 4
 	for _, payload := range []any{
 		StatReq{JobID: jobID}, AlterReq{JobID: jobID}, HoldReq{JobID: jobID},
 		DeleteReq{JobID: jobID}, WaitReq{JobID: jobID}, DynGetReq{JobID: jobID},
-		DynFreeReq{JobID: jobID}, AllocCmd{JobID: jobID},
-		JobStartedMsg{JobID: jobID}, JobDoneMsg{JobID: jobID},
+		DynFreeReq{JobID: jobID}, JobStartedMsg{JobID: jobID}, JobDoneMsg{JobID: jobID},
 	} {
 		if got := s.shardFor(payload, &rr); got != want {
 			t.Errorf("shardFor(%T) = %d, want %d", payload, got, want)
 		}
 	}
 
-	// Dynamic allocation commands and acks follow the request id.
-	if got := s.shardFor(DynAllocCmd{ReqID: 6}, &rr); got != 6%4 {
-		t.Errorf("shardFor(DynAllocCmd{ReqID: 6}) = %d, want %d", got, 6%4)
+	// The scheduler's traffic shares one station, so a snapshot is
+	// served after every command its sender issued before it.
+	for _, payload := range []any{
+		SchedInfoReq{}, AllocCmd{JobID: jobID}, DynAllocCmd{ReqID: 6},
+	} {
+		if got := s.shardFor(payload, &rr); got != 0 {
+			t.Errorf("shardFor(%T) = %d, want 0", payload, got)
+		}
 	}
+
+	// A dynamic request's acks follow the request id.
 	if got := s.shardFor(DynAddAck{ReqID: 6}, &rr); got != 6%4 {
 		t.Errorf("shardFor(DynAddAck{ReqID: 6}) = %d, want %d", got, 6%4)
 	}
@@ -71,9 +78,6 @@ func TestShardForRouting(t *testing.T) {
 	}
 
 	// Cluster-wide queries pin to shard 0.
-	if got := s.shardFor(SchedInfoReq{}, &rr); got != 0 {
-		t.Errorf("shardFor(SchedInfoReq) = %d, want 0", got)
-	}
 	if got := s.shardFor(NodesReq{}, &rr); got != 0 {
 		t.Errorf("shardFor(NodesReq) = %d, want 0", got)
 	}

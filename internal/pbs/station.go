@@ -88,15 +88,18 @@ func (st *station) finish() {
 	st.busy.OnFor(st.d)
 }
 
-// shardFor routes one payload to a station of the server. Job-scoped
-// traffic follows the job's sequence number, preserving per-job message
-// order within one station. Dynamic allocation commands and acks follow
-// the server-side request id; the record they address was created by a
-// DynGetReq on the job's station, and by the time an alloc command
-// arrives the scheduler has already observed that record, so the
-// cross-station handoff is causally ordered. Heartbeats hash by host,
-// submissions round-robin on *rr, and cluster-wide queries (scheduler
-// snapshots, node and job listings) pin to station 0.
+// shardFor routes one payload to a station of the server. The
+// scheduler's traffic — its snapshot request and the AllocCmd and
+// DynAllocCmd it sends back — goes to station 0. A snapshot must contain
+// every command its sender has already issued (paper §III-C: Maui reads
+// the state it wrote); netsim delivers one sender's messages in order
+// and a station serves in arrival order, so sharing the snapshot's
+// station is what guarantees that. Job-scoped client and mom traffic
+// follows the job's sequence number, preserving per-job message order
+// within one station; a dynamic request's acks follow its server-side
+// request id. Heartbeats hash by host, submissions round-robin on *rr,
+// and the other cluster-wide queries (node and job listings) pin to
+// station 0.
 func (s *Server) shardFor(payload any, rr *int) int {
 	n := len(s.stations)
 	if n == 1 {
@@ -120,14 +123,10 @@ func (s *Server) shardFor(payload any, rr *int) int {
 		return jobSeq(req.JobID) % n
 	case DynFreeReq:
 		return jobSeq(req.JobID) % n
-	case AllocCmd:
-		return jobSeq(req.JobID) % n
 	case JobStartedMsg:
 		return jobSeq(req.JobID) % n
 	case JobDoneMsg:
 		return jobSeq(req.JobID) % n
-	case DynAllocCmd:
-		return req.ReqID % n
 	case DynAddAck:
 		return req.ReqID % n
 	case HeartbeatMsg:
