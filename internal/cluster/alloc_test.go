@@ -14,19 +14,46 @@ import (
 // in heap objects — submit, place, commit, JOIN, tasks, completion,
 // release, accounting, the client's Wait — on the job shape of
 // dacperf's batch workloads (half the jobs on one node, half on two, a
-// quarter of a second apart). Running N jobs and 2N and dividing the
-// difference by N leaves out what the cluster costs to set up. The
-// placement's lists travel uncopied and names and details are joined
-// when read (DESIGN.md §10): 36 objects a job, 62 before; 35 since a
-// job that ends with nobody waiting is not copied for them; 31 since the
-// daemons are delivery handlers and a node's job list is rebuilt in
-// place; 28.6 since actors run on reused workers; 24.1 since the mother
-// superior's waits are records and a task spawns without a closure (the
-// ceiling is that measurement + 10 %).
+// quarter of a second apart). The placement's lists travel uncopied
+// and names and details are joined when read (DESIGN.md §10): 36
+// objects a job, 62 before; 35 since a job that ends with nobody
+// waiting is not copied for them; 31 since the daemons are delivery
+// handlers and a node's job list is rebuilt in place; 28.6 since actors
+// run on reused workers; 24.1 since the mother superior's waits are
+// records and a task spawns without a closure (the ceiling is that
+// measurement + 10 %).
 func TestObjectsPerJob(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("allocation counts mean nothing under -race")
 	}
+	perJob := objectsPerJob(t, cluster.Observers{})
+	t.Logf("%.2f objects a job", perJob)
+	if perJob > 26.5 {
+		t.Errorf("%.2f objects a job, want at most 26.5", perJob)
+	}
+}
+
+// TestObservedJobCostsWhatABareOneDoes: the same job shape with every
+// observer attached, started and stopped around the run. A span is cut
+// from the tracer's chunks and carries its own event, and accounting
+// instants and scrape rows build no strings, so observing a job costs
+// at most 2 objects more than running it bare (22 more before).
+func TestObservedJobCostsWhatABareOneDoes(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	bare := objectsPerJob(t, cluster.Observers{})
+	observed := objectsPerJob(t, cluster.Observers{Trace: true, Telemetry: true, Audit: true})
+	t.Logf("%.2f objects a job observed, %.2f bare", observed, bare)
+	if observed > bare+2 {
+		t.Errorf("%.2f objects an observed job, want at most %.2f (bare + 2)", observed, bare+2)
+	}
+}
+
+// objectsPerJob runs N jobs and 2N under the observers obs and divides
+// the difference in heap objects by N, which leaves out what the
+// cluster and its observers cost to set up.
+func objectsPerJob(t *testing.T, obs cluster.Observers) float64 {
 	const n = 512
 	mallocs := func(jobs int) uint64 {
 		p := cluster.Default()
@@ -35,8 +62,12 @@ func TestObjectsPerJob(t *testing.T) {
 		p.Maui.CycleOverhead = 10 * time.Millisecond
 		p.Maui.PerJobCost = 200 * time.Microsecond
 		p.Server.Processing = time.Millisecond
+		sess := obs.Open()
+		sess.Attach(&p)
 		var before, after runtime.MemStats
 		err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+			sess.Start(c.Sim)
+			defer sess.Stop()
 			ids := make([]string, 0, jobs)
 			runtime.ReadMemStats(&before)
 			for i := 0; i < jobs; i++ {
@@ -63,9 +94,5 @@ func TestObjectsPerJob(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	mallocs(n) // warm the process-wide pools
-	perJob := float64(mallocs(2*n)-mallocs(n)) / n
-	t.Logf("%.2f objects a job", perJob)
-	if perJob > 26.5 {
-		t.Errorf("%.2f objects a job, want at most 26.5", perJob)
-	}
+	return float64(mallocs(2*n)-mallocs(n)) / n
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // formatResourceRequestRef is FormatResourceRequest as it was written
@@ -112,6 +113,34 @@ func TestAccountingRecordCostsAtMostOneAllocation(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(200, c.append); got > c.max {
 			t.Errorf("appending a %c record: %v allocations, want at most %v", c.typ, got, c.max)
+		}
+	}
+}
+
+// TestTracedAccountingRecordCostsOnlyItsDetail: under a tracer a record
+// still costs one object, its detail's text, because its instant's
+// name comes from a table; and that instant is named acct.<type> for
+// every record type the server writes.
+func TestTracedAccountingRecordCostsOnlyItsDetail(t *testing.T) {
+	sm := sim.New()
+	tr := trace.New()
+	sm.SetTracer(tr)
+	s := NewServer(netsim.New(sm, netsim.LinkParams{}), ServerParams{AcctRing: 64})
+	for _, typ := range []byte{AcctQueued, AcctStarted, AcctEnded, AcctDeleted, AcctFailed, AcctDynGrant, AcctDynReject, AcctDynFree} {
+		account := func() { var b [32]byte; s.account(typ, "42.pbs/server", appendKV(b[:0], "client=", 4711)) }
+		account()
+		evs := tr.Events()
+		if got, want := evs[len(evs)-1].Name, "acct."+string(typ); got != want {
+			t.Errorf("a %c record's instant is named %q, want %q", typ, got, want)
+		}
+		if raceDetectorOn {
+			continue // allocation counts mean nothing under -race
+		}
+		for i := 0; i < 256; i++ { // fill the ring
+			account()
+		}
+		if got := testing.AllocsPerRun(200, account); got != 1 {
+			t.Errorf("appending a traced %c record: %v allocations, want 1 (its detail)", typ, got)
 		}
 	}
 }

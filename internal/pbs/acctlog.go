@@ -61,10 +61,19 @@ func (s *Server) accountLocked(typ byte, jobID string, detail []byte) {
 		s.acct = append(s.acct[:0], s.acct[len(s.acct)-r:]...)
 	}
 	if trc := s.sim.Tracer(); trc != nil {
-		trc.InstantAt(ServerTrack, "acct."+string(rec.Type), rec.At,
+		trc.InstantAt(ServerTrack, acctInstants[rec.Type], rec.At,
 			"job", rec.JobID, "detail", rec.Detail)
 	}
 }
+
+// acctInstants names the trace instant of each record type, "acct.Q"
+// for AcctQueued: built once, so mirroring a record builds no string.
+var acctInstants = func() (names [256]string) {
+	for typ := range names {
+		names[typ] = "acct." + string(byte(typ))
+	}
+	return names
+}()
 
 // The details of the record types that have one, appended to b.
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"testing"
 	"time"
 )
@@ -39,5 +40,27 @@ func TestRecordZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestScrapeCostDoesNotGrowWithInstruments: a window's rows are sized
+// once and an instrument's previous state is found without building a
+// key, so a window of 64 counters allocates no more than one of 8.
+func TestScrapeCostDoesNotGrowWithInstruments(t *testing.T) {
+	window := func(n int) float64 {
+		reg := New()
+		for i := 0; i < n; i++ {
+			reg.Counter("c" + strconv.Itoa(i)).Add(1)
+		}
+		clk := &manualClock{}
+		s := NewScraper(reg, clk, time.Second)
+		s.ScrapeNow() // the first window creates each instrument's state
+		return testing.AllocsPerRun(100, func() {
+			clk.now += time.Second
+			s.ScrapeNow()
+		})
+	}
+	if few, many := window(8), window(64); many > few {
+		t.Errorf("a window of 64 counters allocates %v objects, one of 8 %v", many, few)
 	}
 }

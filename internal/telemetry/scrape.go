@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"time"
 )
 
@@ -68,8 +69,8 @@ type Scraper struct {
 	MaxWindows int
 
 	windows []Window
-	prev    map[string]*prevState // keyed by name+"\x00"+kind
-	start   time.Duration         // current window start
+	prev    map[[2]string]*prevState // keyed by {name, kind}
+	start   time.Duration            // current window start
 	armed   bool
 	stopped bool
 	scratch Histogram // window-delta workspace, reused across scrapes
@@ -96,7 +97,7 @@ func NewScraper(reg *Registry, clk Clock, interval time.Duration) *Scraper {
 		reg:      reg,
 		clk:      clk,
 		interval: interval,
-		prev:     make(map[string]*prevState),
+		prev:     make(map[[2]string]*prevState),
 	}
 }
 
@@ -163,10 +164,12 @@ func (s *Scraper) Windows() []Window {
 
 func (s *Scraper) scrapeWindow() {
 	now := s.clk.Now()
-	w := Window{Index: len(s.windows), Start: s.start, End: now}
+	refs := s.reg.instruments()
+	// Rows sized once; Grow keeps an empty window's nil (a capture's null).
+	w := Window{Index: len(s.windows), Start: s.start, End: now, Rows: slices.Grow([]Row(nil), len(refs))}
 	dur := now - s.start
-	for _, ref := range s.reg.instruments() {
-		key := ref.name + "\x00" + string(ref.kind)
+	for _, ref := range refs {
+		key := [2]string{ref.name, string(ref.kind)}
 		ps := s.prev[key]
 		if ps == nil {
 			ps = &prevState{}

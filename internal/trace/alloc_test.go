@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -59,28 +60,88 @@ func TestEventLogChunksKeepOrderAndNeverCopy(t *testing.T) {
 	}
 }
 
-// TestEnabledSpanAllocatesOnlyTheSpan: annotations and a first link are
-// cut from the tracer's chunks, so an enabled Start+End with two
-// annotations (one at Start, one by Annotate) and a link allocates the
-// Span and nothing else, amortized, and an after-the-fact span with a
-// link allocates nothing.
-func TestEnabledSpanAllocatesOnlyTheSpan(t *testing.T) {
+// TestEnabledSpanAllocatesNothing: spans, annotations and first links
+// are cut from the tracer's chunks and a span carries the event it
+// publishes, so an enabled span, a child, an after-the-fact span and an
+// instant each allocate nothing, amortized.
+func TestEnabledSpanAllocatesNothing(t *testing.T) {
 	tr := New()
 	for i := 0; i < chunkEvents; i++ { // fill the first, doubling chunk
 		tr.InstantAt("track", "warm", 0)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Start("pbs/server", "submit", "job", "J1")
-		sp.Annotate("req", "7")
-		sp.Link(3)
-		sp.End()
-	}); allocs > 1 {
-		t.Errorf("enabled Start+End: %v allocs/op, want at most 1 (the Span)", allocs)
+	root := tr.Start("maui", "cycle")
+	for _, c := range []struct {
+		name string
+		emit func()
+	}{
+		{"Start+Annotate+Link+End", func() {
+			sp := tr.Start("pbs/server", "submit", "job", "J1")
+			sp.Annotate("req", "7")
+			sp.Link(3)
+			sp.End()
+		}},
+		{"Child", func() { root.Child("place", "job", "J1").End() }},
+		{"AsyncSpanLinkAt", func() {
+			tr.AsyncSpanLinkAt("netsim", "msg.pbs", 3, 0, time.Millisecond, "from", "a", "to", "b")
+		}},
+		{"InstantAt", func() { tr.InstantAt("pbs/server", "acct.Q", 0, "job", "J1", "detail", "d") }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, c.emit); allocs != 0 {
+			t.Errorf("enabled %s: %v allocs/op, want 0", c.name, allocs)
+		}
 	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		tr.AsyncSpanLinkAt("netsim", "msg.pbs", 3, 0, time.Millisecond, "from", "a", "to", "b")
-	}); allocs != 0 {
-		t.Errorf("enabled AsyncSpanLinkAt: %v allocs/op, want 0", allocs)
+	root.End()
+}
+
+// TestSpansCutFromOneChunkStayApart: two spans cut side by side from one
+// chunk. Annotating, linking and ending one leaves the other's published
+// event as it was; an ended span still answers ID, and ending it again
+// publishes nothing. An unbound tracer stamps 0 everywhere, and so does
+// one whose clock SetClock(nil) took away.
+func TestSpansCutFromOneChunkStayApart(t *testing.T) {
+	tr := New()
+	a := tr.Start("t", "a", "k", "1")
+	b := a.Child("b", "k", "2")
+	if n := len(tr.spans); &tr.spans[n-2] != a || &tr.spans[n-1] != b {
+		t.Fatal("the two spans are not chunk neighbours")
+	}
+	b.Link(9)
+	b.End()
+	pub := tr.Events()[0]
+	want := pub
+	want.Args = append([]KV(nil), pub.Args...)
+	want.Links = append([]uint64(nil), pub.Links...)
+
+	a.Annotate("extra", "x")
+	a.Link(3)
+	a.End()
+	a.End()
+	b.End()
+	evs := tr.Events()
+	if len(evs) != 2 {
+		t.Fatalf("%d events published, want 2 (ending twice publishes once)", len(evs))
+	}
+	if !reflect.DeepEqual(evs[0], want) {
+		t.Errorf("the neighbour's published event moved:\n got %+v\nwant %+v", evs[0], want)
+	}
+	got := evs[1]
+	if got.Name != "a" || got.ID != a.ID() || got.Parent != 0 || len(got.Args) != 2 || len(got.Links) != 1 || got.Links[0] != 3 {
+		t.Errorf("annotated span published %+v", got)
+	}
+	if a.ID() == 0 || b.ID() == 0 || a.ID() == b.ID() || evs[0].Parent != a.ID() {
+		t.Errorf("after End: a.ID() = %d, b.ID() = %d, b's parent %d", a.ID(), b.ID(), evs[0].Parent)
+	}
+
+	tr.SetClock(func() time.Duration { return time.Second })
+	tr.SetClock(nil)
+	c := tr.Start("t", "c")
+	c.Child("d").End()
+	c.End()
+	tr.AsyncSpanLinkAt("t", "e", 0, 0, 0)
+	for _, e := range tr.Events() {
+		if e.Start != 0 || e.Dur != 0 {
+			t.Errorf("unbound tracer stamped %s at %v for %v, want 0 and 0", e.Name, e.Start, e.Dur)
+		}
 	}
 }
 
@@ -93,10 +154,10 @@ func TestAnnotateLeavesChunkNeighbourAlone(t *testing.T) {
 	b := tr.Start("t", "b", "k", "2")
 	a.Link(1)
 	b.Link(2)
-	if n := len(tr.kvs); &tr.kvs[n-2] != &a.args[0] || &tr.kvs[n-1] != &b.args[0] {
+	if n := len(tr.kvs); &tr.kvs[n-2] != &a.ev.Args[0] || &tr.kvs[n-1] != &b.ev.Args[0] {
 		t.Fatal("the two spans' annotations are not chunk neighbours")
 	}
-	if n := len(tr.links); &tr.links[n-2] != &a.links[0] || &tr.links[n-1] != &b.links[0] {
+	if n := len(tr.links); &tr.links[n-2] != &a.ev.Links[0] || &tr.links[n-1] != &b.ev.Links[0] {
 		t.Fatal("the two spans' links are not chunk neighbours")
 	}
 	a.Annotate("extra", "x")

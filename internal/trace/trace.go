@@ -20,9 +20,10 @@
 // active tracer from their simulation (sim.Simulation.Tracer), which
 // is a single atomic load.
 //
-// An enabled span allocates the Span alone: the event log, annotations
-// and first links are cut from chunks, each cut capped at its length so
-// that growing one never writes into the next.
+// An enabled span allocates nothing: the Span, which carries the Event
+// it publishes, its annotations, its first link and the event log are
+// all cut from chunks, each cut capped at its length so that growing
+// one never writes into the next.
 //
 // # Concurrency
 //
@@ -75,14 +76,15 @@ type Event struct {
 // disabled, allocation-free no-op.
 type Tracer struct {
 	mu     sync.Mutex
-	clock  func() time.Duration
+	clock  func() time.Duration // zeroClock while unbound
 	nextID uint64
 	// The event log grows by fixed-size chunks: an append never copies
 	// what is already recorded, so a long run's log costs its own size
 	// and not the doubled slices it outgrew on the way.
 	chunks [][]Event
 	count  int
-	// Annotations and first links are cut from these chunks (kvsLocked).
+	// Spans, annotations and first links are cut from these chunks.
+	spans       []Span
 	kvs         []KV
 	links       []uint64
 	limit       int      // max retained events; 0 = unbounded
@@ -94,13 +96,18 @@ type Tracer struct {
 // New returns an enabled tracer. Bind it to a simulation's virtual
 // clock with SetClock (sim.Simulation.SetTracer does this for you);
 // unbound, all timestamps read zero.
-func New() *Tracer { return &Tracer{} }
+func New() *Tracer { return &Tracer{clock: zeroClock} }
+
+func zeroClock() time.Duration { return 0 }
 
 // SetClock installs the virtual-time source (typically
-// sim.Simulation.Now). A tracer records one simulation.
+// sim.Simulation.Now); nil unbinds it. A tracer records one simulation.
 func (t *Tracer) SetClock(clock func() time.Duration) {
 	if t == nil {
 		return
+	}
+	if clock == nil {
+		clock = zeroClock
 	}
 	t.mu.Lock()
 	t.clock = clock
@@ -110,15 +117,9 @@ func (t *Tracer) SetClock(clock func() time.Duration) {
 // Span is an open interval created by Start or Child. End it exactly
 // once; a nil Span (from a nil Tracer) ignores all calls.
 type Span struct {
-	t      *Tracer
-	track  string
-	name   string
-	start  time.Duration
-	id     uint64
-	parent uint64
-	args   []KV
-	links  []uint64
-	ended  bool
+	t     *Tracer
+	ev    Event // published by End, with Dur set
+	ended bool
 }
 
 // Start opens a root span on a component track. kvs are alternating
@@ -127,14 +128,7 @@ func (t *Tracer) Start(track, name string, kvs ...string) *Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	t.nextID++
-	sp := &Span{t: t, track: track, name: name, id: t.nextID, args: t.pairsLocked(kvs)}
-	if t.clock != nil {
-		sp.start = t.clock()
-	}
-	t.mu.Unlock()
-	return sp
+	return t.open(track, name, 0, kvs)
 }
 
 // Child opens a sub-span of s on the same track, establishing
@@ -143,14 +137,15 @@ func (s *Span) Child(name string, kvs ...string) *Span {
 	if s == nil {
 		return nil
 	}
-	t := s.t
+	return s.t.open(s.ev.Track, name, s.ev.ID, kvs)
+}
+
+// open cuts a span opened now from the current chunk.
+func (t *Tracer) open(track, name string, parent uint64, kvs []string) *Span {
 	t.mu.Lock()
 	t.nextID++
-	now := s.start
-	if t.clock != nil {
-		now = t.clock()
-	}
-	sp := &Span{t: t, track: s.track, name: name, start: now, id: t.nextID, parent: s.id, args: t.pairsLocked(kvs)}
+	sp := &cut(&t.spans, 1, chunkSpans)[0]
+	*sp = Span{t: t, ev: Event{Kind: KindSpan, Track: track, Name: name, Start: t.clock(), ID: t.nextID, Parent: parent, Args: t.pairsLocked(kvs)}}
 	t.mu.Unlock()
 	return sp
 }
@@ -162,10 +157,10 @@ func (s *Span) Annotate(key, value string) {
 	}
 	t := s.t
 	t.mu.Lock()
-	args := t.kvsLocked(len(s.args) + 1)
+	args := cut(&t.kvs, len(s.ev.Args)+1, chunkCuts)
 	t.mu.Unlock()
-	args[copy(args, s.args)] = KV{key, value}
-	s.args = args
+	args[copy(args, s.ev.Args)] = KV{key, value}
+	s.ev.Args = args
 }
 
 // Link records a causal edge from the span with the given id (usually
@@ -176,14 +171,14 @@ func (s *Span) Link(id uint64) {
 	if s == nil || id == 0 {
 		return
 	}
-	if s.links == nil {
+	if s.ev.Links == nil {
 		t := s.t
 		t.mu.Lock()
-		s.links = t.linkLocked(id)
+		s.ev.Links = t.linkLocked(id)
 		t.mu.Unlock()
 		return
 	}
-	s.links = append(s.links, id)
+	s.ev.Links = append(s.ev.Links, id)
 }
 
 // ID returns the span's id (0 for the nil span).
@@ -191,7 +186,7 @@ func (s *Span) ID() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.id
+	return s.ev.ID
 }
 
 // End closes the span and publishes a KindSpan event. Ending twice
@@ -203,16 +198,8 @@ func (s *Span) End() {
 	s.ended = true
 	t := s.t
 	t.mu.Lock()
-	now := s.start
-	if t.clock != nil {
-		now = t.clock()
-	}
-	ev := Event{
-		Kind: KindSpan, Track: s.track, Name: s.name,
-		Start: s.start, Dur: now - s.start,
-		ID: s.id, Parent: s.parent, Args: s.args, Links: s.links,
-	}
-	t.publishLocked(ev)
+	s.ev.Dur = t.clock() - s.ev.Start
+	t.publishLocked(s.ev)
 	t.mu.Unlock()
 }
 
@@ -353,7 +340,7 @@ func (t *Tracer) pairsLocked(kvs []string) []KV {
 	if len(kvs) == 0 {
 		return nil
 	}
-	out := t.kvsLocked((len(kvs) + 1) / 2)
+	out := cut(&t.kvs, (len(kvs)+1)/2, chunkCuts)
 	for j := 0; j < len(kvs); j += 2 {
 		out[j/2].Key = kvs[j]
 		if j+1 < len(kvs) {
@@ -363,27 +350,26 @@ func (t *Tracer) pairsLocked(kvs []string) []KV {
 	return out
 }
 
-// kvsLocked cuts n zeroed annotations from the current chunk, capped at
-// n. Callers hold t.mu.
-func (t *Tracer) kvsLocked(n int) []KV {
-	if cap(t.kvs)-len(t.kvs) < n {
-		t.kvs = make([]KV, 0, max(chunkCuts, n))
-	}
-	i := len(t.kvs)
-	t.kvs = t.kvs[:i+n]
-	return t.kvs[i : i+n : i+n]
-}
-
 // linkLocked returns a one-link slice cut from the current chunk.
 // Callers hold t.mu.
 func (t *Tracer) linkLocked(id uint64) []uint64 {
-	if len(t.links) == cap(t.links) {
-		t.links = make([]uint64, 0, chunkCuts)
-	}
-	t.links = append(t.links, id)
-	i := len(t.links)
-	return t.links[i-1 : i : i]
+	l := cut(&t.links, 1, chunkCuts)
+	l[0] = id
+	return l
 }
 
-// chunkCuts is how many annotations (32 KB) or links (8 KB) one chunk holds.
-const chunkCuts = 1024
+// cut returns n zeroed elements cut from *chunk, capped at n, starting
+// a chunk of max(size, n) when the current one is short. Callers hold
+// the lock that guards *chunk.
+func cut[T any](chunk *[]T, n, size int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, max(size, n))
+	}
+	i := len(*chunk)
+	*chunk = (*chunk)[:i+n]
+	return (*chunk)[i : i+n : i+n]
+}
+
+// chunkCuts is how many annotations (32 KB) or links (8 KB) one chunk
+// holds, chunkSpans how many spans (36 KB).
+const chunkCuts, chunkSpans = 1024, 256

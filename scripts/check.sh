@@ -71,8 +71,11 @@ fi
 
 # Every paper-figure trial records into its own observer session, so
 # the figures' capture is the same bytes at any -parallel: three runs at
-# the default and one serial run give one md5 (about 0.3 s each).
-echo "==> dacsim -fig all -observe trace,telemetry,audit -capture, 4 runs, one md5"
+# the default and one serial run give one md5 (about 0.3 s each), and it
+# is the pinned one. A change that means to alter what the observers
+# record re-pins it and says why; any other change keeps every byte.
+figs_md5=85498b88ae587cebce253fd1283779ea
+echo "==> dacsim -fig all -observe trace,telemetry,audit -capture, 4 runs, md5 $figs_md5"
 for parallel in 0 0 0 1; do
     "$bin/dacsim" -fig all -parallel "$parallel" -observe trace,telemetry,audit \
         -capture "$bin/figs" >/dev/null 2>&1
@@ -82,6 +85,10 @@ sums=$(sort -u "$bin/figs.md5")
 if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
     echo "the paper figures' capture differs between runs:" >&2
     echo "$sums" >&2
+    exit 1
+fi
+if [ "${sums%% *}" != "$figs_md5" ]; then
+    echo "the paper figures' capture reads md5 ${sums%% *}, pinned $figs_md5" >&2
     exit 1
 fi
 
