@@ -164,10 +164,14 @@ func (r *refDigest) str(s string) {
 }
 
 // TestDigestWritersMatchByteAtATimeFNV feeds random strings, integers
-// and bools to a Digest and to the reference, from the FNV offset and
-// from the zero state a bare Digest value starts in, and compares the
-// sums after every write.
+// of every width and bools to a Digest and to the reference, from the
+// FNV offset and from the zero state a bare Digest value starts in, and
+// compares the sums after every write. Each trial opens with the
+// integers whose zero bytes the writer folds: none, all, some in the
+// middle, all but the top one, and the all-ones values.
 func TestDigestWritersMatchByteAtATimeFNV(t *testing.T) {
+	edges := []uint64{0, 1, 0xff, 0x100, 0x10001, 0xff0000ff, 0x0100000000000001,
+		1 << 56, 1 << 63, uint64(1<<64 - 1)}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		start := uint64(fnvOffset64)
@@ -175,8 +179,21 @@ func TestDigestWritersMatchByteAtATimeFNV(t *testing.T) {
 			start = 0
 		}
 		d, ref := &Digest{h: start}, &refDigest{h: start}
+		for i, v := range edges {
+			d.WriteUint(v)
+			ref.uint(v)
+			d.WriteInt(-int64(i))
+			ref.uint(uint64(-int64(i)))
+			if d.Sum() != ref.h {
+				t.Fatalf("trial %d: sum %x after %#x and %d, byte-at-a-time FNV-1a %x", trial, d.Sum(), v, -i, ref.h)
+			}
+		}
 		for op := 0; op < 32; op++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
+			case 4:
+				v := rng.Uint64() >> (8 * rng.Intn(9)) // every width, 0 included
+				d.WriteUint(v)
+				ref.uint(v)
 			case 0:
 				b := make([]byte, rng.Intn(40))
 				rng.Read(b)

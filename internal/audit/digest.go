@@ -1,6 +1,9 @@
 package audit
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Digest accumulates a deterministic 64-bit FNV-1a hash over a
 // component's state. Providers must feed it in a deterministic order
@@ -31,12 +34,25 @@ func (d *Digest) WriteUint(v uint64) { d.h = fnvUint(d.h, v) }
 
 // fnvUint folds the eight little-endian bytes of v into the FNV-1a
 // state h. The writers keep the state in a local and store it once.
+// A zero byte only multiplies the state by the prime, so the k zero
+// bytes above v's highest set one fold into one multiply by prime^k:
+// a small integer costs one multiply per significant byte and one more.
 func fnvUint(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
+	n := 8 - bits.LeadingZeros64(v)/8
+	for i := 0; i < n; i++ {
 		h = (h ^ (v>>(8*i))&0xff) * fnvPrime64
 	}
-	return h
+	return h * fnvPrimePow[8-n]
 }
+
+// fnvPrimePow[k] is fnvPrime64^k, modulo 2^64.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
 
 // WriteInt hashes v as eight little-endian bytes.
 func (d *Digest) WriteInt(v int64) { d.WriteUint(uint64(v)) }

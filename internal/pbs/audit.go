@@ -47,16 +47,17 @@ import (
 //	                    static accelerators, dynamic sets) holds a
 //	                    matching usedBy entry, and every usedBy entry
 //	                    belongs to a live job
-//	jobs.index          every record is the one its id resolves to,
+//	jobs.index          the log entry of every record's sequence number
+//	                    holds that record under its id (index.go),
 //	                    and the active list is strictly ascending in
 //	                    sequence number (no job lost, duplicated or
 //	                    recycled while the scheduler can still see it)
 //	protocol.edge       a state was entered from one the §III tables
 //	                    (protocol.go) do not allow; checked where the
 //	                    state is written, not by a walk
-//	jobs.count          the index holds exactly the jobs ever
-//	                    submitted, less the terminal records the
-//	                    retention window has purged (retention.go)
+//	jobs.count          the log holds one entry per job, with a record
+//	                    or retired: its length is the two counts kept
+//	                    beside it (retention.go purges, compacts)
 //
 // KindJob events carry a transition label: those of the two §III
 // machines are the label column of protocol.go's tables, these two
@@ -119,25 +120,21 @@ func (s *Server) digestJobsLocked(d *audit.Digest) {
 	// Bring the class counts up to the nodes touched since the last
 	// boundary: the claims summed below are compared against them.
 	s.auditTouchedLocked()
-	claimed, resolved := int64(0), 0
-	d.WriteInt(int64(len(s.order)))
-	for _, ref := range s.order {
+	claimed := int64(0)
+	log := s.index.log
+	d.WriteInt(int64(len(log)))
+	for i := range log {
+		ref := &log[i]
 		d.WriteString(ref.id)
-		j, ok := s.index.jobs[ref.id]
-		if !ok {
+		j := ref.j
+		if j == nil { // purged by retention, not yet compacted away
 			d.WriteInt(-1)
 			continue
 		}
 		d.WriteInt(int64(j.info.State))
 		d.WriteBool(j.info.Held)
-		resolved++
-		claimed += s.auditJobLocked(j, j.info.ID == ref.id)
+		claimed += s.auditJobLocked(j)
 	}
-	// Only the sweep can see a record its id does not lead to (one
-	// filed under another key): every id in the log resolves, but for
-	// the purged ones retention has yet to compact.
-	s.aud.Check("pbs", "jobs.index", "global", resolved+s.retired == len(s.order),
-		int64(resolved+s.retired), int64(len(s.order)))
 	s.auditGlobalLocked(claimed)
 }
 
@@ -189,7 +186,7 @@ func (s *Server) auditCycleLocked() {
 
 	// Every live job is on the active list, beside the terminal ones
 	// compact has yet to drop. A live entry must sit in submission order
-	// and be the record its id resolves to: one purged (and scrubbed for
+	// and be the record its log entry holds: one purged (and scrubbed for
 	// reuse) before compact dropped the entry fails auditJobLocked's
 	// lookup.
 	claimed := int64(0)
@@ -200,18 +197,18 @@ func (s *Server) auditCycleLocked() {
 		}
 		a.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
 		prev = e.seq
-		claimed += s.auditJobLocked(e.j, false)
+		claimed += s.auditJobLocked(e.j)
 	}
 	// Jobs submitted since the last boundary that are terminal already
 	// (deleted while queued) never showed on an active list above.
-	first := len(s.order)
-	for first > 0 && s.order[first-1].seq > s.books.seqSeen {
+	log := s.index.log
+	first := len(log)
+	for first > 0 && log[first-1].seq > s.books.seqSeen {
 		first--
 	}
-	for _, ref := range s.order[first:] {
-		j, ok := s.index.jobs[ref.id]
-		if ok && !j.live() {
-			s.auditJobLocked(j, false)
+	for _, ref := range log[first:] {
+		if ref.j != nil && !ref.j.live() {
+			s.auditJobLocked(ref.j)
 		}
 	}
 	s.books.seqSeen = s.nextJob
@@ -247,8 +244,8 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 		used += c
 		// Reverse direction of view.job-hosts: the owner is a job the
 		// index knows in a non-terminal state.
-		j, ok := s.index.jobs[id]
-		a.Check("pbs", "view.job-hosts", name, ok && j.live(), int64(jobSeq(id)), 1)
+		j := s.index.find(id)
+		a.Check("pbs", "view.job-hosts", name, j != nil && j.live(), int64(jobSeq(id)), 1)
 	}
 	a.Check("pbs", "view.node-jobs", name, mirrored, int64(len(n.info.Jobs)), int64(len(n.usedBy)))
 	switch n.info.Type {
@@ -281,14 +278,13 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 }
 
 // auditJobLocked checks the job-side invariants of one indexed record:
-// it is the record its id resolves to, and — forward
-// direction of view.job-hosts — every host a running job claims holds
-// a matching usedBy entry. It returns the accelerators the job holds,
-// the job side of conservation.acc. byID says the caller has just
-// resolved j by its own id, which is the check's lookup already made.
-func (s *Server) auditJobLocked(j *serverJob, byID bool) (claimed int64) {
-	id := j.info.ID
-	s.aud.Check("pbs", "jobs.index", id, byID || s.index.jobs[id] == j, int64(j.seq), 0)
+// the log entry of its sequence number holds it under its own id, and —
+// forward direction of view.job-hosts — every host a running job claims
+// holds a matching usedBy entry. It returns the accelerators the job
+// holds, the job side of conservation.acc.
+func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
+	e := s.index.entry(j.seq)
+	s.aud.Check("pbs", "jobs.index", j.info.ID, e != nil && e.j == j && e.id == j.info.ID, int64(j.seq), 0)
 	if !j.live() {
 		return 0
 	}
@@ -323,9 +319,10 @@ func (s *Server) auditGlobalLocked(claimed int64) {
 	s.aud.Check("pbs", "conservation.acc", "global",
 		allocated+free+b.acs[acDownFree] == b.acTotal && claimed == allocated,
 		allocated+free, b.acTotal)
-	// Retention purges index records but leaves their ids in the
-	// submission-order log until it compacts; retired bridges the two.
-	indexed := len(s.index.jobs)
-	s.aud.Check("pbs", "jobs.count", "global", indexed+s.retired == len(s.order),
-		int64(indexed+s.retired), int64(len(s.order)))
+	// Retention takes records out of the log but leaves their entries
+	// until it compacts; the two counts kept beside the log must add up
+	// to its length.
+	ix := &s.index
+	s.aud.Check("pbs", "jobs.count", "global", ix.records+ix.retired == len(ix.log),
+		int64(ix.records+ix.retired), int64(len(ix.log)))
 }

@@ -68,7 +68,7 @@ func DisownFault(host, jobID string) Fault {
 // ledger, view and the job's own dynamic sets all say so.
 func ShareFault(host, jobID string) Fault {
 	return func(s *Server) *serverNode {
-		j := s.index.jobs[jobID]
+		j := s.index.find(jobID)
 		if j.info.DynSets == nil {
 			j.info.DynSets = make(map[int][]string)
 		}
@@ -89,18 +89,18 @@ func UsedCoresFault(host string, used int) Fault {
 // PhantomHostFault makes a job list a host it holds nothing on.
 func PhantomHostFault(jobID, host string) Fault {
 	return func(s *Server) *serverNode {
-		j := s.index.jobs[jobID]
+		j := s.index.find(jobID)
 		j.info.Hosts = append(slices.Clip(j.info.Hosts), host)
 		return nil
 	}
 }
 
-// MisfileFault refiles a job's record under a key its id does not
-// resolve to, leaving the index the same size.
+// MisfileFault refiles a job's record under an id that is not its own:
+// its log entry keeps the record and takes another name, leaving the
+// log the same size.
 func MisfileFault(jobID string) Fault {
 	return func(s *Server) *serverNode {
-		s.index.jobs[jobID+"'"] = s.index.jobs[jobID]
-		delete(s.index.jobs, jobID)
+		s.index.entry(jobSeq(jobID)).id = jobID + "'"
 		return nil
 	}
 }
@@ -112,17 +112,19 @@ func MisfileFault(jobID string) Fault {
 func EdgeFault(jobID string, to JobState) Fault {
 	return func(s *Server) *serverNode {
 		defer func() { _ = recover() }()
-		j := s.index.jobs[jobID]
+		j := s.index.find(jobID)
 		s.advanceJobLocked(j, to, 0)
 		return nil
 	}
 }
 
-// DropOrderFault removes the most recent entry from the submission
-// ledger while leaving the job index untouched — a "lost job".
+// DropOrderFault removes the oldest entry from the job log behind the
+// back of the counts kept beside it — a "lost job". Every scene that
+// uses it submitted a job that has ended by then first, so the record
+// lost is on no active list.
 func DropOrderFault() Fault {
 	return func(s *Server) *serverNode {
-		s.order = s.order[:len(s.order)-1]
+		s.index.log = s.index.log[1:]
 		return nil
 	}
 }
@@ -208,11 +210,12 @@ func (s *Server) TryEdgeForTest(job bool, from, to int) (edge string, refused bo
 	}
 	edge = edgeName(job, from, to)
 	if job {
-		j := &serverJob{seq: 1, info: JobInfo{ID: "1.scratch"}}
+		j := &serverJob{seq: s.nextJob + 1, info: JobInfo{ID: "scratch"}}
 		if !born {
 			j.info.State = JobState(from)
-			s.index.jobs[j.info.ID] = j
-			defer delete(s.index.jobs, j.info.ID)
+			n := len(s.index.log)
+			s.index.log = append(s.index.log, jobRef{seq: j.seq, id: j.info.ID, j: j})
+			defer func() { s.index.log = s.index.log[:n] }()
 		}
 		s.advanceJobLocked(j, JobState(to), 0)
 		return edge, false
@@ -229,7 +232,7 @@ func (s *Server) TryEdgeForTest(job bool, from, to int) (edge string, refused bo
 
 // ActiveForTest compacts the active list as a purge does, then walks
 // it: visited are the sequence numbers on it, in order; live are those
-// of the live jobs as the submission log and the map know them.
+// of the live jobs as the log knows them.
 func (s *Server) ActiveForTest() (visited, live []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,8 +240,8 @@ func (s *Server) ActiveForTest() (visited, live []int) {
 	for _, e := range s.index.active {
 		visited = append(visited, e.seq)
 	}
-	for _, ref := range s.order {
-		if j, ok := s.index.jobs[ref.id]; ok && j.live() {
+	for _, ref := range s.index.log {
+		if j := ref.j; j != nil && j.live() {
 			live = append(live, ref.seq)
 		}
 	}

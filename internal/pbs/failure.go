@@ -127,8 +127,8 @@ func (s *Server) nodeDown(host string) {
 // application keeps running with its remaining set.
 func (s *Server) dropAccelerator(jobID, host string) {
 	s.mu.Lock()
-	j, ok := s.index.jobs[jobID]
-	if !ok {
+	j := s.index.find(jobID)
+	if j == nil {
 		s.mu.Unlock()
 		return
 	}

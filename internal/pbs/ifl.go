@@ -50,99 +50,83 @@ func (c *Client) reqID() int {
 	return c.nextReq
 }
 
-// call performs one request/response round trip and returns the
-// response payload; the message envelope goes straight back to the
+// call sends req and returns the reply answer reads from the first
+// message it accepts. The message envelope goes straight back to the
 // fabric arena.
-func (c *Client) call(req any, match func(m *netsim.Message) bool, timeout time.Duration) (any, error) {
+func call[R any](c *Client, req any, answer func(*netsim.Message) (R, bool)) (R, error) {
+	var r R
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return nil, netsim.ErrClosed
+		return r, netsim.ErrClosed
 	}
 	if err := c.ep.Send(c.serverEP, "pbs", req, 0); err != nil {
-		return nil, err
+		return r, err
 	}
-	var m *netsim.Message
-	var err error
-	if timeout > 0 {
-		m, err = c.ep.RecvMatchTimeout(match, timeout)
-	} else {
-		m, err = c.ep.RecvMatch(match)
-	}
+	m, err := c.ep.RecvMatch(func(m *netsim.Message) bool {
+		_, ok := answer(m)
+		return ok
+	})
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	payload := m.Payload
+	r, _ = answer(m)
 	m.Release()
-	return payload, nil
+	return r, nil
+}
+
+// failed is the error of a call that returned err and a reply carrying
+// the server's error text.
+func failed(err error, text string) error {
+	if err == nil && text != "" {
+		return errors.New(text)
+	}
+	return err
 }
 
 // Submit is qsub: it enqueues the job and returns its id.
 func (c *Client) Submit(spec JobSpec) (string, error) {
 	id := c.reqID()
-	m, err := c.call(SubmitReq{ReqID: id, ReplyTo: c.addr, Spec: spec}, func(m *netsim.Message) bool {
+	r, err := call(c, SubmitReq{ReqID: id, ReplyTo: c.addr, Spec: spec}, func(m *netsim.Message) (SubmitResp, bool) {
 		r, ok := m.Payload.(SubmitResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return "", err
-	}
-	resp := m.(SubmitResp)
-	if resp.Err != "" {
-		return "", errors.New(resp.Err)
-	}
-	return resp.JobID, nil
+		return r, ok && r.ReqID == id
+	})
+	return r.JobID, failed(err, r.Err)
 }
 
 // Stat is qstat for one job.
 func (c *Client) Stat(jobID string) (JobInfo, error) {
 	id := c.reqID()
-	m, err := c.call(StatReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) bool {
+	r, err := call(c, StatReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) (StatResp, bool) {
 		r, ok := m.Payload.(StatResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	resp := m.(StatResp)
-	if resp.Err != "" {
-		return JobInfo{}, errors.New(resp.Err)
-	}
-	return resp.Info, nil
+		return r, ok && r.ReqID == id
+	})
+	return r.Info, failed(err, r.Err)
 }
 
 // Nodes is pbsnodes: the node database view.
 func (c *Client) Nodes() ([]NodeInfo, error) {
 	id := c.reqID()
-	m, err := c.call(NodesReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) bool {
+	r, err := call(c, NodesReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) (NodesResp, bool) {
 		r, ok := m.Payload.(NodesResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return m.(NodesResp).Nodes, nil
+		return r, ok && r.ReqID == id
+	})
+	return r.Nodes, err
 }
 
 // Alter is pbs_alterjob / qalter: change a queued job's priority,
 // walltime estimate, or name. Pass nil/zero to leave a field alone.
 func (c *Client) Alter(jobID string, priority *int, walltime time.Duration, name string) error {
 	id := c.reqID()
-	m, err := c.call(AlterReq{
+	r, err := call(c, AlterReq{
 		ReqID: id, ReplyTo: c.addr, JobID: jobID,
 		Priority: priority, Walltime: walltime, Name: name,
-	}, func(m *netsim.Message) bool {
+	}, func(m *netsim.Message) (AlterResp, bool) {
 		r, ok := m.Payload.(AlterResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return err
-	}
-	if resp := m.(AlterResp); resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
+		return r, ok && r.ReqID == id
+	})
+	return failed(err, r.Err)
 }
 
 // Hold is qhold: keep a queued job from being scheduled.
@@ -153,65 +137,42 @@ func (c *Client) Release(jobID string) error { return c.hold(jobID, false) }
 
 func (c *Client) hold(jobID string, hold bool) error {
 	id := c.reqID()
-	m, err := c.call(HoldReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, Hold: hold},
-		func(m *netsim.Message) bool {
-			r, ok := m.Payload.(HoldResp)
-			return ok && r.ReqID == id
-		}, 0)
-	if err != nil {
-		return err
-	}
-	if resp := m.(HoldResp); resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
+	r, err := call(c, HoldReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, Hold: hold}, func(m *netsim.Message) (HoldResp, bool) {
+		r, ok := m.Payload.(HoldResp)
+		return r, ok && r.ReqID == id
+	})
+	return failed(err, r.Err)
 }
 
 // List is qstat without arguments: every job in submission order.
 func (c *Client) List() ([]JobInfo, error) {
 	id := c.reqID()
-	m, err := c.call(ListReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) bool {
+	r, err := call(c, ListReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) (ListResp, bool) {
 		r, ok := m.Payload.(ListResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return m.(ListResp).Jobs, nil
+		return r, ok && r.ReqID == id
+	})
+	return r.Jobs, err
 }
 
 // Delete is qdel.
 func (c *Client) Delete(jobID string) error {
 	id := c.reqID()
-	m, err := c.call(DeleteReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) bool {
+	r, err := call(c, DeleteReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) (DeleteResp, bool) {
 		r, ok := m.Payload.(DeleteResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return err
-	}
-	if resp := m.(DeleteResp); resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
+		return r, ok && r.ReqID == id
+	})
+	return failed(err, r.Err)
 }
 
 // Wait blocks until the job completes (or is deleted) and returns its
 // final info.
 func (c *Client) Wait(jobID string) (JobInfo, error) {
 	id := c.reqID()
-	m, err := c.call(WaitReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) bool {
+	r, err := call(c, WaitReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) (WaitResp, bool) {
 		r, ok := m.Payload.(WaitResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	resp := m.(WaitResp)
-	if resp.Err != "" {
-		return JobInfo{}, errors.New(resp.Err)
-	}
-	return resp.Info, nil
+		return r, ok && r.ReqID == id
+	})
+	return r.Info, failed(err, r.Err)
 }
 
 // DynGet is the new pbs_dynget() call: request count additional
@@ -220,20 +181,7 @@ func (c *Client) Wait(jobID string) (JobInfo, error) {
 // accelerators are available (the application then continues with its
 // existing set, paper Section II-B).
 func (c *Client) DynGet(jobID, cn string, count int) (DynGrant, error) {
-	id := c.reqID()
-	m, err := c.call(DynGetReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, CN: cn, Count: count},
-		func(m *netsim.Message) bool {
-			r, ok := m.Payload.(DynGetResp)
-			return ok && r.ReqID == id
-		}, 0)
-	if err != nil {
-		return DynGrant{}, err
-	}
-	resp := m.(DynGetResp)
-	if resp.Err != "" {
-		return DynGrant{ClientID: resp.ClientID}, errors.New(resp.Err)
-	}
-	return DynGrant{ClientID: resp.ClientID, Hosts: resp.Hosts}, nil
+	return c.dynGet(DynGetReq{JobID: jobID, CN: cn, Count: count})
 }
 
 // DynGetNodes requests count additional compute nodes with ppn cores
@@ -242,22 +190,17 @@ func (c *Client) DynGet(jobID, cn string, count int) (DynGrant, error) {
 // top-priority path as accelerator requests and returns the granted
 // hosts; release the set with DynFree.
 func (c *Client) DynGetNodes(jobID, cn string, count, ppn int) (DynGrant, error) {
+	return c.dynGet(DynGetReq{JobID: jobID, CN: cn, Count: count, Kind: KindCompute, PPN: ppn})
+}
+
+func (c *Client) dynGet(req DynGetReq) (DynGrant, error) {
 	id := c.reqID()
-	m, err := c.call(DynGetReq{
-		ReqID: id, ReplyTo: c.addr, JobID: jobID, CN: cn,
-		Count: count, Kind: KindCompute, PPN: ppn,
-	}, func(m *netsim.Message) bool {
+	req.ReqID, req.ReplyTo = id, c.addr
+	r, err := call(c, req, func(m *netsim.Message) (DynGetResp, bool) {
 		r, ok := m.Payload.(DynGetResp)
-		return ok && r.ReqID == id
-	}, 0)
-	if err != nil {
-		return DynGrant{}, err
-	}
-	resp := m.(DynGetResp)
-	if resp.Err != "" {
-		return DynGrant{ClientID: resp.ClientID}, errors.New(resp.Err)
-	}
-	return DynGrant{ClientID: resp.ClientID, Hosts: resp.Hosts}, nil
+		return r, ok && r.ReqID == id
+	})
+	return DynGrant{ClientID: r.ClientID, Hosts: r.Hosts}, failed(err, r.Err)
 }
 
 // DynFree is the new pbs_dynfree() call: release the dynamic set
@@ -265,18 +208,11 @@ func (c *Client) DynGetNodes(jobID, cn string, count, ppn int) (DynGrant, error)
 // disassociates the moms in the background.
 func (c *Client) DynFree(jobID string, clientID int) error {
 	id := c.reqID()
-	m, err := c.call(DynFreeReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, ClientID: clientID},
-		func(m *netsim.Message) bool {
-			r, ok := m.Payload.(DynFreeResp)
-			return ok && r.ReqID == id
-		}, 0)
-	if err != nil {
-		return err
-	}
-	if resp := m.(DynFreeResp); resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
+	r, err := call(c, DynFreeReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, ClientID: clientID}, func(m *netsim.Message) (DynFreeResp, bool) {
+		r, ok := m.Payload.(DynFreeResp)
+		return r, ok && r.ReqID == id
+	})
+	return failed(err, r.Err)
 }
 
 // Close gives the client's endpoint back to the fabric; every later call

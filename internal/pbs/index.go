@@ -1,15 +1,22 @@
 package pbs
 
-import "slices"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
-// The job index: one map and one submission-ordered active list, for
+// The job index: one submission-ordered log and one active list, for
 // both server architectures. Every handler runs under s.mu, whichever
-// actor it runs on, so a shard worker needs no map of its own, and one
-// list appended to in submission order is in the order the scheduler
-// must be shown.
+// actor it runs on, so a shard worker needs no index of its own, and
+// one list appended to in submission order is in the order the
+// scheduler must be shown. A job id starts with its sequence number,
+// handed out in submission order, so the log is sorted by it and is
+// its own index: find parses the number and reads the entry.
 
 // jobSeq extracts the numeric sequence of a job id ("17.pbs/server"
-// -> 17). Ids that do not start with digits map to sequence 0.
+// -> 17). Ids that do not start with digits, or whose digits overflow
+// an int, map to sequence 0, which no job has.
 func jobSeq(id string) int {
 	n := 0
 	for i := 0; i < len(id); i++ {
@@ -17,17 +24,24 @@ func jobSeq(id string) int {
 		if c < '0' || c > '9' {
 			break
 		}
-		n = n*10 + int(c-'0')
+		d := int(c - '0')
+		if n > (math.MaxInt-d)/10 {
+			return 0
+		}
+		n = n*10 + d
 	}
 	return n
 }
 
 // jobIndex is the server's job database.
 type jobIndex struct {
-	// jobs finds a record by id. Only the retention window
-	// (purgeRetiredLocked) deletes from it, and only terminal jobs that
-	// compact has already taken off the active list.
-	jobs map[string]*serverJob
+	// log holds one entry per job, strictly ascending in sequence
+	// number. Only the retention window (purgeRetiredLocked) takes a
+	// record out, and it leaves the entry until the log compacts.
+	// records and retired count the entries with a record and those
+	// without, apart from the log, for jobs.count to check.
+	log              []jobRef
+	records, retired int
 	// active holds, in submission order, the jobs that may still concern
 	// the scheduler (queued, held, or running), and the dead that ended
 	// since the last compact. Entries point at the records themselves, so
@@ -43,12 +57,39 @@ type activeJob struct {
 	j   *serverJob
 }
 
-// jobRef is one entry of the submission-order log: the id, which
-// outlives the record once retention purges it, and its sequence
+// jobRef is one entry of the log: the id, which outlives the record
+// once retention purges it (j is nil from then on), and its sequence
 // number, so walking the log never re-parses ids.
 type jobRef struct {
 	seq int
 	id  string
+	j   *serverJob
+}
+
+// entry returns the log entry of sequence seq, or nil. The log is dense
+// since its last compaction, so the newest entries sit as far from its
+// end as their numbers from the last; the few that outlived a compaction
+// (long jobs, held ones) are found by binary search.
+func (ix *jobIndex) entry(seq int) *jobRef {
+	n := len(ix.log)
+	if n == 0 {
+		return nil
+	}
+	if d := ix.log[n-1].seq - seq; d >= 0 && d < n && ix.log[n-1-d].seq == seq {
+		return &ix.log[n-1-d]
+	}
+	if i, ok := slices.BinarySearchFunc(ix.log, seq, func(r jobRef, seq int) int { return cmp.Compare(r.seq, seq) }); ok {
+		return &ix.log[i]
+	}
+	return nil
+}
+
+// find returns the record of the job id names, or nil.
+func (ix *jobIndex) find(id string) *serverJob {
+	if e := ix.entry(jobSeq(id)); e != nil && e.j != nil && e.j.info.ID == id {
+		return e.j
+	}
+	return nil
 }
 
 // activate appends the job to the active list. Callers activate in

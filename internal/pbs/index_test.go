@@ -12,14 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// One map and one submission-ordered active list serve both server
-// architectures (index.go). This is the property that lets them: under
+// One submission log, which is also the index, and one active list
+// serve both server architectures (index.go). This is the property that
+// lets them: under
 // 16-shard routing — every job's traffic on the worker its sequence
 // number picks — as under the single loop, through a seeded mix of
 // submissions, holds, releases, deletions of queued jobs and
 // completions, with a retention window purging and recycling records
 // all the while, the list stays strictly ascending in sequence number,
-// compactActive visits exactly the live jobs, each once, and the two
+// compact leaves exactly the live jobs of the log on it, each once, and the two
 // servers end on the same pbs.jobs digest with no invariant breached
 // (jobs.index and jobs.count are checked every cycle of the run).
 func TestActiveListPropertyUnderShardRouting(t *testing.T) {

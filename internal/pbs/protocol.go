@@ -82,7 +82,7 @@ var edgeHook atomic.Pointer[func(job bool, from, to int)]
 // with a as the record's first value. Callers hold s.mu.
 func (s *Server) advanceJobLocked(j *serverJob, to JobState, a int64) {
 	from := int(j.info.State)
-	if s.index.jobs[j.info.ID] != j {
+	if e := s.index.entry(j.seq); e == nil || e.j != j {
 		from = unborn
 	}
 	r := &jobRules[to]
@@ -184,10 +184,10 @@ var (
 // a qdel of a finished one) is left alone.
 func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply any) (known, ended bool) {
 	s.mu.Lock()
-	j, ok := s.index.jobs[id]
-	if !ok || !jobRules[e.to].from.has(int(j.info.State)) {
+	j := s.index.find(id)
+	if j == nil || !jobRules[e.to].from.has(int(j.info.State)) {
 		s.mu.Unlock()
-		return ok, false
+		return j != nil, false
 	}
 	var buf [hostBuf]string
 	var moms []string // of a running job: the mother superior's first
@@ -203,7 +203,7 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 		s.inst.jobsDone.Inc()
 	}
 	if s.params.RetainCompleted > 0 {
-		s.doneQ = append(s.doneQ, id) // retention.go purges from here
+		s.doneQ = append(s.doneQ, j.seq) // retention.go purges from here
 	}
 	lost := ""
 	if lostHost != "" {

@@ -1,21 +1,23 @@
 package pbs
 
+import "slices"
+
 // Job-record retention: the machinery that keeps a resident server at
 // steady-state memory. The original batch configuration retains every
 // job record forever — the right behavior for post-hoc figure
 // extraction, where qstat must see any job ever run, but an open-loop
-// service instance submitting millions of jobs would grow the index,
-// the submission-order log, and the accounting log without bound.
+// service instance submitting millions of jobs would grow the job log
+// and the accounting log without bound.
 //
 // With ServerParams.RetainCompleted > 0 the server keeps a sliding
-// window of terminal records: endJob enqueues the job id on doneQ
-// (each job ends exactly once, so ids never enqueue twice), and at each
-// scheduler-cycle boundary (handleSchedInfo) the oldest records beyond
-// the window are taken off the active list and purged from the index
-// and recycled through a free pool, so steady state allocates no new
-// records at all. The submission-order log compacts once
-// purged ids dominate it, and the audit invariant jobs.count accounts
-// for the retired ids (see auditGlobalLocked).
+// window of terminal records: endJob enqueues the job's sequence number
+// on doneQ (each job ends exactly once, so none enqueues twice), and at
+// each scheduler-cycle boundary (handleSchedInfo) the oldest records
+// beyond the window are taken off the active list and out of their log
+// entries and recycled through a free pool, so steady state allocates
+// no new records at all. The log compacts once purged ids dominate it
+// (index.go), and the audit invariant jobs.count accounts for the
+// retired ids (see auditGlobalLocked).
 //
 // All purging happens at the deterministic cycle boundary, never on
 // the message path, so results stay byte-identical across -parallel
@@ -39,7 +41,7 @@ func (s *Server) JobRecords() JobRecordStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return JobRecordStats{
-		Live:     len(s.index.jobs) - len(s.doneQ) + s.doneHead,
+		Live:     s.index.records - len(s.doneQ) + s.doneHead,
 		Retained: len(s.doneQ) - s.doneHead,
 		Purged:   s.purged,
 		Reused:   s.reused,
@@ -75,15 +77,14 @@ func (s *Server) purgeRetiredLocked() {
 		return
 	}
 	s.index.compact()
-	for _, id := range s.doneQ[s.doneHead : s.doneHead+k] {
-		j, ok := s.index.jobs[id]
-		if !ok {
-			continue
+	for _, seq := range s.doneQ[s.doneHead : s.doneHead+k] {
+		if e := s.index.entry(seq); e != nil && e.j != nil {
+			s.recycleLocked(e.j)
+			e.j = nil
+			s.index.records--
+			s.index.retired++
+			s.purged++
 		}
-		delete(s.index.jobs, id)
-		s.recycleLocked(j)
-		s.retired++
-		s.purged++
 	}
 	s.doneHead += k
 	if s.doneHead > len(s.doneQ)/2 { // slide the window down once it is the smaller part
@@ -91,21 +92,13 @@ func (s *Server) purgeRetiredLocked() {
 		clear(s.doneQ[n:])
 		s.doneQ, s.doneHead = s.doneQ[:n], 0
 	}
-	// The submission-order log keeps purged ids (the audit digest
+	// The log keeps the entries of purged records (the audit digest
 	// hashes them as retired); compact it once they dominate, so a
-	// long-running service holds O(retention window) ids, not
+	// long-running service holds O(retention window) entries, not
 	// O(jobs ever).
-	if s.retired > 256 && s.retired > len(s.order)/2 {
-		w := 0
-		for _, ref := range s.order {
-			if _, ok := s.index.jobs[ref.id]; ok {
-				s.order[w] = ref
-				w++
-			}
-		}
-		clear(s.order[w:])
-		s.order = s.order[:w]
-		s.retired = 0
+	if ix := &s.index; ix.retired > 256 && ix.retired > len(ix.log)/2 {
+		ix.log = slices.DeleteFunc(ix.log, func(r jobRef) bool { return r.j == nil })
+		ix.retired = 0
 	}
 }
 

@@ -82,9 +82,6 @@ type Server struct {
 	// index is the job database; see index.go for the compaction
 	// invariants.
 	index jobIndex
-	// order is the submission-order log; purged ids stay in it until
-	// retention compacts it.
-	order []jobRef
 	// table is the node database in AddNode order; nodes finds the same
 	// records by name.
 	table []*serverNode
@@ -114,9 +111,8 @@ type Server struct {
 
 	// Retention state (see retention.go); all zero when
 	// RetainCompleted is 0.
-	doneQ    []string // terminal job ids, oldest first from doneHead on
+	doneQ    []int // terminal jobs' sequence numbers, oldest first from doneHead on
 	doneHead int
-	retired  int          // ids purged from the index but still in order
 	purged   uint64       // cumulative purge count
 	reused   uint64       // cumulative pool-reuse count
 	jobPool  []*serverJob // scrubbed records awaiting reuse
@@ -206,7 +202,6 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 		sim:       net.Sim(),
 		ep:        net.Endpoint(ServerEndpoint),
 		params:    params,
-		index:     jobIndex{jobs: make(map[string]*serverJob)},
 		nodes:     make(map[string]*serverNode),
 		dynWindow: 1,
 		dynReply:  make(map[int]dynReplyTo),
@@ -437,8 +432,8 @@ func (s *Server) handle(m *netsim.Message) {
 func (s *Server) withJob(id string, fn func(*serverJob)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.index.jobs[id]
-	if !ok {
+	j := s.index.find(id)
+	if j == nil {
 		return false
 	}
 	fn(j)
@@ -464,9 +459,9 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	j.seq = seq
 	j.info.ID = id
 	j.info.Spec = req.Spec
-	s.advanceJobLocked(j, JobQueued, int64(seq)) // before the index knows the id: born here
-	s.index.jobs[id] = j
-	s.order = append(s.order, jobRef{seq: seq, id: id})
+	s.advanceJobLocked(j, JobQueued, int64(seq)) // before the index knows the job: born here
+	s.index.log = append(s.index.log, jobRef{seq: seq, id: id, j: j})
+	s.index.records++
 	s.index.activate(j)
 	s.mu.Unlock()
 	sp.Annotate("job", id)
@@ -479,13 +474,13 @@ func (s *Server) handleSubmit(req SubmitReq) {
 
 func (s *Server) handleStat(req StatReq) {
 	s.mu.Lock()
-	j, ok := s.index.jobs[req.JobID]
+	j := s.index.find(req.JobID)
 	var info JobInfo
-	if ok {
+	if j != nil {
 		info = cloneInfo(j.info)
 	}
 	s.mu.Unlock()
-	if !ok {
+	if j == nil {
 		s.send(req.ReplyTo, StatResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
@@ -495,8 +490,8 @@ func (s *Server) handleStat(req StatReq) {
 // handleAlter applies qalter to a job that has not started yet.
 func (s *Server) handleAlter(req AlterReq) {
 	s.mu.Lock()
-	j, ok := s.index.jobs[req.JobID]
-	if !ok {
+	j := s.index.find(req.JobID)
+	if j == nil {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
@@ -524,8 +519,8 @@ func (s *Server) handleAlter(req AlterReq) {
 // handleHold applies qhold/qrls to a queued job.
 func (s *Server) handleHold(req HoldReq) {
 	s.mu.Lock()
-	j, ok := s.index.jobs[req.JobID]
-	if !ok {
+	j := s.index.find(req.JobID)
+	if j == nil {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
@@ -547,10 +542,10 @@ func (s *Server) handleHold(req HoldReq) {
 // handleList returns every job in submission order.
 func (s *Server) handleList(req ListReq) {
 	s.mu.Lock()
-	jobs := make([]JobInfo, 0, len(s.order))
-	for _, ref := range s.order {
-		if j, ok := s.index.jobs[ref.id]; ok {
-			jobs = append(jobs, cloneInfo(j.info))
+	jobs := make([]JobInfo, 0, s.index.records)
+	for _, ref := range s.index.log {
+		if ref.j != nil {
+			jobs = append(jobs, cloneInfo(ref.j.info))
 		}
 	}
 	s.mu.Unlock()
@@ -574,8 +569,8 @@ func (s *Server) handleDelete(req DeleteReq) {
 
 func (s *Server) handleWait(req WaitReq) {
 	s.mu.Lock()
-	j, ok := s.index.jobs[req.JobID]
-	if !ok {
+	j := s.index.find(req.JobID)
+	if j == nil {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
@@ -600,8 +595,8 @@ func (s *Server) handleDynGet(req DynGetReq) {
 	}
 	defer sp.End()
 	s.mu.Lock()
-	j, ok := s.index.jobs[req.JobID]
-	if !ok || j.info.State != JobRunning || req.Count <= 0 {
+	j := s.index.find(req.JobID)
+	if j == nil || j.info.State != JobRunning || req.Count <= 0 {
 		s.mu.Unlock()
 		reason := "pbs: job not running"
 		if req.Count <= 0 {
@@ -660,8 +655,8 @@ func (s *Server) sendLockedSafe(to string, payload any) {
 
 func (s *Server) handleDynFree(req DynFreeReq) {
 	s.mu.Lock()
-	j, ok := s.index.jobs[req.JobID]
-	if !ok {
+	j := s.index.find(req.JobID)
+	if j == nil {
 		s.mu.Unlock()
 		s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
@@ -798,15 +793,15 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	sp.Link(cmd.Cause) // scheduler's place span
 	defer sp.End()
 	s.mu.Lock()
-	j, ok := s.index.jobs[cmd.JobID]
-	if !ok || j.info.State != JobQueued || j.info.Held || len(j.info.Hosts) > 0 {
+	j := s.index.find(cmd.JobID)
+	if j == nil || j.info.State != JobQueued || j.info.Held || len(j.info.Hosts) > 0 {
 		// A job deleted, failed or held while the scheduler was
 		// mid-cycle legitimately races its allocation; drop the
 		// command. The len(Hosts) guard validates a command from
 		// another daemon: the scheduler's own snapshot always holds its
 		// earlier placements (shardFor), so no race of it reaches here.
 		// Only a wholly unknown job ID indicates a real bug.
-		benign := ok
+		benign := j != nil
 		s.mu.Unlock()
 		if !benign {
 			s.logErr("AllocCmd for job %s in invalid state", cmd.JobID)
@@ -875,8 +870,8 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 		s.mu.Unlock()
 		return
 	}
-	j, ok := s.index.jobs[rec.JobID]
-	if !ok || j.info.State != JobRunning {
+	j := s.index.find(rec.JobID)
+	if j == nil || j.info.State != JobRunning {
 		s.rejectDynLocked(rec, "pbs: job no longer running", false)
 		s.mu.Unlock()
 		return
@@ -994,7 +989,7 @@ func (s *Server) finishDynLocked(rec *DynRecord) {
 			break
 		}
 	}
-	if j, ok := s.index.jobs[rec.JobID]; ok {
+	if j := s.index.find(rec.JobID); j != nil {
 		j.info.DynRecords = append(j.info.DynRecords, *rec)
 	}
 	s.startNextDynLocked()

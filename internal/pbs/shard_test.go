@@ -13,6 +13,9 @@ func TestJobSeq(t *testing.T) {
 		{"7", 7},
 		{"pbs/server", 0}, // no leading digits
 		{"", 0},
+		{"9223372036854775807.pbs/server", 1<<63 - 1},
+		{"9223372036854775808.pbs/server", 0}, // overflows: no job's
+		{"99999999999999999999999.pbs/server", 0},
 	}
 	for _, c := range cases {
 		if got := jobSeq(c.id); got != c.want {

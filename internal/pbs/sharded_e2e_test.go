@@ -219,3 +219,34 @@ func TestShardedServerDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// An id whose digits overflow an int is no job's, on whichever station
+// routes it: every per-job request about it is answered as an unknown
+// job, and the server goes on serving the real ones.
+func TestShardedServerAnswersAnOverflowingIDAsUnknown(t *testing.T) {
+	tb := newShardedTestbed(t, 1, 0, 4, time.Millisecond)
+	tb.run(t, func(c *pbs.Client) {
+		id, err := c.Submit(pbs.JobSpec{
+			Name: "real", Owner: "alice", Nodes: 1, PPN: 1, Walltime: time.Second,
+			Script: func(env *pbs.JobEnv) { tb.s.Sleep(5 * time.Millisecond) },
+		})
+		if err != nil {
+			t.Errorf("Submit: %v", err)
+			return
+		}
+		for _, bad := range []string{"9223372036854775809.pbs/server", "99999999999999999999999.pbs/server"} {
+			if _, err := c.Stat(bad); err == nil || err.Error() != pbs.ErrUnknownJob.Error() {
+				t.Errorf("Stat(%s) = %v, want %v", bad, err, pbs.ErrUnknownJob)
+			}
+			if err := c.Hold(bad); err == nil || err.Error() != pbs.ErrUnknownJob.Error() {
+				t.Errorf("Hold(%s) = %v, want %v", bad, err, pbs.ErrUnknownJob)
+			}
+			if err := c.Delete(bad); err == nil || err.Error() != pbs.ErrUnknownJob.Error() {
+				t.Errorf("Delete(%s) = %v, want %v", bad, err, pbs.ErrUnknownJob)
+			}
+		}
+		if info, err := c.Wait(id); err != nil || info.State != pbs.JobCompleted {
+			t.Errorf("Wait(%s) = %v, %v; want completed", id, info.State, err)
+		}
+	})
+}

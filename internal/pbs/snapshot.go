@@ -52,15 +52,15 @@ func (s *Server) Checkpoint() Snapshot {
 		NextJob:    s.nextJob,
 		NextClient: s.nextClient,
 		NextDyn:    s.nextDyn,
-		Order:      make([]string, 0, len(s.order)),
+		Order:      make([]string, 0, len(s.index.log)),
 		UsedBy:     make(map[string]map[string]int),
 		Waiters:    make(map[string][]waiter),
 		PendingTo:  make(map[int]dynReplyTo),
 	}
-	for _, ref := range s.order {
+	for _, ref := range s.index.log {
 		snap.Order = append(snap.Order, ref.id)
-		if j, ok := s.index.jobs[ref.id]; ok {
-			snap.Jobs = append(snap.Jobs, cloneInfo(j.info))
+		if ref.j != nil {
+			snap.Jobs = append(snap.Jobs, cloneInfo(ref.j.info))
 		}
 	}
 	snap.Nodes = s.nodeViewLocked()
@@ -88,24 +88,36 @@ func (s *Server) Checkpoint() Snapshot {
 // rejected so their clients unblock.
 func (s *Server) Restore(snap Snapshot) error {
 	s.mu.Lock()
-	if len(s.index.jobs) != 0 || len(s.nodes) != 0 {
+	if len(s.index.log) != 0 || len(s.nodes) != 0 {
 		s.mu.Unlock()
 		return errors.New("pbs: Restore on a non-empty server")
 	}
+	// Checkpoint lists the records in the order of the log, and the log
+	// is the index only while it ascends.
+	log, k := make([]jobRef, 0, len(snap.Order)), 0
+	for _, id := range snap.Order {
+		ref := jobRef{seq: jobSeq(id), id: id}
+		if n := len(log); ref.seq == 0 || n > 0 && log[n-1].seq >= ref.seq {
+			break
+		}
+		if k < len(snap.Jobs) && snap.Jobs[k].ID == id {
+			ref.j = &serverJob{seq: ref.seq, info: cloneInfo(snap.Jobs[k])}
+			k++
+		}
+		log = append(log, ref)
+	}
+	if len(log) < len(snap.Order) || k < len(snap.Jobs) {
+		s.mu.Unlock()
+		return errors.New("pbs: Restore: snapshot jobs out of submission order")
+	}
+	s.index = jobIndex{log: log, records: k, retired: len(log) - k}
 	s.nextJob = snap.NextJob
 	s.nextClient = snap.NextClient
 	s.nextDyn = snap.NextDyn
-	s.order = make([]jobRef, 0, len(snap.Order))
-	for _, id := range snap.Order {
-		s.order = append(s.order, jobRef{seq: jobSeq(id), id: id})
-	}
-	for _, info := range snap.Jobs {
-		s.index.jobs[info.ID] = &serverJob{seq: jobSeq(info.ID), info: cloneInfo(info)}
-	}
-	for _, ref := range s.order {
-		if j, ok := s.index.jobs[ref.id]; ok && j.live() {
-			s.index.activate(j)
-			s.touchJobLocked(j)
+	for _, ref := range log {
+		if ref.j != nil && ref.j.live() {
+			s.index.activate(ref.j)
+			s.touchJobLocked(ref.j)
 		}
 	}
 	now := s.sim.Now()
@@ -135,7 +147,7 @@ func (s *Server) Restore(snap Snapshot) error {
 		s.dynReply[rec.ReqID] = snap.PendingTo[rec.ReqID]
 		// Return any accelerators an in-forwarding request had already
 		// been assigned.
-		if j, ok := s.index.jobs[rec.JobID]; ok && rec.ClientID > 0 {
+		if j := s.index.find(rec.JobID); j != nil && rec.ClientID > 0 {
 			s.releaseDynSetLocked(j, rec.ClientID)
 		}
 		s.rejectDynLocked(&rec, "pbs: server restarted; dynamic request lost", false)

@@ -329,3 +329,33 @@ func TestRestoreOnDirtyServerFails(t *testing.T) {
 		}
 	})
 }
+
+// The job log is the server's index only while it ascends in sequence
+// number, so Restore refuses a snapshot whose order does not, or that
+// holds a record its order lacks, and leaves the server empty; a
+// well-formed one round-trips, purged ids and all.
+func TestRestoreRefusesJobsOutOfOrder(t *testing.T) {
+	job := func(seq int) pbs.JobInfo {
+		return pbs.JobInfo{ID: fmt.Sprintf("%d.%s", seq, pbs.ServerEndpoint), State: pbs.JobCompleted}
+	}
+	id1, id2 := job(1).ID, job(2).ID
+	srv := pbs.NewServer(netsim.New(sim.New(), netsim.LinkParams{}), pbs.ServerParams{})
+	for _, bad := range []pbs.Snapshot{
+		{Order: []string{id2, id1}, Jobs: []pbs.JobInfo{job(2), job(1)}},
+		{Order: []string{id1, id1}, Jobs: []pbs.JobInfo{job(1)}},
+		{Order: []string{"x." + pbs.ServerEndpoint}},
+		{Order: []string{id1}, Jobs: []pbs.JobInfo{job(2)}},
+		{Order: []string{id1, id2}, Jobs: []pbs.JobInfo{job(2), job(1)}},
+	} {
+		if err := srv.Restore(bad); err == nil {
+			t.Errorf("Restore(order %v, %d jobs) succeeded", bad.Order, len(bad.Jobs))
+		}
+	}
+	good := pbs.Snapshot{NextJob: 2, Order: []string{id1, id2}, Jobs: []pbs.JobInfo{job(2)}}
+	if err := srv.Restore(good); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if got := srv.Checkpoint(); fmt.Sprint(got.Order, got.Jobs) != fmt.Sprint(good.Order, good.Jobs) {
+		t.Errorf("checkpoint after Restore: order %v, jobs %v", got.Order, got.Jobs)
+	}
+}
