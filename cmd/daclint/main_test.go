@@ -15,7 +15,7 @@ func TestHelpListsAnalyzers(t *testing.T) {
 	if code := run([]string{"help"}, &out, &errb); code != 0 {
 		t.Fatalf("help exit %d", code)
 	}
-	for _, name := range []string{"walltime", "seededrand", "maporder", "lockdiscipline", "spanbalance", "poolbalance", "handlerexhaustive", "digestdet", "lint:ignore"} {
+	for _, name := range []string{"walltime", "seededrand", "maporder", "spanbalance", "poolbalance", "handlerexhaustive", "digestdet", "lint:ignore"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("help output missing %q", name)
 		}
@@ -152,8 +152,8 @@ func TestStandaloneJSON(t *testing.T) {
 			t.Errorf("analyzers[%s] = %d, present=%v; want an explicit 0", name, n, ok)
 		}
 	}
-	if len(rep.Analyzers) != 9 {
-		t.Errorf("analyzers has %d keys, want the eight suite names plus ignore: %v", len(rep.Analyzers), rep.Analyzers)
+	if len(rep.Analyzers) != 8 {
+		t.Errorf("analyzers has %d keys, want the seven suite names plus ignore: %v", len(rep.Analyzers), rep.Analyzers)
 	}
 	if len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "walltime" || rep.Findings[0].Line != 5 {
 		t.Errorf("findings = %+v, want one walltime finding at line 5", rep.Findings)

@@ -68,7 +68,6 @@ func AblationCollectiveGet(p cluster.Params, cns, acsPerCN int) (CollectiveResul
 	p.Accelerators = cns * acsPerCN
 	measure := func(collective bool) (time.Duration, error) {
 		var elapsed time.Duration
-		var mu sync.Mutex
 		s := sim.Acquire()
 		defer s.Release()
 		c := cluster.New(s, p)
@@ -79,7 +78,6 @@ func AblationCollectiveGet(p cluster.Params, cns, acsPerCN int) (CollectiveResul
 			client := c.Client("front")
 			done := 0
 			doneGate := s.NewGate("done")
-			var dm sync.Mutex
 			id, err := client.Submit(pbs.JobSpec{
 				Name: "collget", Owner: "exp", Nodes: cns, PPN: 1, ACPN: 0, Walltime: time.Minute,
 				Script: func(env *pbs.JobEnv) {
@@ -97,9 +95,7 @@ func AblationCollectiveGet(p cluster.Params, cns, acsPerCN int) (CollectiveResul
 					if err != nil {
 						return
 					}
-					dm.Lock()
 					done++
-					dm.Unlock()
 					doneGate.Broadcast()
 				},
 			})
@@ -109,21 +105,15 @@ func AblationCollectiveGet(p cluster.Params, cns, acsPerCN int) (CollectiveResul
 			s.Sleep(50 * time.Millisecond) // let all node tasks reach start.wait
 			t0 := s.Now()
 			start.fire()
-			dm.Lock()
 			for done < cns {
-				doneGate.Wait(&dm)
+				doneGate.Wait(nil)
 			}
-			dm.Unlock()
-			mu.Lock()
 			elapsed = s.Now() - t0
-			mu.Unlock()
 			client.Wait(id)
 		})
 		if err != nil {
 			return 0, err
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		return elapsed, nil
 	}
 	var res CollectiveResult
@@ -179,12 +169,9 @@ func AblationDynamicVsStatic(p cluster.Params, jobs int) (DynamicVsStaticResult,
 
 	// Dynamic: 1 static accelerator, grow by 2 during the middle
 	// phase only.
-	var mu sync.Mutex
 	dynSpan, dynACs, dynJ, err := runPolicy(p, jobs, func(s *sim.Simulation, i int) pbs.JobSpec {
 		return workload.DynamicSpec(s, fmt.Sprintf("dyn-%d", i), 1, phases, func(r workload.PhasedResult) {
-			mu.Lock()
 			res.Rejections += r.Rejections
-			mu.Unlock()
 		})
 	})
 	if err != nil {
@@ -345,7 +332,6 @@ func AblationDoubleBuffer(p cluster.Params, chunks int) (DoubleBufferResult, err
 	const chunkBytes = 8 << 20
 	run := func(overlap bool) (time.Duration, error) {
 		var elapsed time.Duration
-		var mu sync.Mutex
 		err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
 			id, err := client.Submit(pbs.JobSpec{
 				Name: "chunks", Owner: "exp", Nodes: 1, PPN: 2, ACPN: 1, Walltime: time.Minute,
@@ -388,9 +374,7 @@ func AblationDoubleBuffer(p cluster.Params, chunks int) (DoubleBufferResult, err
 							grp.Wait()
 						}
 					}
-					mu.Lock()
 					elapsed = c.Sim.Now() - start
-					mu.Unlock()
 				},
 			})
 			if err != nil {
@@ -398,8 +382,6 @@ func AblationDoubleBuffer(p cluster.Params, chunks int) (DoubleBufferResult, err
 			}
 			client.Wait(id)
 		})
-		mu.Lock()
-		defer mu.Unlock()
 		if err == nil && elapsed == 0 {
 			err = fmt.Errorf("core: double-buffer run produced no measurement")
 		}
@@ -473,7 +455,6 @@ func AblationSchedulerPortability(p cluster.Params, jobs int, seed uint64) (Sche
 	}
 	dynLatency := func(pp cluster.Params) (time.Duration, error) {
 		var batch time.Duration
-		var mu sync.Mutex
 		err := cluster.Run(pp, func(c *cluster.Cluster, client *pbs.Client) {
 			id, err := client.Submit(pbs.JobSpec{
 				Name: "dyn", Owner: "exp", Nodes: 1, PPN: 1, ACPN: 1, Walltime: time.Minute,
@@ -487,11 +468,9 @@ func AblationSchedulerPortability(p cluster.Params, jobs int, seed uint64) (Sche
 						ac.Free(clientID)
 					}
 					st := ac.Stats()
-					mu.Lock()
 					if len(st.Gets) > 0 {
 						batch = st.Gets[0].Batch
 					}
-					mu.Unlock()
 				},
 			})
 			if err != nil {
@@ -499,8 +478,6 @@ func AblationSchedulerPortability(p cluster.Params, jobs int, seed uint64) (Sche
 			}
 			client.Wait(id)
 		})
-		mu.Lock()
-		defer mu.Unlock()
 		return batch, err
 	}
 
@@ -538,7 +515,6 @@ func AblationPartialAlloc(p cluster.Params) (PartialResult, error) {
 		pp.Maui.PartialAlloc = partial
 		granted := -1
 		rejected := false
-		var mu sync.Mutex
 		err := cluster.Run(pp, func(c *cluster.Cluster, client *pbs.Client) {
 			id, err := client.Submit(pbs.JobSpec{
 				Name: "partial", Owner: "exp", Nodes: 1, PPN: 1, ACPN: 1, Walltime: time.Minute,
@@ -549,8 +525,6 @@ func AblationPartialAlloc(p cluster.Params) (PartialResult, error) {
 					}
 					defer ac.Finalize()
 					_, hs, err := ac.Get(5) // only 2 free
-					mu.Lock()
-					defer mu.Unlock()
 					if err != nil {
 						rejected = true
 						granted = 0

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -24,7 +23,6 @@ import (
 // signal is a sim-aware one-shot event for coordinating experiment
 // actors (main vs job scripts).
 type signal struct {
-	mu   sync.Mutex
 	gate *sim.Gate
 	set  bool
 }
@@ -34,18 +32,14 @@ func newSignal(s *sim.Simulation, name string) *signal {
 }
 
 func (sg *signal) fire() {
-	sg.mu.Lock()
 	sg.set = true
-	sg.mu.Unlock()
 	sg.gate.Broadcast()
 }
 
 func (sg *signal) wait() {
-	sg.mu.Lock()
 	for !sg.set {
-		sg.gate.Wait(&sg.mu)
+		sg.gate.Wait(nil)
 	}
-	sg.mu.Unlock()
 }
 
 // figureTrials runs trials trials of each of points points of a paper

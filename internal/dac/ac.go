@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -61,7 +60,6 @@ type AC struct {
 
 	inst acInstruments
 
-	mu        sync.Mutex
 	comm      *mpi.Comm
 	handles   map[int]*Accel
 	rankOf    map[int]int   // handle id -> communicator rank
@@ -159,7 +157,7 @@ func Init(env *pbs.JobEnv) (*AC, []*Accel, error) {
 	ac.comm = intra
 	accels := make([]*Accel, len(env.AccHosts))
 	for i, host := range env.AccHosts {
-		h := ac.newHandleLocked(host, i+1)
+		h := ac.newHandle(host, i+1)
 		ac.staticIDs = append(ac.staticIDs, h.id)
 		accels[i] = h
 	}
@@ -169,12 +167,8 @@ func Init(env *pbs.JobEnv) (*AC, []*Accel, error) {
 	return ac, accels, nil
 }
 
-// newHandleLocked registers a handle mapped to a communicator rank.
-// Init/Get hold no lock yet, but handle allocation is serialized by
-// the caller's flow; take the lock for safety.
-func (ac *AC) newHandleLocked(host string, rank int) *Accel {
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
+// newHandle registers a handle mapped to a communicator rank.
+func (ac *AC) newHandle(host string, rank int) *Accel {
 	ac.nextID++
 	h := &Accel{id: ac.nextID, host: host}
 	ac.handles[h.id] = h
@@ -184,8 +178,6 @@ func (ac *AC) newHandleLocked(host string, rank int) *Accel {
 
 // Stats returns the library's timing observations.
 func (ac *AC) Stats() Stats {
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
 	out := ac.stats
 	out.Gets = append([]GetStat(nil), ac.stats.Gets...)
 	return out
@@ -194,8 +186,6 @@ func (ac *AC) Stats() Stats {
 // Handles returns all currently associated accelerator handles in
 // rank order.
 func (ac *AC) Handles() []*Accel {
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
 	ids := make([]int, 0, len(ac.handles))
 	for id := range ac.handles {
 		ids = append(ids, id)
@@ -214,12 +204,9 @@ func (ac *AC) Handles() []*Accel {
 // handles. On rejection (not enough accelerators) it returns an error
 // and the application continues with its existing set.
 func (ac *AC) Get(count int) (int, []*Accel, error) {
-	ac.mu.Lock()
 	if ac.finalized {
-		ac.mu.Unlock()
 		return 0, nil, ErrFinalized
 	}
-	ac.mu.Unlock()
 	var sp *trace.Span
 	if trc := ac.ctx.Sim.Tracer(); trc != nil {
 		sp = trc.Start(ac.track(), "ac.get",
@@ -235,9 +222,7 @@ func (ac *AC) Get(count int) (int, []*Accel, error) {
 	bsp.End()
 	if err != nil {
 		sp.Annotate("outcome", "rejected")
-		ac.mu.Lock()
 		ac.stats.Gets = append(ac.stats.Gets, GetStat{Count: count, Batch: batch, Rejected: true})
-		ac.mu.Unlock()
 		return 0, nil, fmt.Errorf("dac: AC_Get: %w", err)
 	}
 
@@ -250,7 +235,6 @@ func (ac *AC) Get(count int) (int, []*Accel, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	ac.mu.Lock()
 	ids := make([]int, len(handles))
 	for i, h := range handles {
 		ids[i] = h.id
@@ -258,7 +242,6 @@ func (ac *AC) Get(count int) (int, []*Accel, error) {
 	ac.sets[grant.ClientID] = ids
 	ac.setAt[grant.ClientID] = ac.ctx.Sim.Now()
 	ac.stats.Gets = append(ac.stats.Gets, GetStat{Count: count, Batch: batch, MPI: mpiT})
-	ac.mu.Unlock()
 	ac.ctx.Sim.Audit().Record(audit.KindAlloc, "dac", ac.env.JobID, "attach", int64(len(handles)), int64(grant.ClientID))
 	ac.inst.attach.Add(int64(len(handles)))
 	ac.inst.attached.Add(float64(len(handles)))
@@ -270,10 +253,8 @@ func (ac *AC) Get(count int) (int, []*Accel, error) {
 // ones, and merge everything into one intracommunicator where old
 // ranks persist and the new accelerators take ranks x+1..x+y.
 func (ac *AC) spawnAndMerge(hosts []string) ([]*Accel, error) {
-	ac.mu.Lock()
 	comm := ac.comm
-	ranks := ac.daemonRanksLocked()
-	ac.mu.Unlock()
+	ranks := ac.daemonRanks()
 
 	for _, r := range ranks {
 		if err := comm.Send(r, opTag, opRequest{Op: "spawn", Hosts: hosts}, 0); err != nil {
@@ -289,8 +270,6 @@ func (ac *AC) spawnAndMerge(hosts []string) ([]*Accel, error) {
 		return nil, fmt.Errorf("dac: merge: %w", err)
 	}
 
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
 	base := comm.Size() // old group size; new ranks follow
 	ac.comm = next
 	handles := make([]*Accel, len(hosts))
@@ -304,9 +283,9 @@ func (ac *AC) spawnAndMerge(hosts []string) ([]*Accel, error) {
 	return handles, nil
 }
 
-// daemonRanksLocked lists the communicator ranks of all currently
+// daemonRanks lists the communicator ranks of all currently
 // associated daemons (everything but rank 0).
-func (ac *AC) daemonRanksLocked() []int {
+func (ac *AC) daemonRanks() []int {
 	ranks := make([]int, 0, len(ac.rankOf))
 	for _, r := range ac.rankOf {
 		ranks = append(ranks, r)
@@ -344,14 +323,11 @@ func (ac *AC) track() string { return "dac@" + ac.env.Host }
 // releaseLocal performs the library-side half of AC_Free: disconnect
 // the set's daemons and shrink the communicator.
 func (ac *AC) releaseLocal(clientID int) error {
-	ac.mu.Lock()
 	if ac.finalized {
-		ac.mu.Unlock()
 		return ErrFinalized
 	}
 	ids, ok := ac.sets[clientID]
 	if !ok {
-		ac.mu.Unlock()
 		return fmt.Errorf("%w: client-id %d", ErrUnknownSet, clientID)
 	}
 	delete(ac.sets, clientID)
@@ -364,7 +340,6 @@ func (ac *AC) releaseLocal(clientID int) error {
 	for _, id := range ids {
 		released = append(released, ac.rankOf[id])
 	}
-	ac.mu.Unlock()
 
 	// Disconnect: the released daemons exit, in rank order so that their
 	// messages take their seqs the same way every run.
@@ -377,16 +352,14 @@ func (ac *AC) releaseLocal(clientID int) error {
 
 	// Shrink the communicator to the remaining members, renumbering
 	// ranks densely. Handle ids stay stable; their ranks re-map.
-	ac.mu.Lock()
 	keep := []int{0}
-	for _, r := range ac.daemonRanksLocked() {
+	for _, r := range ac.daemonRanks() {
 		if !slices.Contains(released, r) {
 			keep = append(keep, r)
 		}
 	}
 	ac.gen++
 	gen := ac.gen
-	ac.mu.Unlock()
 	for _, r := range keep {
 		if r == 0 {
 			continue
@@ -400,7 +373,6 @@ func (ac *AC) releaseLocal(clientID int) error {
 		return fmt.Errorf("dac: shrink: %w", err)
 	}
 
-	ac.mu.Lock()
 	ac.comm = next
 	newRank := make(map[int]int, len(keep)) // old rank -> new rank
 	for nr, or := range keep {
@@ -413,7 +385,6 @@ func (ac *AC) releaseLocal(clientID int) error {
 	for id, r := range ac.rankOf {
 		ac.rankOf[id] = newRank[r]
 	}
-	ac.mu.Unlock()
 	ac.inst.detach.Add(int64(len(ids)))
 	ac.inst.attached.Add(-float64(len(ids)))
 	ac.inst.utilDynamic.OnFor(heldFor * time.Duration(len(ids)))
@@ -424,14 +395,12 @@ func (ac *AC) releaseLocal(clientID int) error {
 // all associated accelerators (static and dynamic). The daemons exit;
 // the batch system reclaims the hosts when the job terminates.
 func (ac *AC) Finalize() error {
-	ac.mu.Lock()
 	if ac.finalized {
-		ac.mu.Unlock()
 		return ErrFinalized
 	}
 	ac.finalized = true
 	comm := ac.comm
-	ranks := ac.daemonRanksLocked()
+	ranks := ac.daemonRanks()
 	// Settle the utilization accounting: dynamic sets still held
 	// accrue busy time until now, and the static set covers Init
 	// through Finalize.
@@ -446,7 +415,6 @@ func (ac *AC) Finalize() error {
 		ac.inst.utilStatic.OnFor((now - ac.staticAt) * time.Duration(len(ac.staticIDs)))
 		detached += len(ac.staticIDs)
 	}
-	ac.mu.Unlock()
 	ac.inst.detach.Add(int64(detached))
 	ac.inst.attached.Add(-float64(detached))
 	for _, r := range ranks {

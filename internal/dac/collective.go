@@ -37,8 +37,6 @@ type collGroup struct {
 // collGroupFor returns the job's rendezvous group, creating it with
 // the job's compute-node count on first use.
 func (ctx *Context) collGroupFor(jobID string, size int) *collGroup {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
 	g, ok := ctx.colls[jobID]
 	if !ok {
 		g = &collGroup{
@@ -73,12 +71,9 @@ func (g *collGroup) barrier() {
 // pbs_dynget. All nodes receive the same client-id; on rejection all
 // receive the error and no node gets anything.
 func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
-	ac.mu.Lock()
 	if ac.finalized {
-		ac.mu.Unlock()
 		return 0, nil, ErrFinalized
 	}
-	ac.mu.Unlock()
 	if count < 0 {
 		return 0, nil, fmt.Errorf("dac: CollectiveGet count %d", count)
 	}
@@ -105,9 +100,7 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 		start := ac.ctx.Sim.Now()
 		grant, err := ac.ifl.DynGet(ac.env.JobID, ac.env.Host, total)
 		batch := ac.ctx.Sim.Now() - start
-		ac.mu.Lock()
 		ac.stats.Gets = append(ac.stats.Gets, GetStat{Count: total, Batch: batch, Rejected: err != nil})
-		ac.mu.Unlock()
 
 		if err != nil {
 			g.errText = err.Error()
@@ -154,13 +147,11 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 			return 0, nil, err
 		}
 	}
-	ac.mu.Lock()
 	ids := make([]int, len(handles))
 	for i, h := range handles {
 		ids[i] = h.id
 	}
 	ac.sets[clientID] = ids
-	ac.mu.Unlock()
 	return clientID, handles, nil
 }
 

@@ -31,20 +31,16 @@ func (ac *AC) roundTrip(h *Accel, req opRequest, sendSize int) (opReply, error) 
 		}
 	}
 	defer sp.End()
-	ac.mu.Lock()
 	if ac.finalized {
-		ac.mu.Unlock()
 		return opReply{}, ErrFinalized
 	}
 	rank, ok := ac.rankOf[h.id]
 	if !ok {
-		ac.mu.Unlock()
 		return opReply{}, fmt.Errorf("%w: %v", ErrUnknownHandle, h)
 	}
 	comm := ac.comm
 	ac.nextSeq++
 	req.Seq = replyTagBase + ac.nextSeq
-	ac.mu.Unlock()
 
 	var err error
 	if sendSize > 0 {

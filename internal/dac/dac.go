@@ -10,7 +10,6 @@ package dac
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/gpusim"
@@ -80,7 +79,6 @@ type Context struct {
 	MPI    *mpi.Runtime
 	Params Params
 
-	mu      sync.Mutex
 	ports   map[string]string
 	gate    *sim.Gate
 	devices map[string]*gpusim.Device
@@ -121,8 +119,6 @@ func FromEnv(env *pbs.JobEnv) (*Context, error) {
 
 // AddDevice creates the simulated GPU of an accelerator host.
 func (ctx *Context) AddDevice(host string) *gpusim.Device {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
 	d := gpusim.NewDevice(ctx.Sim, host, ctx.Params.GPUMemBytes, ctx.Params.GPUPerf)
 	ctx.devices[host] = d
 	return d
@@ -130,8 +126,6 @@ func (ctx *Context) AddDevice(host string) *gpusim.Device {
 
 // Device returns the GPU of an accelerator host (nil if absent).
 func (ctx *Context) Device(host string) *gpusim.Device {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
 	return ctx.devices[host]
 }
 
@@ -142,38 +136,30 @@ func portKey(jobID, cn string) string { return jobID + "/" + cn }
 // publishPort records a daemon group's MPI port under its job/compute
 // node key, waking any AC_Init waiting on it.
 func (ctx *Context) publishPort(jobID, cn, port string) {
-	ctx.mu.Lock()
 	ctx.ports[portKey(jobID, cn)] = port
-	ctx.mu.Unlock()
 	ctx.gate.Broadcast()
 }
 
 // waitPort blocks until the port for jobID/cn is published. This wait
 // is the dominant ("waiting") share of AC_Init in Figure 7(a).
 func (ctx *Context) waitPort(jobID, cn string) string {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
 	for {
 		if p, ok := ctx.ports[portKey(jobID, cn)]; ok {
 			return p
 		}
-		ctx.gate.Wait(&ctx.mu)
+		ctx.gate.Wait(nil)
 	}
 }
 
 // PublishedPorts reports how many daemon ports await their AC_Init.
 func (ctx *Context) PublishedPorts() int {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
 	return len(ctx.ports)
 }
 
 // unpublishPort removes the entry once AC_Init has connected: the
 // "file" is read once.
 func (ctx *Context) unpublishPort(jobID, cn string) {
-	ctx.mu.Lock()
 	delete(ctx.ports, portKey(jobID, cn))
-	ctx.mu.Unlock()
 }
 
 // jitter perturbs a duration by ±JitterFrac (reproducible per Seed).
@@ -181,9 +167,7 @@ func (ctx *Context) jitter(d time.Duration) time.Duration {
 	if ctx.Params.JitterFrac <= 0 || d <= 0 {
 		return d
 	}
-	ctx.mu.Lock()
 	u := ctx.rng.Float64()
-	ctx.mu.Unlock()
 	f := 1 + ctx.Params.JitterFrac*(2*u-1)
 	if f < 0 {
 		f = 0

@@ -13,7 +13,6 @@ package fifosched
 import (
 	"errors"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -51,7 +50,6 @@ type Scheduler struct {
 	// view mirrors the server's nodes and jobs; see pbs.Mirror.
 	view pbs.Mirror
 
-	mu     sync.Mutex
 	cycles int64
 	placed int64
 }
@@ -75,15 +73,11 @@ func (sc *Scheduler) Endpoint() string { return sc.ep.Name() }
 
 // Cycles reports completed scheduling iterations.
 func (sc *Scheduler) Cycles() int64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	return sc.cycles
 }
 
 // JobsPlaced reports jobs started by this scheduler.
 func (sc *Scheduler) JobsPlaced() int64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	return sc.placed
 }
 
@@ -128,9 +122,7 @@ func (sc *Scheduler) runCycle() bool {
 	// until the next fetch.
 	defer info.Release()
 	sc.sim.Sleep(sc.params.CycleOverhead)
-	sc.mu.Lock()
 	sc.cycles++
-	sc.mu.Unlock()
 
 	pool := free{cores: make(map[string]int), jobs: make(map[string][]string)}
 	for _, n := range sc.view.Nodes {
@@ -174,9 +166,7 @@ func (sc *Scheduler) runCycle() bool {
 			blocked = true
 			continue
 		}
-		sc.mu.Lock()
 		sc.placed++
-		sc.mu.Unlock()
 		sc.send(pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc})
 	}
 	return true

@@ -12,7 +12,8 @@ package gpusim
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"maps"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
@@ -59,24 +60,33 @@ type Cost struct {
 type KernelFunc func(ctx *KernelCtx) (Cost, error)
 
 // registry is the global kernel registry (mirrors compiled CUDA
-// modules being available on every device).
-var registry = struct {
-	mu sync.RWMutex
-	m  map[string]KernelFunc
-}{m: make(map[string]KernelFunc)}
+// modules being available on every device). Every simulation of the
+// process reads it, so it is copied on write: a lookup loads the map,
+// and a registration swaps in a copy.
+var registry atomic.Pointer[map[string]KernelFunc]
 
 // RegisterKernel installs a kernel under a name. Re-registering a
-// name replaces the previous kernel.
+// name replaces the previous kernel. It is safe for concurrent use.
 func RegisterKernel(name string, fn KernelFunc) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	registry.m[name] = fn
+	for {
+		old := registry.Load()
+		m := map[string]KernelFunc{}
+		if old != nil {
+			m = maps.Clone(*old)
+		}
+		m[name] = fn
+		if registry.CompareAndSwap(old, &m) {
+			return
+		}
+	}
 }
 
 func lookupKernel(name string) (KernelFunc, bool) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	fn, ok := registry.m[name]
+	m := registry.Load()
+	if m == nil {
+		return nil, false
+	}
+	fn, ok := (*m)[name]
 	return fn, ok
 }
 
@@ -93,7 +103,6 @@ type Device struct {
 	// aud is the flight recorder (nil when auditing is off).
 	aud *audit.Recorder
 
-	mu       sync.Mutex
 	memTotal int64
 	memUsed  int64
 	next     uint64
@@ -119,8 +128,6 @@ func NewDevice(s *sim.Simulation, name string, memBytes int64, perf Perf) *Devic
 // and the monotonic handle counter (no per-buffer walk needed — the
 // counters pin every Malloc/Free that ever happened).
 func (d *Device) digest(dig *audit.Digest) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	dig.WriteString(d.name)
 	dig.WriteInt(d.memTotal)
 	dig.WriteInt(d.memUsed)
@@ -137,15 +144,11 @@ func (d *Device) MemTotal() int64 { return d.memTotal }
 
 // MemUsed returns the currently allocated bytes.
 func (d *Device) MemUsed() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.memUsed
 }
 
 // KernelsLaunched returns how many kernels have run on the device.
 func (d *Device) KernelsLaunched() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.launched
 }
 
@@ -154,8 +157,6 @@ func (d *Device) Malloc(size int64) (Ptr, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("gpusim: Malloc size %d", size)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.memUsed+size > d.memTotal {
 		return 0, fmt.Errorf("%w: want %d, free %d", ErrOutOfMemory, size, d.memTotal-d.memUsed)
 	}
@@ -169,8 +170,6 @@ func (d *Device) Malloc(size int64) (Ptr, error) {
 
 // Free releases a device allocation (cudaFree).
 func (d *Device) Free(p Ptr) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	b, ok := d.allocs[p]
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadPointer, uint64(p))
@@ -185,8 +184,6 @@ func (d *Device) Free(p Ptr) error {
 // is responsible for charging transfer time (the DAC layer charges
 // the interconnect; a node-attached GPU would charge PCIe).
 func (d *Device) CopyIn(p Ptr, offset int64, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	b, ok := d.allocs[p]
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadPointer, uint64(p))
@@ -200,8 +197,6 @@ func (d *Device) CopyIn(p Ptr, offset int64, data []byte) error {
 
 // CopyOut reads n bytes of device memory at p+offset.
 func (d *Device) CopyOut(p Ptr, offset, n int64) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	b, ok := d.allocs[p]
 	if !ok {
 		return nil, fmt.Errorf("%w: %#x", ErrBadPointer, uint64(p))
@@ -226,8 +221,6 @@ type KernelCtx struct {
 // Bytes returns the backing slice of a device allocation for in-place
 // kernel access. The kernel must not retain it past its return.
 func (c *KernelCtx) Bytes(p Ptr) ([]byte, error) {
-	c.dev.mu.Lock()
-	defer c.dev.mu.Unlock()
 	b, ok := c.dev.allocs[p]
 	if !ok {
 		return nil, fmt.Errorf("%w: %#x", ErrBadPointer, uint64(p))
@@ -261,9 +254,7 @@ func (d *Device) Launch(name string, grid, block [3]int, args ...any) error {
 	if err != nil {
 		return fmt.Errorf("gpusim: kernel %q: %w", name, err)
 	}
-	d.mu.Lock()
 	d.launched++
-	d.mu.Unlock()
 	d.sim.Sleep(d.execTime(cost))
 	return nil
 }

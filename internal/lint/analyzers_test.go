@@ -22,10 +22,6 @@ func TestMapOrder(t *testing.T) {
 	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewMapOrder()}, "mapout")
 }
 
-func TestLockDiscipline(t *testing.T) {
-	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewLockDiscipline()}, "locks")
-}
-
 func TestSpanBalance(t *testing.T) {
 	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewSpanBalance()}, "spans")
 }
@@ -82,11 +78,11 @@ func TestMalformedIgnore(t *testing.T) {
 	}
 }
 
-// TestSuite pins the shipped analyzer set: eight analyzers, stable
+// TestSuite pins the shipped analyzer set: seven analyzers, stable
 // names, stable order — the -json report's analyzers map keys off
 // these names.
 func TestSuite(t *testing.T) {
-	want := []string{"walltime", "seededrand", "maporder", "lockdiscipline", "spanbalance", "poolbalance", "handlerexhaustive", "digestdet"}
+	want := []string{"walltime", "seededrand", "maporder", "spanbalance", "poolbalance", "handlerexhaustive", "digestdet"}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))

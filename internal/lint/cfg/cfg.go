@@ -1,8 +1,7 @@
 // Package cfg builds intra-procedural control-flow graphs over
 // go/ast function bodies and solves forward may-dataflow problems on
-// them. It is the flow-sensitive substrate under the poolbalance and
-// path-sensitive lockdiscipline analyzers: pure stdlib, no go/ssa, no
-// x/tools.
+// them. It is the flow-sensitive substrate under the poolbalance
+// analyzer: pure stdlib, no go/ssa, no x/tools.
 //
 // The graph is statement-granular. Every Block holds the ast.Nodes
 // evaluated in it, in program order; branch conditions are appended

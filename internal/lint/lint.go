@@ -2,7 +2,7 @@
 // the simulator's determinism and virtual-time invariants before they
 // can cost a flaky benchmark gate.
 //
-// The suite (see Suite) ships eight analyzers:
+// The suite (see Suite) ships seven analyzers:
 //
 //   - walltime: no wall-clock time (time.Now, time.Sleep, ...) in
 //     simulation code — virtual time must come from internal/sim.
@@ -11,9 +11,6 @@
 //     parallelism stays reproducible.
 //   - maporder: no map iteration order leaking into emitted output
 //     (tables, CSV, traces) without an intervening sort.
-//   - lockdiscipline: Lock without a same-function Unlock, surplus
-//     Unlocks, and locks copied by value in the pbs/maui/netsim/trace
-//     hot paths.
 //   - spanbalance: every trace span opened in a function
 //     (Tracer.Start, Span.Child) must reach an End in that scope or
 //     be handed off — an open span truncates the causal chains the
@@ -30,12 +27,10 @@
 //     and no wall-clock reads, since digest sums back the
 //     byte-identity gates across parallelism levels and server modes.
 //
-// poolbalance and lockdiscipline are flow-sensitive: they build
-// intra-procedural CFGs (internal/lint/cfg) and solve forward
-// bitvector dataflow problems over them, so a diagnostic names the
-// leaking path rather than a textual tally. lockdiscipline also uses
-// the CFG to catch a conditionally deferred unlock followed by a
-// manual unlock.
+// poolbalance is flow-sensitive: it builds intra-procedural CFGs
+// (internal/lint/cfg) and solves a forward bitvector dataflow problem
+// over them, so a diagnostic names the leaking path rather than a
+// textual tally.
 //
 // False positives are suppressed in place with a reasoned directive:
 //
@@ -69,15 +64,6 @@ var (
 	// builds for the CI summary).
 	wallClockAllowed = []string{"repro/cmd/", "repro/internal/lint"}
 
-	// lockScope is where lockdiscipline applies: the scheduler,
-	// server, network, and tracing hot paths named by the invariant.
-	lockScope = []string{
-		"repro/internal/pbs",
-		"repro/internal/maui",
-		"repro/internal/netsim",
-		"repro/internal/trace",
-	}
-
 	// poolSources are the repo's arena/pool acquisition points for
 	// poolbalance ((*sync.Pool).Get is built in): every netsim Recv
 	// variant hands out an arena message the caller must Release, and
@@ -98,7 +84,6 @@ func Suite() []*analysis.Analyzer {
 		NewWalltime(wallClockAllowed...),
 		NewSeededRand(),
 		NewMapOrder(),
-		NewLockDiscipline(lockScope...),
 		NewSpanBalance(),
 		NewPoolBalance(poolSources...),
 		NewHandlerExhaustive(),
@@ -237,4 +222,31 @@ func hasPrefixAny(path string, prefixes []string) bool {
 		}
 	}
 	return false
+}
+
+// inspectScope walks body without descending into nested function
+// literals, which are their own scopes. Deferred calls are delivered as
+// DeferStmt (their CallExpr is not re-delivered).
+func inspectScope(body *ast.BlockStmt, fn func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.DeferStmt:
+			fn(n)
+			for _, arg := range n.Call.Args {
+				ast.Inspect(arg, func(a ast.Node) bool {
+					if _, ok := a.(*ast.FuncLit); ok {
+						return false
+					}
+					fn(a)
+					return true
+				})
+			}
+			return false
+		default:
+			fn(n)
+		}
+		return true
+	})
 }

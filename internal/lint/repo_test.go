@@ -5,27 +5,37 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
 )
 
-// loadRepo loads this module (the repository the test runs in) once
-// per test binary.
+// repo is this module (the repository the test runs in), loaded and
+// type-checked once per test binary by loadRepo.
+var repo struct {
+	once sync.Once
+	root string
+	pkgs []*lint.Package
+	err  error
+}
+
+// loadRepo loads this module once per test binary; every test that
+// walks the repository shares the packages and only reads them.
 func loadRepo(t *testing.T) []*lint.Package {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
+	repo.once.Do(func() {
+		if repo.root, repo.err = filepath.Abs(filepath.Join("..", "..")); repo.err == nil {
+			repo.pkgs, repo.err = lint.LoadModule(repo.root)
+		}
+	})
+	if repo.err != nil {
+		t.Fatalf("loading module at %s: %v", repo.root, repo.err)
 	}
-	pkgs, err := lint.LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module at %s: %v", root, err)
+	if len(repo.pkgs) < 10 {
+		t.Fatalf("loaded only %d packages from %s; loader lost the module", len(repo.pkgs), repo.root)
 	}
-	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages from %s; loader lost the module", len(pkgs), root)
-	}
-	return pkgs
+	return repo.pkgs
 }
 
 // TestRepoPassesDaclint is the self-check the CI lint gate mirrors:

@@ -34,10 +34,8 @@ func (sc *Scheduler) registerAudit() {
 
 // applySnapshot takes one fetched answer into the mirror, checks the
 // nodes it brought against the mirror's running jobs and records the
-// cycle-boundary event. The mirror changes under sc.mu, which the sweep
-// holds while it reads it.
+// cycle-boundary event.
 func (sc *Scheduler) applySnapshot(info *pbs.SchedInfoResp) {
-	sc.mu.Lock()
 	sc.view.Apply(info)
 	if sc.aud != nil {
 		for i := range info.Nodes {
@@ -47,7 +45,6 @@ func (sc *Scheduler) applySnapshot(info *pbs.SchedInfoResp) {
 			sc.auditAfterCycle()
 		}
 	}
-	sc.mu.Unlock()
 	sc.aud.Record(audit.KindCycle, "maui", "snapshot", "", int64(info.Queued), int64(len(info.Dyn)))
 }
 
@@ -70,8 +67,6 @@ func (sc *Scheduler) auditNodeLocked(n *pbs.NodeInfo) {
 // placement counters plus the fairshare ledger in sorted owner order.
 // The round also sweeps the whole mirror through the invariant engine.
 func (sc *Scheduler) digestSched(d *audit.Digest) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	for i := range sc.view.Nodes {
 		sc.auditNodeLocked(&sc.view.Nodes[i])
 	}

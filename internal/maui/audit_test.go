@@ -161,9 +161,7 @@ func TestMirrorFaultsWaitForTheDigestRound(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					b.sc.RunCycleOnce()
 				}
-				b.sc.mu.Lock()
 				tc.tamper(&b.sc.view.Nodes[1])
-				b.sc.mu.Unlock()
 				for i := 0; i < 5; i++ {
 					b.sc.RunCycleOnce()
 				}

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -124,16 +123,14 @@ type Scheduler struct {
 	aud             *audit.Recorder
 	auditAfterCycle func()
 
-	mu    sync.Mutex
 	usage map[string]float64 // owner -> decayed node-seconds
 	stats Stats
 
 	heads heads // the cycle's priority order (order.go): scheduler actor only
 
 	// view mirrors the server's nodes and jobs (each cycle's fetch brings
-	// only what changed; it is rewritten under mu, see applySnapshot) and
-	// partPools index it: one pool in
-	// the faithful cycle, one per partition in the partitioned cycle
+	// only what changed, see applySnapshot) and partPools index it: one
+	// pool in the faithful cycle, one per partition in the partitioned cycle
 	// (partition.go), which also uses the scratch below. See pools.go.
 	view      pbs.Mirror
 	partPools []*pools
@@ -192,15 +189,11 @@ func (sc *Scheduler) Endpoint() string { return sc.ep.Name() }
 
 // Stats returns a snapshot of scheduler counters.
 func (sc *Scheduler) Stats() Stats {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	return sc.stats
 }
 
 // Usage returns the decayed fairshare usage of an owner.
 func (sc *Scheduler) Usage(owner string) float64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	return sc.usage[owner]
 }
 
@@ -242,12 +235,10 @@ func (sc *Scheduler) runCycle() bool {
 		d := sc.sim.Now() - start
 		sc.inst.cycle.Record(d)
 		sc.inst.occupancy.OnFor(d)
-		sc.mu.Lock()
 		sc.stats.CycleTimeTotal += d
 		if d > sc.stats.CycleTimeMax {
 			sc.stats.CycleTimeMax = d
 		}
-		sc.mu.Unlock()
 	}
 	return ok
 }
@@ -284,14 +275,12 @@ func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	}
 	sc.applySnapshot(info)
 	sc.sim.Sleep(sc.params.CycleOverhead)
-	sc.mu.Lock()
 	sc.stats.Cycles++
 	if sc.params.FairshareDecay > 0 {
 		for k := range sc.usage {
 			sc.usage[k] *= sc.params.FairshareDecay
 		}
 	}
-	sc.mu.Unlock()
 	if info.Queued == 0 && len(info.Dyn) == 0 {
 		sc.inst.idle.Inc()
 	}
@@ -381,13 +370,11 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 			}
 		}
 	}
-	sc.mu.Lock()
 	if len(hosts) > 0 {
 		sc.stats.DynGranted++
 	} else {
 		sc.stats.DynRejected++
 	}
-	sc.mu.Unlock()
 	sp.Annotate("granted", strconv.FormatBool(len(hosts) > 0))
 	sp.End()
 	sc.sendCause(pbs.DynAllocCmd{ReqID: r.ReqID, Hosts: hosts, Cause: sp.ID()}, sp.ID())
@@ -433,9 +420,7 @@ func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
 		clock.settle()
 		if shadow >= 0 {
 			sc.inst.backfill.Inc()
-			sc.mu.Lock()
 			sc.stats.Backfilled++
-			sc.mu.Unlock()
 		}
 		sc.place(j, hosts, acc, phase)
 	}
@@ -525,14 +510,12 @@ func (sc *Scheduler) place(j *pbs.MirrorJob, hosts []string, acc [][]string, pha
 	}
 	defer sp.End()
 	sc.inst.placed.Inc()
-	sc.mu.Lock()
 	sc.stats.JobsPlaced++
 	charge := float64(j.Spec.Nodes) * j.Spec.Walltime.Seconds()
 	if charge <= 0 {
 		charge = float64(j.Spec.Nodes)
 	}
 	sc.usage[j.Spec.Owner] += charge
-	sc.mu.Unlock()
 	sc.sendCause(pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc, Cause: sp.ID()}, sp.ID())
 }
 

@@ -70,14 +70,12 @@ func (sc *Scheduler) score(h *head, now time.Duration) {
 // startOrder begins the cycle's merge at virtual time now.
 func (sc *Scheduler) startOrder(now time.Duration) {
 	sc.heads = sc.heads[:0]
-	sc.mu.Lock()
 	for _, g := range sc.view.Groups {
 		if len(g.Jobs) > 0 {
 			sc.heads = append(sc.heads, head{g: g, usage: sc.usage[g.Owner]})
 			sc.score(&sc.heads[len(sc.heads)-1], now)
 		}
 	}
-	sc.mu.Unlock()
 	heap.Init(&sc.heads)
 }
 

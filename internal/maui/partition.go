@@ -74,12 +74,10 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 		sc.partJobs[pi] = sc.partJobs[pi][:0]
 	}
 	now := sc.sim.Now()
-	sc.mu.Lock()
 	for i, j := range queued {
 		sc.partJobs[i%nParts] = append(sc.partJobs[i%nParts],
 			rankedJob{prio: sc.priority(j.Spec.Priority, now-j.SubmittedAt, sc.usage[j.Spec.Owner]), idx: int32(i)})
 	}
-	sc.mu.Unlock()
 
 	// Score every partition against its own pool. No virtual time
 	// passes during scoring; the concurrent examination cost is
@@ -138,9 +136,7 @@ func (sc *Scheduler) partitionedStatic(info *pbs.SchedInfoResp, phase *trace.Spa
 		sc.sim.Sleep(cost)
 		if pr.backfilled {
 			sc.inst.backfill.Inc()
-			sc.mu.Lock()
 			sc.stats.Backfilled++
-			sc.mu.Unlock()
 		}
 		sc.place(queued[pr.idx], pr.hosts, pr.acc, phase)
 	}

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -25,7 +24,6 @@ type Comm struct {
 	group  []int
 	remote []int
 
-	mu           sync.Mutex
 	disconnected bool
 }
 
@@ -46,8 +44,6 @@ func (c *Comm) RemoteSize() int { return len(c.remote) }
 func (c *Comm) IsInter() bool { return c.remote != nil }
 
 func (c *Comm) ok() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.disconnected {
 		return ErrDisconnected
 	}
@@ -334,9 +330,7 @@ func (c *Comm) Disconnect() error {
 	} else if err := c.Barrier(); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	c.disconnected = true
-	c.mu.Unlock()
 	return nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -67,7 +66,6 @@ type Runtime struct {
 	sim *sim.Simulation
 	cfg Config
 
-	mu       sync.Mutex
 	nextProc int
 	nextComm int
 	nextPort int
@@ -94,15 +92,11 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // Live reports how many processes and open ports the runtime holds; a
 // drained system holds none of either.
 func (rt *Runtime) Live() (procs, ports int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	return len(rt.procs), len(rt.ports)
 }
 
 // Register makes a command name spawnable via Proc.Spawn.
 func (rt *Runtime) Register(command string, fn SpawnFunc) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.commands[command] = fn
 }
 
@@ -157,28 +151,19 @@ func (rt *Runtime) newProc(host string) *Proc {
 // initProc makes the zero record p the runtime's next process, bound to
 // host, with an endpoint of its own.
 func (rt *Runtime) initProc(p *Proc, host string) {
-	rt.mu.Lock()
 	rt.nextProc++
 	id := rt.nextProc
-	rt.mu.Unlock()
 	var buf [64]byte
 	addr := string(nameBuf(buf[:0]).str("mpi/p").int(id).str("@").str(host))
 	*p = Proc{rt: rt, id: id, host: host, addr: addr, ep: rt.net.Endpoint(addr)}
-	rt.mu.Lock()
 	rt.procs[id] = p
-	rt.mu.Unlock()
 }
 
 // exit ends p: the runtime forgets its id and the fabric takes back its
 // endpoint. A second call is a no-op.
 func (rt *Runtime) exit(p *Proc) {
-	rt.mu.Lock()
-	gone := rt.procs[p.id] != p
-	if !gone {
+	if rt.procs[p.id] == p {
 		delete(rt.procs, p.id)
-	}
-	rt.mu.Unlock()
-	if !gone {
 		rt.net.Release(p.ep)
 	}
 }
@@ -197,14 +182,10 @@ func (p *Proc) alive() error {
 }
 
 func (rt *Runtime) proc(id int) *Proc {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	return rt.procs[id]
 }
 
 func (rt *Runtime) newCommID() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.nextComm++
 	var buf [32]byte
 	return string(nameBuf(buf[:0]).str("comm").int(rt.nextComm))

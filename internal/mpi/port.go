@@ -17,8 +17,6 @@ type portState struct {
 // accelerator daemons write it to a file the compute node reads.
 func (p *Proc) OpenPort() string {
 	rt := p.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.nextPort++
 	var buf [32]byte
 	name := string(nameBuf(buf[:0]).str("port").int(rt.nextPort).str("@p").int(p.id))
@@ -29,8 +27,6 @@ func (p *Proc) OpenPort() string {
 // ClosePort withdraws a port.
 func (p *Proc) ClosePort(name string) {
 	rt := p.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	delete(rt.ports, name)
 }
 
@@ -55,9 +51,7 @@ func (p *Proc) Accept(port string, local *Comm) (*Comm, error) {
 	cb := p.rt.cfg.ControlBytes
 	if local.rank == 0 {
 		rt := p.rt
-		rt.mu.Lock()
 		ps, ok := rt.ports[port]
-		rt.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownPort, port)
 		}
@@ -116,9 +110,7 @@ func (p *Proc) Connect(port string, local *Comm) (*Comm, error) {
 	cb := p.rt.cfg.ControlBytes
 	if local.rank == 0 {
 		rt := p.rt
-		rt.mu.Lock()
 		ps, ok := rt.ports[port]
-		rt.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownPort, port)
 		}

@@ -26,9 +26,7 @@ func (p *Proc) Spawn(command string, args []string, hosts []string) (*Comm, erro
 		return nil, err
 	}
 	rt := p.rt
-	rt.mu.Lock()
 	fn, ok := rt.commands[command]
-	rt.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownCommand, command)
 	}
@@ -124,9 +122,7 @@ func (c *Comm) SpawnCollective(command string, args []string, hosts []string) (*
 		return desc.handleFor(rt, p), nil
 	}
 
-	rt.mu.Lock()
 	fn, ok := rt.commands[command]
-	rt.mu.Unlock()
 	if !ok {
 		// Propagate failure to the group so nobody hangs in Bcast.
 		c.Bcast(0, commDesc{}, cb)

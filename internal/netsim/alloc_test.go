@@ -9,15 +9,12 @@ import (
 )
 
 // TestMessageHopZeroAlloc pins the steady-state send → deliver → recv
-// → release hop at zero allocations per operation: the message
-// envelope comes from the arena, delivery is scheduled through the
+// → release hop at zero allocations per operation, under -race too: the
+// message envelope comes from the fabric's free list, delivery is scheduled through the
 // kernel's closure-free AfterArg path, and the endpoint queue and gate
 // waiter storage are reused across hops. The payload is a constant, so
 // its interface conversion uses static storage.
 func TestMessageHopZeroAlloc(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("sync.Pool reuse is disabled under -race; allocs/op is meaningless")
-	}
 	s := sim.New()
 	var allocs float64
 	err := s.Run(func() {
@@ -109,11 +106,9 @@ func TestPairsDigestCoversLivePairsAllocatesNothing(t *testing.T) {
 		if sum() == before {
 			t.Error("digest did not move with a pair's deadline")
 		}
-		if !raceDetectorOn {
-			d := new(audit.Digest)
-			if allocs := testing.AllocsPerRun(100, func() { n.digestPairs(d) }); allocs != 0 {
-				t.Errorf("digest round: %v allocs, want 0", allocs)
-			}
+		d := new(audit.Digest)
+		if allocs := testing.AllocsPerRun(100, func() { n.digestPairs(d) }); allocs != 0 {
+			t.Errorf("digest round: %v allocs, want 0", allocs)
 		}
 		send("b", "a")
 		send("c", "b")

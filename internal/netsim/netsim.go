@@ -16,7 +16,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -74,8 +73,8 @@ func (p LinkParams) TransferTime(size int, pipelined bool) time.Duration {
 // value; Size is the simulated wire size used for timing.
 //
 // Messages live in a fabric-wide arena: every send takes one from the
-// pool and the receiver gives it back with Release once the payload is
-// extracted. A receiver that forgets to release merely falls back to
+// fabric's free list and the receiver gives it back with Release once
+// the payload is extracted. A receiver that forgets to release merely falls back to
 // garbage collection.
 type Message struct {
 	From, To  string
@@ -97,20 +96,18 @@ type Message struct {
 	dst *Endpoint
 }
 
-// msgPool is the arena backing in-flight messages. A message cycles
-// send → queue → recv → Release and is reused by a later send.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// Release returns the message to the fabric's arena. Call it after the
-// payload (and any fields of interest) have been extracted; the message
-// must not be touched afterwards. Releasing twice — or releasing a
-// message that did not come from the arena — is a no-op.
+// Release returns the message to its fabric's arena, a free list the
+// next send takes it from. Call it after the payload (and any fields of
+// interest) have been extracted; the message must not be touched
+// afterwards. Releasing twice — or releasing a message that did not come
+// from the arena — is a no-op.
 func (m *Message) Release() {
 	if m == nil || m.net == nil {
 		return
 	}
+	n := m.net
 	*m = Message{}
-	msgPool.Put(m)
+	n.freeMsgs = append(n.freeMsgs, m)
 }
 
 // Stats aggregates fabric-level counters.
@@ -132,7 +129,6 @@ type Network struct {
 	// digest of per-pair FIFO floors. See audit().
 	aud *audit.Recorder
 
-	mu        sync.Mutex
 	endpoints map[string]*Endpoint
 	// pairs holds the state of every directed pair both of whose ends
 	// are live, keyed by the sending endpoint and the destination's
@@ -143,10 +139,13 @@ type Network struct {
 	// configuration, not state: an override outlives the endpoints it
 	// names, while the pair states above live and die with them.
 	links map[[2]string]LinkParams
-	// Released endpoints and pair states wait here for the next Endpoint
-	// or first send. The lists belong to the fabric, not to a sync.Pool:
-	// a gate is bound to the fabric's kernel, and what a run reuses must
-	// not depend on what another goroutine's run gave back.
+	// Released messages, endpoints and pair states wait here for the
+	// next send, Endpoint or first send. The lists belong to the fabric,
+	// not to a sync.Pool: the slot guards them, a gate is bound to the
+	// fabric's kernel, and what a run reuses must not depend on what
+	// another goroutine's run gave back. A message cycles send → queue →
+	// recv → Release.
+	freeMsgs      []*Message
 	freeEndpoints []*Endpoint
 	freePairs     []*pairState
 	nameSeq       int
@@ -260,8 +259,6 @@ func New(s *sim.Simulation, def LinkParams) *Network {
 // costs one pass over the live pairs. A pair's names were hashed when
 // it was created, so a round hashes only each deadline.
 func (n *Network) digestPairs(d *audit.Digest) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var sum uint64
 	for _, ps := range n.pairs {
 		sum += pairTerm(ps.names, ps.lastDue)
@@ -281,14 +278,11 @@ func pairTerm(names audit.Digest, lastDue time.Duration) uint64 {
 // Seed reseeds the jitter generator (distinct seeds per trial emulate
 // run-to-run testbed noise when JitterFrac is set).
 func (n *Network) Seed(seed uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.rng = sim.NewRNG(seed)
 }
 
-// jitterLocked perturbs a transfer time by ±JitterFrac. Callers hold
-// n.mu.
-func (n *Network) jitterLocked(d time.Duration, p LinkParams) time.Duration {
+// jitter perturbs a transfer time by ±JitterFrac.
+func (n *Network) jitter(d time.Duration, p LinkParams) time.Duration {
 	if p.JitterFrac <= 0 || d <= 0 {
 		return d
 	}
@@ -309,8 +303,6 @@ func (n *Network) Sim() *sim.Simulation { return n.sim }
 // would leak cross-run nondeterminism into otherwise byte-identical
 // recordings.
 func (n *Network) NameSeq() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.nameSeq++
 	return n.nameSeq
 }
@@ -318,8 +310,6 @@ func (n *Network) NameSeq() int {
 // Reserve sizes the endpoint table for extra more endpoints, so that
 // registering a cluster's daemons does not rehash it on the way.
 func (n *Network) Reserve(extra int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	endpoints := make(map[string]*Endpoint, len(n.endpoints)+extra)
 	maps.Copy(endpoints, n.endpoints)
 	n.endpoints = endpoints
@@ -329,8 +319,6 @@ func (n *Network) Reserve(extra int) {
 // name. A new endpoint takes over the storage of a released one when
 // there is one: its gate, waiter list and queue.
 func (n *Network) Endpoint(name string) *Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if e, ok := n.endpoints[name]; ok {
 		return e
 	}
@@ -340,10 +328,8 @@ func (n *Network) Endpoint(name string) *Endpoint {
 		n.freeEndpoints[last] = nil
 		n.freeEndpoints = n.freeEndpoints[:last]
 		e.gate.Rename(name)
-		e.mu.Lock()
 		e.name = name
 		e.closed = false
-		e.mu.Unlock()
 	} else {
 		e = &Endpoint{net: n, name: name, gate: n.sim.NewGateKind("recv:", name)}
 	}
@@ -361,8 +347,6 @@ func (n *Network) Endpoint(name string) *Endpoint {
 // and a send to the released name fails with ErrUnknownPeer. Releasing
 // twice is a no-op. The caller must not touch e afterwards.
 func (n *Network) Release(e *Endpoint) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !e.live {
 		return
 	}
@@ -371,12 +355,12 @@ func (n *Network) Release(e *Endpoint) {
 	for nd := e.out; nd != nil; nd = nd.next {
 		ps := nd.ps
 		ps.in.remove(&ps.to.in)
-		n.dropPairLocked(ps)
+		n.dropPair(ps)
 	}
 	for nd := e.in; nd != nil; nd = nd.next {
 		ps := nd.ps
 		ps.out.remove(&ps.from.out)
-		n.dropPairLocked(ps)
+		n.dropPair(ps)
 	}
 	e.out, e.in = nil, nil
 	// Parked receivers wake with ErrClosed and queued messages go back to
@@ -385,18 +369,18 @@ func (n *Network) Release(e *Endpoint) {
 	n.freeEndpoints = append(n.freeEndpoints, e)
 }
 
-// dropPairLocked forgets a pair state that is off the list of its
+// dropPair forgets a pair state that is off the list of its
 // surviving end and keeps the storage. The lists it is still on are being
 // walked by the caller, so its links stay until it is reused.
-func (n *Network) dropPairLocked(ps *pairState) {
+func (n *Network) dropPair(ps *pairState) {
 	delete(n.pairs, pairKey{ps.from, ps.to.name})
 	ps.from, ps.to = nil, nil
 	n.freePairs = append(n.freePairs, ps)
 }
 
-// newPairLocked creates the state of the directed pair e -> dst, which
-// n.pairs does not hold yet. Callers hold n.mu.
-func (n *Network) newPairLocked(e, dst *Endpoint) *pairState {
+// newPair creates the state of the directed pair e -> dst, which
+// n.pairs does not hold yet.
+func (n *Network) newPair(e, dst *Endpoint) *pairState {
 	var ps *pairState
 	if last := len(n.freePairs) - 1; last >= 0 {
 		ps = n.freePairs[last]
@@ -406,7 +390,7 @@ func (n *Network) newPairLocked(e, dst *Endpoint) *pairState {
 		ps = new(pairState)
 		ps.out.ps, ps.in.ps = ps, ps
 	}
-	ps.p = n.linkLocked(e.name, dst.name)
+	ps.p = n.link(e.name, dst.name)
 	ps.lastDue = 0
 	if n.aud != nil {
 		ps.names = audit.Digest{}
@@ -420,9 +404,9 @@ func (n *Network) newPairLocked(e, dst *Endpoint) *pairState {
 	return ps
 }
 
-// linkLocked reports the parameters of the directed link from -> to:
+// link reports the parameters of the directed link from -> to:
 // the SetLink override if there is one, the fabric default otherwise.
-func (n *Network) linkLocked(from, to string) LinkParams {
+func (n *Network) link(from, to string) LinkParams {
 	if p, ok := n.links[[2]string{from, to}]; ok {
 		return p
 	}
@@ -433,8 +417,6 @@ func (n *Network) linkLocked(from, to string) LinkParams {
 // override is kept by name: it applies to endpoints created later and
 // survives the release of either end.
 func (n *Network) SetLink(from, to string, p LinkParams) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.links[[2]string{from, to}] = p
 	if ps, ok := n.pairs[pairKey{n.endpoints[from], to}]; ok {
 		ps.p = p
@@ -444,19 +426,15 @@ func (n *Network) SetLink(from, to string, p LinkParams) {
 // LinkParams reports the parameters in effect for the directed link
 // from -> to.
 func (n *Network) LinkParams(from, to string) LinkParams {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.linkLocked(from, to)
+	return n.link(from, to)
 }
 
 // SetDown marks an endpoint as disconnected (true) or reachable
 // (false). Messages to or from a disconnected endpoint are dropped
 // silently, as on a real unreliable fabric; higher layers time out.
 func (n *Network) SetDown(name string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.down[name] = down
-	n.refreshAnyDownLocked()
+	n.refreshAnyDown()
 }
 
 // HostOf extracts the host component from an endpoint name. By
@@ -474,17 +452,15 @@ func HostOf(endpoint string) string {
 // name ends in "@host" is disconnected, emulating a node crash or
 // network partition of that node.
 func (n *Network) SetHostDown(host string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.downHosts[host] = down
-	n.refreshAnyDownLocked()
+	n.refreshAnyDown()
 }
 
-// refreshAnyDownLocked recomputes the anyDown fast-path flag. Failure
+// refreshAnyDown recomputes the anyDown fast-path flag. Failure
 // injection is rare, so the per-message reachability check should cost
 // one boolean read on a healthy fabric instead of two map lookups plus
-// a HostOf split. Callers hold n.mu.
-func (n *Network) refreshAnyDownLocked() {
+// a HostOf split.
+func (n *Network) refreshAnyDown() {
 	n.anyDown = false
 	for _, d := range n.down {
 		if d {
@@ -500,9 +476,8 @@ func (n *Network) refreshAnyDownLocked() {
 	}
 }
 
-// unreachableLocked reports whether an endpoint is currently cut off.
-// Callers hold n.mu.
-func (n *Network) unreachableLocked(endpoint string) bool {
+// unreachable reports whether an endpoint is currently cut off.
+func (n *Network) unreachable(endpoint string) bool {
 	if !n.anyDown {
 		return false
 	}
@@ -511,8 +486,6 @@ func (n *Network) unreachableLocked(endpoint string) bool {
 
 // Stats returns a snapshot of fabric counters.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.stats
 }
 
@@ -530,8 +503,6 @@ type Census struct {
 
 // Census walks the endpoint table and every pair state.
 func (n *Network) Census() Census {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	c := Census{Endpoints: len(n.endpoints), Pairs: len(n.pairs)}
 	for key, ps := range n.pairs {
 		if ps.from != key.from || n.endpoints[ps.from.name] != ps.from || n.endpoints[key.to] != ps.to {
@@ -565,17 +536,13 @@ func (n *Network) Census() Census {
 // fast and non-blocking; use it for protocol debugging and message
 // audits.
 func (n *Network) Trace(fn func(*Message)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.trace = fn
 }
 
 // Close closes every endpoint; parked receivers return ErrClosed so
 // daemon actors can exit after a simulation finishes.
 func (n *Network) Close() {
-	n.mu.Lock()
 	if n.closed {
-		n.mu.Unlock()
 		return
 	}
 	n.closed = true
@@ -586,24 +553,22 @@ func (n *Network) Close() {
 	// Every receiver woken here joins the kernel's ready list: close in
 	// name order, so the daemons exit in one order every run.
 	slices.SortFunc(eps, func(a, b *Endpoint) int { return strings.Compare(a.name, b.name) })
-	n.mu.Unlock()
 	for _, e := range eps {
 		e.Close()
 	}
 }
 
-// Endpoint is a named mailbox attached to the fabric. All methods are
-// safe for concurrent use; Recv* must be called from simulation
-// actors.
+// Endpoint is a named mailbox attached to the fabric. Like the fabric,
+// it is guarded by the simulation's slot; Recv* must be called from
+// simulation actors.
 type Endpoint struct {
 	net  *Network
 	gate *sim.Gate
 
-	// Guarded by net.mu: the lists of pair states this endpoint sends
-	// on and of those that name it as destination.
+	// The lists of pair states this endpoint sends on and of those that
+	// name it as destination.
 	out, in *pairNode
 
-	mu sync.Mutex
 	// name is the endpoint's current name; only reuse of a released
 	// endpoint's storage writes it.
 	name string
@@ -616,8 +581,7 @@ type Endpoint struct {
 	head    int
 	handler func(*Message) // takes each message instead of the queue (SetHandler)
 	closed  bool
-	// live (guarded by net.mu) is false from Release until the storage
-	// is handed out again.
+	// live is false from Release until the storage is handed out again.
 	live bool
 }
 
@@ -648,13 +612,10 @@ func (e *Endpoint) SendCause(to, tag string, payload any, size int, cause uint64
 
 func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, cause uint64) error {
 	n := e.net
-	n.mu.Lock()
 	if n.closed {
-		n.mu.Unlock()
 		return ErrClosed
 	}
 	if !e.live {
-		n.mu.Unlock()
 		return ErrClosed
 	}
 	// One lookup on a pair that has carried traffic: its state knows
@@ -664,21 +625,19 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 	if ok {
 		dst = ps.to
 	} else if dst, ok = n.endpoints[to]; !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
-	if n.unreachableLocked(e.name) || n.unreachableLocked(to) {
+	if n.unreachable(e.name) || n.unreachable(to) {
 		n.stats.Dropped++
-		n.mu.Unlock()
 		return nil // dropped in flight; sender cannot tell
 	}
 	if ps == nil {
-		ps = n.newPairLocked(e, dst)
+		ps = n.newPair(e, dst)
 	}
 	n.stats.MessagesSent++
 	n.stats.BytesSent += int64(size)
 	now := n.sim.Now()
-	delay := n.jitterLocked(ps.p.TransferTime(size, pipelined), ps.p)
+	delay := n.jitter(ps.p.TransferTime(size, pipelined), ps.p)
 	// A later message must not overtake an earlier one on the same
 	// pair (MPI's non-overtaking guarantee) — jitter or a smaller
 	// payload could otherwise reorder deliveries.
@@ -688,9 +647,8 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 		delay = due - now
 	}
 	ps.lastDue = due
-	n.mu.Unlock()
 
-	msg := msgPool.Get().(*Message)
+	msg := n.newMsg()
 	msg.From = e.name
 	msg.To = to
 	msg.Tag = tag
@@ -710,6 +668,18 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 	return nil
 }
 
+// newMsg takes a message off the free list, or allocates one.
+func (n *Network) newMsg() *Message {
+	last := len(n.freeMsgs) - 1
+	if last < 0 {
+		return new(Message)
+	}
+	m := n.freeMsgs[last]
+	n.freeMsgs[last] = nil
+	n.freeMsgs = n.freeMsgs[:last]
+	return m
+}
+
 // deliverMsg completes a message's flight. It is the single long-lived
 // delivery callback shared by every send (via sim.AfterArg), so the
 // per-hop schedule carries no closure.
@@ -720,8 +690,7 @@ func deliverMsg(arg any) {
 	// happened mid-flight also drops the message.
 	trc := n.sim.Tracer()
 	var spanName string
-	n.mu.Lock()
-	drop := n.unreachableLocked(msg.From) || n.unreachableLocked(msg.To)
+	drop := n.unreachable(msg.From) || n.unreachable(msg.To)
 	if drop {
 		n.stats.Dropped++
 		n.stats.MessagesSent--
@@ -733,8 +702,6 @@ func deliverMsg(arg any) {
 			n.spanNames[msg.Tag] = spanName
 		}
 	}
-	tr := n.trace
-	n.mu.Unlock()
 	if ni := n.inst; ni != nil {
 		ni.inflightMsgs.Add(-1)
 		ni.inflightBytes.Add(-float64(msg.Size))
@@ -753,8 +720,8 @@ func deliverMsg(arg any) {
 	// One KindMsg event per committed delivery: destination, tag, and
 	// wire size (all strings pre-existing — the record is alloc-free).
 	n.aud.Record(audit.KindMsg, "netsim", msg.To, msg.Tag, int64(msg.Size), int64(msg.Delivered-msg.Sent))
-	if tr != nil {
-		tr(msg)
+	if n.trace != nil {
+		n.trace(msg)
 	}
 	// One async span per delivered message (in-flight intervals
 	// overlap freely); the from/to annotations carry the per-link
@@ -771,20 +738,15 @@ func deliverMsg(arg any) {
 // so a message that was in flight when its destination was released
 // never reaches whoever holds the storage now.
 func (e *Endpoint) deliver(m *Message) {
-	e.mu.Lock()
 	if e.closed || m.To != e.name {
-		e.mu.Unlock()
 		m.Release()
 		return
 	}
 	if h := e.handler; h != nil {
-		// Not under e.mu: the handler sends, and may replace itself.
-		e.mu.Unlock()
 		h(m)
 		return
 	}
 	e.queue = append(e.queue, m)
-	e.mu.Unlock()
 	e.gate.Broadcast()
 }
 
@@ -794,11 +756,9 @@ func (e *Endpoint) deliver(m *Message) {
 // for Recv* while h is installed, and installing it first hands it the
 // messages already queued, in order.
 func (e *Endpoint) SetHandler(h func(*Message)) {
-	e.mu.Lock()
 	e.handler = h
 	backlog := e.queue[e.head:]
 	e.queue, e.head = nil, 0
-	e.mu.Unlock()
 	for _, m := range backlog {
 		e.deliver(m)
 	}
@@ -830,8 +790,6 @@ func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (*Mess
 	if timeout > 0 {
 		deadline = e.net.sim.Now() + timeout
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	name := e.name
 	for {
 		// A receiver woken by Release may find the storage already
@@ -842,24 +800,24 @@ func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (*Mess
 		for i := e.head; i < len(e.queue); i++ {
 			m := e.queue[i]
 			if match == nil || match(m) {
-				e.removeLocked(i)
+				e.remove(i)
 				return m, nil
 			}
 		}
 		if deadline < 0 {
-			e.gate.Wait(&e.mu)
+			e.gate.Wait(nil)
 			continue
 		}
 		remain := deadline - e.net.sim.Now()
-		if remain <= 0 || !e.gate.WaitTimeout(&e.mu, remain) {
+		if remain <= 0 || !e.gate.WaitTimeout(nil, remain) {
 			return nil, ErrTimeout
 		}
 	}
 }
 
-// removeLocked deletes the message at index i, keeping FIFO order for
-// the rest. Callers hold e.mu.
-func (e *Endpoint) removeLocked(i int) {
+// remove deletes the message at index i, keeping FIFO order for
+// the rest.
+func (e *Endpoint) remove(i int) {
 	if i == e.head {
 		e.queue[i] = nil
 		e.head++
@@ -883,8 +841,6 @@ func (e *Endpoint) removeLocked(i int) {
 
 // Pending reports how many messages are queued.
 func (e *Endpoint) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return len(e.queue) - e.head
 }
 
@@ -893,9 +849,7 @@ func (e *Endpoint) Pending() int {
 // fabric shuts down; an owner done with its endpoint calls
 // Network.Release, which also forgets the name.
 func (e *Endpoint) Close() {
-	e.mu.Lock()
 	if e.closed {
-		e.mu.Unlock()
 		return
 	}
 	e.closed = true
@@ -906,6 +860,5 @@ func (e *Endpoint) Close() {
 	}
 	e.queue = e.queue[:0] // the backing array serves the storage's next owner
 	e.head = 0
-	e.mu.Unlock()
 	e.gate.Broadcast()
 }

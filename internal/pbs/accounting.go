@@ -30,8 +30,8 @@ func (u NodeUsage) Utilization(elapsed time.Duration) float64 {
 }
 
 // accrueLocked folds the node's busy time since the last change into
-// its integral, based on the pre-mutation view in n.info. Callers
-// hold s.mu; refreshLocked invokes it before recomputing the view.
+// its integral, based on the pre-mutation view in n.info.
+// refreshLocked invokes it before recomputing the view.
 func (s *Server) accrueLocked(n *serverNode) {
 	now := s.sim.Now()
 	busy := n.info.UsedCores
@@ -45,8 +45,6 @@ func (s *Server) accrueLocked(n *serverNode) {
 // Usage returns the accounting snapshot, with integrals flushed to
 // the current instant, ordered by node name.
 func (s *Server) Usage() []NodeUsage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]NodeUsage, 0, len(s.table))
 	for _, n := range s.table {
 		s.accrueLocked(n)

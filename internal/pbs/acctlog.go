@@ -46,13 +46,6 @@ func (r AccountingRecord) String() string {
 // stack (nil for none); the record's copy of it is the one allocation a
 // record costs.
 func (s *Server) account(typ byte, jobID string, detail []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.accountLocked(typ, jobID, detail)
-}
-
-// accountLocked is account for callers that hold s.mu.
-func (s *Server) accountLocked(typ byte, jobID string, detail []byte) {
 	rec := AccountingRecord{At: s.sim.Now(), Type: typ, JobID: jobID, Detail: string(detail)}
 	s.acct = append(s.acct, rec)
 	// Online service mode bounds the in-memory log: keep the newest
@@ -100,8 +93,6 @@ func appendKV(b []byte, key string, v int) []byte {
 
 // AccountingLog returns a snapshot of all records in order.
 func (s *Server) AccountingLog() []AccountingRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]AccountingRecord(nil), s.acct...)
 }
 

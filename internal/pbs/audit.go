@@ -100,7 +100,7 @@ type auditBooks struct {
 	acTotal int64
 	// seqSeen is the highest job sequence a boundary has looked at.
 	seqSeen int
-	// afterCycle, when set, runs under s.mu after each boundary's
+	// afterCycle, when set, runs after each boundary's
 	// checks (test hook: the verdict-equivalence test sweeps there).
 	afterCycle func()
 }
@@ -111,12 +111,6 @@ type auditBooks struct {
 // must complete exactly the same set). The walk doubles as the
 // job-side half of the full sweep; checks never feed the hash.
 func (s *Server) digestJobs(d *audit.Digest) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.digestJobsLocked(d)
-}
-
-func (s *Server) digestJobsLocked(d *audit.Digest) {
 	// Bring the class counts up to the nodes touched since the last
 	// boundary: the claims summed below are compared against them.
 	s.auditTouchedLocked()
@@ -143,12 +137,6 @@ func (s *Server) digestJobsLocked(d *audit.Digest) {
 // list are already deterministic — AddNode order and refreshLocked's
 // sort). The walk doubles as the node-side half of the full sweep.
 func (s *Server) digestNodes(d *audit.Digest) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.digestNodesLocked(d)
-}
-
-func (s *Server) digestNodesLocked(d *audit.Digest) {
 	drifted := int64(0)
 	d.WriteInt(int64(len(s.table)))
 	for _, n := range s.table {
@@ -173,10 +161,10 @@ func (s *Server) digestNodesLocked(d *audit.Digest) {
 }
 
 // auditCycleLocked is the invariant engine's per-cycle pass. It runs
-// under s.mu at every scheduler-cycle boundary (handleSchedInfo), i.e.
-// on exactly the state snapshot the scheduler is about to act on, in
-// both server modes (the sharded router pins SchedInfoReq to shard 0
-// and every handler serializes on s.mu, so the walk is race-free).
+// at every scheduler-cycle boundary (handleSchedInfo), i.e. on exactly
+// the state snapshot the scheduler is about to act on, in both server
+// modes (the sharded router pins SchedInfoReq to shard 0, and one
+// handler runs at a time).
 func (s *Server) auditCycleLocked() {
 	a := s.aud
 	if a == nil {

@@ -20,8 +20,6 @@ type Fault func(s *Server) *serverNode
 // the cycle engine re-examines it at the next boundary; without, the
 // write is invisible until a digest round's sweep.
 func (s *Server) InjectForTest(f Fault, touch bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n := f(s); n != nil && touch {
 		s.touchLocked(n)
 	}
@@ -139,13 +137,11 @@ func (s *Server) ShadowSweepForTest(rec *audit.Recorder, fn func(cycle, sweep []
 			got = append(got, e)
 		}
 	})
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.books.afterCycle = func() {
 		cycle := got
 		got = nil
-		s.digestJobsLocked(new(audit.Digest))
-		s.digestNodesLocked(new(audit.Digest))
+		s.digestJobs(new(audit.Digest))
+		s.digestNodes(new(audit.Digest))
 		fn(cycle, got)
 		got = nil
 	}
@@ -156,8 +152,6 @@ func (m *Mirror) GenForTest() uint64 { return m.req.Gen }
 
 // PhasesForTest reports the server's counts of queued and running jobs.
 func (s *Server) PhasesForTest() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.phases[PhaseQueued], s.phases[PhaseRunning]
 }
 
@@ -201,8 +195,6 @@ func WatchEdgesForTest(fn func(edge string)) (stop func()) {
 // and reports the edge's name and whether advance refused it (it panics
 // under test).
 func (s *Server) TryEdgeForTest(job bool, from, to int) (edge string, refused bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	defer func() { refused = recover() != nil }()
 	born := from < 0
 	if born {
@@ -234,8 +226,6 @@ func (s *Server) TryEdgeForTest(job bool, from, to int) (edge string, refused bo
 // it: visited are the sequence numbers on it, in order; live are those
 // of the live jobs as the log knows them.
 func (s *Server) ActiveForTest() (visited, live []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.index.compact()
 	for _, e := range s.index.active {
 		visited = append(visited, e.seq)

@@ -58,10 +58,8 @@ func (s *Server) startFailureDetector() {
 
 // heartbeat records a liveness report, reviving a down node.
 func (s *Server) heartbeat(host string) {
-	s.mu.Lock()
 	n, ok := s.nodes[host]
 	if !ok {
-		s.mu.Unlock()
 		return
 	}
 	n.lastSeen = s.sim.Now()
@@ -71,7 +69,6 @@ func (s *Server) heartbeat(host string) {
 		s.touchLocked(n)
 		s.aud.Record(audit.KindNode, "pbs", host, "up", int64(n.info.Cores-n.info.UsedCores), int64(len(n.usedBy)))
 	}
-	s.mu.Unlock()
 	if revived {
 		s.kickScheduler("node-up:" + host)
 	}
@@ -83,14 +80,12 @@ func (s *Server) heartbeat(host string) {
 // the run's recording.
 func (s *Server) sweepDeadNodes() {
 	now := s.sim.Now()
-	s.mu.Lock()
 	var dead []string
 	for _, n := range s.table {
 		if !n.info.Down && now-n.lastSeen > s.params.DeadAfter {
 			dead = append(dead, n.info.Name)
 		}
 	}
-	s.mu.Unlock()
 	for _, name := range dead {
 		s.nodeDown(name)
 	}
@@ -98,10 +93,8 @@ func (s *Server) sweepDeadNodes() {
 
 // nodeDown marks one node failed and repairs the jobs touching it.
 func (s *Server) nodeDown(host string) {
-	s.mu.Lock()
 	n, ok := s.nodes[host]
 	if !ok || n.info.Down {
-		s.mu.Unlock()
 		return
 	}
 	n.info.Down = true
@@ -111,7 +104,6 @@ func (s *Server) nodeDown(host string) {
 	// sorted, so the repairs below run in one order every run.
 	affected := append([]string(nil), n.info.Jobs...)
 	isCN := n.info.Type == ComputeNode
-	s.mu.Unlock()
 
 	for _, jobID := range affected {
 		if isCN {
@@ -126,10 +118,8 @@ func (s *Server) nodeDown(host string) {
 // dropAccelerator removes a dead accelerator from its job; the
 // application keeps running with its remaining set.
 func (s *Server) dropAccelerator(jobID, host string) {
-	s.mu.Lock()
 	j := s.index.find(jobID)
 	if j == nil {
-		s.mu.Unlock()
 		return
 	}
 	// The lists are shared with the moms, the script and whoever was
@@ -155,7 +145,6 @@ func (s *Server) dropAccelerator(jobID, host string) {
 	if j.info.State == JobRunning && len(j.info.Hosts) > 0 {
 		ms = s.momEPLocked(j.info.Hosts[0])
 	}
-	s.mu.Unlock()
 	if ms != "" {
 		s.send(ms, NodeLostMsg{JobID: jobID, Host: host})
 	}

@@ -3,7 +3,6 @@ package pbs
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -12,8 +11,8 @@ import (
 
 // Client is TORQUE's Interface Library (IFL): the client-side API for
 // submitting and managing jobs, extended with DynGet/DynFree for the
-// DAC environment. A Client is safe for concurrent use by multiple
-// actors; every call blocks until the server responds.
+// DAC environment. A Client may be shared by several actors of one
+// simulation; every call blocks until the server responds.
 type Client struct {
 	net      *netsim.Network
 	sim      *sim.Simulation
@@ -21,7 +20,6 @@ type Client struct {
 	addr     string // ep's name: where the server sends replies
 	serverEP string
 
-	mu      sync.Mutex
 	nextReq int
 	closed  bool
 }
@@ -44,8 +42,6 @@ func NewClient(net *netsim.Network, name, serverEP string) *Client {
 }
 
 func (c *Client) reqID() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.nextReq++
 	return c.nextReq
 }
@@ -55,10 +51,7 @@ func (c *Client) reqID() int {
 // fabric arena.
 func call[R any](c *Client, req any, answer func(*netsim.Message) (R, bool)) (R, error) {
 	var r R
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed {
 		return r, netsim.ErrClosed
 	}
 	if err := c.ep.Send(c.serverEP, "pbs", req, 0); err != nil {
@@ -218,11 +211,8 @@ func (c *Client) DynFree(jobID string, clientID int) error {
 // Close gives the client's endpoint back to the fabric; every later call
 // returns netsim.ErrClosed. Closing twice is a no-op.
 func (c *Client) Close() {
-	c.mu.Lock()
-	closed := c.closed
-	c.closed = true
-	c.mu.Unlock()
-	if !closed {
+	if !c.closed {
+		c.closed = true
 		c.net.Release(c.ep)
 	}
 }

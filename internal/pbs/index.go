@@ -7,8 +7,8 @@ import (
 )
 
 // The job index: one submission-ordered log and one active list, for
-// both server architectures. Every handler runs under s.mu, whichever
-// actor it runs on, so a shard worker needs no index of its own, and
+// both server architectures. One handler runs at a time, whichever
+// station serves it, so a shard worker needs no index of its own, and
 // one list appended to in submission order is in the order the
 // scheduler must be shown. A job id starts with its sequence number,
 // handed out in submission order, so the log is sorted by it and is

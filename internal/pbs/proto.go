@@ -242,6 +242,8 @@ type SchedInfoResp struct {
 	Nodes           []NodeDelta
 	Jobs            []SchedJobView
 	Queued, Running int // jobs in either phase
+
+	srv *Server // whose free list Release returns the answer to
 }
 
 // AllocCmd is the scheduler's decision for a queued job: which

@@ -79,7 +79,7 @@ var edgeHook atomic.Pointer[func(job bool, from, to int)]
 
 // advanceJobLocked moves a job to a state: it checks the edge against
 // the table, stamps the state's timestamp and writes its audit record
-// with a as the record's first value. Callers hold s.mu.
+// with a as the record's first value.
 func (s *Server) advanceJobLocked(j *serverJob, to JobState, a int64) {
 	from := int(j.info.State)
 	if e := s.index.entry(j.seq); e == nil || e.j != j {
@@ -97,7 +97,7 @@ func (s *Server) advanceJobLocked(j *serverJob, to JobState, a int64) {
 }
 
 // advanceDynLocked is advanceJobLocked for a dynamic request; the audit
-// record carries the request id and b. Callers hold s.mu.
+// record carries the request id and b.
 func (s *Server) advanceDynLocked(rec *DynRecord, to DynState, b int64) {
 	from := int(rec.State)
 	if s.dynReply[rec.ReqID] == (dynReplyTo{}) {
@@ -183,10 +183,8 @@ var (
 // state the target may be entered from (a JobDoneMsg for a deleted job,
 // a qdel of a finished one) is left alone.
 func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply any) (known, ended bool) {
-	s.mu.Lock()
 	j := s.index.find(id)
 	if j == nil || !jobRules[e.to].from.has(int(j.info.State)) {
-		s.mu.Unlock()
 		return j != nil, false
 	}
 	var buf [hostBuf]string
@@ -224,7 +222,6 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 		delete(s.waiters, id)
 		info = cloneInfo(j.info)
 	}
-	s.mu.Unlock()
 
 	if e.qdel && len(moms) > 0 {
 		s.send(moms[0], AbortJobMsg{JobID: id})
@@ -255,14 +252,14 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 // rejectDynLocked ends a request without a grant: the client's blocked
 // pbs_dynget returns a negative client-id and why, and the application
 // continues with the set it has. Only the scheduler's own refusal is an
-// accounting event (acct). Callers hold s.mu.
+// accounting event (acct).
 func (s *Server) rejectDynLocked(rec *DynRecord, why string, acct bool) {
 	route := s.dynReply[rec.ReqID]
 	s.advanceDynLocked(rec, DynRejected, 0)
 	s.finishDynLocked(rec)
 	if acct {
 		var buf [32]byte
-		s.accountLocked(AcctDynReject, rec.JobID, appendKV(buf[:0], "count=", rec.Count))
+		s.account(AcctDynReject, rec.JobID, appendKV(buf[:0], "count=", rec.Count))
 	}
-	s.sendLockedSafe(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: why})
+	s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: why})
 }

@@ -38,8 +38,6 @@ type JobRecordStats struct {
 
 // JobRecords returns the current record statistics.
 func (s *Server) JobRecords() JobRecordStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return JobRecordStats{
 		Live:     s.index.records - len(s.doneQ) + s.doneHead,
 		Retained: len(s.doneQ) - s.doneHead,
@@ -49,7 +47,7 @@ func (s *Server) JobRecords() JobRecordStats {
 }
 
 // acquireJobLocked returns a job record, recycling one from the pool
-// when retention has freed any. Callers hold s.mu and must fill every
+// when retention has freed any. Callers must fill every
 // identity field; a pooled record comes back empty, bar the storage it
 // owns (see recycleLocked).
 func (s *Server) acquireJobLocked() *serverJob {
@@ -66,7 +64,7 @@ func (s *Server) acquireJobLocked() *serverJob {
 // purgeRetiredLocked drops the oldest terminal records beyond the
 // retention window, off the active list first. Called from
 // handleSchedInfo before auditCycleLocked, so the invariant engine sees
-// the post-purge state. Callers hold s.mu.
+// the post-purge state.
 func (s *Server) purgeRetiredLocked() {
 	r := s.params.RetainCompleted
 	if r <= 0 {

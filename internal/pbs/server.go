@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -57,7 +56,10 @@ type ServerParams struct {
 }
 
 // Server is the pbs_server daemon: job queues, the node database, and
-// the dynamic-request machinery added for the DAC environment.
+// the dynamic-request machinery added for the DAC environment. Its
+// handlers run in delivery callbacks, one at a time, so the simulation's
+// slot guards its state; the Locked suffix marks the helpers that only a
+// handler calls.
 type Server struct {
 	net    *netsim.Network
 	sim    *sim.Simulation
@@ -74,7 +76,6 @@ type Server struct {
 	stations []station
 	rr       int
 
-	mu         sync.Mutex
 	schedEP    string
 	nextJob    int
 	nextClient int
@@ -116,6 +117,9 @@ type Server struct {
 	purged   uint64       // cumulative purge count
 	reused   uint64       // cumulative pool-reuse count
 	jobPool  []*serverJob // scrubbed records awaiting reuse
+
+	// freeResps holds the released scheduler answers (see Release).
+	freeResps []*SchedInfoResp
 }
 
 // dynReplyTo remembers where and with which client-side request id a
@@ -225,8 +229,6 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 
 // AddNode registers a node in the server's node database.
 func (s *Server) AddNode(name string, typ NodeType, cores int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.addNodeLocked(&serverNode{
 		info:     NodeInfo{Name: name, Type: typ, Cores: cores},
 		usedBy:   make(map[string]int),
@@ -238,8 +240,6 @@ func (s *Server) AddNode(name string, typ NodeType, cores int) {
 // registering a cluster neither rehashes the name map nor regrows the
 // table on the way.
 func (s *Server) ReserveNodes(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	nodes := make(map[string]*serverNode, len(s.nodes)+n)
 	maps.Copy(nodes, s.nodes)
 	s.nodes = nodes
@@ -247,7 +247,6 @@ func (s *Server) ReserveNodes(n int) {
 }
 
 // addNodeLocked appends a node to the dense table and the name map.
-// Callers hold s.mu.
 func (s *Server) addNodeLocked(n *serverNode) {
 	n.momEP = MomEndpoint(n.info.Name)
 	n.idx = len(s.table)
@@ -257,7 +256,7 @@ func (s *Server) addNodeLocked(n *serverNode) {
 }
 
 // momEPLocked is MomEndpoint for the per-request paths: a host of the
-// node database costs a lookup, not a string. Callers hold s.mu.
+// node database costs a lookup, not a string.
 func (s *Server) momEPLocked(host string) string {
 	if n, ok := s.nodes[host]; ok {
 		return n.momEP
@@ -268,7 +267,7 @@ func (s *Server) momEPLocked(host string) string {
 // touchLocked marks the node's NodeInfo as changed since the last
 // scheduler answer. Every site that writes n.info calls it; the
 // generation stamp keeps a node changed twice between two answers
-// from being listed twice. Callers hold s.mu.
+// from being listed twice.
 func (s *Server) touchLocked(n *serverNode) {
 	if n.gen <= s.gen {
 		n.gen = s.gen + 1
@@ -278,7 +277,7 @@ func (s *Server) touchLocked(n *serverNode) {
 
 // touchJobLocked is touchLocked for a job's view, and keeps the phase
 // counts. Every write of a field the view reads calls it: advance,
-// qalter, qhold/qrls, the start report, Restore. Callers hold s.mu.
+// qalter, qhold/qrls, the start report, Restore.
 func (s *Server) touchJobLocked(j *serverJob) {
 	s.phases[j.phase]--
 	j.phase = PhaseGone
@@ -304,15 +303,11 @@ func (j *serverJob) view() SchedJobView {
 // SetScheduler installs the scheduler's endpoint for kick
 // notifications.
 func (s *Server) SetScheduler(ep string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.schedEP = ep
 }
 
 // Errors returns protocol anomalies the server observed (for tests).
 func (s *Server) Errors() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]string(nil), s.errs...)
 }
 
@@ -345,9 +340,7 @@ func (s *Server) send(to string, payload any) {
 // so the fabric's delivery span links back to the causing work.
 func (s *Server) sendCause(to string, payload any, cause uint64) {
 	if err := s.ep.SendCause(to, "pbs", payload, 0, cause); err != nil {
-		s.mu.Lock()
 		s.errs = append(s.errs, fmt.Sprintf("send to %s: %v", to, err))
-		s.mu.Unlock()
 	}
 }
 
@@ -363,23 +356,18 @@ var kickPayloads = func() map[string]any {
 }()
 
 func (s *Server) kickScheduler(reason string) {
-	s.mu.Lock()
-	ep := s.schedEP
-	s.mu.Unlock()
-	if ep == "" {
+	if s.schedEP == "" {
 		return
 	}
 	payload, ok := kickPayloads[reason]
 	if !ok {
 		payload = SchedKick{Reason: reason}
 	}
-	s.send(ep, payload)
+	s.send(s.schedEP, payload)
 }
 
 func (s *Server) logErr(format string, args ...any) {
-	s.mu.Lock()
 	s.errs = append(s.errs, fmt.Sprintf(format, args...))
-	s.mu.Unlock()
 }
 
 // handle serves one request and records its service time as the
@@ -430,8 +418,6 @@ func (s *Server) handle(m *netsim.Message) {
 }
 
 func (s *Server) withJob(id string, fn func(*serverJob)) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j := s.index.find(id)
 	if j == nil {
 		return false
@@ -450,7 +436,6 @@ func (s *Server) handleSubmit(req SubmitReq) {
 		s.send(req.ReplyTo, SubmitResp{ReqID: req.ReqID, Err: "pbs: invalid resource request"})
 		return
 	}
-	s.mu.Lock()
 	s.nextJob++
 	seq := s.nextJob
 	var idBuf [32]byte
@@ -463,7 +448,6 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	s.index.log = append(s.index.log, jobRef{seq: seq, id: id, j: j})
 	s.index.records++
 	s.index.activate(j)
-	s.mu.Unlock()
 	sp.Annotate("job", id)
 	s.inst.submits.Inc()
 	var buf [96]byte
@@ -473,31 +457,22 @@ func (s *Server) handleSubmit(req SubmitReq) {
 }
 
 func (s *Server) handleStat(req StatReq) {
-	s.mu.Lock()
 	j := s.index.find(req.JobID)
-	var info JobInfo
-	if j != nil {
-		info = cloneInfo(j.info)
-	}
-	s.mu.Unlock()
 	if j == nil {
 		s.send(req.ReplyTo, StatResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
-	s.send(req.ReplyTo, StatResp{ReqID: req.ReqID, Info: info})
+	s.send(req.ReplyTo, StatResp{ReqID: req.ReqID, Info: cloneInfo(j.info)})
 }
 
 // handleAlter applies qalter to a job that has not started yet.
 func (s *Server) handleAlter(req AlterReq) {
-	s.mu.Lock()
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.mu.Unlock()
 		s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
 	if j.info.State != JobQueued {
-		s.mu.Unlock()
 		s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID, Err: "pbs: job already started"})
 		return
 	}
@@ -511,28 +486,23 @@ func (s *Server) handleAlter(req AlterReq) {
 		j.info.Spec.Name = req.Name
 	}
 	s.touchJobLocked(j)
-	s.mu.Unlock()
 	s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID})
 	s.kickScheduler("qalter")
 }
 
 // handleHold applies qhold/qrls to a queued job.
 func (s *Server) handleHold(req HoldReq) {
-	s.mu.Lock()
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.mu.Unlock()
 		s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
 	if j.info.State != JobQueued {
-		s.mu.Unlock()
 		s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID, Err: "pbs: job not queued"})
 		return
 	}
 	j.info.Held = req.Hold
 	s.touchJobLocked(j)
-	s.mu.Unlock()
 	s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID})
 	if !req.Hold {
 		s.kickScheduler("qrls")
@@ -541,14 +511,12 @@ func (s *Server) handleHold(req HoldReq) {
 
 // handleList returns every job in submission order.
 func (s *Server) handleList(req ListReq) {
-	s.mu.Lock()
 	jobs := make([]JobInfo, 0, s.index.records)
 	for _, ref := range s.index.log {
 		if ref.j != nil {
 			jobs = append(jobs, cloneInfo(ref.j.info))
 		}
 	}
-	s.mu.Unlock()
 	s.send(req.ReplyTo, ListResp{ReqID: req.ReqID, Jobs: jobs})
 }
 
@@ -568,21 +536,17 @@ func (s *Server) handleDelete(req DeleteReq) {
 }
 
 func (s *Server) handleWait(req WaitReq) {
-	s.mu.Lock()
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.mu.Unlock()
 		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
 	if st := j.info.State; st == JobCompleted || st == JobDeleted || st == JobFailed {
 		info := cloneInfo(j.info)
-		s.mu.Unlock()
 		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Info: info})
 		return
 	}
 	s.waiters[req.JobID] = append(s.waiters[req.JobID], waiter{reqID: req.ReqID, replyTo: req.ReplyTo})
-	s.mu.Unlock()
 }
 
 // handleDynGet enqueues a dynamic request in the special dynqueued
@@ -594,10 +558,8 @@ func (s *Server) handleDynGet(req DynGetReq) {
 			"job", req.JobID, "count", strconv.Itoa(req.Count), "kind", req.Kind.String())
 	}
 	defer sp.End()
-	s.mu.Lock()
 	j := s.index.find(req.JobID)
 	if j == nil || j.info.State != JobRunning || req.Count <= 0 {
-		s.mu.Unlock()
 		reason := "pbs: job not running"
 		if req.Count <= 0 {
 			reason = "pbs: invalid accelerator count"
@@ -624,14 +586,12 @@ func (s *Server) handleDynGet(req DynGetReq) {
 	s.dynReply[rec.ReqID] = dynReplyTo{ep: req.ReplyTo, clientReq: req.ReqID}
 	sp.Annotate("req", strconv.Itoa(rec.ReqID))
 	s.startNextDynLocked()
-	s.mu.Unlock()
 }
 
 // startNextDynLocked takes every dynqueued request inside the service
 // window into scheduling and kicks the scheduler if there was one.
 // Requests enter service oldest first and leave the queue when they
-// end, so the requests in service are the queue's head. Callers hold
-// s.mu.
+// end, so the requests in service are the queue's head.
 func (s *Server) startNextDynLocked() {
 	kicked := false
 	for _, rec := range s.dynQ[:min(len(s.dynQ), s.dynWindow)] {
@@ -641,28 +601,17 @@ func (s *Server) startNextDynLocked() {
 		}
 	}
 	if kicked && s.schedEP != "" {
-		s.sendLockedSafe(s.schedEP, SchedKick{Reason: "dynqueued"})
-	}
-}
-
-// sendLockedSafe sends while s.mu is held; netsim Send never blocks,
-// so this cannot deadlock, but keep it distinct for clarity.
-func (s *Server) sendLockedSafe(to string, payload any) {
-	if err := s.ep.Send(to, "pbs", payload, 0); err != nil {
-		s.errs = append(s.errs, fmt.Sprintf("send to %s: %v", to, err))
+		s.send(s.schedEP, SchedKick{Reason: "dynqueued"})
 	}
 }
 
 func (s *Server) handleDynFree(req DynFreeReq) {
-	s.mu.Lock()
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.mu.Unlock()
 		s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
 		return
 	}
 	if _, ok := j.info.DynSets[req.ClientID]; !ok {
-		s.mu.Unlock()
 		s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID, Err: "pbs: unknown client-id"})
 		return
 	}
@@ -677,7 +626,6 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 	if len(j.info.Hosts) > 0 {
 		ms = s.momEPLocked(j.info.Hosts[0])
 	}
-	s.mu.Unlock()
 
 	// Positive reply first; disassociation proceeds while the
 	// application continues (paper Section III-D).
@@ -691,7 +639,7 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 }
 
 // releaseDynSetLocked hands one dynamic set of a job back to the pool
-// and returns the hosts that were in it. Callers hold s.mu.
+// and returns the hosts that were in it.
 func (s *Server) releaseDynSetLocked(j *serverJob, clientID int) []string {
 	id, hosts := j.info.ID, j.info.DynSets[clientID]
 	delete(j.info.DynSets, clientID)
@@ -705,21 +653,18 @@ func (s *Server) releaseDynSetLocked(j *serverJob, clientID int) []string {
 	return hosts
 }
 
-// schedRespPool recycles the per-cycle scheduler answer. The server
-// hands a *SchedInfoResp to exactly one scheduler, which owns it (and
-// every slice hanging off it) until it calls Release after its cycle;
-// the next handleSchedInfo then refills the same buffers in place, so
-// the steady-state cost of an answer is copying, not allocating.
-var schedRespPool = sync.Pool{New: func() any { return new(SchedInfoResp) }}
-
-// Release returns the snapshot and its buffers to the server's pool.
-// The scheduler must not touch the response — including any slice
-// obtained from it — after releasing.
+// Release returns the snapshot and its buffers to the free list of the
+// server that built it. The server hands a *SchedInfoResp to exactly
+// one scheduler, which owns it (and every slice hanging off it) until
+// it calls Release after its cycle; the next handleSchedInfo then
+// refills the same buffers in place, so the steady-state cost of an
+// answer is copying, not allocating. The scheduler must not touch the
+// response — including any slice obtained from it — after releasing.
 func (r *SchedInfoResp) Release() {
-	if r == nil {
+	if r == nil || r.srv == nil {
 		return
 	}
-	schedRespPool.Put(r)
+	r.srv.freeResps = append(r.srv.freeResps, r)
 }
 
 // handleSchedInfo answers one scheduler round: the dynamic requests
@@ -731,12 +676,18 @@ func (r *SchedInfoResp) Release() {
 // scheduler — gets the full view, which is the same answer counted from
 // generation zero.
 func (s *Server) handleSchedInfo(req *SchedInfoReq) {
-	resp := schedRespPool.Get().(*SchedInfoResp)
+	var resp *SchedInfoResp
+	if last := len(s.freeResps) - 1; last >= 0 {
+		resp = s.freeResps[last]
+		s.freeResps[last] = nil
+		s.freeResps = s.freeResps[:last]
+	} else {
+		resp = &SchedInfoResp{srv: s}
+	}
 	resp.ReqID = req.ReqID
 	resp.Dyn = resp.Dyn[:0]
 	resp.Nodes = resp.Nodes[:0]
 	resp.Jobs = resp.Jobs[:0]
-	s.mu.Lock()
 	for _, rec := range s.dynQ {
 		if rec.State == DynScheduling {
 			resp.Dyn = append(resp.Dyn, SchedDynView{
@@ -781,7 +732,6 @@ func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 	}
 	resp.Gen = s.gen
 	s.viewEP = req.ReplyTo
-	s.mu.Unlock()
 	s.aud.Record(audit.KindCycle, "pbs", audSchedInfoCyc, "", int64(resp.Queued), int64(resp.Running))
 	s.inst.queueDepth.Set(float64(resp.Queued))
 	s.inst.dynPending.Set(float64(len(resp.Dyn)))
@@ -792,7 +742,6 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	sp := s.sim.Tracer().Start(ServerTrack, "alloc", "job", cmd.JobID)
 	sp.Link(cmd.Cause) // scheduler's place span
 	defer sp.End()
-	s.mu.Lock()
 	j := s.index.find(cmd.JobID)
 	if j == nil || j.info.State != JobQueued || j.info.Held || len(j.info.Hosts) > 0 {
 		// A job deleted, failed or held while the scheduler was
@@ -802,7 +751,6 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 		// earlier placements (shardFor), so no race of it reaches here.
 		// Only a wholly unknown job ID indicates a real bug.
 		benign := j != nil
-		s.mu.Unlock()
 		if !benign {
 			s.logErr("AllocCmd for job %s in invalid state", cmd.JobID)
 		}
@@ -822,7 +770,6 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 			ok = ok && n.info.Type == AcceleratorNode && len(n.usedBy) == 0
 		}
 		if !ok {
-			s.mu.Unlock()
 			s.logErr("AllocCmd for job %s: %s %s unavailable", cmd.JobID, what, h)
 			return
 		}
@@ -841,7 +788,6 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	s.advanceJobLocked(j, JobRunning, int64(len(cmd.Hosts)))
 	spec := j.info.Spec
 	ms := s.momEPLocked(cmd.Hosts[0])
-	s.mu.Unlock()
 
 	// Select the mother superior (always a compute node, paper
 	// Section III-C) and forward the job.
@@ -856,10 +802,8 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 	}
 	sp.Link(cmd.Cause) // scheduler's sched.dyn span
 	defer sp.End()
-	s.mu.Lock()
 	rec := s.dynInLocked(cmd.ReqID, DynScheduling)
 	if rec == nil {
-		s.mu.Unlock()
 		s.logErr("DynAllocCmd for unknown request %d", cmd.ReqID)
 		return
 	}
@@ -867,13 +811,11 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 	rec.AllocAt = s.sim.Now()
 	if len(cmd.Hosts) == 0 {
 		s.rejectDynLocked(rec, "pbs: not enough accelerators available", true)
-		s.mu.Unlock()
 		return
 	}
 	j := s.index.find(rec.JobID)
 	if j == nil || j.info.State != JobRunning {
 		s.rejectDynLocked(rec, "pbs: job no longer running", false)
-		s.mu.Unlock()
 		return
 	}
 	for _, h := range cmd.Hosts {
@@ -892,7 +834,6 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 		if bad {
 			s.errs = append(s.errs, fmt.Sprintf("DynAllocCmd %d: %s %s unavailable", cmd.ReqID, rec.Kind, h))
 			s.rejectDynLocked(rec, "pbs: allocation raced with another job", false)
-			s.mu.Unlock()
 			return
 		}
 	}
@@ -915,7 +856,6 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 	}
 	j.info.DynSets[rec.ClientID] = rec.Hosts
 	ms := s.momEPLocked(j.info.Hosts[0])
-	s.mu.Unlock()
 
 	s.sendCause(ms, DynAddMsg{
 		JobID: rec.JobID, ReqID: rec.ReqID, ClientID: rec.ClientID,
@@ -930,10 +870,8 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 	}
 	sp.Link(ack.Cause) // mother superior's mom.dynadd span
 	defer sp.End()
-	s.mu.Lock()
 	rec := s.dynInLocked(ack.ReqID, DynForwarding)
 	if rec == nil {
-		s.mu.Unlock()
 		s.logErr("DynAddAck for unknown request %d", ack.ReqID)
 		return
 	}
@@ -946,7 +884,6 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 	var buf [128]byte
 	detail := appendGrantDetail(buf[:0], rec)
 	s.finishDynLocked(rec)
-	s.mu.Unlock()
 	s.account(AcctDynGrant, jobID, detail)
 	s.send(route.ep, resp)
 }
@@ -954,7 +891,6 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 // dynInLocked finds the unanswered request a scheduler command or a
 // mom's acknowledgement names, if it is in the state that message
 // presumes (nil otherwise: answered meanwhile, or never known).
-// Callers hold s.mu.
 func (s *Server) dynInLocked(reqID int, state DynState) *DynRecord {
 	for _, r := range s.dynQ {
 		if r.ReqID == reqID && r.State == state {
@@ -965,7 +901,7 @@ func (s *Server) dynInLocked(reqID int, state DynState) *DynRecord {
 }
 
 // finishDynLocked archives a finished request into its job's record
-// and resumes servicing the queue. Callers hold s.mu.
+// and resumes servicing the queue.
 func (s *Server) finishDynLocked(rec *DynRecord) {
 	// One span per dynamic request covering the whole protocol
 	// interval (arrival at the server until the reply), the quantity
@@ -1005,7 +941,7 @@ func (s *Server) handleJobDone(jobID string) {
 // host lists name every node it can occupy, so the release touches
 // only those instead of sweeping the whole node database. It returns,
 // appended to dst in appendHosts order, the fabric names of the moms on
-// those hosts: the daemons to tell that the job ended. Callers hold s.mu.
+// those hosts: the daemons to tell that the job ended.
 func (s *Server) freeJobLocked(j *serverJob, dst []string) []string {
 	id := j.info.ID
 	moms := appendHosts(dst, j.info.Hosts, j.info.AccHosts, j.info.DynSets)
@@ -1027,8 +963,8 @@ func (s *Server) freeJobLocked(j *serverJob, dst []string) []string {
 
 // refreshLocked recomputes the node's public view after a usedBy
 // mutation, folding the elapsed busy time into the accounting
-// integral first. The job list is rebuilt in place: whoever reads it
-// past s.mu copies it. Callers hold s.mu.
+// integral first. The job list is rebuilt in place: whoever keeps it
+// past the handler copies it.
 func (s *Server) refreshLocked(n *serverNode) {
 	s.accrueLocked(n)
 	used := 0
@@ -1048,16 +984,10 @@ func (s *Server) refreshLocked(n *serverNode) {
 	s.aud.Record(audit.KindNode, "pbs", n.info.Name, "", int64(n.info.Cores-n.info.UsedCores), int64(len(n.usedBy)))
 }
 
+// nodeView clones the node database into freshly allocated storage. It
+// serves the client-facing NodesReq path and checkpoints, whose callers
+// may keep the result indefinitely.
 func (s *Server) nodeView() []NodeInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nodeViewLocked()
-}
-
-// nodeViewLocked clones the node database into freshly allocated
-// storage. It serves the client-facing NodesReq path, whose callers may
-// keep the result indefinitely.
-func (s *Server) nodeViewLocked() []NodeInfo {
 	out := make([]NodeInfo, len(s.table))
 	for i, n := range s.table {
 		out[i].copyFrom(&n.info)

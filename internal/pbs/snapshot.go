@@ -45,8 +45,6 @@ type Snapshot struct {
 
 // Checkpoint captures the server's durable state.
 func (s *Server) Checkpoint() Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	snap := Snapshot{
 		TakenAt:    s.sim.Now(),
 		NextJob:    s.nextJob,
@@ -63,7 +61,7 @@ func (s *Server) Checkpoint() Snapshot {
 			snap.Jobs = append(snap.Jobs, cloneInfo(ref.j.info))
 		}
 	}
-	snap.Nodes = s.nodeViewLocked()
+	snap.Nodes = s.nodeView()
 	for _, n := range s.table {
 		used := make(map[string]int, len(n.usedBy))
 		for j, c := range n.usedBy {
@@ -87,9 +85,7 @@ func (s *Server) Checkpoint() Snapshot {
 // well-known endpoint), then Start it. In-flight dynamic requests are
 // rejected so their clients unblock.
 func (s *Server) Restore(snap Snapshot) error {
-	s.mu.Lock()
 	if len(s.index.log) != 0 || len(s.nodes) != 0 {
-		s.mu.Unlock()
 		return errors.New("pbs: Restore on a non-empty server")
 	}
 	// Checkpoint lists the records in the order of the log, and the log
@@ -107,7 +103,6 @@ func (s *Server) Restore(snap Snapshot) error {
 		log = append(log, ref)
 	}
 	if len(log) < len(snap.Order) || k < len(snap.Jobs) {
-		s.mu.Unlock()
 		return errors.New("pbs: Restore: snapshot jobs out of submission order")
 	}
 	s.index = jobIndex{log: log, records: k, retired: len(log) - k}
@@ -152,7 +147,6 @@ func (s *Server) Restore(snap Snapshot) error {
 		}
 		s.rejectDynLocked(&rec, "pbs: server restarted; dynamic request lost", false)
 	}
-	s.mu.Unlock()
 	s.kickScheduler("restore")
 	return nil
 }

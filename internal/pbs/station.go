@@ -16,7 +16,7 @@ import (
 // The paper's pbs_server is one station, batch 1, Processing a request:
 // the single thread behind Figure 9's staircase. The sharded server is
 // Shards stations, unbounded batches, Processing a batch (batched IFL
-// RPCs overlap in virtual time; the handlers still serialize on s.mu).
+// RPCs overlap in virtual time; the handlers still run one at a time).
 // A pbs_mom is one station, batch 1, JoinCost for a JOIN, DynJoinCost
 // for a DYNJOIN and nothing for the rest.
 //

@@ -20,7 +20,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -148,7 +147,6 @@ type Instance struct {
 	tick  time.Duration
 	drain *sim.Gate
 
-	mu        sync.Mutex
 	recs      map[string]*jobRec
 	freeRecs  []*jobRec
 	tomb      int // deletions since the last index rebuild
@@ -286,9 +284,7 @@ func (i *Instance) Serve() Report {
 	i.awaitDrain()
 	i.scr.Stop()
 
-	i.mu.Lock()
-	stats := i.statsLocked()
-	i.mu.Unlock()
+	stats := i.ServiceStats()
 	windows := i.scr.Windows()
 	return Report{
 		Submitted:  int(stats.Submitted),
@@ -328,15 +324,11 @@ func (i *Instance) pumpLoop() {
 			e, ok = i.cfg.Source.Next()
 		}
 		if n > 0 {
-			i.mu.Lock()
 			i.batches++
-			i.mu.Unlock()
 			i.batchCtr.Inc()
 		}
 	}
-	i.mu.Lock()
 	i.sourceDry = true
-	i.mu.Unlock()
 	i.drain.Broadcast()
 }
 
@@ -365,22 +357,17 @@ func (i *Instance) submitTracked(cl *pbs.Client, spec pbs.JobSpec) (string, erro
 	}
 	id, err := cl.Submit(spec)
 	if err != nil {
-		i.mu.Lock()
-		i.releaseRecLocked(r)
-		i.mu.Unlock()
+		i.releaseRec(r)
 		return "", err
 	}
 	r.id = id
 	r.name = spec.Name
 	r.submittedAt = i.sim.Now()
-	i.mu.Lock()
 	i.recs[id] = r
 	i.submitted++
 	i.queued++
-	act := i.queued + i.running
-	i.mu.Unlock()
 	i.submits.Inc()
-	i.active.Set(float64(act))
+	i.active.Set(float64(i.queued + i.running))
 	return id, nil
 }
 
@@ -390,14 +377,12 @@ func (i *Instance) noteStart(r *jobRec) {
 	if r == nil {
 		return
 	}
-	i.mu.Lock()
 	if !r.started {
 		r.started = true
 		r.startedAt = i.sim.Now()
 		i.queued--
 		i.running++
 	}
-	i.mu.Unlock()
 	i.queueWait.Record(r.startedAt - r.submittedAt)
 }
 
@@ -408,9 +393,7 @@ func (i *Instance) noteFinish(r *jobRec) {
 		return
 	}
 	now := i.sim.Now()
-	i.mu.Lock()
 	if r.finished {
-		i.mu.Unlock()
 		return
 	}
 	r.finished = true
@@ -420,7 +403,7 @@ func (i *Instance) noteFinish(r *jobRec) {
 	i.completed++
 	delete(i.recs, r.id)
 	i.tomb++
-	i.releaseRecLocked(r)
+	i.releaseRec(r)
 	// Go maps never shrink; once deletions dominate the live set,
 	// rebuild so a 10-million-job soak holds the index at O(active).
 	if i.tomb > 4096 && i.tomb > 2*len(i.recs) {
@@ -433,12 +416,10 @@ func (i *Instance) noteFinish(r *jobRec) {
 		i.compacted++
 	}
 	act := i.queued + i.running
-	dry := i.sourceDry
-	i.mu.Unlock()
 	i.turnaround.Record(turn)
 	i.completes.Inc()
 	i.active.Set(float64(act))
-	if act == 0 && dry {
+	if act == 0 && i.sourceDry {
 		i.drain.Broadcast()
 	}
 }
@@ -446,17 +427,13 @@ func (i *Instance) noteFinish(r *jobRec) {
 // awaitDrain blocks until the source is dry and no admitted job is
 // still queued or running.
 func (i *Instance) awaitDrain() {
-	i.mu.Lock()
 	for !i.sourceDry || i.queued+i.running > 0 {
-		i.drain.Wait(&i.mu)
+		i.drain.Wait(nil)
 	}
-	i.mu.Unlock()
 }
 
 // acquireRec pops a recycled record or allocates one.
 func (i *Instance) acquireRec() *jobRec {
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	if n := len(i.freeRecs); n > 0 {
 		r := i.freeRecs[n-1]
 		i.freeRecs[n-1] = nil
@@ -468,9 +445,8 @@ func (i *Instance) acquireRec() *jobRec {
 	return &jobRec{}
 }
 
-// releaseRecLocked returns a finished record to the pool. Callers
-// hold i.mu.
-func (i *Instance) releaseRecLocked(r *jobRec) {
+// releaseRec returns a finished record to the pool.
+func (i *Instance) releaseRec(r *jobRec) {
 	i.freeRecs = append(i.freeRecs, r)
 }
 
@@ -486,20 +462,14 @@ func (i *Instance) Submit(spec pbs.JobSpec) (string, error) {
 // ledger has already retired (subject to the server's retention
 // window).
 func (i *Instance) JobStatus(id string) (JobStatus, error) {
-	i.mu.Lock()
-	r, ok := i.recs[id]
-	var st JobStatus
-	if ok {
-		st = JobStatus{
+	if r, ok := i.recs[id]; ok {
+		st := JobStatus{
 			ID: r.id, Name: r.name,
 			SubmittedAt: r.submittedAt, StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 		}
 		if r.started {
 			st.State = pbs.JobRunning
 		}
-	}
-	i.mu.Unlock()
-	if ok {
 		return st, nil
 	}
 	info, err := i.query.Stat(id)
@@ -514,19 +484,11 @@ func (i *Instance) JobStatus(id string) (JobStatus, error) {
 
 // Queue returns the O(1) queue snapshot.
 func (i *Instance) Queue() QueueSnapshot {
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	return QueueSnapshot{Queued: i.queued, Running: i.running, At: i.sim.Now()}
 }
 
 // ServiceStats returns the cumulative counters.
 func (i *Instance) ServiceStats() Stats {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.statsLocked()
-}
-
-func (i *Instance) statsLocked() Stats {
 	return Stats{
 		Submitted: i.submitted,
 		Completed: i.completed,

@@ -3,10 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,13 +274,6 @@ func TestSleepMidBatchWaitsForRestOfInstant(t *testing.T) {
 	log.expect(t, "a@10µs", "b@10µs", "a@15µs", "b@30µs")
 }
 
-// kernelState reads the fields the white-box waits below poll.
-func kernelState(s *Simulation) (running int, now time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running, s.now
-}
-
 // (iv) An actor that signalled a waiter and then sleeps shares the
 // clock with it: while the waiter is on the ready list the sleeper must
 // park, and the waiter, which takes the slot then, keeps seeing the old
@@ -290,42 +281,27 @@ func kernelState(s *Simulation) (running int, now time.Duration) {
 func TestSleepWithSecondRunnableActorParks(t *testing.T) {
 	s := New()
 	var log orderLog
-	release := make(chan struct{})
-	var signalled atomic.Bool
-	go func() {
-		// Let the waiter go on once the signaller has settled: parked
-		// (one running slot left, the waiter's) or, wrongly, ahead on
-		// the clock.
-		for {
-			running, now := kernelState(s)
-			if signalled.Load() && running == 1 || now > 3*tick {
-				break
-			}
-			runtime.Gosched()
-		}
-		close(release)
-	}()
+	signalled := false
 	if err := s.Run(func() {
 		g := s.NewGate("handoff")
-		var mu sync.Mutex
 		ready := false
 		s.Go("waiter", func() {
-			mu.Lock()
 			for !ready {
-				g.Wait(&mu)
+				g.Wait(nil)
 			}
-			mu.Unlock()
-			<-release // still runnable while the signaller sleeps
+			// The signaller has settled: parked (one running slot
+			// left, the waiter's), not ahead on the clock.
+			if !signalled || s.running != 1 || s.now != 3*tick {
+				t.Errorf("waiter resumed with signalled %v, %d running, clock %v: want true, 1, 3µs", signalled, s.running, s.now)
+			}
 			log.add(s, "waiter")
 			s.Sleep(2 * tick)
 			log.add(s, "waiter")
 		})
 		s.Sleep(3 * tick)
-		mu.Lock()
 		ready = true
-		mu.Unlock()
 		g.Signal()
-		signalled.Store(true)
+		signalled = true
 		s.Sleep(10 * tick)
 		log.add(s, "main")
 	}); err != nil {
@@ -375,15 +351,12 @@ func TestSleepBeforeRunWaitsForMain(t *testing.T) {
 		s.Sleep(5 * tick)
 		log.add(s, "early")
 	})
-	for {
-		running, now := kernelState(s)
-		if now != 0 {
-			t.Fatalf("clock at %v before Run", now)
-		}
-		if running == 0 {
-			break // parked
-		}
-		runtime.Gosched()
+	// Nothing runs before Run: the early actor is on the ready list.
+	if s.now != 0 {
+		t.Fatalf("clock at %v before Run", s.now)
+	}
+	if s.running != 0 || s.readyHead == len(s.ready) {
+		t.Fatalf("%d running, %d ready before Run: want 0 and the early actor", s.running, len(s.ready)-s.readyHead)
 	}
 	if err := s.Run(func() {
 		log.add(s, "main")
@@ -395,24 +368,22 @@ func TestSleepBeforeRunWaitsForMain(t *testing.T) {
 	log.expect(t, "main@0s", "early@5µs", "main@10µs")
 }
 
-// (vi, second half) A daemon woken after Run returned finds a halted
-// kernel: its sleep parks for good and the clock stays where the run
-// left it — whether main returned or the deadline halted the run with
-// main still parked.
+// (vi, second half) A daemon woken after Run returned runs in Release
+// and finds a halted kernel: its sleep parks for good, the clock stays
+// where the run left it and the kernel stays out of the pool — whether
+// main returned or the deadline halted the run with main still parked.
 func TestSleepAfterHaltDoesNotMoveClock(t *testing.T) {
 	for _, mainReturns := range []bool{true, false} {
 		s := New()
 		s.SetDeadline(10 * tick)
 		g := s.NewGate("teardown")
-		var mu sync.Mutex
-		closed := false
+		closed, woke := false, false
 		err := s.Run(func() {
 			s.Go("daemon", func() {
-				mu.Lock()
 				for !closed {
-					g.Wait(&mu)
+					g.Wait(nil)
 				}
-				mu.Unlock()
+				woke = true
 				for {
 					s.Sleep(tick)
 				}
@@ -425,19 +396,17 @@ func TestSleepAfterHaltDoesNotMoveClock(t *testing.T) {
 		if mainReturns && err != nil || !mainReturns && !errors.Is(err, ErrDeadline) {
 			t.Fatalf("main returns %v: Run: %v", mainReturns, err)
 		}
-		mu.Lock()
 		closed = true
-		mu.Unlock()
 		g.Broadcast()
-		for {
-			running, now := kernelState(s)
-			if now != 7*tick {
-				t.Fatalf("main returns %v: clock moved to %v on a halted kernel", mainReturns, now)
-			}
-			if running == 0 {
-				break // the daemon parked in Sleep
-			}
-			runtime.Gosched()
+		if woke {
+			t.Fatalf("main returns %v: the daemon ran before Release", mainReturns)
+		}
+		s.Release()
+		if !woke || s.running != 0 || s.actors == 0 {
+			t.Fatalf("main returns %v: after Release woke %v, %d running, %d actors: want the daemon parked in Sleep", mainReturns, woke, s.running, s.actors)
+		}
+		if now := s.Now(); now != 7*tick {
+			t.Fatalf("main returns %v: clock moved to %v on a halted kernel", mainReturns, now)
 		}
 	}
 }

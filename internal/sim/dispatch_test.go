@@ -131,8 +131,6 @@ func TestReusedWorkerKeepsNoStaleArg(t *testing.T) {
 	record := func(arg any) { got = append(got, arg) }
 	err := s.Run(func() {
 		idle := func(step int) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
 			if s.idle == nil || s.idle.next != nil {
 				t.Fatalf("step %d: want exactly one idle worker", step)
 			}

@@ -4,9 +4,8 @@ package sim
 // or on a Gate. The kernel keeps the count for the tests alone: it is
 // how they tell a sleep that advanced the clock in place from one that
 // went through the queue.
+// Read it from an actor or around Run, through the slot.
 func (s *Simulation) parkCount() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.parks
 }
 
@@ -24,9 +23,8 @@ func SetHooksForTest(check func(running int), resume func()) (restore func()) {
 	return func() { slotHook, resumeHook = nil, nil }
 }
 
-// Halted reports whether Run has returned.
+// Halted reports whether Run has returned. Read it around Run or from
+// an actor.
 func (s *Simulation) Halted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.halted
 }

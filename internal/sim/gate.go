@@ -15,33 +15,30 @@ import (
 //
 // Like sync.Cond, a Gate carries no predicate. The typical pattern is
 //
-//	mu.Lock()
 //	for !ready() {
-//	    gate.Wait(&mu)
+//	    gate.Wait(nil)
 //	}
 //	... consume ...
-//	mu.Unlock()
 //
-// with the producer holding mu around the state change and calling
-// Signal or Broadcast afterwards (with or without mu held). State that
-// only actors touch needs no mu at all (see Wait).
+// with the producer changing the state and calling Signal or Broadcast
+// afterwards. The slot is the lock (see "Discipline" in the package
+// comment): state that only actors and callbacks touch needs no mutex.
 type Gate struct {
 	sim *Simulation
 	// Diagnostics read kind+name; the two are joined only in a deadlock
 	// report, so naming or renaming a gate builds no string.
 	kind, name string
 
-	// Guarded by sim.mu: how many actors are parked here and, while any
-	// is, the gate's place on the kernel's list of such gates — what a
-	// deadlock report walks, at no cost to parking but a counter.
+	// How many actors are parked here and, while any is, the gate's
+	// place on the kernel's list of such gates — what a deadlock report
+	// walks, at no cost to parking but a counter.
 	parked                 int
 	nextParked, prevParked *Gate
 
-	mu      sync.Mutex
 	waiters []*worker
 }
 
-// A gate wait's state (worker.state), written under the gate's mu.
+// A gate wait's state (worker.state).
 const (
 	wArmed    = iota // listed on the gate, no waker has claimed it
 	wSignaled        // woken by Signal or Broadcast
@@ -63,17 +60,14 @@ func (s *Simulation) NewGateKind(kind, name string) *Gate {
 // Rename gives an idle gate a new name within its kind. The caller owns
 // the gate and guarantees no actor is parked on it.
 func (g *Gate) Rename(name string) {
-	g.sim.mu.Lock()
 	g.name = name
-	g.sim.mu.Unlock()
 }
 
-// Wait atomically releases l and parks the calling actor until Signal
-// or Broadcast wakes it, then re-acquires l before returning. l may be
-// nil when only actors read and write the predicate: one actor runs at a
-// time, so it needs no lock. Spurious wakeups do not occur, but callers
-// should still re-check their predicate in a loop because another actor
-// may consume the state first.
+// Wait releases l and parks the calling actor until Signal or Broadcast
+// wakes it, then re-acquires l before returning. l may be nil, and is in
+// this module: one actor runs at a time, so the predicate needs no lock.
+// Spurious wakeups do not occur, but callers should still re-check their
+// predicate in a loop because another actor may consume the state first.
 func (g *Gate) Wait(l sync.Locker) { g.wait(l, 0, "Gate.Wait") }
 
 // WaitTimeout is Wait with a virtual-time deadline. It reports false
@@ -86,17 +80,13 @@ func (g *Gate) WaitTimeout(l sync.Locker, d time.Duration) bool {
 // reports whether a Signal or Broadcast woke it. call names the caller
 // for the panic on the controller.
 func (g *Gate) wait(l sync.Locker, d time.Duration, call string) bool {
-	// List and park in one step: a waker finds the waiter only once its
-	// park note exists, so the note it clears is this wait's.
 	s := g.sim
-	g.mu.Lock()
-	s.mu.Lock()
 	w := s.cur
 	if w == nil {
-		s.mu.Unlock()
-		g.mu.Unlock()
 		panic("sim: " + call + onControllerPanic)
 	}
+	// List and park in one step: a waker finds the waiter only once its
+	// park note exists, so the note it clears is this wait's.
 	w.gate, w.state = g, wArmed
 	w.gen++
 	g.waiters = append(g.waiters, w)
@@ -104,13 +94,11 @@ func (g *Gate) wait(l sync.Locker, d time.Duration, call string) bool {
 		s.pushLocked(s.now+d, event{w: w, gen: w.gen})
 	}
 	s.parkLocked(g)
-	// The driver may run a callback that signals g or takes l.
-	g.mu.Unlock()
+	// The driver may run a callback that takes l.
 	if l != nil {
 		l.Unlock()
 	}
 	w.yield(struct{}{})
-	s.mu.Unlock()
 	resumed()
 	if l != nil {
 		l.Lock()
@@ -124,48 +112,40 @@ func (g *Gate) wait(l sync.Locker, d time.Duration, call string) bool {
 // no-op.
 func (w *worker) expire(gen uint64) {
 	g := w.gate
-	g.mu.Lock()
 	if w.gen == gen && w.state == wArmed {
 		i := slices.Index(g.waiters, w)
 		g.waiters = slices.Delete(g.waiters, i, i+1)
 		w.state = wTimed
 		g.wake(w)
 	}
-	g.mu.Unlock()
 }
 
 // Signal wakes one parked waiter in FIFO order. It is a no-op when no
 // actor is waiting. Signal may be called from actors or from At
 // callbacks.
 func (g *Gate) Signal() {
-	g.mu.Lock()
 	if len(g.waiters) > 0 {
 		w := g.waiters[0]
 		g.waiters = slices.Delete(g.waiters, 0, 1)
 		w.state = wSignaled
 		g.wake(w)
 	}
-	g.mu.Unlock()
 }
 
 // Broadcast wakes every parked waiter. The emptied list keeps its
 // backing array, so steady-state park/broadcast never reallocates.
 func (g *Gate) Broadcast() {
-	g.mu.Lock()
 	for _, w := range g.waiters {
 		w.state = wSignaled
 		g.wake(w)
 	}
 	clear(g.waiters)
 	g.waiters = g.waiters[:0]
-	g.mu.Unlock()
 }
 
 // wake hands a waiter just taken off the list to the kernel's ready
-// list. Callers hold g.mu.
+// list.
 func (g *Gate) wake(w *worker) {
-	g.sim.mu.Lock()
 	g.sim.unparkLocked(g)
 	g.sim.readyLocked(w)
-	g.sim.mu.Unlock()
 }

@@ -28,21 +28,23 @@
 //
 // Actors spawned before Run wait on the ready list, ahead of main. Run
 // returns once main has returned and the rest of its instant's batch has
-// parked, and the idle workers exit. After that there is no driver: a
-// wake resumes its actor on a goroutine of its own, one resume at a
-// time, so the daemons woken in teardown can exit.
+// parked, and the idle workers exit. After that there is no driver: an
+// actor woken in teardown (a daemon whose mailbox was closed) joins the
+// ready list, and Release resumes the list on its caller's goroutine, in
+// order, until it is empty, so those daemons can exit.
 //
 // An actor's panic is recovered and reported in Run's error. A
 // callback's panic, and runtime.Goexit in a callback or an actor (which
 // iter.Pull carries to the goroutine that resumed it), unwind Run's
-// goroutine instead, leaving the kernel unhalted.
+// goroutine instead, leaving the kernel unhalted; an actor's Goexit in
+// teardown unwinds Release's caller, and the kernel is not pooled.
 //
 // # In-place clock advance
 //
 // A Sleep whose wake would be the next event released does not park: it
-// advances the clock itself, under the kernel lock it holds anyway, when
-// the ready list is empty and the instant's batch spent, Run is live,
-// and now+d is within the deadline and before the earliest queued event.
+// advances the clock itself, in the slot it holds anyway, when the ready
+// list is empty and the instant's batch spent, Run is live, and now+d is
+// within the deadline and before the earliest queued event.
 // SleepSteps(d, n) is n Sleep(d) calls in one: the caller takes as many
 // steps in place as that rule allows and parks at most once, and the
 // driver takes the steps still owed in the same way, resuming the actor
@@ -52,9 +54,15 @@
 // # Discipline
 //
 // Actors must communicate only through sim-aware primitives (Sleep,
-// Gate, and anything layered on them such as netsim mailboxes). An
-// actor must never park while holding a lock that the waking actor
-// needs.
+// Gate, and anything layered on them such as netsim mailboxes). The slot
+// is the lock: while Run is live one actor or callback runs at a time,
+// and nothing else touches the kernel or any component built on it, so
+// per-simulation state needs no mutex. Kernel calls come from the slot,
+// or from the goroutine that owns the simulation before Run and after it
+// returns, never from another goroutine while Run is live. Only what is
+// shared with a goroutine outside the run (an observer's export, a
+// host-side counter) keeps a lock of its own. Run takes the kernel's
+// mutex once and holds it until halt, so no kernel call takes a lock.
 //
 // Callbacks (At, After, AfterArg) and what they call, such as a netsim
 // endpoint handler, run on the controller: on the driver, while no actor
@@ -95,9 +103,10 @@ const onControllerPanic = " on the controller: a callback or endpoint handler mu
 // Simulation owns a virtual clock and the set of actors advancing it.
 // The zero value is not usable; call New.
 type Simulation struct {
-	mu   sync.Mutex
-	cond *sync.Cond // signaled when the last resume after halt ends
-	now  time.Duration
+	// mu is held by Run from its start to halt and by Release, so a
+	// second Run or a Release from another goroutine waits for the run.
+	mu  sync.Mutex
+	now time.Duration
 	// nowA mirrors now so Now() is lock-free: the hot paths (netsim
 	// sends, tracer timestamps, scheduler priorities) read the clock
 	// far more often than the driver advances it.
@@ -121,8 +130,6 @@ type Simulation struct {
 	mainEnd     bool
 	halted      bool
 	err         error // why the run halted; nil when main returned
-	// turn makes the resumes after halt take turns.
-	turn sync.Mutex
 
 	// undispatched counts the events of the current batch not yet
 	// released, the tail of s.batch: due now, but neither in the queue
@@ -133,12 +140,11 @@ type Simulation struct {
 	// idle lists the workers whose actor has returned.
 	idle *worker
 
-	panicMu  sync.Mutex
 	panicked []string
 
 	// tracer is the active observability sink; nil (the default)
-	// disables tracing. Atomic so the per-message and per-request hot
-	// paths read it without taking s.mu.
+	// disables tracing. Atomic so a goroutine outside the run (an
+	// exporter) may read it.
 	tracer atomic.Pointer[trace.Tracer]
 
 	// telem is the active telemetry registry (nil disables it), and
@@ -160,9 +166,8 @@ type Simulation struct {
 // worker is a coroutine that runs actors one after another: idle once
 // its actor returns, it runs the next one spawned. Parked, it is its
 // actor: a ready entry and a wake event hold the worker, which holds
-// what the park needs. s.mu travels with the slot: whoever resumes a
-// worker holds it, the worker lets go of it to run its actor, and takes
-// it again before it parks, returns or exits.
+// what the park needs. The worker that holds the slot owns the kernel:
+// it parks, returns or exits without taking a lock.
 type worker struct {
 	s      *Simulation
 	resume func() (struct{}, bool) // iter.Pull's next; nil until first resumed
@@ -177,14 +182,14 @@ type worker struct {
 	d    time.Duration
 	left int
 	// A gate wait: the gate, the wait's number (stale deadlines carry
-	// an older one) and its state, guarded by gate.mu.
+	// an older one) and its state.
 	gate  *Gate
 	gen   uint64
 	state uint8
 }
 
 // slotHook and resumeHook are test seams, nil outside tests. slotHook
-// runs under s.mu whenever an actor parks or is resumed; resumeHook runs
+// runs in the slot whenever an actor parks or is resumed; resumeHook runs
 // on an actor's goroutine as it starts and after every wake.
 var slotHook func(s *Simulation)
 var resumeHook func()
@@ -198,17 +203,14 @@ type kernelInstruments struct {
 
 // New returns an empty simulation at virtual time zero.
 func New() *Simulation {
-	s := &Simulation{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &Simulation{}
 }
 
 // SetDeadline caps virtual time: Run returns ErrDeadline instead of
 // advancing past d. Zero (the default) means unlimited: the guard
 // against a runaway scenario, such as a periodic daemon outliving it.
+// Call it before Run or from an actor.
 func (s *Simulation) SetDeadline(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.deadline = d
 }
 
@@ -316,9 +318,7 @@ func (s *Simulation) Go(name string, fn func()) {
 
 // GoNamed is Go for an actor named in parts.
 func (s *Simulation) GoNamed(name ActorName, fn func()) {
-	s.mu.Lock()
 	s.goLocked(name, callFunc, fn)
-	s.mu.Unlock()
 }
 
 // callFunc runs a func() boxed as the argument of a func(any).
@@ -328,13 +328,11 @@ func callFunc(fn any) { fn.(func())() }
 // AfterArg is After without one, for a long-lived fn and an arg that is
 // already boxed.
 func (s *Simulation) GoArg(name ActorName, fn func(any), arg any) {
-	s.mu.Lock()
 	s.goLocked(name, fn, arg)
-	s.mu.Unlock()
 }
 
 // goLocked readies fn(arg) on an idle worker, or on a new one when none
-// is. Callers hold s.mu.
+// is. Callers hold the slot, or run before Run.
 func (s *Simulation) goLocked(name ActorName, fn func(any), arg any) {
 	s.actors++
 	w := s.idle
@@ -353,9 +351,7 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	s := w.s
 	w.yield = yield
 	for {
-		s.mu.Unlock()
 		w.run()
-		s.mu.Lock()
 		s.actors--
 		if s.halted {
 			return
@@ -377,14 +373,10 @@ func (w *worker) run() {
 		}
 		s := w.s
 		if r := recover(); r != nil {
-			s.panicMu.Lock()
 			s.panicked = append(s.panicked, fmt.Sprintf("%s: %v", w.name, r))
-			s.panicMu.Unlock()
 			return
 		}
-		s.mu.Lock()
 		s.actors--
-		s.mu.Unlock()
 	}()
 	resumed()
 	w.fn(w.arg)
@@ -413,22 +405,18 @@ func (s *Simulation) sleep(d time.Duration, n int, call string) {
 	if d <= 0 || n <= 0 {
 		return
 	}
-	s.mu.Lock()
 	w := s.cur
 	if w == nil {
-		s.mu.Unlock()
 		panic("sim: " + call + onControllerPanic)
 	}
 	k := s.takeStepsLocked(d, n)
 	if k == n {
-		s.mu.Unlock()
 		return
 	}
 	w.d, w.left = d, n-k-1
 	s.pushStepLocked(w)
 	s.parkLocked(nil)
 	w.yield(struct{}{})
-	s.mu.Unlock()
 	resumed()
 }
 
@@ -436,7 +424,7 @@ func (s *Simulation) sleep(d time.Duration, n int, call string) {
 // the clock to in place (see "In-place clock advance"): the deadline,
 // and strictly before the earliest queued event, or now itself, which no
 // step reaches, while something else is due now or Run is not live.
-// Callers hold s.mu.
+// Callers hold the slot.
 func (s *Simulation) inPlaceLimitLocked() time.Duration {
 	if s.readyHead != len(s.ready) || s.undispatched != 0 || s.mainEnd || s.halted {
 		return s.now
@@ -452,7 +440,7 @@ func (s *Simulation) inPlaceLimitLocked() time.Duration {
 }
 
 // takeStepsLocked takes as many of n steps of d in place as the rule
-// allows and reports how many that was. Callers hold s.mu.
+// allows and reports how many that was. Callers hold the slot.
 func (s *Simulation) takeStepsLocked(d time.Duration, n int) int {
 	k := int(min((s.inPlaceLimitLocked()-s.now)/d, time.Duration(n)))
 	if k > 0 {
@@ -464,7 +452,7 @@ func (s *Simulation) takeStepsLocked(d time.Duration, n int) int {
 // advanceLocked takes k steps of d in place: the driver's
 // bookkeeping for k one-event batches. The seqs the wakes would have
 // carried are still consumed, so every later (at, seq) tie breaks as it
-// would have. Callers hold s.mu.
+// would have. Callers hold the slot.
 func (s *Simulation) advanceLocked(d time.Duration, k int) {
 	t := s.now + time.Duration(k)*d
 	s.seq += uint64(k)
@@ -478,7 +466,7 @@ func (s *Simulation) advanceLocked(d time.Duration, k int) {
 }
 
 // pushStepLocked queues the wake that ends w's next step. Callers hold
-// s.mu.
+// the slot.
 func (s *Simulation) pushStepLocked(w *worker) {
 	s.seq++
 	s.events.push(s.now+w.d, s.seq, event{w: w})
@@ -488,7 +476,7 @@ func (s *Simulation) pushStepLocked(w *worker) {
 // the woken actor would do next: take the steps still owed, in place as
 // far as the rule allows, then queue the next one's wake. It reports
 // whether it queued one, which leaves the actor parked. Callers hold
-// s.mu.
+// the slot.
 func (s *Simulation) stepLocked(w *worker) bool {
 	if w.left -= s.takeStepsLocked(w.d, w.left); w.left > 0 {
 		w.left--
@@ -503,16 +491,12 @@ func (s *Simulation) stepLocked(w *worker) bool {
 // "Discipline") and must not block; it may spawn actors, signal gates,
 // and schedule further callbacks.
 func (s *Simulation) At(t time.Duration, fn func()) {
-	s.mu.Lock()
 	s.pushLocked(max(t, s.now), event{fn: fn})
-	s.mu.Unlock()
 }
 
 // After schedules fn to run d of virtual time from now. See At.
 func (s *Simulation) After(d time.Duration, fn func()) {
-	s.mu.Lock()
 	s.pushLocked(s.now+max(d, 0), event{fn: fn})
-	s.mu.Unlock()
 }
 
 // AfterArg schedules fn(arg) to run d of virtual time from now. It is
@@ -521,12 +505,10 @@ func (s *Simulation) After(d time.Duration, fn func()) {
 // pointer, so scheduling captures no fresh closure. Semantics otherwise
 // match After.
 func (s *Simulation) AfterArg(d time.Duration, fn func(any), arg any) {
-	s.mu.Lock()
 	s.pushLocked(s.now+max(d, 0), event{afn: fn, arg: arg})
-	s.mu.Unlock()
 }
 
-// pushLocked queues ev at t with the next seq. Callers hold s.mu.
+// pushLocked queues ev at t with the next seq. Callers hold the slot.
 func (s *Simulation) pushLocked(t time.Duration, ev event) {
 	s.seq++
 	s.events.push(t, s.seq, ev)
@@ -547,11 +529,7 @@ func (s *Simulation) Run(main func()) error {
 	}
 	s.mainSet = true
 	s.goLocked(ActorName{Kind: "main"}, callFunc, func() {
-		defer func() {
-			s.mu.Lock()
-			s.mainEnd = true
-			s.mu.Unlock()
-		}()
+		defer func() { s.mainEnd = true }()
 		main()
 	})
 	halted := false
@@ -574,14 +552,12 @@ func (s *Simulation) Run(main func()) error {
 // ready list or, with the list empty, releases the next event of the
 // instant's batch, popping the next instant's when it is spent, until
 // the run halts: a callback runs in place, a sleeper's wake resumes its
-// worker. Callers hold s.mu.
+// worker. Callers hold the slot.
 func (s *Simulation) drive() {
 	for {
 		var w *worker
 		if s.readyHead != len(s.ready) {
-			w = s.ready[s.readyHead]
-			s.ready[s.readyHead] = nil
-			s.readyHead++
+			w = s.popReadyLocked()
 		} else {
 			if s.undispatched == 0 && !s.popBatchLocked() {
 				return
@@ -589,9 +565,7 @@ func (s *Simulation) drive() {
 			ev := &s.batch[len(s.batch)-s.undispatched]
 			s.undispatched--
 			if ev.w == nil || ev.gen != 0 {
-				s.mu.Unlock()
 				ev.call()
-				s.mu.Lock()
 				continue
 			}
 			if s.stepLocked(ev.w) {
@@ -618,8 +592,8 @@ func (ev *event) call() {
 	}
 }
 
-// resumeLocked runs w until its actor parks or returns. Callers hold
-// s.mu, which w holds while it runs and hands back.
+// resumeLocked hands w the slot until its actor parks or returns.
+// Callers hold the slot.
 func (s *Simulation) resumeLocked(w *worker) {
 	if w.resume == nil {
 		w.resume, w.stop = iter.Pull(w.loop)
@@ -633,10 +607,9 @@ func (s *Simulation) resumeLocked(w *worker) {
 }
 
 // unwind cleans up after a callback's panic or a runtime.Goexit has
-// unwound Run, without s.mu: nothing is resumed any more, and the idle
-// workers exit as at halt.
+// unwound Run: nothing is resumed any more, the idle workers exit as at
+// halt, and Run lets go of s.mu.
 func (s *Simulation) unwind() {
-	s.mu.Lock()
 	s.cur, s.running = nil, 0
 	s.stopIdleLocked()
 	s.mu.Unlock()
@@ -653,8 +626,9 @@ func Acquire() *Simulation {
 	return simPool.Get().(*Simulation)
 }
 
-// Release returns a halted kernel to the pool once the actors woken in
-// teardown have parked or exited. If any is still live, a goroutine
+// Release resumes the actors woken in teardown, in the order they were
+// woken, until every one has parked or exited, and then returns the
+// halted kernel to the pool. If an actor is still parked, a coroutine
 // that would observe the next simulation, the kernel is not pooled.
 // Release is a no-op until Run has returned.
 func (s *Simulation) Release() {
@@ -663,8 +637,8 @@ func (s *Simulation) Release() {
 		s.mu.Unlock()
 		return
 	}
-	for s.running > 0 {
-		s.cond.Wait()
+	for s.readyHead != len(s.ready) {
+		s.resumeLocked(s.popReadyLocked())
 	}
 	idle := s.actors == 0
 	s.mu.Unlock()
@@ -710,8 +684,6 @@ func (s *Simulation) Dispatches() uint64 {
 }
 
 func (s *Simulation) panicErr() error {
-	s.panicMu.Lock()
-	defer s.panicMu.Unlock()
 	if len(s.panicked) == 0 {
 		return nil
 	}
@@ -720,7 +692,7 @@ func (s *Simulation) panicErr() error {
 
 // parkLocked marks the calling actor idle — asleep when g is nil, waiting
 // on g otherwise — before it gives its running slot up. Callers hold
-// s.mu.
+// the slot.
 func (s *Simulation) parkLocked(g *Gate) {
 	s.parks++
 	if g == nil {
@@ -739,7 +711,7 @@ func (s *Simulation) parkLocked(g *Gate) {
 
 // unparkLocked is the waker's half of parkLocked: it clears the
 // diagnostic note an actor about to be woken left when it parked.
-// Callers hold s.mu.
+// Callers hold the slot.
 func (s *Simulation) unparkLocked(g *Gate) {
 	if g == nil {
 		s.sleeping--
@@ -756,15 +728,9 @@ func (s *Simulation) unparkLocked(g *Gate) {
 	}
 }
 
-// readyLocked makes w runnable: before and during Run it joins the
-// ready list; after Run has returned it is resumed on a goroutine of its
-// own. Callers hold s.mu.
+// readyLocked makes w runnable: it joins the ready list, which the
+// driver empties during Run and Release after it. Callers hold the slot.
 func (s *Simulation) readyLocked(w *worker) {
-	if s.halted {
-		s.running++
-		go s.resumeAfterHalt(w)
-		return
-	}
 	// The list need never drain: once full and at least half consumed,
 	// slide the rest down rather than growing past the consumed head.
 	if len(s.ready) == cap(s.ready) && 2*s.readyHead >= len(s.ready) {
@@ -775,31 +741,19 @@ func (s *Simulation) readyLocked(w *worker) {
 	s.ready = append(s.ready, w)
 }
 
-// resumeAfterHalt resumes w, woken after Run returned, in turn with the
-// other resumes of the teardown. It counts in s.running from the wake.
-func (s *Simulation) resumeAfterHalt(w *worker) {
-	s.turn.Lock()
-	defer s.turn.Unlock()
-	s.mu.Lock()
-	parked := false
-	defer func() {
-		if !parked { // runtime.Goexit in the actor, which let go of s.mu
-			s.mu.Lock()
-			s.cur = nil
-		}
-		if s.running--; s.running == 0 {
-			s.cond.Broadcast()
-		}
-		s.mu.Unlock()
-	}()
-	s.resumeLocked(w)
-	parked = true
+// popReadyLocked takes the head of the ready list. Callers hold the
+// slot and know the list is not empty.
+func (s *Simulation) popReadyLocked() *worker {
+	w := s.ready[s.readyHead]
+	s.ready[s.readyHead] = nil
+	s.readyHead++
+	return w
 }
 
 // popBatchLocked pops the events of the earliest pending instant into
 // the reused s.batch (cleared first: a spent batch pins no closure) and
 // moves the clock there, or halts the run: main has returned, nothing
-// is pending, or the deadline would pass. Callers hold s.mu.
+// is pending, or the deadline would pass. Callers hold the slot.
 func (s *Simulation) popBatchLocked() bool {
 	switch {
 	case s.mainEnd:
@@ -826,13 +780,13 @@ func (s *Simulation) popBatchLocked() bool {
 }
 
 // haltLocked ends the run with err: Run returns, and the idle workers
-// exit. Callers hold s.mu.
+// exit. Callers hold the slot.
 func (s *Simulation) haltLocked(err error) {
 	s.halted, s.err = true, err
 	s.stopIdleLocked()
 }
 
-// stopIdleLocked ends the idle workers' coroutines. Callers hold s.mu.
+// stopIdleLocked ends the idle workers' coroutines. Callers hold the slot.
 func (s *Simulation) stopIdleLocked() {
 	for w := s.idle; w != nil; w = w.next {
 		w.stop()

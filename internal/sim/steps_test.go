@@ -154,9 +154,7 @@ func playSteps(p stepsPlan, steps bool) (string, uint64) {
 		s.Sleep(p.mainFor)
 		note("main", 0)
 	})
-	s.mu.Lock()
 	seq, parks := s.seq, s.parks
-	s.mu.Unlock()
 	fmt.Fprintf(&log, "end@%v #%d seq %d: %v\n", s.Now(), s.Dispatches(), seq, err)
 	return log.String(), parks
 }

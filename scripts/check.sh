@@ -45,13 +45,15 @@ go test -race -shuffle=on ./... -count=1
 # levels, the server's stations handing their requests over across
 # Stop/Restore, Maui's placements landing at their walk step, and the
 # scheduler round's two equalities: the merged priority order against
-# the stable sort, the job mirror against qstat and a full answer; and
-# the driver's own rules: a callback's panic out of Run with no idle
+# the stable sort, the job mirror against qstat and a full answer; the
+# driver's own rules: a callback's panic out of Run with no idle
 # worker left behind, runtime.Goexit unwinding Run, a gate wait that lets
 # go of its locks before the driver runs, workers reused and gone at
-# halt, and a stale deadline that never ends a later wait.
+# halt, and a stale deadline that never ends a later wait; and the slot
+# as the lock: the paper figures at -parallel 4 beside a service run,
+# where state two simulations share without a lock is a race report.
 echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
-go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait' \
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait|TestSimulationsShareNothingUnguarded' \
     ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs ./internal/maui
 
 # The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
