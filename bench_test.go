@@ -205,9 +205,9 @@ func BenchmarkAblationSchedulerPortability(b *testing.B) {
 
 // --- simulator micro-benchmarks (real wall time) ---
 
-// The kernel hot-path benchmarks live in internal/kernelbench so
-// cmd/dacbench can also run them via testing.Benchmark and record
-// their allocs/op as regression-gated series.
+// The kernel hot-path benchmark bodies live in internal/kernelbench,
+// which cmd/dacperf's probes share. Their allocation bounds are held by
+// AllocsPerRun tests in the packages they measure.
 
 // BenchmarkEventDispatch measures closure-free timer dispatch
 // (AfterArg schedule + pop + callback).
@@ -223,9 +223,8 @@ func BenchmarkSleepPark(b *testing.B) { kernelbench.SleepPark(b) }
 
 // BenchmarkGatePingPong measures the running slot's hand-off between
 // two actors alternating through two gates. One iteration is two
-// hand-offs; ns/handoff reports one. It is no dacbench series:
-// internal/sim's TestGateWaitSignalZeroAlloc pins the path at 0
-// allocs/op.
+// hand-offs; ns/handoff reports one. internal/sim's
+// TestGateWaitSignalZeroAlloc pins the path at 0 allocs/op.
 func BenchmarkGatePingPong(b *testing.B) {
 	s := sim.New()
 	if err := s.Run(func() {

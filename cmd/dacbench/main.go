@@ -2,16 +2,16 @@
 // reports of the simulated DAC testbed.
 //
 // Record mode runs every figure experiment plus the cluster-scale
-// ladder and writes a BENCH_<date>.json report. All recorded series
-// are *virtual* times — the simulation's deterministic clock — or
-// allocation counts, so they are stable across host machines and
-// load; host time is cmd/dacperf's business.
+// ladder and writes a BENCH_<date>.json report. Every recorded series
+// is a *virtual* time — the simulation's deterministic clock — so a
+// report is the same on any host under any load; host time is
+// cmd/dacperf's business, and the kernel hot paths' allocation bounds
+// are their packages' AllocsPerRun tests.
 //
 // Compare mode checks a candidate report against a committed
-// baseline and exits non-zero when any shared virtual-time series
-// deviates by more than the tolerance (default ±15%) or any allocs/op
-// series grows, which is what the CI benchmark-regression gate runs
-// on every PR:
+// baseline and exits non-zero when any shared series differs from it
+// at all, which is what the CI benchmark-regression gate runs on
+// every PR:
 //
 //	dacbench -out BENCH_2026-08-05.json
 //	dacbench -compare BENCH_baseline.json -candidate BENCH_new.json
@@ -24,13 +24,10 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"sort"
-	"testing"
 	"time"
 
 	"repro"
-	"repro/internal/kernelbench"
 )
 
 // Report is the BENCH_<date>.json schema. Series maps a stable name
@@ -42,10 +39,6 @@ type Report struct {
 	GoVersion     string             `json:"go_version"`
 	Trials        int                `json:"trials"`
 	Series        map[string]float64 `json:"series_virtual_ms"`
-	// Allocs records the kernel microbenchmarks' allocs/op. These are
-	// deterministic (the hot paths are pinned at zero by tier-1
-	// tests), so compare gates on any growth.
-	Allocs map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 func vms(d time.Duration) float64 { return float64(d) / 1e6 }
@@ -70,7 +63,6 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 		GoVersion:     runtime.Version(),
 		Trials:        trials,
 		Series:        make(map[string]float64),
-		Allocs:        make(map[string]float64),
 	}
 	params := repro.DefaultParams()
 
@@ -173,27 +165,6 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 		rep.Series["serve/makespan/"+key] = vms(pt.Makespan)
 	}
 
-	// Kernel microbenchmarks: allocs/op is the gated number.
-	for _, kb := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"kernel/event_dispatch", kernelbench.EventDispatch},
-		{"kernel/sleep_wake", kernelbench.SleepWake},
-		{"kernel/sleep_park", kernelbench.SleepPark},
-		{"kernel/netsim_hop", kernelbench.NetsimHop},
-		{"telemetry/hist_record", kernelbench.HistogramRecord},
-		{"telemetry/registry_scrape", kernelbench.RegistryScrape},
-		{"audit/record_disabled", kernelbench.AuditRecordDisabled},
-		{"audit/record_enabled", kernelbench.AuditRecordEnabled},
-		{"workload/arrivals_next", kernelbench.ArrivalsNext},
-		{"sched/cycle_idle_1024", kernelbench.SchedCycleIdle1024},
-		{"sched/cycle_churn_1024", kernelbench.SchedCycleChurn1024},
-	} {
-		r := testing.Benchmark(kb.fn)
-		rep.Allocs[kb.name] = float64(r.AllocsPerOp())
-	}
-
 	return rep, nil
 }
 
@@ -212,11 +183,12 @@ func load(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// compare checks every series the baseline and candidate share (the
-// virtual clock is deterministic, so shared series should match to
-// well within the tolerance) and reports series present on only one
-// side without failing on them — experiments may be added or retired.
-func compare(baseline, candidate *Report, tol float64) (failures []string) {
+// compare checks every series the baseline and candidate share and
+// fails on any that differs: the virtual clock is deterministic, so a
+// shared series moves only when behaviour does. Series present on one
+// side only are reported without failing — experiments may be added or
+// retired.
+func compare(baseline, candidate *Report) (shared int, failures []string) {
 	if baseline.Trials != candidate.Trials {
 		fmt.Printf("note: trials differ (baseline %d, candidate %d); means may shift with jitter enabled\n",
 			baseline.Trials, candidate.Trials)
@@ -233,27 +205,13 @@ func compare(baseline, candidate *Report, tol float64) (failures []string) {
 			fmt.Printf("note: series %q missing from candidate\n", name)
 			continue
 		}
-		var dev float64
-		switch {
-		case b == 0 && c == 0:
-			continue
-		case b == 0:
-			dev = 1
-		default:
-			dev = (c - b) / b
-			if dev < 0 {
-				dev = -dev
-			}
-		}
+		shared++
 		status := "ok"
-		if dev > tol {
+		if c != b {
 			status = "FAIL"
-			failures = append(failures,
-				fmt.Sprintf("%s: baseline %.3f ms, candidate %.3f ms (%.1f%% > %.0f%%)",
-					name, b, c, dev*100, tol*100))
+			failures = append(failures, fmt.Sprintf("%s: baseline %v ms, candidate %v ms", name, b, c))
 		}
-		fmt.Printf("%-4s %-32s baseline %10.3f  candidate %10.3f  (%+.1f%%)\n",
-			status, name, b, c, (c-b)/max(b, 1e-9)*100)
+		fmt.Printf("%-4s %-40s baseline %14.6f  candidate %14.6f\n", status, name, b, c)
 	}
 	// Sort before printing: map iteration order would otherwise make
 	// the compare log differ run to run (and trip the maporder
@@ -268,41 +226,7 @@ func compare(baseline, candidate *Report, tol float64) (failures []string) {
 	for _, name := range added {
 		fmt.Printf("note: new series %q not in baseline\n", name)
 	}
-
-	// Allocation gate: a kernel hot path that starts allocating is a
-	// regression even when virtual times are unchanged, so any
-	// allocs/op growth over the baseline fails. Shrinking is fine.
-	if len(baseline.Allocs) > 0 {
-		fmt.Println()
-		anames := make([]string, 0, len(baseline.Allocs))
-		for name := range baseline.Allocs {
-			anames = append(anames, name)
-		}
-		sort.Strings(anames)
-		for _, name := range anames {
-			b := baseline.Allocs[name]
-			c, ok := candidate.Allocs[name]
-			if !ok {
-				fmt.Printf("note: allocs series %q missing from candidate\n", name)
-				continue
-			}
-			status := "ok"
-			if c > b {
-				status = "FAIL"
-				failures = append(failures,
-					fmt.Sprintf("%s: baseline %.0f allocs/op, candidate %.0f allocs/op (growth)", name, b, c))
-			}
-			fmt.Printf("%-4s %-32s baseline %7.0f allocs/op  candidate %7.0f allocs/op\n", status, name, b, c)
-		}
-	}
-	return failures
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return shared, failures
 }
 
 func main() {
@@ -311,41 +235,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "trial parallelism (0 = all cores); virtual times are identical at every level")
 	baselinePath := flag.String("compare", "", "baseline report; with -candidate, compare instead of recording")
 	candidatePath := flag.String("candidate", "", "candidate report to check against -compare")
-	tol := flag.Float64("tolerance", 0.15, "maximum relative deviation per virtual-time series")
-	cpuProfile := flag.String("cpuprofile", "", "write a host-side CPU profile (runtime/pprof) of the record run to this file")
-	memProfile := flag.String("memprofile", "", "write a host-side heap profile (runtime/pprof, after GC) on exit")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatalf("dacbench: cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("dacbench: cpuprofile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Fatalf("dacbench: cpuprofile: %v", err)
-			}
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatalf("dacbench: memprofile: %v", err)
-			}
-			runtime.GC() // report live heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("dacbench: memprofile: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("dacbench: memprofile: %v", err)
-			}
-		}()
-	}
 
 	if *baselinePath != "" {
 		if *candidatePath == "" {
@@ -359,7 +249,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("dacbench: %v", err)
 		}
-		failures := compare(baseline, candidate, *tol)
+		shared, failures := compare(baseline, candidate)
 		if len(failures) > 0 {
 			fmt.Println()
 			for _, f := range failures {
@@ -367,16 +257,13 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("\nall %d shared series within %.0f%% of baseline\n",
-			len(baseline.Series), *tol*100)
+		fmt.Printf("\nall %d shared series equal the baseline\n", shared)
 		return
 	}
 
 	repro.SetParallelism(*parallel)
 	// Both server modes climb to 4096 compute nodes: the faithful top
-	// rungs pin the serialization effect the sharded series buys back
-	// (the 4096-node serial server costs ~15s of host wall time — the
-	// bulk of a record run — which is itself the ablation's point).
+	// rungs pin the serialization effect the sharded series buys back.
 	rep, err := record(*trials, []int{8, 64, 256, 1024, 4096}, []int{1024, 4096},
 		[]benchServePoint{
 			{256, repro.ServerFaithful}, {256, repro.ServerSharded},

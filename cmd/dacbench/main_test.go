@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro"
 )
 
 func TestVms(t *testing.T) {
@@ -17,36 +19,23 @@ func report(series map[string]float64) *Report {
 	return &Report{SchemaVersion: 1, Trials: 3, Series: series}
 }
 
-func TestCompareWithinTolerance(t *testing.T) {
+// Series on one side only are noted, not failed; equal shared series,
+// zeros included, pass.
+func TestCompareIgnoresUnsharedSeries(t *testing.T) {
 	base := report(map[string]float64{"a": 100, "b": 0, "gone": 5})
-	cand := report(map[string]float64{"a": 110, "b": 0, "new": 7})
-	if failures := compare(base, cand, 0.15); len(failures) != 0 {
-		t.Fatalf("unexpected failures: %v", failures)
+	cand := report(map[string]float64{"a": 100, "b": 0, "new": 7})
+	shared, failures := compare(base, cand)
+	if shared != 2 || len(failures) != 0 {
+		t.Fatalf("%d shared series, failures %v; want 2 and none", shared, failures)
 	}
 }
 
+// Any difference in a shared series fails, however small.
 func TestCompareDetectsRegression(t *testing.T) {
 	base := report(map[string]float64{"a": 100, "b": 0})
-	cand := report(map[string]float64{"a": 130, "b": 2})
-	failures := compare(base, cand, 0.15)
-	if len(failures) != 2 {
+	cand := report(map[string]float64{"a": 100.001, "b": 2})
+	if _, failures := compare(base, cand); len(failures) != 2 {
 		t.Fatalf("got %d failures, want 2: %v", len(failures), failures)
-	}
-}
-
-// Allocs series gate one-sided and exactly: any growth fails, a drop
-// passes, and the virtual-time tolerance does not apply to them.
-func TestCompareAllocsGrowth(t *testing.T) {
-	base := report(map[string]float64{"a": 100})
-	base.Allocs = map[string]float64{"kernel/x": 0, "telemetry/y": 110}
-	cand := report(map[string]float64{"a": 100})
-	cand.Allocs = map[string]float64{"kernel/x": 0, "telemetry/y": 90}
-	if failures := compare(base, cand, 0.5); len(failures) != 0 {
-		t.Fatalf("drop failed: %v", failures)
-	}
-	cand.Allocs["kernel/x"] = 1
-	if failures := compare(base, cand, 0.5); len(failures) != 1 {
-		t.Fatalf("got %d failures, want 1: %v", len(failures), failures)
 	}
 }
 
@@ -74,10 +63,11 @@ func TestLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// A recorded report must carry every figure and scale series and be
-// self-consistent against itself under compare.
-func TestRecordSelfConsistent(t *testing.T) {
-	rep, err := record(1, []int{8}, []int{8}, []benchServePoint{{8, "faithful"}})
+// A recorded report must carry every figure and scale series, and the
+// ones the committed baseline also holds — every figure series plus the
+// 8-node scale rungs — must equal it exactly.
+func TestRecordMatchesBaseline(t *testing.T) {
+	rep, err := record(3, []int{8}, []int{8}, []benchServePoint{{8, repro.ServerFaithful}})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -91,7 +81,15 @@ func TestRecordSelfConsistent(t *testing.T) {
 			t.Fatalf("series %q missing from recorded report", want)
 		}
 	}
-	if failures := compare(rep, rep, 0.0); len(failures) != 0 {
-		t.Fatalf("report deviates from itself: %v", failures)
+	baseline, err := load(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, failures := compare(baseline, rep)
+	if shared != 42 {
+		t.Errorf("%d series shared with the baseline, want 42", shared)
+	}
+	if len(failures) != 0 {
+		t.Fatalf("report differs from BENCH_baseline.json: %v", failures)
 	}
 }

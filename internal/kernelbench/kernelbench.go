@@ -1,10 +1,9 @@
 // Package kernelbench holds the simulation-kernel microbenchmark
 // bodies. They live in a plain package (not a _test file) so two
 // consumers share one definition: the root bench_test.go wraps them as
-// ordinary `go test -bench` benchmarks, and cmd/dacbench drives them
-// through testing.Benchmark to record allocs/op series for the
-// regression gate. Each body measures a steady-state hot path the
-// zero-allocation tier-1 tests pin at 0 allocs/op.
+// ordinary `go test -bench` benchmarks, and cmd/dacperf's probes time
+// them. Each body measures a steady-state hot path whose allocation
+// bound an AllocsPerRun test in the measured package holds.
 package kernelbench
 
 import (
@@ -93,8 +92,7 @@ func SleepPark(b *testing.B) {
 // HistogramRecord measures one streaming-histogram observation: the
 // log-scale bucket index plus four atomic updates. The telemetry
 // zero-alloc gate (internal/telemetry's TestRecordZeroAlloc) pins this
-// path at 0 allocs/op; dacbench records the same number as a gated
-// series so growth fails the benchmark-regression job too.
+// path at 0 allocs/op.
 func HistogramRecord(b *testing.B) {
 	h := telemetry.NewHistogram()
 	for i := 0; i < 16; i++ { // settle bucket state
@@ -121,8 +119,8 @@ func (c *scrapeClock) advance(d time.Duration)     { c.now += d }
 // instrument mix (4 counters, 2 gauges, 2 histograms, 1 occupancy —
 // roughly what one instrumented subsystem registers). Each iteration
 // is self-contained — fresh scraper, warm-up scrape, then 4 windows —
-// so allocs/op is a deterministic constant the dacbench compare gate
-// can hold flat.
+// so allocs/op is a deterministic constant (internal/telemetry's
+// TestScrapeCycleAllocs holds it).
 func RegistryScrape(b *testing.B) {
 	clk := &scrapeClock{}
 	reg := telemetry.New()
@@ -222,8 +220,7 @@ func ArrivalsNext(b *testing.B) {
 // pbs/maui/netsim/gpusim mutation site calls Record unconditionally
 // on a possibly-nil recorder, so the nil path must stay free — the
 // audit layer's zero-alloc gate (internal/audit's
-// TestDisabledRecordAllocs) pins it at 0 allocs/op and dacbench
-// records the same number as a gated series.
+// TestDisabledRecordAllocs) pins it at 0 allocs/op.
 func AuditRecordDisabled(b *testing.B) {
 	var rec *audit.Recorder
 	b.ReportAllocs()
@@ -291,7 +288,8 @@ func SchedCycleIdle1024(b *testing.B) { schedCycle1024(b, nil) }
 // SchedCycleChurn1024 is the same iteration after 16 nodes changed:
 // a window of 16 accelerators sliding over the table fails on even
 // iterations and reports back on odd ones, so every cycle's answer
-// carries 16 nodes and the pools patch exactly those.
+// carries 16 nodes and the pools patch exactly those (internal/maui's
+// TestChurnedCycleAllocatesNothing holds it at 0 allocs/op).
 func SchedCycleChurn1024(b *testing.B) {
 	const window = 16
 	var hb *netsim.Endpoint

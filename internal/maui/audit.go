@@ -32,11 +32,10 @@ func (sc *Scheduler) registerAudit() {
 	sc.aud.RegisterDigest("maui", "maui.sched", sc.digestSched)
 }
 
-// applySnapshot takes one fetched answer into the mirror, checks the
-// nodes it brought against the mirror's running jobs and records the
+// auditSnapshot checks the nodes a fetched answer brought into the
+// mirror against the mirror's running jobs and records the
 // cycle-boundary event.
-func (sc *Scheduler) applySnapshot(info *pbs.SchedInfoResp) {
-	sc.view.Apply(info)
+func (sc *Scheduler) auditSnapshot(info *pbs.SchedInfoResp) {
 	if sc.aud != nil {
 		for i := range info.Nodes {
 			sc.auditNodeLocked(&sc.view.Nodes[info.Nodes[i].Index])

@@ -129,7 +129,7 @@ type Scheduler struct {
 	heads heads // the cycle's priority order (order.go): scheduler actor only
 
 	// view mirrors the server's nodes and jobs (each cycle's fetch brings
-	// only what changed, see applySnapshot) and partPools index it: one
+	// only what changed, see pbs.Mirror.Fetch) and partPools index it: one
 	// pool in the faithful cycle, one per partition in the partitioned cycle
 	// (partition.go), which also uses the scratch below. See pools.go.
 	view      pbs.Mirror
@@ -268,12 +268,12 @@ func (sc *Scheduler) cycle() bool {
 // answer already holds every placement and grant sent before it.
 func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	fetch := cyc.Child("fetch")
-	info, err := sc.view.Request(sc.ep, sc.serverEP)
+	info, err := sc.view.Fetch(sc.ep, sc.serverEP)
 	fetch.End()
 	if err != nil {
 		return nil, err
 	}
-	sc.applySnapshot(info)
+	sc.auditSnapshot(info)
 	sc.sim.Sleep(sc.params.CycleOverhead)
 	sc.stats.Cycles++
 	if sc.params.FairshareDecay > 0 {

@@ -3,6 +3,7 @@ package maui
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -233,6 +234,67 @@ func TestIdleCycleCopiesNoNodesAndAllocatesNothing(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, b.sc.RunCycleOnce); allocs != 0 {
 			t.Errorf("idle cycle allocates %v times, want 0", allocs)
+		}
+	})
+}
+
+// A cycle after 16 accelerators changed costs what changed and no
+// more: a window of 16 sliding over the table fails on even rounds and
+// reports back by heartbeat on odd ones, the server's answer carries
+// exactly those nodes, and the round allocates nothing. The churn —
+// the server's failure and heartbeat handling — runs before each
+// measured round, so the count is read around the round alone, the way
+// AllocsPerRun reads it around a whole function.
+func TestChurnedCycleAllocatesNothing(t *testing.T) {
+	const window = 16
+	sp := pbs.ServerParams{Processing: time.Millisecond}
+	b := newSyncBed(1024, 8192, false, sp, DefaultParams())
+	b.run(t, func() {
+		hb := b.net.Endpoint("heartbeat")
+		round := 0
+		churn := func() {
+			first := round / 2 * window % 8192
+			for k := first; k < first+window; k++ {
+				name := fmt.Sprintf("ac%d", k)
+				if round%2 == 0 {
+					b.server.NodeDownForTest(name)
+				} else if err := hb.Send(pbs.ServerEndpoint, "pbs", pbs.HeartbeatMsg{Host: name}, 0); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+			}
+			round++
+			b.s.Sleep((window + 1) * sp.Processing) // one heartbeat per Processing interval
+		}
+		for i := 0; i < 20; i++ { // fill the pooled answer, mailboxes and scratch
+			churn()
+			b.sc.RunCycleOnce()
+		}
+		churn()
+		info, err := b.sc.beginCycle(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Nodes) != window {
+			t.Errorf("churned round copied %d nodes, want %d", len(info.Nodes), window)
+		}
+		info.Release()
+		if raceDetectorOn {
+			return
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var ms runtime.MemStats
+		var mallocs uint64
+		const rounds = 100
+		for i := 0; i < rounds; i++ {
+			churn()
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			b.sc.RunCycleOnce()
+			runtime.ReadMemStats(&ms)
+			mallocs += ms.Mallocs - before
+		}
+		if mallocs != 0 {
+			t.Errorf("%d churned cycles allocate %d times, want 0", rounds, mallocs)
 		}
 	})
 }

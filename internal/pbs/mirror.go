@@ -64,17 +64,6 @@ func (l *JobList) put(j *MirrorJob, in bool) {
 // applies the answer's deltas. The caller owns the returned answer
 // until it calls Release.
 func (m *Mirror) Fetch(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp, error) {
-	resp, err := m.Request(ep, serverEP)
-	if err == nil {
-		m.Apply(resp)
-	}
-	return resp, err
-}
-
-// Request is the round trip of Fetch alone. A scheduler whose mirror
-// another goroutine may read (Maui's audit sweep) calls Request, then
-// Apply under the lock that reader takes.
-func (m *Mirror) Request(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp, error) {
 	m.req.ReqID++
 	m.req.ReplyTo = ep.Name()
 	id := m.req.ReqID
@@ -90,12 +79,12 @@ func (m *Mirror) Request(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp, 
 	}
 	resp := msg.Payload.(*SchedInfoResp)
 	msg.Release()
+	m.Apply(resp)
 	return resp, nil
 }
 
 // Apply rewrites what the answer's deltas name and takes over its
-// generation. Every answer of Request must be applied, in order, before
-// the next Request.
+// generation. Fetch applies each answer it receives.
 func (m *Mirror) Apply(resp *SchedInfoResp) {
 	for i := range resp.Nodes {
 		d := &resp.Nodes[i]

@@ -162,3 +162,24 @@ func TestParseArrivalProcess(t *testing.T) {
 		t.Fatal("want error for unknown process")
 	}
 }
+
+// An arrival draw allocates at most twice — the job name Sprintf builds
+// and its boxed counter — and nothing for the gap or the shape: the
+// service admission pump pays it once per admitted job.
+func TestArrivalsNextAllocs(t *testing.T) {
+	a, err := NewArrivals(ArrivalConfig{Rate: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() {
+		if _, ok := a.Next(); !ok {
+			t.Fatal("stream dried up")
+		}
+	}
+	for i := 0; i < 16; i++ { // settle RNG and counter state
+		next()
+	}
+	if allocs := testing.AllocsPerRun(1000, next); allocs > 2 && !raceDetectorOn {
+		t.Errorf("Arrivals.Next: %v allocs/op, want at most 2", allocs)
+	}
+}

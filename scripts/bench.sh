@@ -7,9 +7,10 @@
 #   BENCH_OUT=/tmp/b.json scripts/bench.sh
 #   scripts/bench.sh compare /tmp/b.json   # gate: candidate vs baseline
 #
-# Virtual-time and allocs/op series are deterministic, so the gate
-# only trips on real behavioural change, never on host speed (host
-# time is cmd/dacperf's business: sh cmd/dacperf/bench.sh).
+# Virtual-time series are deterministic, so the gate is exact: it
+# trips on any behavioural change and never on host speed. Host time
+# is cmd/dacperf's business (sh cmd/dacperf/bench.sh); the kernel hot
+# paths' allocation bounds are AllocsPerRun tests in plain go test.
 set -eu
 
 cd "$(dirname "$0")/.."
