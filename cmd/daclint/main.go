@@ -10,11 +10,9 @@
 // per-analyzer counts (zeroes included, so the schema is stable),
 // CFG-build statistics from the flow-sensitive analyzers, and total
 // runtime, for CI archival. The exit status is 0 on a clean module, 2
-// when there are findings and 1 on an operational failure.
-//
-// False positives are suppressed in place with a reasoned directive:
-//
-//	//lint:ignore walltime host-side progress logging, not sim time
+// when there are findings and 1 on an operational failure. There is no
+// suppression directive: a false positive is fixed in the analyzer or
+// in its scope configuration (internal/lint).
 package main
 
 import (
@@ -81,14 +79,11 @@ func usage(w io.Writer) {
 	for _, a := range lint.Suite() {
 		fmt.Fprintf(w, "  %-15s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(w, "\nsuppress a finding with a reasoned directive on or above its line:\n")
-	fmt.Fprintf(w, "  //lint:ignore <analyzer>[,<analyzer>...] <reason>\n")
 }
 
 // report is the result of one run, whichever way it is rendered.
 // Analyzers carries a count for every suite analyzer (zeroes
-// included) plus "ignore" for malformed directives, so consumers can
-// key off a stable schema.
+// included), so consumers can key off a stable schema.
 type report struct {
 	Packages  int            `json:"packages"`
 	Findings  []finding      `json:"findings"`
@@ -125,7 +120,7 @@ func lintModule(dir string) (*report, error) {
 	rep := &report{
 		Packages:  len(pkgs),
 		Findings:  []finding{},
-		Analyzers: map[string]int{"ignore": 0},
+		Analyzers: map[string]int{},
 	}
 	for _, a := range suite {
 		rep.Analyzers[a.Name] = 0

@@ -15,7 +15,7 @@ func TestHelpListsAnalyzers(t *testing.T) {
 	if code := run([]string{"help"}, &out, &errb); code != 0 {
 		t.Fatalf("help exit %d", code)
 	}
-	for _, name := range []string{"walltime", "seededrand", "maporder", "spanbalance", "poolbalance", "handlerexhaustive", "digestdet", "lint:ignore"} {
+	for _, name := range []string{"walltime", "maporder", "spanbalance", "poolbalance", "digestdet"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("help output missing %q", name)
 		}
@@ -107,21 +107,18 @@ func TestStandaloneModule(t *testing.T) {
 	}
 	sameFindings(t, dir)
 
-	// Annotating the finding with a reasoned directive makes the same
-	// module pass clean.
+	// Taking the time from the caller (the simulation's clock) makes
+	// the same module pass clean.
 	writeModule(t, dir, `package simstuff
 
 import "time"
 
-func Stamp() time.Time {
-	//lint:ignore walltime host-side timestamp for log file names only
-	return time.Now()
-}
+func Stamp(now time.Duration) time.Duration { return now }
 `)
 	out.Reset()
 	errb.Reset()
 	if code := run([]string{dir}, &out, &errb); code != 0 {
-		t.Fatalf("annotated module exit %d; stdout %s stderr %s", code, out.String(), errb.String())
+		t.Fatalf("fixed module exit %d; stdout %s stderr %s", code, out.String(), errb.String())
 	}
 	sameFindings(t, dir)
 }
@@ -147,13 +144,13 @@ func TestStandaloneJSON(t *testing.T) {
 		t.Errorf("analyzers[walltime] = %d, want 1", rep.Analyzers["walltime"])
 	}
 	// Quiet analyzers must still be present, with explicit zeroes.
-	for _, name := range []string{"poolbalance", "handlerexhaustive", "digestdet", "ignore"} {
+	for _, name := range []string{"maporder", "spanbalance", "poolbalance", "digestdet"} {
 		if n, ok := rep.Analyzers[name]; !ok || n != 0 {
 			t.Errorf("analyzers[%s] = %d, present=%v; want an explicit 0", name, n, ok)
 		}
 	}
-	if len(rep.Analyzers) != 8 {
-		t.Errorf("analyzers has %d keys, want the seven suite names plus ignore: %v", len(rep.Analyzers), rep.Analyzers)
+	if len(rep.Analyzers) != 5 {
+		t.Errorf("analyzers has %d keys, want the five suite names: %v", len(rep.Analyzers), rep.Analyzers)
 	}
 	if len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "walltime" || rep.Findings[0].Line != 5 {
 		t.Errorf("findings = %+v, want one walltime finding at line 5", rep.Findings)

@@ -10,8 +10,9 @@ import (
 // Trial parallelism must never leak into random streams: every trial
 // derives its own sim.RNG from its seed, so the sequence a trial
 // draws is a pure function of the seed, not of which worker ran it or
-// how many workers exist. This is the invariant the seededrand
-// analyzer enforces statically; here it is checked dynamically across
+// how many workers exist. internal/lint's
+// TestRandomnessFlowsThroughSimRNG holds it statically (no math/rand
+// import anywhere); here it is checked dynamically across
 // SetParallelism levels.
 func TestRNGStreamsIdenticalAcrossParallelism(t *testing.T) {
 	const trials = 24

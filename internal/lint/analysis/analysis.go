@@ -20,8 +20,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:ignore directives. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and in the -json
+	// report's counts. It must be a valid identifier.
 	Name string
 
 	// Doc is the one-paragraph help text: what invariant the check

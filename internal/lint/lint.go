@@ -2,13 +2,10 @@
 // the simulator's determinism and virtual-time invariants before they
 // can cost a flaky benchmark gate.
 //
-// The suite (see Suite) ships seven analyzers:
+// The suite (see Suite) ships five analyzers:
 //
 //   - walltime: no wall-clock time (time.Now, time.Sleep, ...) in
 //     simulation code — virtual time must come from internal/sim.
-//   - seededrand: no process-global or unseeded math/rand — every
-//     random stream must be a seeded, trial-owned source so trial
-//     parallelism stays reproducible.
 //   - maporder: no map iteration order leaking into emitted output
 //     (tables, CSV, traces) without an intervening sort.
 //   - spanbalance: every trace span opened in a function
@@ -19,9 +16,6 @@
 //     simulations from sim.Acquire, sync.Pool) must be released
 //     exactly once on every control-flow path or escape to an owner —
 //     a leaked message silently degrades the arena to allocation.
-//   - handlerexhaustive: every wire-message struct declared in a
-//     package's proto.go must be consumed by a payload type-switch or
-//     assertion, and every dispatch case must name a protocol type.
 //   - digestdet: audit digest providers (func(*audit.Digest)) must be
 //     deterministic — no unsorted map iteration feeding digest writes
 //     and no wall-clock reads, since digest sums back the
@@ -32,16 +26,11 @@
 // over them, so a diagnostic names the leaking path rather than a
 // textual tally.
 //
-// False positives are suppressed in place with a reasoned directive:
-//
-//	//lint:ignore walltime host-side progress logging, not sim time
-//
-// The directive names one analyzer (or a comma-separated list) and
-// requires a non-empty reason; it applies to findings on its own line
-// and on the line directly below. Directives without a reason are
-// themselves diagnostics. Findings in _test.go files are never
-// reported: tests legitimately measure wall time and spawn raw
-// goroutines to exercise concurrency.
+// There is no suppression directive: a false positive is fixed in the
+// analyzer or in its scope configuration below (wallClockAllowed,
+// poolSources). Findings in _test.go files are never reported: tests
+// legitimately measure wall time and spawn raw goroutines to exercise
+// concurrency.
 package lint
 
 import (
@@ -82,11 +71,9 @@ var (
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NewWalltime(wallClockAllowed...),
-		NewSeededRand(),
 		NewMapOrder(),
 		NewSpanBalance(),
 		NewPoolBalance(poolSources...),
-		NewHandlerExhaustive(),
 		NewDigestDet(),
 	}
 }
@@ -100,23 +87,10 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Run applies the analyzers to pkg and returns the surviving
-// diagnostics in file/position order: findings in _test.go files are
-// dropped, and findings covered by a well-formed //lint:ignore
-// directive are suppressed. Malformed directives (no reason) are
-// reported as findings of the pseudo-analyzer "ignore".
+// Run applies the analyzers to pkg and returns their diagnostics in
+// file/position order; findings in _test.go files are dropped.
 func Run(pkg *Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	dirs := collectDirectives(pkg)
 	var out []analysis.Diagnostic
-	for _, d := range dirs {
-		if d.malformed {
-			out = append(out, analysis.Diagnostic{
-				Pos:      d.pos,
-				Category: "ignore",
-				Message:  "//lint:ignore needs an analyzer list and a non-empty reason: //lint:ignore <names> <reason>",
-			})
-		}
-	}
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -129,11 +103,7 @@ func Run(pkg *Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, e
 			if d.Category == "" {
 				d.Category = a.Name
 			}
-			p := pkg.Fset.Position(d.Pos)
-			if strings.HasSuffix(p.Filename, "_test.go") {
-				return
-			}
-			if suppressed(dirs, a.Name, p) {
+			if strings.HasSuffix(pkg.Fset.Position(d.Pos).Filename, "_test.go") {
 				return
 			}
 			out = append(out, d)
@@ -153,63 +123,6 @@ func Run(pkg *Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, e
 		return out[i].Category < out[j].Category
 	})
 	return out, nil
-}
-
-// directive is one parsed //lint:ignore comment.
-type directive struct {
-	pos       token.Pos
-	file      string
-	line      int
-	analyzers []string
-	malformed bool
-}
-
-const ignorePrefix = "//lint:ignore"
-
-func collectDirectives(pkg *Package) []directive {
-	var dirs []directive
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, ignorePrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue // e.g. //lint:ignored — not ours
-				}
-				p := pkg.Fset.Position(c.Pos())
-				d := directive{pos: c.Pos(), file: p.Filename, line: p.Line}
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					d.malformed = true // missing names or reason
-				} else {
-					d.analyzers = strings.Split(fields[0], ",")
-				}
-				dirs = append(dirs, d)
-			}
-		}
-	}
-	return dirs
-}
-
-// suppressed reports whether a finding by analyzer name at position p
-// is covered by a directive on the same line or the line above.
-func suppressed(dirs []directive, name string, p token.Position) bool {
-	for _, d := range dirs {
-		if d.malformed || d.file != p.Filename {
-			continue
-		}
-		if d.line != p.Line && d.line != p.Line-1 {
-			continue
-		}
-		for _, a := range d.analyzers {
-			if a == name || a == "*" {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // hasPrefixAny reports whether path equals one of the prefixes or

@@ -4,7 +4,7 @@
 // testdata/src/<pkg>, and every line that should produce a finding
 // carries a trailing comment of the form
 //
-//	m := rand.Int() // want `process-global math/rand`
+//	start := time.Now() // want `wall-clock time\.Now`
 //
 // where the backquoted (or double-quoted) text is a regular
 // expression the diagnostic message must match. Lines without a want
@@ -34,8 +34,8 @@ var wantRe = regexp.MustCompile("//\\s*want\\s+(`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)
 
 // Run loads each named fixture package from testdata/src and applies
 // the analyzers to it, comparing diagnostics against the fixtures'
-// want comments. The analyzers run through lint.Run, so //lint:ignore
-// suppression behaves exactly as it does in the real driver.
+// want comments. The analyzers run through lint.Run, so findings are
+// filtered and ordered exactly as cmd/daclint sees them.
 func Run(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkgname := range pkgs {

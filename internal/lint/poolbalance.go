@@ -288,7 +288,7 @@ func checkPoolScope(pass *analysis.Pass, pats []callPat, body *ast.BlockStmt) {
 			break
 		}
 		pass.Reportf(leakPos,
-			"%s obtained from %s is not released on the path reaching %s: release it on every path, or //lint:ignore poolbalance with the ownership hand-off",
+			"%s obtained from %s is not released on the path reaching %s: release it on every path, or hand it to an owner that does",
 			v.obj.Name(), v.source, at)
 	}
 }

@@ -216,7 +216,7 @@ func checkSpanScope(pass *analysis.Pass, body *ast.BlockStmt) {
 	for _, obj := range order {
 		sv := vars[obj]
 		if !sv.ended && !sv.escaped {
-			pass.Reportf(sv.pos, "span %q is never ended in this function and never handed off: End() it on every path (usually via defer), or //lint:ignore spanbalance with the hand-off protocol", sv.name)
+			pass.Reportf(sv.pos, "span %q is never ended in this function and never handed off: End() it on every path (usually via defer), or hand it to its owner (return, argument, store, capture)", sv.name)
 		}
 	}
 }

@@ -89,13 +89,6 @@ func aggregates(w io.Writer, m map[string]int) {
 	fmt.Fprintln(w, total)
 }
 
-func annotated(w io.Writer, m map[string]int) {
-	for k := range m {
-		//lint:ignore maporder debug dump, order is irrelevant to the figures
-		fmt.Fprintln(w, k)
-	}
-}
-
 // Recorder and Endpoint model the audit recorder and the netsim
 // endpoint: what is recorded or sent in map order differs run to run.
 type Recorder struct{ events []string }

@@ -171,10 +171,3 @@ func overwriteWhileLive(c *Conn) {
 	m = nil // want `m is overwritten while still holding an unreleased value from Recv`
 	_ = m
 }
-
-// suppressed documents a deliberate hand-off the analyzer cannot see.
-func suppressed(c *Conn, reg map[int]*Msg) {
-	//lint:ignore poolbalance registry owns the message and releases it on eviction
-	m, _ := c.Recv()
-	reg[0] = m
-}

@@ -113,13 +113,6 @@ func literalScope() {
 	f()
 }
 
-// A deliberate open span with a documented protocol is suppressed.
-func protocol() {
-	//lint:ignore spanbalance teardown closes this epoch span out of band
-	sp := tr.Start("t", "epoch")
-	sp.Annotate("k", "v")
-}
-
 // AsyncSpanLinkAt records closed intervals; no End required, nothing tracked.
 func closedInterval() {
 	tr.AsyncSpanLinkAt("t", "interval", 0, 0, 10)

@@ -35,8 +35,3 @@ func durationMath(a, b time.Time, d time.Duration) bool {
 	_ = time.Duration(42) * time.Millisecond
 	return a.After(b) // method, not the package-level wait
 }
-
-func annotated() time.Time {
-	//lint:ignore walltime host-side progress stamp, never enters virtual time
-	return time.Now()
-}

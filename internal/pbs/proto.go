@@ -165,8 +165,6 @@ type DynFreeResp struct {
 
 // SchedKick tells the scheduler that server state changed (new job,
 // completion, dynamic request). Reason is diagnostic.
-//
-//lint:ignore handlerexhaustive dispatched by the maui and fifosched scheduler loops, not in this package
 type SchedKick struct {
 	Reason string
 }
@@ -232,8 +230,6 @@ type SchedJobView struct {
 // that generation (see handleSchedInfo), so they hold every node and
 // every queued and running job — and Gen is the generation a mirror
 // holds once it applied them.
-//
-//lint:ignore handlerexhaustive consumed by Mirror.Fetch for the maui and fifosched schedulers, which Release it
 type SchedInfoResp struct {
 	ReqID           int
 	Dyn             []SchedDynView // dynamic request(s) awaiting allocation, FIFO

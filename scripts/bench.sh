@@ -22,10 +22,6 @@ record)
     out="${BENCH_OUT:-BENCH_$(date -u +%F).json}"
     echo "==> go test -bench (informational)"
     go test -bench=. -benchtime=1x -run='^$' . | tail -n +1
-    echo "==> daclint full-repo timing (informational; CI budget 30s in scripts/lint.sh)"
-    mkdir -p bin
-    go build -o bin/daclint ./cmd/daclint
-    ./bin/daclint -json . | sed -n 's/^.*"\(elapsed_ms\|builds\|build_ms\)": \([0-9.]*\).*$/daclint \1 \2/p'
     echo "==> dacbench record -> $out"
     go run ./cmd/dacbench -out "$out"
     ;;

@@ -57,14 +57,22 @@ go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedu
     ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs ./internal/maui
 
 # The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
-# three times (about 5 s each).
+# three times (about 5 s each). Each run must also succeed: a run that
+# fails the same way three times would print one md5 too.
 echo "==> dacsim -fig scale -scale-max 4096 -server sharded, 3 runs, one md5"
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/dacsim" ./cmd/dacsim
-sums=$(for run in 1 2 3; do
-    "$bin/dacsim" -fig scale -scale-max 4096 -server sharded -parallel 1 2>/dev/null | md5sum
-done | sort -u)
+for run in 1 2 3; do
+    "$bin/dacsim" -fig scale -scale-max 4096 -server sharded -parallel 1 \
+        >"$bin/scale.txt" 2>"$bin/scale.err" || {
+        echo "the sharded 4096 ladder exited non-zero (run $run):" >&2
+        cat "$bin/scale.err" >&2
+        exit 1
+    }
+    md5sum < "$bin/scale.txt" >> "$bin/scale.md5"
+done
+sums=$(sort -u "$bin/scale.md5")
 if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
     echo "the sharded 4096 ladder printed more than one output:" >&2
     echo "$sums" >&2

@@ -69,8 +69,7 @@ if [ -n "$elapsed_ms" ] && awk "BEGIN{exit !($elapsed_ms >= 30000)}"; then
 fi
 
 # Findings per analyzer, one row per key of the report's analyzers
-# map: every suite analyzer plus "ignore" (malformed //lint:ignore
-# directives reported by the framework itself).
+# map: every suite analyzer, zeroes included.
 summary=$(
     echo "| analyzer | findings |"
     echo "| --- | ---: |"
