@@ -133,9 +133,9 @@ func record(trials int, scaleSizes, shardedSizes []int, servePoints []benchServe
 	}
 
 	// The sharded-server rungs of the ladder: same workload through the
-	// partitioned pbs_server and Maui cycle, recorded as their own
-	// series so the ablation's virtual times are gated alongside the
-	// faithful ones.
+	// sharded pbs_server and the Maui walk at PerJobCost/Partitions,
+	// recorded as their own series so the ablation's virtual times are
+	// gated alongside the faithful ones.
 	for _, n := range shardedSizes {
 		pts, err := repro.Scale(params, []int{n}, repro.ServerSharded, repro.Observers{})
 		if err != nil {

@@ -9,7 +9,7 @@
 //
 //	dacserve                                  # 64 compute nodes, default rate, 60s window
 //	dacserve -cns 256 -rate 64 -for 2m        # explicit load point
-//	dacserve -server sharded -cns 1024        # partitioned server ablation
+//	dacserve -server sharded -cns 1024        # sharded server ablation
 //	dacserve -process burst -burst-len 32     # bursty arrivals
 //	dacserve -capture serve                   # live scrape series for dacobs stat (serve-<cns>.jsonl)
 //	dacserve -observe trace,audit -capture serve   # plus spans and the flight recording
@@ -30,7 +30,7 @@ func main() {
 	cns := flag.Int("cns", 64, "compute nodes (accelerators and rate scale with this)")
 	rate := flag.Float64("rate", 0, "open-loop submission rate in jobs per virtual second (0 = cns/4)")
 	dur := flag.Duration("for", 0, "virtual admission window; the run then drains in-flight jobs (0 = 60s)")
-	serverMode := flag.String("server", "faithful", "server ablation: faithful (serial pbs_server + global Maui cycle) or sharded (partitioned fast path)")
+	serverMode := flag.String("server", "faithful", "server ablation: faithful (serial pbs_server + global Maui cycle) or sharded (sharded pbs_server + Maui walk at PerJobCost/Partitions)")
 	process := flag.String("process", "poisson", "arrival process: poisson, uniform, or burst")
 	burstLen := flag.Int("burst-len", 0, "with -process burst: jobs per burst (0 = 16)")
 	burstFactor := flag.Float64("burst-factor", 0, "with -process burst: in-burst rate multiplier (0 = 8)")

@@ -36,7 +36,7 @@ func main() {
 	trials := flag.Int("trials", 10, "trials per data point (the paper averages 10)")
 	maxACs := flag.Int("max", 6, "maximum accelerator count for figures 7(a) and 7(b)")
 	scaleNodes := flag.Int("scale-max", 256, "largest compute-node count for -fig scale (accelerators and jobs grow 8x)")
-	serverMode := flag.String("server", "faithful", "server ablation for -fig scale/breakdown: faithful (the paper's serial pbs_server + global Maui cycle) or sharded (partitioned fast path)")
+	serverMode := flag.String("server", "faithful", "server ablation for -fig scale/breakdown: faithful (the paper's serial pbs_server + global Maui cycle) or sharded (sharded pbs_server + Maui walk at PerJobCost/Partitions)")
 	jitter := flag.Float64("jitter", 0, "fabric latency jitter fraction (e.g. 0.1); 0 keeps runs exactly deterministic")
 	parallel := flag.Int("parallel", 0, "independent trials run on this many OS threads (0 or <1 = all cores); output is identical at every level")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")

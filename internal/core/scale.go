@@ -46,10 +46,11 @@ type ScalePoint struct {
 	Obs Observed
 }
 
-// ServerMode selects the server/scheduler implementation for the
-// scale ladder ablation: the faithful mode reproduces the paper's
-// single serial pbs_server and global Maui cycle, the sharded mode
-// enables the partitioned fast path (Server.Shards, Maui.Partitions).
+// ServerMode selects the server/scheduler configuration for the scale
+// ladder ablation: the faithful mode reproduces the paper's single
+// serial pbs_server and Maui's serial per-job cost, the sharded mode
+// runs the server on Server.Shards stations and charges the one global
+// Maui walk PerJobCost/Maui.Partitions per examined job.
 type ServerMode string
 
 const (
@@ -92,8 +93,8 @@ func ShardsFor(n int) int {
 	return s
 }
 
-// PartitionsFor sizes the Maui cycle partitioning for an n-node
-// cluster: one partition per 128 compute nodes, clamped to [2, 32].
+// PartitionsFor sizes the Maui per-job cost divisor (Params.Partitions)
+// for an n-node cluster: one per 128 compute nodes, clamped to [2, 32].
 func PartitionsFor(n int) int {
 	p := n / 128
 	if p < 2 {

@@ -40,14 +40,11 @@ type Params struct {
 	PerJobCost time.Duration
 	// DynPerReqCost is the scheduling cost per dynamic request.
 	DynPerReqCost time.Duration
-	// Partitions selects the cycle architecture. 0 or 1 keeps the
-	// faithful single global cycle: every queued job costs PerJobCost
-	// serially, which grows linearly with the backlog (the paper's
-	// Figure 8 serialization). Values above 1 enable the partitioned
-	// cycle (partition.go): nodes and queue are dealt across that many
-	// partitions whose candidate scoring overlaps in virtual time — a
-	// cycle pays the slowest partition, not the sum — and a small
-	// global arbiter commits the proposals at PerJobCost/8 each.
+	// Partitions sets only the cost model of the one global walk: each
+	// examined job costs PerJobCost/Partitions, as if that many workers
+	// scored candidates at once. The walk's rules stay the same. 0 or 1
+	// is the paper's serial cycle, every queued job costing PerJobCost,
+	// which grows linearly with the backlog (the Figure 8 serialization).
 	Partitions int
 	// DynTopPriority places dynamic requests ahead of all static
 	// requests (the paper's policy). Disabling it is the ablation:
@@ -129,14 +126,10 @@ type Scheduler struct {
 	heads heads // the cycle's priority order (order.go): scheduler actor only
 
 	// view mirrors the server's nodes and jobs (each cycle's fetch brings
-	// only what changed, see pbs.Mirror.Fetch) and partPools index it: one
-	// pool in the faithful cycle, one per partition in the partitioned cycle
-	// (partition.go), which also uses the scratch below. See pools.go.
-	view      pbs.Mirror
-	partPools []*pools
-	partJobs  [][]rankedJob
-	proposals []proposal
-	rescue    []rankedJob
+	// only what changed, see pbs.Mirror.Fetch) and pool indexes it. See
+	// pools.go.
+	view pbs.Mirror
+	pool *pools
 }
 
 // schedInstruments are the scheduler's live metrics, resolved once at
@@ -176,10 +169,7 @@ func New(net *netsim.Network, serverEP string, params Params) *Scheduler {
 			idle:       reg.Counter("maui.idle_cycles"),
 		},
 	}
-	nParts := max(params.Partitions, 1)
-	for pi := 0; pi < nParts; pi++ {
-		sc.partPools = append(sc.partPools, newPools(&sc.view, pi, nParts))
-	}
+	sc.pool = &pools{view: &sc.view}
 	sc.registerAudit()
 	return sc
 }
@@ -288,50 +278,39 @@ func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	// Undo what the previous cycle charged tentatively, then take in
 	// the nodes that changed.
 	pb := cyc.Child("pools")
-	ps := sc.partPools
-	for _, p := range ps {
-		p.rollback()
-	}
+	sc.pool.rollback()
 	for i := range info.Nodes {
-		idx := info.Nodes[i].Index
-		ps[idx%len(ps)].sync(idx / len(ps))
+		sc.pool.sync(info.Nodes[i].Index)
 	}
 	pb.End()
 	sc.inst.queueDepth.Set(float64(info.Queued))
 	return info, nil
 }
 
-// schedule runs the cycle's placement phases against the pools.
+// schedule runs the cycle's placement phases against the pool.
 func (sc *Scheduler) schedule(info *pbs.SchedInfoResp, cyc *trace.Span) {
-	ps := sc.partPools
-	switch {
-	case sc.params.Partitions > 1:
-		sc.partitionedCycle(info, cyc)
-	case sc.params.DynTopPriority:
-		dyn := cyc.Child("dyn")
-		for _, r := range info.Dyn {
-			sc.serveDyn(r, ps, dyn)
-		}
-		dyn.End()
-		st := cyc.Child("static")
-		sc.scheduleStatic(ps[0], st)
-		st.End()
-	default:
+	if !sc.params.DynTopPriority {
 		// Ablation: merge dynamic requests into the FIFO stream by
 		// arrival time — they wait behind earlier static submissions.
 		fifo := cyc.Child("fifo")
-		sc.schedulePlainFIFO(info, ps, fifo)
+		sc.schedulePlainFIFO(info, fifo)
 		fifo.End()
+		return
 	}
+	dyn := cyc.Child("dyn")
+	for _, r := range info.Dyn {
+		sc.serveDyn(r, dyn)
+	}
+	dyn.End()
+	st := cyc.Child("static")
+	sc.scheduleStatic(st)
+	st.End()
 }
 
-// serveDyn schedules one dynamic request against the cycle's pools —
-// the faithful cycle's single pool or every partition's. Accelerators
-// are drawn across the pools starting at the request id's home pool,
-// so partitioning never strands free accelerators, and a short supply
-// rejects the request unless PartialAlloc grants what there is;
-// compute-kind requests place within a single pool, all-or-nothing.
-func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span) {
+// serveDyn schedules one dynamic request against the pool. Compute-kind
+// requests are all-or-nothing; an accelerator request short of supply is
+// rejected unless PartialAlloc grants what there is.
+func (sc *Scheduler) serveDyn(r pbs.SchedDynView, phase *trace.Span) {
 	var sp *trace.Span
 	if phase != nil {
 		sp = phase.Child("sched.dyn", "job", r.JobID, "req", strconv.Itoa(r.ReqID), "count", strconv.Itoa(r.Count))
@@ -339,35 +318,17 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 	sc.sim.Sleep(sc.params.DynPerReqCost)
 	var hosts []string
 	if r.Kind == pbs.KindCompute {
-		for off := 0; off < len(ps) && hosts == nil; off++ {
-			hosts = ps[(r.ReqID+off)%len(ps)].takeCNs(r.Count, r.PPN, r.JobID)
-		}
+		hosts = sc.pool.takeCNs(r.Count, r.PPN, r.JobID)
 	} else {
-		free := 0
-		for _, p := range ps {
-			free += p.nACs
-		}
 		want := r.Count
-		if want > free {
+		if want > sc.pool.nACs {
 			want = 0
 			if sc.params.PartialAlloc {
-				want = free
+				want = sc.pool.nACs
 			}
 		}
-		for off := 0; off < len(ps) && len(hosts) < want; off++ {
-			p := ps[(r.ReqID+off)%len(ps)]
-			take := want - len(hosts)
-			if take > p.nACs {
-				take = p.nACs
-			}
-			if take == 0 {
-				continue
-			}
-			if got := p.takeACs(take); hosts == nil {
-				hosts = got // the common single-pool grant: no second copy
-			} else {
-				hosts = append(hosts, got...)
-			}
+		if want > 0 {
+			hosts = sc.pool.takeACs(want)
 		}
 	}
 	if len(hosts) > 0 {
@@ -382,15 +343,15 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, ps []*pools, phase *trace.Span
 
 // scheduleStatic places the queued jobs in priority order (the merge of
 // order.go ranks only what the walk takes), optionally backfilling
-// behind a blocked head. Every examined job costs PerJobCost, one step
-// of a walkClock. Once no job behind a blocked head can start — backfill
-// is off, or no compute node has a free core — the rest of the queue
-// is charged in one step.
-func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
+// behind a blocked head. Every examined job costs one step of the
+// cycle's walkClock. Once no job behind a blocked head can start —
+// backfill is off, or no compute node has a free core — the rest of the
+// queue is charged in one step.
+func (sc *Scheduler) scheduleStatic(phase *trace.Span) {
 	now := sc.sim.Now()
 	sc.startOrder(now)
 	left := len(sc.view.Queued) // jobs still to come
-	clock := walkClock{sim: sc.sim, cost: sc.params.PerJobCost}
+	clock := sc.clock()
 	var shadow time.Duration = -1 // earliest start estimate of the blocked head
 	for j := sc.nextJob(now); j != nil; j = sc.nextJob(now) {
 		left--
@@ -398,7 +359,7 @@ func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
 		if shadow >= 0 {
 			// A head job is blocked; only backfill candidates that
 			// finish before its reservation may start.
-			if !sc.params.Backfill || p.full() {
+			if !sc.params.Backfill || sc.pool.full() {
 				clock.owed += left
 				break
 			}
@@ -406,7 +367,7 @@ func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
 				continue
 			}
 		}
-		hosts, acc, ok := p.fit(j.Spec, j.ID)
+		hosts, acc, ok := sc.pool.fit(j.Spec, j.ID)
 		if !ok {
 			if shadow < 0 {
 				shadow = shadowTime(sc.view.Running, clock.now())
@@ -428,7 +389,7 @@ func (sc *Scheduler) scheduleStatic(p *pools, phase *trace.Span) {
 }
 
 // walkClock is virtual time as a walk of the queue sees it while it
-// owes examination steps of PerJobCost: owed of them past the clock. The
+// owes examination steps: owed of them past the clock. The
 // walk charges a job with owed++, and settle lets the clock catch up in
 // one SleepSteps, which is owed single sleeps (package sim, "Steps").
 //
@@ -447,6 +408,12 @@ type walkClock struct {
 	owed int
 }
 
+// clock starts a walk's clock. A step is PerJobCost/Partitions
+// (Params.Partitions), the same in both walks.
+func (sc *Scheduler) clock() walkClock {
+	return walkClock{sim: sc.sim, cost: sc.params.PerJobCost / time.Duration(max(sc.params.Partitions, 1))}
+}
+
 // now is the instant the walk has reached.
 func (w *walkClock) now() time.Duration {
 	return w.sim.Now() + time.Duration(w.owed)*max(w.cost, 0)
@@ -463,20 +430,20 @@ func (w *walkClock) settle() {
 // the requests each come in arrival order, so the walk merges them, a
 // job before a request of the same instant. It charges its
 // examinations on a walkClock like scheduleStatic.
-func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, ps []*pools, phase *trace.Span) {
-	clock := walkClock{sim: sc.sim, cost: sc.params.PerJobCost}
+func (sc *Scheduler) schedulePlainFIFO(info *pbs.SchedInfoResp, phase *trace.Span) {
+	clock := sc.clock()
 	q, dyn := sc.view.Queued, info.Dyn
 	for len(q)+len(dyn) > 0 {
 		if len(q) == 0 || len(dyn) > 0 && dyn[0].ArrivedAt < q[0].SubmittedAt {
 			clock.settle()
-			sc.serveDyn(dyn[0], ps, phase)
+			sc.serveDyn(dyn[0], phase)
 			dyn = dyn[1:]
 			continue
 		}
 		j := q[0]
 		q = q[1:]
 		clock.owed++
-		if hosts, acc, ok := ps[0].fit(j.Spec, j.ID); ok {
+		if hosts, acc, ok := sc.pool.fit(j.Spec, j.ID); ok {
 			clock.settle()
 			sc.place(j, hosts, acc, phase)
 		}

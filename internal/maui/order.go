@@ -3,7 +3,6 @@ package maui
 import (
 	"cmp"
 	"container/heap"
-	"slices"
 	"time"
 
 	"repro/internal/pbs"
@@ -13,31 +12,11 @@ import (
 // of one owner and base priority are in placement order in Seq order, so
 // merging the groups' heads yields the stable sort, one job at a time.
 
-// rankedJob is one entry of a sorted priority order (the partitioned
-// cycle): a job's position in the queue and the priority it was given.
-type rankedJob struct {
-	prio float64
-	idx  int32
-}
-
 // priority scores a job of base priority base that has waited wait, of
-// an owner with the given usage. The merge and the sort both score
-// through here, so they compare the very same values.
+// an owner with the given usage.
 func (sc *Scheduler) priority(base int, wait time.Duration, usage float64) float64 {
 	return float64(base) + sc.params.QueueTimeWeight*wait.Seconds() - sc.params.FairshareWeight*usage
 }
-
-// byPriority orders higher priorities first.
-func byPriority(a, b rankedJob) int { return cmp.Compare(b.prio, a.prio) }
-
-// byPriorityThenIndex breaks byPriority's ties by queue position.
-func byPriorityThenIndex(a, b rankedJob) int {
-	return cmp.Or(byPriority(a, b), cmp.Compare(a.idx, b.idx))
-}
-
-// sortByPriority puts jobs in placement order: priority first, ties in
-// the order given (queue position).
-func sortByPriority(jobs []rankedJob) { slices.SortStableFunc(jobs, byPriority) }
 
 // heads is a heap of the groups' next jobs (the mirror's JobGroups),
 // the merge's next at index 0. A head scores its job with the owner's

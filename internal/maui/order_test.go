@@ -1,10 +1,10 @@
 package maui
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -12,44 +12,6 @@ import (
 	"repro/internal/pbs"
 	"repro/internal/sim"
 )
-
-// Placement order is part of every figure, so the allocation-free sort
-// must give the order the closure-based one gave: indices by priority,
-// highest first, ties in queue order. Ties are the case that matters — a
-// burst submitted at one instant by one owner has equal priorities
-// throughout — so the vectors draw from a handful of values.
-func TestSortByPriorityKeepsTheOrderOfSliceStable(t *testing.T) {
-	rng := sim.NewRNG(20)
-	values := []float64{-3.5, 0, 0, 1, 1e-9, 7, 7, 1e12}
-	for trial := 0; trial < 400; trial++ {
-		n := rng.Intn(200)
-		distinct := 1 + rng.Intn(len(values)) // 1: every priority equal
-		prio := make([]float64, n)
-		jobs := make([]rankedJob, n)
-		want := make([]int, n)
-		for i := range prio {
-			prio[i] = values[rng.Intn(distinct)]
-			jobs[i] = rankedJob{prio: prio[i], idx: int32(i)}
-			want[i] = i
-		}
-		sort.SliceStable(want, func(a, b int) bool { return prio[want[a]] > prio[want[b]] })
-		sortByPriority(jobs)
-		for k := range jobs {
-			if int(jobs[k].idx) != want[k] {
-				t.Fatalf("trial %d (%d jobs, %d distinct priorities): position %d holds job %d, sort.SliceStable put %d there",
-					trial, n, distinct, k, jobs[k].idx, want[k])
-			}
-		}
-		// The arbiter's order names its tie-break, so it needs no
-		// stability: same sequence.
-		slices.SortFunc(jobs, byPriorityThenIndex)
-		for k := range jobs {
-			if int(jobs[k].idx) != want[k] {
-				t.Fatalf("trial %d: byPriorityThenIndex puts job %d at %d, want %d", trial, jobs[k].idx, k, want[k])
-			}
-		}
-	}
-}
 
 // shadowTimeOverQstat is shadowTime as it read the full qstat records
 // the server used to ship.
@@ -155,13 +117,19 @@ func TestMergedOrderIsTheStableSortByPriority(t *testing.T) {
 		}
 		now := at + time.Duration(rng.Intn(3))*steps[rng.Intn(len(steps))]
 
+		// The reference: every queued job scored once, then a stable
+		// sort by priority, highest first, ties in queue order.
+		type rankedJob struct {
+			prio float64
+			idx  int
+		}
 		var ranked []rankedJob
 		for i, j := range jobs {
 			if queued[i] {
-				ranked = append(ranked, rankedJob{prio: sc.priority(j.Spec.Priority, now-j.SubmittedAt, sc.usage[j.Spec.Owner]), idx: int32(i)})
+				ranked = append(ranked, rankedJob{prio: sc.priority(j.Spec.Priority, now-j.SubmittedAt, sc.usage[j.Spec.Owner]), idx: i})
 			}
 		}
-		sortByPriority(ranked)
+		slices.SortStableFunc(ranked, func(a, b rankedJob) int { return cmp.Compare(b.prio, a.prio) })
 		sc.startOrder(now)
 		for k, r := range ranked {
 			if got := sc.nextJob(now); got == nil || got.Seq != jobs[r.idx].Seq {

@@ -8,15 +8,14 @@ import (
 	"repro/internal/pbs"
 )
 
-// partitioned returns an adjust func enabling the partitioned cycle
-// (its arbiter commits at PerJobCost/8, 125µs on the bed).
+// partitioned returns an adjust func that charges each examined job
+// PerJobCost/n (Params.Partitions).
 func partitioned(n int) func(*maui.Params) {
 	return func(mp *maui.Params) { mp.Partitions = n }
 }
 
-// A mixed-width batch must drain completely through the partitioned
-// cycle: dealing jobs and nodes across partitions plus the arbiter
-// must not strand any job the faithful walk would place.
+// A mixed-width batch drains completely through the walk at a fraction
+// of the per-job cost.
 func TestPartitionedCycleCompletesWorkload(t *testing.T) {
 	b := newBed(t, 8, 4, partitioned(4))
 	b.run(t, func(c *pbs.Client) {
@@ -49,19 +48,13 @@ func TestPartitionedCycleCompletesWorkload(t *testing.T) {
 	})
 }
 
-// The rescue pass: a partition's blocked head gets one retry against
-// the other partitions' pools, so cross-partition fragmentation does
-// not stall a job the cluster as a whole could place. Partition 0's
-// nodes are filled with long jobs; a 2-node job whose home partition
-// is partition 0 must still start immediately via partition 1.
-func TestPartitionedRescuePlacesBlockedHead(t *testing.T) {
-	// 4 CNs, 2 partitions: round-robin dealing puts cn0/cn2 in
-	// partition 0 and cn1/cn3 in partition 1.
+// The walk sees the whole node table whatever Partitions is, so a job
+// the cluster can place starts at once: two long fillers take cn0 and
+// cn1, and a 2-node job submitted behind them starts on cn2 and cn3
+// while both still run.
+func TestPartitionedWalkPlacesAJobTheClusterFits(t *testing.T) {
 	b := newBed(t, 4, 0, partitioned(2))
 	b.run(t, func(c *pbs.Client) {
-		// Each filler is submitted alone, so it sits at queue position
-		// 0 and is dealt to partition 0, whose first-fit walk fills
-		// cn0 then cn2.
 		var fillers []string
 		for i := 0; i < 2; i++ {
 			id, err := c.Submit(pbs.JobSpec{
@@ -94,20 +87,17 @@ func TestPartitionedRescuePlacesBlockedHead(t *testing.T) {
 				t.Errorf("Wait(filler %s): %v", id, err)
 				return
 			}
-			// Rescue placed the wide job on partition 1 while both
-			// fillers still held partition 0; without it the job
-			// would have waited ~500ms for a filler to finish.
 			if wideInfo.StartedAt >= info.CompletedAt {
-				t.Errorf("wide job started at %v, after filler completed at %v: rescue pass did not place it",
+				t.Errorf("wide job started at %v, after filler completed at %v: it waited for a filler",
 					wideInfo.StartedAt, info.CompletedAt)
 			}
 		}
 	})
 }
 
-// The partitioned cycle is still a deterministic discrete-event
-// program: identical workloads must yield identical virtual
-// timestamps run to run.
+// The walk at a fractional per-job cost is still a deterministic
+// discrete-event program: identical workloads must yield identical
+// virtual timestamps run to run.
 func TestPartitionedCycleDeterministic(t *testing.T) {
 	runOnce := func() []time.Duration {
 		b := newBed(t, 8, 2, partitioned(4))

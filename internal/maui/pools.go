@@ -7,13 +7,8 @@ import (
 	"repro/internal/pbs"
 )
 
-// pools tracks the scheduler's view of free resources: the faithful
-// cycle has one over the whole node table, the partitioned cycle one
-// per partition, partition p owning the table indices i with
-// i % stride == p (round-robin rather than contiguous ranges, so every
-// partition's capacity mix is representative of the whole cluster and
-// a multi-node job fits in any partition that is not itself full). A
-// node's local index is i / stride.
+// pools tracks the scheduler's view of free resources over the whole
+// node table, indexed by the table index i of each node.
 //
 // Placement semantics are first-fit in node-database order, as the
 // original Maui walk did — but the walk itself is indexed: for every
@@ -33,16 +28,15 @@ import (
 // pools then equal pools built fresh from the whole table, at a cost
 // that follows what changed instead of the cluster size.
 type pools struct {
-	view         *pbs.Mirror
-	part, stride int
+	view *pbs.Mirror
 
-	cns    []cnState  // by local index; zero for accelerators and down nodes
-	levels [][]uint64 // levels[c] = bitset of local indices with free >= c+1
+	cns    []cnState  // by table index; zero for accelerators and down nodes
+	levels [][]uint64 // levels[c] = bitset of table indices with free >= c+1
 	acs    []uint64   // bitset of free accelerators
 	nACs   int        // set bits in acs
 	acLow  int        // no word of acs below this index has a set bit
 
-	touched []int // local indices charged on this cycle
+	touched []int // table indices charged on this cycle
 	chosen  []int // scratch for fit/takeCNs candidate collection
 }
 
@@ -53,12 +47,8 @@ type cnState struct {
 	jobs []string
 }
 
-func newPools(view *pbs.Mirror, part, stride int) *pools {
-	return &pools{view: view, part: part, stride: stride}
-}
-
-// node returns the mirror entry behind a local index.
-func (p *pools) node(l int) *pbs.NodeInfo { return &p.view.Nodes[l*p.stride+p.part] }
+// node returns the mirror entry behind a table index.
+func (p *pools) node(l int) *pbs.NodeInfo { return &p.view.Nodes[l] }
 
 // sync re-derives one node's contribution from the mirror.
 func (p *pools) sync(l int) {
@@ -124,7 +114,7 @@ func (p *pools) setFree(l, nf int) {
 	p.cns[l].free = nf
 }
 
-// eachWithFree calls fn with the local index of every compute node
+// eachWithFree calls fn with the table index of every compute node
 // that has at least max(ppn, 1) free cores, in node-database order,
 // until fn returns false. fn must not commit allocations
 // mid-iteration; callers collect candidates first and commit after.

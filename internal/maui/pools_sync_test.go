@@ -70,34 +70,31 @@ func (b *syncBed) run(t *testing.T, fn func()) {
 // built from the whole mirror, the way every cycle used to build them.
 func checkPoolsFresh(t *testing.T, sc *Scheduler, cycle int) {
 	t.Helper()
-	for pi, p := range sc.partPools {
-		fresh := builtPools(sc.view.Nodes, pi, len(sc.partPools))
-		if len(p.cns) != len(fresh.cns) || p.nACs != fresh.nACs || !slices.Equal(p.acs, fresh.acs) {
-			t.Fatalf("cycle %d partition %d: %d nodes %d free ACs %x, fresh %d nodes %d free ACs %x",
-				cycle, pi, len(p.cns), p.nACs, p.acs, len(fresh.cns), fresh.nACs, fresh.acs)
+	p, fresh := sc.pool, newTestPools(sc.view.Nodes)
+	if len(p.cns) != len(fresh.cns) || p.nACs != fresh.nACs || !slices.Equal(p.acs, fresh.acs) {
+		t.Fatalf("cycle %d: %d nodes %d free ACs %x, fresh %d nodes %d free ACs %x",
+			cycle, len(p.cns), p.nACs, p.acs, len(fresh.cns), fresh.nACs, fresh.acs)
+	}
+	for l := range p.cns {
+		if p.cns[l].free != fresh.cns[l].free || !slices.Equal(p.cns[l].jobs, fresh.cns[l].jobs) {
+			t.Fatalf("cycle %d: %s is %+v, fresh %+v", cycle, p.node(l).Name, p.cns[l], fresh.cns[l])
 		}
-		for l := range p.cns {
-			if p.cns[l].free != fresh.cns[l].free || !slices.Equal(p.cns[l].jobs, fresh.cns[l].jobs) {
-				t.Fatalf("cycle %d partition %d: %s is %+v, fresh %+v",
-					cycle, pi, p.node(l).Name, p.cns[l], fresh.cns[l])
-			}
+	}
+	if len(p.levels) != len(fresh.levels) {
+		t.Fatalf("cycle %d: %d levels, fresh %d", cycle, len(p.levels), len(fresh.levels))
+	}
+	for c := range p.levels {
+		if !slices.Equal(p.levels[c], fresh.levels[c]) {
+			t.Fatalf("cycle %d: level %d is %x, fresh %x", cycle, c, p.levels[c], fresh.levels[c])
 		}
-		if len(p.levels) != len(fresh.levels) {
-			t.Fatalf("cycle %d partition %d: %d levels, fresh %d", cycle, pi, len(p.levels), len(fresh.levels))
+	}
+	for w := 0; w < p.acLow; w++ {
+		if p.acs[w] != 0 {
+			t.Fatalf("cycle %d: free accelerator below the scan start %d", cycle, p.acLow)
 		}
-		for c := range p.levels {
-			if !slices.Equal(p.levels[c], fresh.levels[c]) {
-				t.Fatalf("cycle %d partition %d: level %d is %x, fresh %x", cycle, pi, c, p.levels[c], fresh.levels[c])
-			}
-		}
-		for w := 0; w < p.acLow; w++ {
-			if p.acs[w] != 0 {
-				t.Fatalf("cycle %d partition %d: free accelerator below the scan start %d", cycle, pi, p.acLow)
-			}
-		}
-		if len(p.touched) != 0 {
-			t.Fatalf("cycle %d partition %d: %d nodes still marked charged after the update", cycle, pi, len(p.touched))
-		}
+	}
+	if len(p.touched) != 0 {
+		t.Fatalf("cycle %d: %d nodes still marked charged after the update", cycle, len(p.touched))
 	}
 }
 

@@ -20,20 +20,18 @@ func nodes(cns, acs int) []pbs.NodeInfo {
 func cn(i int) string { return "cn" + string(rune('0'+i)) }
 func ac(i int) string { return "ac" + string(rune('0'+i)) }
 
-// builtPools returns partition part of stride over a mirror holding
-// the given table, every node of the partition synced.
-func builtPools(ns []pbs.NodeInfo, part, stride int) *pools {
-	p := newPools(&pbs.Mirror{Nodes: ns}, part, stride)
-	for l := 0; l*stride+part < len(ns); l++ {
+// newTestPools returns pools over a mirror holding the given table,
+// every node synced.
+func newTestPools(ns []pbs.NodeInfo) *pools {
+	p := &pools{view: &pbs.Mirror{Nodes: ns}}
+	for l := range ns {
 		p.sync(l)
 	}
 	return p
 }
 
-func newTestPools(ns []pbs.NodeInfo) *pools { return builtPools(ns, 0, 1) }
-
 // freeCores reports the free cores the pool holds for a compute node
-// (0 for a node it does not own).
+// (0 for a node it does not hold).
 func (p *pools) freeCores(name string) int {
 	for l := range p.cns {
 		if p.node(l).Name == name {

@@ -15,8 +15,8 @@ import (
 // On a sharded server the scheduler's snapshot is answered on the
 // station that took its commands, so each snapshot holds every
 // placement sent before it. A burst of jobs submitted at one instant,
-// six to a node and more than fit, drains through a partitioned
-// scheduler on four shards with no refused command: every job is
+// six to a node and more than fit, drains through a scheduler at
+// Partitions 4 on four shards with no refused command: every job is
 // placed once, its hosts are allocated once, and no job placed in a
 // cycle is still queued in the next cycle's mirror.
 func TestShardedSnapshotHoldsTheSchedulersCommands(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pbs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // walkJob is one job of the probed queue: the examination (step) of the
@@ -280,5 +281,70 @@ func TestBlockedWalkChargesEveryJobBehindTheHead(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Partitions changes what a cycle costs, never what it places. Two beds
+// that differ only in Partitions walk walkQueue behind the long job: both
+// send the same AllocCmds — same jobs, same hosts, same order — and the
+// static walk takes exactly one PerJobCost/Partitions step per examined
+// job.
+func TestPartitionsChangeOnlyWhatACycleCosts(t *testing.T) {
+	const cost = 5 * time.Millisecond
+	walk := func(partitions int) (allocs []string, took time.Duration) {
+		mp := DefaultParams()
+		mp.CycleOverhead = time.Millisecond
+		mp.PerJobCost = cost
+		mp.Partitions = partitions
+		tr := trace.New()
+		s := sim.New()
+		s.SetAudit(audit.New(1 << 16)) // runs auditAfterCycle
+		s.SetTracer(tr)
+		b := newSyncBedOn(s, 2, 0, true, pbs.ServerParams{Processing: 500 * time.Microsecond}, mp)
+		var walkStart time.Duration
+		b.run(t, func() {
+			c := pbs.NewClient(b.net, "front", pbs.ServerEndpoint)
+			if _, err := c.Submit(pbs.JobSpec{Name: "long", Owner: "z", Nodes: 1, PPN: 8, Walltime: 10 * time.Second,
+				Script: func(*pbs.JobEnv) { b.s.Sleep(5 * time.Second) }}); err != nil {
+				t.Fatal(err)
+			}
+			b.sc.RunCycleOnce()
+			b.s.Sleep(10 * time.Millisecond)
+			for _, j := range walkQueue {
+				if _, err := c.Submit(pbs.JobSpec{Name: j.name, Owner: j.owner, Nodes: j.nodes, PPN: j.ppn,
+					Walltime: j.walltime, Priority: j.priority, Script: func(*pbs.JobEnv) { b.s.Sleep(time.Second) }}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.sc.auditAfterCycle = func() {
+				b.sc.auditAfterCycle = nil
+				walkStart = b.s.Now() + mp.CycleOverhead
+			}
+			b.sc.RunCycleOnce()
+			took = b.s.Now() - walkStart
+			b.s.Sleep(50 * time.Millisecond)
+		})
+		for _, e := range tr.Events() {
+			if e.Name == "place" {
+				allocs = append(allocs, fmt.Sprint(e.Args))
+			}
+		}
+		return allocs, took
+	}
+	serial, serialTook := walk(1)
+	if len(serial) != 3 { // the long job, then first and bf
+		t.Fatalf("Partitions 1 placed %v, want the long job, first and bf", serial)
+	}
+	four, fourTook := walk(4)
+	if !slices.Equal(four, serial) {
+		t.Errorf("Partitions 4 sent AllocCmds %v, Partitions 1 %v", four, serial)
+	}
+	for _, w := range []struct {
+		p    int
+		took time.Duration
+	}{{1, serialTook}, {4, fourTook}} {
+		if step := cost / time.Duration(w.p); w.took != time.Duration(len(walkQueue))*step {
+			t.Errorf("Partitions %d: the static walk took %v, want %d examined × %v", w.p, w.took, len(walkQueue), step)
+		}
 	}
 }

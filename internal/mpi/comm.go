@@ -164,7 +164,6 @@ const (
 	tagBarrierOut = -101
 	tagBcast      = -102
 	tagGather     = -103
-	tagReduce     = -104
 	tagMergeInfo  = -105
 	tagDiscon     = -106
 )
@@ -250,37 +249,6 @@ func (c *Comm) Gather(root int, payload any, size int) ([]any, error) {
 		out[st.Source] = st.Payload
 	}
 	return out, nil
-}
-
-// AllreduceSum sums an integer contribution across the communicator
-// and returns the total at every rank.
-func (c *Comm) AllreduceSum(v int) (int, error) {
-	if err := c.ok(); err != nil {
-		return 0, err
-	}
-	cb := c.rt.cfg.ControlBytes
-	if c.rank == 0 {
-		total := v
-		for i := 0; i < c.Size()-1; i++ {
-			st, err := c.Recv(AnySource, tagReduce)
-			if err != nil {
-				return 0, err
-			}
-			total += st.Payload.(int)
-		}
-		if _, err := c.Bcast(0, total, cb); err != nil {
-			return 0, err
-		}
-		return total, nil
-	}
-	if err := c.Send(0, tagReduce, v, cb); err != nil {
-		return 0, err
-	}
-	res, err := c.Bcast(0, nil, cb)
-	if err != nil {
-		return 0, err
-	}
-	return res.(int), nil
 }
 
 // commDesc is the serialized form of a communicator sent in

@@ -268,31 +268,6 @@ func TestGatherCollects(t *testing.T) {
 	}
 }
 
-func TestAllreduceSum(t *testing.T) {
-	s, rt, n := testRuntime(t, Config{})
-	err := s.Run(func() {
-		defer n.Close()
-		const np = 5
-		j := newJoin(s, np)
-		hosts := []string{"h0", "h1", "h2", "h3", "h4"}
-		rt.LaunchWorld(hosts, "w", func(p *Proc) {
-			defer j.done()
-			total, err := p.World().AllreduceSum(p.World().Rank() + 1)
-			if err != nil {
-				t.Errorf("Allreduce: %v", err)
-				return
-			}
-			if total != 15 {
-				t.Errorf("rank %d: total = %d, want 15", p.World().Rank(), total)
-			}
-		})
-		j.wait()
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestBcastInvalidRoot(t *testing.T) {
 	s, rt, n := testRuntime(t, Config{})
 	err := s.Run(func() {

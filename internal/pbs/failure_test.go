@@ -28,7 +28,7 @@ func ftTestbedOn(t *testing.T, s *sim.Simulation, nCN, nAC int) *testbed {
 }
 
 // ftTestbedSharded is ftTestbedOn with a choice of server mode: shards
-// above 1 select the sharded server and a two-partition scheduler.
+// above 1 select the sharded server and a scheduler at Partitions 2.
 func ftTestbedSharded(t *testing.T, s *sim.Simulation, nCN, nAC, shards int) *testbed {
 	t.Helper()
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})

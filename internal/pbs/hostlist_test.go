@@ -3,6 +3,7 @@ package pbs_test
 import (
 	"bytes"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,37 @@ func TestRefusedAllocCmdNamesTheSameNodeEveryRun(t *testing.T) {
 		if len(errs) != 1 || !strings.HasSuffix(errs[0], "accelerator gone1 unavailable") {
 			t.Fatalf("run %d: server errors %q, want one naming gone1", run, errs)
 		}
+	}
+}
+
+// A misbehaving client cannot grow the server's error log without
+// bound: after 1,000 AllocCmds for unknown jobs Errors holds the newest
+// 256 messages, the last one naming the last command.
+func TestErrorLogKeepsTheNewestMessages(t *testing.T) {
+	const sent, kept = 1000, 256
+	tb := newTestbed(t, 1, 0, nil)
+	err := tb.s.Run(func() {
+		defer tb.net.Close()
+		tb.server.Start() // no scheduler: the test sends the commands
+		ep := tb.net.Endpoint("sched")
+		for i := 0; i < sent; i++ {
+			if err := ep.Send(pbs.ServerEndpoint, "pbs", pbs.AllocCmd{JobID: "ghost" + strconv.Itoa(i)}, 0); err != nil {
+				t.Errorf("Send: %v", err)
+			}
+		}
+		tb.s.Sleep(2 * sent * time.Millisecond)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	errs := tb.server.Errors()
+	for i, msg := range errs {
+		if want := "AllocCmd for job ghost" + strconv.Itoa(sent-len(errs)+i) + " in invalid state"; msg != want {
+			t.Fatalf("%d messages; message %d is %q, want %q", len(errs), i, msg, want)
+		}
+	}
+	if len(errs) != kept {
+		t.Fatalf("%d messages after %d refused commands, want the newest %d", len(errs), sent, kept)
 	}
 }
 

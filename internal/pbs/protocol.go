@@ -1,7 +1,6 @@
 package pbs
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,8 +122,7 @@ func (s *Server) checkEdgeLocked(job bool, legal stateSet, from, to int, jobID s
 		return
 	}
 	s.aud.Check("pbs", "protocol.edge", jobID, false, int64(from), int64(to))
-	msg := fmt.Sprintf("protocol: illegal edge %s (job %s)", edgeName(job, from, to), jobID)
-	s.errs = append(s.errs, msg)
+	msg := s.logErr("protocol: illegal edge %s (job %s)", edgeName(job, from, to), jobID)
 	if testing.Testing() {
 		panic(msg)
 	}

@@ -306,9 +306,10 @@ func (s *Server) SetScheduler(ep string) {
 	s.schedEP = ep
 }
 
-// Errors returns protocol anomalies the server observed (for tests).
+// Errors returns the newest protocol anomalies the server observed, at
+// most errsKept of them, oldest first (for tests).
 func (s *Server) Errors() []string {
-	return append([]string(nil), s.errs...)
+	return append([]string(nil), s.errs[max(len(s.errs)-errsKept, 0):]...)
 }
 
 // Start installs the server's endpoint handler, which takes over what
@@ -340,7 +341,7 @@ func (s *Server) send(to string, payload any) {
 // so the fabric's delivery span links back to the causing work.
 func (s *Server) sendCause(to string, payload any, cause uint64) {
 	if err := s.ep.SendCause(to, "pbs", payload, 0, cause); err != nil {
-		s.errs = append(s.errs, fmt.Sprintf("send to %s: %v", to, err))
+		s.logErr("send to %s: %v", to, err)
 	}
 }
 
@@ -366,8 +367,19 @@ func (s *Server) kickScheduler(reason string) {
 	s.send(s.schedEP, payload)
 }
 
-func (s *Server) logErr(format string, args ...any) {
-	s.errs = append(s.errs, fmt.Sprintf(format, args...))
+// errsKept is how many of the newest protocol anomalies Errors returns.
+const errsKept = 256
+
+// logErr records a protocol anomaly and returns its message. The log
+// keeps the newest errsKept, compacting at 2x as account does for
+// AcctRing, so a misbehaving client cannot grow it without bound.
+func (s *Server) logErr(format string, args ...any) string {
+	msg := fmt.Sprintf(format, args...)
+	s.errs = append(s.errs, msg)
+	if len(s.errs) > 2*errsKept {
+		s.errs = append(s.errs[:0], s.errs[len(s.errs)-errsKept:]...)
+	}
+	return msg
 }
 
 // handle serves one request and records its service time as the
@@ -832,7 +844,7 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 			}
 		}
 		if bad {
-			s.errs = append(s.errs, fmt.Sprintf("DynAllocCmd %d: %s %s unavailable", cmd.ReqID, rec.Kind, h))
+			s.logErr("DynAllocCmd %d: %s %s unavailable", cmd.ReqID, rec.Kind, h)
 			s.rejectDynLocked(rec, "pbs: allocation raced with another job", false)
 			return
 		}

@@ -15,9 +15,9 @@
 //
 // Inputs come from a live *trace.Tracer (Events) or a capture file
 // (the Spans of capture.Read); outputs are per-job profiles, aggregate
-// per-phase tables (agg.go), per-job critical paths and folded
-// flamegraph stacks (critical.go), and a regression diff that names
-// the phase responsible for drift between two captures (diff.go).
+// per-phase tables and a regression diff that names the phase
+// responsible for drift between two captures (agg.go), and per-job
+// critical paths and folded flamegraph stacks (critical.go).
 package prof
 
 import (

@@ -240,7 +240,7 @@ var (
 	// Scale replays a synthetic SWF workload on clusters of growing
 	// size (up to 256 compute nodes / 2048 accelerators by default)
 	// under a server ablation: ServerFaithful is the paper's serial
-	// pbs_server and global Maui cycle, ServerSharded the partitioned
+	// pbs_server and global Maui cycle, ServerSharded the sharded
 	// fast path that extends the ladder to the ScaleSizesExtended
 	// rungs (1024 and 4096 compute nodes).
 	Scale              = core.Scale
