@@ -259,8 +259,8 @@ func BenchmarkGatePingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsimHop measures one arena-backed fabric hop
-// (send → deliver → recv → release).
+// BenchmarkNetsimHop measures one fabric hop (send → deliver → recv),
+// its flight taken from and returned to the fabric's free list.
 func BenchmarkNetsimHop(b *testing.B) { kernelbench.NetsimHop(b) }
 
 // BenchmarkHistogramRecord measures one streaming-histogram

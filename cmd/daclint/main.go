@@ -7,9 +7,8 @@
 //
 // Findings print one per line as file:line:col: analyzer: message.
 // With -json the same findings come as one JSON object instead, with
-// per-analyzer counts (zeroes included, so the schema is stable),
-// CFG-build statistics from the flow-sensitive analyzers, and total
-// runtime, for CI archival. The exit status is 0 on a clean module, 2
+// per-analyzer counts (zeroes included, so the schema is stable) and
+// total runtime, for CI archival. The exit status is 0 on a clean module, 2
 // when there are findings and 1 on an operational failure. There is no
 // suppression directive: a false positive is fixed in the analyzer or
 // in its scope configuration (internal/lint).
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/lint"
-	"repro/internal/lint/cfg"
 )
 
 func main() {
@@ -88,7 +86,6 @@ type report struct {
 	Packages  int            `json:"packages"`
 	Findings  []finding      `json:"findings"`
 	Analyzers map[string]int `json:"analyzers"`
-	CFG       cfgStats       `json:"cfg"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 
@@ -98,14 +95,6 @@ type finding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-}
-
-// cfgStats reports the flow-sensitive analyzers' CFG construction
-// work: how many function CFGs were built and the wall time spent
-// building them (process-cumulative, from cfg.Stats).
-type cfgStats struct {
-	Builds  int64   `json:"builds"`
-	BuildMS float64 `json:"build_ms"`
 }
 
 // lintModule loads every package of the module rooted at dir from
@@ -142,8 +131,6 @@ func lintModule(dir string) (*report, error) {
 			rep.Analyzers[d.Category]++
 		}
 	}
-	builds, buildTime := cfg.Stats()
-	rep.CFG = cfgStats{Builds: builds, BuildMS: float64(buildTime.Microseconds()) / 1000}
 	rep.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	return rep, nil
 }

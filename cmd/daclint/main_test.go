@@ -15,7 +15,7 @@ func TestHelpListsAnalyzers(t *testing.T) {
 	if code := run([]string{"help"}, &out, &errb); code != 0 {
 		t.Fatalf("help exit %d", code)
 	}
-	for _, name := range []string{"walltime", "maporder", "spanbalance", "poolbalance", "digestdet"} {
+	for _, name := range []string{"walltime", "maporder", "spanbalance", "digestdet"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("help output missing %q", name)
 		}
@@ -125,7 +125,7 @@ func Stamp(now time.Duration) time.Duration { return now }
 
 // TestStandaloneJSON pins the -json report schema: per-analyzer
 // counts with zeroes for quiet analyzers, the findings list, and the
-// CFG/runtime stats the CI lint job archives.
+// runtime the CI lint job archives.
 func TestStandaloneJSON(t *testing.T) {
 	dir := t.TempDir()
 	writeModule(t, dir, wallclockSrc)
@@ -144,13 +144,13 @@ func TestStandaloneJSON(t *testing.T) {
 		t.Errorf("analyzers[walltime] = %d, want 1", rep.Analyzers["walltime"])
 	}
 	// Quiet analyzers must still be present, with explicit zeroes.
-	for _, name := range []string{"maporder", "spanbalance", "poolbalance", "digestdet"} {
+	for _, name := range []string{"maporder", "spanbalance", "digestdet"} {
 		if n, ok := rep.Analyzers[name]; !ok || n != 0 {
 			t.Errorf("analyzers[%s] = %d, present=%v; want an explicit 0", name, n, ok)
 		}
 	}
-	if len(rep.Analyzers) != 5 {
-		t.Errorf("analyzers has %d keys, want the five suite names: %v", len(rep.Analyzers), rep.Analyzers)
+	if len(rep.Analyzers) != 4 {
+		t.Errorf("analyzers has %d keys, want the four suite names: %v", len(rep.Analyzers), rep.Analyzers)
 	}
 	if len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "walltime" || rep.Findings[0].Line != 5 {
 		t.Errorf("findings = %+v, want one walltime finding at line 5", rep.Findings)

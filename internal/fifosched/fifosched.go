@@ -85,15 +85,12 @@ func (sc *Scheduler) JobsPlaced() int64 {
 func (sc *Scheduler) Start() {
 	sc.sim.Go("pbs_sched", func() {
 		for {
-			m, err := sc.ep.RecvTimeout(sc.params.CycleInterval)
-			m.Release()
+			_, err := sc.ep.RecvTimeout(sc.params.CycleInterval)
 			if err != nil && !errors.Is(err, netsim.ErrTimeout) {
 				return
 			}
 			for sc.ep.Pending() > 0 {
-				m, err := sc.ep.Recv()
-				m.Release()
-				if err != nil {
+				if _, err := sc.ep.Recv(); err != nil {
 					return
 				}
 			}

@@ -25,16 +25,11 @@ func TestDigestDet(t *testing.T) {
 	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewDigestDet()}, "digests")
 }
 
-func TestPoolBalance(t *testing.T) {
-	a := lint.NewPoolBalance("(*poolbal.Conn).Recv", "(*poolbal.Conn).TryRecv", "poolbal.Acquire")
-	linttest.Run(t, "testdata", []*analysis.Analyzer{a}, "poolbal")
-}
-
-// TestSuite pins the shipped analyzer set: five analyzers, stable
+// TestSuite pins the shipped analyzer set: four analyzers, stable
 // names, stable order — the -json report's analyzers map keys off
 // these names.
 func TestSuite(t *testing.T) {
-	want := []string{"walltime", "maporder", "spanbalance", "poolbalance", "digestdet"}
+	want := []string{"walltime", "maporder", "spanbalance", "digestdet"}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))

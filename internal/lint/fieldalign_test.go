@@ -12,7 +12,7 @@ import (
 // re-introduce reducible padding (the pass is manual, via
 // types.Sizes; 8-byte gc layout as on amd64/arm64).
 var hotStructs = map[string][]string{
-	"repro/internal/netsim": {"LinkParams", "Message", "Stats", "Network", "pairState", "Endpoint"},
+	"repro/internal/netsim": {"LinkParams", "Message", "flight", "Stats", "Network", "pairState", "Endpoint"},
 	"repro/internal/maui":   {"Params", "Stats", "Scheduler", "pools", "cnState"},
 }
 

@@ -2,7 +2,7 @@
 // the simulator's determinism and virtual-time invariants before they
 // can cost a flaky benchmark gate.
 //
-// The suite (see Suite) ships five analyzers:
+// The suite (see Suite) ships four analyzers:
 //
 //   - walltime: no wall-clock time (time.Now, time.Sleep, ...) in
 //     simulation code — virtual time must come from internal/sim.
@@ -12,23 +12,13 @@
 //     (Tracer.Start, Span.Child) must reach an End in that scope or
 //     be handed off — an open span truncates the causal chains the
 //     critical-path profiler reconstructs.
-//   - poolbalance: pooled values (netsim arena messages, pooled
-//     simulations from sim.Acquire, sync.Pool) must be released
-//     exactly once on every control-flow path or escape to an owner —
-//     a leaked message silently degrades the arena to allocation.
 //   - digestdet: audit digest providers (func(*audit.Digest)) must be
 //     deterministic — no unsorted map iteration feeding digest writes
 //     and no wall-clock reads, since digest sums back the
 //     byte-identity gates across parallelism levels and server modes.
 //
-// poolbalance is flow-sensitive: it builds intra-procedural CFGs
-// (internal/lint/cfg) and solves a forward bitvector dataflow problem
-// over them, so a diagnostic names the leaking path rather than a
-// textual tally.
-//
 // There is no suppression directive: a false positive is fixed in the
-// analyzer or in its scope configuration below (wallClockAllowed,
-// poolSources). Findings in _test.go files are never reported: tests
+// analyzer or in its scope configuration below (wallClockAllowed). Findings in _test.go files are never reported: tests
 // legitimately measure wall time and spawn raw goroutines to exercise
 // concurrency.
 package lint
@@ -44,27 +34,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Repo-specific scope configuration for the default suite.
-var (
-	// wallClockAllowed lists import-path prefixes where wall-clock
-	// time is legitimate: the CLI layer times real host work
-	// (benchmark wall columns, progress lines), and the lint driver
-	// itself is host-side tooling (the CFG builder times its own
-	// builds for the CI summary).
-	wallClockAllowed = []string{"repro/cmd/", "repro/internal/lint"}
-
-	// poolSources are the repo's arena/pool acquisition points for
-	// poolbalance ((*sync.Pool).Get is built in): every netsim Recv
-	// variant hands out an arena message the caller must Release, and
-	// sim.Acquire hands out a pooled Simulation.
-	poolSources = []string{
-		"(*repro/internal/netsim.Endpoint).Recv",
-		"(*repro/internal/netsim.Endpoint).RecvTimeout",
-		"(*repro/internal/netsim.Endpoint).RecvMatch",
-		"(*repro/internal/netsim.Endpoint).RecvMatchTimeout",
-		"repro/internal/sim.Acquire",
-	}
-)
+// wallClockAllowed is the default suite's scope configuration: the
+// import-path prefixes where wall-clock time is legitimate. The CLI
+// layer times real host work (benchmark wall columns, progress lines).
+var wallClockAllowed = []string{"repro/cmd/"}
 
 // Suite returns the analyzers configured for this repository, in the
 // stable order the driver reports them.
@@ -73,7 +46,6 @@ func Suite() []*analysis.Analyzer {
 		NewWalltime(wallClockAllowed...),
 		NewMapOrder(),
 		NewSpanBalance(),
-		NewPoolBalance(poolSources...),
 		NewDigestDet(),
 	}
 }

@@ -192,16 +192,13 @@ func (sc *Scheduler) Usage(owner string) float64 {
 func (sc *Scheduler) Start() {
 	sc.sim.Go("maui", func() {
 		for {
-			m, err := sc.ep.RecvTimeout(sc.params.CycleInterval)
-			m.Release()
+			_, err := sc.ep.RecvTimeout(sc.params.CycleInterval)
 			if err != nil && !errors.Is(err, netsim.ErrTimeout) {
 				return
 			}
 			// Coalesce pending kicks: one cycle serves them all.
 			for sc.ep.Pending() > 0 {
-				m, err := sc.ep.Recv()
-				m.Release()
-				if err != nil {
+				if _, err := sc.ep.Recv(); err != nil {
 					return
 				}
 			}

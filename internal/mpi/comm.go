@@ -142,7 +142,7 @@ func (c *Comm) recv(src, tag int, timeout time.Duration) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	var m *netsim.Message
+	var m netsim.Message
 	if timeout > 0 {
 		m, err = me.ep.RecvMatchTimeout(match, timeout)
 	} else {
@@ -152,9 +152,7 @@ func (c *Comm) recv(src, tag int, timeout time.Duration) (Status, error) {
 		return Status{}, err
 	}
 	env := m.Payload.(envelope)
-	st := Status{Source: env.src, Tag: env.tag, Payload: env.payload, Size: m.Size}
-	m.Release()
-	return st, nil
+	return Status{Source: env.src, Tag: env.tag, Payload: env.payload, Size: m.Size}, nil
 }
 
 // Collective tags live in a reserved negative range so user tags
@@ -322,11 +320,10 @@ func (c *Comm) localBarrier() error {
 		return me.ep.Send(dp.addr, c.id+"/local", env, cb)
 	}
 	recvOne := func(tag int) error {
-		m, err := me.ep.RecvMatch(func(m *netsim.Message) bool {
+		_, err := me.ep.RecvMatch(func(m *netsim.Message) bool {
 			env, ok := m.Payload.(envelope)
 			return ok && env.comm == c.id+"/local" && env.tag == tag
 		})
-		m.Release()
 		return err
 	}
 	if c.rank == 0 {

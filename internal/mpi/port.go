@@ -67,7 +67,6 @@ func (p *Proc) Accept(port string, local *Comm) (*Comm, error) {
 			return nil, err
 		}
 		req := m.Payload.(envelope).payload.(connReq)
-		m.Release()
 		p.rt.sim.Sleep(p.rt.cfg.ConnectOverhead)
 		desc := commDesc{id: rt.newCommID(), group: local.group, remote: req.group}
 		// Reply with the accepted descriptor (remote sees the groups
@@ -132,7 +131,6 @@ func (p *Proc) Connect(port string, local *Comm) (*Comm, error) {
 			return nil, err
 		}
 		desc := m.Payload.(envelope).payload.(commDesc)
-		m.Release()
 		if _, err := local.Bcast(0, desc, cb); err != nil {
 			return nil, err
 		}

@@ -408,7 +408,5 @@ func (c *Comm) localBcastRecv() (commDesc, error) {
 	if err != nil {
 		return commDesc{}, err
 	}
-	desc := m.Payload.(envelope).payload.(commDesc)
-	m.Release()
-	return desc, nil
+	return m.Payload.(envelope).payload.(commDesc), nil
 }

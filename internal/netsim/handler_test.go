@@ -8,12 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// collect is a handler that appends each payload to *got and releases
-// the message.
+// collect is a handler that appends each payload to *got.
 func collect(got *[]int) func(*Message) {
 	return func(m *Message) {
 		*got = append(*got, m.Payload.(int))
-		m.Release()
 	}
 }
 
@@ -46,7 +44,6 @@ func TestHandlerTakesEveryMessageAtItsDelivery(t *testing.T) {
 				t.Fatalf("Recv: %v", err)
 			}
 			received = append(received, m.Payload.(int))
-			m.Release()
 		}
 		if want := []int{0, 1, 2, 3, 4}; !slices.Equal(handled, want) {
 			t.Errorf("handler took %v, want %v", handled, want)
@@ -118,7 +115,6 @@ func TestCloseAndReleaseDropTheHandler(t *testing.T) {
 		if m.Payload.(int) != 4 {
 			t.Errorf("new owner received %v, want 4", m.Payload)
 		}
-		m.Release()
 		if len(handled) != 0 {
 			t.Errorf("a closed or released endpoint's handler took %v", handled)
 		}

@@ -7,6 +7,10 @@
 // Delivery is reliable and in order per sender/receiver pair (the
 // simulation kernel breaks timestamp ties in FIFO order). Endpoints
 // can be disconnected to inject failures.
+//
+// A message is a value once it lands: the fabric owns its flight from
+// send until the delivery event returns, then reuses it, and receivers
+// get copies, so nothing outside this package hands anything back.
 package netsim
 
 import (
@@ -72,10 +76,9 @@ func (p LinkParams) TransferTime(size int, pipelined bool) time.Duration {
 // Message is a delivered datagram. Payload is an arbitrary protocol
 // value; Size is the simulated wire size used for timing.
 //
-// Messages live in a fabric-wide arena: every send takes one from the
-// fabric's free list and the receiver gives it back with Release once
-// the payload is extracted. A receiver that forgets to release merely falls back to
-// garbage collection.
+// A received Message is a value: Recv* return a copy the receiver owns.
+// The *Message a handler, a matcher or a Trace hook is given is valid
+// for the call only; keep a copy, not the pointer.
 type Message struct {
 	From, To  string
 	Tag       string
@@ -88,26 +91,18 @@ type Message struct {
 	// the profiler can stitch cross-host causal chains through the
 	// fabric instead of guessing from timestamps.
 	Cause uint64
-	// net and dst route the in-flight message through the package-level
-	// delivery callback so scheduling the hop allocates no closure. net
-	// doubles as the arena ownership marker: nil means the message has
-	// been released (or never came from the arena).
-	net *Network
-	dst *Endpoint
 }
 
-// Release returns the message to its fabric's arena, a free list the
-// next send takes it from. Call it after the payload (and any fields of
-// interest) have been extracted; the message must not be touched
-// afterwards. Releasing twice — or releasing a message that did not come
-// from the arena — is a no-op.
-func (m *Message) Release() {
-	if m == nil || m.net == nil {
-		return
-	}
-	n := m.net
-	*m = Message{}
-	n.freeMsgs = append(n.freeMsgs, m)
+// Release does nothing: a received message is a value.
+func (m *Message) Release() {}
+
+// flight is a message on the wire: the hop send schedules and its
+// delivery event completes. It belongs to the fabric from send until
+// deliverMsg returns, which hands it back to the free list (land).
+type flight struct {
+	msg Message
+	net *Network
+	dst *Endpoint
 }
 
 // Stats aggregates fabric-level counters.
@@ -139,13 +134,13 @@ type Network struct {
 	// configuration, not state: an override outlives the endpoints it
 	// names, while the pair states above live and die with them.
 	links map[[2]string]LinkParams
-	// Released messages, endpoints and pair states wait here for the
-	// next send, Endpoint or first send. The lists belong to the fabric,
-	// not to a sync.Pool: the slot guards them, a gate is bound to the
-	// fabric's kernel, and what a run reuses must not depend on what
-	// another goroutine's run gave back. A message cycles send → queue →
-	// recv → Release.
-	freeMsgs      []*Message
+	// Landed flights, released endpoints and pair states wait here for
+	// the next send, Endpoint or first send. The lists belong to the
+	// fabric, not to a sync.Pool: the slot guards them, a gate is bound to
+	// the fabric's kernel, and what a run reuses must not depend on what
+	// another goroutine's run gave back. A flight cycles send → delivery
+	// event → land.
+	freeFlights   []*flight
 	freeEndpoints []*Endpoint
 	freePairs     []*pairState
 	nameSeq       int
@@ -363,8 +358,8 @@ func (n *Network) Release(e *Endpoint) {
 		n.dropPair(ps)
 	}
 	e.out, e.in = nil, nil
-	// Parked receivers wake with ErrClosed and queued messages go back to
-	// the arena before the storage can be handed out again.
+	// Parked receivers wake with ErrClosed and queued messages are dropped
+	// before the storage can be handed out again.
 	e.Close()
 	n.freeEndpoints = append(n.freeEndpoints, e)
 }
@@ -533,8 +528,8 @@ func (n *Network) Census() Census {
 
 // Trace installs an observer invoked for every delivered message
 // (nil disables). The observer runs on the delivery path and must be
-// fast and non-blocking; use it for protocol debugging and message
-// audits.
+// fast and non-blocking, and its *Message is valid for the call only;
+// use it for protocol debugging and message audits.
 func (n *Network) Trace(fn func(*Message)) {
 	n.trace = fn
 }
@@ -577,7 +572,7 @@ type Endpoint struct {
 	// a matcher that accepts the oldest message) advances head instead
 	// of shifting the slice; the storage is reclaimed when the queue
 	// drains or the dead prefix outgrows the live tail.
-	queue   []*Message
+	queue   []Message
 	head    int
 	handler func(*Message) // takes each message instead of the queue (SetHandler)
 	closed  bool
@@ -648,44 +643,50 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 	}
 	ps.lastDue = due
 
-	msg := n.newMsg()
-	msg.From = e.name
-	msg.To = to
-	msg.Tag = tag
-	msg.Payload = payload
-	msg.Size = size
-	msg.Sent = now
-	msg.Delivered = 0
-	msg.Cause = cause
-	msg.net = n
-	msg.dst = dst
+	f := n.takeFlight()
+	// Field by field: a composite literal here is built aside and copied.
+	f.msg.From = e.name
+	f.msg.To = to
+	f.msg.Tag = tag
+	f.msg.Payload = payload
+	f.msg.Size = size
+	f.msg.Sent = now
+	f.msg.Cause = cause
+	f.net = n
+	f.dst = dst
 	if ni := n.inst; ni != nil {
 		ni.inflightMsgs.Add(1)
 		ni.inflightBytes.Add(float64(size))
 		ni.linkBusy.OnFor(delay)
 	}
-	n.sim.AfterArg(delay, deliverMsg, msg)
+	n.sim.AfterArg(delay, deliverMsg, f)
 	return nil
 }
 
-// newMsg takes a message off the free list, or allocates one.
-func (n *Network) newMsg() *Message {
-	last := len(n.freeMsgs) - 1
+// takeFlight takes a flight off the free list, or allocates one.
+func (n *Network) takeFlight() *flight {
+	last := len(n.freeFlights) - 1
 	if last < 0 {
-		return new(Message)
+		return new(flight)
 	}
-	m := n.freeMsgs[last]
-	n.freeMsgs[last] = nil
-	n.freeMsgs = n.freeMsgs[:last]
-	return m
+	f := n.freeFlights[last]
+	n.freeFlights[last] = nil
+	n.freeFlights = n.freeFlights[:last]
+	return f
+}
+
+// land returns a flight whose delivery event is done to the free list.
+func (n *Network) land(f *flight) {
+	*f = flight{}
+	n.freeFlights = append(n.freeFlights, f)
 }
 
 // deliverMsg completes a message's flight. It is the single long-lived
 // delivery callback shared by every send (via sim.AfterArg), so the
 // per-hop schedule carries no closure.
 func deliverMsg(arg any) {
-	msg := arg.(*Message)
-	n := msg.net
+	f := arg.(*flight)
+	n, msg := f.net, &f.msg
 	// Re-check reachability at delivery time so a partition that
 	// happened mid-flight also drops the message.
 	trc := n.sim.Tracer()
@@ -713,7 +714,7 @@ func deliverMsg(arg any) {
 		}
 	}
 	if drop {
-		msg.Release()
+		n.land(f)
 		return
 	}
 	msg.Delivered = n.sim.Now()
@@ -730,62 +731,65 @@ func deliverMsg(arg any) {
 		trc.AsyncSpanLinkAt("netsim", spanName, msg.Cause, msg.Sent, msg.Delivered-msg.Sent,
 			"from", msg.From, "to", msg.To, "size", strconv.Itoa(msg.Size))
 	}
-	msg.dst.deliver(msg)
+	f.dst.deliver(msg)
+	n.land(f)
 }
 
-// deliver hands m to the handler or queues it, unless the endpoint is
-// closed or no longer the one m was sent to: the name is the generation,
-// so a message that was in flight when its destination was released
-// never reaches whoever holds the storage now.
+// deliver hands m to the handler or queues a copy, unless the endpoint
+// is closed or no longer the one m was sent to: the name is the
+// generation, so a message that was in flight when its destination was
+// released never reaches whoever holds the storage now.
 func (e *Endpoint) deliver(m *Message) {
 	if e.closed || m.To != e.name {
-		m.Release()
 		return
 	}
 	if h := e.handler; h != nil {
 		h(m)
 		return
 	}
-	e.queue = append(e.queue, m)
+	// Grow, then copy *m once: append would copy it aside first.
+	e.queue = slices.Grow(e.queue, 1)[:len(e.queue)+1]
+	e.queue[len(e.queue)-1] = *m
 	e.gate.Broadcast()
 }
 
 // SetHandler installs h as e's receive handler, or removes it (nil). h
 // takes every message in its delivery event, on the simulation's
-// controller, and owns its Release; it must not block. Nothing queues
-// for Recv* while h is installed, and installing it first hands it the
-// messages already queued, in order.
+// controller; it must not block, and its *Message is valid for the call
+// only. Nothing queues for Recv* while h is installed, and installing it
+// first hands it the messages already queued, in order.
 func (e *Endpoint) SetHandler(h func(*Message)) {
 	e.handler = h
 	backlog := e.queue[e.head:]
 	e.queue, e.head = nil, 0
-	for _, m := range backlog {
-		e.deliver(m)
+	for i := range backlog {
+		e.deliver(&backlog[i])
 	}
 }
 
 // Recv blocks until a message arrives and returns it.
-func (e *Endpoint) Recv() (*Message, error) {
+func (e *Endpoint) Recv() (Message, error) {
 	return e.recv(nil, 0)
 }
 
 // RecvTimeout is Recv with a virtual-time deadline.
-func (e *Endpoint) RecvTimeout(d time.Duration) (*Message, error) {
+func (e *Endpoint) RecvTimeout(d time.Duration) (Message, error) {
 	return e.recv(nil, d)
 }
 
 // RecvMatch blocks until a message satisfying match arrives, leaving
-// other queued messages untouched.
-func (e *Endpoint) RecvMatch(match func(*Message) bool) (*Message, error) {
+// other queued messages untouched. match's *Message is valid for the
+// call only.
+func (e *Endpoint) RecvMatch(match func(*Message) bool) (Message, error) {
 	return e.recv(match, 0)
 }
 
 // RecvMatchTimeout is RecvMatch with a virtual-time deadline.
-func (e *Endpoint) RecvMatchTimeout(match func(*Message) bool, d time.Duration) (*Message, error) {
+func (e *Endpoint) RecvMatchTimeout(match func(*Message) bool, d time.Duration) (Message, error) {
 	return e.recv(match, d)
 }
 
-func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (*Message, error) {
+func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (m Message, err error) {
 	deadline := time.Duration(-1)
 	if timeout > 0 {
 		deadline = e.net.sim.Now() + timeout
@@ -795,11 +799,11 @@ func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (*Mess
 		// A receiver woken by Release may find the storage already
 		// serving a new name.
 		if e.closed || e.name != name {
-			return nil, ErrClosed
+			return Message{}, ErrClosed
 		}
 		for i := e.head; i < len(e.queue); i++ {
-			m := e.queue[i]
-			if match == nil || match(m) {
+			if match == nil || match(&e.queue[i]) {
+				m = e.queue[i]
 				e.remove(i)
 				return m, nil
 			}
@@ -810,7 +814,7 @@ func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (*Mess
 		}
 		remain := deadline - e.net.sim.Now()
 		if remain <= 0 || !e.gate.WaitTimeout(nil, remain) {
-			return nil, ErrTimeout
+			return Message{}, ErrTimeout
 		}
 	}
 }
@@ -819,11 +823,11 @@ func (e *Endpoint) recv(match func(*Message) bool, timeout time.Duration) (*Mess
 // the rest.
 func (e *Endpoint) remove(i int) {
 	if i == e.head {
-		e.queue[i] = nil
+		e.queue[i] = Message{}
 		e.head++
 	} else {
 		copy(e.queue[i:], e.queue[i+1:])
-		e.queue[len(e.queue)-1] = nil
+		e.queue[len(e.queue)-1] = Message{}
 		e.queue = e.queue[:len(e.queue)-1]
 	}
 	if e.head == len(e.queue) {
@@ -831,9 +835,7 @@ func (e *Endpoint) remove(i int) {
 		e.head = 0
 	} else if e.head > 64 && e.head > len(e.queue)/2 {
 		n := copy(e.queue, e.queue[e.head:])
-		for j := n; j < len(e.queue); j++ {
-			e.queue[j] = nil
-		}
+		clear(e.queue[n:])
 		e.queue = e.queue[:n]
 		e.head = 0
 	}
@@ -854,10 +856,7 @@ func (e *Endpoint) Close() {
 	}
 	e.closed = true
 	e.handler = nil
-	for i, m := range e.queue[e.head:] {
-		m.Release()
-		e.queue[e.head+i] = nil
-	}
+	clear(e.queue[e.head:])
 	e.queue = e.queue[:0] // the backing array serves the storage's next owner
 	e.head = 0
 	e.gate.Broadcast()

@@ -194,7 +194,6 @@ func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 							t.Errorf("seed %d step %d: %s received a message for %s", seed, step, e.Name(), m.To)
 							return
 						}
-						m.Release()
 					}
 				}
 

@@ -43,8 +43,7 @@ func (s *Server) startFailureDetector() {
 	mon := s.net.Endpoint(ServerEndpoint + "/monitor")
 	s.sim.Go("pbs_server/monitor", func() {
 		for {
-			m, err := mon.RecvTimeout(period)
-			m.Release()
+			_, err := mon.RecvTimeout(period)
 			if errors.Is(err, netsim.ErrTimeout) {
 				s.sweepDeadNodes()
 				continue

@@ -47,8 +47,8 @@ func (c *Client) reqID() int {
 }
 
 // call sends req and returns the reply answer reads from the first
-// message it accepts. The message envelope goes straight back to the
-// fabric arena.
+// message it accepts. The reply is taken inside the matcher: handing
+// the returned message to answer would move it to the heap.
 func call[R any](c *Client, req any, answer func(*netsim.Message) (R, bool)) (R, error) {
 	var r R
 	if c.closed {
@@ -57,16 +57,14 @@ func call[R any](c *Client, req any, answer func(*netsim.Message) (R, bool)) (R,
 	if err := c.ep.Send(c.serverEP, "pbs", req, 0); err != nil {
 		return r, err
 	}
-	m, err := c.ep.RecvMatch(func(m *netsim.Message) bool {
-		_, ok := answer(m)
+	_, err := c.ep.RecvMatch(func(m *netsim.Message) bool {
+		v, ok := answer(m)
+		if ok {
+			r = v
+		}
 		return ok
 	})
-	if err != nil {
-		return r, err
-	}
-	r, _ = answer(m)
-	m.Release()
-	return r, nil
+	return r, err
 }
 
 // failed is the error of a call that returned err and a reply carrying

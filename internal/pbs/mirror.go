@@ -78,7 +78,6 @@ func (m *Mirror) Fetch(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp, er
 		return nil, err
 	}
 	resp := msg.Payload.(*SchedInfoResp)
-	msg.Release()
 	m.Apply(resp)
 	return resp, nil
 }

@@ -504,7 +504,6 @@ func TestNodeMirrorResyncs(t *testing.T) {
 			t.Fatalf("Recv: %v", err)
 		}
 		lost := m.Payload.(*pbs.SchedInfoResp)
-		m.Release()
 		wantNodes("the lost reply itself", lost, 1)
 		wantNodes("round after a lost reply", b.round(&b.view, b.ep), total)
 		wantNodes("idle round after the resync", b.round(&b.view, b.ep), 0)

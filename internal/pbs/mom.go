@@ -135,7 +135,6 @@ func (m *Mom) receive(msg *netsim.Message) {
 		m.station.offer(msg)
 		return
 	}
-	msg.Release()
 	for i, op := range m.waits {
 		if op.job == job && op.host == host {
 			if op.acks--; op.acks == 0 {

@@ -212,7 +212,6 @@ func drain(ep *netsim.Endpoint) string {
 			job = p.JobID
 		}
 		got = append(got, strings.TrimPrefix(fmt.Sprintf("%T %s", msg.Payload, job), "pbs."))
-		msg.Release()
 	}
 	return strings.Join(got, "; ")
 }

@@ -327,7 +327,6 @@ func (s *Server) Start() {
 func (s *Server) receive(m *netsim.Message) {
 	if _, stop := m.Payload.(stopMsg); stop {
 		s.ep.SetHandler(nil)
-		m.Release()
 		return
 	}
 	s.stations[s.shardFor(m.Payload, &s.rr)].offer(m)

@@ -304,7 +304,6 @@ func TestStopWhileAStationIsBusy(t *testing.T) {
 					if got != w || m.Delivered != tc.at[i] {
 						t.Errorf("reply %d: %q at %v, want %q at %v", i, got, m.Delivered, w, tc.at[i])
 					}
-					m.Release()
 				}
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/netsim"
@@ -28,20 +29,23 @@ type station struct {
 	sim   *sim.Simulation
 	batch int
 	cost  func(*netsim.Message) time.Duration
-	serve func(*netsim.Message) // may keep the payload; the station releases the envelope
+	serve func(*netsim.Message) // may keep the payload, not the pointer
 	// batches and busy count batches and their cost (sharded server only).
 	batches *telemetry.Counter
 	busy    *telemetry.Occupancy
 	// queue[head:head+serving] is in service, the rest waits; d is the
-	// in-service batch's cost.
-	queue         []*netsim.Message
+	// in-service batch's cost. The queue holds copies: the message a
+	// handler offers is valid for its delivery event only.
+	queue         []netsim.Message
 	head, serving int
 	d             time.Duration
 }
 
 // offer hands the station a delivered message.
 func (st *station) offer(m *netsim.Message) {
-	st.queue = append(st.queue, m)
+	// Grow, then copy *m once: append would copy it aside first.
+	st.queue = slices.Grow(st.queue, 1)[:len(st.queue)+1]
+	st.queue[len(st.queue)-1] = *m
 	if st.serving == 0 {
 		st.start()
 	}
@@ -53,7 +57,7 @@ func (st *station) offer(m *netsim.Message) {
 func (st *station) start() {
 	for st.head < len(st.queue) {
 		st.serving = min(len(st.queue)-st.head, st.batch)
-		if st.d = st.cost(st.queue[st.head]); st.d > 0 {
+		if st.d = st.cost(&st.queue[st.head]); st.d > 0 {
 			st.sim.AfterArg(st.d, stationDone, st)
 			return
 		}
@@ -72,10 +76,8 @@ func stationDone(arg any) {
 // finish serves the batch in service.
 func (st *station) finish() {
 	for i := st.head; i < st.head+st.serving; i++ {
-		m := st.queue[i]
-		st.queue[i] = nil
-		st.serve(m)
-		m.Release()
+		st.serve(&st.queue[i])
+		st.queue[i] = netsim.Message{}
 	}
 	st.head += st.serving
 	st.serving = 0

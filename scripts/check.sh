@@ -57,9 +57,12 @@ go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedu
     ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs ./internal/maui
 
 # The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
-# three times (about 5 s each). Each run must also succeed: a run that
-# fails the same way three times would print one md5 too.
-echo "==> dacsim -fig scale -scale-max 4096 -server sharded, 3 runs, one md5"
+# three times (about 5 s each), and it is the pinned output. Each run
+# must also succeed: a run that fails the same way three times would
+# print one md5 too. A change that means to move the sharded path's
+# virtual time re-pins it and says why.
+scale_md5=54b87afde7ba96055133c8f59e176c96
+echo "==> dacsim -fig scale -scale-max 4096 -server sharded, 3 runs, md5 $scale_md5"
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/dacsim" ./cmd/dacsim
@@ -76,6 +79,10 @@ sums=$(sort -u "$bin/scale.md5")
 if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
     echo "the sharded 4096 ladder printed more than one output:" >&2
     echo "$sums" >&2
+    exit 1
+fi
+if [ "${sums%% *}" != "$scale_md5" ]; then
+    echo "the sharded 4096 ladder reads md5 ${sums%% *}, pinned $scale_md5" >&2
     exit 1
 fi
 
