@@ -15,16 +15,31 @@
 //
 //	dacbench -out BENCH_2026-08-05.json
 //	dacbench -compare BENCH_baseline.json -candidate BENCH_new.json
+//
+// Check mode holds outputs to results/pins.json and prints one line per
+// violation, with the value it read, exiting 1 if there is any:
+//
+//	dacbench -check results/pins.json figs=figs.jsonl dyn-storm@trace1=d1.json ...
+//
+// A re-pin is a hand edit of pins.json that CHANGES.md states. An
+// allocation ceiling is the reading + 10 %, rounded up to 0.1, and a
+// re-pin only ever lowers it.
 package main
 
 import (
+	"crypto/md5"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"maps"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro"
@@ -229,13 +244,141 @@ func compare(baseline, candidate *Report) (shared int, failures []string) {
 	return shared, failures
 }
 
+// pins is the schema of results/pins.json: every byte and count pin,
+// keyed by the input that carries it. An MD5 key's file must hash to
+// its pin. A Dacperf key, "<workload>@trace<N>", is the last line of
+// `sh cmd/dacperf/bench.sh --workload W --seed 1 --seconds 6 --trace N`:
+// each Exact metric must read its value, each Max metric at most it.
+type pins struct {
+	MD5     map[string]string  `json:"md5"`
+	Dacperf map[string]perfPin `json:"dacperf"`
+}
+
+type perfPin struct {
+	Exact map[string]float64 `json:"exact"`
+	Max   map[string]float64 `json:"max"`
+}
+
+func loadPins(path string) (*pins, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var p pins
+	if err := dec.Decode(&p); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &p, nil
+}
+
+// checkPins checks each "key=path" input against its pin and returns one
+// line per violation, naming the key and the value read. An input with
+// no pin fails, and so does each pin with no input in a section some
+// input belongs to: an md5-only run needs no dacperf line, one needs all.
+func checkPins(p *pins, inputs []string) []string {
+	var bad []string
+	given := map[string]bool{}
+	var md5s, perfs bool
+	for _, in := range inputs {
+		key, path, _ := strings.Cut(in, "=")
+		given[key] = true
+		fail := func(format string, a ...any) { bad = append(bad, key+": "+fmt.Sprintf(format, a...)) }
+		sum, isMD5 := p.MD5[key]
+		pin, isPerf := p.Dacperf[key]
+		md5s, perfs = md5s || isMD5, perfs || isPerf
+		data, err := os.ReadFile(path)
+		switch {
+		case !isMD5 && !isPerf:
+			fail("no pin")
+		case err != nil:
+			fail("%v", err)
+		case isMD5:
+			if got := fmt.Sprintf("%x", md5.Sum(data)); got != sum {
+				fail("md5 %s, pinned %s", got, sum)
+			}
+		default:
+			checkPerf(data, pin, fail)
+		}
+	}
+	var want []string
+	if md5s {
+		want = slices.Sorted(maps.Keys(p.MD5))
+	}
+	if perfs {
+		want = append(want, slices.Sorted(maps.Keys(p.Dacperf))...)
+	}
+	for _, key := range want {
+		if !given[key] {
+			bad = append(bad, key+": pinned, no input")
+		}
+	}
+	return bad
+}
+
+func checkPerf(data []byte, pin perfPin, fail func(string, ...any)) {
+	var line struct {
+		Correct bool
+		Failed  json.RawMessage
+		Metrics map[string]struct{ Value float64 }
+	}
+	if err := json.Unmarshal(data, &line); err != nil {
+		fail("%v", err)
+		return
+	}
+	if !line.Correct {
+		fail("correct = false")
+	}
+	if string(line.Failed) != "0" {
+		fail("failed = %q, want 0", line.Failed)
+	}
+	// A missing metric reads +Inf, which no exact pin or ceiling admits.
+	read := func(name string) (float64, string) {
+		if m, ok := line.Metrics[name]; ok {
+			return m.Value, num(m.Value)
+		}
+		return math.Inf(1), "missing"
+	}
+	for _, name := range slices.Sorted(maps.Keys(pin.Exact)) {
+		if v, s := read(name); v != pin.Exact[name] {
+			fail("%s = %s, pinned %s", name, s, num(pin.Exact[name]))
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(pin.Max)) {
+		if v, s := read(name); v > pin.Max[name] {
+			fail("%s = %s, ceiling %s", name, s, num(pin.Max[name]))
+		}
+	}
+}
+
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
 func main() {
 	out := flag.String("out", "", "write a benchmark report to this file (default BENCH_<date>.json)")
 	trials := flag.Int("trials", 3, "trials per figure data point")
 	parallel := flag.Int("parallel", 0, "trial parallelism (0 = all cores); virtual times are identical at every level")
 	baselinePath := flag.String("compare", "", "baseline report; with -candidate, compare instead of recording")
 	candidatePath := flag.String("candidate", "", "candidate report to check against -compare")
+	pinsPath := flag.String("check", "", "pin file; check the key=path arguments against it instead of recording")
 	flag.Parse()
+
+	if *pinsPath != "" {
+		if flag.NArg() == 0 {
+			log.Fatal("dacbench: -check requires key=path arguments")
+		}
+		p, err := loadPins(*pinsPath)
+		if err != nil {
+			log.Fatalf("dacbench: %v", err)
+		}
+		if bad := checkPins(p, flag.Args()); len(bad) > 0 {
+			fmt.Println(strings.Join(bad, "\n"))
+			os.Exit(1)
+		}
+		fmt.Printf("all %d inputs match %s\n", flag.NArg(), *pinsPath)
+		return
+	}
 
 	if *baselinePath != "" {
 		if *candidatePath == "" {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,5 +93,90 @@ func TestRecordMatchesBaseline(t *testing.T) {
 	}
 	if len(failures) != 0 {
 		t.Fatalf("report differs from BENCH_baseline.json: %v", failures)
+	}
+}
+
+// Every rule of -check fails its case, and each failure line names the
+// key and the value it read; the pristine inputs pass, and so does an
+// md5-only run, which need not supply dacperf lines.
+func TestCheckPins(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	figs := write("figs.jsonl", "one capture\n")
+	scale := write("scale.txt", "one ladder\n")
+	perf := func(name string, correct bool, failed int) string {
+		return write(name, fmt.Sprintf(`{"correct":%v,"attempted":8,"failed":%d,"metrics":{`+
+			`"sim.events":{"value":2717934,"unit":"count"},"host_allocs_per_op":{"value":76.2,"unit":"count"}}}`,
+			correct, failed))
+	}
+	good := perf("good.json", true, 0)
+	pristine := func() *pins {
+		return &pins{
+			MD5: map[string]string{
+				"figs":               "284d5db3f032db8b708c5eeb64f69a37",
+				"scale-sharded-4096": "3be655b49486a758a69f5e8ff6b9f692",
+			},
+			Dacperf: map[string]perfPin{
+				"w@trace1": {Exact: map[string]float64{"sim.events": 2717934}},
+				"w@trace0": {Max: map[string]float64{"host_allocs_per_op": 83.8}},
+				"v@trace1": {},
+			},
+		}
+	}
+	md5In := []string{"figs=" + figs, "scale-sharded-4096=" + scale}
+	all := append([]string{"w@trace1=" + good, "w@trace0=" + good, "v@trace1=" + good}, md5In...)
+	for _, tc := range []struct {
+		name   string
+		edit   func(p *pins)
+		inputs []string
+		want   string // a substring of the one violation; "" for none
+	}{
+		{name: "pristine", inputs: all},
+		{name: "md5 only", inputs: md5In},
+		{name: "md5 off by one hex digit", inputs: all,
+			edit: func(p *pins) { p.MD5["figs"] = "284d5db3f032db8b708c5eeb64f69a38" },
+			want: "figs: md5 284d5db3f032db8b708c5eeb64f69a37, pinned 284d5db3f032db8b708c5eeb64f69a38"},
+		{name: "exact count off by one", inputs: all,
+			edit: func(p *pins) { p.Dacperf["w@trace1"].Exact["sim.events"]++ },
+			want: "w@trace1: sim.events = 2717934, pinned 2717935"},
+		{name: "ceiling below the reading", inputs: all,
+			edit: func(p *pins) { p.Dacperf["w@trace0"].Max["host_allocs_per_op"] = 76.1 },
+			want: "w@trace0: host_allocs_per_op = 76.2, ceiling 76.1"},
+		{name: "pinned metric missing", inputs: all,
+			edit: func(p *pins) { p.Dacperf["w@trace1"].Exact["maui.cycles"] = 15531 },
+			want: "w@trace1: maui.cycles = missing"},
+		{name: "correct false",
+			inputs: append([]string{"v@trace1=" + perf("incorrect.json", false, 0)}, all[:2]...),
+			want:   "v@trace1: correct = false"},
+		{name: "failed op",
+			inputs: append([]string{"v@trace1=" + perf("failed.json", true, 1)}, all[:2]...),
+			want:   `v@trace1: failed = "1", want 0`},
+		{name: "input with no pin", inputs: append([]string{"u@trace1=" + good}, all...),
+			want: "u@trace1: no pin"},
+		{name: "pin with no input", inputs: all[1:],
+			want: "w@trace1: pinned, no input"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := pristine()
+			if tc.edit != nil {
+				tc.edit(p)
+			}
+			bad := checkPins(p, tc.inputs)
+			switch {
+			case tc.want == "" && len(bad) != 0:
+				t.Fatalf("violations %q, want none", bad)
+			case tc.want != "" && (len(bad) != 1 || !strings.Contains(bad[0], tc.want)):
+				t.Fatalf("violations %q, want one containing %q", bad, tc.want)
+			}
+		})
+	}
+	if _, err := loadPins(filepath.Join("..", "..", "results", "pins.json")); err != nil {
+		t.Fatalf("results/pins.json: %v", err)
 	}
 }

@@ -6,9 +6,9 @@
 // framework by swapping this import.
 //
 // An Analyzer inspects one type-checked package at a time and reports
-// Diagnostics through its Pass. Drivers (cmd/daclint, the linttest
-// harness, the in-repo self-check test) construct the Pass, run the
-// analyzer, and decide how to surface the diagnostics.
+// Diagnostics through its Pass. Drivers (the linttest harness, the
+// in-repo self-check test) construct the Pass, run the analyzer, and
+// decide how to surface the diagnostics.
 package analysis
 
 import (

@@ -1,6 +1,6 @@
-// Package lint is daclint: a suite of static analyzers that enforce
-// the simulator's determinism and virtual-time invariants before they
-// can cost a flaky benchmark gate.
+// Package lint is the daclint suite that TestRepoPassesDaclint runs over
+// this module: static analyzers that enforce the simulator's determinism
+// and virtual-time invariants before they can cost a flaky benchmark gate.
 //
 // The suite (see Suite) ships four analyzers:
 //

@@ -35,7 +35,7 @@ var wantRe = regexp.MustCompile("//\\s*want\\s+(`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)
 // Run loads each named fixture package from testdata/src and applies
 // the analyzers to it, comparing diagnostics against the fixtures'
 // want comments. The analyzers run through lint.Run, so findings are
-// filtered and ordered exactly as cmd/daclint sees them.
+// filtered and ordered exactly as TestRepoPassesDaclint sees them.
 func Run(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkgname := range pkgs {

@@ -22,8 +22,8 @@ import (
 // cache, or export data is required. Packages are returned in import
 // path order.
 //
-// It is what `daclint [-json] <module-dir>` and the in-repo self-check
-// test run the suite over.
+// It is what the in-repo self-check TestRepoPassesDaclint runs the
+// suite over.
 func LoadModule(dir string) ([]*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

@@ -38,9 +38,9 @@ func loadRepo(t *testing.T) []*lint.Package {
 	return repo.pkgs
 }
 
-// TestRepoPassesDaclint is the self-check the CI lint gate mirrors:
-// the full suite over every package of this repository with zero
-// findings. A failure here means either a real determinism bug or a
+// TestRepoPassesDaclint is the lint gate (scripts/lint.sh runs it
+// alone, under a 30 s timeout): the full suite over every package of
+// this repository with zero findings. A failure here means either a real determinism bug or a
 // false positive to fix in the analyzer or its scope configuration.
 func TestRepoPassesDaclint(t *testing.T) {
 	if testing.Short() {

@@ -30,7 +30,7 @@ if [ -n "$writes" ]; then
     exit 1
 fi
 
-echo "==> daclint (+ staticcheck/govulncheck when installed)"
+echo "==> lint (daclint suite + staticcheck/govulncheck when installed)"
 sh scripts/lint.sh
 
 echo "==> go test -race -shuffle=on"
@@ -56,57 +56,42 @@ echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
 go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestSplitContextIDsAreTheSameEveryRun|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait|TestSimulationsShareNothingUnguarded' \
     ./internal/sim ./internal/mpi ./internal/core ./internal/service ./internal/pbs ./internal/maui
 
-# The largest run repeats byte for byte: the sharded 8 -> 4096 ladder,
-# three times (about 5 s each), and it is the pinned output. Each run
-# must also succeed: a run that fails the same way three times would
-# print one md5 too. A change that means to move the sharded path's
-# virtual time re-pins it and says why.
-scale_md5=54b87afde7ba96055133c8f59e176c96
-echo "==> dacsim -fig scale -scale-max 4096 -server sharded, 3 runs, md5 $scale_md5"
+# The two largest outputs repeat byte for byte, and each is pinned in
+# results/pins.json. The sharded 8 -> 4096 ladder runs three times
+# (about 5 s each). Every paper-figure trial records into its own
+# observer session, so the figures' capture is the same bytes at any
+# -parallel: three runs at the default and one serial run (about 0.3 s
+# each). Each run must also succeed: a run that fails the same way
+# every time would print one output too. A change that means to move
+# either output re-pins it there and says why.
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/dacsim" ./cmd/dacsim
+
+# failed WHAT RUN: print the run's stderr and fail.
+failed() {
+    echo "$1 exited non-zero (run $2):" >&2
+    cat "$bin/run.err" >&2
+    exit 1
+}
+
+echo "==> dacsim -fig scale -scale-max 4096 -server sharded, 3 runs"
 for run in 1 2 3; do
     "$bin/dacsim" -fig scale -scale-max 4096 -server sharded -parallel 1 \
-        >"$bin/scale.txt" 2>"$bin/scale.err" || {
-        echo "the sharded 4096 ladder exited non-zero (run $run):" >&2
-        cat "$bin/scale.err" >&2
-        exit 1
-    }
-    md5sum < "$bin/scale.txt" >> "$bin/scale.md5"
+        >"$bin/scale$run.txt" 2>"$bin/run.err" || failed "the sharded 4096 ladder" "$run"
+    cmp "$bin/scale1.txt" "$bin/scale$run.txt" >&2
 done
-sums=$(sort -u "$bin/scale.md5")
-if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
-    echo "the sharded 4096 ladder printed more than one output:" >&2
-    echo "$sums" >&2
-    exit 1
-fi
-if [ "${sums%% *}" != "$scale_md5" ]; then
-    echo "the sharded 4096 ladder reads md5 ${sums%% *}, pinned $scale_md5" >&2
-    exit 1
-fi
 
-# Every paper-figure trial records into its own observer session, so
-# the figures' capture is the same bytes at any -parallel: three runs at
-# the default and one serial run give one md5 (about 0.3 s each), and it
-# is the pinned one. A change that means to alter what the observers
-# record re-pins it and says why; any other change keeps every byte.
-figs_md5=85498b88ae587cebce253fd1283779ea
-echo "==> dacsim -fig all -observe trace,telemetry,audit -capture, 4 runs, md5 $figs_md5"
+echo "==> dacsim -fig all -observe trace,telemetry,audit -capture, 4 runs"
+run=0
 for parallel in 0 0 0 1; do
+    run=$((run + 1))
     "$bin/dacsim" -fig all -parallel "$parallel" -observe trace,telemetry,audit \
-        -capture "$bin/figs" >/dev/null 2>&1
-    md5sum < "$bin/figs.jsonl" >> "$bin/figs.md5"
+        -capture "$bin/figs$run" >/dev/null 2>"$bin/run.err" || failed "the paper figures at -parallel $parallel" "$run"
+    cmp "$bin/figs1.jsonl" "$bin/figs$run.jsonl" >&2
 done
-sums=$(sort -u "$bin/figs.md5")
-if [ "$(echo "$sums" | wc -l)" -ne 1 ]; then
-    echo "the paper figures' capture differs between runs:" >&2
-    echo "$sums" >&2
-    exit 1
-fi
-if [ "${sums%% *}" != "$figs_md5" ]; then
-    echo "the paper figures' capture reads md5 ${sums%% *}, pinned $figs_md5" >&2
-    exit 1
-fi
+
+echo "==> dacbench -check results/pins.json"
+go run ./cmd/dacbench -check results/pins.json figs="$bin/figs1.jsonl" scale-sharded-4096="$bin/scale1.txt"
 
 echo "==> checks passed"
