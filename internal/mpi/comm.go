@@ -14,8 +14,8 @@ import (
 //
 // A Comm value is process-local state; the processes of a
 // communicator each hold their own handle sharing the context id.
-// group and remote are never written once a handle is built (Merge,
-// Shrink and Split build new slices), so handles and the descriptors
+// group and remote are never written once a handle is built (Merge
+// and Shrink build new slices), so handles and the descriptors
 // that carry a communicator between processes share them.
 type Comm struct {
 	rt     *Runtime
@@ -161,7 +161,6 @@ const (
 	tagBarrierIn  = -100
 	tagBarrierOut = -101
 	tagBcast      = -102
-	tagGather     = -103
 	tagMergeInfo  = -105
 	tagDiscon     = -106
 )
@@ -223,30 +222,6 @@ func (c *Comm) Bcast(root int, payload any, size int) (any, error) {
 		return nil, err
 	}
 	return st.Payload, nil
-}
-
-// Gather collects one value per rank at root. At root it returns the
-// values indexed by rank; elsewhere it returns nil.
-func (c *Comm) Gather(root int, payload any, size int) ([]any, error) {
-	if err := c.ok(); err != nil {
-		return nil, err
-	}
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("%w: gather root %d", ErrInvalidRank, root)
-	}
-	if c.rank != root {
-		return nil, c.Send(root, tagGather, payload, size)
-	}
-	out := make([]any, c.Size())
-	out[root] = payload
-	for i := 0; i < c.Size()-1; i++ {
-		st, err := c.Recv(AnySource, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[st.Source] = st.Payload
-	}
-	return out, nil
 }
 
 // commDesc is the serialized form of a communicator sent in

@@ -237,37 +237,6 @@ func TestBcastDistributes(t *testing.T) {
 	}
 }
 
-func TestGatherCollects(t *testing.T) {
-	s, rt, n := testRuntime(t, Config{})
-	err := s.Run(func() {
-		defer n.Close()
-		const np = 4
-		j := newJoin(s, np)
-		rt.LaunchWorld([]string{"h0", "h1", "h2", "h3"}, "w", func(p *Proc) {
-			defer j.done()
-			r := p.World().Rank()
-			vals, err := p.World().Gather(0, r*r, 8)
-			if err != nil {
-				t.Errorf("Gather: %v", err)
-				return
-			}
-			if r == 0 {
-				for i, v := range vals {
-					if v.(int) != i*i {
-						t.Errorf("vals[%d] = %v, want %d", i, v, i*i)
-					}
-				}
-			} else if vals != nil {
-				t.Errorf("non-root got %v", vals)
-			}
-		})
-		j.wait()
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestBcastInvalidRoot(t *testing.T) {
 	s, rt, n := testRuntime(t, Config{})
 	err := s.Run(func() {
@@ -276,9 +245,6 @@ func TestBcastInvalidRoot(t *testing.T) {
 		rt.Launch("h0", "app", func(p *Proc) {
 			defer j.done()
 			if _, err := p.World().Bcast(5, nil, 0); !errors.Is(err, ErrInvalidRank) {
-				t.Errorf("err = %v", err)
-			}
-			if _, err := p.World().Gather(-1, nil, 0); !errors.Is(err, ErrInvalidRank) {
 				t.Errorf("err = %v", err)
 			}
 		})

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/netsim"
 )
@@ -181,97 +180,6 @@ func (c *Comm) Shrink(keep []int, gen int) (*Comm, error) {
 		rank:  myRank,
 		group: group,
 	}, nil
-}
-
-// Split partitions an intracommunicator by color (MPI_Comm_split):
-// members sharing a color form a new intracommunicator, ranked by
-// (key, old rank). Every member must call Split; color < 0
-// (MPI_UNDEFINED) returns nil for that member. The operation is
-// deterministic and local apart from a gather/broadcast at rank 0,
-// mirroring the collective's cost.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	if err := c.ok(); err != nil {
-		return nil, err
-	}
-	if c.IsInter() {
-		return nil, fmt.Errorf("mpi: Split on an intercommunicator")
-	}
-	cb := c.rt.cfg.ControlBytes
-	mine := splitEntry{color: color, key: key, rank: c.rank, procID: c.group[c.rank]}
-	all, err := c.Gather(0, mine, cb)
-	if err != nil {
-		return nil, err
-	}
-	var groupsV any
-	if c.rank == 0 {
-		// Partition by color; order by (key, rank).
-		byColor := make(map[int][]splitEntry)
-		for _, v := range all {
-			e := v.(splitEntry)
-			if e.color < 0 {
-				continue
-			}
-			byColor[e.color] = append(byColor[e.color], e)
-		}
-		groups := make(map[int][]int) // color -> proc ids in new rank order
-		ids := make(map[int]string)
-		// Colours in ascending order, so each gets the same context id
-		// every run.
-		cols := make([]int, 0, len(byColor))
-		for col := range byColor {
-			cols = append(cols, col)
-		}
-		sort.Ints(cols)
-		for _, col := range cols {
-			es := byColor[col]
-			sort.SliceStable(es, func(a, b int) bool {
-				if es[a].key != es[b].key {
-					return es[a].key < es[b].key
-				}
-				return es[a].rank < es[b].rank
-			})
-			procs := make([]int, len(es))
-			for i, e := range es {
-				procs[i] = e.procID
-			}
-			groups[col] = procs
-			ids[col] = c.rt.newCommID()
-		}
-		groupsV = splitPlan{groups: groups, ids: ids}
-	}
-	v, err := c.Bcast(0, groupsV, cb)
-	if err != nil {
-		return nil, err
-	}
-	if color < 0 {
-		return nil, nil
-	}
-	plan := v.(splitPlan)
-	procs := plan.groups[color]
-	p, err := c.myProc()
-	if err != nil {
-		return nil, err
-	}
-	rank := -1
-	for i, id := range procs {
-		if id == p.id {
-			rank = i
-			break
-		}
-	}
-	if rank < 0 {
-		return nil, fmt.Errorf("mpi: Split plan missing caller (color %d)", color)
-	}
-	return &Comm{rt: c.rt, id: plan.ids[color], rank: rank, group: append([]int(nil), procs...)}, nil
-}
-
-// splitEntry is each member's contribution to a Split.
-type splitEntry struct{ color, key, rank, procID int }
-
-// splitPlan is the broadcast result of a Split at rank 0.
-type splitPlan struct {
-	groups map[int][]int
-	ids    map[int]string
 }
 
 // mergeInfo is exchanged root-to-root during Merge.

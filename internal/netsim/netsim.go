@@ -1,12 +1,12 @@
 // Package netsim models the cluster interconnect of the Dynamic
 // Accelerator-Cluster architecture: named endpoints exchanging
-// messages with configurable per-link latency and bandwidth, with
-// optional pipelining of bulk transfers as described in Rinke et al.
+// messages over one fabric-wide latency and bandwidth, with optional
+// pipelining of bulk transfers as described in Rinke et al.
 // (ICPPW'12) and referenced by the paper's Section II-C.
 //
 // Delivery is reliable and in order per sender/receiver pair (the
-// simulation kernel breaks timestamp ties in FIFO order). Endpoints
-// can be disconnected to inject failures.
+// simulation kernel breaks timestamp ties in FIFO order). Hosts can be
+// taken down to inject failures.
 //
 // A message is a value once it lands: the fabric owns its flight from
 // send until the delivery event returns, then reuses it, and receivers
@@ -29,14 +29,13 @@ import (
 
 // Common errors returned by endpoint operations.
 var (
-	ErrClosed       = errors.New("netsim: endpoint closed")
-	ErrTimeout      = errors.New("netsim: receive timed out")
-	ErrUnknownPeer  = errors.New("netsim: unknown destination endpoint")
-	ErrDisconnected = errors.New("netsim: endpoint disconnected")
+	ErrClosed      = errors.New("netsim: endpoint closed")
+	ErrTimeout     = errors.New("netsim: receive timed out")
+	ErrUnknownPeer = errors.New("netsim: unknown destination endpoint")
 )
 
-// LinkParams describes the performance of a link (or of the whole
-// fabric when used as the network default).
+// LinkParams describes the performance of the fabric: every directed
+// pair of endpoints sends over the same parameters.
 type LinkParams struct {
 	// Latency is the one-way propagation plus protocol-stack delay
 	// for a message of any size.
@@ -112,9 +111,8 @@ type Stats struct {
 	Dropped      int64
 }
 
-// Network is the simulated fabric. Create endpoints with Endpoint,
-// override per-link parameters with SetLink, and tear everything down
-// with Close.
+// Network is the simulated fabric. Create endpoints with Endpoint, fail
+// hosts with SetHostDown, and tear everything down with Close.
 type Network struct {
 	sim *sim.Simulation
 	def LinkParams
@@ -127,13 +125,9 @@ type Network struct {
 	endpoints map[string]*Endpoint
 	// pairs holds the state of every directed pair both of whose ends
 	// are live, keyed by the sending endpoint and the destination's
-	// name: one lookup on the send path finds the FIFO floor, the link
-	// and the destination.
+	// name: one lookup on the send path finds the FIFO floor and the
+	// destination.
 	pairs map[pairKey]*pairState
-	// links holds the SetLink overrides by (from, to) name. It is
-	// configuration, not state: an override outlives the endpoints it
-	// names, while the pair states above live and die with them.
-	links map[[2]string]LinkParams
 	// Landed flights, released endpoints and pair states wait here for
 	// the next send, Endpoint or first send. The lists belong to the
 	// fabric, not to a sync.Pool: the slot guards them, a gate is bound to
@@ -144,18 +138,15 @@ type Network struct {
 	freeEndpoints []*Endpoint
 	freePairs     []*pairState
 	nameSeq       int
-	down          map[string]bool
-	downHosts     map[string]bool
-	rng           *sim.RNG
-	trace         func(*Message)
-	spanNames     map[string]string // "msg."+tag by tag: delivery span names
-	stats         Stats
-	inst          *netInstruments
-	// The two flags sit together after the pointer-wide fields so the
-	// struct carries no reducible padding (pinned by the layout test
-	// in internal/lint).
-	anyDown bool // fast-path guard: no endpoint or host is down
-	closed  bool
+	// downHosts holds the hosts that are down, and only those: a revive
+	// deletes the entry, so an empty map is a healthy fabric.
+	downHosts map[string]bool
+	rng       *sim.RNG
+	trace     func(*Message)
+	spanNames map[string]string // "msg."+tag by tag: delivery span names
+	stats     Stats
+	inst      *netInstruments
+	closed    bool
 }
 
 type pairKey struct {
@@ -165,14 +156,13 @@ type pairKey struct {
 
 // pairState folds everything the per-message send path needs for one
 // directed sender/receiver pair into a single map entry: the
-// destination, the link parameters in effect and the FIFO floor that
-// keeps jittered (or differently sized) messages from overtaking earlier
-// ones. A pair state exists while both its ends do. It sits on two
-// lists, its sender's and its destination's, so that releasing either
-// end finds it — and takes it off the surviving end's list — without an
-// index that would cost every endpoint an allocation.
+// destination and the FIFO floor that keeps jittered (or differently
+// sized) messages from overtaking earlier ones. A pair state exists
+// while both its ends do. It sits on two lists, its sender's and its
+// destination's, so that releasing either end finds it — and takes it
+// off the surviving end's list — without an index that would cost every
+// endpoint an allocation.
 type pairState struct {
-	p       LinkParams
 	lastDue time.Duration
 	// names is the netsim.pairs digest state after the from and to
 	// names, kept only when a recorder is installed (pairTerm).
@@ -219,16 +209,14 @@ type netInstruments struct {
 }
 
 // New creates a network over the given simulation with def as the
-// default link parameters.
+// fabric's link parameters.
 func New(s *sim.Simulation, def LinkParams) *Network {
 	n := &Network{
 		sim:       s,
 		def:       def,
 		endpoints: make(map[string]*Endpoint),
 		pairs:     make(map[pairKey]*pairState),
-		links:     make(map[[2]string]LinkParams),
 		spanNames: make(map[string]string),
-		down:      make(map[string]bool),
 		downHosts: make(map[string]bool),
 		rng:       sim.NewRNG(1),
 	}
@@ -277,11 +265,11 @@ func (n *Network) Seed(seed uint64) {
 }
 
 // jitter perturbs a transfer time by ±JitterFrac.
-func (n *Network) jitter(d time.Duration, p LinkParams) time.Duration {
-	if p.JitterFrac <= 0 || d <= 0 {
+func (n *Network) jitter(d time.Duration) time.Duration {
+	if n.def.JitterFrac <= 0 || d <= 0 {
 		return d
 	}
-	f := 1 + p.JitterFrac*(2*n.rng.Float64()-1)
+	f := 1 + n.def.JitterFrac*(2*n.rng.Float64()-1)
 	if f < 0 {
 		f = 0
 	}
@@ -385,7 +373,6 @@ func (n *Network) newPair(e, dst *Endpoint) *pairState {
 		ps = new(pairState)
 		ps.out.ps, ps.in.ps = ps, ps
 	}
-	ps.p = n.link(e.name, dst.name)
 	ps.lastDue = 0
 	if n.aud != nil {
 		ps.names = audit.Digest{}
@@ -397,39 +384,6 @@ func (n *Network) newPair(e, dst *Endpoint) *pairState {
 	ps.in.push(&dst.in)
 	n.pairs[pairKey{e, dst.name}] = ps
 	return ps
-}
-
-// link reports the parameters of the directed link from -> to:
-// the SetLink override if there is one, the fabric default otherwise.
-func (n *Network) link(from, to string) LinkParams {
-	if p, ok := n.links[[2]string{from, to}]; ok {
-		return p
-	}
-	return n.def
-}
-
-// SetLink overrides parameters for the directed link from -> to. The
-// override is kept by name: it applies to endpoints created later and
-// survives the release of either end.
-func (n *Network) SetLink(from, to string, p LinkParams) {
-	n.links[[2]string{from, to}] = p
-	if ps, ok := n.pairs[pairKey{n.endpoints[from], to}]; ok {
-		ps.p = p
-	}
-}
-
-// LinkParams reports the parameters in effect for the directed link
-// from -> to.
-func (n *Network) LinkParams(from, to string) LinkParams {
-	return n.link(from, to)
-}
-
-// SetDown marks an endpoint as disconnected (true) or reachable
-// (false). Messages to or from a disconnected endpoint are dropped
-// silently, as on a real unreliable fabric; higher layers time out.
-func (n *Network) SetDown(name string, down bool) {
-	n.down[name] = down
-	n.refreshAnyDown()
 }
 
 // HostOf extracts the host component from an endpoint name. By
@@ -445,38 +399,22 @@ func HostOf(endpoint string) string {
 
 // SetHostDown fails (or revives) an entire host: every endpoint whose
 // name ends in "@host" is disconnected, emulating a node crash or
-// network partition of that node.
+// network partition of that node. A host-less endpoint is its own host.
+// Messages to or from a disconnected endpoint are dropped silently, as
+// on a real unreliable fabric; higher layers time out.
 func (n *Network) SetHostDown(host string, down bool) {
-	n.downHosts[host] = down
-	n.refreshAnyDown()
-}
-
-// refreshAnyDown recomputes the anyDown fast-path flag. Failure
-// injection is rare, so the per-message reachability check should cost
-// one boolean read on a healthy fabric instead of two map lookups plus
-// a HostOf split.
-func (n *Network) refreshAnyDown() {
-	n.anyDown = false
-	for _, d := range n.down {
-		if d {
-			n.anyDown = true
-			return
-		}
-	}
-	for _, d := range n.downHosts {
-		if d {
-			n.anyDown = true
-			return
-		}
+	if down {
+		n.downHosts[host] = true
+	} else {
+		delete(n.downHosts, host)
 	}
 }
 
-// unreachable reports whether an endpoint is currently cut off.
+// unreachable reports whether an endpoint is currently cut off. Failure
+// injection is rare, so on a healthy fabric the per-message check is a
+// length read instead of a map lookup plus a HostOf split.
 func (n *Network) unreachable(endpoint string) bool {
-	if !n.anyDown {
-		return false
-	}
-	return n.down[endpoint] || n.downHosts[HostOf(endpoint)]
+	return len(n.downHosts) != 0 && n.downHosts[HostOf(endpoint)]
 }
 
 // Stats returns a snapshot of fabric counters.
@@ -585,9 +523,9 @@ func (e *Endpoint) Name() string { return e.name }
 
 // Send transmits payload to the named endpoint. size is the simulated
 // wire size in bytes (headers are negligible; pass 0 for pure control
-// messages). Send never blocks; delivery happens after the link's
+// messages). Send never blocks; delivery happens after the fabric's
 // transfer time. Sending to an unknown endpoint is an error; sending
-// to or from a disconnected endpoint silently drops the message.
+// to or from an endpoint on a down host silently drops the message.
 func (e *Endpoint) Send(to, tag string, payload any, size int) error {
 	return e.send(to, tag, payload, size, false, 0)
 }
@@ -632,7 +570,7 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 	n.stats.MessagesSent++
 	n.stats.BytesSent += int64(size)
 	now := n.sim.Now()
-	delay := n.jitter(ps.p.TransferTime(size, pipelined), ps.p)
+	delay := n.jitter(n.def.TransferTime(size, pipelined))
 	// A later message must not overtake an earlier one on the same
 	// pair (MPI's non-overtaking guarantee) — jitter or a smaller
 	// payload could otherwise reorder deliveries.

@@ -219,10 +219,12 @@ func TestCloseUnblocksReceiver(t *testing.T) {
 	})
 }
 
-func TestSetDownDropsMessages(t *testing.T) {
+// A host-less endpoint is its own host: taking host "b" down cuts
+// endpoint "b" off, and reviving it leaves no down host behind.
+func TestHostDownDropsMessages(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b := n.Endpoint("a"), n.Endpoint("b")
-		n.SetDown("b", true)
+		n.SetHostDown("b", true)
 		if err := a.Send("b", "lost", 1, 10); err != nil {
 			t.Fatalf("Send to down peer should not error, got %v", err)
 		}
@@ -230,7 +232,10 @@ func TestSetDownDropsMessages(t *testing.T) {
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("expected drop + timeout, got %v", err)
 		}
-		n.SetDown("b", false)
+		n.SetHostDown("b", false)
+		if len(n.downHosts) != 0 {
+			t.Fatalf("downHosts after revive = %v, want empty", n.downHosts)
+		}
 		a.Send("b", "ok", 2, 0)
 		if m, err := b.Recv(); err != nil || m.Payload.(int) != 2 {
 			t.Fatalf("after reconnect: %v, %v", m, err)
@@ -245,31 +250,10 @@ func TestMidFlightPartitionDrops(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b := n.Endpoint("a"), n.Endpoint("b")
 		a.Send("b", "inflight", 1, 0) // delivers at t=1ms
-		n.SetDown("b", true)          // partition before delivery
+		n.SetHostDown("b", true)      // partition before delivery
 		_, err := b.RecvTimeout(10 * time.Millisecond)
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("expected mid-flight drop, got %v", err)
-		}
-	})
-}
-
-func TestPerLinkOverride(t *testing.T) {
-	run(t, func(s *sim.Simulation, n *Network) {
-		a, b := n.Endpoint("a"), n.Endpoint("b")
-		n.SetLink("a", "b", LinkParams{Latency: 100 * time.Millisecond})
-		start := s.Now()
-		a.Send("b", "slow", nil, 0)
-		if _, err := b.Recv(); err != nil {
-			t.Fatalf("Recv: %v", err)
-		}
-		if got := s.Now() - start; got != 100*time.Millisecond {
-			t.Fatalf("latency = %v, want 100ms", got)
-		}
-		if p := n.LinkParams("a", "b"); p.Latency != 100*time.Millisecond {
-			t.Fatalf("LinkParams = %+v", p)
-		}
-		if p := n.LinkParams("b", "a"); p.Latency != time.Millisecond {
-			t.Fatalf("reverse link should use default, got %+v", p)
 		}
 	})
 }

@@ -89,42 +89,6 @@ func TestReleaseTwiceIsNoop(t *testing.T) {
 	})
 }
 
-// A SetLink override is configuration by name: it survives the release
-// of either end and applies again to an endpoint created under the name.
-func TestSetLinkSurvivesRelease(t *testing.T) {
-	run(t, func(s *sim.Simulation, n *Network) {
-		slow := LinkParams{Latency: 100 * time.Millisecond}
-		a, b := n.Endpoint("a"), n.Endpoint("b")
-		n.SetLink("a", "b", slow)
-		a.Send("b", "t", nil, 0)
-		if m, _ := b.Recv(); m.Delivered-m.Sent != slow.Latency {
-			t.Errorf("override not in effect: %v", m.Delivered-m.Sent)
-			return
-		}
-		n.Release(b)
-		if p := n.LinkParams("a", "b"); p != slow {
-			t.Errorf("override lost with the peer: %+v", p)
-			return
-		}
-		b = n.Endpoint("b")
-		a.Send("b", "t", nil, 0)
-		if m, _ := b.Recv(); m.Delivered-m.Sent != slow.Latency {
-			t.Errorf("override not applied to the new endpoint: %v", m.Delivered-m.Sent)
-			return
-		}
-		n.Release(a)
-		a = n.Endpoint("a")
-		n.SetLink("a", "b", LinkParams{Latency: 7 * time.Millisecond}) // a live pair follows a new override
-		a.Send("b", "t", nil, 0)
-		a.Send("b", "t", nil, 0)
-		b.Recv()
-		if m, _ := b.Recv(); m.Delivered-m.Sent != 7*time.Millisecond {
-			t.Errorf("second override: %v", m.Delivered-m.Sent)
-			return
-		}
-	})
-}
-
 // Property: random open / send / release / reuse sequences leave the
 // fabric agreeing with a reference model that is three maps and no
 // sharing — which names resolve, which directed pairs exist, and the

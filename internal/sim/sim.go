@@ -292,7 +292,7 @@ func (s *Simulation) Now() time.Duration {
 // spawn builds no string: the parts are held by value and joined only
 // when somebody reads the name, which is when the actor panics.
 type ActorName struct {
-	Kind    string // what the actor does: "task", "daemon-start", "irecv", ...
+	Kind    string // what the actor does: "task", "daemon-start", ...
 	Subject string // what it does it for, typically a job id
 	Host    string // where it runs
 }
