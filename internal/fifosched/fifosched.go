@@ -41,11 +41,11 @@ func DefaultParams() Params {
 
 // Scheduler is the pbs_sched daemon.
 type Scheduler struct {
-	net      *netsim.Network
-	sim      *sim.Simulation
-	ep       *netsim.Endpoint
-	serverEP string
-	params   Params
+	net    *netsim.Network
+	sim    *sim.Simulation
+	ep     *netsim.Endpoint
+	server netsim.Addr
+	params Params
 
 	// view mirrors the server's nodes and jobs; see pbs.Mirror.
 	view pbs.Mirror
@@ -60,11 +60,11 @@ func New(net *netsim.Network, serverEP string, params Params) *Scheduler {
 		params.Endpoint = "pbs_sched"
 	}
 	return &Scheduler{
-		net:      net,
-		sim:      net.Sim(),
-		ep:       net.Endpoint(params.Endpoint),
-		serverEP: serverEP,
-		params:   params,
+		net:    net,
+		sim:    net.Sim(),
+		ep:     net.Endpoint(params.Endpoint),
+		server: net.Resolve(serverEP),
+		params: params,
 	}
 }
 
@@ -110,7 +110,7 @@ type free struct {
 }
 
 func (sc *Scheduler) runCycle() bool {
-	info, err := sc.view.Fetch(sc.ep, sc.serverEP)
+	info, err := sc.view.Fetch(sc.ep, &sc.server)
 	if err != nil {
 		return false
 	}
@@ -229,5 +229,5 @@ func (sc *Scheduler) place(spec pbs.JobSpec, jobID string, pool *free) ([]string
 }
 
 func (sc *Scheduler) send(payload any) {
-	_ = sc.ep.Send(sc.serverEP, "pbs", payload, 0)
+	_ = sc.ep.SendTo(&sc.server, "pbs", payload, 0, 0)
 }

@@ -74,8 +74,8 @@ func (sc *Scheduler) digestSched(d *audit.Digest) {
 	d.WriteInt(sc.stats.DynGranted)
 	d.WriteInt(sc.stats.DynRejected)
 	d.WriteInt(sc.stats.Backfilled)
-	owners := make([]string, 0, len(sc.usage))
-	for o := range sc.usage {
+	owners := make([]string, 0, len(sc.owners))
+	for o := range sc.owners {
 		owners = append(owners, o)
 	}
 	sort.Strings(owners)
@@ -85,6 +85,6 @@ func (sc *Scheduler) digestSched(d *audit.Digest) {
 		// Quantize to microshares: the fairshare ledger is a float
 		// accumulator, and hashing raw bits would make the digest
 		// hostage to non-semantic last-ulp noise.
-		d.WriteInt(int64(sc.usage[o] * 1e6))
+		d.WriteInt(int64(sc.Usage(o) * 1e6))
 	}
 }

@@ -108,20 +108,23 @@ func (st Stats) CycleTimeMean() time.Duration {
 
 // Scheduler is the Maui daemon.
 type Scheduler struct {
-	net      *netsim.Network
-	sim      *sim.Simulation
-	ep       *netsim.Endpoint
-	serverEP string
-	params   Params
-	inst     schedInstruments
+	net    *netsim.Network
+	sim    *sim.Simulation
+	ep     *netsim.Endpoint
+	server netsim.Addr
+	params Params
+	inst   schedInstruments
 	// aud is the flight recorder (nil when auditing is off), and
 	// auditAfterCycle is a test hook run after each cycle's checks.
 	// See audit.go.
 	aud             *audit.Recorder
 	auditAfterCycle func()
 
-	usage map[string]float64 // owner -> decayed node-seconds
-	stats Stats
+	// usage is the fairshare ledger, decayed node-seconds by owner:
+	// owners gives an owner its index when first charged.
+	owners map[string]int
+	usage  []float64
+	stats  Stats
 
 	heads heads // the cycle's priority order (order.go): scheduler actor only
 
@@ -154,12 +157,12 @@ func New(net *netsim.Network, serverEP string, params Params) *Scheduler {
 	}
 	reg := net.Sim().Telemetry()
 	sc := &Scheduler{
-		net:      net,
-		sim:      net.Sim(),
-		ep:       net.Endpoint(params.Endpoint),
-		serverEP: serverEP,
-		params:   params,
-		usage:    make(map[string]float64),
+		net:    net,
+		sim:    net.Sim(),
+		ep:     net.Endpoint(params.Endpoint),
+		server: net.Resolve(serverEP),
+		params: params,
+		owners: make(map[string]int),
 		inst: schedInstruments{
 			cycle:      reg.Histogram("maui.cycle"),
 			occupancy:  reg.Occupancy("maui.occupancy"),
@@ -184,7 +187,21 @@ func (sc *Scheduler) Stats() Stats {
 
 // Usage returns the decayed fairshare usage of an owner.
 func (sc *Scheduler) Usage(owner string) float64 {
-	return sc.usage[owner]
+	if i, ok := sc.owners[owner]; ok {
+		return sc.usage[i]
+	}
+	return 0
+}
+
+// owner returns the owner's index in the ledger, indexing a new owner.
+func (sc *Scheduler) owner(name string) int {
+	i, ok := sc.owners[name]
+	if !ok {
+		i = len(sc.usage)
+		sc.owners[name] = i
+		sc.usage = append(sc.usage, 0)
+	}
+	return i
 }
 
 // Start spawns the scheduler actor: cycles run on kicks from the
@@ -255,7 +272,7 @@ func (sc *Scheduler) cycle() bool {
 // answer already holds every placement and grant sent before it.
 func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	fetch := cyc.Child("fetch")
-	info, err := sc.view.Fetch(sc.ep, sc.serverEP)
+	info, err := sc.view.Fetch(sc.ep, &sc.server)
 	fetch.End()
 	if err != nil {
 		return nil, err
@@ -264,8 +281,8 @@ func (sc *Scheduler) beginCycle(cyc *trace.Span) (*pbs.SchedInfoResp, error) {
 	sc.sim.Sleep(sc.params.CycleOverhead)
 	sc.stats.Cycles++
 	if sc.params.FairshareDecay > 0 {
-		for k := range sc.usage {
-			sc.usage[k] *= sc.params.FairshareDecay
+		for i := range sc.usage {
+			sc.usage[i] *= sc.params.FairshareDecay
 		}
 	}
 	if info.Queued == 0 && len(info.Dyn) == 0 {
@@ -479,12 +496,12 @@ func (sc *Scheduler) place(j *pbs.MirrorJob, hosts []string, acc [][]string, pha
 	if charge <= 0 {
 		charge = float64(j.Spec.Nodes)
 	}
-	sc.usage[j.Spec.Owner] += charge
+	sc.usage[sc.owner(j.Spec.Owner)] += charge
 	sc.sendCause(pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc, Cause: sp.ID()}, sp.ID())
 }
 
 // sendCause sends a command to the server, carrying the trace-span id
 // of the scheduling decision that produced it.
 func (sc *Scheduler) sendCause(payload any, cause uint64) {
-	_ = sc.ep.SendCause(sc.serverEP, "pbs", payload, 0, cause)
+	_ = sc.ep.SendTo(&sc.server, "pbs", payload, 0, cause)
 }

@@ -51,7 +51,7 @@ func (sc *Scheduler) startOrder(now time.Duration) {
 	sc.heads = sc.heads[:0]
 	for _, g := range sc.view.Groups {
 		if len(g.Jobs) > 0 {
-			sc.heads = append(sc.heads, head{g: g, usage: sc.usage[g.Owner]})
+			sc.heads = append(sc.heads, head{g: g, usage: sc.Usage(g.Owner)})
 			sc.score(&sc.heads[len(sc.heads)-1], now)
 		}
 	}

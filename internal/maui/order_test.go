@@ -87,14 +87,14 @@ func TestMergedOrderIsTheStableSortByPriority(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			p.FairshareWeight = -p.FairshareWeight
 		}
-		sc := &Scheduler{params: p, usage: map[string]float64{}}
+		sc := &Scheduler{params: p, owners: map[string]int{}}
 		owners := 1 + rng.Intn(5)
 		for o := 0; o < owners; o++ {
 			u := float64(rng.Intn(100)) * rng.Float64()
 			for d := rng.Intn(60); d > 0; d-- {
 				u *= 0.95
 			}
-			sc.usage[fmt.Sprintf("u%d", o)] = u
+			sc.usage[sc.owner(fmt.Sprintf("u%d", o))] = u
 		}
 		var at time.Duration
 		jobs := make([]*pbs.SchedJobView, rng.Intn(200))
@@ -126,7 +126,7 @@ func TestMergedOrderIsTheStableSortByPriority(t *testing.T) {
 		var ranked []rankedJob
 		for i, j := range jobs {
 			if queued[i] {
-				ranked = append(ranked, rankedJob{prio: sc.priority(j.Spec.Priority, now-j.SubmittedAt, sc.usage[j.Spec.Owner]), idx: i})
+				ranked = append(ranked, rankedJob{prio: sc.priority(j.Spec.Priority, now-j.SubmittedAt, sc.Usage(j.Spec.Owner)), idx: i})
 			}
 		}
 		slices.SortStableFunc(ranked, func(a, b rankedJob) int { return cmp.Compare(b.prio, a.prio) })

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,34 +14,44 @@ import (
 // comes from the fabric's free list, delivery is scheduled through the
 // kernel's closure-free AfterArg path, and the endpoint queue and gate
 // waiter storage are reused across hops. The payload is a constant, so
-// its interface conversion uses static storage.
+// its interface conversion uses static storage. A send by name and one
+// through a resolved handle are the two inputs.
 func TestMessageHopZeroAlloc(t *testing.T) {
-	s := sim.New()
-	var allocs float64
-	err := s.Run(func() {
-		n := New(s, LinkParams{Latency: time.Microsecond})
-		a := n.Endpoint("a")
-		b := n.Endpoint("b")
-		defer a.Close()
-		defer b.Close()
-		hop := func() {
-			if err := a.Send("b", "ping", "payload", 64); err != nil {
-				t.Errorf("Send: %v", err)
+	for _, byName := range []bool{true, false} {
+		s := sim.New()
+		var allocs float64
+		err := s.Run(func() {
+			n := New(s, LinkParams{Latency: time.Microsecond})
+			a := n.Endpoint("a")
+			b := n.Endpoint("b")
+			defer a.Close()
+			defer b.Close()
+			to := n.Resolve("b")
+			hop := func() {
+				var err error
+				if byName {
+					err = a.Send("b", "ping", "payload", 64)
+				} else {
+					err = a.SendTo(&to, "ping", "payload", 64, 0)
+				}
+				if err != nil {
+					t.Errorf("Send: %v", err)
+				}
+				if _, err := b.Recv(); err != nil {
+					t.Errorf("Recv: %v", err)
+				}
 			}
-			if _, err := b.Recv(); err != nil {
-				t.Errorf("Recv: %v", err)
+			for i := 0; i < 16; i++ { // warm the free list, queues, pools and handle
+				hop()
 			}
+			allocs = testing.AllocsPerRun(200, hop)
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
 		}
-		for i := 0; i < 16; i++ { // warm the free list, queues, and pools
-			hop()
+		if allocs != 0 {
+			t.Fatalf("message hop steady state (by name %v): %v allocs/op, want 0", byName, allocs)
 		}
-		allocs = testing.AllocsPerRun(200, hop)
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if allocs != 0 {
-		t.Fatalf("message hop steady state: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -77,7 +88,7 @@ func TestPairsDigestCoversLivePairsAllocatesNothing(t *testing.T) {
 				var h audit.Digest
 				h.WriteString(k[0])
 				h.WriteString(k[1])
-				h.WriteInt(int64(n.pairs[pairKey{eps[k[0]], k[1]}].lastDue))
+				h.WriteInt(int64(n.pairs[pairID(eps[k[0]], eps[k[1]])].lastDue))
 				sum += h.Sum()
 			}
 			d := new(audit.Digest)
@@ -201,4 +212,49 @@ func TestEveryFlightLands(t *testing.T) {
 			t.Errorf("%d flights free after 51 more rounds, want %d", len(n.freeFlights), warm)
 		}
 	})
+}
+
+// BenchmarkSendByName times a round of sends by name to 1,024
+// destinations from one sender (senders=1) or from two in turn; the
+// drain that follows each round is not timed. Run it on two trees to
+// compare what a send by name costs:
+//
+//	go test -run '^$' -bench SendByName -benchtime 300x -count 3 ./internal/netsim
+func BenchmarkSendByName(b *testing.B) {
+	for _, senders := range []int{1, 2} {
+		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
+			s := sim.New()
+			err := s.Run(func() {
+				n := New(s, LinkParams{Latency: time.Microsecond})
+				defer n.Close()
+				src := []*Endpoint{n.Endpoint("pbs/server"), n.Endpoint("pbs_sched")}
+				dst := make([]*Endpoint, 1024)
+				for i := range dst {
+					dst[i] = n.Endpoint(fmt.Sprintf("pbs/mom@cn%04d", i))
+				}
+				round := func() {
+					for i, d := range dst {
+						if err := src[i%senders].Send(d.Name(), "pbs", "p", 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					for _, d := range dst {
+						if _, err := d.Recv(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+				}
+				round()
+				b.ResetTimer()
+				for k := 0; k < b.N; k++ {
+					round()
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

@@ -8,6 +8,13 @@
 // simulation kernel breaks timestamp ties in FIFO order). Hosts can be
 // taken down to inject failures.
 //
+// A sender names its destination, or resolves it once into an Addr and
+// sends through that: the handle finds the endpoint and the pair's
+// state without hashing a name. The name is the generation: a handle
+// whose endpoint was released resolves the name again, and the storage
+// a released endpoint leaves behind never receives what was meant for
+// it.
+//
 // A message is a value once it lands: the fabric owns its flight from
 // send until the delivery event returns, then reuses it, and receivers
 // get copies, so nothing outside this package hands anything back.
@@ -124,10 +131,9 @@ type Network struct {
 
 	endpoints map[string]*Endpoint
 	// pairs holds the state of every directed pair both of whose ends
-	// are live, keyed by the sending endpoint and the destination's
-	// name: one lookup on the send path finds the FIFO floor and the
-	// destination.
-	pairs map[pairKey]*pairState
+	// are live, keyed by the two ends' indices (pairID): finding a pair
+	// hashes no name.
+	pairs map[uint64]*pairState
 	// Landed flights, released endpoints and pair states wait here for
 	// the next send, Endpoint or first send. The lists belong to the
 	// fabric, not to a sync.Pool: the slot guards them, a gate is bound to
@@ -146,12 +152,15 @@ type Network struct {
 	spanNames map[string]string // "msg."+tag by tag: delivery span names
 	stats     Stats
 	inst      *netInstruments
-	closed    bool
+	// stores counts the endpoint storages ever created: the next one's
+	// index.
+	stores uint32
+	closed bool
 }
 
-type pairKey struct {
-	from *Endpoint
-	to   string
+// pairID is the pairs key of the directed pair from -> to.
+func pairID(from, to *Endpoint) uint64 {
+	return uint64(from.idx)<<32 | uint64(to.idx)
 }
 
 // pairState folds everything the per-message send path needs for one
@@ -215,7 +224,7 @@ func New(s *sim.Simulation, def LinkParams) *Network {
 		sim:       s,
 		def:       def,
 		endpoints: make(map[string]*Endpoint),
-		pairs:     make(map[pairKey]*pairState),
+		pairs:     make(map[uint64]*pairState),
 		spanNames: make(map[string]string),
 		downHosts: make(map[string]bool),
 		rng:       sim.NewRNG(1),
@@ -300,7 +309,7 @@ func (n *Network) Reserve(extra int) {
 
 // Endpoint creates (or returns the existing) endpoint with the given
 // name. A new endpoint takes over the storage of a released one when
-// there is one: its gate, waiter list and queue.
+// there is one: its gate, waiter list, queue and index.
 func (n *Network) Endpoint(name string) *Endpoint {
 	if e, ok := n.endpoints[name]; ok {
 		return e
@@ -314,7 +323,8 @@ func (n *Network) Endpoint(name string) *Endpoint {
 		e.name = name
 		e.closed = false
 	} else {
-		e = &Endpoint{net: n, name: name, gate: n.sim.NewGateKind("recv:", name)}
+		e = &Endpoint{net: n, name: name, gate: n.sim.NewGateKind("recv:", name), idx: n.stores}
+		n.stores++
 	}
 	e.live = true
 	n.endpoints[name] = e
@@ -327,8 +337,9 @@ func (n *Network) Endpoint(name string) *Endpoint {
 // the layers above (process ids and NameSeq only count up), so the name
 // is the generation: a message still in flight to a released endpoint is
 // discarded on arrival even when the struct already serves a new owner,
-// and a send to the released name fails with ErrUnknownPeer. Releasing
-// twice is a no-op. The caller must not touch e afterwards.
+// and a send to the released name, by name or through an Addr, fails
+// with ErrUnknownPeer. Releasing twice is a no-op. The caller must not
+// touch e afterwards.
 func (n *Network) Release(e *Endpoint) {
 	if !e.live {
 		return
@@ -356,7 +367,7 @@ func (n *Network) Release(e *Endpoint) {
 // surviving end and keeps the storage. The lists it is still on are being
 // walked by the caller, so its links stay until it is reused.
 func (n *Network) dropPair(ps *pairState) {
-	delete(n.pairs, pairKey{ps.from, ps.to.name})
+	delete(n.pairs, pairID(ps.from, ps.to))
 	ps.from, ps.to = nil, nil
 	n.freePairs = append(n.freePairs, ps)
 }
@@ -382,7 +393,7 @@ func (n *Network) newPair(e, dst *Endpoint) *pairState {
 	ps.from, ps.to = e, dst
 	ps.out.push(&e.out)
 	ps.in.push(&dst.in)
-	n.pairs[pairKey{e, dst.name}] = ps
+	n.pairs[pairID(e, dst)] = ps
 	return ps
 }
 
@@ -438,7 +449,8 @@ type Census struct {
 func (n *Network) Census() Census {
 	c := Census{Endpoints: len(n.endpoints), Pairs: len(n.pairs)}
 	for key, ps := range n.pairs {
-		if ps.from != key.from || n.endpoints[ps.from.name] != ps.from || n.endpoints[key.to] != ps.to {
+		if ps.from == nil || ps.to == nil || key != pairID(ps.from, ps.to) ||
+			n.endpoints[ps.from.name] != ps.from || n.endpoints[ps.to.name] != ps.to {
 			c.Dangling++
 		}
 	}
@@ -446,7 +458,7 @@ func (n *Network) Census() Census {
 	listed := 0
 	for _, e := range n.endpoints {
 		for nd := e.out; nd != nil; nd = nd.next {
-			if n.pairs[pairKey{e, nd.ps.to.name}] != nd.ps {
+			if n.pairs[pairID(e, nd.ps.to)] != nd.ps {
 				c.Dangling++
 			}
 			listed++
@@ -513,7 +525,10 @@ type Endpoint struct {
 	queue   []Message
 	head    int
 	handler func(*Message) // takes each message instead of the queue (SetHandler)
-	closed  bool
+	// idx is the storage's dense index, given when it is first created
+	// and kept through reuse: the pairs key.
+	idx    uint32
+	closed bool
 	// live is false from Release until the storage is handed out again.
 	live bool
 }
@@ -521,29 +536,60 @@ type Endpoint struct {
 // Name returns the endpoint's fabric-unique name.
 func (e *Endpoint) Name() string { return e.name }
 
+// Addr is a destination resolved once: its name and the endpoint the
+// name resolved to. A send through an Addr whose endpoint still holds
+// the name hashes no string. The name is the generation: once the
+// endpoint is released the handle resolves the name again, and fails
+// with ErrUnknownPeer when nothing holds it, so it never reaches the
+// storage's next owner.
+type Addr struct {
+	name string
+	ep   *Endpoint
+}
+
+// Resolve returns the handle of the endpoint named name. Nothing needs
+// to hold the name yet: a send resolves it when something does.
+func (n *Network) Resolve(name string) Addr {
+	return Addr{name: name, ep: n.endpoints[name]}
+}
+
+// ResolveBytes is Resolve for a name built in a buffer: when the name
+// resolves, the handle shares the endpoint's name and nothing is
+// allocated.
+func (n *Network) ResolveBytes(name []byte) Addr {
+	if e, ok := n.endpoints[string(name)]; ok {
+		return Addr{name: e.name, ep: e}
+	}
+	return Addr{name: string(name)}
+}
+
+// Name returns the name the handle resolves.
+func (a *Addr) Name() string { return a.name }
+
 // Send transmits payload to the named endpoint. size is the simulated
 // wire size in bytes (headers are negligible; pass 0 for pure control
 // messages). Send never blocks; delivery happens after the fabric's
 // transfer time. Sending to an unknown endpoint is an error; sending
 // to or from an endpoint on a down host silently drops the message.
 func (e *Endpoint) Send(to, tag string, payload any, size int) error {
-	return e.send(to, tag, payload, size, false, 0)
+	return e.send(&Addr{name: to}, tag, payload, size, false, 0)
 }
 
 // SendPipelined is Send using the pipelined bulk-transfer protocol
 // (large payloads pay the link latency only once).
 func (e *Endpoint) SendPipelined(to, tag string, payload any, size int) error {
-	return e.send(to, tag, payload, size, true, 0)
+	return e.send(&Addr{name: to}, tag, payload, size, true, 0)
 }
 
-// SendCause is Send annotated with the trace-span id that caused the
-// message (0 records nothing). Protocol layers pass the span open at
-// the send site so the delivery span carries a causal link to it.
-func (e *Endpoint) SendCause(to, tag string, payload any, size int, cause uint64) error {
+// SendTo is Send through a resolved handle, which it keeps current,
+// annotated with the trace-span id that caused the message (0 records
+// nothing). Protocol layers pass the span open at the send site so the
+// delivery span carries a causal link to it.
+func (e *Endpoint) SendTo(to *Addr, tag string, payload any, size int, cause uint64) error {
 	return e.send(to, tag, payload, size, false, cause)
 }
 
-func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, cause uint64) error {
+func (e *Endpoint) send(to *Addr, tag string, payload any, size int, pipelined bool, cause uint64) error {
 	n := e.net
 	if n.closed {
 		return ErrClosed
@@ -551,19 +597,20 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 	if !e.live {
 		return ErrClosed
 	}
-	// One lookup on a pair that has carried traffic: its state knows
-	// the destination.
-	var dst *Endpoint
-	ps, ok := n.pairs[pairKey{e, to}]
-	if ok {
-		dst = ps.to
-	} else if dst, ok = n.endpoints[to]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
+	dst := to.ep
+	if dst == nil || !dst.live || dst.name != to.name {
+		// Never resolved, or released since: the name decides.
+		var ok bool
+		if dst, ok = n.endpoints[to.name]; !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownPeer, to.name)
+		}
+		to.ep = dst
 	}
-	if n.unreachable(e.name) || n.unreachable(to) {
+	if n.unreachable(e.name) || n.unreachable(to.name) {
 		n.stats.Dropped++
 		return nil // dropped in flight; sender cannot tell
 	}
+	ps := n.pairs[pairID(e, dst)]
 	if ps == nil {
 		ps = n.newPair(e, dst)
 	}
@@ -584,7 +631,7 @@ func (e *Endpoint) send(to, tag string, payload any, size int, pipelined bool, c
 	f := n.takeFlight()
 	// Field by field: a composite literal here is built aside and copied.
 	f.msg.From = e.name
-	f.msg.To = to
+	f.msg.To = to.name
 	f.msg.Tag = tag
 	f.msg.Payload = payload
 	f.msg.Size = size

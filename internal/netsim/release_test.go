@@ -11,12 +11,14 @@ import (
 
 // A message in flight to an endpoint that is released, and whose storage
 // serves a new name before it lands, is discarded: the new owner never
-// sees it, and the name it was sent to no longer resolves.
+// sees it, and the name it was sent to no longer resolves, by name or
+// through the handle that sent it.
 func TestReleasedEndpointStaleDeliveryIsDiscarded(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, old := n.Endpoint("a"), n.Endpoint("daemon#1")
-		if err := a.Send("daemon#1", "stale", nil, 0); err != nil { // lands at 1ms
-			t.Errorf("Send: %v", err)
+		h := n.Resolve("daemon#1")
+		if err := a.SendTo(&h, "stale", nil, 0, 0); err != nil { // lands at 1ms
+			t.Errorf("SendTo: %v", err)
 			return
 		}
 		n.Release(old)
@@ -35,6 +37,14 @@ func TestReleasedEndpointStaleDeliveryIsDiscarded(t *testing.T) {
 		}
 		if err := a.Send("daemon#1", "late", nil, 0); !errors.Is(err, ErrUnknownPeer) {
 			t.Errorf("send to a released name: %v, want ErrUnknownPeer", err)
+			return
+		}
+		if err := a.SendTo(&h, "late", nil, 0, 0); !errors.Is(err, ErrUnknownPeer) {
+			t.Errorf("send through the handle of a released name: %v, want ErrUnknownPeer", err)
+			return
+		}
+		if got := reused.Pending(); got != 0 {
+			t.Errorf("the storage's new owner holds %d messages, want none", got)
 			return
 		}
 		// The storage works for its new owner.
@@ -93,7 +103,8 @@ func TestReleaseTwiceIsNoop(t *testing.T) {
 // fabric agreeing with a reference model that is three maps and no
 // sharing — which names resolve, which directed pairs exist, and the
 // FIFO floor of every surviving pair — with both indexes of every pair
-// state intact.
+// state intact. Half the sends go through handles resolved once and kept
+// across releases, from whichever sender.
 func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := sim.NewRNG(seed)
@@ -105,6 +116,7 @@ func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 			live := map[string]*Endpoint{}         // model: names that resolve
 			floor := map[[2]string]time.Duration{} // model: pair -> latest deadline
 			var names []string                     // live names, in creation order
+			addrs := map[string]*Addr{}            // a handle of every name sent to
 			next := 0
 			pick := func() string { return names[rng.Intn(len(names))] }
 			for step := 0; step < 400; step++ {
@@ -119,7 +131,17 @@ func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 					if rng.Intn(8) == 0 {
 						to = fmt.Sprintf("e%d", rng.Intn(next))
 					}
-					err := live[from].Send(to, "t", nil, rng.Intn(4096))
+					var err error
+					if a := addrs[to]; rng.Intn(2) == 0 {
+						if a == nil {
+							a = new(Addr)
+							*a = n.Resolve(to)
+							addrs[to] = a
+						}
+						err = live[from].SendTo(a, "t", nil, rng.Intn(4096), 0)
+					} else {
+						err = live[from].Send(to, "t", nil, rng.Intn(4096))
+					}
 					if _, ok := live[to]; !ok {
 						if !errors.Is(err, ErrUnknownPeer) {
 							t.Errorf("seed %d step %d: send to released %s: %v", seed, step, to, err)
@@ -132,7 +154,7 @@ func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 						return
 					}
 					key := [2]string{from, to}
-					due := n.pairs[pairKey{live[from], to}].lastDue
+					due := n.pairs[pairID(live[from], live[to])].lastDue
 					if due < floor[key] || due < s.Now() {
 						t.Errorf("seed %d step %d: pair %v floor went back: %v after %v", seed, step, key, due, floor[key])
 						return
@@ -173,7 +195,7 @@ func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 					}
 				}
 				for key, due := range floor {
-					ps := n.pairs[pairKey{live[key[0]], key[1]}]
+					ps := n.pairs[pairID(live[key[0]], live[key[1]])]
 					if ps == nil || ps.lastDue != due || ps.to != live[key[1]] {
 						t.Errorf("seed %d step %d: pair %v = %+v, model floor %v", seed, step, key, ps, due)
 						return

@@ -42,11 +42,11 @@ import (
 //	                    count
 //	double-alloc        per accelerator: at most one owning job
 //	view.node-jobs      a node's advertised job list mirrors its
-//	                    usedBy ledger exactly
+//	                    ledger of holds exactly
 //	view.job-hosts      every host a live job claims (static hosts,
-//	                    static accelerators, dynamic sets) holds a
-//	                    matching usedBy entry, and every usedBy entry
-//	                    belongs to a live job
+//	                    static accelerators, dynamic sets) has a
+//	                    matching hold, and every hold belongs to a
+//	                    live job
 //	jobs.index          the log entry of every record's sequence number
 //	                    holds that record under its id (index.go),
 //	                    and the active list is strictly ascending in
@@ -148,7 +148,8 @@ func (s *Server) digestNodes(d *audit.Digest) {
 		d.WriteInt(int64(len(n.info.Jobs)))
 		for _, id := range n.info.Jobs {
 			d.WriteString(id)
-			d.WriteInt(int64(n.usedBy[id]))
+			c, _, _ := n.holds(id)
+			d.WriteInt(int64(c))
 		}
 		// Re-filing every node recounts the class counts. A node whose
 		// class moved although nothing touched it since the last
@@ -223,9 +224,9 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 	a := s.aud
 	name := n.info.Name
 	used := 0
-	mirrored := len(n.info.Jobs) == len(n.usedBy)
+	mirrored := len(n.info.Jobs) == len(n.used)
 	for _, id := range n.info.Jobs {
-		c, ok := n.usedBy[id]
+		c, _, ok := n.holds(id)
 		if !ok {
 			mirrored = false
 		}
@@ -235,17 +236,17 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 		j := s.index.find(id)
 		a.Check("pbs", "view.job-hosts", name, j != nil && j.live(), int64(jobSeq(id)), 1)
 	}
-	a.Check("pbs", "view.node-jobs", name, mirrored, int64(len(n.info.Jobs)), int64(len(n.usedBy)))
+	a.Check("pbs", "view.node-jobs", name, mirrored, int64(len(n.info.Jobs)), int64(len(n.used)))
 	switch n.info.Type {
 	case ComputeNode:
 		a.Check("pbs", "conservation.cores", name,
 			used == n.info.UsedCores && n.info.UsedCores <= n.info.Cores,
 			int64(used), int64(n.info.UsedCores))
 	case AcceleratorNode:
-		a.Check("pbs", "double-alloc", name, len(n.usedBy) <= 1, int64(len(n.usedBy)), 0)
+		a.Check("pbs", "double-alloc", name, len(n.used) <= 1, int64(len(n.used)), 0)
 		class := acFree
 		switch {
-		case len(n.usedBy) > 0:
+		case len(n.used) > 0:
 			class = acAllocated
 		case n.info.Down:
 			class = acDownFree
@@ -268,7 +269,7 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 // auditJobLocked checks the job-side invariants of one indexed record:
 // the log entry of its sequence number holds it under its own id, and —
 // forward direction of view.job-hosts — every host a running job claims
-// holds a matching usedBy entry. It returns the accelerators the job
+// has a matching hold. It returns the accelerators the job
 // holds, the job side of conservation.acc.
 func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
 	e := s.index.entry(j.seq)
@@ -287,7 +288,11 @@ func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
 // it is an accelerator the job holds.
 func (s *Server) auditClaimLocked(j *serverJob, host string) int64 {
 	n, ok := s.nodes[host]
-	held := ok && n.usedBy[j.info.ID] > 0
+	var c int
+	if ok {
+		c, _, _ = n.holds(j.info.ID)
+	}
+	held := c > 0
 	if j.info.State == JobRunning {
 		s.aud.Check("pbs", "view.job-hosts", host, held, int64(j.seq), 0)
 	}

@@ -25,12 +25,12 @@ func (s *Server) InjectForTest(f Fault, touch bool) {
 	}
 }
 
-// LedgerFault adds an owner to a node's usedBy ledger and leaves the
+// LedgerFault adds an owner to a node's ledger of holds and leaves the
 // node's advertised view as it was.
 func LedgerFault(host, jobID string, cores int) Fault {
 	return func(s *Server) *serverNode {
 		n := s.nodes[host]
-		n.usedBy[jobID] = cores
+		n.hold(jobID, cores)
 		return n
 	}
 }
@@ -40,7 +40,7 @@ func LedgerFault(host, jobID string, cores int) Fault {
 func OwnerFault(host, jobID string, cores int) Fault {
 	return func(s *Server) *serverNode {
 		n := s.nodes[host]
-		n.usedBy[jobID] = cores
+		n.hold(jobID, cores)
 		n.info.Jobs = append(n.info.Jobs, jobID)
 		if n.info.Type == ComputeNode {
 			n.info.UsedCores += cores
@@ -53,10 +53,10 @@ func OwnerFault(host, jobID string, cores int) Fault {
 func DisownFault(host, jobID string) Fault {
 	return func(s *Server) *serverNode {
 		n := s.nodes[host]
+		c, _ := n.drop(jobID)
 		if n.info.Type == ComputeNode {
-			n.info.UsedCores -= n.usedBy[jobID]
+			n.info.UsedCores -= c
 		}
-		delete(n.usedBy, jobID)
 		n.info.Jobs = slices.DeleteFunc(n.info.Jobs, func(id string) bool { return id == jobID })
 		return n
 	}

@@ -24,7 +24,7 @@ func (m *Mom) startHeartbeats() {
 	m.sim.Go("heartbeat@"+m.host, func() {
 		for {
 			m.sim.Sleep(m.params.HeartbeatEvery)
-			if err := m.ep.Send(ServerEndpoint, "pbs", HeartbeatMsg{Host: m.host}, 0); err != nil {
+			if err := m.ep.SendTo(&m.server, "pbs", HeartbeatMsg{Host: m.host}, 0, 0); err != nil {
 				return // fabric closed
 			}
 		}
@@ -66,10 +66,10 @@ func (s *Server) heartbeat(host string) {
 	if revived {
 		n.info.Down = false
 		s.touchLocked(n)
-		s.aud.Record(audit.KindNode, "pbs", host, "up", int64(n.info.Cores-n.info.UsedCores), int64(len(n.usedBy)))
+		s.aud.Record(audit.KindNode, "pbs", host, "up", int64(n.info.Cores-n.info.UsedCores), int64(len(n.used)))
 	}
 	if revived {
-		s.kickScheduler("node-up:" + host)
+		s.kickScheduler(SchedKick{Reason: "node-up:" + host})
 	}
 }
 
@@ -79,27 +79,27 @@ func (s *Server) heartbeat(host string) {
 // the run's recording.
 func (s *Server) sweepDeadNodes() {
 	now := s.sim.Now()
-	var dead []string
+	var dead []*serverNode
 	for _, n := range s.table {
 		if !n.info.Down && now-n.lastSeen > s.params.DeadAfter {
-			dead = append(dead, n.info.Name)
+			dead = append(dead, n)
 		}
 	}
-	for _, name := range dead {
-		s.nodeDown(name)
+	for _, n := range dead {
+		s.nodeDown(n)
 	}
 }
 
 // nodeDown marks one node failed and repairs the jobs touching it.
-func (s *Server) nodeDown(host string) {
-	n, ok := s.nodes[host]
-	if !ok || n.info.Down {
+func (s *Server) nodeDown(n *serverNode) {
+	if n.info.Down {
 		return
 	}
+	host := n.info.Name
 	n.info.Down = true
 	s.touchLocked(n)
-	s.aud.Record(audit.KindNode, "pbs", host, "down", 0, int64(len(n.usedBy)))
-	// The advertised job list mirrors usedBy (view.node-jobs) and is
+	s.aud.Record(audit.KindNode, "pbs", host, "down", 0, int64(len(n.used)))
+	// The advertised job list mirrors the holds (view.node-jobs) and is
 	// sorted, so the repairs below run in one order every run.
 	affected := append([]string(nil), n.info.Jobs...)
 	isCN := n.info.Type == ComputeNode
@@ -108,19 +108,20 @@ func (s *Server) nodeDown(host string) {
 		if isCN {
 			s.endJob(jobID, &endFailed, host, "", nil)
 		} else {
-			s.dropAccelerator(jobID, host)
+			s.dropAccelerator(jobID, n)
 		}
 	}
-	s.kickScheduler("node-down:" + host)
+	s.kickScheduler(SchedKick{Reason: "node-down:" + host})
 }
 
 // dropAccelerator removes a dead accelerator from its job; the
 // application keeps running with its remaining set.
-func (s *Server) dropAccelerator(jobID, host string) {
+func (s *Server) dropAccelerator(jobID string, n *serverNode) {
 	j := s.index.find(jobID)
 	if j == nil {
 		return
 	}
+	host := n.info.Name
 	// The lists are shared with the moms, the script and whoever was
 	// granted the set: the server's view moves to new ones.
 	for i, acs := range j.info.AccHosts {
@@ -133,22 +134,20 @@ func (s *Server) dropAccelerator(jobID, host string) {
 	for id, acs := range j.info.DynSets {
 		j.info.DynSets[id] = without(acs, host)
 	}
-	if n, ok := s.nodes[host]; ok {
-		if c, held := n.usedBy[jobID]; held {
-			s.aud.Record(audit.KindRelease, "pbs", host, jobID, int64(c), 0)
-			delete(n.usedBy, jobID)
-			s.refreshLocked(n)
-		}
+	j.nodes = slices.DeleteFunc(j.nodes, func(m *serverNode) bool { return m == n })
+	if c, held := n.drop(jobID); held {
+		s.aud.Record(audit.KindRelease, "pbs", host, jobID, int64(c), 0)
+		s.refreshLocked(n)
 	}
-	ms := ""
 	if j.info.State == JobRunning && len(j.info.Hosts) > 0 {
-		ms = s.momEPLocked(j.info.Hosts[0])
-	}
-	if ms != "" {
-		s.send(ms, NodeLostMsg{JobID: jobID, Host: host})
+		s.sendTo(&j.nodes[0].mom, NodeLostMsg{JobID: jobID, Host: host}, 0)
 	}
 }
 
 // NodeDownForTest force-fails a node, bypassing the detector (test
 // hook mirroring an operator's pbsnodes -o).
-func (s *Server) NodeDownForTest(host string) { s.nodeDown(host) }
+func (s *Server) NodeDownForTest(host string) {
+	if n, ok := s.nodes[host]; ok {
+		s.nodeDown(n)
+	}
+}

@@ -14,11 +14,11 @@ import (
 // DAC environment. A Client may be shared by several actors of one
 // simulation; every call blocks until the server responds.
 type Client struct {
-	net      *netsim.Network
-	sim      *sim.Simulation
-	ep       *netsim.Endpoint
-	addr     string // ep's name: where the server sends replies
-	serverEP string
+	net    *netsim.Network
+	sim    *sim.Simulation
+	ep     *netsim.Endpoint
+	addr   string // ep's name: where the server sends replies
+	server netsim.Addr
 
 	nextReq int
 	closed  bool
@@ -33,11 +33,11 @@ func NewClient(net *netsim.Network, name, serverEP string) *Client {
 	b := append(append(append(buf[:0], "ifl/"...), name...), '#')
 	addr := string(strconv.AppendInt(b, int64(net.NameSeq()), 10))
 	return &Client{
-		net:      net,
-		sim:      net.Sim(),
-		ep:       net.Endpoint(addr),
-		addr:     addr,
-		serverEP: serverEP,
+		net:    net,
+		sim:    net.Sim(),
+		ep:     net.Endpoint(addr),
+		addr:   addr,
+		server: net.Resolve(serverEP),
 	}
 }
 
@@ -54,7 +54,7 @@ func call[R any](c *Client, req any, answer func(*netsim.Message) (R, bool)) (R,
 	if c.closed {
 		return r, netsim.ErrClosed
 	}
-	if err := c.ep.Send(c.serverEP, "pbs", req, 0); err != nil {
+	if err := c.ep.SendTo(&c.server, "pbs", req, 0, 0); err != nil {
 		return r, err
 	}
 	_, err := c.ep.RecvMatch(func(m *netsim.Message) bool {

@@ -60,14 +60,14 @@ func (l *JobList) put(j *MirrorJob, in bool) {
 	}
 }
 
-// Fetch runs one SchedInfo round over the scheduler's endpoint and
-// applies the answer's deltas. The caller owns the returned answer
-// until it calls Release.
-func (m *Mirror) Fetch(ep *netsim.Endpoint, serverEP string) (*SchedInfoResp, error) {
+// Fetch runs one SchedInfo round over the scheduler's endpoint with the
+// server and applies the answer's deltas. The caller owns the returned
+// answer until it calls Release.
+func (m *Mirror) Fetch(ep *netsim.Endpoint, server *netsim.Addr) (*SchedInfoResp, error) {
 	m.req.ReqID++
 	m.req.ReplyTo = ep.Name()
 	id := m.req.ReqID
-	if err := ep.Send(serverEP, "pbs", &m.req, 0); err != nil {
+	if err := ep.SendTo(server, "pbs", &m.req, 0, 0); err != nil {
 		return nil, err
 	}
 	msg, err := ep.RecvMatch(func(msg *netsim.Message) bool {

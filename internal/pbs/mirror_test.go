@@ -26,6 +26,7 @@ type mirrorBed struct {
 	params pbs.ServerParams
 	c      *pbs.Client
 	ep     *netsim.Endpoint
+	srv    netsim.Addr
 	view   pbs.Mirror
 	full   int // rounds answered with the full view
 	delta  int // rounds answered with a delta
@@ -38,7 +39,8 @@ type mirrorBed struct {
 func runMirrorBed(t *testing.T, nCN, nAC, shards int, fn func(b *mirrorBed)) {
 	t.Helper()
 	tb := newTestbed(t, nCN, nAC, nil)
-	b := &mirrorBed{testbed: tb, t: t, params: pbs.ServerParams{Processing: time.Millisecond, Shards: shards}}
+	b := &mirrorBed{testbed: tb, t: t, params: pbs.ServerParams{Processing: time.Millisecond, Shards: shards},
+		srv: tb.net.Resolve(pbs.ServerEndpoint)}
 	if shards > 1 {
 		tb.server = pbs.NewServer(tb.net, b.params)
 		for _, name := range tb.cns {
@@ -72,7 +74,7 @@ func (b *mirrorBed) settle() { b.s.Sleep(50 * time.Millisecond) }
 func (b *mirrorBed) round(view *pbs.Mirror, ep *netsim.Endpoint) *pbs.SchedInfoResp {
 	b.t.Helper()
 	b.settle()
-	resp, err := view.Fetch(ep, pbs.ServerEndpoint)
+	resp, err := view.Fetch(ep, &b.srv)
 	if err != nil {
 		b.t.Fatalf("Fetch: %v", err)
 	}
@@ -134,7 +136,7 @@ func (b *mirrorBed) checkJobView(view *pbs.Mirror, ep *netsim.Endpoint, resp *pb
 	// The fresh mirror asks from the same endpoint: the server answers it
 	// in full and stays at the generation view holds.
 	var fresh pbs.Mirror
-	full, err := fresh.Fetch(ep, pbs.ServerEndpoint)
+	full, err := fresh.Fetch(ep, &b.srv)
 	if err != nil {
 		b.t.Fatalf("Fetch: %v", err)
 	}
@@ -288,7 +290,7 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 				// A round between the allocation and the start report: the
 				// next round must bring the start.
 				b.s.Sleep(1500 * time.Microsecond)
-				resp, err := b.view.Fetch(b.ep, pbs.ServerEndpoint)
+				resp, err := b.view.Fetch(b.ep, &b.srv)
 				if err != nil {
 					t.Fatalf("Fetch: %v", err)
 				}

@@ -11,7 +11,10 @@ import (
 )
 
 // MomEndpoint returns the fabric name of the pbs_mom on a host.
-func MomEndpoint(host string) string { return "pbs/mom@" + host }
+func MomEndpoint(host string) string { return momPrefix + host }
+
+// momPrefix is what a mom's fabric name puts before its host.
+const momPrefix = "pbs/mom@"
 
 // MomParams is the mom's cost model.
 type MomParams struct {
@@ -41,9 +44,11 @@ type DaemonStarter func(jobID, cn string, acHosts []string, cause uint64)
 // the DAC environment — handles dynamic addition and removal of
 // accelerator hosts.
 type Mom struct {
+	net    *netsim.Network
 	sim    *sim.Simulation
 	host   string
 	ep     *netsim.Endpoint
+	server netsim.Addr
 	params MomParams
 
 	// Cluster is the opaque handle exposed to job scripts through
@@ -68,17 +73,20 @@ type Mom struct {
 	free    *momOp   // finished dynamic ops, for reuse
 	// runTask and joinSisters, bound by Start: no closure per spawn or timer.
 	runTaskFn, joinFn func(any)
-	// peers holds the fabric name of every mom this one has addressed,
-	// so a message to a sister costs a lookup, not a string. Nil until
-	// the first: an accelerator's mom only ever answers.
-	peers map[string]string
 }
 
 type momJob struct {
 	// hosts is the current full host set of the job. The list is shared
 	// (with the server's command, the sisters, the running scripts) and
 	// never written: a change of the set installs a new list.
-	hosts    []string
+	hosts []string
+	// peers are the moms on hosts, resolved once per set by the mother
+	// superior (setHosts); peerBuf holds a narrow job's.
+	peers   []netsim.Addr
+	peerBuf [2]netsim.Addr
+	// ms is the mother superior, resolved when the job is joined: the
+	// job's tasks on this host report to it.
+	ms       netsim.Addr
 	tasksRun int   // compute node tasks still running (MS only)
 	start    momOp // the mother superior's start, until its tail has run
 }
@@ -89,8 +97,9 @@ type momJob struct {
 // next. (job, host) finds the op: a job has one start and one op a host.
 type momOp struct {
 	job, host string
-	req       any // the RunJobMsg, DynAddMsg or DynRemoveMsg
-	acks, i   int // acks outstanding; the next of the dynamic Hosts
+	req       any     // the RunJobMsg, DynAddMsg or DynRemoveMsg
+	mj        *momJob // a start's job: a qdel may release it before the tail
+	acks, i   int     // acks outstanding; the next of the dynamic Hosts
 	sp        *trace.Span
 	next      *momOp // on the free list
 }
@@ -99,9 +108,11 @@ type momOp struct {
 // handler.
 func NewMom(net *netsim.Network, host string, params MomParams) *Mom {
 	return &Mom{
+		net:    net,
 		sim:    net.Sim(),
 		host:   host,
 		ep:     net.Endpoint(MomEndpoint(host)),
+		server: net.Resolve(ServerEndpoint),
 		params: params,
 		jobs:   make(map[string]*momJob),
 	}
@@ -158,27 +169,36 @@ func (m *Mom) cost(msg *netsim.Message) time.Duration {
 	return 0
 }
 
-// peer is MomEndpoint through the mom's table of known peers.
-func (m *Mom) peer(host string) string {
-	ep, ok := m.peers[host]
-	if !ok {
-		if m.peers == nil {
-			m.peers = make(map[string]string)
-		}
-		ep = MomEndpoint(host)
-		m.peers[host] = ep
-	}
-	return ep
+// resolve resolves the mom on host in the fabric's endpoint table. The
+// name is built on the stack: a resolution allocates nothing.
+func (m *Mom) resolve(host string) netsim.Addr {
+	var buf [64]byte
+	return m.net.ResolveBytes(append(append(buf[:0], momPrefix...), host...))
 }
 
+// setHosts installs the host set of a job this mom is the mother
+// superior of, and resolves the set's moms.
+func (m *Mom) setHosts(j *momJob, hosts []string) {
+	j.hosts = hosts
+	peers := j.peers[:0]
+	if peers == nil {
+		peers = j.peerBuf[:0]
+	}
+	for _, h := range hosts {
+		peers = append(peers, m.resolve(h))
+	}
+	j.peers = peers
+}
+
+// send answers a request at the name it gave.
 func (m *Mom) send(to string, payload any) {
 	_ = m.ep.Send(to, "pbs", payload, 0)
 }
 
-// sendCause is send carrying the trace-span id that produced the
-// message, for the fabric's delivery-span causal link.
-func (m *Mom) sendCause(to string, payload any, cause uint64) {
-	_ = m.ep.SendCause(to, "pbs", payload, 0, cause)
+// sendTo sends through a resolved handle, carrying the trace-span id
+// that produced the message, for the fabric's delivery-span causal link.
+func (m *Mom) sendTo(to *netsim.Addr, payload any, cause uint64) {
+	_ = m.ep.SendTo(to, "pbs", payload, 0, cause)
 }
 
 // handle serves one message once its cost is paid. It runs on the
@@ -201,7 +221,7 @@ func (m *Mom) handle(msg *netsim.Message) {
 			m.joinSisters(j)
 		}
 	case JoinJobMsg:
-		m.jobs[req.JobID] = &momJob{hosts: req.Hosts}
+		m.jobs[req.JobID] = &momJob{hosts: req.Hosts, ms: m.resolve(req.MS)}
 		m.send(req.ReplyTo, JoinAck{JobID: req.JobID, Host: m.host})
 	case DynJoinJobMsg:
 		m.jobs[req.JobID] = &momJob{}
@@ -217,7 +237,7 @@ func (m *Mom) handle(msg *netsim.Message) {
 		}
 	case StartTaskMsg:
 		if req.Script == nil { // an empty job script finishes immediately
-			m.send(m.peer(req.Env.MSHost), TaskDoneMsg{JobID: req.JobID, Host: m.host})
+			m.reportDone(req)
 		} else {
 			m.sim.GoArg(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, m.runTaskFn, p)
 		}
@@ -237,9 +257,9 @@ func (m *Mom) handle(msg *netsim.Message) {
 		delete(m.jobs, req.JobID)
 	case AbortJobMsg:
 		// Not acted on: a deleted job's tasks run to their end.
-	case NodeLostMsg:
+	case NodeLostMsg: // to the mother superior
 		if j, ok := m.jobs[req.JobID]; ok {
-			j.hosts = without(j.hosts, req.Host)
+			m.setHosts(j, without(j.hosts, req.Host))
 		}
 	}
 }
@@ -250,14 +270,16 @@ func (m *Mom) handle(msg *netsim.Message) {
 func (m *Mom) joinSisters(arg any) {
 	j := arg.(*momJob)
 	req := j.start.req.(RunJobMsg)
-	j.hosts, j.tasksRun = req.Hosts, len(req.Hosts)
+	hosts := req.Hosts
 	if len(req.AccHosts) > 0 {
-		j.hosts = appendHosts(nil, req.Hosts, req.AccHosts, nil)
+		hosts = appendHosts(nil, req.Hosts, req.AccHosts, nil)
 	}
+	m.setHosts(j, hosts)
+	j.ms, j.tasksRun, j.start.mj = m.resolve(m.host), len(req.Hosts), j
 	m.jobs[req.JobID] = j
-	for _, h := range j.hosts {
+	for i, h := range j.hosts {
 		if h != m.host {
-			m.send(m.peer(h), JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: j.hosts, ReplyTo: m.ep.Name()})
+			m.sendTo(&j.peers[i], JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: j.hosts, ReplyTo: m.ep.Name()}, 0)
 			j.start.acks++
 		}
 	}
@@ -275,7 +297,7 @@ func (m *Mom) advance(op *momOp) {
 	var ask any
 	switch req := op.req.(type) {
 	case RunJobMsg:
-		m.started(req, op.sp)
+		m.started(op.mj, req, op.sp)
 		*op = momOp{} // the job pins no finished start
 		return
 	case DynAddMsg:
@@ -289,7 +311,8 @@ func (m *Mom) advance(op *momOp) {
 	}
 	if ask != nil {
 		op.host, op.acks, op.i = hosts[op.i], 1, op.i+1
-		m.send(m.peer(op.host), ask)
+		to := m.resolve(op.host)
+		m.sendTo(&to, ask, 0)
 		m.waits = append(m.waits, op)
 		return
 	}
@@ -312,7 +335,7 @@ func (m *Mom) newOp(job string, req any) *momOp {
 // started is a job start's tail, once every sister has joined: start the
 // accelerator daemons, then the job script on each compute node, and
 // report the job started.
-func (m *Mom) started(req RunJobMsg, sp *trace.Span) {
+func (m *Mom) started(j *momJob, req RunJobMsg, sp *trace.Span) {
 	// The closures below capture these two, not req and sp.
 	jobID, cause := req.JobID, sp.ID()
 	// Invoke the accelerator daemons for each compute node's static
@@ -328,7 +351,8 @@ func (m *Mom) started(req RunJobMsg, sp *trace.Span) {
 		}
 	}
 
-	// Start the user application on every compute node.
+	// Start the user application on every compute node: the job's
+	// first hosts, whose moms lead j.peers.
 	for rank, cn := range req.Hosts {
 		env := &JobEnv{
 			JobID:    req.JobID,
@@ -339,9 +363,9 @@ func (m *Mom) started(req RunJobMsg, sp *trace.Span) {
 			ServerEP: ServerEndpoint,
 			MSHost:   m.host,
 		}
-		m.sendCause(m.peer(cn), StartTaskMsg{JobID: jobID, Env: env, Script: req.Spec.Script, Cause: cause}, cause)
+		m.sendTo(&j.peers[rank], StartTaskMsg{JobID: jobID, Env: env, Script: req.Spec.Script, Cause: cause}, cause)
 	}
-	m.send(ServerEndpoint, JobStartedMsg{JobID: req.JobID})
+	m.sendTo(&m.server, JobStartedMsg{JobID: req.JobID}, 0)
 	sp.End()
 }
 
@@ -365,7 +389,19 @@ func (m *Mom) runTask(arg any) {
 	if m.Epilogue != nil {
 		m.Epilogue(env)
 	}
-	m.send(m.peer(env.MSHost), TaskDoneMsg{JobID: req.JobID, Host: m.host})
+	m.reportDone(req)
+}
+
+// reportDone reports a task done to the mother superior: the job's, or
+// the one the task names when a release took the job first.
+func (m *Mom) reportDone(req StartTaskMsg) {
+	var ms netsim.Addr
+	if j, ok := m.jobs[req.JobID]; ok {
+		ms = j.ms
+	} else {
+		ms = m.resolve(req.Env.MSHost)
+	}
+	m.sendTo(&ms, TaskDoneMsg{JobID: req.JobID, Host: m.host}, 0)
 }
 
 // taskDone tracks completion at the mother superior; when the last
@@ -373,7 +409,7 @@ func (m *Mom) runTask(arg any) {
 func (m *Mom) taskDone(req TaskDoneMsg) {
 	if j, ok := m.jobs[req.JobID]; ok && j.tasksRun > 0 {
 		if j.tasksRun--; j.tasksRun == 0 {
-			m.send(ServerEndpoint, JobDoneMsg{JobID: req.JobID})
+			m.sendTo(&m.server, JobDoneMsg{JobID: req.JobID}, 0)
 		}
 	}
 }
@@ -383,23 +419,22 @@ func (m *Mom) taskDone(req TaskDoneMsg) {
 // addition gets its ack.
 func (m *Mom) dynDone(op *momOp, hosts []string) {
 	add, isAdd := op.req.(DynAddMsg)
-	var others []string
 	if j, ok := m.jobs[op.job]; ok {
 		if isAdd {
-			j.hosts = append(slices.Clip(j.hosts), hosts...) // a new list: the old one has other holders
+			m.setHosts(j, append(slices.Clip(j.hosts), hosts...)) // a new list: the old one has other holders
 		} else {
-			j.hosts = without(j.hosts, hosts...)
+			m.setHosts(j, without(j.hosts, hosts...))
 		}
-		others = j.hosts
-	}
-	// Update the existing moms' databases (asynchronous).
-	for _, h := range others {
-		if h != m.host && !slices.Contains(hosts, h) {
-			m.send(m.peer(h), UpdateJobMsg{JobID: op.job, Hosts: others})
+		// Update the existing moms' databases (asynchronous).
+		for i, h := range j.hosts {
+			if h != m.host && !slices.Contains(hosts, h) {
+				m.sendTo(&j.peers[i], UpdateJobMsg{JobID: op.job, Hosts: j.hosts}, 0)
+			}
 		}
 	}
 	if isAdd {
-		m.sendCause(add.ReplyTo, DynAddAck{JobID: op.job, ReqID: add.ReqID, Cause: op.sp.ID()}, op.sp.ID())
+		reply := m.net.Resolve(add.ReplyTo)
+		m.sendTo(&reply, DynAddAck{JobID: op.job, ReqID: add.ReqID, Cause: op.sp.ID()}, op.sp.ID())
 		op.sp.End()
 	}
 }

@@ -2,6 +2,7 @@ package pbs_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -215,6 +216,85 @@ func TestCoreLevelSharing(t *testing.T) {
 		i2, _ := c.Wait(id2)
 		if i2.StartedAt >= i1.CompletedAt {
 			t.Errorf("ppn=4 jobs did not share the node: b started %v, a completed %v", i2.StartedAt, i1.CompletedAt)
+		}
+	})
+}
+
+// A node lists the jobs on it in job-ID order, as strings sort: with
+// jobs 9 and 10 sharing a node, 10 comes first.
+func TestNodeJobsListInJobIDOrder(t *testing.T) {
+	tb := newTestbed(t, 1, 0, nil)
+	tb.run(t, func(c *pbs.Client) {
+		// Jobs 1-8 can never be placed and are deleted: 9 and 10 run.
+		for i := 0; i < 8; i++ {
+			id, _ := c.Submit(pbs.JobSpec{Name: "x", Owner: "u", Nodes: 1, PPN: 9, Walltime: time.Second})
+			if err := c.Delete(id); err != nil {
+				t.Errorf("Delete: %v", err)
+				return
+			}
+		}
+		script := func(env *pbs.JobEnv) { tb.s.Sleep(time.Second) }
+		for range 2 {
+			if _, err := c.Submit(pbs.JobSpec{Name: "a", Owner: "u", Nodes: 1, PPN: 4, Walltime: 2 * time.Second, Script: script}); err != nil {
+				t.Errorf("Submit: %v", err)
+				return
+			}
+		}
+		tb.s.Sleep(200 * time.Millisecond)
+		nodes, err := c.Nodes()
+		if err != nil {
+			t.Errorf("Nodes: %v", err)
+			return
+		}
+		if want := []string{"10.pbs/server", "9.pbs/server"}; !slices.Equal(nodes[0].Jobs, want) || nodes[0].UsedCores != 8 {
+			t.Errorf("node view %+v, want jobs %v on 8 cores", nodes[0], want)
+		}
+	})
+}
+
+// TestDynFreeReleasesOnlyItsSet frees the older of two dynamic sets: its
+// accelerator goes back to the pool, and the newer set's stays with the
+// job.
+func TestDynFreeReleasesOnlyItsSet(t *testing.T) {
+	tb := newTestbed(t, 1, 4, nil)
+	tb.run(t, func(c *pbs.Client) {
+		jobsOn := map[string][]string{}
+		var first, second pbs.DynGrant
+		id, err := c.Submit(pbs.JobSpec{
+			Name: "dyn", Owner: "u", Nodes: 1, PPN: 1, ACPN: 1, Walltime: time.Second,
+			Script: func(env *pbs.JobEnv) {
+				cl := pbs.NewClient(env.Cluster.(*netsim.Network), env.Host, env.ServerEP)
+				var err error
+				if first, err = cl.DynGet(env.JobID, env.Host, 1); err != nil {
+					t.Errorf("DynGet: %v", err)
+					return
+				}
+				if second, err = cl.DynGet(env.JobID, env.Host, 1); err != nil {
+					t.Errorf("DynGet: %v", err)
+					return
+				}
+				if err := cl.DynFree(env.JobID, first.ClientID); err != nil {
+					t.Errorf("DynFree: %v", err)
+				}
+				nodes, _ := cl.Nodes()
+				for _, n := range nodes {
+					jobsOn[n.Name] = n.Jobs
+				}
+			},
+		})
+		if err != nil {
+			t.Errorf("Submit: %v", err)
+			return
+		}
+		c.Wait(id)
+		if len(first.Hosts) != 1 || len(second.Hosts) != 1 {
+			t.Fatalf("grants %+v, %+v", first, second)
+		}
+		if got := jobsOn[first.Hosts[0]]; len(got) != 0 {
+			t.Errorf("freed %s still lists %v", first.Hosts[0], got)
+		}
+		if got := jobsOn[second.Hosts[0]]; !slices.Equal(got, []string{id}) {
+			t.Errorf("kept %s lists %v, want [%s]", second.Hosts[0], got, id)
 		}
 	})
 }

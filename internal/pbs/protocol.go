@@ -150,7 +150,7 @@ type jobEnd struct {
 	acct byte
 	// kick is the reason the scheduler is woken with; a failed job's
 	// kick is nodeDown's, once per node whatever it carried.
-	kick string
+	kick any
 	// qdel kills a script that is still running: the mother superior is
 	// told to abort before anybody is told to release. Its audit record
 	// follows the releases and carries the state the job left, as qdel's
@@ -167,8 +167,8 @@ type jobEnd struct {
 }
 
 var (
-	endDeleted   = jobEnd{to: JobDeleted, acct: AcctDeleted, kick: "delete", qdel: true}
-	endCompleted = jobEnd{to: JobCompleted, acct: AcctEnded, kick: "jobdone", counted: true,
+	endDeleted   = jobEnd{to: JobDeleted, acct: AcctDeleted, kick: kickDelete, qdel: true}
+	endCompleted = jobEnd{to: JobCompleted, acct: AcctEnded, kick: kickJobdone, counted: true,
 		rejects: setOf(DynQueued, DynScheduling), why: "pbs: job completed"}
 	endFailed = jobEnd{to: JobFailed, acct: AcctFailed,
 		rejects: setOf(DynQueued, DynScheduling, DynForwarding), why: "pbs: job failed (node down)"}
@@ -185,25 +185,20 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 	if j == nil || !jobRules[e.to].from.has(int(j.info.State)) {
 		return j != nil, false
 	}
-	var buf [hostBuf]string
-	var moms []string // of a running job: the mother superior's first
+	var nodes []*serverNode // of a running job: the mother superior's first
 	if e.qdel {
 		left := j.info.State
-		moms = s.freeJobLocked(j, buf[:0])
+		nodes = s.freeJobLocked(j)
 		s.advanceJobLocked(j, e.to, int64(left))
 	} else {
 		s.advanceJobLocked(j, e.to, 0)
-		moms = s.freeJobLocked(j, buf[:0])
+		nodes = s.freeJobLocked(j)
 	}
 	if e.counted {
 		s.inst.jobsDone.Inc()
 	}
 	if s.params.RetainCompleted > 0 {
 		s.doneQ = append(s.doneQ, j.seq) // retention.go purges from here
-	}
-	lost := ""
-	if lostHost != "" {
-		lost = s.momEPLocked(lostHost)
 	}
 	for i := 0; i < len(s.dynQ); {
 		if rec := s.dynQ[i]; rec.JobID == id && e.rejects.has(int(rec.State)) {
@@ -221,12 +216,12 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 		info = cloneInfo(j.info)
 	}
 
-	if e.qdel && len(moms) > 0 {
-		s.send(moms[0], AbortJobMsg{JobID: id})
+	if e.qdel && len(nodes) > 0 {
+		s.sendTo(&nodes[0].mom, AbortJobMsg{JobID: id}, 0)
 	}
-	for _, ep := range moms {
-		if ep != lost {
-			s.send(ep, ReleaseJobMsg{JobID: id})
+	for _, n := range nodes {
+		if n.info.Name != lostHost { // the lost node's mom is not told
+			s.sendTo(&n.mom, ReleaseJobMsg{JobID: id}, 0)
 		}
 	}
 	var dbuf [64]byte
@@ -241,9 +236,7 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 	for _, w := range ws {
 		s.send(w.replyTo, WaitResp{ReqID: w.reqID, Info: info})
 	}
-	if e.kick != "" {
-		s.kickScheduler(e.kick)
-	}
+	s.kickScheduler(e.kick)
 	return true, true
 }
 

@@ -6,8 +6,8 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/audit"
@@ -76,15 +76,17 @@ type Server struct {
 	stations []station
 	rr       int
 
-	schedEP    string
+	// sched is the scheduler kicks go to (no name: none).
+	sched      netsim.Addr
 	nextJob    int
 	nextClient int
 	nextDyn    int
 	// index is the job database; see index.go for the compaction
 	// invariants.
 	index jobIndex
-	// table is the node database in AddNode order; nodes finds the same
-	// records by name.
+	// table is the node database in AddNode order, the host table every
+	// other path goes through; nodes finds the same records by name, for
+	// the names that enter in requests and scheduler commands.
 	table []*serverNode
 	nodes map[string]*serverNode
 	// The scheduler's view is incremental (see handleSchedInfo): gen
@@ -135,6 +137,12 @@ type serverJob struct {
 	// place in submission order.
 	seq  int
 	info JobInfo
+	// nodes are the nodes the host lists name, resolved once, in
+	// appendHosts order: its mother superior's first. A node leaves with
+	// its name (a freed dynamic set, a lost accelerator), and the job
+	// keeps them after it ends. nodeBuf holds a narrow job's.
+	nodes   []*serverNode
+	nodeBuf [2]*serverNode
 	// gen and phase are the job's view as touchJobLocked last stamped it.
 	gen   uint64
 	phase JobPhase
@@ -146,10 +154,11 @@ func (j *serverJob) live() bool {
 }
 
 type serverNode struct {
-	info   NodeInfo
-	momEP  string         // fabric name of the node's mom, built once
-	usedBy map[string]int // jobID -> cores (compute) or accelerator count (1)
-	idx    int            // position in Server.table
+	info NodeInfo
+	mom  netsim.Addr // the node's mom, resolved at registration
+	// used holds the jobs on the node in job-ID order, NodeInfo.Jobs's.
+	used []nodeUse
+	idx  int // position in Server.table
 	// gen is the node-table generation that first carries the node's
 	// current NodeInfo (see touchLocked).
 	gen      uint64
@@ -161,6 +170,40 @@ type serverNode struct {
 	// Accounting (see accounting.go).
 	busyCoreSeconds float64
 	lastChange      time.Duration
+}
+
+// nodeUse is one job's hold on a node: cores of a compute node, 1 of an
+// accelerator.
+type nodeUse struct {
+	job string
+	n   int
+}
+
+// holds returns job's hold on n, and where it is (or would go) in n.used.
+func (n *serverNode) holds(job string) (c, at int, ok bool) {
+	at, ok = slices.BinarySearchFunc(n.used, job, func(u nodeUse, id string) int { return strings.Compare(u.job, id) })
+	if ok {
+		c = n.used[at].n
+	}
+	return c, at, ok
+}
+
+// hold sets job's hold on n to c.
+func (n *serverNode) hold(job string, c int) {
+	if _, at, ok := n.holds(job); ok {
+		n.used[at].n = c
+	} else {
+		n.used = slices.Insert(n.used, at, nodeUse{job: job, n: c})
+	}
+}
+
+// drop takes job's hold off n and returns it.
+func (n *serverNode) drop(job string) (c int, ok bool) {
+	c, at, ok := n.holds(job)
+	if ok {
+		n.used = slices.Delete(n.used, at, at+1)
+	}
+	return c, ok
 }
 
 type waiter struct {
@@ -231,7 +274,6 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 func (s *Server) AddNode(name string, typ NodeType, cores int) {
 	s.addNodeLocked(&serverNode{
 		info:     NodeInfo{Name: name, Type: typ, Cores: cores},
-		usedBy:   make(map[string]int),
 		lastSeen: s.sim.Now(),
 	})
 }
@@ -246,22 +288,14 @@ func (s *Server) ReserveNodes(n int) {
 	s.table = slices.Grow(s.table, n)
 }
 
-// addNodeLocked appends a node to the dense table and the name map.
+// addNodeLocked appends a node to the dense table and the name map,
+// and resolves its mom.
 func (s *Server) addNodeLocked(n *serverNode) {
-	n.momEP = MomEndpoint(n.info.Name)
+	n.mom = s.net.Resolve(MomEndpoint(n.info.Name))
 	n.idx = len(s.table)
 	s.table = append(s.table, n)
 	s.nodes[n.info.Name] = n
 	s.touchLocked(n)
-}
-
-// momEPLocked is MomEndpoint for the per-request paths: a host of the
-// node database costs a lookup, not a string.
-func (s *Server) momEPLocked(host string) string {
-	if n, ok := s.nodes[host]; ok {
-		return n.momEP
-	}
-	return MomEndpoint(host)
 }
 
 // touchLocked marks the node's NodeInfo as changed since the last
@@ -303,7 +337,7 @@ func (j *serverJob) view() SchedJobView {
 // SetScheduler installs the scheduler's endpoint for kick
 // notifications.
 func (s *Server) SetScheduler(ep string) {
-	s.schedEP = ep
+	s.sched = s.net.Resolve(ep)
 }
 
 // Errors returns the newest protocol anomalies the server observed, at
@@ -332,38 +366,40 @@ func (s *Server) receive(m *netsim.Message) {
 	s.stations[s.shardFor(m.Payload, &s.rr)].offer(m)
 }
 
+// send answers a request at the name it gave.
 func (s *Server) send(to string, payload any) {
-	s.sendCause(to, payload, 0)
-}
-
-// sendCause is send with the trace-span id that produced the message,
-// so the fabric's delivery span links back to the causing work.
-func (s *Server) sendCause(to string, payload any, cause uint64) {
-	if err := s.ep.SendCause(to, "pbs", payload, 0, cause); err != nil {
+	if err := s.ep.Send(to, "pbs", payload, 0); err != nil {
 		s.logErr("send to %s: %v", to, err)
 	}
 }
 
-// kickPayloads pre-boxes the SchedKick for every reason the server
-// uses, so the per-event kick path does not allocate an interface box.
-// The map is read-only after init.
-var kickPayloads = func() map[string]any {
-	m := make(map[string]any)
-	for _, r := range []string{"submit", "qalter", "qrls", "delete", "dynfree", "jobdone", "restore"} {
-		m[r] = SchedKick{Reason: r}
+// sendTo sends to a daemon the server has resolved, with the trace-span
+// id that produced the message, so the fabric's delivery span links
+// back to the causing work.
+func (s *Server) sendTo(to *netsim.Addr, payload any, cause uint64) {
+	if err := s.ep.SendTo(to, "pbs", payload, 0, cause); err != nil {
+		s.logErr("send to %s: %v", to.Name(), err)
 	}
-	return m
-}()
+}
 
-func (s *Server) kickScheduler(reason string) {
-	if s.schedEP == "" {
-		return
+// The SchedKick of each fixed reason the server wakes the scheduler
+// with, boxed once: such a kick allocates nothing. Read-only.
+var (
+	kickSubmit    any = SchedKick{Reason: "submit"}
+	kickQalter    any = SchedKick{Reason: "qalter"}
+	kickQrls      any = SchedKick{Reason: "qrls"}
+	kickDelete    any = SchedKick{Reason: "delete"}
+	kickDynqueued any = SchedKick{Reason: "dynqueued"}
+	kickDynfree   any = SchedKick{Reason: "dynfree"}
+	kickJobdone   any = SchedKick{Reason: "jobdone"}
+	kickRestore   any = SchedKick{Reason: "restore"}
+)
+
+// kickScheduler sends the scheduler a kick, if there are both.
+func (s *Server) kickScheduler(kick any) {
+	if kick != nil && s.sched.Name() != "" {
+		s.sendTo(&s.sched, kick, 0)
 	}
-	payload, ok := kickPayloads[reason]
-	if !ok {
-		payload = SchedKick{Reason: reason}
-	}
-	s.send(s.schedEP, payload)
 }
 
 // errsKept is how many of the newest protocol anomalies Errors returns.
@@ -464,7 +500,7 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	var buf [96]byte
 	s.account(AcctQueued, id, appendQueuedDetail(buf[:0], req.Spec))
 	s.send(req.ReplyTo, SubmitResp{ReqID: req.ReqID, JobID: id})
-	s.kickScheduler("submit")
+	s.kickScheduler(kickSubmit)
 }
 
 func (s *Server) handleStat(req StatReq) {
@@ -498,7 +534,7 @@ func (s *Server) handleAlter(req AlterReq) {
 	}
 	s.touchJobLocked(j)
 	s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID})
-	s.kickScheduler("qalter")
+	s.kickScheduler(kickQalter)
 }
 
 // handleHold applies qhold/qrls to a queued job.
@@ -516,7 +552,7 @@ func (s *Server) handleHold(req HoldReq) {
 	s.touchJobLocked(j)
 	s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID})
 	if !req.Hold {
-		s.kickScheduler("qrls")
+		s.kickScheduler(kickQrls)
 	}
 }
 
@@ -611,8 +647,8 @@ func (s *Server) startNextDynLocked() {
 			kicked = true
 		}
 	}
-	if kicked && s.schedEP != "" {
-		s.send(s.schedEP, SchedKick{Reason: "dynqueued"})
+	if kicked {
+		s.kickScheduler(kickDynqueued)
 	}
 }
 
@@ -633,20 +669,16 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 	}
 	hosts := s.releaseDynSetLocked(j, req.ClientID)
 	s.aud.Record(audit.KindJob, "pbs", req.JobID, audDynFree, int64(req.ClientID), int64(len(hosts)))
-	ms := ""
-	if len(j.info.Hosts) > 0 {
-		ms = s.momEPLocked(j.info.Hosts[0])
-	}
 
 	// Positive reply first; disassociation proceeds while the
 	// application continues (paper Section III-D).
 	var buf [32]byte
 	s.account(AcctDynFree, req.JobID, appendKV(buf[:0], "client=", req.ClientID))
 	s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID})
-	if ms != "" {
-		s.send(ms, DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts})
+	if len(j.info.Hosts) > 0 {
+		s.sendTo(&j.nodes[0].mom, DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts}, 0)
 	}
-	s.kickScheduler("dynfree")
+	s.kickScheduler(kickDynfree)
 }
 
 // releaseDynSetLocked hands one dynamic set of a job back to the pool
@@ -655,9 +687,17 @@ func (s *Server) releaseDynSetLocked(j *serverJob, clientID int) []string {
 	id, hosts := j.info.ID, j.info.DynSets[clientID]
 	delete(j.info.DynSets, clientID)
 	for _, h := range hosts {
-		if n, ok := s.nodes[h]; ok {
-			s.aud.Record(audit.KindRelease, "pbs", h, id, int64(n.usedBy[id]), 1)
-			delete(n.usedBy, id)
+		// Dynamic sets follow the static hosts in j.nodes: search from
+		// the tail.
+		i := len(j.nodes) - 1
+		for i >= 0 && j.nodes[i].info.Name != h {
+			i--
+		}
+		if i >= 0 {
+			n := j.nodes[i]
+			j.nodes = slices.Delete(j.nodes, i, i+1)
+			c, _ := n.drop(id)
+			s.aud.Record(audit.KindRelease, "pbs", h, id, int64(c), 1)
 			s.refreshLocked(n)
 		}
 	}
@@ -767,42 +807,44 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 		}
 		return
 	}
-	// Validate and commit the assignment: compute nodes first, then the
-	// accelerators in compute-node order.
+	// Resolve and validate the assignment, then commit it: compute nodes
+	// first, then the accelerators in compute-node order.
 	var buf [hostBuf]string
-	all := appendHosts(buf[:0], cmd.Hosts, cmd.AccHosts, nil)
-	for i, h := range all {
+	var nbuf [hostBuf]*serverNode
+	nodes := nbuf[:0]
+	for i, h := range appendHosts(buf[:0], cmd.Hosts, cmd.AccHosts, nil) {
 		n, ok := s.nodes[h]
 		what := "compute node"
 		if i < len(cmd.Hosts) {
 			ok = ok && n.info.Type == ComputeNode && n.info.FreeCores() >= j.info.Spec.PPN
 		} else {
 			what = "accelerator"
-			ok = ok && n.info.Type == AcceleratorNode && len(n.usedBy) == 0
+			ok = ok && n.info.Type == AcceleratorNode && len(n.used) == 0
 		}
 		if !ok {
 			s.logErr("AllocCmd for job %s: %s %s unavailable", cmd.JobID, what, h)
 			return
 		}
+		nodes = append(nodes, n)
 	}
-	for i, h := range all {
-		n, c := s.nodes[h], 1
+	for i, n := range nodes {
+		c := 1
 		if i < len(cmd.Hosts) {
 			c = j.info.Spec.PPN
 		}
-		n.usedBy[cmd.JobID] = c
+		n.hold(cmd.JobID, c)
 		s.refreshLocked(n)
-		s.aud.Record(audit.KindAlloc, "pbs", h, cmd.JobID, int64(c), 0)
+		s.aud.Record(audit.KindAlloc, "pbs", n.info.Name, cmd.JobID, int64(c), 0)
 	}
+	j.nodes = append(j.nodeBuf[:0], nodes...)
 	j.info.Hosts = cmd.Hosts
 	j.info.AccHosts = cmd.AccHosts
 	s.advanceJobLocked(j, JobRunning, int64(len(cmd.Hosts)))
 	spec := j.info.Spec
-	ms := s.momEPLocked(cmd.Hosts[0])
 
 	// Select the mother superior (always a compute node, paper
 	// Section III-C) and forward the job.
-	s.sendCause(ms,
+	s.sendTo(&nodes[0].mom,
 		RunJobMsg{JobID: cmd.JobID, Spec: spec, Hosts: cmd.Hosts, AccHosts: cmd.AccHosts, Cause: sp.ID()}, sp.ID())
 }
 
@@ -829,17 +871,20 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 		s.rejectDynLocked(rec, "pbs: job no longer running", false)
 		return
 	}
+	var nbuf [hostBuf]*serverNode
+	nodes := nbuf[:0]
 	for _, h := range cmd.Hosts {
 		n, ok := s.nodes[h]
 		bad := !ok || n.info.Down
 		if !bad {
 			switch rec.Kind {
 			case KindAccelerator:
-				bad = n.info.Type != AcceleratorNode || len(n.usedBy) > 0
+				bad = n.info.Type != AcceleratorNode || len(n.used) > 0
 			case KindCompute:
 				// Malleable extension: the scheduler picks compute
 				// nodes this job does not already occupy.
-				bad = n.info.Type != ComputeNode || n.info.FreeCores() < rec.PPN || n.usedBy[rec.JobID] > 0
+				c, _, _ := n.holds(rec.JobID)
+				bad = n.info.Type != ComputeNode || n.info.FreeCores() < rec.PPN || c > 0
 			}
 		}
 		if bad {
@@ -847,28 +892,29 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 			s.rejectDynLocked(rec, "pbs: allocation raced with another job", false)
 			return
 		}
+		nodes = append(nodes, n)
 	}
 	s.nextClient++
 	rec.ClientID = s.nextClient
 	rec.Hosts = cmd.Hosts
 	s.advanceDynLocked(rec, DynForwarding, int64(rec.ClientID))
-	for _, h := range cmd.Hosts {
-		n := s.nodes[h]
-		if rec.Kind == KindCompute {
-			n.usedBy[rec.JobID] = rec.PPN
-		} else {
-			n.usedBy[rec.JobID] = 1
-		}
+	c := 1
+	if rec.Kind == KindCompute {
+		c = rec.PPN
+	}
+	for _, n := range nodes {
+		n.hold(rec.JobID, c)
 		s.refreshLocked(n)
-		s.aud.Record(audit.KindAlloc, "pbs", h, rec.JobID, int64(n.usedBy[rec.JobID]), 1)
+		s.aud.Record(audit.KindAlloc, "pbs", n.info.Name, rec.JobID, int64(c), 1)
 	}
 	if j.info.DynSets == nil {
 		j.info.DynSets = make(map[int][]string)
 	}
+	// The newest client-id sorts last: appendHosts order is kept.
 	j.info.DynSets[rec.ClientID] = rec.Hosts
-	ms := s.momEPLocked(j.info.Hosts[0])
+	j.nodes = append(j.nodes, nodes...)
 
-	s.sendCause(ms, DynAddMsg{
+	s.sendTo(&j.nodes[0].mom, DynAddMsg{
 		JobID: rec.JobID, ReqID: rec.ReqID, ClientID: rec.ClientID,
 		CN: rec.CN, Hosts: rec.Hosts, ReplyTo: ServerEndpoint, Cause: sp.ID(),
 	}, sp.ID())
@@ -948,43 +994,34 @@ func (s *Server) handleJobDone(jobID string) {
 	s.endJob(jobID, &endCompleted, "", "", nil)
 }
 
-// freeJobLocked releases every node held by the job. The job's own
-// host lists name every node it can occupy, so the release touches
-// only those instead of sweeping the whole node database. It returns,
-// appended to dst in appendHosts order, the fabric names of the moms on
-// those hosts: the daemons to tell that the job ended.
-func (s *Server) freeJobLocked(j *serverJob, dst []string) []string {
+// freeJobLocked releases every node held by the job. The job's resolved
+// nodes are every node it can occupy, so the release touches only those
+// instead of sweeping the whole node database. It returns them, in
+// appendHosts order: their moms are the daemons to tell that the job
+// ended.
+func (s *Server) freeJobLocked(j *serverJob) []*serverNode {
 	id := j.info.ID
-	moms := appendHosts(dst, j.info.Hosts, j.info.AccHosts, j.info.DynSets)
-	for i, h := range moms {
-		n, ok := s.nodes[h]
-		if !ok {
-			moms[i] = MomEndpoint(h)
-			continue
-		}
-		moms[i] = n.momEP
-		if c, held := n.usedBy[id]; held {
-			s.aud.Record(audit.KindRelease, "pbs", h, id, int64(c), 0)
-			delete(n.usedBy, id)
+	for _, n := range j.nodes {
+		if c, held := n.drop(id); held {
+			s.aud.Record(audit.KindRelease, "pbs", n.info.Name, id, int64(c), 0)
 			s.refreshLocked(n)
 		}
 	}
-	return moms
+	return j.nodes
 }
 
-// refreshLocked recomputes the node's public view after a usedBy
-// mutation, folding the elapsed busy time into the accounting
-// integral first. The job list is rebuilt in place: whoever keeps it
-// past the handler copies it.
+// refreshLocked recomputes the node's public view after its holds
+// changed, folding the elapsed busy time into the accounting integral
+// first. The job list is rebuilt in place, in the holds' job-ID order:
+// whoever keeps it past the handler copies it.
 func (s *Server) refreshLocked(n *serverNode) {
 	s.accrueLocked(n)
 	used := 0
 	jobs := n.info.Jobs[:0]
-	for id, c := range n.usedBy {
-		used += c
-		jobs = append(jobs, id)
+	for _, u := range n.used {
+		used += u.n
+		jobs = append(jobs, u.job)
 	}
-	sort.Strings(jobs)
 	if n.info.Type == AcceleratorNode {
 		n.info.UsedCores = 0
 	} else {
@@ -992,7 +1029,7 @@ func (s *Server) refreshLocked(n *serverNode) {
 	}
 	n.info.Jobs = jobs
 	s.touchLocked(n)
-	s.aud.Record(audit.KindNode, "pbs", n.info.Name, "", int64(n.info.Cores-n.info.UsedCores), int64(len(n.usedBy)))
+	s.aud.Record(audit.KindNode, "pbs", n.info.Name, "", int64(n.info.Cores-n.info.UsedCores), int64(len(n.used)))
 }
 
 // nodeView clones the node database into freshly allocated storage. It

@@ -2,6 +2,7 @@ package pbs
 
 import (
 	"errors"
+	"fmt"
 	"time"
 )
 
@@ -63,9 +64,9 @@ func (s *Server) Checkpoint() Snapshot {
 	}
 	snap.Nodes = s.nodeView()
 	for _, n := range s.table {
-		used := make(map[string]int, len(n.usedBy))
-		for j, c := range n.usedBy {
-			used[j] = c
+		used := make(map[string]int, len(n.used))
+		for _, u := range n.used {
+			used[u.job] = u.n
 		}
 		snap.UsedBy[n.info.Name] = used
 	}
@@ -105,6 +106,29 @@ func (s *Server) Restore(snap Snapshot) error {
 	if len(log) < len(snap.Order) || k < len(snap.Jobs) {
 		return errors.New("pbs: Restore: snapshot jobs out of submission order")
 	}
+	// The jobs resolve their hosts against the restored node table.
+	now := s.sim.Now()
+	table := make([]*serverNode, len(snap.Nodes))
+	byName := make(map[string]*serverNode, len(snap.Nodes))
+	for i, info := range snap.Nodes {
+		n := &serverNode{info: info, lastChange: now, lastSeen: now}
+		n.info.Jobs = append([]string(nil), info.Jobs...)
+		for j, c := range snap.UsedBy[info.Name] {
+			n.hold(j, c)
+		}
+		table[i], byName[info.Name] = n, n
+	}
+	for _, ref := range log {
+		if j := ref.j; j != nil {
+			for _, h := range appendHosts(nil, j.info.Hosts, j.info.AccHosts, j.info.DynSets) {
+				n, ok := byName[h]
+				if !ok {
+					return fmt.Errorf("pbs: Restore: job %s on unknown node %s", j.info.ID, h)
+				}
+				j.nodes = append(j.nodes, n)
+			}
+		}
+	}
 	s.index = jobIndex{log: log, records: k, retired: len(log) - k}
 	s.nextJob = snap.NextJob
 	s.nextClient = snap.NextClient
@@ -115,18 +139,7 @@ func (s *Server) Restore(snap Snapshot) error {
 			s.touchJobLocked(ref.j)
 		}
 	}
-	now := s.sim.Now()
-	for _, info := range snap.Nodes {
-		n := &serverNode{
-			info:       info,
-			usedBy:     make(map[string]int),
-			lastChange: now,
-			lastSeen:   now,
-		}
-		n.info.Jobs = append([]string(nil), info.Jobs...)
-		for j, c := range snap.UsedBy[info.Name] {
-			n.usedBy[j] = c
-		}
+	for _, n := range table {
 		s.addNodeLocked(n)
 	}
 	for jobID, ws := range snap.Waiters {
@@ -147,6 +160,6 @@ func (s *Server) Restore(snap Snapshot) error {
 		}
 		s.rejectDynLocked(&rec, "pbs: server restarted; dynamic request lost", false)
 	}
-	s.kickScheduler("restore")
+	s.kickScheduler(kickRestore)
 	return nil
 }

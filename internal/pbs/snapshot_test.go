@@ -330,9 +330,10 @@ func TestRestoreOnDirtyServerFails(t *testing.T) {
 }
 
 // The job log is the server's index only while it ascends in sequence
-// number, so Restore refuses a snapshot whose order does not, or that
-// holds a record its order lacks, and leaves the server empty; a
-// well-formed one round-trips, purged ids and all.
+// number, so Restore refuses a snapshot whose order does not, that
+// holds a record its order lacks, or whose job names a node it does not
+// hold, and leaves the server empty; a well-formed one round-trips,
+// purged ids and all.
 func TestRestoreRefusesJobsOutOfOrder(t *testing.T) {
 	job := func(seq int) pbs.JobInfo {
 		return pbs.JobInfo{ID: fmt.Sprintf("%d.%s", seq, pbs.ServerEndpoint), State: pbs.JobCompleted}
@@ -345,6 +346,7 @@ func TestRestoreRefusesJobsOutOfOrder(t *testing.T) {
 		{Order: []string{"x." + pbs.ServerEndpoint}},
 		{Order: []string{id1}, Jobs: []pbs.JobInfo{job(2)}},
 		{Order: []string{id1, id2}, Jobs: []pbs.JobInfo{job(2), job(1)}},
+		{Order: []string{id1}, Jobs: []pbs.JobInfo{{ID: id1, State: pbs.JobRunning, Hosts: []string{"cn0"}}}},
 	} {
 		if err := srv.Restore(bad); err == nil {
 			t.Errorf("Restore(order %v, %d jobs) succeeded", bad.Order, len(bad.Jobs))
