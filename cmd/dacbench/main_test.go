@@ -17,59 +17,11 @@ func TestVms(t *testing.T) {
 	}
 }
 
-func report(series map[string]float64) *Report {
-	return &Report{SchemaVersion: 1, Trials: 3, Series: series}
-}
-
-// Series on one side only are noted, not failed; equal shared series,
-// zeros included, pass.
-func TestCompareIgnoresUnsharedSeries(t *testing.T) {
-	base := report(map[string]float64{"a": 100, "b": 0, "gone": 5})
-	cand := report(map[string]float64{"a": 100, "b": 0, "new": 7})
-	shared, failures := compare(base, cand)
-	if shared != 2 || len(failures) != 0 {
-		t.Fatalf("%d shared series, failures %v; want 2 and none", shared, failures)
-	}
-}
-
-// Any difference in a shared series fails, however small.
-func TestCompareDetectsRegression(t *testing.T) {
-	base := report(map[string]float64{"a": 100, "b": 0})
-	cand := report(map[string]float64{"a": 100.001, "b": 2})
-	if _, failures := compare(base, cand); len(failures) != 2 {
-		t.Fatalf("got %d failures, want 2: %v", len(failures), failures)
-	}
-}
-
-func TestLoadRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(`{"schema_version":1,"trials":3,"series_virtual_ms":{"a":1}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := load(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if rep.Series["a"] != 1 {
-		t.Fatalf("series = %v", rep.Series)
-	}
-	if _, err := load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("load of missing file succeeded")
-	}
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"schema_version":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := load(empty); err == nil {
-		t.Fatal("load of series-less report succeeded")
-	}
-}
-
 // A recorded report must carry every figure and scale series, and the
-// ones the committed baseline also holds — every figure series plus the
-// 8-node scale rungs — must equal it exactly.
+// ones results/pins.json also holds — every figure series plus the
+// 8-node scale rungs — must equal their pins exactly.
 func TestRecordMatchesBaseline(t *testing.T) {
-	rep, err := record(3, []int{8}, []int{8}, []benchServePoint{{8, repro.ServerFaithful}})
+	series, err := record([]int{8}, []int{8}, []benchServePoint{{8, repro.ServerFaithful}})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -79,26 +31,29 @@ func TestRecordMatchesBaseline(t *testing.T) {
 		"scale_sharded/cycle_mean/cns=8", "scale_sharded/dyn_p99/cns=8",
 		"serve/makespan/cns=8/mode=faithful",
 	} {
-		if _, ok := rep.Series[want]; !ok {
-			t.Fatalf("series %q missing from recorded report", want)
+		if _, ok := series[want]; !ok {
+			t.Fatalf("series %q missing from the record", want)
 		}
 	}
-	baseline, err := load(filepath.Join("..", "..", "BENCH_baseline.json"))
+	p, err := loadPins(filepath.Join("..", "..", "results", "pins.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, failures := compare(baseline, rep)
-	if shared != 42 {
-		t.Errorf("%d series shared with the baseline, want 42", shared)
+	shared := map[string]float64{}
+	for name := range series {
+		if v, ok := p.Virtual[name]; ok {
+			shared[name] = v
+		}
 	}
-	if len(failures) != 0 {
-		t.Fatalf("report differs from BENCH_baseline.json: %v", failures)
+	if len(shared) != 42 {
+		t.Errorf("%d series shared with the virtual pins, want 42", len(shared))
 	}
+	checkExact(series, shared, func(format string, a ...any) { t.Errorf(format, a...) })
 }
 
 // Every rule of -check fails its case, and each failure line names the
 // key and the value it read; the pristine inputs pass, and so does an
-// md5-only run, which need not supply dacperf lines.
+// md5-only run, which need not supply dacperf lines or a record.
 func TestCheckPins(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -116,6 +71,8 @@ func TestCheckPins(t *testing.T) {
 			correct, failed))
 	}
 	good := perf("good.json", true, 0)
+	virtual := write("virtual.json", `{"fig7a/total/acs=1": 97.600816, "fig9/total/node=C": 22.800816}`)
+	shifted := write("shifted.json", `{"fig7a/total/acs=1": 97.600817, "fig9/total/node=C": 22.800816}`)
 	pristine := func() *pins {
 		return &pins{
 			MD5: map[string]string{
@@ -127,10 +84,12 @@ func TestCheckPins(t *testing.T) {
 				"w@trace0": {Max: map[string]float64{"host_allocs_per_op": 83.8}},
 				"v@trace1": {},
 			},
+			Virtual: map[string]float64{"fig7a/total/acs=1": 97.600816, "fig9/total/node=C": 22.800816},
 		}
 	}
 	md5In := []string{"figs=" + figs, "scale-sharded-4096=" + scale}
 	all := append([]string{"w@trace1=" + good, "w@trace0=" + good, "v@trace1=" + good}, md5In...)
+	all = append(all, "virtual="+virtual)
 	for _, tc := range []struct {
 		name   string
 		edit   func(p *pins)
@@ -161,6 +120,15 @@ func TestCheckPins(t *testing.T) {
 			want: "u@trace1: no pin"},
 		{name: "pin with no input", inputs: all[1:],
 			want: "w@trace1: pinned, no input"},
+		{name: "virtual series off by 1e-6",
+			inputs: append(all[:len(all)-1:len(all)-1], "virtual="+shifted),
+			want:   "virtual: fig7a/total/acs=1 = 97.600817, pinned 97.600816"},
+		{name: "virtual series missing", inputs: all,
+			edit: func(p *pins) { p.Virtual["fig8/total/load=20"] = 506.8 },
+			want: "virtual: fig8/total/load=20 = missing, pinned 506.8"},
+		{name: "virtual series with no pin", inputs: all,
+			edit: func(p *pins) { delete(p.Virtual, "fig9/total/node=C") },
+			want: "virtual: fig9/total/node=C = 22.800816, no pin"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := pristine()

@@ -230,10 +230,15 @@ func (c *Cluster) ComputeNodeNames() []string { return append([]string(nil), c.c
 func (c *Cluster) AcceleratorNames() []string { return append([]string(nil), c.acs...) }
 
 // Start spawns every daemon actor. Call from inside the simulation.
+// The moms start in AddNode order, compute nodes first: a mom with
+// heartbeats spawns their sender, and the spawn order is the order of
+// same-instant heartbeats at the server.
 func (c *Cluster) Start() {
 	c.Server.Start()
-	for _, m := range c.Moms {
-		m.Start()
+	for _, names := range [][]string{c.cns, c.acs} {
+		for _, name := range names {
+			c.Moms[name].Start()
+		}
 	}
 	c.Scheduler.Start()
 }

@@ -68,14 +68,9 @@ func AblationCollectiveGet(p cluster.Params, cns, acsPerCN int) (CollectiveResul
 	p.Accelerators = cns * acsPerCN
 	measure := func(collective bool) (time.Duration, error) {
 		var elapsed time.Duration
-		s := sim.Acquire()
-		defer s.Release()
-		c := cluster.New(s, p)
-		start := newSignal(s, "start")
-		err := s.Run(func() {
-			defer c.Close()
-			c.Start()
-			client := c.Client("front")
+		err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+			s := c.Sim
+			start := newSignal(s, "start")
 			done := 0
 			doneGate := s.NewGate("done")
 			id, err := client.Submit(pbs.JobSpec{
@@ -111,10 +106,7 @@ func AblationCollectiveGet(p cluster.Params, cns, acsPerCN int) (CollectiveResul
 			elapsed = s.Now() - t0
 			client.Wait(id)
 		})
-		if err != nil {
-			return 0, err
-		}
-		return elapsed, nil
+		return elapsed, err
 	}
 	var res CollectiveResult
 	var err error
@@ -188,17 +180,11 @@ func runPolicy(p cluster.Params, jobs int, mk func(s *sim.Simulation, i int) pbs
 	var span time.Duration
 	var acSeconds float64
 	var joules float64
-	s := sim.Acquire()
-	defer s.Release()
-	c := cluster.New(s, p)
-	err := s.Run(func() {
-		defer c.Close()
-		c.Start()
-		client := c.Client("front")
-		t0 := s.Now()
+	err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+		t0 := c.Sim.Now()
 		var ids []string
 		for i := 0; i < jobs; i++ {
-			id, err := client.Submit(mk(s, i))
+			id, err := client.Submit(mk(c.Sim, i))
 			if err != nil {
 				return
 			}
@@ -256,24 +242,18 @@ func AblationBackfill(p cluster.Params, jobs int, seed uint64) (BackfillResult, 
 		// both modes and backfill never gets exercised.
 		pp.Maui.FairshareWeight = 0
 		var span time.Duration
-		s := sim.Acquire()
-		defer s.Release()
-		c := cluster.New(s, pp)
-		err := s.Run(func() {
-			defer c.Close()
-			c.Start()
-			client := c.Client("front")
+		err := cluster.Run(pp, func(c *cluster.Cluster, client *pbs.Client) {
 			// Wide jobs leave two cores per node so narrow jobs can
 			// backfill behind a blocked wide head; their runtime
 			// spans several scheduling cycles so the blocked window
 			// is actually observable.
-			gen := workload.NewGenerator(s, seed, 30*time.Millisecond, []workload.Class{
+			gen := workload.NewGenerator(c.Sim, seed, 30*time.Millisecond, []workload.Class{
 				{Name: "wide", Weight: 1, Nodes: 2, PPN: 6, MinRun: 500 * time.Millisecond, MaxRun: 900 * time.Millisecond},
 				{Name: "narrow", Weight: 3, Nodes: 1, PPN: 2, MinRun: 20 * time.Millisecond, MaxRun: 60 * time.Millisecond},
 			})
 			trace := workload.Record(gen, jobs)
-			t0 := s.Now()
-			ids, err := workload.Replay(s, client, trace)
+			t0 := c.Sim.Now()
+			ids, err := workload.Replay(c.Sim, client, trace)
 			if err != nil {
 				return
 			}

@@ -302,7 +302,7 @@ func (m *Mom) advance(op *momOp) {
 		return
 	case DynAddMsg:
 		if hosts = req.Hosts; op.i < len(hosts) {
-			ask = DynJoinJobMsg{JobID: req.JobID, MS: m.host, ReplyTo: m.ep.Name()}
+			ask = DynJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()}
 		}
 	case DynRemoveMsg:
 		if hosts = req.Hosts; op.i < len(hosts) {

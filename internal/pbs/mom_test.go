@@ -52,7 +52,7 @@ func TestMomDynJoinAndDisjoin(t *testing.T) {
 		defer net.Close()
 		m.Start()
 		driver.Send(MomEndpoint("cn0"), "pbs",
-			DynJoinJobMsg{JobID: "j2", MS: "cnX", ReplyTo: driver.Name()}, 0)
+			DynJoinJobMsg{JobID: "j2", ReplyTo: driver.Name()}, 0)
 		msg, err := driver.Recv()
 		if err != nil {
 			t.Fatalf("Recv: %v", err)

@@ -339,7 +339,6 @@ type DynAddMsg struct {
 // to a newly allocated accelerator mom.
 type DynJoinJobMsg struct {
 	JobID   string
-	MS      string
 	ReplyTo string
 }
 

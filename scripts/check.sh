@@ -1,8 +1,10 @@
 #!/bin/sh
 # Static and dynamic checks for the whole module: formatting, vet, the
-# lint gate, and the test suite under the race detector (all but
-# internal/lint, whose tests lint.sh has just run). Run from anywhere;
-# CI and scripts/reproduce.sh call this before anything else.
+# lint gate, the test suite under the race detector (all but
+# internal/lint, whose tests lint.sh has just run), and the pins of
+# results/pins.json that need no host-time run: the figures' capture,
+# the sharded 4096 ladder and dacbench's virtual-time series. Run from
+# anywhere; CI and scripts/reproduce.sh call this before anything else.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -69,11 +71,14 @@ go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedu
 # observer session, so the figures' capture is the same bytes at any
 # -parallel: three runs at the default and one serial run (about 0.3 s
 # each). Each run must also succeed: a run that fails the same way
-# every time would print one output too. A change that means to move
-# either output re-pins it there and says why.
+# every time would print one output too. dacbench's record (figures,
+# scale ladders and serve points, about 4.5 s) runs once, and each of
+# its virtual-time series is pinned there as well. A change that means
+# to move an output re-pins it there and says why.
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/dacsim" ./cmd/dacsim
+go build -o "$bin/dacbench" ./cmd/dacbench
 
 # failed WHAT RUN: print the run's stderr and fail.
 failed() {
@@ -98,7 +103,11 @@ for parallel in 0 0 0 1; do
     cmp "$bin/figs1.jsonl" "$bin/figs$run.jsonl" >&2
 done
 
+echo "==> dacbench, the virtual-time series"
+"$bin/dacbench" >"$bin/virtual.json" 2>"$bin/run.err" || failed "dacbench" 1
+
 echo "==> dacbench -check results/pins.json"
-go run ./cmd/dacbench -check results/pins.json figs="$bin/figs1.jsonl" scale-sharded-4096="$bin/scale1.txt"
+"$bin/dacbench" -check results/pins.json figs="$bin/figs1.jsonl" scale-sharded-4096="$bin/scale1.txt" \
+    virtual="$bin/virtual.json"
 
 echo "==> checks passed"
