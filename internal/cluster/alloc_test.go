@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dac"
 	"repro/internal/pbs"
 	"repro/internal/workload"
 )
@@ -47,6 +48,68 @@ func TestObservedJobCostsWhatABareOneDoes(t *testing.T) {
 	t.Logf("%.2f objects a job observed, %.2f bare", observed, bare)
 	if observed > bare+2 {
 		t.Errorf("%.2f objects an observed job, want at most %.2f (bare + 2)", observed, bare+2)
+	}
+}
+
+// TestObjectsPerDynRequest pins what one AC_Get(2)…AC_Free costs the
+// whole stack in heap objects — pbs_dynget, Maui's top-priority answer,
+// DYNJOIN, MPI_Comm_spawn of two daemons and the merge, then the
+// disconnect, shrink, pbs_dynfree and DISJOIN — in the shape of
+// dacperf's dyn-storm requests (two accelerators held 200 ms). An mpi envelope and a spawned child's records are
+// reused or allocated once (DESIGN.md §9): 43.0 objects a request, 71.0
+// before (the ceiling is that measurement + 10 %).
+func TestObjectsPerDynRequest(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	const n = 256
+	mallocs := func(requests int) uint64 {
+		p := cluster.Default()
+		p.ComputeNodes, p.Accelerators, p.CoresPerNode = 1, 2, 4
+		var before, after runtime.MemStats
+		err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+			id, err := client.Submit(pbs.JobSpec{Name: "dyn", Owner: "u", Nodes: 1, PPN: 4, Walltime: time.Hour,
+				Script: func(env *pbs.JobEnv) {
+					ac, _, err := dac.Init(env)
+					if err != nil {
+						t.Errorf("AC_Init: %v", err)
+						return
+					}
+					defer ac.Finalize()
+					runtime.ReadMemStats(&before)
+					for i := 0; i < requests; i++ {
+						set, _, err := ac.Get(2)
+						if err != nil {
+							t.Errorf("AC_Get: %v", err)
+							return
+						}
+						c.Sim.Sleep(200 * time.Millisecond)
+						if err := ac.Free(set); err != nil {
+							t.Errorf("AC_Free: %v", err)
+							return
+						}
+						c.Sim.Sleep(time.Second)
+					}
+					runtime.ReadMemStats(&after)
+				}})
+			if err != nil {
+				t.Errorf("Submit: %v", err)
+				return
+			}
+			if info, err := client.Wait(id); err != nil || info.State != pbs.JobCompleted {
+				t.Errorf("Wait(%s) = %v, %v", id, info.State, err)
+			}
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(n) // warm the process-wide pools
+	perRequest := float64(mallocs(2*n)-mallocs(n)) / n
+	t.Logf("%.2f objects a dynamic request", perRequest)
+	if perRequest > 47.3 {
+		t.Errorf("%.2f objects a dynamic request, want at most 47.3", perRequest)
 	}
 }
 

@@ -62,9 +62,8 @@ type AC struct {
 
 	comm      *mpi.Comm
 	handles   map[int]*Accel
-	rankOf    map[int]int   // handle id -> communicator rank
-	sets      map[int][]int // client-id -> handle ids
-	setAt     map[int]time.Duration
+	rankOf    map[int]int    // handle id -> communicator rank
+	sets      map[int]dynSet // by client-id
 	staticIDs []int
 	staticAt  time.Duration
 	nextID    int
@@ -73,6 +72,21 @@ type AC struct {
 	finalized bool
 	stats     Stats
 }
+
+// dynSet is one dynamically allocated set: its handles, numbered
+// consecutively from first, and when it was attached.
+type dynSet struct {
+	first, n int
+	at       time.Duration
+}
+
+// addSet records the set of the n handles spawnAndMerge numbered last.
+func (ac *AC) addSet(clientID, n int, at time.Duration) {
+	ac.sets[clientID] = dynSet{first: ac.nextID - n + 1, n: n, at: at}
+}
+
+// exitRequest is the one boxed "exit" every release sends.
+var exitRequest any = opRequest{Op: "exit"}
 
 // acInstruments are the library's live metrics: attach/detach counts,
 // currently attached accelerators, and busy-time accounting per
@@ -105,8 +119,7 @@ func Init(env *pbs.JobEnv) (*AC, []*Accel, error) {
 		ifl:     pbs.NewClient(ctx.Net, env.Host, env.ServerEP),
 		handles: make(map[int]*Accel),
 		rankOf:  make(map[int]int),
-		sets:    make(map[int][]int),
-		setAt:   make(map[int]time.Duration),
+		sets:    make(map[int]dynSet),
 		inst: acInstruments{
 			attach:      reg.Counter("dac.attach"),
 			detach:      reg.Counter("dac.detach"),
@@ -235,12 +248,7 @@ func (ac *AC) Get(count int) (int, []*Accel, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	ids := make([]int, len(handles))
-	for i, h := range handles {
-		ids[i] = h.id
-	}
-	ac.sets[grant.ClientID] = ids
-	ac.setAt[grant.ClientID] = ac.ctx.Sim.Now()
+	ac.addSet(grant.ClientID, len(handles), ac.ctx.Sim.Now())
 	ac.stats.Gets = append(ac.stats.Gets, GetStat{Count: count, Batch: batch, MPI: mpiT})
 	ac.ctx.Sim.Audit().Record(audit.KindAlloc, "dac", ac.env.JobID, "attach", int64(len(handles)), int64(grant.ClientID))
 	ac.inst.attach.Add(int64(len(handles)))
@@ -254,9 +262,8 @@ func (ac *AC) Get(count int) (int, []*Accel, error) {
 // ranks persist and the new accelerators take ranks x+1..x+y.
 func (ac *AC) spawnAndMerge(hosts []string) ([]*Accel, error) {
 	comm := ac.comm
-	ranks := ac.daemonRanks()
-
-	for _, r := range ranks {
+	var buf [8]int
+	for _, r := range ac.daemonRanks(buf[:0]) {
 		if err := comm.Send(r, opTag, opRequest{Op: "spawn", Hosts: hosts}, 0); err != nil {
 			return nil, fmt.Errorf("dac: spawn control: %w", err)
 		}
@@ -272,10 +279,12 @@ func (ac *AC) spawnAndMerge(hosts []string) ([]*Accel, error) {
 
 	base := comm.Size() // old group size; new ranks follow
 	ac.comm = next
+	accels := make([]Accel, len(hosts))
 	handles := make([]*Accel, len(hosts))
 	for i, host := range hosts {
 		ac.nextID++
-		h := &Accel{id: ac.nextID, host: host}
+		h := &accels[i]
+		*h = Accel{id: ac.nextID, host: host}
 		ac.handles[h.id] = h
 		ac.rankOf[h.id] = base + i
 		handles[i] = h
@@ -283,15 +292,14 @@ func (ac *AC) spawnAndMerge(hosts []string) ([]*Accel, error) {
 	return handles, nil
 }
 
-// daemonRanks lists the communicator ranks of all currently
-// associated daemons (everything but rank 0).
-func (ac *AC) daemonRanks() []int {
-	ranks := make([]int, 0, len(ac.rankOf))
+// daemonRanks appends the communicator ranks of all currently
+// associated daemons (everything but rank 0) to buf, in order.
+func (ac *AC) daemonRanks(buf []int) []int {
 	for _, r := range ac.rankOf {
-		ranks = append(ranks, r)
+		buf = append(buf, r)
 	}
-	sort.Ints(ranks)
-	return ranks
+	sort.Ints(buf)
+	return buf
 }
 
 // Free is AC_Free: release the dynamically allocated set identified
@@ -326,18 +334,19 @@ func (ac *AC) releaseLocal(clientID int) error {
 	if ac.finalized {
 		return ErrFinalized
 	}
-	ids, ok := ac.sets[clientID]
+	set, ok := ac.sets[clientID]
 	if !ok {
 		return fmt.Errorf("%w: client-id %d", ErrUnknownSet, clientID)
 	}
 	delete(ac.sets, clientID)
-	heldFor := ac.ctx.Sim.Now() - ac.setAt[clientID]
-	delete(ac.setAt, clientID)
-	ac.ctx.Sim.Audit().Record(audit.KindRelease, "dac", ac.env.JobID, "detach", int64(len(ids)), int64(clientID))
+	heldFor := ac.ctx.Sim.Now() - set.at
+	ac.ctx.Sim.Audit().Record(audit.KindRelease, "dac", ac.env.JobID, "detach", int64(set.n), int64(clientID))
 	comm := ac.comm
-	var buf [8]int // the set's ranks, kept off the heap for the usual sizes
+	// The set's ranks, the kept ranks and the daemons' ranks, kept off
+	// the heap for the usual sizes.
+	var buf, keepBuf, ranksBuf [8]int
 	released := buf[:0]
-	for _, id := range ids {
+	for id := set.first; id < set.first+set.n; id++ {
 		released = append(released, ac.rankOf[id])
 	}
 
@@ -345,26 +354,27 @@ func (ac *AC) releaseLocal(clientID int) error {
 	// messages take their seqs the same way every run.
 	sort.Ints(released)
 	for _, r := range released {
-		if err := comm.Send(r, opTag, opRequest{Op: "exit"}, 0); err != nil {
+		if err := comm.Send(r, opTag, exitRequest, 0); err != nil {
 			return fmt.Errorf("dac: release: %w", err)
 		}
 	}
 
 	// Shrink the communicator to the remaining members, renumbering
 	// ranks densely. Handle ids stay stable; their ranks re-map.
-	keep := []int{0}
-	for _, r := range ac.daemonRanks() {
+	keep := append(keepBuf[:0], 0)
+	for _, r := range ac.daemonRanks(ranksBuf[:0]) {
 		if !slices.Contains(released, r) {
 			keep = append(keep, r)
 		}
 	}
 	ac.gen++
 	gen := ac.gen
-	for _, r := range keep {
-		if r == 0 {
-			continue
+	var shrink any // one request, boxed for the first kept daemon
+	for _, r := range keep[1:] {
+		if shrink == nil {
+			shrink = opRequest{Op: "shrink", Keep: slices.Clone(keep), Gen: gen}
 		}
-		if err := comm.Send(r, opTag, opRequest{Op: "shrink", Keep: keep, Gen: gen}, 0); err != nil {
+		if err := comm.Send(r, opTag, shrink, 0); err != nil {
 			return fmt.Errorf("dac: shrink control: %w", err)
 		}
 	}
@@ -378,16 +388,16 @@ func (ac *AC) releaseLocal(clientID int) error {
 	for nr, or := range keep {
 		newRank[or] = nr
 	}
-	for _, id := range ids {
+	for id := set.first; id < set.first+set.n; id++ {
 		delete(ac.handles, id)
 		delete(ac.rankOf, id)
 	}
 	for id, r := range ac.rankOf {
 		ac.rankOf[id] = newRank[r]
 	}
-	ac.inst.detach.Add(int64(len(ids)))
-	ac.inst.attached.Add(-float64(len(ids)))
-	ac.inst.utilDynamic.OnFor(heldFor * time.Duration(len(ids)))
+	ac.inst.detach.Add(int64(set.n))
+	ac.inst.attached.Add(-float64(set.n))
+	ac.inst.utilDynamic.OnFor(heldFor * time.Duration(set.n))
 	return nil
 }
 
@@ -400,17 +410,17 @@ func (ac *AC) Finalize() error {
 	}
 	ac.finalized = true
 	comm := ac.comm
-	ranks := ac.daemonRanks()
+	var buf [8]int
+	ranks := ac.daemonRanks(buf[:0])
 	// Settle the utilization accounting: dynamic sets still held
 	// accrue busy time until now, and the static set covers Init
 	// through Finalize.
 	now := ac.ctx.Sim.Now()
 	var detached int
-	for clientID, ids := range ac.sets {
-		ac.inst.utilDynamic.OnFor((now - ac.setAt[clientID]) * time.Duration(len(ids)))
-		detached += len(ids)
+	for _, set := range ac.sets {
+		ac.inst.utilDynamic.OnFor((now - set.at) * time.Duration(set.n))
+		detached += set.n
 	}
-	clear(ac.setAt)
 	if len(ac.staticIDs) > 0 {
 		ac.inst.utilStatic.OnFor((now - ac.staticAt) * time.Duration(len(ac.staticIDs)))
 		detached += len(ac.staticIDs)
@@ -418,7 +428,7 @@ func (ac *AC) Finalize() error {
 	ac.inst.detach.Add(int64(detached))
 	ac.inst.attached.Add(-float64(detached))
 	for _, r := range ranks {
-		_ = comm.Send(r, opTag, opRequest{Op: "exit"}, 0)
+		_ = comm.Send(r, opTag, exitRequest, 0)
 	}
 	ac.ifl.Close()
 	ac.proc.Detach()

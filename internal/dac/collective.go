@@ -147,11 +147,7 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 			return 0, nil, err
 		}
 	}
-	ids := make([]int, len(handles))
-	for i, h := range handles {
-		ids[i] = h.id
-	}
-	ac.sets[clientID] = ids
+	ac.addSet(clientID, len(handles), 0)
 	return clientID, handles, nil
 }
 

@@ -3,8 +3,6 @@ package mpi
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 // Comm is a communicator handle held by one process. For an
@@ -23,6 +21,9 @@ type Comm struct {
 	rank   int
 	group  []int
 	remote []int
+	// localID is the side channel's fabric tag, id + "/local", built
+	// the first time this handle sends on it.
+	localID string
 
 	disconnected bool
 }
@@ -83,15 +84,17 @@ func (c *Comm) procOf(g []int, rank int) (*Proc, error) {
 // group rank on an intercommunicator). size is the simulated payload
 // size in bytes; control messages pass 0.
 func (c *Comm) Send(dst, tag int, payload any, size int) error {
-	return c.send(dst, tag, payload, size, false)
+	return c.send(dst, envelope{tag: tag, payload: payload}, size, false)
 }
 
 // SendPipelined is Send using the fabric's pipelined bulk protocol.
 func (c *Comm) SendPipelined(dst, tag int, payload any, size int) error {
-	return c.send(dst, tag, payload, size, true)
+	return c.send(dst, envelope{tag: tag, payload: payload}, size, true)
 }
 
-func (c *Comm) send(dst, tag int, payload any, size int, pipelined bool) error {
+// send posts e, stamped with this communicator and the caller's rank,
+// to rank dst.
+func (c *Comm) send(dst int, e envelope, size int, pipelined bool) error {
 	if err := c.ok(); err != nil {
 		return err
 	}
@@ -103,56 +106,37 @@ func (c *Comm) send(dst, tag int, payload any, size int, pipelined bool) error {
 	if err != nil {
 		return err
 	}
-	env := envelope{comm: c.id, tag: tag, src: c.rank, payload: payload}
-	if pipelined {
-		return me.ep.SendPipelined(dp.addr, c.id, env, size)
-	}
-	return me.ep.Send(dp.addr, c.id, env, size)
+	e.comm, e.src = c.id, c.rank
+	return me.post(dp, c.id, e, size, pipelined)
 }
 
 // Recv blocks until a message on this communicator matching src and
 // tag (each possibly AnySource/AnyTag) arrives.
 func (c *Comm) Recv(src, tag int) (Status, error) {
-	return c.recv(src, tag, 0)
+	return status(c.recv(src, tag, 0))
 }
 
 // RecvTimeout is Recv with a virtual-time deadline.
 func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Status, error) {
-	return c.recv(src, tag, d)
+	return status(c.recv(src, tag, d))
 }
 
-func (c *Comm) recv(src, tag int, timeout time.Duration) (Status, error) {
-	if err := c.ok(); err != nil {
+func status(env envelope, size int, err error) (Status, error) {
+	if err != nil {
 		return Status{}, err
 	}
-	match := func(m *netsim.Message) bool {
-		env, ok := m.Payload.(envelope)
-		if !ok || env.comm != c.id {
-			return false
-		}
-		if src != AnySource && env.src != src {
-			return false
-		}
-		if tag != AnyTag && env.tag != tag {
-			return false
-		}
-		return true
+	return Status{Source: env.src, Tag: env.tag, Payload: env.payload, Size: size}, nil
+}
+
+func (c *Comm) recv(src, tag int, timeout time.Duration) (envelope, int, error) {
+	if err := c.ok(); err != nil {
+		return envelope{}, 0, err
 	}
 	me, err := c.myProc()
 	if err != nil {
-		return Status{}, err
+		return envelope{}, 0, err
 	}
-	var m netsim.Message
-	if timeout > 0 {
-		m, err = me.ep.RecvMatchTimeout(match, timeout)
-	} else {
-		m, err = me.ep.RecvMatch(match)
-	}
-	if err != nil {
-		return Status{}, err
-	}
-	env := m.Payload.(envelope)
-	return Status{Source: env.src, Tag: env.tag, Payload: env.payload, Size: m.Size}, nil
+	return me.take(pattern{comm: c.id, src: src, tag: tag}, timeout)
 }
 
 // Collective tags live in a reserved negative range so user tags
@@ -200,28 +184,32 @@ func (c *Comm) Barrier() error {
 // Bcast distributes root's payload to every member and returns it.
 // Non-roots pass any value (ignored).
 func (c *Comm) Bcast(root int, payload any, size int) (any, error) {
+	env, err := c.bcast(root, envelope{payload: payload}, size)
+	return env.payload, err
+}
+
+// bcast is Bcast of a whole envelope, descriptor included.
+func (c *Comm) bcast(root int, e envelope, size int) (envelope, error) {
 	if err := c.ok(); err != nil {
-		return nil, err
+		return envelope{}, err
 	}
 	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("%w: bcast root %d", ErrInvalidRank, root)
+		return envelope{}, fmt.Errorf("%w: bcast root %d", ErrInvalidRank, root)
 	}
 	if c.rank == root {
+		e.tag = tagBcast
 		for i := 0; i < c.Size(); i++ {
 			if i == root {
 				continue
 			}
-			if err := c.Send(i, tagBcast, payload, size); err != nil {
-				return nil, err
+			if err := c.send(i, e, size, false); err != nil {
+				return envelope{}, err
 			}
 		}
-		return payload, nil
+		return e, nil
 	}
-	st, err := c.Recv(root, tagBcast)
-	if err != nil {
-		return nil, err
-	}
-	return st.Payload, nil
+	env, _, err := c.recv(root, tagBcast, 0)
+	return env, err
 }
 
 // commDesc is the serialized form of a communicator sent in
@@ -281,41 +269,50 @@ func (c *Comm) localBarrier() error {
 	if len(c.group) == 1 {
 		return nil
 	}
-	cb := c.rt.cfg.ControlBytes
-	me, err := c.myProc()
-	if err != nil {
-		return err
-	}
-	send := func(dstRank, tag int) error {
-		dp, err := c.procOf(c.group, dstRank)
-		if err != nil {
-			return err
-		}
-		env := envelope{comm: c.id + "/local", tag: tag, src: c.rank}
-		return me.ep.Send(dp.addr, c.id+"/local", env, cb)
-	}
-	recvOne := func(tag int) error {
-		_, err := me.ep.RecvMatch(func(m *netsim.Message) bool {
-			env, ok := m.Payload.(envelope)
-			return ok && env.comm == c.id+"/local" && env.tag == tag
-		})
-		return err
-	}
 	if c.rank == 0 {
 		for i := 1; i < len(c.group); i++ {
-			if err := recvOne(tagBarrierIn); err != nil {
+			if _, err := c.recvLocal(tagBarrierIn); err != nil {
 				return err
 			}
 		}
 		for i := 1; i < len(c.group); i++ {
-			if err := send(i, tagBarrierOut); err != nil {
+			if err := c.sendLocal(i, envelope{tag: tagBarrierOut}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := send(0, tagBarrierIn); err != nil {
+	if err := c.sendLocal(0, envelope{tag: tagBarrierIn}); err != nil {
 		return err
 	}
-	return recvOne(tagBarrierOut)
+	_, err := c.recvLocal(tagBarrierOut)
+	return err
+}
+
+// sendLocal posts e to rank dst of the local group of an
+// intercommunicator, over its side channel.
+func (c *Comm) sendLocal(dst int, e envelope) error {
+	me, err := c.myProc()
+	if err != nil {
+		return err
+	}
+	dp, err := c.procOf(c.group, dst)
+	if err != nil {
+		return err
+	}
+	if c.localID == "" {
+		c.localID = c.id + "/local"
+	}
+	e.comm, e.src, e.local = c.id, c.rank, true
+	return me.post(dp, c.localID, e, c.rt.cfg.ControlBytes, false)
+}
+
+// recvLocal takes the next message with tag on the side channel.
+func (c *Comm) recvLocal(tag int) (envelope, error) {
+	me, err := c.myProc()
+	if err != nil {
+		return envelope{}, err
+	}
+	env, _, err := me.take(pattern{comm: c.id, local: true, src: AnySource, tag: tag}, 0)
+	return env, err
 }

@@ -72,6 +72,9 @@ type Runtime struct {
 	procs    map[int]*Proc
 	ports    map[string]*portState
 	commands map[string]SpawnFunc
+	// freeEnvelopes holds the envelopes matching receives handed back,
+	// for the next send (post, take).
+	freeEnvelopes []*envelope
 }
 
 // NewRuntime creates an MPI runtime over the given fabric.
@@ -119,10 +122,13 @@ func (b nameBuf) int(n int) nameBuf    { return strconv.AppendInt(b, int64(n), 1
 // handle to this process and its operations fail once the process is
 // gone.
 type Proc struct {
-	rt     *Runtime
-	id     int
-	host   string
-	addr   string // the endpoint's name, for peers: ep may serve another by the time they look
+	rt   *Runtime
+	id   int
+	host string
+	// addr is the endpoint's handle, for peers to send through: it
+	// carries the name, so once ep serves another process a send
+	// through addr fails instead of reaching it.
+	addr   netsim.Addr
 	ep     *netsim.Endpoint
 	world  *Comm
 	parent *Comm
@@ -154,8 +160,8 @@ func (rt *Runtime) initProc(p *Proc, host string) {
 	rt.nextProc++
 	id := rt.nextProc
 	var buf [64]byte
-	addr := string(nameBuf(buf[:0]).str("mpi/p").int(id).str("@").str(host))
-	*p = Proc{rt: rt, id: id, host: host, addr: addr, ep: rt.net.Endpoint(addr)}
+	ep := rt.net.Endpoint(string(nameBuf(buf[:0]).str("mpi/p").int(id).str("@").str(host)))
+	*p = Proc{rt: rt, id: id, host: host, addr: ep.Addr(), ep: ep}
 	rt.procs[id] = p
 }
 
@@ -238,12 +244,82 @@ func (rt *Runtime) LaunchWorld(hosts []string, name string, fn func(p *Proc)) []
 	return procs
 }
 
-// envelope is the wire format of every MPI message.
+// envelope is the wire format of every MPI message. A send takes one
+// from the runtime's free list and the receive that matches it copies it
+// out and hands it back (post, take); one the fabric drops, or that is
+// still queued when its endpoint is released, is left to the GC. The
+// list is the runtime's, not a sync.Pool, for the fabric's reason: what
+// a run reuses must not depend on another run.
 type envelope struct {
-	comm    string
-	tag     int
-	src     int // sender's rank in its local group
+	comm  string
+	tag   int
+	src   int  // sender's rank in its local group
+	local bool // on an intercommunicator's side channel within one group
+	high  bool // Merge: the sender's group takes the upper ranks
+	// desc is the communicator a Merge, a spawn or a port handshake
+	// builds, so control messages box nothing.
+	desc    commDesc
 	payload any
+}
+
+// post sends e from p to dst under the fabric tag tag, through dst's
+// handle and in an envelope from the free list.
+func (p *Proc) post(dst *Proc, tag string, e envelope, size int, pipelined bool) error {
+	rt := p.rt
+	var env *envelope
+	if last := len(rt.freeEnvelopes) - 1; last >= 0 {
+		env = rt.freeEnvelopes[last]
+		rt.freeEnvelopes = rt.freeEnvelopes[:last]
+	} else {
+		env = new(envelope)
+	}
+	*env = e
+	var err error
+	if pipelined {
+		err = p.ep.SendPipelined(&dst.addr, tag, env, size)
+	} else {
+		err = p.ep.SendTo(&dst.addr, tag, env, size, 0)
+	}
+	if err != nil { // refused before it left: nothing else holds env
+		rt.freeEnvelopes = append(rt.freeEnvelopes, env)
+	}
+	return err
+}
+
+// pattern selects the envelopes a receive takes: one communicator's (or
+// port's) on one channel, from src with tag, either of which may be a
+// wildcard.
+type pattern struct {
+	comm     string
+	local    bool
+	src, tag int
+}
+
+func (pt *pattern) match(m *netsim.Message) bool {
+	env, ok := m.Payload.(*envelope)
+	return ok && env.comm == pt.comm && env.local == pt.local &&
+		(pt.src == AnySource || env.src == pt.src) && (pt.tag == AnyTag || env.tag == pt.tag)
+}
+
+// take blocks until an envelope matching pt arrives at p, within
+// timeout when it is positive, and returns a copy of it and the
+// message's wire size. The envelope goes back to the free list.
+func (p *Proc) take(pt pattern, timeout time.Duration) (envelope, int, error) {
+	var m netsim.Message
+	var err error
+	if timeout > 0 {
+		m, err = p.ep.RecvMatchTimeout(pt.match, timeout)
+	} else {
+		m, err = p.ep.RecvMatch(pt.match)
+	}
+	if err != nil {
+		return envelope{}, 0, err
+	}
+	env := m.Payload.(*envelope)
+	e := *env
+	*env = envelope{}
+	p.rt.freeEnvelopes = append(p.rt.freeEnvelopes, env)
+	return e, m.Size, nil
 }
 
 // Status describes a received message.

@@ -2,8 +2,6 @@ package mpi
 
 import (
 	"fmt"
-
-	"repro/internal/netsim"
 )
 
 // portState is the rendezvous object behind an MPI port name.
@@ -58,42 +56,37 @@ func (p *Proc) Accept(port string, local *Comm) (*Comm, error) {
 		if ps.owner != p.id {
 			return nil, fmt.Errorf("mpi: Accept on port %q by non-owner process %d", port, p.id)
 		}
-		// Wait for the connect request carrying the remote group.
-		m, err := p.ep.RecvMatch(func(m *netsim.Message) bool {
-			env, ok := m.Payload.(envelope)
-			return ok && env.comm == "port/"+port && env.tag == tagConnReq
-		})
+		// Wait for the connect request carrying the remote group; its
+		// root sent it and takes the reply.
+		tag := "port/" + port
+		req, _, err := p.take(pattern{comm: tag, src: AnySource, tag: tagConnReq}, 0)
 		if err != nil {
 			return nil, err
 		}
-		req := m.Payload.(envelope).payload.(connReq)
 		p.rt.sim.Sleep(p.rt.cfg.ConnectOverhead)
-		desc := commDesc{id: rt.newCommID(), group: local.group, remote: req.group}
+		remote := req.desc.group
+		desc := commDesc{id: rt.newCommID(), group: local.group, remote: remote}
+		peer := rt.proc(remote[0])
+		if peer == nil {
+			return nil, fmt.Errorf("%w: connecting process gone", ErrInvalidRank)
+		}
 		// Reply with the accepted descriptor (remote sees the groups
 		// swapped).
-		reply := commDesc{id: desc.id, group: req.group, remote: local.group}
-		if err := p.ep.Send(req.replyTo, "port/"+port,
-			envelope{comm: "port/" + port, tag: tagConnAccept, payload: reply}, cb); err != nil {
+		reply := envelope{comm: tag, tag: tagConnAccept, desc: commDesc{id: desc.id, group: remote, remote: local.group}}
+		if err := p.post(peer, tag, reply, cb, false); err != nil {
 			return nil, err
 		}
 		// Distribute to the local group.
-		if _, err := local.Bcast(0, desc, cb); err != nil {
+		if _, err := local.bcast(0, envelope{desc: desc}, cb); err != nil {
 			return nil, err
 		}
 		return desc.handleFor(rt, p), nil
 	}
-	v, err := local.Bcast(0, nil, cb)
+	env, err := local.bcast(0, envelope{}, cb)
 	if err != nil {
 		return nil, err
 	}
-	return v.(commDesc).handleFor(p.rt, p), nil
-}
-
-// connReq is the payload of a connection request: the connecting
-// group and where to send the reply.
-type connReq struct {
-	group   []int
-	replyTo string
+	return env.desc.handleFor(p.rt, p), nil
 }
 
 // Connect establishes an intercommunicator with the process group
@@ -118,27 +111,23 @@ func (p *Proc) Connect(port string, local *Comm) (*Comm, error) {
 			return nil, fmt.Errorf("%w: %q (owner gone)", ErrUnknownPort, port)
 		}
 		p.rt.sim.Sleep(p.rt.cfg.ConnectOverhead)
-		req := connReq{group: local.group, replyTo: p.addr}
-		if err := p.ep.Send(owner.addr, "port/"+port,
-			envelope{comm: "port/" + port, tag: tagConnReq, payload: req}, cb); err != nil {
+		tag := "port/" + port
+		req := envelope{comm: tag, tag: tagConnReq, desc: commDesc{group: local.group}}
+		if err := p.post(owner, tag, req, cb, false); err != nil {
 			return nil, err
 		}
-		m, err := p.ep.RecvMatch(func(m *netsim.Message) bool {
-			env, ok := m.Payload.(envelope)
-			return ok && env.comm == "port/"+port && env.tag == tagConnAccept
-		})
+		reply, _, err := p.take(pattern{comm: tag, src: AnySource, tag: tagConnAccept}, 0)
 		if err != nil {
 			return nil, err
 		}
-		desc := m.Payload.(envelope).payload.(commDesc)
-		if _, err := local.Bcast(0, desc, cb); err != nil {
+		if _, err := local.bcast(0, envelope{desc: reply.desc}, cb); err != nil {
 			return nil, err
 		}
-		return desc.handleFor(rt, p), nil
+		return reply.desc.handleFor(rt, p), nil
 	}
-	v, err := local.Bcast(0, nil, cb)
+	env, err := local.bcast(0, envelope{}, cb)
 	if err != nil {
 		return nil, err
 	}
-	return v.(commDesc).handleFor(p.rt, p), nil
+	return env.desc.handleFor(p.rt, p), nil
 }

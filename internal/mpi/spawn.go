@@ -3,7 +3,7 @@ package mpi
 import (
 	"fmt"
 
-	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 const (
@@ -45,47 +45,56 @@ func (p *Proc) Spawn(command string, args []string, hosts []string) (*Comm, erro
 	return parentView, nil
 }
 
+// spawned is one child of a spawn: its process, both of its
+// communicator handles and what its boot actor needs.
+type spawned struct {
+	proc          Proc
+	world, parent Comm
+	root          *Proc // where the child reports once it is up
+	fn            SpawnFunc
+	args          []string
+}
+
 // spawnProcs creates one process per host — sharing a new COMM_WORLD,
 // with a parent intercommunicator whose remote group is remote — and
 // boots them in parallel. It returns the children's ids in rank order
 // and the intercommunicator's context id; each child reports to root
 // once it is up. The records of one spawn are one allocation.
 func (rt *Runtime) spawnProcs(command string, fn SpawnFunc, args, hosts []string, root *Proc, remote []int) ([]int, string) {
-	children := make([]Proc, len(hosts))
+	children := make([]spawned, len(hosts))
 	ids := make([]int, len(hosts))
 	for i, h := range hosts {
-		rt.initProc(&children[i], h)
-		ids[i] = children[i].id
+		rt.initProc(&children[i].proc, h)
+		ids[i] = children[i].proc.id
 	}
 	worldID := rt.newCommID()
 	parentID := rt.newCommID()
 	for i := range children {
 		c := &children[i]
-		c.world = &Comm{rt: rt, id: worldID, rank: i, group: ids}
-		c.parent = &Comm{rt: rt, id: parentID, rank: i, group: ids, remote: remote}
-	}
-	for i := range children {
-		rt.boot(command, i, &children[i], root.addr, fn, args)
+		c.world = Comm{rt: rt, id: worldID, rank: i, group: ids}
+		c.parent = Comm{rt: rt, id: parentID, rank: i, group: ids, remote: remote}
+		c.proc.world, c.proc.parent = &c.world, &c.parent
+		c.root, c.fn, c.args = root, fn, args
+		rt.sim.GoArg(sim.ActorName{Kind: command, Host: c.proc.host}, boot, c)
 	}
 	return ids, parentID
 }
 
-// boot starts spawned child i as the actor "<command>[<i>]@<host>". It
-// sleeps through its startup (exec + MPI_Init), reports readiness to the
-// spawning root, runs the command body and exits when the body returns.
-func (rt *Runtime) boot(command string, i int, c *Proc, root string, fn SpawnFunc, args []string) {
-	var buf [64]byte
-	name := string(nameBuf(buf[:0]).str(command).str("[").int(i).str("]@").str(c.host))
-	rt.sim.Go(name, func() {
-		defer rt.exit(c)
-		rt.sim.Sleep(rt.cfg.ProcStartup)
-		parentID := c.parent.id
-		env := envelope{comm: parentID, tag: tagSpawnReady, src: c.world.rank}
-		if err := c.ep.Send(root, parentID, env, rt.cfg.ControlBytes); err != nil {
-			return
-		}
-		fn(c, args)
-	})
+// boot is a spawned child's actor (GoArg with its *spawned record),
+// named "<command>@<host>". It sleeps through its startup (exec +
+// MPI_Init), reports readiness to the spawning root, runs the command
+// body and exits when the body returns.
+func boot(arg any) {
+	c := arg.(*spawned)
+	p := &c.proc
+	rt := p.rt
+	defer rt.exit(p)
+	rt.sim.Sleep(rt.cfg.ProcStartup)
+	ready := envelope{comm: c.parent.id, tag: tagSpawnReady, src: c.world.rank}
+	if err := p.post(c.root, c.parent.id, ready, rt.cfg.ControlBytes, false); err != nil {
+		return
+	}
+	c.fn(p, c.args)
 }
 
 // SpawnCollective is MPI_Comm_spawn over an existing
@@ -110,25 +119,24 @@ func (c *Comm) SpawnCollective(command string, args []string, hosts []string) (*
 	}
 	cb := rt.cfg.ControlBytes
 	if c.rank != 0 {
-		v, err := c.Bcast(0, nil, cb)
+		env, err := c.bcast(0, envelope{}, cb)
 		if err != nil {
 			return nil, err
 		}
-		desc := v.(commDesc)
-		if desc.id == "" {
+		if env.desc.id == "" {
 			return nil, fmt.Errorf("mpi: collective spawn failed at root")
 		}
-		return desc.handleFor(rt, p), nil
+		return env.desc.handleFor(rt, p), nil
 	}
 
 	fn, ok := rt.commands[command]
 	if !ok {
 		// Propagate failure to the group so nobody hangs in Bcast.
-		c.Bcast(0, commDesc{}, cb)
+		c.bcast(0, envelope{}, cb)
 		return nil, fmt.Errorf("%w: %q", ErrUnknownCommand, command)
 	}
 	if len(hosts) == 0 {
-		c.Bcast(0, commDesc{}, cb)
+		c.bcast(0, envelope{}, cb)
 		return nil, fmt.Errorf("mpi: SpawnCollective with no hosts")
 	}
 	rt.sim.Sleep(rt.cfg.SpawnOverhead)
@@ -141,7 +149,7 @@ func (c *Comm) SpawnCollective(command string, args []string, hosts []string) (*
 			return nil, err
 		}
 	}
-	if _, err := c.Bcast(0, desc, cb); err != nil {
+	if _, err := c.bcast(0, envelope{desc: desc}, cb); err != nil {
 		return nil, err
 	}
 	return parentView, nil
@@ -182,12 +190,6 @@ func (c *Comm) Shrink(keep []int, gen int) (*Comm, error) {
 	}, nil
 }
 
-// mergeInfo is exchanged root-to-root during Merge.
-type mergeInfo struct {
-	high  bool
-	group []int
-}
-
 // Merge turns an intercommunicator into an intracommunicator
 // (MPI_Intercomm_merge). The group that passes high == true receives
 // the upper rank range. Collective over both local groups; the two
@@ -217,40 +219,36 @@ func (c *Comm) Merge(high bool) (*Comm, error) {
 		}
 		// Deterministic initiator: the lower root proc id leads the
 		// exchange so both sides agree on the new context id.
+		// Each root offers its group and flag; the initiator answers
+		// with the merged descriptor.
+		offer := envelope{high: high, desc: commDesc{group: c.group}}
 		var desc commDesc
 		if p.id < remoteRoot.id {
-			req := mergeInfo{high: high, group: c.group}
-			if err := c.Send(0, tagMergeReq, req, cb); err != nil {
+			offer.tag = tagMergeReq
+			if err := c.send(0, offer, cb, false); err != nil {
 				return nil, err
 			}
-			st, err := c.Recv(0, tagMergeAck)
+			ack, _, err := c.recv(0, tagMergeAck, 0)
 			if err != nil {
 				return nil, err
 			}
-			ack := st.Payload.(mergeInfo)
-			newID := rt.newCommID()
-			merged := mergeGroups(c.group, high, ack.group, ack.high)
-			desc = commDesc{id: newID, group: merged}
-			// Tell the peer root the final descriptor.
-			if err := c.Send(0, tagMergeInfo, desc, cb); err != nil {
+			desc = commDesc{id: rt.newCommID(), group: mergeGroups(c.group, high, ack.desc.group, ack.high)}
+			if err := c.send(0, envelope{tag: tagMergeInfo, desc: desc}, cb, false); err != nil {
 				return nil, err
 			}
 		} else {
-			st, err := c.Recv(0, tagMergeReq)
+			if _, _, err := c.recv(0, tagMergeReq, 0); err != nil {
+				return nil, err
+			}
+			offer.tag = tagMergeAck
+			if err := c.send(0, offer, cb, false); err != nil {
+				return nil, err
+			}
+			info, _, err := c.recv(0, tagMergeInfo, 0)
 			if err != nil {
 				return nil, err
 			}
-			req := st.Payload.(mergeInfo)
-			ack := mergeInfo{high: high, group: c.group}
-			if err := c.Send(0, tagMergeAck, ack, cb); err != nil {
-				return nil, err
-			}
-			_ = req
-			st, err = c.Recv(0, tagMergeInfo)
-			if err != nil {
-				return nil, err
-			}
-			desc = st.Payload.(commDesc)
+			desc = info.desc
 		}
 		// Distribute within the local group.
 		if err := c.localBcast(desc); err != nil {
@@ -258,11 +256,11 @@ func (c *Comm) Merge(high bool) (*Comm, error) {
 		}
 		return desc.handleFor(rt, p), nil
 	}
-	desc, err := c.localBcastRecv()
+	env, err := c.recvLocal(tagNewComm)
 	if err != nil {
 		return nil, err
 	}
-	return desc.handleFor(rt, p), nil
+	return env.desc.handleFor(rt, p), nil
 }
 
 // mergeGroups orders the two groups by their high flags. When the
@@ -286,35 +284,10 @@ func mergeGroups(mine []int, myHigh bool, theirs []int, theirHigh bool) []int {
 // localBcast sends desc to every non-root member of the local group
 // over the intercommunicator's side channel.
 func (c *Comm) localBcast(desc commDesc) error {
-	me, err := c.myProc()
-	if err != nil {
-		return err
-	}
 	for i := 1; i < len(c.group); i++ {
-		dp, err := c.procOf(c.group, i)
-		if err != nil {
-			return err
-		}
-		env := envelope{comm: c.id + "/local", tag: tagNewComm, src: 0, payload: desc}
-		if err := me.ep.Send(dp.addr, c.id+"/local", env, c.rt.cfg.ControlBytes); err != nil {
+		if err := c.sendLocal(i, envelope{tag: tagNewComm, desc: desc}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// localBcastRecv receives the descriptor distributed by localBcast.
-func (c *Comm) localBcastRecv() (commDesc, error) {
-	me, err := c.myProc()
-	if err != nil {
-		return commDesc{}, err
-	}
-	m, err := me.ep.RecvMatch(func(m *netsim.Message) bool {
-		env, ok := m.Payload.(envelope)
-		return ok && env.comm == c.id+"/local" && env.tag == tagNewComm
-	})
-	if err != nil {
-		return commDesc{}, err
-	}
-	return m.Payload.(envelope).payload.(commDesc), nil
 }

@@ -149,7 +149,10 @@ type Network struct {
 	downHosts map[string]bool
 	rng       *sim.RNG
 	trace     func(*Message)
-	spanNames map[string]string // "msg."+tag by tag: delivery span names
+	// spanNames caches "msg."+tag by tag for the delivery spans. mpi
+	// tags by communicator id, so the set of tags grows with every
+	// communicator: the cache is emptied when it reaches spanNameCap.
+	spanNames map[string]string
 	stats     Stats
 	inst      *netInstruments
 	// stores counts the endpoint storages ever created: the next one's
@@ -157,6 +160,9 @@ type Network struct {
 	stores uint32
 	closed bool
 }
+
+// spanNameCap bounds Network.spanNames.
+const spanNameCap = 1024
 
 // pairID is the pairs key of the directed pair from -> to.
 func pairID(from, to *Endpoint) uint64 {
@@ -566,6 +572,9 @@ func (n *Network) ResolveBytes(name []byte) Addr {
 // Name returns the name the handle resolves.
 func (a *Addr) Name() string { return a.name }
 
+// Addr returns the handle of e under its current name, hashing nothing.
+func (e *Endpoint) Addr() Addr { return Addr{name: e.name, ep: e} }
+
 // Send transmits payload to the named endpoint. size is the simulated
 // wire size in bytes (headers are negligible; pass 0 for pure control
 // messages). Send never blocks; delivery happens after the fabric's
@@ -575,10 +584,10 @@ func (e *Endpoint) Send(to, tag string, payload any, size int) error {
 	return e.send(&Addr{name: to}, tag, payload, size, false, 0)
 }
 
-// SendPipelined is Send using the pipelined bulk-transfer protocol
-// (large payloads pay the link latency only once).
-func (e *Endpoint) SendPipelined(to, tag string, payload any, size int) error {
-	return e.send(&Addr{name: to}, tag, payload, size, true, 0)
+// SendPipelined is SendTo using the pipelined bulk-transfer protocol
+// (large payloads pay the link latency only once), with no cause.
+func (e *Endpoint) SendPipelined(to *Addr, tag string, payload any, size int) error {
+	return e.send(to, tag, payload, size, true, 0)
 }
 
 // SendTo is Send through a resolved handle, which it keeps current,
@@ -682,8 +691,11 @@ func deliverMsg(arg any) {
 		n.stats.MessagesSent--
 		n.stats.BytesSent -= int64(msg.Size)
 	} else if trc != nil {
-		// The delivery span's name, built once per tag the fabric carries.
+		// The delivery span's name, built once per tag while it is cached.
 		if spanName = n.spanNames[msg.Tag]; spanName == "" {
+			if len(n.spanNames) == spanNameCap {
+				clear(n.spanNames)
+			}
 			spanName = "msg." + msg.Tag
 			n.spanNames[msg.Tag] = spanName
 		}

@@ -2,11 +2,13 @@ package netsim
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func run(t *testing.T, fn func(s *sim.Simulation, n *Network)) {
@@ -296,5 +298,56 @@ func TestNetworkCloseAllEndpoints(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// A traced fabric caches each tag's delivery span name, and mpi tags by
+// communicator id, so a long run carries ever new tags: the cache stays
+// within its bound, and a name it dropped is built again the same.
+func TestSpanNameCacheIsBounded(t *testing.T) {
+	s := sim.New()
+	tr := trace.New()
+	s.SetTracer(tr)
+	var n *Network
+	err := s.Run(func() {
+		n = New(s, LinkParams{Latency: time.Microsecond})
+		a, b := n.Endpoint("a"), n.Endpoint("b")
+		defer n.Close()
+		for i := 0; i < 10000; i++ {
+			if err := a.Send("b", "comm"+strconv.Itoa(i), nil, 0); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			if _, err := b.Recv(); err != nil {
+				t.Fatalf("Recv: %v", err)
+			}
+			if len(n.spanNames) > spanNameCap {
+				t.Fatalf("after %d tags the cache holds %d names, want at most %d", i+1, len(n.spanNames), spanNameCap)
+			}
+		}
+		// The first tag's name was dropped long ago.
+		if err := a.Send("b", "comm0", nil, 0); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		if _, err := b.Recv(); err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var first, last string
+	count := 0
+	for _, ev := range tr.Events() {
+		if ev.Track != "netsim" {
+			continue
+		}
+		if count == 0 {
+			first = ev.Name
+		}
+		last = ev.Name
+		count++
+	}
+	if count != 10001 || first != "msg.comm0" || last != "msg.comm0" {
+		t.Errorf("%d delivery spans, first %q, last %q; want 10001, msg.comm0 twice", count, first, last)
 	}
 }
