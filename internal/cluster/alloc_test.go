@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dac"
 	"repro/internal/pbs"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -158,4 +159,71 @@ func objectsPerJob(t *testing.T, obs cluster.Observers) float64 {
 	}
 	mallocs(n) // warm the process-wide pools
 	return float64(mallocs(2*n)-mallocs(n)) / n
+}
+
+// TestStartCostsNothingPerIdleHost: starting a cluster allocates nothing
+// per accelerator host. A mom's station holds the mom itself, its
+// handler is a function and an argument, and its task and join
+// functions are built by the first task or job start it serves, which
+// an accelerator's mom never does: the objects Cluster.Start allocates
+// do not grow when the accelerators double (5 a mom before).
+func TestStartCostsNothingPerIdleHost(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	const n = 512
+	start := func(acs int) uint64 {
+		p := cluster.Default()
+		p.ComputeNodes, p.Accelerators = 16, acs
+		s := sim.Acquire()
+		defer s.Release()
+		c := cluster.New(s, p)
+		var before, after runtime.MemStats
+		if err := s.Run(func() {
+			defer c.Close()
+			runtime.ReadMemStats(&before)
+			c.Start()
+			runtime.ReadMemStats(&after)
+		}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	start(n) // warm the process-wide pools
+	small, large := start(n), start(2*n)
+	t.Logf("Start: %d objects with %d accelerators, %d with %d", small, n, large, 2*n)
+	if large > small {
+		t.Errorf("Start allocated %d more objects for %d more accelerators, want none", large-small, n)
+	}
+}
+
+// TestBuildObjectsPerHost pins what one more host costs cluster.New in
+// heap objects, from the difference between N and 2N hosts in
+// batch-wide's shape (8 accelerators a compute node): the moms, the
+// server's node records, the endpoints and the devices are each one
+// block, and a device's digest is registered only under a recorder:
+// 4.0 objects a host (its name, its mom's endpoint name and the
+// endpoint's gate), 12.6 before; the ceiling is the measurement + 10 %.
+func TestBuildObjectsPerHost(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	const cns = 128
+	build := func(cns int) uint64 {
+		p := cluster.Default()
+		p.ComputeNodes, p.Accelerators = cns, 8*cns
+		s := sim.Acquire()
+		defer s.Release()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cluster.New(s, p)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	build(cns) // warm the process-wide pools
+	perHost := float64(build(2*cns)-build(cns)) / (9 * cns)
+	t.Logf("%.2f objects a host", perHost)
+	if perHost > 4.5 {
+		t.Errorf("%.2f objects a host, want at most 4.5", perHost)
+	}
 }

@@ -7,7 +7,7 @@
 package cluster
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/audit"
@@ -143,10 +143,10 @@ type Cluster struct {
 }
 
 // CNName returns the i-th compute node's host name.
-func CNName(i int) string { return fmt.Sprintf("cn%d", i) }
+func CNName(i int) string { return "cn" + strconv.Itoa(i) }
 
 // ACName returns the i-th accelerator's host name.
-func ACName(i int) string { return fmt.Sprintf("ac%d", i) }
+func ACName(i int) string { return "ac" + strconv.Itoa(i) }
 
 // New builds a testbed on a fresh simulation.
 func New(s *sim.Simulation, p Params) *Cluster {
@@ -199,27 +199,31 @@ func New(s *sim.Simulation, p Params) *Cluster {
 		Sched:     sched,
 		Scheduler: daemon,
 		Moms:      make(map[string]*pbs.Mom, nodes),
-		cns:       make([]string, 0, p.ComputeNodes),
-		acs:       make([]string, 0, p.Accelerators),
 	}
+	// One block per kind of per-host state. The moms come before the
+	// nodes, whose registration then shares each mom's endpoint name.
+	hosts := make([]string, 0, nodes)
 	for i := 0; i < p.ComputeNodes; i++ {
-		name := CNName(i)
-		c.cns = append(c.cns, name)
-		server.AddNode(name, pbs.ComputeNode, p.CoresPerNode)
-		m := pbs.NewMom(net, name, p.Mom)
-		m.Cluster = ctx
-		m.StartDaemons = ctx.StartDaemons
-		c.Moms[name] = m
+		hosts = append(hosts, CNName(i))
 	}
 	for i := 0; i < p.Accelerators; i++ {
-		name := ACName(i)
-		c.acs = append(c.acs, name)
-		server.AddNode(name, pbs.AcceleratorNode, 1)
-		m := pbs.NewMom(net, name, p.Mom)
-		m.Cluster = ctx
-		c.Moms[name] = m
-		ctx.AddDevice(name)
+		hosts = append(hosts, ACName(i))
 	}
+	c.cns, c.acs = hosts[:p.ComputeNodes:p.ComputeNodes], hosts[p.ComputeNodes:]
+	moms := pbs.NewMoms(net, hosts, p.Mom)
+	startDaemons := pbs.DaemonStarter(ctx.StartDaemons) // one value every compute mom shares
+	for i, name := range hosts {
+		m := &moms[i]
+		m.Cluster = ctx
+		if i < p.ComputeNodes {
+			m.StartDaemons = startDaemons
+			server.AddNode(name, pbs.ComputeNode, p.CoresPerNode)
+		} else {
+			server.AddNode(name, pbs.AcceleratorNode, 1)
+		}
+		c.Moms[name] = m
+	}
+	ctx.AddDevices(c.acs)
 	return c
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/audit"
 	"repro/internal/sim"
 )
 
@@ -147,7 +148,12 @@ func (ac *AC) CollectiveGet(count int) (int, []*Accel, error) {
 			return 0, nil, err
 		}
 	}
-	ac.addSet(clientID, len(handles), 0)
+	// The attach side of what CollectiveFree's releaseLocal detaches, as
+	// Get writes it: the set is held from now.
+	ac.addSet(clientID, len(handles), ac.ctx.Sim.Now())
+	ac.ctx.Sim.Audit().Record(audit.KindAlloc, "dac", ac.env.JobID, "attach", int64(len(handles)), int64(clientID))
+	ac.inst.attach.Add(int64(len(handles)))
+	ac.inst.attached.Add(float64(len(handles)))
 	return clientID, handles, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dac"
 	"repro/internal/pbs"
+	"repro/internal/telemetry"
 )
 
 func TestCollectiveGetDistributesShares(t *testing.T) {
@@ -197,5 +198,43 @@ func TestClusterSmoke(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// A collectively acquired set is booked like one from AC_Get: attached
+// when the grant's daemons have merged, held from then until its
+// release. Two compute nodes each take one accelerator at 10 s and hold
+// it 0.1 s, so dac.attached ends at 0 and dac.util_dynamic charges 0.2 s
+// (with the set stamped at virtual time 0, -2 and 20.35 s).
+func TestCollectiveSetIsHeldFromItsGet(t *testing.T) {
+	p := fastParams(2, 4)
+	p.Telemetry = telemetry.New()
+	runJob(t, p, pbs.JobSpec{
+		Name: "collheld", Owner: "u", Nodes: 2, PPN: 1, ACPN: 1, Walltime: time.Minute,
+		Script: func(env *pbs.JobEnv) {
+			ac, _, err := dac.Init(env)
+			if err != nil {
+				t.Errorf("Init: %v", err)
+				return
+			}
+			defer ac.Finalize()
+			ctx, _ := dac.FromEnv(env)
+			ctx.Sim.Sleep(10*time.Second - ctx.Sim.Now())
+			cid, _, err := ac.CollectiveGet(1)
+			if err != nil {
+				t.Errorf("CollectiveGet: %v", err)
+				return
+			}
+			ctx.Sim.Sleep(100 * time.Millisecond)
+			if err := ac.CollectiveFree(cid); err != nil {
+				t.Errorf("CollectiveFree: %v", err)
+			}
+		},
+	})
+	if got := p.Telemetry.Gauge("dac.attached").Value(); got != 0 {
+		t.Errorf("dac.attached ends at %v, want 0", got)
+	}
+	if got := p.Telemetry.Occupancy("dac.util_dynamic").Busy(); got != 200*time.Millisecond {
+		t.Errorf("dac.util_dynamic charged %v, want 200ms", got)
 	}
 }

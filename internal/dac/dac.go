@@ -10,6 +10,7 @@ package dac
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/gpusim"
@@ -117,11 +118,16 @@ func FromEnv(env *pbs.JobEnv) (*Context, error) {
 	return ctx, nil
 }
 
-// AddDevice creates the simulated GPU of an accelerator host.
-func (ctx *Context) AddDevice(host string) *gpusim.Device {
-	d := gpusim.NewDevice(ctx.Sim, host, ctx.Params.GPUMemBytes, ctx.Params.GPUPerf)
-	ctx.devices[host] = d
-	return d
+// AddDevices creates the simulated GPUs of accelerator hosts as one
+// block (gpusim.NewDevices).
+func (ctx *Context) AddDevices(hosts []string) {
+	devices := make(map[string]*gpusim.Device, len(ctx.devices)+len(hosts))
+	maps.Copy(devices, ctx.devices)
+	ctx.devices = devices
+	devs := gpusim.NewDevices(ctx.Sim, hosts, ctx.Params.GPUMemBytes, ctx.Params.GPUPerf)
+	for i, host := range hosts {
+		ctx.devices[host] = &devs[i]
+	}
 }
 
 // Device returns the GPU of an accelerator host (nil if absent).

@@ -106,22 +106,29 @@ type Device struct {
 	memTotal int64
 	memUsed  int64
 	next     uint64
-	allocs   map[Ptr]*buffer
+	allocs   map[Ptr]*buffer // made by the first Malloc
 	launched int64
 }
 
 // NewDevice creates a device with the given memory capacity.
 func NewDevice(s *sim.Simulation, name string, memBytes int64, perf Perf) *Device {
-	d := &Device{
-		sim:      s,
-		name:     name,
-		perf:     perf,
-		memTotal: memBytes,
-		allocs:   make(map[Ptr]*buffer),
-		aud:      s.Audit(),
+	return &NewDevices(s, []string{name}, memBytes, perf)[0]
+}
+
+// NewDevices creates one device per name, in order, as one block: a
+// cluster's accelerators cost one object, not one each. A device's
+// digest is registered only when a recorder is installed.
+func NewDevices(s *sim.Simulation, names []string, memBytes int64, perf Perf) []Device {
+	devs := make([]Device, len(names))
+	aud := s.Audit()
+	for i, name := range names {
+		d := &devs[i]
+		d.sim, d.name, d.perf, d.memTotal, d.aud = s, name, perf, memBytes, aud
+		if aud != nil {
+			aud.RegisterDigest("gpusim", "gpusim."+name, d.digest)
+		}
 	}
-	d.aud.RegisterDigest("gpusim", "gpusim."+name, d.digest)
-	return d
+	return devs
 }
 
 // digest hashes the device's memory-manager state: aggregate usage
@@ -162,6 +169,9 @@ func (d *Device) Malloc(size int64) (Ptr, error) {
 	}
 	d.next++
 	p := Ptr(d.next)
+	if d.allocs == nil {
+		d.allocs = make(map[Ptr]*buffer)
+	}
 	d.allocs[p] = &buffer{data: make([]byte, size)}
 	d.memUsed += size
 	d.aud.Record(audit.KindAlloc, "gpusim", d.name, "malloc", size, int64(p))

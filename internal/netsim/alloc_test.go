@@ -155,7 +155,7 @@ func TestEveryFlightLands(t *testing.T) {
 		src, down, hnd, mt := n.Endpoint("src"), n.Endpoint("down@h1"), n.Endpoint("hnd"), n.Endpoint("mt")
 		gone, closing := n.Endpoint("gone"), n.Endpoint("closing")
 		handled := 0
-		hnd.SetHandler(func(m *Message) { handled += m.Payload.(int) })
+		hnd.SetHandler(func(_ any, m *Message) { handled += m.Payload.(int) }, nil)
 		const warm = 8
 		for i := 0; i < warm; i++ {
 			_ = src.Send("mt", "warm", i, 0)

@@ -9,8 +9,8 @@ import (
 )
 
 // collect is a handler that appends each payload to *got.
-func collect(got *[]int) func(*Message) {
-	return func(m *Message) {
+func collect(got *[]int) func(any, *Message) {
+	return func(_ any, m *Message) {
 		*got = append(*got, m.Payload.(int))
 	}
 }
@@ -24,13 +24,13 @@ func TestHandlerTakesEveryMessageAtItsDelivery(t *testing.T) {
 		var handled []int
 		h := collect(&handled)
 		var at []time.Duration
-		b.SetHandler(func(m *Message) {
+		b.SetHandler(func(_ any, m *Message) {
 			at = append(at, s.Now())
 			if m.Payload.(int) == 4 {
-				b.SetHandler(nil)
+				b.SetHandler(nil, nil)
 			}
-			h(m)
-		})
+			h(nil, m)
+		}, nil)
 		s.Go("sender", func() {
 			for i := 0; i < 10; i++ {
 				_ = a.Send("b", "x", i, 0)
@@ -75,7 +75,7 @@ func TestSetHandlerHandsOverTheBacklogInOrder(t *testing.T) {
 			t.Fatalf("%d messages queued before the handler, want 6", p)
 		}
 		var handled []int
-		b.SetHandler(collect(&handled))
+		b.SetHandler(collect(&handled), nil)
 		if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(handled, want) {
 			t.Errorf("handover gave the handler %v, want %v", handled, want)
 		}
@@ -97,8 +97,8 @@ func TestCloseAndReleaseDropTheHandler(t *testing.T) {
 	run(t, func(s *sim.Simulation, n *Network) {
 		a, b, c := n.Endpoint("a"), n.Endpoint("b"), n.Endpoint("c")
 		var handled []int
-		b.SetHandler(collect(&handled))
-		c.SetHandler(collect(&handled))
+		b.SetHandler(collect(&handled), nil)
+		c.SetHandler(collect(&handled), nil)
 		_ = a.Send("b", "x", 0, 0)
 		_ = a.Send("c", "x", 2, 0)
 		b.Close()

@@ -143,6 +143,10 @@ type Network struct {
 	freeFlights   []*flight
 	freeEndpoints []*Endpoint
 	freePairs     []*pairState
+	// Endpoints (Reserve) and pair states never held yet, cut from one
+	// block per kind instead of allocated one by one.
+	endpointBlock []Endpoint
+	pairBlock     []pairState
 	nameSeq       int
 	// downHosts holds the hosts that are down, and only those: a revive
 	// deletes the entry, so an empty map is a healthy fabric.
@@ -163,6 +167,9 @@ type Network struct {
 
 // spanNameCap bounds Network.spanNames.
 const spanNameCap = 1024
+
+// pairBlockLen is how many pair states one block holds.
+const pairBlockLen = 64
 
 // pairID is the pairs key of the directed pair from -> to.
 func pairID(from, to *Endpoint) uint64 {
@@ -305,12 +312,14 @@ func (n *Network) NameSeq() int {
 	return n.nameSeq
 }
 
-// Reserve sizes the endpoint table for extra more endpoints, so that
-// registering a cluster's daemons does not rehash it on the way.
+// Reserve sizes the endpoint table for extra more endpoints, and cuts
+// the next extra new endpoints from one block, so that registering a
+// cluster's daemons neither rehashes the table nor allocates each one.
 func (n *Network) Reserve(extra int) {
 	endpoints := make(map[string]*Endpoint, len(n.endpoints)+extra)
 	maps.Copy(endpoints, n.endpoints)
 	n.endpoints = endpoints
+	n.endpointBlock = make([]Endpoint, extra)
 }
 
 // Endpoint creates (or returns the existing) endpoint with the given
@@ -329,7 +338,12 @@ func (n *Network) Endpoint(name string) *Endpoint {
 		e.name = name
 		e.closed = false
 	} else {
-		e = &Endpoint{net: n, name: name, gate: n.sim.NewGateKind("recv:", name), idx: n.stores}
+		if len(n.endpointBlock) > 0 {
+			e, n.endpointBlock = &n.endpointBlock[0], n.endpointBlock[1:]
+		} else {
+			e = new(Endpoint)
+		}
+		e.net, e.name, e.gate, e.idx = n, name, n.sim.NewGateKind("recv:", name), n.stores
 		n.stores++
 	}
 	e.live = true
@@ -387,7 +401,10 @@ func (n *Network) newPair(e, dst *Endpoint) *pairState {
 		n.freePairs[last] = nil
 		n.freePairs = n.freePairs[:last]
 	} else {
-		ps = new(pairState)
+		if len(n.pairBlock) == 0 {
+			n.pairBlock = make([]pairState, pairBlockLen)
+		}
+		ps, n.pairBlock = &n.pairBlock[0], n.pairBlock[1:]
 		ps.out.ps, ps.in.ps = ps, ps
 	}
 	ps.lastDue = 0
@@ -528,9 +545,10 @@ type Endpoint struct {
 	// a matcher that accepts the oldest message) advances head instead
 	// of shifting the slice; the storage is reclaimed when the queue
 	// drains or the dead prefix outgrows the live tail.
-	queue   []Message
-	head    int
-	handler func(*Message) // takes each message instead of the queue (SetHandler)
+	queue      []Message
+	head       int
+	handler    func(any, *Message) // takes each message instead of the queue (SetHandler)
+	handlerArg any
 	// idx is the storage's dense index, given when it is first created
 	// and kept through reuse: the pairs key.
 	idx    uint32
@@ -741,7 +759,7 @@ func (e *Endpoint) deliver(m *Message) {
 		return
 	}
 	if h := e.handler; h != nil {
-		h(m)
+		h(e.handlerArg, m)
 		return
 	}
 	// Grow, then copy *m once: append would copy it aside first.
@@ -751,12 +769,14 @@ func (e *Endpoint) deliver(m *Message) {
 }
 
 // SetHandler installs h as e's receive handler, or removes it (nil). h
-// takes every message in its delivery event, on the simulation's
+// takes arg and every message in its delivery event, on the simulation's
 // controller; it must not block, and its *Message is valid for the call
-// only. Nothing queues for Recv* while h is installed, and installing it
-// first hands it the messages already queued, in order.
-func (e *Endpoint) SetHandler(h func(*Message)) {
-	e.handler = h
+// only. Like sim.AfterArg, a long-lived h and a pointer arg install a
+// daemon's handler without building a closure. Nothing queues for Recv*
+// while h is installed, and installing it first hands it the messages
+// already queued, in order.
+func (e *Endpoint) SetHandler(h func(arg any, m *Message), arg any) {
+	e.handler, e.handlerArg = h, arg
 	backlog := e.queue[e.head:]
 	e.queue, e.head = nil, 0
 	for i := range backlog {
@@ -852,7 +872,7 @@ func (e *Endpoint) Close() {
 		return
 	}
 	e.closed = true
-	e.handler = nil
+	e.handler, e.handlerArg = nil, nil
 	clear(e.queue[e.head:])
 	e.queue = e.queue[:0] // the backing array serves the storage's next owner
 	e.head = 0

@@ -67,11 +67,12 @@ type Mom struct {
 
 	// Only the handler (on the controller) and the task actors it spawns
 	// touch what follows, one at a time and never from outside: no lock.
-	station station // serves all but the acks (set by Start)
-	jobs    map[string]*momJob
-	waits   []*momOp // the mother superior's ops awaiting an ack
-	free    *momOp   // finished dynamic ops, for reuse
-	// runTask and joinSisters, bound by Start: no closure per spawn or timer.
+	station station            // serves all but the acks (set by Start)
+	jobs    map[string]*momJob // made by the first message served
+	waits   []*momOp           // the mother superior's ops awaiting an ack
+	free    *momOp             // finished dynamic ops, for reuse
+	// runTask and joinSisters, bound by the first message served: no
+	// closure per spawn or timer, and none on a host that serves nothing.
 	runTaskFn, joinFn func(any)
 }
 
@@ -107,15 +108,18 @@ type momOp struct {
 // NewMom creates the mom daemon for a host; call Start to install its
 // handler.
 func NewMom(net *netsim.Network, host string, params MomParams) *Mom {
-	return &Mom{
-		net:    net,
-		sim:    net.Sim(),
-		host:   host,
-		ep:     net.Endpoint(MomEndpoint(host)),
-		server: net.Resolve(ServerEndpoint),
-		params: params,
-		jobs:   make(map[string]*momJob),
+	return &NewMoms(net, []string{host}, params)[0]
+}
+
+// NewMoms creates the mom daemons of hosts, in order, as one block: a
+// cluster's moms cost one object, not one a host.
+func NewMoms(net *netsim.Network, hosts []string, params MomParams) []Mom {
+	moms := make([]Mom, len(hosts))
+	server := net.Resolve(ServerEndpoint)
+	for i, host := range hosts {
+		moms[i] = Mom{net: net, sim: net.Sim(), host: host, ep: net.Endpoint(MomEndpoint(host)), server: server, params: params}
 	}
+	return moms
 }
 
 // Host returns the host this mom manages.
@@ -123,17 +127,18 @@ func (m *Mom) Host() string { return m.host }
 
 // Start installs the mom's endpoint handler, a station of the model in
 // station.go (plus its heartbeat sender when enabled).
+// Without heartbeats it allocates nothing.
 func (m *Mom) Start() {
 	m.startHeartbeats()
-	m.station = station{sim: m.sim, batch: 1, cost: m.cost, serve: m.handle}
-	m.runTaskFn, m.joinFn = m.runTask, m.joinSisters
-	m.ep.SetHandler(m.receive)
+	m.station = station{sim: m.sim, batch: 1, daemon: m}
+	m.ep.SetHandler(momReceive, m)
 }
 
-// receive is the mom endpoint's handler. An ack goes to the op awaiting
-// it ahead of the station's queue (where it would wait out a JOIN), or,
-// stray or duplicate, nowhere.
-func (m *Mom) receive(msg *netsim.Message) {
+// momReceive is the mom endpoint's handler, arg the mom. An ack goes to
+// the op awaiting it ahead of the station's queue (where it would wait
+// out a JOIN), or, stray or duplicate, nowhere.
+func momReceive(arg any, msg *netsim.Message) {
+	m := arg.(*Mom)
 	var job, host string
 	switch ack := msg.Payload.(type) {
 	case JoinAck:
@@ -167,6 +172,16 @@ func (m *Mom) cost(msg *netsim.Message) time.Duration {
 		return m.params.DynJoinCost
 	}
 	return 0
+}
+
+// serve is the station's service: handle, once the job table and the
+// functions it schedules exist. Only a mom that serves something
+// builds them.
+func (m *Mom) serve(msg *netsim.Message) {
+	if m.jobs == nil {
+		m.jobs, m.runTaskFn, m.joinFn = make(map[string]*momJob), m.runTask, m.joinSisters
+	}
+	m.handle(msg)
 }
 
 // resolve resolves the mom on host in the fabric's endpoint table. The

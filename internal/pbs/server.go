@@ -89,6 +89,8 @@ type Server struct {
 	// the names that enter in requests and scheduler commands.
 	table []*serverNode
 	nodes map[string]*serverNode
+	// nodeBlock holds the records ReserveNodes cut for nodes to come.
+	nodeBlock []serverNode
 	// The scheduler's view is incremental (see handleSchedInfo): gen
 	// counts the states of the view a scheduler was handed, changed and
 	// jobChanged list the nodes (table indices) and jobs whose view moved
@@ -256,8 +258,7 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 	}
 	// The station model (station.go): the paper's serial server, or
 	// Shards stations of unbounded batches and an unbounded dyn window.
-	st := station{sim: s.sim, batch: 1, serve: s.handle,
-		cost: func(*netsim.Message) time.Duration { return params.Processing }}
+	st := station{sim: s.sim, batch: 1, daemon: s}
 	if params.Shards > 1 {
 		st.batch, s.dynWindow = math.MaxInt, math.MaxInt
 		st.batches, st.busy = s.inst.rpcBatches, s.inst.shardBusy
@@ -272,26 +273,34 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 
 // AddNode registers a node in the server's node database.
 func (s *Server) AddNode(name string, typ NodeType, cores int) {
-	s.addNodeLocked(&serverNode{
-		info:     NodeInfo{Name: name, Type: typ, Cores: cores},
-		lastSeen: s.sim.Now(),
-	})
+	var n *serverNode
+	if len(s.nodeBlock) > 0 {
+		n, s.nodeBlock = &s.nodeBlock[0], s.nodeBlock[1:]
+	} else {
+		n = new(serverNode)
+	}
+	n.info = NodeInfo{Name: name, Type: typ, Cores: cores}
+	n.lastSeen = s.sim.Now()
+	s.addNodeLocked(n)
 }
 
-// ReserveNodes sizes the node database for n more nodes, so that
-// registering a cluster neither rehashes the name map nor regrows the
-// table on the way.
+// ReserveNodes sizes the node database for n more nodes and cuts their
+// records from one block, so that registering a cluster neither
+// rehashes the name map, nor regrows the table, nor allocates a record
+// a node.
 func (s *Server) ReserveNodes(n int) {
 	nodes := make(map[string]*serverNode, len(s.nodes)+n)
 	maps.Copy(nodes, s.nodes)
 	s.nodes = nodes
 	s.table = slices.Grow(s.table, n)
+	s.nodeBlock = make([]serverNode, n)
 }
 
 // addNodeLocked appends a node to the dense table and the name map,
-// and resolves its mom.
+// and resolves its mom (sharing the name of a mom already built).
 func (s *Server) addNodeLocked(n *serverNode) {
-	n.mom = s.net.Resolve(MomEndpoint(n.info.Name))
+	var buf [64]byte
+	n.mom = s.net.ResolveBytes(append(append(buf[:0], momPrefix...), n.info.Name...))
 	n.idx = len(s.table)
 	s.table = append(s.table, n)
 	s.nodes[n.info.Name] = n
@@ -351,16 +360,17 @@ func (s *Server) Errors() []string {
 // detector when enabled.
 func (s *Server) Start() {
 	s.startFailureDetector()
-	s.ep.SetHandler(s.receive)
+	s.ep.SetHandler(serverReceive, s)
 }
 
-// receive is the server endpoint's handler: it routes each request to
-// its station. A stopMsg takes the handler off the endpoint: the
-// stations serve what they hold, and what arrives later queues for a
-// restarted server.
-func (s *Server) receive(m *netsim.Message) {
+// serverReceive is the server endpoint's handler, arg the server: it
+// routes each request to its station. A stopMsg takes the handler off
+// the endpoint: the stations serve what they hold, and what arrives
+// later queues for a restarted server.
+func serverReceive(arg any, m *netsim.Message) {
+	s := arg.(*Server)
 	if _, stop := m.Payload.(stopMsg); stop {
-		s.ep.SetHandler(nil)
+		s.ep.SetHandler(nil, nil)
 		return
 	}
 	s.stations[s.shardFor(m.Payload, &s.rr)].offer(m)
@@ -417,10 +427,13 @@ func (s *Server) logErr(format string, args ...any) string {
 	return msg
 }
 
-// handle serves one request and records its service time as the
+// cost is a batch's service time: Processing, whatever it holds.
+func (s *Server) cost(*netsim.Message) time.Duration { return s.params.Processing }
+
+// serve serves one request and records its service time as the
 // requester experiences the server: head-of-line wait (implicit in
 // Delivered -> now) plus processing and handling.
-func (s *Server) handle(m *netsim.Message) {
+func (s *Server) serve(m *netsim.Message) {
 	switch req := m.Payload.(type) {
 	case SubmitReq:
 		s.handleSubmit(req)

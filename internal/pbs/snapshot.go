@@ -110,8 +110,10 @@ func (s *Server) Restore(snap Snapshot) error {
 	now := s.sim.Now()
 	table := make([]*serverNode, len(snap.Nodes))
 	byName := make(map[string]*serverNode, len(snap.Nodes))
+	block := make([]serverNode, len(snap.Nodes))
 	for i, info := range snap.Nodes {
-		n := &serverNode{info: info, lastChange: now, lastSeen: now}
+		n := &block[i]
+		*n = serverNode{info: info, lastChange: now, lastSeen: now}
 		n.info.Jobs = append([]string(nil), info.Jobs...)
 		for j, c := range snap.UsedBy[info.Name] {
 			n.hold(j, c)

@@ -26,10 +26,9 @@ import (
 // when busy) and serves where the actor resumed, so every release order,
 // virtual time and count is the actor's (DESIGN.md §7).
 type station struct {
-	sim   *sim.Simulation
-	batch int
-	cost  func(*netsim.Message) time.Duration
-	serve func(*netsim.Message) // may keep the payload, not the pointer
+	sim    *sim.Simulation
+	batch  int
+	daemon daemon
 	// batches and busy count batches and their cost (sharded server only).
 	batches *telemetry.Counter
 	busy    *telemetry.Occupancy
@@ -39,6 +38,14 @@ type station struct {
 	queue         []netsim.Message
 	head, serving int
 	d             time.Duration
+}
+
+// daemon is what a station serves for: *Server and *Mom. An interface
+// holding the daemon's pointer, not two method values, so starting a
+// daemon allocates nothing.
+type daemon interface {
+	cost(*netsim.Message) time.Duration // a batch's service time, by its first message
+	serve(*netsim.Message)              // may keep the payload, not the pointer
 }
 
 // offer hands the station a delivered message.
@@ -57,7 +64,7 @@ func (st *station) offer(m *netsim.Message) {
 func (st *station) start() {
 	for st.head < len(st.queue) {
 		st.serving = min(len(st.queue)-st.head, st.batch)
-		if st.d = st.cost(&st.queue[st.head]); st.d > 0 {
+		if st.d = st.daemon.cost(&st.queue[st.head]); st.d > 0 {
 			st.sim.AfterArg(st.d, stationDone, st)
 			return
 		}
@@ -76,7 +83,7 @@ func stationDone(arg any) {
 // finish serves the batch in service.
 func (st *station) finish() {
 	for i := st.head; i < st.head+st.serving; i++ {
-		st.serve(&st.queue[i])
+		st.daemon.serve(&st.queue[i])
 		st.queue[i] = netsim.Message{}
 	}
 	st.head += st.serving

@@ -9,6 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
+// recorder is a daemon that serves each message in a millisecond by
+// appending its payload.
+type recorder struct{ served *[]any }
+
+func (recorder) cost(*netsim.Message) time.Duration { return time.Millisecond }
+func (r recorder) serve(m *netsim.Message)          { *r.served = append(*r.served, m.Payload) }
+
 // A station behind an endpoint handler serves the messages it was
 // offered, in order, after the handler's delivery events are over: it
 // queues copies, not the handler's pointers.
@@ -19,10 +26,8 @@ func TestStationServesWhatItWasOffered(t *testing.T) {
 		n := netsim.New(s, netsim.LinkParams{Latency: time.Millisecond})
 		defer n.Close()
 		src, dst := n.Endpoint("src"), n.Endpoint("dst")
-		st := &station{sim: s, batch: 1,
-			cost:  func(*netsim.Message) time.Duration { return time.Millisecond },
-			serve: func(m *netsim.Message) { served = append(served, m.Payload) }}
-		dst.SetHandler(st.offer)
+		st := &station{sim: s, batch: 1, daemon: recorder{&served}}
+		dst.SetHandler(func(_ any, m *netsim.Message) { st.offer(m) }, nil)
 		for i := 0; i < 5; i++ {
 			if err := src.Send("dst", "x", i, 0); err != nil {
 				t.Fatalf("Send: %v", err)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/sim"
@@ -143,9 +144,12 @@ func (a *Arrivals) Next() (TraceEntry, bool) {
 	if wall == 0 {
 		wall = cls.MaxRun
 	}
+	// The name "<class>-<n>", appended on the stack: one object, the string.
+	var buf [64]byte
+	name := strconv.AppendInt(append(append(buf[:0], cls.Name...), '-'), int64(a.n), 10)
 	return TraceEntry{
 		At:       a.at,
-		Name:     fmt.Sprintf("%s-%d", cls.Name, a.n),
+		Name:     string(name),
 		Owner:    cls.Name,
 		Nodes:    cls.Nodes,
 		PPN:      cls.PPN,

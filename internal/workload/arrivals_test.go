@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -163,9 +164,9 @@ func TestParseArrivalProcess(t *testing.T) {
 	}
 }
 
-// An arrival draw allocates at most twice — the job name Sprintf builds
-// and its boxed counter — and nothing for the gap or the shape: the
-// service admission pump pays it once per admitted job.
+// An arrival draw allocates at most once — the job name — and nothing
+// for the gap or the shape: the service admission pump pays it once per
+// admitted job (twice when the name was a Sprintf).
 func TestArrivalsNextAllocs(t *testing.T) {
 	a, err := NewArrivals(ArrivalConfig{Rate: 1000, Seed: 1})
 	if err != nil {
@@ -179,7 +180,25 @@ func TestArrivalsNextAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ { // settle RNG and counter state
 		next()
 	}
-	if allocs := testing.AllocsPerRun(1000, next); allocs > 2 && !raceDetectorOn {
-		t.Errorf("Arrivals.Next: %v allocs/op, want at most 2", allocs)
+	if allocs := testing.AllocsPerRun(1000, next); allocs > 1 && !raceDetectorOn {
+		t.Errorf("Arrivals.Next: %v allocs/op, want at most 1", allocs)
+	}
+}
+
+// The n-th arrival is named "<class>-<n>", as Sprintf("%s-%d") named it,
+// for every class of the default mix and past every digit boundary.
+func TestArrivalNamesAreClassAndCount(t *testing.T) {
+	a, err := NewArrivals(ArrivalConfig{Rate: 1000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 12345; i++ {
+		e, ok := a.Next()
+		if !ok {
+			t.Fatalf("stream dried up at %d", i)
+		}
+		if want := fmt.Sprintf("%s-%d", e.Owner, i); e.Name != want {
+			t.Fatalf("arrival %d named %q, want %q", i, e.Name, want)
+		}
 	}
 }
