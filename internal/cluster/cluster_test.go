@@ -1,14 +1,12 @@
 package cluster_test
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/pbs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestDefaultShapeMatchesPaperTestbed(t *testing.T) {
@@ -88,39 +86,5 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("callback never completed")
-	}
-}
-
-// The moms start in AddNode order, so with heartbeats on, their senders
-// spawn in the same order every run, the server serves same-instant
-// heartbeats in the same order, and a run records the same spans.
-func TestHeartbeatsRecordTheSameSpansEveryRun(t *testing.T) {
-	run := func() []trace.Event {
-		p := cluster.Default()
-		p.ComputeNodes, p.Accelerators = 4, 8
-		p.Mom.HeartbeatEvery = 20 * time.Millisecond
-		p.Server.DeadAfter = 100 * time.Millisecond
-		p.Tracer = trace.New()
-		if err := cluster.Run(p, func(c *cluster.Cluster, _ *pbs.Client) {
-			c.Sim.Sleep(200 * time.Millisecond)
-		}); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return p.Tracer.Events()
-	}
-	first := run()
-	if len(first) == 0 {
-		t.Fatal("no spans recorded")
-	}
-	for i := 1; i < 4; i++ {
-		again := run()
-		for j := range min(len(first), len(again)) {
-			if !reflect.DeepEqual(first[j], again[j]) {
-				t.Fatalf("run %d: event %d is %+v, first run recorded %+v", i, j, again[j], first[j])
-			}
-		}
-		if len(again) != len(first) {
-			t.Fatalf("run %d: %d events, first run recorded %d", i, len(again), len(first))
-		}
 	}
 }

@@ -12,61 +12,30 @@ import (
 // audited is the observer set of the audited ladder.
 var audited = cluster.Observers{Audit: true}
 
-// sameRecording compares two event streams field-for-field, including
-// sequence numbers and virtual timestamps — the strongest identity an
-// audited run can claim.
-func sameRecording(a, b []audit.Event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// A clean audited ladder reports zero invariant breaches, and each
-// point's recording is byte-identical whether the points ran serially
-// or fanned out over the trial worker pool: every point owns its
-// simulation, so trial parallelism cannot reorder its events.
-func TestScaleAuditedCleanAndParallelismInvariant(t *testing.T) {
-	sizes := []int{8, 16}
-
-	defer SetParallelism(Parallelism())
-	SetParallelism(1)
-	serial, err := Scale(cluster.Default(), sizes, ServerFaithful, audited)
+// A clean audited ladder reports zero invariant breaches, drops no
+// event and captures digest rounds at every point. That the recording
+// is the same at any parallelism is TestReplayCorpus's scale rows.
+func TestScaleAuditedClean(t *testing.T) {
+	pts, err := Scale(cluster.Default(), []int{8, 16}, ServerFaithful, audited)
 	if err != nil {
-		t.Fatalf("Scale serial: %v", err)
+		t.Fatalf("Scale: %v", err)
 	}
-	SetParallelism(4)
-	fanned, err := Scale(cluster.Default(), sizes, ServerFaithful, audited)
-	if err != nil {
-		t.Fatalf("Scale parallel: %v", err)
-	}
-
-	for i := range serial {
-		pt, other := serial[i].Obs, fanned[i].Obs
-		if pt.Checks == 0 {
-			t.Errorf("n=%d: invariant engine never ran", pt.ComputeNodes)
+	for _, pt := range pts {
+		seen := pt.Obs
+		if seen.Checks == 0 {
+			t.Errorf("n=%d: invariant engine never ran", seen.ComputeNodes)
 		}
-		if pt.Breaches != 0 {
-			t.Errorf("n=%d: %d invariant breaches on a clean run", pt.ComputeNodes, pt.Breaches)
+		if seen.Breaches != 0 {
+			t.Errorf("n=%d: %d invariant breaches on a clean run", seen.ComputeNodes, seen.Breaches)
 		}
-		if pt.Dropped != 0 {
-			t.Errorf("n=%d: ring dropped %d events", pt.ComputeNodes, pt.Dropped)
+		if seen.Dropped != 0 {
+			t.Errorf("n=%d: ring dropped %d events", seen.ComputeNodes, seen.Dropped)
 		}
-		if pt.Rounds == 0 {
-			t.Errorf("n=%d: no digest rounds captured", pt.ComputeNodes)
+		if seen.Rounds == 0 {
+			t.Errorf("n=%d: no digest rounds captured", seen.ComputeNodes)
 		}
-		if len(pt.Audit) == 0 {
-			t.Fatalf("n=%d: empty recording", pt.ComputeNodes)
-		}
-		if !sameRecording(pt.Audit, other.Audit) {
-			d := audit.Diff(pt.Audit, other.Audit, 2)
-			t.Fatalf("n=%d: recording differs across parallelism levels: first divergence at event %d (component %s)",
-				pt.ComputeNodes, d.Index, d.Comp())
+		if len(seen.Audit) == 0 {
+			t.Errorf("n=%d: empty recording", seen.ComputeNodes)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,62 +10,44 @@ import (
 )
 
 // The breakdown experiment's core guarantee: for every job of every
-// ladder size, the per-phase attribution sums byte-identically (in
-// integer virtual-time nanoseconds) to the job's end-to-end latency —
-// and the whole figure, span streams included, is invariant under the
-// trial-pool parallelism level, including under the race detector: the
-// sim kernel runs one actor at a time, so the goroutine-scheduler
-// perturbation the race runtime introduces cannot reorder same-instant
-// submit/fetch rendezvous or the span ids they hand out.
-func TestBreakdownExactAtEveryParallelism(t *testing.T) {
+// ladder size, the per-phase attribution sums exactly (in integer
+// virtual-time nanoseconds) to the job's end-to-end latency. That the
+// figure, span streams included, is the same at any parallelism is
+// TestReplayCorpus's breakdown row.
+func TestBreakdownPhasesSumExactly(t *testing.T) {
 	sizes := []int{8, 32}
-	old := Parallelism()
-	defer SetParallelism(old)
-
-	var base []BreakdownPoint
-	for _, par := range []int{1, 2, 0} { // 0 = all cores
-		SetParallelism(par)
-		pts, err := Breakdown(cluster.Default(), sizes, ServerFaithful, cluster.Observers{})
-		if err != nil {
-			t.Fatalf("Breakdown(par=%d): %v", par, err)
-		}
-		if base == nil {
-			base = pts
-		} else if !reflect.DeepEqual(pts, base) {
-			t.Fatalf("breakdown differs at parallelism %d:\n%+v\nvs\n%+v", par, pts, base)
-		}
-		for i := range pts {
-			profile := prof.Analyze(pts[i].Obs.Spans)
-			if len(profile.Jobs) == 0 || len(profile.Dyns) == 0 {
-				t.Fatalf("size %d: %d jobs, %d dyn requests profiled", sizes[i], len(profile.Jobs), len(profile.Dyns))
-			}
-			if len(profile.Incomplete) != 0 {
-				t.Errorf("size %d: incomplete chains: %v", sizes[i], profile.Incomplete)
-			}
-			for _, j := range profile.Jobs {
-				var sum time.Duration
-				for _, ph := range j.Phases {
-					sum += ph.Dur
-				}
-				if sum != j.Total() {
-					t.Errorf("size %d job %s: phases sum to %v, end-to-end is %v",
-						sizes[i], j.ID, sum, j.Total())
-				}
-			}
-			for _, d := range profile.Dyns {
-				var sum time.Duration
-				for _, ph := range d.Phases {
-					sum += ph.Dur
-				}
-				if sum != d.Total {
-					t.Errorf("size %d dyn %d: phases sum to %v, envelope is %v",
-						sizes[i], d.ReqID, sum, d.Total)
-				}
-			}
-		}
+	pts, err := Breakdown(cluster.Default(), sizes, ServerFaithful, cluster.Observers{})
+	if err != nil {
+		t.Fatalf("Breakdown: %v", err)
 	}
-
-	for i, pt := range base {
+	for i, pt := range pts {
+		profile := prof.Analyze(pt.Obs.Spans)
+		if len(profile.Jobs) == 0 || len(profile.Dyns) == 0 {
+			t.Fatalf("size %d: %d jobs, %d dyn requests profiled", sizes[i], len(profile.Jobs), len(profile.Dyns))
+		}
+		if len(profile.Incomplete) != 0 {
+			t.Errorf("size %d: incomplete chains: %v", sizes[i], profile.Incomplete)
+		}
+		for _, j := range profile.Jobs {
+			var sum time.Duration
+			for _, ph := range j.Phases {
+				sum += ph.Dur
+			}
+			if sum != j.Total() {
+				t.Errorf("size %d job %s: phases sum to %v, end-to-end is %v",
+					sizes[i], j.ID, sum, j.Total())
+			}
+		}
+		for _, d := range profile.Dyns {
+			var sum time.Duration
+			for _, ph := range d.Phases {
+				sum += ph.Dur
+			}
+			if sum != d.Total {
+				t.Errorf("size %d dyn %d: phases sum to %v, envelope is %v",
+					sizes[i], d.ReqID, sum, d.Total)
+			}
+		}
 		if pt.Jobs != sizes[i]*JobsPerCN+1 { // trace jobs + probe
 			t.Errorf("size %d: attributed %d jobs, want %d", sizes[i], pt.Jobs, sizes[i]*JobsPerCN+1)
 		}

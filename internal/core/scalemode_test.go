@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -52,54 +51,6 @@ func TestShardAndPartitionSizing(t *testing.T) {
 		if got := PartitionsFor(c.n); got != c.parts {
 			t.Errorf("PartitionsFor(%d) = %d, want %d", c.n, got, c.parts)
 		}
-	}
-}
-
-// The faithful ladder reports the same numbers at any trial
-// parallelism. This is the ablation's control arm: -server faithful
-// must keep reproducing today's figures byte-identically.
-func TestScaleModeFaithfulIdenticalAcrossParallelism(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	p := cluster.Default()
-	sizes := []int{8, 32}
-
-	SetParallelism(1)
-	base, err := Scale(p, sizes, ServerFaithful, cluster.Observers{})
-	if err != nil {
-		t.Fatalf("serial Scale(faithful): %v", err)
-	}
-	SetParallelism(4)
-	faithful, err := Scale(p, sizes, ServerFaithful, cluster.Observers{})
-	if err != nil {
-		t.Fatalf("parallel Scale(faithful): %v", err)
-	}
-	if !reflect.DeepEqual(base, faithful) {
-		t.Fatalf("faithful Scale differs across parallelism:\nserial:   %+v\nparallel: %+v", base, faithful)
-	}
-}
-
-// The sharded mode is deterministic too: the partitioned server and
-// scheduler must not introduce run-to-run or parallelism-dependent
-// divergence.
-func TestScaleModeShardedIdenticalAcrossParallelism(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	p := cluster.Default()
-	sizes := []int{8, 32}
-
-	SetParallelism(1)
-	serial, err := Scale(p, sizes, ServerSharded, cluster.Observers{})
-	if err != nil {
-		t.Fatalf("serial Scale(sharded): %v", err)
-	}
-	SetParallelism(4)
-	parallel, err := Scale(p, sizes, ServerSharded, cluster.Observers{})
-	if err != nil {
-		t.Fatalf("parallel Scale(sharded): %v", err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("sharded Scale differs across parallelism:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
 

@@ -123,29 +123,3 @@ func TestServeMillionJobs(t *testing.T) {
 	}
 	t.Logf("served %d jobs, byte-identical at 1 and 4 workers, zero breaches", n1)
 }
-
-// The serve figure must be byte-identical at every parallelism level:
-// each point is an isolated simulation, so fan-out order cannot leak
-// into the reports.
-func TestServeParallelInvariance(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	run := func() string {
-		pts, err := Serve(cluster.Default(), []int{8, 12, 16}, ServerFaithful, 0, 4*time.Second, cluster.Observers{})
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-		b, err := json.Marshal(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	SetParallelism(1)
-	serial := run()
-	SetParallelism(4)
-	parallel := run()
-	if serial != parallel {
-		t.Fatal("serve reports differ between -parallel levels")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
@@ -115,50 +114,6 @@ func TestSLOTablesRender(t *testing.T) {
 func TestSLORejectsBadSize(t *testing.T) {
 	if _, err := SLO(cluster.Default(), []int{0}, cluster.Observers{}); err == nil {
 		t.Fatal("want error for size 0")
-	}
-}
-
-// The slo figure — tables, the JSONL scrape series, and the
-// Prometheus page — must be byte-identical at every parallelism
-// level: each size runs on a private simulation with a private
-// registry, and results reduce in index order.
-func TestSLOIdenticalAcrossParallelism(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	p := cluster.Default()
-	sizes := []int{16, 32}
-
-	render := func(pts []SLOPoint) string {
-		var b bytes.Buffer
-		if err := SLOTable(pts).Render(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := SLOComplianceTable(pts).Render(&b); err != nil {
-			t.Fatal(err)
-		}
-		for _, pt := range pts {
-			if err := capture.Write(&b, &pt.Obs.File); err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(pt.Obs.Prom)
-		}
-		return b.String()
-	}
-
-	SetParallelism(1)
-	serial, err := SLO(p, sizes, cluster.Observers{})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	SetParallelism(4)
-	par, err := SLO(p, sizes, cluster.Observers{})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-
-	a, b := render(serial), render(par)
-	if a != b {
-		t.Fatalf("slo output differs across parallelism:\n--- serial ---\n%.2000s\n--- parallel ---\n%.2000s", a, b)
 	}
 }
 

@@ -21,15 +21,11 @@ func TestSpanBalance(t *testing.T) {
 	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewSpanBalance()}, "spans")
 }
 
-func TestDigestDet(t *testing.T) {
-	linttest.Run(t, "testdata", []*analysis.Analyzer{lint.NewDigestDet()}, "digests")
-}
-
-// TestSuite pins the shipped analyzer set: four analyzers, stable
+// TestSuite pins the shipped analyzer set: three analyzers, stable
 // names, stable order — the -json report's analyzers map keys off
 // these names.
 func TestSuite(t *testing.T) {
-	want := []string{"walltime", "maporder", "spanbalance", "digestdet"}
+	want := []string{"walltime", "maporder", "spanbalance"}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))

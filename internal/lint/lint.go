@@ -2,20 +2,20 @@
 // this module: static analyzers that enforce the simulator's determinism
 // and virtual-time invariants before they can cost a flaky benchmark gate.
 //
-// The suite (see Suite) ships four analyzers:
+// The suite (see Suite) ships three analyzers:
 //
 //   - walltime: no wall-clock time (time.Now, time.Sleep, ...) in
 //     simulation code — virtual time must come from internal/sim.
 //   - maporder: no map iteration order leaking into emitted output
-//     (tables, CSV, traces) without an intervening sort.
+//     (tables, CSV, traces, audit records, digest writes, netsim sends)
+//     without an intervening sort.
 //   - spanbalance: every trace span opened in a function
 //     (Tracer.Start, Span.Child) must reach an End in that scope or
 //     be handed off — an open span truncates the causal chains the
 //     critical-path profiler reconstructs.
-//   - digestdet: audit digest providers (func(*audit.Digest)) must be
-//     deterministic — no unsorted map iteration feeding digest writes
-//     and no wall-clock reads, since digest sums back the
-//     byte-identity gates across parallelism levels and server modes.
+//
+// Whole-run determinism is checked dynamically, by the replay corpus
+// (TestReplayCorpus in internal/core), which runs every scenario twice.
 //
 // There is no suppression directive: a false positive is fixed in the
 // analyzer or in its scope configuration below (wallClockAllowed). Findings in _test.go files are never reported: tests
@@ -46,7 +46,6 @@ func Suite() []*analysis.Analyzer {
 		NewWalltime(wallClockAllowed...),
 		NewMapOrder(),
 		NewSpanBalance(),
-		NewDigestDet(),
 	}
 }
 

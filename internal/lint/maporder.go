@@ -17,9 +17,10 @@ import (
 // function:
 //
 //   - emission calls (fmt.Print*/Fprint*, csv.Writer.Write/WriteAll,
-//     Table.AddRow, and the two sinks every capture is compared
-//     through: audit Recorder.Record and netsim Endpoint.Send*)
-//     directly inside a body of a range over a map, and
+//     Table.AddRow, and the three sinks every capture is compared
+//     through: audit Recorder.Record, the audit Digest's Write* and
+//     netsim Endpoint.Send*) directly inside a body of a range over a
+//     map, and
 //   - slices appended to inside such a body that later feed an
 //     emission call (or strings.Join) in the same function without
 //     ever being passed to sort.* or slices.Sort*.
@@ -47,28 +48,6 @@ func NewMapOrder() *analysis.Analyzer {
 }
 
 func checkMapOrder(pass *analysis.Pass, body *ast.BlockStmt) {
-	checkMapOrderFlow(pass, body, mapOrderSinks{
-		isSink: func(pass *analysis.Pass, call *ast.CallExpr) bool {
-			return isEmissionCall(pass, call) || analysis.IsPkgFunc(pass.TypesInfo, call, "strings", "Join")
-		},
-		directMsg: "output emitted inside a range over a map follows random iteration order: collect, sort, then emit",
-		accumMsg:  "%s accumulates elements in map iteration order and feeds output without a sort: sort it before emitting",
-	})
-}
-
-// mapOrderSinks parameterizes the map-order dataflow so other
-// analyzers (digestdet) can reuse it with a different notion of
-// "order-sensitive sink": isSink classifies the calls whose argument
-// order matters, directMsg flags a sink directly inside a map-range
-// body, and accumMsg (with one %s for the variable name) flags a
-// slice accumulated under a map range that reaches a sink unsorted.
-type mapOrderSinks struct {
-	isSink    func(*analysis.Pass, *ast.CallExpr) bool
-	directMsg string
-	accumMsg  string
-}
-
-func checkMapOrderFlow(pass *analysis.Pass, body *ast.BlockStmt, sinks mapOrderSinks) {
 	reported := make(map[token.Pos]bool)
 	// accums maps each outer-declared slice that a map-range body
 	// appends to onto the position of its first such append.
@@ -82,9 +61,9 @@ func checkMapOrderFlow(pass *analysis.Pass, body *ast.BlockStmt, sinks mapOrderS
 		ast.Inspect(rs.Body, func(m ast.Node) bool {
 			switch m := m.(type) {
 			case *ast.CallExpr:
-				if sinks.isSink(pass, m) && !reported[m.Pos()] {
+				if isOrderSink(pass, m) && !reported[m.Pos()] {
 					reported[m.Pos()] = true
-					pass.Reportf(m.Pos(), "%s", sinks.directMsg)
+					pass.Reportf(m.Pos(), "output emitted inside a range over a map follows random iteration order: collect, sort, then emit")
 				}
 			case *ast.AssignStmt:
 				for i, rhs := range m.Rhs {
@@ -128,7 +107,7 @@ func checkMapOrderFlow(pass *analysis.Pass, body *ast.BlockStmt, sinks mapOrderS
 				return true
 			}
 			ast.Inspect(rs.Body, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok && sinks.isSink(pass, call) {
+				if call, ok := m.(*ast.CallExpr); ok && isOrderSink(pass, call) {
 					emitted[obj] = true
 				}
 				return true
@@ -140,7 +119,7 @@ func checkMapOrderFlow(pass *analysis.Pass, body *ast.BlockStmt, sinks mapOrderS
 			return true
 		}
 		isSort := isSortCall(pass, call)
-		isEmit := sinks.isSink(pass, call)
+		isEmit := isOrderSink(pass, call)
 		if !isSort && !isEmit {
 			return true
 		}
@@ -169,9 +148,16 @@ func checkMapOrderFlow(pass *analysis.Pass, body *ast.BlockStmt, sinks mapOrderS
 	})
 	for obj, pos := range accums {
 		if emitted[obj] && !sorted[obj] {
-			pass.Reportf(pos, sinks.accumMsg, obj.Name())
+			pass.Reportf(pos, "%s accumulates elements in map iteration order and feeds output without a sort: sort it before emitting", obj.Name())
 		}
 	}
+}
+
+// isOrderSink reports whether the order of calls to call, or of the
+// elements of its arguments, is output: an emission call or a
+// strings.Join.
+func isOrderSink(pass *analysis.Pass, call *ast.CallExpr) bool {
+	return isEmissionCall(pass, call) || analysis.IsPkgFunc(pass.TypesInfo, call, "strings", "Join")
 }
 
 func isMapExpr(pass *analysis.Pass, x ast.Expr) bool {
@@ -207,8 +193,8 @@ func appendTarget(pass *analysis.Pass, assign *ast.AssignStmt, i int, rhs ast.Ex
 }
 
 // isEmissionCall reports whether call writes formatted output: the
-// fmt print family, encoding/csv record writes, or the repository's
-// metrics table rows.
+// fmt print family, encoding/csv record writes, the repository's
+// metrics table rows, audit records and digest writes, or netsim sends.
 func isEmissionCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := analysis.Callee(pass.TypesInfo, call)
 	if fn == nil {
@@ -232,6 +218,8 @@ func isEmissionCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return true // the repo's metrics.Table row sink (name-matched so fixtures can model it)
 	case "Record":
 		return recvName(sig) == "Recorder" // audit: the order of events is the recording
+	case "WriteString", "WriteInt", "WriteUint", "WriteBool":
+		return recvName(sig) == "Digest" // audit: the order of writes is the sum
 	}
 	// netsim: the order of sends is the order of deliveries.
 	return strings.HasPrefix(fn.Name(), "Send") && recvName(sig) == "Endpoint"

@@ -122,3 +122,59 @@ func tellsInHostOrder(e *Endpoint, r *Recorder, hosts []string, moms map[string]
 		_ = e.SendCause(moms[h], 0)
 	}
 }
+
+// Digest models the audit layer's state hasher: the order of its writes
+// is the sum.
+type Digest struct{ h uint64 }
+
+func (d *Digest) WriteString(s string) { d.h += uint64(len(s)) }
+func (d *Digest) WriteInt(v int64)     { d.h += uint64(v) }
+
+func digestsInMapOrder(d *Digest, counts map[string]int64) {
+	for name, c := range counts {
+		d.WriteString(name) // want `output emitted inside a range over a map`
+		d.WriteInt(c)       // want `output emitted inside a range over a map`
+	}
+}
+
+func digestsAccumulatedUnsorted(d *Digest, counts map[string]int64) {
+	var names []string
+	for name := range counts {
+		names = append(names, name) // want `names accumulates elements in map iteration order`
+	}
+	for _, name := range names {
+		d.WriteString(name)
+	}
+}
+
+func digestsSorted(d *Digest, counts map[string]int64) {
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		d.WriteString(name)
+		d.WriteInt(counts[name])
+	}
+}
+
+// register models RegisterDigest taking a provider literal.
+func register(fn func(*Digest)) {}
+
+func registersInMapOrder(counts map[string]int64) {
+	register(func(d *Digest) {
+		for name := range counts {
+			d.WriteString(name) // want `output emitted inside a range over a map`
+		}
+	})
+}
+
+// A sum folded under the range and written once is order-free.
+func digestsFolded(d *Digest, counts map[string]int64) {
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	d.WriteInt(total)
+}

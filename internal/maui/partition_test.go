@@ -94,46 +94,3 @@ func TestPartitionedWalkPlacesAJobTheClusterFits(t *testing.T) {
 		}
 	})
 }
-
-// The walk at a fractional per-job cost is still a deterministic
-// discrete-event program: identical workloads must yield identical
-// virtual timestamps run to run.
-func TestPartitionedCycleDeterministic(t *testing.T) {
-	runOnce := func() []time.Duration {
-		b := newBed(t, 8, 2, partitioned(4))
-		var times []time.Duration
-		b.run(t, func(c *pbs.Client) {
-			var ids []string
-			for i := 0; i < 10; i++ {
-				nodes := 1 + i%2
-				id, err := c.Submit(pbs.JobSpec{
-					Name: "det", Owner: "alice", Nodes: nodes, PPN: 4,
-					Walltime: time.Second, Script: sleeper(b, 15*time.Millisecond),
-				})
-				if err != nil {
-					t.Errorf("Submit: %v", err)
-					return
-				}
-				ids = append(ids, id)
-			}
-			for _, id := range ids {
-				info, err := c.Wait(id)
-				if err != nil {
-					t.Errorf("Wait(%s): %v", id, err)
-					return
-				}
-				times = append(times, info.SubmittedAt, info.AllocatedAt, info.StartedAt, info.CompletedAt)
-			}
-		})
-		return times
-	}
-	a, b := runOnce(), runOnce()
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("timestamp vectors differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run-to-run divergence at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}

@@ -175,51 +175,6 @@ func TestShardedDynJoinPipelined(t *testing.T) {
 	}
 }
 
-// The sharded server is still a deterministic discrete-event program:
-// the same scenario must produce identical virtual timestamps run to
-// run.
-func TestShardedServerDeterministic(t *testing.T) {
-	runOnce := func() []time.Duration {
-		tb := newShardedTestbed(t, 4, 2, 4, 5*time.Millisecond)
-		var times []time.Duration
-		tb.run(t, func(c *pbs.Client) {
-			var ids []string
-			for i := 0; i < 8; i++ {
-				id, err := c.Submit(pbs.JobSpec{
-					Name: "det", Owner: "alice", Nodes: 1, PPN: 2,
-					Walltime: time.Second,
-					Script: func(env *pbs.JobEnv) {
-						tb.s.Sleep(15 * time.Millisecond)
-					},
-				})
-				if err != nil {
-					t.Errorf("Submit: %v", err)
-					return
-				}
-				ids = append(ids, id)
-			}
-			for _, id := range ids {
-				info, err := c.Wait(id)
-				if err != nil {
-					t.Errorf("Wait(%s): %v", id, err)
-					return
-				}
-				times = append(times, info.SubmittedAt, info.AllocatedAt, info.StartedAt, info.CompletedAt)
-			}
-		})
-		return times
-	}
-	a, b := runOnce(), runOnce()
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("timestamp vectors differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run-to-run divergence at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 // An id whose digits overflow an int is no job's, on whichever station
 // routes it: every per-job request about it is answered as an unknown
 // job, and the server goes on serving the real ones.

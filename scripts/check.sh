@@ -47,23 +47,25 @@ go test -race -shuffle=on -count=1 $pkgs
 
 # The sim kernel runs one actor at a time, so a seed has one
 # interleaving and repeating a test under the detector no longer shows
-# it another. What is repeated is the determinism itself: the kernel's
-# property tests (host-schedule injection, the running-slot check,
-# SleepSteps against single sleeps), the same-order-every-run test,
-# the five tests that compare whole runs across seeds or parallelism
-# levels, the server's stations handing their requests over across
-# Stop/Restore, Maui's placements landing at their walk step, and the
-# scheduler round's two equalities: the merged priority order against
-# the stable sort, the job mirror against qstat and a full answer; the
-# driver's own rules: a callback's panic out of Run with no idle
-# worker left behind, runtime.Goexit unwinding Run, a gate wait that lets
-# go of its locks before the driver runs, workers reused and gone at
-# halt, and a stale deadline that never ends a later wait; and the slot
-# as the lock: the paper figures at -parallel 4 beside a service run,
-# where state two simulations share without a lock is a race report.
-echo "==> go test -race -count=5 (one actor at a time: same seed, same bytes)"
-go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestFig7bCaptureIsTheSameEveryRun|TestSLOIdenticalAcrossParallelism|TestScaleAuditedCleanAndParallelismInvariant|TestBreakdownExactAtEveryParallelism|TestServeDeterministic|TestServeParallelInvariance|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait|TestSimulationsShareNothingUnguarded' \
-    ./internal/sim ./internal/core ./internal/service ./internal/pbs ./internal/maui
+# it another. Whole-run determinism is TestReplayCorpus in
+# internal/core, which runs every scenario twice with all observers on
+# and rides in the race pass above like every test. What is repeated
+# here are the properties of the kernel and the drivers themselves: the
+# kernel's property tests (host-schedule injection, the running-slot
+# check, SleepSteps against single sleeps), the server's stations
+# handing their requests over across Stop/Restore, Maui's placements
+# landing at their walk step, and the scheduler round's two equalities:
+# the merged priority order against the stable sort, the job mirror
+# against qstat and a full answer; the driver's own rules: a callback's
+# panic out of Run with no idle worker left behind, runtime.Goexit
+# unwinding Run, a gate wait that lets go of its locks before the driver
+# runs, workers reused and gone at halt, and a stale deadline that never
+# ends a later wait; and the slot as the lock: the paper figures at
+# -parallel 4 beside a service run, where state two simulations share
+# without a lock is a race report.
+echo "==> go test -race -count=5 (one actor at a time: the kernel and driver properties)"
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait|TestSimulationsShareNothingUnguarded' \
+    ./internal/sim ./internal/core ./internal/pbs ./internal/maui
 
 # The two largest outputs repeat byte for byte, and each is pinned in
 # results/pins.json. The sharded 8 -> 4096 ladder runs three times
