@@ -51,6 +51,23 @@ func TestRecordMatchesBaseline(t *testing.T) {
 	checkExact(series, shared, func(format string, a ...any) { t.Errorf(format, a...) })
 }
 
+// Violations print in key order whatever order the pins' map yields
+// them in: the two keys go in in reverse, and a small map iterates in
+// insertion order rotated by a random slot, so thirty checks without the
+// sort would all come out sorted only by a chance of 8^-30.
+func TestCheckExactReportsInKeyOrder(t *testing.T) {
+	for i := 0; i < 30; i++ {
+		exact := map[string]float64{}
+		exact["z.late"] = 1
+		exact["a.early"] = 1
+		var bad []string
+		checkExact(map[string]float64{}, exact, func(format string, a ...any) { bad = append(bad, fmt.Sprintf(format, a...)) })
+		if want := []string{"a.early = missing, pinned 1", "z.late = missing, pinned 1"}; strings.Join(bad, "; ") != strings.Join(want, "; ") {
+			t.Fatalf("violations %q, want %q", bad, want)
+		}
+	}
+}
+
 // Every rule of -check fails its case, and each failure line names the
 // key and the value it read; the pristine inputs pass, and so does an
 // md5-only run, which need not supply dacperf lines or a record.

@@ -412,7 +412,7 @@ var replayCorpus = []replayRow{
 		r, _ := clusterRun(t, p, func(r *replay, c *cluster.Cluster, client *pbs.Client) {
 			id, err := client.Submit(pbs.JobSpec{Name: "j", Owner: "u", Nodes: 2, PPN: 1, ACPN: 2})
 			r.check(err)
-			cmd := pbs.AllocCmd{JobID: id, Hosts: []string{"cn0", "cn1"},
+			cmd := &pbs.AllocCmd{JobID: id, Hosts: []string{"cn0", "cn1"},
 				AccHosts: [][]string{{"ac0", "gone1"}, {"gone2", "gone3"}}}
 			r.check(c.Net.Endpoint("sched").Send(pbs.ServerEndpoint, "pbs", cmd, 0))
 			c.Sim.Sleep(10 * time.Millisecond)

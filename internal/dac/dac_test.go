@@ -2,6 +2,7 @@ package dac_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -221,6 +222,39 @@ func TestDynamicGetAndUse(t *testing.T) {
 	if g.Batch <= g.MPI {
 		t.Errorf("batch share (%v) should dominate MPI share (%v) as in Figure 7(b)", g.Batch, g.MPI)
 	}
+}
+
+// Handles lists the static accelerator and two dynamic sets in rank
+// order on every call. The handles sit in a map, and a small map
+// iterates in insertion order rotated by a random slot, so without the
+// sort twenty calls would all come out in order only by a chance of
+// (5/8)^20.
+func TestHandlesAreInRankOrderAcrossTwoSets(t *testing.T) {
+	runJob(t, fastParams(1, 5), pbs.JobSpec{
+		Name: "dyn", Owner: "u", Nodes: 1, PPN: 1, ACPN: 1, Walltime: time.Second,
+		Script: func(env *pbs.JobEnv) {
+			ac, want, err := dac.Init(env)
+			if err != nil {
+				t.Errorf("Init: %v", err)
+				return
+			}
+			defer ac.Finalize()
+			for i := 0; i < 2; i++ {
+				_, hs, err := ac.Get(2)
+				if err != nil {
+					t.Errorf("Get: %v", err)
+					return
+				}
+				want = append(want, hs...)
+			}
+			for i := 0; i < 20; i++ {
+				if got := ac.Handles(); !slices.Equal(got, want) {
+					t.Errorf("Handles %v, want %v", got, want)
+					return
+				}
+			}
+		},
+	})
 }
 
 func TestGetRejectedApplicationContinues(t *testing.T) {

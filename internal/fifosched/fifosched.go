@@ -49,6 +49,7 @@ type Scheduler struct {
 
 	// view mirrors the server's nodes and jobs; see pbs.Mirror.
 	view pbs.Mirror
+	out  pbs.Outbox // the commands it sends
 
 	cycles int64
 	placed int64
@@ -149,7 +150,7 @@ func (sc *Scheduler) runCycle() bool {
 			// blocks: rejection is immediate, never queued-for-later
 			// (Section III-E).
 			hosts := sc.allocDyn(dyn[0], &pool)
-			sc.send(pbs.DynAllocCmd{ReqID: dyn[0].ReqID, Hosts: hosts})
+			sc.send(pbs.Take(&sc.out, pbs.DynAllocCmd{ReqID: dyn[0].ReqID, Hosts: hosts}))
 			dyn = dyn[1:]
 			continue
 		}
@@ -164,7 +165,7 @@ func (sc *Scheduler) runCycle() bool {
 			continue
 		}
 		sc.placed++
-		sc.send(pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc})
+		sc.send(pbs.Take(&sc.out, pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc}))
 	}
 	return true
 }
@@ -229,5 +230,7 @@ func (sc *Scheduler) place(spec pbs.JobSpec, jobID string, pool *free) ([]string
 }
 
 func (sc *Scheduler) send(payload any) {
-	_ = sc.ep.SendTo(&sc.server, "pbs", payload, 0, 0)
+	if sc.ep.SendTo(&sc.server, "pbs", payload, 0, 0) != nil {
+		pbs.Recycle(payload)
+	}
 }

@@ -291,6 +291,7 @@ func SchedCycleIdle1024(b *testing.B) { schedCycle1024(b, nil) }
 func SchedCycleChurn1024(b *testing.B) {
 	const window = 16
 	var hb *netsim.Endpoint
+	var beats pbs.Outbox
 	schedCycle1024(b, func(c *cluster.Cluster, i int) {
 		if hb == nil {
 			hb = c.Net.Endpoint("bench/heartbeat")
@@ -299,7 +300,7 @@ func SchedCycleChurn1024(b *testing.B) {
 		for k := first; k < first+window; k++ {
 			if i%2 == 0 {
 				c.Server.NodeDownForTest(cluster.ACName(k))
-			} else if err := hb.Send(pbs.ServerEndpoint, "pbs", pbs.HeartbeatMsg{Host: cluster.ACName(k)}, 0); err != nil {
+			} else if err := hb.Send(pbs.ServerEndpoint, "pbs", pbs.Take(&beats, pbs.HeartbeatMsg{Host: cluster.ACName(k)}), 0); err != nil {
 				b.Errorf("Send: %v", err)
 			}
 		}

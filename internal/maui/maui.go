@@ -133,6 +133,7 @@ type Scheduler struct {
 	// pools.go.
 	view pbs.Mirror
 	pool *pools
+	out  pbs.Outbox // the commands it sends
 }
 
 // schedInstruments are the scheduler's live metrics, resolved once at
@@ -352,7 +353,7 @@ func (sc *Scheduler) serveDyn(r pbs.SchedDynView, phase *trace.Span) {
 	}
 	sp.Annotate("granted", strconv.FormatBool(len(hosts) > 0))
 	sp.End()
-	sc.sendCause(pbs.DynAllocCmd{ReqID: r.ReqID, Hosts: hosts, Cause: sp.ID()}, sp.ID())
+	sc.sendCause(pbs.Take(&sc.out, pbs.DynAllocCmd{ReqID: r.ReqID, Hosts: hosts, Cause: sp.ID()}), sp.ID())
 }
 
 // scheduleStatic places the queued jobs in priority order (the merge of
@@ -497,11 +498,13 @@ func (sc *Scheduler) place(j *pbs.MirrorJob, hosts []string, acc [][]string, pha
 		charge = float64(j.Spec.Nodes)
 	}
 	sc.usage[sc.owner(j.Spec.Owner)] += charge
-	sc.sendCause(pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc, Cause: sp.ID()}, sp.ID())
+	sc.sendCause(pbs.Take(&sc.out, pbs.AllocCmd{JobID: j.ID, Hosts: hosts, AccHosts: acc, Cause: sp.ID()}), sp.ID())
 }
 
 // sendCause sends a command to the server, carrying the trace-span id
 // of the scheduling decision that produced it.
 func (sc *Scheduler) sendCause(payload any, cause uint64) {
-	_ = sc.ep.SendTo(&sc.server, "pbs", payload, 0, cause)
+	if sc.ep.SendTo(&sc.server, "pbs", payload, 0, cause) != nil {
+		pbs.Recycle(payload)
+	}
 }

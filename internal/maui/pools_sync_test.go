@@ -255,7 +255,7 @@ func TestChurnedCycleAllocatesNothing(t *testing.T) {
 				name := fmt.Sprintf("ac%d", k)
 				if round%2 == 0 {
 					b.server.NodeDownForTest(name)
-				} else if err := hb.Send(pbs.ServerEndpoint, "pbs", pbs.HeartbeatMsg{Host: name}, 0); err != nil {
+				} else if err := hb.Send(pbs.ServerEndpoint, "pbs", &pbs.HeartbeatMsg{Host: name}, 0); err != nil {
 					t.Fatalf("Send: %v", err)
 				}
 			}

@@ -2,6 +2,7 @@ package pbs_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,22 @@ func TestAccountingIdleClusterIsZero(t *testing.T) {
 		cu, au := tb.server.ClusterUtilization(tb.s.Now())
 		if cu != 0 || au != 0 {
 			t.Errorf("idle utilization = %v, %v", cu, au)
+		}
+	})
+}
+
+// Usage is in name order, not in the node table's: the table registers
+// the compute nodes first, and the name order puts the accelerators
+// first.
+func TestUsageIsInNameOrder(t *testing.T) {
+	tb := newTestbed(t, 2, 2, nil)
+	tb.run(t, func(c *pbs.Client) {
+		var names []string
+		for _, u := range tb.server.Usage() {
+			names = append(names, u.Name)
+		}
+		if got, want := strings.Join(names, " "), "ac0 ac1 cn0 cn1"; got != want {
+			t.Errorf("Usage names %q, want %q", got, want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"reflect"
 	"slices"
 
 	"repro/internal/audit"
@@ -236,4 +237,41 @@ func (s *Server) ActiveForTest() (visited, live []int) {
 		}
 	}
 	return visited, live
+}
+
+// FreeForTest lists the records on every free list of the server, the
+// moms and the clients, as addresses, by "owner.list".
+func FreeForTest(s *Server, moms []*Mom, clients []*Client) map[string][]uintptr {
+	free := make(map[string][]uintptr)
+	walk := func(owner string, lists ...any) {
+		for _, l := range lists {
+			list := reflect.ValueOf(l).Elem()
+			recs := list.FieldByName("recs")
+			for k := 0; k < recs.Len(); k++ {
+				name := owner + "." + list.Type().String()
+				free[name] = append(free[name], recs.Index(k).Pointer())
+			}
+		}
+	}
+	walk("server", append(slices.Clone(s.out), &s.answers)...)
+	for _, m := range moms {
+		walk(m.host, m.out...)
+	}
+	for _, c := range clients {
+		walk(c.addr, c.out...)
+	}
+	return free
+}
+
+// HeldForTest lists the records the mom holds, as addresses: the request
+// of every op awaiting an ack and every job it has joined.
+func (m *Mom) HeldForTest() []uintptr {
+	var held []uintptr
+	for _, op := range m.waits {
+		held = append(held, reflect.ValueOf(op.req).Pointer())
+	}
+	for _, j := range m.jobs {
+		held = append(held, reflect.ValueOf(j).Pointer())
+	}
+	return held
 }

@@ -24,7 +24,7 @@ func (m *Mom) startHeartbeats() {
 	m.sim.Go("heartbeat@"+m.host, func() {
 		for {
 			m.sim.Sleep(m.params.HeartbeatEvery)
-			if err := m.ep.SendTo(&m.server, "pbs", HeartbeatMsg{Host: m.host}, 0, 0); err != nil {
+			if err := m.ep.SendTo(&m.server, "pbs", Take(&m.out, HeartbeatMsg{Host: m.host}), 0, 0); err != nil {
 				return // fabric closed
 			}
 		}
@@ -69,7 +69,7 @@ func (s *Server) heartbeat(host string) {
 		s.aud.Record(audit.KindNode, "pbs", host, "up", int64(n.info.Cores-n.info.UsedCores), int64(len(n.used)))
 	}
 	if revived {
-		s.kickScheduler(SchedKick{Reason: "node-up:" + host})
+		s.kickScheduler(&SchedKick{Reason: "node-up:" + host})
 	}
 }
 
@@ -111,7 +111,7 @@ func (s *Server) nodeDown(n *serverNode) {
 			s.dropAccelerator(jobID, n)
 		}
 	}
-	s.kickScheduler(SchedKick{Reason: "node-down:" + host})
+	s.kickScheduler(&SchedKick{Reason: "node-down:" + host})
 }
 
 // dropAccelerator removes a dead accelerator from its job; the
@@ -140,7 +140,7 @@ func (s *Server) dropAccelerator(jobID string, n *serverNode) {
 		s.refreshLocked(n)
 	}
 	if j.info.State == JobRunning && len(j.info.Hosts) > 0 {
-		s.sendTo(&j.nodes[0].mom, NodeLostMsg{JobID: jobID, Host: host}, 0)
+		s.sendTo(&j.nodes[0].mom, Take(&s.out, NodeLostMsg{JobID: jobID, Host: host}), 0)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestErrorLogKeepsTheNewestMessages(t *testing.T) {
 		tb.server.Start() // no scheduler: the test sends the commands
 		ep := tb.net.Endpoint("sched")
 		for i := 0; i < sent; i++ {
-			if err := ep.Send(pbs.ServerEndpoint, "pbs", pbs.AllocCmd{JobID: "ghost" + strconv.Itoa(i)}, 0); err != nil {
+			if err := ep.Send(pbs.ServerEndpoint, "pbs", &pbs.AllocCmd{JobID: "ghost" + strconv.Itoa(i)}, 0); err != nil {
 				t.Errorf("Send: %v", err)
 			}
 		}

@@ -22,6 +22,7 @@ type Client struct {
 
 	nextReq int
 	closed  bool
+	out     Outbox // what the client sends
 }
 
 // NewClient creates an IFL client with its own fabric endpoint. name
@@ -46,24 +47,28 @@ func (c *Client) reqID() int {
 	return c.nextReq
 }
 
-// call sends req and returns the reply answer reads from the first
-// message it accepts. The reply is taken inside the matcher: handing
-// the returned message to answer would move it to the heap.
-func call[R any](c *Client, req any, answer func(*netsim.Message) (R, bool)) (R, error) {
+// call sends req and returns a copy of the first reply answer accepts,
+// whose record it then hands back to the server. The copy is taken
+// inside the matcher: handing the returned message to answer would move
+// it to the heap.
+func call[R any](c *Client, req any, answer func(*netsim.Message) (*R, bool)) (R, error) {
 	var r R
-	if c.closed {
-		return r, netsim.ErrClosed
+	err := netsim.ErrClosed
+	if !c.closed {
+		err = c.ep.SendTo(&c.server, "pbs", req, 0, 0)
 	}
-	if err := c.ep.SendTo(&c.server, "pbs", req, 0, 0); err != nil {
+	if err != nil {
+		Recycle(req)
 		return r, err
 	}
-	_, err := c.ep.RecvMatch(func(m *netsim.Message) bool {
+	msg, err := c.ep.RecvMatch(func(m *netsim.Message) bool {
 		v, ok := answer(m)
 		if ok {
-			r = v
+			r = *v
 		}
 		return ok
 	})
+	Recycle(msg.Payload)
 	return r, err
 }
 
@@ -79,8 +84,8 @@ func failed(err error, text string) error {
 // Submit is qsub: it enqueues the job and returns its id.
 func (c *Client) Submit(spec JobSpec) (string, error) {
 	id := c.reqID()
-	r, err := call(c, SubmitReq{ReqID: id, ReplyTo: c.addr, Spec: spec}, func(m *netsim.Message) (SubmitResp, bool) {
-		r, ok := m.Payload.(SubmitResp)
+	r, err := call(c, Take(&c.out, SubmitReq{ReqID: id, ReplyTo: c.addr, Spec: spec}), func(m *netsim.Message) (*SubmitResp, bool) {
+		r, ok := m.Payload.(*SubmitResp)
 		return r, ok && r.ReqID == id
 	})
 	return r.JobID, failed(err, r.Err)
@@ -89,8 +94,8 @@ func (c *Client) Submit(spec JobSpec) (string, error) {
 // Stat is qstat for one job.
 func (c *Client) Stat(jobID string) (JobInfo, error) {
 	id := c.reqID()
-	r, err := call(c, StatReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) (StatResp, bool) {
-		r, ok := m.Payload.(StatResp)
+	r, err := call(c, Take(&c.out, StatReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}), func(m *netsim.Message) (*StatResp, bool) {
+		r, ok := m.Payload.(*StatResp)
 		return r, ok && r.ReqID == id
 	})
 	return r.Info, failed(err, r.Err)
@@ -99,8 +104,8 @@ func (c *Client) Stat(jobID string) (JobInfo, error) {
 // Nodes is pbsnodes: the node database view.
 func (c *Client) Nodes() ([]NodeInfo, error) {
 	id := c.reqID()
-	r, err := call(c, NodesReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) (NodesResp, bool) {
-		r, ok := m.Payload.(NodesResp)
+	r, err := call(c, Take(&c.out, NodesReq{ReqID: id, ReplyTo: c.addr}), func(m *netsim.Message) (*NodesResp, bool) {
+		r, ok := m.Payload.(*NodesResp)
 		return r, ok && r.ReqID == id
 	})
 	return r.Nodes, err
@@ -110,11 +115,11 @@ func (c *Client) Nodes() ([]NodeInfo, error) {
 // walltime estimate, or name. Pass nil/zero to leave a field alone.
 func (c *Client) Alter(jobID string, priority *int, walltime time.Duration, name string) error {
 	id := c.reqID()
-	r, err := call(c, AlterReq{
+	r, err := call(c, Take(&c.out, AlterReq{
 		ReqID: id, ReplyTo: c.addr, JobID: jobID,
 		Priority: priority, Walltime: walltime, Name: name,
-	}, func(m *netsim.Message) (AlterResp, bool) {
-		r, ok := m.Payload.(AlterResp)
+	}), func(m *netsim.Message) (*AlterResp, bool) {
+		r, ok := m.Payload.(*AlterResp)
 		return r, ok && r.ReqID == id
 	})
 	return failed(err, r.Err)
@@ -128,8 +133,8 @@ func (c *Client) Release(jobID string) error { return c.hold(jobID, false) }
 
 func (c *Client) hold(jobID string, hold bool) error {
 	id := c.reqID()
-	r, err := call(c, HoldReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, Hold: hold}, func(m *netsim.Message) (HoldResp, bool) {
-		r, ok := m.Payload.(HoldResp)
+	r, err := call(c, Take(&c.out, HoldReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, Hold: hold}), func(m *netsim.Message) (*HoldResp, bool) {
+		r, ok := m.Payload.(*HoldResp)
 		return r, ok && r.ReqID == id
 	})
 	return failed(err, r.Err)
@@ -138,8 +143,8 @@ func (c *Client) hold(jobID string, hold bool) error {
 // List is qstat without arguments: every job in submission order.
 func (c *Client) List() ([]JobInfo, error) {
 	id := c.reqID()
-	r, err := call(c, ListReq{ReqID: id, ReplyTo: c.addr}, func(m *netsim.Message) (ListResp, bool) {
-		r, ok := m.Payload.(ListResp)
+	r, err := call(c, Take(&c.out, ListReq{ReqID: id, ReplyTo: c.addr}), func(m *netsim.Message) (*ListResp, bool) {
+		r, ok := m.Payload.(*ListResp)
 		return r, ok && r.ReqID == id
 	})
 	return r.Jobs, err
@@ -148,8 +153,8 @@ func (c *Client) List() ([]JobInfo, error) {
 // Delete is qdel.
 func (c *Client) Delete(jobID string) error {
 	id := c.reqID()
-	r, err := call(c, DeleteReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) (DeleteResp, bool) {
-		r, ok := m.Payload.(DeleteResp)
+	r, err := call(c, Take(&c.out, DeleteReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}), func(m *netsim.Message) (*DeleteResp, bool) {
+		r, ok := m.Payload.(*DeleteResp)
 		return r, ok && r.ReqID == id
 	})
 	return failed(err, r.Err)
@@ -159,8 +164,8 @@ func (c *Client) Delete(jobID string) error {
 // final info.
 func (c *Client) Wait(jobID string) (JobInfo, error) {
 	id := c.reqID()
-	r, err := call(c, WaitReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}, func(m *netsim.Message) (WaitResp, bool) {
-		r, ok := m.Payload.(WaitResp)
+	r, err := call(c, Take(&c.out, WaitReq{ReqID: id, ReplyTo: c.addr, JobID: jobID}), func(m *netsim.Message) (*WaitResp, bool) {
+		r, ok := m.Payload.(*WaitResp)
 		return r, ok && r.ReqID == id
 	})
 	return r.Info, failed(err, r.Err)
@@ -187,8 +192,8 @@ func (c *Client) DynGetNodes(jobID, cn string, count, ppn int) (DynGrant, error)
 func (c *Client) dynGet(req DynGetReq) (DynGrant, error) {
 	id := c.reqID()
 	req.ReqID, req.ReplyTo = id, c.addr
-	r, err := call(c, req, func(m *netsim.Message) (DynGetResp, bool) {
-		r, ok := m.Payload.(DynGetResp)
+	r, err := call(c, Take(&c.out, req), func(m *netsim.Message) (*DynGetResp, bool) {
+		r, ok := m.Payload.(*DynGetResp)
 		return r, ok && r.ReqID == id
 	})
 	return DynGrant{ClientID: r.ClientID, Hosts: r.Hosts}, failed(err, r.Err)
@@ -199,8 +204,8 @@ func (c *Client) dynGet(req DynGetReq) (DynGrant, error) {
 // disassociates the moms in the background.
 func (c *Client) DynFree(jobID string, clientID int) error {
 	id := c.reqID()
-	r, err := call(c, DynFreeReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, ClientID: clientID}, func(m *netsim.Message) (DynFreeResp, bool) {
-		r, ok := m.Payload.(DynFreeResp)
+	r, err := call(c, Take(&c.out, DynFreeReq{ReqID: id, ReplyTo: c.addr, JobID: jobID, ClientID: clientID}), func(m *netsim.Message) (*DynFreeResp, bool) {
+		r, ok := m.Payload.(*DynFreeResp)
 		return r, ok && r.ReqID == id
 	})
 	return failed(err, r.Err)

@@ -285,7 +285,7 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 				for i := range hosts {
 					acc = append(acc, acs[i*spec.ACPN:(i+1)*spec.ACPN])
 				}
-				b.send(pbs.AllocCmd{JobID: id, Hosts: hosts, AccHosts: acc})
+				b.send(&pbs.AllocCmd{JobID: id, Hosts: hosts, AccHosts: acc})
 				live = append(live, &liveJob{id: id})
 				// A round between the allocation and the start report: the
 				// next round must bring the start.
@@ -334,7 +334,7 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 				if len(hosts) < want {
 					hosts = nil // reject
 				}
-				b.send(pbs.DynAllocCmd{ReqID: resp.Dyn[0].ReqID, Hosts: hosts})
+				b.send(&pbs.DynAllocCmd{ReqID: resp.Dyn[0].ReqID, Hosts: hosts})
 				resp.Release()
 				mu.Lock()
 				for !answered {
@@ -373,7 +373,7 @@ func mirrorProperty(t *testing.T, shards int, seed uint64) {
 			case k == 6: // every failed node reports in again
 				for _, n := range b.view.Nodes {
 					if down[n.Name] {
-						b.send(pbs.HeartbeatMsg{Host: n.Name})
+						b.send(&pbs.HeartbeatMsg{Host: n.Name})
 						delete(down, n.Name)
 					}
 				}
@@ -520,7 +520,7 @@ func TestNodeMirrorResyncs(t *testing.T) {
 		// A generation handed out by a server that is gone.
 		b.restart()
 		wantNodes("round after a restart", b.round(&b.view, b.ep), total)
-		b.send(pbs.HeartbeatMsg{Host: "ac1"})
+		b.send(&pbs.HeartbeatMsg{Host: "ac1"})
 		wantNodes("node back up", b.round(&b.view, b.ep), 1)
 		if b.view.Nodes[3].Down || !b.view.Nodes[4].Down {
 			t.Errorf("mirror after the restart: ac1 down=%v ac2 down=%v, want false true",

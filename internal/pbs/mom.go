@@ -71,12 +71,14 @@ type Mom struct {
 	jobs    map[string]*momJob // made by the first message served
 	waits   []*momOp           // the mother superior's ops awaiting an ack
 	free    *momOp             // finished dynamic ops, for reuse
+	out     Outbox             // what the mom sends, and its sister jobs
 	// runTask and joinSisters, bound by the first message served: no
 	// closure per spawn or timer, and none on a host that serves nothing.
 	runTaskFn, joinFn func(any)
 }
 
 type momJob struct {
+	record // a sister's is from out; the mother superior's, which a start holds, on none
 	// hosts is the current full host set of the job. The list is shared
 	// (with the server's command, the sisters, the running scripts) and
 	// never written: a change of the set installs a new list.
@@ -98,7 +100,7 @@ type momJob struct {
 // next. (job, host) finds the op: a job has one start and one op a host.
 type momOp struct {
 	job, host string
-	req       any     // the RunJobMsg, DynAddMsg or DynRemoveMsg
+	req       any     // the *RunJobMsg, *DynAddMsg or *DynRemoveMsg, handed back at the end
 	mj        *momJob // a start's job: a qdel may release it before the tail
 	acks, i   int     // acks outstanding; the next of the dynamic Hosts
 	sp        *trace.Span
@@ -136,21 +138,22 @@ func (m *Mom) Start() {
 
 // momReceive is the mom endpoint's handler, arg the mom. An ack goes to
 // the op awaiting it ahead of the station's queue (where it would wait
-// out a JOIN), or, stray or duplicate, nowhere.
+// out a JOIN), or, stray or duplicate, nowhere, and is handed back.
 func momReceive(arg any, msg *netsim.Message) {
 	m := arg.(*Mom)
 	var job, host string
 	switch ack := msg.Payload.(type) {
-	case JoinAck:
+	case *JoinAck:
 		job = ack.JobID
-	case DynJoinAck:
+	case *DynJoinAck:
 		job, host = ack.JobID, ack.Host
-	case DisJoinAck:
+	case *DisJoinAck:
 		job, host = ack.JobID, ack.Host
 	default:
 		m.station.offer(msg)
 		return
 	}
+	Recycle(msg.Payload)
 	for i, op := range m.waits {
 		if op.job == job && op.host == host {
 			if op.acks--; op.acks == 0 {
@@ -166,9 +169,9 @@ func momReceive(arg any, msg *netsim.Message) {
 // cost their processing time, the rest is handled on arrival.
 func (m *Mom) cost(msg *netsim.Message) time.Duration {
 	switch msg.Payload.(type) {
-	case JoinJobMsg:
+	case *JoinJobMsg:
 		return m.params.JoinCost
-	case DynJoinJobMsg:
+	case *DynJoinJobMsg:
 		return m.params.DynJoinCost
 	}
 	return 0
@@ -177,11 +180,11 @@ func (m *Mom) cost(msg *netsim.Message) time.Duration {
 // serve is the station's service: handle, once the job table and the
 // functions it schedules exist. Only a mom that serves something
 // builds them.
-func (m *Mom) serve(msg *netsim.Message) {
+func (m *Mom) serve(msg *netsim.Message) bool {
 	if m.jobs == nil {
 		m.jobs, m.runTaskFn, m.joinFn = make(map[string]*momJob), m.runTask, m.joinSisters
 	}
-	m.handle(msg)
+	return m.handle(msg)
 }
 
 // resolve resolves the mom on host in the fabric's endpoint table. The
@@ -207,25 +210,29 @@ func (m *Mom) setHosts(j *momJob, hosts []string) {
 
 // send answers a request at the name it gave.
 func (m *Mom) send(to string, payload any) {
-	_ = m.ep.Send(to, "pbs", payload, 0)
+	if m.ep.Send(to, "pbs", payload, 0) != nil {
+		Recycle(payload)
+	}
 }
 
 // sendTo sends through a resolved handle, carrying the trace-span id
 // that produced the message, for the fabric's delivery-span causal link.
 func (m *Mom) sendTo(to *netsim.Addr, payload any, cause uint64) {
-	_ = m.ep.SendTo(to, "pbs", payload, 0, cause)
+	if m.ep.SendTo(to, "pbs", payload, 0, cause) != nil {
+		Recycle(payload)
+	}
 }
 
-// handle serves one message once its cost is paid. It runs on the
+// handle serves one message once its cost is paid; it runs on the
 // controller and must not block: a wait on the sisters is a momOp, and a
-// job script a task actor, which takes the payload, never the envelope.
-func (m *Mom) handle(msg *netsim.Message) {
-	p := msg.Payload // what an op or a task keeps: req is a copy
+// job script a task actor, which keep the payload (never the envelope)
+// until they end.
+func (m *Mom) handle(msg *netsim.Message) (kept bool) {
 	switch req := msg.Payload.(type) {
-	case RunJobMsg:
+	case *RunJobMsg:
 		// mom.start covers the full mother-superior startup: JOIN fan-out,
 		// daemon kick-off, and task dispatch (paper Figure 5).
-		j := &momJob{start: momOp{job: req.JobID, req: p}}
+		j := &momJob{start: momOp{job: req.JobID, req: req}}
 		if trc := m.sim.Tracer(); trc != nil {
 			j.start.sp = trc.Start(m.ep.Name(), "mom.start", "job", req.JobID)
 		}
@@ -235,47 +242,60 @@ func (m *Mom) handle(msg *netsim.Message) {
 		} else {
 			m.joinSisters(j)
 		}
-	case JoinJobMsg:
-		m.jobs[req.JobID] = &momJob{hosts: req.Hosts, ms: m.resolve(req.MS)}
-		m.send(req.ReplyTo, JoinAck{JobID: req.JobID, Host: m.host})
-	case DynJoinJobMsg:
-		m.jobs[req.JobID] = &momJob{}
-		m.send(req.ReplyTo, DynJoinAck{JobID: req.JobID, Host: m.host})
-	case DisJoinJobMsg:
+		return true
+	case *JoinJobMsg:
+		m.jobs[req.JobID] = Take(&m.out, momJob{hosts: req.Hosts, ms: m.resolve(req.MS)})
+		m.send(req.ReplyTo, Take(&m.out, JoinAck{JobID: req.JobID, Host: m.host}))
+	case *DynJoinJobMsg:
+		m.jobs[req.JobID] = Take(&m.out, momJob{})
+		m.send(req.ReplyTo, Take(&m.out, DynJoinAck{JobID: req.JobID, Host: m.host}))
+	case *DisJoinJobMsg:
 		// Kill remaining tasks (accelerator daemon remains) and leave
 		// the job entirely.
-		delete(m.jobs, req.JobID)
-		m.send(req.ReplyTo, DisJoinAck{JobID: req.JobID, Host: m.host})
-	case UpdateJobMsg:
+		m.leave(req.JobID)
+		m.send(req.ReplyTo, Take(&m.out, DisJoinAck{JobID: req.JobID, Host: m.host}))
+	case *UpdateJobMsg:
 		if j, ok := m.jobs[req.JobID]; ok {
 			j.hosts = req.Hosts
 		}
-	case StartTaskMsg:
+	case *StartTaskMsg:
 		if req.Script == nil { // an empty job script finishes immediately
 			m.reportDone(req)
-		} else {
-			m.sim.GoArg(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, m.runTaskFn, p)
+			return false
 		}
-	case TaskDoneMsg:
+		m.sim.GoArg(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, m.runTaskFn, req)
+		return true
+	case *TaskDoneMsg:
 		m.taskDone(req)
-	case DynAddMsg:
+	case *DynAddMsg:
 		// mom.dynadd: the serial DYNJOINs and the host-set update.
-		op := m.newOp(req.JobID, p)
+		op := m.newOp(req.JobID, req)
 		if trc := m.sim.Tracer(); trc != nil {
 			op.sp = trc.Start(m.ep.Name(), "mom.dynadd", "job", req.JobID, "req", strconv.Itoa(req.ReqID))
 		}
 		op.sp.Link(req.Cause) // server's dynalloc span
 		m.advance(op)
-	case DynRemoveMsg:
-		m.advance(m.newOp(req.JobID, p))
-	case ReleaseJobMsg:
-		delete(m.jobs, req.JobID)
-	case AbortJobMsg:
+		return true
+	case *DynRemoveMsg:
+		m.advance(m.newOp(req.JobID, req))
+		return true
+	case *ReleaseJobMsg:
+		m.leave(req.JobID)
+	case *AbortJobMsg:
 		// Not acted on: a deleted job's tasks run to their end.
-	case NodeLostMsg: // to the mother superior
+	case *NodeLostMsg: // to the mother superior
 		if j, ok := m.jobs[req.JobID]; ok {
 			m.setHosts(j, without(j.hosts, req.Host))
 		}
+	}
+	return false
+}
+
+// leave drops a job from the table, and a sister's record to its list.
+func (m *Mom) leave(job string) {
+	if j, ok := m.jobs[job]; ok {
+		delete(m.jobs, job)
+		Recycle(j)
 	}
 }
 
@@ -284,7 +304,7 @@ func (m *Mom) handle(msg *netsim.Message) {
 // runs the start's tail, started.
 func (m *Mom) joinSisters(arg any) {
 	j := arg.(*momJob)
-	req := j.start.req.(RunJobMsg)
+	req := j.start.req.(*RunJobMsg)
 	hosts := req.Hosts
 	if len(req.AccHosts) > 0 {
 		hosts = appendHosts(nil, req.Hosts, req.AccHosts, nil)
@@ -294,7 +314,7 @@ func (m *Mom) joinSisters(arg any) {
 	m.jobs[req.JobID] = j
 	for i, h := range j.hosts {
 		if h != m.host {
-			m.sendTo(&j.peers[i], JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: j.hosts, ReplyTo: m.ep.Name()}, 0)
+			m.sendTo(&j.peers[i], Take(&m.out, JoinJobMsg{JobID: req.JobID, MS: m.host, Hosts: j.hosts, ReplyTo: m.ep.Name()}), 0)
 			j.start.acks++
 		}
 	}
@@ -311,17 +331,18 @@ func (m *Mom) advance(op *momOp) {
 	var hosts []string
 	var ask any
 	switch req := op.req.(type) {
-	case RunJobMsg:
+	case *RunJobMsg:
 		m.started(op.mj, req, op.sp)
+		Recycle(req)
 		*op = momOp{} // the job pins no finished start
 		return
-	case DynAddMsg:
+	case *DynAddMsg:
 		if hosts = req.Hosts; op.i < len(hosts) {
-			ask = DynJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()}
+			ask = Take(&m.out, DynJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()})
 		}
-	case DynRemoveMsg:
+	case *DynRemoveMsg:
 		if hosts = req.Hosts; op.i < len(hosts) {
-			ask = DisJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()}
+			ask = Take(&m.out, DisJoinJobMsg{JobID: req.JobID, ReplyTo: m.ep.Name()})
 		}
 	}
 	if ask != nil {
@@ -332,6 +353,7 @@ func (m *Mom) advance(op *momOp) {
 		return
 	}
 	m.dynDone(op, hosts)
+	Recycle(op.req)
 	*op = momOp{next: m.free}
 	m.free = op
 }
@@ -350,7 +372,7 @@ func (m *Mom) newOp(job string, req any) *momOp {
 // started is a job start's tail, once every sister has joined: start the
 // accelerator daemons, then the job script on each compute node, and
 // report the job started.
-func (m *Mom) started(j *momJob, req RunJobMsg, sp *trace.Span) {
+func (m *Mom) started(j *momJob, req *RunJobMsg, sp *trace.Span) {
 	// The closures below capture these two, not req and sp.
 	jobID, cause := req.JobID, sp.ID()
 	// Invoke the accelerator daemons for each compute node's static
@@ -378,16 +400,16 @@ func (m *Mom) started(j *momJob, req RunJobMsg, sp *trace.Span) {
 			ServerEP: ServerEndpoint,
 			MSHost:   m.host,
 		}
-		m.sendTo(&j.peers[rank], StartTaskMsg{JobID: jobID, Env: env, Script: req.Spec.Script, Cause: cause}, cause)
+		m.sendTo(&j.peers[rank], Take(&m.out, StartTaskMsg{JobID: jobID, Env: env, Script: req.Spec.Script, Cause: cause}), cause)
 	}
-	m.sendTo(&m.server, JobStartedMsg{JobID: req.JobID}, 0)
+	m.sendTo(&m.server, Take(&m.out, JobStartedMsg{JobID: req.JobID}), 0)
 	sp.End()
 }
 
-// runTask is a task actor (GoArg with the StartTaskMsg): the job script
+// runTask is a task actor (GoArg with the *StartTaskMsg): the job script
 // of one compute node, between the mom's prologue and epilogue.
 func (m *Mom) runTask(arg any) {
-	req := arg.(StartTaskMsg)
+	req := arg.(*StartTaskMsg)
 	env := req.Env
 	env.Cluster = m.Cluster
 	var sp *trace.Span
@@ -405,26 +427,27 @@ func (m *Mom) runTask(arg any) {
 		m.Epilogue(env)
 	}
 	m.reportDone(req)
+	Recycle(req)
 }
 
 // reportDone reports a task done to the mother superior: the job's, or
 // the one the task names when a release took the job first.
-func (m *Mom) reportDone(req StartTaskMsg) {
+func (m *Mom) reportDone(req *StartTaskMsg) {
 	var ms netsim.Addr
 	if j, ok := m.jobs[req.JobID]; ok {
 		ms = j.ms
 	} else {
 		ms = m.resolve(req.Env.MSHost)
 	}
-	m.sendTo(&ms, TaskDoneMsg{JobID: req.JobID, Host: m.host}, 0)
+	m.sendTo(&ms, Take(&m.out, TaskDoneMsg{JobID: req.JobID, Host: m.host}), 0)
 }
 
 // taskDone tracks completion at the mother superior; when the last
 // compute node task exits, the job is reported done to the server.
-func (m *Mom) taskDone(req TaskDoneMsg) {
+func (m *Mom) taskDone(req *TaskDoneMsg) {
 	if j, ok := m.jobs[req.JobID]; ok && j.tasksRun > 0 {
 		if j.tasksRun--; j.tasksRun == 0 {
-			m.sendTo(&m.server, JobDoneMsg{JobID: req.JobID}, 0)
+			m.sendTo(&m.server, Take(&m.out, JobDoneMsg{JobID: req.JobID}), 0)
 		}
 	}
 }
@@ -433,7 +456,7 @@ func (m *Mom) taskDone(req TaskDoneMsg) {
 // moms that stay learn the job's new host set, and the server of an
 // addition gets its ack.
 func (m *Mom) dynDone(op *momOp, hosts []string) {
-	add, isAdd := op.req.(DynAddMsg)
+	add, isAdd := op.req.(*DynAddMsg)
 	if j, ok := m.jobs[op.job]; ok {
 		if isAdd {
 			m.setHosts(j, append(slices.Clip(j.hosts), hosts...)) // a new list: the old one has other holders
@@ -443,13 +466,13 @@ func (m *Mom) dynDone(op *momOp, hosts []string) {
 		// Update the existing moms' databases (asynchronous).
 		for i, h := range j.hosts {
 			if h != m.host && !slices.Contains(hosts, h) {
-				m.sendTo(&j.peers[i], UpdateJobMsg{JobID: op.job, Hosts: j.hosts}, 0)
+				m.sendTo(&j.peers[i], Take(&m.out, UpdateJobMsg{JobID: op.job, Hosts: j.hosts}), 0)
 			}
 		}
 	}
 	if isAdd {
 		reply := m.net.Resolve(add.ReplyTo)
-		m.sendTo(&reply, DynAddAck{JobID: op.job, ReqID: add.ReqID, Cause: op.sp.ID()}, op.sp.ID())
+		m.sendTo(&reply, Take(&m.out, DynAddAck{JobID: op.job, ReqID: add.ReqID, Cause: op.sp.ID()}), op.sp.ID())
 		op.sp.End()
 	}
 }

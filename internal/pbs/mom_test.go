@@ -31,12 +31,12 @@ func TestMomJoinAckRoundTrip(t *testing.T) {
 		defer net.Close()
 		m.Start()
 		driver.Send(MomEndpoint("cn0"), "pbs",
-			JoinJobMsg{JobID: "j1", MS: "cnX", Hosts: []string{"cnX", "cn0"}, ReplyTo: driver.Name()}, 0)
+			&JoinJobMsg{JobID: "j1", MS: "cnX", Hosts: []string{"cnX", "cn0"}, ReplyTo: driver.Name()}, 0)
 		msg, err := driver.Recv()
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
 		}
-		ack, ok := msg.Payload.(JoinAck)
+		ack, ok := msg.Payload.(*JoinAck)
 		if !ok || ack.JobID != "j1" || ack.Host != "cn0" {
 			t.Fatalf("ack = %#v", msg.Payload)
 		}
@@ -52,12 +52,12 @@ func TestMomDynJoinAndDisjoin(t *testing.T) {
 		defer net.Close()
 		m.Start()
 		driver.Send(MomEndpoint("cn0"), "pbs",
-			DynJoinJobMsg{JobID: "j2", ReplyTo: driver.Name()}, 0)
+			&DynJoinJobMsg{JobID: "j2", ReplyTo: driver.Name()}, 0)
 		msg, err := driver.Recv()
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
 		}
-		if ack, ok := msg.Payload.(DynJoinAck); !ok || ack.Host != "cn0" {
+		if ack, ok := msg.Payload.(*DynJoinAck); !ok || ack.Host != "cn0" {
 			t.Fatalf("ack = %#v", msg.Payload)
 		}
 		_, joined := m.jobs["j2"]
@@ -65,12 +65,12 @@ func TestMomDynJoinAndDisjoin(t *testing.T) {
 			t.Fatal("mom did not record the job after DYNJOIN")
 		}
 
-		driver.Send(MomEndpoint("cn0"), "pbs", DisJoinJobMsg{JobID: "j2", ReplyTo: driver.Name()}, 0)
+		driver.Send(MomEndpoint("cn0"), "pbs", &DisJoinJobMsg{JobID: "j2", ReplyTo: driver.Name()}, 0)
 		msg, err = driver.Recv()
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
 		}
-		if ack, ok := msg.Payload.(DisJoinAck); !ok || ack.JobID != "j2" {
+		if ack, ok := msg.Payload.(*DisJoinAck); !ok || ack.JobID != "j2" {
 			t.Fatalf("ack = %#v", msg.Payload)
 		}
 		_, still := m.jobs["j2"]
@@ -89,10 +89,10 @@ func TestMomUpdateJobRefreshesHosts(t *testing.T) {
 		defer net.Close()
 		m.Start()
 		driver.Send(MomEndpoint("cn0"), "pbs",
-			JoinJobMsg{JobID: "j3", MS: "cnX", Hosts: []string{"cnX", "cn0"}, ReplyTo: driver.Name()}, 0)
+			&JoinJobMsg{JobID: "j3", MS: "cnX", Hosts: []string{"cnX", "cn0"}, ReplyTo: driver.Name()}, 0)
 		driver.Recv()
 		driver.Send(MomEndpoint("cn0"), "pbs",
-			UpdateJobMsg{JobID: "j3", Hosts: []string{"cnX", "cn0", "ac9"}}, 0)
+			&UpdateJobMsg{JobID: "j3", Hosts: []string{"cnX", "cn0", "ac9"}}, 0)
 		s.Sleep(10 * time.Millisecond)
 		hosts := append([]string(nil), m.jobs["j3"].hosts...)
 		if len(hosts) != 3 || hosts[2] != "ac9" {
@@ -100,7 +100,7 @@ func TestMomUpdateJobRefreshesHosts(t *testing.T) {
 		}
 
 		// NodeLostMsg removes a host again.
-		driver.Send(MomEndpoint("cn0"), "pbs", NodeLostMsg{JobID: "j3", Host: "ac9"}, 0)
+		driver.Send(MomEndpoint("cn0"), "pbs", &NodeLostMsg{JobID: "j3", Host: "ac9"}, 0)
 		s.Sleep(10 * time.Millisecond)
 		hosts = append([]string(nil), m.jobs["j3"].hosts...)
 		if len(hosts) != 2 {
@@ -118,9 +118,9 @@ func TestMomReleaseRemovesJob(t *testing.T) {
 		defer net.Close()
 		m.Start()
 		driver.Send(MomEndpoint("cn0"), "pbs",
-			JoinJobMsg{JobID: "j4", MS: "cnX", Hosts: nil, ReplyTo: driver.Name()}, 0)
+			&JoinJobMsg{JobID: "j4", MS: "cnX", Hosts: nil, ReplyTo: driver.Name()}, 0)
 		driver.Recv()
-		driver.Send(MomEndpoint("cn0"), "pbs", ReleaseJobMsg{JobID: "j4"}, 0)
+		driver.Send(MomEndpoint("cn0"), "pbs", &ReleaseJobMsg{JobID: "j4"}, 0)
 		s.Sleep(10 * time.Millisecond)
 		_, still := m.jobs["j4"]
 		if still {
@@ -141,7 +141,7 @@ func TestMomStartTaskRunsScriptAndReportsDone(t *testing.T) {
 		env := &JobEnv{JobID: "j5", Host: "cn0", MSHost: "cnX"}
 		// The driver poses as the MS mom of host cnX.
 		ms := net.Endpoint(MomEndpoint("cnX"))
-		driver.Send(MomEndpoint("cn0"), "pbs", StartTaskMsg{
+		driver.Send(MomEndpoint("cn0"), "pbs", &StartTaskMsg{
 			JobID:  "j5",
 			Env:    env,
 			Script: func(e *JobEnv) { ran = true },
@@ -150,7 +150,7 @@ func TestMomStartTaskRunsScriptAndReportsDone(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
 		}
-		done, ok := msg.Payload.(TaskDoneMsg)
+		done, ok := msg.Payload.(*TaskDoneMsg)
 		if !ok || done.JobID != "j5" || done.Host != "cn0" {
 			t.Fatalf("done = %#v", msg.Payload)
 		}
@@ -158,8 +158,8 @@ func TestMomStartTaskRunsScriptAndReportsDone(t *testing.T) {
 			t.Fatal("script never ran")
 		}
 		// A nil script completes immediately too.
-		driver.Send(MomEndpoint("cn0"), "pbs", StartTaskMsg{JobID: "j6", Env: &JobEnv{Host: "cn0", MSHost: "cnX"}}, 0)
-		if msg, err = ms.Recv(); err != nil || msg.Payload.(TaskDoneMsg).JobID != "j6" {
+		driver.Send(MomEndpoint("cn0"), "pbs", &StartTaskMsg{JobID: "j6", Env: &JobEnv{Host: "cn0", MSHost: "cnX"}}, 0)
+		if msg, err = ms.Recv(); err != nil || msg.Payload.(*TaskDoneMsg).JobID != "j6" {
 			t.Fatalf("nil-script done = %#v, %v", msg.Payload, err)
 		}
 	})
@@ -194,24 +194,24 @@ func drain(ep *netsim.Endpoint) string {
 		msg, _ := ep.Recv()
 		job := ""
 		switch p := msg.Payload.(type) {
-		case JobStartedMsg:
+		case *JobStartedMsg:
 			job = p.JobID
-		case JobDoneMsg:
+		case *JobDoneMsg:
 			job = p.JobID
-		case DynAddAck:
+		case *DynAddAck:
 			job = fmt.Sprintf("%s#%d", p.JobID, p.ReqID)
-		case JoinJobMsg:
+		case *JoinJobMsg:
 			job = p.JobID
-		case DynJoinJobMsg:
+		case *DynJoinJobMsg:
 			job = p.JobID
-		case DisJoinJobMsg:
+		case *DisJoinJobMsg:
 			job = p.JobID
-		case UpdateJobMsg:
+		case *UpdateJobMsg:
 			job = p.JobID + strings.Join(p.Hosts, ",")
-		case StartTaskMsg:
+		case *StartTaskMsg:
 			job = p.JobID
 		}
-		got = append(got, strings.TrimPrefix(fmt.Sprintf("%T %s", msg.Payload, job), "pbs."))
+		got = append(got, strings.TrimPrefix(fmt.Sprintf("%T %s", msg.Payload, job), "*pbs."))
 	}
 	return strings.Join(got, "; ")
 }
@@ -229,22 +229,22 @@ func TestMomOpsRunTheirOwnTails(t *testing.T) {
 		defer net.Close()
 		m.Start()
 		// jC runs with ac3 and ac4, and its script is done.
-		send(RunJobMsg{JobID: "jC", Hosts: []string{"cn0"}, AccHosts: [][]string{{"ac3", "ac4"}}})
+		send(&RunJobMsg{JobID: "jC", Hosts: []string{"cn0"}, AccHosts: [][]string{{"ac3", "ac4"}}})
 		s.Sleep(5 * time.Millisecond)
 		for _, h := range []string{"ac3", "ac4"} {
 			drain(sis[h])
-			sis[h].Send(MomEndpoint("cn0"), "pbs", JoinAck{JobID: "jC", Host: h}, 0)
+			sis[h].Send(MomEndpoint("cn0"), "pbs", &JoinAck{JobID: "jC", Host: h}, 0)
 		}
 		s.Sleep(5 * time.Millisecond)
 		if got, want := drain(srv), "JobStartedMsg jC; JobDoneMsg jC"; got != want {
 			t.Fatalf("server got %q before the mix, want %q", got, want)
 		}
 
-		send(RunJobMsg{JobID: "jA", Hosts: []string{"cn0", "cn1"}, AccHosts: [][]string{{"ac0"}, nil}})
-		send(RunJobMsg{JobID: "jB", Hosts: []string{"cn0"}, AccHosts: [][]string{{"ac1", "ac2"}}})
-		send(DynAddMsg{JobID: "jC", ReqID: 7, Hosts: []string{"ac5", "ac6"}, ReplyTo: ServerEndpoint})
-		send(DynRemoveMsg{JobID: "jC", Hosts: []string{"ac3"}})
-		send(DynRemoveMsg{JobID: "jC", Hosts: []string{"ac4"}})
+		send(&RunJobMsg{JobID: "jA", Hosts: []string{"cn0", "cn1"}, AccHosts: [][]string{{"ac0"}, nil}})
+		send(&RunJobMsg{JobID: "jB", Hosts: []string{"cn0"}, AccHosts: [][]string{{"ac1", "ac2"}}})
+		send(&DynAddMsg{JobID: "jC", ReqID: 7, Hosts: []string{"ac5", "ac6"}, ReplyTo: ServerEndpoint})
+		send(&DynRemoveMsg{JobID: "jC", Hosts: []string{"ac3"}})
+		send(&DynRemoveMsg{JobID: "jC", Hosts: []string{"ac4"}})
 		s.Sleep(5 * time.Millisecond)
 		var first []string
 		for _, h := range []string{"cn1", "ac0", "ac1", "ac2", "ac3", "ac4", "ac5", "ac6"} {
@@ -266,14 +266,14 @@ func TestMomOpsRunTheirOwnTails(t *testing.T) {
 			ack  any
 			want string
 		}{
-			{"ac4", DisJoinAck{JobID: "jC", Host: "ac4"}, "ac3: UpdateJobMsg jCcn0,ac3"},
-			{"ac1", JoinAck{JobID: "jB", Host: "ac1"}, ""},
-			{"ac5", DynJoinAck{JobID: "jC", Host: "ac5"}, "ac6: DynJoinJobMsg jC"},
-			{"cn1", JoinAck{JobID: "jA", Host: "cn1"}, ""},
-			{"ac3", DisJoinAck{JobID: "jC", Host: "ac3"}, ""},
-			{"ac2", JoinAck{JobID: "jB", Host: "ac2"}, "server: JobStartedMsg jB; JobDoneMsg jB"},
-			{"ac6", DynJoinAck{JobID: "jC", Host: "ac6"}, "server: DynAddAck jC#7"},
-			{"ac0", JoinAck{JobID: "jA", Host: "ac0"}, "server: JobStartedMsg jA | cn1: StartTaskMsg jA"},
+			{"ac4", &DisJoinAck{JobID: "jC", Host: "ac4"}, "ac3: UpdateJobMsg jCcn0,ac3"},
+			{"ac1", &JoinAck{JobID: "jB", Host: "ac1"}, ""},
+			{"ac5", &DynJoinAck{JobID: "jC", Host: "ac5"}, "ac6: DynJoinJobMsg jC"},
+			{"cn1", &JoinAck{JobID: "jA", Host: "cn1"}, ""},
+			{"ac3", &DisJoinAck{JobID: "jC", Host: "ac3"}, ""},
+			{"ac2", &JoinAck{JobID: "jB", Host: "ac2"}, "server: JobStartedMsg jB; JobDoneMsg jB"},
+			{"ac6", &DynJoinAck{JobID: "jC", Host: "ac6"}, "server: DynAddAck jC#7"},
+			{"ac0", &JoinAck{JobID: "jA", Host: "ac0"}, "server: JobStartedMsg jA | cn1: StartTaskMsg jA"},
 		}
 		for _, st := range steps {
 			sis[st.host].Send(MomEndpoint("cn0"), "pbs", st.ack, 0)
@@ -318,38 +318,39 @@ func freeOps(m *Mom) int {
 }
 
 // An ack nobody awaits — for an unknown job, from a host not asked, or
-// again after its op has finished — is released and changes nothing; the
-// op still waiting runs its tail at its own ack.
+// again after its op has finished — is handed back and changes nothing;
+// the op still waiting runs its tail at its own ack.
 func TestMomDropsStrayAndDuplicateAcks(t *testing.T) {
 	s, net, m, driver := momHarness(t)
 	srv := net.Endpoint(ServerEndpoint)
 	sis := fakeMoms(net, "ac0", "ac1")
-	var acks []*netsim.Message
+	var acks []netsim.Message // copies: the fabric reuses its message after delivery
 	net.Trace(func(msg *netsim.Message) {
 		switch msg.Payload.(type) {
-		case JoinAck, DynJoinAck, DisJoinAck:
-			acks = append(acks, msg)
+		case *JoinAck, *DynJoinAck, *DisJoinAck:
+			acks = append(acks, *msg)
 		}
 	})
+	var strays Outbox // the test's own lists, where a stray handed back shows
 	err := s.Run(func() {
 		defer net.Close()
 		m.Start()
-		driver.Send(MomEndpoint("cn0"), "pbs", RunJobMsg{JobID: "j1", Hosts: []string{"cn0"}, AccHosts: [][]string{{"ac0"}}}, 0)
+		driver.Send(MomEndpoint("cn0"), "pbs", &RunJobMsg{JobID: "j1", Hosts: []string{"cn0"}, AccHosts: [][]string{{"ac0"}}}, 0)
 		s.Sleep(5 * time.Millisecond)
 		drain(sis["ac0"])
-		sis["ac0"].Send(MomEndpoint("cn0"), "pbs", JoinAck{JobID: "j1", Host: "ac0"}, 0)
-		driver.Send(MomEndpoint("cn0"), "pbs", DynAddMsg{JobID: "j1", ReqID: 1, Hosts: []string{"ac1"}, ReplyTo: ServerEndpoint}, 0)
+		sis["ac0"].Send(MomEndpoint("cn0"), "pbs", &JoinAck{JobID: "j1", Host: "ac0"}, 0)
+		driver.Send(MomEndpoint("cn0"), "pbs", &DynAddMsg{JobID: "j1", ReqID: 1, Hosts: []string{"ac1"}, ReplyTo: ServerEndpoint}, 0)
 		s.Sleep(5 * time.Millisecond)
 		if got := drain(srv) + " | " + drain(sis["ac1"]); got != "JobStartedMsg j1; JobDoneMsg j1 | DynJoinJobMsg j1" {
 			t.Fatalf("before the strays: %q", got)
 		}
 		acks = nil
 		for _, stray := range []any{
-			JoinAck{JobID: "j1", Host: "ac0"},    // the finished start's, again
-			JoinAck{JobID: "nope", Host: "ac0"},  // an unknown job's
-			DynJoinAck{JobID: "j1", Host: "ac0"}, // from a host the add did not ask
-			DynJoinAck{JobID: "j2", Host: "ac1"}, // another job's
-			DisJoinAck{JobID: "j1", Host: "ac0"}, // a removal nobody asked for
+			Take(&strays, JoinAck{JobID: "j1", Host: "ac0"}),    // the finished start's, again
+			Take(&strays, JoinAck{JobID: "nope", Host: "ac0"}),  // an unknown job's
+			Take(&strays, DynJoinAck{JobID: "j1", Host: "ac0"}), // from a host the add did not ask
+			Take(&strays, DynJoinAck{JobID: "j2", Host: "ac1"}), // another job's
+			Take(&strays, DisJoinAck{JobID: "j1", Host: "ac0"}), // a removal nobody asked for
 		} {
 			sis["ac0"].Send(MomEndpoint("cn0"), "pbs", stray, 0)
 		}
@@ -357,10 +358,10 @@ func TestMomDropsStrayAndDuplicateAcks(t *testing.T) {
 		if len(acks) != 5 {
 			t.Fatalf("%d strays delivered, want 5", len(acks))
 		}
-		for i, msg := range acks {
-			if msg.Payload != nil || msg.From != "" {
-				t.Errorf("stray %d was not released: %+v", i, *msg)
-			}
+		back := [3]int{len(strays[0].(*free[JoinAck, *JoinAck]).recs), len(strays[1].(*free[DynJoinAck, *DynJoinAck]).recs),
+			len(strays[2].(*free[DisJoinAck, *DisJoinAck]).recs)}
+		if back != [3]int{2, 2, 1} {
+			t.Errorf("handed back %v of the strays of each kind, want [2 2 1]", back)
 		}
 		if got := drain(srv); got != "" {
 			t.Errorf("the strays reached the server: %q", got)
@@ -368,7 +369,7 @@ func TestMomDropsStrayAndDuplicateAcks(t *testing.T) {
 		if len(m.waits) != 1 || m.waits[0].host != "ac1" {
 			t.Fatalf("waiting after the strays: %+v, want the add awaiting ac1", m.waits)
 		}
-		sis["ac1"].Send(MomEndpoint("cn0"), "pbs", DynJoinAck{JobID: "j1", Host: "ac1"}, 0)
+		sis["ac1"].Send(MomEndpoint("cn0"), "pbs", &DynJoinAck{JobID: "j1", Host: "ac1"}, 0)
 		s.Sleep(5 * time.Millisecond)
 		if got := drain(srv); got != "DynAddAck j1#1" {
 			t.Errorf("after the add's own ack the server got %q", got)
@@ -401,7 +402,7 @@ func TestMomsEndAMixedRunEmpty(t *testing.T) {
 		for i, m := range moms {
 			live := 0
 			for _, op := range m.waits {
-				if _, start := op.req.(RunJobMsg); !start {
+				if _, start := op.req.(*RunJobMsg); !start {
 					live++
 				}
 			}
@@ -409,7 +410,7 @@ func TestMomsEndAMixedRunEmpty(t *testing.T) {
 		}
 	})
 	script := func(*JobEnv) { s.Sleep(300 * time.Millisecond) }
-	jobs := []RunJobMsg{
+	jobs := []*RunJobMsg{
 		{JobID: "j1", Hosts: []string{"cn0", "cn1"}, AccHosts: [][]string{{"ac0"}, nil}},
 		{JobID: "j2", Hosts: []string{"cn0"}, AccHosts: [][]string{{"ac1"}}},
 		{JobID: "j3", Hosts: []string{"cn2"}, AccHosts: [][]string{{"ac2"}}},
@@ -420,7 +421,7 @@ func TestMomsEndAMixedRunEmpty(t *testing.T) {
 		for _, m := range moms {
 			m.Start()
 		}
-		ms := func(j RunJobMsg) string { return MomEndpoint(j.Hosts[0]) }
+		ms := func(j *RunJobMsg) string { return MomEndpoint(j.Hosts[0]) }
 		for _, j := range jobs {
 			j.Spec.Script = script
 			driver.Send(ms(j), "pbs", j, 0)
@@ -430,15 +431,15 @@ func TestMomsEndAMixedRunEmpty(t *testing.T) {
 			t.Fatalf("%d jobs started, want %d", got, len(jobs))
 		}
 		for round := 0; round < 3; round++ {
-			driver.Send(ms(jobs[0]), "pbs", DynAddMsg{JobID: "j1", ReqID: 2 * round, Hosts: []string{"ac3", "ac5"}, ReplyTo: ServerEndpoint}, 0)
-			driver.Send(ms(jobs[2]), "pbs", DynAddMsg{JobID: "j3", ReqID: 2*round + 1, Hosts: []string{"ac4"}, ReplyTo: ServerEndpoint}, 0)
+			driver.Send(ms(jobs[0]), "pbs", &DynAddMsg{JobID: "j1", ReqID: 2 * round, Hosts: []string{"ac3", "ac5"}, ReplyTo: ServerEndpoint}, 0)
+			driver.Send(ms(jobs[2]), "pbs", &DynAddMsg{JobID: "j3", ReqID: 2*round + 1, Hosts: []string{"ac4"}, ReplyTo: ServerEndpoint}, 0)
 			s.Sleep(20 * time.Millisecond)
 			if got := strings.Count(drain(srv), "DynAddAck"); got != 2 {
 				t.Fatalf("round %d: %d additions acked, want 2", round, got)
 			}
-			driver.Send(ms(jobs[0]), "pbs", DynRemoveMsg{JobID: "j1", Hosts: []string{"ac3"}}, 0)
-			driver.Send(ms(jobs[0]), "pbs", DynRemoveMsg{JobID: "j1", Hosts: []string{"ac5"}}, 0)
-			driver.Send(ms(jobs[2]), "pbs", DynRemoveMsg{JobID: "j3", Hosts: []string{"ac4"}}, 0)
+			driver.Send(ms(jobs[0]), "pbs", &DynRemoveMsg{JobID: "j1", Hosts: []string{"ac3"}}, 0)
+			driver.Send(ms(jobs[0]), "pbs", &DynRemoveMsg{JobID: "j1", Hosts: []string{"ac5"}}, 0)
+			driver.Send(ms(jobs[2]), "pbs", &DynRemoveMsg{JobID: "j3", Hosts: []string{"ac4"}}, 0)
 			s.Sleep(20 * time.Millisecond)
 		}
 		s.Sleep(time.Second)
@@ -447,7 +448,7 @@ func TestMomsEndAMixedRunEmpty(t *testing.T) {
 		}
 		for _, j := range jobs {
 			for _, h := range hosts {
-				driver.Send(MomEndpoint(h), "pbs", ReleaseJobMsg{JobID: j.JobID}, 0)
+				driver.Send(MomEndpoint(h), "pbs", &ReleaseJobMsg{JobID: j.JobID}, 0)
 			}
 		}
 		s.Sleep(10 * time.Millisecond)

@@ -3,14 +3,16 @@ package pbs
 import "time"
 
 // Wire protocol of the batch system. Every payload travels over the
-// netsim fabric under the "pbs" tag; the receiver dispatches on the
-// payload's Go type. Fields named ReplyTo carry the endpoint that
-// expects the response; ReqID correlates it.
+// netsim fabric under the "pbs" tag as a record from its sender's free
+// list (free.go), which the receiver dispatches on and hands back. Fields
+// named ReplyTo carry the endpoint that expects the response; ReqID
+// correlates it.
 
 // --- Client (IFL) <-> server ---
 
 // SubmitReq is qsub.
 type SubmitReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 	Spec    JobSpec
@@ -18,6 +20,7 @@ type SubmitReq struct {
 
 // SubmitResp acknowledges a submission.
 type SubmitResp struct {
+	record
 	ReqID int
 	JobID string
 	Err   string
@@ -25,6 +28,7 @@ type SubmitResp struct {
 
 // StatReq is qstat for one job.
 type StatReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 	JobID   string
@@ -32,6 +36,7 @@ type StatReq struct {
 
 // StatResp returns the job view.
 type StatResp struct {
+	record
 	ReqID int
 	Info  JobInfo
 	Err   string
@@ -39,12 +44,14 @@ type StatResp struct {
 
 // NodesReq is pbsnodes.
 type NodesReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 }
 
 // NodesResp returns the node database view.
 type NodesResp struct {
+	record
 	ReqID int
 	Nodes []NodeInfo
 }
@@ -53,6 +60,7 @@ type NodesResp struct {
 // job (the paper's Section III-A names this IFL call). Zero-valued
 // fields stay unchanged.
 type AlterReq struct {
+	record
 	ReqID    int
 	ReplyTo  string
 	JobID    string
@@ -63,18 +71,21 @@ type AlterReq struct {
 
 // AlterResp acknowledges a qalter.
 type AlterResp struct {
+	record
 	ReqID int
 	Err   string
 }
 
 // ListReq is qstat without arguments: every job.
 type ListReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 }
 
 // ListResp carries the full queue view in submission order.
 type ListResp struct {
+	record
 	ReqID int
 	Jobs  []JobInfo
 }
@@ -82,6 +93,7 @@ type ListResp struct {
 // HoldReq is qhold (Hold true) or qrls (Hold false): a held job stays
 // queued but is invisible to the scheduler until released.
 type HoldReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 	JobID   string
@@ -90,12 +102,14 @@ type HoldReq struct {
 
 // HoldResp acknowledges a qhold/qrls.
 type HoldResp struct {
+	record
 	ReqID int
 	Err   string
 }
 
 // DeleteReq is qdel.
 type DeleteReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 	JobID   string
@@ -103,6 +117,7 @@ type DeleteReq struct {
 
 // DeleteResp acknowledges a deletion.
 type DeleteResp struct {
+	record
 	ReqID int
 	Err   string
 }
@@ -110,6 +125,7 @@ type DeleteResp struct {
 // WaitReq subscribes to a job's completion; the server answers once
 // the job completes (immediately if it already did).
 type WaitReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 	JobID   string
@@ -117,6 +133,7 @@ type WaitReq struct {
 
 // WaitResp reports a completed (or deleted) job.
 type WaitResp struct {
+	record
 	ReqID int
 	Info  JobInfo
 	Err   string
@@ -127,6 +144,7 @@ type WaitResp struct {
 // network-attached accelerators by default, or compute nodes for
 // malleable jobs (Kind = KindCompute, with PPN cores per node).
 type DynGetReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 	JobID   string
@@ -139,6 +157,7 @@ type DynGetReq struct {
 // DynGetResp answers a pbs_dynget. A rejection carries Err and a
 // negative ClientID, mirroring the paper's "negative valued reply".
 type DynGetResp struct {
+	record
 	ReqID    int
 	ClientID int
 	Hosts    []string
@@ -148,6 +167,7 @@ type DynGetResp struct {
 // DynFreeReq is the new pbs_dynfree() IFL call: release the
 // dynamically allocated set identified by ClientID.
 type DynFreeReq struct {
+	record
 	ReqID    int
 	ReplyTo  string
 	JobID    string
@@ -157,6 +177,7 @@ type DynFreeReq struct {
 // DynFreeResp acknowledges a release. The server replies positively
 // before the moms finish disassociating, as in the paper.
 type DynFreeResp struct {
+	record
 	ReqID int
 	Err   string
 }
@@ -166,14 +187,16 @@ type DynFreeResp struct {
 // SchedKick tells the scheduler that server state changed (new job,
 // completion, dynamic request). Reason is diagnostic.
 type SchedKick struct {
+	record
 	Reason string
 }
 
-// SchedInfoReq is the scheduler pulling queue and node state. It
-// travels by pointer: the scheduler's Mirror owns the one request it
+// SchedInfoReq is the scheduler pulling queue and node state. Its
+// record is on no list: the scheduler's Mirror owns the one request it
 // reuses every round, and the server reads it only while it handles
 // that round, during which the scheduler waits for the answer.
 type SchedInfoReq struct {
+	record
 	ReqID   int
 	ReplyTo string
 	// Gen is the view generation the scheduler's mirror holds, as the
@@ -231,6 +254,7 @@ type SchedJobView struct {
 // every queued and running job — and Gen is the generation a mirror
 // holds once it applied them.
 type SchedInfoResp struct {
+	record
 	ReqID           int
 	Dyn             []SchedDynView // dynamic request(s) awaiting allocation, FIFO
 	Gen             uint64
@@ -238,8 +262,6 @@ type SchedInfoResp struct {
 	Nodes           []NodeDelta
 	Jobs            []SchedJobView
 	Queued, Running int // jobs in either phase
-
-	srv *Server // whose free list Release returns the answer to
 }
 
 // AllocCmd is the scheduler's decision for a queued job: which
@@ -250,6 +272,7 @@ type SchedInfoResp struct {
 // Cause carries the trace-span id of the placement decision so the
 // server's alloc span joins the causal chain (0 when untraced).
 type AllocCmd struct {
+	record
 	JobID    string
 	Hosts    []string
 	AccHosts [][]string
@@ -259,6 +282,7 @@ type AllocCmd struct {
 // DynAllocCmd is the scheduler's decision for a dynamic request.
 // Empty Hosts means rejection (not enough accelerators free).
 type DynAllocCmd struct {
+	record
 	ReqID int
 	Hosts []string
 	Cause uint64 // trace-span id of the scheduling decision
@@ -268,6 +292,7 @@ type DynAllocCmd struct {
 
 // RunJobMsg makes the receiving mom the mother superior of a job.
 type RunJobMsg struct {
+	record
 	JobID    string
 	Spec     JobSpec
 	Hosts    []string
@@ -278,6 +303,7 @@ type RunJobMsg struct {
 // JoinJobMsg is the JOIN_JOB request from the mother superior to a
 // sister mom.
 type JoinJobMsg struct {
+	record
 	JobID   string
 	MS      string // mother superior host
 	Hosts   []string
@@ -286,6 +312,7 @@ type JoinJobMsg struct {
 
 // JoinAck acknowledges a JOIN_JOB.
 type JoinAck struct {
+	record
 	JobID string
 	Host  string
 }
@@ -294,6 +321,7 @@ type JoinAck struct {
 // script travels with the message (in-process simulation; a real mom
 // would stage the job script file).
 type StartTaskMsg struct {
+	record
 	JobID  string
 	Env    *JobEnv
 	Script Script
@@ -303,29 +331,34 @@ type StartTaskMsg struct {
 // TaskDoneMsg reports a compute node task's completion to the mother
 // superior.
 type TaskDoneMsg struct {
+	record
 	JobID string
 	Host  string
 }
 
 // JobStartedMsg reports to the server that execution began.
 type JobStartedMsg struct {
+	record
 	JobID string
 }
 
 // JobDoneMsg reports to the server that every task finished.
 type JobDoneMsg struct {
+	record
 	JobID string
 }
 
 // ReleaseJobMsg tells a mom the job ended; it kills any remaining
 // tasks (accelerator daemons) and frees its resources.
 type ReleaseJobMsg struct {
+	record
 	JobID string
 }
 
 // DynAddMsg tells the mother superior to incorporate dynamically
 // allocated accelerators (server -> MS, then MS drives DYNJOIN_JOB).
 type DynAddMsg struct {
+	record
 	JobID    string
 	ReqID    int
 	ClientID int
@@ -338,12 +371,14 @@ type DynAddMsg struct {
 // DynJoinJobMsg is the DYNJOIN_JOB request from the mother superior
 // to a newly allocated accelerator mom.
 type DynJoinJobMsg struct {
+	record
 	JobID   string
 	ReplyTo string
 }
 
 // DynJoinAck acknowledges a DYNJOIN_JOB.
 type DynJoinAck struct {
+	record
 	JobID string
 	Host  string
 }
@@ -351,6 +386,7 @@ type DynJoinAck struct {
 // DynAddAck reports to the server that the mother superior finished
 // incorporating the new accelerators.
 type DynAddAck struct {
+	record
 	JobID string
 	ReqID int
 	Cause uint64 // trace-span id of the mom's dynadd handling
@@ -359,6 +395,7 @@ type DynAddAck struct {
 // UpdateJobMsg refreshes a sister mom's view of the job's host set
 // after a dynamic addition or removal.
 type UpdateJobMsg struct {
+	record
 	JobID string
 	Hosts []string
 }
@@ -366,6 +403,7 @@ type UpdateJobMsg struct {
 // DynRemoveMsg tells the mother superior to disassociate a released
 // dynamic set (server -> MS, then MS drives DISJOIN_JOB).
 type DynRemoveMsg struct {
+	record
 	JobID    string
 	ClientID int
 	Hosts    []string
@@ -374,12 +412,14 @@ type DynRemoveMsg struct {
 // DisJoinJobMsg is the DISJOIN_JOB request: the receiving mom kills
 // remaining tasks and leaves the job.
 type DisJoinJobMsg struct {
+	record
 	JobID   string
 	ReplyTo string
 }
 
 // DisJoinAck acknowledges a DISJOIN_JOB.
 type DisJoinAck struct {
+	record
 	JobID string
 	Host  string
 }
@@ -387,12 +427,14 @@ type DisJoinAck struct {
 // AbortJobMsg tells the mother superior to abort a running job
 // (qdel).
 type AbortJobMsg struct {
+	record
 	JobID string
 }
 
 // HeartbeatMsg is a mom's periodic liveness report to the server (the
 // fault-tolerance extension, paper Section VI).
 type HeartbeatMsg struct {
+	record
 	Host string
 }
 
@@ -400,6 +442,7 @@ type HeartbeatMsg struct {
 // was declared dead; for an accelerator host the job keeps running
 // without it.
 type NodeLostMsg struct {
+	record
 	JobID string
 	Host  string
 }

@@ -217,11 +217,11 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 	}
 
 	if e.qdel && len(nodes) > 0 {
-		s.sendTo(&nodes[0].mom, AbortJobMsg{JobID: id}, 0)
+		s.sendTo(&nodes[0].mom, Take(&s.out, AbortJobMsg{JobID: id}), 0)
 	}
 	for _, n := range nodes {
 		if n.info.Name != lostHost { // the lost node's mom is not told
-			s.sendTo(&n.mom, ReleaseJobMsg{JobID: id}, 0)
+			s.sendTo(&n.mom, Take(&s.out, ReleaseJobMsg{JobID: id}), 0)
 		}
 	}
 	var dbuf [64]byte
@@ -234,7 +234,7 @@ func (s *Server) endJob(id string, e *jobEnd, lostHost, replyTo string, reply an
 		s.send(replyTo, reply)
 	}
 	for _, w := range ws {
-		s.send(w.replyTo, WaitResp{ReqID: w.reqID, Info: info})
+		s.send(w.replyTo, Take(&s.out, WaitResp{ReqID: w.reqID, Info: info}))
 	}
 	s.kickScheduler(e.kick)
 	return true, true
@@ -252,5 +252,5 @@ func (s *Server) rejectDynLocked(rec *DynRecord, why string, acct bool) {
 		var buf [32]byte
 		s.account(AcctDynReject, rec.JobID, appendKV(buf[:0], "count=", rec.Count))
 	}
-	s.send(route.ep, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: why})
+	s.send(route.ep, Take(&s.out, DynGetResp{ReqID: route.clientReq, ClientID: -1, Err: why}))
 }

@@ -122,8 +122,8 @@ type Server struct {
 	reused   uint64       // cumulative pool-reuse count
 	jobPool  []*serverJob // scrubbed records awaiting reuse
 
-	// freeResps holds the released scheduler answers (see Release).
-	freeResps []*SchedInfoResp
+	out     Outbox                              // what the server sends
+	answers free[SchedInfoResp, *SchedInfoResp] // scheduler answers, buffers kept (see Release)
 }
 
 // dynReplyTo remembers where and with which client-side request id a
@@ -267,6 +267,9 @@ func NewServer(net *netsim.Network, params ServerParams) *Server {
 	for i := range s.stations {
 		s.stations[i] = st
 	}
+	s.answers.reset = func(r *SchedInfoResp) {
+		*r = SchedInfoResp{record: r.record, Dyn: r.Dyn[:0], Nodes: r.Nodes[:0], Jobs: r.Jobs[:0]}
+	}
 	s.registerAudit()
 	return s
 }
@@ -379,6 +382,7 @@ func serverReceive(arg any, m *netsim.Message) {
 // send answers a request at the name it gave.
 func (s *Server) send(to string, payload any) {
 	if err := s.ep.Send(to, "pbs", payload, 0); err != nil {
+		Recycle(payload)
 		s.logErr("send to %s: %v", to, err)
 	}
 }
@@ -388,21 +392,22 @@ func (s *Server) send(to string, payload any) {
 // back to the causing work.
 func (s *Server) sendTo(to *netsim.Addr, payload any, cause uint64) {
 	if err := s.ep.SendTo(to, "pbs", payload, 0, cause); err != nil {
+		Recycle(payload)
 		s.logErr("send to %s: %v", to.Name(), err)
 	}
 }
 
 // The SchedKick of each fixed reason the server wakes the scheduler
-// with, boxed once: such a kick allocates nothing. Read-only.
+// with, on no free list: such a kick allocates nothing. Read-only.
 var (
-	kickSubmit    any = SchedKick{Reason: "submit"}
-	kickQalter    any = SchedKick{Reason: "qalter"}
-	kickQrls      any = SchedKick{Reason: "qrls"}
-	kickDelete    any = SchedKick{Reason: "delete"}
-	kickDynqueued any = SchedKick{Reason: "dynqueued"}
-	kickDynfree   any = SchedKick{Reason: "dynfree"}
-	kickJobdone   any = SchedKick{Reason: "jobdone"}
-	kickRestore   any = SchedKick{Reason: "restore"}
+	kickSubmit    any = &SchedKick{Reason: "submit"}
+	kickQalter    any = &SchedKick{Reason: "qalter"}
+	kickQrls      any = &SchedKick{Reason: "qrls"}
+	kickDelete    any = &SchedKick{Reason: "delete"}
+	kickDynqueued any = &SchedKick{Reason: "dynqueued"}
+	kickDynfree   any = &SchedKick{Reason: "dynfree"}
+	kickJobdone   any = &SchedKick{Reason: "jobdone"}
+	kickRestore   any = &SchedKick{Reason: "restore"}
 )
 
 // kickScheduler sends the scheduler a kick, if there are both.
@@ -432,49 +437,50 @@ func (s *Server) cost(*netsim.Message) time.Duration { return s.params.Processin
 
 // serve serves one request and records its service time as the
 // requester experiences the server: head-of-line wait (implicit in
-// Delivered -> now) plus processing and handling.
-func (s *Server) serve(m *netsim.Message) {
+// Delivered -> now) plus processing and handling. It keeps no request.
+func (s *Server) serve(m *netsim.Message) bool {
 	switch req := m.Payload.(type) {
-	case SubmitReq:
+	case *SubmitReq:
 		s.handleSubmit(req)
-	case StatReq:
+	case *StatReq:
 		s.handleStat(req)
-	case NodesReq:
-		s.send(req.ReplyTo, NodesResp{ReqID: req.ReqID, Nodes: s.nodeView()})
-	case AlterReq:
+	case *NodesReq:
+		s.send(req.ReplyTo, Take(&s.out, NodesResp{ReqID: req.ReqID, Nodes: s.nodeView()}))
+	case *AlterReq:
 		s.handleAlter(req)
-	case HoldReq:
+	case *HoldReq:
 		s.handleHold(req)
-	case ListReq:
+	case *ListReq:
 		s.handleList(req)
-	case DeleteReq:
+	case *DeleteReq:
 		s.handleDelete(req)
-	case WaitReq:
+	case *WaitReq:
 		s.handleWait(req)
-	case DynGetReq:
+	case *DynGetReq:
 		s.handleDynGet(req)
-	case DynFreeReq:
+	case *DynFreeReq:
 		s.handleDynFree(req)
 	case *SchedInfoReq:
 		s.handleSchedInfo(req)
-	case AllocCmd:
+	case *AllocCmd:
 		s.handleAlloc(req)
-	case DynAllocCmd:
+	case *DynAllocCmd:
 		s.handleDynAlloc(req)
-	case JobStartedMsg:
+	case *JobStartedMsg:
 		if s.withJob(req.JobID, func(j *serverJob) { j.info.StartedAt = s.sim.Now(); s.touchJobLocked(j) }) {
 			s.account(AcctStarted, req.JobID, nil)
 		}
-	case JobDoneMsg:
+	case *JobDoneMsg:
 		s.handleJobDone(req.JobID)
-	case DynAddAck:
+	case *DynAddAck:
 		s.handleDynAddAck(req)
-	case HeartbeatMsg:
+	case *HeartbeatMsg:
 		s.heartbeat(req.Host)
 	default:
 		s.logErr("server: unexpected message %T from %s", m.Payload, m.From)
 	}
 	s.inst.rpcService.Record(s.sim.Now() - m.Delivered)
+	return false
 }
 
 func (s *Server) withJob(id string, fn func(*serverJob)) bool {
@@ -489,11 +495,11 @@ func (s *Server) withJob(id string, fn func(*serverJob)) bool {
 // ServerTrack is the server's observability track name.
 const ServerTrack = "pbs/server"
 
-func (s *Server) handleSubmit(req SubmitReq) {
+func (s *Server) handleSubmit(req *SubmitReq) {
 	sp := s.sim.Tracer().Start(ServerTrack, "submit", "owner", req.Spec.Owner)
 	defer sp.End()
 	if req.Spec.Nodes <= 0 || req.Spec.PPN < 0 || req.Spec.ACPN < 0 {
-		s.send(req.ReplyTo, SubmitResp{ReqID: req.ReqID, Err: "pbs: invalid resource request"})
+		s.send(req.ReplyTo, Take(&s.out, SubmitResp{ReqID: req.ReqID, Err: "pbs: invalid resource request"}))
 		return
 	}
 	s.nextJob++
@@ -512,28 +518,28 @@ func (s *Server) handleSubmit(req SubmitReq) {
 	s.inst.submits.Inc()
 	var buf [96]byte
 	s.account(AcctQueued, id, appendQueuedDetail(buf[:0], req.Spec))
-	s.send(req.ReplyTo, SubmitResp{ReqID: req.ReqID, JobID: id})
+	s.send(req.ReplyTo, Take(&s.out, SubmitResp{ReqID: req.ReqID, JobID: id}))
 	s.kickScheduler(kickSubmit)
 }
 
-func (s *Server) handleStat(req StatReq) {
+func (s *Server) handleStat(req *StatReq) {
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.send(req.ReplyTo, StatResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
+		s.send(req.ReplyTo, Take(&s.out, StatResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()}))
 		return
 	}
-	s.send(req.ReplyTo, StatResp{ReqID: req.ReqID, Info: cloneInfo(j.info)})
+	s.send(req.ReplyTo, Take(&s.out, StatResp{ReqID: req.ReqID, Info: cloneInfo(j.info)}))
 }
 
 // handleAlter applies qalter to a job that has not started yet.
-func (s *Server) handleAlter(req AlterReq) {
+func (s *Server) handleAlter(req *AlterReq) {
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
+		s.send(req.ReplyTo, Take(&s.out, AlterResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()}))
 		return
 	}
 	if j.info.State != JobQueued {
-		s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID, Err: "pbs: job already started"})
+		s.send(req.ReplyTo, Take(&s.out, AlterResp{ReqID: req.ReqID, Err: "pbs: job already started"}))
 		return
 	}
 	if req.Priority != nil {
@@ -546,44 +552,44 @@ func (s *Server) handleAlter(req AlterReq) {
 		j.info.Spec.Name = req.Name
 	}
 	s.touchJobLocked(j)
-	s.send(req.ReplyTo, AlterResp{ReqID: req.ReqID})
+	s.send(req.ReplyTo, Take(&s.out, AlterResp{ReqID: req.ReqID}))
 	s.kickScheduler(kickQalter)
 }
 
 // handleHold applies qhold/qrls to a queued job.
-func (s *Server) handleHold(req HoldReq) {
+func (s *Server) handleHold(req *HoldReq) {
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
+		s.send(req.ReplyTo, Take(&s.out, HoldResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()}))
 		return
 	}
 	if j.info.State != JobQueued {
-		s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID, Err: "pbs: job not queued"})
+		s.send(req.ReplyTo, Take(&s.out, HoldResp{ReqID: req.ReqID, Err: "pbs: job not queued"}))
 		return
 	}
 	j.info.Held = req.Hold
 	s.touchJobLocked(j)
-	s.send(req.ReplyTo, HoldResp{ReqID: req.ReqID})
+	s.send(req.ReplyTo, Take(&s.out, HoldResp{ReqID: req.ReqID}))
 	if !req.Hold {
 		s.kickScheduler(kickQrls)
 	}
 }
 
 // handleList returns every job in submission order.
-func (s *Server) handleList(req ListReq) {
+func (s *Server) handleList(req *ListReq) {
 	jobs := make([]JobInfo, 0, s.index.records)
 	for _, ref := range s.index.log {
 		if ref.j != nil {
 			jobs = append(jobs, cloneInfo(ref.j.info))
 		}
 	}
-	s.send(req.ReplyTo, ListResp{ReqID: req.ReqID, Jobs: jobs})
+	s.send(req.ReplyTo, Take(&s.out, ListResp{ReqID: req.ReqID, Jobs: jobs}))
 }
 
 // handleDelete is qdel. Deleting a job that already ended succeeds and
 // changes nothing, but wakes the scheduler like any other qdel.
-func (s *Server) handleDelete(req DeleteReq) {
-	resp := DeleteResp{ReqID: req.ReqID}
+func (s *Server) handleDelete(req *DeleteReq) {
+	resp := Take(&s.out, DeleteResp{ReqID: req.ReqID})
 	switch known, ended := s.endJob(req.JobID, &endDeleted, "", req.ReplyTo, resp); {
 	case ended:
 	case known:
@@ -595,15 +601,15 @@ func (s *Server) handleDelete(req DeleteReq) {
 	}
 }
 
-func (s *Server) handleWait(req WaitReq) {
+func (s *Server) handleWait(req *WaitReq) {
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
+		s.send(req.ReplyTo, Take(&s.out, WaitResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()}))
 		return
 	}
 	if st := j.info.State; st == JobCompleted || st == JobDeleted || st == JobFailed {
 		info := cloneInfo(j.info)
-		s.send(req.ReplyTo, WaitResp{ReqID: req.ReqID, Info: info})
+		s.send(req.ReplyTo, Take(&s.out, WaitResp{ReqID: req.ReqID, Info: info}))
 		return
 	}
 	s.waiters[req.JobID] = append(s.waiters[req.JobID], waiter{reqID: req.ReqID, replyTo: req.ReplyTo})
@@ -611,7 +617,7 @@ func (s *Server) handleWait(req WaitReq) {
 
 // handleDynGet enqueues a dynamic request in the special dynqueued
 // state; startNextDynLocked takes it into service.
-func (s *Server) handleDynGet(req DynGetReq) {
+func (s *Server) handleDynGet(req *DynGetReq) {
 	var sp *trace.Span
 	if trc := s.sim.Tracer(); trc != nil {
 		sp = trc.Start(ServerTrack, "dynget",
@@ -624,7 +630,7 @@ func (s *Server) handleDynGet(req DynGetReq) {
 		if req.Count <= 0 {
 			reason = "pbs: invalid accelerator count"
 		}
-		s.send(req.ReplyTo, DynGetResp{ReqID: req.ReqID, ClientID: -1, Err: reason})
+		s.send(req.ReplyTo, Take(&s.out, DynGetResp{ReqID: req.ReqID, ClientID: -1, Err: reason}))
 		return
 	}
 	ppn := req.PPN
@@ -665,14 +671,14 @@ func (s *Server) startNextDynLocked() {
 	}
 }
 
-func (s *Server) handleDynFree(req DynFreeReq) {
+func (s *Server) handleDynFree(req *DynFreeReq) {
 	j := s.index.find(req.JobID)
 	if j == nil {
-		s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()})
+		s.send(req.ReplyTo, Take(&s.out, DynFreeResp{ReqID: req.ReqID, Err: ErrUnknownJob.Error()}))
 		return
 	}
 	if _, ok := j.info.DynSets[req.ClientID]; !ok {
-		s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID, Err: "pbs: unknown client-id"})
+		s.send(req.ReplyTo, Take(&s.out, DynFreeResp{ReqID: req.ReqID, Err: "pbs: unknown client-id"}))
 		return
 	}
 	for i := range j.info.DynRecords {
@@ -687,9 +693,9 @@ func (s *Server) handleDynFree(req DynFreeReq) {
 	// application continues (paper Section III-D).
 	var buf [32]byte
 	s.account(AcctDynFree, req.JobID, appendKV(buf[:0], "client=", req.ClientID))
-	s.send(req.ReplyTo, DynFreeResp{ReqID: req.ReqID})
+	s.send(req.ReplyTo, Take(&s.out, DynFreeResp{ReqID: req.ReqID}))
 	if len(j.info.Hosts) > 0 {
-		s.sendTo(&j.nodes[0].mom, DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts}, 0)
+		s.sendTo(&j.nodes[0].mom, Take(&s.out, DynRemoveMsg{JobID: req.JobID, ClientID: req.ClientID, Hosts: hosts}), 0)
 	}
 	s.kickScheduler(kickDynfree)
 }
@@ -718,17 +724,16 @@ func (s *Server) releaseDynSetLocked(j *serverJob, clientID int) []string {
 }
 
 // Release returns the snapshot and its buffers to the free list of the
-// server that built it. The server hands a *SchedInfoResp to exactly
-// one scheduler, which owns it (and every slice hanging off it) until
-// it calls Release after its cycle; the next handleSchedInfo then
+// server that built it (Recycle). The server hands a *SchedInfoResp to
+// exactly one scheduler, which owns it (and every slice hanging off it)
+// until it calls Release after its cycle; the next handleSchedInfo then
 // refills the same buffers in place, so the steady-state cost of an
 // answer is copying, not allocating. The scheduler must not touch the
 // response — including any slice obtained from it — after releasing.
 func (r *SchedInfoResp) Release() {
-	if r == nil || r.srv == nil {
-		return
+	if r != nil {
+		Recycle(r)
 	}
-	r.srv.freeResps = append(r.srv.freeResps, r)
 }
 
 // handleSchedInfo answers one scheduler round: the dynamic requests
@@ -740,18 +745,8 @@ func (r *SchedInfoResp) Release() {
 // scheduler — gets the full view, which is the same answer counted from
 // generation zero.
 func (s *Server) handleSchedInfo(req *SchedInfoReq) {
-	var resp *SchedInfoResp
-	if last := len(s.freeResps) - 1; last >= 0 {
-		resp = s.freeResps[last]
-		s.freeResps[last] = nil
-		s.freeResps = s.freeResps[:last]
-	} else {
-		resp = &SchedInfoResp{srv: s}
-	}
+	resp := s.answers.get()
 	resp.ReqID = req.ReqID
-	resp.Dyn = resp.Dyn[:0]
-	resp.Nodes = resp.Nodes[:0]
-	resp.Jobs = resp.Jobs[:0]
 	for _, rec := range s.dynQ {
 		if rec.State == DynScheduling {
 			resp.Dyn = append(resp.Dyn, SchedDynView{
@@ -802,7 +797,7 @@ func (s *Server) handleSchedInfo(req *SchedInfoReq) {
 	s.send(req.ReplyTo, resp)
 }
 
-func (s *Server) handleAlloc(cmd AllocCmd) {
+func (s *Server) handleAlloc(cmd *AllocCmd) {
 	sp := s.sim.Tracer().Start(ServerTrack, "alloc", "job", cmd.JobID)
 	sp.Link(cmd.Cause) // scheduler's place span
 	defer sp.End()
@@ -858,10 +853,10 @@ func (s *Server) handleAlloc(cmd AllocCmd) {
 	// Select the mother superior (always a compute node, paper
 	// Section III-C) and forward the job.
 	s.sendTo(&nodes[0].mom,
-		RunJobMsg{JobID: cmd.JobID, Spec: spec, Hosts: cmd.Hosts, AccHosts: cmd.AccHosts, Cause: sp.ID()}, sp.ID())
+		Take(&s.out, RunJobMsg{JobID: cmd.JobID, Spec: spec, Hosts: cmd.Hosts, AccHosts: cmd.AccHosts, Cause: sp.ID()}), sp.ID())
 }
 
-func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
+func (s *Server) handleDynAlloc(cmd *DynAllocCmd) {
 	var sp *trace.Span
 	if trc := s.sim.Tracer(); trc != nil {
 		sp = trc.Start(ServerTrack, "dynalloc", "req", strconv.Itoa(cmd.ReqID))
@@ -927,13 +922,13 @@ func (s *Server) handleDynAlloc(cmd DynAllocCmd) {
 	j.info.DynSets[rec.ClientID] = rec.Hosts
 	j.nodes = append(j.nodes, nodes...)
 
-	s.sendTo(&j.nodes[0].mom, DynAddMsg{
+	s.sendTo(&j.nodes[0].mom, Take(&s.out, DynAddMsg{
 		JobID: rec.JobID, ReqID: rec.ReqID, ClientID: rec.ClientID,
 		CN: rec.CN, Hosts: rec.Hosts, ReplyTo: ServerEndpoint, Cause: sp.ID(),
-	}, sp.ID())
+	}), sp.ID())
 }
 
-func (s *Server) handleDynAddAck(ack DynAddAck) {
+func (s *Server) handleDynAddAck(ack *DynAddAck) {
 	var sp *trace.Span
 	if trc := s.sim.Tracer(); trc != nil {
 		sp = trc.Start(ServerTrack, "dynack", "req", strconv.Itoa(ack.ReqID))
@@ -949,7 +944,7 @@ func (s *Server) handleDynAddAck(ack DynAddAck) {
 	rec.ForwardedAt = s.sim.Now()
 	s.advanceDynLocked(rec, DynGranted, int64(rec.ClientID))
 	route := s.dynReply[rec.ReqID]
-	resp := DynGetResp{ReqID: route.clientReq, ClientID: rec.ClientID, Hosts: rec.Hosts}
+	resp := Take(&s.out, DynGetResp{ReqID: route.clientReq, ClientID: rec.ClientID, Hosts: rec.Hosts})
 	jobID := rec.JobID
 	var buf [128]byte
 	detail := appendGrantDetail(buf[:0], rec)

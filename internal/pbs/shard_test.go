@@ -47,9 +47,9 @@ func TestShardForRouting(t *testing.T) {
 	jobID := "17.pbs/server"
 	want := 17 % 4
 	for _, payload := range []any{
-		StatReq{JobID: jobID}, AlterReq{JobID: jobID}, HoldReq{JobID: jobID},
-		DeleteReq{JobID: jobID}, WaitReq{JobID: jobID}, DynGetReq{JobID: jobID},
-		DynFreeReq{JobID: jobID}, JobStartedMsg{JobID: jobID}, JobDoneMsg{JobID: jobID},
+		&StatReq{JobID: jobID}, &AlterReq{JobID: jobID}, &HoldReq{JobID: jobID},
+		&DeleteReq{JobID: jobID}, &WaitReq{JobID: jobID}, &DynGetReq{JobID: jobID},
+		&DynFreeReq{JobID: jobID}, &JobStartedMsg{JobID: jobID}, &JobDoneMsg{JobID: jobID},
 	} {
 		if got := s.shardFor(payload, &rr); got != want {
 			t.Errorf("shardFor(%T) = %d, want %d", payload, got, want)
@@ -59,7 +59,7 @@ func TestShardForRouting(t *testing.T) {
 	// The scheduler's traffic shares one station, so a snapshot is
 	// served after every command its sender issued before it.
 	for _, payload := range []any{
-		SchedInfoReq{}, AllocCmd{JobID: jobID}, DynAllocCmd{ReqID: 6},
+		&SchedInfoReq{}, &AllocCmd{JobID: jobID}, &DynAllocCmd{ReqID: 6},
 	} {
 		if got := s.shardFor(payload, &rr); got != 0 {
 			t.Errorf("shardFor(%T) = %d, want 0", payload, got)
@@ -67,21 +67,21 @@ func TestShardForRouting(t *testing.T) {
 	}
 
 	// A dynamic request's acks follow the request id.
-	if got := s.shardFor(DynAddAck{ReqID: 6}, &rr); got != 6%4 {
-		t.Errorf("shardFor(DynAddAck{ReqID: 6}) = %d, want %d", got, 6%4)
+	if got := s.shardFor(&DynAddAck{ReqID: 6}, &rr); got != 6%4 {
+		t.Errorf("shardFor(&DynAddAck{ReqID: 6}) = %d, want %d", got, 6%4)
 	}
 
 	// Submissions round-robin across shards.
 	seen := make(map[int]bool)
 	for i := 0; i < 4; i++ {
-		seen[s.shardFor(SubmitReq{}, &rr)] = true
+		seen[s.shardFor(&SubmitReq{}, &rr)] = true
 	}
 	if len(seen) != 4 {
 		t.Errorf("SubmitReq round-robin covered %d of 4 shards", len(seen))
 	}
 
 	// Cluster-wide queries pin to shard 0.
-	if got := s.shardFor(NodesReq{}, &rr); got != 0 {
+	if got := s.shardFor(&NodesReq{}, &rr); got != 0 {
 		t.Errorf("shardFor(NodesReq) = %d, want 0", got)
 	}
 }

@@ -261,11 +261,11 @@ func TestStopWhileAStationIsBusy(t *testing.T) {
 			old := pbs.NewServer(net, params)
 			front := net.Endpoint("front")
 			submit := func(req int) {
-				_ = front.Send(pbs.ServerEndpoint, "pbs", pbs.SubmitReq{ReqID: req, ReplyTo: "front",
+				_ = front.Send(pbs.ServerEndpoint, "pbs", &pbs.SubmitReq{ReqID: req, ReplyTo: "front",
 					Spec: pbs.JobSpec{Name: "j", Owner: "u", Nodes: 1, PPN: 1}}, 0)
 			}
 			stat := func(req int, job string) {
-				_ = front.Send(pbs.ServerEndpoint, "pbs", pbs.StatReq{ReqID: req, ReplyTo: "front", JobID: job}, 0)
+				_ = front.Send(pbs.ServerEndpoint, "pbs", &pbs.StatReq{ReqID: req, ReplyTo: "front", JobID: job}, 0)
 			}
 			var replied *pbs.Server
 			err := s.Run(func() {
@@ -296,9 +296,9 @@ func TestStopWhileAStationIsBusy(t *testing.T) {
 					}
 					var got string
 					switch r := m.Payload.(type) {
-					case pbs.SubmitResp:
+					case *pbs.SubmitResp:
 						got = fmt.Sprintf("%d %s%s", r.ReqID, r.JobID, r.Err)
-					case pbs.StatResp:
+					case *pbs.StatResp:
 						got = fmt.Sprintf("%d %s%s", r.ReqID, r.Info.ID, r.Err)
 					}
 					if got != w || m.Delivered != tc.at[i] {

@@ -45,7 +45,7 @@ type station struct {
 // daemon allocates nothing.
 type daemon interface {
 	cost(*netsim.Message) time.Duration // a batch's service time, by its first message
-	serve(*netsim.Message)              // may keep the payload, not the pointer
+	serve(*netsim.Message) (kept bool)  // kept: the payload, never the pointer, outlives the call
 }
 
 // offer hands the station a delivered message.
@@ -80,10 +80,12 @@ func stationDone(arg any) {
 	st.start()
 }
 
-// finish serves the batch in service.
+// finish serves the batch in service and hands back what it did not keep.
 func (st *station) finish() {
 	for i := st.head; i < st.head+st.serving; i++ {
-		st.daemon.serve(&st.queue[i])
+		if !st.daemon.serve(&st.queue[i]) {
+			Recycle(st.queue[i].Payload)
+		}
 		st.queue[i] = netsim.Message{}
 	}
 	st.head += st.serving
@@ -115,30 +117,30 @@ func (s *Server) shardFor(payload any, rr *int) int {
 		return 0
 	}
 	switch req := payload.(type) {
-	case SubmitReq:
+	case *SubmitReq:
 		*rr++
 		return *rr % n
-	case StatReq:
+	case *StatReq:
 		return jobSeq(req.JobID) % n
-	case AlterReq:
+	case *AlterReq:
 		return jobSeq(req.JobID) % n
-	case HoldReq:
+	case *HoldReq:
 		return jobSeq(req.JobID) % n
-	case DeleteReq:
+	case *DeleteReq:
 		return jobSeq(req.JobID) % n
-	case WaitReq:
+	case *WaitReq:
 		return jobSeq(req.JobID) % n
-	case DynGetReq:
+	case *DynGetReq:
 		return jobSeq(req.JobID) % n
-	case DynFreeReq:
+	case *DynFreeReq:
 		return jobSeq(req.JobID) % n
-	case JobStartedMsg:
+	case *JobStartedMsg:
 		return jobSeq(req.JobID) % n
-	case JobDoneMsg:
+	case *JobDoneMsg:
 		return jobSeq(req.JobID) % n
-	case DynAddAck:
+	case *DynAddAck:
 		return req.ReqID % n
-	case HeartbeatMsg:
+	case *HeartbeatMsg:
 		return hostShard(req.Host, n)
 	}
 	return 0

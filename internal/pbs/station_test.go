@@ -14,7 +14,10 @@ import (
 type recorder struct{ served *[]any }
 
 func (recorder) cost(*netsim.Message) time.Duration { return time.Millisecond }
-func (r recorder) serve(m *netsim.Message)          { *r.served = append(*r.served, m.Payload) }
+func (r recorder) serve(m *netsim.Message) bool {
+	*r.served = append(*r.served, m.Payload)
+	return false
+}
 
 // A station behind an endpoint handler serves the messages it was
 // offered, in order, after the handler's delivery events are over: it

@@ -56,15 +56,17 @@ go test -race -shuffle=on -count=1 $pkgs
 # handing their requests over across Stop/Restore, Maui's placements
 # landing at their walk step, and the scheduler round's two equalities:
 # the merged priority order against the stable sort, the job mirror
-# against qstat and a full answer; the driver's own rules: a callback's
-# panic out of Run with no idle worker left behind, runtime.Goexit
-# unwinding Run, a gate wait that lets go of its locks before the driver
-# runs, workers reused and gone at halt, and a stale deadline that never
-# ends a later wait; and the slot as the lock: the paper figures at
-# -parallel 4 beside a service run, where state two simulations share
-# without a lock is a race report.
+# against qstat and a full answer; a pbs message record on one free
+# list at a time and never also held, through a host failure (free.go);
+# the driver's own rules: a callback's panic out of Run with no idle
+# worker left behind, runtime.Goexit unwinding Run, a gate wait that
+# lets go of its locks before the driver runs, workers reused and gone
+# at halt, and a stale deadline that never ends a later wait; and the
+# slot as the lock: the paper figures at -parallel 4 beside a service
+# run, where state two simulations share without a lock is a race
+# report.
 echo "==> go test -race -count=5 (one actor at a time: the kernel and driver properties)"
-go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait|TestSimulationsShareNothingUnguarded' \
+go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestMessageRecordsLiveOnOneListAtATime|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait|TestSimulationsShareNothingUnguarded' \
     ./internal/sim ./internal/core ./internal/pbs ./internal/maui
 
 # The two largest outputs repeat byte for byte, and each is pinned in
