@@ -305,6 +305,66 @@ func BenchmarkSimSleepEvents(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueueWide measures the event queue in batch-wide's
+// shape: 750 callbacks always pending, each re-armed by AfterArg as it
+// fires with a delay from batch-wide's mix (two thirds 200 µs hops, a
+// fifth 1 ms server steps, the rest scheduler ticks and job runtimes).
+// One iteration is one event.
+func BenchmarkEventQueueWide(b *testing.B) {
+	var mix []time.Duration
+	for _, m := range []struct {
+		d time.Duration
+		n int
+	}{
+		{200 * time.Microsecond, 664}, {time.Millisecond, 207}, {5 * time.Millisecond, 39},
+		{4 * time.Millisecond, 20}, {10 * time.Millisecond, 10}, {250 * time.Millisecond, 4},
+		{2 * time.Second, 8}, {4 * time.Second, 12}, {5 * time.Second, 12}, {6 * time.Second, 12}, {8 * time.Second, 12},
+	} {
+		for range m.n {
+			mix = append(mix, m.d)
+		}
+	}
+	rng := sim.NewRNG(1)
+	for i := len(mix) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		mix[i], mix[j] = mix[j], mix[i]
+	}
+	s := sim.New()
+	q := &wideQueue{s: s, mix: mix, left: b.N, done: s.NewGate("bench/wide")}
+	if err := s.Run(func() {
+		for range 750 {
+			wideFire(q)
+		}
+		q.left += 750 // arming is not an iteration
+		b.ReportAllocs()
+		b.ResetTimer()
+		for q.left > 0 {
+			q.done.Wait(nil)
+		}
+	}); err != nil {
+		b.Fatalf("Run: %v", err)
+	}
+}
+
+// wideQueue is BenchmarkEventQueueWide's state: the delay mix, the next
+// draw from it, and how many events are left to fire.
+type wideQueue struct {
+	s          *sim.Simulation
+	mix        []time.Duration
+	next, left int
+	done       *sim.Gate
+}
+
+// wideFire is every pending callback: it counts itself and re-arms.
+func wideFire(arg any) {
+	q := arg.(*wideQueue)
+	if q.left--; q.left == 0 {
+		q.done.Signal()
+	}
+	q.next++
+	q.s.AfterArg(q.mix[q.next%len(q.mix)], wideFire, q)
+}
+
 // BenchmarkNetsimMessage measures fabric send+recv round trips.
 func BenchmarkNetsimMessage(b *testing.B) {
 	s := sim.New()

@@ -343,7 +343,8 @@ func (n *Network) Endpoint(name string) *Endpoint {
 		} else {
 			e = new(Endpoint)
 		}
-		e.net, e.name, e.gate, e.idx = n, name, n.sim.NewGateKind("recv:", name), n.stores
+		n.sim.InitGate(&e.gate, "recv:", name)
+		e.net, e.name, e.idx = n, name, n.stores
 		n.stores++
 	}
 	e.live = true
@@ -531,7 +532,7 @@ func (n *Network) Close() {
 // simulation actors.
 type Endpoint struct {
 	net  *Network
-	gate *sim.Gate
+	gate sim.Gate
 
 	// The lists of pair states this endpoint sends on and of those that
 	// name it as destination.
@@ -569,6 +570,9 @@ func (e *Endpoint) Name() string { return e.name }
 type Addr struct {
 	name string
 	ep   *Endpoint
+	// ps is the pair state of the handle's last send, used while it names
+	// the sender and ep: a dropped or reused one names other ends.
+	ps *pairState
 }
 
 // Resolve returns the handle of the endpoint named name. Nothing needs
@@ -637,9 +641,12 @@ func (e *Endpoint) send(to *Addr, tag string, payload any, size int, pipelined b
 		n.stats.Dropped++
 		return nil // dropped in flight; sender cannot tell
 	}
-	ps := n.pairs[pairID(e, dst)]
-	if ps == nil {
-		ps = n.newPair(e, dst)
+	ps := to.ps
+	if ps == nil || ps.from != e || ps.to != dst {
+		if ps = n.pairs[pairID(e, dst)]; ps == nil {
+			ps = n.newPair(e, dst)
+		}
+		to.ps = ps
 	}
 	n.stats.MessagesSent++
 	n.stats.BytesSent += int64(size)

@@ -104,8 +104,12 @@ func TestReleaseTwiceIsNoop(t *testing.T) {
 // sharing — which names resolve, which directed pairs exist, and the
 // FIFO floor of every surviving pair — with both indexes of every pair
 // state intact. Half the sends go through handles resolved once and kept
-// across releases, from whichever sender.
+// across releases, from whichever sender: a send through a handle writes
+// the pair state the fabric holds for its two ends, never the one the
+// handle kept from before either end was released (dropped, or reused
+// for another pair), so FIFO floors stay per pair.
 func TestPropertyReleaseAgainstMapModel(t *testing.T) {
+	var kept, refreshed int // sends through a handle that kept its pair state, or took another
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := sim.NewRNG(seed)
 		s := sim.New()
@@ -138,7 +142,19 @@ func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 							*a = n.Resolve(to)
 							addrs[to] = a
 						}
+						before := a.ps
 						err = live[from].SendTo(a, "t", nil, rng.Intn(4096), 0)
+						if _, ok := live[to]; ok && err == nil {
+							if ps := n.pairs[pairID(live[from], live[to])]; a.ps != ps {
+								t.Errorf("seed %d step %d: handle %s keeps pair state %p, the pair %s -> %s is %p", seed, step, to, a.ps, from, to, ps)
+								return
+							}
+							if a.ps == before {
+								kept++
+							} else {
+								refreshed++
+							}
+						}
 					} else {
 						err = live[from].Send(to, "t", nil, rng.Intn(4096))
 					}
@@ -207,5 +223,8 @@ func TestPropertyReleaseAgainstMapModel(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 			return
 		}
+	}
+	if kept == 0 || refreshed == 0 {
+		t.Errorf("handles kept their pair state in %d sends and took another in %d: both must happen", kept, refreshed)
 	}
 }

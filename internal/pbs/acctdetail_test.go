@@ -3,6 +3,7 @@ package pbs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,35 @@ func TestTracedAccountingRecordCostsOnlyItsDetail(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(200, account); got != 1 {
 			t.Errorf("appending a traced %c record: %v allocations, want 1 (its detail)", typ, got)
+		}
+	}
+}
+
+// TestAccountingLogAcrossBlocks: the log read back across five block
+// boundaries is every record appended, in order; bounded by AcctRing, it
+// is the newest of them, at least AcctRing and at most twice that.
+func TestAccountingLogAcrossBlocks(t *testing.T) {
+	for _, ring := range []int{0, 100, acctBlockLen + 100, 2*acctBlockLen + 1, 4 * acctBlockLen} {
+		s := NewServer(netsim.New(sim.New(), netsim.LinkParams{}), ServerParams{AcctRing: ring})
+		var ref []AccountingRecord
+		for i := 0; i < 5*acctBlockLen+5; i++ {
+			id := fmt.Sprint(i)
+			s.account(AcctQueued, id, []byte("owner="+id))
+			ref = append(ref, AccountingRecord{Type: AcctQueued, JobID: id, Detail: "owner=" + id})
+			held := 0
+			for _, blk := range s.acct {
+				held += len(blk)
+			}
+			if want := len(ref); ring > 0 && want > ring && (held < ring || held > 2*ring) || ring == 0 && held != want {
+				t.Fatalf("ring %d: the log holds %d of %d records", ring, held, want)
+			}
+		}
+		got := s.AccountingLog()
+		if ring > 0 && len(ref) > ring {
+			ref = ref[len(ref)-len(got):]
+		}
+		if !slices.Equal(got, ref) {
+			t.Fatalf("ring %d: the log holds %d records, first %v, want %d from %v", ring, len(got), got[0], len(ref), ref[0])
 		}
 	}
 }

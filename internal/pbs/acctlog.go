@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -40,23 +41,45 @@ func (r AccountingRecord) String() string {
 	return fmt.Sprintf("%d;%c;%s;%s", r.At.Microseconds(), r.Type, r.JobID, r.Detail)
 }
 
+// acctBlockLen is how many records a block of the accounting log holds,
+// or AcctRing when that is less than twice as many.
+const acctBlockLen = 1024
+
 // account appends a record and mirrors it onto the trace bus, so the
 // accounting log and the trace timeline can be cross-checked
 // record-for-record. The caller appends the detail into a buffer on its
 // stack (nil for none); the record's copy of it is the one allocation a
-// record costs.
+// record costs. The log is a list of fixed blocks, so it grows without
+// copying what it holds.
 func (s *Server) account(typ byte, jobID string, detail []byte) {
 	rec := AccountingRecord{At: s.sim.Now(), Type: typ, JobID: jobID, Detail: string(detail)}
-	s.acct = append(s.acct, rec)
-	// Online service mode bounds the in-memory log: keep the newest
-	// AcctRing records, compacting at 2x so appends stay amortized O(1).
-	if r := s.params.AcctRing; r > 0 && len(s.acct) > 2*r {
-		s.acct = append(s.acct[:0], s.acct[len(s.acct)-r:]...)
+	if n := len(s.acct); n == 0 || len(s.acct[n-1]) == cap(s.acct[n-1]) {
+		s.acct = append(s.acct, s.acctBlock())
 	}
+	s.acct[len(s.acct)-1] = append(s.acct[len(s.acct)-1], rec)
 	if trc := s.sim.Tracer(); trc != nil {
 		trc.InstantAt(ServerTrack, acctInstants[rec.Type], rec.At,
 			"job", rec.JobID, "detail", rec.Detail)
 	}
+}
+
+// acctBlock is the accounting log's next block. Online service mode
+// bounds the log to AcctRing to twice that many records: once the blocks
+// but the oldest hold AcctRing, the oldest goes and, emptied, is the next.
+func (s *Server) acctBlock() []AccountingRecord {
+	size := acctBlockLen
+	if r := s.params.AcctRing; r > 0 {
+		if r < 2*size {
+			size = r
+		}
+		if (len(s.acct)-1)*size >= r {
+			blk := s.acct[0]
+			clear(blk)
+			s.acct = append(s.acct[:0], s.acct[1:]...)
+			return blk[:0]
+		}
+	}
+	return make([]AccountingRecord, 0, size)
 }
 
 // acctInstants names the trace instant of each record type, "acct.Q"
@@ -93,7 +116,7 @@ func appendKV(b []byte, key string, v int) []byte {
 
 // AccountingLog returns a snapshot of all records in order.
 func (s *Server) AccountingLog() []AccountingRecord {
-	return append([]AccountingRecord(nil), s.acct...)
+	return slices.Concat(s.acct...)
 }
 
 // WriteAccountingLog writes records in line format.

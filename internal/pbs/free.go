@@ -48,8 +48,16 @@ func (l *free[T, P]) put(m any) {
 
 // Recycle hands a served message back to its record's list, if any.
 func Recycle(payload any) {
-	if m, ok := payload.(interface{ head() *record }); ok && m.head().home != nil {
-		m.head().home.put(payload)
+	if m, ok := payload.(interface{ head() *record }); ok {
+		m.head().recycle(payload)
+	}
+}
+
+// recycle hands m, the message r heads, back to r's list, if any: what a
+// holder of the message's type calls, asserting nothing.
+func (r *record) recycle(m any) {
+	if r.home != nil {
+		r.home.put(m)
 	}
 }
 

@@ -145,15 +145,17 @@ func momReceive(arg any, msg *netsim.Message) {
 	switch ack := msg.Payload.(type) {
 	case *JoinAck:
 		job = ack.JobID
+		ack.recycle(ack)
 	case *DynJoinAck:
 		job, host = ack.JobID, ack.Host
+		ack.recycle(ack)
 	case *DisJoinAck:
 		job, host = ack.JobID, ack.Host
+		ack.recycle(ack)
 	default:
 		m.station.offer(msg)
 		return
 	}
-	Recycle(msg.Payload)
 	for i, op := range m.waits {
 		if op.job == job && op.host == host {
 			if op.acks--; op.acks == 0 {
@@ -180,7 +182,7 @@ func (m *Mom) cost(msg *netsim.Message) time.Duration {
 // serve is the station's service: handle, once the job table and the
 // functions it schedules exist. Only a mom that serves something
 // builds them.
-func (m *Mom) serve(msg *netsim.Message) bool {
+func (m *Mom) serve(msg *netsim.Message) *record {
 	if m.jobs == nil {
 		m.jobs, m.runTaskFn, m.joinFn = make(map[string]*momJob), m.runTask, m.joinSisters
 	}
@@ -226,8 +228,8 @@ func (m *Mom) sendTo(to *netsim.Addr, payload any, cause uint64) {
 // handle serves one message once its cost is paid; it runs on the
 // controller and must not block: a wait on the sisters is a momOp, and a
 // job script a task actor, which keep the payload (never the envelope)
-// until they end.
-func (m *Mom) handle(msg *netsim.Message) (kept bool) {
+// until they end. It returns the record to hand back, nil for a kept one.
+func (m *Mom) handle(msg *netsim.Message) (r *record) {
 	switch req := msg.Payload.(type) {
 	case *RunJobMsg:
 		// mom.start covers the full mother-superior startup: JOIN fan-out,
@@ -242,31 +244,36 @@ func (m *Mom) handle(msg *netsim.Message) (kept bool) {
 		} else {
 			m.joinSisters(j)
 		}
-		return true
+		return nil
 	case *JoinJobMsg:
 		m.jobs[req.JobID] = Take(&m.out, momJob{hosts: req.Hosts, ms: m.resolve(req.MS)})
 		m.send(req.ReplyTo, Take(&m.out, JoinAck{JobID: req.JobID, Host: m.host}))
+		r = &req.record
 	case *DynJoinJobMsg:
 		m.jobs[req.JobID] = Take(&m.out, momJob{})
 		m.send(req.ReplyTo, Take(&m.out, DynJoinAck{JobID: req.JobID, Host: m.host}))
+		r = &req.record
 	case *DisJoinJobMsg:
 		// Kill remaining tasks (accelerator daemon remains) and leave
 		// the job entirely.
 		m.leave(req.JobID)
 		m.send(req.ReplyTo, Take(&m.out, DisJoinAck{JobID: req.JobID, Host: m.host}))
+		r = &req.record
 	case *UpdateJobMsg:
 		if j, ok := m.jobs[req.JobID]; ok {
 			j.hosts = req.Hosts
 		}
+		r = &req.record
 	case *StartTaskMsg:
 		if req.Script == nil { // an empty job script finishes immediately
 			m.reportDone(req)
-			return false
+			return &req.record
 		}
 		m.sim.GoArg(sim.ActorName{Kind: "task", Subject: req.JobID, Host: m.host}, m.runTaskFn, req)
-		return true
+		return nil
 	case *TaskDoneMsg:
 		m.taskDone(req)
+		r = &req.record
 	case *DynAddMsg:
 		// mom.dynadd: the serial DYNJOINs and the host-set update.
 		op := m.newOp(req.JobID, req)
@@ -275,27 +282,30 @@ func (m *Mom) handle(msg *netsim.Message) (kept bool) {
 		}
 		op.sp.Link(req.Cause) // server's dynalloc span
 		m.advance(op)
-		return true
+		return nil
 	case *DynRemoveMsg:
 		m.advance(m.newOp(req.JobID, req))
-		return true
+		return nil
 	case *ReleaseJobMsg:
 		m.leave(req.JobID)
+		r = &req.record
 	case *AbortJobMsg:
 		// Not acted on: a deleted job's tasks run to their end.
+		r = &req.record
 	case *NodeLostMsg: // to the mother superior
 		if j, ok := m.jobs[req.JobID]; ok {
 			m.setHosts(j, without(j.hosts, req.Host))
 		}
+		r = &req.record
 	}
-	return false
+	return r
 }
 
 // leave drops a job from the table, and a sister's record to its list.
 func (m *Mom) leave(job string) {
 	if j, ok := m.jobs[job]; ok {
 		delete(m.jobs, job)
-		Recycle(j)
+		j.recycle(j)
 	}
 }
 
@@ -333,7 +343,7 @@ func (m *Mom) advance(op *momOp) {
 	switch req := op.req.(type) {
 	case *RunJobMsg:
 		m.started(op.mj, req, op.sp)
-		Recycle(req)
+		req.recycle(req)
 		*op = momOp{} // the job pins no finished start
 		return
 	case *DynAddMsg:
@@ -427,7 +437,7 @@ func (m *Mom) runTask(arg any) {
 		m.Epilogue(env)
 	}
 	m.reportDone(req)
-	Recycle(req)
+	req.recycle(req)
 }
 
 // reportDone reports a task done to the mother superior: the job's, or

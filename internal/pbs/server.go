@@ -111,7 +111,7 @@ type Server struct {
 	dynWindow int
 	dynReply  map[int]dynReplyTo // server dyn id -> client reply route
 	waiters   map[string][]waiter
-	acct      []AccountingRecord
+	acct      [][]AccountingRecord // blocks, oldest first (acctlog.go)
 	errs      []string
 
 	// Retention state (see retention.go); all zero when
@@ -421,8 +421,8 @@ func (s *Server) kickScheduler(kick any) {
 const errsKept = 256
 
 // logErr records a protocol anomaly and returns its message. The log
-// keeps the newest errsKept, compacting at 2x as account does for
-// AcctRing, so a misbehaving client cannot grow it without bound.
+// keeps the newest errsKept, compacting at 2x, so a misbehaving client
+// cannot grow it without bound.
 func (s *Server) logErr(format string, args ...any) string {
 	msg := fmt.Sprintf(format, args...)
 	s.errs = append(s.errs, msg)
@@ -437,59 +437,70 @@ func (s *Server) cost(*netsim.Message) time.Duration { return s.params.Processin
 
 // serve serves one request and records its service time as the
 // requester experiences the server: head-of-line wait (implicit in
-// Delivered -> now) plus processing and handling. It keeps no request.
-func (s *Server) serve(m *netsim.Message) bool {
+// Delivered -> now) plus processing and handling. It keeps no request,
+// and hands each back through the record its case holds.
+func (s *Server) serve(m *netsim.Message) (r *record) {
 	switch req := m.Payload.(type) {
 	case *SubmitReq:
 		s.handleSubmit(req)
+		r = &req.record
 	case *StatReq:
 		s.handleStat(req)
+		r = &req.record
 	case *NodesReq:
 		s.send(req.ReplyTo, Take(&s.out, NodesResp{ReqID: req.ReqID, Nodes: s.nodeView()}))
+		r = &req.record
 	case *AlterReq:
 		s.handleAlter(req)
+		r = &req.record
 	case *HoldReq:
 		s.handleHold(req)
+		r = &req.record
 	case *ListReq:
 		s.handleList(req)
+		r = &req.record
 	case *DeleteReq:
 		s.handleDelete(req)
+		r = &req.record
 	case *WaitReq:
 		s.handleWait(req)
+		r = &req.record
 	case *DynGetReq:
 		s.handleDynGet(req)
+		r = &req.record
 	case *DynFreeReq:
 		s.handleDynFree(req)
+		r = &req.record
 	case *SchedInfoReq:
 		s.handleSchedInfo(req)
+		r = &req.record
 	case *AllocCmd:
 		s.handleAlloc(req)
+		r = &req.record
 	case *DynAllocCmd:
 		s.handleDynAlloc(req)
+		r = &req.record
 	case *JobStartedMsg:
-		if s.withJob(req.JobID, func(j *serverJob) { j.info.StartedAt = s.sim.Now(); s.touchJobLocked(j) }) {
+		if j := s.index.find(req.JobID); j != nil {
+			j.info.StartedAt = s.sim.Now()
+			s.touchJobLocked(j)
 			s.account(AcctStarted, req.JobID, nil)
 		}
+		r = &req.record
 	case *JobDoneMsg:
 		s.handleJobDone(req.JobID)
+		r = &req.record
 	case *DynAddAck:
 		s.handleDynAddAck(req)
+		r = &req.record
 	case *HeartbeatMsg:
 		s.heartbeat(req.Host)
+		r = &req.record
 	default:
 		s.logErr("server: unexpected message %T from %s", m.Payload, m.From)
 	}
 	s.inst.rpcService.Record(s.sim.Now() - m.Delivered)
-	return false
-}
-
-func (s *Server) withJob(id string, fn func(*serverJob)) bool {
-	j := s.index.find(id)
-	if j == nil {
-		return false
-	}
-	fn(j)
-	return true
+	return r
 }
 
 // ServerTrack is the server's observability track name.

@@ -45,7 +45,7 @@ type station struct {
 // daemon allocates nothing.
 type daemon interface {
 	cost(*netsim.Message) time.Duration // a batch's service time, by its first message
-	serve(*netsim.Message) (kept bool)  // kept: the payload, never the pointer, outlives the call
+	serve(*netsim.Message) *record      // the payload's, to hand back; nil: kept (never the pointer)
 }
 
 // offer hands the station a delivered message.
@@ -83,8 +83,8 @@ func stationDone(arg any) {
 // finish serves the batch in service and hands back what it did not keep.
 func (st *station) finish() {
 	for i := st.head; i < st.head+st.serving; i++ {
-		if !st.daemon.serve(&st.queue[i]) {
-			Recycle(st.queue[i].Payload)
+		if r := st.daemon.serve(&st.queue[i]); r != nil {
+			r.recycle(st.queue[i].Payload)
 		}
 		st.queue[i] = netsim.Message{}
 	}

@@ -14,9 +14,9 @@ import (
 type recorder struct{ served *[]any }
 
 func (recorder) cost(*netsim.Message) time.Duration { return time.Millisecond }
-func (r recorder) serve(m *netsim.Message) bool {
+func (r recorder) serve(m *netsim.Message) *record {
 	*r.served = append(*r.served, m.Payload)
-	return false
+	return nil
 }
 
 // A station behind an endpoint handler serves the messages it was

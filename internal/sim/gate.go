@@ -48,13 +48,14 @@ const (
 // NewGate returns a Gate bound to s. The name appears in deadlock
 // diagnostics.
 func (s *Simulation) NewGate(name string) *Gate {
-	return s.NewGateKind("", name)
+	return &Gate{sim: s, name: name}
 }
 
-// NewGateKind is NewGate for a family of gates that share a prefix:
-// diagnostics read "gate:"+kind+name.
-func (s *Simulation) NewGateKind(kind, name string) *Gate {
-	return &Gate{sim: s, kind: kind, name: name}
+// InitGate readies g, a Gate that lives inside its owner (an owner cut
+// from a block carries its gate), for a family of gates that share a
+// prefix: diagnostics read "gate:"+kind+name.
+func (s *Simulation) InitGate(g *Gate, kind, name string) {
+	*g = Gate{sim: s, kind: kind, name: name}
 }
 
 // Rename gives an idle gate a new name within its kind. The caller owns
@@ -91,7 +92,7 @@ func (g *Gate) wait(l sync.Locker, d time.Duration, call string) bool {
 	w.gen++
 	g.waiters = append(g.waiters, w)
 	if d > 0 {
-		s.pushLocked(s.now+d, event{w: w, gen: w.gen})
+		s.pushLocked(d, event{w: w, gen: w.gen})
 	}
 	s.parkLocked(g)
 	// The driver may run a callback that takes l.

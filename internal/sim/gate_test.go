@@ -226,7 +226,8 @@ func TestGateIdleBroadcastKeepsWaiterList(t *testing.T) {
 func TestGateKindAndRenameInDeadlockReport(t *testing.T) {
 	s := New()
 	err := s.Run(func() {
-		g := s.NewGateKind("recv:", "old")
+		g := new(Gate)
+		s.InitGate(g, "recv:", "old")
 		g.Rename("mpi/p7@ac3")
 		var mu sync.Mutex
 		s.Go("waiter", func() {

@@ -414,7 +414,7 @@ func (s *Simulation) sleep(d time.Duration, n int, call string) {
 		return
 	}
 	w.d, w.left = d, n-k-1
-	s.pushStepLocked(w)
+	s.pushLocked(w.d, event{w: w}) // the wake that ends w's next step
 	s.parkLocked(nil)
 	w.yield(struct{}{})
 	resumed()
@@ -465,13 +465,6 @@ func (s *Simulation) advanceLocked(d time.Duration, k int) {
 	}
 }
 
-// pushStepLocked queues the wake that ends w's next step. Callers hold
-// the slot.
-func (s *Simulation) pushStepLocked(w *worker) {
-	s.seq++
-	s.events.push(s.now+w.d, s.seq, event{w: w})
-}
-
 // stepLocked runs as the driver releases a sleep's wake, and does what
 // the woken actor would do next: take the steps still owed, in place as
 // far as the rule allows, then queue the next one's wake. It reports
@@ -480,7 +473,7 @@ func (s *Simulation) pushStepLocked(w *worker) {
 func (s *Simulation) stepLocked(w *worker) bool {
 	if w.left -= s.takeStepsLocked(w.d, w.left); w.left > 0 {
 		w.left--
-		s.pushStepLocked(w)
+		s.pushLocked(w.d, event{w: w}) // the wake that ends w's next step
 		return true
 	}
 	return false
@@ -491,12 +484,12 @@ func (s *Simulation) stepLocked(w *worker) bool {
 // "Discipline") and must not block; it may spawn actors, signal gates,
 // and schedule further callbacks.
 func (s *Simulation) At(t time.Duration, fn func()) {
-	s.pushLocked(max(t, s.now), event{fn: fn})
+	s.pushLocked(max(t, s.now)-s.now, event{fn: fn})
 }
 
 // After schedules fn to run d of virtual time from now. See At.
 func (s *Simulation) After(d time.Duration, fn func()) {
-	s.pushLocked(s.now+max(d, 0), event{fn: fn})
+	s.pushLocked(max(d, 0), event{fn: fn})
 }
 
 // AfterArg schedules fn(arg) to run d of virtual time from now. It is
@@ -505,13 +498,13 @@ func (s *Simulation) After(d time.Duration, fn func()) {
 // pointer, so scheduling captures no fresh closure. Semantics otherwise
 // match After.
 func (s *Simulation) AfterArg(d time.Duration, fn func(any), arg any) {
-	s.pushLocked(s.now+max(d, 0), event{afn: fn, arg: arg})
+	s.pushLocked(max(d, 0), event{afn: fn, arg: arg})
 }
 
-// pushLocked queues ev at t with the next seq. Callers hold the slot.
-func (s *Simulation) pushLocked(t time.Duration, ev event) {
+// pushLocked queues ev d from now with the next seq. Callers hold the slot.
+func (s *Simulation) pushLocked(d time.Duration, ev event) {
 	s.seq++
-	s.events.push(t, s.seq, ev)
+	s.events.push(s.now, d, s.seq, ev)
 }
 
 // Run executes main as the root actor and drives the clock until main
