@@ -150,7 +150,7 @@ func record(scaleSizes, shardedSizes []int, servePoints []benchServePoint) (map[
 	// window; the virtual makespan of each is a series too.
 	for _, sp := range servePoints {
 		key := fmt.Sprintf("cns=%d/mode=%s", sp.n, sp.mode)
-		pts, err := repro.Serve(params, []int{sp.n}, sp.mode, 0, serveBenchHorizon, repro.Observers{})
+		pts, err := repro.Serve(params, []int{sp.n}, sp.mode, repro.ArrivalConfig{}, serveBenchHorizon, repro.Observers{})
 		if err != nil {
 			return nil, fmt.Errorf("serve/%s: %w", key, err)
 		}

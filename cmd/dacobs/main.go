@@ -1,7 +1,7 @@
 // Command dacobs reads the capture files the simulated DAC testbed
-// writes (dacsim, dacserve and dactrace with -observe … -capture
-// PREFIX): kind-tagged JSONL holding a run's span stream, flight
-// recording and scrape series. One subcommand per question:
+// writes (dacsim and dactrace with -observe … -capture PREFIX):
+// kind-tagged JSONL holding a run's span stream, flight recording and
+// scrape series. One subcommand per question:
 //
 //	dacobs prof  capture.jsonl            # where did each job's time go (span lines)
 //	dacobs stat  capture.jsonl            # what did every instrument do (scrape + span lines)

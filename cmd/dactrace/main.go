@@ -10,9 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
@@ -21,26 +22,41 @@ import (
 )
 
 func main() {
-	gen := flag.Bool("gen", false, "generate a trace")
-	replay := flag.Bool("replay", false, "replay a trace against the simulated cluster")
-	jobs := flag.Int("jobs", 20, "jobs to generate")
-	seed := flag.Uint64("seed", 7, "generator seed")
-	mean := flag.Duration("mean", 50*time.Millisecond, "mean interarrival time")
-	in := flag.String("in", "", "trace file to replay (default: the generated one)")
-	swf := flag.String("swf", "", "Standard Workload Format file to replay instead of a JSON trace")
-	scale := flag.Float64("scale", 1.0, "time-compression factor applied to loaded traces")
-	out := flag.String("out", "", "file to write the generated trace to (default: stdout)")
-	cns := flag.Int("cns", 2, "compute nodes")
-	acs := flag.Int("acs", 4, "accelerators")
-	observe := flag.String("observe", "", "comma-separated observers to attach to the replay: trace (spans), telemetry (instrument scrapes), audit (flight recorder, invariant checks and state digests; exits non-zero on any breach)")
-	captureOut := flag.String("capture", "", "write what the observers saw (JSONL, readable by dacobs) to PREFIX.jsonl")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is dactrace with its arguments and output streams: exit status
+// 0 on success, 1 on a failed run or an invariant breach, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dactrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	gen := fs.Bool("gen", false, "generate a trace")
+	replay := fs.Bool("replay", false, "replay a trace against the simulated cluster")
+	jobs := fs.Int("jobs", 20, "jobs to generate")
+	seed := fs.Uint64("seed", 7, "generator seed")
+	mean := fs.Duration("mean", 50*time.Millisecond, "mean interarrival time")
+	in := fs.String("in", "", "trace file to replay (default: the generated one)")
+	swf := fs.String("swf", "", "Standard Workload Format file to replay instead of a JSON trace")
+	scale := fs.Float64("scale", 1.0, "time-compression factor applied to loaded traces")
+	out := fs.String("out", "", "file to write the generated trace to (default: stdout)")
+	cns := fs.Int("cns", 2, "compute nodes")
+	acs := fs.Int("acs", 4, "accelerators")
+	observe := fs.String("observe", "", "comma-separated observers to attach to the replay: trace (spans), telemetry (instrument scrapes), audit (flight recorder, invariant checks and state digests; exits non-zero on any breach)")
+	captureOut := fs.String("capture", "", "write what the observers saw (JSONL, readable by dacobs) to PREFIX.jsonl")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	exit := func(status int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "dactrace: "+format+"\n", a...)
+		return status
+	}
 
 	if *swf != "" {
 		*replay = true
 	}
 	if !*gen && !*replay {
-		log.Fatal("dactrace: pass -gen, -replay, or both")
+		return exit(2, "pass -gen, -replay, or both")
 	}
 
 	var trace []repro.TraceEntry
@@ -48,81 +64,75 @@ func main() {
 		s := repro.NewSimulation()
 		g := repro.NewWorkloadGenerator(s, *seed, *mean, repro.DefaultWorkloadClasses())
 		trace = repro.RecordTrace(g, *jobs)
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				log.Fatalf("dactrace: %v", err)
+		var err error
+		switch {
+		case *out != "":
+			var f *os.File
+			if f, err = os.Create(*out); err == nil {
+				err = errors.Join(repro.SaveTrace(f, trace), f.Close())
 			}
-			defer f.Close()
-			w = f
+		case !*replay:
+			err = repro.SaveTrace(stdout, trace)
 		}
-		if !*replay || *out != "" {
-			if err := repro.SaveTrace(w, trace); err != nil {
-				log.Fatalf("dactrace: %v", err)
-			}
+		if err != nil {
+			return exit(1, "%v", err)
 		}
 	}
 	if !*replay {
-		return
+		return 0
 	}
-	switch {
-	case *swf != "":
-		f, err := os.Open(*swf)
+	params := repro.DefaultParams()
+	if *swf != "" || *in != "" {
+		path, parse := *in, repro.LoadTrace
+		if *swf != "" {
+			path, parse = *swf, func(r io.Reader) ([]repro.TraceEntry, error) {
+				return repro.ParseSWF(r, params.CoresPerNode)
+			}
+		}
+		f, err := os.Open(path)
 		if err != nil {
-			log.Fatalf("dactrace: %v", err)
+			return exit(1, "%v", err)
 		}
 		defer f.Close()
-		params := repro.DefaultParams()
-		loaded, err := repro.ParseSWF(f, params.CoresPerNode)
-		if err != nil {
-			log.Fatalf("dactrace: %v", err)
+		if trace, err = parse(f); err != nil {
+			return exit(1, "%v", err)
 		}
-		trace = loaded
-	case *in != "":
-		f, err := os.Open(*in)
-		if err != nil {
-			log.Fatalf("dactrace: %v", err)
-		}
-		defer f.Close()
-		loaded, err := repro.LoadTrace(f)
-		if err != nil {
-			log.Fatalf("dactrace: %v", err)
-		}
-		trace = loaded
 	}
 	if *scale != 1.0 {
 		trace = repro.ScaleTrace(trace, *scale)
 	}
 	if len(trace) == 0 {
-		log.Fatal("dactrace: no trace to replay (use -gen, -in, or -swf)")
+		return exit(2, "no trace to replay (use -gen, -in, or -swf)")
 	}
 
-	params := repro.DefaultParams()
 	params.ComputeNodes = *cns
 	params.Accelerators = *acs
 	obs, err := repro.ParseObservers(*observe)
 	if err != nil {
-		log.Fatalf("dactrace: -observe: %v", err)
+		return exit(2, "-observe: %v", err)
 	}
 	ses := obs.Open()
 	ses.Attach(&params)
 	var queued, ran metrics.Sample
 	var makespan time.Duration
 	var cnUtil, acUtil float64
+	// replayErr is the first failed replay step; the run stops there.
+	var replayErr error
 	err = repro.RunCluster(params, func(c *repro.Cluster, client *repro.Client) {
 		ses.Start(c.Sim)
 		defer ses.Stop()
 		t0 := c.Sim.Now()
 		ids, err := repro.ReplayTrace(c.Sim, client, trace)
 		if err != nil {
-			log.Fatalf("dactrace: %v", err)
+			replayErr = err
+			return
 		}
 		var last time.Duration
 		for _, id := range ids {
 			info, err := client.Wait(id)
 			if err != nil {
-				log.Fatalf("dactrace: wait %s: %v", id, err)
+				replayErr = fmt.Errorf("wait %s: %w", id, err)
+				return
 			}
 			queued.Add(info.StartedAt - info.SubmittedAt)
 			ran.Add(info.CompletedAt - info.StartedAt)
@@ -133,8 +143,8 @@ func main() {
 		makespan = last - t0
 		cnUtil, acUtil = c.Server.ClusterUtilization(makespan)
 	})
-	if err != nil {
-		log.Fatalf("dactrace: %v", err)
+	if err := errors.Join(err, replayErr); err != nil {
+		return exit(1, "%v", err)
 	}
 
 	t := &metrics.Table{
@@ -146,18 +156,19 @@ func main() {
 	t.AddRow("makespan", metrics.Ms(makespan), "", "")
 	t.AddRow("compute util", fmt.Sprintf("%.1f%%", 100*cnUtil), "", "")
 	t.AddRow("accel util", fmt.Sprintf("%.1f%%", 100*acUtil), "", "")
-	if err := t.Render(os.Stdout); err != nil {
-		log.Fatalf("dactrace: %v", err)
+	if err := t.Render(stdout); err != nil {
+		return exit(1, "%v", err)
 	}
 	seen := repro.Observe(0, ses)
 	if *captureOut != "" {
 		path := repro.CapturePath(*captureOut, 0)
 		if err := repro.WriteCaptureFile(path, &seen.File); err != nil {
-			log.Fatalf("dactrace: capture: %v", err)
+			return exit(1, "capture: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "dactrace: wrote %s to %s\n", seen.Kinds(), path)
+		fmt.Fprintf(stderr, "dactrace: wrote %s to %s\n", seen.Kinds(), path)
 	}
 	if seen.Breaches != 0 {
-		log.Fatalf("dactrace: audit: %d invariant breaches (see the capture's kind=breach audit lines)", seen.Breaches)
+		return exit(1, "audit: %d invariant breaches (see the capture's kind=breach audit lines)", seen.Breaches)
 	}
+	return 0
 }

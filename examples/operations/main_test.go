@@ -1,0 +1,11 @@
+package main
+
+import (
+	"testing"
+
+	"repro/internal/golden"
+)
+
+func TestOutputMatchesGolden(t *testing.T) {
+	golden.Check(t, golden.Stdout(t, main), "examples/operations", "testdata/operations.golden")
+}

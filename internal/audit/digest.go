@@ -7,8 +7,10 @@ import (
 
 // Digest accumulates a deterministic 64-bit FNV-1a hash over a
 // component's state. Providers must feed it in a deterministic order
-// — sorted map keys, never wall-clock values — which the digestdet
-// daclint analyzer enforces for every function that takes a *Digest.
+// — sorted map keys, never wall-clock values. The daclint suite holds
+// both: maporder flags a map range that reaches the Digest's Write*
+// methods without a sort, and walltime forbids host-clock reads in
+// every package outside cmd/.
 // Field writes are length-delimited so concatenations cannot collide
 // ("ab","c" vs "a","bc").
 type Digest struct {

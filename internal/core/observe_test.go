@@ -9,6 +9,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 var allObservers = cluster.Observers{Trace: true, Telemetry: true, Audit: true}
@@ -150,7 +151,7 @@ func TestLadderKeepsCallerObservers(t *testing.T) {
 	// million-job soak audits through a recorder on Params).
 	rec = audit.New(AuditCapacity)
 	p.Audit = rec
-	if _, err := Serve(p, []int{8}, ServerFaithful, 0, 2*time.Second, cluster.Observers{}); err != nil {
+	if _, err := Serve(p, []int{8}, ServerFaithful, workload.ArrivalConfig{}, 2*time.Second, cluster.Observers{}); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	if rec.Checks() == 0 || rec.Breaches() != 0 {

@@ -24,7 +24,7 @@ func TestSimulationsShareNothingUnguarded(t *testing.T) {
 	SetParallelism(4)
 	p := cluster.Default()
 	serve := func() (ServePoint, error) {
-		return ServeOne(p, 8, ServerFaithful, workload.ArrivalConfig{}, 2*time.Second, allObservers)
+		return serveOne(p, 8, ServerFaithful, workload.ArrivalConfig{}, 2*time.Second, allObservers)
 	}
 	type served struct {
 		pt  ServePoint

@@ -272,10 +272,10 @@ var replayCorpus = []replayRow{
 		return r.Bytes()
 	}},
 
-	// The serve figure: one resident instance per size (ServeOne).
+	// The serve figure: one resident instance per size.
 	{name: "serve", parallel: true, run: func(t *testing.T) []byte {
 		r := newReplay(t)
-		pts, err := Serve(cluster.Default(), []int{8, 16}, ServerFaithful, 0, 4*time.Second, allObservers)
+		pts, err := Serve(cluster.Default(), []int{8, 16}, ServerFaithful, workload.ArrivalConfig{}, 4*time.Second, allObservers)
 		r.check(err)
 		r.table(ServeTable(pts))
 		r.table(ServeComplianceTable(pts))

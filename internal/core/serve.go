@@ -54,15 +54,15 @@ const ServeHorizon = 60 * time.Second
 // without saturating the scaled cost model at any ladder size.
 func ServeRate(n int) float64 { return float64(n) / 4 }
 
-// ServeOne runs a single resident instance at one cluster size with a
-// custom arrival process — the dacserve CLI's entry point. Zero-value
-// ArrivalConfig fields pick the figure defaults: Poisson process, the
-// per-size ServeRate, the ladder seed, and a MaxJobs backstop of
-// twice the expected admission count (the horizon bounds admission
-// either way). The observers in obs are attached to the instance.
-func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfig, horizon time.Duration, obs cluster.Observers) (ServePoint, error) {
+// serveOne runs a single resident instance at one cluster size.
+// Zero-value ArrivalConfig fields pick the figure defaults: Poisson
+// process, the per-size ServeRate, the ladder seed, and a MaxJobs
+// backstop of twice the expected admission count (the horizon bounds
+// admission either way). The observers in obs are attached to the
+// instance.
+func serveOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfig, horizon time.Duration, obs cluster.Observers) (ServePoint, error) {
 	if n < 1 {
-		return ServePoint{}, fmt.Errorf("core: ServeOne size %d", n)
+		return ServePoint{}, fmt.Errorf("core: serve size %d", n)
 	}
 	if horizon <= 0 {
 		horizon = ServeHorizon
@@ -85,7 +85,7 @@ func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 	}
 	src, err := workload.NewArrivals(ac)
 	if err != nil {
-		return ServePoint{}, fmt.Errorf("core: ServeOne n=%d: %w", n, err)
+		return ServePoint{}, fmt.Errorf("core: serve n=%d: %w", n, err)
 	}
 	rep, err := service.Run(service.Config{
 		Cluster:        tp,
@@ -94,7 +94,7 @@ func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 		ScrapeInterval: cluster.ObserveInterval,
 	})
 	if err != nil {
-		return ServePoint{}, fmt.Errorf("core: ServeOne n=%d: %w", n, err)
+		return ServePoint{}, fmt.Errorf("core: serve n=%d: %w", n, err)
 	}
 	seen := Observe(n, ses)
 	seen.Windows = rep.Windows
@@ -117,20 +117,18 @@ func ServeOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 }
 
 // Serve runs the online-service experiment across cluster sizes
-// (ServeSizes when nil) under the given server mode. rate <= 0 picks
-// ServeRate per size; horizon <= 0 uses ServeHorizon. Points fan out
-// over the trial worker pool; every figure derived from the reports
-// is byte-identical at any parallelism level.
-func Serve(p cluster.Params, sizes []int, mode ServerMode, rate float64, horizon time.Duration, obs cluster.Observers) ([]ServePoint, error) {
+// (ServeSizes when nil) under the given server mode, each size fed by
+// the arrival process ac describes (zero fields take the per-size
+// defaults of serveOne); horizon <= 0 uses ServeHorizon. Points fan
+// out over the trial worker pool; every figure derived from the
+// reports is byte-identical at any parallelism level.
+func Serve(p cluster.Params, sizes []int, mode ServerMode, ac workload.ArrivalConfig, horizon time.Duration, obs cluster.Observers) ([]ServePoint, error) {
 	if len(sizes) == 0 {
 		sizes = ServeSizes
 	}
-	if horizon <= 0 {
-		horizon = ServeHorizon
-	}
 	out := make([]ServePoint, len(sizes))
 	err := forEach(len(sizes), func(idx int) error {
-		pt, err := ServeOne(p, sizes[idx], mode, workload.ArrivalConfig{Rate: rate}, horizon, obs)
+		pt, err := serveOne(p, sizes[idx], mode, ac, horizon, obs)
 		if err != nil {
 			return err
 		}

@@ -9,11 +9,12 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
+	"repro/internal/workload"
 )
 
 func serveSmoke(t *testing.T, mode ServerMode) []ServePoint {
 	t.Helper()
-	pts, err := Serve(cluster.Default(), []int{8, 16}, mode, 0, 5*time.Second, cluster.Observers{})
+	pts, err := Serve(cluster.Default(), []int{8, 16}, mode, workload.ArrivalConfig{}, 5*time.Second, cluster.Observers{})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestServeMillionJobs(t *testing.T) {
 		p := cluster.Default()
 		rec := audit.New(1 << 16)
 		p.Audit = rec
-		pts, err := Serve(p, []int{128, 256}, ServerFaithful, 0, horizon, cluster.Observers{})
+		pts, err := Serve(p, []int{128, 256}, ServerFaithful, workload.ArrivalConfig{}, horizon, cluster.Observers{})
 		if err != nil {
 			t.Fatalf("Serve(workers=%d): %v", workers, err)
 		}

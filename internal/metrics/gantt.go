@@ -20,7 +20,7 @@ type GanttBar struct {
 }
 
 // Gantt renders bars as an ASCII timeline scaled to width columns —
-// the qstat -t style overview used by dacctl's workload scenario.
+// the qstat -t style overview examples/operations prints.
 type Gantt struct {
 	Title string
 	Width int

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -21,6 +22,10 @@ func TestDeadlineStopsRunawaySimulation(t *testing.T) {
 	})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	// Like a deadlock, the cap names who was parked: main and the ticker.
+	if !strings.HasSuffix(err.Error(), "parked actors: sleep×2") {
+		t.Errorf("err = %v, want it to name the parked sleep×2", err)
 	}
 	if now := s.Now(); now > time.Second {
 		t.Fatalf("clock advanced to %v past the cap", now)

@@ -754,7 +754,7 @@ func (s *Simulation) popBatchLocked() bool {
 	case s.events.len() == 0:
 		s.haltLocked(fmt.Errorf("%w at %v: parked actors: %s", ErrDeadlock, s.now, s.blockedLocked()))
 	case s.deadline > 0 && s.events.nextAt() > s.deadline:
-		s.haltLocked(fmt.Errorf("%w: next event at %v, cap %v", ErrDeadline, s.events.nextAt(), s.deadline))
+		s.haltLocked(fmt.Errorf("%w: next event at %v, cap %v: parked actors: %s", ErrDeadline, s.events.nextAt(), s.deadline, s.blockedLocked()))
 	default:
 		t := s.events.nextAt()
 		clear(s.batch)
@@ -787,9 +787,9 @@ func (s *Simulation) stopIdleLocked() {
 	s.idle = nil
 }
 
-// blockedLocked is the deadlock report: "sleep×N" and one
-// "gate:<kind><name>×N" per name, sorted; gates that share a name are
-// counted together.
+// blockedLocked is the parked list ErrDeadlock and ErrDeadline report:
+// "sleep×N" and one "gate:<kind><name>×N" per name, sorted; gates that
+// share a name are counted together.
 func (s *Simulation) blockedLocked() string {
 	byName := make(map[string]int)
 	if s.sleeping > 0 {

@@ -194,12 +194,8 @@ const ArrivalBurst = workload.ArrivalBurst
 var ParseArrivalProcess = workload.ParseArrivalProcess
 
 // ParseResourceRequest parses a qsub -l string (the paper's
-// "nodes=k:ppn=q:acpn=x") into a JobSpec; FormatResourceRequest is
-// its inverse.
-var (
-	ParseResourceRequest  = pbs.ParseResourceRequest
-	FormatResourceRequest = pbs.FormatResourceRequest
-)
+// "nodes=k:ppn=q:acpn=x") into a JobSpec.
+var ParseResourceRequest = pbs.ParseResourceRequest
 
 // Experiment drivers: one per figure of the paper's evaluation, plus
 // the ablations described in DESIGN.md.
@@ -273,10 +269,10 @@ var (
 	SLOSizes           = core.SLOSizes
 
 	// Serve runs the online-service experiment: a resident instance
-	// per cluster size absorbing a sustained open-loop Poisson stream,
-	// reporting steady-state SLO compliance and the throughput ledger.
+	// per cluster size absorbing a sustained open-loop stream (Poisson
+	// unless its ArrivalConfig says otherwise), reporting steady-state
+	// SLO compliance and the throughput ledger.
 	Serve                = core.Serve
-	ServeOne             = core.ServeOne
 	ServeTable           = core.ServeTable
 	ServeComplianceTable = core.ServeComplianceTable
 	ServeSizes           = core.ServeSizes
