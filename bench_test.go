@@ -453,3 +453,43 @@ func BenchmarkClusterJobTurnaround(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAuditDigestRound measures one digest round of the flight
+// recorder over a cluster whose job log holds 4,096 finished jobs:
+// every registered digest, and the full invariant sweep the pbs and
+// maui digests make on their walks.
+func BenchmarkAuditDigestRound(b *testing.B) {
+	p := repro.DefaultParams()
+	repro.Observers{Audit: true}.Open().Attach(&p)
+	err := repro.RunCluster(p, func(c *repro.Cluster, client *repro.Client) {
+		ids := make([]string, 4096)
+		for i := range ids {
+			id, err := client.Submit(repro.JobSpec{
+				Name: "bench", Owner: "b", Nodes: 1, PPN: 1, Walltime: time.Second,
+				Script: func(env *repro.JobEnv) { c.Sim.Sleep(time.Millisecond) },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids[i] = id
+		}
+		for _, id := range ids {
+			if _, err := client.Wait(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rec := c.Sim.Audit()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec.CaptureDigests()
+		}
+		b.StopTimer()
+		if n := rec.Breaches(); n != 0 {
+			b.Fatalf("%d breaches", n)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

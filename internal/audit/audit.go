@@ -179,11 +179,15 @@ func (r *Recorder) Record(k Kind, comp, subj, detail string, a, b int64) {
 	r.record(k, comp, subj, detail, a, b)
 }
 
-// record stores one event and returns a copy along with the breach
-// callback captured under the same lock, so Check hands OnBreach the
-// exact event it recorded even when other actors record concurrently.
-func (r *Recorder) record(k Kind, comp, subj, detail string, a, b int64) (Event, func(Event)) {
+// record stores one event; Record stays small enough to inline.
+func (r *Recorder) record(k Kind, comp, subj, detail string, a, b int64) {
 	r.mu.Lock()
+	r.put(k, comp, subj, detail, a, b)
+	r.mu.Unlock()
+}
+
+// put writes one event in place into the next ring slot; r.mu is held.
+func (r *Recorder) put(k Kind, comp, subj, detail string, a, b int64) *Event {
 	e := &r.ring[r.n%uint64(len(r.ring))]
 	e.Seq = r.n
 	if r.clock != nil {
@@ -198,9 +202,19 @@ func (r *Recorder) record(k Kind, comp, subj, detail string, a, b int64) (Event,
 	e.A = a
 	e.B = b
 	r.n++
-	ev, fn := *e, r.onBreach
+	return e
+}
+
+// breach records a KindBreach event and hands OnBreach a copy taken
+// under the same lock, the exact event recorded.
+func (r *Recorder) breach(comp, name, subj string, a, b int64) {
+	r.breaches.Add(1)
+	r.mu.Lock()
+	e, fn := *r.put(KindBreach, comp, name, subj, a, b), r.onBreach
 	r.mu.Unlock()
-	return ev, fn
+	if fn != nil {
+		fn(e)
+	}
 }
 
 // Check records the outcome of one invariant evaluation: satisfied
@@ -211,14 +225,33 @@ func (r *Recorder) Check(comp, name, subj string, ok bool, a, b int64) {
 		return
 	}
 	r.checks.Add(1)
-	if ok {
-		return
+	if !ok {
+		r.breach(comp, name, subj, a, b)
 	}
-	r.breaches.Add(1)
-	e, fn := r.record(KindBreach, comp, name, subj, a, b)
-	if fn != nil {
-		fn(e)
+}
+
+// Tally counts an engine pass's evaluations and adds them to its recorder
+// once, at Flush; a failed one records its breach at once. One actor's.
+type Tally struct {
+	r *Recorder
+	n int64
+}
+
+// Tally returns a tally that counts into r.
+func (r *Recorder) Tally() Tally { return Tally{r: r} }
+
+// Check is Recorder.Check, counted on the tally.
+func (t *Tally) Check(comp, name, subj string, ok bool, a, b int64) {
+	t.n++
+	if !ok {
+		t.r.breach(comp, name, subj, a, b)
 	}
+}
+
+// Flush adds the evaluations counted since the last Flush.
+func (t *Tally) Flush() {
+	t.r.checks.Add(t.n)
+	t.n = 0
 }
 
 // Checks reports the number of invariant evaluations so far.

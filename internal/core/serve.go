@@ -141,17 +141,6 @@ func Serve(p cluster.Params, sizes []int, mode ServerMode, ac workload.ArrivalCo
 	return out, nil
 }
 
-// serveCompliant counts met objectives.
-func serveCompliant(pt ServePoint) int {
-	met := 0
-	for _, c := range pt.Compliance {
-		if c.Compliant {
-			met++
-		}
-	}
-	return met
-}
-
 // ServeTable renders the per-size overview of the serve figure.
 func ServeTable(points []ServePoint) *metrics.Table {
 	t := &metrics.Table{
@@ -167,7 +156,7 @@ func ServeTable(points []ServePoint) *metrics.Table {
 			fmt.Sprint(pt.Submitted), fmt.Sprint(pt.Completed),
 			fmt.Sprint(pt.Batches), fmt.Sprint(pt.Recycled), fmt.Sprint(pt.Purged),
 			metrics.Ms(pt.Makespan), fmt.Sprint(len(pt.Obs.Windows)),
-			fmt.Sprintf("%d/%d", serveCompliant(pt), len(pt.Compliance)),
+			telemetry.Met(pt.Compliance),
 		)
 	}
 	return t
@@ -183,17 +172,8 @@ func ServeComplianceTable(points []ServePoint) *metrics.Table {
 	}
 	for _, pt := range points {
 		for _, c := range pt.Compliance {
-			first := "-"
-			if c.First >= 0 {
-				first = metrics.Ms(c.First)
-			}
-			t.AddRow(
-				fmt.Sprint(pt.ComputeNodes), string(pt.Mode), c.Objective.Name,
-				string(c.Objective.Stat), c.Objective.Target(),
-				fmt.Sprint(c.Windows), fmt.Sprint(c.Breaches),
-				sloValue(c.Objective.Stat, c.Worst), first,
-				fmt.Sprint(c.Compliant),
-			)
+			t.AddRow(append([]string{fmt.Sprint(pt.ComputeNodes), string(pt.Mode), c.Objective.Name,
+				string(c.Objective.Stat), c.Objective.Target()}, complianceCells(c)...)...)
 		}
 	}
 	return t

@@ -79,17 +79,6 @@ func SLO(p cluster.Params, sizes []int, obs cluster.Observers) ([]SLOPoint, erro
 	})
 }
 
-// sloCompliant counts the objectives a point meets.
-func sloCompliant(pt SLOPoint) int {
-	met := 0
-	for _, c := range pt.Compliance {
-		if c.Compliant {
-			met++
-		}
-	}
-	return met
-}
-
 // SLOTable renders the per-size overview of the slo figure.
 func SLOTable(points []SLOPoint) *metrics.Table {
 	t := &metrics.Table{
@@ -102,7 +91,7 @@ func SLOTable(points []SLOPoint) *metrics.Table {
 			fmt.Sprint(pt.ComputeNodes), fmt.Sprint(pt.Accelerators), fmt.Sprint(pt.Jobs),
 			fmt.Sprint(pt.Probers), fmt.Sprint(pt.DynGranted), fmt.Sprint(len(pt.Obs.Windows)),
 			metrics.Ms(pt.Makespan),
-			fmt.Sprintf("%d/%d", sloCompliant(pt), len(pt.Compliance)),
+			telemetry.Met(pt.Compliance),
 		)
 	}
 	return t
@@ -130,18 +119,22 @@ func SLOComplianceTable(points []SLOPoint) *metrics.Table {
 	}
 	for _, pt := range points {
 		for _, c := range pt.Compliance {
-			first := "-"
-			if c.First >= 0 {
-				first = metrics.Ms(c.First)
-			}
-			t.AddRow(
-				fmt.Sprint(pt.ComputeNodes), c.Objective.Name, c.Objective.Instrument,
-				string(c.Objective.Stat), c.Objective.Target(),
-				fmt.Sprint(c.Windows), fmt.Sprint(c.Breaches),
-				sloValue(c.Objective.Stat, c.Worst), first,
-				fmt.Sprint(c.Compliant),
-			)
+			t.AddRow(append([]string{fmt.Sprint(pt.ComputeNodes), c.Objective.Name, c.Objective.Instrument,
+				string(c.Objective.Stat), c.Objective.Target()}, complianceCells(c)...)...)
 		}
 	}
 	return t
+}
+
+// complianceCells renders a compliance table's last five columns; an
+// objective no window evaluated is neither compliant nor not: "-".
+func complianceCells(c telemetry.Compliance) []string {
+	first, verdict := "-", "-"
+	if c.First >= 0 {
+		first = metrics.Ms(c.First)
+	}
+	if c.Windows > 0 {
+		verdict = fmt.Sprint(c.Compliant)
+	}
+	return []string{fmt.Sprint(c.Windows), fmt.Sprint(c.Breaches), sloValue(c.Objective.Stat, c.Worst), first, verdict}
 }

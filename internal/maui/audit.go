@@ -29,6 +29,7 @@ import (
 // of the mirror at each digest round.
 func (sc *Scheduler) registerAudit() {
 	sc.aud = sc.net.Sim().Audit()
+	sc.auditTally = sc.aud.Tally()
 	sc.aud.RegisterDigest("maui", "maui.sched", sc.digestSched)
 }
 
@@ -40,6 +41,7 @@ func (sc *Scheduler) auditSnapshot(info *pbs.SchedInfoResp) {
 		for i := range info.Nodes {
 			sc.auditNodeLocked(&sc.view.Nodes[info.Nodes[i].Index])
 		}
+		sc.auditTally.Flush()
 		if sc.auditAfterCycle != nil {
 			sc.auditAfterCycle()
 		}
@@ -50,7 +52,7 @@ func (sc *Scheduler) auditSnapshot(info *pbs.SchedInfoResp) {
 // auditNodeLocked checks one mirrored node for internal coherence and
 // against the mirror's running jobs.
 func (sc *Scheduler) auditNodeLocked(n *pbs.NodeInfo) {
-	a := sc.aud
+	a := &sc.auditTally
 	capOK := n.FreeCores() >= 0 && n.UsedCores >= 0
 	if n.Type == pbs.AcceleratorNode {
 		capOK = capOK && len(n.Jobs) <= 1
@@ -69,6 +71,7 @@ func (sc *Scheduler) digestSched(d *audit.Digest) {
 	for i := range sc.view.Nodes {
 		sc.auditNodeLocked(&sc.view.Nodes[i])
 	}
+	sc.auditTally.Flush()
 	d.WriteInt(sc.stats.Cycles)
 	d.WriteInt(sc.stats.JobsPlaced)
 	d.WriteInt(sc.stats.DynGranted)

@@ -74,6 +74,7 @@ const (
 // installs the recorder on the simulation before daemons are built).
 func (s *Server) registerAudit() {
 	s.aud = s.net.Sim().Audit()
+	s.books.tally = s.aud.Tally()
 	s.aud.RegisterDigest("pbs", "pbs.jobs", s.digestJobs)
 	s.aud.RegisterDigest("pbs", "pbs.nodes", s.digestNodes)
 }
@@ -100,36 +101,49 @@ type auditBooks struct {
 	acTotal int64
 	// seqSeen is the highest job sequence a boundary has looked at.
 	seqSeen int
+	tally   audit.Tally // a pass's evaluations, flushed once a pass
 	// afterCycle, when set, runs after each boundary's
 	// checks (test hook: the verdict-equivalence test sweeps there).
 	afterCycle func()
 }
 
-// digestJobs hashes the job database in submission order: id and
-// lifecycle state only, so the sum is invariant across server modes
-// (the sharded server may place the same jobs on different hosts, but
-// must complete exactly the same set). The walk doubles as the
-// job-side half of the full sweep; checks never feed the hash.
+// digestJobs hashes the job database as the log's length and the sum
+// of one term an entry: its id's hash, kept since it was logged,
+// continued over its state and held flag, or over -1 once purged. The
+// sum is invariant across server modes (the sharded server may place
+// jobs differently, but must complete exactly the same set). The walk
+// doubles as the job-side half of the full sweep; checks never feed it.
 func (s *Server) digestJobs(d *audit.Digest) {
 	// Bring the class counts up to the nodes touched since the last
 	// boundary: the claims summed below are compared against them.
 	s.auditTouchedLocked()
 	claimed := int64(0)
+	var sum uint64
 	log := s.index.log
-	d.WriteInt(int64(len(log)))
 	for i := range log {
-		ref := &log[i]
-		d.WriteString(ref.id)
-		j := ref.j
-		if j == nil { // purged by retention, not yet compacted away
-			d.WriteInt(-1)
-			continue
+		h := log[i].idh
+		if j := log[i].j; j == nil { // purged by retention, not yet compacted away
+			h.WriteInt(-1)
+		} else {
+			h.WriteInt(int64(j.info.State))
+			h.WriteBool(j.info.Held)
+			claimed += s.auditJobLocked(j)
 		}
-		d.WriteInt(int64(j.info.State))
-		d.WriteBool(j.info.Held)
-		claimed += s.auditJobLocked(j)
+		sum += h.Sum()
 	}
 	s.auditGlobalLocked(claimed)
+	s.books.tally.Flush()
+	d.WriteInt(int64(len(log)))
+	d.WriteUint(sum)
+}
+
+// logEntry returns a job's log entry, its id hashed under a recorder.
+func (s *Server) logEntry(seq int, id string, j *serverJob) jobRef {
+	ref := jobRef{seq: seq, id: id, j: j}
+	if s.aud != nil {
+		ref.idh.WriteString(id)
+	}
+	return ref
 }
 
 // digestNodes hashes the node database in registration order: name,
@@ -158,7 +172,8 @@ func (s *Server) digestNodes(d *audit.Digest) {
 			drifted++
 		}
 	}
-	s.aud.Check("pbs", "conservation.acc", "global", drifted == 0, drifted, s.books.acTotal)
+	s.books.tally.Check("pbs", "conservation.acc", "global", drifted == 0, drifted, s.books.acTotal)
+	s.books.tally.Flush()
 }
 
 // auditCycleLocked is the invariant engine's per-cycle pass. It runs
@@ -167,8 +182,7 @@ func (s *Server) digestNodes(d *audit.Digest) {
 // modes (the sharded router pins SchedInfoReq to shard 0, and one
 // handler runs at a time).
 func (s *Server) auditCycleLocked() {
-	a := s.aud
-	if a == nil {
+	if s.aud == nil {
 		return
 	}
 	s.auditTouchedLocked()
@@ -184,7 +198,7 @@ func (s *Server) auditCycleLocked() {
 		if !e.j.live() {
 			continue
 		}
-		a.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
+		s.books.tally.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
 		prev = e.seq
 		claimed += s.auditJobLocked(e.j)
 	}
@@ -202,6 +216,7 @@ func (s *Server) auditCycleLocked() {
 	}
 	s.books.seqSeen = s.nextJob
 	s.auditGlobalLocked(claimed)
+	s.books.tally.Flush()
 	if s.books.afterCycle != nil {
 		s.books.afterCycle()
 	}
@@ -221,7 +236,7 @@ func (s *Server) auditTouchedLocked() {
 // and that every owner is a live job — and files an accelerator under
 // its current conservation class. It reports whether the class moved.
 func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
-	a := s.aud
+	a := &s.books.tally
 	name := n.info.Name
 	used := 0
 	mirrored := len(n.info.Jobs) == len(n.used)
@@ -273,33 +288,49 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 // holds, the job side of conservation.acc.
 func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
 	e := s.index.entry(j.seq)
-	s.aud.Check("pbs", "jobs.index", j.info.ID, e != nil && e.j == j && e.id == j.info.ID, int64(j.seq), 0)
+	s.books.tally.Check("pbs", "jobs.index", j.info.ID, e != nil && e.j == j && e.id == j.info.ID, int64(j.seq), 0)
 	if !j.live() {
 		return 0
 	}
-	var buf [hostBuf]string
-	for _, h := range appendHosts(buf[:0], j.info.Hosts, j.info.AccHosts, j.info.DynSets) {
-		claimed += s.auditClaimLocked(j, h)
+	// The hosts in appendHosts order, j.nodes' order.
+	next := 0
+	claimed = s.auditClaimsLocked(j, &next, j.info.Hosts)
+	for _, acs := range j.info.AccHosts {
+		claimed += s.auditClaimsLocked(j, &next, acs)
+	}
+	if len(j.info.DynSets) > 0 {
+		var buf [hostBuf]string
+		claimed += s.auditClaimsLocked(j, &next, appendHosts(buf[:0], nil, nil, j.info.DynSets))
 	}
 	return claimed
 }
 
-// auditClaimLocked checks one host a live job names and reports 1 if
-// it is an accelerator the job holds.
-func (s *Server) auditClaimLocked(j *serverJob, host string) int64 {
-	n, ok := s.nodes[host]
-	var c int
-	if ok {
-		c, _, _ = n.holds(j.info.ID)
+// claimNode resolves a host a live job names: its next resolved node if
+// of that name (then passed), else (a node lost, a raw write) by name.
+func (s *Server) claimNode(j *serverJob, next *int, host string) *serverNode {
+	if k := *next; k < len(j.nodes) && j.nodes[k].info.Name == host {
+		*next = k + 1
+		return j.nodes[k]
 	}
-	held := c > 0
-	if j.info.State == JobRunning {
-		s.aud.Check("pbs", "view.job-hosts", host, held, int64(j.seq), 0)
+	return s.nodes[host]
+}
+
+// auditClaimsLocked checks one host list of a live job; it counts the accelerators held.
+func (s *Server) auditClaimsLocked(j *serverJob, next *int, hosts []string) (claimed int64) {
+	for _, h := range hosts {
+		c, n := 0, s.claimNode(j, next, h)
+		if n != nil {
+			c, _, _ = n.holds(j.info.ID)
+		}
+		held := c > 0
+		if j.info.State == JobRunning {
+			s.books.tally.Check("pbs", "view.job-hosts", h, held, int64(j.seq), 0)
+		}
+		if held && n.info.Type == AcceleratorNode {
+			claimed++
+		}
 	}
-	if held && n.info.Type == AcceleratorNode {
-		return 1
-	}
-	return 0
+	return claimed
 }
 
 // auditGlobalLocked checks the two global identities against the
@@ -309,13 +340,13 @@ func (s *Server) auditClaimLocked(j *serverJob, host string) int64 {
 func (s *Server) auditGlobalLocked(claimed int64) {
 	b := &s.books
 	allocated, free := b.acs[acAllocated], b.acs[acFree]
-	s.aud.Check("pbs", "conservation.acc", "global",
+	b.tally.Check("pbs", "conservation.acc", "global",
 		allocated+free+b.acs[acDownFree] == b.acTotal && claimed == allocated,
 		allocated+free, b.acTotal)
 	// Retention takes records out of the log but leaves their entries
 	// until it compacts; the two counts kept beside the log must add up
 	// to its length.
 	ix := &s.index
-	s.aud.Check("pbs", "jobs.count", "global", ix.records+ix.retired == len(ix.log),
+	b.tally.Check("pbs", "jobs.count", "global", ix.records+ix.retired == len(ix.log),
 		int64(ix.records+ix.retired), int64(len(ix.log)))
 }

@@ -51,6 +51,8 @@ func breachKeys(evs []audit.Event) []string {
 // holds the engine's running class counts to the sweep's recount,
 // through every crash and repair — and, for a fault written the way
 // production writes, the same ones at the boundary that follows it.
+// At every boundary, too, each claim the engine resolves through a
+// job's own nodes must be the node of the host's name.
 func TestCycleEngineEqualsFullSweepEveryCycle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -62,12 +64,19 @@ func TestCycleEngineEqualsFullSweepEveryCycle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tb, rec := auditBed(t, 3, 6, tc.shards)
 			var mu sync.Mutex
-			cycles, flagged := 0, 0
+			cycles, flagged, viaNodes := 0, 0, 0
 			var seen *sim.Gate
 			tb.server.ShadowSweepForTest(rec, func(cycle, sweep []audit.Event) {
 				mu.Lock()
 				defer mu.Unlock()
 				cycles++
+				// A claim the engine resolves through the job's own nodes
+				// is the record the name map holds.
+				via, _, wrong := tb.server.ClaimsForTest()
+				viaNodes += via
+				if wrong != 0 {
+					t.Errorf("boundary %d at %v: %d of %d claims resolved through the job's nodes to another node than their name's", cycles, tb.s.Now(), wrong, via)
+				}
 				ck, sk := breachKeys(cycle), breachKeys(sweep)
 				if !slices.Equal(ck, sk) {
 					t.Errorf("boundary %d at %v: cycle engine flags %q, full sweep %q", cycles, tb.s.Now(), ck, sk)
@@ -154,6 +163,9 @@ func TestCycleEngineEqualsFullSweepEveryCycle(t *testing.T) {
 				defer mu.Unlock()
 				if healthy < 20 || flagged != 3 {
 					t.Errorf("%d healthy boundaries, %d flagged ones; want at least 20 and exactly 3", healthy, flagged)
+				}
+				if viaNodes == 0 {
+					t.Error("no claim resolved through a job's nodes")
 				}
 			})
 		})

@@ -148,6 +148,53 @@ func (s *Server) ShadowSweepForTest(rec *audit.Recorder, fn func(cycle, sweep []
 	}
 }
 
+// ClaimsForTest walks the claims of every live job on the active list
+// the way the invariant engine does and reports how many resolved
+// through the job's own nodes, how many by name, and how many of the
+// first are not the record the name map holds under that name.
+func (s *Server) ClaimsForTest() (viaNodes, byName, wrong int) {
+	for _, e := range s.index.active {
+		j := e.j
+		if !j.live() {
+			continue
+		}
+		next := 0
+		for _, h := range appendHosts(nil, j.info.Hosts, j.info.AccHosts, j.info.DynSets) {
+			k := next
+			n := s.claimNode(j, &next, h)
+			switch {
+			case next == k:
+				byName++
+			case n != s.nodes[h]:
+				viaNodes++
+				wrong++
+			default:
+				viaNodes++
+			}
+		}
+	}
+	return viaNodes, byName, wrong
+}
+
+// RehashJobsForTest computes the pbs.jobs digest from scratch, keeping
+// nothing between rounds: every logged id is hashed again.
+func (s *Server) RehashJobsForTest(d *audit.Digest) {
+	var sum uint64
+	for _, ref := range s.index.log {
+		var h audit.Digest
+		h.WriteString(ref.id)
+		if ref.j == nil {
+			h.WriteInt(-1)
+		} else {
+			h.WriteInt(int64(ref.j.info.State))
+			h.WriteBool(ref.j.info.Held)
+		}
+		sum += h.Sum()
+	}
+	d.WriteInt(int64(len(s.index.log)))
+	d.WriteUint(sum)
+}
+
 // GenForTest reports the view generation the mirror holds.
 func (m *Mirror) GenForTest() uint64 { return m.req.Gen }
 

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
+
+	"repro/internal/audit"
 )
 
 // The job index: one submission-ordered log and one active list, for
@@ -59,11 +61,13 @@ type activeJob struct {
 
 // jobRef is one entry of the log: the id, which outlives the record
 // once retention purges it (j is nil from then on), and its sequence
-// number, so walking the log never re-parses ids.
+// number, so walking the log never re-parses ids; idh, under a recorder
+// only, is the pbs.jobs digest state after the id (audit.go).
 type jobRef struct {
 	seq int
 	id  string
 	j   *serverJob
+	idh audit.Digest
 }
 
 // entry returns the log entry of sequence seq, or nil. The log is dense

@@ -222,11 +222,12 @@ func TestAcctRingBounds(t *testing.T) {
 
 // retentionRounds drives a retention window of 16 through 720 short
 // jobs, with two records that stay live throughout — one held, one
-// running — and returns the pbs.jobs sum of every digest round. Purged
-// ids pile up in the submission log until more than 256 of them fill
-// over half of it; the log then compacts around the two stragglers,
-// and later rounds hash the compacted log.
-func retentionRounds(t *testing.T) []int64 {
+// running — and returns the pbs.jobs sum of every digest round, and
+// beside it the same digest recomputed from scratch in the same round.
+// Purged ids pile up in the submission log until more than 256 of them
+// fill over half of it; the log then compacts around the two
+// stragglers, and later rounds hash the compacted log.
+func retentionRounds(t *testing.T) (sums, rehashed []int64) {
 	t.Helper()
 	rec := audit.New(1 << 16)
 	p := cluster.Default()
@@ -236,6 +237,8 @@ func retentionRounds(t *testing.T) []int64 {
 	p.Server.AcctRing = 64
 	p.Audit = rec
 	err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+		// Sorted after pbs.jobs: each round runs it right after.
+		rec.RegisterDigest("test", "pbs.jobs.rehash", c.Server.RehashJobsForTest)
 		audit.NewTicker(rec, c.Sim, time.Second).Start()
 		submit := func(name string, runFor time.Duration) string {
 			id, err := client.Submit(pbs.JobSpec{
@@ -295,34 +298,50 @@ func retentionRounds(t *testing.T) []int64 {
 	if names := breachNames(rec); len(names) != 0 {
 		t.Errorf("breaches %v", names)
 	}
-	var sums []int64
 	for _, e := range rec.Events() {
-		if e.Kind == audit.KindDigest && e.Subj == "pbs.jobs" {
+		switch {
+		case e.Kind != audit.KindDigest:
+		case e.Subj == "pbs.jobs":
 			sums = append(sums, e.A)
+		case e.Subj == "pbs.jobs.rehash":
+			rehashed = append(rehashed, e.A)
 		}
 	}
-	return sums
+	return sums, rehashed
+}
+
+// TestRetentionDigestEqualsRehash holds the pbs.jobs digest, whose
+// entries keep their ids hashed, to the full rehash of every logged id
+// at every round of retentionRounds, across both compactions.
+func TestRetentionDigestEqualsRehash(t *testing.T) {
+	sums, rehashed := retentionRounds(t)
+	if len(sums) < 10 || len(rehashed) != len(sums) {
+		t.Fatalf("%d digest rounds, %d rehashes; want the same number, at least 10", len(sums), len(rehashed))
+	}
+	for i := range sums {
+		if sums[i] != rehashed[i] {
+			t.Errorf("round %d: pbs.jobs %#x, rehashed %#x", i, uint64(sums[i]), uint64(rehashed[i]))
+		}
+	}
 }
 
 // TestRetentionDigestGolden pins the pbs.jobs sum of every digest round
-// of retentionRounds, across both log compactions: the sums are the
-// ones the server recorded when its index was still a map beside the
-// log.
+// of retentionRounds, across both log compactions.
 func TestRetentionDigestGolden(t *testing.T) {
 	want := []uint64{
-		0xd52068e3f8ef3b4d, 0xa777befedf2cb2db, 0xfbfda687414a7bdb, 0xca2039bcda57bfab,
-		0x79accd36c792905e, 0xf19309337f0adcfe, 0x2e569f5beea84ec9, 0x7a63872010e6c667,
-		0xc3761544c67759e1, 0xb8e0e2e43ab7e4f3, 0xc7b3c4980a549ab2, 0x649871ef894d8ac4,
-		0x6cca9fafbc91e9fe, 0xaec7dad55b7ba5be, 0x7568c274f2108fde, 0x3e73b025bb258cb6,
-		0x1de87e2357f084ad, 0x3192d5169d462e4f, 0xdf179f6698e1680a, 0x6f00cd04bf7d53d1,
-		0xe6713b8c6cdc293f, 0x1c76ece3cf73876c, 0x949bb1dad731497e, 0x7bccd73ee2aeb728,
-		0x34a728f3a4cb920d, 0xd63254a762123d7a, 0x448980639f3dd9ca, 0x4ddc577d691bcc6a,
-		0x1cd7353517c5c63b, 0x2e5a4e8fcc4851a2, 0x1b469eafe5004233, 0xe594721101fb14c5,
-		0xc768fd640d4f9e9d, 0x1a2432d06226a9f6, 0xda863f2e2cddddd4, 0x940f4a97323cf614,
-		0x2d3aca961feeddd3, 0x740c1c660acdecc1, 0xd94ab701540863ac, 0xff73f7b20101db47,
-		0x79585a6489562fe3, 0xdae5ef3826bf13e,
+		0x74226314ef14ab8e, 0x8d6877783a9ef250, 0x7a2734e43873bc9c, 0x6cc53a05b902dd5e,
+		0xd3a0e83f6e705252, 0xae41c6ea85dfe8e0, 0x9bb6d22ade411038, 0xed77dccd753b605c,
+		0xe1b57162401505d7, 0x85da2a25e8b243b, 0x2c526ee0f8343319, 0x53341c7f24bf3271,
+		0x9da7b1f1705be566, 0xa1754dc671baa825, 0x302030f9529ff95, 0x3e36947d511ab9aa,
+		0x5d5b9b31482086b7, 0x67ba5ba4c14a5546, 0x766910d4d9325310, 0x2fcad5db03b234bd,
+		0xe068b6e0efb0369, 0x94c2617a19227735, 0x777ee61aa19808d8, 0xc1a1b32128cd01c8,
+		0x2eef343eb63a40f2, 0x7eda4619f00aff31, 0x835f42ca8c674f86, 0xdbf365ce62cd8e26,
+		0x4f9d899e48f7290d, 0xa4ba0eb3097e9b52, 0x2d9ffc24da160b9d, 0x9828ee7132cacdce,
+		0x86724534ed84dfaa, 0x1cfcb8a5bba98315, 0xbf8a6cc93ac7297, 0xb011e1f7a97391fc,
+		0x34db8309f8ce074d, 0xa5900e610edab499, 0x4ac65eebb163bb81, 0x2fa59bacb51c0e22,
+		0xbd7273f9998e5eb3, 0x5341c4f20ea45c65,
 	}
-	got := retentionRounds(t)
+	got, _ := retentionRounds(t)
 	if len(got) != len(want) {
 		t.Fatalf("%d digest rounds, want %d", len(got), len(want))
 	}

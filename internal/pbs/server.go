@@ -522,7 +522,7 @@ func (s *Server) handleSubmit(req *SubmitReq) {
 	j.info.ID = id
 	j.info.Spec = req.Spec
 	s.advanceJobLocked(j, JobQueued, int64(seq)) // before the index knows the job: born here
-	s.index.log = append(s.index.log, jobRef{seq: seq, id: id, j: j})
+	s.index.log = append(s.index.log, s.logEntry(seq, id, j))
 	s.index.records++
 	s.index.activate(j)
 	sp.Annotate("job", id)

@@ -93,7 +93,7 @@ func (s *Server) Restore(snap Snapshot) error {
 	// is the index only while it ascends.
 	log, k := make([]jobRef, 0, len(snap.Order)), 0
 	for _, id := range snap.Order {
-		ref := jobRef{seq: jobSeq(id), id: id}
+		ref := s.logEntry(jobSeq(id), id, nil)
 		if n := len(log); ref.seq == 0 || n > 0 && log[n-1].seq >= ref.seq {
 			break
 		}

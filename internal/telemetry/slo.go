@@ -111,6 +111,20 @@ func Evaluate(windows []Window, objectives []Objective) []Compliance {
 	return out
 }
 
+// Met renders the objectives met over those any window evaluated.
+func Met(cs []Compliance) string {
+	met, evaluated := 0, 0
+	for _, c := range cs {
+		if c.Windows > 0 {
+			evaluated++
+		}
+		if c.Compliant {
+			met++
+		}
+	}
+	return fmt.Sprintf("%d/%d", met, evaluated)
+}
+
 func findRow(w Window, name string) (Row, bool) {
 	for _, r := range w.Rows {
 		if r.Name == name {

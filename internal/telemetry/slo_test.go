@@ -63,6 +63,23 @@ func TestEvaluateFirstBreach(t *testing.T) {
 	}
 }
 
+// An objective no window evaluated is neither met nor breached: it
+// counts toward neither side of met/evaluated.
+func TestMetCountsOnlyEvaluatedObjectives(t *testing.T) {
+	objs := []Objective{
+		{Name: "dyn-p99", Instrument: "pbs.dyn_latency", Stat: StatP99, Max: 0.100},
+		{Name: "dyn-p50", Instrument: "pbs.dyn_latency", Stat: StatP50, Max: 1},
+		{Name: "missing", Instrument: "no.such", Stat: StatDelta, Max: 1},
+	}
+	res := Evaluate(testSeries(), objs)
+	if got := Met(res); got != "1/2" {
+		t.Errorf("Met = %s, want 1/2", got)
+	}
+	if got := Met(Evaluate(nil, objs)); got != "0/0" {
+		t.Errorf("Met over no windows = %s, want 0/0", got)
+	}
+}
+
 func TestEvaluateSkipsEmptyHistWindows(t *testing.T) {
 	wins := testSeries()
 	wins[2].Rows[1].Delta = 0 // nothing observed in the breaching window

@@ -1,16 +1,25 @@
 #!/bin/sh
-# Alternating parent/change campaign for the delay-line event queue, the
-# pair state kept on its handle and the block accounting log. Claim:
-# batch-wide host_us_per_op falls (ten pairs at seed 1, ten at seed 23);
-# the other five workloads must not move. Sequential; nothing else may
-# run on the host. P is a `git clone` of the parent commit, C the staged
-# change (`git checkout-index -a --prefix=`), OUT takes runs.jsonl (one
-# line a run) and compare.txt. PHASES (default ABC) picks the phases to run.
+# Alternating parent/change campaign over cmd/dacperf/bench.sh, for a
+# claimed gain in host_us_per_op on one workload:
+#
+#   sh scripts/campaign.sh PARENT CHANGE OUT WORKLOAD SEEDS PAIRS
+#
+# PARENT is a checkout of the parent commit (`git clone`, or `git
+# archive`), CHANGE one of the change (`git checkout-index -a
+# --prefix=DIR/` exports the staged tree), OUT the directory for
+# runs.jsonl (one line a run) and compare.txt. Phase A runs PAIRS pairs
+# of WORKLOAD at each of SEEDS (a quoted list: "1 23"); phase B the
+# other five workloads at the first seed, max(3, PAIRS/2) pairs each;
+# phase C one traced pair a workload (exact per-layer counts, peak RSS).
+# PHASES (default ABC) picks the phases. The side that runs first
+# alternates from pair to pair. Sequential: nothing else may run on the
+# host while it measures. Needs jq for compare.txt.
 set -u
-P=${P:?set P to a checkout of the parent commit}
-C=${C:?set C to a checkout of the change}
-OUT=${OUT:?set OUT to a directory for runs.jsonl and compare.txt}
+[ $# -eq 6 ] || { echo "usage: sh scripts/campaign.sh PARENT CHANGE OUT WORKLOAD SEEDS PAIRS" >&2; exit 2; }
+P=$1 C=$2 OUT=$3 CLAIM=$4 SEEDS=$5 PAIRS=$6
 PHASES=${PHASES:-ABC}
+FIRST=${SEEDS%% *}
+OTHER=$((PAIRS / 2)); [ "$OTHER" -ge 3 ] || OTHER=3
 mkdir -p "$OUT"
 : > "$OUT/runs.jsonl"
 
@@ -20,7 +29,7 @@ run() { # side dir workload seed trace
 	printf '{"side":"%s","workload":"%s","seed":%s,"trace":%s,"result":%s}\n' "$side" "$w" "$seed" "$tr" "$line" >> "$OUT/runs.jsonl"
 	echo "$(date +%T) $w seed $seed $side trace$tr load $(cut -d' ' -f1 /proc/loadavg)"
 }
-pair() { # workload seed index trace: the side that runs first alternates
+pair() { # workload seed index trace
 	w=$1; seed=$2; i=$3; tr=$4
 	if [ $((i % 2)) -eq 0 ]; then run parent "$P" "$w" "$seed" "$tr"; run change "$C" "$w" "$seed" "$tr"
 	else run change "$C" "$w" "$seed" "$tr"; run parent "$P" "$w" "$seed" "$tr"; fi
@@ -29,21 +38,23 @@ pair() { # workload seed index trace: the side that runs first alternates
 (cd "$P" && sh cmd/dacperf/bench.sh --workload batch-narrow --seed 1 --seconds 1 --trace 0 >/dev/null 2>&1)
 (cd "$C" && sh cmd/dacperf/bench.sh --workload batch-narrow --seed 1 --seconds 1 --trace 0 >/dev/null 2>&1)
 
+ALL="batch-narrow batch-wide sharded-wide serve-open dyn-storm obs-on"
 case $PHASES in *A*)
-	echo "== A: batch-wide, ten pairs at seed 1 and ten at seed 23"
-	for seed in 1 23; do
-		i=0; while [ $i -lt 10 ]; do pair batch-wide $seed $i 0; i=$((i+1)); done
+	echo "== A: $CLAIM, $PAIRS pairs at each seed of $SEEDS"
+	for seed in $SEEDS; do
+		i=0; while [ $i -lt "$PAIRS" ]; do pair "$CLAIM" "$seed" $i 0; i=$((i+1)); done
 	done
 esac
 case $PHASES in *B*)
-	echo "== B: the other five workloads, six pairs each at seed 1"
-	for w in dyn-storm serve-open batch-narrow sharded-wide obs-on; do
-		i=0; while [ $i -lt 6 ]; do pair $w 1 $i 0; i=$((i+1)); done
+	echo "== B: the other workloads, $OTHER pairs each at seed $FIRST"
+	for w in $ALL; do
+		[ "$w" = "$CLAIM" ] && continue
+		i=0; while [ $i -lt "$OTHER" ]; do pair "$w" "$FIRST" $i 0; i=$((i+1)); done
 	done
 esac
 case $PHASES in *C*)
-	echo "== C: one traced pair a workload (exact per-layer counts, peak RSS)"
-	i=0; for w in dyn-storm batch-narrow batch-wide sharded-wide serve-open obs-on; do pair $w 1 $i 1; i=$((i+1)); done
+	echo "== C: one traced pair a workload at seed $FIRST"
+	i=0; for w in $ALL; do pair "$w" "$FIRST" $i 1; i=$((i+1)); done
 esac
 
 echo "== compare.txt"
@@ -65,7 +76,7 @@ echo "== compare.txt"
 	echo
 	echo "# failed ops over every run: $(jq -s 'map(.result.failed) | add' "$OUT/runs.jsonl"); incorrect runs: $(jq -s 'map(select(.result.correct != true)) | length' "$OUT/runs.jsonl")"
 	echo
-	echo "# traced pair (seed 1): exact counts and memory, parent -> change"
+	echo "# traced pair (seed $FIRST): exact counts and memory, parent -> change"
 	jq -rs '
 		[.[] | select(.trace == 1)] | group_by(.workload)[] |
 		(map(select(.side == "parent"))[0].result.metrics) as $a |
