@@ -16,11 +16,15 @@
 // layers: a nil *Recorder accepts every call as a no-op, so
 // instrumentation sites record unconditionally and the disabled hot
 // path stays free of branches and allocations.
+//
+// A recorder records one simulation, and the slot is its lock: the sim
+// kernel runs one actor or callback at a time, so the recorder takes no
+// mutex. Drivers that run simulations in parallel give each its own
+// recorder (cluster.Observers).
 package audit
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -85,21 +89,18 @@ type Event struct {
 const DefaultCapacity = 1 << 18
 
 // Recorder is the flight recorder. All methods are safe on a nil
-// receiver (no-ops), and safe for concurrent use.
+// receiver (no-ops).
 type Recorder struct {
 	clock func() time.Duration // virtual clock; nil until bound
 
-	mu   sync.Mutex
 	ring []Event
 	n    uint64 // events ever recorded; ring slot is n % cap
 
-	checks   atomic.Int64
-	breaches atomic.Int64
+	checks, breaches int64
 
-	srcMu    sync.Mutex
 	sources  map[string]digestSource
 	sorted   []digestSource // sources by name; nil until the next round sorts them
-	captures atomic.Int64   // digest capture rounds
+	captures int64          // digest capture rounds
 
 	// onBreach, when set, runs after a breach event is recorded (used
 	// to dump the recording the moment an invariant fails).
@@ -139,10 +140,8 @@ func (r *Recorder) Release() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	ring := r.ring
 	r.ring = nil
-	r.mu.Unlock()
 	rings.Put(&ring)
 }
 
@@ -153,9 +152,7 @@ func (r *Recorder) SetClock(now func() time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.clock = now
-	r.mu.Unlock()
 }
 
 // OnBreach registers a callback invoked (synchronously, on the
@@ -164,9 +161,7 @@ func (r *Recorder) OnBreach(fn func(Event)) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.onBreach = fn
-	r.mu.Unlock()
 }
 
 // Record appends one event to the ring. The signature is fully
@@ -176,17 +171,10 @@ func (r *Recorder) Record(k Kind, comp, subj, detail string, a, b int64) {
 	if r == nil {
 		return
 	}
-	r.record(k, comp, subj, detail, a, b)
-}
-
-// record stores one event; Record stays small enough to inline.
-func (r *Recorder) record(k Kind, comp, subj, detail string, a, b int64) {
-	r.mu.Lock()
 	r.put(k, comp, subj, detail, a, b)
-	r.mu.Unlock()
 }
 
-// put writes one event in place into the next ring slot; r.mu is held.
+// put writes one event in place into the next ring slot.
 func (r *Recorder) put(k Kind, comp, subj, detail string, a, b int64) *Event {
 	e := &r.ring[r.n%uint64(len(r.ring))]
 	e.Seq = r.n
@@ -205,15 +193,12 @@ func (r *Recorder) put(k Kind, comp, subj, detail string, a, b int64) *Event {
 	return e
 }
 
-// breach records a KindBreach event and hands OnBreach a copy taken
-// under the same lock, the exact event recorded.
+// breach records a KindBreach event and hands OnBreach a copy of it.
 func (r *Recorder) breach(comp, name, subj string, a, b int64) {
-	r.breaches.Add(1)
-	r.mu.Lock()
-	e, fn := *r.put(KindBreach, comp, name, subj, a, b), r.onBreach
-	r.mu.Unlock()
-	if fn != nil {
-		fn(e)
+	r.breaches++
+	e := *r.put(KindBreach, comp, name, subj, a, b)
+	if r.onBreach != nil {
+		r.onBreach(e)
 	}
 }
 
@@ -224,34 +209,10 @@ func (r *Recorder) Check(comp, name, subj string, ok bool, a, b int64) {
 	if r == nil {
 		return
 	}
-	r.checks.Add(1)
+	r.checks++
 	if !ok {
 		r.breach(comp, name, subj, a, b)
 	}
-}
-
-// Tally counts an engine pass's evaluations and adds them to its recorder
-// once, at Flush; a failed one records its breach at once. One actor's.
-type Tally struct {
-	r *Recorder
-	n int64
-}
-
-// Tally returns a tally that counts into r.
-func (r *Recorder) Tally() Tally { return Tally{r: r} }
-
-// Check is Recorder.Check, counted on the tally.
-func (t *Tally) Check(comp, name, subj string, ok bool, a, b int64) {
-	t.n++
-	if !ok {
-		t.r.breach(comp, name, subj, a, b)
-	}
-}
-
-// Flush adds the evaluations counted since the last Flush.
-func (t *Tally) Flush() {
-	t.r.checks.Add(t.n)
-	t.n = 0
 }
 
 // Checks reports the number of invariant evaluations so far.
@@ -259,7 +220,7 @@ func (r *Recorder) Checks() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.checks.Load()
+	return r.checks
 }
 
 // Breaches reports the number of invariant violations so far.
@@ -267,7 +228,7 @@ func (r *Recorder) Breaches() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.breaches.Load()
+	return r.breaches
 }
 
 // Len reports the number of events ever recorded (including any that
@@ -276,8 +237,6 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return int(r.n)
 }
 
@@ -287,8 +246,6 @@ func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.n > uint64(len(r.ring)) {
 		return int64(r.n - uint64(len(r.ring)))
 	}
@@ -300,8 +257,6 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	capN := uint64(len(r.ring))
 	count := r.n
 	if count > capN {

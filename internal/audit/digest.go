@@ -80,10 +80,8 @@ func (r *Recorder) RegisterDigest(comp, name string, fn func(*Digest)) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.srcMu.Lock()
 	r.sources[name] = digestSource{comp: comp, name: name, fn: fn}
 	r.sorted = nil // the next round sorts again
-	r.srcMu.Unlock()
 }
 
 // CaptureDigests runs every registered provider in sorted name order
@@ -95,20 +93,17 @@ func (r *Recorder) CaptureDigests() int64 {
 	if r == nil {
 		return 0
 	}
-	round := r.captures.Add(1) - 1
-	r.srcMu.Lock()
+	round := r.captures
+	r.captures++
 	if r.sorted == nil {
-		// A fresh slice: a round still walking the old one keeps it.
 		r.sorted = make([]digestSource, 0, len(r.sources))
 		for _, src := range r.sources {
 			r.sorted = append(r.sorted, src)
 		}
 		sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i].name < r.sorted[j].name })
 	}
-	srcs := r.sorted
-	r.srcMu.Unlock()
 	d := new(Digest)
-	for _, src := range srcs {
+	for _, src := range r.sorted {
 		d.h = fnvOffset64
 		src.fn(d)
 		r.Record(KindDigest, src.comp, src.name, "digest", int64(d.Sum()), round)
@@ -121,5 +116,5 @@ func (r *Recorder) DigestCaptures() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.captures.Load()
+	return r.captures
 }

@@ -1,9 +1,6 @@
 package audit
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock abstracts the virtual clock the digest ticker runs on. It is
 // structurally identical to the telemetry scrape clock, so a
@@ -33,10 +30,8 @@ type Ticker struct {
 	rec      *Recorder
 	clock    Clock
 	interval time.Duration
-
-	mu      sync.Mutex
-	stopped bool
-	rounds  int
+	stopped  bool
+	rounds   int
 }
 
 // NewTicker returns a digest ticker for rec driven by clock; call
@@ -55,16 +50,12 @@ func (t *Ticker) Start() {
 }
 
 func (t *Ticker) tick() {
-	t.mu.Lock()
 	if t.stopped || t.rounds >= t.MaxCaptures {
-		t.mu.Unlock()
 		return
 	}
 	t.rounds++
-	rearm := t.rounds < t.MaxCaptures
-	t.mu.Unlock()
 	t.rec.CaptureDigests()
-	if rearm {
+	if t.rounds < t.MaxCaptures {
 		t.clock.After(t.interval, t.tick)
 	}
 }
@@ -75,12 +66,9 @@ func (t *Ticker) Stop() {
 	if t == nil || t.rec == nil {
 		return
 	}
-	t.mu.Lock()
 	if t.stopped {
-		t.mu.Unlock()
 		return
 	}
 	t.stopped = true
-	t.mu.Unlock()
 	t.rec.CaptureDigests()
 }

@@ -58,13 +58,17 @@ type Params struct {
 
 	// Tracer, when non-nil, is installed on the simulation before any
 	// daemon is built, so every layer (netsim, pbs, maui, dac) records
-	// spans and metrics into it. Nil disables tracing at no cost.
+	// spans and metrics into it. Nil disables tracing at no cost. A
+	// tracer records one simulation at a time and takes no lock: the
+	// core drivers open one per run through Observers, and run one at a
+	// time the runs that share one left here (Observers.Shares).
 	Tracer *trace.Tracer
 
 	// Telemetry, when non-nil, is installed on the simulation before
 	// any daemon is built, so every layer resolves its live-metrics
 	// instruments at construction. Scrape it with telemetry.NewScraper
 	// over the simulation's clock. Nil disables telemetry at no cost.
+	// Like Tracer, a registry records one simulation.
 	Telemetry *telemetry.Registry
 
 	// Audit, when non-nil, is installed on the simulation before any
@@ -72,7 +76,8 @@ type Params struct {
 	// the flight recorder, registers its state digests, and runs the
 	// cycle-boundary invariant checks. Nil disables auditing at no
 	// cost. Drive periodic digests with audit.NewTicker over the
-	// simulation's clock.
+	// simulation's clock. Like Tracer, a recorder records one
+	// simulation.
 	Audit *audit.Recorder
 }
 

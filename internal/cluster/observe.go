@@ -85,6 +85,14 @@ func (s *Session) Attach(p *Params) {
 	}
 }
 
+// Shares reports whether p carries an observer that a session opened
+// from o leaves in place (see Attach), so that every run built from p
+// records into that one observer. An observer takes no lock
+// (DESIGN.md §7): runs that share one must go one at a time.
+func (o Observers) Shares(p Params) bool {
+	return p.Tracer != nil && !o.Trace || p.Telemetry != nil && !o.Telemetry || p.Audit != nil && !o.Audit
+}
+
 // ObserveInterval is the virtual-time cadence of scrape windows and
 // digest rounds.
 const ObserveInterval = 5 * time.Second

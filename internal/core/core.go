@@ -46,14 +46,15 @@ func (sg *signal) wait() {
 // figure. Every (point, trial) pair is an independent simulation
 // seeded trial+1 under its own observer session (opened from obs,
 // started with the testbed, stopped once run returns), so all of them
-// fan out over the trial worker pool. run measures point x on the
+// fan out over the trial worker pool (one at a time when they share an
+// observer left on p). run measures point x on the
 // started testbed. Results come back indexed x*trials+trial, and
 // seen[x] merges point x's sessions in trial order, so reductions and
 // captures are identical at any parallelism level.
 func figureTrials[T any](p cluster.Params, points, trials int, obs cluster.Observers, run func(x int, c *cluster.Cluster, client *pbs.Client) T) (res []T, seen []Observed, err error) {
 	res = make([]T, points*trials)
 	each := make([]Observed, len(res))
-	err = forEach(len(res), func(i int) error {
+	err = forRuns(p, obs, len(res), func(i int) error {
 		tp := p
 		tp.Seed = uint64(i%trials + 1)
 		ses := obs.Open()

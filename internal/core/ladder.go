@@ -337,11 +337,12 @@ func ladderPoint(p cluster.Params, n int, mode ServerMode, pr prober, obs cluste
 
 // ladder runs one ladder point per size and maps each through row.
 // Each point is an independent simulation with private observers, so
-// the points fan out over the trial worker pool; results are reported
+// the points fan out over the trial worker pool (one at a time when
+// they share an observer left on p); results are reported
 // in input order and are byte-identical at any parallelism level.
 func ladder[T any](name string, p cluster.Params, sizes []int, mode ServerMode, pr prober, obs cluster.Observers, row func(*ladderRun) T) ([]T, error) {
 	out := make([]T, len(sizes))
-	err := forEach(len(sizes), func(idx int) error {
+	err := forRuns(p, obs, len(sizes), func(idx int) error {
 		n := sizes[idx]
 		if n < 1 {
 			return fmt.Errorf("core: %s size %d", name, n)

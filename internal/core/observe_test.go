@@ -126,13 +126,17 @@ func TestRepeatedTrialsCoincideWithoutJitter(t *testing.T) {
 }
 
 // An observer the caller put on Params rides through the ladder
-// unless the observer set brings its own of that kind.
+// unless the observer set brings its own of that kind. It takes no
+// lock, so the points that share it run one at a time at any
+// parallelism (under -race an overlap reports).
 func TestLadderKeepsCallerObservers(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(4)
 	p := cluster.Default()
 	tr := trace.New()
 	rec := audit.New(AuditCapacity)
 	p.Tracer, p.Audit = tr, rec
-	pts, err := Scale(p, []int{8}, ServerFaithful, cluster.Observers{Audit: true})
+	pts, err := Scale(p, []int{8, 8}, ServerFaithful, cluster.Observers{Audit: true})
 	if err != nil {
 		t.Fatalf("Scale: %v", err)
 	}
@@ -151,7 +155,7 @@ func TestLadderKeepsCallerObservers(t *testing.T) {
 	// million-job soak audits through a recorder on Params).
 	rec = audit.New(AuditCapacity)
 	p.Audit = rec
-	if _, err := Serve(p, []int{8}, ServerFaithful, workload.ArrivalConfig{}, 2*time.Second, cluster.Observers{}); err != nil {
+	if _, err := Serve(p, []int{8, 8}, ServerFaithful, workload.ArrivalConfig{}, 2*time.Second, cluster.Observers{}); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	if rec.Checks() == 0 || rec.Breaches() != 0 {

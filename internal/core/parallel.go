@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cluster"
 )
 
 // The experiment drivers average many independent trials per data
@@ -38,10 +40,24 @@ func Parallelism() int { return int(parallelism.Load()) }
 // error by index wins (matching what a serial loop would have
 // returned), but unlike a serial loop all n invocations run.
 func forEach(n int, fn func(i int) error) error {
+	return forEachOn(Parallelism(), n, fn)
+}
+
+// forRuns is forEach for n simulations built from p under observer
+// sessions opened from obs. An observer the caller left on p records
+// all of them and takes no lock (cluster.Observers.Shares), so then
+// they run one at a time.
+func forRuns(p cluster.Params, obs cluster.Observers, n int, fn func(i int) error) error {
+	if obs.Shares(p) {
+		return forEachOn(1, n, fn)
+	}
+	return forEach(n, fn)
+}
+
+func forEachOn(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := Parallelism()
 	if workers > n {
 		workers = n
 	}

@@ -120,14 +120,17 @@ func serveOne(p cluster.Params, n int, mode ServerMode, ac workload.ArrivalConfi
 // (ServeSizes when nil) under the given server mode, each size fed by
 // the arrival process ac describes (zero fields take the per-size
 // defaults of serveOne); horizon <= 0 uses ServeHorizon. Points fan
-// out over the trial worker pool; every figure derived from the
+// out over the trial worker pool (one at a time when they share an
+// observer left on p); every figure derived from the
 // reports is byte-identical at any parallelism level.
 func Serve(p cluster.Params, sizes []int, mode ServerMode, ac workload.ArrivalConfig, horizon time.Duration, obs cluster.Observers) ([]ServePoint, error) {
 	if len(sizes) == 0 {
 		sizes = ServeSizes
 	}
 	out := make([]ServePoint, len(sizes))
-	err := forEach(len(sizes), func(idx int) error {
+	inst := obs
+	inst.Telemetry = false // as serveOne: the instance uses p's registry or its own
+	err := forRuns(p, inst, len(sizes), func(idx int) error {
 		pt, err := serveOne(p, sizes[idx], mode, ac, horizon, obs)
 		if err != nil {
 			return err

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/workload"
 )
@@ -88,25 +87,25 @@ func TestServeMillionJobs(t *testing.T) {
 	const horizon = 10850 * time.Second
 	run := func(workers int) (string, int) {
 		SetParallelism(workers)
-		p := cluster.Default()
-		rec := audit.New(1 << 16)
-		p.Audit = rec
-		pts, err := Serve(p, []int{128, 256}, ServerFaithful, workload.ArrivalConfig{}, horizon, cluster.Observers{})
+		pts, err := Serve(cluster.Default(), []int{128, 256}, ServerFaithful, workload.ArrivalConfig{}, horizon, cluster.Observers{Audit: true})
 		if err != nil {
 			t.Fatalf("Serve(workers=%d): %v", workers, err)
 		}
 		total := 0
+		var checks, breaches int64
 		for _, pt := range pts {
 			if pt.Completed != pt.Submitted {
 				t.Fatalf("workers=%d n=%d: drained %d of %d", workers, pt.ComputeNodes, pt.Completed, pt.Submitted)
 			}
 			total += pt.Completed
+			checks += pt.Obs.Checks
+			breaches += pt.Obs.Breaches
 		}
-		if rec.Checks() == 0 {
-			t.Fatalf("workers=%d: the recorder on Params never ran an invariant check", workers)
+		if checks == 0 {
+			t.Fatalf("workers=%d: the recorders never ran an invariant check", workers)
 		}
-		if br := rec.Breaches(); br != 0 {
-			t.Fatalf("workers=%d: %d audit breaches", workers, br)
+		if breaches != 0 {
+			t.Fatalf("workers=%d: %d audit breaches", workers, breaches)
 		}
 		b, err := json.Marshal(pts)
 		if err != nil {

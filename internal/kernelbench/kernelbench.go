@@ -90,7 +90,8 @@ func SleepPark(b *testing.B) {
 }
 
 // HistogramRecord measures one streaming-histogram observation: the
-// log-scale bucket index plus four atomic updates. The telemetry
+// log-scale bucket index plus plain updates of the bucket count, count,
+// sum and bounds (the slot is the lock: no mutex). The telemetry
 // zero-alloc gate (internal/telemetry's TestRecordZeroAlloc) pins this
 // path at 0 allocs/op.
 func HistogramRecord(b *testing.B) {
@@ -229,7 +230,7 @@ func AuditRecordDisabled(b *testing.B) {
 }
 
 // AuditRecordEnabled measures the recorder-enabled hot path: one
-// in-place ring-slot write under the recorder mutex, no per-event
+// in-place ring-slot write (the slot is the lock: no mutex), no per-event
 // allocation (the concrete-typed signature keeps payloads out of
 // interface boxes).
 func AuditRecordEnabled(b *testing.B) {

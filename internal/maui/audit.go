@@ -29,7 +29,6 @@ import (
 // of the mirror at each digest round.
 func (sc *Scheduler) registerAudit() {
 	sc.aud = sc.net.Sim().Audit()
-	sc.auditTally = sc.aud.Tally()
 	sc.aud.RegisterDigest("maui", "maui.sched", sc.digestSched)
 }
 
@@ -41,7 +40,6 @@ func (sc *Scheduler) auditSnapshot(info *pbs.SchedInfoResp) {
 		for i := range info.Nodes {
 			sc.auditNodeLocked(&sc.view.Nodes[info.Nodes[i].Index])
 		}
-		sc.auditTally.Flush()
 		if sc.auditAfterCycle != nil {
 			sc.auditAfterCycle()
 		}
@@ -52,15 +50,14 @@ func (sc *Scheduler) auditSnapshot(info *pbs.SchedInfoResp) {
 // auditNodeLocked checks one mirrored node for internal coherence and
 // against the mirror's running jobs.
 func (sc *Scheduler) auditNodeLocked(n *pbs.NodeInfo) {
-	a := &sc.auditTally
 	capOK := n.FreeCores() >= 0 && n.UsedCores >= 0
 	if n.Type == pbs.AcceleratorNode {
 		capOK = capOK && len(n.Jobs) <= 1
 	}
-	a.Check("maui", "view.capacity", n.Name, capOK, int64(n.UsedCores), int64(n.Cores))
+	sc.aud.Check("maui", "view.capacity", n.Name, capOK, int64(n.UsedCores), int64(n.Cores))
 	for _, id := range n.Jobs {
 		j := sc.view.Job(id)
-		a.Check("maui", "view.agreement", n.Name, j != nil && j.Phase == pbs.PhaseRunning, int64(len(n.Jobs)), 0)
+		sc.aud.Check("maui", "view.agreement", n.Name, j != nil && j.Phase == pbs.PhaseRunning, int64(len(n.Jobs)), 0)
 	}
 }
 
@@ -71,7 +68,6 @@ func (sc *Scheduler) digestSched(d *audit.Digest) {
 	for i := range sc.view.Nodes {
 		sc.auditNodeLocked(&sc.view.Nodes[i])
 	}
-	sc.auditTally.Flush()
 	d.WriteInt(sc.stats.Cycles)
 	d.WriteInt(sc.stats.JobsPlaced)
 	d.WriteInt(sc.stats.DynGranted)

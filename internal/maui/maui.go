@@ -114,11 +114,10 @@ type Scheduler struct {
 	server netsim.Addr
 	params Params
 	inst   schedInstruments
-	// aud is the flight recorder (nil when auditing is off), auditTally
-	// counts a pass's checks, and auditAfterCycle is a test hook run
-	// after each cycle's checks. See audit.go.
+	// aud is the flight recorder (nil when auditing is off), and
+	// auditAfterCycle is a test hook run after each cycle's checks. See
+	// audit.go.
 	aud             *audit.Recorder
-	auditTally      audit.Tally
 	auditAfterCycle func()
 
 	// usage is the fairshare ledger, decayed node-seconds by owner:

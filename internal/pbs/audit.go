@@ -74,7 +74,6 @@ const (
 // installs the recorder on the simulation before daemons are built).
 func (s *Server) registerAudit() {
 	s.aud = s.net.Sim().Audit()
-	s.books.tally = s.aud.Tally()
 	s.aud.RegisterDigest("pbs", "pbs.jobs", s.digestJobs)
 	s.aud.RegisterDigest("pbs", "pbs.nodes", s.digestNodes)
 }
@@ -101,7 +100,6 @@ type auditBooks struct {
 	acTotal int64
 	// seqSeen is the highest job sequence a boundary has looked at.
 	seqSeen int
-	tally   audit.Tally // a pass's evaluations, flushed once a pass
 	// afterCycle, when set, runs after each boundary's
 	// checks (test hook: the verdict-equivalence test sweeps there).
 	afterCycle func()
@@ -132,7 +130,6 @@ func (s *Server) digestJobs(d *audit.Digest) {
 		sum += h.Sum()
 	}
 	s.auditGlobalLocked(claimed)
-	s.books.tally.Flush()
 	d.WriteInt(int64(len(log)))
 	d.WriteUint(sum)
 }
@@ -172,8 +169,7 @@ func (s *Server) digestNodes(d *audit.Digest) {
 			drifted++
 		}
 	}
-	s.books.tally.Check("pbs", "conservation.acc", "global", drifted == 0, drifted, s.books.acTotal)
-	s.books.tally.Flush()
+	s.aud.Check("pbs", "conservation.acc", "global", drifted == 0, drifted, s.books.acTotal)
 }
 
 // auditCycleLocked is the invariant engine's per-cycle pass. It runs
@@ -198,7 +194,7 @@ func (s *Server) auditCycleLocked() {
 		if !e.j.live() {
 			continue
 		}
-		s.books.tally.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
+		s.aud.Check("pbs", "jobs.index", e.j.info.ID, e.j.seq == e.seq && e.seq > prev, int64(e.seq), int64(prev))
 		prev = e.seq
 		claimed += s.auditJobLocked(e.j)
 	}
@@ -216,7 +212,6 @@ func (s *Server) auditCycleLocked() {
 	}
 	s.books.seqSeen = s.nextJob
 	s.auditGlobalLocked(claimed)
-	s.books.tally.Flush()
 	if s.books.afterCycle != nil {
 		s.books.afterCycle()
 	}
@@ -236,7 +231,6 @@ func (s *Server) auditTouchedLocked() {
 // and that every owner is a live job — and files an accelerator under
 // its current conservation class. It reports whether the class moved.
 func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
-	a := &s.books.tally
 	name := n.info.Name
 	used := 0
 	mirrored := len(n.info.Jobs) == len(n.used)
@@ -249,16 +243,16 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 		// Reverse direction of view.job-hosts: the owner is a job the
 		// index knows in a non-terminal state.
 		j := s.index.find(id)
-		a.Check("pbs", "view.job-hosts", name, j != nil && j.live(), int64(jobSeq(id)), 1)
+		s.aud.Check("pbs", "view.job-hosts", name, j != nil && j.live(), int64(jobSeq(id)), 1)
 	}
-	a.Check("pbs", "view.node-jobs", name, mirrored, int64(len(n.info.Jobs)), int64(len(n.used)))
+	s.aud.Check("pbs", "view.node-jobs", name, mirrored, int64(len(n.info.Jobs)), int64(len(n.used)))
 	switch n.info.Type {
 	case ComputeNode:
-		a.Check("pbs", "conservation.cores", name,
+		s.aud.Check("pbs", "conservation.cores", name,
 			used == n.info.UsedCores && n.info.UsedCores <= n.info.Cores,
 			int64(used), int64(n.info.UsedCores))
 	case AcceleratorNode:
-		a.Check("pbs", "double-alloc", name, len(n.used) <= 1, int64(len(n.used)), 0)
+		s.aud.Check("pbs", "double-alloc", name, len(n.used) <= 1, int64(len(n.used)), 0)
 		class := acFree
 		switch {
 		case len(n.used) > 0:
@@ -288,7 +282,7 @@ func (s *Server) auditNodeLocked(n *serverNode) (moved bool) {
 // holds, the job side of conservation.acc.
 func (s *Server) auditJobLocked(j *serverJob) (claimed int64) {
 	e := s.index.entry(j.seq)
-	s.books.tally.Check("pbs", "jobs.index", j.info.ID, e != nil && e.j == j && e.id == j.info.ID, int64(j.seq), 0)
+	s.aud.Check("pbs", "jobs.index", j.info.ID, e != nil && e.j == j && e.id == j.info.ID, int64(j.seq), 0)
 	if !j.live() {
 		return 0
 	}
@@ -324,7 +318,7 @@ func (s *Server) auditClaimsLocked(j *serverJob, next *int, hosts []string) (cla
 		}
 		held := c > 0
 		if j.info.State == JobRunning {
-			s.books.tally.Check("pbs", "view.job-hosts", h, held, int64(j.seq), 0)
+			s.aud.Check("pbs", "view.job-hosts", h, held, int64(j.seq), 0)
 		}
 		if held && n.info.Type == AcceleratorNode {
 			claimed++
@@ -340,13 +334,13 @@ func (s *Server) auditClaimsLocked(j *serverJob, next *int, hosts []string) (cla
 func (s *Server) auditGlobalLocked(claimed int64) {
 	b := &s.books
 	allocated, free := b.acs[acAllocated], b.acs[acFree]
-	b.tally.Check("pbs", "conservation.acc", "global",
+	s.aud.Check("pbs", "conservation.acc", "global",
 		allocated+free+b.acs[acDownFree] == b.acTotal && claimed == allocated,
 		allocated+free, b.acTotal)
 	// Retention takes records out of the log but leaves their entries
 	// until it compacts; the two counts kept beside the log must add up
 	// to its length.
 	ix := &s.index
-	b.tally.Check("pbs", "jobs.count", "global", ix.records+ix.retired == len(ix.log),
+	s.aud.Check("pbs", "jobs.count", "global", ix.records+ix.retired == len(ix.log),
 		int64(ix.records+ix.retired), int64(len(ix.log)))
 }

@@ -33,6 +33,7 @@ func ftTestbedSharded(t *testing.T, s *sim.Simulation, nCN, nAC, shards int) *te
 	t.Helper()
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})
 	tb := &testbed{s: s, net: net, moms: make(map[string]*pbs.Mom)}
+	s.SetDeadline(horizon)
 	tb.server = pbs.NewServer(net, pbs.ServerParams{
 		Processing: time.Millisecond,
 		DeadAfter:  200 * time.Millisecond,

@@ -45,6 +45,7 @@ func newTestbedWith(t *testing.T, s *sim.Simulation, nCN, nAC int, sp pbs.Server
 	t.Helper()
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})
 	tb := &testbed{s: s, net: net, moms: make(map[string]*pbs.Mom)}
+	s.SetDeadline(horizon)
 	tb.server = pbs.NewServer(net, sp)
 	mp := maui.DefaultParams()
 	mp.CycleInterval = 50 * time.Millisecond
@@ -74,6 +75,12 @@ func newTestbedWith(t *testing.T, s *sim.Simulation, nCN, nAC int, sp pbs.Server
 	}
 	return tb
 }
+
+// horizon caps the virtual time of a test's run: a lost message or a
+// wait that never returns fails the test with ErrDeadline and the
+// parked actors, instead of idling under Maui's cycle timer until the
+// test binary times out. No test here runs for an hour of virtual time.
+const horizon = time.Hour
 
 func cnName(i int) string { return "cn" + string(rune('0'+i)) }
 func acName(i int) string { return "ac" + string(rune('0'+i)) }

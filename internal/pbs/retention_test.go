@@ -10,6 +10,14 @@ import (
 	"repro/internal/pbs"
 )
 
+// runCapped is cluster.Run under the tests' virtual horizon.
+func runCapped(p cluster.Params, body func(c *cluster.Cluster, client *pbs.Client)) error {
+	return cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+		c.Sim.SetDeadline(horizon)
+		body(c, client)
+	})
+}
+
 // runRetention drives a small cluster through n short jobs with the
 // given retention window and returns the final record stats plus the
 // completed-state check result.
@@ -22,7 +30,7 @@ func runRetention(t *testing.T, n, retain int, aud *audit.Recorder) pbs.JobRecor
 	p.Server.AcctRing = 64
 	p.Audit = aud
 	var stats pbs.JobRecordStats
-	err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+	err := runCapped(p, func(c *cluster.Cluster, client *pbs.Client) {
 		// Submit serially (wait for each job) so terminal records
 		// accumulate and purge while the stream is still running —
 		// the steady-state shape of an online service.
@@ -99,7 +107,7 @@ func TestRetentionPreservesSchedule(t *testing.T) {
 		p.Accelerators = 2
 		p.Server.RetainCompleted = retain
 		var done []time.Duration
-		err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+		err := runCapped(p, func(c *cluster.Cluster, client *pbs.Client) {
 			ids := make([]string, 0, 80)
 			for i := 0; i < 80; i++ {
 				id, err := client.Submit(pbs.JobSpec{
@@ -148,7 +156,7 @@ func TestRetentionPurgedJobUnknown(t *testing.T) {
 	p.ComputeNodes = 1
 	p.Accelerators = 1
 	p.Server.RetainCompleted = 4
-	err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+	err := runCapped(p, func(c *cluster.Cluster, client *pbs.Client) {
 		var first string
 		for i := 0; i < 40; i++ {
 			id, err := client.Submit(pbs.JobSpec{
@@ -186,7 +194,7 @@ func TestAcctRingBounds(t *testing.T) {
 	p.Accelerators = 1
 	p.Server.RetainCompleted = 8
 	p.Server.AcctRing = 32
-	err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+	err := runCapped(p, func(c *cluster.Cluster, client *pbs.Client) {
 		for i := 0; i < 100; i++ {
 			id, err := client.Submit(pbs.JobSpec{
 				Name: fmt.Sprintf("j%d", i), Owner: "u", Nodes: 1, PPN: 1,
@@ -236,7 +244,7 @@ func retentionRounds(t *testing.T) (sums, rehashed []int64) {
 	p.Server.RetainCompleted = 16
 	p.Server.AcctRing = 64
 	p.Audit = rec
-	err := cluster.Run(p, func(c *cluster.Cluster, client *pbs.Client) {
+	err := runCapped(p, func(c *cluster.Cluster, client *pbs.Client) {
 		// Sorted after pbs.jobs: each round runs it right after.
 		rec.RegisterDigest("test", "pbs.jobs.rehash", c.Server.RehashJobsForTest)
 		audit.NewTicker(rec, c.Sim, time.Second).Start()

@@ -19,6 +19,7 @@ func newShardedTestbed(t *testing.T, nCN, nAC, shards int, dynJoin time.Duration
 	s := sim.New()
 	net := netsim.New(s, netsim.LinkParams{Latency: 200 * time.Microsecond})
 	tb := &testbed{s: s, net: net, moms: make(map[string]*pbs.Mom)}
+	s.SetDeadline(horizon)
 	tb.server = pbs.NewServer(net, pbs.ServerParams{Processing: time.Millisecond, Shards: shards})
 	mp := maui.DefaultParams()
 	mp.CycleInterval = 50 * time.Millisecond

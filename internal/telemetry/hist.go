@@ -32,7 +32,6 @@ package telemetry
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"time"
 )
 
@@ -82,9 +81,9 @@ func bucketHigh(i int) int64 {
 // ≤ 3.125%); Count, Sum, Min, and Max are exact.
 //
 // A nil *Histogram is a no-op sink: Record does nothing and every
-// accessor returns zero. All methods are safe for concurrent use.
+// accessor returns zero. Like every instrument, a histogram belongs to
+// one simulation and takes no lock (the slot is the lock).
 type Histogram struct {
-	mu     sync.Mutex
 	counts [numBuckets]int64
 	count  int64
 	sum    int64 // nanoseconds; exact
@@ -106,7 +105,6 @@ func (h *Histogram) Record(d time.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	h.mu.Lock()
 	h.counts[bucketIndex(v)]++
 	h.count++
 	h.sum += v
@@ -116,7 +114,6 @@ func (h *Histogram) Record(d time.Duration) {
 	if v > h.max {
 		h.max = v
 	}
-	h.mu.Unlock()
 }
 
 // Count reports the number of recorded observations.
@@ -124,8 +121,6 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.count
 }
 
@@ -134,19 +129,12 @@ func (h *Histogram) Sum() time.Duration {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return time.Duration(h.sum)
 }
 
 // Mean reports the exact mean observation (zero when empty).
 func (h *Histogram) Mean() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
 	return time.Duration(h.sum / h.count)
@@ -154,12 +142,7 @@ func (h *Histogram) Mean() time.Duration {
 
 // Min reports the exact smallest observation (zero when empty).
 func (h *Histogram) Min() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
 	return time.Duration(h.min)
@@ -170,8 +153,6 @@ func (h *Histogram) Max() time.Duration {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return time.Duration(h.max)
 }
 
@@ -181,16 +162,7 @@ func (h *Histogram) Max() time.Duration {
 // bucket width (≤ 3.125% relative) of the true order statistic. It
 // returns zero when empty; out-of-range q clamps.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return quantileLocked(&h.counts, h.count, q)
-}
-
-func quantileLocked(counts *[numBuckets]int64, count int64, q float64) time.Duration {
-	if count == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
 	if math.IsNaN(q) || q < 0 {
@@ -199,16 +171,16 @@ func quantileLocked(counts *[numBuckets]int64, count int64, q float64) time.Dura
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(math.Ceil(q * float64(count)))
+	rank := int64(math.Ceil(q * float64(h.count)))
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > count {
-		rank = count
+	if rank > h.count {
+		rank = h.count
 	}
 	var cum int64
-	for i := range counts {
-		cum += counts[i]
+	for i := range h.counts {
+		cum += h.counts[i]
 		if cum >= rank {
 			return time.Duration(bucketHigh(i))
 		}
@@ -220,46 +192,20 @@ func quantileLocked(counts *[numBuckets]int64, count int64, q float64) time.Dura
 // Merge is associative and commutative: any merge order over any
 // partition of a stream yields byte-identical bucket counts, which is
 // what lets per-trial histograms combine into figure-level ones
-// without ordering the trials.
+// without ordering the trials. h.Merge(h) doubles h.
 func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
+	if h == nil || o == nil || o.count == 0 {
 		return
 	}
-	// Lock ordering: snapshot o first, then add under h.mu, so Merge
-	// never holds two histogram locks at once.
-	snap := o.Clone()
-	if snap.count == 0 {
-		return
+	for i := range h.counts {
+		h.counts[i] += o.counts[i]
 	}
-	h.mu.Lock()
-	for i, c := range snap.counts {
-		h.counts[i] += c
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
 	}
-	if h.count == 0 || snap.min < h.min {
-		h.min = snap.min
-	}
-	if snap.max > h.max {
-		h.max = snap.max
-	}
-	h.count += snap.count
-	h.sum += snap.sum
-	h.mu.Unlock()
-}
-
-// Clone returns an independent copy.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{}
-	if h == nil {
-		return c
-	}
-	h.mu.Lock()
-	c.counts = h.counts
-	c.count = h.count
-	c.sum = h.sum
-	c.min = h.min
-	c.max = h.max
-	h.mu.Unlock()
-	return c
+	h.max = max(h.max, o.max)
+	h.count += o.count
+	h.sum += o.sum
 }
 
 // Reset empties the histogram, keeping its storage.
@@ -267,22 +213,7 @@ func (h *Histogram) Reset() {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	h.counts = [numBuckets]int64{}
-	h.count = 0
-	h.sum = 0
-	h.min = 0
-	h.max = 0
-	h.mu.Unlock()
-}
-
-// Equal reports whether two histograms hold identical state — the
-// bucket counts and exact aggregates all match. Used by the merge
-// property tests; nil equals nil and the empty histogram.
-func (h *Histogram) Equal(o *Histogram) bool {
-	a, b := h.Clone(), o.Clone()
-	return a.counts == b.counts && a.count == b.count && a.sum == b.sum &&
-		a.min == b.min && a.max == b.max
+	*h = Histogram{}
 }
 
 // windowInto writes the delta h−prev into out (bucket-wise count
@@ -294,7 +225,6 @@ func (h *Histogram) windowInto(prev, out *Histogram) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
 	out.count = h.count - prev.count
 	out.sum = h.sum - prev.sum
 	out.min, out.max = 0, 0
@@ -310,10 +240,5 @@ func (h *Histogram) windowInto(prev, out *Histogram) {
 			out.max = bucketHigh(i)
 		}
 	}
-	prev.counts = h.counts
-	prev.count = h.count
-	prev.sum = h.sum
-	prev.min = h.min
-	prev.max = h.max
-	h.mu.Unlock()
+	*prev = *h
 }

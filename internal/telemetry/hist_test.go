@@ -104,7 +104,7 @@ func TestQuantileDeterministic(t *testing.T) {
 			t.Fatalf("Quantile(%v) not deterministic: %v vs %v", q, a.Quantile(q), b.Quantile(q))
 		}
 	}
-	if !a.Equal(b) {
+	if !same(a, b) {
 		t.Fatal("identical record streams produced unequal histograms")
 	}
 }
@@ -124,22 +124,22 @@ func TestMergeProperties(t *testing.T) {
 	a, b, c := mk(400), mk(177), mk(903)
 
 	// Commutative: a+b == b+a.
-	ab := a.Clone()
+	ab := *a
 	ab.Merge(b)
-	ba := b.Clone()
+	ba := *b
 	ba.Merge(a)
-	if !ab.Equal(ba) {
+	if ab != ba {
 		t.Fatal("merge is not commutative")
 	}
 
 	// Associative: (a+b)+c == a+(b+c).
-	abc1 := ab.Clone()
+	abc1 := ab
 	abc1.Merge(c)
-	bc := b.Clone()
+	bc := *b
 	bc.Merge(c)
-	abc2 := a.Clone()
-	abc2.Merge(bc)
-	if !abc1.Equal(abc2) {
+	abc2 := *a
+	abc2.Merge(&bc)
+	if abc1 != abc2 {
 		t.Fatal("merge is not associative")
 	}
 
@@ -150,16 +150,35 @@ func TestMergeProperties(t *testing.T) {
 	for i := 0; i < 400+177+903; i++ {
 		all.Record(time.Duration(rng2.Int63n(int64(time.Minute))))
 	}
-	if !abc1.Equal(all) {
+	if abc1 != *all {
 		t.Fatal("merged partitions differ from the union stream")
 	}
 
 	// Identity: merging an empty histogram changes nothing.
-	id := a.Clone()
+	id := *a
 	id.Merge(NewHistogram())
 	id.Merge(nil)
-	if !id.Equal(a) {
+	if id != *a {
 		t.Fatal("empty/nil merge is not the identity")
+	}
+	into := NewHistogram()
+	into.Merge(a)
+	if *into != *a {
+		t.Fatal("merging into an empty histogram is not a copy")
+	}
+
+	// Aliasing: h.Merge(h) doubles every count, the sum and the count,
+	// and leaves min and max as they were.
+	aa := *a
+	aa.Merge(&aa)
+	for i := range a.counts {
+		if aa.counts[i] != 2*a.counts[i] {
+			t.Fatalf("bucket %d after h.Merge(h): %d, want %d", i, aa.counts[i], 2*a.counts[i])
+		}
+	}
+	if aa.Count() != 2*a.Count() || aa.Sum() != 2*a.Sum() || aa.Min() != a.Min() || aa.Max() != a.Max() {
+		t.Fatalf("h.Merge(h): count %d sum %v min %v max %v, want %d %v %v %v",
+			aa.Count(), aa.Sum(), aa.Min(), aa.Max(), 2*a.Count(), 2*a.Sum(), a.Min(), a.Max())
 	}
 }
 
@@ -170,14 +189,27 @@ func TestHistogramNilAndReset(t *testing.T) {
 		t.Fatal("nil histogram accessors must return zero")
 	}
 	h.Merge(NewHistogram())
-	if !h.Equal(NewHistogram()) {
+	if !same(h, NewHistogram()) {
 		t.Fatal("nil must equal empty")
 	}
 
 	r := NewHistogram()
 	r.Record(time.Millisecond)
 	r.Reset()
-	if !r.Equal(NewHistogram()) {
+	if !same(r, NewHistogram()) {
 		t.Fatal("Reset must restore the empty state")
 	}
+}
+
+// same reports whether two histograms hold identical state; nil equals
+// the empty histogram.
+func same(a, b *Histogram) bool {
+	var empty Histogram
+	if a == nil {
+		a = &empty
+	}
+	if b == nil {
+		b = &empty
+	}
+	return *a == *b
 }

@@ -1,10 +1,7 @@
 package telemetry
 
 import (
-	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,7 +19,7 @@ const (
 // Counter is a monotonically increasing integer instrument (request
 // counts, dispatched events, bytes moved). A nil *Counter is a no-op.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increases the counter by n (negative n is ignored: counters are
@@ -31,7 +28,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil || n < 0 {
 		return
 	}
-	c.v.Add(n)
+	c.v += n
 }
 
 // Inc adds one.
@@ -42,13 +39,13 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Gauge is a point-in-time float instrument (queue depth, in-flight
 // bytes). A nil *Gauge is a no-op.
 type Gauge struct {
-	bits atomic.Uint64 // float64 bits
+	v float64
 }
 
 // Set replaces the gauge value.
@@ -56,7 +53,7 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.bits.Store(math.Float64bits(v))
+	g.v = v
 }
 
 // Add shifts the gauge by delta (use ±1 for in-flight tracking).
@@ -64,13 +61,7 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if g.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
-	}
+	g.v += delta
 }
 
 // Value reports the current gauge value.
@@ -78,7 +69,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.bits.Load())
+	return g.v
 }
 
 // Occupancy accumulates busy time for a resource (a scheduler, a
@@ -89,7 +80,7 @@ func (g *Gauge) Value() float64 {
 // exceed 1 when a long interval lands in it; cumulative ratios are
 // exact. A nil *Occupancy is a no-op.
 type Occupancy struct {
-	busy atomic.Int64 // nanoseconds
+	busy time.Duration
 }
 
 // OnFor records that the resource was busy for d (negative d is
@@ -98,7 +89,7 @@ func (o *Occupancy) OnFor(d time.Duration) {
 	if o == nil || d <= 0 {
 		return
 	}
-	o.busy.Add(int64(d))
+	o.busy += d
 }
 
 // Busy reports the accumulated busy time.
@@ -106,7 +97,7 @@ func (o *Occupancy) Busy() time.Duration {
 	if o == nil {
 		return 0
 	}
-	return time.Duration(o.busy.Load())
+	return o.busy
 }
 
 // Ratio reports busy time as a fraction of elapsed (zero when elapsed
@@ -120,15 +111,15 @@ func (o *Occupancy) Ratio(elapsed time.Duration) float64 {
 
 // Registry is a named set of instruments. Each accessor returns the
 // existing instrument of that name or creates it; instrument handles
-// are resolved once at component construction and then used lock-free
-// on the hot path. Names are compile-time constants, so cardinality
-// stays bounded and scrape output stays diffable across runs.
+// are resolved once at component construction and then used on the hot
+// path. Names are compile-time constants, so cardinality stays bounded
+// and scrape output stays diffable across runs. Like the tracer, a
+// registry records one simulation and takes no lock.
 //
 // A nil *Registry hands out nil instruments, whose methods are all
 // no-ops — components instrument unconditionally, exactly like the
 // nil-tracer pattern.
 type Registry struct {
-	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
@@ -150,8 +141,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -165,8 +154,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -180,8 +167,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := r.histograms[name]
 	if h == nil {
 		h = NewHistogram()
@@ -196,8 +181,6 @@ func (r *Registry) Occupancy(name string) *Occupancy {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	o := r.occupancy[name]
 	if o == nil {
 		o = &Occupancy{}
@@ -222,7 +205,6 @@ func (r *Registry) instruments() []instrumentRef {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	refs := make([]instrumentRef, 0,
 		len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.occupancy))
 	for name, c := range r.counters {
@@ -237,7 +219,6 @@ func (r *Registry) instruments() []instrumentRef {
 	for name, o := range r.occupancy {
 		refs = append(refs, instrumentRef{name: name, kind: KindOccupancy, occ: o})
 	}
-	r.mu.Unlock()
 	sort.Slice(refs, func(i, j int) bool {
 		if refs[i].name != refs[j].name {
 			return refs[i].name < refs[j].name

@@ -201,11 +201,8 @@ func (s *Scraper) scrapeWindow() {
 			row.Total = float64(ps.hist.count) // cumulative after snapshot
 			row.Delta = float64(d.count)
 			if d.count > 0 {
-				row.P50 = quantileLocked(&d.counts, d.count, 0.50)
-				row.P99 = quantileLocked(&d.counts, d.count, 0.99)
-				row.P999 = quantileLocked(&d.counts, d.count, 0.999)
-				row.Mean = time.Duration(d.sum / d.count)
-				row.Max = time.Duration(d.max)
+				row.P50, row.P99, row.P999 = d.Quantile(0.50), d.Quantile(0.99), d.Quantile(0.999)
+				row.Mean, row.Max = d.Mean(), d.Max()
 			}
 		}
 		w.Rows = append(w.Rows, row)

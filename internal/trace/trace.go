@@ -27,15 +27,13 @@
 //
 // # Concurrency
 //
-// A Tracer is safe for concurrent use by any number of simulation
-// actors; it follows the sim kernel's discipline (no tracer method
-// parks, so it may be called while holding component locks).
+// A Tracer records one simulation, and the slot is its lock: the sim
+// kernel runs one actor or callback at a time, so the tracer takes no
+// mutex. Read it from inside the run or after it. Drivers that run
+// simulations in parallel give each its own tracer (cluster.Observers).
 package trace
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // EventKind discriminates log events.
 type EventKind uint8
@@ -75,7 +73,6 @@ type Event struct {
 // Tracer records events. Create with New; a nil Tracer is the
 // disabled, allocation-free no-op.
 type Tracer struct {
-	mu     sync.Mutex
 	clock  func() time.Duration // zeroClock while unbound
 	nextID uint64
 	// The event log grows by fixed-size chunks: an append never copies
@@ -109,9 +106,7 @@ func (t *Tracer) SetClock(clock func() time.Duration) {
 	if clock == nil {
 		clock = zeroClock
 	}
-	t.mu.Lock()
 	t.clock = clock
-	t.mu.Unlock()
 }
 
 // Span is an open interval created by Start or Child. End it exactly
@@ -142,11 +137,9 @@ func (s *Span) Child(name string, kvs ...string) *Span {
 
 // open cuts a span opened now from the current chunk.
 func (t *Tracer) open(track, name string, parent uint64, kvs []string) *Span {
-	t.mu.Lock()
 	t.nextID++
 	sp := &cut(&t.spans, 1, chunkSpans)[0]
-	*sp = Span{t: t, ev: Event{Kind: KindSpan, Track: track, Name: name, Start: t.clock(), ID: t.nextID, Parent: parent, Args: t.pairsLocked(kvs)}}
-	t.mu.Unlock()
+	*sp = Span{t: t, ev: Event{Kind: KindSpan, Track: track, Name: name, Start: t.clock(), ID: t.nextID, Parent: parent, Args: t.pairs(kvs)}}
 	return sp
 }
 
@@ -155,10 +148,7 @@ func (s *Span) Annotate(key, value string) {
 	if s == nil {
 		return
 	}
-	t := s.t
-	t.mu.Lock()
-	args := cut(&t.kvs, len(s.ev.Args)+1, chunkCuts)
-	t.mu.Unlock()
+	args := cut(&s.t.kvs, len(s.ev.Args)+1, chunkCuts)
 	args[copy(args, s.ev.Args)] = KV{key, value}
 	s.ev.Args = args
 }
@@ -172,10 +162,7 @@ func (s *Span) Link(id uint64) {
 		return
 	}
 	if s.ev.Links == nil {
-		t := s.t
-		t.mu.Lock()
-		s.ev.Links = t.linkLocked(id)
-		t.mu.Unlock()
+		s.ev.Links = s.t.link(id)
 		return
 	}
 	s.ev.Links = append(s.ev.Links, id)
@@ -196,11 +183,8 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	t := s.t
-	t.mu.Lock()
-	s.ev.Dur = t.clock() - s.ev.Start
-	t.publishLocked(s.ev)
-	t.mu.Unlock()
+	s.ev.Dur = s.t.clock() - s.ev.Start
+	s.t.publish(s.ev)
 }
 
 // AsyncSpanLinkAt records an already-measured interval, for layers that
@@ -213,14 +197,12 @@ func (t *Tracer) AsyncSpanLinkAt(track, name string, cause uint64, start, dur ti
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.nextID++
-	ev := Event{Kind: KindSpan, Track: track, Name: name, Start: start, Dur: dur, ID: t.nextID, Async: true, Args: t.pairsLocked(kvs)}
+	ev := Event{Kind: KindSpan, Track: track, Name: name, Start: start, Dur: dur, ID: t.nextID, Async: true, Args: t.pairs(kvs)}
 	if cause != 0 {
-		ev.Links = t.linkLocked(cause)
+		ev.Links = t.link(cause)
 	}
-	t.publishLocked(ev)
-	t.mu.Unlock()
+	t.publish(ev)
 }
 
 // InstantAt publishes a point event at an explicit virtual timestamp
@@ -230,15 +212,12 @@ func (t *Tracer) InstantAt(track, name string, at time.Duration, kvs ...string) 
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	ev := Event{Kind: KindInstant, Track: track, Name: name, Start: at, Args: t.pairsLocked(kvs)}
-	t.publishLocked(ev)
-	t.mu.Unlock()
+	t.publish(Event{Kind: KindInstant, Track: track, Name: name, Start: at, Args: t.pairs(kvs)})
 }
 
-// publishLocked appends to the event log, discarding once the
-// configured limit is reached. Callers hold t.mu.
-func (t *Tracer) publishLocked(ev Event) {
+// publish appends to the event log, discarding once the configured
+// limit is reached.
+func (t *Tracer) publish(ev Event) {
 	if t.limit > 0 && t.count >= t.limit {
 		t.dropped++
 		if t.dropSink != nil {
@@ -281,13 +260,11 @@ func (t *Tracer) SetDropSink(s DropSink) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.dropSink = s
 	if s != nil && t.dropped > t.dropsToSink {
 		s.Add(t.dropped - t.dropsToSink)
 		t.dropsToSink = t.dropped
 	}
-	t.mu.Unlock()
 }
 
 // SetLimit caps the retained event log at n events; once full, later
@@ -298,12 +275,7 @@ func (t *Tracer) SetLimit(n int) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if n < 0 {
-		n = 0
-	}
-	t.limit = n
-	t.mu.Unlock()
+	t.limit = max(n, 0)
 }
 
 // Dropped reports how many events the limit discarded.
@@ -311,8 +283,6 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.dropped
 }
 
@@ -321,8 +291,6 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.count == 0 {
 		return nil
 	}
@@ -333,10 +301,9 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// pairsLocked folds alternating key/value strings into annotations cut
-// from the current chunk; a trailing odd key gets an empty value.
-// Callers hold t.mu.
-func (t *Tracer) pairsLocked(kvs []string) []KV {
+// pairs folds alternating key/value strings into annotations cut from
+// the current chunk; a trailing odd key gets an empty value.
+func (t *Tracer) pairs(kvs []string) []KV {
 	if len(kvs) == 0 {
 		return nil
 	}
@@ -350,17 +317,15 @@ func (t *Tracer) pairsLocked(kvs []string) []KV {
 	return out
 }
 
-// linkLocked returns a one-link slice cut from the current chunk.
-// Callers hold t.mu.
-func (t *Tracer) linkLocked(id uint64) []uint64 {
+// link returns a one-link slice cut from the current chunk.
+func (t *Tracer) link(id uint64) []uint64 {
 	l := cut(&t.links, 1, chunkCuts)
 	l[0] = id
 	return l
 }
 
 // cut returns n zeroed elements cut from *chunk, capped at n, starting
-// a chunk of max(size, n) when the current one is short. Callers hold
-// the lock that guards *chunk.
+// a chunk of max(size, n) when the current one is short.
 func cut[T any](chunk *[]T, n, size int) []T {
 	if cap(*chunk)-len(*chunk) < n {
 		*chunk = make([]T, 0, max(size, n))

@@ -69,7 +69,9 @@ const (
 
 // NewTracer creates an enabled span tracer; install it via
 // Params.Tracer (a nil tracer disables tracing) and dump it with
-// WriteChrome (Perfetto / chrome://tracing).
+// WriteChrome (Perfetto / chrome://tracing). A tracer records one
+// simulation at a time: parallel drivers open one per run through
+// Observers, and run one at a time the runs that share one on Params.
 func NewTracer() *trace.Tracer { return trace.New() }
 
 // Observing a run: any combination of the span

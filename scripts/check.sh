@@ -64,7 +64,8 @@ go test -race -shuffle=on -count=1 $pkgs
 # at halt, and a stale deadline that never ends a later wait; and the
 # slot as the lock: the paper figures at -parallel 4 beside a service
 # run, where state two simulations share without a lock is a race
-# report.
+# report, the observers' included (tracer, registry and recorder take
+# no lock either).
 echo "==> go test -race -count=5 (one actor at a time: the kernel and driver properties)"
 go test -race -count=5 -run 'TestOneActorAtATimeRecordsTheSameUnderAnyHostSchedule|TestSleepStepsIsNSleeps|TestStopWhileAStationIsBusy|TestWalkWritesLandAtTheirStep|TestMergedOrderIsTheStableSortByPriority|TestNodeMirrorTracksServerThroughRandomOperations|TestMessageRecordsLiveOnOneListAtATime|TestCallbackPanicSurfacesFromRun|TestCallbackPanicStopsIdleWorkers|TestGoexitUnwindsRun|TestGateWaitReleasesItsLockBeforeDispatch|TestWorkersAreReusedAndExitAtHalt|TestStaleDeadlinesNeverEndALaterWait|TestSimulationsShareNothingUnguarded' \
     ./internal/sim ./internal/core ./internal/pbs ./internal/maui
