@@ -15,7 +15,7 @@
 //	dacsim -fig slo                       # live telemetry scrapes + SLO compliance
 //	dacsim -fig serve -scale-max 64 -serve-for 2m -capture serve   # online service soak; scrape series in serve-64.jsonl
 //	dacsim -fig serve -scale-max 32 -server sharded -process burst -burst-len 32   # bursty arrivals
-//	dacsim -fig scale -cpuprofile cpu.pb.gz   # host-side pprof of the simulator itself
+//	dacsim -fig serve -scale-max 256 -rate 64 -serve-for 2m   # one load point: a rate is for one cluster size
 package main
 
 import (
@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -40,7 +38,7 @@ func main() {
 // run is dacsim with its arguments and output streams: exit status 0
 // on success, 1 on a failed run, an invariant breach or a drain
 // shortfall, 2 on a usage error.
-func run(args []string, stdout, stderr io.Writer) (code int) {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dacsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fig := fs.String("fig", "all", "figure to regenerate: 7a, 7b, 8, 9, scale, breakdown, slo, serve, ablations, all")
@@ -54,14 +52,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	observe := fs.String("observe", "", "comma-separated observers, opened afresh for every simulation (each ladder point, each paper-figure trial; not with -fig ablations): trace (spans), telemetry (instrument scrapes; always on for -fig serve), audit (flight recorder, invariant checks and state digests; exits non-zero on any breach)")
 	captureOut := fs.String("capture", "", "write what the observers saw (JSONL, readable by dacobs) to PREFIX-<nodes>.jsonl per ladder point and PREFIX.jsonl for the paper figures' trials, in (figure, point, trial) order; with telemetry also PREFIX-<nodes>.prom per ladder point")
 	seed := fs.Uint64("seed", 0, "the params seed (workload, jitter, and the serve figure's arrivals); a ladder point adds its compute-node count. 0 reproduces the historical figures byte for byte, distinct seeds give dacobs audit -diff distinct recordings")
-	serveRate := fs.Float64("rate", 0, "with -fig serve: open-loop submission rate in jobs per virtual second (0 = compute nodes / 4)")
+	serveRate := fs.Float64("rate", 0, "with -fig serve: open-loop submission rate in jobs per virtual second, run at the -scale-max point alone (0 = compute nodes / 4 at every point)")
 	serveFor := fs.Duration("serve-for", 0, "with -fig serve: virtual admission window per point; the run then drains in-flight jobs (0 = 60s)")
 	process := fs.String("process", "poisson", "with -fig serve: arrival process: poisson, uniform, or burst")
 	burstLen := fs.Int("burst-len", 0, "with -process burst: jobs per burst (0 = 16)")
 	burstFactor := fs.Float64("burst-factor", 0, "with -process burst: in-burst rate multiplier (0 = 8)")
 	maxJobs := fs.Int("max-jobs", 0, "with -fig serve: admission cap in jobs per point (0 = 2x the expected count for the window)")
-	cpuProfile := fs.String("cpuprofile", "", "write a host-side CPU profile (runtime/pprof) of the whole run to this file")
-	memProfile := fs.String("memprofile", "", "write a host-side heap profile (runtime/pprof, after GC) to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,23 +79,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return exit(2, "-burst-len/-burst-factor require -process burst")
 	case *observe != "" && *fig == "ablations":
 		return exit(2, "-observe requires a figure other than ablations")
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return exit(1, "cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return exit(1, "cpuprofile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil && code == 0 {
-				code = exit(1, "cpuprofile: %v", err)
-			}
-		}()
 	}
 
 	repro.SetParallelism(*parallel)
@@ -232,8 +211,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return nil
 	}
 	runServe := func() error {
+		sizes := axis(repro.ServeSizes)
+		if *serveRate != 0 { // a rate is the load of one cluster size
+			sizes = []int{*scaleNodes}
+		}
 		start := time.Now()
-		pts, err := repro.Serve(params, axis(repro.ServeSizes), mode, repro.ArrivalConfig{
+		pts, err := repro.Serve(params, sizes, mode, repro.ArrivalConfig{
 			Process:     proc,
 			Rate:        *serveRate,
 			MaxJobs:     *maxJobs,
@@ -380,16 +363,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if drained != nil {
 		return exit(1, "%v", drained)
-	}
-	if *memProfile != "" {
-		runtime.GC() // report live heap, not transient garbage
-		f, err := os.Create(*memProfile)
-		if err == nil {
-			err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
-		}
-		if err != nil {
-			return exit(1, "memprofile: %v", err)
-		}
 	}
 	fmt.Fprintf(stderr, "dacsim: done in %v of wall time\n", time.Since(start).Round(time.Millisecond))
 	return 0

@@ -9,8 +9,8 @@ import (
 )
 
 // Every series dacsim writes under results/ (the files
-// scripts/reproduce.sh regenerates) and one small serve run must come
-// out of the command byte for byte.
+// scripts/reproduce.sh regenerates) and two small serve runs, the
+// ladder and one load point, must come out of the command byte for byte.
 func TestOutputsMatchCommittedFiles(t *testing.T) {
 	for _, c := range []struct {
 		file string
@@ -23,6 +23,7 @@ func TestOutputsMatchCommittedFiles(t *testing.T) {
 		{"../../results/fig8.csv", []string{"-fig", "8", "-trials", "10", "-csv"}},
 		{"../../results/fig9.csv", []string{"-fig", "9", "-trials", "10", "-csv"}},
 		{"testdata/serve.golden", []string{"-fig", "serve", "-scale-max", "8", "-serve-for", "5s"}},
+		{"testdata/serve-rate.golden", []string{"-fig", "serve", "-scale-max", "128", "-rate", "8", "-serve-for", "2s"}},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(c.args, &out, &errb); code != 0 {

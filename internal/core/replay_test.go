@@ -533,14 +533,8 @@ func serveDynamicMix(t *testing.T) []byte {
 			DynACs: 1, DynHold: 100 * time.Millisecond},
 	}})
 	r.check(err)
-	rep, err := service.Run(service.Config{
-		Cluster:         p,
-		Source:          src,
-		AdmitTick:       50 * time.Millisecond,
-		ScrapeInterval:  time.Second,
-		RetainCompleted: 32,
-		AcctRing:        64,
-	})
+	p.Server.RetainCompleted, p.Server.AcctRing = 32, 64
+	rep, err := service.Run(service.Config{Cluster: p, Source: src, ScrapeInterval: time.Second})
 	r.check(err)
 	if rep.Completed != 120 {
 		t.Errorf("completed %d of 120 jobs", rep.Completed)

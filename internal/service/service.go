@@ -29,9 +29,16 @@ import (
 	"repro/internal/workload"
 )
 
-// Defaults for Config fields left zero.
+// AdmitTick is the admission batching quantum: the pump wakes at tick
+// boundaries and submits everything due since the last one back to
+// back, amortizing the per-job wakeup the way the sharded server
+// batches RPCs.
+const AdmitTick = 50 * time.Millisecond
+
+// Defaults for the fields of Config and of its Cluster.Server left
+// zero: the scrape window, and the server's terminal-record window and
+// accounting log, which a resident instance must bound.
 const (
-	DefaultAdmitTick       = 50 * time.Millisecond
 	DefaultScrapeInterval  = 5 * time.Second
 	DefaultRetainCompleted = 4096
 	DefaultAcctRing        = 4096
@@ -52,17 +59,14 @@ const (
 type Config struct {
 	// Cluster is the machine shape and cost model. Telemetry, Tracer,
 	// and Audit pass through; when Telemetry is nil the instance
-	// installs a private registry (required for scraping).
+	// installs a private registry (required for scraping). A zero
+	// Server.RetainCompleted or Server.AcctRing is DefaultRetainCompleted
+	// or DefaultAcctRing.
 	Cluster cluster.Params
 	// Source feeds the admission pipeline (required). workload.Arrivals
 	// for synthetic open-loop streams, workload.TraceSource for
 	// replay-from-SWF.
 	Source workload.Source
-	// AdmitTick is the admission batching quantum: the pump wakes at
-	// tick boundaries and submits everything due since the last one
-	// back to back, amortizing the per-job wakeup the way the sharded
-	// server batches RPCs. 0 means DefaultAdmitTick.
-	AdmitTick time.Duration
 	// Horizon stops admission at this virtual time; 0 runs the source
 	// dry. Either way Run drains in-flight jobs before returning.
 	Horizon time.Duration
@@ -73,11 +77,6 @@ type Config struct {
 	// Objectives are evaluated over the scrape windows
 	// (DefaultObjectives when nil).
 	Objectives []telemetry.Objective
-	// RetainCompleted is the server's terminal-record window: 0 means
-	// DefaultRetainCompleted, negative retains everything (the batch
-	// behavior). AcctRing bounds the accounting log the same way.
-	RetainCompleted int
-	AcctRing        int
 	// Probe, when set, runs as its own actor once the instance is
 	// serving; use it to issue queries or extra submissions mid-run.
 	Probe func(*Instance)
@@ -144,7 +143,6 @@ type Instance struct {
 	scr   *telemetry.Scraper
 	pump  *pbs.Client // admission pipeline's connection
 	query *pbs.Client // Submit/JobStatus from probe actors
-	tick  time.Duration
 	drain *sim.Gate
 
 	recs      map[string]*jobRec
@@ -191,30 +189,19 @@ func New(s *sim.Simulation, cfg Config) (*Instance, error) {
 	if cfg.Source == nil {
 		return nil, errors.New("service: Config.Source is required")
 	}
-	if cfg.AdmitTick <= 0 {
-		cfg.AdmitTick = DefaultAdmitTick
-	}
 	if cfg.ScrapeInterval <= 0 {
 		cfg.ScrapeInterval = DefaultScrapeInterval
-	}
-	switch {
-	case cfg.RetainCompleted == 0:
-		cfg.RetainCompleted = DefaultRetainCompleted
-	case cfg.RetainCompleted < 0:
-		cfg.RetainCompleted = 0
-	}
-	switch {
-	case cfg.AcctRing == 0:
-		cfg.AcctRing = DefaultAcctRing
-	case cfg.AcctRing < 0:
-		cfg.AcctRing = 0
 	}
 	if cfg.Objectives == nil {
 		cfg.Objectives = DefaultObjectives()
 	}
 	tp := cfg.Cluster
-	tp.Server.RetainCompleted = cfg.RetainCompleted
-	tp.Server.AcctRing = cfg.AcctRing
+	if tp.Server.RetainCompleted == 0 {
+		tp.Server.RetainCompleted = DefaultRetainCompleted
+	}
+	if tp.Server.AcctRing == 0 {
+		tp.Server.AcctRing = DefaultAcctRing
+	}
 	reg := tp.Telemetry
 	if reg == nil {
 		reg = telemetry.New()
@@ -231,7 +218,6 @@ func New(s *sim.Simulation, cfg Config) (*Instance, error) {
 		scr:        scr,
 		pump:       c.Client("service/pump"),
 		query:      c.Client("service/query"),
-		tick:       cfg.AdmitTick,
 		drain:      s.NewGate("service/drain"),
 		recs:       make(map[string]*jobRec),
 		submits:    reg.Counter(metricSubmitted),
@@ -310,7 +296,7 @@ func (i *Instance) pumpLoop() {
 			break
 		}
 		// Tick boundary covering the next due arrival.
-		tickEnd := (e.At/i.tick + 1) * i.tick
+		tickEnd := (e.At/AdmitTick + 1) * AdmitTick
 		if wait := tickEnd - i.sim.Now(); wait > 0 {
 			i.sim.Sleep(wait)
 		}

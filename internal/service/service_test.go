@@ -38,20 +38,14 @@ func serveOnce(t *testing.T, jobs int, aud *audit.Recorder) service.Report {
 	t.Helper()
 	p := testParams(4)
 	p.Audit = aud
+	p.Server.RetainCompleted, p.Server.AcctRing = 32, 64
 	src, err := workload.NewArrivals(workload.ArrivalConfig{
 		Rate: 40, Seed: 7, MaxJobs: jobs, Classes: shortClasses(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := service.Run(service.Config{
-		Cluster:         p,
-		Source:          src,
-		AdmitTick:       50 * time.Millisecond,
-		ScrapeInterval:  time.Second,
-		RetainCompleted: 32,
-		AcctRing:        64,
-	})
+	rep, err := service.Run(service.Config{Cluster: p, Source: src, ScrapeInterval: time.Second})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -121,22 +121,26 @@ func TestSleepStepsParkZeroAlloc(t *testing.T) {
 
 func bumpCounter(a any) { *(a.(*int))++ }
 
-// TestDispatchZeroAlloc pins closure-free timer dispatch (AfterArg
-// scheduling plus the driver's pop and callback) at zero allocations
-// per operation.
+// TestDispatchZeroAlloc pins timer dispatch (AfterArg, and After and At
+// with a func built once, plus the driver's pop and callback) at zero
+// allocations per operation: At and After box the func, a pointer,
+// without a copy.
 func TestDispatchZeroAlloc(t *testing.T) {
 	s := New()
 	var allocs float64
 	hits := new(int)
+	bump := func() { *hits++ }
+	schedule := func() {
+		s.AfterArg(time.Microsecond, bumpCounter, hits)
+		s.After(time.Microsecond, bump)
+		s.At(s.Now()+time.Microsecond, bump)
+		s.Sleep(2 * time.Microsecond)
+	}
 	err := s.Run(func() {
 		for i := 0; i < 16; i++ {
-			s.AfterArg(time.Microsecond, bumpCounter, hits)
-			s.Sleep(2 * time.Microsecond)
+			schedule()
 		}
-		allocs = testing.AllocsPerRun(200, func() {
-			s.AfterArg(time.Microsecond, bumpCounter, hits)
-			s.Sleep(2 * time.Microsecond)
-		})
+		allocs = testing.AllocsPerRun(200, schedule)
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

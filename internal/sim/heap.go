@@ -3,15 +3,15 @@ package sim
 import "time"
 
 // event is what a pending event does: wake the parked worker w, or run
-// a callback, fn or afn(arg). The afn/arg form lets hot callers (netsim
-// message delivery) schedule work without allocating a closure: afn is
-// a long-lived package-level function and arg a pooled pointer. A wake
-// with gen 0 ends a sleep's step; one with gen > 0 is the deadline of
-// w's gate wait number gen (see Gate.WaitTimeout).
+// the callback afn(arg). At and After box their func() as arg to
+// callFunc, so hot callers (netsim message delivery) schedule work
+// through AfterArg without a closure: afn is a long-lived package-level
+// function and arg a pooled pointer. A wake with gen 0 ends a sleep's
+// step; one with gen > 0 is the deadline of w's gate wait number gen
+// (see Gate.WaitTimeout).
 type event struct {
 	w   *worker
 	gen uint64
-	fn  func()
 	afn func(any)
 	arg any
 }

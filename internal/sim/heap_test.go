@@ -123,7 +123,7 @@ func TestEventQueueLineStaysBounded(t *testing.T) {
 // every slot is free for reuse.
 func TestEventQueueProperty(t *testing.T) {
 	w := &worker{}
-	fn, afn := func() {}, func(any) {}
+	afn := func(any) {}
 	recurring := []time.Duration{0, 1, 2, 3, 200, 1000}
 	for d := time.Duration(4); ; d++ { // a delay that shares delay 3's line
 		if lineOf(d) == lineOf(3) {
@@ -174,12 +174,9 @@ func TestEventQueueProperty(t *testing.T) {
 			for n := 1 + rng.Intn(4); n > 0; n-- {
 				seq++
 				ev := event{gen: seq}
-				switch rng.Intn(3) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					ev.w = w
-				case 1:
-					ev.fn = fn
-				default:
+				} else {
 					ev.afn, ev.arg = afn, w
 				}
 				l, before := q.lines[lineOf(d)], onLines(&q)
@@ -202,7 +199,7 @@ func TestEventQueueProperty(t *testing.T) {
 			t.Fatalf("seed %d: %d events, %d on lines left in a drained queue", seed, q.len(), onLines(&q))
 		}
 		for i, ev := range q.slab {
-			if ev.w != nil || ev.fn != nil || ev.afn != nil || ev.arg != nil {
+			if ev.w != nil || ev.afn != nil || ev.arg != nil {
 				t.Fatalf("seed %d: a drained queue still holds slot %d: %+v", seed, i, ev)
 			}
 		}

@@ -59,10 +59,10 @@
 // and nothing else touches the kernel or any component built on it, so
 // per-simulation state needs no mutex. Kernel calls come from the slot,
 // or from the goroutine that owns the simulation before Run and after it
-// returns, never from another goroutine while Run is live. Only what is
-// shared with a goroutine outside the run (an observer's export, a
-// host-side counter) keeps a lock of its own. Run takes the kernel's
-// mutex once and holds it until halt, so no kernel call takes a lock.
+// returns, never from another goroutine while Run is live; the clock,
+// the observers and the dispatch count are plain fields for that reason.
+// Run takes the kernel's mutex once and holds it until halt, so no
+// kernel call takes a lock.
 //
 // Callbacks (At, After, AfterArg) and what they call, such as a netsim
 // endpoint handler, run on the controller: on the driver, while no actor
@@ -80,7 +80,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
@@ -105,12 +104,8 @@ const onControllerPanic = " on the controller: a callback or endpoint handler mu
 type Simulation struct {
 	// mu is held by Run from its start to halt and by Release, so a
 	// second Run or a Release from another goroutine waits for the run.
-	mu  sync.Mutex
-	now time.Duration
-	// nowA mirrors now so Now() is lock-free: the hot paths (netsim
-	// sends, tracer timestamps, scheduler priorities) read the clock
-	// far more often than the driver advances it.
-	nowA    atomic.Int64
+	mu      sync.Mutex
+	now     time.Duration
 	running int // resumed workers: at most 1 while Run is live
 	actors  int // live actors (running, ready or parked)
 	// cur is the worker holding the slot, nil on the controller.
@@ -142,25 +137,19 @@ type Simulation struct {
 
 	panicked []string
 
-	// tracer is the active observability sink; nil (the default)
-	// disables tracing. Atomic so a goroutine outside the run (an
-	// exporter) may read it.
-	tracer atomic.Pointer[trace.Tracer]
-
-	// telem is the active telemetry registry (nil disables it), and
-	// kernelInst the kernel's own instruments, both resolved once in
-	// SetTelemetry. Atomics for the same reason as tracer.
-	telem      atomic.Pointer[telemetry.Registry]
-	kernelInst atomic.Pointer[kernelInstruments]
-
-	// aud is the active flight recorder (nil disables it); components
-	// resolve it at construction like the tracer and registry.
-	aud atomic.Pointer[audit.Recorder]
+	// The observers, nil when off: components resolve them at
+	// construction. dispatches and queueDepth are the kernel's own
+	// instruments in telem, nil without one.
+	tracer     *trace.Tracer
+	telem      *telemetry.Registry
+	aud        *audit.Recorder
+	dispatches *telemetry.Counter
+	queueDepth *telemetry.Gauge
 
 	// dispatched counts the events released since New or the last
 	// reset. Unlike the sim.dispatches counter it is always on, for an
 	// events/sec figure without a registry.
-	dispatched atomic.Uint64
+	dispatched uint64
 }
 
 // worker is a coroutine that runs actors one after another: idle once
@@ -194,13 +183,6 @@ type worker struct {
 var slotHook func(s *Simulation)
 var resumeHook func()
 
-// kernelInstruments are the kernel's own live metrics: events
-// dispatched, and the pending-event queue's depth at each advance.
-type kernelInstruments struct {
-	dispatches *telemetry.Counter
-	queueDepth *telemetry.Gauge
-}
-
 // New returns an empty simulation at virtual time zero.
 func New() *Simulation {
 	return &Simulation{}
@@ -219,7 +201,7 @@ func (s *Simulation) SetDeadline(d time.Duration) {
 // component layered on the simulation reads it through Tracer.
 func (s *Simulation) SetTracer(t *trace.Tracer) {
 	t.SetClock(s.Now)
-	s.tracer.Store(t)
+	s.tracer = t
 	s.bridgeTraceDrops()
 }
 
@@ -227,7 +209,7 @@ func (s *Simulation) SetTracer(t *trace.Tracer) {
 // All trace.Tracer methods are nil-safe, so callers instrument
 // unconditionally: s.Tracer().Start(...) is a no-op without a tracer.
 func (s *Simulation) Tracer() *trace.Tracer {
-	return s.tracer.Load()
+	return s.tracer
 }
 
 // SetTelemetry installs (or, with nil, removes) the live-metrics
@@ -235,15 +217,9 @@ func (s *Simulation) Tracer() *trace.Tracer {
 // construction time; the kernel itself contributes the "sim.*"
 // instruments (event dispatch rate, event-queue depth).
 func (s *Simulation) SetTelemetry(reg *telemetry.Registry) {
-	s.telem.Store(reg)
-	if reg == nil {
-		s.kernelInst.Store(nil)
-		return
-	}
-	s.kernelInst.Store(&kernelInstruments{
-		dispatches: reg.Counter("sim.dispatches"),
-		queueDepth: reg.Gauge("sim.queue_depth"),
-	})
+	s.telem = reg
+	s.dispatches = reg.Counter("sim.dispatches")
+	s.queueDepth = reg.Gauge("sim.queue_depth")
 	s.bridgeTraceDrops()
 }
 
@@ -252,40 +228,38 @@ func (s *Simulation) SetTelemetry(reg *telemetry.Registry) {
 // spans surface in dacobs stat summaries and the Prometheus export.
 // Install order does not matter: both setters call it.
 func (s *Simulation) bridgeTraceDrops() {
-	t := s.tracer.Load()
-	reg := s.telem.Load()
-	if t == nil || reg == nil {
+	if s.tracer == nil || s.telem == nil {
 		return
 	}
-	t.SetDropSink(reg.Counter("trace.dropped_spans"))
+	s.tracer.SetDropSink(s.telem.Counter("trace.dropped_spans"))
 }
 
 // Telemetry returns the active registry, or nil when telemetry is
 // disabled. A nil registry hands out nil no-op instruments, so
 // components resolve handles unconditionally.
 func (s *Simulation) Telemetry() *telemetry.Registry {
-	return s.telem.Load()
+	return s.telem
 }
 
 // SetAudit installs (or, with nil, removes) the flight recorder and
 // binds its event clock to this simulation's virtual time.
 func (s *Simulation) SetAudit(r *audit.Recorder) {
 	r.SetClock(s.Now)
-	s.aud.Store(r)
+	s.aud = r
 }
 
 // Audit returns the active flight recorder, or nil when auditing is
 // disabled. All audit.Recorder methods are nil-safe, so components
 // record state deltas unconditionally.
 func (s *Simulation) Audit() *audit.Recorder {
-	return s.aud.Load()
+	return s.aud
 }
 
 // Now reports the current virtual time as an offset from the start of
-// the simulation. It is safe to call from any goroutine and never
-// blocks on the kernel lock.
+// the simulation. Call it from the slot, or around Run (see
+// "Discipline").
 func (s *Simulation) Now() time.Duration {
-	return time.Duration(s.nowA.Load())
+	return s.now
 }
 
 // ActorName names an actor in parts, so that a per-job or per-request
@@ -457,12 +431,9 @@ func (s *Simulation) advanceLocked(d time.Duration, k int) {
 	t := s.now + time.Duration(k)*d
 	s.seq += uint64(k)
 	s.now = t
-	s.nowA.Store(int64(t))
-	s.dispatched.Add(uint64(k))
-	if ki := s.kernelInst.Load(); ki != nil {
-		ki.dispatches.Add(int64(k))
-		ki.queueDepth.Set(float64(s.events.len()))
-	}
+	s.dispatched += uint64(k)
+	s.dispatches.Add(int64(k))
+	s.queueDepth.Set(float64(s.events.len()))
 }
 
 // stepLocked runs as the driver releases a sleep's wake, and does what
@@ -484,12 +455,12 @@ func (s *Simulation) stepLocked(w *worker) bool {
 // "Discipline") and must not block; it may spawn actors, signal gates,
 // and schedule further callbacks.
 func (s *Simulation) At(t time.Duration, fn func()) {
-	s.pushLocked(max(t, s.now)-s.now, event{fn: fn})
+	s.pushLocked(max(t, s.now)-s.now, event{afn: callFunc, arg: fn})
 }
 
 // After schedules fn to run d of virtual time from now. See At.
 func (s *Simulation) After(d time.Duration, fn func()) {
-	s.pushLocked(max(d, 0), event{fn: fn})
+	s.pushLocked(max(d, 0), event{afn: callFunc, arg: fn})
 }
 
 // AfterArg schedules fn(arg) to run d of virtual time from now. It is
@@ -575,12 +546,9 @@ func (s *Simulation) drive() {
 
 // call runs a callback, or a gate wait's deadline.
 func (ev *event) call() {
-	switch {
-	case ev.afn != nil:
+	if ev.afn != nil {
 		ev.afn(ev.arg)
-	case ev.fn != nil:
-		ev.fn()
-	default:
+	} else {
 		ev.w.expire(ev.gen)
 	}
 }
@@ -646,7 +614,6 @@ func (s *Simulation) Release() {
 // allocated capacity. Callers guarantee no goroutine references s.
 func (s *Simulation) reset() {
 	s.now = 0
-	s.nowA.Store(0)
 	s.seq = 0
 	s.undispatched = 0
 	s.deadline = 0
@@ -661,19 +628,17 @@ func (s *Simulation) reset() {
 	s.batch = s.batch[:0]
 	s.sleeping, s.parkedGates = 0, nil
 	s.panicked = nil
-	s.tracer.Store(nil)
-	s.telem.Store(nil)
-	s.kernelInst.Store(nil)
-	s.aud.Store(nil)
-	s.dispatched.Store(0)
+	s.tracer, s.telem, s.aud = nil, nil, nil
+	s.dispatches, s.queueDepth = nil, nil
+	s.dispatched = 0
 }
 
-// Dispatches reports how many events the kernel has released so
-// far. It is safe to call from any goroutine, including after Run has
-// returned — the denominator-free half of an events-per-second
-// throughput measurement (the caller supplies the wall clock).
+// Dispatches reports how many events the kernel has released so far.
+// Call it from the slot, or around Run: after Run has returned it is
+// the denominator-free half of an events-per-second throughput
+// measurement (the caller supplies the wall clock).
 func (s *Simulation) Dispatches() uint64 {
-	return s.dispatched.Load()
+	return s.dispatched
 }
 
 func (s *Simulation) panicErr() error {
@@ -761,12 +726,9 @@ func (s *Simulation) popBatchLocked() bool {
 		s.batch = s.events.popBatch(s.batch[:0])
 		s.undispatched = len(s.batch)
 		s.now = t
-		s.nowA.Store(int64(t))
-		s.dispatched.Add(uint64(len(s.batch)))
-		if ki := s.kernelInst.Load(); ki != nil {
-			ki.dispatches.Add(int64(len(s.batch)))
-			ki.queueDepth.Set(float64(s.events.len()))
-		}
+		s.dispatched += uint64(len(s.batch))
+		s.dispatches.Add(int64(len(s.batch)))
+		s.queueDepth.Set(float64(s.events.len()))
 		return true
 	}
 	return false

@@ -18,7 +18,7 @@
 // safe and returns immediately without allocating, so instrumented
 // code calls tracer methods unconditionally. Components obtain the
 // active tracer from their simulation (sim.Simulation.Tracer), which
-// is a single atomic load.
+// is a plain field read.
 //
 // An enabled span allocates nothing: the Span, which carries the Event
 // it publishes, its annotations, its first link and the event log are

@@ -33,6 +33,16 @@ if [ -n "$writes" ]; then
     exit 1
 fi
 
+# The slot is the lock (DESIGN.md §7): no kernel or observer keeps an atomic.
+echo "==> sync/atomic in internal/sim, trace, telemetry, audit"
+atomics=$(grep -ln '"sync/atomic"' internal/sim/*.go internal/trace/*.go internal/telemetry/*.go internal/audit/*.go |
+    grep -v '_test\.go$' || true)
+if [ -n "$atomics" ]; then
+    echo "sync/atomic imported where the slot is the lock:" >&2
+    echo "$atomics" >&2
+    exit 1
+fi
+
 echo "==> lint (daclint suite + staticcheck/govulncheck when installed)"
 sh scripts/lint.sh
 
